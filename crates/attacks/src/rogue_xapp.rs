@@ -23,7 +23,7 @@
 
 use std::sync::{Arc, Mutex};
 use xsec_control::{A1Request, ControlAction, MitigationAction};
-use xsec_ric::{XApp, XAppContext};
+use xsec_ric::{ControlOut, XApp, XAppContext};
 use xsec_types::{CellId, Duration, Timestamp};
 
 /// What the rogue managed to do — every counter other than `attempts`
@@ -111,12 +111,14 @@ impl RogueXApp {
             action: MitigationAction::QuarantineCell { cell: self.target_cell },
             trace: None,
         };
-        if ctx.send_control_action(
+        if ctx.send_control(
             "quarantine-cell",
-            Some(self.target_cell),
-            None,
-            true,
-            outage.encode(),
+            ControlOut {
+                cell: Some(self.target_cell),
+                trace: None,
+                payload: outage.encode(),
+                broadcast: true,
+            },
         ) {
             report.controls_queued += 1;
         }

@@ -28,7 +28,7 @@ use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
 use xsec_mobiflow::{extract_from_events, TelemetryStream, UeMobiFlow};
 use xsec_obs::{FlightEvent, Obs, TraceStage};
 use xsec_proto::{Direction, MessageKind};
-use xsec_ric::{RicPlatform, SubscriptionSpec, XApp, XAppContext};
+use xsec_ric::{ControlOut, RicPlatform, SubscriptionSpec, XApp, XAppContext};
 use xsec_types::{AttackKind, CellId, Duration, GnbId, Rnti, Timestamp};
 
 /// Runs `f` until `min_secs` of wall clock have elapsed; returns
@@ -570,7 +570,10 @@ impl XApp for EchoController {
         _window_end: Timestamp,
     ) {
         for record in records {
-            ctx.send_control_to(record.cell, vec![0xEC]);
+            ctx.send_control(
+                "*",
+                ControlOut { cell: Some(record.cell), payload: vec![0xEC], ..Default::default() },
+            );
         }
     }
 }
@@ -690,8 +693,9 @@ fn ric_scale_section(min_secs: f64, text: &mut String) -> serde_json::Value {
             let scanned = rig.conns_scanned - scanned0;
             let acked = rig.platform.controls_acked() + rig.platform.controls_failed() - sent0;
             let rate = rounds as f64 / secs;
-            let p50 = rig.platform.control_latency().percentile_us(50.0);
-            let p99 = rig.platform.control_latency().percentile_us(99.0);
+            let ack =
+                rig.platform.obs().snapshot().histogram_merged("xsec_ric_control_ack_latency_us");
+            let (p50, p99) = (ack.p50, ack.p99);
             let conns_per_pump = scanned as f64 / pumps as f64;
             let dropped = rig.platform.egress_dropped()
                 + rig.agents.iter().map(|a| a.egress_dropped()).sum::<u64>();
@@ -699,7 +703,7 @@ fn ric_scale_section(min_secs: f64, text: &mut String) -> serde_json::Value {
                 idle_rates.insert(agents, rate);
             }
             text.push_str(&format!(
-                "  {agents:>3} agents {mode:<11} {rate:>9.0} rounds/s  ack p50={p50}µs p99={p99}µs  \
+                "  {agents:>3} agents {mode:<11} {rate:>9.0} rounds/s  ack p50={p50:.0}µs p99={p99:.0}µs  \
                  conns/pump={conns_per_pump:.1}  acked={acked}  drops={dropped}\n",
             ));
             configs.push(json!({

@@ -54,13 +54,15 @@ pub mod pipeline;
 pub mod scale;
 pub mod shard;
 pub mod smo;
+mod window;
 
 pub use analyzer::{AnalyzerFinding, LlmAnalyzer};
 pub use mitigator::{
     A1SignedRequest, FindingNotice, MitigationSummary, Mitigator, MitigatorState,
 };
 pub use mobiwatch::{Detector, MobiWatch, MobiWatchConfig};
-pub use scale::{ScaleDeployment, ScaleOutcome};
+pub use scale::{RanFeed, ScaleDeployment, ScaleOutcome};
 pub use shard::ShardedMobiWatch;
 pub use pipeline::{ClosedLoopOutcome, Pipeline, PipelineConfig, PipelineOutcome};
 pub use smo::{A1ClientError, A1PolicyClient, DeployedModels, Smo, TrainingConfig};
+pub use window::window_truth;

@@ -23,7 +23,7 @@ use xsec_control::{
 use xsec_mobiflow::{decode_ue_record, UeMobiFlow};
 use xsec_obs::{FlightEvent, Obs, TraceStage};
 use xsec_proto::MessageKind;
-use xsec_ric::{LatencyClass, XApp, XAppContext};
+use xsec_ric::{ControlOut, LatencyClass, XApp, XAppContext};
 use xsec_types::{
     AttackKind, CellId, CipherAlg, Duration, EstablishmentCause, IntegrityAlg, Rnti, Timestamp,
 };
@@ -253,7 +253,8 @@ fn ship_due(state: &mut MitigatorState, now: Timestamp, ctx: &mut XAppContext<'_
         // its per-kind control grant (an undecodable payload declares the
         // wildcard, which deployments deliberately do not grant).
         let kind = action.as_ref().map_or("*", |a| a.action.name());
-        ctx.send_control_action(kind, cell, trace, quarantine && cell.is_some(), payload);
+        let broadcast = quarantine && cell.is_some();
+        ctx.send_control(kind, ControlOut { cell, trace, payload, broadcast });
     }
 }
 

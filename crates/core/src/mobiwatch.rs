@@ -7,16 +7,13 @@
 //! the pre-filter that keeps the expensive model out of the hot path).
 
 use crate::smo::DeployedModels;
-use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::Instant;
+use crate::window::{Ingest, WindowCore};
 use parking_lot::Mutex;
-use xsec_dl::{FeatureRing, Featurizer, Precision, Workspace, FEATURES_PER_RECORD};
-use xsec_mobiflow::{encode_ue_record, UeMobiFlow};
-use xsec_obs::{
-    Counter, FlightEvent, FlightRecorder, FlightRing, Histogram, Obs, TraceStage,
-};
+use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+use xsec_dl::{Precision, FEATURES_PER_RECORD};
+use xsec_mobiflow::UeMobiFlow;
+use xsec_obs::Obs;
 use xsec_ric::{XApp, XAppContext};
 use xsec_types::Timestamp;
 
@@ -37,23 +34,13 @@ impl Detector {
             Detector::Lstm => "lstm",
         }
     }
-}
 
-/// MobiWatch's per-stage instruments, labelled by the detector in force.
-#[derive(Debug, Clone)]
-pub(crate) struct WatchMetrics {
-    pub(crate) featurize_latency: Histogram,
-    pub(crate) inference_latency: Histogram,
-    pub(crate) alerts: Counter,
-}
-
-impl WatchMetrics {
-    pub(crate) fn register(obs: &Obs, detector: Detector) -> Self {
-        let labels = &[("detector", detector.label())];
-        WatchMetrics {
-            featurize_latency: obs.histogram("xsec_mobiwatch_featurize_latency_us", labels),
-            inference_latency: obs.histogram("xsec_mobiwatch_inference_latency_us", labels),
-            alerts: obs.counter("xsec_mobiwatch_alerts_total", labels),
+    /// Records one score consumes at window length `window`: the window
+    /// itself, plus the predicted step for the LSTM.
+    pub fn span(self, window: usize) -> usize {
+        match self {
+            Detector::Autoencoder => window,
+            Detector::Lstm => window + 1,
         }
     }
 }
@@ -117,22 +104,10 @@ pub struct MobiWatchState {
 
 /// The anomaly-detection xApp.
 pub struct MobiWatch {
-    models: DeployedModels,
-    config: MobiWatchConfig,
-    featurizer: Featurizer,
-    /// Flattened feature window — the scoring hot path reads contiguous
-    /// slices out of this ring instead of rebuilding a window per record.
-    ring: FeatureRing,
-    /// Raw records for alert context only, eagerly capped.
-    raw_history: VecDeque<UeMobiFlow>,
-    feature_buf: Vec<f32>,
-    workspace: Workspace,
-    records_seen: u64,
-    last_publish_at: Option<u64>,
-    state: Arc<Mutex<MobiWatchState>>,
-    metrics: WatchMetrics,
-    recorder: FlightRecorder,
-    flight: FlightRing,
+    ingest: Ingest,
+    /// The paper's global sliding window: one core, one key.
+    core: WindowCore,
+    features: Vec<f32>,
 }
 
 impl MobiWatch {
@@ -142,154 +117,39 @@ impl MobiWatch {
         models: DeployedModels,
         config: MobiWatchConfig,
     ) -> (Self, Arc<Mutex<MobiWatchState>>) {
-        let state = Arc::new(Mutex::new(MobiWatchState::default()));
-        let metrics = WatchMetrics::register(&Obs::new(), config.detector);
-        // The LSTM consumes window + 1 rows (sequence plus predicted step).
-        let ring = FeatureRing::new(FEATURES_PER_RECORD, models.feature_config.window + 1);
-        let recorder = FlightRecorder::new();
-        let flight = recorder.ring();
-        (
-            MobiWatch {
-                models,
-                config,
-                featurizer: Featurizer::new(),
-                ring,
-                raw_history: VecDeque::new(),
-                feature_buf: Vec::with_capacity(FEATURES_PER_RECORD),
-                workspace: Workspace::new(),
-                records_seen: 0,
-                last_publish_at: None,
-                state: state.clone(),
-                metrics,
-                recorder,
-                flight,
-            },
-            state,
-        )
+        let core = WindowCore::new(models.feature_config.window, &mut Vec::new());
+        let (ingest, state) = Ingest::new(models, config);
+        (MobiWatch { ingest, core, features: Vec::with_capacity(FEATURES_PER_RECORD) }, state)
     }
 
     /// Re-homes the xApp's instruments into `obs`'s registry and its flight
     /// recording into `obs`'s recorder. Call before feeding records
     /// (deployment time) — samples do not carry over.
     pub fn attach_obs(&mut self, obs: &Obs) {
-        self.metrics = WatchMetrics::register(obs, self.config.detector);
-        self.recorder = obs.recorder.clone();
-        self.flight = self.recorder.ring();
+        self.ingest.attach_obs(obs);
     }
 
     /// The sliding-window length in force.
     pub fn window(&self) -> usize {
-        self.models.feature_config.window
+        self.ingest.scorer.window()
     }
 
     /// How often the scoring workspace had to grow a buffer. Stable across
     /// calls once warm — the steady-state zero-allocation guarantee.
     pub fn workspace_grow_events(&self) -> usize {
-        self.workspace.grow_events()
+        self.ingest.scorer.workspace_grow_events()
     }
 
     /// Feeds one record; returns an alert when the window it completes is
     /// anomalous (alert emission respects the publish cooldown; scoring
     /// happens for every window regardless).
     pub fn process_record(&mut self, record: &UeMobiFlow) -> Option<AnomalyAlert> {
-        let featurize_start = Instant::now();
-        let mut features = std::mem::take(&mut self.feature_buf);
-        self.featurizer.encode_record_into(record, &mut features);
-        self.ring.push(&features);
-        self.feature_buf = features;
-        self.metrics.featurize_latency.observe_duration(featurize_start.elapsed());
-
-        // Cap memory eagerly: only the records an alert can ever reference
-        // (context + window, at least window + 1 so the LSTM span fits).
-        let n = self.window();
-        let keep = (self.config.context_records + n).max(n + 1);
-        self.raw_history.push_back(record.clone());
-        while self.raw_history.len() > keep {
-            self.raw_history.pop_front();
-        }
-        self.records_seen += 1;
-
-        let inference_start = Instant::now();
-        let (score, threshold) = match self.config.detector {
-            Detector::Autoencoder => {
-                if self.ring.len() < n {
-                    return None;
-                }
-                let score = self.models.autoencoder.score_window_with(
-                    self.ring.last_n(n),
-                    &mut self.workspace,
-                    self.config.precision,
-                );
-                (score, self.models.ae_threshold)
-            }
-            Detector::Lstm => {
-                if self.ring.len() < n + 1 {
-                    return None;
-                }
-                let span = self.ring.last_n(n + 1);
-                let (window_flat, next) = span.split_at(n * FEATURES_PER_RECORD);
-                let score = self.models.lstm.score_window_with(
-                    window_flat,
-                    next,
-                    &mut self.workspace,
-                    self.config.precision,
-                );
-                (score, self.models.lstm_threshold)
-            }
-        };
-
-        // Recover the causal trace the E2 agent rooted for this record and
-        // log the inference span (skipped entirely when untraced).
-        let trace = self.recorder.trace_for(record.msg_id);
-        self.metrics
-            .inference_latency
-            .observe_duration_with_exemplar(inference_start.elapsed(), trace);
-        self.flight.record(FlightEvent {
-            trace,
-            stage: TraceStage::Inference,
-            at_us: record.timestamp.as_micros(),
-            a: u64::from(score.to_bits()),
-            b: u64::from(threshold.value.to_bits()),
-        });
-
-        let flagged = threshold.is_anomalous(score);
-        let record_index = self.records_seen - 1;
-        self.state.lock().scores.push((record_index, score, flagged));
-        if !flagged {
-            return None;
-        }
-
-        // Cooldown: one alert per burst, not one per window.
-        if let Some(last) = self.last_publish_at {
-            if record_index.saturating_sub(last) < self.config.publish_cooldown as u64 {
-                return None;
-            }
-        }
-        self.last_publish_at = Some(record_index);
-
-        let context = self.config.context_records + n;
-        let start = self.raw_history.len().saturating_sub(context);
-        let alert = AnomalyAlert {
-            trace,
-            at_record: record_index,
-            at_time: record.timestamp,
-            score,
-            threshold: threshold.value,
-            records: self.raw_history.iter().skip(start).map(encode_ue_record).collect(),
-        };
-        // A detection fired: freeze this trace's causal slice and append the
-        // alert span to it.
-        self.recorder.mark_incident(trace);
-        self.recorder.record_stage(FlightEvent {
-            trace,
-            stage: TraceStage::Alert,
-            at_us: record.timestamp.as_micros(),
-            a: u64::from(score.to_bits()),
-            b: u64::from(threshold.value.to_bits()),
-        });
-        self.state.lock().alerts.push(alert.clone());
-        self.metrics.alerts.inc();
-        Some(alert)
+        let index = self.ingest.featurize(record, &mut self.features);
+        self.ingest.remember(record);
+        // Recover the causal trace the E2 agent rooted for this record.
+        let trace = self.ingest.trace_for(record);
+        let verdict = self.core.push(&mut self.ingest.scorer, &self.features, trace)?;
+        self.ingest.emit(record, index, trace, verdict)
     }
 }
 
@@ -306,8 +166,7 @@ impl XApp for MobiWatch {
     ) {
         for record in records {
             if let Some(alert) = self.process_record(record) {
-                let payload = serde_json::to_vec(&alert).expect("alert serializes");
-                ctx.publish(&self.config.publish_topic, &payload);
+                self.ingest.publish(ctx, &alert);
             }
         }
     }
@@ -316,26 +175,10 @@ impl XApp for MobiWatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smo::{Smo, TrainingConfig};
+    use crate::smo::quick_models;
     use xsec_attacks::DatasetBuilder;
     use xsec_mobiflow::extract_from_events;
     use xsec_types::AttackKind;
-
-    fn quick_models(seed: u64) -> DeployedModels {
-        let report = DatasetBuilder::small(seed, 15).benign();
-        let stream = extract_from_events(&report.events);
-        Smo::train(
-            &TrainingConfig {
-                autoencoder_epochs: 12,
-                lstm_epochs: 3,
-                autoencoder_hidden: vec![48, 12],
-                lstm_hidden: 24,
-                ..TrainingConfig::default()
-            },
-            &stream,
-        )
-        .unwrap()
-    }
 
     #[test]
     fn benign_replay_is_mostly_quiet() {
@@ -408,11 +251,7 @@ mod tests {
     #[test]
     fn history_stays_bounded_and_scoring_stops_allocating() {
         let models = quick_models(18);
-        let keep = {
-            let config = MobiWatchConfig::default();
-            (config.context_records + models.feature_config.window)
-                .max(models.feature_config.window + 1)
-        };
+        let keep = MobiWatchConfig::default().context_records + models.feature_config.window;
         let (mut watch, state) = MobiWatch::new(models, MobiWatchConfig::default());
         let report = DatasetBuilder::small(19, 10).benign();
         let stream = extract_from_events(&report.events);
@@ -423,9 +262,9 @@ mod tests {
             // Raw history must never exceed the alert-context cap — the old
             // implementation let it grow to 4× before draining.
             assert!(
-                watch.raw_history.len() <= keep,
+                watch.ingest.tail.len() <= keep,
                 "history grew to {} (cap {keep}) at record {i}",
-                watch.raw_history.len()
+                watch.ingest.tail.len()
             );
             if i == 2 * watch.window() {
                 grows_after_warmup = Some(watch.workspace_grow_events());

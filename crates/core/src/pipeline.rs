@@ -1,29 +1,27 @@
-//! The end-to-end 6G-XSec pipeline (paper Figure 3), assembled.
+//! The end-to-end 6G-XSec pipeline (paper Figure 3): trainer and evaluator.
 //!
 //! Training: a benign dataset is collected from the simulated testbed and
 //! the SMO trains both detectors. Inference: an attack (or fresh benign)
-//! dataset is replayed through the *real* stack — RIC agent → E2 →
-//! platform → MobiWatch xApp → `anomalies` topic → LLM analyzer xApp — and
-//! the outcome is evaluated against ground truth.
+//! dataset is driven through the *real* stack — a one-agent
+//! [`ScaleDeployment`]: RIC agent → E2 → platform → MobiWatch xApp →
+//! `anomalies` topic → LLM analyzer xApp → mitigator — and the outcome is
+//! evaluated against ground truth. The wiring and the drive loop live in
+//! [`crate::scale`]; nothing here builds or sequences the RIC.
 
-use crate::analyzer::{AnalyzerFinding, LlmAnalyzer};
-use crate::mitigator::{
-    MitigationSummary, Mitigator, A1_POLICY_STATUS_TOPIC, A1_POLICY_TOPIC, CONTROL_ACKS_TOPIC,
-    FINDINGS_TOPIC,
-};
-use crate::mobiwatch::{Detector, MobiWatch, MobiWatchConfig};
+use crate::analyzer::AnalyzerFinding;
+use crate::mitigator::MitigationSummary;
+use crate::mobiwatch::Detector;
+use crate::scale::{LiveSim, ScaleDeployment};
 use crate::smo::{A1PolicyClient, DeployedModels, Smo, TrainingConfig};
+use crate::window::window_truth;
 use xsec_attacks::DatasetBuilder;
-use xsec_control::{ControlAction, PolicyEngine};
-use xsec_dl::{Confusion, FeatureConfig, Featurizer, Precision};
-use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
-use xsec_llm::{ModelPersonality, SimulatedExpert};
-use xsec_mobiflow::{extract_from_events, extract_from_events_at, TelemetryStream};
-use xsec_obs::{FlightRecorder, Obs, Snapshot};
+use xsec_control::ControlAction;
+use xsec_dl::{Confusion, Precision};
+use xsec_llm::ModelPersonality;
+use xsec_mobiflow::{extract_from_events, TelemetryStream};
+use xsec_obs::{FlightRecorder, Snapshot};
 use xsec_ran::sim::{RanSimulator, SimReport};
-use xsec_ran::stream::{StreamStats, StreamingScenario};
-use xsec_ric::{Grants, RicPlatform, RouterHandle, SubscriptionSpec, XAppIdentity};
-use xsec_types::{AttackKind, CellId, Duration, GnbId, Timestamp};
+use xsec_types::{AttackKind, Timestamp};
 
 /// Pipeline parameters.
 #[derive(Debug, Clone)]
@@ -58,7 +56,6 @@ impl PipelineConfig {
     /// A fast configuration for tests and doctests.
     pub fn small(seed: u64, benign_sessions: usize) -> Self {
         PipelineConfig {
-            seed,
             benign_sessions,
             training: TrainingConfig {
                 autoencoder_epochs: 12,
@@ -67,12 +64,7 @@ impl PipelineConfig {
                 lstm_hidden: 24,
                 ..TrainingConfig::default()
             },
-            detector: Detector::Autoencoder,
-            personality: ModelPersonality::CHATGPT_4O,
-            detector_window: 4,
-            report_period_ms: 100,
-            scoring_shards: 0,
-            precision: Precision::F32,
+            ..Self::paper(seed)
         }
     }
 
@@ -107,7 +99,7 @@ pub struct PipelineOutcome {
     pub human_review: usize,
     /// Window-level confusion against ground truth.
     pub confusion: Confusion,
-    /// Mean xApp handler latency (µs), from the platform tracker.
+    /// Mean xApp handler latency (µs), from `xsec_ric_handler_latency_us`.
     pub mean_handler_latency_us: f64,
     /// Closed-loop mitigation outcome (actions issued, acked, escalated).
     pub mitigation: MitigationSummary,
@@ -133,51 +125,17 @@ pub struct ClosedLoopOutcome {
     pub enforced: Vec<(Timestamp, ControlAction)>,
 }
 
-/// What a streaming closed-loop run produced: the RIC-side outcome, the
-/// generator's counters, the enforced actions, and the engine itself (so
-/// callers can interrogate per-cell gNB statistics after the run).
-pub struct StreamingOutcome {
-    /// The RIC-side outcome (detections, findings, mitigation summary).
-    pub outcome: PipelineOutcome,
-    /// Generator counters (UEs streamed, handovers, storms, peak live).
-    pub stats: StreamStats,
-    /// Control actions routed back into the deployment, in arrival order.
-    pub enforced: Vec<(Timestamp, ControlAction)>,
-    /// The drained engine, for per-cell post-mortems.
-    pub engine: StreamingScenario,
-}
-
 /// A trained, deployable pipeline.
 pub struct Pipeline {
     config: PipelineConfig,
     models: DeployedModels,
 }
 
-/// One assembled RIC deployment: agent ↔ platform with the MobiWatch,
-/// analyzer, and mitigator xApps registered and the E2 handshake done.
-struct Deployment {
-    /// The shared observability handle every stage records into. Fresh per
-    /// deployment, so each run's snapshot stands alone.
-    obs: Obs,
-    agent: RicAgent<InProcTransport>,
-    platform: RicPlatform,
-    watch_state: std::sync::Arc<parking_lot::Mutex<crate::mobiwatch::MobiWatchState>>,
-    analyzer_state: std::sync::Arc<parking_lot::Mutex<crate::analyzer::AnalyzerState>>,
-    mitigator_state: std::sync::Arc<parking_lot::Mutex<crate::mitigator::MitigatorState>>,
-    /// The SMO's registered identity handle (publish on `a1-policies`,
-    /// every A1 op) — what [`A1PolicyClient::scoped`] runs on.
-    smo_scope: RouterHandle,
-}
-
 impl Pipeline {
     /// Collects benign training data and trains the detectors.
     pub fn train(config: &PipelineConfig) -> Self {
-        let mut config = config.clone();
-        config.training.window = config.detector_window;
         let benign = DatasetBuilder::small(config.seed, config.benign_sessions).benign();
-        let stream = extract_from_events(&benign.events);
-        let models = Smo::train(&config.training, &stream).expect("training succeeds");
-        Pipeline { config, models }
+        Self::train_on(config, &extract_from_events(&benign.events))
     }
 
     /// Trains the detectors on a caller-provided benign stream instead of
@@ -220,144 +178,17 @@ impl Pipeline {
         self.run_stream(&stream)
     }
 
-    /// Assembles the agent/platform pair with all three xApps registered
-    /// and runs the E2 setup + subscription handshake.
-    fn deploy(&self) -> Deployment {
-        let obs = Obs::from_env();
-        let (agent_end, ric_end) = in_proc_pair();
-        let mut agent =
-            RicAgent::new(RicAgentConfig { gnb_id: GnbId(1), cell: CellId(1) }, agent_end)
-                .expect("agent starts");
-        agent.attach_obs(&obs);
-        let mut platform = RicPlatform::with_obs(obs.clone());
-        platform.add_agent(Box::new(ric_end));
-
-        let watch_config =
-            MobiWatchConfig {
-                detector: self.config.detector,
-                precision: self.config.precision,
-                ..MobiWatchConfig::default()
-            };
-        let (watch, watch_state): (Box<dyn xsec_ric::XApp>, _) =
-            if self.config.scoring_shards > 0 {
-                let (mut pool, state) = crate::shard::ShardedMobiWatch::new(
-                    self.models.clone(),
-                    watch_config,
-                    self.config.scoring_shards,
-                );
-                pool.attach_obs(&obs);
-                (Box::new(pool), state)
-            } else {
-                let (mut watch, state) = MobiWatch::new(self.models.clone(), watch_config);
-                watch.attach_obs(&obs);
-                (Box::new(watch), state)
-            };
-        let (mut analyzer, analyzer_state) = LlmAnalyzer::new(
-            Box::new(SimulatedExpert::new(self.config.personality)),
-            "anomalies",
-        );
-        analyzer.attach_obs(&obs);
-        let (mitigator, mitigator_state) =
-            Mitigator::with_obs(PolicyEngine::default(), obs.clone());
-        // Deny-by-default: each xApp runs under a registered identity
-        // holding exactly the capabilities its role needs, and the router
-        // is sealed once the deployment is wired (no identity can be
-        // minted mid-run).
-        platform.harden();
-        platform
-            .register_xapp_scoped(
-                watch,
-                SubscriptionSpec::telemetry(self.config.report_period_ms),
-                Grants::none().publish("anomalies"),
-            )
-            .expect("register mobiwatch");
-        platform
-            .register_xapp_scoped(
-                Box::new(analyzer),
-                SubscriptionSpec::topics_only(&["anomalies"]),
-                Grants::none().subscribe("anomalies").publish(FINDINGS_TOPIC),
-            )
-            .expect("register analyzer");
-        // The mitigator also subscribes to telemetry: the report windows are
-        // its virtual clock for retry pacing and TTL expiry. Its control
-        // grants enumerate the five playbook kinds rather than the
-        // wildcard, so a compromised playbook cannot smuggle a new kind.
-        platform
-            .register_xapp_scoped(
-                Box::new(mitigator),
-                SubscriptionSpec::telemetry(self.config.report_period_ms)
-                    .with_topic(FINDINGS_TOPIC)
-                    .with_topic(CONTROL_ACKS_TOPIC)
-                    .with_topic(A1_POLICY_TOPIC),
-                Grants::none()
-                    .subscribe(FINDINGS_TOPIC)
-                    .subscribe(CONTROL_ACKS_TOPIC)
-                    .subscribe(A1_POLICY_TOPIC)
-                    .publish(A1_POLICY_STATUS_TOPIC)
-                    .control("release-ue")
-                    .control("blacklist-rnti")
-                    .control("force-reauth")
-                    .control("quarantine-cell")
-                    .control("rate-limit-cause"),
-            )
-            .expect("register mitigator");
-        let smo_scope = platform
-            .register_identity(
-                XAppIdentity::named("smo"),
-                Grants::none()
-                    .publish(A1_POLICY_TOPIC)
-                    .subscribe(A1_POLICY_STATUS_TOPIC)
-                    .a1_all(),
-            )
-            .expect("register smo");
-        platform.seal();
-
-        // Handshake.
-        for _ in 0..3 {
-            platform.pump().expect("pump");
-            agent.poll(Timestamp::ZERO).expect("agent poll");
-        }
-        Deployment {
-            obs,
-            agent,
-            platform,
-            watch_state,
-            analyzer_state,
-            mitigator_state,
-            smo_scope,
-        }
-    }
-
-    /// Replays a telemetry stream through agent → E2 → platform → xApps.
+    /// Replays a telemetry stream through a one-agent [`ScaleDeployment`]
+    /// and scores the run against ground truth.
     ///
     /// Control Requests the mitigator issues still travel RIC → agent and
     /// are acked, but nothing enforces them — this is the *open-loop*
     /// replay used for detection evaluation. [`Pipeline::run_closed_loop`]
     /// feeds the actions back into a live simulation.
     pub fn run_stream(&self, stream: &TelemetryStream) -> PipelineOutcome {
-        let mut d = self.deploy();
-
-        // Replay records in report-period buckets of virtual time.
-        let period = Duration::from_millis(u64::from(self.config.report_period_ms));
-        let mut bucket_end = Timestamp::ZERO + period;
-        for record in &stream.records {
-            while record.timestamp >= bucket_end {
-                d.agent.poll(bucket_end).expect("agent poll");
-                d.platform.pump().expect("pump");
-                bucket_end += period;
-            }
-            d.agent.push_record(record.clone());
-        }
-        // Final flush: alert → finding → control → ack needs a few more
-        // poll/pump rounds (with time advancing) to drain end to end.
-        for _ in 0..4 {
-            d.agent.poll(bucket_end).expect("agent poll");
-            d.platform.pump().expect("pump");
-            bucket_end += period;
-        }
-        drop(d.agent.take_control_requests());
-
-        self.evaluate(stream, d)
+        let mut d = ScaleDeployment::new(self, 1);
+        d.run_stream(stream);
+        self.evaluate(stream, &d)
     }
 
     /// Runs the *closed* loop: a live [`RanSimulator`] is driven in
@@ -378,130 +209,33 @@ impl Pipeline {
     /// and observe the Control Actions change.
     pub fn run_closed_loop_with(
         &self,
-        mut sim: RanSimulator,
+        sim: RanSimulator,
         mut smo_hook: impl FnMut(Timestamp, &[(Timestamp, ControlAction)], &A1PolicyClient),
     ) -> ClosedLoopOutcome {
-        let mut d = self.deploy();
-        // The RAN side records into the same registry, so the snapshot
-        // spans detection *and* enforcement.
-        sim.attach_obs(&d.obs);
+        let mut d = ScaleDeployment::new(self, 1);
         // The hook's client runs under the SMO's registered identity: its
         // operations go out as signed envelopes the mitigator verifies.
-        let a1 = A1PolicyClient::scoped(d.smo_scope.clone());
-
-        let period = Duration::from_millis(u64::from(self.config.report_period_ms));
-        let horizon = Timestamp::ZERO + sim.config().horizon;
-        let mut bucket_end = Timestamp::ZERO + period;
-        let mut cursor = 0usize;
-        let mut enforced = Vec::new();
-        // A few grace buckets past the horizon drain in-flight detections.
-        while bucket_end <= horizon + period.saturating_mul(4) {
-            sim.run_until(bucket_end);
-            // Events only append, so re-extraction is prefix-stable: feed
-            // the suffix the agent has not seen yet.
-            let stream = extract_from_events(sim.events());
-            for record in &stream.records[cursor..] {
-                d.agent.push_record(record.clone());
-            }
-            cursor = stream.records.len();
-            d.agent.poll(bucket_end).expect("agent poll");
-            // Two pumps walk indication → alert → finding → control ship.
-            d.platform.pump().expect("pump");
-            d.platform.pump().expect("pump");
-            // The agent receives (and acks) any Control Requests; the RAN
-            // enforces them before the next bucket of traffic runs.
-            d.agent.poll(bucket_end).expect("agent poll");
-            for payload in d.agent.take_control_requests() {
-                if let Ok(action) = ControlAction::decode(&payload) {
-                    sim.apply_control(bucket_end, &action);
-                    enforced.push((bucket_end, action));
-                }
-            }
-            // Relay the acks back onto the mitigator's topic.
-            d.platform.pump().expect("pump");
-            smo_hook(bucket_end, &enforced, &a1);
-            bucket_end += period;
-        }
-
-        let stream = extract_from_events(sim.events());
-        let outcome = self.evaluate(&stream, d);
-        ClosedLoopOutcome { outcome, report: sim.finish(), enforced }
-    }
-
-    /// Runs the closed loop against a *streaming* multi-cell scenario: the
-    /// engine generates (and retires) UEs lazily, each report bucket's
-    /// merged events flow through agent → E2 → platform → xApps, and every
-    /// Control Request is decoded and routed back to the cell(s) it
-    /// concerns — so detections in one cell change what that cell admits
-    /// while the others keep serving.
-    ///
-    /// The loop ends when the engine drains (plus a few grace buckets for
-    /// in-flight detections) or `max_virtual` elapses, whichever is first.
-    /// Evaluation keeps the whole labeled stream in memory — use the soak
-    /// harness, which drains state per batch, for memory-ceiling runs.
-    pub fn run_streaming(
-        &self,
-        mut engine: StreamingScenario,
-        max_virtual: Duration,
-    ) -> StreamingOutcome {
-        let mut d = self.deploy();
-        // Streaming cells keep their metrics local, but enforcement spans
-        // must land in the deployment's incident traces.
-        engine.attach_recorder(&d.obs.recorder);
-        let period = Duration::from_millis(u64::from(self.config.report_period_ms));
-        let hard_stop = Timestamp::ZERO + max_virtual;
-        let mut bucket_end = Timestamp::ZERO + period;
-        let mut full = TelemetryStream::default();
-        let mut enforced = Vec::new();
-        let mut grace = 0;
-        while grace < 4 && bucket_end <= hard_stop {
-            let events = engine.step(bucket_end);
-            let chunk = extract_from_events_at(&events, full.records.len() as u64);
-            for record in &chunk.records {
-                d.agent.push_record(record.clone());
-            }
-            full.records.extend(chunk.records);
-            full.labels.extend(chunk.labels);
-
-            d.agent.poll(bucket_end).expect("agent poll");
-            d.platform.pump().expect("pump");
-            d.platform.pump().expect("pump");
-            d.agent.poll(bucket_end).expect("agent poll");
-            for payload in d.agent.take_control_requests() {
-                if let Ok(action) = ControlAction::decode(&payload) {
-                    engine.apply_control(bucket_end, &action);
-                    enforced.push((bucket_end, action));
-                }
-            }
-            d.platform.pump().expect("pump");
-
-            if engine.done() {
-                grace += 1;
-            }
-            bucket_end += period;
-        }
-
-        let stats = engine.stats();
-        let outcome = self.evaluate(&full, d);
-        StreamingOutcome { outcome, stats, enforced, engine }
+        let a1 = d.a1_client();
+        let mut ran = LiveSim::new(sim, |at, enforced| smo_hook(at, enforced, &a1));
+        let enforced = d.drive(&mut ran);
+        let outcome = self.evaluate(&ran.seen, &d);
+        ClosedLoopOutcome { outcome, report: ran.sim.finish(), enforced }
     }
 
     /// Scores the run against ground truth and snapshots every xApp state.
-    fn evaluate(&self, stream: &TelemetryStream, d: Deployment) -> PipelineOutcome {
+    fn evaluate(&self, stream: &TelemetryStream, d: &ScaleDeployment) -> PipelineOutcome {
+        // Truth follows the deployed detector's window accounting record
+        // for record: per UE under the sharded pool, one global window
+        // otherwise.
+        let span = self.config.detector.span(self.config.detector_window);
         let truth = if self.config.scoring_shards > 0 {
-            // The sharded pool windows per UE, so truth must follow the
-            // same per-UE accounting to line up record for record.
-            crate::shard::per_ue_truth(stream, self.config.detector_window, self.config.detector)
+            window_truth(stream, span, |r| r.du_ue_id)
         } else {
-            let feature_config = FeatureConfig { window: self.config.detector_window };
-            let dataset = Featurizer::encode_stream(&feature_config, stream);
-            match self.config.detector {
-                Detector::Autoencoder => dataset.window_labels(),
-                Detector::Lstm => dataset.lstm_labels(),
-            }
+            window_truth(stream, span, |_| ())
         };
-        let watch_state = d.watch_state.lock();
-        let predictions: Vec<bool> = watch_state.scores.iter().map(|(_, _, f)| *f).collect();
+        let scale = d.outcome();
+        let predictions: Vec<bool> =
+            d.watch_state.lock().scores.iter().map(|(_, _, f)| *f).collect();
         assert_eq!(
             predictions.len(),
             truth.len(),
@@ -509,20 +243,21 @@ impl Pipeline {
             predictions.len(),
             truth.len()
         );
-        let confusion = Confusion::from_predictions(&predictions, &truth);
-
         let analyzer_state = d.analyzer_state.lock();
         PipelineOutcome {
             records: stream.len(),
-            flagged_windows: predictions.iter().filter(|f| **f).count(),
-            alerts: watch_state.alerts.len(),
+            flagged_windows: scale.flagged_windows,
+            alerts: scale.alerts,
             findings: analyzer_state.findings.clone(),
             human_review: analyzer_state.human_review.len(),
-            confusion,
-            mean_handler_latency_us: d.platform.latency().mean_us(),
-            mitigation: d.mitigator_state.lock().summary(),
-            metrics: d.obs.snapshot(),
-            recorder: d.obs.recorder.clone(),
+            confusion: Confusion::from_predictions(&predictions, &truth),
+            mean_handler_latency_us: scale
+                .metrics
+                .histogram_merged("xsec_ric_handler_latency_us")
+                .mean,
+            mitigation: scale.mitigation,
+            metrics: scale.metrics,
+            recorder: d.obs().recorder.clone(),
         }
     }
 }
@@ -572,7 +307,8 @@ mod tests {
     #[test]
     fn migrating_attacker_is_detected_and_mitigated_in_every_cell_it_visits() {
         use xsec_attacks::{MigrateConfig, MigrationSchedule};
-        use xsec_ran::stream::StreamConfig;
+        use xsec_ran::stream::{StreamConfig, StreamingScenario};
+        use xsec_types::Duration;
 
         let stream_config = StreamConfig {
             seed: 61,
@@ -589,15 +325,9 @@ mod tests {
         // detector must learn the multi-cell, churning distribution it will
         // patrol, not the single-cell collection scenario.
         let mut benign = StreamingScenario::new(StreamConfig { seed: 7, ..stream_config.clone() });
-        let mut training_events = Vec::new();
-        let mut deadline = Timestamp::ZERO + Duration::from_millis(100);
-        while !benign.done() {
-            training_events.extend(benign.step(deadline));
-            deadline += Duration::from_millis(100);
-        }
         let mut config = PipelineConfig::small(25, 15);
         config.scoring_shards = 2;
-        let pipeline = Pipeline::train_on(&config, &extract_from_events(&training_events));
+        let pipeline = Pipeline::train_on(&config, &crate::scale::drained(&mut benign));
 
         let mut engine = StreamingScenario::new(stream_config);
         // The attacker tours all three cells, flooding each in turn — the
@@ -610,19 +340,22 @@ mod tests {
         )
         .install(&mut engine);
 
-        let result = pipeline.run_streaming(engine, Duration::from_secs(60));
+        // One agent per cell, the streaming engine's layout.
+        let mut d = ScaleDeployment::new(&pipeline, 3);
+        let enforced = d.run_streaming(&mut engine, Duration::from_secs(60));
+        let outcome = d.outcome();
 
-        assert!(result.outcome.flagged_windows > 0, "flood not flagged");
-        assert!(!result.outcome.findings.is_empty(), "analyzer saw nothing");
-        assert!(result.outcome.mitigation.issued > 0, "no actions issued");
-        assert!(!result.enforced.is_empty(), "no actions reached the RAN");
-        assert!(result.stats.handovers > 0, "benign churn missing");
+        assert!(outcome.flagged_windows > 0, "flood not flagged");
+        assert!(outcome.findings > 0, "analyzer saw nothing");
+        assert!(outcome.mitigation.issued > 0, "no actions issued");
+        assert!(!enforced.is_empty(), "no actions reached the RAN");
+        assert!(engine.stats().handovers > 0, "benign churn missing");
 
         // Enforcement must land in *every* visited cell: once the flood is
         // mitigated there, that cell's gNB drops its setups (rate limit /
         // quarantine) or its uplinks (RNTI blacklist).
         for cell in 0..3 {
-            let stats = result.engine.gnb_stats(cell);
+            let stats = engine.gnb_stats(cell);
             assert!(
                 stats.mitigation_dropped + stats.blacklist_dropped > 0,
                 "cell {cell} was never protected: {stats:?}"

@@ -1,12 +1,24 @@
-//! Multi-agent RIC deployments: one platform terminating N gNB agents.
+//! The RIC deployment: one platform terminating N gNB agents, the standard
+//! xApp trio, and the one loop that drives it.
 //!
-//! [`crate::pipeline::Pipeline`] wires a single agent to the platform —
-//! the paper's testbed shape. This module scales that out: one
-//! [`RicPlatform`] terminating one in-proc E2 connection *per cell*, the
-//! shape the readiness-driven reactor exists for. The same xApp set
-//! (MobiWatch, analyzer, mitigator) serves every agent, a declared
-//! neighbour topology arms QuarantineCell broadcast fan-out, and the
-//! per-agent ack-latency histograms land in the shared registry.
+//! [`ScaleDeployment`] is the only place the paper's Figure 3 is wired —
+//! gNB agent(s) → E2 → platform → MobiWatch → LLM analyzer → mitigator →
+//! E2 Control — and [`ScaleDeployment::step`] is the only place a report
+//! bucket is sequenced through it. One agent is the paper's testbed shape
+//! (what [`Pipeline`]'s `run_*` methods deploy); N agents, one in-proc E2
+//! connection *per cell*, is the shape the readiness-driven reactor exists
+//! for. The same xApp set serves every agent, a ring neighbour topology
+//! arms QuarantineCell broadcast fan-out, and the per-agent ack-latency
+//! histograms land in the shared registry.
+//!
+//! ## One drive loop
+//!
+//! [`ScaleDeployment::drive`] runs buckets until its [`RanFeed`] — where a
+//! bucket's records come from and where the decoded Control Actions go —
+//! is exhausted, plus a few grace buckets. Three feeds cover every run
+//! mode: [`Replay`] (a pre-extracted stream, open loop), [`LiveSim`] (a
+//! live [`RanSimulator`], closed loop), and [`Streaming`] (a multi-cell
+//! [`StreamingScenario`], closed loop).
 //!
 //! ## Determinism across agent counts
 //!
@@ -32,11 +44,16 @@ use std::sync::Arc;
 use xsec_control::{ControlAction, PolicyEngine};
 use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
 use xsec_llm::SimulatedExpert;
-use xsec_mobiflow::{TelemetryStream, UeMobiFlow};
+use xsec_mobiflow::{extract_from_events_at, TelemetryStream, UeMobiFlow};
 use xsec_obs::{Obs, Snapshot};
+use xsec_ran::sim::RanSimulator;
 use xsec_ran::stream::StreamingScenario;
 use xsec_ric::{Grants, RicPlatform, RouterHandle, SubscriptionSpec, XApp, XAppIdentity};
 use xsec_types::{CellId, Duration, GnbId, Timestamp};
+
+/// Buckets a drive keeps running after its feed is exhausted, so in-flight
+/// detections drain end to end (alert → finding → control → ack).
+const GRACE_BUCKETS: usize = 4;
 
 /// One platform, N agents (agent `i` serves `CellId(i + 1)`, matching the
 /// streaming engine's cell-index layout), and the standard xApp trio.
@@ -44,8 +61,8 @@ pub struct ScaleDeployment {
     obs: Obs,
     agents: Vec<RicAgent<InProcTransport>>,
     platform: RicPlatform,
-    watch_state: Arc<Mutex<MobiWatchState>>,
-    analyzer_state: Arc<Mutex<AnalyzerState>>,
+    pub(crate) watch_state: Arc<Mutex<MobiWatchState>>,
+    pub(crate) analyzer_state: Arc<Mutex<AnalyzerState>>,
     mitigator_state: Arc<Mutex<MitigatorState>>,
     period: Duration,
     /// Records buffered for the current report bucket, flushed cell-major.
@@ -73,20 +90,134 @@ pub struct ScaleOutcome {
     pub metrics: Snapshot,
 }
 
-impl ScaleDeployment {
-    /// Deploys `agents` connections with a ring topology of radius 1 (each
-    /// cell's neighbours are the adjacent cells, wrapping). The deployment
-    /// is secured: the trio runs under scoped identities on an enforcing,
-    /// sealed router.
-    pub fn new(pipeline: &Pipeline, agents: usize) -> Self {
-        Self::with_ring_radius(pipeline, agents, 1)
+/// The RAN side of a drive: where a report bucket's records come from and
+/// where the Control Actions the RIC ships in response go.
+pub trait RanFeed {
+    /// Called once before the first bucket so RAN-side enforcement records
+    /// into the deployment's registry and incident traces.
+    fn attach_obs(&mut self, _obs: &Obs) {}
+
+    /// Advances the RAN to `bucket_end` and appends the bucket's records.
+    /// Returns `false` once the feed has nothing further to offer.
+    fn fill(&mut self, bucket_end: Timestamp, bucket: &mut Vec<UeMobiFlow>) -> bool;
+
+    /// Enforces one decoded Control Action before the next bucket of
+    /// traffic runs. Open-loop feeds drop it.
+    fn enforce(&mut self, _at: Timestamp, _action: &ControlAction) {}
+
+    /// Called at the end of every bucket with everything enforced so far.
+    fn end_bucket(&mut self, _at: Timestamp, _enforced: &[(Timestamp, ControlAction)]) {}
+}
+
+/// Open-loop replay of pre-extracted records (what is left of them):
+/// Control Requests still travel RIC → agent and are acked, but nothing
+/// enforces them.
+pub struct Replay<'a>(pub &'a [UeMobiFlow]);
+
+impl RanFeed for Replay<'_> {
+    fn fill(&mut self, bucket_end: Timestamp, bucket: &mut Vec<UeMobiFlow>) -> bool {
+        let due = self.0.iter().take_while(|r| r.timestamp < bucket_end).count();
+        let (now, later) = self.0.split_at(due);
+        bucket.extend_from_slice(now);
+        self.0 = later;
+        !later.is_empty()
+    }
+}
+
+/// A live [`RanSimulator`] stepped one report period at a time: every
+/// Control Action is applied to the simulated gNB mid-run, so mitigation
+/// changes the traffic the rest of the run produces.
+pub struct LiveSim<H> {
+    /// The simulator ([`RanSimulator::finish`] it for the RAN-side report).
+    pub sim: RanSimulator,
+    /// Everything extracted so far, labels included — equal to a one-shot
+    /// extraction over the finished run, without re-walking the event log
+    /// every bucket.
+    pub seen: TelemetryStream,
+    on_bucket: H,
+}
+
+impl<H: FnMut(Timestamp, &[(Timestamp, ControlAction)])> LiveSim<H> {
+    /// Drives `sim` to its horizon, calling `on_bucket` at the end of every
+    /// report bucket with the bucket's closing time and the actions
+    /// enforced so far (the SMO-side hook).
+    pub fn new(sim: RanSimulator, on_bucket: H) -> Self {
+        LiveSim { sim, seen: TelemetryStream::default(), on_bucket }
+    }
+}
+
+impl<H: FnMut(Timestamp, &[(Timestamp, ControlAction)])> RanFeed for LiveSim<H> {
+    fn attach_obs(&mut self, obs: &Obs) {
+        self.sim.attach_obs(obs);
     }
 
-    /// Deploys `agents` connections; each cell's declared neighbours are
-    /// the `radius` cells on either side of it in the ring (0 = no
-    /// topology, broadcasts degrade to unicasts).
-    pub fn with_ring_radius(pipeline: &Pipeline, agents: usize, radius: usize) -> Self {
-        Self::deploy(pipeline, agents, radius, true, Vec::new())
+    fn fill(&mut self, bucket_end: Timestamp, bucket: &mut Vec<UeMobiFlow>) -> bool {
+        self.sim.run_until(bucket_end);
+        // Events only append and extraction is per event, so the unseen
+        // suffix extracts to exactly the records a full pass would add.
+        let cursor = self.seen.records.len();
+        let chunk = extract_from_events_at(&self.sim.events()[cursor..], cursor as u64);
+        bucket.extend_from_slice(&chunk.records);
+        self.seen.records.extend(chunk.records);
+        self.seen.labels.extend(chunk.labels);
+        bucket_end <= Timestamp::ZERO + self.sim.config().horizon
+    }
+
+    fn enforce(&mut self, at: Timestamp, action: &ControlAction) {
+        self.sim.apply_control(at, action);
+    }
+
+    fn end_bucket(&mut self, at: Timestamp, enforced: &[(Timestamp, ControlAction)]) {
+        (self.on_bucket)(at, enforced);
+    }
+}
+
+/// A streaming multi-cell scenario: the engine generates (and retires) UEs
+/// lazily, and every Control Action is routed back to the cell(s) it
+/// concerns. Exhausted when the engine drains or `max_virtual` elapses.
+pub struct Streaming<'a> {
+    engine: &'a mut StreamingScenario,
+    hard_stop: Timestamp,
+    cursor: u64,
+}
+
+impl<'a> Streaming<'a> {
+    /// Streams `engine` for at most `max_virtual` of virtual time.
+    pub fn new(engine: &'a mut StreamingScenario, max_virtual: Duration) -> Self {
+        Streaming { engine, hard_stop: Timestamp::ZERO + max_virtual, cursor: 0 }
+    }
+}
+
+impl RanFeed for Streaming<'_> {
+    fn attach_obs(&mut self, obs: &Obs) {
+        // Streaming cells keep their metrics local, but enforcement spans
+        // must land in the deployment's incident traces.
+        self.engine.attach_recorder(&obs.recorder);
+    }
+
+    fn fill(&mut self, bucket_end: Timestamp, bucket: &mut Vec<UeMobiFlow>) -> bool {
+        if bucket_end > self.hard_stop {
+            return false;
+        }
+        let events = self.engine.step(bucket_end);
+        let chunk = extract_from_events_at(&events, self.cursor);
+        self.cursor += chunk.records.len() as u64;
+        bucket.extend(chunk.records);
+        !self.engine.done()
+    }
+
+    fn enforce(&mut self, at: Timestamp, action: &ControlAction) {
+        self.engine.apply_control(at, action);
+    }
+}
+
+impl ScaleDeployment {
+    /// Deploys `agents` connections with a ring topology (each cell's
+    /// neighbours are the adjacent cells, wrapping). The deployment is
+    /// secured: the trio runs under scoped identities on an enforcing,
+    /// sealed router.
+    pub fn new(pipeline: &Pipeline, agents: usize) -> Self {
+        Self::deploy(pipeline, agents, true, Vec::new())
     }
 
     /// The pre-authorization deployment shape: open router, no identities,
@@ -94,7 +225,7 @@ impl ScaleDeployment {
     /// stays testable — a secured run of the same traffic must produce
     /// byte-identical detections and incident traces.
     pub fn open(pipeline: &Pipeline, agents: usize) -> Self {
-        Self::deploy(pipeline, agents, 1, false, Vec::new())
+        Self::deploy(pipeline, agents, false, Vec::new())
     }
 
     /// A secured deployment hosting `extra` xApps alongside the standard
@@ -106,41 +237,36 @@ impl ScaleDeployment {
         agents: usize,
         extra: Vec<(Box<dyn XApp>, SubscriptionSpec, Grants)>,
     ) -> Self {
-        Self::deploy(pipeline, agents, 1, true, extra)
+        Self::deploy(pipeline, agents, true, extra)
     }
 
     fn deploy(
         pipeline: &Pipeline,
         agents: usize,
-        radius: usize,
         secured: bool,
         extra: Vec<(Box<dyn XApp>, SubscriptionSpec, Grants)>,
     ) -> Self {
         assert!(agents > 0, "at least one agent");
         let config = pipeline.config();
+        // Fresh per deployment, so each run's snapshot stands alone.
         let obs = Obs::from_env();
         let mut platform = RicPlatform::with_obs(obs.clone());
+        let cell = |i: usize| CellId((i % agents) as u32 + 1);
         let mut ric_agents = Vec::with_capacity(agents);
         for i in 0..agents {
             let (agent_end, ric_end) = in_proc_pair();
             let mut agent = RicAgent::new(
-                RicAgentConfig { gnb_id: GnbId(i as u32 + 1), cell: CellId(i as u32 + 1) },
+                RicAgentConfig { gnb_id: GnbId(i as u32 + 1), cell: cell(i) },
                 agent_end,
             )
             .expect("agent starts");
             agent.attach_obs(&obs);
             platform.add_agent(Box::new(ric_end));
             ric_agents.push(agent);
-        }
-        if agents > 1 && radius > 0 {
-            for i in 0..agents {
-                let mut neighbours = Vec::new();
-                for d in 1..=radius.min(agents - 1) {
-                    neighbours.push(CellId(((i + d) % agents) as u32 + 1));
-                    neighbours.push(CellId(((i + agents - d) % agents) as u32 + 1));
-                }
-                neighbours.dedup();
-                platform.set_neighbours(CellId(i as u32 + 1), neighbours);
+            if agents > 1 {
+                let mut neighbours = vec![cell(i + 1), cell(i + agents - 1)];
+                neighbours.dedup(); // two agents: both sides are the same cell
+                platform.set_neighbours(cell(i), neighbours);
             }
         }
 
@@ -171,12 +297,18 @@ impl ScaleDeployment {
             Mitigator::with_obs(PolicyEngine::default(), obs.clone());
         let watch_spec = SubscriptionSpec::telemetry(config.report_period_ms);
         let analyzer_spec = SubscriptionSpec::topics_only(&["anomalies"]);
+        // The mitigator also subscribes to telemetry: the report windows are
+        // its virtual clock for retry pacing and TTL expiry.
         let mitigator_spec = SubscriptionSpec::telemetry(config.report_period_ms)
             .with_topic(FINDINGS_TOPIC)
             .with_topic(CONTROL_ACKS_TOPIC)
             .with_topic(A1_POLICY_TOPIC);
         let mut smo_scope = None;
         if secured {
+            // Deny-by-default: each xApp runs under a registered identity
+            // holding exactly the capabilities its role needs, and the
+            // router is sealed once the deployment is wired (no identity
+            // can be minted mid-run).
             platform.harden();
             platform
                 .register_xapp_scoped(watch, watch_spec, Grants::none().publish("anomalies"))
@@ -188,6 +320,9 @@ impl ScaleDeployment {
                     Grants::none().subscribe("anomalies").publish(FINDINGS_TOPIC),
                 )
                 .expect("register analyzer");
+            // The control grants enumerate the five playbook kinds rather
+            // than the wildcard, so a compromised playbook cannot smuggle a
+            // new kind.
             platform
                 .register_xapp_scoped(
                     Box::new(mitigator),
@@ -282,20 +417,12 @@ impl ScaleDeployment {
 
     /// An A1 client for this deployment: bound to the SMO's registered
     /// identity on secured deployments (operations go out as signed
-    /// envelopes), unscoped on [`ScaleDeployment::open`] ones.
+    /// envelopes the mitigator verifies), unscoped on
+    /// [`ScaleDeployment::open`] ones.
     pub fn a1_client(&self) -> A1PolicyClient {
         match &self.smo_scope {
             Some(handle) => A1PolicyClient::scoped(handle.clone()),
             None => A1PolicyClient::new(self.platform.router()),
-        }
-    }
-
-    /// The agent index owning `cell` (modulo, so any cell routes somewhere).
-    fn agent_for(&self, cell: CellId) -> usize {
-        if self.agents.len() <= 1 {
-            0
-        } else {
-            (cell.0.saturating_sub(1) as usize) % self.agents.len()
         }
     }
 
@@ -309,10 +436,12 @@ impl ScaleDeployment {
     /// detection and trace) independent of the agent count.
     fn flush_bucket(&mut self) {
         self.bucket.sort_by_key(|r| r.cell.0);
-        for record in std::mem::take(&mut self.bucket) {
-            self.records += 1;
-            let ai = self.agent_for(record.cell);
-            self.agents[ai].push_record(record);
+        self.records += self.bucket.len();
+        let agents = self.agents.len();
+        for record in self.bucket.drain(..) {
+            // Modulo, so any cell routes somewhere.
+            let owner = record.cell.0.saturating_sub(1) as usize % agents;
+            self.agents[owner].push_record(record);
         }
     }
 
@@ -325,10 +454,12 @@ impl ScaleDeployment {
         for agent in &mut self.agents {
             agent.poll(now).expect("agent poll");
         }
+        // Two pumps walk indication → alert → finding → control ship.
         self.platform.pump().expect("pump");
         self.platform.pump().expect("pump");
         let mut actions = Vec::new();
         for agent in &mut self.agents {
+            // The agent receives (and acks) any Control Requests.
             agent.poll(now).expect("agent poll");
             for payload in agent.take_control_requests() {
                 if let Ok(action) = ControlAction::decode(&payload) {
@@ -341,55 +472,45 @@ impl ScaleDeployment {
         actions
     }
 
-    /// Open-loop replay of a telemetry stream in report-period buckets
-    /// (the multi-agent analogue of [`Pipeline::run_stream`]).
-    pub fn run_stream(&mut self, stream: &TelemetryStream) {
+    /// The one drive loop: report-period buckets of virtual time, each
+    /// filled from `feed`, closed by [`ScaleDeployment::step`], and its
+    /// Control Actions handed back to `feed` before the next bucket runs —
+    /// until the feed is exhausted and a few grace buckets have drained the
+    /// in-flight detections. Returns the enforced actions in arrival order.
+    pub fn drive(&mut self, feed: &mut impl RanFeed) -> Vec<(Timestamp, ControlAction)> {
+        feed.attach_obs(&self.obs);
         let mut bucket_end = Timestamp::ZERO + self.period;
-        for record in &stream.records {
-            while record.timestamp >= bucket_end {
-                self.step(bucket_end);
-                bucket_end += self.period;
+        let mut enforced = Vec::new();
+        let mut grace = 0;
+        while grace < GRACE_BUCKETS {
+            if !feed.fill(bucket_end, &mut self.bucket) {
+                grace += 1;
             }
-            self.push_record(record.clone());
-        }
-        for _ in 0..4 {
-            self.step(bucket_end);
+            for action in self.step(bucket_end) {
+                feed.enforce(bucket_end, &action);
+                enforced.push((bucket_end, action));
+            }
+            feed.end_bucket(bucket_end, &enforced);
             bucket_end += self.period;
         }
+        enforced
     }
 
-    /// Closed-loop drive of a streaming scenario: each bucket's events
-    /// flow through the deployment, and every Control Request any agent
-    /// receives is enforced on the engine before the next bucket runs.
-    /// Returns the enforced actions in arrival order.
+    /// Open-loop replay of a telemetry stream ([`Replay`] over
+    /// [`ScaleDeployment::drive`]).
+    pub fn run_stream(&mut self, stream: &TelemetryStream) {
+        self.drive(&mut Replay(&stream.records));
+    }
+
+    /// Closed-loop drive of a streaming scenario ([`Streaming`] over
+    /// [`ScaleDeployment::drive`]). Returns the enforced actions in arrival
+    /// order.
     pub fn run_streaming(
         &mut self,
         engine: &mut StreamingScenario,
         max_virtual: Duration,
     ) -> Vec<(Timestamp, ControlAction)> {
-        engine.attach_recorder(&self.obs.recorder);
-        let hard_stop = Timestamp::ZERO + max_virtual;
-        let mut bucket_end = Timestamp::ZERO + self.period;
-        let mut cursor = 0u64;
-        let mut enforced = Vec::new();
-        let mut grace = 0;
-        while grace < 4 && bucket_end <= hard_stop {
-            let events = engine.step(bucket_end);
-            let chunk = xsec_mobiflow::extract_from_events_at(&events, cursor);
-            cursor += chunk.records.len() as u64;
-            for record in chunk.records {
-                self.push_record(record);
-            }
-            for action in self.step(bucket_end) {
-                engine.apply_control(bucket_end, &action);
-                enforced.push((bucket_end, action));
-            }
-            if engine.done() {
-                grace += 1;
-            }
-            bucket_end += self.period;
-        }
-        enforced
+        self.drive(&mut Streaming::new(engine, max_virtual))
     }
 
     /// A canonical rendering of every completed detector window:
@@ -424,6 +545,19 @@ impl ScaleDeployment {
     }
 }
 
+/// Runs `engine` to completion with nothing in the loop and returns what it
+/// emitted — how tests pre-extract a training or replay stream.
+#[cfg(test)]
+pub(crate) fn drained(engine: &mut StreamingScenario) -> TelemetryStream {
+    let mut events = Vec::new();
+    let mut deadline = Timestamp::ZERO;
+    while !engine.done() {
+        deadline += Duration::from_millis(100);
+        events.extend(engine.step(deadline));
+    }
+    xsec_mobiflow::extract_from_events(&events)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,8 +565,8 @@ mod tests {
     use xsec_mobiflow::extract_from_events;
     use xsec_ran::stream::StreamConfig;
 
-    fn benign_stream(seed: u64, cells: usize, ues: u64) -> TelemetryStream {
-        let mut engine = StreamingScenario::new(StreamConfig {
+    fn benign_engine(seed: u64, cells: usize, ues: u64) -> StreamingScenario {
+        StreamingScenario::new(StreamConfig {
             seed,
             cells,
             total_ues: ues,
@@ -440,14 +574,7 @@ mod tests {
             mobility_fraction: 0.0,
             max_live: 64,
             ..StreamConfig::default()
-        });
-        let mut events = Vec::new();
-        let mut deadline = Timestamp::ZERO + Duration::from_millis(100);
-        while !engine.done() {
-            events.extend(engine.step(deadline));
-            deadline += Duration::from_millis(100);
-        }
-        extract_from_events(&events)
+        })
     }
 
     #[test]
@@ -457,18 +584,9 @@ mod tests {
         // traces come out byte-identical.
         let mut config = PipelineConfig::small(31, 12);
         config.scoring_shards = 2;
-        let training = benign_stream(91, 4, 40);
-        let pipeline = Pipeline::train_on(&config, &training);
+        let pipeline = Pipeline::train_on(&config, &drained(&mut benign_engine(91, 4, 40)));
         let eval = {
-            let mut engine = StreamingScenario::new(StreamConfig {
-                seed: 92,
-                cells: 4,
-                total_ues: 36,
-                mean_inter_arrival: Duration::from_millis(6),
-                mobility_fraction: 0.0,
-                max_live: 64,
-                ..StreamConfig::default()
-            });
+            let mut engine = benign_engine(92, 4, 36);
             xsec_attacks::MigrationSchedule::tour(
                 &[2],
                 Timestamp::ZERO + Duration::from_millis(150),
@@ -479,13 +597,7 @@ mod tests {
                 },
             )
             .install(&mut engine);
-            let mut events = Vec::new();
-            let mut deadline = Timestamp::ZERO + Duration::from_millis(100);
-            while !engine.done() {
-                events.extend(engine.step(deadline));
-                deadline += Duration::from_millis(100);
-            }
-            extract_from_events(&events)
+            drained(&mut engine)
         };
 
         let mut digests = Vec::new();
@@ -500,6 +612,26 @@ mod tests {
         assert!(!digests[0].1.is_empty(), "no incident traces recorded");
         assert_eq!(digests[0].0, digests[1].0, "detections diverge across agent counts");
         assert_eq!(digests[0].1, digests[1].1, "incident traces diverge across agent counts");
+    }
+
+    #[test]
+    fn live_sim_feed_extracts_incrementally_what_one_pass_would() {
+        let mut scenario = xsec_ran::ScenarioConfig { benign_sessions: 10, ..Default::default() };
+        scenario.sim.horizon = Duration::from_secs(3);
+        let sim = xsec_attacks::attack_simulator(xsec_types::AttackKind::NullCipher, &scenario);
+        let mut feed = LiveSim::new(sim, |_, _| {});
+        let period = Duration::from_millis(100);
+        let mut bucket_end = Timestamp::ZERO + period;
+        let mut pushed = Vec::new();
+        while feed.fill(bucket_end, &mut pushed) {
+            bucket_end += period;
+        }
+        let one_shot = extract_from_events(feed.sim.events());
+        assert!(one_shot.len() > 20, "run too short to mean anything");
+        assert!(one_shot.attack_count() > 0, "labels must include attack traffic");
+        assert_eq!(feed.seen.records, one_shot.records);
+        assert_eq!(feed.seen.labels, one_shot.labels);
+        assert_eq!(pushed, one_shot.records, "buckets must concatenate to the stream");
     }
 
     #[test]

@@ -24,21 +24,19 @@
 //!   lock + wakeup, and paying it per *record* made one shard slower than
 //!   the unsharded xApp it was supposed to scale past.
 
-use crate::mobiwatch::{AnomalyAlert, MobiWatchConfig, MobiWatchState, WatchMetrics};
+use crate::mobiwatch::{AnomalyAlert, MobiWatchConfig, MobiWatchState};
 use crate::smo::DeployedModels;
+use crate::window::{Ingest, Scorer, Verdict, WindowCore};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
-use xsec_dl::{FeatureRing, Featurizer, Workspace, FEATURES_PER_RECORD};
-use xsec_mobiflow::{encode_ue_record, TelemetryStream, UeMobiFlow};
-use xsec_obs::{FlightEvent, FlightRecorder, FlightRing, Obs, TraceStage};
+use xsec_dl::{FeatureRing, FEATURES_PER_RECORD};
+use xsec_mobiflow::UeMobiFlow;
+use xsec_obs::Obs;
 use xsec_ric::{XApp, XAppContext};
 use xsec_types::Timestamp;
-
-use crate::mobiwatch::Detector;
 
 /// Which shard owns a connection. A fixed multiplicative hash keeps the
 /// mapping deterministic across runs and spreads sequential IDs.
@@ -48,85 +46,44 @@ fn shard_of(du_ue_id: u32, shards: usize) -> usize {
 
 /// One featurized record owned by a shard's UE set. Only what scoring
 /// needs crosses the channel — the raw record stays on the ingest thread,
-/// which owns alert context.
+/// which owns alert context. A shard's work message is its `Vec` of these
+/// for one E2 batch (possibly empty), in stream order: exactly one message
+/// per shard per batch, and the reply is the fork/join barrier.
 struct ShardRecord {
     index: u64,
     du_ue_id: u32,
-    at_time: Timestamp,
     /// The record is an RRC release: score it, then drop the UE's state.
     evict: bool,
     features: Vec<f32>,
 }
 
-/// Work sent to a shard: its slice of one E2 batch (possibly empty), in
-/// stream order. Exactly one message per shard per batch — the reply is the
-/// fork/join barrier, so no separate drain token exists to pay a second
-/// channel round-trip for.
-struct ShardWork {
-    records: Vec<ShardRecord>,
-}
-
 /// One shard's results for one batch.
 #[derive(Default)]
 struct ShardBatch {
-    /// `(global record index, score, flagged)` in this shard's arrival order.
-    scores: Vec<(u64, f32, bool)>,
-    /// Alerts raised this batch, tagged with their global record index.
-    alerts: Vec<(u64, AnomalyAlert)>,
+    /// `(global record index, verdict)` in this shard's arrival order.
+    verdicts: Vec<(u64, Verdict)>,
     /// UEs this shard still tracks after the batch (leak telemetry).
     tracked: usize,
     /// The drained work buffer, returned for the ingest thread to reuse.
     spent: Vec<ShardRecord>,
 }
 
-/// Per-UE detection state owned by exactly one shard. Deliberately small:
-/// alert context is assembled from the ingest thread's *global* record tail
-/// (matching the single-threaded MobiWatch), so shards keep only what
-/// scoring needs.
-struct UeState {
-    ring: FeatureRing,
-    seen: u64,
-    last_publish: Option<u64>,
-}
-
-impl UeState {
-    /// Builds fresh state, reusing a ring from `pool` when one is free so
-    /// churning UEs don't reallocate the (large) flat feature buffer.
-    fn new(window: usize, pool: &mut Vec<FeatureRing>) -> Self {
-        let ring = pool
-            .pop()
-            .unwrap_or_else(|| FeatureRing::new(FEATURES_PER_RECORD, window + 1));
-        UeState { ring, seen: 0, last_publish: None }
-    }
-}
-
 /// The sharded anomaly-detection xApp. Drop-in replacement for `MobiWatch`
 /// in the platform: same name, same topics, same shared-state type — the
 /// scores it records are per-UE windows rather than one global window.
 pub struct ShardedMobiWatch {
-    models: DeployedModels,
-    config: MobiWatchConfig,
+    /// Featurization, flight recording, the shared state and alert context
+    /// all stay on the ingest thread, in global record order — so every
+    /// output of the pool is invariant in the shard count. Its scorer is
+    /// the template each worker forks.
+    ingest: Ingest,
     shards: usize,
-    featurizer: Featurizer,
-    feature_buf: Vec<f32>,
-    records_seen: u64,
     tracked_ues: usize,
-    /// Trailing window of the *global* stream, for alert context. The same
-    /// records the single-threaded MobiWatch would attach: a pure function
-    /// of global record order, hence invariant in the shard count.
-    context: VecDeque<UeMobiFlow>,
-    state: Arc<Mutex<MobiWatchState>>,
-    metrics: WatchMetrics,
-    /// Flight recording happens exclusively on the ingest thread, post
-    /// merge, in global record order — so the recorded causal slices are
-    /// invariant in the shard count, like every other output of the pool.
-    recorder: FlightRecorder,
-    flight: FlightRing,
     workers: Vec<JoinHandle<()>>,
-    to_shards: Vec<Sender<ShardWork>>,
-    /// Per-shard staging for the current batch, reused across batches so
-    /// dispatch allocates nothing in steady state (the `Vec`s round-trip
-    /// through the workers and come back with the replies).
+    to_shards: Vec<Sender<Vec<ShardRecord>>>,
+    /// Per-shard staging for the current batch, reused across batches (the
+    /// `Vec`s round-trip through the workers and come back with the
+    /// replies).
     staging: Vec<Vec<ShardRecord>>,
     from_shards: Option<Receiver<ShardBatch>>,
 }
@@ -143,45 +100,24 @@ impl ShardedMobiWatch {
         shards: usize,
     ) -> (Self, Arc<Mutex<MobiWatchState>>) {
         assert!(shards > 0, "shard count must be positive");
-        let state = Arc::new(Mutex::new(MobiWatchState::default()));
-        let metrics = WatchMetrics::register(&Obs::new(), config.detector);
-        let recorder = FlightRecorder::new();
-        let flight = recorder.ring();
-        (
-            ShardedMobiWatch {
-                models,
-                config,
-                shards,
-                featurizer: Featurizer::new(),
-                feature_buf: Vec::with_capacity(FEATURES_PER_RECORD),
-                records_seen: 0,
-                tracked_ues: 0,
-                context: VecDeque::new(),
-                state: state.clone(),
-                metrics,
-                recorder,
-                flight,
-                workers: Vec::new(),
-                to_shards: Vec::new(),
-                staging: Vec::new(),
-                from_shards: None,
-            },
-            state,
-        )
+        let (ingest, state) = Ingest::new(models, config);
+        let pool = ShardedMobiWatch {
+            ingest,
+            shards,
+            tracked_ues: 0,
+            workers: Vec::new(),
+            to_shards: Vec::new(),
+            staging: Vec::new(),
+            from_shards: None,
+        };
+        (pool, state)
     }
 
     /// Re-homes the pool's instruments into `obs`'s registry. Call before
     /// the first batch — worker threads capture the instruments at spawn.
     pub fn attach_obs(&mut self, obs: &Obs) {
         assert!(self.workers.is_empty(), "attach_obs must precede the first batch");
-        self.metrics = WatchMetrics::register(obs, self.config.detector);
-        self.recorder = obs.recorder.clone();
-        self.flight = self.recorder.ring();
-    }
-
-    /// The sliding-window length in force.
-    pub fn window(&self) -> usize {
-        self.models.feature_config.window
+        self.ingest.attach_obs(obs);
     }
 
     /// UEs with live window state across all shards, as of the last batch.
@@ -198,15 +134,11 @@ impl ShardedMobiWatch {
         let (reply_tx, reply_rx) = unbounded::<ShardBatch>();
         self.staging = (0..self.shards).map(|_| Vec::new()).collect();
         for _ in 0..self.shards {
-            let (tx, rx) = unbounded::<ShardWork>();
-            let models = self.models.clone();
-            let config = self.config.clone();
-            let metrics = self.metrics.clone();
+            let (tx, rx) = unbounded::<Vec<ShardRecord>>();
+            let scorer = self.ingest.scorer.fork();
             let reply = reply_tx.clone();
             self.to_shards.push(tx);
-            self.workers.push(std::thread::spawn(move || {
-                shard_loop(models, config, metrics, rx, reply);
-            }));
+            self.workers.push(std::thread::spawn(move || shard_loop(scorer, rx, reply)));
         }
         self.from_shards = Some(reply_rx);
     }
@@ -215,111 +147,52 @@ impl ShardedMobiWatch {
     /// alerts raised, ordered by global record index.
     pub fn process_batch(&mut self, records: &[UeMobiFlow]) -> Vec<AnomalyAlert> {
         self.ensure_started();
-        let batch_start = self.records_seen;
-        // Causal traces for this batch, indexed by batch offset. Looked up
-        // here (the single thread that owns stream order) so the merge below
-        // can stamp flight events without shipping ids through the shards.
-        let traces: Vec<u64> =
-            records.iter().map(|r| self.recorder.trace_for(r.msg_id)).collect();
+        let batch_start = self.ingest.seen();
         // Featurize sequentially (stream-level state), staging each record
         // on its owner shard; every shard then gets exactly one send.
         for record in records {
-            let t0 = Instant::now();
-            let mut features = std::mem::take(&mut self.feature_buf);
-            self.featurizer.encode_record_into(record, &mut features);
-            self.metrics.featurize_latency.observe_duration(t0.elapsed());
-            let shard = shard_of(record.du_ue_id, self.shards);
-            self.staging[shard].push(ShardRecord {
-                index: self.records_seen,
+            let mut features = Vec::with_capacity(FEATURES_PER_RECORD);
+            let index = self.ingest.featurize(record, &mut features);
+            self.staging[shard_of(record.du_ue_id, self.shards)].push(ShardRecord {
+                index,
                 du_ue_id: record.du_ue_id,
-                at_time: record.timestamp,
                 evict: record.msg == xsec_proto::MessageKind::RrcRelease,
-                features: features.clone(),
+                features,
             });
-            self.feature_buf = features;
-            self.records_seen += 1;
         }
         // Fork/join: one work message per shard (empty slices included — the
         // reply is the barrier), one reply per shard.
         for (tx, staged) in self.to_shards.iter().zip(&mut self.staging) {
-            tx.send(ShardWork { records: std::mem::take(staged) }).expect("shard alive");
+            tx.send(std::mem::take(staged)).expect("shard alive");
         }
         let rx = self.from_shards.as_ref().expect("started");
-        let mut scores = Vec::new();
-        let mut alerts = Vec::new();
-        let mut tracked = 0;
+        let mut verdicts = Vec::new();
+        self.tracked_ues = 0;
         for _ in 0..self.shards {
             let batch = rx.recv().expect("shard replies");
-            scores.extend(batch.scores);
-            alerts.extend(batch.alerts);
-            tracked += batch.tracked;
+            verdicts.extend(batch.verdicts);
+            self.tracked_ues += batch.tracked;
             if let Some(slot) = self.staging.iter_mut().find(|s| s.capacity() == 0) {
                 *slot = batch.spent;
             }
         }
-        self.tracked_ues = tracked;
         // Deterministic merge: shard arrival order is per-UE only; global
         // record index restores the stream order regardless of shard count.
-        scores.sort_unstable_by_key(|(i, _, _)| *i);
-        alerts.sort_unstable_by_key(|(i, _)| *i);
-        // Log one inference span per scored record, in global record order —
-        // identical timestamps and payloads to the single-threaded xApp's.
-        let threshold = match self.config.detector {
-            Detector::Autoencoder => self.models.ae_threshold.value,
-            Detector::Lstm => self.models.lstm_threshold.value,
-        };
-        for &(index, score, _) in &scores {
-            let offset = (index - batch_start) as usize;
-            self.flight.record(FlightEvent {
-                trace: traces[offset],
-                stage: TraceStage::Inference,
-                at_us: records[offset].timestamp.as_micros(),
-                a: u64::from(score.to_bits()),
-                b: u64::from(threshold.to_bits()),
-            });
-        }
-        // Attach global alert context: the trailing `keep` records of the
-        // stream *as of the alert's record* — exactly what the
-        // single-threaded MobiWatch's history would hold. Shards can't build
-        // this (each sees only its own UEs), and a per-UE context would hide
-        // stream-level signatures like a storm of one-shot connections.
-        let window = self.models.feature_config.window;
-        let keep = (self.config.context_records + window).max(window + 1);
-        let alerts: Vec<AnomalyAlert> = alerts
-            .into_iter()
-            .map(|(index, mut alert)| {
-                let offset = (index - batch_start) as usize;
-                let upto = &records[..=offset];
-                let from_batch = upto.len().min(keep);
-                let from_tail = (keep - from_batch).min(self.context.len());
-                alert.records = self
-                    .context
-                    .iter()
-                    .skip(self.context.len() - from_tail)
-                    .chain(upto[upto.len() - from_batch..].iter())
-                    .map(encode_ue_record)
-                    .collect();
-                alert.trace = traces[offset];
-                self.recorder.mark_incident(alert.trace);
-                self.recorder.record_stage(FlightEvent {
-                    trace: alert.trace,
-                    stage: TraceStage::Alert,
-                    at_us: alert.at_time.as_micros(),
-                    a: u64::from(alert.score.to_bits()),
-                    b: u64::from(alert.threshold.to_bits()),
-                });
-                alert
-            })
-            .collect();
-        for record in records {
-            if self.context.len() == keep {
-                self.context.pop_front();
+        verdicts.sort_unstable_by_key(|(index, _)| *index);
+        // Emit in global record order, each alert seeing the stream's tail
+        // *as of its record* — exactly what the single-threaded MobiWatch
+        // logs and attaches. Shards can't build the context (each sees only
+        // its own UEs), and a per-UE context would hide stream-level
+        // signatures like a storm of one-shot connections.
+        let mut alerts = Vec::new();
+        let mut verdicts = verdicts.into_iter().peekable();
+        for (record, index) in records.iter().zip(batch_start..) {
+            self.ingest.remember(record);
+            if let Some((_, verdict)) = verdicts.next_if(|(scored, _)| *scored == index) {
+                let trace = self.ingest.trace_for(record);
+                alerts.extend(self.ingest.emit(record, index, trace, verdict));
             }
-            self.context.push_back(record.clone());
         }
-        let mut state = self.state.lock();
-        state.scores.extend(scores);
-        state.alerts.extend(alerts.iter().cloned());
         alerts
     }
 }
@@ -345,107 +218,35 @@ impl XApp for ShardedMobiWatch {
         _window_end: Timestamp,
     ) {
         for alert in self.process_batch(records) {
-            let payload = serde_json::to_vec(&alert).expect("alert serializes");
-            ctx.publish(&self.config.publish_topic, &payload);
+            self.ingest.publish(ctx, &alert);
         }
     }
 }
 
-/// The worker body: per-UE windowing and scoring over this shard's UE set.
-fn shard_loop(
-    models: DeployedModels,
-    config: MobiWatchConfig,
-    metrics: WatchMetrics,
-    rx: Receiver<ShardWork>,
-    reply: Sender<ShardBatch>,
-) {
-    let n = models.feature_config.window;
-    let mut ues: HashMap<u32, UeState> = HashMap::new();
+/// The worker body: per-UE windowing and scoring over this shard's UE set —
+/// a map of window cores, one per `du_ue_id`.
+fn shard_loop(mut scorer: Scorer, rx: Receiver<Vec<ShardRecord>>, reply: Sender<ShardBatch>) {
+    let window = scorer.window();
+    let mut ues: HashMap<u32, WindowCore> = HashMap::new();
     let mut ring_pool: Vec<FeatureRing> = Vec::new();
-    let mut ws = Workspace::new();
     let mut batch = ShardBatch::default();
-    while let Ok(work) = rx.recv() {
-        let mut spent = work.records;
-        for ShardRecord { index, du_ue_id, at_time, evict, features } in spent.drain(..) {
+    while let Ok(mut spent) = rx.recv() {
+        for ShardRecord { index, du_ue_id, evict, features } in spent.drain(..) {
+            let core = ues
+                .entry(du_ue_id)
+                .or_insert_with(|| WindowCore::new(window, &mut ring_pool));
+            // The trace id, like the alert context, is stamped by the
+            // ingest thread on merge.
+            if let Some(verdict) = core.push(&mut scorer, &features, 0) {
+                batch.verdicts.push((index, verdict));
+            }
             // An RRC release ends the connection for good — DU ids are
             // never reused within a run — so once the release record
-            // itself is scored, the UE's window state is dead weight.
-            // It is evicted after the labeled block below (several score
-            // paths break out of it early) or a million-UE stream would
-            // pin a million rings.
-            'scored: {
-                let ue = ues
-                    .entry(du_ue_id)
-                    .or_insert_with(|| UeState::new(n, &mut ring_pool));
-                ue.ring.push(&features);
-                ue.seen += 1;
-
-                let t0 = Instant::now();
-                let (score, threshold) = match config.detector {
-                    Detector::Autoencoder => {
-                        if ue.ring.len() < n {
-                            break 'scored;
-                        }
-                        let score = models.autoencoder.score_window_with(
-                            ue.ring.last_n(n),
-                            &mut ws,
-                            config.precision,
-                        );
-                        (score, models.ae_threshold)
-                    }
-                    Detector::Lstm => {
-                        if ue.ring.len() < n + 1 {
-                            break 'scored;
-                        }
-                        let span = ue.ring.last_n(n + 1);
-                        let (window_flat, next) = span.split_at(n * FEATURES_PER_RECORD);
-                        let score = models.lstm.score_window_with(
-                            window_flat,
-                            next,
-                            &mut ws,
-                            config.precision,
-                        );
-                        (score, models.lstm_threshold)
-                    }
-                };
-                metrics.inference_latency.observe_duration(t0.elapsed());
-
-                let flagged = threshold.is_anomalous(score);
-                batch.scores.push((index, score, flagged));
-                if !flagged {
-                    break 'scored;
-                }
-                // Cooldown in the UE's own record count, so it is
-                // invariant in both the shard count and the other UEs'
-                // traffic.
-                if let Some(last) = ue.last_publish {
-                    if ue.seen.saturating_sub(last) < config.publish_cooldown as u64 {
-                        break 'scored;
-                    }
-                }
-                ue.last_publish = Some(ue.seen);
-                // Context records are attached by the ingest thread on
-                // merge — a shard only sees its own UEs, but the analyst
-                // (and the LLM behind it) needs the surrounding *stream*
-                // to recognize e.g. a flood of one-shot connections.
-                // The trace id, like the context records, is stamped by
-                // the ingest thread on merge.
-                let alert = AnomalyAlert {
-                    trace: 0,
-                    at_record: index,
-                    at_time,
-                    score,
-                    threshold: threshold.value,
-                    records: Vec::new(),
-                };
-                metrics.alerts.inc();
-                batch.alerts.push((index, alert));
-            }
+            // itself is scored, the UE's window state is dead weight, and
+            // a million-UE stream would pin a million rings.
             if evict {
-                if let Some(state) = ues.remove(&du_ue_id) {
-                    let mut ring = state.ring;
-                    ring.clear();
-                    ring_pool.push(ring);
+                if let Some(core) = ues.remove(&du_ue_id) {
+                    core.retire(&mut ring_pool);
                 }
             }
         }
@@ -457,56 +258,15 @@ fn shard_loop(
     }
 }
 
-/// Ground truth aligned with the sharded pool's per-UE emissions.
-///
-/// Mirrors the shards' window accounting over the labeled stream: walking
-/// records in order, a score is emitted at record `i` once its UE has
-/// accumulated `window` records (autoencoder) or `window + 1` (LSTM), and
-/// the window is anomalous if *any* record in the UE's span is
-/// attack-labeled — the paper's labeling rule, applied per UE.
-pub fn per_ue_truth(stream: &TelemetryStream, window: usize, detector: Detector) -> Vec<bool> {
-    let span = match detector {
-        Detector::Autoencoder => window,
-        Detector::Lstm => window + 1,
-    };
-    let mut per_ue: HashMap<u32, VecDeque<bool>> = HashMap::new();
-    let mut truth = Vec::new();
-    for (record, label) in stream.records.iter().zip(&stream.labels) {
-        let labels = per_ue.entry(record.du_ue_id).or_default();
-        labels.push_back(label.attack_kind().is_some());
-        while labels.len() > span {
-            labels.pop_front();
-        }
-        if labels.len() == span {
-            truth.push(labels.iter().any(|&a| a));
-        }
-    }
-    truth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smo::{Smo, TrainingConfig};
+    use crate::mobiwatch::Detector;
+    use crate::smo::quick_models;
+    use crate::window::window_truth;
     use xsec_attacks::DatasetBuilder;
-    use xsec_mobiflow::extract_from_events;
+    use xsec_mobiflow::{extract_from_events, TelemetryStream};
     use xsec_types::AttackKind;
-
-    fn quick_models(seed: u64) -> DeployedModels {
-        let report = DatasetBuilder::small(seed, 15).benign();
-        let stream = extract_from_events(&report.events);
-        Smo::train(
-            &TrainingConfig {
-                autoencoder_epochs: 12,
-                lstm_epochs: 3,
-                autoencoder_hidden: vec![48, 12],
-                lstm_hidden: 24,
-                ..TrainingConfig::default()
-            },
-            &stream,
-        )
-        .unwrap()
-    }
 
     fn run_sharded(
         models: &DeployedModels,
@@ -598,7 +358,7 @@ mod tests {
     #[test]
     fn detections_are_shard_invariant_under_churn() {
         use xsec_ran::{StreamConfig, StreamingScenario};
-        use xsec_types::{Duration, Timestamp};
+        use xsec_types::Duration;
 
         // A stream where UEs register, hand over between cells, and retire
         // mid-run — slab slots and DU ranges churn constantly.
@@ -612,14 +372,8 @@ mod tests {
             max_live: 24,
             ..StreamConfig::default()
         });
-        let mut events = Vec::new();
-        let mut deadline = Timestamp::ZERO + Duration::from_millis(50);
-        while !engine.done() {
-            events.extend(engine.step(deadline));
-            deadline += Duration::from_millis(50);
-        }
+        let stream = crate::scale::drained(&mut engine);
         assert!(engine.stats().handovers > 0, "churn stream must hand over");
-        let stream = extract_from_events(&events);
 
         let models = quick_models(38);
         let config = MobiWatchConfig::default();
@@ -643,8 +397,8 @@ mod tests {
         for detector in [Detector::Autoencoder, Detector::Lstm] {
             let config = MobiWatchConfig { detector, ..MobiWatchConfig::default() };
             let state = run_sharded(&models, &config, 2, &stream);
-            let truth =
-                per_ue_truth(&stream, models.feature_config.window, detector);
+            let span = detector.span(models.feature_config.window);
+            let truth = window_truth(&stream, span, |r| r.du_ue_id);
             assert_eq!(
                 state.scores.len(),
                 truth.len(),

@@ -316,6 +316,25 @@ impl Smo {
     }
 }
 
+/// Small models trained on a seeded benign collection — the shared fixture
+/// of the detector unit tests.
+#[cfg(test)]
+pub(crate) fn quick_models(seed: u64) -> DeployedModels {
+    let report = xsec_attacks::DatasetBuilder::small(seed, 15).benign();
+    let stream = xsec_mobiflow::extract_from_events(&report.events);
+    Smo::train(
+        &TrainingConfig {
+            autoencoder_epochs: 12,
+            lstm_epochs: 3,
+            autoencoder_hidden: vec![48, 12],
+            lstm_hidden: 24,
+            ..TrainingConfig::default()
+        },
+        &stream,
+    )
+    .unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -216,34 +216,7 @@ impl Histogram {
     /// clamped to the exact observed max, so a high quantile never reports
     /// a value no sample reached. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        let core = &self.0;
-        let counts: Vec<u64> =
-            core.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
-        let mut cum = 0u64;
-        for (i, n) in counts.iter().enumerate() {
-            if *n == 0 {
-                continue;
-            }
-            if cum + n >= rank {
-                let lower = if i == 0 { 0 } else { core.bounds[i - 1] };
-                let upper = if i < core.bounds.len() {
-                    core.bounds[i]
-                } else {
-                    // Overflow bucket: the exact max bounds it above.
-                    self.max().max(lower)
-                };
-                let frac = (rank - cum) as f64 / *n as f64;
-                let estimate = lower as f64 + frac * (upper - lower) as f64;
-                return estimate.min(self.max() as f64);
-            }
-            cum += n;
-        }
-        self.max() as f64
+        quantile_from_cumulative(&self.cumulative_buckets(), self.max(), q)
     }
 
     /// Cumulative `(upper_bound, count ≤ bound)` pairs; the final entry is
@@ -259,6 +232,28 @@ impl Histogram {
         }
         out
     }
+}
+
+/// The `q`-quantile of a histogram given as cumulative `(le, count ≤ le)`
+/// pairs (the [`Histogram::cumulative_buckets`] shape) and its exact max.
+fn quantile_from_cumulative(buckets: &[(u64, u64)], max: u64, q: f64) -> f64 {
+    let total = buckets.last().map_or(0, |(_, cum)| *cum);
+    if total == 0 {
+        return 0.0;
+    }
+    let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
+    let (mut lower, mut below) = (0u64, 0u64);
+    for &(le, cum) in buckets {
+        if cum > below && cum >= rank {
+            // Overflow bucket: the exact max bounds it above.
+            let upper = if le == u64::MAX { max.max(lower) } else { le };
+            let frac = (rank - below) as f64 / (cum - below) as f64;
+            let estimate = lower as f64 + frac * (upper - lower) as f64;
+            return estimate.min(max as f64);
+        }
+        (lower, below) = (le, cum);
+    }
+    max as f64
 }
 
 #[derive(Debug, Clone)]
@@ -400,7 +395,7 @@ impl MetricsRegistry {
 }
 
 /// Quantile summary of one histogram at snapshot time.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSummary {
     /// Samples recorded.
     pub count: u64,
@@ -474,6 +469,33 @@ impl Snapshot {
                 _ => None,
             })
             .collect()
+    }
+
+    /// Every histogram with this name folded into one summary, as if all
+    /// label sets had recorded into a single series (same bucket bounds
+    /// assumed). Quantiles are re-estimated from the summed buckets; the
+    /// exemplar is dropped. Zeroed when nothing matches.
+    pub fn histogram_merged(&self, name: &str) -> HistogramSummary {
+        let mut merged = HistogramSummary::default();
+        for (_, h) in self.histograms(name) {
+            merged.count += h.count;
+            merged.sum += h.sum;
+            merged.max = merged.max.max(h.max);
+            if merged.buckets.is_empty() {
+                merged.buckets = h.buckets.clone();
+            } else {
+                for (slot, (_, cum)) in merged.buckets.iter_mut().zip(&h.buckets) {
+                    slot.1 += cum;
+                }
+            }
+        }
+        if merged.count > 0 {
+            merged.mean = merged.sum as f64 / merged.count as f64;
+        }
+        merged.p50 = quantile_from_cumulative(&merged.buckets, merged.max, 0.50);
+        merged.p90 = quantile_from_cumulative(&merged.buckets, merged.max, 0.90);
+        merged.p99 = quantile_from_cumulative(&merged.buckets, merged.max, 0.99);
+        merged
     }
 
     /// Total sample count across every histogram with this name.
@@ -617,6 +639,24 @@ mod tests {
         assert_eq!(snapshot.counter_total("xsec_test_shared_total"), 8_000);
         assert_eq!(snapshot.counter_total("xsec_test_thread_total"), 8_000);
         assert_eq!(snapshot.histogram_count("xsec_test_latency_us"), 8_000);
+    }
+
+    #[test]
+    fn merged_histogram_equals_one_series_with_every_sample() {
+        let registry = MetricsRegistry::new();
+        let whole = registry.histogram("whole_us", &[]);
+        for (label, samples) in [("a", [3u64, 40, 700]), ("b", [9, 9, 12_000])] {
+            let part = registry.histogram("parts_us", &[("agent", label)]);
+            for v in samples {
+                part.observe(v);
+                whole.observe(v);
+            }
+        }
+        let snapshot = registry.snapshot();
+        let merged = snapshot.histogram_merged("parts_us");
+        let (_, single) = snapshot.histograms("whole_us")[0];
+        assert_eq!(&merged, single);
+        assert_eq!(snapshot.histogram_merged("absent_us").count, 0);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Near-real-time control-loop budget auditing.
 //!
 //! O-RAN places the nRT-RIC control loop between 10 ms and 1 s (§2.1 of the
-//! paper). The tracker records per-invocation handler latencies (wall
-//! clock), classifies them against the budget, and reports the distribution
-//! — the evidence behind the claim that a *lightweight* detector belongs in
-//! the loop while the LLM does not (§3.3's motivation for chaining).
+//! paper). [`classify`] places one wall-clock duration against that window;
+//! the distributions themselves live in the `xsec-obs` registry
+//! (`xsec_ric_handler_latency_us`, `xsec_ric_control_ack_latency_us`) — the
+//! evidence behind the claim that a *lightweight* detector belongs in the
+//! loop while the LLM does not (§3.3's motivation for chaining).
 
 use std::time::Duration as StdDuration;
 
@@ -30,63 +31,6 @@ pub fn classify(d: StdDuration) -> LatencyClass {
     }
 }
 
-/// Accumulates handler latencies.
-#[derive(Debug, Default, Clone)]
-pub struct LatencyTracker {
-    samples_us: Vec<u64>,
-    over_budget: u64,
-}
-
-impl LatencyTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        LatencyTracker::default()
-    }
-
-    /// Records one invocation.
-    pub fn record(&mut self, d: StdDuration) {
-        self.samples_us.push(d.as_micros() as u64);
-        if classify(d) == LatencyClass::OverBudget {
-            self.over_budget += 1;
-        }
-    }
-
-    /// Number of recorded invocations.
-    pub fn count(&self) -> usize {
-        self.samples_us.len()
-    }
-
-    /// Invocations that blew the 1 s deadline.
-    pub fn over_budget(&self) -> u64 {
-        self.over_budget
-    }
-
-    /// Mean latency in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        if self.samples_us.is_empty() {
-            0.0
-        } else {
-            self.samples_us.iter().sum::<u64>() as f64 / self.samples_us.len() as f64
-        }
-    }
-
-    /// Maximum observed latency in microseconds (0 when empty).
-    pub fn max_us(&self) -> u64 {
-        self.samples_us.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The p-th percentile latency in microseconds.
-    pub fn percentile_us(&self, pct: f64) -> u64 {
-        if self.samples_us.is_empty() {
-            return 0;
-        }
-        let mut sorted = self.samples_us.clone();
-        sorted.sort_unstable();
-        let rank = (pct / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-        sorted[rank.min(sorted.len() - 1)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,27 +42,5 @@ mod tests {
         assert_eq!(classify(StdDuration::from_millis(999)), LatencyClass::WithinBudget);
         assert_eq!(classify(StdDuration::from_secs(1)), LatencyClass::WithinBudget);
         assert_eq!(classify(StdDuration::from_millis(1001)), LatencyClass::OverBudget);
-    }
-
-    #[test]
-    fn tracker_statistics() {
-        let mut t = LatencyTracker::new();
-        for ms in [1u64, 2, 3, 4, 2000] {
-            t.record(StdDuration::from_millis(ms));
-        }
-        assert_eq!(t.count(), 5);
-        assert_eq!(t.over_budget(), 1);
-        assert_eq!(t.max_us(), 2_000_000);
-        assert!((t.mean_us() - 402_000.0).abs() < 1.0);
-        assert_eq!(t.percentile_us(50.0), 3_000);
-    }
-
-    #[test]
-    fn empty_tracker_is_zeroed() {
-        let t = LatencyTracker::new();
-        assert_eq!(t.count(), 0);
-        assert_eq!(t.mean_us(), 0.0);
-        assert_eq!(t.max_us(), 0);
-        assert_eq!(t.percentile_us(99.0), 0);
     }
 }

@@ -5,8 +5,8 @@
 //! on: an E2 termination that speaks the `xsec-e2` protocol to RAN agents,
 //! an RMR-style topic router for xApp↔xApp messages, the xApp hosting
 //! framework, the Shared Data Layer (re-exported from `xsec-mobiflow`), and
-//! a latency tracker that audits the near-RT control-loop budget (O-RAN
-//! requires the nRT-RIC loop to complete within 10 ms – 1 s).
+//! a classifier for the near-RT control-loop budget (O-RAN requires the
+//! nRT-RIC loop to complete within 10 ms – 1 s).
 //!
 //! ## Dataflow (paper Figure 3)
 //!
@@ -28,7 +28,7 @@ pub mod router;
 pub mod xapp;
 
 pub use authz::{Capability, Grants, XAppIdentity};
-pub use latency::{LatencyClass, LatencyTracker};
+pub use latency::LatencyClass;
 pub use platform::{PumpStats, RicPlatform, SubscriptionSpec};
 pub use router::{PublishError, RegisterError, Router, RouterHandle};
 pub use xapp::{ControlOut, XApp, XAppContext};

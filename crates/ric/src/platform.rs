@@ -18,7 +18,6 @@
 //! (`xsec_ric_egress_dropped_total`) instead of stalling the reactor.
 
 use crate::authz::{Grants, XAppIdentity};
-use crate::latency::LatencyTracker;
 use crate::router::{RegisterError, Router, RouterHandle};
 use crate::xapp::{ControlOut, XApp, XAppContext};
 use crossbeam_channel::Receiver;
@@ -165,9 +164,7 @@ pub struct RicPlatform {
     conns: Vec<AgentConn>,
     xapps: Vec<XAppEntry>,
     next_requestor: u16,
-    latency: LatencyTracker,
     control_queue: Vec<ControlOut>,
-    control_latency: LatencyTracker,
     /// The reactor's ready-queue: transports wake their token here.
     wake: WakeSet,
     /// Tokens of transports that cannot signal readiness (scanned every
@@ -218,9 +215,7 @@ impl RicPlatform {
             conns: Vec::new(),
             xapps: Vec::new(),
             next_requestor: 1,
-            latency: LatencyTracker::new(),
             control_queue: Vec::new(),
-            control_latency: LatencyTracker::new(),
             wake: WakeSet::new(),
             polled: Vec::new(),
             egress_pending: Vec::new(),
@@ -273,19 +268,9 @@ impl RicPlatform {
         self.router.clone()
     }
 
-    /// Handler-latency statistics across all xApp invocations.
-    pub fn latency(&self) -> &LatencyTracker {
-        &self.latency
-    }
-
     /// Indications received so far.
     pub fn indications_seen(&self) -> u64 {
         self.metrics.indications.get()
-    }
-
-    /// Wall-clock send→ack latency statistics for Control Requests.
-    pub fn control_latency(&self) -> &LatencyTracker {
-        &self.control_latency
     }
 
     /// Control Requests acknowledged as accepted.
@@ -637,10 +622,8 @@ impl RicPlatform {
                 let conn = &mut self.conns[ci];
                 let mut trace = None;
                 if let Some((sent_at, sent_trace)) = conn.inflight_controls.pop_front() {
-                    let elapsed = sent_at.elapsed();
-                    self.control_latency.record(elapsed);
                     if let Some(h) = &conn.ack_latency {
-                        h.observe_duration(elapsed);
+                        h.observe_duration(sent_at.elapsed());
                     }
                     trace = sent_trace;
                 }
@@ -715,9 +698,7 @@ impl RicPlatform {
             };
             f(entry.app.as_mut(), &mut ctx);
         }
-        let elapsed = start.elapsed();
-        self.latency.record(elapsed);
-        self.xapps[ai].handler_latency.observe_duration(elapsed);
+        self.xapps[ai].handler_latency.observe_duration(start.elapsed());
         self.control_queue.extend(control_out);
     }
 }
@@ -794,35 +775,12 @@ mod tests {
         }
     }
 
-    /// Wires a platform to a real agent over the in-proc transport and
-    /// pumps both until the subscription completes.
-    fn wired_platform(
-        app: Box<dyn XApp>,
-        spec: SubscriptionSpec,
-    ) -> (RicPlatform, RicAgent<xsec_e2::InProcTransport>) {
-        let (agent_end, ric_end) = in_proc_pair();
-        let agent =
-            RicAgent::new(RicAgentConfig { gnb_id: GnbId(1), cell: CellId(1) }, agent_end)
-                .unwrap();
-        let mut platform = RicPlatform::new();
-        platform.add_agent(Box::new(ric_end));
-        platform.register_xapp(app, spec);
-        (platform, agent)
-    }
-
     #[test]
     fn end_to_end_telemetry_reaches_the_xapp_and_sdl() {
-        let (mut platform, mut agent) =
-            wired_platform(Box::new(CountingApp { records: 0, publishes_to: None }), SubscriptionSpec::telemetry(100));
-
         // Handshake: platform sees setup, answers; issues subscription;
         // agent answers.
-        platform.pump().unwrap();
-        agent.poll(Timestamp(0)).unwrap();
-        platform.pump().unwrap();
-        agent.poll(Timestamp(0)).unwrap();
-        platform.pump().unwrap();
-        assert!(agent.is_setup());
+        let (mut platform, mut agent) =
+            one_agent_platform(Box::new(CountingApp { records: 0, publishes_to: None }));
         assert_eq!(agent.subscription_count(), 1);
 
         // Telemetry flows.
@@ -833,7 +791,7 @@ mod tests {
         assert_eq!(stats.records_delivered, 2);
         assert_eq!(platform.indications_seen(), 1);
         assert_eq!(platform.sdl().len("mobiflow"), 2);
-        assert!(platform.latency().count() >= 1);
+        assert!(platform.obs().snapshot().histogram_count("xsec_ric_handler_latency_us") >= 1);
     }
 
     #[test]
@@ -924,16 +882,10 @@ mod tests {
                 _records: &[UeMobiFlow],
                 _window_end: Timestamp,
             ) {
-                ctx.send_control(b"throttle".to_vec());
+                ctx.send_control("*", ControlOut { payload: b"throttle".to_vec(), ..Default::default() });
             }
         }
-        let (mut platform, mut agent) =
-            wired_platform(Box::new(Controller), SubscriptionSpec::telemetry(100));
-        platform.pump().unwrap();
-        agent.poll(Timestamp(0)).unwrap();
-        platform.pump().unwrap();
-        agent.poll(Timestamp(0)).unwrap();
-        platform.pump().unwrap();
+        let (mut platform, mut agent) = one_agent_platform(Box::new(Controller));
 
         agent.push_record(record(0, 1));
         agent.poll(Timestamp(100_000)).unwrap();
@@ -948,9 +900,8 @@ mod tests {
         platform.pump().unwrap();
         assert_eq!(platform.controls_acked(), 1);
         assert_eq!(platform.controls_failed(), 0);
-        assert_eq!(platform.control_latency().count(), 1);
         assert_eq!(acks.try_recv().unwrap(), vec![1]);
-        // The send→ack latency also lands in the per-agent histogram.
+        // The send→ack latency lands in the per-agent histogram.
         assert_eq!(
             platform.obs().snapshot().histogram_count("xsec_ric_control_ack_latency_us"),
             1
@@ -970,16 +921,17 @@ mod tests {
                 _records: &[UeMobiFlow],
                 _window_end: Timestamp,
             ) {
-                ctx.send_control_traced(None, Some(0x0102_0304_0506_0708), b"throttle".to_vec());
+                ctx.send_control(
+                    "*",
+                    ControlOut {
+                        trace: Some(0x0102_0304_0506_0708),
+                        payload: b"throttle".to_vec(),
+                        ..Default::default()
+                    },
+                );
             }
         }
-        let (mut platform, mut agent) =
-            wired_platform(Box::new(TracedController), SubscriptionSpec::telemetry(100));
-        platform.pump().unwrap();
-        agent.poll(Timestamp(0)).unwrap();
-        platform.pump().unwrap();
-        agent.poll(Timestamp(0)).unwrap();
-        platform.pump().unwrap();
+        let (mut platform, mut agent) = one_agent_platform(Box::new(TracedController));
 
         agent.push_record(record(0, 1));
         agent.poll(Timestamp(100_000)).unwrap();
@@ -1013,11 +965,15 @@ mod tests {
             _records: &[UeMobiFlow],
             _window_end: Timestamp,
         ) {
-            if self.broadcast {
-                ctx.send_control_broadcast(self.cell, None, b"act".to_vec());
-            } else {
-                ctx.send_control_to(self.cell, b"act".to_vec());
-            }
+            ctx.send_control(
+                "*",
+                ControlOut {
+                    cell: Some(self.cell),
+                    trace: None,
+                    payload: b"act".to_vec(),
+                    broadcast: self.broadcast,
+                },
+            );
         }
     }
 
@@ -1049,6 +1005,13 @@ mod tests {
         }
         assert!(agents.iter().all(|a| a.is_setup()));
         (platform, agents)
+    }
+
+    fn one_agent_platform(
+        app: Box<dyn XApp>,
+    ) -> (RicPlatform, RicAgent<xsec_e2::InProcTransport>) {
+        let (platform, mut agents) = n_agent_platform(app, 1);
+        (platform, agents.pop().unwrap())
     }
 
     fn two_agent_platform(
@@ -1148,7 +1111,10 @@ mod tests {
         // All three copies ack back and correlate per-conn FIFO.
         platform.pump().unwrap();
         assert_eq!(platform.controls_acked(), 3);
-        assert_eq!(platform.control_latency().count(), 3);
+        assert_eq!(
+            platform.obs().snapshot().histogram_count("xsec_ric_control_ack_latency_us"),
+            3
+        );
     }
 
     #[test]

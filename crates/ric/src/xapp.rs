@@ -10,7 +10,7 @@ use xsec_types::{CellId, Timestamp};
 /// owning agent must enforce it. The platform routes by cell using the
 /// served-cell lists announced in E2 Setup; `cell: None` goes to the first
 /// connected agent.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ControlOut {
     /// The cell the action targets, when known.
     pub cell: Option<CellId>,
@@ -58,105 +58,24 @@ impl XAppContext<'_> {
         }
     }
 
-    /// Checks the control-emission gate for action `kind`: scoped contexts
-    /// must hold `Capability::Control(kind)`; a denial is counted against
-    /// the identity. Unscoped contexts pass.
-    fn control_allowed(&self, kind: &str) -> bool {
-        match self.scope {
-            Some(handle) => {
-                let cap = Capability::control(kind);
-                if handle.allows(&cap) {
-                    true
-                } else {
-                    handle.deny(&cap.label());
-                    false
-                }
-            }
-            None => true,
-        }
-    }
-
-    /// Queues a closed-loop control action toward the RAN (any agent).
-    /// Scoped contexts need the wildcard control grant; callers that know
-    /// the action kind should use [`XAppContext::send_control_action`] so
-    /// the per-kind grant is what is checked.
-    pub fn send_control(&mut self, payload: Vec<u8>) {
-        if !self.control_allowed("*") {
-            return;
-        }
-        self.control_out.push(ControlOut { cell: None, trace: None, payload, broadcast: false });
-    }
-
-    /// Queues a closed-loop control action toward the agent serving `cell`.
-    /// Scoped contexts need the wildcard control grant.
-    pub fn send_control_to(&mut self, cell: CellId, payload: Vec<u8>) {
-        if !self.control_allowed("*") {
-            return;
-        }
-        self.control_out.push(ControlOut {
-            cell: Some(cell),
-            trace: None,
-            payload,
-            broadcast: false,
-        });
-    }
-
-    /// Queues a closed-loop control action with full routing context: an
-    /// optional pinned cell and an optional causal trace id for ack
-    /// correlation. Scoped contexts need the wildcard control grant.
-    pub fn send_control_traced(
-        &mut self,
-        cell: Option<CellId>,
-        trace: Option<u64>,
-        payload: Vec<u8>,
-    ) {
-        if !self.control_allowed("*") {
-            return;
-        }
-        self.control_out.push(ControlOut { cell, trace, payload, broadcast: false });
-    }
-
-    /// Queues a closed-loop control action for `cell` *and* every agent
-    /// serving one of its declared neighbours — the fan-out used to brace
-    /// adjacent cells when quarantining one. Scoped contexts need the
-    /// wildcard control grant.
-    pub fn send_control_broadcast(
-        &mut self,
-        cell: CellId,
-        trace: Option<u64>,
-        payload: Vec<u8>,
-    ) {
-        if !self.control_allowed("*") {
-            return;
-        }
-        self.control_out.push(ControlOut {
-            cell: Some(cell),
-            trace,
-            payload,
-            broadcast: true,
-        });
-    }
-
     /// Queues a closed-loop control action of a declared `kind` (a
-    /// `MitigationAction::name()` string), checked against the caller's
-    /// per-kind control grant — the platform-side actuation gate. Returns
-    /// whether the action was queued; a denial is counted and queues
-    /// nothing. The kind is the caller's declaration: the check is only as
-    /// honest as the sender, which is why deployments grant the Mitigator
-    /// exactly the kinds its playbooks instantiate and nothing else holds
-    /// any control grant.
-    pub fn send_control_action(
-        &mut self,
-        kind: &str,
-        cell: Option<CellId>,
-        trace: Option<u64>,
-        broadcast: bool,
-        payload: Vec<u8>,
-    ) -> bool {
-        if !self.control_allowed(kind) {
-            return false;
+    /// `MitigationAction::name()` string, or `"*"` for "any") toward the
+    /// RAN — the platform-side actuation gate. Scoped contexts must hold
+    /// `Capability::Control(kind)`; a denial is counted against the
+    /// identity and queues nothing. Unscoped contexts pass. Returns whether
+    /// the action was queued. The kind is the caller's declaration: the
+    /// check is only as honest as the sender, which is why deployments
+    /// grant the Mitigator exactly the kinds its playbooks instantiate and
+    /// nothing else holds any control grant.
+    pub fn send_control(&mut self, kind: &str, out: ControlOut) -> bool {
+        if let Some(handle) = self.scope {
+            let cap = Capability::control(kind);
+            if !handle.allows(&cap) {
+                handle.deny(&cap.label());
+                return false;
+            }
         }
-        self.control_out.push(ControlOut { cell, trace, payload, broadcast });
+        self.control_out.push(out);
         true
     }
 }
@@ -210,7 +129,7 @@ mod tests {
         ) {
             self.seen += records.len();
             ctx.publish("seen", &(self.seen as u32).to_be_bytes());
-            ctx.send_control(b"act".to_vec());
+            ctx.send_control("*", ControlOut { payload: b"act".to_vec(), ..Default::default() });
         }
     }
 
@@ -238,32 +157,26 @@ mod tests {
         let mut control = Vec::new();
         let mut ctx =
             XAppContext { sdl: &sdl, router: &router, control_out: &mut control, scope: None };
-        ctx.send_control_to(CellId(7), b"act".to_vec());
-        ctx.send_control_traced(Some(CellId(7)), Some(42), b"act".to_vec());
-        ctx.send_control_broadcast(CellId(7), Some(43), b"act".to_vec());
-        assert_eq!(
-            control,
-            vec![
-                ControlOut {
-                    cell: Some(CellId(7)),
-                    trace: None,
-                    payload: b"act".to_vec(),
-                    broadcast: false,
-                },
-                ControlOut {
-                    cell: Some(CellId(7)),
-                    trace: Some(42),
-                    payload: b"act".to_vec(),
-                    broadcast: false,
-                },
-                ControlOut {
-                    cell: Some(CellId(7)),
-                    trace: Some(43),
-                    payload: b"act".to_vec(),
-                    broadcast: true,
-                },
-            ]
-        );
+        let outs = [
+            ControlOut { cell: Some(CellId(7)), payload: b"act".to_vec(), ..Default::default() },
+            ControlOut {
+                cell: Some(CellId(7)),
+                trace: Some(42),
+                payload: b"act".to_vec(),
+                broadcast: false,
+            },
+            ControlOut {
+                cell: Some(CellId(7)),
+                trace: Some(43),
+                payload: b"act".to_vec(),
+                broadcast: true,
+            },
+        ];
+        for out in &outs {
+            assert!(ctx.send_control("*", out.clone()));
+        }
+        // Routing context rides through untouched, in send order.
+        assert_eq!(control, outs);
     }
 
     #[test]
@@ -293,16 +206,16 @@ mod tests {
         ctx.publish("findings", b"spoof");
         assert_eq!(anomalies.try_recv().unwrap(), b"ok");
         // Per-kind control: granted kind queues, ungranted kind and the
-        // wildcard-needing legacy path are denied.
-        assert!(ctx.send_control_action("release-ue", Some(CellId(1)), None, false, b"a".to_vec()));
-        assert!(!ctx.send_control_action(
-            "quarantine-cell",
-            Some(CellId(1)),
-            None,
-            true,
-            b"q".to_vec()
-        ));
-        ctx.send_control(b"legacy".to_vec());
+        // wildcard kind are denied.
+        let to_cell_1 = |payload: &[u8], broadcast| ControlOut {
+            cell: Some(CellId(1)),
+            trace: None,
+            payload: payload.to_vec(),
+            broadcast,
+        };
+        assert!(ctx.send_control("release-ue", to_cell_1(b"a", false)));
+        assert!(!ctx.send_control("quarantine-cell", to_cell_1(b"q", true)));
+        assert!(!ctx.send_control("*", ControlOut { payload: b"any".to_vec(), ..Default::default() }));
         assert_eq!(control.len(), 1);
         assert_eq!(router.denied(), 3);
     }
@@ -314,8 +227,9 @@ mod tests {
         let mut control = Vec::new();
         let mut ctx =
             XAppContext { sdl: &sdl, router: &router, control_out: &mut control, scope: None };
-        assert!(ctx.send_control_action("quarantine-cell", None, None, false, b"q".to_vec()));
-        ctx.send_control(b"legacy".to_vec());
+        for kind in ["quarantine-cell", "*"] {
+            assert!(ctx.send_control(kind, ControlOut { payload: b"q".to_vec(), ..Default::default() }));
+        }
         assert_eq!(control.len(), 2);
         assert_eq!(router.denied(), 0);
     }
