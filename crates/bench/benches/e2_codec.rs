@@ -1,10 +1,11 @@
 //! Codec throughput on the E2 path: E2AP PDUs and E2SM-KPM payloads
-//! carrying MobiFlow telemetry. The near-RT loop decodes one indication per
-//! report period; these numbers show the codec is nowhere near the budget.
+//! carrying MobiFlow telemetry as fixed-layout binary records, measured next
+//! to the semicolon line codec that the same records take at the LLM-prompt
+//! boundary (and took over E2 before the binary wire format).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use xsec_e2::{E2apPdu, KpmIndication, RicRequestId, RAN_FUNCTION_MOBIFLOW};
-use xsec_mobiflow::UeMobiFlow;
+use xsec_mobiflow::{decode_ue_record, encode_ue_record, UeMobiFlow};
 use xsec_proto::{Direction, MessageKind};
 use xsec_types::{CellId, Rnti, Timestamp};
 
@@ -42,7 +43,20 @@ fn bench(c: &mut Criterion) {
     for n in [10u64, 100, 1000] {
         let pdu = indication_with(n);
         let bytes = pdu.encode();
+        let records: Vec<UeMobiFlow> = (0..n).map(record).collect();
+        let lines: Vec<String> = records.iter().map(encode_ue_record).collect();
         group.throughput(Throughput::Elements(n));
+        group.bench_function(format!("encode_kpm_payload_{n}_records"), |b| {
+            b.iter(|| {
+                KpmIndication::encode_records(CellId(1), Timestamp(0), Timestamp(100_000), &records)
+            })
+        });
+        group.bench_function(format!("encode_semicolon_lines_{n}_records"), |b| {
+            b.iter(|| records.iter().map(encode_ue_record).collect::<Vec<_>>())
+        });
+        group.bench_function(format!("decode_semicolon_lines_{n}_records"), |b| {
+            b.iter(|| lines.iter().map(|l| decode_ue_record(l).unwrap()).collect::<Vec<_>>())
+        });
         group.bench_function(format!("encode_indication_{n}_records"), |b| {
             b.iter(|| pdu.encode())
         });
@@ -53,7 +67,7 @@ fn bench(c: &mut Criterion) {
             let E2apPdu::Indication { payload, .. } = &pdu else { unreachable!() };
             b.iter_batched(
                 || payload.clone(),
-                |p| KpmIndication::decode(&p).unwrap().mobiflow_records().unwrap(),
+                |p| KpmIndication::decode(&p).unwrap().into_records(),
                 BatchSize::SmallInput,
             )
         });

@@ -100,6 +100,11 @@ impl TrackedAction {
 pub struct ActionExecutor {
     config: ExecutorConfig,
     tracked: Vec<TrackedAction>,
+    /// `tracked` indices of the actions still pending or on the wire, in
+    /// submission order — all `take_due` and `tick` ever need to visit, so
+    /// a clock tick costs O(unresolved), not O(ever issued). An action an
+    /// ack resolves stays listed until the next `tick` prunes it.
+    live: Vec<usize>,
     /// FIFO of `tracked` indices, one entry per transmission still owed an
     /// ack by the agent (the agent acks every Control Request it receives,
     /// including retries).
@@ -121,6 +126,7 @@ impl ActionExecutor {
         detected_at: Timestamp,
         now: Timestamp,
     ) {
+        self.live.push(self.tracked.len());
         self.tracked.push(TrackedAction {
             action,
             cell,
@@ -136,7 +142,8 @@ impl ActionExecutor {
     /// correlation at the RIC pump).
     pub fn take_due(&mut self, now: Timestamp) -> Vec<(Option<CellId>, Option<u64>, Vec<u8>)> {
         let mut due = Vec::new();
-        for (idx, tracked) in self.tracked.iter_mut().enumerate() {
+        for &idx in &self.live {
+            let tracked = &mut self.tracked[idx];
             let attempts = match tracked.state {
                 ActionState::Pending => 0,
                 ActionState::Sent { attempts, last_sent }
@@ -216,22 +223,26 @@ impl ActionExecutor {
 
     /// Advances TTL expiry and attempt exhaustion.
     pub fn tick(&mut self, now: Timestamp) {
-        for tracked in &mut self.tracked {
-            match tracked.state {
-                ActionState::Pending | ActionState::Sent { .. } => {
-                    if now.saturating_since(tracked.submitted_at) >= tracked.action.ttl {
-                        tracked.state = ActionState::Expired;
-                    } else if let ActionState::Sent { attempts, last_sent } = tracked.state {
-                        if attempts >= self.config.max_attempts
-                            && now.saturating_since(last_sent) >= self.config.retry_after
-                        {
-                            tracked.state = ActionState::Exhausted;
-                        }
-                    }
-                }
-                _ => {}
+        let (tracked, config) = (&mut self.tracked, &self.config);
+        self.live.retain(|&idx| {
+            let tracked = &mut tracked[idx];
+            if !matches!(tracked.state, ActionState::Pending | ActionState::Sent { .. }) {
+                return false;
             }
-        }
+            if now.saturating_since(tracked.submitted_at) >= tracked.action.ttl {
+                tracked.state = ActionState::Expired;
+                return false;
+            }
+            if let ActionState::Sent { attempts, last_sent } = tracked.state {
+                if attempts >= config.max_attempts
+                    && now.saturating_since(last_sent) >= config.retry_after
+                {
+                    tracked.state = ActionState::Exhausted;
+                    return false;
+                }
+            }
+            true
+        });
     }
 
     /// Every tracked action with its current state.
@@ -268,7 +279,54 @@ impl ActionExecutor {
 mod tests {
     use super::*;
     use crate::action::MitigationAction;
+    use proptest::prelude::*;
     use xsec_types::Rnti;
+
+    /// `take_due` as it was before the live list — a scan of every action
+    /// ever tracked. With [`full_scan_tick`], the reference the live-list
+    /// executor must match step for step.
+    fn full_scan_take_due(
+        ex: &mut ActionExecutor,
+        now: Timestamp,
+    ) -> Vec<(Option<CellId>, Option<u64>, Vec<u8>)> {
+        let mut due = Vec::new();
+        for (idx, tracked) in ex.tracked.iter_mut().enumerate() {
+            let attempts = match tracked.state {
+                ActionState::Pending => 0,
+                ActionState::Sent { attempts, last_sent }
+                    if now.saturating_since(last_sent) >= ex.config.retry_after
+                        && attempts < ex.config.max_attempts =>
+                {
+                    attempts
+                }
+                _ => continue,
+            };
+            tracked.state = ActionState::Sent { attempts: attempts + 1, last_sent: now };
+            ex.inflight.push(idx);
+            due.push((tracked.cell, tracked.action.trace, tracked.action.encode()));
+        }
+        due
+    }
+
+    /// `tick` as it was before the live list.
+    fn full_scan_tick(ex: &mut ActionExecutor, now: Timestamp) {
+        for tracked in &mut ex.tracked {
+            match tracked.state {
+                ActionState::Pending | ActionState::Sent { .. } => {
+                    if now.saturating_since(tracked.submitted_at) >= tracked.action.ttl {
+                        tracked.state = ActionState::Expired;
+                    } else if let ActionState::Sent { attempts, last_sent } = tracked.state {
+                        if attempts >= ex.config.max_attempts
+                            && now.saturating_since(last_sent) >= ex.config.retry_after
+                        {
+                            tracked.state = ActionState::Exhausted;
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
 
     fn ms(v: u64) -> Timestamp {
         Timestamp(v * 1_000)
@@ -359,5 +417,71 @@ mod tests {
         let states: Vec<_> = ex.outcomes().iter().map(|t| (t.action.id, t.state)).collect();
         assert!(matches!(states[0], (1, ActionState::Acked { success: true, .. })));
         assert!(matches!(states[1], (2, ActionState::Acked { success: false, .. })));
+    }
+
+    proptest! {
+        /// Random submit / take_due / ack / tick schedules: the live-list
+        /// executor ships the same payloads in the same order and leaves
+        /// every action in the same state as the full scans it replaced.
+        #[test]
+        fn prop_live_list_matches_the_full_scan(
+            ops in proptest::collection::vec((0u8..6, 1u64..400, any::<u16>()), 1..120),
+        ) {
+            let mut live = ActionExecutor::default();
+            let mut full = ActionExecutor::default();
+            let mut now = Timestamp(0);
+            let mut next_id = 0u32;
+            for (op, step_ms, word) in ops {
+                now += Duration::from_millis(step_ms);
+                match op {
+                    0 | 1 => {
+                        next_id += 1;
+                        let mut a = action(next_id);
+                        a.ttl = Duration::from_millis(u64::from(word % 2_000) + 1);
+                        if word % 3 == 0 {
+                            a.trace = None;
+                        }
+                        live.submit(a.clone(), None, now, now);
+                        full.submit(a, None, now, now);
+                    }
+                    2 => prop_assert_eq!(live.take_due(now), full_scan_take_due(&mut full, now)),
+                    3 | 4 => {
+                        let success = word % 2 == 0;
+                        // Ack a real in-flight trace, an unknown one, or none.
+                        let trace = match word % 4 {
+                            0 => None,
+                            1 => Some(u64::from(word)),
+                            _ => live
+                                .inflight
+                                .get(usize::from(word) % live.inflight.len().max(1))
+                                .and_then(|&idx| live.tracked[idx].action.trace),
+                        };
+                        prop_assert_eq!(
+                            live.on_ack_traced(success, trace, now),
+                            full.on_ack_traced(success, trace, now)
+                        );
+                    }
+                    _ => {
+                        live.tick(now);
+                        full_scan_tick(&mut full, now);
+                    }
+                }
+                let states = |ex: &ActionExecutor| -> Vec<(u32, ActionState)> {
+                    ex.outcomes().iter().map(|t| (t.action.id, t.state)).collect()
+                };
+                prop_assert_eq!(states(&live), states(&full));
+                prop_assert_eq!(live.tally(), full.tally());
+                prop_assert_eq!(&live.inflight, &full.inflight);
+            }
+            // A tick leaves exactly the unresolved actions listed.
+            live.tick(now);
+            let unresolved: Vec<usize> = (0..live.tracked.len())
+                .filter(|&idx| matches!(
+                    live.tracked[idx].state,
+                    ActionState::Pending | ActionState::Sent { .. }
+                ))
+                .collect();
+            prop_assert_eq!(&live.live, &unresolved);
+        }
     }
 }

@@ -219,19 +219,18 @@ impl<T: E2Transport> RicAgent<T> {
             while sub.next_report_at <= now {
                 let window_start =
                     sub.next_report_at.as_micros().saturating_sub(sub.period.as_micros());
-                let records = &self.log[sub.cursor..log_len];
-                let indication = KpmIndication::from_records(
+                let payload = KpmIndication::encode_records(
                     cell,
                     Timestamp(window_start),
                     sub.next_report_at,
-                    records,
+                    &self.log[sub.cursor..log_len],
                 );
                 outgoing.push(
                     E2apPdu::Indication {
                         request_id: *request_id,
                         ran_function: RAN_FUNCTION_MOBIFLOW,
                         sequence: sub.sequence,
-                        payload: indication.encode(),
+                        payload,
                     }
                     .encode(),
                 );
@@ -244,7 +243,21 @@ impl<T: E2Transport> RicAgent<T> {
             self.metrics.indications_sent.inc();
             self.send_counted(&frame)?;
         }
+        self.trim_log();
         Ok(())
+    }
+
+    /// Drops every record all subscribers have been sent and rebases their
+    /// cursors, so the log holds one report period, not the whole run.
+    /// Without a subscriber nothing is dropped: the agent keeps buffering.
+    fn trim_log(&mut self) {
+        let Some(shipped) = self.subscriptions.values().map(|s| s.cursor).min() else {
+            return;
+        };
+        self.log.drain(..shipped);
+        for sub in self.subscriptions.values_mut() {
+            sub.cursor -= shipped;
+        }
     }
 }
 
@@ -319,6 +332,20 @@ mod tests {
             E2apPdu::SubscriptionResponse { request_id, accepted: true }
         );
         request_id
+    }
+
+    /// Drains the RIC end: every pending indication's subscription and
+    /// decoded records.
+    fn drain_indications(ric: &mut InProcTransport) -> Vec<(RicRequestId, Vec<UeMobiFlow>)> {
+        let mut got = Vec::new();
+        while let Some(frame) = ric.try_recv().unwrap() {
+            let E2apPdu::Indication { request_id, payload, .. } = E2apPdu::decode(&frame).unwrap()
+            else {
+                panic!("expected indication");
+            };
+            got.push((request_id, KpmIndication::decode(&payload).unwrap().into_records()));
+        }
+        got
     }
 
     #[test]
@@ -434,6 +461,77 @@ mod tests {
             E2apPdu::decode(&frame).unwrap(),
             E2apPdu::ControlAck { ran_function: RAN_FUNCTION_MOBIFLOW, success: true }
         );
+    }
+
+    #[test]
+    fn the_log_holds_one_report_period() {
+        let (mut agent, mut ric) = agent();
+        complete_setup(&mut agent, &mut ric);
+        // No subscriber yet: the agent buffers.
+        for i in 0..10 {
+            agent.push_record(record(i, 1));
+        }
+        agent.poll(Timestamp(50_000)).unwrap();
+        assert_eq!(agent.log.len(), 10);
+        assert_eq!(agent.backlog(), 0, "nobody is owed the pre-subscription records");
+
+        subscribe(&mut agent, &mut ric, 100);
+        let mut delivered = 0;
+        for period in 1..=100u64 {
+            for i in 0..1_000 {
+                agent.push_record(record(period * 1_000 + i, period * 100_000 - 1));
+            }
+            assert_eq!(agent.backlog(), 1_000);
+            agent.poll(Timestamp(period * 100_000)).unwrap();
+            assert_eq!(agent.backlog(), 0);
+            assert!(agent.log.is_empty(), "period {period} left {} records", agent.log.len());
+            delivered +=
+                drain_indications(&mut ric).iter().map(|(_, records)| records.len()).sum::<usize>();
+        }
+        assert_eq!(delivered, 100 * 1_000);
+        assert!(
+            agent.log.capacity() <= 2 * 1_024,
+            "capacity {} grew past one period",
+            agent.log.capacity()
+        );
+    }
+
+    #[test]
+    fn a_slow_subscriber_keeps_its_unsent_records() {
+        let (mut agent, mut ric) = agent();
+        complete_setup(&mut agent, &mut ric);
+        subscribe(&mut agent, &mut ric, 100);
+        let slow = RicRequestId { requestor: 2, instance: 1 };
+        ric.send(
+            &E2apPdu::SubscriptionRequest {
+                request_id: slow,
+                ran_function: RAN_FUNCTION_MOBIFLOW,
+                report_period_ms: 300,
+                actions: vec![crate::e2ap::RicAction::Report],
+            }
+            .encode(),
+        )
+        .unwrap();
+        agent.poll(Timestamp(0)).unwrap();
+        let _ = ric.try_recv().unwrap().unwrap(); // sub response
+
+        // Three fast periods of two records each: the fast subscriber is
+        // sent each pair as it lands, the slow one all six at once.
+        let mut slow_got = Vec::new();
+        for period in 1..=3u64 {
+            agent.push_record(record(period * 2, 1));
+            agent.push_record(record(period * 2 + 1, 1));
+            agent.poll(Timestamp(period * 100_000)).unwrap();
+            assert_eq!(agent.backlog(), if period < 3 { 2 * period as usize } else { 0 });
+            for (request_id, records) in drain_indications(&mut ric) {
+                if request_id == slow {
+                    slow_got.extend(records);
+                }
+            }
+        }
+        let ids: Vec<u64> = slow_got.iter().map(|r| r.msg_id).collect();
+        assert_eq!(ids, vec![2, 3, 4, 5, 6, 7]);
+        assert!(agent.log.is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! tag byte plus fields; streams frame them with the shared length-prefix
 //! framing from `xsec-proto`.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut};
 use xsec_types::{CellId, GnbId, Result, XsecError};
 
 fn err(msg: impl Into<String>) -> XsecError {
@@ -123,7 +123,14 @@ pub enum E2apPdu {
 impl E2apPdu {
     /// Encodes the PDU to bytes (unframed).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(32);
+        // Sized so the payload-carrying PDUs allocate exactly once.
+        let payload_len = match self {
+            E2apPdu::Indication { payload, .. } | E2apPdu::ControlRequest { payload, .. } => {
+                payload.len()
+            }
+            _ => 0,
+        };
+        let mut buf = Vec::with_capacity(32 + payload_len);
         match self {
             E2apPdu::SetupRequest { gnb_id, ran_functions, cells } => {
                 buf.put_u8(0);
@@ -175,12 +182,12 @@ impl E2apPdu {
                 buf.put_u8(*success as u8);
             }
         }
-        buf.to_vec()
+        buf
     }
 
     /// Decodes a PDU from bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut buf = Bytes::copy_from_slice(bytes);
+        let mut buf = bytes;
         if !buf.has_remaining() {
             return Err(err("empty E2AP PDU"));
         }
@@ -224,19 +231,15 @@ impl E2apPdu {
                 let sequence = buf.get_u64();
                 let len = buf.get_u32() as usize;
                 need(&buf, len, "indication payload")?;
-                E2apPdu::Indication {
-                    request_id,
-                    ran_function,
-                    sequence,
-                    payload: buf.copy_to_bytes(len).to_vec(),
-                }
+                let payload = take(&mut buf, len);
+                E2apPdu::Indication { request_id, ran_function, sequence, payload }
             }
             6 => {
                 need(&buf, 8, "control header")?;
                 let ran_function = buf.get_u32();
                 let len = buf.get_u32() as usize;
                 need(&buf, len, "control payload")?;
-                E2apPdu::ControlRequest { ran_function, payload: buf.copy_to_bytes(len).to_vec() }
+                E2apPdu::ControlRequest { ran_function, payload: take(&mut buf, len) }
             }
             7 => {
                 need(&buf, 5, "control ack")?;
@@ -259,24 +262,31 @@ fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
     }
 }
 
-fn put_request_id(buf: &mut BytesMut, id: &RicRequestId) {
+/// Copies out the next `len` bytes (the caller has checked they exist).
+fn take(buf: &mut &[u8], len: usize) -> Vec<u8> {
+    let (front, rest) = buf.split_at(len);
+    *buf = rest;
+    front.to_vec()
+}
+
+fn put_request_id(buf: &mut Vec<u8>, id: &RicRequestId) {
     buf.put_u16(id.requestor);
     buf.put_u16(id.instance);
 }
 
-fn get_request_id(buf: &mut Bytes) -> Result<RicRequestId> {
+fn get_request_id(buf: &mut &[u8]) -> Result<RicRequestId> {
     need(buf, 4, "request id")?;
     Ok(RicRequestId { requestor: buf.get_u16(), instance: buf.get_u16() })
 }
 
-fn put_u32_list(buf: &mut BytesMut, list: &[u32]) {
+fn put_u32_list(buf: &mut Vec<u8>, list: &[u32]) {
     buf.put_u16(list.len() as u16);
     for v in list {
         buf.put_u32(*v);
     }
 }
 
-fn get_u32_list(buf: &mut Bytes) -> Result<Vec<u32>> {
+fn get_u32_list(buf: &mut &[u8]) -> Result<Vec<u32>> {
     need(buf, 2, "list length")?;
     let n = buf.get_u16() as usize;
     need(buf, n * 4, "list body")?;

@@ -4,16 +4,27 @@
 //! model so the RIC agent can "report security telemetry via the E2 report
 //! operation per time interval, where the telemetry can be encoded as
 //! (key, value) data" (§3.1). [`KpmIndication`] is that container: a report
-//! window plus a list of UTF-8 key/value pairs; MobiFlow records ride as
-//! `("mf/<msg_id>", "<semicolon record>")` entries.
+//! window, the window's MobiFlow records as one block of fixed-layout binary
+//! records ([`xsec_mobiflow::wire`]), and a list of generic UTF-8 key/value
+//! entries for any other measurement.
+//!
+//! ```text
+//! cell u32 | window_start u64 | window_end u64 | n_records u32
+//!   | n_records x 48-byte record | n_entries u32
+//!   | n_entries x (u16 len, key, u16 len, value)
+//! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use xsec_mobiflow::{decode_ue_record, encode_ue_record, UeMobiFlow};
+use bytes::{Buf, BufMut};
+use xsec_mobiflow::wire::{get_record, put_record, RECORD_LEN};
+use xsec_mobiflow::UeMobiFlow;
 use xsec_types::{CellId, Result, Timestamp, XsecError};
 
 /// RAN function id of the MobiFlow security service model (a private id
 /// outside the ranges the O-RAN Alliance reserves for its own models).
 pub const RAN_FUNCTION_MOBIFLOW: u32 = 142;
+
+/// Bytes before the record block: cell, window bounds, record count.
+const HEADER_LEN: usize = 24;
 
 fn err(msg: impl Into<String>) -> XsecError {
     XsecError::Codec(msg.into())
@@ -28,7 +39,9 @@ pub struct KpmIndication {
     pub window_start: Timestamp,
     /// Report window end.
     pub window_end: Timestamp,
-    /// (key, value) telemetry entries.
+    /// The window's MobiFlow records, in log order.
+    pub records: Vec<UeMobiFlow>,
+    /// Generic (key, value) telemetry entries.
     pub entries: Vec<(String, String)>,
 }
 
@@ -44,66 +57,111 @@ impl KpmIndication {
             cell,
             window_start,
             window_end,
-            entries: records
-                .iter()
-                .map(|r| (format!("mf/{}", r.msg_id), encode_ue_record(r)))
-                .collect(),
+            records: records.to_vec(),
+            entries: Vec::new(),
         }
     }
 
-    /// Extracts the MobiFlow records carried by this indication, in entry
-    /// order. Non-`mf/` entries are skipped; malformed `mf/` values error.
+    /// The MobiFlow records carried by this indication, in log order.
+    /// Generic entries never contribute. Decoding already validated every
+    /// record, so this cannot fail; the `Result` is the signature existing
+    /// callers compile against.
     pub fn mobiflow_records(&self) -> Result<Vec<UeMobiFlow>> {
-        self.entries
-            .iter()
-            .filter(|(k, _)| k.starts_with("mf/"))
-            .map(|(_, v)| decode_ue_record(v))
-            .collect()
+        Ok(self.records.clone())
+    }
+
+    /// Consumes the indication into its records without copying them.
+    pub fn into_records(self) -> Vec<UeMobiFlow> {
+        self.records
     }
 
     /// Encodes the payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(64);
-        buf.put_u32(self.cell.0);
-        buf.put_u64(self.window_start.as_micros());
-        buf.put_u64(self.window_end.as_micros());
-        buf.put_u32(self.entries.len() as u32);
-        for (k, v) in &self.entries {
-            put_str(&mut buf, k);
-            put_str(&mut buf, v);
-        }
-        buf.to_vec()
+        encode_parts(self.cell, self.window_start, self.window_end, &self.records, &self.entries)
     }
 
-    /// Decodes a payload.
+    /// Encodes a records-only payload straight from a slice — the agent's
+    /// path, which never builds a `KpmIndication`.
+    pub fn encode_records(
+        cell: CellId,
+        window_start: Timestamp,
+        window_end: Timestamp,
+        records: &[UeMobiFlow],
+    ) -> Vec<u8> {
+        encode_parts(cell, window_start, window_end, records, &[])
+    }
+
+    /// Decodes a payload. Both counts are checked against the bytes actually
+    /// present before anything is allocated for them.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        if buf.remaining() < 24 {
+        let mut buf = bytes;
+        if buf.remaining() < HEADER_LEN {
             return Err(err("truncated KPM header"));
         }
         let cell = CellId(buf.get_u32());
         let window_start = Timestamp(buf.get_u64());
         let window_end = Timestamp(buf.get_u64());
+        let block_len = (buf.get_u32() as usize)
+            .checked_mul(RECORD_LEN)
+            .filter(|len| *len <= buf.remaining())
+            .ok_or_else(|| err("record count exceeds the payload"))?;
+        let (block, mut buf) = buf.split_at(block_len);
+        let mut records = Vec::with_capacity(block_len / RECORD_LEN);
+        for chunk in block.chunks_exact(RECORD_LEN) {
+            records.push(get_record(chunk.try_into().expect("chunks_exact yields RECORD_LEN"))?);
+        }
+        if buf.remaining() < 4 {
+            return Err(err("truncated entry count"));
+        }
         let n = buf.get_u32() as usize;
-        let mut entries = Vec::with_capacity(n.min(4096));
+        // Every entry is at least its two length prefixes.
+        if n.checked_mul(4).is_none_or(|min| min > buf.remaining()) {
+            return Err(err("entry count exceeds the payload"));
+        }
+        let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
-            let k = get_str(&mut buf)?;
-            let v = get_str(&mut buf)?;
-            entries.push((k, v));
+            entries.push((get_str(&mut buf)?, get_str(&mut buf)?));
         }
         if buf.has_remaining() {
             return Err(err(format!("{} trailing bytes", buf.remaining())));
         }
-        Ok(KpmIndication { cell, window_start, window_end, entries })
+        Ok(KpmIndication { cell, window_start, window_end, records, entries })
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u16(s.len() as u16);
+/// The one encoder, sized exactly up front so it allocates once.
+fn encode_parts(
+    cell: CellId,
+    window_start: Timestamp,
+    window_end: Timestamp,
+    records: &[UeMobiFlow],
+    entries: &[(String, String)],
+) -> Vec<u8> {
+    let block_len = records.len() * RECORD_LEN;
+    let entries_len: usize = entries.iter().map(|(k, v)| 4 + k.len() + v.len()).sum();
+    let mut buf = Vec::with_capacity(HEADER_LEN + block_len + 4 + entries_len);
+    buf.put_u32(cell.0);
+    buf.put_u64(window_start.as_micros());
+    buf.put_u64(window_end.as_micros());
+    buf.put_u32(u32::try_from(records.len()).expect("a report window holds under 2^32 records"));
+    buf.resize(HEADER_LEN + block_len, 0);
+    for (record, chunk) in records.iter().zip(buf[HEADER_LEN..].chunks_exact_mut(RECORD_LEN)) {
+        put_record(record, chunk.try_into().expect("chunks_exact_mut yields RECORD_LEN"));
+    }
+    buf.put_u32(u32::try_from(entries.len()).expect("an indication holds under 2^32 entries"));
+    for (k, v) in entries {
+        put_str(&mut buf, k);
+        put_str(&mut buf, v);
+    }
+    buf
+}
+
+fn put_str(buf: &mut Vec<u8>, s: &str) {
+    buf.put_u16(u16::try_from(s.len()).expect("KPM entry strings are under 64 KiB"));
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String> {
+fn get_str(buf: &mut &[u8]) -> Result<String> {
     if buf.remaining() < 2 {
         return Err(err("truncated string length"));
     }
@@ -111,7 +169,9 @@ fn get_str(buf: &mut Bytes) -> Result<String> {
     if buf.remaining() < len {
         return Err(err("truncated string body"));
     }
-    String::from_utf8(buf.copy_to_bytes(len).to_vec()).map_err(|e| err(format!("bad utf8: {e}")))
+    let (body, rest) = buf.split_at(len);
+    *buf = rest;
+    String::from_utf8(body.to_vec()).map_err(|e| err(format!("bad utf8: {e}")))
 }
 
 #[cfg(test)]
@@ -119,7 +179,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use xsec_proto::{Direction, MessageKind};
-    use xsec_types::Rnti;
+    use xsec_types::{Plmn, ReleaseCause, Rnti, Supi, Tmsi};
 
     fn record(id: u64) -> UeMobiFlow {
         UeMobiFlow {
@@ -139,14 +199,47 @@ mod tests {
         }
     }
 
+    /// A payload exercising every part of the layout: records with and
+    /// without optionals, plus generic entries.
+    fn full_payload() -> Vec<u8> {
+        let mut records: Vec<_> = (0..3).map(record).collect();
+        records[1].tmsi = Some(Tmsi(0xAABB_CCDD));
+        records[1].supi = Some(Supi::new(Plmn::TEST, 99));
+        records[2].msg = MessageKind::RrcRelease;
+        records[2].release_cause = Some(ReleaseCause::Congestion);
+        let mut ind = KpmIndication::from_records(CellId(1), Timestamp(0), Timestamp(1), &records);
+        ind.entries.push(("kpm/prb_util".into(), "0.7".into()));
+        ind.encode()
+    }
+
+    /// `decode` either errors or yields a value that re-encodes to exactly
+    /// the bytes it was given.
+    fn assert_canonical_or_err(bytes: &[u8]) {
+        if let Ok(ind) = KpmIndication::decode(bytes) {
+            assert_eq!(ind.encode(), bytes, "decoded a non-canonical payload");
+        }
+    }
+
     #[test]
     fn records_round_trip_through_indication() {
         let records: Vec<_> = (0..5).map(record).collect();
         let ind = KpmIndication::from_records(CellId(1), Timestamp(0), Timestamp(1000), &records);
         let bytes = ind.encode();
+        assert_eq!(bytes.len(), HEADER_LEN + 5 * RECORD_LEN + 4);
         let back = KpmIndication::decode(&bytes).unwrap();
         assert_eq!(back, ind);
         assert_eq!(back.mobiflow_records().unwrap(), records);
+        assert_eq!(back.into_records(), records);
+    }
+
+    #[test]
+    fn slice_encoder_matches_the_owned_one() {
+        let records: Vec<_> = (0..4).map(record).collect();
+        let (cell, start, end) = (CellId(9), Timestamp(5), Timestamp(6));
+        assert_eq!(
+            KpmIndication::encode_records(cell, start, end, &records),
+            KpmIndication::from_records(cell, start, end, &records).encode()
+        );
     }
 
     #[test]
@@ -154,27 +247,50 @@ mod tests {
         let mut ind =
             KpmIndication::from_records(CellId(1), Timestamp(0), Timestamp(1), &[record(1)]);
         ind.entries.push(("kpm/prb_util".into(), "0.7".into()));
-        assert_eq!(ind.mobiflow_records().unwrap().len(), 1);
+        let back = KpmIndication::decode(&ind.encode()).unwrap();
+        assert_eq!(back.entries, ind.entries);
+        assert_eq!(back.mobiflow_records().unwrap().len(), 1);
     }
 
     #[test]
     fn malformed_mobiflow_value_errors() {
-        let ind = KpmIndication {
-            cell: CellId(1),
-            window_start: Timestamp(0),
-            window_end: Timestamp(1),
-            entries: vec![("mf/0".into(), "garbage".into())],
-        };
-        assert!(ind.mobiflow_records().is_err());
+        let mut bytes =
+            KpmIndication::from_records(CellId(1), Timestamp(0), Timestamp(1), &[record(1)])
+                .encode();
+        // The record's message-kind byte.
+        bytes[HEADER_LEN + 27] = 0xEE;
+        assert!(matches!(KpmIndication::decode(&bytes), Err(XsecError::Codec(_))));
     }
 
     #[test]
     fn decode_rejects_truncation() {
-        let ind = KpmIndication::from_records(CellId(1), Timestamp(0), Timestamp(1), &[record(1)]);
-        let bytes = ind.encode();
+        let bytes = full_payload();
         for cut in 0..bytes.len() {
             assert!(KpmIndication::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
+    }
+
+    #[test]
+    fn every_single_bit_flip_decodes_canonically_or_errors() {
+        let good = full_payload();
+        for bit in 0..good.len() * 8 {
+            let mut flipped = good.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_canonical_or_err(&flipped);
+        }
+    }
+
+    #[test]
+    fn hostile_counts_error_before_allocating() {
+        // 30 bytes claiming u32::MAX records: were the count trusted, the
+        // `Vec::with_capacity` behind it would abort the process.
+        let mut bytes = vec![0u8; 30];
+        bytes[20..24].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(KpmIndication::decode(&bytes).is_err());
+        // Same for the entry count behind an empty record block.
+        let mut bytes = vec![0u8; 30];
+        bytes[24..28].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(KpmIndication::decode(&bytes).is_err());
     }
 
     proptest! {
@@ -186,6 +302,7 @@ mod tests {
                 cell: CellId(3),
                 window_start: Timestamp(1),
                 window_end: Timestamp(2),
+                records: vec![record(7)],
                 entries,
             };
             prop_assert_eq!(KpmIndication::decode(&ind.encode()).unwrap(), ind);
@@ -193,7 +310,20 @@ mod tests {
 
         #[test]
         fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-            let _ = KpmIndication::decode(&bytes);
+            assert_canonical_or_err(&bytes);
+        }
+
+        /// Arbitrary bytes behind a plausible header, so the fuzz reaches
+        /// the record and entry decoders instead of dying on the count.
+        #[test]
+        fn prop_fuzzed_bodies_decode_canonically_or_error(
+            n_records in 0u32..3,
+            body in proptest::collection::vec(any::<u8>(), 0..160),
+        ) {
+            let mut bytes = vec![0u8; 20];
+            bytes.extend_from_slice(&n_records.to_be_bytes());
+            bytes.extend_from_slice(&body);
+            assert_canonical_or_err(&bytes);
         }
     }
 }

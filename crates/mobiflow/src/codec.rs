@@ -1,9 +1,10 @@
-//! The semicolon-delimited MobiFlow wire encoding.
+//! The semicolon-delimited MobiFlow line encoding.
 //!
 //! Mirrors the format of the 5GSEC MobiFlow releases: a fixed field order,
-//! `;` separators, `-` for absent optionals. The encoding is what the RIC
-//! agent ships over E2 (as E2SM key-value payloads) and what the SDL stores;
-//! it must round-trip exactly.
+//! `;` separators, `-` for absent optionals. This is the human-readable form
+//! the paper shows to the LLM (alert context and prompt); it must round-trip
+//! exactly. Over E2 and in the SDL records travel in the binary layout of
+//! [`crate::wire`].
 //!
 //! ```text
 //! v2;UE;<msg_id>;<ts_us>;<cell>;<rnti_hex>;<du_ue_id>;<UL|DL>;<msg_name>;

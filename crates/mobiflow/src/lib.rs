@@ -2,10 +2,11 @@
 //!
 //! The MOBIFLOW fine-grained security telemetry stream (Wen et al.,
 //! EmergingWireless'22 — the paper's reference \[60\]), reproduced from
-//! scratch: record schema, the semicolon-delimited wire encoding used by the
-//! 5GSEC releases, extraction from raw F1AP/NGAP captures or from the
-//! structured simulator event stream, and the Shared Data Layer (SDL) store
-//! that xApps read it from.
+//! scratch: record schema, the fixed-layout binary record that travels over
+//! E2 ([`wire`]), the semicolon-delimited line encoding of the 5GSEC releases
+//! that the LLM prompt quotes ([`codec`]), extraction from raw F1AP/NGAP
+//! captures or from the structured simulator event stream, and the Shared
+//! Data Layer (SDL) store that xApps read it from.
 //!
 //! One [`UeMobiFlow`] record is produced per control message observed at the
 //! RAN (paper §3.1):
@@ -28,6 +29,7 @@ pub mod codec;
 pub mod extract;
 pub mod record;
 pub mod sdl;
+pub mod wire;
 
 pub use codec::{decode_ue_record, encode_ue_record};
 pub use extract::{

@@ -10,18 +10,18 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-type Namespace = BTreeMap<String, Vec<u8>>;
-
+/// One namespace: its entries plus the version that bumps on mutation
+/// (and survives the namespace becoming empty).
 #[derive(Default)]
-struct Inner {
-    namespaces: BTreeMap<String, Namespace>,
-    versions: BTreeMap<String, u64>,
+struct Namespace {
+    entries: BTreeMap<String, Vec<u8>>,
+    version: u64,
 }
 
 /// A cloneable handle to the shared store.
 #[derive(Clone, Default)]
 pub struct SharedDataLayer {
-    inner: Arc<RwLock<Inner>>,
+    namespaces: Arc<RwLock<BTreeMap<String, Namespace>>>,
 }
 
 impl SharedDataLayer {
@@ -32,43 +32,47 @@ impl SharedDataLayer {
 
     /// Writes `value` under `(namespace, key)`, bumping the namespace version.
     pub fn set(&self, namespace: &str, key: &str, value: Vec<u8>) {
-        let mut inner = self.inner.write();
-        inner.namespaces.entry(namespace.to_string()).or_default().insert(key.to_string(), value);
-        *inner.versions.entry(namespace.to_string()).or_insert(0) += 1;
+        let mut namespaces = self.namespaces.write();
+        // Looked up by reference first: the name is only copied when the
+        // namespace is new, not on every write.
+        let ns = match namespaces.get_mut(namespace) {
+            Some(ns) => ns,
+            None => namespaces.entry(namespace.to_string()).or_default(),
+        };
+        ns.entries.insert(key.to_string(), value);
+        ns.version += 1;
     }
 
     /// Reads the value under `(namespace, key)`.
     pub fn get(&self, namespace: &str, key: &str) -> Option<Vec<u8>> {
-        self.inner.read().namespaces.get(namespace)?.get(key).cloned()
+        self.namespaces.read().get(namespace)?.entries.get(key).cloned()
     }
 
     /// Deletes a key; returns whether it existed. Bumps the version if so.
     pub fn delete(&self, namespace: &str, key: &str) -> bool {
-        let mut inner = self.inner.write();
-        let existed = inner
-            .namespaces
-            .get_mut(namespace)
-            .map(|ns| ns.remove(key).is_some())
-            .unwrap_or(false);
+        let mut namespaces = self.namespaces.write();
+        let Some(ns) = namespaces.get_mut(namespace) else {
+            return false;
+        };
+        let existed = ns.entries.remove(key).is_some();
         if existed {
-            *inner.versions.entry(namespace.to_string()).or_insert(0) += 1;
+            ns.version += 1;
         }
         existed
     }
 
     /// All keys in a namespace, sorted.
     pub fn keys(&self, namespace: &str) -> Vec<String> {
-        self.inner
+        self.namespaces
             .read()
-            .namespaces
             .get(namespace)
-            .map(|ns| ns.keys().cloned().collect())
+            .map(|ns| ns.entries.keys().cloned().collect())
             .unwrap_or_default()
     }
 
     /// Number of entries in a namespace.
     pub fn len(&self, namespace: &str) -> usize {
-        self.inner.read().namespaces.get(namespace).map(|ns| ns.len()).unwrap_or(0)
+        self.namespaces.read().get(namespace).map(|ns| ns.entries.len()).unwrap_or(0)
     }
 
     /// Whether the namespace holds no entries.
@@ -79,16 +83,15 @@ impl SharedDataLayer {
     /// Monotonic version of a namespace: bumps on every write/delete.
     /// Pollers remember the last version they saw.
     pub fn version(&self, namespace: &str) -> u64 {
-        self.inner.read().versions.get(namespace).copied().unwrap_or(0)
+        self.namespaces.read().get(namespace).map(|ns| ns.version).unwrap_or(0)
     }
 
     /// Reads every `(key, value)` in a namespace, sorted by key.
     pub fn scan(&self, namespace: &str) -> Vec<(String, Vec<u8>)> {
-        self.inner
+        self.namespaces
             .read()
-            .namespaces
             .get(namespace)
-            .map(|ns| ns.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
+            .map(|ns| ns.entries.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
             .unwrap_or_default()
     }
 }

@@ -29,7 +29,7 @@ pub mod xapp;
 
 pub use authz::{Capability, Grants, XAppIdentity};
 pub use latency::LatencyClass;
-pub use platform::{PumpStats, RicPlatform, SubscriptionSpec};
+pub use platform::{PumpStats, RicPlatform, SubscriptionSpec, SDL_WINDOWS_PER_AGENT};
 pub use router::{PublishError, RegisterError, Router, RouterHandle};
 pub use xapp::{ControlOut, XApp, XAppContext};
 

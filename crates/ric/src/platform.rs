@@ -10,7 +10,9 @@
 //! that lets one platform terminate hundreds of mostly-idle gNB agents.
 //!
 //! A pump iteration drains the ready connections, completes E2 handshakes,
-//! persists arriving telemetry to the SDL, dispatches it to subscribed
+//! persists each arriving report window to the SDL (the KPM payload as
+//! received, one entry per agent and window, the newest
+//! [`SDL_WINDOWS_PER_AGENT`] kept), dispatches its records to subscribed
 //! xApps (timing each handler against the near-RT budget), relays topic
 //! messages between xApps, and ships queued control actions back to the
 //! RAN. All sends are non-blocking: each transport owns a bounded egress
@@ -28,8 +30,21 @@ use xsec_e2::{
     RAN_FUNCTION_MOBIFLOW,
 };
 use xsec_mobiflow::SharedDataLayer;
-use xsec_obs::{Counter, Histogram, Obs};
-use xsec_types::{CellId, GnbId, Result, XsecError};
+use xsec_obs::{Counter, Gauge, Histogram, Obs};
+use xsec_types::{CellId, GnbId, Result, Timestamp, XsecError};
+
+/// SDL namespace holding the telemetry report windows.
+const SDL_MOBIFLOW: &str = "mobiflow";
+
+/// Report windows kept per agent in the `mobiflow` SDL namespace; storing
+/// one more evicts that agent's oldest.
+pub const SDL_WINDOWS_PER_AGENT: usize = 64;
+
+/// SDL key of one agent's report window: `<conn>/<end µs>/<start µs>`,
+/// zero-padded so an agent's keys sort by time.
+fn window_key(conn: usize, start: Timestamp, end: Timestamp) -> String {
+    format!("{conn}/{:020}/{:020}", end.as_micros(), start.as_micros())
+}
 
 /// What an xApp wants delivered.
 #[derive(Debug, Clone)]
@@ -97,6 +112,9 @@ struct AgentConn {
     /// This conn has buffered egress awaiting a flush retry (dedup flag
     /// for the `egress_pending` list).
     egress_pending: bool,
+    /// `(start, end)` of this agent's report windows held in the SDL,
+    /// oldest first.
+    stored_windows: VecDeque<(Timestamp, Timestamp)>,
 }
 
 /// Counters from one pump iteration (a per-call delta). Cumulative totals
@@ -135,6 +153,10 @@ struct PlatformMetrics {
     egress_dropped: Counter,
     /// Connections visited across all pumps (O(active) when event-driven).
     conns_scanned: Counter,
+    /// Entries currently in the `mobiflow` SDL namespace.
+    sdl_entries: Gauge,
+    /// Report windows evicted from it to make room for newer ones.
+    sdl_evicted: Counter,
     decode_latency: Histogram,
 }
 
@@ -152,6 +174,8 @@ impl PlatformMetrics {
             controls_broadcast: obs.counter("xsec_ric_controls_broadcast_total", &[]),
             egress_dropped: obs.counter("xsec_ric_egress_dropped_total", &[]),
             conns_scanned: obs.counter("xsec_ric_pump_conns_scanned_total", &[]),
+            sdl_entries: obs.gauge("xsec_sdl_entries", &[("namespace", SDL_MOBIFLOW)]),
+            sdl_evicted: obs.counter("xsec_sdl_evicted_total", &[("namespace", SDL_MOBIFLOW)]),
             decode_latency: obs.histogram("xsec_e2_decode_latency_us", &[]),
         }
     }
@@ -326,6 +350,7 @@ impl RicPlatform {
             inflight_controls: VecDeque::new(),
             ack_latency: None,
             egress_pending: false,
+            stored_windows: VecDeque::new(),
         });
     }
 
@@ -591,24 +616,12 @@ impl RicPlatform {
                 }
                 Ok(())
             }
-            E2apPdu::Indication { request_id, payload, sequence, .. } => {
+            E2apPdu::Indication { request_id, payload, .. } => {
                 self.metrics.indications.inc();
                 let kpm = KpmIndication::decode(&payload)?;
-                let records = kpm.mobiflow_records()?;
-                // Persist to the SDL, keyed by conn + subscription +
-                // sequence (sequence streams are per-agent, so the conn
-                // token keeps keys unique across agents).
-                for (i, record) in records.iter().enumerate() {
-                    self.sdl.set(
-                        "mobiflow",
-                        &format!(
-                            "{}/{}/{}/{:06}/{:03}",
-                            ci, request_id.requestor, sequence, record.msg_id, i
-                        ),
-                        xsec_mobiflow::encode_ue_record(record).into_bytes(),
-                    );
-                }
-                let window_end = kpm.window_end;
+                let (window_start, window_end) = (kpm.window_start, kpm.window_end);
+                let records = kpm.into_records();
+                self.store_window(ci, window_start, window_end, payload);
                 if let Some(ai) =
                     self.xapps.iter().position(|x| x.request_id == Some(request_id))
                 {
@@ -648,6 +661,24 @@ impl RicPlatform {
             }
             other => Err(XsecError::Ric(format!("unexpected PDU at RIC: {other:?}"))),
         }
+    }
+
+    /// Persists one report window of conn `ci` to the SDL: the KPM payload
+    /// exactly as received, under a key naming the agent and the window —
+    /// so the same window reported to a second subscriber overwrites itself
+    /// — and evicts the agent's oldest window beyond the retention.
+    fn store_window(&mut self, ci: usize, start: Timestamp, end: Timestamp, payload: Vec<u8>) {
+        let stored = &mut self.conns[ci].stored_windows;
+        if !stored.contains(&(start, end)) {
+            stored.push_back((start, end));
+            if stored.len() > SDL_WINDOWS_PER_AGENT {
+                let (old_start, old_end) = stored.pop_front().expect("just pushed");
+                self.sdl.delete(SDL_MOBIFLOW, &window_key(ci, old_start, old_end));
+                self.metrics.sdl_evicted.inc();
+            }
+        }
+        self.sdl.set(SDL_MOBIFLOW, &window_key(ci, start, end), payload);
+        self.metrics.sdl_entries.set(self.sdl.len(SDL_MOBIFLOW) as i64);
     }
 
     /// Sends every telemetry xApp's subscription request to conn `ci`
@@ -707,7 +738,6 @@ impl RicPlatform {
 mod tests {
     use super::*;
     use xsec_e2::{in_proc_pair, RicAgent, RicAgentConfig};
-    use xsec_types::Timestamp;
     use xsec_mobiflow::UeMobiFlow;
     use xsec_proto::{Direction, MessageKind};
     use xsec_types::{CellId, GnbId, Rnti};
@@ -775,6 +805,16 @@ mod tests {
         }
     }
 
+    /// Every record recoverable from the report windows the SDL holds.
+    fn records_in_sdl(platform: &RicPlatform) -> Vec<UeMobiFlow> {
+        platform
+            .sdl()
+            .scan("mobiflow")
+            .into_iter()
+            .flat_map(|(_, value)| KpmIndication::decode(&value).unwrap().into_records())
+            .collect()
+    }
+
     #[test]
     fn end_to_end_telemetry_reaches_the_xapp_and_sdl() {
         // Handshake: platform sees setup, answers; issues subscription;
@@ -784,14 +824,68 @@ mod tests {
         assert_eq!(agent.subscription_count(), 1);
 
         // Telemetry flows.
-        agent.push_record(record(0, 10));
-        agent.push_record(record(1, 20));
+        let sent = [record(0, 10), record(1, 20)];
+        for r in &sent {
+            agent.push_record(r.clone());
+        }
         agent.poll(Timestamp(100_000)).unwrap();
         let stats = platform.pump().unwrap();
         assert_eq!(stats.records_delivered, 2);
         assert_eq!(platform.indications_seen(), 1);
-        assert_eq!(platform.sdl().len("mobiflow"), 2);
+        // One SDL entry for the window, holding exactly what was sent.
+        assert_eq!(platform.sdl().len("mobiflow"), 1);
+        assert_eq!(records_in_sdl(&platform), sent);
         assert!(platform.obs().snapshot().histogram_count("xsec_ric_handler_latency_us") >= 1);
+    }
+
+    #[test]
+    fn a_window_reported_to_two_subscribers_is_stored_once() {
+        let (mut platform, mut agent) =
+            one_agent_platform(Box::new(CountingApp { records: 0, publishes_to: None }));
+        platform.register_xapp(
+            Box::new(CountingApp { records: 0, publishes_to: None }),
+            SubscriptionSpec::telemetry(100),
+        );
+        platform.pump().unwrap();
+        agent.poll(Timestamp(0)).unwrap();
+        platform.pump().unwrap();
+        assert_eq!(agent.subscription_count(), 2);
+
+        agent.push_record(record(0, 10));
+        agent.poll(Timestamp(100_000)).unwrap();
+        let stats = platform.pump().unwrap();
+        assert_eq!(stats.records_delivered, 2, "one delivery per subscriber");
+        assert_eq!(platform.sdl().len("mobiflow"), 1);
+        assert_eq!(records_in_sdl(&platform), [record(0, 10)]);
+    }
+
+    #[test]
+    fn the_mobiflow_namespace_keeps_the_newest_windows_per_agent() {
+        let (mut platform, mut agents) =
+            n_agent_platform(Box::new(CountingApp { records: 0, publishes_to: None }), 2);
+        let entries = platform.obs().gauge("xsec_sdl_entries", &[("namespace", "mobiflow")]);
+        let extra = 5;
+        let periods = (SDL_WINDOWS_PER_AGENT + extra) as u64;
+        for period in 1..=periods {
+            for (a, agent) in agents.iter_mut().enumerate() {
+                agent.push_record(record(period * 2 + a as u64, period * 100_000 - 1));
+                agent.poll(Timestamp(period * 100_000)).unwrap();
+            }
+            platform.pump().unwrap();
+            let want = 2 * (period as usize).min(SDL_WINDOWS_PER_AGENT);
+            assert_eq!(platform.sdl().len("mobiflow"), want);
+            assert_eq!(entries.get(), want as i64);
+        }
+        assert_eq!(
+            platform.obs().snapshot().counter_total("xsec_sdl_evicted_total"),
+            2 * extra as u64
+        );
+        // What is left is each agent's newest windows, oldest evicted first.
+        let mut ids: Vec<u64> = records_in_sdl(&platform).iter().map(|r| r.msg_id).collect();
+        ids.sort_unstable();
+        let first_kept = extra as u64 + 1;
+        let want: Vec<u64> = (first_kept * 2..=periods * 2 + 1).collect();
+        assert_eq!(ids, want);
     }
 
     #[test]
