@@ -23,7 +23,7 @@ use sixg_xsec::smo::{DeployedModels, Smo, TrainingConfig};
 use std::time::Instant;
 use xsec_attacks::DatasetBuilder;
 use xsec_bench::{obs, quick_mode, save_report};
-use xsec_dl::{FeatureConfig, Featurizer, Matrix, Precision, Workspace};
+use xsec_dl::{FeatureConfig, Featurizer, Matrix, Workspace};
 use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
 use xsec_mobiflow::{extract_from_events, TelemetryStream, UeMobiFlow};
 use xsec_obs::{FlightEvent, Obs, TraceStage};
@@ -132,18 +132,18 @@ fn batched_section(
     })
 }
 
-/// Kernel-level microbenches: the wide-lane (SIMD) f32 and int8 paths
-/// against the pinned scalar kernel, on a raw GEMM and on the real batched
-/// scoring workloads. The in-binary scalar pin is informational; the CI
-/// gate compares against a scalar *build* via `--baseline` (see
-/// `apply_baseline`), which gates `speedup_vs_baseline >= 3x`.
+/// Kernel-level microbenches at this build's dispatch (wide-lane in the
+/// default build, scalar under `--no-default-features`): a raw GEMM and the
+/// real batched scoring workloads. The SIMD win is a cross-build number —
+/// `--baseline` (see `apply_baseline`) folds a scalar build's rates in, and
+/// CI gates `speedup_vs_baseline >= 3x`.
 fn kernels_section(
     models: &DeployedModels,
     stream: &TelemetryStream,
     min_secs: f64,
     text: &mut String,
 ) -> serde_json::Value {
-    use xsec_dl::kernels::{set_force_scalar, wide_kernels_active};
+    use xsec_dl::kernels::wide_kernels_active;
 
     let feature_config = FeatureConfig { window: models.feature_config.window };
     let dataset = Featurizer::encode_stream(&feature_config, stream);
@@ -158,116 +158,32 @@ fn kernels_section(
     let a = Matrix::from_vec(m, k, (0..m * k).map(|i| ((i * 37) % 97) as f32 * 0.01 - 0.48).collect());
     let b = Matrix::from_vec(k, n, (0..k * n).map(|i| ((i * 53) % 89) as f32 * 0.01 - 0.44).collect());
     let mut out = Matrix::default();
-    let mut gemm_gflops = |scalar: bool| {
-        set_force_scalar(scalar);
-        let (iters, secs) = time_loop(min_secs, || {
-            std::hint::black_box(a.matmul_into(&b, &mut out));
-        });
-        set_force_scalar(false);
-        (iters as f64 * 2.0 * (m * k * n) as f64) / secs / 1e9
-    };
-    let gemm_scalar = gemm_gflops(true);
-    let gemm_wide = gemm_gflops(false);
+    let (iters, secs) = time_loop(min_secs, || {
+        std::hint::black_box(a.matmul_into(&b, &mut out));
+    });
+    let gemm_gflops = (iters as f64 * 2.0 * (m * k * n) as f64) / secs / 1e9;
 
-    // Batched scoring through each numeric path. The scalar-pinned f32 run
-    // is the baseline (the kernel every prior PR shipped). Each path is
-    // measured in interleaved rounds, best-of per path, so a transient
-    // load spike deflates one round instead of one path's only sample.
-    const CONFIGS: [(Precision, bool); 3] =
-        [(Precision::F32, true), (Precision::F32, false), (Precision::Int8, false)];
-    const ROUNDS: usize = 3;
-    let round_secs = min_secs / ROUNDS as f64;
+    let (iters, secs) = time_loop(min_secs, || {
+        std::hint::black_box(models.autoencoder.score_rows(&flat, &mut ws));
+    });
+    let ae_rate = (iters * rows as u64) as f64 / secs;
+    let (iters, secs) = time_loop(min_secs, || {
+        std::hint::black_box(models.lstm.score_batch(&windows, &nexts, &mut ws));
+    });
+    let lstm_rate = (iters * pairs as u64) as f64 / secs;
 
-    let ae_f32_scores = models.autoencoder.score_rows_with(&flat, &mut ws, Precision::F32);
-    let ae_int8_scores = models.autoencoder.score_rows_with(&flat, &mut ws, Precision::Int8);
-    let mut ae_rates = [0.0f64; 3];
-    for _ in 0..ROUNDS {
-        for (slot, &(precision, scalar)) in CONFIGS.iter().enumerate() {
-            set_force_scalar(scalar);
-            let (iters, secs) = time_loop(round_secs, || {
-                std::hint::black_box(models.autoencoder.score_rows_with(
-                    &flat,
-                    &mut ws,
-                    precision,
-                ));
-            });
-            set_force_scalar(false);
-            ae_rates[slot] = ae_rates[slot].max((iters * rows as u64) as f64 / secs);
-        }
-    }
-    let [ae_scalar, ae_simd, ae_int8] = ae_rates;
-    let ae_drift = ae_f32_scores
-        .iter()
-        .zip(&ae_int8_scores)
-        .map(|(a, b)| (a - b).abs() as f64)
-        .fold(0.0f64, f64::max);
-
-    let lstm_f32_scores = models.lstm.score_batch_with(&windows, &nexts, &mut ws, Precision::F32);
-    let lstm_int8_scores =
-        models.lstm.score_batch_with(&windows, &nexts, &mut ws, Precision::Int8);
-    let mut lstm_rates = [0.0f64; 3];
-    for _ in 0..ROUNDS {
-        for (slot, &(precision, scalar)) in CONFIGS.iter().enumerate() {
-            set_force_scalar(scalar);
-            let (iters, secs) = time_loop(round_secs, || {
-                std::hint::black_box(models.lstm.score_batch_with(
-                    &windows,
-                    &nexts,
-                    &mut ws,
-                    precision,
-                ));
-            });
-            set_force_scalar(false);
-            lstm_rates[slot] = lstm_rates[slot].max((iters * pairs as u64) as f64 / secs);
-        }
-    }
-    let [lstm_scalar, lstm_simd, lstm_int8] = lstm_rates;
-    let lstm_drift = lstm_f32_scores
-        .iter()
-        .zip(&lstm_int8_scores)
-        .map(|(a, b)| (a - b).abs() as f64)
-        .fold(0.0f64, f64::max);
-
-    let ae_best = (ae_simd / ae_scalar).max(ae_int8 / ae_scalar);
-    let lstm_best = (lstm_simd / lstm_scalar).max(lstm_int8 / lstm_scalar);
     text.push_str(&format!(
         "Kernels (wide-lane active: {}):\n  \
-         gemm {m}x{k}x{n}:  {gemm_wide:>6.2} GFLOP/s wide  {gemm_scalar:>6.2} scalar  ({:.2}x)\n  \
-         autoencoder: {ae_simd:>12.0} w/s simd  {ae_int8:>12.0} int8  {ae_scalar:>12.0} scalar  \
-         (best {ae_best:.2}x, int8 drift {ae_drift:.2e})\n  \
-         lstm:        {lstm_simd:>12.0} w/s simd  {lstm_int8:>12.0} int8  {lstm_scalar:>12.0} scalar  \
-         (best {lstm_best:.2}x, int8 drift {lstm_drift:.2e})\n\n",
+         gemm {m}x{k}x{n}:  {gemm_gflops:>6.2} GFLOP/s\n  \
+         autoencoder: {ae_rate:>12.0} windows/s\n  \
+         lstm:        {lstm_rate:>12.0} windows/s\n\n",
         wide_kernels_active(),
-        gemm_wide / gemm_scalar,
     ));
     json!({
         "wide_kernels_active": wide_kernels_active(),
-        "gemm": {
-            "shape": [m, k, n],
-            "wide_gflops": gemm_wide,
-            "scalar_gflops": gemm_scalar,
-            "speedup": gemm_wide / gemm_scalar,
-        },
-        "autoencoder": {
-            "windows": rows,
-            "scalar_windows_per_sec": ae_scalar,
-            "simd_windows_per_sec": ae_simd,
-            "int8_windows_per_sec": ae_int8,
-            "simd_speedup": ae_simd / ae_scalar,
-            "int8_speedup": ae_int8 / ae_scalar,
-            "best_speedup": ae_best,
-            "int8_max_drift": ae_drift,
-        },
-        "lstm": {
-            "windows": pairs,
-            "scalar_windows_per_sec": lstm_scalar,
-            "simd_windows_per_sec": lstm_simd,
-            "int8_windows_per_sec": lstm_int8,
-            "simd_speedup": lstm_simd / lstm_scalar,
-            "int8_speedup": lstm_int8 / lstm_scalar,
-            "best_speedup": lstm_best,
-            "int8_max_drift": lstm_drift,
-        },
+        "gemm": { "shape": [m, k, n], "gflops": gemm_gflops },
+        "autoencoder": { "windows": rows, "windows_per_sec": ae_rate },
+        "lstm": { "windows": pairs, "windows_per_sec": lstm_rate },
     })
 }
 
@@ -487,9 +403,7 @@ fn sharded_section(
 
 /// `--baseline <path>`: a `BENCH_throughput.json` produced by a **scalar
 /// build** (`--no-default-features`, default codegen). When given, the
-/// kernels section also reports the cross-build speedups — the honest
-/// number, since an in-binary scalar pin still benefits from this build's
-/// codegen flags.
+/// kernels section also reports the cross-build speedups.
 fn baseline_arg() -> Option<String> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -519,16 +433,14 @@ fn apply_baseline(kernels: &mut serde_json::Value, path: &str, text: &mut String
     );
     text.push_str(&format!("Cross-build speedups vs scalar baseline ({path}):\n"));
     for detector in ["autoencoder", "lstm"] {
-        let base = base_kernels
-            .get(detector)
-            .and_then(|d| d.get("scalar_windows_per_sec"))
-            .and_then(|v| v.as_f64())
-            .expect("baseline scalar rate");
-        let simd = kernels
-            .get(detector)
-            .and_then(|d| d.get("simd_windows_per_sec"))
-            .and_then(|v| v.as_f64())
-            .expect("simd rate");
+        let rate = |section: &serde_json::Value| {
+            section
+                .get(detector)
+                .and_then(|d| d.get("windows_per_sec"))
+                .and_then(|v| v.as_f64())
+                .expect("kernels rate")
+        };
+        let (base, simd) = (rate(base_kernels), rate(kernels));
         let speedup = simd / base;
         text.push_str(&format!(
             "  {detector}: {simd:>12.0} w/s vs {base:>12.0} scalar-build  ({speedup:.2}x)\n",
@@ -546,7 +458,7 @@ fn apply_baseline(kernels: &mut serde_json::Value, path: &str, text: &mut String
         let serde_json::Value::Object(fields) = section else {
             panic!("detector section is an object")
         };
-        fields.push(("baseline_scalar_windows_per_sec".into(), json!(base)));
+        fields.push(("baseline_windows_per_sec".into(), json!(base)));
         fields.push(("speedup_vs_baseline".into(), json!(speedup)));
     }
     text.push('\n');

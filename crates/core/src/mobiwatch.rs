@@ -56,8 +56,8 @@ pub struct MobiWatchConfig {
     pub publish_topic: String,
     /// Minimum records between two published alerts (LLM cost control).
     pub publish_cooldown: usize,
-    /// Numeric scoring path ([`Precision::F32`] or the quantized
-    /// [`Precision::Int8`] weights).
+    /// Numeric scoring path; [`Precision`] has one variant and nothing
+    /// reads this (kept for the frozen `benchmark/` package).
     pub precision: Precision,
 }
 

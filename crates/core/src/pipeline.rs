@@ -45,10 +45,8 @@ pub struct PipelineConfig {
     /// ([`crate::shard::ShardedMobiWatch`]), whose detections are invariant
     /// in the shard count.
     pub scoring_shards: usize,
-    /// Numeric path the deployed detector scores with: [`Precision::F32`]
-    /// (default) or [`Precision::Int8`], the quantized-weight path (weights
-    /// are quantized once at deploy; scores drift within the parity budget
-    /// the int8 tests bound).
+    /// Numeric path the deployed detector scores with; [`Precision`] has
+    /// one variant (kept for the frozen `benchmark/` package).
     pub precision: Precision,
 }
 

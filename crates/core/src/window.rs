@@ -45,11 +45,11 @@ impl WatchMetrics {
     }
 }
 
-/// What every key's window is scored with: the deployed models, the
-/// detector / precision / cooldown in force, the instruments, and a scoring
-/// workspace. One per scoring thread.
+/// What every key's window is scored with: the deployed models (one
+/// read-only copy shared by every fork), the detector / cooldown in force,
+/// the instruments, and a scoring workspace. One per scoring thread.
 pub(crate) struct Scorer {
-    models: DeployedModels,
+    models: Arc<DeployedModels>,
     config: MobiWatchConfig,
     metrics: WatchMetrics,
     workspace: Workspace,
@@ -60,7 +60,7 @@ impl Scorer {
     /// workspace — what each shard thread scores with.
     pub(crate) fn fork(&self) -> Scorer {
         Scorer {
-            models: self.models.clone(),
+            models: Arc::clone(&self.models),
             config: self.config.clone(),
             metrics: self.metrics.clone(),
             workspace: Workspace::new(),
@@ -139,22 +139,13 @@ impl WindowCore {
         let span = self.ring.last_n(span);
         let (score, threshold) = match detector {
             Detector::Autoencoder => (
-                scorer.models.autoencoder.score_window_with(
-                    span,
-                    &mut scorer.workspace,
-                    scorer.config.precision,
-                ),
+                scorer.models.autoencoder.score_window(span, &mut scorer.workspace),
                 scorer.models.ae_threshold,
             ),
             Detector::Lstm => {
                 let (window_flat, next) = span.split_at(n * FEATURES_PER_RECORD);
                 (
-                    scorer.models.lstm.score_window_with(
-                        window_flat,
-                        next,
-                        &mut scorer.workspace,
-                        scorer.config.precision,
-                    ),
+                    scorer.models.lstm.score_window(window_flat, next, &mut scorer.workspace),
                     scorer.models.lstm_threshold,
                 )
             }
@@ -201,7 +192,12 @@ impl Ingest {
         let recorder = FlightRecorder::new();
         let flight = recorder.ring();
         let ingest = Ingest {
-            scorer: Scorer { models, config, metrics, workspace: Workspace::new() },
+            scorer: Scorer {
+                models: Arc::new(models),
+                config,
+                metrics,
+                workspace: Workspace::new(),
+            },
             featurizer: Featurizer::new(),
             seen: 0,
             tail: VecDeque::new(),
@@ -388,6 +384,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn forks_share_one_copy_of_the_models() {
+        let (ingest, _) = Ingest::new(quick_models(40), MobiWatchConfig::default());
+        let (a, b) = (ingest.scorer.fork(), ingest.scorer.fork());
+        assert!(Arc::ptr_eq(&a.models, &b.models));
+        assert!(Arc::ptr_eq(&a.models, &ingest.scorer.models));
     }
 
     #[test]

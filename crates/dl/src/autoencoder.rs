@@ -7,9 +7,9 @@
 
 use crate::dense::{Activation, Dense};
 use crate::metrics::percentile;
-use crate::quant::Precision;
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
+use crate::Precision;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -140,35 +140,16 @@ impl Autoencoder {
         self.score_rows(data, &mut Workspace::new())
     }
 
-    /// One layer forward through the selected numeric path.
-    fn layer_forward(
-        layer: &Dense,
-        src: &Matrix,
-        dst: &mut Matrix,
-        qx: &mut crate::quant::QuantScratch,
-        precision: Precision,
-    ) -> bool {
-        match precision {
-            Precision::F32 => layer.forward_into(src, dst),
-            Precision::Int8 => layer.forward_quant_into(src, qx, dst),
-        }
-    }
-
     /// Batched forward pass through the layer stack into workspace
     /// buffers; returns which buffer holds the reconstruction.
-    fn reconstruct_into<'w>(
-        &self,
-        x: &Matrix,
-        ws: &'w mut Workspace,
-        precision: Precision,
-    ) -> &'w Matrix {
+    fn reconstruct_into<'w>(&self, x: &Matrix, ws: &'w mut Workspace) -> &'w Matrix {
         for (li, layer) in self.layers.iter().enumerate() {
             let grew = if li == 0 {
-                Self::layer_forward(layer, x, &mut ws.a, &mut ws.qx, precision)
+                layer.forward_into(x, &mut ws.a)
             } else if li % 2 == 1 {
-                Self::layer_forward(layer, &ws.a, &mut ws.b, &mut ws.qx, precision)
+                layer.forward_into(&ws.a, &mut ws.b)
             } else {
-                Self::layer_forward(layer, &ws.b, &mut ws.a, &mut ws.qx, precision)
+                layer.forward_into(&ws.b, &mut ws.a)
             };
             ws.note(grew);
         }
@@ -184,22 +165,10 @@ impl Autoencoder {
     /// temporaries live in the workspace. Row `i` of the result equals
     /// `score_row(data.row_at(i))`.
     pub fn score_rows(&self, data: &Matrix, ws: &mut Workspace) -> Vec<f32> {
-        self.score_rows_with(data, ws, Precision::F32)
-    }
-
-    /// [`Autoencoder::score_rows`] through a selectable numeric path:
-    /// [`Precision::Int8`] scores against the int8 weight snapshot (small,
-    /// bounded drift vs f32 — gated by the parity tests).
-    pub fn score_rows_with(
-        &self,
-        data: &Matrix,
-        ws: &mut Workspace,
-        precision: Precision,
-    ) -> Vec<f32> {
         if data.rows() == 0 {
             return Vec::new();
         }
-        let recon = self.reconstruct_into(data, ws, precision);
+        let recon = self.reconstruct_into(data, ws);
         (0..data.rows())
             .map(|i| crate::kernels::mse_row(data.row_slice(i), recon.row_slice(i)))
             .collect()
@@ -213,22 +182,20 @@ impl Autoencoder {
     /// # Panics
     /// If `flat.len() != input_dim`.
     pub fn score_window(&self, flat: &[f32], ws: &mut Workspace) -> f32 {
-        self.score_window_with(flat, ws, Precision::F32)
-    }
-
-    /// [`Autoencoder::score_window`] through a selectable numeric path.
-    ///
-    /// # Panics
-    /// If `flat.len() != input_dim`.
-    pub fn score_window_with(&self, flat: &[f32], ws: &mut Workspace, precision: Precision) -> f32 {
         assert_eq!(flat.len(), self.config.input_dim, "window width mismatch");
         let mut x = std::mem::take(&mut ws.x);
         let grew = x.copy_from_flat(1, flat.len(), flat);
         ws.note(grew);
-        let recon = self.reconstruct_into(&x, ws, precision);
+        let recon = self.reconstruct_into(&x, ws);
         let score = crate::kernels::mse_row(flat, recon.row_slice(0));
         ws.x = x;
         score
+    }
+
+    /// [`Autoencoder::score_window`] under the spelling the frozen
+    /// `benchmark/` package calls; [`Precision`] has one variant.
+    pub fn score_window_with(&self, flat: &[f32], ws: &mut Workspace, _: Precision) -> f32 {
+        self.score_window(flat, ws)
     }
 
     /// The detection threshold at the given percentile of training errors
@@ -381,43 +348,6 @@ mod tests {
                 "row {i}: hot-path {hot} vs reference {reference}"
             );
         }
-    }
-
-    #[test]
-    fn int8_scoring_tracks_f32_and_separates_outliers() {
-        let (benign, outliers) = synthetic(80, 23);
-        let model = Autoencoder::train(quick_config(benign.cols()), &benign);
-        let mut ws = Workspace::new();
-        let threshold = model.threshold(99.0);
-        for data in [&benign, &outliers] {
-            let f32_scores = model.score_rows_with(data, &mut ws, Precision::F32);
-            let int8_scores = model.score_rows_with(data, &mut ws, Precision::Int8);
-            for (i, (a, b)) in f32_scores.iter().zip(&int8_scores).enumerate() {
-                assert!(
-                    (a - b).abs() < 0.01,
-                    "row {i}: int8 score {b} drifted from f32 {a}"
-                );
-            }
-            // The single-window int8 path agrees with the batched one.
-            let hot = model.score_window_with(data.row_slice(0), &mut ws, Precision::Int8);
-            assert!((hot - int8_scores[0]).abs() < 1e-5);
-        }
-        // Classification survives quantization on this clean separation.
-        let int8_out = model.score_rows_with(&outliers, &mut ws, Precision::Int8);
-        assert!(int8_out.iter().all(|&s| s > threshold), "int8 lost an outlier");
-    }
-
-    #[test]
-    fn int8_steady_state_scoring_does_not_allocate() {
-        let (benign, _) = synthetic(40, 27);
-        let model = Autoencoder::train(quick_config(benign.cols()), &benign);
-        let mut ws = Workspace::new();
-        model.score_window_with(benign.row_slice(0), &mut ws, Precision::Int8);
-        let warm = ws.grow_events();
-        for i in 0..benign.rows() {
-            model.score_window_with(benign.row_slice(i), &mut ws, Precision::Int8);
-        }
-        assert_eq!(ws.grow_events(), warm, "steady-state int8 scoring grew a buffer");
     }
 
     #[test]

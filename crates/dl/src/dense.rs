@@ -1,6 +1,5 @@
 //! Fully-connected layers with built-in Adam state.
 
-use crate::quant::{QuantLinear, QuantScratch};
 use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -108,11 +107,6 @@ pub struct Dense {
     adam_b: AdamState,
     #[serde(skip)]
     cache: Option<LayerCache>,
-    /// Lazily built int8 snapshot of the weights for the quantized
-    /// inference path. Invalidated on every weight update; rebuilt (one
-    /// allocation) on the next quantized call.
-    #[serde(skip)]
-    quant: std::sync::OnceLock<QuantLinear>,
 }
 
 #[derive(Debug, Clone)]
@@ -131,7 +125,6 @@ impl Dense {
             adam_w: AdamState::new(fan_in, fan_out),
             adam_b: AdamState::new(1, fan_out),
             cache: None,
-            quant: std::sync::OnceLock::new(),
         }
     }
 
@@ -182,36 +175,6 @@ impl Dense {
         grew
     }
 
-    /// Quantized inference forward pass: int8 weights (snapshotted on
-    /// first use), dynamically int8-quantized inputs, i32 accumulation.
-    /// The whole batch goes through one register-blocked integer GEMM
-    /// ([`QuantLinear::forward_batch`]); `qx` is the reusable
-    /// input-quantization scratch. Returns `true` when any buffer grew.
-    pub fn forward_quant_into(&self, x: &Matrix, qx: &mut QuantScratch, out: &mut Matrix) -> bool {
-        assert_eq!(
-            x.cols(),
-            self.fan_in(),
-            "forward_quant_into input width {} != fan_in {}",
-            x.cols(),
-            self.fan_in()
-        );
-        let q = self.quantized();
-        let fan_out = self.fan_out();
-        let mut grew = out.resize(x.rows(), fan_out);
-        for row in out.data_mut().chunks_exact_mut(fan_out) {
-            row.copy_from_slice(self.bias.row_slice(0));
-        }
-        grew |= q.forward_batch(x, qx, out, true);
-        self.activation.apply_inplace(out.data_mut());
-        grew
-    }
-
-    /// The int8 snapshot of this layer's weights, built on first use and
-    /// cached until the next weight update.
-    pub fn quantized(&self) -> &QuantLinear {
-        self.quant.get_or_init(|| QuantLinear::from_weights(&self.weights))
-    }
-
     /// Training forward pass: caches activations for `backward`.
     pub fn forward_train(&mut self, x: &Matrix) -> Matrix {
         let output = self.forward(x);
@@ -232,8 +195,6 @@ impl Dense {
         let grad_in = dz.matmul(&self.weights.transpose());
         self.adam_w.step(&mut self.weights, &grad_w, lr);
         self.adam_b.step(&mut self.bias, &grad_b, lr);
-        // The weights changed: drop the stale int8 snapshot.
-        self.quant = std::sync::OnceLock::new();
         grad_in
     }
 }
@@ -348,28 +309,6 @@ mod tests {
         let reference = trained.forward(&single);
         for (a, b) in out.data().iter().zip(reference.data()) {
             assert!((a - b).abs() < 1e-5, "stale weights in buffered path: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn quantized_forward_tracks_f32_and_refreshes_after_updates() {
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut layer = Dense::new(8, 5, Activation::Relu, &mut rng);
-        let x = Matrix::from_vec(2, 8, (0..16).map(|i| (i as f32 * 0.61).cos()).collect());
-        let mut qx = QuantScratch::new();
-        let (mut f32_out, mut q_out) = (Matrix::default(), Matrix::default());
-        layer.forward_into(&x, &mut f32_out);
-        layer.forward_quant_into(&x, &mut qx, &mut q_out);
-        for (a, b) in f32_out.data().iter().zip(q_out.data()) {
-            assert!((a - b).abs() < 0.05, "int8 drifted: {a} vs {b}");
-        }
-        // A weight update must invalidate the int8 snapshot.
-        let y = layer.forward_train(&x);
-        layer.backward(&y.scale(0.5), 0.1);
-        layer.forward_into(&x, &mut f32_out);
-        layer.forward_quant_into(&x, &mut qx, &mut q_out);
-        for (a, b) in f32_out.data().iter().zip(q_out.data()) {
-            assert!((a - b).abs() < 0.05, "stale int8 snapshot: {a} vs {b}");
         }
     }
 

@@ -30,10 +30,9 @@
 //! polynomial, so results may differ by ~1e-7 absolute; every parity test
 //! in the crate budgets 1e-5.
 //!
-//! Benchmarks and tests can pin the dispatch with [`set_force_scalar`] to
-//! measure or cross-check one kernel against the other in the same build.
-
-use std::cell::Cell;
+//! The dispatch is fixed at build time by the `simd` feature. Tests
+//! cross-check the two kernels by calling them directly; the speedup is
+//! measured across builds (`throughput --baseline`).
 
 /// Vector width of the wide kernel, in f32 lanes.
 pub const LANES: usize = 8;
@@ -47,25 +46,9 @@ const MR: usize = 4;
 /// Output columns per register tile of the wide kernel (two lane groups).
 const NR: usize = 2 * LANES;
 
-thread_local! {
-    /// When set, [`gemm_acc`] dispatches to the scalar kernel even in
-    /// `simd` builds. A bench/test hook (the throughput bin measures the
-    /// SIMD speedup with it). Thread-local on purpose: a bench pinning its
-    /// own thread to the scalar kernel cannot perturb scoring running
-    /// elsewhere, and parallel tests cannot race each other's dispatch.
-    static FORCE_SCALAR: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Pins [`gemm_acc`] on **this thread** to the scalar kernel (`true`) or
-/// restores the default dispatch (`false`).
-pub fn set_force_scalar(on: bool) {
-    FORCE_SCALAR.with(|f| f.set(on));
-}
-
-/// Whether the wide kernel is compiled in and currently dispatched to on
-/// this thread.
-pub fn wide_kernels_active() -> bool {
-    cfg!(feature = "simd") && !FORCE_SCALAR.with(|f| f.get())
+/// Whether this build dispatches to the wide kernels (the `simd` feature).
+pub const fn wide_kernels_active() -> bool {
+    cfg!(feature = "simd")
 }
 
 /// Accumulates `out += a · b` over flat row-major slices: `a` is `m × k`,
@@ -384,64 +367,6 @@ fn row_pass<const G: usize>(a_row: &[f32], b: &[f32], n: usize, j: usize, out_ro
     }
 }
 
-/// `Σ a[i]·b[i]` over i8 slices with i32 accumulation — the int8 GEMV dot.
-///
-/// Shape note, from measuring this machine (AVX2): the kernel is 32
-/// independent i32 lanes with a plain widening multiply per element.
-/// LLVM lowers that to sign-extend + `vpmulld`/`vpaddd` over four vector
-/// accumulators, ~18 GMAC/s here. The two shapes one would expect to be
-/// faster both lose badly in practice: pairwise i16 accumulation (the
-/// `vpmaddwd` idiom) fails to pattern-match and runs ~2× slower, and an
-/// explicit i16 staging buffer defeats vectorization entirely (~17×
-/// slower). Keep this loop flat — see `dot4_i8_i32` for why it is also
-/// not register-blocked.
-///
-/// # Panics
-/// Debug-asserts equal lengths.
-#[inline]
-pub fn dot_i8_i32(a: &[i8], b: &[i8]) -> i32 {
-    debug_assert_eq!(a.len(), b.len());
-    const ILANES: usize = 32;
-    let mut acc = [0i32; ILANES];
-    let n = a.len() - a.len() % ILANES;
-    let mut i = 0;
-    while i < n {
-        let ca = &a[i..i + ILANES];
-        let cb = &b[i..i + ILANES];
-        for l in 0..ILANES {
-            acc[l] += i32::from(ca[l]) * i32::from(cb[l]);
-        }
-        i += ILANES;
-    }
-    let mut total: i32 = acc.iter().sum();
-    for (&av, &bv) in a[n..].iter().zip(&b[n..]) {
-        total += i32::from(av) * i32::from(bv);
-    }
-    total
-}
-
-/// Four int8 dots sharing one input row: `out[j] = Σ x[i]·w[j][i]` — the
-/// output-blocked core of the batched int8 GEMM.
-///
-/// Deliberately four sequential [`dot_i8_i32`] calls, NOT an interleaved
-/// 4-row kernel: 4 × 32 i32 accumulator lanes exceed the register file,
-/// and the spills cost ~8× (measured 2.2 GMAC/s interleaved vs 17.5 for
-/// four sequential dots). `x` stays L1-resident across the four passes,
-/// so the blocking still buys its cache locality at the GEMM level.
-///
-/// # Panics
-/// Debug-asserts equal lengths.
-#[inline]
-pub fn dot4_i8_i32(x: &[i8], w: [&[i8]; 4]) -> [i32; 4] {
-    debug_assert!(w.iter().all(|row| row.len() == x.len()));
-    [
-        dot_i8_i32(x, w[0]),
-        dot_i8_i32(x, w[1]),
-        dot_i8_i32(x, w[2]),
-        dot_i8_i32(x, w[3]),
-    ]
-}
-
 /// Cephes-style polynomial `exp` — branchless, so loops over it vectorize.
 /// Relative error ≲ 2e-7 over the clamped range; inputs outside
 /// `[-87, 88]` saturate (matching `f32::exp`'s useful range).
@@ -526,27 +451,27 @@ pub fn mse_row(a: &[f32], b: &[f32]) -> f32 {
     if a.is_empty() {
         return 0.0;
     }
-    let sum = if wide_kernels_active() {
-        let mut acc = [0.0f32; LANES];
-        let mut ca = a.chunks_exact(LANES);
-        let mut cb = b.chunks_exact(LANES);
-        for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
-            for l in 0..LANES {
-                let d = xa[l] - xb[l];
-                acc[l] = d.mul_add(d, acc[l]);
-            }
-        }
-        let tail: f32 = ca
-            .remainder()
-            .iter()
-            .zip(cb.remainder())
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum();
-        acc.iter().sum::<f32>() + tail
-    } else {
-        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-    };
+    let sum = if wide_kernels_active() { sq_err_wide(a, b) } else { sq_err_scalar(a, b) };
     sum / a.len() as f32
+}
+
+/// `Σ (a[i] − b[i])²` as one sequential add chain (the seed's order).
+fn sq_err_scalar(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+/// `Σ (a[i] − b[i])²` over [`LANES`] independent accumulator lanes.
+fn sq_err_wide(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = [0.0f32; LANES];
+    let mut ca = a.chunks_exact(LANES);
+    let mut cb = b.chunks_exact(LANES);
+    for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
+        for l in 0..LANES {
+            let d = xa[l] - xb[l];
+            acc[l] = d.mul_add(d, acc[l]);
+        }
+    }
+    acc.iter().sum::<f32>() + sq_err_scalar(ca.remainder(), cb.remainder())
 }
 
 /// In-place tanh over a slice; same dispatch contract as [`sigmoid_slice`].
@@ -646,51 +571,32 @@ mod tests {
         // Length 19 exercises the lane loop plus a 3-element tail.
         let a: Vec<f32> = (0..19).map(|i| (i as f32 * 0.37).sin()).collect();
         let b: Vec<f32> = (0..19).map(|i| (i as f32 * 0.61).cos()).collect();
-        let want: f32 =
-            a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum::<f32>() / a.len() as f32;
-        for scalar in [true, false] {
-            set_force_scalar(scalar);
-            let got = mse_row(&a, &b);
-            set_force_scalar(false);
-            assert!((got - want).abs() < 1e-6, "scalar={scalar}: {got} vs {want}");
-        }
+        let want: f32 = a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum();
+        assert_eq!(sq_err_scalar(&a, &b), want);
+        assert!((sq_err_wide(&a, &b) - want).abs() < 1e-5);
+        let got = mse_row(&a, &b);
+        assert!((got - want / a.len() as f32).abs() < 1e-6, "{got} vs {want}/19");
         assert_eq!(mse_row(&[], &[]), 0.0);
         assert_eq!(mse_row(&[2.0], &[-1.0]), 9.0);
     }
 
     #[test]
-    fn force_scalar_pins_the_dispatch() {
-        assert_eq!(wide_kernels_active(), cfg!(feature = "simd"));
-        set_force_scalar(true);
-        assert!(!wide_kernels_active());
-        set_force_scalar(false);
-        assert_eq!(wide_kernels_active(), cfg!(feature = "simd"));
-    }
-
-    #[test]
-    fn i8_dot_matches_reference() {
-        let a: Vec<i8> = (0..67).map(|i| ((i * 13) % 255 - 127) as i8).collect();
-        let b: Vec<i8> = (0..67).map(|i| ((i * 29) % 255 - 127) as i8).collect();
-        let want: i32 =
-            a.iter().zip(&b).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum();
-        assert_eq!(dot_i8_i32(&a, &b), want);
-        assert_eq!(dot_i8_i32(&[], &[]), 0);
-        assert_eq!(dot_i8_i32(&[127], &[-127]), -16129);
-    }
-
-    #[test]
-    fn i8_dot4_matches_four_single_dots() {
-        // Odd length exercises the scalar tail of the blocked loop.
-        let x: Vec<i8> = (0..67).map(|i| ((i * 13) % 255 - 127) as i8).collect();
-        let rows: Vec<Vec<i8>> = (0..4)
-            .map(|j| (0..67).map(|i| ((i * (17 + j) + j) % 255 - 127) as i8).collect())
-            .collect();
-        let got = dot4_i8_i32(&x, [&rows[0], &rows[1], &rows[2], &rows[3]]);
-        for j in 0..4 {
-            assert_eq!(got[j], dot_i8_i32(&x, &rows[j]), "row {j}");
+    fn gemm_acc_is_this_builds_kernel() {
+        // The dispatch is the `simd` feature and nothing else: bit-identical
+        // to the wide kernel in the default build, to the scalar one without.
+        let (m, k, n) = (5, 37, 19);
+        let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
+        let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.61).cos()).collect();
+        let mut want = vec![0.25f32; m * n];
+        if cfg!(feature = "simd") {
+            gemm_acc_wide(&a, m, k, &b, n, &mut want);
+        } else {
+            gemm_acc_scalar(&a, m, k, &b, n, &mut want);
         }
-        let e: [&[i8]; 4] = [&[], &[], &[], &[]];
-        assert_eq!(dot4_i8_i32(&[], e), [0; 4]);
+        let mut got = vec![0.25f32; m * n];
+        gemm_acc(&a, m, k, &b, n, &mut got);
+        assert_eq!(got, want);
+        assert_eq!(wide_kernels_active(), cfg!(feature = "simd"));
     }
 
     #[test]
@@ -717,20 +623,17 @@ mod tests {
     #[test]
     fn slice_transcendentals_follow_the_dispatch() {
         let input: Vec<f32> = (0..37).map(|i| i as f32 * 0.3 - 5.0).collect();
-        let mut wide = input.clone();
-        sigmoid_slice(&mut wide);
-        set_force_scalar(true);
-        let mut scalar = input.clone();
-        sigmoid_slice(&mut scalar);
-        set_force_scalar(false);
-        for ((w, s), &x) in wide.iter().zip(&scalar).zip(&input) {
-            assert_eq!(*s, crate::dense::sigmoid(x), "scalar path must be libm");
-            assert!((w - s).abs() < 1e-6);
-        }
-        let mut t = input.clone();
+        let (mut s, mut t) = (input.clone(), input.clone());
+        sigmoid_slice(&mut s);
         tanh_slice(&mut t);
-        for (v, &x) in t.iter().zip(&input) {
-            assert!((v - x.tanh()).abs() < 1e-6);
+        for ((s, t), &x) in s.iter().zip(&t).zip(&input) {
+            if cfg!(feature = "simd") {
+                assert!((s - crate::dense::sigmoid(x)).abs() < 1e-6);
+                assert!((t - x.tanh()).abs() < 1e-6);
+            } else {
+                assert_eq!(*s, crate::dense::sigmoid(x), "scalar path must be libm");
+                assert_eq!(*t, x.tanh(), "scalar path must be libm");
+            }
         }
     }
 

@@ -20,9 +20,7 @@
 //!   the online detectors score from without rebuilding windows;
 //! * [`kernels`] — the single GEMM implementation everything above runs on:
 //!   a wide-lane SIMD kernel (`simd` feature, default) with the scalar
-//!   blocked kernel kept as fallback and oracle;
-//! * [`quant`] — int8 per-row affine weight quantization ([`QuantLinear`])
-//!   with i32 accumulation, selectable per detector via [`Precision`].
+//!   blocked kernel kept as fallback and oracle.
 //!
 //! All training is deterministic given a seed. Models serialize to JSON so
 //! the SMO can "deploy" them to xApps, as in Figure 3.
@@ -36,7 +34,6 @@ pub mod featurize;
 pub mod kernels;
 pub mod lstm;
 pub mod metrics;
-pub mod quant;
 pub mod ring;
 pub mod tensor;
 pub mod workspace;
@@ -46,7 +43,29 @@ pub use dense::{Activation, Dense};
 pub use featurize::{FeatureConfig, Featurizer, WindowedDataset, FEATURES_PER_RECORD};
 pub use lstm::{Lstm, LstmConfig};
 pub use metrics::{percentile, Confusion, Threshold};
-pub use quant::{Precision, QuantLinear, QuantScratch};
 pub use ring::FeatureRing;
 pub use tensor::Matrix;
 pub use workspace::Workspace;
+
+/// Numeric path a detector scores with. There is one — f32 through the
+/// (SIMD or scalar) GEMM kernels; the enum and the `precision` config
+/// fields that carry it remain only because the frozen `benchmark/`
+/// package names them (see ROADMAP).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+pub enum Precision {
+    /// Full f32 math.
+    #[default]
+    F32,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Precision;
+
+    #[test]
+    fn precision_serde_round_trip() {
+        let s = serde_json::to_string(&Precision::F32).unwrap();
+        assert_eq!(s, "\"F32\"");
+        assert_eq!(serde_json::from_str::<Precision>(&s).unwrap(), Precision::F32);
+    }
+}

@@ -11,9 +11,9 @@
 
 use crate::dense::{sigmoid, Activation, Dense};
 use crate::metrics::percentile;
-use crate::quant::{Precision, QuantLinear};
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
+use crate::Precision;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -102,13 +102,6 @@ pub struct Lstm {
     adam_u: Adam,
     adam_b: Adam,
     training_errors: Vec<f32>,
-    /// Lazily built int8 snapshot of `w` for the quantized path;
-    /// invalidated on every weight update.
-    #[serde(skip)]
-    qw: std::sync::OnceLock<QuantLinear>,
-    /// Lazily built int8 snapshot of `u`.
-    #[serde(skip)]
-    qu: std::sync::OnceLock<QuantLinear>,
 }
 
 fn slice4(z: &Matrix, h: usize) -> (Matrix, Matrix, Matrix, Matrix) {
@@ -140,8 +133,6 @@ impl Lstm {
             adam_u: Adam::new(h, 4 * h),
             adam_b: Adam::new(1, 4 * h),
             training_errors: Vec::new(),
-            qw: std::sync::OnceLock::new(),
-            qu: std::sync::OnceLock::new(),
         };
 
         let mut order: Vec<usize> = (0..windows.len()).collect();
@@ -235,9 +226,6 @@ impl Lstm {
         self.adam_w.step(&mut self.w, &grad_w, lr);
         self.adam_u.step(&mut self.u, &grad_u, lr);
         self.adam_b.step(&mut self.b, &grad_b, lr);
-        // The weights changed: drop the stale int8 snapshots.
-        self.qw = std::sync::OnceLock::new();
-        self.qu = std::sync::OnceLock::new();
     }
 
     /// Predicts the next telemetry vector after `window` (`N × input_dim`).
@@ -264,39 +252,19 @@ impl Lstm {
     /// input; `ws.h`/`ws.c` (`M × hidden`) are updated in place. The gate
     /// pre-activations for all M sequences come from two GEMMs
     /// (`x·W` and `h·U`) instead of 2·M GEMVs.
-    fn step_batched(&self, ws: &mut Workspace, precision: Precision) {
+    fn step_batched(&self, ws: &mut Workspace) {
         let h_dim = self.config.hidden;
         let rows = ws.x.rows();
-        match precision {
-            Precision::F32 => {
-                // Stage the gate bias into z first (one write per element),
-                // then accumulate both GEMMs on top — cheaper than the
-                // zero → GEMM → separate bias pass it replaces.
-                let grew = ws.z.resize(rows, 4 * h_dim);
-                ws.note(grew);
-                for zrow in ws.z.data_mut().chunks_exact_mut(4 * h_dim) {
-                    zrow.copy_from_slice(self.b.row_slice(0));
-                }
-                ws.x.matmul_acc_into(&self.w, &mut ws.z);
-                ws.h.matmul_acc_into(&self.u, &mut ws.z);
-            }
-            Precision::Int8 => {
-                let grew = ws.z.resize(rows, 4 * h_dim);
-                ws.note(grew);
-                let qw = self.qw.get_or_init(|| QuantLinear::from_weights(&self.w));
-                let qu = self.qu.get_or_init(|| QuantLinear::from_weights(&self.u));
-                let grew = {
-                    let Workspace { x, z, h, qx, .. } = &mut *ws;
-                    for zrow in z.data_mut().chunks_exact_mut(4 * h_dim) {
-                        zrow.copy_from_slice(self.b.row_slice(0));
-                    }
-                    // Both gate GEMMs run batched over all M sequences —
-                    // one register-blocked integer pass each, not 2·M GEMVs.
-                    qw.forward_batch(x, qx, z, true) | qu.forward_batch(h, qx, z, true)
-                };
-                ws.note(grew);
-            }
+        // Stage the gate bias into z first (one write per element), then
+        // accumulate both GEMMs on top — cheaper than the zero → GEMM →
+        // separate bias pass it replaces.
+        let grew = ws.z.resize(rows, 4 * h_dim);
+        ws.note(grew);
+        for zrow in ws.z.data_mut().chunks_exact_mut(4 * h_dim) {
+            zrow.copy_from_slice(self.b.row_slice(0));
         }
+        ws.x.matmul_acc_into(&self.w, &mut ws.z);
+        ws.h.matmul_acc_into(&self.u, &mut ws.z);
         // Gate math through the dispatched slice transcendentals: the wide
         // path runs the vectorizable polynomials, the scalar path the exact
         // libm ops (and order) the seed used. `z` is scratch, so the gates
@@ -335,23 +303,6 @@ impl Lstm {
         nexts: &[Matrix],
         ws: &mut Workspace,
     ) -> Vec<f32> {
-        self.score_batch_with(windows, nexts, ws, Precision::F32)
-    }
-
-    /// [`Lstm::score_batch`] through a selectable numeric path:
-    /// [`Precision::Int8`] runs every gate GEMM and the head against int8
-    /// weight snapshots (small, bounded drift vs f32 — gated by the parity
-    /// tests).
-    ///
-    /// # Panics
-    /// If lengths disagree or the windows are ragged (different step counts).
-    pub fn score_batch_with(
-        &self,
-        windows: &[Matrix],
-        nexts: &[Matrix],
-        ws: &mut Workspace,
-        precision: Precision,
-    ) -> Vec<f32> {
         assert_eq!(windows.len(), nexts.len(), "windows/nexts length mismatch");
         if windows.is_empty() {
             return Vec::new();
@@ -373,9 +324,9 @@ impl Lstm {
                 assert_eq!(w.rows(), steps, "ragged window batch");
                 ws.x.data_mut()[k * d..(k + 1) * d].copy_from_slice(w.row_slice(t));
             }
-            self.step_batched(ws, precision);
+            self.step_batched(ws);
         }
-        let grew = self.head_forward(ws, precision);
+        let grew = self.head.forward_into(&ws.h, &mut ws.a);
         ws.note(grew);
         (0..m)
             .map(|k| crate::kernels::mse_row(ws.a.row_slice(k), nexts[k].row_slice(0)))
@@ -390,29 +341,6 @@ impl Lstm {
     /// If `window_flat` is not a whole number of steps or `next` has the
     /// wrong width.
     pub fn score_window(&self, window_flat: &[f32], next: &[f32], ws: &mut Workspace) -> f32 {
-        self.score_window_with(window_flat, next, ws, Precision::F32)
-    }
-
-    /// Head projection `h → prediction` through the selected numeric path.
-    fn head_forward(&self, ws: &mut Workspace, precision: Precision) -> bool {
-        match precision {
-            Precision::F32 => self.head.forward_into(&ws.h, &mut ws.a),
-            Precision::Int8 => self.head.forward_quant_into(&ws.h, &mut ws.qx, &mut ws.a),
-        }
-    }
-
-    /// [`Lstm::score_window`] through a selectable numeric path.
-    ///
-    /// # Panics
-    /// If `window_flat` is not a whole number of steps or `next` has the
-    /// wrong width.
-    pub fn score_window_with(
-        &self,
-        window_flat: &[f32],
-        next: &[f32],
-        ws: &mut Workspace,
-        precision: Precision,
-    ) -> f32 {
         let d = self.config.input_dim;
         assert_eq!(next.len(), d, "next-vector width mismatch");
         assert!(
@@ -429,11 +357,23 @@ impl Lstm {
         for step in window_flat.chunks_exact(d) {
             let grew = ws.x.copy_from_flat(1, d, step);
             ws.note(grew);
-            self.step_batched(ws, precision);
+            self.step_batched(ws);
         }
-        let grew = self.head_forward(ws, precision);
+        let grew = self.head.forward_into(&ws.h, &mut ws.a);
         ws.note(grew);
         crate::kernels::mse_row(ws.a.row_slice(0), next)
+    }
+
+    /// [`Lstm::score_window`] under the spelling the frozen `benchmark/`
+    /// package calls; [`Precision`] has one variant.
+    pub fn score_window_with(
+        &self,
+        window_flat: &[f32],
+        next: &[f32],
+        ws: &mut Workspace,
+        _: Precision,
+    ) -> f32 {
+        self.score_window(window_flat, next, ws)
     }
 
     /// Threshold at the given percentile of training errors.
@@ -626,49 +566,6 @@ mod tests {
                 "hot-path {hot} vs reference {reference}"
             );
         }
-    }
-
-    #[test]
-    fn int8_scoring_tracks_f32_and_flags_violations() {
-        let dim = 6;
-        let (windows, nexts) = cyclic_data(100, dim, 29);
-        let model = Lstm::train(quick_config(dim), &windows, &nexts);
-        let threshold = model.threshold(99.0);
-        let mut ws = Workspace::new();
-        let f32_scores = model.score_batch_with(&windows, &nexts, &mut ws, Precision::F32);
-        let int8_scores = model.score_batch_with(&windows, &nexts, &mut ws, Precision::Int8);
-        for (k, (a, b)) in f32_scores.iter().zip(&int8_scores).enumerate() {
-            assert!((a - b).abs() < 0.01, "pair {k}: int8 {b} drifted from f32 {a}");
-        }
-        // Single-window int8 path agrees with the batched one, and order
-        // violations still score above threshold through int8.
-        let hot =
-            model.score_window_with(windows[0].data(), nexts[0].data(), &mut ws, Precision::Int8);
-        assert!((hot - int8_scores[0]).abs() < 1e-5);
-        let mut flagged = 0;
-        for (w, n) in windows.iter().zip(&nexts).take(20) {
-            let wrong_idx = (n.data().iter().position(|&v| v == 1.0).unwrap() + 2) % dim;
-            let mut wrong = vec![0.0f32; dim];
-            wrong[wrong_idx] = 1.0;
-            if model.score_window_with(w.data(), &wrong, &mut ws, Precision::Int8) > threshold {
-                flagged += 1;
-            }
-        }
-        assert!(flagged >= 18, "int8 flagged only {flagged}/20 violations");
-    }
-
-    #[test]
-    fn int8_steady_state_scoring_does_not_allocate() {
-        let dim = 4;
-        let (windows, nexts) = cyclic_data(20, dim, 31);
-        let model = Lstm::train(LstmConfig { epochs: 2, ..quick_config(dim) }, &windows, &nexts);
-        let mut ws = Workspace::new();
-        model.score_window_with(windows[0].data(), nexts[0].data(), &mut ws, Precision::Int8);
-        let warm = ws.grow_events();
-        for (w, n) in windows.iter().zip(&nexts) {
-            model.score_window_with(w.data(), n.data(), &mut ws, Precision::Int8);
-        }
-        assert_eq!(ws.grow_events(), warm, "steady-state int8 LSTM scoring grew a buffer");
     }
 
     #[test]

@@ -416,21 +416,18 @@ mod tests {
 
     #[test]
     fn matmul_delegates_to_the_shared_kernel() {
-        // `matmul`, `matmul_into`, and `matmul_acc_into` must all run the
-        // same kernel dispatch: pinning the scalar kernel has to change all
-        // of them in lockstep (bit-identical to a direct scalar-kernel call).
+        // `matmul`, `matmul_into`, and `matmul_acc_into` are all the same
+        // `gemm_acc` call: bit-identical to invoking it directly.
         let mut rng = StdRng::seed_from_u64(23);
         let a = Matrix::xavier(5, 37, &mut rng);
         let b = Matrix::xavier(37, 19, &mut rng);
         let mut want = vec![0.0f32; 5 * 19];
-        crate::kernels::gemm_acc_scalar(a.data(), 5, 37, b.data(), 19, &mut want);
-        crate::kernels::set_force_scalar(true);
+        crate::kernels::gemm_acc(a.data(), 5, 37, b.data(), 19, &mut want);
         let via_matmul = a.matmul(&b);
         let mut via_into = Matrix::default();
         a.matmul_into(&b, &mut via_into);
         let mut via_acc = Matrix::zeros(5, 19);
         a.matmul_acc_into(&b, &mut via_acc);
-        crate::kernels::set_force_scalar(false);
         assert_eq!(via_matmul.data(), &want[..]);
         assert_eq!(via_into.data(), &want[..]);
         assert_eq!(via_acc.data(), &want[..]);

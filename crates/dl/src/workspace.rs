@@ -8,7 +8,6 @@
 //! The workspace counts buffer growth events, which is how the tests prove
 //! the steady state really is allocation-free.
 
-use crate::quant::QuantScratch;
 use crate::tensor::Matrix;
 
 /// Scratch buffers shared by the inference hot paths.
@@ -30,9 +29,6 @@ pub struct Workspace {
     pub(crate) h: Matrix,
     /// LSTM cell state.
     pub(crate) c: Matrix,
-    /// Int8 input-quantization scratch for the quantized inference path
-    /// (whole-batch snapshot plus per-row dequantization terms).
-    pub(crate) qx: QuantScratch,
     grows: usize,
 }
 

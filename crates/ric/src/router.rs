@@ -26,7 +26,8 @@
 //! (`xsec_router_unrouted_total{topic}`) and surfaced as a typed
 //! [`PublishError::Unrouted`] through [`Router::try_publish`] /
 //! [`RouterHandle::try_publish`], so a policy op posted before the
-//! Mitigator subscribes is an error, not a silent drop.
+//! Mitigator subscribes is an error, not a silent drop. Messages shed on a
+//! full mailbox are counted per topic as `xsec_router_dropped_total{topic}`.
 
 use crate::authz::{Capability, Grants, XAppIdentity};
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
@@ -337,13 +338,17 @@ impl Router {
             }
             if live == 0 {
                 *inner.unrouted.entry(topic.to_string()).or_insert(0) += 1;
-                inner.obs.clone()
-            } else {
-                None
             }
+            // The clean publish (everything delivered) touches no metric.
+            if live == 0 || dropped > 0 { inner.obs.clone() } else { None }
         };
         if let Some(obs) = obs {
-            obs.counter("xsec_router_unrouted_total", &[("topic", topic)]).inc();
+            if live == 0 {
+                obs.counter("xsec_router_unrouted_total", &[("topic", topic)]).inc();
+            }
+            if dropped > 0 {
+                obs.counter("xsec_router_dropped_total", &[("topic", topic)]).add(dropped);
+            }
         }
         (delivered, live)
     }
@@ -483,7 +488,9 @@ mod tests {
 
     #[test]
     fn full_mailboxes_count_as_drops() {
+        let obs = xsec_obs::Obs::new();
         let router = Router::new();
+        router.attach_obs(&obs);
         let _rx = router.subscribe("t");
         for _ in 0..MAILBOX_DEPTH {
             router.publish("t", b"fill");
@@ -493,6 +500,7 @@ mod tests {
         let (published, dropped) = router.stats();
         assert_eq!(published, MAILBOX_DEPTH as u64 + 1);
         assert_eq!(dropped, 1);
+        assert_eq!(obs.snapshot().counter_total("xsec_router_dropped_total"), 1);
     }
 
     #[test]
