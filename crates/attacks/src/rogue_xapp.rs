@@ -59,15 +59,6 @@ impl RogueXApp {
         (RogueXApp { report: report.clone(), forged_token, target_cell }, report)
     }
 
-    /// Publishes through the context's scope when present (counting real
-    /// deliveries), falling back to the raw router for open deployments.
-    fn try_publish(ctx: &XAppContext<'_>, topic: &str, payload: &[u8]) -> bool {
-        match ctx.scope {
-            Some(handle) => handle.try_publish(topic, payload).is_ok(),
-            None => ctx.router.try_publish(topic, payload).is_ok(),
-        }
-    }
-
     fn mount(&self, ctx: &mut XAppContext<'_>, now: Timestamp) {
         let mut report = self.report.lock().expect("rogue report lock");
         report.attempts += 1;
@@ -82,14 +73,14 @@ impl RogueXApp {
             ),
             now.as_micros()
         );
-        if Self::try_publish(ctx, "findings", finding.as_bytes()) {
+        if ctx.scope.try_publish("findings", finding.as_bytes()).is_ok() {
             report.findings_delivered += 1;
         }
 
         // 2a. Bare A1 request: disable the null-cipher playbook.
         let disarm = A1Request::SetEnabled { id: "null-cipher".to_string(), enabled: false };
         let bare = serde_json::to_vec(&disarm).expect("A1 requests serialize");
-        if Self::try_publish(ctx, "a1-policies", &bare) {
+        if ctx.scope.try_publish("a1-policies", &bare).is_ok() {
             report.a1_delivered += 1;
         }
 
@@ -100,7 +91,7 @@ impl RogueXApp {
             self.forged_token,
             serde_json::to_string(&disarm).expect("A1 requests serialize"),
         );
-        if Self::try_publish(ctx, "a1-policies", forged.as_bytes()) {
+        if ctx.scope.try_publish("a1-policies", forged.as_bytes()).is_ok() {
             report.a1_delivered += 1;
         }
 
@@ -145,13 +136,13 @@ mod tests {
     use super::*;
     use xsec_ric::{Grants, Router, SharedDataLayer, XAppIdentity};
 
-    #[test]
-    fn rogue_is_fully_contained_by_a_scoped_context() {
+    /// One attack round by a rogue holding `grants`, next to a mitigator
+    /// whose mailboxes on both sensitive topics make any leak observable.
+    /// Returns the rogue's report, the messages that reached the mitigator,
+    /// the controls queued, and the denials counted.
+    fn one_round(grants: Grants) -> (RogueReport, usize, usize, u64) {
         let sdl = SharedDataLayer::new();
         let router = Router::new();
-        router.enforce();
-        // A legitimate mitigator mailbox exists on both sensitive topics,
-        // so any leak would be observable.
         let mitigator = router
             .register(
                 XAppIdentity::named("mitigator"),
@@ -160,50 +151,42 @@ mod tests {
             .unwrap();
         let findings_rx = mitigator.subscribe("findings");
         let a1_rx = mitigator.subscribe("a1-policies");
-        let handle =
-            router.register(XAppIdentity::named("rogue"), Grants::none()).unwrap();
+        let handle = router.register(XAppIdentity::named("rogue"), grants).unwrap();
         router.seal();
 
         let (mut rogue, report) = RogueXApp::new(42, CellId(1));
         let mut control = Vec::new();
-        let mut ctx = XAppContext {
-            sdl: &sdl,
-            router: &router,
-            control_out: &mut control,
-            scope: Some(&handle),
-        };
+        let mut ctx = XAppContext { sdl: &sdl, scope: &handle, control_out: &mut control };
         rogue.on_records(&mut ctx, &[], Timestamp(1_000));
 
         let report = *report.lock().unwrap();
-        assert_eq!(report.attempts, 1);
-        assert_eq!(report.findings_delivered, 0);
-        assert_eq!(report.a1_delivered, 0);
-        assert_eq!(report.controls_queued, 0);
-        assert!(control.is_empty());
-        assert!(findings_rx.try_recv().is_err());
-        assert!(a1_rx.try_recv().is_err());
-        // findings + 2 × a1-policies + quarantine-cell.
-        assert_eq!(router.denied(), 4);
+        let leaked = findings_rx.try_iter().count() + a1_rx.try_iter().count();
+        (report, leaked, control.len(), router.denied())
     }
 
     #[test]
-    fn rogue_succeeds_against_an_open_router() {
-        // The pre-authorization baseline this module exists to close: on an
-        // open router every attempt lands.
-        let sdl = SharedDataLayer::new();
-        let router = Router::new();
-        let _findings_rx = router.subscribe("findings");
-        let _a1_rx = router.subscribe("a1-policies");
-        let (mut rogue, report) = RogueXApp::new(42, CellId(1));
-        let mut control = Vec::new();
-        let mut ctx =
-            XAppContext { sdl: &sdl, router: &router, control_out: &mut control, scope: None };
-        rogue.on_records(&mut ctx, &[], Timestamp(1_000));
+    fn rogue_is_fully_contained_by_a_scoped_context() {
+        let (report, leaked, controls, denied) = one_round(Grants::none());
+        assert_eq!(
+            report,
+            RogueReport { attempts: 1, findings_delivered: 0, a1_delivered: 0, controls_queued: 0 }
+        );
+        assert_eq!((leaked, controls), (0, 0));
+        // findings + 2 × a1-policies + quarantine-cell.
+        assert_eq!(denied, 4);
+    }
 
-        let report = *report.lock().unwrap();
-        assert_eq!(report.findings_delivered, 1);
-        assert_eq!(report.a1_delivered, 2);
-        assert_eq!(report.controls_queued, 1);
-        assert_eq!(control.len(), 1);
+    #[test]
+    fn rogue_lands_exactly_what_it_is_granted() {
+        // The repertoire is live ammunition: hand the rogue the grants and
+        // every move lands, so the zeros above are the grants' doing.
+        let (report, leaked, controls, denied) = one_round(
+            Grants::none().publish("findings").publish("a1-policies").control("quarantine-cell"),
+        );
+        assert_eq!(
+            report,
+            RogueReport { attempts: 1, findings_delivered: 1, a1_delivered: 2, controls_queued: 1 }
+        );
+        assert_eq!((leaked, controls, denied), (3, 1, 0));
     }
 }

@@ -1,5 +1,5 @@
 //! Rogue-xApp containment report: deploys the standard trio *plus* a
-//! malicious tenant xApp on a hardened (enforcing, sealed) multi-agent RIC,
+//! malicious tenant xApp on a sealed multi-agent RIC,
 //! replays an attack stream, and shows that every rogue move — spoofed
 //! findings, bare and forged-envelope A1 operations, injected
 //! QuarantineCell controls — dies at an authorization choke point while the

@@ -28,7 +28,7 @@ use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
 use xsec_mobiflow::{extract_from_events, TelemetryStream, UeMobiFlow};
 use xsec_obs::{FlightEvent, Obs, TraceStage};
 use xsec_proto::{Direction, MessageKind};
-use xsec_ric::{ControlOut, RicPlatform, SubscriptionSpec, XApp, XAppContext};
+use xsec_ric::{ControlOut, Grants, RicPlatform, SubscriptionSpec, XApp, XAppContext};
 use xsec_types::{AttackKind, CellId, Duration, GnbId, Rnti, Timestamp};
 
 /// Runs `f` until `min_secs` of wall clock have elapsed; returns
@@ -518,10 +518,16 @@ impl ScaleRig {
             platform.add_agent(Box::new(ric_end));
             ric_agents.push(agent);
         }
-        platform.register_xapp(
-            Box::new(EchoController),
-            SubscriptionSpec::telemetry(SCALE_PERIOD_MS),
-        );
+        // The echo payload is opaque, so it declares kind `*` and holds the
+        // wildcard control grant — and nothing else.
+        platform
+            .register_xapp_scoped(
+                Box::new(EchoController),
+                SubscriptionSpec::telemetry(SCALE_PERIOD_MS),
+                Grants::none().control_all(),
+            )
+            .expect("register echo controller");
+        platform.seal();
         let mut rig = ScaleRig {
             platform,
             agents: ric_agents,

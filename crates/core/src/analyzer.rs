@@ -248,14 +248,12 @@ mod tests {
             "anomalies",
         );
         let sdl = xsec_ric::SharedDataLayer::new();
-        let router = xsec_ric::Router::new();
+        let scope = xsec_ric::Router::new()
+            .register(xsec_ric::XAppIdentity::named("analyzer"), xsec_ric::Grants::none())
+            .unwrap();
         let mut control = Vec::new();
-        let mut ctx = xsec_ric::XAppContext {
-            sdl: &sdl,
-            router: &router,
-            control_out: &mut control,
-            scope: None,
-        };
+        let mut ctx =
+            xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
         analyzer.on_message(&mut ctx, "anomalies", b"not json");
         analyzer.on_message(&mut ctx, "other-topic", b"{}");
         assert!(state.lock().findings.is_empty());

@@ -34,7 +34,7 @@ pub const FINDINGS_TOPIC: &str = "findings";
 /// Topic the platform relays Control Ack outcomes on.
 pub const CONTROL_ACKS_TOPIC: &str = "control-acks";
 
-/// Topic the SMO publishes A1 policy operations ([`A1Request`] JSON) on.
+/// Topic the SMO publishes A1 policy operations ([`A1SignedRequest`] JSON) on.
 pub const A1_POLICY_TOPIC: &str = "a1-policies";
 
 /// Topic the mitigator answers A1 operations on
@@ -69,12 +69,11 @@ pub struct FindingNotice {
 }
 
 /// An A1 policy operation wrapped in the sender's router identity — the
-/// wire form the SMO's scoped [`crate::smo::A1PolicyClient`] publishes on
-/// [`A1_POLICY_TOPIC`]. The mitigator checks the `(xapp, token)` pair and
-/// the per-op A1 grant against the router's registry before the request is
-/// allowed anywhere near the [`xsec_control::PolicyStore`]. Bare
-/// [`A1Request`] JSON remains accepted for compatibility, but only while
-/// the router is not enforcing.
+/// one wire form on [`A1_POLICY_TOPIC`], published by the SMO's
+/// [`crate::smo::A1PolicyClient`]. The mitigator checks the `(xapp, token)`
+/// pair and the per-op A1 grant against the router's registry before the
+/// request is allowed anywhere near the [`xsec_control::PolicyStore`]; a
+/// bare [`A1Request`] is refused as `xapp="unsigned"`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct A1SignedRequest {
     /// Registered identity name of the sender.
@@ -374,31 +373,24 @@ impl XApp for Mitigator {
                 self.handle_finding(ctx, &notice);
             }
             A1_POLICY_TOPIC => {
-                // Signed envelopes are checked against the router registry
+                // The envelope is checked against the router registry
                 // (identity, token, per-op A1 grant) before the store is
-                // touched; a failed check is counted + flight-recorded and
-                // the operation vanishes — no status reply, no tally. Bare
-                // requests only pass while the router is open.
-                let request = if let Ok(signed) =
-                    serde_json::from_slice::<A1SignedRequest>(payload)
-                {
-                    let cap = xsec_ric::Capability::a1(signed.request.op());
-                    if !ctx.router.verify(&signed.xapp, signed.token, &cap) {
-                        ctx.router.deny(&signed.xapp, &cap.label());
-                        return;
-                    }
-                    signed.request
-                } else {
-                    let Ok(request) = serde_json::from_slice::<A1Request>(payload) else {
-                        return;
-                    };
-                    if ctx.router.enforcing() {
-                        let cap = xsec_ric::Capability::a1(request.op());
-                        ctx.router.deny("unsigned", &cap.label());
-                        return;
-                    }
-                    request
+                // touched; anything else — a failed check, a bare request,
+                // bytes that parse as neither — is counted + flight-recorded
+                // and goes no further: no status reply, no tally.
+                let router = ctx.scope.router();
+                let Ok(signed) = serde_json::from_slice::<A1SignedRequest>(payload) else {
+                    let op = serde_json::from_slice::<A1Request>(payload)
+                        .map_or("malformed", |bare| bare.op());
+                    router.deny("unsigned", &xsec_ric::Capability::a1(op).label());
+                    return;
                 };
+                let cap = xsec_ric::Capability::a1(signed.request.op());
+                if !router.verify(&signed.xapp, signed.token, &cap) {
+                    router.deny(&signed.xapp, &cap.label());
+                    return;
+                }
+                let request = signed.request;
                 let mut state = self.state.lock();
                 let response = state.policy.apply(&request);
                 state.a1_ops.record(response.outcome);
@@ -460,6 +452,14 @@ mod tests {
     use super::*;
     use xsec_control::{ControlAction, MitigationAction};
     use xsec_proto::Direction;
+    use xsec_ric::{Grants, Router, RouterHandle, XAppIdentity};
+
+    /// A fresh router with the mitigator registered on it under `grants`.
+    fn mitigator_scope(grants: Grants) -> (Router, RouterHandle) {
+        let router = Router::new();
+        let scope = router.register(XAppIdentity::named("mitigator"), grants).unwrap();
+        (router, scope)
+    }
 
     fn record(conn: u32, rnti: u16, msg: MessageKind) -> UeMobiFlow {
         UeMobiFlow {
@@ -546,7 +546,8 @@ mod tests {
     fn mitigator_issues_controls_for_confirmed_findings_and_tracks_acks() {
         let (mut mitigator, state) = Mitigator::new(PolicyEngine::default());
         let sdl = xsec_ric::SharedDataLayer::new();
-        let router = xsec_ric::Router::new();
+        let (_router, scope) =
+            mitigator_scope(Grants::none().control("rate-limit-cause").control("blacklist-rnti"));
         let mut control = Vec::new();
 
         let records = vec![
@@ -555,12 +556,8 @@ mod tests {
         ];
         let n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
         {
-            let mut ctx = xsec_ric::XAppContext {
-                sdl: &sdl,
-                router: &router,
-                control_out: &mut control,
-                scope: None,
-            };
+            let mut ctx =
+                xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
             mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &serde_json::to_vec(&n).unwrap());
         }
         // Rate-limit + two blacklists, all shipped immediately and pinned to
@@ -577,12 +574,8 @@ mod tests {
 
         // Acks resolve in FIFO order against the mitigator clock.
         let mut ack_out = Vec::new();
-        let mut ctx = xsec_ric::XAppContext {
-            sdl: &sdl,
-            router: &router,
-            control_out: &mut ack_out,
-            scope: None,
-        };
+        let mut ctx =
+            xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut ack_out };
         mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[1]);
         mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[1]);
         mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[0]);
@@ -596,15 +589,23 @@ mod tests {
         let obs = Obs::new();
         let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
         let sdl = xsec_ric::SharedDataLayer::new();
-        let router = xsec_ric::Router::new();
-        let status_rx = router.subscribe(A1_POLICY_STATUS_TOPIC);
-        let mut control = Vec::new();
-        let mut ctx = xsec_ric::XAppContext {
-            sdl: &sdl,
-            router: &router,
-            control_out: &mut control,
-            scope: None,
+        let (router, scope) = mitigator_scope(
+            Grants::none().publish(A1_POLICY_STATUS_TOPIC).control("quarantine-cell"),
+        );
+        let smo = router
+            .register(
+                XAppIdentity::named("smo"),
+                Grants::none().subscribe(A1_POLICY_STATUS_TOPIC).a1("update").a1("query"),
+            )
+            .unwrap();
+        let status_rx = smo.subscribe(A1_POLICY_STATUS_TOPIC);
+        let signed = |request| {
+            let envelope = A1SignedRequest { xapp: "smo".into(), token: smo.token(), request };
+            serde_json::to_vec(&envelope).unwrap()
         };
+        let mut control = Vec::new();
+        let mut ctx =
+            xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
 
         // Swap the null-cipher playbook to quarantine, then query.
         let mut rule = xsec_control::default_rules()
@@ -612,10 +613,8 @@ mod tests {
             .find(|r| r.id == "null-cipher")
             .unwrap();
         rule.templates = vec![xsec_control::ActionTemplate::QuarantineCell];
-        let update = A1Request::UpdatePolicy { rule };
-        mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, &serde_json::to_vec(&update).unwrap());
-        let query = A1Request::QueryStatus;
-        mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, &serde_json::to_vec(&query).unwrap());
+        mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, &signed(A1Request::UpdatePolicy { rule }));
+        mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, &signed(A1Request::QueryStatus));
 
         let first: xsec_control::A1Response =
             serde_json::from_slice(&status_rx.try_recv().unwrap()).unwrap();
@@ -649,32 +648,26 @@ mod tests {
     fn enforcing_router_requires_a_verifiable_a1_envelope() {
         let (mut mitigator, state) = Mitigator::new(PolicyEngine::default());
         let sdl = xsec_ric::SharedDataLayer::new();
-        let router = xsec_ric::Router::new();
-        router.enforce();
-        let smo = router
-            .register(
-                xsec_ric::XAppIdentity::named("smo"),
-                xsec_ric::Grants::none().a1("set-enabled"),
-            )
-            .unwrap();
-        // The mitigator itself runs scoped, as deployments wire it: it must
-        // hold the status-reply publish grant or its own answers get denied.
-        let scope = router
-            .register(
-                xsec_ric::XAppIdentity::named("mitigator"),
-                xsec_ric::Grants::none().publish(A1_POLICY_STATUS_TOPIC),
-            )
-            .unwrap();
+        // The mitigator must hold the status-reply publish grant or its own
+        // answers get denied.
+        let (router, scope) = mitigator_scope(Grants::none().publish(A1_POLICY_STATUS_TOPIC));
+        let obs = Obs::new();
+        router.attach_obs(&obs);
+        let smo =
+            router.register(XAppIdentity::named("smo"), Grants::none().a1("set-enabled")).unwrap();
         let mut control = Vec::new();
-        let mut ctx = xsec_ric::XAppContext {
-            sdl: &sdl,
-            router: &router,
-            control_out: &mut control,
-            scope: Some(&scope),
-        };
+        let mut ctx =
+            xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        let rules_before = state.lock().policy.status();
+
+        // Bytes that are neither an envelope nor a request: denied, counted.
+        mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, b"\x00not json at all");
+        assert_eq!(router.denied(), 1);
+        let garbage = &obs.recorder.denials()[0];
+        assert_eq!((garbage.xapp.as_str(), garbage.capability.as_str()), ("unsigned", "a1:malformed"));
 
         let disable = A1Request::SetEnabled { id: "null-cipher".into(), enabled: false };
-        // Bare request on an enforcing router: denied, store untouched.
+        // Bare request: denied, store untouched.
         mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, &serde_json::to_vec(&disable).unwrap());
         // Forged token: denied.
         let forged = A1SignedRequest {
@@ -691,28 +684,27 @@ mod tests {
         };
         mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, &serde_json::to_vec(&ungranted).unwrap());
         assert_eq!(state.lock().a1_ops.total(), 0);
-        assert_eq!(router.denied(), 3);
+        assert_eq!(state.lock().policy.status(), rules_before, "policy store moved");
+        assert_eq!(router.denied(), 4);
+        assert_eq!(obs.snapshot().counter_total("xsec_authz_denied_total"), 4);
+        assert_eq!(obs.recorder.denials()[1].capability, "a1:set-enabled");
 
         // The genuine envelope within the grant goes through.
         let signed =
             A1SignedRequest { xapp: "smo".into(), token: smo.token(), request: disable };
         mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, &serde_json::to_vec(&signed).unwrap());
         assert_eq!(state.lock().a1_ops.applied, 1);
-        assert_eq!(router.denied(), 3);
+        assert_eq!(router.denied(), 4);
     }
 
     #[test]
     fn unconfirmed_findings_land_in_supervision() {
         let (mut mitigator, state) = Mitigator::new(PolicyEngine::default());
         let sdl = xsec_ric::SharedDataLayer::new();
-        let router = xsec_ric::Router::new();
+        let (_router, scope) = mitigator_scope(Grants::none());
         let mut control = Vec::new();
-        let mut ctx = xsec_ric::XAppContext {
-            sdl: &sdl,
-            router: &router,
-            control_out: &mut control,
-            scope: None,
-        };
+        let mut ctx =
+            xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
         let records = vec![record(1, 0x4601, MessageKind::RrcSetupRequest)];
         let mut n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
         n.needs_human = true;

@@ -68,8 +68,8 @@ pub struct ScaleDeployment {
     /// Records buffered for the current report bucket, flushed cell-major.
     bucket: Vec<UeMobiFlow>,
     records: usize,
-    /// The SMO's registered identity (secured deployments only).
-    smo_scope: Option<RouterHandle>,
+    /// The SMO's registered identity.
+    smo_scope: RouterHandle,
 }
 
 /// End-of-run summary for a scale deployment.
@@ -213,22 +213,13 @@ impl RanFeed for Streaming<'_> {
 
 impl ScaleDeployment {
     /// Deploys `agents` connections with a ring topology (each cell's
-    /// neighbours are the adjacent cells, wrapping). The deployment is
-    /// secured: the trio runs under scoped identities on an enforcing,
-    /// sealed router.
+    /// neighbours are the adjacent cells, wrapping). The trio runs under
+    /// scoped identities on a sealed router.
     pub fn new(pipeline: &Pipeline, agents: usize) -> Self {
-        Self::deploy(pipeline, agents, true, Vec::new())
+        Self::deploy(pipeline, agents, Vec::new())
     }
 
-    /// The pre-authorization deployment shape: open router, no identities,
-    /// nothing enforced. Kept so the authorization layer's zero-cost claim
-    /// stays testable — a secured run of the same traffic must produce
-    /// byte-identical detections and incident traces.
-    pub fn open(pipeline: &Pipeline, agents: usize) -> Self {
-        Self::deploy(pipeline, agents, false, Vec::new())
-    }
-
-    /// A secured deployment hosting `extra` xApps alongside the standard
+    /// A deployment hosting `extra` xApps alongside the standard
     /// trio, each under its own identity with the given grants. This is how
     /// the rogue-xApp scenario plants its attacker: registered like any
     /// tenant, holding only what it was granted, before the router seals.
@@ -237,13 +228,12 @@ impl ScaleDeployment {
         agents: usize,
         extra: Vec<(Box<dyn XApp>, SubscriptionSpec, Grants)>,
     ) -> Self {
-        Self::deploy(pipeline, agents, true, extra)
+        Self::deploy(pipeline, agents, extra)
     }
 
     fn deploy(
         pipeline: &Pipeline,
         agents: usize,
-        secured: bool,
         extra: Vec<(Box<dyn XApp>, SubscriptionSpec, Grants)>,
     ) -> Self {
         assert!(agents > 0, "at least one agent");
@@ -303,63 +293,48 @@ impl ScaleDeployment {
             .with_topic(FINDINGS_TOPIC)
             .with_topic(CONTROL_ACKS_TOPIC)
             .with_topic(A1_POLICY_TOPIC);
-        let mut smo_scope = None;
-        if secured {
-            // Deny-by-default: each xApp runs under a registered identity
-            // holding exactly the capabilities its role needs, and the
-            // router is sealed once the deployment is wired (no identity
-            // can be minted mid-run).
-            platform.harden();
-            platform
-                .register_xapp_scoped(watch, watch_spec, Grants::none().publish("anomalies"))
-                .expect("register mobiwatch");
-            platform
-                .register_xapp_scoped(
-                    Box::new(analyzer),
-                    analyzer_spec,
-                    Grants::none().subscribe("anomalies").publish(FINDINGS_TOPIC),
-                )
-                .expect("register analyzer");
-            // The control grants enumerate the five playbook kinds rather
-            // than the wildcard, so a compromised playbook cannot smuggle a
-            // new kind.
-            platform
-                .register_xapp_scoped(
-                    Box::new(mitigator),
-                    mitigator_spec,
-                    Grants::none()
-                        .subscribe(FINDINGS_TOPIC)
-                        .subscribe(CONTROL_ACKS_TOPIC)
-                        .subscribe(A1_POLICY_TOPIC)
-                        .publish(A1_POLICY_STATUS_TOPIC)
-                        .control("release-ue")
-                        .control("blacklist-rnti")
-                        .control("force-reauth")
-                        .control("quarantine-cell")
-                        .control("rate-limit-cause"),
-                )
-                .expect("register mitigator");
-            for (app, spec, grants) in extra {
-                platform.register_xapp_scoped(app, spec, grants).expect("register extra xapp");
-            }
-            smo_scope = Some(
-                platform
-                    .register_identity(
-                        XAppIdentity::named("smo"),
-                        Grants::none()
-                            .publish(A1_POLICY_TOPIC)
-                            .subscribe(A1_POLICY_STATUS_TOPIC)
-                            .a1_all(),
-                    )
-                    .expect("register smo"),
-            );
-            platform.seal();
-        } else {
-            assert!(extra.is_empty(), "extra xApps require the secured deployment");
-            platform.register_xapp(watch, watch_spec);
-            platform.register_xapp(Box::new(analyzer), analyzer_spec);
-            platform.register_xapp(Box::new(mitigator), mitigator_spec);
+        // Deny-by-default: each xApp runs under a registered identity
+        // holding exactly the capabilities its role needs, and the router
+        // is sealed once the deployment is wired (no identity can be
+        // minted mid-run).
+        platform
+            .register_xapp_scoped(watch, watch_spec, Grants::none().publish("anomalies"))
+            .expect("register mobiwatch");
+        platform
+            .register_xapp_scoped(
+                Box::new(analyzer),
+                analyzer_spec,
+                Grants::none().subscribe("anomalies").publish(FINDINGS_TOPIC),
+            )
+            .expect("register analyzer");
+        // The control grants enumerate the five playbook kinds rather than
+        // the wildcard, so a compromised playbook cannot smuggle a new kind.
+        platform
+            .register_xapp_scoped(
+                Box::new(mitigator),
+                mitigator_spec,
+                Grants::none()
+                    .subscribe(FINDINGS_TOPIC)
+                    .subscribe(CONTROL_ACKS_TOPIC)
+                    .subscribe(A1_POLICY_TOPIC)
+                    .publish(A1_POLICY_STATUS_TOPIC)
+                    .control("release-ue")
+                    .control("blacklist-rnti")
+                    .control("force-reauth")
+                    .control("quarantine-cell")
+                    .control("rate-limit-cause"),
+            )
+            .expect("register mitigator");
+        for (app, spec, grants) in extra {
+            platform.register_xapp_scoped(app, spec, grants).expect("register extra xapp");
         }
+        let smo_scope = platform
+            .register_identity(
+                XAppIdentity::named("smo"),
+                Grants::none().publish(A1_POLICY_TOPIC).subscribe(A1_POLICY_STATUS_TOPIC).a1_all(),
+            )
+            .expect("register smo");
+        platform.seal();
 
         let period = Duration::from_millis(u64::from(config.report_period_ms));
         let mut d = ScaleDeployment {
@@ -415,15 +390,11 @@ impl ScaleDeployment {
         self.mitigator_state.clone()
     }
 
-    /// An A1 client for this deployment: bound to the SMO's registered
-    /// identity on secured deployments (operations go out as signed
-    /// envelopes the mitigator verifies), unscoped on
-    /// [`ScaleDeployment::open`] ones.
+    /// An A1 client for this deployment, bound to the SMO's registered
+    /// identity: operations go out as signed envelopes the mitigator
+    /// verifies.
     pub fn a1_client(&self) -> A1PolicyClient {
-        match &self.smo_scope {
-            Some(handle) => A1PolicyClient::scoped(handle.clone()),
-            None => A1PolicyClient::new(self.platform.router()),
-        }
+        A1PolicyClient::scoped(self.smo_scope.clone())
     }
 
     /// Buffers one record for the current report bucket.

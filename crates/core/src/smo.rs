@@ -8,7 +8,8 @@
 //!
 //! The SMO also owns the A1 side of runtime policy governance:
 //! [`A1PolicyClient`] speaks the A1-flavoured message API to the live
-//! mitigation xApp over the platform router, so playbooks can be installed,
+//! mitigation xApp over the platform router — under a registered identity,
+//! every operation in a signed envelope — so playbooks can be installed,
 //! replaced, disabled, or withdrawn mid-run without redeploying anything.
 
 use crate::mitigator::{A1SignedRequest, A1_POLICY_STATUS_TOPIC, A1_POLICY_TOPIC};
@@ -16,7 +17,7 @@ use crossbeam_channel::Receiver;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use xsec_control::{A1Request, A1Response, PolicyRule};
-use xsec_ric::{PublishError, Router, RouterHandle};
+use xsec_ric::{PublishError, RouterHandle};
 use xsec_dl::{
     Autoencoder, AutoencoderConfig, FeatureConfig, Featurizer, Lstm, LstmConfig, Threshold,
     Workspace, FEATURES_PER_RECORD,
@@ -133,37 +134,28 @@ impl std::error::Error for A1ClientError {}
 /// consumes them on its next pump, applies them to its
 /// [`xsec_control::PolicyStore`], and answers with an [`A1Response`] on the
 /// `a1-policy-status` topic, which [`A1PolicyClient::drain_responses`]
-/// collects. A scoped client ([`A1PolicyClient::scoped`]) wraps each
-/// request in an [`A1SignedRequest`] envelope carrying its identity and
-/// token — required once the platform router enforces; the plain
-/// constructor sends bare [`A1Request`] JSON for open/compat routers.
+/// collects. The client is bound to a registered identity
+/// ([`A1PolicyClient::scoped`]) and wraps each request in an
+/// [`A1SignedRequest`] envelope carrying that identity and its token — the
+/// only form the mitigator accepts.
 ///
 /// Every send returns `Err` instead of silently dropping when the operation
 /// cannot reach a mitigator: [`A1ClientError::Unrouted`] when the topic has
 /// no live subscriber, [`A1ClientError::Denied`] when the sender lacks the
 /// publish grant.
 pub struct A1PolicyClient {
-    router: Router,
-    scope: Option<RouterHandle>,
+    scope: RouterHandle,
     responses: Receiver<Vec<u8>>,
 }
 
 impl A1PolicyClient {
-    /// An unscoped client over the platform's router
-    /// ([`xsec_ric::RicPlatform::router`]) — test/compat form; its
-    /// publishes are refused once the router enforces.
-    pub fn new(router: Router) -> Self {
-        let responses = router.subscribe(A1_POLICY_STATUS_TOPIC);
-        A1PolicyClient { router, scope: None, responses }
-    }
-
     /// A client bound to a registered identity; requests go out in signed
     /// envelopes the mitigator can verify. The handle needs
     /// `publish:a1-policies` and `subscribe:a1-policy-status` grants plus
     /// A1 op rights for the operations it will issue.
     pub fn scoped(handle: RouterHandle) -> Self {
         let responses = handle.subscribe(A1_POLICY_STATUS_TOPIC);
-        A1PolicyClient { router: handle.router().clone(), scope: Some(handle), responses }
+        A1PolicyClient { scope: handle, responses }
     }
 
     /// Publishes one A1 operation; returns how many mailboxes accepted it.
@@ -173,22 +165,13 @@ impl A1PolicyClient {
     /// would otherwise vanish), [`A1ClientError::Denied`] when the publish
     /// grant is missing.
     pub fn send(&self, request: &A1Request) -> std::result::Result<usize, A1ClientError> {
-        let delivered = match &self.scope {
-            Some(handle) => {
-                let signed = A1SignedRequest {
-                    xapp: handle.name().to_string(),
-                    token: handle.token(),
-                    request: request.clone(),
-                };
-                let json = serde_json::to_vec(&signed).expect("A1 requests serialize");
-                handle.try_publish(A1_POLICY_TOPIC, &json)?
-            }
-            None => {
-                let json = serde_json::to_vec(request).expect("A1 requests serialize");
-                self.router.try_publish(A1_POLICY_TOPIC, &json)?
-            }
+        let signed = A1SignedRequest {
+            xapp: self.scope.name().to_string(),
+            token: self.scope.token(),
+            request: request.clone(),
         };
-        Ok(delivered)
+        let json = serde_json::to_vec(&signed).expect("A1 requests serialize");
+        Ok(self.scope.try_publish(A1_POLICY_TOPIC, &json)?)
     }
 
     /// Installs a rule (supersedes an existing rule with the same id).
@@ -353,14 +336,24 @@ mod tests {
 
     #[test]
     fn a1_sends_surface_unrouted_topics_as_errors() {
+        use xsec_ric::{Grants, XAppIdentity};
         let router = xsec_ric::Router::new();
-        let client = A1PolicyClient::new(router.clone());
+        let smo = router
+            .register(
+                XAppIdentity::named("smo"),
+                Grants::none().publish(A1_POLICY_TOPIC).subscribe(A1_POLICY_STATUS_TOPIC),
+            )
+            .unwrap();
+        let client = A1PolicyClient::scoped(smo);
         // No mitigator subscribed yet: the op must not vanish silently.
         let err = client.query_status().unwrap_err();
         assert_eq!(err, A1ClientError::Unrouted { topic: A1_POLICY_TOPIC.to_string() });
         assert_eq!(router.unrouted(A1_POLICY_TOPIC), 1);
         // Once a mitigator mailbox is live the same op is delivered.
-        let _rx = router.subscribe(A1_POLICY_TOPIC);
+        let _rx = router
+            .register(XAppIdentity::named("mitigator"), Grants::none().subscribe(A1_POLICY_TOPIC))
+            .unwrap()
+            .subscribe(A1_POLICY_TOPIC);
         assert_eq!(client.query_status().unwrap(), 1);
     }
 

@@ -87,9 +87,9 @@ struct XAppEntry {
     mailboxes: Vec<(String, Receiver<Vec<u8>>)>,
     /// Handler latency, labelled `xapp="<name>"`.
     handler_latency: Histogram,
-    /// The app's authorization scope ([`RicPlatform::register_xapp_scoped`]);
-    /// `None` for legacy unscoped registration.
-    scope: Option<RouterHandle>,
+    /// The identity the app runs under; every publish, topic mailbox and
+    /// control emission is checked against its grants.
+    scope: RouterHandle,
 }
 
 struct AgentConn {
@@ -184,7 +184,6 @@ impl PlatformMetrics {
 /// The near-real-time RIC.
 pub struct RicPlatform {
     sdl: SharedDataLayer,
-    router: Router,
     conns: Vec<AgentConn>,
     xapps: Vec<XAppEntry>,
     next_requestor: u16,
@@ -205,8 +204,8 @@ pub struct RicPlatform {
     obs: Obs,
     metrics: PlatformMetrics,
     /// The platform's own router identity, used for the relays it
-    /// publishes itself (the `control-acks` ack fan-out) so they keep
-    /// flowing once the router is hardened to deny-by-default.
+    /// publishes itself (the `control-acks` ack fan-out); also how it
+    /// reaches the router to register and seal.
     platform_scope: RouterHandle,
 }
 
@@ -235,7 +234,6 @@ impl RicPlatform {
             .expect("fresh router cannot refuse the platform identity");
         RicPlatform {
             sdl: SharedDataLayer::new(),
-            router,
             conns: Vec::new(),
             xapps: Vec::new(),
             next_requestor: 1,
@@ -252,18 +250,15 @@ impl RicPlatform {
         }
     }
 
-    /// Switches the router to deny-by-default enforcement: from here on
-    /// only identities registered via
-    /// [`RicPlatform::register_xapp_scoped`] (plus the platform's own
-    /// relay identity) can move messages. Call before wiring xApps.
-    pub fn harden(&self) {
-        self.router.enforce();
-    }
+    /// Does nothing: deny-by-default is the router's only mode. Kept
+    /// because the frozen `benchmark/` package calls it; goes once a
+    /// benchmark-only PR stops doing so.
+    pub fn harden(&self) {}
 
     /// Closes identity registration on the router. Call once the
     /// deployment is fully wired so nothing can mint an identity mid-run.
     pub fn seal(&self) {
-        self.router.seal();
+        self.platform_scope.router().seal();
     }
 
     /// Registers `identity` with `grants` on the platform router without
@@ -274,7 +269,7 @@ impl RicPlatform {
         identity: XAppIdentity,
         grants: Grants,
     ) -> std::result::Result<RouterHandle, RegisterError> {
-        self.router.register(identity, grants)
+        self.platform_scope.router().register(identity, grants)
     }
 
     /// The platform's observability handle.
@@ -285,11 +280,6 @@ impl RicPlatform {
     /// The platform's SDL handle.
     pub fn sdl(&self) -> SharedDataLayer {
         self.sdl.clone()
-    }
-
-    /// The platform's router handle.
-    pub fn router(&self) -> Router {
-        self.router.clone()
     }
 
     /// Indications received so far.
@@ -354,48 +344,22 @@ impl RicPlatform {
         });
     }
 
-    /// Registers an xApp without an identity — the legacy/test path where
-    /// its context is unscoped. Its E2 subscriptions (one per connected
-    /// agent) are negotiated on the next pump after each agent completes
-    /// setup.
-    pub fn register_xapp(&mut self, app: Box<dyn XApp>, spec: SubscriptionSpec) {
-        self.register_xapp_entry(app, spec, None);
-    }
-
     /// Registers an xApp under its own router identity (named by
     /// `XApp::name()`) carrying `grants`: every publish, topic mailbox,
-    /// and control emission from the app is checked against them.
+    /// and control emission from the app is checked against them. Its E2
+    /// subscriptions (one per connected agent) are negotiated on the next
+    /// pump after each agent completes setup.
     pub fn register_xapp_scoped(
-        &mut self,
-        app: Box<dyn XApp>,
-        spec: SubscriptionSpec,
-        grants: Grants,
-    ) -> std::result::Result<(), RegisterError> {
-        let handle = self.router.register(XAppIdentity::named(app.name()), grants)?;
-        self.register_xapp_entry(app, spec, Some(handle));
-        Ok(())
-    }
-
-    fn register_xapp_entry(
         &mut self,
         mut app: Box<dyn XApp>,
         spec: SubscriptionSpec,
-        scope: Option<RouterHandle>,
-    ) {
-        // Scoped mailboxes go through the handle: a topic outside the
-        // app's subscribe grants yields a dead mailbox (and a counted
-        // denial), so ungranted messages simply never arrive.
-        let mailboxes = spec
-            .topics
-            .iter()
-            .map(|t| {
-                let rx = match &scope {
-                    Some(handle) => handle.subscribe(t),
-                    None => self.router.subscribe(t),
-                };
-                (t.clone(), rx)
-            })
-            .collect();
+        grants: Grants,
+    ) -> std::result::Result<(), RegisterError> {
+        let scope = self.register_identity(XAppIdentity::named(app.name()), grants)?;
+        // Mailboxes go through the handle: a topic outside the app's
+        // subscribe grants yields a dead mailbox (and a counted denial),
+        // so ungranted messages simply never arrive.
+        let mailboxes = spec.topics.iter().map(|t| (t.clone(), scope.subscribe(t))).collect();
         let request_id = spec.report_period_ms.map(|_| {
             let id = RicRequestId { requestor: self.next_requestor, instance: 1 };
             self.next_requestor += 1;
@@ -404,12 +368,7 @@ impl RicPlatform {
         let handler_latency =
             self.obs.histogram("xsec_ric_handler_latency_us", &[("xapp", app.name())]);
         let mut control_out = Vec::new();
-        let mut ctx = XAppContext {
-            sdl: &self.sdl,
-            router: &self.router,
-            control_out: &mut control_out,
-            scope: scope.as_ref(),
-        };
+        let mut ctx = XAppContext { sdl: &self.sdl, scope: &scope, control_out: &mut control_out };
         app.on_start(&mut ctx);
         self.control_queue.extend(control_out);
         self.xapps.push(XAppEntry {
@@ -422,6 +381,7 @@ impl RicPlatform {
             scope,
         });
         self.subs_dirty = true;
+        Ok(())
     }
 
     /// Sends one frame on conn `ci`, counting an egress drop and queueing
@@ -721,12 +681,8 @@ impl RicPlatform {
         let start = Instant::now();
         {
             let entry = &mut self.xapps[ai];
-            let mut ctx = XAppContext {
-                sdl: &self.sdl,
-                router: &self.router,
-                control_out: &mut control_out,
-                scope: entry.scope.as_ref(),
-            };
+            let mut ctx =
+                XAppContext { sdl: &self.sdl, scope: &entry.scope, control_out: &mut control_out };
             f(entry.app.as_mut(), &mut ctx);
         }
         self.xapps[ai].handler_latency.observe_duration(start.elapsed());
@@ -761,13 +717,19 @@ mod tests {
     }
 
     struct CountingApp {
+        name: &'static str,
         records: usize,
         publishes_to: Option<String>,
     }
 
+    /// A telemetry consumer that publishes nothing (and so needs no grant).
+    fn counting_app() -> Box<dyn XApp> {
+        Box::new(CountingApp { name: "counting", records: 0, publishes_to: None })
+    }
+
     impl XApp for CountingApp {
         fn name(&self) -> &str {
-            "counting"
+            self.name
         }
 
         fn on_records(
@@ -820,7 +782,7 @@ mod tests {
         // Handshake: platform sees setup, answers; issues subscription;
         // agent answers.
         let (mut platform, mut agent) =
-            one_agent_platform(Box::new(CountingApp { records: 0, publishes_to: None }));
+            one_agent_platform(counting_app(), Grants::none());
         assert_eq!(agent.subscription_count(), 1);
 
         // Telemetry flows.
@@ -841,11 +803,14 @@ mod tests {
     #[test]
     fn a_window_reported_to_two_subscribers_is_stored_once() {
         let (mut platform, mut agent) =
-            one_agent_platform(Box::new(CountingApp { records: 0, publishes_to: None }));
-        platform.register_xapp(
-            Box::new(CountingApp { records: 0, publishes_to: None }),
-            SubscriptionSpec::telemetry(100),
-        );
+            one_agent_platform(counting_app(), Grants::none());
+        platform
+            .register_xapp_scoped(
+                Box::new(CountingApp { name: "second", records: 0, publishes_to: None }),
+                SubscriptionSpec::telemetry(100),
+                Grants::none(),
+            )
+            .unwrap();
         platform.pump().unwrap();
         agent.poll(Timestamp(0)).unwrap();
         platform.pump().unwrap();
@@ -862,7 +827,7 @@ mod tests {
     #[test]
     fn the_mobiflow_namespace_keeps_the_newest_windows_per_agent() {
         let (mut platform, mut agents) =
-            n_agent_platform(Box::new(CountingApp { records: 0, publishes_to: None }), 2);
+            n_agent_platform(counting_app(), Grants::none(), 2);
         let entries = platform.obs().gauge("xsec_sdl_entries", &[("namespace", "mobiflow")]);
         let extra = 5;
         let periods = (SDL_WINDOWS_PER_AGENT + extra) as u64;
@@ -893,29 +858,7 @@ mod tests {
         // The reactor property: pump cost follows *active* conns. Wire 8
         // agents, let the handshakes settle, then have exactly one agent
         // produce telemetry — the next pump must visit only that conn.
-        let mut platform = RicPlatform::new();
-        let mut agents = Vec::new();
-        for i in 0..8u32 {
-            let (agent_end, ric_end) = in_proc_pair();
-            let agent = RicAgent::new(
-                RicAgentConfig { gnb_id: GnbId(i + 1), cell: CellId(i + 1) },
-                agent_end,
-            )
-            .unwrap();
-            platform.add_agent(Box::new(ric_end));
-            agents.push(agent);
-        }
-        platform.register_xapp(
-            Box::new(CountingApp { records: 0, publishes_to: None }),
-            SubscriptionSpec::telemetry(100),
-        );
-        for _ in 0..3 {
-            platform.pump().unwrap();
-            for agent in &mut agents {
-                agent.poll(Timestamp(0)).unwrap();
-            }
-        }
-        assert!(agents.iter().all(|a| a.is_setup()));
+        let (mut platform, mut agents) = n_agent_platform(counting_app(), Grants::none(), 8);
 
         // Quiesce: no agent has anything pending.
         let idle = platform.pump().unwrap();
@@ -938,14 +881,24 @@ mod tests {
                 .unwrap();
         let mut platform = RicPlatform::new();
         platform.add_agent(Box::new(ric_end));
-        platform.register_xapp(
-            Box::new(ListeningApp { heard: heard.clone() }),
-            SubscriptionSpec::topics_only(&["anomalies"]),
-        );
-        platform.register_xapp(
-            Box::new(CountingApp { records: 0, publishes_to: Some("anomalies".into()) }),
-            SubscriptionSpec::telemetry(100),
-        );
+        platform
+            .register_xapp_scoped(
+                Box::new(ListeningApp { heard: heard.clone() }),
+                SubscriptionSpec::topics_only(&["anomalies"]),
+                Grants::none().subscribe("anomalies"),
+            )
+            .unwrap();
+        platform
+            .register_xapp_scoped(
+                Box::new(CountingApp {
+                    name: "counting",
+                    records: 0,
+                    publishes_to: Some("anomalies".into()),
+                }),
+                SubscriptionSpec::telemetry(100),
+                Grants::none().publish("anomalies"),
+            )
+            .unwrap();
 
         platform.pump().unwrap();
         agent.poll(Timestamp(0)).unwrap();
@@ -979,7 +932,8 @@ mod tests {
                 ctx.send_control("*", ControlOut { payload: b"throttle".to_vec(), ..Default::default() });
             }
         }
-        let (mut platform, mut agent) = one_agent_platform(Box::new(Controller));
+        let (mut platform, mut agent) =
+            one_agent_platform(Box::new(Controller), Grants::none().control_all());
 
         agent.push_record(record(0, 1));
         agent.poll(Timestamp(100_000)).unwrap();
@@ -990,7 +944,7 @@ mod tests {
 
         // The agent acked on receipt; the next pump correlates it, records
         // the send→ack latency, and relays the outcome on "control-acks".
-        let acks = platform.router().subscribe("control-acks");
+        let acks = ack_observer(&platform);
         platform.pump().unwrap();
         assert_eq!(platform.controls_acked(), 1);
         assert_eq!(platform.controls_failed(), 0);
@@ -1025,14 +979,15 @@ mod tests {
                 );
             }
         }
-        let (mut platform, mut agent) = one_agent_platform(Box::new(TracedController));
+        let (mut platform, mut agent) =
+            one_agent_platform(Box::new(TracedController), Grants::none().control_all());
 
         agent.push_record(record(0, 1));
         agent.poll(Timestamp(100_000)).unwrap();
         platform.pump().unwrap();
         agent.poll(Timestamp(100_000)).unwrap();
 
-        let acks = platform.router().subscribe("control-acks");
+        let acks = ack_observer(&platform);
         platform.pump().unwrap();
         let payload = acks.try_recv().unwrap();
         assert_eq!(payload.len(), 9, "traced acks carry [success][trace BE]");
@@ -1041,6 +996,17 @@ mod tests {
             u64::from_be_bytes(payload[1..9].try_into().unwrap()),
             0x0102_0304_0506_0708
         );
+    }
+
+    /// A `control-acks` mailbox held by an identity granted only that.
+    fn ack_observer(platform: &RicPlatform) -> Receiver<Vec<u8>> {
+        platform
+            .register_identity(
+                XAppIdentity::named("observer"),
+                Grants::none().subscribe("control-acks"),
+            )
+            .unwrap()
+            .subscribe("control-acks")
     }
 
     /// An xApp that pins each control action to a configured cell.
@@ -1075,6 +1041,7 @@ mod tests {
     /// handshakes plus the telemetry subscription (served by every agent).
     fn n_agent_platform(
         app: Box<dyn XApp>,
+        grants: Grants,
         n: u32,
     ) -> (RicPlatform, Vec<RicAgent<xsec_e2::InProcTransport>>) {
         let mut platform = RicPlatform::new();
@@ -1090,7 +1057,7 @@ mod tests {
             );
             platform.add_agent(Box::new(ric_end));
         }
-        platform.register_xapp(app, SubscriptionSpec::telemetry(100));
+        platform.register_xapp_scoped(app, SubscriptionSpec::telemetry(100), grants).unwrap();
         for _ in 0..3 {
             platform.pump().unwrap();
             for agent in &mut agents {
@@ -1103,19 +1070,22 @@ mod tests {
 
     fn one_agent_platform(
         app: Box<dyn XApp>,
+        grants: Grants,
     ) -> (RicPlatform, RicAgent<xsec_e2::InProcTransport>) {
-        let (platform, mut agents) = n_agent_platform(app, 1);
+        let (platform, mut agents) = n_agent_platform(app, grants, 1);
         (platform, agents.pop().unwrap())
     }
 
+    /// Two agents hosting a [`CellController`] (which declares kind `*`).
     fn two_agent_platform(
-        app: Box<dyn XApp>,
+        app: CellController,
     ) -> (
         RicPlatform,
         RicAgent<xsec_e2::InProcTransport>,
         RicAgent<xsec_e2::InProcTransport>,
     ) {
-        let (platform, mut agents) = n_agent_platform(app, 2);
+        let (platform, mut agents) =
+            n_agent_platform(Box::new(app), Grants::none().control_all(), 2);
         let a2 = agents.pop().unwrap();
         let a1 = agents.pop().unwrap();
         (platform, a1, a2)
@@ -1124,7 +1094,7 @@ mod tests {
     #[test]
     fn every_agent_gets_a_subscription() {
         let (_platform, agents) =
-            n_agent_platform(Box::new(CountingApp { records: 0, publishes_to: None }), 5);
+            n_agent_platform(counting_app(), Grants::none(), 5);
         for (i, agent) in agents.iter().enumerate() {
             assert_eq!(agent.subscription_count(), 1, "agent {i} unsubscribed");
         }
@@ -1133,7 +1103,7 @@ mod tests {
     #[test]
     fn controls_route_to_the_agent_owning_the_target_cell() {
         let (mut platform, mut a1, mut a2) =
-            two_agent_platform(Box::new(CellController { cell: CellId(2), broadcast: false }));
+            two_agent_platform(CellController { cell: CellId(2), broadcast: false });
 
         // Telemetry from agent 1 triggers a control pinned to cell 2 — it
         // must reach agent 2, not the first-connected agent.
@@ -1161,7 +1131,7 @@ mod tests {
     #[test]
     fn controls_for_unknown_cells_fall_back_and_are_counted() {
         let (mut platform, mut a1, mut a2) =
-            two_agent_platform(Box::new(CellController { cell: CellId(99), broadcast: false }));
+            two_agent_platform(CellController { cell: CellId(99), broadcast: false });
 
         a1.push_record(record(0, 1));
         a1.poll(Timestamp(100_000)).unwrap();
@@ -1182,6 +1152,7 @@ mod tests {
         // with each copy individually acked and correlated.
         let (mut platform, mut agents) = n_agent_platform(
             Box::new(CellController { cell: CellId(3), broadcast: true }),
+            Grants::none().control_all(),
             5,
         );
         platform.set_neighbours(CellId(3), vec![CellId(2), CellId(4)]);
@@ -1215,6 +1186,7 @@ mod tests {
     fn broadcast_without_declared_neighbours_is_a_unicast() {
         let (mut platform, mut agents) = n_agent_platform(
             Box::new(CellController { cell: CellId(3), broadcast: true }),
+            Grants::none().control_all(),
             5,
         );
         agents[0].push_record(record(0, 1));

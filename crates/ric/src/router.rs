@@ -5,29 +5,26 @@
 //! RMR. Ours is a topic-keyed fan-out over crossbeam channels: publishers
 //! never block (the channel is bounded; a slow subscriber drops oldest-first
 //! is *not* implemented — instead sends to a full mailbox count as drops,
-//! which the stats expose, because silently blocking the near-RT loop would
-//! violate its budget).
+//! which `xsec_router_dropped_total{topic}` exposes, because silently
+//! blocking the near-RT loop would violate its budget).
 //!
 //! ## Authorization
 //!
-//! [`Router::new`] builds the *open* (test/compat) router where bare
-//! [`Router::subscribe`]/[`Router::publish`] work unauthenticated, exactly
-//! as before this module grew identities. Production deployments call
-//! [`Router::enforce`]: from then on only [`RouterHandle`]s obtained from
-//! [`Router::register`] can move messages, each checked against the
-//! [`Grants`] fixed at registration. [`Router::seal`] closes registration
-//! once the deployment is wired, so a rogue xApp that gets its hands on the
-//! raw router mid-run cannot mint itself an identity. Every denial is
-//! counted (`xsec_authz_denied_total{xapp,capability}`) and recorded in the
-//! flight recorder via the [`xsec_obs::Obs`] attached with
-//! [`Router::attach_obs`].
+//! There is no anonymous API. The only thing that can move a message is a
+//! [`RouterHandle`] obtained from [`Router::register`], and every
+//! `subscribe`/`publish` on it is checked against the [`Grants`] fixed at
+//! registration. [`Router::seal`] closes registration once the deployment
+//! is wired, so a rogue xApp that reaches the router through its own handle
+//! mid-run cannot mint itself a second identity. Every denial is counted
+//! (`xsec_authz_denied_total{xapp,capability}`) and recorded in the flight
+//! recorder via the [`xsec_obs::Obs`] attached with [`Router::attach_obs`].
 //!
 //! Publishes that reach zero live subscribers are counted separately
 //! (`xsec_router_unrouted_total{topic}`) and surfaced as a typed
-//! [`PublishError::Unrouted`] through [`Router::try_publish`] /
-//! [`RouterHandle::try_publish`], so a policy op posted before the
-//! Mitigator subscribes is an error, not a silent drop. Messages shed on a
-//! full mailbox are counted per topic as `xsec_router_dropped_total{topic}`.
+//! [`PublishError::Unrouted`] through [`RouterHandle::try_publish`], so a
+//! policy op posted before the Mitigator subscribes is an error, not a
+//! silent drop. Messages shed on a full mailbox are counted per topic as
+//! `xsec_router_dropped_total{topic}`.
 
 use crate::authz::{Capability, Grants, XAppIdentity};
 use crossbeam_channel::{bounded, Receiver, Sender, TrySendError};
@@ -41,10 +38,9 @@ const MAILBOX_DEPTH: usize = 1024;
 /// Why a publish could not be completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PublishError {
-    /// The caller's grants do not cover the topic (or the router is
-    /// enforcing and the caller is anonymous).
+    /// The caller's grants do not cover the topic.
     Denied {
-        /// The denied principal (`"anonymous"` for unscoped callers).
+        /// The denied principal.
         xapp: String,
         /// The missing capability label, e.g. `"publish:a1-policies"`.
         capability: String,
@@ -110,10 +106,7 @@ type Subscribers = Vec<(u64, Sender<Vec<u8>>)>;
 struct Inner {
     topics: HashMap<String, Subscribers>,
     next_sub_id: u64,
-    published: u64,
-    dropped: u64,
     unrouted: HashMap<String, u64>,
-    enforcing: bool,
     sealed: bool,
     registry: HashMap<String, Registration>,
     next_registration: u64,
@@ -142,9 +135,7 @@ fn mix_token(counter: u64, name: &str) -> u64 {
 }
 
 impl Router {
-    /// An empty *open* router: unauthenticated `subscribe`/`publish` work.
-    /// This is the test/compat constructor — production deployments call
-    /// [`Router::enforce`] before wiring xApps.
+    /// An empty router: no identities, no topics.
     pub fn new() -> Self {
         Router::default()
     }
@@ -155,27 +146,10 @@ impl Router {
         self.inner.lock().obs = Some(obs.clone());
     }
 
-    /// Switches the router to deny-by-default: anonymous
-    /// `subscribe`/`publish` are refused and counted; only registered
-    /// [`RouterHandle`]s move messages.
-    pub fn enforce(&self) {
-        self.inner.lock().enforcing = true;
-    }
-
-    /// Whether deny-by-default enforcement is on.
-    pub fn enforcing(&self) -> bool {
-        self.inner.lock().enforcing
-    }
-
     /// Closes registration. Call once the deployment is wired so no rogue
     /// can mint an identity mid-run.
     pub fn seal(&self) {
         self.inner.lock().sealed = true;
-    }
-
-    /// Whether registration is closed.
-    pub fn sealed(&self) -> bool {
-        self.inner.lock().sealed
     }
 
     /// Registers `identity` with `grants`, returning the scoped handle all
@@ -256,17 +230,6 @@ impl Router {
         self.inner.lock().unrouted.get(topic).copied().unwrap_or(0)
     }
 
-    /// Subscribes to a topic; returns the mailbox end. On an enforcing
-    /// router anonymous subscription is denied: the returned mailbox is
-    /// already disconnected and will never see a message.
-    pub fn subscribe(&self, topic: &str) -> Receiver<Vec<u8>> {
-        if self.enforcing() {
-            self.deny("anonymous", &Capability::subscribe(topic).label());
-            return dead_receiver();
-        }
-        self.subscribe_inner(topic)
-    }
-
     fn subscribe_inner(&self, topic: &str) -> Receiver<Vec<u8>> {
         let (tx, rx) = bounded(MAILBOX_DEPTH);
         let mut inner = self.inner.lock();
@@ -274,34 +237,6 @@ impl Router {
         let id = inner.next_sub_id;
         inner.topics.entry(topic.to_string()).or_default().push((id, tx));
         rx
-    }
-
-    /// Publishes a payload to every subscriber of `topic`. Returns how many
-    /// mailboxes accepted it. On an enforcing router anonymous publish is
-    /// denied and returns 0.
-    pub fn publish(&self, topic: &str, payload: &[u8]) -> usize {
-        if self.enforcing() {
-            self.deny("anonymous", &Capability::publish(topic).label());
-            return 0;
-        }
-        self.publish_inner(topic, payload).0
-    }
-
-    /// Like [`Router::publish`] but a zero-subscriber topic is a typed
-    /// [`PublishError::Unrouted`] instead of an ambiguous 0 (which full
-    /// mailboxes also produce).
-    pub fn try_publish(&self, topic: &str, payload: &[u8]) -> Result<usize, PublishError> {
-        if self.enforcing() {
-            let capability = Capability::publish(topic).label();
-            self.deny("anonymous", &capability);
-            return Err(PublishError::Denied { xapp: "anonymous".to_string(), capability });
-        }
-        let (delivered, live) = self.publish_inner(topic, payload);
-        if live == 0 {
-            Err(PublishError::Unrouted { topic: topic.to_string() })
-        } else {
-            Ok(delivered)
-        }
     }
 
     /// The fan-out itself: snapshot the subscriber list under the lock,
@@ -312,11 +247,8 @@ impl Router {
     /// a connected mailbox (full counts as live; that is backpressure,
     /// not absence).
     fn publish_inner(&self, topic: &str, payload: &[u8]) -> (usize, usize) {
-        let snapshot: Vec<(u64, Sender<Vec<u8>>)> = {
-            let mut inner = self.inner.lock();
-            inner.published += 1;
-            inner.topics.get(topic).cloned().unwrap_or_default()
-        };
+        let snapshot: Subscribers =
+            self.inner.lock().topics.get(topic).cloned().unwrap_or_default();
         let mut delivered = 0usize;
         let mut dropped = 0u64;
         let mut dead: Vec<u64> = Vec::new();
@@ -330,7 +262,6 @@ impl Router {
         let live = snapshot.len() - dead.len();
         let obs = {
             let mut inner = self.inner.lock();
-            inner.dropped += dropped;
             if !dead.is_empty() {
                 if let Some(subs) = inner.topics.get_mut(topic) {
                     subs.retain(|(id, _)| !dead.contains(id));
@@ -351,12 +282,6 @@ impl Router {
             }
         }
         (delivered, live)
-    }
-
-    /// `(published, dropped)` counters.
-    pub fn stats(&self) -> (u64, u64) {
-        let inner = self.inner.lock();
-        (inner.published, inner.dropped)
     }
 }
 
@@ -458,12 +383,20 @@ impl RouterHandle {
 mod tests {
     use super::*;
 
+    /// A fresh router plus one identity, `"tenant"`, holding `grants`.
+    fn router_with(grants: Grants) -> (Router, RouterHandle) {
+        let router = Router::new();
+        let handle = router.register(XAppIdentity::named("tenant"), grants).unwrap();
+        (router, handle)
+    }
+
     #[test]
     fn publish_reaches_all_subscribers() {
-        let router = Router::new();
-        let a = router.subscribe("anomalies");
-        let b = router.subscribe("anomalies");
-        let delivered = router.publish("anomalies", b"alert");
+        let (_router, tenant) =
+            router_with(Grants::none().subscribe("anomalies").publish("anomalies"));
+        let a = tenant.subscribe("anomalies");
+        let b = tenant.subscribe("anomalies");
+        let delivered = tenant.publish("anomalies", b"alert");
         assert_eq!(delivered, 2);
         assert_eq!(a.try_recv().unwrap(), b"alert");
         assert_eq!(b.try_recv().unwrap(), b"alert");
@@ -471,78 +404,63 @@ mod tests {
 
     #[test]
     fn topics_are_isolated() {
-        let router = Router::new();
-        let a = router.subscribe("a");
-        router.publish("b", b"x");
+        let (_router, tenant) =
+            router_with(Grants::none().subscribe("a").publish("b").publish("nobody-listens"));
+        let a = tenant.subscribe("a");
+        tenant.publish("b", b"x");
         assert!(a.try_recv().is_err());
-        assert_eq!(router.publish("nobody-listens", b"x"), 0);
+        assert_eq!(tenant.publish("nobody-listens", b"x"), 0);
     }
 
     #[test]
     fn disconnected_subscribers_are_pruned() {
-        let router = Router::new();
-        let rx = router.subscribe("t");
+        let (_router, tenant) = router_with(Grants::none().subscribe("t").publish("t"));
+        let rx = tenant.subscribe("t");
         drop(rx);
-        assert_eq!(router.publish("t", b"x"), 0);
+        assert_eq!(tenant.publish("t", b"x"), 0);
     }
 
     #[test]
     fn full_mailboxes_count_as_drops() {
         let obs = xsec_obs::Obs::new();
-        let router = Router::new();
+        let (router, tenant) = router_with(Grants::none().subscribe("t").publish("t"));
         router.attach_obs(&obs);
-        let _rx = router.subscribe("t");
+        let _rx = tenant.subscribe("t");
         for _ in 0..MAILBOX_DEPTH {
-            router.publish("t", b"fill");
+            tenant.publish("t", b"fill");
         }
-        let delivered = router.publish("t", b"overflow");
+        let delivered = tenant.publish("t", b"overflow");
         assert_eq!(delivered, 0);
-        let (published, dropped) = router.stats();
-        assert_eq!(published, MAILBOX_DEPTH as u64 + 1);
-        assert_eq!(dropped, 1);
-        assert_eq!(obs.snapshot().counter_total("xsec_router_dropped_total"), 1);
+        let snapshot = obs.snapshot();
+        assert_eq!(snapshot.counter_total("xsec_router_dropped_total"), 1);
+        assert_eq!(snapshot.counter_total("xsec_router_unrouted_total"), 0);
     }
 
     #[test]
     fn unrouted_publishes_are_counted_and_typed() {
-        let router = Router::new();
+        let (router, tenant) = router_with(Grants::none().subscribe("*").publish("*"));
         assert_eq!(
-            router.try_publish("nobody", b"x"),
+            tenant.try_publish("nobody", b"x"),
             Err(PublishError::Unrouted { topic: "nobody".to_string() })
         );
         assert_eq!(router.unrouted("nobody"), 1);
         // Full-mailbox 0 is NOT unrouted: the subscriber exists.
-        let _rx = router.subscribe("t");
+        let _rx = tenant.subscribe("t");
         for _ in 0..MAILBOX_DEPTH {
-            router.publish("t", b"fill");
+            tenant.publish("t", b"fill");
         }
-        assert_eq!(router.try_publish("t", b"overflow"), Ok(0));
+        assert_eq!(tenant.try_publish("t", b"overflow"), Ok(0));
         assert_eq!(router.unrouted("t"), 0);
         // A topic whose only subscriber disconnected routes to nobody.
-        let rx = router.subscribe("gone");
+        let rx = tenant.subscribe("gone");
         drop(rx);
-        assert!(matches!(router.try_publish("gone", b"x"), Err(PublishError::Unrouted { .. })));
+        assert!(matches!(tenant.try_publish("gone", b"x"), Err(PublishError::Unrouted { .. })));
         assert_eq!(router.unrouted("gone"), 1);
-    }
-
-    #[test]
-    fn enforcing_router_denies_anonymous_traffic() {
-        let router = Router::new();
-        router.enforce();
-        let rx = router.subscribe("findings");
-        assert_eq!(router.publish("findings", b"spoof"), 0);
-        assert!(rx.try_recv().is_err(), "denied mailbox must stay empty");
-        assert!(matches!(
-            router.try_publish("findings", b"spoof"),
-            Err(PublishError::Denied { .. })
-        ));
-        assert_eq!(router.denied(), 3);
     }
 
     #[test]
     fn scoped_handles_enforce_their_grants() {
         let router = Router::new();
-        router.enforce();
         let producer = router
             .register(XAppIdentity::named("producer"), Grants::none().publish("anomalies"))
             .unwrap();
@@ -600,15 +518,14 @@ mod tests {
     #[test]
     fn denials_land_in_metrics_and_flight_recorder() {
         let obs = xsec_obs::Obs::new();
-        let router = Router::new();
+        let (router, tenant) = router_with(Grants::none());
         router.attach_obs(&obs);
-        router.enforce();
-        router.publish("a1-policies", b"rogue-op");
+        tenant.publish("a1-policies", b"rogue-op");
         let snapshot = obs.snapshot();
         assert_eq!(snapshot.counter_total("xsec_authz_denied_total"), 1);
         let denials = obs.recorder.denials();
         assert_eq!(denials.len(), 1);
-        assert_eq!(denials[0].xapp, "anonymous");
+        assert_eq!(denials[0].xapp, "tenant");
         assert_eq!(denials[0].capability, "publish:a1-policies");
     }
 

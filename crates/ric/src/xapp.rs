@@ -2,7 +2,7 @@
 //! on the platform.
 
 use crate::authz::Capability;
-use crate::router::{Router, RouterHandle};
+use crate::router::RouterHandle;
 use xsec_mobiflow::{SharedDataLayer, UeMobiFlow};
 use xsec_types::{CellId, Timestamp};
 
@@ -31,49 +31,35 @@ pub struct ControlOut {
 pub struct XAppContext<'a> {
     /// The shared data layer.
     pub sdl: &'a SharedDataLayer,
-    /// The message router.
-    pub router: &'a Router,
+    /// The app's authorization scope: the identity it was registered under
+    /// ([`crate::platform::RicPlatform::register_xapp_scoped`]) and the only
+    /// way it can reach the message router.
+    pub scope: &'a RouterHandle,
     /// Control payloads the xApp wants sent back to the RAN over E2
     /// (closed-loop feedback); the platform drains and ships them.
     pub control_out: &'a mut Vec<ControlOut>,
-    /// The caller's authorization scope, when the app was registered with
-    /// an identity ([`crate::platform::RicPlatform::register_xapp_scoped`]).
-    /// `None` means the legacy unscoped (test/compat) context: publishes go
-    /// straight to the router and control emission is ungated.
-    pub scope: Option<&'a RouterHandle>,
 }
 
 impl XAppContext<'_> {
-    /// Publishes a message to other xApps. Scoped contexts are checked
-    /// against the identity's publish grants; a denial is counted and the
-    /// message goes nowhere.
+    /// Publishes a message to other xApps, checked against the identity's
+    /// publish grants; a denial is counted and the message goes nowhere.
     pub fn publish(&self, topic: &str, payload: &[u8]) {
-        match self.scope {
-            Some(handle) => {
-                handle.publish(topic, payload);
-            }
-            None => {
-                self.router.publish(topic, payload);
-            }
-        }
+        self.scope.publish(topic, payload);
     }
 
     /// Queues a closed-loop control action of a declared `kind` (a
     /// `MitigationAction::name()` string, or `"*"` for "any") toward the
-    /// RAN — the platform-side actuation gate. Scoped contexts must hold
-    /// `Capability::Control(kind)`; a denial is counted against the
-    /// identity and queues nothing. Unscoped contexts pass. Returns whether
-    /// the action was queued. The kind is the caller's declaration: the
-    /// check is only as honest as the sender, which is why deployments
-    /// grant the Mitigator exactly the kinds its playbooks instantiate and
-    /// nothing else holds any control grant.
+    /// RAN — the platform-side actuation gate. The identity must hold
+    /// `Capability::Control(kind)`; a denial is counted against it and
+    /// queues nothing. Returns whether the action was queued. The kind is
+    /// the caller's declaration: the check is only as honest as the sender,
+    /// which is why deployments grant the Mitigator exactly the kinds its
+    /// playbooks instantiate and nothing else holds any control grant.
     pub fn send_control(&mut self, kind: &str, out: ControlOut) -> bool {
-        if let Some(handle) = self.scope {
-            let cap = Capability::control(kind);
-            if !handle.allows(&cap) {
-                handle.deny(&cap.label());
-                return false;
-            }
+        let cap = Capability::control(kind);
+        if !self.scope.allows(&cap) {
+            self.scope.deny(&cap.label());
+            return false;
         }
         self.control_out.push(out);
         true
@@ -111,6 +97,7 @@ pub trait XApp: Send {
 mod tests {
     use super::*;
     use crate::authz::{Grants, XAppIdentity};
+    use crate::router::Router;
 
     struct Recorder {
         seen: usize,
@@ -137,10 +124,15 @@ mod tests {
     fn context_plumbing_works() {
         let sdl = SharedDataLayer::new();
         let router = Router::new();
-        let rx = router.subscribe("seen");
+        let scope = router
+            .register(XAppIdentity::named("recorder"), Grants::none().publish("seen").control_all())
+            .unwrap();
+        let rx = router
+            .register(XAppIdentity::named("sink"), Grants::none().subscribe("seen"))
+            .unwrap()
+            .subscribe("seen");
         let mut control = Vec::new();
-        let mut ctx =
-            XAppContext { sdl: &sdl, router: &router, control_out: &mut control, scope: None };
+        let mut ctx = XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
         let mut app = Recorder { seen: 0 };
         app.on_records(&mut ctx, &[], Timestamp(0));
         assert_eq!(rx.try_recv().unwrap(), 0u32.to_be_bytes().to_vec());
@@ -153,10 +145,11 @@ mod tests {
     #[test]
     fn send_control_to_pins_the_cell() {
         let sdl = SharedDataLayer::new();
-        let router = Router::new();
+        let scope = Router::new()
+            .register(XAppIdentity::named("controller"), Grants::none().control_all())
+            .unwrap();
         let mut control = Vec::new();
-        let mut ctx =
-            XAppContext { sdl: &sdl, router: &router, control_out: &mut control, scope: None };
+        let mut ctx = XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
         let outs = [
             ControlOut { cell: Some(CellId(7)), payload: b"act".to_vec(), ..Default::default() },
             ControlOut {
@@ -183,7 +176,6 @@ mod tests {
     fn scoped_context_gates_publish_and_control_by_grant() {
         let sdl = SharedDataLayer::new();
         let router = Router::new();
-        router.enforce();
         let handle = router
             .register(
                 XAppIdentity::named("partial"),
@@ -195,12 +187,7 @@ mod tests {
             .unwrap()
             .subscribe("anomalies");
         let mut control = Vec::new();
-        let mut ctx = XAppContext {
-            sdl: &sdl,
-            router: &router,
-            control_out: &mut control,
-            scope: Some(&handle),
-        };
+        let mut ctx = XAppContext { sdl: &sdl, scope: &handle, control_out: &mut control };
         // Granted topic goes through; ungranted one is dropped + counted.
         ctx.publish("anomalies", b"ok");
         ctx.publish("findings", b"spoof");
@@ -218,19 +205,5 @@ mod tests {
         assert!(!ctx.send_control("*", ControlOut { payload: b"any".to_vec(), ..Default::default() }));
         assert_eq!(control.len(), 1);
         assert_eq!(router.denied(), 3);
-    }
-
-    #[test]
-    fn unscoped_context_remains_ungated() {
-        let sdl = SharedDataLayer::new();
-        let router = Router::new();
-        let mut control = Vec::new();
-        let mut ctx =
-            XAppContext { sdl: &sdl, router: &router, control_out: &mut control, scope: None };
-        for kind in ["quarantine-cell", "*"] {
-            assert!(ctx.send_control(kind, ControlOut { payload: b"q".to_vec(), ..Default::default() }));
-        }
-        assert_eq!(control.len(), 2);
-        assert_eq!(router.denied(), 0);
     }
 }

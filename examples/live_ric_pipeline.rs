@@ -16,7 +16,7 @@ use xsec_attacks::DatasetBuilder;
 use xsec_e2::{RicAgent, RicAgentConfig, TcpTransport};
 use xsec_llm::{ModelPersonality, SimulatedExpert};
 use xsec_mobiflow::extract_from_events;
-use xsec_ric::{RicPlatform, SubscriptionSpec};
+use xsec_ric::{Grants, RicPlatform, SubscriptionSpec};
 use xsec_types::{AttackKind, CellId, GnbId, Timestamp};
 
 fn main() {
@@ -48,8 +48,23 @@ fn main() {
             Box::new(SimulatedExpert::new(ModelPersonality::CHATGPT_4O)),
             "anomalies",
         );
-        platform.register_xapp(Box::new(watch), SubscriptionSpec::telemetry(100));
-        platform.register_xapp(Box::new(analyzer), SubscriptionSpec::topics_only(&["anomalies"]));
+        // Each xApp runs under its own identity holding only the grants
+        // its role needs; sealing closes registration for the run.
+        platform
+            .register_xapp_scoped(
+                Box::new(watch),
+                SubscriptionSpec::telemetry(100),
+                Grants::none().publish("anomalies"),
+            )
+            .expect("register mobiwatch");
+        platform
+            .register_xapp_scoped(
+                Box::new(analyzer),
+                SubscriptionSpec::topics_only(&["anomalies"]),
+                Grants::none().subscribe("anomalies").publish("findings"),
+            )
+            .expect("register analyzer");
+        platform.seal();
 
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
         let mut printed = 0;

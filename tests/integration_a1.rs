@@ -4,7 +4,8 @@
 //! E2 Control Actions observably change between detections.
 
 use sixg_xsec::mitigator::{
-    FindingNotice, Mitigator, A1_POLICY_TOPIC, CONTROL_ACKS_TOPIC, FINDINGS_TOPIC,
+    FindingNotice, Mitigator, A1_POLICY_STATUS_TOPIC, A1_POLICY_TOPIC, CONTROL_ACKS_TOPIC,
+    FINDINGS_TOPIC,
 };
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
 use sixg_xsec::smo::A1PolicyClient;
@@ -17,7 +18,7 @@ use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
 use xsec_mobiflow::UeMobiFlow;
 use xsec_proto::{Direction, MessageKind};
 use xsec_ran::scenario::ScenarioConfig;
-use xsec_ric::{RicPlatform, SubscriptionSpec};
+use xsec_ric::{Grants, RicPlatform, RouterHandle, SubscriptionSpec, XAppIdentity};
 use xsec_types::{
     AttackKind, CellId, CipherAlg, Duration, GnbId, IntegrityAlg, Rnti, Timestamp,
 };
@@ -64,12 +65,14 @@ fn finding(at: Timestamp, conn: u32, rnti: u16) -> FindingNotice {
     }
 }
 
-/// A minimal live deployment: one agent, one mitigator, nothing else.
+/// A minimal live deployment: one agent, one mitigator, the SMO's A1
+/// client, and an `analyzer` identity for the test to publish findings as.
 fn deploy_mitigator_only() -> (
     RicAgent<InProcTransport>,
     RicPlatform,
     std::sync::Arc<parking_lot::Mutex<sixg_xsec::MitigatorState>>,
     A1PolicyClient,
+    RouterHandle,
 ) {
     let (agent_end, ric_end) = in_proc_pair();
     let mut agent = RicAgent::new(RicAgentConfig { gnb_id: GnbId(1), cell: CellId(1) }, agent_end)
@@ -77,16 +80,39 @@ fn deploy_mitigator_only() -> (
     let mut platform = RicPlatform::new();
     platform.add_agent(Box::new(ric_end));
     let (mitigator, state) = Mitigator::new(PolicyEngine::default());
-    platform.register_xapp(
-        Box::new(mitigator),
-        SubscriptionSpec::topics_only(&[FINDINGS_TOPIC, CONTROL_ACKS_TOPIC, A1_POLICY_TOPIC]),
-    );
+    platform
+        .register_xapp_scoped(
+            Box::new(mitigator),
+            SubscriptionSpec::topics_only(&[FINDINGS_TOPIC, CONTROL_ACKS_TOPIC, A1_POLICY_TOPIC]),
+            Grants::none()
+                .subscribe(FINDINGS_TOPIC)
+                .subscribe(CONTROL_ACKS_TOPIC)
+                .subscribe(A1_POLICY_TOPIC)
+                .publish(A1_POLICY_STATUS_TOPIC)
+                .control("release-ue")
+                .control("quarantine-cell"),
+        )
+        .expect("register mitigator");
+    let smo = platform
+        .register_identity(
+            XAppIdentity::named("smo"),
+            Grants::none()
+                .publish(A1_POLICY_TOPIC)
+                .subscribe(A1_POLICY_STATUS_TOPIC)
+                .a1("query")
+                .a1("update")
+                .a1("set-enabled"),
+        )
+        .expect("register smo");
+    let analyzer = platform
+        .register_identity(XAppIdentity::named("analyzer"), Grants::none().publish(FINDINGS_TOPIC))
+        .expect("register analyzer");
+    platform.seal();
     for _ in 0..3 {
         platform.pump().expect("pump");
         agent.poll(Timestamp::ZERO).expect("agent poll");
     }
-    let a1 = A1PolicyClient::new(platform.router());
-    (agent, platform, state, a1)
+    (agent, platform, state, A1PolicyClient::scoped(smo), analyzer)
 }
 
 fn decoded_controls(agent: &mut RicAgent<InProcTransport>) -> Vec<ControlAction> {
@@ -99,7 +125,7 @@ fn decoded_controls(agent: &mut RicAgent<InProcTransport>) -> Vec<ControlAction>
 
 #[test]
 fn smo_install_detect_update_detect_sequence() {
-    let (mut agent, mut platform, state, a1) = deploy_mitigator_only();
+    let (mut agent, mut platform, state, a1, analyzer) = deploy_mitigator_only();
 
     // The shipped inventory answers a status query: five enabled v1 rules.
     assert_eq!(a1.query_status().expect("mitigator subscribed to the A1 topic"), 1);
@@ -112,7 +138,7 @@ fn smo_install_detect_update_detect_sequence() {
     // Detection #1 under the installed rule: the downgraded session is
     // released.
     let t1 = Timestamp(1_000_000);
-    platform.router().publish(FINDINGS_TOPIC, &serde_json::to_vec(&finding(t1, 7, 0x4601)).unwrap());
+    analyzer.publish(FINDINGS_TOPIC, &serde_json::to_vec(&finding(t1, 7, 0x4601)).unwrap());
     platform.pump().expect("pump");
     agent.poll(t1).expect("agent poll");
     let first = decoded_controls(&mut agent);
@@ -133,7 +159,7 @@ fn smo_install_detect_update_detect_sequence() {
     // Detection #2, still inside the old rule's cooldown TTL: the swap
     // cleared the cooldown, and the *updated* rule decides.
     let t2 = Timestamp(3_000_000);
-    platform.router().publish(FINDINGS_TOPIC, &serde_json::to_vec(&finding(t2, 8, 0x4602)).unwrap());
+    analyzer.publish(FINDINGS_TOPIC, &serde_json::to_vec(&finding(t2, 8, 0x4602)).unwrap());
     platform.pump().expect("pump");
     agent.poll(t2).expect("agent poll");
     let second = decoded_controls(&mut agent);
@@ -160,7 +186,7 @@ fn smo_install_detect_update_detect_sequence() {
     platform.pump().expect("pump");
     a1.drain_responses();
     let t3 = Timestamp(20_000_000);
-    platform.router().publish(FINDINGS_TOPIC, &serde_json::to_vec(&finding(t3, 9, 0x4603)).unwrap());
+    analyzer.publish(FINDINGS_TOPIC, &serde_json::to_vec(&finding(t3, 9, 0x4603)).unwrap());
     platform.pump().expect("pump");
     agent.poll(t3).expect("agent poll");
     assert!(decoded_controls(&mut agent).is_empty(), "disabled rule still acted");

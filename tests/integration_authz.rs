@@ -2,8 +2,8 @@
 //! on a hardened deployment is denied at every choke point (router topic
 //! ACLs, Mitigator A1 envelope verification, per-kind control gate), every
 //! denial is counted and flight-recorded — and the authorized trio's
-//! detections and incident traces are byte-identical to the pre-authz
-//! (open-router) deployment of the same traffic.
+//! detections and incident traces are byte-identical whether or not the
+//! rogue shares the platform with it.
 
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
 use sixg_xsec::scale::ScaleDeployment;
@@ -79,9 +79,8 @@ fn rogue_xapp_is_denied_at_every_choke_point() {
 fn forged_a1_envelopes_die_at_the_mitigator() {
     // Defense in depth: this rogue *does* hold the a1-policies publish
     // grant, so its operations reach the mitigator's mailbox — where bare
-    // requests are refused on an enforcing router and the forged SMO
-    // envelope fails token verification. The policy store must stay
-    // untouched.
+    // requests are refused as unsigned and the forged SMO envelope fails
+    // token verification. The policy store must stay untouched.
     let pipeline = trained(72);
     let (rogue, report) = RogueXApp::new(0xF00D, CellId(1));
     let mut d = ScaleDeployment::with_extra_xapps(
@@ -112,35 +111,58 @@ fn forged_a1_envelopes_die_at_the_mitigator() {
 }
 
 #[test]
-fn secured_trio_matches_the_open_deployment_byte_for_byte() {
-    // The zero-cost claim: authorization must not perturb the granted
-    // path. The same traffic through an open (pre-authz) and a secured
-    // deployment produces byte-identical detections and incident traces,
-    // and the secured run records zero denials.
+fn contained_rogue_leaves_the_trio_byte_identical() {
+    // Tenant isolation: a rogue granted nothing mounts its whole repertoire
+    // on every window, and the only trace it leaves is its own denials.
+    // The same traffic with and without it produces byte-identical
+    // detections and — denial records aside — incident traces, and the
+    // clean run records zero denials.
     let mut config = PipelineConfig::small(73, 12);
     config.scoring_shards = 2;
     let pipeline = Pipeline::train(&config);
     let stream = flood_stream(1_073);
 
-    let mut open = ScaleDeployment::open(&pipeline, 2);
-    open.run_stream(&stream);
-    let mut secured = ScaleDeployment::new(&pipeline, 2);
-    secured.run_stream(&stream);
+    let mut clean = ScaleDeployment::new(&pipeline, 2);
+    clean.run_stream(&stream);
+    let (rogue, report) = RogueXApp::new(0xBAD, CellId(1));
+    let mut hosted = ScaleDeployment::with_extra_xapps(
+        &pipeline,
+        2,
+        vec![(
+            Box::new(rogue),
+            SubscriptionSpec::telemetry(pipeline.config().report_period_ms),
+            Grants::none(),
+        )],
+    );
+    hosted.run_stream(&stream);
+    assert!(report.lock().expect("rogue report").attempts > 0, "the rogue was never invoked");
 
-    assert!(!open.detections_digest().is_empty(), "open run detected nothing");
+    // The rogue's own denial records are the one permitted difference.
+    let trio_lines = |d: &ScaleDeployment| -> Vec<String> {
+        let jsonl = d.incidents_digest();
+        jsonl.lines().filter(|l| !l.contains(r#""stage":"authz_deny""#)).map(String::from).collect()
+    };
+    assert!(!clean.detections_digest().is_empty(), "clean run detected nothing");
     assert_eq!(
-        open.detections_digest(),
-        secured.detections_digest(),
-        "authorization changed the detections"
+        clean.detections_digest(),
+        hosted.detections_digest(),
+        "a contained rogue changed the detections"
     );
+    let clean_lines = trio_lines(&clean);
+    assert!(!clean_lines.is_empty(), "clean run recorded no incidents");
     assert_eq!(
-        open.incidents_digest(),
-        secured.incidents_digest(),
-        "authorization changed the incident traces"
+        clean_lines.len(),
+        clean.incidents_digest().lines().count(),
+        "the clean run exported a denial record"
     );
+    assert_eq!(clean_lines, trio_lines(&hosted), "a contained rogue changed the incident traces");
     assert_eq!(
-        secured.outcome().metrics.counter_total("xsec_authz_denied_total"),
+        clean.outcome().metrics.counter_total("xsec_authz_denied_total"),
         0,
         "the authorized trio was denied something"
+    );
+    assert!(
+        hosted.outcome().metrics.counter_total("xsec_authz_denied_total") > 0,
+        "the rogue's attempts went uncounted"
     );
 }

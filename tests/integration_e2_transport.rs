@@ -8,7 +8,9 @@ use parking_lot::Mutex;
 use xsec_attacks::DatasetBuilder;
 use xsec_e2::{KpmIndication, RicAgent, RicAgentConfig, TcpTransport};
 use xsec_mobiflow::{extract_from_events, UeMobiFlow};
-use xsec_ric::{RicPlatform, SubscriptionSpec, XApp, XAppContext, SDL_WINDOWS_PER_AGENT};
+use xsec_ric::{
+    Grants, RicPlatform, SubscriptionSpec, XApp, XAppContext, SDL_WINDOWS_PER_AGENT,
+};
 use xsec_types::{AttackKind, CellId, GnbId, Timestamp};
 
 struct Collector {
@@ -49,10 +51,14 @@ fn telemetry_flows_over_real_tcp_loopback() {
         let transport = TcpTransport::new(socket).unwrap();
         let mut platform = RicPlatform::new();
         platform.add_agent(Box::new(transport));
-        platform.register_xapp(
-            Box::new(Collector { records: received_clone }),
-            SubscriptionSpec::telemetry(50),
-        );
+        platform
+            .register_xapp_scoped(
+                Box::new(Collector { records: received_clone }),
+                SubscriptionSpec::telemetry(50),
+                Grants::none(),
+            )
+            .expect("register collector");
+        platform.seal();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         while received.lock().len() < expected {
             platform.pump().expect("platform pump");

@@ -10,7 +10,7 @@ use std::cell::Cell;
 use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
 use xsec_mobiflow::UeMobiFlow;
 use xsec_proto::{Direction, MessageKind};
-use xsec_ric::{RicPlatform, SubscriptionSpec, XApp, XAppContext};
+use xsec_ric::{Grants, RicPlatform, SubscriptionSpec, XApp, XAppContext};
 use xsec_types::{CellId, GnbId, Plmn, Rnti, Supi, Timestamp, Tmsi};
 
 thread_local! {
@@ -115,10 +115,14 @@ fn ingest_allocations(per_indication: u64) -> u64 {
         RicAgent::new(RicAgentConfig { gnb_id: GnbId(1), cell: CellId(1) }, agent_end).unwrap();
     let mut platform = RicPlatform::new();
     platform.add_agent(Box::new(ric_end));
-    platform.register_xapp(
-        Box::new(Summing { records: 0, msg_ids: 0 }),
-        SubscriptionSpec::telemetry(100),
-    );
+    platform
+        .register_xapp_scoped(
+            Box::new(Summing { records: 0, msg_ids: 0 }),
+            SubscriptionSpec::telemetry(100),
+            Grants::none(),
+        )
+        .unwrap();
+    platform.seal();
     for _ in 0..3 {
         platform.pump().unwrap();
         agent.poll(Timestamp::ZERO).unwrap();
