@@ -6,9 +6,10 @@
 //! 1. **Batched vs per-row model scoring** — `score_rows`/`score_batch`
 //!    (one GEMM over M windows, reused workspace) against the legacy
 //!    window-at-a-time path, over the same data.
-//! 2. **Streaming MobiWatch** — the full per-record path (featurize → ring
-//!    push → score) with p50/p99 inference latency from the run's
-//!    histograms, plus the workspace steady-state (zero-allocation) check.
+//! 2. **Streaming MobiWatch** — the full per-record path (`process_record`,
+//!    the batch of one: featurize → ring push → score) with p50/p99
+//!    inference latency from the run's histograms, plus the workspace
+//!    steady-state (zero-allocation) check.
 //! 3. **Sharded pool** — `ShardedMobiWatch` at 1/2/4 shards over the same
 //!    stream, with a determinism check that the shard count does not change
 //!    the score set.

@@ -7,11 +7,11 @@
 //! the pre-filter that keeps the expensive model out of the hot path).
 
 use crate::smo::DeployedModels;
-use crate::window::{Ingest, WindowCore};
+use crate::window::{Ingest, Scorer};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use xsec_dl::{Precision, FEATURES_PER_RECORD};
+use xsec_dl::Precision;
 use xsec_mobiflow::UeMobiFlow;
 use xsec_obs::Obs;
 use xsec_ric::{XApp, XAppContext};
@@ -105,9 +105,8 @@ pub struct MobiWatchState {
 /// The anomaly-detection xApp.
 pub struct MobiWatch {
     ingest: Ingest,
-    /// The paper's global sliding window: one core, one key.
-    core: WindowCore,
-    features: Vec<f32>,
+    /// The paper's global sliding window: every record under one key.
+    scorer: Scorer,
 }
 
 impl MobiWatch {
@@ -117,9 +116,9 @@ impl MobiWatch {
         models: DeployedModels,
         config: MobiWatchConfig,
     ) -> (Self, Arc<Mutex<MobiWatchState>>) {
-        let core = WindowCore::new(models.feature_config.window, &mut Vec::new());
         let (ingest, state) = Ingest::new(models, config);
-        (MobiWatch { ingest, core, features: Vec::with_capacity(FEATURES_PER_RECORD) }, state)
+        let scorer = ingest.scorer.fork();
+        (MobiWatch { ingest, scorer }, state)
     }
 
     /// Re-homes the xApp's instruments into `obs`'s registry and its flight
@@ -127,6 +126,7 @@ impl MobiWatch {
     /// (deployment time) — samples do not carry over.
     pub fn attach_obs(&mut self, obs: &Obs) {
         self.ingest.attach_obs(obs);
+        self.scorer = self.ingest.scorer.fork();
     }
 
     /// The sliding-window length in force.
@@ -135,21 +135,34 @@ impl MobiWatch {
     }
 
     /// How often the scoring workspace had to grow a buffer. Stable across
-    /// calls once warm — the steady-state zero-allocation guarantee.
+    /// calls once warm at a batch size — the steady-state zero-allocation
+    /// guarantee.
     pub fn workspace_grow_events(&self) -> usize {
-        self.ingest.scorer.workspace_grow_events()
+        self.scorer.workspace_grow_events()
     }
 
     /// Feeds one record; returns an alert when the window it completes is
     /// anomalous (alert emission respects the publish cooldown; scoring
-    /// happens for every window regardless).
+    /// happens for every window regardless). The batch of one.
     pub fn process_record(&mut self, record: &UeMobiFlow) -> Option<AnomalyAlert> {
-        let index = self.ingest.featurize(record, &mut self.features);
-        self.ingest.remember(record);
-        // Recover the causal trace the E2 agent rooted for this record.
-        let trace = self.ingest.trace_for(record);
-        let verdict = self.core.push(&mut self.ingest.scorer, &self.features, trace)?;
-        self.ingest.emit(record, index, trace, verdict)
+        self.process_batch(std::slice::from_ref(record)).pop()
+    }
+
+    /// Feeds one E2 indication's records: featurizes them all, scores every
+    /// window they complete in one batched model pass, then thresholds and
+    /// emits in stream order. Returns the alerts raised. Scores, alerts and
+    /// their context are the same — to the bit — however a stream is cut
+    /// into batches.
+    pub fn process_batch(&mut self, records: &[UeMobiFlow]) -> Vec<AnomalyAlert> {
+        let Some(last) = records.last() else {
+            return Vec::new();
+        };
+        let scorer = &mut self.scorer;
+        let first = self.ingest.featurize(records, |f, index, r| scorer.push(f, index, r, 0, false));
+        // The latency sample's exemplar: the causal trace the E2 agent
+        // rooted for the batch's last record.
+        scorer.score(self.ingest.trace_for(last));
+        self.ingest.emit(records, first, &mut scorer.verdicts)
     }
 }
 
@@ -164,10 +177,8 @@ impl XApp for MobiWatch {
         records: &[UeMobiFlow],
         _window_end: Timestamp,
     ) {
-        for record in records {
-            if let Some(alert) = self.process_record(record) {
-                self.ingest.publish(ctx, &alert);
-            }
+        for alert in self.process_batch(records) {
+            self.ingest.publish(ctx, &alert);
         }
     }
 }

@@ -16,25 +16,28 @@
 //!   so per-UE state evolves deterministically — the score and alert sets
 //!   are *invariant in the shard count*, which is what makes the pool safe
 //!   to widen with the machine.
-//! * **Merging is a fork/join per E2 batch.** The ingest thread sends each
-//!   shard **one message per batch** — its slice of the featurized records —
-//!   and collects one reply each; results are ordered by global record index
-//!   before they touch the shared state, so downstream consumers observe one
-//!   deterministic stream. Batched dispatch matters: a channel send is a
-//!   lock + wakeup, and paying it per *record* made one shard slower than
-//!   the unsharded xApp it was supposed to scale past.
+//! * **Merging is a fork/join per E2 batch — when there is something to
+//!   join.** Shards are parked in the pool between batches. The ingest
+//!   thread stages each record on its owner shard, sends every busy shard
+//!   but one to a worker thread — state travels with the work and comes
+//!   back with the verdicts — and scores the remaining one itself. So an
+//!   empty batch returns at once, idle shards are never woken, and a batch
+//!   that touched one shard (always, in a 1-shard pool, which never spawns
+//!   a thread) costs no hand-off. Each shard makes one batched model pass
+//!   per E2 batch; results are ordered by global record index before they
+//!   touch the shared state, so downstream consumers observe one
+//!   deterministic stream.
 
 use crate::mobiwatch::{AnomalyAlert, MobiWatchConfig, MobiWatchState};
 use crate::smo::DeployedModels;
-use crate::window::{Ingest, Scorer, Verdict, WindowCore};
+use crate::window::{Ingest, Scorer, Verdict};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use xsec_dl::{FeatureRing, FEATURES_PER_RECORD};
 use xsec_mobiflow::UeMobiFlow;
 use xsec_obs::Obs;
+use xsec_proto::MessageKind;
 use xsec_ric::{XApp, XAppContext};
 use xsec_types::Timestamp;
 
@@ -44,28 +47,16 @@ fn shard_of(du_ue_id: u32, shards: usize) -> usize {
     (du_ue_id.wrapping_mul(0x9E37_79B1) as usize) % shards
 }
 
-/// One featurized record owned by a shard's UE set. Only what scoring
-/// needs crosses the channel — the raw record stays on the ingest thread,
-/// which owns alert context. A shard's work message is its `Vec` of these
-/// for one E2 batch (possibly empty), in stream order: exactly one message
-/// per shard per batch, and the reply is the fork/join barrier.
-struct ShardRecord {
-    index: u64,
-    du_ue_id: u32,
-    /// The record is an RRC release: score it, then drop the UE's state.
-    evict: bool,
-    features: Vec<f32>,
-}
+/// A shard on its way to or from a worker, with its position in the pool.
+type Forked = (usize, Box<Scorer>);
 
-/// One shard's results for one batch.
-#[derive(Default)]
-struct ShardBatch {
-    /// `(global record index, verdict)` in this shard's arrival order.
-    verdicts: Vec<(u64, Verdict)>,
-    /// UEs this shard still tracks after the batch (leak telemetry).
-    tracked: usize,
-    /// The drained work buffer, returned for the ingest thread to reuse.
-    spent: Vec<ShardRecord>,
+/// The threads a pool of two or more shards forks busy shards to. They
+/// hold no state: a shard arrives with its batch and leaves with its
+/// verdicts.
+struct Workers {
+    to_workers: Sender<Forked>,
+    from_workers: Receiver<Forked>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 /// The sharded anomaly-detection xApp. Drop-in replacement for `MobiWatch`
@@ -75,22 +66,21 @@ pub struct ShardedMobiWatch {
     /// Featurization, flight recording, the shared state and alert context
     /// all stay on the ingest thread, in global record order — so every
     /// output of the pool is invariant in the shard count. Its scorer is
-    /// the template each worker forks.
+    /// the template each shard forks.
     ingest: Ingest,
-    shards: usize,
+    /// Every shard's per-UE windows, parked here between batches (a slot is
+    /// empty only while its shard is out with a worker).
+    shards: Vec<Option<Box<Scorer>>>,
+    /// The threads busy shards are forked to: `shards - 1` of them, spawned
+    /// on the first batch that needs one.
+    workers: Option<Workers>,
+    /// The current batch's verdicts, merged across shards.
+    verdicts: Vec<(u64, Verdict)>,
     tracked_ues: usize,
-    workers: Vec<JoinHandle<()>>,
-    to_shards: Vec<Sender<Vec<ShardRecord>>>,
-    /// Per-shard staging for the current batch, reused across batches (the
-    /// `Vec`s round-trip through the workers and come back with the
-    /// replies).
-    staging: Vec<Vec<ShardRecord>>,
-    from_shards: Option<Receiver<ShardBatch>>,
 }
 
 impl ShardedMobiWatch {
-    /// Creates the pool (threads start lazily on the first batch, after
-    /// [`attach_obs`](Self::attach_obs) has had a chance to run).
+    /// Creates the pool (threads start lazily).
     ///
     /// # Panics
     /// If `shards` is zero.
@@ -101,23 +91,19 @@ impl ShardedMobiWatch {
     ) -> (Self, Arc<Mutex<MobiWatchState>>) {
         assert!(shards > 0, "shard count must be positive");
         let (ingest, state) = Ingest::new(models, config);
-        let pool = ShardedMobiWatch {
-            ingest,
-            shards,
-            tracked_ues: 0,
-            workers: Vec::new(),
-            to_shards: Vec::new(),
-            staging: Vec::new(),
-            from_shards: None,
-        };
+        let shards = (0..shards).map(|_| Some(Box::new(ingest.scorer.fork()))).collect();
+        let pool =
+            ShardedMobiWatch { ingest, shards, workers: None, verdicts: Vec::new(), tracked_ues: 0 };
         (pool, state)
     }
 
     /// Re-homes the pool's instruments into `obs`'s registry. Call before
-    /// the first batch — worker threads capture the instruments at spawn.
+    /// the first batch — samples and window state do not carry over.
     pub fn attach_obs(&mut self, obs: &Obs) {
-        assert!(self.workers.is_empty(), "attach_obs must precede the first batch");
         self.ingest.attach_obs(obs);
+        for shard in &mut self.shards {
+            *shard = Some(Box::new(self.ingest.scorer.fork()));
+        }
     }
 
     /// UEs with live window state across all shards, as of the last batch.
@@ -127,81 +113,96 @@ impl ShardedMobiWatch {
         self.tracked_ues
     }
 
-    fn ensure_started(&mut self) {
-        if !self.workers.is_empty() {
-            return;
-        }
-        let (reply_tx, reply_rx) = unbounded::<ShardBatch>();
-        self.staging = (0..self.shards).map(|_| Vec::new()).collect();
-        for _ in 0..self.shards {
-            let (tx, rx) = unbounded::<Vec<ShardRecord>>();
-            let scorer = self.ingest.scorer.fork();
-            let reply = reply_tx.clone();
-            self.to_shards.push(tx);
-            self.workers.push(std::thread::spawn(move || shard_loop(scorer, rx, reply)));
-        }
-        self.from_shards = Some(reply_rx);
+    /// The worker threads, spawned on first use: one busy shard is always
+    /// scored on the ingest thread, so `shards - 1` can be out at once.
+    fn workers(&mut self) -> &Workers {
+        let threads = self.shards.len() - 1;
+        self.workers.get_or_insert_with(|| {
+            let (to_workers, work) = unbounded::<Forked>();
+            let (done, from_workers) = unbounded::<Forked>();
+            let threads = (0..threads)
+                .map(|_| {
+                    let (work, done) = (work.clone(), done.clone());
+                    std::thread::spawn(move || {
+                        while let Ok((id, mut shard)) = work.recv() {
+                            // The trace id, like the alert context, is
+                            // stamped by the ingest thread on merge.
+                            shard.score(0);
+                            if done.send((id, shard)).is_err() {
+                                return; // pool is shutting down
+                            }
+                        }
+                    })
+                })
+                .collect();
+            Workers { to_workers, from_workers, threads }
+        })
     }
 
-    /// Featurizes, dispatches, and joins one batch of records; returns the
+    /// Featurizes, scores, and merges one batch of records; returns the
     /// alerts raised, ordered by global record index.
     pub fn process_batch(&mut self, records: &[UeMobiFlow]) -> Vec<AnomalyAlert> {
-        self.ensure_started();
-        let batch_start = self.ingest.seen();
+        if records.is_empty() {
+            return Vec::new();
+        }
         // Featurize sequentially (stream-level state), staging each record
-        // on its owner shard; every shard then gets exactly one send.
-        for record in records {
-            let mut features = Vec::with_capacity(FEATURES_PER_RECORD);
-            let index = self.ingest.featurize(record, &mut features);
-            self.staging[shard_of(record.du_ue_id, self.shards)].push(ShardRecord {
-                index,
-                du_ue_id: record.du_ue_id,
-                evict: record.msg == xsec_proto::MessageKind::RrcRelease,
-                features,
-            });
-        }
-        // Fork/join: one work message per shard (empty slices included — the
-        // reply is the barrier), one reply per shard.
-        for (tx, staged) in self.to_shards.iter().zip(&mut self.staging) {
-            tx.send(std::mem::take(staged)).expect("shard alive");
-        }
-        let rx = self.from_shards.as_ref().expect("started");
-        let mut verdicts = Vec::new();
-        self.tracked_ues = 0;
-        for _ in 0..self.shards {
-            let batch = rx.recv().expect("shard replies");
-            verdicts.extend(batch.verdicts);
-            self.tracked_ues += batch.tracked;
-            if let Some(slot) = self.staging.iter_mut().find(|s| s.capacity() == 0) {
-                *slot = batch.spent;
+        // on its owner shard. An RRC release ends the connection for good —
+        // DU ids are never reused within a run — so once the release record
+        // itself is scored the UE's window state is dead weight, and a
+        // million-UE stream would pin a million rings.
+        let shards = &mut self.shards;
+        let count = shards.len();
+        let first = self.ingest.featurize(records, |featurizer, index, record| {
+            let ue = record.du_ue_id;
+            let shard = shards[shard_of(ue, count)].as_mut().expect("parked between batches");
+            shard.push(featurizer, index, record, ue, record.msg == MessageKind::RrcRelease);
+        });
+        // Fork only when there is something to join: the first busy shard
+        // is scored right here, any other goes to a worker.
+        let mut local = None;
+        let mut forked = 0;
+        for id in 0..count {
+            if !self.shards[id].as_ref().is_some_and(|shard| shard.is_busy()) {
+                continue;
             }
+            if local.is_none() {
+                local = Some(id);
+                continue;
+            }
+            let shard = self.shards[id].take().expect("checked busy");
+            self.workers().to_workers.send((id, shard)).expect("workers alive");
+            forked += 1;
+        }
+        let local = local.expect("a non-empty batch has a busy shard");
+        self.shards[local].as_mut().expect("never forked").score(0);
+        for _ in 0..forked {
+            let (id, shard) = self.workers().from_workers.recv().expect("worker replies");
+            self.shards[id] = Some(shard);
         }
         // Deterministic merge: shard arrival order is per-UE only; global
         // record index restores the stream order regardless of shard count.
-        verdicts.sort_unstable_by_key(|(index, _)| *index);
+        self.tracked_ues = 0;
+        for shard in self.shards.iter_mut().flatten() {
+            self.verdicts.append(&mut shard.verdicts);
+            self.tracked_ues += shard.tracked();
+        }
+        self.verdicts.sort_unstable_by_key(|(index, _)| *index);
         // Emit in global record order, each alert seeing the stream's tail
         // *as of its record* — exactly what the single-threaded MobiWatch
         // logs and attaches. Shards can't build the context (each sees only
         // its own UEs), and a per-UE context would hide stream-level
         // signatures like a storm of one-shot connections.
-        let mut alerts = Vec::new();
-        let mut verdicts = verdicts.into_iter().peekable();
-        for (record, index) in records.iter().zip(batch_start..) {
-            self.ingest.remember(record);
-            if let Some((_, verdict)) = verdicts.next_if(|(scored, _)| *scored == index) {
-                let trace = self.ingest.trace_for(record);
-                alerts.extend(self.ingest.emit(record, index, trace, verdict));
-            }
-        }
-        alerts
+        self.ingest.emit(records, first, &mut self.verdicts)
     }
 }
 
 impl Drop for ShardedMobiWatch {
     fn drop(&mut self) {
-        self.to_shards.clear(); // hang up: workers exit on channel close
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        if let Some(Workers { to_workers, threads, .. }) = self.workers.take() {
+            drop(to_workers); // hang up: workers exit on channel close
+            for thread in threads {
+                let _ = thread.join();
+            }
         }
     }
 }
@@ -223,41 +224,6 @@ impl XApp for ShardedMobiWatch {
     }
 }
 
-/// The worker body: per-UE windowing and scoring over this shard's UE set —
-/// a map of window cores, one per `du_ue_id`.
-fn shard_loop(mut scorer: Scorer, rx: Receiver<Vec<ShardRecord>>, reply: Sender<ShardBatch>) {
-    let window = scorer.window();
-    let mut ues: HashMap<u32, WindowCore> = HashMap::new();
-    let mut ring_pool: Vec<FeatureRing> = Vec::new();
-    let mut batch = ShardBatch::default();
-    while let Ok(mut spent) = rx.recv() {
-        for ShardRecord { index, du_ue_id, evict, features } in spent.drain(..) {
-            let core = ues
-                .entry(du_ue_id)
-                .or_insert_with(|| WindowCore::new(window, &mut ring_pool));
-            // The trace id, like the alert context, is stamped by the
-            // ingest thread on merge.
-            if let Some(verdict) = core.push(&mut scorer, &features, 0) {
-                batch.verdicts.push((index, verdict));
-            }
-            // An RRC release ends the connection for good — DU ids are
-            // never reused within a run — so once the release record
-            // itself is scored, the UE's window state is dead weight, and
-            // a million-UE stream would pin a million rings.
-            if evict {
-                if let Some(core) = ues.remove(&du_ue_id) {
-                    core.retire(&mut ring_pool);
-                }
-            }
-        }
-        batch.tracked = ues.len();
-        batch.spent = spent;
-        if reply.send(std::mem::take(&mut batch)).is_err() {
-            return; // pool is shutting down
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,9 +240,19 @@ mod tests {
         shards: usize,
         stream: &TelemetryStream,
     ) -> MobiWatchState {
+        // An odd batch size exercises the fork/join on uneven boundaries.
+        run_chunked(models, config, shards, 23, stream)
+    }
+
+    fn run_chunked(
+        models: &DeployedModels,
+        config: &MobiWatchConfig,
+        shards: usize,
+        chunk: usize,
+        stream: &TelemetryStream,
+    ) -> MobiWatchState {
         let (mut pool, state) = ShardedMobiWatch::new(models.clone(), config.clone(), shards);
-        // Mixed batch sizes exercise the fork/join on uneven boundaries.
-        for chunk in stream.records.chunks(23) {
+        for chunk in stream.records.chunks(chunk) {
             pool.process_batch(chunk);
         }
         drop(pool);
@@ -387,6 +363,44 @@ mod tests {
             assert_eq!(a.at_record, b.at_record);
             assert_eq!(a.records, b.records);
         }
+        // Nor on how the stream was cut into batches: a UE released and
+        // recycled mid-batch scores as it does record at a time.
+        for (shards, chunk) in [(1, 1), (4, 1), (1, 240), (4, stream.records.len())] {
+            let other = run_chunked(&models, &config, shards, chunk, &stream);
+            assert_eq!(single.scores, other.scores, "{shards} shards, batches of {chunk}");
+            let positions = |s: &MobiWatchState| -> Vec<u64> {
+                s.alerts.iter().map(|a| a.at_record).collect()
+            };
+            assert_eq!(positions(&single), positions(&other), "{shards} shards/{chunk}");
+        }
+    }
+
+    #[test]
+    fn one_busy_shard_is_scored_without_a_hand_off() {
+        let models = quick_models(39);
+        let ds = DatasetBuilder::small(31, 4).benign();
+        let stream = extract_from_events(&ds.events);
+        let (mut pool, state) = ShardedMobiWatch::new(models.clone(), MobiWatchConfig::default(), 1);
+        assert!(pool.process_batch(&[]).is_empty());
+        // A 1-shard pool never has anyone to hand work to.
+        for chunk in stream.records.chunks(23) {
+            pool.process_batch(chunk);
+        }
+        assert!(pool.workers.is_none(), "a 1-shard pool spawned a worker");
+        assert!(!state.lock().scores.is_empty());
+        // A wider pool spawns no thread for batches that touch one shard,
+        // and parks every shard again after each batch, forked or not, with
+        // nothing left in flight.
+        let (mut pool, _state) = ShardedMobiWatch::new(models, MobiWatchConfig::default(), 3);
+        for chunk in stream.records.chunks(1).chain(stream.records.chunks(50)) {
+            assert!(chunk.len() > 1 || pool.workers.is_none(), "a lone record was handed off");
+            pool.process_batch(chunk);
+            for shard in &pool.shards {
+                let shard = shard.as_ref().expect("parked");
+                assert!(!shard.is_busy() && shard.verdicts.is_empty());
+            }
+        }
+        assert_eq!(pool.workers.as_ref().map(|w| w.threads.len()), Some(2));
     }
 
     #[test]

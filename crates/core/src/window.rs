@@ -1,13 +1,18 @@
 //! The one window core: per-key sliding-window state, the scoring rule, and
 //! the stream-ordered emission of scores and alerts.
 //!
-//! Detection has two halves. *Scoring* is per key: a [`WindowCore`] is one
-//! key's feature ring plus its cooldown clock, and [`WindowCore::push`] is
-//! the only place a window is scored, thresholded, and rate-limited.
-//! [`MobiWatch`](crate::mobiwatch::MobiWatch) holds one core — the paper's
-//! global window is "one key" — and each shard of the
-//! [`ShardedMobiWatch`](crate::shard::ShardedMobiWatch) pool holds a map of
-//! them, one per `du_ue_id`. *Emission* is global: [`Ingest`] owns what must
+//! Detection has two halves. *Scoring* is per key, in three steps per E2
+//! indication, all inside [`Scorer::score`]: **stage** — each record's
+//! features go into its key's [`WindowCore`] ring and the span they complete
+//! is copied into the batch buffer; **flush** — one batched model pass over
+//! every staged span (one GEMM per layer per indication, not one GEMV per
+//! window); **judge** — threshold and per-key cooldown, in staging order.
+//! The kernels make a window's score independent of its batch, so how a
+//! stream is cut into indications moves no verdict.
+//! [`MobiWatch`](crate::mobiwatch::MobiWatch) scores every record under one
+//! key — the paper's global window — and each shard of the
+//! [`ShardedMobiWatch`](crate::shard::ShardedMobiWatch) pool keys by
+//! `du_ue_id`. *Emission* is global: [`Ingest`] owns what must
 //! follow stream order whatever the keying — relational featurization,
 //! flight events, the shared inspection state, and alert context — so both
 //! xApps produce the same artifacts from the same verdicts.
@@ -19,7 +24,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
-use xsec_dl::{FeatureRing, Featurizer, Workspace, FEATURES_PER_RECORD};
+use xsec_dl::{FeatureRing, Featurizer, Threshold, Workspace, FEATURES_PER_RECORD};
 use xsec_mobiflow::{encode_ue_record, TelemetryStream, UeMobiFlow};
 use xsec_obs::{
     Counter, FlightEvent, FlightRecorder, FlightRing, Histogram, Obs, TraceStage,
@@ -45,39 +50,6 @@ impl WatchMetrics {
     }
 }
 
-/// What every key's window is scored with: the deployed models (one
-/// read-only copy shared by every fork), the detector / cooldown in force,
-/// the instruments, and a scoring workspace. One per scoring thread.
-pub(crate) struct Scorer {
-    models: Arc<DeployedModels>,
-    config: MobiWatchConfig,
-    metrics: WatchMetrics,
-    workspace: Workspace,
-}
-
-impl Scorer {
-    /// A scorer over the same models, config, and instruments with its own
-    /// workspace — what each shard thread scores with.
-    pub(crate) fn fork(&self) -> Scorer {
-        Scorer {
-            models: Arc::clone(&self.models),
-            config: self.config.clone(),
-            metrics: self.metrics.clone(),
-            workspace: Workspace::new(),
-        }
-    }
-
-    /// The sliding-window length in force.
-    pub(crate) fn window(&self) -> usize {
-        self.models.feature_config.window
-    }
-
-    /// How often the scoring workspace had to grow a buffer.
-    pub(crate) fn workspace_grow_events(&self) -> usize {
-        self.workspace.grow_events()
-    }
-}
-
 /// What one completed window scored.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Verdict {
@@ -91,83 +63,215 @@ pub(crate) struct Verdict {
 /// One key's sliding-window detection state. Deliberately small: alert
 /// context comes from [`Ingest`]'s global record tail, so a core keeps only
 /// what scoring needs.
-pub(crate) struct WindowCore {
+struct WindowCore {
     ring: FeatureRing,
-    seen: u64,
+    /// Windows judged so far — the cooldown's clock.
+    judged: u64,
     last_publish: Option<u64>,
 }
 
 impl WindowCore {
-    /// Fresh state for a `window`-record detector, reusing a ring from
-    /// `pool` when one is free so churning keys don't reallocate the
-    /// (large) flat feature buffer.
-    pub(crate) fn new(window: usize, pool: &mut Vec<FeatureRing>) -> Self {
+    fn new(window: usize) -> Self {
         // The LSTM consumes window + 1 rows (sequence plus predicted step).
-        let ring = pool
-            .pop()
-            .unwrap_or_else(|| FeatureRing::new(FEATURES_PER_RECORD, window + 1));
-        WindowCore { ring, seen: 0, last_publish: None }
+        let ring = FeatureRing::new(FEATURES_PER_RECORD, window + 1);
+        WindowCore { ring, judged: 0, last_publish: None }
     }
 
-    /// Drops the state, returning its ring to `pool`.
-    pub(crate) fn retire(mut self, pool: &mut Vec<FeatureRing>) {
+    /// Forgets the key but keeps the (large) flat feature buffer, so
+    /// churning keys don't reallocate it.
+    fn reset(&mut self) {
         self.ring.clear();
-        pool.push(self.ring);
+        self.judged = 0;
+        self.last_publish = None;
     }
 
-    /// Appends one record's features and scores the window it completes
-    /// (`None` while the key is still filling its first window). Scoring
-    /// happens for every window; `publish` additionally respects the
-    /// cooldown, counted in the key's own records so it is invariant in
-    /// what other keys are doing. `trace` (0 = unknown here) becomes the
-    /// inference-latency exemplar.
-    pub(crate) fn push(
-        &mut self,
-        scorer: &mut Scorer,
-        features: &[f32],
-        trace: u64,
-    ) -> Option<Verdict> {
+    /// Appends one record's features and, once the key has filled its first
+    /// `span`-record window, copies the span the record completes onto
+    /// `spans`. Returns whether it did; every staged span is owed one
+    /// [`WindowCore::judge`], in staging order.
+    fn stage(&mut self, features: &[f32], span: usize, spans: &mut Vec<f32>) -> bool {
         self.ring.push(features);
-        self.seen += 1;
-        let n = scorer.window();
-        let detector = scorer.config.detector;
-        let span = detector.span(n);
         if self.ring.len() < span {
-            return None;
+            return false;
         }
-        let start = Instant::now();
-        let span = self.ring.last_n(span);
-        let (score, threshold) = match detector {
-            Detector::Autoencoder => (
-                scorer.models.autoencoder.score_window(span, &mut scorer.workspace),
-                scorer.models.ae_threshold,
-            ),
-            Detector::Lstm => {
-                let (window_flat, next) = span.split_at(n * FEATURES_PER_RECORD);
-                (
-                    scorer.models.lstm.score_window(window_flat, next, &mut scorer.workspace),
-                    scorer.models.lstm_threshold,
-                )
-            }
-        };
-        scorer.metrics.inference_latency.observe_duration_with_exemplar(start.elapsed(), trace);
+        spans.extend_from_slice(self.ring.last_n(span));
+        true
+    }
 
+    /// Thresholds the score of this key's next staged window. Every window
+    /// is judged; `publish` additionally respects the cooldown, counted in
+    /// the key's own windows (one per record once the first has filled) so
+    /// it is invariant in what other keys are doing and in how the stream
+    /// was batched.
+    fn judge(&mut self, score: f32, threshold: Threshold, cooldown: u64) -> Verdict {
         let flagged = threshold.is_anomalous(score);
+        self.judged += 1;
         // Cooldown: one alert per burst, not one per window.
-        let cooldown = scorer.config.publish_cooldown as u64;
-        let cooling = self.last_publish.is_some_and(|last| self.seen - last < cooldown);
+        let cooling = self.last_publish.is_some_and(|last| self.judged - last < cooldown);
         let publish = flagged && !cooling;
         if publish {
-            self.last_publish = Some(self.seen);
+            self.last_publish = Some(self.judged);
         }
-        Some(Verdict { score, threshold: threshold.value, flagged, publish })
+        Verdict { score, threshold: threshold.value, flagged, publish }
+    }
+}
+
+/// What a set of keyed windows is scored with and where they live — a
+/// shard of the pool, or `MobiWatch`'s one global key: the deployed models
+/// (one read-only copy shared by every fork), the detector / cooldown in
+/// force, the instruments, a scoring workspace, one core per live key, and
+/// the batch in flight. Self-contained, so any thread can score it.
+pub(crate) struct Scorer {
+    models: Arc<DeployedModels>,
+    config: MobiWatchConfig,
+    metrics: WatchMetrics,
+    workspace: Workspace,
+    /// Cores by slot; a free slot keeps its ring for the next key.
+    cores: Vec<WindowCore>,
+    by_key: HashMap<u32, usize>,
+    free: Vec<usize>,
+    /// This batch's `(global record index, key, release)`s in stream order,
+    /// and their features, one flat row each.
+    work: Vec<(u64, u32, bool)>,
+    features: Vec<f32>,
+    /// `(global record index, core slot)` of each window staged this batch,
+    /// their spans back to back (≤ records × span floats: the batched
+    /// pass's input) and, once flushed, their scores.
+    staged: Vec<(u64, usize)>,
+    spans: Vec<f32>,
+    scores: Vec<f32>,
+    /// Slots of keys released this batch.
+    released: Vec<usize>,
+    /// `(global record index, verdict)` in arrival order, for the caller to
+    /// drain.
+    pub(crate) verdicts: Vec<(u64, Verdict)>,
+}
+
+impl Scorer {
+    fn new(models: Arc<DeployedModels>, config: MobiWatchConfig, metrics: WatchMetrics) -> Self {
+        Scorer {
+            models,
+            config,
+            metrics,
+            workspace: Workspace::new(),
+            cores: Vec::new(),
+            by_key: HashMap::new(),
+            free: Vec::new(),
+            work: Vec::new(),
+            features: Vec::new(),
+            staged: Vec::new(),
+            spans: Vec::new(),
+            scores: Vec::new(),
+            released: Vec::new(),
+            verdicts: Vec::new(),
+        }
+    }
+
+    /// An empty scorer over the same models, config, and instruments.
+    pub(crate) fn fork(&self) -> Scorer {
+        Scorer::new(Arc::clone(&self.models), self.config.clone(), self.metrics.clone())
+    }
+
+    /// The sliding-window length in force.
+    pub(crate) fn window(&self) -> usize {
+        self.models.feature_config.window
+    }
+
+    /// Adds the stream's record `index` to the batch under `key`. A
+    /// `release` ends the key: its state is dropped once this record's
+    /// window is judged.
+    pub(crate) fn push(
+        &mut self,
+        featurizer: &mut Featurizer,
+        index: u64,
+        record: &UeMobiFlow,
+        key: u32,
+        release: bool,
+    ) {
+        featurizer.append_record(record, &mut self.features);
+        self.work.push((index, key, release));
+    }
+
+    /// Whether the batch holds any records.
+    pub(crate) fn is_busy(&self) -> bool {
+        !self.work.is_empty()
+    }
+
+    /// Keys with live window state.
+    pub(crate) fn tracked(&self) -> usize {
+        self.by_key.len()
+    }
+
+    /// How often the scoring workspace had to grow a buffer.
+    pub(crate) fn workspace_grow_events(&self) -> usize {
+        self.workspace.grow_events()
+    }
+
+    /// Scores the batch into `verdicts`: stage every record on its key's
+    /// core, flush once, judge in staging order. `trace` (0 = unknown here)
+    /// is the latency sample's exemplar.
+    pub(crate) fn score(&mut self, trace: u64) {
+        let (window, detector) = (self.window(), self.config.detector);
+        let span = detector.span(window);
+        for ((index, key, release), row) in
+            self.work.drain(..).zip(self.features.chunks_exact(FEATURES_PER_RECORD))
+        {
+            let slot = *self.by_key.entry(key).or_insert_with(|| {
+                self.free.pop().unwrap_or_else(|| {
+                    self.cores.push(WindowCore::new(window));
+                    self.cores.len() - 1
+                })
+            });
+            if self.cores[slot].stage(row, span, &mut self.spans) {
+                self.staged.push((index, slot));
+            }
+            // The key is forgotten now — whatever the batching, a later
+            // record under it starts afresh — and the slot recycled once
+            // its last window is judged.
+            if release {
+                self.by_key.remove(&key);
+                self.released.push(slot);
+            }
+        }
+        self.features.clear();
+        self.flush(trace);
+        let threshold = match detector {
+            Detector::Autoencoder => self.models.ae_threshold,
+            Detector::Lstm => self.models.lstm_threshold,
+        };
+        let cooldown = self.config.publish_cooldown as u64;
+        for ((index, slot), &score) in self.staged.drain(..).zip(&self.scores) {
+            self.verdicts.push((index, self.cores[slot].judge(score, threshold, cooldown)));
+        }
+        for slot in self.released.drain(..) {
+            self.cores[slot].reset();
+            self.free.push(slot);
+        }
+    }
+
+    /// Scores every staged span in one batched model pass. One
+    /// inference-latency sample per call that scored anything.
+    fn flush(&mut self, trace: u64) {
+        if self.spans.is_empty() {
+            return;
+        }
+        let start = Instant::now();
+        let Scorer { models, config, metrics, workspace, spans, scores, .. } = self;
+        match config.detector {
+            Detector::Autoencoder => models.autoencoder.score_spans(spans, workspace, scores),
+            Detector::Lstm => {
+                models.lstm.score_spans(spans, models.feature_config.window, workspace, scores)
+            }
+        }
+        spans.clear();
+        metrics.inference_latency.observe_duration_with_exemplar(start.elapsed(), trace);
     }
 }
 
 /// The stream-ordered half of detection, run on the thread that owns record
 /// order. Everything it produces is a pure function of the global record
 /// sequence and the verdicts — which is why detections and incident traces
-/// are invariant in how scoring was keyed or sharded.
+/// are invariant in how scoring was keyed, sharded or batched.
 pub(crate) struct Ingest {
     pub(crate) scorer: Scorer,
     featurizer: Featurizer,
@@ -192,12 +296,7 @@ impl Ingest {
         let recorder = FlightRecorder::new();
         let flight = recorder.ring();
         let ingest = Ingest {
-            scorer: Scorer {
-                models: Arc::new(models),
-                config,
-                metrics,
-                workspace: Workspace::new(),
-            },
+            scorer: Scorer::new(Arc::new(models), config, metrics),
             featurizer: Featurizer::new(),
             seen: 0,
             tail: VecDeque::new(),
@@ -216,20 +315,25 @@ impl Ingest {
         self.flight = self.recorder.ring();
     }
 
-    /// Records featurized so far — the next record's global index.
-    pub(crate) fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Featurizes the stream's next record into `out` and returns its
-    /// global index. Strictly sequential: the relational features (TMSI
-    /// reuse, inter-arrival gaps, burst density) are stream-level state.
-    pub(crate) fn featurize(&mut self, record: &UeMobiFlow, out: &mut Vec<f32>) -> u64 {
+    /// Featurizes the stream's next `records` (non-empty), handing each with
+    /// its global index to `row`, which appends its features where the
+    /// record's window lives; returns the first record's index. Strictly
+    /// sequential: the relational features (TMSI reuse, inter-arrival gaps,
+    /// burst density) are stream-level state. One featurize-latency sample
+    /// per call.
+    pub(crate) fn featurize(
+        &mut self,
+        records: &[UeMobiFlow],
+        mut row: impl FnMut(&mut Featurizer, u64, &UeMobiFlow),
+    ) -> u64 {
+        let first = self.seen;
         let start = Instant::now();
-        self.featurizer.encode_record_into(record, out);
+        for record in records {
+            row(&mut self.featurizer, self.seen, record);
+            self.seen += 1;
+        }
         self.scorer.metrics.featurize_latency.observe_duration(start.elapsed());
-        self.seen += 1;
-        self.seen - 1
+        first
     }
 
     /// The causal trace the E2 agent rooted for `record` (0 = untraced).
@@ -237,54 +341,62 @@ impl Ingest {
         self.recorder.trace_for(record.msg_id)
     }
 
-    /// Appends `record` to the alert-context tail. Call in stream order,
-    /// before emitting the verdict of the window the record completes.
-    pub(crate) fn remember(&mut self, record: &UeMobiFlow) {
-        if self.tail.len() == self.scorer.config.context_records + self.scorer.window() {
-            self.tail.pop_front();
-        }
-        self.tail.push_back(record.clone());
-    }
-
-    /// Logs the verdict of the window `record` (global `index`) completed:
-    /// the inference span, the `(index, score, flagged)` row, and — when
-    /// the verdict says publish — the alert with the stream's trailing
-    /// window + context attached, its trace frozen as an incident.
+    /// Walks one batch in stream order (`first` = its first record's global
+    /// index), draining the verdicts of the windows its records completed
+    /// (ascending by index). Each record joins the alert-context tail, then
+    /// its verdict is logged: the inference span, the `(index, score,
+    /// flagged)` row, and — when the verdict says publish — the alert with
+    /// the stream's trailing window + context *as of that record* attached,
+    /// its trace frozen as an incident.
     pub(crate) fn emit(
         &mut self,
-        record: &UeMobiFlow,
-        index: u64,
-        trace: u64,
-        verdict: Verdict,
-    ) -> Option<AnomalyAlert> {
-        let span = |stage| FlightEvent {
-            trace,
-            stage,
-            at_us: record.timestamp.as_micros(),
-            a: u64::from(verdict.score.to_bits()),
-            b: u64::from(verdict.threshold.to_bits()),
-        };
-        self.flight.record(span(TraceStage::Inference));
+        records: &[UeMobiFlow],
+        first: u64,
+        verdicts: &mut Vec<(u64, Verdict)>,
+    ) -> Vec<AnomalyAlert> {
+        let keep = self.scorer.config.context_records + self.scorer.window();
+        let mut alerts = Vec::new();
+        let mut verdicts = verdicts.drain(..).peekable();
         let mut state = self.state.lock();
-        state.scores.push((index, verdict.score, verdict.flagged));
-        if !verdict.publish {
-            return None;
+        for (record, index) in records.iter().zip(first..) {
+            if self.tail.len() == keep {
+                self.tail.pop_front();
+            }
+            self.tail.push_back(record.clone());
+            let Some((_, verdict)) = verdicts.next_if(|(scored, _)| *scored == index) else {
+                continue;
+            };
+            let trace = self.recorder.trace_for(record.msg_id);
+            let span = |stage| FlightEvent {
+                trace,
+                stage,
+                at_us: record.timestamp.as_micros(),
+                a: u64::from(verdict.score.to_bits()),
+                b: u64::from(verdict.threshold.to_bits()),
+            };
+            self.flight.record(span(TraceStage::Inference));
+            state.scores.push((index, verdict.score, verdict.flagged));
+            if !verdict.publish {
+                continue;
+            }
+            let alert = AnomalyAlert {
+                trace,
+                at_record: index,
+                at_time: record.timestamp,
+                score: verdict.score,
+                threshold: verdict.threshold,
+                records: self.tail.iter().map(encode_ue_record).collect(),
+            };
+            // A detection fired: freeze this trace's causal slice and append
+            // the alert span to it.
+            self.recorder.mark_incident(trace);
+            self.recorder.record_stage(span(TraceStage::Alert));
+            state.alerts.push(alert.clone());
+            self.scorer.metrics.alerts.inc();
+            alerts.push(alert);
         }
-        let alert = AnomalyAlert {
-            trace,
-            at_record: index,
-            at_time: record.timestamp,
-            score: verdict.score,
-            threshold: verdict.threshold,
-            records: self.tail.iter().map(encode_ue_record).collect(),
-        };
-        // A detection fired: freeze this trace's causal slice and append the
-        // alert span to it.
-        self.recorder.mark_incident(trace);
-        self.recorder.record_stage(span(TraceStage::Alert));
-        state.alerts.push(alert.clone());
-        self.scorer.metrics.alerts.inc();
-        Some(alert)
+        debug_assert!(verdicts.next().is_none(), "verdict for a record outside the batch");
+        alerts
     }
 
     /// Publishes one alert on the configured topic for the analyzer.
@@ -328,16 +440,14 @@ mod tests {
     use crate::mobiwatch::MobiWatch;
     use crate::shard::ShardedMobiWatch;
     use crate::smo::quick_models;
+    use proptest::prelude::*;
     use xsec_attacks::DatasetBuilder;
     use xsec_dl::FeatureConfig;
     use xsec_mobiflow::extract_from_events;
     use xsec_types::AttackKind;
 
-    #[test]
-    fn global_window_is_the_one_key_case_of_the_sharded_pool() {
-        // The equivalence the shared core rests on: over a single-UE stream
-        // the global window and the per-UE window are the same window, so
-        // MobiWatch and a pool of any width must agree on every artifact.
+    /// The single-UE slice of a NullCipher stream with the most records.
+    fn longest_session() -> Vec<UeMobiFlow> {
         let ds = DatasetBuilder::small(41, 10).attack(AttackKind::NullCipher);
         let stream = extract_from_events(&ds.report.events);
         let mut sizes: HashMap<u32, usize> = HashMap::new();
@@ -345,9 +455,34 @@ mod tests {
             *sizes.entry(record.du_ue_id).or_default() += 1;
         }
         let (&ue, &len) = sizes.iter().max_by_key(|(ue, len)| (**len, **ue)).unwrap();
-        let records: Vec<UeMobiFlow> =
-            stream.records.iter().filter(|r| r.du_ue_id == ue).cloned().collect();
         assert!(len > 8, "longest session has only {len} records");
+        stream.records.iter().filter(|r| r.du_ue_id == ue).cloned().collect()
+    }
+
+    /// `(index, score bits, flagged)` rows and `(at_record, score bits,
+    /// threshold bits, context lines)` alerts — everything a detection
+    /// digest is made of.
+    type Artifacts = (Vec<(u64, u32, bool)>, Vec<(u64, u32, u32, Vec<String>)>);
+
+    fn artifacts(state: &MobiWatchState) -> Artifacts {
+        (
+            state.scores.iter().map(|(i, s, f)| (*i, s.to_bits(), *f)).collect(),
+            state
+                .alerts
+                .iter()
+                .map(|a| (a.at_record, a.score.to_bits(), a.threshold.to_bits(), a.records.clone()))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn global_window_is_the_one_key_case_of_the_sharded_pool() {
+        // The equivalence the shared core rests on: over a single-UE stream
+        // the global window and the per-UE window are the same window, so
+        // MobiWatch and a pool of any width must agree on every artifact —
+        // whatever size the batches are.
+        let records = longest_session();
+        let len = records.len();
 
         // Flag every window so the alert path (cooldown, context lines)
         // is compared too, not just the scores.
@@ -364,25 +499,156 @@ mod tests {
             let global = global.lock();
             assert_eq!(global.scores.len(), len + 1 - detector.span(4), "{detector:?}");
             assert!(global.alerts.len() > 1, "{detector:?}: cooldown path not exercised");
-            for shards in [1, 3] {
+            for (shards, chunk) in [(1, 5), (3, 5), (1, 1), (3, 64)] {
                 let (mut pool, sharded) =
                     ShardedMobiWatch::new(models.clone(), config.clone(), shards);
-                for chunk in records.chunks(5) {
+                for chunk in records.chunks(chunk) {
                     pool.process_batch(chunk);
                 }
                 let sharded = sharded.lock();
-                let bits = |scores: &[(u64, f32, bool)]| -> Vec<(u64, u32, bool)> {
-                    scores.iter().map(|(i, s, f)| (*i, s.to_bits(), *f)).collect()
-                };
-                assert_eq!(bits(&global.scores), bits(&sharded.scores), "{detector:?}/{shards}");
-                assert_eq!(global.alerts.len(), sharded.alerts.len(), "{detector:?}/{shards}");
-                for (a, b) in global.alerts.iter().zip(&sharded.alerts) {
-                    assert_eq!(a.at_record, b.at_record);
-                    assert_eq!(a.score.to_bits(), b.score.to_bits());
-                    assert_eq!(a.threshold.to_bits(), b.threshold.to_bits());
-                    assert_eq!(a.records, b.records, "context lines diverge");
+                assert!(
+                    artifacts(&global) == artifacts(&sharded),
+                    "{detector:?}/{shards} shards/chunks of {chunk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_windows_score_is_bit_equal_alone_and_in_any_batch() {
+        // Model level, on a real featurized stream (one-hot-sparse rows,
+        // the 48→12 layer's 4-column tail): the batched entry, the
+        // single-window entry and the dataset entries agree to the bit at
+        // every batch size.
+        let models = quick_models(44);
+        let ds = DatasetBuilder::small(45, 10).attack(AttackKind::BtsDos);
+        let stream = extract_from_events(&ds.report.events);
+        let dataset = Featurizer::encode_stream(&models.feature_config, &stream);
+        let bits = |scores: &[f32]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        let mut ws = Workspace::new();
+        let mut out = Vec::new();
+
+        let flat = dataset.flat_windows();
+        assert!(flat.rows() > 300, "stream too short: {} windows", flat.rows());
+        let alone: Vec<f32> = (0..flat.rows())
+            .map(|r| models.autoencoder.score_window(flat.row_slice(r), &mut ws))
+            .collect();
+        assert_eq!(bits(&models.autoencoder.score_rows(&flat, &mut ws)), bits(&alone));
+        for batch in [1, 2, 8, 240] {
+            let mut batched = Vec::new();
+            for spans in flat.data().chunks(batch * flat.cols()) {
+                models.autoencoder.score_spans(spans, &mut ws, &mut out);
+                batched.extend_from_slice(&out);
+            }
+            assert_eq!(bits(&batched), bits(&alone), "autoencoder, batches of {batch}");
+        }
+
+        let (windows, nexts) = dataset.lstm_pairs();
+        let steps = models.feature_config.window;
+        let alone: Vec<f32> = windows
+            .iter()
+            .zip(&nexts)
+            .map(|(w, n)| models.lstm.score_window(w.data(), n.data(), &mut ws))
+            .collect();
+        assert_eq!(bits(&models.lstm.score_batch(&windows, &nexts, &mut ws)), bits(&alone));
+        let spans: Vec<f32> = windows
+            .iter()
+            .zip(&nexts)
+            .flat_map(|(w, n)| w.data().iter().chain(n.data()).copied())
+            .collect();
+        let span = (steps + 1) * FEATURES_PER_RECORD;
+        for batch in [1, 2, 8, 240] {
+            let mut batched = Vec::new();
+            for spans in spans.chunks(batch * span) {
+                models.lstm.score_spans(spans, steps, &mut ws, &mut out);
+                batched.extend_from_slice(&out);
+            }
+            assert_eq!(bits(&batched), bits(&alone), "lstm, batches of {batch}");
+        }
+    }
+
+    /// Everything the chunking property compares against, computed once:
+    /// the stream, models whose thresholds sit at the stream's median score
+    /// (so flags come in irregular runs: alerts mid-batch, cooldowns and
+    /// alert context straddling batch boundaries), and the record-at-a-time
+    /// artifacts per detector and cooldown.
+    struct Reference {
+        records: Vec<UeMobiFlow>,
+        models: DeployedModels,
+        expected: HashMap<(bool, usize), Artifacts>,
+    }
+
+    const COOLDOWNS: [usize; 3] = [0, 3, 16];
+
+    fn watch_config(lstm: bool, publish_cooldown: usize) -> MobiWatchConfig {
+        let detector = if lstm { Detector::Lstm } else { Detector::Autoencoder };
+        // A short context so the tail turns over many times per stream.
+        MobiWatchConfig { detector, publish_cooldown, context_records: 6, ..Default::default() }
+    }
+
+    fn reference() -> &'static Reference {
+        static REFERENCE: std::sync::OnceLock<Reference> = std::sync::OnceLock::new();
+        REFERENCE.get_or_init(|| {
+            let ds = DatasetBuilder::small(47, 24).attack(AttackKind::BtsDos);
+            let records = extract_from_events(&ds.report.events).records;
+            assert!(records.len() > 600, "stream too short: {}", records.len());
+            let mut models = quick_models(46);
+            let median = |models: &DeployedModels, lstm: bool| {
+                let (mut watch, state) = MobiWatch::new(models.clone(), watch_config(lstm, 0));
+                records.iter().for_each(|r| drop(watch.process_record(r)));
+                let mut scores: Vec<f32> = state.lock().scores.iter().map(|s| s.1).collect();
+                scores.sort_by(f32::total_cmp);
+                scores[scores.len() / 2]
+            };
+            models.ae_threshold.value = median(&models, false);
+            models.lstm_threshold.value = median(&models, true);
+            let mut expected = HashMap::new();
+            for lstm in [false, true] {
+                for cooldown in COOLDOWNS {
+                    let (mut watch, state) =
+                        MobiWatch::new(models.clone(), watch_config(lstm, cooldown));
+                    records.iter().for_each(|r| drop(watch.process_record(r)));
+                    let state = state.lock();
+                    assert!(state.alerts.len() > 10, "lstm={lstm}/{cooldown}: too few alerts");
+                    expected.insert((lstm, cooldown), artifacts(&state));
                 }
             }
+            Reference { records, models, expected }
+        })
+    }
+
+    proptest! {
+        /// However a stream is cut into indications — empty ones, single
+        /// records, a few, a full report window — `process_batch` yields
+        /// the score bits, alert positions and context lines of
+        /// record-at-a-time processing, for both detectors.
+        #[test]
+        fn any_chunking_yields_record_at_a_time_artifacts(
+            sizes in proptest::collection::vec(
+                prop_oneof![Just(0usize), Just(1usize), Just(5usize), Just(240usize), 0usize..40],
+                1..12,
+            ),
+            lstm in any::<bool>(),
+            cooldown in 0usize..COOLDOWNS.len(),
+        ) {
+            let Reference { records, models, expected } = reference();
+            let cooldown = COOLDOWNS[cooldown];
+            let (mut watch, state) = MobiWatch::new(models.clone(), watch_config(lstm, cooldown));
+            let mut rest = records.as_slice();
+            let mut returned = 0;
+            // Empty chunks are fed too; a cycle of only-empty sizes would
+            // never finish, so each cycle ends with the remainder's head.
+            for &size in sizes.iter().chain(&[7]).cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(size.min(rest.len()));
+                returned += watch.process_batch(chunk).len();
+                rest = tail;
+            }
+            let state = state.lock();
+            prop_assert_eq!(returned, state.alerts.len());
+            prop_assert!(artifacts(&state) == expected[&(lstm, cooldown)], "sizes {:?}", sizes);
         }
     }
 

@@ -127,9 +127,9 @@ impl Autoencoder {
 
     /// Anomaly score of a single window (1 × input_dim): reconstruction MSE.
     ///
-    /// This is the allocation-heavy reference path; the hot paths use
-    /// [`Autoencoder::score_window`] / [`Autoencoder::score_rows`], which
-    /// the parity tests pin against it.
+    /// This is the allocation-heavy reference path; the hot paths go
+    /// through [`Autoencoder::score_spans`], which the parity tests pin
+    /// against it.
     pub fn score_row(&self, x: &Matrix) -> f32 {
         assert_eq!(x.rows(), 1, "score_row takes one window");
         self.reconstruct(x).sub(x).mean_sq()
@@ -140,16 +140,19 @@ impl Autoencoder {
         self.score_rows(data, &mut Workspace::new())
     }
 
-    /// Batched forward pass through the layer stack into workspace
-    /// buffers; returns which buffer holds the reconstruction.
-    fn reconstruct_into<'w>(&self, x: &Matrix, ws: &'w mut Workspace) -> &'w Matrix {
+    /// The one inference pass: `m` flat row-major windows through the layer
+    /// stack, each layer a single GEMM over all of them, activations
+    /// ping-ponging between two workspace buffers; returns the one holding
+    /// the reconstruction. By the kernels' row-invariance contract a
+    /// window reconstructs to the same bits alone and in any batch.
+    fn reconstruct_into<'w>(&self, x: &[f32], m: usize, ws: &'w mut Workspace) -> &'w Matrix {
         for (li, layer) in self.layers.iter().enumerate() {
             let grew = if li == 0 {
-                layer.forward_into(x, &mut ws.a)
+                layer.forward_into(x, m, &mut ws.a)
             } else if li % 2 == 1 {
-                layer.forward_into(&ws.a, &mut ws.b)
+                layer.forward_into(ws.a.data(), m, &mut ws.b)
             } else {
-                layer.forward_into(&ws.b, &mut ws.a)
+                layer.forward_into(ws.b.data(), m, &mut ws.a)
             };
             ws.note(grew);
         }
@@ -160,36 +163,44 @@ impl Autoencoder {
         }
     }
 
-    /// Scores every row of `data` in one batched sweep: each layer is a
-    /// single GEMM over all rows instead of one GEMV per row, and all
-    /// temporaries live in the workspace. Row `i` of the result equals
-    /// `score_row(data.row_at(i))`.
-    pub fn score_rows(&self, data: &Matrix, ws: &mut Workspace) -> Vec<f32> {
-        if data.rows() == 0 {
-            return Vec::new();
+    /// Scores every `input_dim`-wide window of `spans` (flat, back to back)
+    /// in one batched pass, replacing `out` with one score per window. All
+    /// temporaries live in the workspace.
+    ///
+    /// # Panics
+    /// If `spans` is not a whole number of windows.
+    pub fn score_spans(&self, spans: &[f32], ws: &mut Workspace, out: &mut Vec<f32>) {
+        let d = self.config.input_dim;
+        assert!(spans.len().is_multiple_of(d), "spans are not whole {d}-wide windows");
+        out.clear();
+        if spans.is_empty() {
+            return;
         }
-        let recon = self.reconstruct_into(data, ws);
-        (0..data.rows())
-            .map(|i| crate::kernels::mse_row(data.row_slice(i), recon.row_slice(i)))
-            .collect()
+        let recon = self.reconstruct_into(spans, spans.len() / d, ws);
+        out.extend(
+            spans
+                .chunks_exact(d)
+                .zip(recon.data().chunks_exact(d))
+                .map(|(x, y)| crate::kernels::mse_row(x, y)),
+        );
     }
 
-    /// Scores one flattened window (`input_dim` floats) without building a
-    /// fresh `Matrix` — the steady-state zero-allocation detection hot
-    /// path. The window is staged into the workspace's input buffer
-    /// (borrowed out for the duration of the pass and returned after).
+    /// Scores every row of `data`; row `i` of the result equals
+    /// `score_row(data.row_at(i))`.
+    pub fn score_rows(&self, data: &Matrix, ws: &mut Workspace) -> Vec<f32> {
+        let mut out = Vec::with_capacity(data.rows());
+        self.score_spans(data.data(), ws, &mut out);
+        out
+    }
+
+    /// Scores one flattened window (`input_dim` floats) without allocating
+    /// once the workspace is warm.
     ///
     /// # Panics
     /// If `flat.len() != input_dim`.
     pub fn score_window(&self, flat: &[f32], ws: &mut Workspace) -> f32 {
         assert_eq!(flat.len(), self.config.input_dim, "window width mismatch");
-        let mut x = std::mem::take(&mut ws.x);
-        let grew = x.copy_from_flat(1, flat.len(), flat);
-        ws.note(grew);
-        let recon = self.reconstruct_into(&x, ws);
-        let score = crate::kernels::mse_row(flat, recon.row_slice(0));
-        ws.x = x;
-        score
+        crate::kernels::mse_row(flat, self.reconstruct_into(flat, 1, ws).row_slice(0))
     }
 
     /// [`Autoencoder::score_window`] under the spelling the frozen
@@ -330,6 +341,9 @@ mod tests {
                     (s - reference).abs() < 1e-5,
                     "row {i}: batched {s} vs per-row {reference}"
                 );
+                // Against the same pass at batch size one: the same bits.
+                let alone = model.score_window(data.row_slice(i), &mut ws);
+                assert_eq!(s.to_bits(), alone.to_bits(), "row {i} depends on its batch");
             }
         }
     }

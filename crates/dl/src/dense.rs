@@ -143,34 +143,27 @@ impl Dense {
         self.activation.apply(&x.matmul(&self.weights).add_row_broadcast(&self.bias))
     }
 
-    /// Inference forward pass into a reusable buffer — no allocation once
-    /// `out` has capacity. The bias is staged into `out` first and the
-    /// GEMM accumulates on top (one pass over the output instead of two);
-    /// single rows are just the `m = 1` case of the same kernel, whose
-    /// zero-skip saxpy makes sparse one-hot windows cheap.
+    /// Inference forward pass over `rows` flat row-major inputs into a
+    /// reusable buffer — no allocation once `out` has capacity. The bias is
+    /// staged into `out` first and the GEMM accumulates on top (one pass
+    /// over the output instead of two); a single row is just the
+    /// `rows = 1` case of the same kernel, and by the kernel's
+    /// row-invariance contract yields the bits it would in any batch.
     ///
     /// Returns `true` when `out`'s buffer grew.
-    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) -> bool {
+    pub fn forward_into(&self, x: &[f32], rows: usize, out: &mut Matrix) -> bool {
         assert_eq!(
-            x.cols(),
-            self.fan_in(),
-            "forward_into input width {} != fan_in {}",
-            x.cols(),
+            x.len(),
+            rows * self.fan_in(),
+            "forward_into input is not {rows} rows of fan_in {}",
             self.fan_in()
         );
         let fan_out = self.fan_out();
-        let grew = out.resize(x.rows(), fan_out);
+        let grew = out.resize(rows, fan_out);
         for row in out.data_mut().chunks_exact_mut(fan_out) {
             row.copy_from_slice(self.bias.row_slice(0));
         }
-        crate::kernels::gemm_acc(
-            x.data(),
-            x.rows(),
-            self.fan_in(),
-            self.weights.data(),
-            fan_out,
-            out.data_mut(),
-        );
+        crate::kernels::gemm_acc(x, rows, self.fan_in(), self.weights.data(), fan_out, out.data_mut());
         self.activation.apply_inplace(out.data_mut());
         grew
     }
@@ -294,7 +287,7 @@ mod tests {
         );
         let mut out = Matrix::default();
         for x in [&single, &batch] {
-            layer.forward_into(x, &mut out);
+            layer.forward_into(x.data(), x.rows(), &mut out);
             let reference = layer.forward(x);
             assert_eq!(out.rows(), reference.rows());
             for (a, b) in out.data().iter().zip(reference.data()) {
@@ -305,7 +298,7 @@ mod tests {
         let mut trained = layer.clone();
         let y = trained.forward_train(&single);
         trained.backward(&y.clone(), 0.1);
-        trained.forward_into(&single, &mut out);
+        trained.forward_into(single.data(), 1, &mut out);
         let reference = trained.forward(&single);
         for (a, b) in out.data().iter().zip(reference.data()) {
             assert!((a - b).abs() < 1e-5, "stale weights in buffered path: {a} vs {b}");

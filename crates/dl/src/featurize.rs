@@ -96,15 +96,16 @@ impl Featurizer {
     /// Encodes one record, updating relational state.
     pub fn encode_record(&mut self, r: &UeMobiFlow) -> Vec<f32> {
         let mut v = Vec::with_capacity(FEATURES_PER_RECORD);
-        self.encode_record_into(r, &mut v);
+        self.append_record(r, &mut v);
         v
     }
 
-    /// Encodes one record into a caller-owned buffer, updating relational
-    /// state. The buffer is cleared first; with a warm buffer this is the
-    /// allocation-free path the online detectors use.
-    pub fn encode_record_into(&mut self, r: &UeMobiFlow, v: &mut Vec<f32>) {
-        v.clear();
+    /// Encodes one record onto the end of a caller-owned buffer, updating
+    /// relational state: a batch of records becomes one flat row-major
+    /// block. With a warm buffer this is the allocation-free path the
+    /// online detectors use.
+    pub fn append_record(&mut self, r: &UeMobiFlow, v: &mut Vec<f32>) {
+        let start = v.len();
         v.reserve(FEATURES_PER_RECORD);
 
         // Message one-hot. Identity-procedure messages are weighted: a
@@ -117,8 +118,8 @@ impl Featurizer {
             }
             _ => ROUTINE_WEIGHT,
         };
-        v.resize(MessageKind::vocabulary_size(), 0.0);
-        v[r.msg.feature_index()] = msg_weight;
+        v.resize(start + MessageKind::vocabulary_size(), 0.0);
+        v[start + r.msg.feature_index()] = msg_weight;
 
         // Direction.
         v.push(if r.direction.is_uplink() { ROUTINE_WEIGHT } else { 0.0 });
@@ -228,7 +229,7 @@ impl Featurizer {
         let slot = r.release_cause.map(|c| c.code() as usize + 1).unwrap_or(0);
         v[base + slot] = if slot >= 2 { NULL_ALG_WEIGHT } else { ROUTINE_WEIGHT };
 
-        debug_assert_eq!(v.len(), FEATURES_PER_RECORD);
+        debug_assert_eq!(v.len() - start, FEATURES_PER_RECORD);
     }
 
     /// Encodes a whole labeled stream into a windowed dataset.
@@ -363,23 +364,24 @@ mod tests {
     }
 
     #[test]
-    fn encode_record_into_reuses_buffer_and_matches() {
+    fn append_record_builds_flat_rows_and_reuses_the_buffer() {
         let mut enc_a = Featurizer::new();
         let mut enc_b = Featurizer::new();
-        let mut buf = Vec::new();
-        for i in 0..40u64 {
-            let mut r = record(i, i * 700, (i % 3) as u32, Some((i % 5) as u32));
+        let mut flat = Vec::new();
+        for i in 0..40usize {
+            let mut r = record(i as u64, i as u64 * 700, (i % 3) as u32, Some((i % 5) as u32));
             if i % 4 == 0 {
                 r.cipher_alg = Some(CipherAlg::Nea0);
             }
             let fresh = enc_a.encode_record(&r);
-            enc_b.encode_record_into(&r, &mut buf);
-            assert_eq!(fresh, buf, "record {i} diverged");
+            enc_b.append_record(&r, &mut flat);
+            assert_eq!(flat.len(), (i + 1) * FEATURES_PER_RECORD);
+            assert_eq!(fresh, flat[i * FEATURES_PER_RECORD..], "record {i} diverged");
         }
-        let cap = buf.capacity();
-        let r = record(99, 99_000, 1, None);
-        enc_b.encode_record_into(&r, &mut buf);
-        assert_eq!(buf.capacity(), cap, "warm buffer must not reallocate");
+        let cap = flat.capacity();
+        flat.clear();
+        enc_b.append_record(&record(99, 99_000, 1, None), &mut flat);
+        assert_eq!(flat.capacity(), cap, "warm buffer must not reallocate");
     }
 
     #[test]

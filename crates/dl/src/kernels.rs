@@ -26,9 +26,17 @@
 //! vectorizes. The scalar dispatch keeps calling libm — bit-identical to
 //! the seed — so it remains the oracle.
 //!
-//! The kernels sum in different orders and the wide transcendentals are
-//! polynomial, so results may differ by ~1e-7 absolute; every parity test
-//! in the crate budgets 1e-5.
+//! **Row invariance.** Within one kernel, row `i` of the product is a pure
+//! function of row `i` of `a` and of `b`: every output element is one
+//! ascending-k chain — FMAs from zero in the wide kernel, `+= a·b` in the
+//! scalar one — whichever path computes it, so a window scores to the same
+//! bits alone, in any batch, and whatever [`is_mostly_zero`] decides about
+//! its neighbours. (Skipping a zero coefficient leaves a chain unchanged
+//! because weights are finite.) The live detectors rely on this to batch
+//! per indication without moving a digest; it is property-tested bit for
+//! bit below. *Across* the two kernels the chains round differently and
+//! the wide transcendentals are polynomial, so scalar and wide builds may
+//! differ by ~1e-7 absolute; those parity tests budget 1e-5.
 //!
 //! The dispatch is fixed at build time by the `simd` feature. Tests
 //! cross-check the two kernels by calling them directly; the speedup is
@@ -106,7 +114,11 @@ pub fn gemm_acc_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: 
 /// featurized windows are mostly zero *at the same positions* (unused
 /// one-hot regions), so the skip fires across the whole tile. Leftover
 /// rows run a one-row variant (the streaming GEMV path), leftover columns
-/// a narrower tile and then a zero-padded edge tile ([`tile_edge`]).
+/// a narrower tile and then single-column tiles.
+///
+/// Contract: `out[i][j] += fma(a[i][k-1], b[k-1][j], … fma(a[i][0],
+/// b[0][j], 0))` on every path, so the bits of row `i` do not depend on
+/// `m`, on the other rows, or on which path the batch's sparsity selects.
 pub fn gemm_acc_wide(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
     if k == 0 || n == 0 {
         return;
@@ -306,9 +318,12 @@ fn row_tile(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
         j += LANES;
     }
     for jj in j..n {
+        // The same FMA chain [`tile_narrow`] runs for these columns on the
+        // dense path — a mul-then-add here was the one place a row's bits
+        // depended on its batch.
         let mut acc = 0.0f32;
         for (kk, &c) in a_row.iter().enumerate() {
-            acc += c * b[kk * n + jj];
+            acc = c.mul_add(b[kk * n + jj], acc);
         }
         out_row[jj] += acc;
     }
@@ -637,7 +652,50 @@ mod tests {
         }
     }
 
+    /// A seeded stream of values uniform in [-0.5, 0.5).
+    fn uniform(seed: u64) -> impl FnMut() -> f32 {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+        }
+    }
+
     proptest! {
+        /// The row-invariance contract, bit for bit and in both kernels:
+        /// row `i` of a batched product is the product of row `i` alone,
+        /// whatever the other rows make `is_mostly_zero` decide. `n` covers
+        /// every `n % 8` edge, rows mix one-hot-sparse and dense.
+        #[test]
+        fn a_rows_bits_do_not_depend_on_its_batch(
+            m in 1usize..11,
+            k in 1usize..70,
+            n in 1usize..60,
+            seed in 0u64..1000,
+        ) {
+            let mut next = uniform(seed);
+            // seed % 3: all rows sparse, all dense, or alternating.
+            let a: Vec<f32> = (0..m * k)
+                .map(|at| {
+                    let v = next();
+                    let sparse = match seed % 3 { 0 => true, 1 => false, _ => (at / k) % 2 == 0 };
+                    if sparse && v.abs() < 0.45 { 0.0 } else { v * 4.0 }
+                })
+                .collect();
+            let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
+            let bias: Vec<f32> = (0..n).map(|_| next()).collect();
+            for kernel in [gemm_acc_scalar, gemm_acc_wide] {
+                let mut batched = bias.repeat(m);
+                kernel(&a, m, k, &b, n, &mut batched);
+                for i in 0..m {
+                    let mut alone = bias.clone();
+                    kernel(&a[i * k..(i + 1) * k], 1, k, &b, n, &mut alone);
+                    let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(&batched[i * n..(i + 1) * n]), bits(&alone), "row {} of {}", i, m);
+                }
+            }
+        }
+
         /// SIMD == scalar within 1e-5 on random shapes, including sparse
         /// (one-hot-like) inputs that exercise the zero-skip paths.
         #[test]
@@ -648,11 +706,7 @@ mod tests {
             seed in 0u64..1000,
         ) {
             let sparse = seed % 2 == 0;
-            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-            let mut next = || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-            };
+            let mut next = uniform(seed);
             let a: Vec<f32> = (0..m * k)
                 .map(|_| {
                     let v = next();

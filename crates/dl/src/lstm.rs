@@ -236,9 +236,9 @@ impl Lstm {
 
     /// Anomaly score: MSE between the prediction and the observed next.
     ///
-    /// This is the allocation-heavy reference path; the hot paths use
-    /// [`Lstm::score_window`] / [`Lstm::score_batch`], which the parity
-    /// tests pin against it.
+    /// This is the allocation-heavy reference path; the hot paths share
+    /// one batched pass ([`Lstm::score_spans`]), which the parity tests pin
+    /// against it.
     pub fn score(&self, window: &Matrix, actual_next: &Matrix) -> f32 {
         self.predict(window).sub(actual_next).mean_sq()
     }
@@ -289,11 +289,67 @@ impl Lstm {
         }
     }
 
-    /// Scores M `(window, next)` pairs in one batched time loop: at each
-    /// step the M current input vectors are stacked into one matrix so the
-    /// gate pre-activations are two GEMMs, not 2·M GEMVs. All temporaries
-    /// live in the workspace. Entry `k` equals `score(&windows[k], &nexts[k])`
-    /// up to float-summation order.
+    /// The one inference pass: runs `m` sequences of `steps` rows through
+    /// one batched time loop — at each step the `m` current input rows
+    /// (`row(k, t)`, a plain copy) are stacked so the gate pre-activations
+    /// are two GEMMs, not 2·m GEMVs — and leaves the `m` predictions in
+    /// `ws.a`. All temporaries live in the workspace; by the kernels'
+    /// row-invariance contract sequence `k`'s prediction has the same bits
+    /// alone and in any batch.
+    fn predict_into<'a>(
+        &self,
+        m: usize,
+        steps: usize,
+        row: impl Fn(usize, usize) -> &'a [f32],
+        ws: &mut Workspace,
+    ) {
+        let d = self.config.input_dim;
+        let h_dim = self.config.hidden;
+        let grew = ws.h.resize(m, h_dim);
+        ws.note(grew);
+        ws.h.data_mut().fill(0.0);
+        let grew = ws.c.resize(m, h_dim);
+        ws.note(grew);
+        ws.c.data_mut().fill(0.0);
+        for t in 0..steps {
+            let grew = ws.x.resize(m, d);
+            ws.note(grew);
+            for (k, x) in ws.x.data_mut().chunks_exact_mut(d).enumerate() {
+                x.copy_from_slice(row(k, t));
+            }
+            self.step_batched(ws);
+        }
+        let grew = self.head.forward_into(ws.h.data(), m, &mut ws.a);
+        ws.note(grew);
+    }
+
+    /// Scores every span of `spans` (flat, back to back; one span is
+    /// `steps` window rows followed by the observed next row, each
+    /// `input_dim` wide) in one batched pass, replacing `out` with one
+    /// score per span.
+    ///
+    /// # Panics
+    /// If `spans` is not a whole number of `(steps + 1)`-row spans.
+    pub fn score_spans(&self, spans: &[f32], steps: usize, ws: &mut Workspace, out: &mut Vec<f32>) {
+        let d = self.config.input_dim;
+        let span = (steps + 1) * d;
+        assert!(spans.len().is_multiple_of(span), "spans are not whole {span}-float spans");
+        let m = spans.len() / span;
+        out.clear();
+        if m == 0 {
+            return;
+        }
+        self.predict_into(m, steps, |k, t| &spans[k * span + t * d..][..d], ws);
+        out.extend(
+            spans
+                .chunks_exact(span)
+                .zip(ws.a.data().chunks_exact(d))
+                .map(|(s, pred)| crate::kernels::mse_row(pred, &s[steps * d..])),
+        );
+    }
+
+    /// Scores M `(window, next)` pairs in one batched pass. Entry `k`
+    /// equals `score(&windows[k], &nexts[k])` up to float-summation order.
     ///
     /// # Panics
     /// If lengths disagree or the windows are ragged (different step counts).
@@ -304,38 +360,22 @@ impl Lstm {
         ws: &mut Workspace,
     ) -> Vec<f32> {
         assert_eq!(windows.len(), nexts.len(), "windows/nexts length mismatch");
-        if windows.is_empty() {
+        let Some(first) = windows.first() else {
             return Vec::new();
-        }
-        let d = self.config.input_dim;
-        let h_dim = self.config.hidden;
-        let m = windows.len();
-        let steps = windows[0].rows();
-        let grew = ws.h.resize(m, h_dim);
-        ws.note(grew);
-        ws.h.data_mut().fill(0.0);
-        let grew = ws.c.resize(m, h_dim);
-        ws.note(grew);
-        ws.c.data_mut().fill(0.0);
-        for t in 0..steps {
-            let grew = ws.x.resize(m, d);
-            ws.note(grew);
-            for (k, w) in windows.iter().enumerate() {
-                assert_eq!(w.rows(), steps, "ragged window batch");
-                ws.x.data_mut()[k * d..(k + 1) * d].copy_from_slice(w.row_slice(t));
-            }
-            self.step_batched(ws);
-        }
-        let grew = self.head.forward_into(&ws.h, &mut ws.a);
-        ws.note(grew);
-        (0..m)
-            .map(|k| crate::kernels::mse_row(ws.a.row_slice(k), nexts[k].row_slice(0)))
+        };
+        let steps = first.rows();
+        assert!(windows.iter().all(|w| w.rows() == steps), "ragged window batch");
+        self.predict_into(windows.len(), steps, |k, t| windows[k].row_slice(t), ws);
+        nexts
+            .iter()
+            .zip(ws.a.data().chunks_exact(self.config.input_dim))
+            .map(|(next, pred)| crate::kernels::mse_row(pred, next.row_slice(0)))
             .collect()
     }
 
     /// Scores one flattened window (`steps · input_dim` floats) against the
-    /// observed `next` vector without building any `Matrix` — the
-    /// steady-state zero-allocation detection hot path.
+    /// observed `next` vector without building any `Matrix` or allocating
+    /// once the workspace is warm.
     ///
     /// # Panics
     /// If `window_flat` is not a whole number of steps or `next` has the
@@ -347,20 +387,7 @@ impl Lstm {
             !window_flat.is_empty() && window_flat.len().is_multiple_of(d),
             "window is not a whole number of {d}-wide steps"
         );
-        let h_dim = self.config.hidden;
-        let grew = ws.h.resize(1, h_dim);
-        ws.note(grew);
-        ws.h.data_mut().fill(0.0);
-        let grew = ws.c.resize(1, h_dim);
-        ws.note(grew);
-        ws.c.data_mut().fill(0.0);
-        for step in window_flat.chunks_exact(d) {
-            let grew = ws.x.copy_from_flat(1, d, step);
-            ws.note(grew);
-            self.step_batched(ws);
-        }
-        let grew = self.head.forward_into(&ws.h, &mut ws.a);
-        ws.note(grew);
+        self.predict_into(1, window_flat.len() / d, |_, t| &window_flat[t * d..][..d], ws);
         crate::kernels::mse_row(ws.a.row_slice(0), next)
     }
 
@@ -545,6 +572,9 @@ mod tests {
                 (s - reference).abs() < 1e-5,
                 "pair {k}: batched {s} vs per-window {reference}"
             );
+            // Against the same pass at batch size one: the same bits.
+            let alone = model.score_window(windows[k].data(), nexts[k].data(), &mut ws);
+            assert_eq!(s.to_bits(), alone.to_bits(), "pair {k} depends on its batch");
         }
     }
 

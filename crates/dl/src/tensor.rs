@@ -167,18 +167,6 @@ impl Matrix {
         grew
     }
 
-    /// Fills this matrix from a flat row-major slice, reusing the
-    /// allocation. Returns `true` when the buffer grew.
-    ///
-    /// # Panics
-    /// If `flat.len() != rows * cols`.
-    pub fn copy_from_flat(&mut self, rows: usize, cols: usize, flat: &[f32]) -> bool {
-        assert_eq!(flat.len(), rows * cols, "flat slice is not {rows}x{cols}");
-        let grew = self.resize(rows, cols);
-        self.data.copy_from_slice(flat);
-        grew
-    }
-
     /// Adds a row vector to every row in place (bias add).
     ///
     /// # Panics
@@ -459,15 +447,5 @@ mod tests {
         let mid = a.slice_rows(1, 3);
         assert_eq!(mid.rows(), 2);
         assert_eq!(mid.data(), &[3.0, 4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn copy_from_flat_round_trips() {
-        let mut m = Matrix::default();
-        assert!(m.copy_from_flat(2, 2, &[1.0, 2.0, 3.0, 4.0]));
-        assert_eq!(m.get(1, 0), 3.0);
-        assert!(!m.copy_from_flat(1, 4, &[9.0, 8.0, 7.0, 6.0]), "reshape reuses capacity");
-        assert_eq!(m.rows(), 1);
-        assert_eq!(m.row_slice(0), &[9.0, 8.0, 7.0, 6.0]);
     }
 }

@@ -21,7 +21,7 @@ pub struct Workspace {
     pub(crate) a: Matrix,
     /// Pong activation buffer.
     pub(crate) b: Matrix,
-    /// Staged input / current LSTM step input `x_t`.
+    /// Current LSTM step inputs `x_t`, one row per sequence.
     pub(crate) x: Matrix,
     /// LSTM gate pre-activations (`rows × 4·hidden`).
     pub(crate) z: Matrix,

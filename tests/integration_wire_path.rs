@@ -3,14 +3,20 @@
 //! `XApp::on_records`, an indication of 1 024 records makes as many heap
 //! allocations as one of 16 (the `Workspace::grow_events` idiom, extended to
 //! the wire). Only their sizes differ: the frame, the payload, the record
-//! `Vec`.
+//! `Vec`. The detection xApps behind it allocate per *nothing* once warm:
+//! featurization, the batched scoring pass, thresholding and the score log
+//! all run in buffers sized by the largest indication seen.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use sixg_xsec::mobiwatch::{MobiWatchConfig, MobiWatchState};
+use sixg_xsec::{Detector, MobiWatch, Pipeline, PipelineConfig, ShardedMobiWatch};
 use std::cell::Cell;
 use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
 use xsec_mobiflow::UeMobiFlow;
 use xsec_proto::{Direction, MessageKind};
-use xsec_ric::{Grants, RicPlatform, SubscriptionSpec, XApp, XAppContext};
+use xsec_ric::{
+    Grants, RicPlatform, Router, SharedDataLayer, SubscriptionSpec, XApp, XAppContext, XAppIdentity,
+};
 use xsec_types::{CellId, GnbId, Plmn, Rnti, Supi, Timestamp, Tmsi};
 
 thread_local! {
@@ -165,4 +171,65 @@ fn ingest_allocates_per_indication_not_per_record() {
     assert_eq!(large, small, "the ingest path allocated per record");
     // And an indication costs a handful: frame, payload, records, SDL entry.
     assert!(per_indication <= 16.0, "{per_indication} allocations per indication");
+}
+
+/// Allocations this thread makes inside `on_records` over `MEASURED_PERIODS`
+/// warm indications of `per_indication` records each. The traffic cycles
+/// over a fixed UE population (the featurizer's relational maps stay put),
+/// nothing is flagged (an alert allocates its context lines, per alert), and
+/// the score log is reserved up front — what is left is the per-record path.
+fn detector_allocations(
+    xapp: &mut dyn XApp,
+    state: &parking_lot::Mutex<MobiWatchState>,
+    per_indication: u64,
+) -> u64 {
+    let sdl = SharedDataLayer::new();
+    let scope = Router::new().register(XAppIdentity::named("mobiwatch"), Grants::none()).unwrap();
+    let mut control = Vec::new();
+    let mut ctx = XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+    let periods = WARM_UP_PERIODS + MEASURED_PERIODS;
+    state.lock().scores.reserve((periods * per_indication) as usize);
+    let mut next_id = 0u64;
+    let mut counted = 0;
+    for period in 1..=periods {
+        let end = Timestamp(period * PERIOD_US);
+        let records: Vec<UeMobiFlow> = (0..per_indication)
+            .map(|_| {
+                next_id += 1;
+                UeMobiFlow { msg_id: next_id, ..record(next_id % 8, Timestamp(end.as_micros() - 1)) }
+            })
+            .collect();
+        let before = allocations();
+        xapp.on_records(&mut ctx, &records, end);
+        if period > WARM_UP_PERIODS {
+            counted += allocations() - before;
+        }
+    }
+    assert!(state.lock().alerts.is_empty(), "the quiet stream raised an alert");
+    let scored = state.lock().scores.len() as u64;
+    assert!(scored >= MEASURED_PERIODS * per_indication, "only {scored} windows were scored");
+    counted
+}
+
+#[test]
+fn detectors_allocate_nothing_per_record_once_warm() {
+    let pipeline = Pipeline::train(&PipelineConfig::small(29, 10));
+    let mut models = pipeline.models().clone();
+    models.ae_threshold.value = f32::MAX;
+    models.lstm_threshold.value = f32::MAX;
+    let config = MobiWatchConfig::default();
+    for per_indication in [16, 240, 1_024] {
+        let (mut watch, state) = MobiWatch::new(models.clone(), config.clone());
+        let global = detector_allocations(&mut watch, &state, per_indication);
+        // One shard: the deployed shape, scored on the calling thread, so
+        // this thread's count sees all of it.
+        let (mut pool, state) = ShardedMobiWatch::new(models.clone(), config.clone(), 1);
+        let sharded = detector_allocations(&mut pool, &state, per_indication);
+        println!("{per_indication} records/indication: MobiWatch {global}, 1-shard pool {sharded}");
+        assert_eq!(global, 0, "MobiWatch allocated at {per_indication} records per indication");
+        assert_eq!(sharded, 0, "the pool allocated at {per_indication} records per indication");
+    }
+    let lstm = MobiWatchConfig { detector: Detector::Lstm, ..config };
+    let (mut watch, state) = MobiWatch::new(models, lstm);
+    assert_eq!(detector_allocations(&mut watch, &state, 64), 0, "LSTM MobiWatch allocated");
 }
