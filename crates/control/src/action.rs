@@ -8,14 +8,9 @@
 //! (rather than a fixed struct layout) keeps the control sub-codec
 //! forward-extensible the way E2SM payloads are.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use xsec_types::{
-    CellId, Duration, EstablishmentCause, ReleaseCause, Result, Rnti, XsecError,
+    CellId, Duration, EstablishmentCause, Put, Reader, ReleaseCause, Result, Rnti, XsecError,
 };
-
-fn err(msg: impl Into<String>) -> XsecError {
-    XsecError::Codec(msg.into())
-}
 
 /// One enforcement primitive the RIC can ask the RAN to apply.
 ///
@@ -105,55 +100,16 @@ const TAG_FORCE_REAUTH: u8 = 0x12;
 const TAG_QUARANTINE_CELL: u8 = 0x13;
 const TAG_RATE_LIMIT_CAUSE: u8 = 0x14;
 
-fn release_cause_code(cause: ReleaseCause) -> u8 {
-    match cause {
-        ReleaseCause::Normal => 0,
-        ReleaseCause::RadioLinkFailure => 1,
-        ReleaseCause::NetworkAbort => 2,
-        ReleaseCause::Congestion => 3,
-    }
-}
-
-fn release_cause_from_code(code: u8) -> Result<ReleaseCause> {
-    match code {
-        0 => Ok(ReleaseCause::Normal),
-        1 => Ok(ReleaseCause::RadioLinkFailure),
-        2 => Ok(ReleaseCause::NetworkAbort),
-        3 => Ok(ReleaseCause::Congestion),
-        other => Err(err(format!("unknown release cause code {other}"))),
-    }
-}
-
-fn establishment_cause_code(cause: EstablishmentCause) -> u8 {
-    EstablishmentCause::ALL
-        .iter()
-        .position(|c| *c == cause)
-        .expect("every cause is in ALL") as u8
-}
-
-fn establishment_cause_from_code(code: u8) -> Result<EstablishmentCause> {
-    EstablishmentCause::ALL
-        .get(code as usize)
-        .copied()
-        .ok_or_else(|| err(format!("unknown establishment cause code {code}")))
-}
-
 /// Longest value one TLV can carry: its length field is a `u16`.
 pub const MAX_TLV_VALUE_LEN: usize = u16::MAX as usize;
 
-fn put_tlv(buf: &mut BytesMut, tag: u8, value: &[u8]) -> Result<()> {
-    // A value longer than the length field can express would silently
-    // truncate `value.len() as u16` and corrupt the frame for every
-    // following TLV; refuse before writing anything.
-    if value.len() > MAX_TLV_VALUE_LEN {
-        return Err(err(format!(
-            "TLV value for tag {tag:#04x} is {} bytes; max is {MAX_TLV_VALUE_LEN}",
-            value.len()
-        )));
-    }
+/// Appends one TLV whose value is `parts` back to back. A value longer than
+/// the length field can express would corrupt the frame for every following
+/// TLV, so it is refused.
+fn put_tlv(buf: &mut Vec<u8>, tag: u8, parts: &[&[u8]]) -> Result<()> {
     buf.put_u8(tag);
-    buf.put_u16(value.len() as u16);
-    buf.put_slice(value);
+    buf.put_len::<2>(parts.iter().map(|p| p.len()).sum())?;
+    parts.iter().for_each(|p| buf.extend_from_slice(p));
     Ok(())
 }
 
@@ -170,138 +126,104 @@ impl ControlAction {
     /// Encodes the action, reporting a typed error if any TLV value would
     /// overflow the `u16` length field.
     pub fn try_encode(&self) -> Result<Vec<u8>> {
-        let mut buf = BytesMut::with_capacity(32);
-        put_tlv(&mut buf, TAG_ACTION_ID, &self.id.to_be_bytes())?;
-        put_tlv(&mut buf, TAG_TTL, &self.ttl.as_micros().to_be_bytes())?;
-        let mut body = BytesMut::with_capacity(16);
-        let tag = match &self.action {
+        // The longest payload (rate limit, traced) is 43 bytes.
+        let mut buf = Vec::with_capacity(48);
+        put_tlv(&mut buf, TAG_ACTION_ID, &[&self.id.to_be_bytes()])?;
+        put_tlv(&mut buf, TAG_TTL, &[&self.ttl.as_micros().to_be_bytes()])?;
+        match &self.action {
             MitigationAction::ReleaseUe { conn, cause } => {
-                body.put_u32(*conn);
-                body.put_u8(release_cause_code(*cause));
-                TAG_RELEASE_UE
+                put_tlv(&mut buf, TAG_RELEASE_UE, &[&conn.to_be_bytes(), &[cause.code()]])
             }
             MitigationAction::BlacklistRnti { rnti } => {
-                body.put_u16(rnti.0);
-                TAG_BLACKLIST_RNTI
+                put_tlv(&mut buf, TAG_BLACKLIST_RNTI, &[&rnti.0.to_be_bytes()])
             }
             MitigationAction::ForceReauth { conn } => {
-                body.put_u32(*conn);
-                TAG_FORCE_REAUTH
+                put_tlv(&mut buf, TAG_FORCE_REAUTH, &[&conn.to_be_bytes()])
             }
             MitigationAction::QuarantineCell { cell } => {
-                body.put_u32(cell.0);
-                TAG_QUARANTINE_CELL
+                put_tlv(&mut buf, TAG_QUARANTINE_CELL, &[&cell.0.to_be_bytes()])
             }
-            MitigationAction::RateLimitCause { cause, max_setups, window } => {
-                body.put_u8(establishment_cause_code(*cause));
-                body.put_u16(*max_setups);
-                body.put_u64(window.as_micros());
-                TAG_RATE_LIMIT_CAUSE
-            }
-        };
-        put_tlv(&mut buf, tag, &body)?;
+            MitigationAction::RateLimitCause { cause, max_setups, window } => put_tlv(
+                &mut buf,
+                TAG_RATE_LIMIT_CAUSE,
+                &[&[cause.code()], &max_setups.to_be_bytes(), &window.as_micros().to_be_bytes()],
+            ),
+        }?;
         // The trace id trails the body so fixed `[id, ttl, body]` payload
         // prefixes (and their consumers) are byte-identical with tracing
         // off — the TLV is additive, never reordering.
         if let Some(trace) = self.trace {
-            put_tlv(&mut buf, TAG_TRACE_ID, &trace.to_be_bytes())?;
+            put_tlv(&mut buf, TAG_TRACE_ID, &[&trace.to_be_bytes()])?;
         }
-        Ok(buf.to_vec())
+        Ok(buf)
     }
 
     /// Decodes a Control Request payload back into an action.
     ///
     /// Strict: unknown tags, duplicated TLVs, truncation, trailing bytes,
-    /// and missing header fields are all errors — a control channel is the
-    /// wrong place for silent tolerance.
+    /// a value longer or shorter than its tag's layout, and missing header
+    /// fields are all errors — a control channel is the wrong place for
+    /// silent tolerance.
     pub fn decode(payload: &[u8]) -> Result<Self> {
-        let mut buf = Bytes::copy_from_slice(payload);
+        let mut r = Reader::new(payload);
         let mut id: Option<u32> = None;
         let mut ttl: Option<Duration> = None;
         let mut action: Option<MitigationAction> = None;
         let mut trace: Option<u64> = None;
-        while buf.has_remaining() {
-            if buf.remaining() < 3 {
-                return Err(err("truncated TLV header"));
-            }
-            let tag = buf.get_u8();
-            let len = buf.get_u16() as usize;
-            if buf.remaining() < len {
-                return Err(err(format!(
-                    "truncated TLV value: tag {tag:#04x} wants {len}, have {}",
-                    buf.remaining()
-                )));
-            }
-            let mut value = buf.split_to(len);
+        while !r.is_empty() {
+            let tag = r.u8()?;
+            let mut v = Reader::new(r.prefixed::<2>()?);
             match tag {
-                TAG_ACTION_ID => {
-                    take_exact(&value, 4, "action id")?;
-                    set_once(&mut id, value.get_u32(), "action id")?;
-                }
-                TAG_TTL => {
-                    take_exact(&value, 8, "ttl")?;
-                    set_once(&mut ttl, Duration::from_micros(value.get_u64()), "ttl")?;
-                }
-                TAG_TRACE_ID => {
-                    take_exact(&value, 8, "trace id")?;
-                    set_once(&mut trace, value.get_u64(), "trace id")?;
-                }
+                TAG_ACTION_ID => set_once(&mut id, v.u32()?, "action id")?,
+                TAG_TTL => set_once(&mut ttl, Duration::from_micros(v.u64()?), "ttl")?,
+                TAG_TRACE_ID => set_once(&mut trace, v.u64()?, "trace id")?,
                 TAG_RELEASE_UE => {
-                    take_exact(&value, 5, "release body")?;
-                    let conn = value.get_u32();
-                    let cause = release_cause_from_code(value.get_u8())?;
+                    let conn = v.u32()?;
+                    let cause = v.code("release cause", ReleaseCause::from_code)?;
                     set_once(&mut action, MitigationAction::ReleaseUe { conn, cause }, "body")?;
                 }
                 TAG_BLACKLIST_RNTI => {
-                    take_exact(&value, 2, "blacklist body")?;
-                    let rnti = Rnti(value.get_u16());
+                    let rnti = Rnti(v.u16()?);
                     set_once(&mut action, MitigationAction::BlacklistRnti { rnti }, "body")?;
                 }
                 TAG_FORCE_REAUTH => {
-                    take_exact(&value, 4, "reauth body")?;
-                    let conn = value.get_u32();
+                    let conn = v.u32()?;
                     set_once(&mut action, MitigationAction::ForceReauth { conn }, "body")?;
                 }
                 TAG_QUARANTINE_CELL => {
-                    take_exact(&value, 4, "quarantine body")?;
-                    let cell = CellId(value.get_u32());
+                    let cell = CellId(v.u32()?);
                     set_once(&mut action, MitigationAction::QuarantineCell { cell }, "body")?;
                 }
                 TAG_RATE_LIMIT_CAUSE => {
-                    take_exact(&value, 11, "rate limit body")?;
-                    let cause = establishment_cause_from_code(value.get_u8())?;
-                    let max_setups = value.get_u16();
-                    let window = Duration::from_micros(value.get_u64());
+                    let cause = v.code("establishment cause", EstablishmentCause::from_code)?;
+                    let max_setups = v.u16()?;
+                    let window = Duration::from_micros(v.u64()?);
                     set_once(
                         &mut action,
                         MitigationAction::RateLimitCause { cause, max_setups, window },
                         "body",
                     )?;
                 }
-                other => return Err(err(format!("unknown control TLV tag {other:#04x}"))),
+                other => {
+                    return Err(XsecError::Codec(format!("unknown control TLV tag {other:#04x}")))
+                }
             }
+            v.finish()?;
         }
+        let missing = |what| XsecError::Codec(format!("missing {what} TLV"));
         Ok(ControlAction {
-            id: id.ok_or_else(|| err("missing action id TLV"))?,
-            ttl: ttl.ok_or_else(|| err("missing ttl TLV"))?,
-            action: action.ok_or_else(|| err("missing action body TLV"))?,
+            id: id.ok_or_else(|| missing("action id"))?,
+            ttl: ttl.ok_or_else(|| missing("ttl"))?,
+            action: action.ok_or_else(|| missing("action body"))?,
             // Absent is fine: the trace TLV is optional by design.
             trace,
         })
     }
 }
 
-fn take_exact(value: &Bytes, n: usize, what: &str) -> Result<()> {
-    if value.remaining() != n {
-        Err(err(format!("bad {what} length: want {n}, have {}", value.remaining())))
-    } else {
-        Ok(())
-    }
-}
-
 fn set_once<T>(slot: &mut Option<T>, value: T, what: &str) -> Result<()> {
     if slot.is_some() {
-        Err(err(format!("duplicate {what} TLV")))
+        Err(XsecError::Codec(format!("duplicate {what} TLV")))
     } else {
         *slot = Some(value);
         Ok(())
@@ -424,17 +346,17 @@ mod tests {
     fn tlv_length_boundary_is_exact() {
         // Regression: `value.len() as u16` used to truncate silently, so a
         // 65536-byte value encoded a zero length and corrupted the frame.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let max = vec![0xAB; MAX_TLV_VALUE_LEN];
-        put_tlv(&mut buf, 0x55, &max).unwrap();
+        put_tlv(&mut buf, 0x55, &[&max]).unwrap();
         assert_eq!(buf.len(), 3 + MAX_TLV_VALUE_LEN);
         assert_eq!(&buf[..3], &[0x55, 0xFF, 0xFF], "length field must be 0xFFFF");
 
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let over = vec![0xAB; MAX_TLV_VALUE_LEN + 1];
-        let e = put_tlv(&mut buf, 0x55, &over).unwrap_err();
+        let e = put_tlv(&mut buf, 0x55, &[&over]).unwrap_err();
         assert_eq!(e.category(), "codec");
-        assert!(buf.is_empty(), "rejected TLV must not leave partial bytes");
+        assert_eq!(buf, [0x55], "a refused length must not be written, truncated or not");
     }
 
     #[test]
@@ -449,10 +371,7 @@ mod tests {
     #[test]
     fn cause_codes_cover_every_variant() {
         for cause in EstablishmentCause::ALL {
-            assert_eq!(
-                establishment_cause_from_code(establishment_cause_code(cause)).unwrap(),
-                cause
-            );
+            assert_eq!(EstablishmentCause::from_code(cause.code()), Some(cause));
         }
         for cause in [
             ReleaseCause::Normal,
@@ -460,7 +379,7 @@ mod tests {
             ReleaseCause::NetworkAbort,
             ReleaseCause::Congestion,
         ] {
-            assert_eq!(release_cause_from_code(release_cause_code(cause)).unwrap(), cause);
+            assert_eq!(ReleaseCause::from_code(cause.code()), Some(cause));
         }
     }
 }

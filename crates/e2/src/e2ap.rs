@@ -2,15 +2,10 @@
 //!
 //! The subset of E2AP the 6G-XSec control loop uses: setup, subscription
 //! management, indications (report primitive), and control. PDUs encode to a
-//! tag byte plus fields; streams frame them with the shared length-prefix
-//! framing from `xsec-proto`.
+//! tag byte plus fields; a stream transport frames them
+//! ([`crate::transport`]).
 
-use bytes::{Buf, BufMut};
-use xsec_types::{CellId, GnbId, Result, XsecError};
-
-fn err(msg: impl Into<String>) -> XsecError {
-    XsecError::Codec(msg.into())
-}
+use xsec_types::{CellId, GnbId, Put, Reader, Result, XsecError};
 
 /// Identifies one xApp's subscription (requestor, instance).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -131,50 +126,50 @@ impl E2apPdu {
             _ => 0,
         };
         let mut buf = Vec::with_capacity(32 + payload_len);
+        self.write(&mut buf).expect("a PDU's lists and payloads fit their length fields");
+        buf
+    }
+
+    fn write(&self, buf: &mut Vec<u8>) -> Result<()> {
         match self {
             E2apPdu::SetupRequest { gnb_id, ran_functions, cells } => {
                 buf.put_u8(0);
                 buf.put_u32(gnb_id.0);
-                put_u32_list(&mut buf, ran_functions);
-                let cell_ids: Vec<u32> = cells.iter().map(|c| c.0).collect();
-                put_u32_list(&mut buf, &cell_ids);
+                put_u32_list(buf, ran_functions.iter().copied())?;
+                put_u32_list(buf, cells.iter().map(|c| c.0))?;
             }
             E2apPdu::SetupResponse { accepted } => {
                 buf.put_u8(1);
-                put_u32_list(&mut buf, accepted);
+                put_u32_list(buf, accepted.iter().copied())?;
             }
             E2apPdu::SubscriptionRequest { request_id, ran_function, report_period_ms, actions } => {
                 buf.put_u8(2);
-                put_request_id(&mut buf, request_id);
+                put_request_id(buf, request_id);
                 buf.put_u32(*ran_function);
                 buf.put_u32(*report_period_ms);
-                buf.put_u8(actions.len() as u8);
-                for a in actions {
-                    buf.put_u8(a.code());
-                }
+                buf.put_len::<1>(actions.len())?;
+                buf.extend(actions.iter().map(|a| a.code()));
             }
             E2apPdu::SubscriptionResponse { request_id, accepted } => {
                 buf.put_u8(3);
-                put_request_id(&mut buf, request_id);
+                put_request_id(buf, request_id);
                 buf.put_u8(*accepted as u8);
             }
             E2apPdu::SubscriptionDeleteRequest { request_id } => {
                 buf.put_u8(4);
-                put_request_id(&mut buf, request_id);
+                put_request_id(buf, request_id);
             }
             E2apPdu::Indication { request_id, ran_function, sequence, payload } => {
                 buf.put_u8(5);
-                put_request_id(&mut buf, request_id);
+                put_request_id(buf, request_id);
                 buf.put_u32(*ran_function);
                 buf.put_u64(*sequence);
-                buf.put_u32(payload.len() as u32);
-                buf.put_slice(payload);
+                buf.put_prefixed::<4>(payload)?;
             }
             E2apPdu::ControlRequest { ran_function, payload } => {
                 buf.put_u8(6);
                 buf.put_u32(*ran_function);
-                buf.put_u32(payload.len() as u32);
-                buf.put_slice(payload);
+                buf.put_prefixed::<4>(payload)?;
             }
             E2apPdu::ControlAck { ran_function, success } => {
                 buf.put_u8(7);
@@ -182,91 +177,48 @@ impl E2apPdu {
                 buf.put_u8(*success as u8);
             }
         }
-        buf
+        Ok(())
     }
 
     /// Decodes a PDU from bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut buf = bytes;
-        if !buf.has_remaining() {
-            return Err(err("empty E2AP PDU"));
-        }
-        let tag = buf.get_u8();
-        let pdu = match tag {
-            0 => {
-                need(&buf, 4, "gnb id")?;
-                let gnb_id = GnbId(buf.get_u32());
-                let ran_functions = get_u32_list(&mut buf)?;
-                let cells = get_u32_list(&mut buf)?.into_iter().map(CellId).collect();
-                E2apPdu::SetupRequest { gnb_id, ran_functions, cells }
-            }
-            1 => E2apPdu::SetupResponse { accepted: get_u32_list(&mut buf)? },
-            2 => {
-                let request_id = get_request_id(&mut buf)?;
-                need(&buf, 9, "subscription body")?;
-                let ran_function = buf.get_u32();
-                let report_period_ms = buf.get_u32();
-                let n = buf.get_u8() as usize;
-                need(&buf, n, "actions")?;
-                let mut actions = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let code = buf.get_u8();
-                    actions.push(
-                        RicAction::from_code(code)
-                            .ok_or_else(|| err(format!("bad action code {code}")))?,
-                    );
-                }
-                E2apPdu::SubscriptionRequest { request_id, ran_function, report_period_ms, actions }
-            }
-            3 => {
-                let request_id = get_request_id(&mut buf)?;
-                need(&buf, 1, "accepted flag")?;
-                E2apPdu::SubscriptionResponse { request_id, accepted: buf.get_u8() != 0 }
-            }
-            4 => E2apPdu::SubscriptionDeleteRequest { request_id: get_request_id(&mut buf)? },
-            5 => {
-                let request_id = get_request_id(&mut buf)?;
-                need(&buf, 16, "indication header")?;
-                let ran_function = buf.get_u32();
-                let sequence = buf.get_u64();
-                let len = buf.get_u32() as usize;
-                need(&buf, len, "indication payload")?;
-                let payload = take(&mut buf, len);
-                E2apPdu::Indication { request_id, ran_function, sequence, payload }
-            }
-            6 => {
-                need(&buf, 8, "control header")?;
-                let ran_function = buf.get_u32();
-                let len = buf.get_u32() as usize;
-                need(&buf, len, "control payload")?;
-                E2apPdu::ControlRequest { ran_function, payload: take(&mut buf, len) }
-            }
-            7 => {
-                need(&buf, 5, "control ack")?;
-                E2apPdu::ControlAck { ran_function: buf.get_u32(), success: buf.get_u8() != 0 }
-            }
-            other => return Err(err(format!("unknown E2AP tag {other}"))),
+        let mut r = Reader::new(bytes);
+        let pdu = match r.u8()? {
+            0 => E2apPdu::SetupRequest {
+                gnb_id: GnbId(r.u32()?),
+                ran_functions: get_u32_list(&mut r)?,
+                cells: get_u32_list(&mut r)?.into_iter().map(CellId).collect(),
+            },
+            1 => E2apPdu::SetupResponse { accepted: get_u32_list(&mut r)? },
+            2 => E2apPdu::SubscriptionRequest {
+                request_id: get_request_id(&mut r)?,
+                ran_function: r.u32()?,
+                report_period_ms: r.u32()?,
+                actions: (0..r.u8()?)
+                    .map(|_| r.code("action", RicAction::from_code))
+                    .collect::<Result<_>>()?,
+            },
+            3 => E2apPdu::SubscriptionResponse {
+                request_id: get_request_id(&mut r)?,
+                accepted: r.flag()?,
+            },
+            4 => E2apPdu::SubscriptionDeleteRequest { request_id: get_request_id(&mut r)? },
+            5 => E2apPdu::Indication {
+                request_id: get_request_id(&mut r)?,
+                ran_function: r.u32()?,
+                sequence: r.u64()?,
+                payload: r.prefixed::<4>()?.to_vec(),
+            },
+            6 => E2apPdu::ControlRequest {
+                ran_function: r.u32()?,
+                payload: r.prefixed::<4>()?.to_vec(),
+            },
+            7 => E2apPdu::ControlAck { ran_function: r.u32()?, success: r.flag()? },
+            other => return Err(XsecError::Codec(format!("unknown E2AP tag {other}"))),
         };
-        if buf.has_remaining() {
-            return Err(err(format!("{} trailing bytes", buf.remaining())));
-        }
+        r.finish()?;
         Ok(pdu)
     }
-}
-
-fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        Err(err(format!("truncated E2AP: need {n} for {what}, have {}", buf.remaining())))
-    } else {
-        Ok(())
-    }
-}
-
-/// Copies out the next `len` bytes (the caller has checked they exist).
-fn take(buf: &mut &[u8], len: usize) -> Vec<u8> {
-    let (front, rest) = buf.split_at(len);
-    *buf = rest;
-    front.to_vec()
 }
 
 fn put_request_id(buf: &mut Vec<u8>, id: &RicRequestId) {
@@ -274,23 +226,19 @@ fn put_request_id(buf: &mut Vec<u8>, id: &RicRequestId) {
     buf.put_u16(id.instance);
 }
 
-fn get_request_id(buf: &mut &[u8]) -> Result<RicRequestId> {
-    need(buf, 4, "request id")?;
-    Ok(RicRequestId { requestor: buf.get_u16(), instance: buf.get_u16() })
+fn get_request_id(r: &mut Reader<'_>) -> Result<RicRequestId> {
+    Ok(RicRequestId { requestor: r.u16()?, instance: r.u16()? })
 }
 
-fn put_u32_list(buf: &mut Vec<u8>, list: &[u32]) {
-    buf.put_u16(list.len() as u16);
-    for v in list {
-        buf.put_u32(*v);
-    }
+fn put_u32_list(buf: &mut Vec<u8>, list: impl ExactSizeIterator<Item = u32>) -> Result<()> {
+    buf.put_len::<2>(list.len())?;
+    list.for_each(|v| buf.put_u32(v));
+    Ok(())
 }
 
-fn get_u32_list(buf: &mut &[u8]) -> Result<Vec<u32>> {
-    need(buf, 2, "list length")?;
-    let n = buf.get_u16() as usize;
-    need(buf, n * 4, "list body")?;
-    Ok((0..n).map(|_| buf.get_u32()).collect())
+fn get_u32_list(r: &mut Reader<'_>) -> Result<Vec<u32>> {
+    // Grown by the values actually read, never sized by the count.
+    (0..r.u16()?).map(|_| r.u32()).collect()
 }
 
 #[cfg(test)]
@@ -339,45 +287,6 @@ mod tests {
                 window: xsec_types::Duration::from_millis(400),
             },
             trace: Some(0xDEAD_BEEF),
-        }
-    }
-
-    /// Arbitrary mitigation action assembled from primitive draws (the
-    /// vendored proptest stub has no `Arbitrary` derive).
-    fn build_action(
-        id: u32,
-        ttl_us: u64,
-        variant: u8,
-        conn: u32,
-        word: u16,
-        span_us: u64,
-    ) -> xsec_control::ControlAction {
-        use xsec_control::MitigationAction as M;
-        use xsec_types::{CellId, Duration, EstablishmentCause, ReleaseCause, Rnti};
-        let action = match variant % 5 {
-            0 => M::ReleaseUe {
-                conn,
-                cause: [
-                    ReleaseCause::Normal,
-                    ReleaseCause::RadioLinkFailure,
-                    ReleaseCause::NetworkAbort,
-                    ReleaseCause::Congestion,
-                ][word as usize % 4],
-            },
-            1 => M::BlacklistRnti { rnti: Rnti(word) },
-            2 => M::ForceReauth { conn },
-            3 => M::QuarantineCell { cell: CellId(conn) },
-            _ => M::RateLimitCause {
-                cause: EstablishmentCause::ALL[word as usize % EstablishmentCause::ALL.len()],
-                max_setups: word,
-                window: Duration::from_micros(span_us),
-            },
-        };
-        xsec_control::ControlAction {
-            id,
-            ttl: Duration::from_micros(ttl_us),
-            action,
-            trace: span_us.is_multiple_of(2).then_some(span_us),
         }
     }
 
@@ -445,39 +354,6 @@ mod tests {
         fn prop_control_ack_round_trip(func in any::<u32>(), success in any::<bool>()) {
             let pdu = E2apPdu::ControlAck { ran_function: func, success };
             prop_assert_eq!(E2apPdu::decode(&pdu.encode()).unwrap(), pdu);
-        }
-
-        /// The full control path a mitigation takes on the wire: action TLV →
-        /// E2AP Control Request → stream framing → deframe → E2AP decode →
-        /// action TLV decode. Every arbitrary action must survive unchanged.
-        #[test]
-        fn prop_action_round_trip_through_e2ap_and_framing(
-            id in any::<u32>(),
-            ttl_us in any::<u64>(),
-            variant in any::<u8>(),
-            conn in any::<u32>(),
-            word in any::<u16>(),
-            span_us in any::<u64>(),
-        ) {
-            let action = build_action(id, ttl_us, variant, conn, word, span_us);
-            let pdu = E2apPdu::ControlRequest { ran_function: 142, payload: action.encode() };
-
-            let mut writer = xsec_proto::FrameWriter::new();
-            writer.write_frame(&pdu.encode()).unwrap();
-            let mut reader = xsec_proto::FrameReader::new();
-            reader.extend(&writer.take());
-            let frame = reader.next_frame().unwrap().expect("one whole frame buffered");
-            prop_assert!(reader.next_frame().unwrap().is_none());
-
-            let decoded = E2apPdu::decode(&frame).unwrap();
-            let E2apPdu::ControlRequest { ran_function, payload } = decoded else {
-                panic!("wrong PDU kind");
-            };
-            prop_assert_eq!(ran_function, 142);
-            prop_assert_eq!(
-                xsec_control::ControlAction::decode(&payload).unwrap(),
-                action
-            );
         }
 
         /// The strict TLV decoder never panics on garbage.

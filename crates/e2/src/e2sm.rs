@@ -14,10 +14,9 @@
 //!   | n_entries x (u16 len, key, u16 len, value)
 //! ```
 
-use bytes::{Buf, BufMut};
 use xsec_mobiflow::wire::{get_record, put_record, RECORD_LEN};
 use xsec_mobiflow::UeMobiFlow;
-use xsec_types::{CellId, Result, Timestamp, XsecError};
+use xsec_types::{CellId, Put, Reader, Result, Timestamp, XsecError};
 
 /// RAN function id of the MobiFlow security service model (a private id
 /// outside the ranges the O-RAN Alliance reserves for its own models).
@@ -25,10 +24,6 @@ pub const RAN_FUNCTION_MOBIFLOW: u32 = 142;
 
 /// Bytes before the record block: cell, window bounds, record count.
 const HEADER_LEN: usize = 24;
-
-fn err(msg: impl Into<String>) -> XsecError {
-    XsecError::Codec(msg.into())
-}
 
 /// One report-interval indication payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,40 +86,24 @@ impl KpmIndication {
         encode_parts(cell, window_start, window_end, records, &[])
     }
 
-    /// Decodes a payload. Both counts are checked against the bytes actually
-    /// present before anything is allocated for them.
+    /// Decodes a payload. The record block is borrowed from bytes that are
+    /// present before anything is sized by its count, and the entry list
+    /// grows by the entries actually read.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut buf = bytes;
-        if buf.remaining() < HEADER_LEN {
-            return Err(err("truncated KPM header"));
-        }
-        let cell = CellId(buf.get_u32());
-        let window_start = Timestamp(buf.get_u64());
-        let window_end = Timestamp(buf.get_u64());
-        let block_len = (buf.get_u32() as usize)
-            .checked_mul(RECORD_LEN)
-            .filter(|len| *len <= buf.remaining())
-            .ok_or_else(|| err("record count exceeds the payload"))?;
-        let (block, mut buf) = buf.split_at(block_len);
+        let mut r = Reader::new(bytes);
+        let cell = CellId(r.u32()?);
+        let window_start = Timestamp(r.u64()?);
+        let window_end = Timestamp(r.u64()?);
+        let block_len = (r.u32()? as usize).saturating_mul(RECORD_LEN);
+        let block = r.bytes(block_len)?;
         let mut records = Vec::with_capacity(block_len / RECORD_LEN);
         for chunk in block.chunks_exact(RECORD_LEN) {
             records.push(get_record(chunk.try_into().expect("chunks_exact yields RECORD_LEN"))?);
         }
-        if buf.remaining() < 4 {
-            return Err(err("truncated entry count"));
-        }
-        let n = buf.get_u32() as usize;
-        // Every entry is at least its two length prefixes.
-        if n.checked_mul(4).is_none_or(|min| min > buf.remaining()) {
-            return Err(err("entry count exceeds the payload"));
-        }
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            entries.push((get_str(&mut buf)?, get_str(&mut buf)?));
-        }
-        if buf.has_remaining() {
-            return Err(err(format!("{} trailing bytes", buf.remaining())));
-        }
+        let entries = (0..r.u32()?)
+            .map(|_| Ok((get_str(&mut r)?, get_str(&mut r)?)))
+            .collect::<Result<_>>()?;
+        r.finish()?;
         Ok(KpmIndication { cell, window_start, window_end, records, entries })
     }
 }
@@ -143,12 +122,12 @@ fn encode_parts(
     buf.put_u32(cell.0);
     buf.put_u64(window_start.as_micros());
     buf.put_u64(window_end.as_micros());
-    buf.put_u32(u32::try_from(records.len()).expect("a report window holds under 2^32 records"));
+    buf.put_len::<4>(records.len()).expect("a report window holds under 2^32 records");
     buf.resize(HEADER_LEN + block_len, 0);
     for (record, chunk) in records.iter().zip(buf[HEADER_LEN..].chunks_exact_mut(RECORD_LEN)) {
         put_record(record, chunk.try_into().expect("chunks_exact_mut yields RECORD_LEN"));
     }
-    buf.put_u32(u32::try_from(entries.len()).expect("an indication holds under 2^32 entries"));
+    buf.put_len::<4>(entries.len()).expect("an indication holds under 2^32 entries");
     for (k, v) in entries {
         put_str(&mut buf, k);
         put_str(&mut buf, v);
@@ -157,21 +136,12 @@ fn encode_parts(
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.put_u16(u16::try_from(s.len()).expect("KPM entry strings are under 64 KiB"));
-    buf.put_slice(s.as_bytes());
+    buf.put_prefixed::<2>(s.as_bytes()).expect("KPM entry strings are under 64 KiB");
 }
 
-fn get_str(buf: &mut &[u8]) -> Result<String> {
-    if buf.remaining() < 2 {
-        return Err(err("truncated string length"));
-    }
-    let len = buf.get_u16() as usize;
-    if buf.remaining() < len {
-        return Err(err("truncated string body"));
-    }
-    let (body, rest) = buf.split_at(len);
-    *buf = rest;
-    String::from_utf8(body.to_vec()).map_err(|e| err(format!("bad utf8: {e}")))
+fn get_str(r: &mut Reader<'_>) -> Result<String> {
+    String::from_utf8(r.prefixed::<2>()?.to_vec())
+        .map_err(|e| XsecError::Codec(format!("bad utf8: {e}")))
 }
 
 #[cfg(test)]

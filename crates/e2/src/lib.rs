@@ -3,9 +3,9 @@
 //! The O-RAN E2 interface substrate: the application protocol (E2AP) PDUs
 //! that connect the RAN to the near-real-time RIC, the extended E2SM-KPM
 //! service model that carries MobiFlow security telemetry (the paper's §3.1
-//! extension of the O-RAN KPM service model), a deterministic binary codec
-//! with length-prefixed framing, two interchangeable transports (in-process
-//! channels and real TCP), and the RAN-side RIC agent.
+//! extension of the O-RAN KPM service model), a deterministic binary codec,
+//! two interchangeable transports (in-process channels and real TCP, which
+//! owns the workspace's only stream framing), and the RAN-side RIC agent.
 //!
 //! ## Protocol shape (mirrors O-RAN.WG3.E2AP)
 //!

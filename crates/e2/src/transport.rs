@@ -5,10 +5,20 @@
 //!
 //! * [`InProcTransport`] — crossbeam channel pair; what tests and the
 //!   single-process pipeline use.
-//! * [`TcpTransport`] — a real `std::net::TcpStream` with the length-prefix
-//!   framing from `xsec-proto`, so a RIC and a RAN can run as separate
-//!   processes (the `live_ric_pipeline` example exercises it over
-//!   loopback).
+//! * [`TcpTransport`] — a real `std::net::TcpStream`, so a RIC and a RAN
+//!   can run as separate processes (the `live_ric_pipeline` example
+//!   exercises it over loopback).
+//!
+//! ## Framing
+//!
+//! A stream has no message boundaries, so `TcpTransport` — and nothing else
+//! in the workspace — puts a `u32` big-endian length before each message
+//! and splits the byte stream back into frames on receipt. The in-proc
+//! channel already carries whole messages and is not framed.
+//! [`MAX_FRAME_LEN`] is defined and checked here only: both transports'
+//! `send` refuse a longer message with the same error (a deployment proven
+//! in-proc must not emit what TCP rejects), and the splitter refuses a
+//! longer length prefix before buffering a byte of its body.
 //!
 //! ## Readiness model
 //!
@@ -41,8 +51,21 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
-use xsec_proto::codec::{FrameReader, FrameWriter};
-use xsec_types::{Result, XsecError};
+use xsec_types::{Put, Result, XsecError};
+
+/// Longest message either transport carries (1 MiB); also what bounds the
+/// memory a corrupt or hostile length prefix can make a stream reader hold.
+pub const MAX_FRAME_LEN: usize = 1 << 20;
+
+/// Bytes of length prefix before each frame on a stream.
+const PREFIX_LEN: usize = 4;
+
+fn check_frame_len(len: usize) -> Result<()> {
+    if len > MAX_FRAME_LEN {
+        return Err(XsecError::Codec(format!("frame of {len} bytes exceeds {MAX_FRAME_LEN}")));
+    }
+    Ok(())
+}
 
 /// How a transport participates in the reactor's readiness protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,6 +246,7 @@ pub fn in_proc_pair() -> (InProcTransport, InProcTransport) {
 
 impl E2Transport for InProcTransport {
     fn send(&mut self, frame: &[u8]) -> Result<SendOutcome> {
+        check_frame_len(frame.len())?;
         match self.tx.try_send(frame.to_vec()) {
             Ok(()) => {
                 self.peer_wake.wake();
@@ -265,8 +289,58 @@ impl E2Transport for InProcTransport {
     }
 }
 
-/// Default cap on buffered TCP egress bytes before frames are dropped.
-const TCP_EGRESS_CAP: usize = 1 << 20;
+/// Cap on buffered TCP egress bytes before frames are dropped: one frame of
+/// the maximum length always fits an empty buffer.
+const TCP_EGRESS_CAP: usize = PREFIX_LEN + MAX_FRAME_LEN;
+
+/// Most bytes one socket read asks for.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Splits the bytes a stream delivers back into frames. `buf[start..end]`
+/// is received and not yet handed out; it never exceeds one partial frame
+/// plus one read, because the socket is only read when no whole frame is
+/// buffered.
+#[derive(Default)]
+struct FrameSplitter {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameSplitter {
+    /// Room for the next read, with any partial frame moved to the front.
+    fn spare(&mut self) -> &mut [u8] {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.buf.len() < self.end + READ_CHUNK {
+            self.buf.resize(self.end + READ_CHUNK, 0);
+        }
+        &mut self.buf[self.end..]
+    }
+
+    /// Marks the first `n` bytes of [`FrameSplitter::spare`] as received.
+    fn advance(&mut self, n: usize) {
+        self.end += n;
+    }
+
+    /// Copies out the next frame if all of it has arrived. A length prefix
+    /// over [`MAX_FRAME_LEN`] is an error and stays one: the stream cannot
+    /// be resynchronised, so the connection should be dropped.
+    fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
+        let pending = &self.buf[self.start..self.end];
+        let Some(prefix) = pending.first_chunk::<PREFIX_LEN>() else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes(*prefix) as usize;
+        check_frame_len(len)?;
+        let Some(frame) = pending.get(PREFIX_LEN..PREFIX_LEN + len) else {
+            return Ok(None);
+        };
+        self.start += PREFIX_LEN + len;
+        Ok(Some(frame.to_vec()))
+    }
+}
 
 /// TCP transport endpoint with length-prefix framing, fully nonblocking in
 /// both directions: reads surface `WouldBlock` as "no frame yet", writes
@@ -274,8 +348,7 @@ const TCP_EGRESS_CAP: usize = 1 << 20;
 /// peer can never block the reactor.
 pub struct TcpTransport {
     stream: TcpStream,
-    reader: FrameReader,
-    read_buf: Vec<u8>,
+    ingress: FrameSplitter,
     /// Framed bytes awaiting the socket; `egress_pos` marks the written
     /// prefix still pending removal.
     egress: Vec<u8>,
@@ -291,8 +364,7 @@ impl TcpTransport {
         stream.set_nodelay(true).map_err(|e| XsecError::Io(e.to_string()))?;
         Ok(TcpTransport {
             stream,
-            reader: FrameReader::new(),
-            read_buf: vec![0u8; 64 * 1024],
+            ingress: FrameSplitter::default(),
             egress: Vec::new(),
             egress_pos: 0,
             egress_cap: TCP_EGRESS_CAP,
@@ -304,12 +376,6 @@ impl TcpTransport {
     pub fn connect(addr: &str) -> Result<Self> {
         let stream = TcpStream::connect(addr).map_err(|e| XsecError::Io(e.to_string()))?;
         Self::new(stream)
-    }
-
-    /// Overrides the egress buffer cap (bytes); frames that would exceed
-    /// it are dropped whole.
-    pub fn set_egress_cap(&mut self, bytes: usize) {
-        self.egress_cap = bytes;
     }
 
     /// Bytes currently buffered for the socket.
@@ -346,18 +412,17 @@ impl TcpTransport {
 
 impl E2Transport for TcpTransport {
     fn send(&mut self, frame: &[u8]) -> Result<SendOutcome> {
-        let mut writer = FrameWriter::new();
-        writer.write_frame(frame)?;
-        let framed = writer.take();
-        if self.egress_len() + framed.len() > self.egress_cap {
+        check_frame_len(frame.len())?;
+        let framed_len = PREFIX_LEN + frame.len();
+        if self.egress_len() + framed_len > self.egress_cap {
             // Try to make room first — the socket may have drained.
             self.flush_egress()?;
-            if self.egress_len() + framed.len() > self.egress_cap {
+            if self.egress_len() + framed_len > self.egress_cap {
                 self.dropped += 1;
                 return Ok(SendOutcome::Dropped);
             }
         }
-        self.egress.extend_from_slice(&framed);
+        self.egress.put_prefixed::<PREFIX_LEN>(frame)?;
         self.flush_egress()?;
         Ok(SendOutcome::Sent)
     }
@@ -367,14 +432,14 @@ impl E2Transport for TcpTransport {
         // even when the caller only reads.
         self.flush_egress()?;
         // Drain one buffered frame first.
-        if let Some(frame) = self.reader.next_frame()? {
+        if let Some(frame) = self.ingress.next_frame()? {
             return Ok(Some(frame));
         }
-        match self.stream.read(&mut self.read_buf) {
+        match self.stream.read(self.ingress.spare()) {
             Ok(0) => Err(XsecError::Io("connection closed".into())),
             Ok(n) => {
-                self.reader.extend(&self.read_buf[..n]);
-                self.reader.next_frame()
+                self.ingress.advance(n);
+                self.ingress.next_frame()
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -399,8 +464,102 @@ impl E2Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::E2apPdu;
+    use proptest::prelude::*;
     use std::net::TcpListener;
     use std::time::Duration as StdDuration;
+
+    /// `payloads` on a stream, framed as `TcpTransport::send` frames them.
+    fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut stream = Vec::new();
+        for p in payloads {
+            stream.put_prefixed::<PREFIX_LEN>(p).unwrap();
+        }
+        stream
+    }
+
+    /// Delivers `stream` to `splitter` in reads of `chunk` bytes, popping
+    /// frames after each the way `try_recv` does.
+    fn deliver(splitter: &mut FrameSplitter, stream: &[u8], chunk: usize) -> Result<Vec<Vec<u8>>> {
+        let mut frames = Vec::new();
+        for read in stream.chunks(chunk) {
+            splitter.spare()[..read.len()].copy_from_slice(read);
+            splitter.advance(read.len());
+            while let Some(frame) = splitter.next_frame()? {
+                frames.push(frame);
+            }
+        }
+        Ok(frames)
+    }
+
+    #[test]
+    fn framing_round_trip_with_fragmented_delivery() {
+        let payloads: Vec<Vec<u8>> = vec![
+            vec![],
+            vec![1],
+            vec![2; 300],
+            E2apPdu::SetupResponse { accepted: vec![142] }.encode(),
+        ];
+        let stream = framed(&payloads);
+        // One byte per read — the pathological TCP case — and all at once.
+        for chunk in [1, stream.len()] {
+            let mut splitter = FrameSplitter::default();
+            assert_eq!(deliver(&mut splitter, &stream, chunk).unwrap(), payloads);
+            assert_eq!(splitter.end - splitter.start, 0, "bytes left buffered");
+        }
+    }
+
+    #[test]
+    fn framing_rejects_oversized_length_prefix() {
+        let mut splitter = FrameSplitter::default();
+        let hostile = (MAX_FRAME_LEN as u32 + 1).to_be_bytes();
+        assert!(deliver(&mut splitter, &hostile, 4).is_err());
+        // The stream cannot be resynchronised: the error stays, and no body
+        // byte was buffered for the claimed length.
+        assert!(splitter.next_frame().is_err());
+        assert!(splitter.buf.len() <= PREFIX_LEN + READ_CHUNK);
+        // The cap itself is a legal length: just not complete yet.
+        let mut splitter = FrameSplitter::default();
+        let legal = (MAX_FRAME_LEN as u32).to_be_bytes();
+        assert_eq!(deliver(&mut splitter, &legal, 4).unwrap(), Vec::<Vec<u8>>::new());
+    }
+
+    /// One cap, both transports, the same error: a `MAX_FRAME_LEN` message
+    /// is carried, one byte more is refused by `send` before anything is
+    /// queued.
+    #[test]
+    fn both_transports_enforce_the_one_frame_cap() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut server = TcpTransport::new(stream).unwrap();
+            loop {
+                if let Some(frame) = server.try_recv().unwrap() {
+                    return frame.len();
+                }
+                std::thread::yield_now();
+            }
+        });
+        let mut tcp = TcpTransport::connect(&addr.to_string()).unwrap();
+        let (mut in_proc, mut peer) = in_proc_pair();
+
+        let over = vec![0x5A; MAX_FRAME_LEN + 1];
+        let tcp_err = tcp.send(&over).unwrap_err();
+        assert_eq!(tcp_err, in_proc.send(&over).unwrap_err());
+        assert_eq!(tcp_err.category(), "codec");
+        assert_eq!(tcp.egress_len(), 0, "a refused frame was queued");
+        assert_eq!(peer.try_recv().unwrap(), None, "a refused frame was delivered");
+
+        let max = &over[..MAX_FRAME_LEN];
+        assert_eq!(in_proc.send(max).unwrap(), SendOutcome::Sent);
+        assert_eq!(peer.try_recv().unwrap().map(|f| f.len()), Some(MAX_FRAME_LEN));
+        assert_eq!(tcp.send(max).unwrap(), SendOutcome::Sent);
+        while !tcp.flush().unwrap() {
+            std::thread::yield_now();
+        }
+        assert_eq!(server.join().unwrap(), MAX_FRAME_LEN);
+    }
 
     #[test]
     fn in_proc_round_trip_both_directions() {
@@ -529,7 +688,7 @@ mod tests {
         });
 
         let mut client = TcpTransport::connect(&addr.to_string()).unwrap();
-        client.set_egress_cap(64 * 1024);
+        client.egress_cap = 64 * 1024;
         let frame = vec![0xABu8; 8 * 1024];
         let mut dropped = 0u64;
         // Push far more than the egress cap + kernel buffer can hold; every
@@ -561,9 +720,7 @@ mod tests {
         let expect = payload.clone();
         let handle = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
-            let mut writer = FrameWriter::new();
-            writer.write_frame(&payload).unwrap();
-            let framed = writer.take();
+            let framed = framed(&[payload]);
             // Dribble the frame out in 7-byte slices.
             for chunk in framed.chunks(7) {
                 stream.write_all(chunk).unwrap();
@@ -581,5 +738,112 @@ mod tests {
             std::thread::yield_now();
         }
         handle.join().unwrap();
+    }
+
+    /// Arbitrary mitigation action assembled from primitive draws (the
+    /// vendored proptest stub has no `Arbitrary` derive).
+    fn build_action(
+        id: u32,
+        ttl_us: u64,
+        variant: u8,
+        conn: u32,
+        word: u16,
+        span_us: u64,
+    ) -> xsec_control::ControlAction {
+        use xsec_control::MitigationAction as M;
+        use xsec_types::{CellId, Duration, EstablishmentCause, ReleaseCause, Rnti};
+        let action = match variant % 5 {
+            0 => M::ReleaseUe {
+                conn,
+                cause: [
+                    ReleaseCause::Normal,
+                    ReleaseCause::RadioLinkFailure,
+                    ReleaseCause::NetworkAbort,
+                    ReleaseCause::Congestion,
+                ][word as usize % 4],
+            },
+            1 => M::BlacklistRnti { rnti: Rnti(word) },
+            2 => M::ForceReauth { conn },
+            3 => M::QuarantineCell { cell: CellId(conn) },
+            _ => M::RateLimitCause {
+                cause: EstablishmentCause::ALL[word as usize % EstablishmentCause::ALL.len()],
+                max_setups: word,
+                window: Duration::from_micros(span_us),
+            },
+        };
+        xsec_control::ControlAction {
+            id,
+            ttl: Duration::from_micros(ttl_us),
+            action,
+            trace: span_us.is_multiple_of(2).then_some(span_us),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_framing_survives_arbitrary_chunking(
+            payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 1..8),
+            chunk_size in 1usize..16,
+        ) {
+            let mut splitter = FrameSplitter::default();
+            let seen = deliver(&mut splitter, &framed(&payloads), chunk_size).unwrap();
+            prop_assert_eq!(seen, payloads);
+        }
+
+        /// The splitter is total: garbage in any chunking gives frames that,
+        /// framed again, are exactly the bytes consumed — or the oversize
+        /// error — and never buffers past one frame and one read.
+        #[test]
+        fn prop_splitter_is_total_on_garbage(
+            stream in proptest::collection::vec(any::<u8>(), 0..256),
+            zero_high_bytes in any::<bool>(),
+            chunk_size in 1usize..32,
+        ) {
+            let mut stream = stream;
+            if zero_high_bytes {
+                // Keep most prefixes small so garbage also parses as frames.
+                stream.iter_mut().step_by(2).for_each(|b| *b = 0);
+            }
+            let mut splitter = FrameSplitter::default();
+            match deliver(&mut splitter, &stream, chunk_size) {
+                Ok(frames) => {
+                    let consumed = framed(&frames);
+                    prop_assert_eq!(&consumed[..], &stream[..consumed.len()]);
+                    prop_assert_eq!(splitter.end - splitter.start, stream.len() - consumed.len());
+                }
+                Err(e) => prop_assert_eq!(e.category(), "codec"),
+            }
+            prop_assert!(splitter.buf.len() <= PREFIX_LEN + MAX_FRAME_LEN + 2 * READ_CHUNK);
+        }
+
+        /// The full control path a mitigation takes on the wire: action TLV →
+        /// E2AP Control Request → stream framing → deframe → E2AP decode →
+        /// action TLV decode. Every arbitrary action must survive unchanged.
+        #[test]
+        fn prop_action_round_trip_through_e2ap_and_framing(
+            id in any::<u32>(),
+            ttl_us in any::<u64>(),
+            variant in any::<u8>(),
+            conn in any::<u32>(),
+            word in any::<u16>(),
+            span_us in any::<u64>(),
+        ) {
+            let action = build_action(id, ttl_us, variant, conn, word, span_us);
+            let pdu = E2apPdu::ControlRequest { ran_function: 142, payload: action.encode() };
+
+            let mut splitter = FrameSplitter::default();
+            let frames = deliver(&mut splitter, &framed(&[pdu.encode()]), READ_CHUNK).unwrap();
+            prop_assert_eq!(frames.len(), 1);
+
+            let decoded = E2apPdu::decode(&frames[0]).unwrap();
+            let E2apPdu::ControlRequest { ran_function, payload } = decoded else {
+                panic!("wrong PDU kind");
+            };
+            prop_assert_eq!(ran_function, 142);
+            prop_assert_eq!(
+                xsec_control::ControlAction::decode(&payload).unwrap(),
+                action
+            );
+        }
     }
 }

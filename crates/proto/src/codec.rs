@@ -1,4 +1,4 @@
-//! Deterministic binary codec for L3 messages, plus length-prefixed framing.
+//! Deterministic binary codec for L3 messages.
 //!
 //! The encoding is a compact tag-then-fields format: one byte of
 //! [`MessageKind::code`], followed by the variant's fields in declaration
@@ -7,39 +7,23 @@
 //! matters here is that encoding is total, decoding rejects malformed input
 //! with a [`XsecError::Codec`] error instead of panicking, and
 //! `decode(encode(m)) == m` for every message (property-tested below).
-//!
-//! Framing follows the classic length-prefix pattern for stream transports:
-//! a `u32` big-endian length followed by that many payload bytes. The E2
-//! crate reuses these helpers for its TCP transport.
+//! Every read goes through [`xsec_types::Reader`].
 
 use crate::msg::{L3Message, MessageKind, MobileIdentity};
 use crate::nas::{IdentityType, NasMessage, NasRejectCause};
 use crate::rrc::RrcMessage;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use xsec_types::{
-    CipherAlg, EstablishmentCause, IntegrityAlg, Plmn, ReleaseCause, Result, Rnti,
+    CipherAlg, EstablishmentCause, IntegrityAlg, Plmn, Put, Reader, ReleaseCause, Result, Rnti,
     SecurityCapabilities, Supi, Tmsi, XsecError,
 };
-
-/// Maximum frame payload the framing layer will accept (1 MiB) — guards
-/// stream readers against a corrupt or hostile length prefix.
-pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 fn err(msg: impl Into<String>) -> XsecError {
     XsecError::Codec(msg.into())
 }
 
-fn need(buf: &impl Buf, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        Err(err(format!("truncated input: need {n} bytes for {what}, have {}", buf.remaining())))
-    } else {
-        Ok(())
-    }
-}
-
 // --- primitive field helpers -------------------------------------------------
 
-fn put_identity(buf: &mut BytesMut, id: &MobileIdentity) {
+fn put_identity(buf: &mut Vec<u8>, id: &MobileIdentity) {
     match id {
         MobileIdentity::Suci { plmn, concealed } => {
             buf.put_u8(0);
@@ -60,22 +44,16 @@ fn put_identity(buf: &mut BytesMut, id: &MobileIdentity) {
     }
 }
 
-fn get_identity(buf: &mut Bytes) -> Result<MobileIdentity> {
-    need(buf, 1, "identity tag")?;
-    match buf.get_u8() {
+fn get_identity(r: &mut Reader<'_>) -> Result<MobileIdentity> {
+    match r.u8()? {
         0 => {
-            need(buf, 12, "SUCI body")?;
-            let plmn = Plmn { mcc: buf.get_u16(), mnc: buf.get_u16() };
-            Ok(MobileIdentity::Suci { plmn, concealed: buf.get_u64() })
+            let plmn = Plmn { mcc: r.u16()?, mnc: r.u16()? };
+            Ok(MobileIdentity::Suci { plmn, concealed: r.u64()? })
         }
-        1 => {
-            need(buf, 4, "TMSI body")?;
-            Ok(MobileIdentity::FiveGSTmsi(Tmsi(buf.get_u32())))
-        }
+        1 => Ok(MobileIdentity::FiveGSTmsi(Tmsi(r.u32()?))),
         2 => {
-            need(buf, 12, "SUPI body")?;
-            let plmn = Plmn { mcc: buf.get_u16(), mnc: buf.get_u16() };
-            Ok(MobileIdentity::PlainSupi(Supi::new(plmn, buf.get_u64())))
+            let plmn = Plmn { mcc: r.u16()?, mnc: r.u16()? };
+            Ok(MobileIdentity::PlainSupi(Supi::new(plmn, r.u64()?)))
         }
         tag => Err(err(format!("unknown identity tag {tag}"))),
     }
@@ -85,61 +63,37 @@ fn caps_to_byte(flags: &[bool; 4]) -> u8 {
     flags.iter().enumerate().fold(0u8, |acc, (i, set)| acc | ((*set as u8) << i))
 }
 
-fn caps_from_byte(byte: u8) -> [bool; 4] {
-    [byte & 1 != 0, byte & 2 != 0, byte & 4 != 0, byte & 8 != 0]
+/// The inverse of [`caps_to_byte`]; the four high bits are never set by it.
+fn caps_from_byte(byte: u8) -> Option<[bool; 4]> {
+    (byte < 16).then_some([byte & 1 != 0, byte & 2 != 0, byte & 4 != 0, byte & 8 != 0])
 }
 
-fn put_capabilities(buf: &mut BytesMut, caps: &SecurityCapabilities) {
+fn put_capabilities(buf: &mut Vec<u8>, caps: &SecurityCapabilities) {
     buf.put_u8(caps_to_byte(&caps.ciphers));
     buf.put_u8(caps_to_byte(&caps.integrity));
 }
 
-fn get_capabilities(buf: &mut Bytes) -> Result<SecurityCapabilities> {
-    need(buf, 2, "security capabilities")?;
+fn get_capabilities(r: &mut Reader<'_>) -> Result<SecurityCapabilities> {
     Ok(SecurityCapabilities {
-        ciphers: caps_from_byte(buf.get_u8()),
-        integrity: caps_from_byte(buf.get_u8()),
+        ciphers: r.code("cipher capabilities", caps_from_byte)?,
+        integrity: r.code("integrity capabilities", caps_from_byte)?,
     })
-}
-
-fn put_container(buf: &mut BytesMut, container: &[u8]) {
-    buf.put_u16(container.len() as u16);
-    buf.put_slice(container);
-}
-
-fn get_container(buf: &mut Bytes) -> Result<Vec<u8>> {
-    need(buf, 2, "container length")?;
-    let len = buf.get_u16() as usize;
-    need(buf, len, "container body")?;
-    Ok(buf.copy_to_bytes(len).to_vec())
-}
-
-fn get_cipher(buf: &mut Bytes) -> Result<CipherAlg> {
-    need(buf, 1, "cipher alg")?;
-    let code = buf.get_u8();
-    CipherAlg::from_code(code).ok_or_else(|| err(format!("bad cipher code {code}")))
-}
-
-fn get_integrity(buf: &mut Bytes) -> Result<IntegrityAlg> {
-    need(buf, 1, "integrity alg")?;
-    let code = buf.get_u8();
-    IntegrityAlg::from_code(code).ok_or_else(|| err(format!("bad integrity code {code}")))
 }
 
 // --- top-level codec ----------------------------------------------------------
 
 /// Encodes an L3 message into its binary form.
 pub fn encode_l3(msg: &L3Message) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(32);
+    let mut buf = Vec::with_capacity(32);
     buf.put_u8(msg.kind().code());
     match msg {
         L3Message::Rrc(rrc) => encode_rrc_body(rrc, &mut buf),
         L3Message::Nas(nas) => encode_nas_body(nas, &mut buf),
     }
-    buf.to_vec()
+    buf
 }
 
-fn encode_rrc_body(msg: &RrcMessage, buf: &mut BytesMut) {
+fn encode_rrc_body(msg: &RrcMessage, buf: &mut Vec<u8>) {
     match msg {
         RrcMessage::SetupRequest { ue_identity, cause } => {
             buf.put_u64(*ue_identity);
@@ -153,7 +107,7 @@ fn encode_rrc_body(msg: &RrcMessage, buf: &mut BytesMut) {
         RrcMessage::SetupComplete { nas_container }
         | RrcMessage::UlInformationTransfer { nas_container }
         | RrcMessage::DlInformationTransfer { nas_container } => {
-            put_container(buf, nas_container)
+            buf.put_prefixed::<2>(nas_container).expect("a NAS container is under 64 KiB")
         }
         RrcMessage::Reject { wait_time_s } => buf.put_u8(*wait_time_s),
         RrcMessage::SecurityModeCommand { cipher, integrity } => {
@@ -166,7 +120,7 @@ fn encode_rrc_body(msg: &RrcMessage, buf: &mut BytesMut) {
     }
 }
 
-fn encode_nas_body(msg: &NasMessage, buf: &mut BytesMut) {
+fn encode_nas_body(msg: &NasMessage, buf: &mut Vec<u8>) {
     match msg {
         NasMessage::RegistrationRequest { identity, capabilities } => {
             put_identity(buf, identity);
@@ -210,75 +164,56 @@ fn encode_nas_body(msg: &NasMessage, buf: &mut BytesMut) {
 
 /// Decodes an L3 message from its binary form, rejecting malformed input.
 pub fn decode_l3(bytes: &[u8]) -> Result<L3Message> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    need(&buf, 1, "message kind")?;
-    let code = buf.get_u8();
-    let kind = MessageKind::from_code(code)
-        .ok_or_else(|| err(format!("unknown message kind code {code}")))?;
-    let msg = decode_body(kind, &mut buf)?;
-    if buf.has_remaining() {
-        return Err(err(format!("{} trailing bytes after {}", buf.remaining(), kind)));
-    }
+    let mut r = Reader::new(bytes);
+    let kind = r.code("message kind", MessageKind::from_code)?;
+    let msg = decode_body(kind, &mut r)?;
+    r.finish()?;
     Ok(msg)
 }
 
-fn decode_body(kind: MessageKind, buf: &mut Bytes) -> Result<L3Message> {
+fn decode_body(kind: MessageKind, r: &mut Reader<'_>) -> Result<L3Message> {
     use MessageKind as K;
     let msg = match kind {
-        K::RrcSetupRequest => {
-            need(buf, 9, "setup request")?;
-            let ue_identity = buf.get_u64();
-            let code = buf.get_u8();
-            let cause = EstablishmentCause::from_code(code)
-                .ok_or_else(|| err(format!("bad establishment cause {code}")))?;
-            L3Message::Rrc(RrcMessage::SetupRequest { ue_identity, cause })
-        }
+        K::RrcSetupRequest => L3Message::Rrc(RrcMessage::SetupRequest {
+            ue_identity: r.u64()?,
+            cause: r.code("establishment cause", EstablishmentCause::from_code)?,
+        }),
         K::RrcSetup => L3Message::Rrc(RrcMessage::Setup),
-        K::RrcSetupComplete => {
-            L3Message::Rrc(RrcMessage::SetupComplete { nas_container: get_container(buf)? })
-        }
-        K::RrcReject => {
-            need(buf, 1, "reject wait time")?;
-            L3Message::Rrc(RrcMessage::Reject { wait_time_s: buf.get_u8() })
-        }
+        K::RrcSetupComplete => L3Message::Rrc(RrcMessage::SetupComplete {
+            nas_container: r.prefixed::<2>()?.to_vec(),
+        }),
+        K::RrcReject => L3Message::Rrc(RrcMessage::Reject { wait_time_s: r.u8()? }),
         K::RrcSecurityModeCommand => L3Message::Rrc(RrcMessage::SecurityModeCommand {
-            cipher: get_cipher(buf)?,
-            integrity: get_integrity(buf)?,
+            cipher: r.code("cipher alg", CipherAlg::from_code)?,
+            integrity: r.code("integrity alg", IntegrityAlg::from_code)?,
         }),
         K::RrcSecurityModeComplete => L3Message::Rrc(RrcMessage::SecurityModeComplete),
         K::RrcReconfiguration => L3Message::Rrc(RrcMessage::Reconfiguration),
         K::RrcReconfigurationComplete => L3Message::Rrc(RrcMessage::ReconfigurationComplete),
-        K::RrcRelease => {
-            need(buf, 1, "release cause")?;
-            let code = buf.get_u8();
-            let cause = ReleaseCause::from_code(code)
-                .ok_or_else(|| err(format!("bad release cause {code}")))?;
-            L3Message::Rrc(RrcMessage::Release { cause })
-        }
-        K::RrcPaging => L3Message::Rrc(RrcMessage::Paging { ue_identity: get_identity(buf)? }),
+        K::RrcRelease => L3Message::Rrc(RrcMessage::Release {
+            cause: r.code("release cause", ReleaseCause::from_code)?,
+        }),
+        K::RrcPaging => L3Message::Rrc(RrcMessage::Paging { ue_identity: get_identity(r)? }),
         K::RrcReestablishmentRequest => {
-            need(buf, 2, "old rnti")?;
-            L3Message::Rrc(RrcMessage::ReestablishmentRequest { old_rnti: Rnti(buf.get_u16()) })
+            L3Message::Rrc(RrcMessage::ReestablishmentRequest { old_rnti: Rnti(r.u16()?) })
         }
         K::RrcReestablishment => L3Message::Rrc(RrcMessage::Reestablishment),
-        K::RrcUlInformationTransfer => {
-            L3Message::Rrc(RrcMessage::UlInformationTransfer { nas_container: get_container(buf)? })
-        }
-        K::RrcDlInformationTransfer => {
-            L3Message::Rrc(RrcMessage::DlInformationTransfer { nas_container: get_container(buf)? })
-        }
+        K::RrcUlInformationTransfer => L3Message::Rrc(RrcMessage::UlInformationTransfer {
+            nas_container: r.prefixed::<2>()?.to_vec(),
+        }),
+        K::RrcDlInformationTransfer => L3Message::Rrc(RrcMessage::DlInformationTransfer {
+            nas_container: r.prefixed::<2>()?.to_vec(),
+        }),
         K::NasRegistrationRequest => L3Message::Nas(NasMessage::RegistrationRequest {
-            identity: get_identity(buf)?,
-            capabilities: get_capabilities(buf)?,
+            identity: get_identity(r)?,
+            capabilities: get_capabilities(r)?,
         }),
         K::NasRegistrationAccept => {
-            need(buf, 4, "new tmsi")?;
-            L3Message::Nas(NasMessage::RegistrationAccept { new_tmsi: Tmsi(buf.get_u32()) })
+            L3Message::Nas(NasMessage::RegistrationAccept { new_tmsi: Tmsi(r.u32()?) })
         }
         K::NasRegistrationComplete => L3Message::Nas(NasMessage::RegistrationComplete),
         K::NasRegistrationReject => {
-            need(buf, 1, "reject cause")?;
-            let cause = match buf.get_u8() {
+            let cause = match r.u8()? {
                 0 => NasRejectCause::IllegalUe,
                 1 => NasRejectCause::PlmnNotAllowed,
                 2 => NasRejectCause::Congestion,
@@ -287,24 +222,17 @@ fn decode_body(kind: MessageKind, buf: &mut Bytes) -> Result<L3Message> {
             L3Message::Nas(NasMessage::RegistrationReject { cause })
         }
         K::NasAuthenticationRequest => {
-            need(buf, 16, "auth request")?;
-            L3Message::Nas(NasMessage::AuthenticationRequest {
-                rand: buf.get_u64(),
-                autn: buf.get_u64(),
-            })
+            L3Message::Nas(NasMessage::AuthenticationRequest { rand: r.u64()?, autn: r.u64()? })
         }
         K::NasAuthenticationResponse => {
-            need(buf, 8, "auth response")?;
-            L3Message::Nas(NasMessage::AuthenticationResponse { res: buf.get_u64() })
+            L3Message::Nas(NasMessage::AuthenticationResponse { res: r.u64()? })
         }
         K::NasAuthenticationFailure => {
-            need(buf, 1, "auth failure cause")?;
-            L3Message::Nas(NasMessage::AuthenticationFailure { cause: buf.get_u8() })
+            L3Message::Nas(NasMessage::AuthenticationFailure { cause: r.u8()? })
         }
         K::NasAuthenticationReject => L3Message::Nas(NasMessage::AuthenticationReject),
         K::NasIdentityRequest => {
-            need(buf, 1, "identity type")?;
-            let id_type = match buf.get_u8() {
+            let id_type = match r.u8()? {
                 0 => IdentityType::Suci,
                 1 => IdentityType::PlainSupi,
                 2 => IdentityType::Tmsi,
@@ -313,131 +241,31 @@ fn decode_body(kind: MessageKind, buf: &mut Bytes) -> Result<L3Message> {
             L3Message::Nas(NasMessage::IdentityRequest { id_type })
         }
         K::NasIdentityResponse => {
-            L3Message::Nas(NasMessage::IdentityResponse { identity: get_identity(buf)? })
+            L3Message::Nas(NasMessage::IdentityResponse { identity: get_identity(r)? })
         }
         K::NasSecurityModeCommand => L3Message::Nas(NasMessage::SecurityModeCommand {
-            cipher: get_cipher(buf)?,
-            integrity: get_integrity(buf)?,
-            replayed_capabilities: get_capabilities(buf)?,
+            cipher: r.code("cipher alg", CipherAlg::from_code)?,
+            integrity: r.code("integrity alg", IntegrityAlg::from_code)?,
+            replayed_capabilities: get_capabilities(r)?,
         }),
         K::NasSecurityModeComplete => L3Message::Nas(NasMessage::SecurityModeComplete),
         K::NasSecurityModeReject => {
-            need(buf, 1, "smc reject cause")?;
-            L3Message::Nas(NasMessage::SecurityModeReject { cause: buf.get_u8() })
+            L3Message::Nas(NasMessage::SecurityModeReject { cause: r.u8()? })
         }
         K::NasServiceRequest => {
-            need(buf, 4, "service request tmsi")?;
-            L3Message::Nas(NasMessage::ServiceRequest { tmsi: Tmsi(buf.get_u32()) })
+            L3Message::Nas(NasMessage::ServiceRequest { tmsi: Tmsi(r.u32()?) })
         }
         K::NasServiceAccept => L3Message::Nas(NasMessage::ServiceAccept),
         K::NasDeregistrationRequest => L3Message::Nas(NasMessage::DeregistrationRequest),
         K::NasDeregistrationAccept => L3Message::Nas(NasMessage::DeregistrationAccept),
         K::NasPduSessionEstablishmentRequest => {
-            need(buf, 1, "session id")?;
-            L3Message::Nas(NasMessage::PduSessionEstablishmentRequest { session_id: buf.get_u8() })
+            L3Message::Nas(NasMessage::PduSessionEstablishmentRequest { session_id: r.u8()? })
         }
         K::NasPduSessionEstablishmentAccept => {
-            need(buf, 1, "session id")?;
-            L3Message::Nas(NasMessage::PduSessionEstablishmentAccept { session_id: buf.get_u8() })
+            L3Message::Nas(NasMessage::PduSessionEstablishmentAccept { session_id: r.u8()? })
         }
     };
     Ok(msg)
-}
-
-// --- framing -------------------------------------------------------------------
-
-/// Writes length-prefixed frames into a growable buffer.
-///
-/// Used by the E2 TCP transport: each E2AP PDU becomes one frame, so message
-/// boundaries survive the stream transport.
-#[derive(Debug, Default)]
-pub struct FrameWriter {
-    buf: BytesMut,
-}
-
-impl FrameWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        FrameWriter::default()
-    }
-
-    /// Appends one frame.
-    ///
-    /// # Errors
-    /// Rejects payloads larger than [`MAX_FRAME_LEN`].
-    pub fn write_frame(&mut self, payload: &[u8]) -> Result<()> {
-        if payload.len() > MAX_FRAME_LEN {
-            return Err(err(format!("frame of {} bytes exceeds cap", payload.len())));
-        }
-        self.buf.put_u32(payload.len() as u32);
-        self.buf.put_slice(payload);
-        Ok(())
-    }
-
-    /// Takes all buffered bytes, leaving the writer empty.
-    pub fn take(&mut self) -> Vec<u8> {
-        self.buf.split().to_vec()
-    }
-
-    /// Bytes currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-/// Incrementally splits a byte stream back into frames.
-///
-/// Feed arbitrary chunks with [`FrameReader::extend`]; complete frames become
-/// available via [`FrameReader::next_frame`]. Partial frames are retained
-/// until their remaining bytes arrive — the standard pattern for reading a
-/// framed protocol off a TCP socket.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    buf: BytesMut,
-}
-
-impl FrameReader {
-    /// Creates an empty reader.
-    pub fn new() -> Self {
-        FrameReader::default()
-    }
-
-    /// Appends raw stream bytes.
-    pub fn extend(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
-    }
-
-    /// Pops the next complete frame, if one is fully buffered.
-    ///
-    /// # Errors
-    /// Returns a codec error if the length prefix exceeds [`MAX_FRAME_LEN`]
-    /// (a corrupt or hostile stream); the reader is then poisoned and the
-    /// connection should be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(err(format!("frame length {len} exceeds cap")));
-        }
-        if self.buf.len() < 4 + len {
-            return Ok(None);
-        }
-        self.buf.advance(4);
-        let frame = self.buf.split_to(len);
-        Ok(Some(frame.to_vec()))
-    }
-
-    /// Bytes buffered but not yet consumed.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 #[cfg(test)]
@@ -537,43 +365,6 @@ mod tests {
         assert!(decode_l3(&bytes).is_err());
     }
 
-    #[test]
-    fn framing_round_trip_with_fragmented_delivery() {
-        let mut writer = FrameWriter::new();
-        let payloads: Vec<Vec<u8>> =
-            vec![vec![], vec![1], vec![2; 300], encode_l3(&L3Message::Rrc(RrcMessage::Setup))];
-        for p in &payloads {
-            writer.write_frame(p).unwrap();
-        }
-        let stream = writer.take();
-        assert!(writer.is_empty());
-
-        // Deliver the stream one byte at a time — the pathological TCP case.
-        let mut reader = FrameReader::new();
-        let mut seen = Vec::new();
-        for byte in stream {
-            reader.extend(&[byte]);
-            while let Some(frame) = reader.next_frame().unwrap() {
-                seen.push(frame);
-            }
-        }
-        assert_eq!(seen, payloads);
-        assert_eq!(reader.buffered(), 0);
-    }
-
-    #[test]
-    fn framing_rejects_oversized_length_prefix() {
-        let mut reader = FrameReader::new();
-        reader.extend(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());
-        assert!(reader.next_frame().is_err());
-    }
-
-    #[test]
-    fn frame_writer_rejects_oversized_payload() {
-        let mut writer = FrameWriter::new();
-        assert!(writer.write_frame(&vec![0u8; MAX_FRAME_LEN + 1]).is_err());
-    }
-
     // --- property tests ---------------------------------------------------
 
     fn arb_identity() -> impl Strategy<Value = MobileIdentity> {
@@ -637,27 +428,6 @@ mod tests {
         #[test]
         fn prop_decode_never_panics_on_fuzz(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
             let _ = decode_l3(&bytes); // must not panic, errors are fine
-        }
-
-        #[test]
-        fn prop_framing_survives_arbitrary_chunking(
-            payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 1..8),
-            chunk_size in 1usize..16,
-        ) {
-            let mut writer = FrameWriter::new();
-            for p in &payloads {
-                writer.write_frame(p).unwrap();
-            }
-            let stream = writer.take();
-            let mut reader = FrameReader::new();
-            let mut seen = Vec::new();
-            for chunk in stream.chunks(chunk_size) {
-                reader.extend(chunk);
-                while let Some(frame) = reader.next_frame().unwrap() {
-                    seen.push(frame);
-                }
-            }
-            prop_assert_eq!(seen, payloads);
         }
     }
 }

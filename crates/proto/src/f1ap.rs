@@ -9,9 +9,8 @@
 
 use crate::codec::{decode_l3, encode_l3};
 use crate::msg::L3Message;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
-use xsec_types::{CellId, Result, Rnti, XsecError};
+use xsec_types::{CellId, Put, Reader, Result, Rnti};
 
 /// One F1AP message carrying an RRC container for a UE association.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,38 +40,27 @@ impl F1apPdu {
 
     /// Encodes the PDU for capture / transport.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(16 + self.rrc_container.len());
+        let mut buf = Vec::with_capacity(13 + self.rrc_container.len());
         buf.put_u32(self.du_ue_id);
         buf.put_u16(self.rnti.0);
         buf.put_u32(self.cell.0);
         buf.put_u8(self.uplink as u8);
-        buf.put_u16(self.rrc_container.len() as u16);
-        buf.put_slice(&self.rrc_container);
-        buf.to_vec()
+        buf.put_prefixed::<2>(&self.rrc_container).expect("an RRC container is under 64 KiB");
+        buf
     }
 
     /// Decodes a PDU from capture bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        if buf.remaining() < 13 {
-            return Err(XsecError::Codec("truncated F1AP header".into()));
-        }
-        let du_ue_id = buf.get_u32();
-        let rnti = Rnti(buf.get_u16());
-        let cell = CellId(buf.get_u32());
-        let uplink = match buf.get_u8() {
-            0 => false,
-            1 => true,
-            other => return Err(XsecError::Codec(format!("bad direction flag {other}"))),
+        let mut r = Reader::new(bytes);
+        let pdu = F1apPdu {
+            du_ue_id: r.u32()?,
+            rnti: Rnti(r.u16()?),
+            cell: CellId(r.u32()?),
+            uplink: r.flag()?,
+            rrc_container: r.prefixed::<2>()?.to_vec(),
         };
-        let len = buf.get_u16() as usize;
-        if buf.remaining() != len {
-            return Err(XsecError::Codec(format!(
-                "F1AP container length mismatch: declared {len}, have {}",
-                buf.remaining()
-            )));
-        }
-        Ok(F1apPdu { du_ue_id, rnti, cell, uplink, rrc_container: buf.copy_to_bytes(len).to_vec() })
+        r.finish()?;
+        Ok(pdu)
     }
 }
 

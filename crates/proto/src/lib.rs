@@ -25,7 +25,8 @@
 //! * [`nas::NasMessage`] — the NAS messages piggybacked through RRC.
 //! * [`msg::L3Message`] / [`msg::MessageKind`] — the unified vocabulary the
 //!   featurizer and MobiFlow records use.
-//! * [`codec`] — deterministic binary encoding with length-prefixed framing.
+//! * [`codec`] — deterministic binary encoding of one message (stream framing
+//!   belongs to the transport that needs it, `xsec_e2::transport`).
 //! * [`state`] — UE-side RRC/NAS state machines and the network-side
 //!   [`state::ProcedureConformance`] checker used both by the simulated CU
 //!   and by the LLM expert's sequence analysis.
@@ -41,7 +42,7 @@ pub mod ngap;
 pub mod rrc;
 pub mod state;
 
-pub use codec::{decode_l3, encode_l3, FrameReader, FrameWriter};
+pub use codec::{decode_l3, encode_l3};
 pub use f1ap::F1apPdu;
 pub use msg::{Direction, L3Message, MessageKind, MobileIdentity};
 pub use nas::NasMessage;

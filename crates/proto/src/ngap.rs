@@ -5,9 +5,8 @@
 
 use crate::codec::{decode_l3, encode_l3};
 use crate::msg::L3Message;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
-use xsec_types::{Result, XsecError};
+use xsec_types::{Put, Reader, Result};
 
 /// One NGAP message carrying a NAS container for a UE association.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -35,36 +34,25 @@ impl NgapPdu {
 
     /// Encodes the PDU for capture / transport.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(19 + self.nas_container.len());
+        let mut buf = Vec::with_capacity(19 + self.nas_container.len());
         buf.put_u64(self.ran_ue_id);
         buf.put_u64(self.amf_ue_id);
         buf.put_u8(self.uplink as u8);
-        buf.put_u16(self.nas_container.len() as u16);
-        buf.put_slice(&self.nas_container);
-        buf.to_vec()
+        buf.put_prefixed::<2>(&self.nas_container).expect("a NAS container is under 64 KiB");
+        buf
     }
 
     /// Decodes a PDU from capture bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        if buf.remaining() < 19 {
-            return Err(XsecError::Codec("truncated NGAP header".into()));
-        }
-        let ran_ue_id = buf.get_u64();
-        let amf_ue_id = buf.get_u64();
-        let uplink = match buf.get_u8() {
-            0 => false,
-            1 => true,
-            other => return Err(XsecError::Codec(format!("bad direction flag {other}"))),
+        let mut r = Reader::new(bytes);
+        let pdu = NgapPdu {
+            ran_ue_id: r.u64()?,
+            amf_ue_id: r.u64()?,
+            uplink: r.flag()?,
+            nas_container: r.prefixed::<2>()?.to_vec(),
         };
-        let len = buf.get_u16() as usize;
-        if buf.remaining() != len {
-            return Err(XsecError::Codec(format!(
-                "NGAP container length mismatch: declared {len}, have {}",
-                buf.remaining()
-            )));
-        }
-        Ok(NgapPdu { ran_ue_id, amf_ue_id, uplink, nas_container: buf.copy_to_bytes(len).to_vec() })
+        r.finish()?;
+        Ok(pdu)
     }
 }
 

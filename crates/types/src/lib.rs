@@ -2,7 +2,8 @@
 //!
 //! Shared vocabulary for the 6G-XSec framework: cellular identifiers, security
 //! algorithm enumerations, virtual timestamps, establishment causes, traffic
-//! ground-truth labels, and the common error type.
+//! ground-truth labels, the common error type, and the checked byte
+//! [`Reader`] / [`Put`] pair every wire codec is written against.
 //!
 //! Every other crate in the workspace depends on this one; it intentionally has
 //! no dependency on the simulator, the RIC, or the learning stack so that the
@@ -35,6 +36,7 @@ pub mod ids;
 pub mod label;
 pub mod security;
 pub mod time;
+pub mod wire;
 
 pub use cause::{EstablishmentCause, ReleaseCause};
 pub use error::{Result, XsecError};
@@ -42,3 +44,4 @@ pub use ids::{CellId, GnbId, Plmn, Rnti, Supi, Tmsi, UeId};
 pub use label::{AttackKind, TrafficClass};
 pub use security::{CipherAlg, IntegrityAlg, SecurityCapabilities};
 pub use time::{Duration, Timestamp};
+pub use wire::{Put, Reader};

@@ -1,3 +1,7 @@
+//! The wire path, pinned from three sides: what the ingest path allocates,
+//! the exact bytes every codec emits, and what every decoder does with bytes
+//! it should never have been sent.
+//!
 //! The ingest path allocates per indication, never per record: from
 //! `RicAgent::poll` through the in-proc transport and `RicPlatform::pump` to
 //! `XApp::on_records`, an indication of 1 024 records makes as many heap
@@ -11,26 +15,39 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use sixg_xsec::mobiwatch::{MobiWatchConfig, MobiWatchState};
 use sixg_xsec::{Detector, MobiWatch, Pipeline, PipelineConfig, ShardedMobiWatch};
 use std::cell::Cell;
-use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
+use xsec_control::{ControlAction, MitigationAction};
+use xsec_e2::{
+    in_proc_pair, E2apPdu, InProcTransport, KpmIndication, RicAction, RicAgent, RicAgentConfig,
+    RicRequestId,
+};
 use xsec_mobiflow::UeMobiFlow;
-use xsec_proto::{Direction, MessageKind};
+use xsec_proto::{
+    decode_l3, encode_l3, Direction, F1apPdu, L3Message, MessageKind, MobileIdentity, NasMessage,
+    NgapPdu, RrcMessage,
+};
 use xsec_ric::{
     Grants, RicPlatform, Router, SharedDataLayer, SubscriptionSpec, XApp, XAppContext, XAppIdentity,
 };
-use xsec_types::{CellId, GnbId, Plmn, Rnti, Supi, Timestamp, Tmsi};
+use xsec_types::{
+    CellId, CipherAlg, EstablishmentCause, GnbId, IntegrityAlg, Plmn, ReleaseCause, Rnti,
+    SecurityCapabilities, Supi, Timestamp, Tmsi,
+};
 
 thread_local! {
     /// Allocations (fresh and grown) made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Largest single request this thread made since the cell was last zeroed.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting calls per thread so tests running on
 /// other threads of this binary do not disturb the count.
 struct Counting;
 
-fn count_one() {
+fn count_one(size: usize) {
     // `try_with`: the allocator also runs while a thread's locals are torn down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(size)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -38,7 +55,7 @@ fn count_one() {
 // and does not allocate (a `const`-initialised `Cell` needs no lazy init).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller's obligations are passed through as-is.
         unsafe { System.alloc(layout) }
     }
@@ -49,13 +66,13 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -169,8 +186,9 @@ fn ingest_allocates_per_indication_not_per_record() {
     );
     // 64 times the records, not one allocation more.
     assert_eq!(large, small, "the ingest path allocated per record");
-    // And an indication costs a handful: frame, payload, records, SDL entry.
-    assert!(per_indication <= 16.0, "{per_indication} allocations per indication");
+    // And an indication costs a handful: frame, payload, records, SDL entry
+    // (361 over 32 indications since the binary wire path).
+    assert!(per_indication <= 11.3, "{per_indication} allocations per indication");
 }
 
 /// Allocations this thread makes inside `on_records` over `MEASURED_PERIODS`
@@ -232,4 +250,405 @@ fn detectors_allocate_nothing_per_record_once_warm() {
     let lstm = MobiWatchConfig { detector: Detector::Lstm, ..config };
     let (mut watch, state) = MobiWatch::new(models, lstm);
     assert_eq!(detector_allocations(&mut watch, &state, 64), 0, "LSTM MobiWatch allocated");
+}
+
+// --- golden bytes, decoder totality, codec allocations ----------------------
+
+/// One codec under test, reduced to bytes: its sample set encoded, and
+/// `recode` = decode then encode again.
+struct Codec {
+    name: &'static str,
+    golden: &'static [&'static str],
+    encoded: Vec<Vec<u8>>,
+    recode: fn(&[u8]) -> xsec_types::Result<Vec<u8>>,
+}
+
+fn l3_samples() -> Vec<L3Message> {
+    use xsec_proto::nas::IdentityType;
+    vec![
+        L3Message::Rrc(RrcMessage::SetupRequest {
+            ue_identity: 0xDEAD_BEEF,
+            cause: EstablishmentCause::MoSignalling,
+        }),
+        L3Message::Rrc(RrcMessage::Setup),
+        L3Message::Rrc(RrcMessage::SetupComplete { nas_container: vec![1, 2, 3] }),
+        L3Message::Rrc(RrcMessage::Reject { wait_time_s: 16 }),
+        L3Message::Rrc(RrcMessage::SecurityModeCommand {
+            cipher: CipherAlg::Nea2,
+            integrity: IntegrityAlg::Nia2,
+        }),
+        L3Message::Rrc(RrcMessage::Release { cause: ReleaseCause::Congestion }),
+        L3Message::Rrc(RrcMessage::Paging { ue_identity: MobileIdentity::FiveGSTmsi(Tmsi(77)) }),
+        L3Message::Rrc(RrcMessage::ReestablishmentRequest { old_rnti: Rnti(0x1234) }),
+        L3Message::Rrc(RrcMessage::UlInformationTransfer { nas_container: vec![] }),
+        L3Message::Nas(NasMessage::RegistrationRequest {
+            identity: MobileIdentity::Suci { plmn: Plmn::TEST, concealed: 42 },
+            capabilities: SecurityCapabilities::full(),
+        }),
+        L3Message::Nas(NasMessage::RegistrationAccept { new_tmsi: Tmsi(0xCAFE) }),
+        L3Message::Nas(NasMessage::AuthenticationRequest { rand: 7, autn: 8 }),
+        L3Message::Nas(NasMessage::AuthenticationResponse { res: 9 }),
+        L3Message::Nas(NasMessage::IdentityRequest { id_type: IdentityType::PlainSupi }),
+        L3Message::Nas(NasMessage::IdentityResponse {
+            identity: MobileIdentity::PlainSupi(Supi::new(Plmn::TEST, 123)),
+        }),
+        L3Message::Nas(NasMessage::SecurityModeCommand {
+            cipher: CipherAlg::Nea0,
+            integrity: IntegrityAlg::Nia0,
+            replayed_capabilities: SecurityCapabilities::null_only(),
+        }),
+        L3Message::Nas(NasMessage::ServiceRequest { tmsi: Tmsi(1) }),
+        L3Message::Nas(NasMessage::PduSessionEstablishmentRequest { session_id: 5 }),
+    ]
+}
+
+fn f1ap_samples() -> Vec<F1apPdu> {
+    let setup = L3Message::Rrc(RrcMessage::Setup);
+    let complete = L3Message::Rrc(RrcMessage::SetupComplete { nas_container: vec![1, 2, 3] });
+    vec![
+        F1apPdu::wrap(7, Rnti(0x5F), CellId(1), false, &setup),
+        F1apPdu::wrap(42, Rnti(0x1234), CellId(3), true, &complete),
+        F1apPdu::wrap(1, Rnti(2), CellId(3), true, &setup),
+    ]
+}
+
+fn ngap_samples() -> Vec<NgapPdu> {
+    vec![
+        NgapPdu::wrap(
+            100,
+            200,
+            false,
+            &L3Message::Nas(NasMessage::AuthenticationRequest { rand: 5, autn: 6 }),
+        ),
+        NgapPdu::wrap(1, 2, true, &L3Message::Nas(NasMessage::AuthenticationResponse { res: 9 })),
+        NgapPdu::wrap(1, 2, true, &L3Message::Nas(NasMessage::SecurityModeComplete)),
+    ]
+}
+
+fn action_samples() -> Vec<ControlAction> {
+    use xsec_types::Duration;
+    vec![
+        ControlAction {
+            id: 1,
+            ttl: Duration::from_secs(10),
+            action: MitigationAction::ReleaseUe { conn: 7, cause: ReleaseCause::NetworkAbort },
+            trace: None,
+        },
+        ControlAction {
+            id: 2,
+            ttl: Duration::from_secs(30),
+            action: MitigationAction::BlacklistRnti { rnti: Rnti(0x4612) },
+            trace: None,
+        },
+        ControlAction {
+            id: 3,
+            ttl: Duration::from_secs(5),
+            action: MitigationAction::ForceReauth { conn: 12 },
+            trace: Some(0x1122_3344_5566_7788),
+        },
+        ControlAction {
+            id: 4,
+            ttl: Duration::from_millis(2500),
+            action: MitigationAction::QuarantineCell { cell: CellId(1) },
+            trace: None,
+        },
+        ControlAction {
+            id: 5,
+            ttl: Duration::from_secs(60),
+            action: MitigationAction::RateLimitCause {
+                cause: EstablishmentCause::MoSignalling,
+                max_setups: 3,
+                window: Duration::from_millis(500),
+            },
+            trace: Some(7),
+        },
+    ]
+}
+
+fn e2ap_samples() -> Vec<E2apPdu> {
+    use xsec_types::Duration;
+    let rid = RicRequestId { requestor: 10, instance: 1 };
+    let action = ControlAction {
+        id: 77,
+        ttl: Duration::from_secs(10),
+        action: MitigationAction::RateLimitCause {
+            cause: EstablishmentCause::MoSignalling,
+            max_setups: 2,
+            window: Duration::from_millis(400),
+        },
+        trace: Some(0xDEAD_BEEF),
+    };
+    vec![
+        E2apPdu::SetupRequest {
+            gnb_id: GnbId(7),
+            ran_functions: vec![1, 142],
+            cells: vec![CellId(1), CellId(2)],
+        },
+        E2apPdu::SetupResponse { accepted: vec![142] },
+        E2apPdu::SubscriptionRequest {
+            request_id: rid,
+            ran_function: 142,
+            report_period_ms: 100,
+            actions: vec![RicAction::Report, RicAction::Policy],
+        },
+        E2apPdu::SubscriptionResponse { request_id: rid, accepted: true },
+        E2apPdu::SubscriptionDeleteRequest { request_id: rid },
+        E2apPdu::Indication {
+            request_id: rid,
+            ran_function: 142,
+            sequence: 9,
+            payload: vec![1, 2, 3],
+        },
+        E2apPdu::ControlRequest { ran_function: 142, payload: action.encode() },
+        E2apPdu::ControlRequest { ran_function: 142, payload: vec![] },
+        E2apPdu::ControlAck { ran_function: 142, success: false },
+    ]
+}
+
+/// `e2sm`'s `full_payload`: records with and without optionals plus a
+/// generic entry.
+fn kpm_full_payload() -> Vec<u8> {
+    let plain = |id: u64| UeMobiFlow {
+        msg_id: id,
+        timestamp: Timestamp(id * 100),
+        cell: CellId(1),
+        rnti: Rnti(0x4601),
+        du_ue_id: 1,
+        direction: Direction::Uplink,
+        msg: MessageKind::RrcSetupRequest,
+        tmsi: None,
+        supi: None,
+        cipher_alg: None,
+        integrity_alg: None,
+        establishment_cause: None,
+        release_cause: None,
+    };
+    let mut records: Vec<_> = (0..3).map(plain).collect();
+    records[1].tmsi = Some(Tmsi(0xAABB_CCDD));
+    records[1].supi = Some(Supi::new(Plmn::TEST, 99));
+    records[2].msg = MessageKind::RrcRelease;
+    records[2].release_cause = Some(ReleaseCause::Congestion);
+    let mut ind = KpmIndication::from_records(CellId(1), Timestamp(0), Timestamp(1), &records);
+    ind.entries.push(("kpm/prb_util".into(), "0.7".into()));
+    ind.encode()
+}
+
+fn codecs() -> Vec<Codec> {
+    vec![
+        Codec {
+            name: "L3",
+            golden: L3_GOLDEN,
+            encoded: l3_samples().iter().map(encode_l3).collect(),
+            recode: |b| decode_l3(b).map(|m| encode_l3(&m)),
+        },
+        Codec {
+            name: "F1AP",
+            golden: F1AP_GOLDEN,
+            encoded: f1ap_samples().iter().map(F1apPdu::encode).collect(),
+            recode: |b| F1apPdu::decode(b).map(|p| p.encode()),
+        },
+        Codec {
+            name: "NGAP",
+            golden: NGAP_GOLDEN,
+            encoded: ngap_samples().iter().map(NgapPdu::encode).collect(),
+            recode: |b| NgapPdu::decode(b).map(|p| p.encode()),
+        },
+        Codec {
+            name: "E2AP",
+            golden: E2AP_GOLDEN,
+            encoded: e2ap_samples().iter().map(E2apPdu::encode).collect(),
+            recode: |b| E2apPdu::decode(b).map(|p| p.encode()),
+        },
+        Codec {
+            name: "KPM",
+            golden: KPM_GOLDEN,
+            encoded: vec![kpm_full_payload()],
+            recode: |b| KpmIndication::decode(b).map(|p| p.encode()),
+        },
+        Codec {
+            name: "ControlAction",
+            golden: ACTION_GOLDEN,
+            encoded: action_samples().iter().map(ControlAction::encode).collect(),
+            recode: |b| ControlAction::decode(b).map(|a| a.encode()),
+        },
+    ]
+}
+
+const L3_GOLDEN: &[&str] = &[
+    "0000000000deadbeef03",
+    "01",
+    "020003010203",
+    "0310",
+    "040202",
+    "0803",
+    "09010000004d",
+    "0a1234",
+    "0c0000",
+    "200000010001000000000000002a0f0f",
+    "210000cafe",
+    "2400000000000000070000000000000008",
+    "250000000000000009",
+    "2801",
+    "290200010001000000000000007b",
+    "2a00000101",
+    "2d00000001",
+    "3105",
+];
+const F1AP_GOLDEN: &[&str] = &[
+    "00000007005f0000000100000101",
+    "0000002a123400000003010006020003010203",
+    "0000000100020000000301000101",
+];
+const NGAP_GOLDEN: &[&str] = &[
+    "000000000000006400000000000000c80000112400000000000000050000000000000006",
+    "00000000000000010000000000000002010009250000000000000009",
+    "000000000000000100000000000000020100012b",
+];
+const E2AP_GOLDEN: &[&str] = &[
+    "00000000070002000000010000008e00020000000100000002",
+    "0100010000008e",
+    "02000a00010000008e00000064020002",
+    "03000a000101",
+    "04000a0001",
+    "05000a00010000008e000000000000000900000003010203",
+    concat!(
+        "060000008e0000002b0100040000004d020008000000000098968014000b0300020000000000061a",
+        "8003000800000000deadbeef",
+    ),
+    "060000008e00000000",
+    "070000008e00",
+];
+const KPM_GOLDEN: &[&str] = &[
+    concat!(
+        "00000001000000000000000000000000000000010000000300000000000000000000000000000000",
+        "000000010000000146011400ffffffff000000000000000000000000000000000000000000000001",
+        "0000000000000064000000010000000146011700ffffffffaabbccdd000100010000000000000063",
+        "000000000000000200000000000000c8000000010000000146011408ffffff030000000000000000",
+        "000000000000000000000001000c6b706d2f7072625f7574696c0003302e37",
+    ),
+];
+const ACTION_GOLDEN: &[&str] = &[
+    "0100040000000102000800000000009896801000050000000702",
+    "010004000000020200080000000001c9c3801100024612",
+    "0100040000000302000800000000004c4b401200040000000c0300081122334455667788",
+    "0100040000000402000800000000002625a013000400000001",
+    "01000400000005020008000000000393870014000b030003000000000007a1200300080000000000000007",
+];
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Every encoder's bytes, pinned at the commit before the codecs moved onto
+/// the shared reader: a codec refactor that changes one bit on the wire
+/// fails here.
+#[test]
+fn sample_sets_encode_to_the_pinned_bytes() {
+    for codec in codecs() {
+        let now: Vec<String> = codec.encoded.iter().map(|b| hex(b)).collect();
+        assert_eq!(now, codec.golden, "{} bytes changed", codec.name);
+    }
+}
+
+/// The decoder's whole contract on one input: it returns (no panic), never
+/// asks the allocator for more than a small multiple of the input (a
+/// hostile length field is checked against the bytes present before
+/// anything is sized by it), and an accepted input is the canonical
+/// encoding of the value it decoded to.
+fn assert_total(codec: &Codec, input: &[u8]) {
+    LARGEST.with(|n| n.set(0));
+    let recoded = (codec.recode)(input);
+    let largest = LARGEST.with(Cell::get);
+    // A decoded record is about twice its wire size; error text is short.
+    assert!(
+        largest <= 4 * input.len() + 512,
+        "{}: a {largest}-byte allocation decoding {} bytes ({})",
+        codec.name,
+        input.len(),
+        hex(input)
+    );
+    if let Ok(bytes) = recoded {
+        assert_eq!(hex(&bytes), hex(input), "{}: accepted a non-canonical input", codec.name);
+    }
+}
+
+/// One harness for every decoder on the wire path: arbitrary bytes, every
+/// truncation, every single-bit flip and a saturated field at every offset
+/// give an error or a canonical value, never a panic or a large allocation.
+#[test]
+fn every_decoder_is_total() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for codec in codecs() {
+        for sample in &codec.encoded {
+            assert_eq!(
+                (codec.recode)(sample).as_deref().map(hex),
+                Ok(hex(sample)),
+                "{}: a sample does not survive decode and encode",
+                codec.name
+            );
+            for cut in 0..sample.len() {
+                assert_total(&codec, &sample[..cut]);
+            }
+            for bit in 0..sample.len() * 8 {
+                let mut flipped = sample.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_total(&codec, &flipped);
+            }
+            // Whatever field sits at `at` — a count, a length — claims its
+            // maximum.
+            for width in [1, 2, 4] {
+                for at in 0..sample.len().saturating_sub(width - 1) {
+                    let mut hostile = sample.clone();
+                    hostile[at..at + width].fill(0xFF);
+                    assert_total(&codec, &hostile);
+                }
+            }
+            // A valid head with an arbitrary tail reaches the inner decoders.
+            for _ in 0..64 {
+                let keep = next() as usize % (sample.len() + 1);
+                let mut spliced = sample[..keep].to_vec();
+                spliced.extend((0..next() % 24).map(|_| next() as u8));
+                assert_total(&codec, &spliced);
+            }
+        }
+        for _ in 0..4096 {
+            let arbitrary: Vec<u8> = (0..next() % 96).map(|_| next() as u8).collect();
+            assert_total(&codec, &arbitrary);
+        }
+    }
+}
+
+/// Allocations this thread makes inside `f`.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = allocations();
+    let out = f();
+    (allocations() - before, out)
+}
+
+/// The per-message codecs of the simulator, extract and control paths
+/// allocate for what they return and nothing else: no staging buffer on
+/// either side.
+#[test]
+fn per_message_codecs_allocate_only_what_they_return() {
+    let plain = encode_l3(&L3Message::Nas(NasMessage::AuthenticationRequest { rand: 7, autn: 8 }));
+    assert_eq!(allocations_in(|| decode_l3(&plain)).0, 0, "decode_l3 of a container-free message");
+
+    let f1ap = f1ap_samples()[1].encode();
+    assert_eq!(allocations_in(|| F1apPdu::decode(&f1ap)).0, 1, "F1apPdu::decode: the container");
+    let ngap = ngap_samples()[0].encode();
+    assert_eq!(allocations_in(|| NgapPdu::decode(&ngap)).0, 1, "NgapPdu::decode: the container");
+
+    for action in action_samples() {
+        let (encoding, bytes) = allocations_in(|| action.encode());
+        assert_eq!(encoding, 1, "ControlAction::encode of {action:?}: the payload");
+        let (decoding, back) = allocations_in(|| ControlAction::decode(&bytes));
+        assert_eq!(decoding, 0, "ControlAction::decode of {action:?}");
+        assert_eq!(back.unwrap(), action);
+    }
 }
