@@ -12,6 +12,7 @@ use sixg_xsec::smo::{Smo, TrainingConfig};
 use xsec_attacks::DatasetBuilder;
 use xsec_dl::{Confusion, FeatureConfig, Featurizer, Threshold};
 use xsec_mobiflow::extract_from_events;
+use xsec_obs::Obs;
 use xsec_types::AttackKind;
 
 struct Eval {
@@ -22,8 +23,15 @@ struct Eval {
 
 /// Runs one train+score cycle, timing it into the harness registry so the
 /// sweep cost shows up in the exported snapshot.
-fn evaluate(training: &TrainingConfig, seed: u64, sessions: usize, pct: f64, sweep: &str) -> Eval {
-    let timer = xsec_bench::obs()
+fn evaluate(
+    obs: &Obs,
+    training: &TrainingConfig,
+    seed: u64,
+    sessions: usize,
+    pct: f64,
+    sweep: &str,
+) -> Eval {
+    let timer = obs
         .histogram("xsec_bench_ablation_eval_latency_us", &[("sweep", sweep)]);
     let start = std::time::Instant::now();
     let eval = evaluate_inner(training, seed, sessions, pct);
@@ -74,6 +82,7 @@ fn evaluate_inner(training: &TrainingConfig, seed: u64, sessions: usize, pct: f6
 }
 
 fn main() {
+    let obs = Obs::new();
     let quick = xsec_bench::quick_mode();
     let sessions = if quick { 20 } else { 60 };
     let base = TrainingConfig {
@@ -93,7 +102,7 @@ fn main() {
     emit(format!("  {:<6} {:>14} {:>14} {:>16}", "N", "benign acc", "attack recall", "attack precision"));
     for window in [2usize, 4, 6, 8, 12] {
         let training = TrainingConfig { window, ..base.clone() };
-        let e = evaluate(&training, 10, sessions, 99.0, "window");
+        let e = evaluate(&obs, &training, 10, sessions, 99.0, "window");
         emit(format!(
             "  {:<6} {:>13.1}% {:>13.1}% {:>15.1}%",
             window, e.benign_accuracy, e.attack_recall, e.attack_precision
@@ -104,7 +113,7 @@ fn main() {
     emit(format!("  {:<6} {:>14} {:>14} {:>16}", "pct", "benign acc", "attack recall", "attack precision"));
     for pct in [90.0, 95.0, 99.0, 99.9] {
         let training = TrainingConfig { threshold_pct: pct, ..base.clone() };
-        let e = evaluate(&training, 11, sessions, pct, "threshold");
+        let e = evaluate(&obs, &training, 11, sessions, pct, "threshold");
         emit(format!(
             "  {:<6} {:>13.1}% {:>13.1}% {:>15.1}%",
             pct, e.benign_accuracy, e.attack_recall, e.attack_precision
@@ -115,7 +124,7 @@ fn main() {
     emit(format!("  {:<12} {:>14} {:>14} {:>16}", "hidden", "benign acc", "attack recall", "attack precision"));
     for hidden in [vec![16, 4], vec![32, 8], vec![64, 16], vec![128, 32]] {
         let training = TrainingConfig { autoencoder_hidden: hidden.clone(), ..base.clone() };
-        let e = evaluate(&training, 12, sessions, 99.0, "bottleneck");
+        let e = evaluate(&obs, &training, 12, sessions, 99.0, "bottleneck");
         emit(format!(
             "  {:<12} {:>13.1}% {:>13.1}% {:>15.1}%",
             format!("{hidden:?}"),
@@ -153,7 +162,7 @@ fn main() {
     emit(format!("  ... plus alert cooldown ({cooldown}): {:>7}  (deployed policy)", calls));
 
     // Surface what the sweeps themselves cost, per sweep kind.
-    let snapshot = xsec_bench::obs().snapshot();
+    let snapshot = obs.snapshot();
     emit("\nHarness cost (train+score cycle per sweep point)".into());
     for (sample, h) in snapshot.histograms("xsec_bench_ablation_eval_latency_us") {
         let sweep = sample.labels.first().map(|(_, v)| v.as_str()).unwrap_or("?");

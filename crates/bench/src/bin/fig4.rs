@@ -8,11 +8,8 @@ use sixg_xsec::experiments::fig4::{self, Fig4Config};
 fn main() {
     let config =
         if xsec_bench::quick_mode() { Fig4Config::quick(1) } else { Fig4Config::default() };
-    let obs = xsec_bench::obs();
-    xsec_obs::info!(
-        obs,
-        "fig4",
-        "running Figure 4 (seed {}, {} sessions) ...",
+    eprintln!(
+        "fig4: running Figure 4 (seed {}, {} sessions) ...",
         config.seed,
         config.benign_sessions
     );
@@ -24,5 +21,5 @@ fn main() {
     let dir = std::path::Path::new("target/experiments");
     std::fs::create_dir_all(dir).unwrap();
     std::fs::write(dir.join("fig4.csv"), csv).unwrap();
-    xsec_obs::info!(obs, "fig4", "series saved to target/experiments/fig4.csv");
+    eprintln!("fig4: series saved to target/experiments/fig4.csv");
 }

@@ -10,12 +10,7 @@ fn main() {
     } else {
         PipelineConfig::paper(61)
     };
-    let obs = xsec_bench::obs();
-    xsec_obs::info!(
-        obs,
-        "fig5",
-        "running Figure 5 (training + flagging a flood window) ..."
-    );
+    eprintln!("fig5: running Figure 5 (training + flagging a flood window) ...");
     let result = fig5::run(&config);
     let text = result.render();
     println!("{text}");

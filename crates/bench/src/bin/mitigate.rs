@@ -86,15 +86,14 @@ fn render(name: &str, baseline_attack: usize, closed: &ClosedLoopOutcome) -> Str
 }
 
 fn main() {
-    let obs = xsec_bench::obs();
     let quick = xsec_bench::quick_mode();
     let (sessions, connections) = if quick { (12, 200) } else { (20, 300) };
 
-    xsec_obs::info!(obs, "mitigate", "training the detector ...");
+    eprintln!("mitigate: training the detector ...");
     let pipeline = Pipeline::train(&PipelineConfig::small(31, sessions));
     let mut text = String::from("Closed-loop mitigation: detection -> E2 Control -> enforcement\n\n");
 
-    xsec_obs::info!(obs, "mitigate", "closed loop: BTS DoS flood ...");
+    eprintln!("mitigate: closed loop: BTS DoS flood ...");
     let baseline = flood_sim(31, sessions, connections).run();
     // Runtime rule install over A1: before the flood starts, the SMO hook
     // stretches the BTS DoS playbook's TTL from 10 s to 12 s on the live
@@ -121,7 +120,7 @@ fn main() {
         &closed,
     ));
 
-    xsec_obs::info!(obs, "mitigate", "closed loop: null cipher ...");
+    eprintln!("mitigate: closed loop: null cipher ...");
     let cfg = scenario(33, sessions, Duration::from_secs(20));
     let baseline = attack_simulator(AttackKind::NullCipher, &cfg).run();
     let closed2 = pipeline.run_closed_loop(attack_simulator(AttackKind::NullCipher, &cfg));

@@ -15,15 +15,14 @@ use xsec_ric::{Grants, SubscriptionSpec};
 use xsec_types::{AttackKind, CellId};
 
 fn main() {
-    let obs = xsec_bench::obs();
     let quick = xsec_bench::quick_mode();
     let sessions = if quick { 12 } else { 20 };
 
-    xsec_obs::info!(obs, "rogue", "training the detector ...");
+    eprintln!("rogue: training the detector ...");
     let config = PipelineConfig::small(41, sessions);
     let pipeline = Pipeline::train(&config);
 
-    xsec_obs::info!(obs, "rogue", "deploying trio + rogue on a hardened platform ...");
+    eprintln!("rogue: deploying trio + rogue on a hardened platform ...");
     let (rogue, rogue_report) = RogueXApp::new(0xBAD_F00D, CellId(1));
     let mut d = ScaleDeployment::with_extra_xapps(
         &pipeline,

@@ -25,7 +25,7 @@ use sixg_xsec::mobiwatch::MobiWatchConfig;
 use sixg_xsec::shard::ShardedMobiWatch;
 use sixg_xsec::smo::{Smo, TrainingConfig};
 use std::time::Instant;
-use xsec_bench::{obs, quick_mode, save_report};
+use xsec_bench::{quick_mode, save_report};
 use xsec_mobiflow::{extract_from_events, extract_from_events_at};
 use xsec_ran::{StormConfig, StreamConfig, StreamingScenario};
 use xsec_types::{Duration, Timestamp};
@@ -54,6 +54,7 @@ fn soak_config(total_ues: u64) -> StreamConfig {
 }
 
 fn main() {
+    let obs = xsec_obs::Obs::new();
     let quick = quick_mode();
     let target: u64 = std::env::var("XSEC_SOAK_UES")
         .ok()
@@ -66,11 +67,10 @@ fn main() {
     let shards = std::thread::available_parallelism()
         .map(|n| n.get().min(4))
         .unwrap_or(1);
-    let obs = obs();
 
     // Train on a small benign run of the *same* streaming deployment, so
     // the detector models the distribution it will patrol.
-    xsec_obs::info!(obs, "soak", "training on a streaming benign sample");
+    eprintln!("soak: training on a streaming benign sample");
     let mut trainer = StreamingScenario::new(StreamConfig {
         seed: 7,
         ..soak_config(2_000)
@@ -94,13 +94,13 @@ fn main() {
     .expect("training succeeds");
     drop(training_events);
 
-    xsec_obs::info!(obs, "soak", "streaming {target} UEs ({shards} shards, quick={quick})");
+    eprintln!("soak: streaming {target} UEs ({shards} shards, quick={quick})");
     let mut engine = StreamingScenario::new(soak_config(target));
     let (mut pool, state) = ShardedMobiWatch::new(models, MobiWatchConfig::default(), shards);
     // The soak has no E2 agent, so the driver is the ingest stage: it
     // begins each record's trace and logs the ingest span; the pool logs
     // inference/alert spans into the same recorder.
-    pool.attach_obs(obs);
+    pool.attach_obs(&obs);
     let ring = obs.recorder.ring();
 
     let start = Instant::now();
@@ -145,10 +145,8 @@ fn main() {
         if last_log.elapsed().as_secs() >= 10 {
             last_log = Instant::now();
             let st = engine.stats();
-            xsec_obs::info!(
-                obs,
-                "soak",
-                "{}/{} UEs, {} records, live {}, rss {} kB",
+            eprintln!(
+                "soak: {}/{} UEs, {} records, live {}, rss {} kB",
                 st.spawned,
                 target,
                 records_total,

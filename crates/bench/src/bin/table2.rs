@@ -9,11 +9,8 @@ fn main() {
     } else {
         Table2Config::default()
     };
-    let obs = xsec_bench::obs();
-    xsec_obs::info!(
-        obs,
-        "table2",
-        "running Table 2 (seed {}, {} benign sessions, {} folds) ...",
+    eprintln!(
+        "table2: running Table 2 (seed {}, {} benign sessions, {} folds) ...",
         config.seed,
         config.benign_sessions,
         config.folds

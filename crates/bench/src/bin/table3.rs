@@ -9,12 +9,7 @@ fn main() {
     } else {
         Table3Config::default()
     };
-    let obs = xsec_bench::obs();
-    xsec_obs::info!(
-        obs,
-        "table3",
-        "running Table 3 (training the detector to pick the traces) ..."
-    );
+    eprintln!("table3: running Table 3 (training the detector to pick the traces) ...");
     let result = table3::run(&config);
     let mut text = result.render();
     text.push_str("\nAgreement with the paper's matrix:\n");

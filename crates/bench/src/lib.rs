@@ -1,9 +1,9 @@
 //! # xsec-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation section, plus Criterion micro-benchmarks for the performance-
-//! critical paths (E2 codec, telemetry extraction, featurization, model
-//! inference, end-to-end pipeline throughput).
+//! evaluation section, plus the two timing gates the whole-stack benchmark
+//! (`benchmark/`) does not cover (`kernels`: cross-build SIMD speedup and
+//! reactor scale).
 //!
 //! | Paper artifact | Binary |
 //! |---|---|
@@ -22,15 +22,7 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
-use xsec_obs::{FlightRecorder, HistogramSummary, Obs, Snapshot};
-
-/// The harness-wide observability handle: stderr events filtered by
-/// `XSEC_LOG` (default `info`; `XSEC_LOG=off` silences progress chatter).
-pub fn obs() -> &'static Obs {
-    static OBS: OnceLock<Obs> = OnceLock::new();
-    OBS.get_or_init(Obs::for_cli)
-}
+use xsec_obs::{FlightRecorder, HistogramSummary, Snapshot};
 
 /// Whether `--quick` was passed on the command line.
 pub fn quick_mode() -> bool {
@@ -45,8 +37,7 @@ pub fn save_report(name: &str, contents: &str) -> PathBuf {
     let path = dir.join(format!("{name}.txt"));
     let mut file = std::fs::File::create(&path).expect("create report file");
     file.write_all(contents.as_bytes()).expect("write report");
-    let obs = obs();
-    xsec_obs::info!(obs, "bench", "report saved to {}", path.display());
+    eprintln!("bench: report saved to {}", path.display());
     path
 }
 
@@ -56,8 +47,7 @@ pub fn save_metrics(snapshot: &Snapshot, stem: &str) -> (PathBuf, PathBuf) {
     let (prom, json) = snapshot
         .write_files(Path::new("target/experiments"), stem)
         .expect("write metrics files");
-    let obs = obs();
-    xsec_obs::info!(obs, "bench", "metrics saved to {} and {}", prom.display(), json.display());
+    eprintln!("bench: metrics saved to {} and {}", prom.display(), json.display());
     (prom, json)
 }
 
@@ -68,11 +58,8 @@ pub fn save_incidents(recorder: &FlightRecorder, stem: &str) -> (PathBuf, PathBu
     let (jsonl, perfetto) = recorder
         .write_incident_files(Path::new("target/experiments"), stem)
         .expect("write incident files");
-    let obs = obs();
-    xsec_obs::info!(
-        obs,
-        "bench",
-        "{} incident trace(s) saved to {} and {}",
+    eprintln!(
+        "bench: {} incident trace(s) saved to {} and {}",
         recorder.incidents().len(),
         jsonl.display(),
         perfetto.display()
@@ -143,6 +130,7 @@ pub fn summary_line(h: &HistogramSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsec_obs::Obs;
 
     #[test]
     fn save_report_round_trips() {

@@ -239,7 +239,7 @@ impl ScaleDeployment {
         assert!(agents > 0, "at least one agent");
         let config = pipeline.config();
         // Fresh per deployment, so each run's snapshot stands alone.
-        let obs = Obs::from_env();
+        let obs = Obs::new();
         let mut platform = RicPlatform::with_obs(obs.clone());
         let cell = |i: usize| CellId((i % agents) as u32 + 1);
         let mut ric_agents = Vec::with_capacity(agents);

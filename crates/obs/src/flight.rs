@@ -32,7 +32,7 @@
 //! incident trace byte-identical to a 1-shard run's.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Capacity of each per-thread event ring. Sized to hold several ingest
@@ -172,8 +172,9 @@ pub struct FlightRing {
 }
 
 impl FlightRing {
-    /// Records one hot-path event. Untraced events (`trace == 0`) are
-    /// skipped, which is how a disabled recorder keeps the hot path free.
+    /// Records one hot-path event. Untraced events (`trace == 0`: the
+    /// record's trace was evicted from the slot map, or it was never
+    /// ingested) are skipped.
     pub fn record(&self, event: FlightEvent) {
         if event.trace == 0 {
             return;
@@ -226,7 +227,6 @@ struct DenialStore {
 
 #[derive(Debug)]
 struct RecorderInner {
-    enabled: AtomicBool,
     next_trace: AtomicU64,
     /// `msg_id % TRACE_SLOTS` → `(msg_id + 1, trace)`; sized lazily so an
     /// unused recorder costs nothing.
@@ -237,9 +237,8 @@ struct RecorderInner {
 }
 
 /// The flight recorder: trace-id generator, ring registry, and incident
-/// store. Cloning shares the recorder; [`Default`] builds a fresh, enabled
-/// one (the recorder is always-on — [`FlightRecorder::set_enabled`] exists
-/// for overhead measurement).
+/// store. Cloning shares the recorder; [`Default`] builds a fresh one. The
+/// recorder is always on.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     inner: Arc<RecorderInner>,
@@ -249,7 +248,6 @@ impl Default for FlightRecorder {
     fn default() -> Self {
         FlightRecorder {
             inner: Arc::new(RecorderInner {
-                enabled: AtomicBool::new(true),
                 next_trace: AtomicU64::new(1),
                 slots: Mutex::new(Vec::new()),
                 rings: Mutex::new(Vec::new()),
@@ -261,20 +259,9 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A fresh, enabled recorder.
+    /// A fresh recorder.
     pub fn new() -> Self {
         FlightRecorder::default()
-    }
-
-    /// Turns recording on or off. Off, `begin_trace` returns 0 and every
-    /// downstream record call short-circuits on the untraced id.
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the recorder is currently recording.
-    pub fn enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
     }
 
     /// Registers and returns a new bounded event ring. Acquire one per
@@ -287,14 +274,11 @@ impl FlightRecorder {
 
     /// Allocates the next trace id for `msg_id` and remembers the mapping
     /// in a bounded slot map so downstream stages can recover the trace
-    /// from the record alone. Returns 0 when disabled.
+    /// from the record alone.
     ///
     /// Must be called from the (single) ingest path so the counter order —
     /// and therefore every replayed id — is deterministic.
     pub fn begin_trace(&self, msg_id: u64) -> u64 {
-        if !self.enabled() {
-            return 0;
-        }
         let trace = self.inner.next_trace.fetch_add(1, Ordering::Relaxed);
         let mut slots = self.inner.slots.lock().expect("trace slots poisoned");
         if slots.is_empty() {
@@ -305,7 +289,7 @@ impl FlightRecorder {
     }
 
     /// The trace id allocated for `msg_id`, or 0 when unknown (never
-    /// ingested, disabled at ingest, or evicted from the slot map).
+    /// ingested, or evicted from the slot map).
     pub fn trace_for(&self, msg_id: u64) -> u64 {
         let slots = self.inner.slots.lock().expect("trace slots poisoned");
         match slots.get((msg_id % TRACE_SLOTS.max(1) as u64) as usize) {
@@ -318,7 +302,7 @@ impl FlightRecorder {
     /// every registered ring. Idempotent per trace; at most
     /// [`MAX_INCIDENTS`] are kept and the rest are counted as dropped.
     pub fn mark_incident(&self, trace: u64) {
-        if trace == 0 || !self.enabled() {
+        if trace == 0 {
             return;
         }
         let mut store = self.inner.incidents.lock().expect("incident store poisoned");
@@ -342,7 +326,7 @@ impl FlightRecorder {
     /// was marked. Incident stages are rare (per detection, not per
     /// record), so they bypass the rings and can never be overwritten.
     pub fn record_stage(&self, event: FlightEvent) {
-        if event.trace == 0 || !self.enabled() {
+        if event.trace == 0 {
             return;
         }
         let mut store = self.inner.incidents.lock().expect("incident store poisoned");
@@ -356,9 +340,6 @@ impl FlightRecorder {
     /// alongside the causal traces. Bounded at [`MAX_DENIALS`]; overflow
     /// bumps the sequence counter but keeps no record.
     pub fn record_denial(&self, xapp: &str, capability: &str) {
-        if !self.enabled() {
-            return;
-        }
         let mut store = self.inner.denials.lock().expect("denial store poisoned");
         store.next_seq += 1;
         if store.records.len() >= MAX_DENIALS {
@@ -574,19 +555,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_allocates_nothing() {
-        let rec = FlightRecorder::new();
-        rec.set_enabled(false);
-        assert_eq!(rec.begin_trace(1), 0);
-        let ring = rec.ring();
-        ring.record(ev(0, TraceStage::Ingest, 10));
-        rec.mark_incident(0);
-        assert!(rec.incidents().is_empty());
-        rec.set_enabled(true);
-        assert_eq!(rec.begin_trace(1), 1, "ids resume from the counter");
-    }
-
-    #[test]
     fn rings_are_bounded_and_overwrite_oldest() {
         let rec = FlightRecorder::new();
         let ring = rec.ring();
@@ -615,6 +583,7 @@ mod tests {
         rec.mark_incident(trace); // idempotent
         rec.record_stage(ev(trace, TraceStage::Alert, 30));
         rec.record_stage(ev(trace + 99, TraceStage::Alert, 31)); // unmarked: dropped
+        rec.mark_incident(0); // untraced: no incident
         let incidents = rec.incidents();
         assert_eq!(incidents.len(), 1);
         let stages: Vec<TraceStage> = incidents[0].events.iter().map(|e| e.stage).collect();

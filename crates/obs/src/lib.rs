@@ -1,7 +1,7 @@
 //! # xsec-obs
 //!
 //! The observability substrate for the 6G-XSec pipeline: one metrics
-//! registry and one tracing facade that every stage — E2 ingest, indication
+//! registry and one flight recorder that every stage — E2 ingest, indication
 //! pump, MobiWatch inference, LLM analysis, mitigation delivery, RAN
 //! enforcement — records into, so a single snapshot explains where the
 //! detection→control budget went.
@@ -11,10 +11,8 @@
 //! * [`MetricsRegistry`] — lock-cheap [`Counter`]s, [`Gauge`]s, and
 //!   fixed-bucket [`Histogram`]s with p50/p90/p99/max estimates. Handles
 //!   are `Arc`s over atomics; the hot path never takes a lock.
-//! * [`Tracer`] — leveled events ([`event!`], [`info!`], …) and RAII spans
-//!   ([`span!`]) with a bounded ring buffer and a pluggable [`EventSink`]
-//!   (stderr for binaries, silent for library use). `XSEC_LOG` picks the
-//!   CLI level.
+//! * [`FlightRecorder`] — per-record causal trace ids, bounded event rings,
+//!   and the incident store behind `incidents.jsonl`.
 //! * Exposition — [`Snapshot::render_prometheus`],
 //!   [`Snapshot::render_json`], and [`Snapshot::write_files`] dump
 //!   `metrics.prom` / `metrics.json` per run.
@@ -23,16 +21,14 @@
 //! ## Example
 //!
 //! ```
-//! use xsec_obs::{Level, Obs};
+//! use xsec_obs::Obs;
 //!
 //! let obs = Obs::new();
 //! let decoded = obs.counter("xsec_e2_pdus_total", &[]);
 //! let latency = obs.histogram("xsec_e2_decode_latency_us", &[]);
-//! {
-//!     let _span = xsec_obs::span!(obs, "e2", "decode").with_histogram(latency.clone());
-//!     decoded.inc(); // ... decode work ...
-//! }
-//! xsec_obs::info!(obs, "e2", "decoded {} PDUs", decoded.get());
+//! let start = std::time::Instant::now();
+//! decoded.inc(); // ... decode work ...
+//! latency.observe_duration(start.elapsed());
 //! assert_eq!(latency.count(), 1);
 //! assert!(obs.metrics.render_prometheus().contains("xsec_e2_pdus_total 1"));
 //! ```
@@ -43,7 +39,6 @@
 mod export;
 mod flight;
 mod metrics;
-mod trace;
 
 pub use flight::{
     DenialRecord, FlightEvent, FlightRecorder, FlightRing, Incident, TraceCtx, TraceStage,
@@ -53,46 +48,21 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSummary, MetricKey, MetricSample, MetricsRegistry,
     SampleValue, Snapshot, LATENCY_BUCKETS_US,
 };
-pub use trace::{EventRecord, EventSink, Level, SpanGuard, StderrSink, Tracer, VecSink};
 
-/// The combined observability handle: a metrics registry, a tracer, and
-/// the causal flight recorder. Cloning shares all three. [`Obs::default`]
-/// is silent (ring-buffer only) — safe to embed in any component;
-/// binaries use [`Obs::for_cli`].
+/// The combined observability handle: a metrics registry and the causal
+/// flight recorder. Cloning shares both.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
     /// The metrics registry.
     pub metrics: MetricsRegistry,
-    /// The event/span recorder.
-    pub tracer: Tracer,
     /// The causal incident flight recorder.
     pub recorder: FlightRecorder,
 }
 
 impl Obs {
-    /// A silent observability handle (events go to the ring buffer only).
+    /// A fresh handle with an empty registry and recorder.
     pub fn new() -> Self {
         Obs::default()
-    }
-
-    /// A CLI handle: events render to stderr, level-filtered by the
-    /// `XSEC_LOG` environment variable (default `info`, `off` silences).
-    pub fn for_cli() -> Self {
-        Obs {
-            metrics: MetricsRegistry::new(),
-            tracer: Tracer::stderr(),
-            recorder: FlightRecorder::new(),
-        }
-    }
-
-    /// A library handle that honours `XSEC_LOG` when it is set and stays
-    /// silent otherwise — what the pipeline embeds, so tests are quiet but
-    /// `XSEC_LOG=debug cargo test` narrates.
-    pub fn from_env() -> Self {
-        match std::env::var("XSEC_LOG") {
-            Ok(_) => Obs::for_cli(),
-            Err(_) => Obs::new(),
-        }
     }
 
     /// Shorthand for [`MetricsRegistry::counter`].
@@ -113,128 +83,5 @@ impl Obs {
     /// Shorthand for [`MetricsRegistry::snapshot`].
     pub fn snapshot(&self) -> Snapshot {
         self.metrics.snapshot()
-    }
-}
-
-/// Anything the event/span macros can write through: an [`Obs`], a
-/// [`Tracer`], or a reference to either.
-pub trait AsTracer {
-    /// The tracer to record into.
-    fn tracer(&self) -> &Tracer;
-}
-
-impl AsTracer for Tracer {
-    fn tracer(&self) -> &Tracer {
-        self
-    }
-}
-
-impl AsTracer for Obs {
-    fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-}
-
-impl<T: AsTracer + ?Sized> AsTracer for &T {
-    fn tracer(&self) -> &Tracer {
-        (**self).tracer()
-    }
-}
-
-/// Records one event: `event!(obs, Level::Info, "target", "fmt {}", x)`.
-/// The message is only formatted when the level passes the filter.
-#[macro_export]
-macro_rules! event {
-    ($obs:expr, $level:expr, $target:expr, $($arg:tt)+) => {{
-        let tracer = $crate::AsTracer::tracer(&$obs);
-        if tracer.enabled($level) {
-            tracer.emit($level, $target, format!($($arg)+));
-        }
-    }};
-}
-
-/// [`event!`] at [`Level::Error`].
-#[macro_export]
-macro_rules! error {
-    ($obs:expr, $target:expr, $($arg:tt)+) => {
-        $crate::event!($obs, $crate::Level::Error, $target, $($arg)+)
-    };
-}
-
-/// [`event!`] at [`Level::Warn`].
-#[macro_export]
-macro_rules! warn {
-    ($obs:expr, $target:expr, $($arg:tt)+) => {
-        $crate::event!($obs, $crate::Level::Warn, $target, $($arg)+)
-    };
-}
-
-/// [`event!`] at [`Level::Info`].
-#[macro_export]
-macro_rules! info {
-    ($obs:expr, $target:expr, $($arg:tt)+) => {
-        $crate::event!($obs, $crate::Level::Info, $target, $($arg)+)
-    };
-}
-
-/// [`event!`] at [`Level::Debug`].
-#[macro_export]
-macro_rules! debug {
-    ($obs:expr, $target:expr, $($arg:tt)+) => {
-        $crate::event!($obs, $crate::Level::Debug, $target, $($arg)+)
-    };
-}
-
-/// Opens a span: `let _g = span!(obs, "target", "stage");`. Chain
-/// [`SpanGuard::with_histogram`] to also record the duration as a metric.
-#[macro_export]
-macro_rules! span {
-    ($obs:expr, $target:expr, $name:expr) => {
-        $crate::AsTracer::tracer(&$obs).span($target, $name)
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn macros_filter_before_formatting() {
-        let obs = Obs::new();
-        obs.tracer.set_max_level(Level::Warn);
-        let formatted = std::cell::Cell::new(false);
-        let expensive = || {
-            formatted.set(true);
-            "x"
-        };
-        info!(obs, "test", "{}", expensive());
-        assert!(!formatted.get(), "message formatted despite the filter");
-        crate::warn!(obs, "test", "kept");
-        assert_eq!(obs.tracer.recent().len(), 1);
-    }
-
-    #[test]
-    fn macros_accept_references() {
-        let obs = Obs::new();
-        let by_ref: &Obs = &obs;
-        info!(by_ref, "test", "via ref");
-        info!(obs.tracer, "test", "via tracer");
-        assert_eq!(obs.tracer.recent().len(), 2);
-    }
-
-    #[test]
-    fn span_macro_times_into_histogram() {
-        let obs = Obs::new();
-        let h = obs.histogram("stage_us", &[]);
-        drop(span!(obs, "test", "stage").with_histogram(h.clone()));
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn from_env_is_silent_without_xsec_log() {
-        // The test harness does not set XSEC_LOG; from_env must not
-        // install a stderr sink (we can only observe the level here).
-        let obs = Obs::new();
-        assert_eq!(obs.tracer.max_level(), Level::Info);
     }
 }

@@ -856,20 +856,23 @@ mod tests {
     #[test]
     fn idle_connections_are_not_scanned() {
         // The reactor property: pump cost follows *active* conns. Wire 8
-        // agents, let the handshakes settle, then have exactly one agent
-        // produce telemetry — the next pump must visit only that conn.
-        let (mut platform, mut agents) = n_agent_platform(counting_app(), Grants::none(), 8);
+        // (then 256) agents, let the handshakes settle, then have exactly
+        // one agent produce telemetry — the next pump must visit only that
+        // conn.
+        for n in [8, 256] {
+            let (mut platform, mut agents) = n_agent_platform(counting_app(), Grants::none(), n);
 
-        // Quiesce: no agent has anything pending.
-        let idle = platform.pump().unwrap();
-        assert_eq!(idle.conns_scanned, 0, "idle pump visited {}", idle.conns_scanned);
+            // Quiesce: no agent has anything pending.
+            let idle = platform.pump().unwrap();
+            assert_eq!(idle.conns_scanned, 0, "{n} agents: idle pump visited conns");
 
-        // One active agent wakes exactly one conn.
-        agents[3].push_record(record(0, 10));
-        agents[3].poll(Timestamp(100_000)).unwrap();
-        let stats = platform.pump().unwrap();
-        assert_eq!(stats.conns_scanned, 1);
-        assert_eq!(stats.records_delivered, 1);
+            // One active agent wakes exactly one conn.
+            agents[3].push_record(record(0, 10));
+            agents[3].poll(Timestamp(100_000)).unwrap();
+            let stats = platform.pump().unwrap();
+            assert_eq!(stats.conns_scanned, 1, "{n} agents");
+            assert_eq!(stats.records_delivered, 1, "{n} agents");
+        }
     }
 
     #[test]
