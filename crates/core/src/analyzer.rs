@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use xsec_llm::{cross_compare, CrossVerdict, LlmBackend, ParsedResponse, PromptTemplate};
 use xsec_mobiflow::{decode_ue_record, UeMobiFlow};
-use xsec_obs::{FlightEvent, FlightRecorder, Histogram, Obs, TraceStage};
+use xsec_obs::{Counter, FlightEvent, FlightRecorder, Histogram, Obs, TraceStage};
 use xsec_ric::{XApp, XAppContext};
 use xsec_types::Timestamp;
 
@@ -46,31 +46,40 @@ pub struct LlmAnalyzer {
     topic: String,
     state: Arc<Mutex<AnalyzerState>>,
     turnaround: Histogram,
+    /// Evidence lines that did not decode and were left out of the prompt.
+    dropped: Counter,
     recorder: FlightRecorder,
+}
+
+fn dropped_counter(obs: &Obs) -> Counter {
+    obs.counter("xsec_alert_records_dropped_total", &[("site", "analyzer")])
 }
 
 impl LlmAnalyzer {
     /// Creates the analyzer over a backend; returns the shared state handle.
     pub fn new(backend: Box<dyn LlmBackend>, topic: &str) -> (Self, Arc<Mutex<AnalyzerState>>) {
         let state = Arc::new(Mutex::new(AnalyzerState::default()));
+        let silent = Obs::new();
         (
             LlmAnalyzer {
                 backend,
                 template: PromptTemplate::default(),
                 topic: topic.to_string(),
                 state: state.clone(),
-                turnaround: Obs::new().histogram("xsec_analyzer_turnaround_us", &[]),
+                turnaround: silent.histogram("xsec_analyzer_turnaround_us", &[]),
+                dropped: dropped_counter(&silent),
                 recorder: FlightRecorder::new(),
             },
             state,
         )
     }
 
-    /// Re-homes the turnaround histogram into `obs`'s registry and flight
-    /// recording into `obs`'s recorder. Call before analysis starts —
-    /// samples do not carry over.
+    /// Re-homes the turnaround histogram and the dropped-line counter into
+    /// `obs`'s registry and flight recording into `obs`'s recorder. Call
+    /// before analysis starts — samples do not carry over.
     pub fn attach_obs(&mut self, obs: &Obs) {
         self.turnaround = obs.histogram("xsec_analyzer_turnaround_us", &[]);
+        self.dropped = dropped_counter(obs);
         self.recorder = obs.recorder.clone();
     }
 
@@ -81,14 +90,31 @@ impl LlmAnalyzer {
 
     /// Analyzes one alert directly (also used by the Table 3 harness).
     pub fn analyze_alert(&mut self, alert: &AnomalyAlert) -> AnalyzerFinding {
+        let finding = self.analyze(alert);
+        self.file(finding.clone());
+        finding
+    }
+
+    /// Prompts the backend with the alert's evidence and cross-compares its
+    /// answer with the detector's decision.
+    fn analyze(&mut self, alert: &AnomalyAlert) -> AnalyzerFinding {
         let start = Instant::now();
-        let records: Vec<UeMobiFlow> =
-            alert.records.iter().filter_map(|l| decode_ue_record(l).ok()).collect();
-        let prompt = self.template.render(&records);
-        let response = match self.backend.complete(&prompt) {
+        // The evidence is already in the prompt's line coding: the lines
+        // that decode go in as they stand (none can hold a line break, so
+        // none can reframe the prompt), the rest are counted and left out.
+        let mut dropped = 0;
+        let prompt = self.template.render_lines(alert.records.iter().filter(|line| {
+            let decodes = decode_ue_record(line).is_ok();
+            dropped += u64::from(!decodes);
+            decodes
+        }));
+        self.dropped.add(dropped);
+        let mut response = match self.backend.complete(&prompt) {
             Ok(text) => text,
             Err(e) => format!("Verdict: BENIGN\n(backend error: {e})"),
         };
+        // The state vector keeps this string for the run, not a copy of it.
+        response.shrink_to_fit();
         let parsed = ParsedResponse::parse(&response);
         let verdict = cross_compare(true, &parsed);
         self.turnaround.observe_duration_with_exemplar(start.elapsed(), alert.trace);
@@ -99,20 +125,18 @@ impl LlmAnalyzer {
             a: u64::from(matches!(verdict, CrossVerdict::ConfirmedAnomalous)),
             b: u64::from(matches!(verdict, CrossVerdict::NeedsHumanReview { .. })),
         });
-        let finding = AnalyzerFinding {
-            at_record: alert.at_record,
-            score: alert.score,
-            response,
-            parsed,
-            verdict,
-        };
+        AnalyzerFinding { at_record: alert.at_record, score: alert.score, response, parsed, verdict }
+    }
+
+    /// Appends a finding to the shared state, queueing it for human review
+    /// when detector and model disagree.
+    fn file(&mut self, finding: AnalyzerFinding) {
         let mut state = self.state.lock();
         if matches!(finding.verdict, CrossVerdict::NeedsHumanReview { .. }) {
             let idx = state.findings.len();
             state.human_review.push(idx);
         }
-        state.findings.push(finding.clone());
-        finding
+        state.findings.push(finding);
     }
 }
 
@@ -137,7 +161,7 @@ impl XApp for LlmAnalyzer {
         let Ok(alert) = serde_json::from_slice::<AnomalyAlert>(payload) else {
             return;
         };
-        let finding = self.analyze_alert(&alert);
+        let finding = self.analyze(&alert);
         // Downstream consumers (the mitigator) get the conclusion, not the
         // raw completion text: verdict, named attacks, and the evidence
         // records needed to scope a response.
@@ -151,8 +175,9 @@ impl XApp for LlmAnalyzer {
             confirmed: matches!(finding.verdict, CrossVerdict::ConfirmedAnomalous),
             needs_human: matches!(finding.verdict, CrossVerdict::NeedsHumanReview { .. }),
             attacks: finding.parsed.attacks.clone(),
-            records: alert.records.clone(),
+            records: alert.records,
         };
+        self.file(finding);
         if let Ok(json) = serde_json::to_vec(&notice) {
             ctx.publish(crate::mitigator::FINDINGS_TOPIC, &json);
         }
@@ -224,6 +249,31 @@ mod tests {
             obs.snapshot().histogram_count("xsec_analyzer_turnaround_us"),
             1,
             "turnaround must be sampled once per alert"
+        );
+    }
+
+    #[test]
+    fn undecodable_evidence_lines_are_counted_and_the_rest_still_analysed() {
+        let (mut analyzer, _state) = LlmAnalyzer::new(
+            Box::new(SimulatedExpert::new(ModelPersonality::CHATGPT_4O)),
+            "anomalies",
+        );
+        let obs = Obs::new();
+        analyzer.attach_obs(&obs);
+        let clean = analyzer.analyze_alert(&flood_alert());
+        assert_eq!(obs.snapshot().counter_total("xsec_alert_records_dropped_total"), 0);
+
+        let mut alert = flood_alert();
+        alert.records.insert(3, "v2;UE;not;a;record".to_string());
+        let finding = analyzer.analyze_alert(&alert);
+        // The garbage line never reaches the model; the verdict is the one
+        // the thirty well-formed lines earn.
+        assert_eq!(finding.response, clean.response);
+        assert_eq!(finding.verdict, CrossVerdict::ConfirmedAnomalous);
+        let exposition = obs.metrics.render_prometheus();
+        assert!(
+            exposition.contains("xsec_alert_records_dropped_total{site=\"analyzer\"} 1\n"),
+            "{exposition}"
         );
     }
 

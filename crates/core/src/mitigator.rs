@@ -21,7 +21,7 @@ use xsec_control::{
     PolicyEngine, SupervisionTicket, ThreatAssessment,
 };
 use xsec_mobiflow::{decode_ue_record, UeMobiFlow};
-use xsec_obs::{FlightEvent, Obs, TraceStage};
+use xsec_obs::{Counter, FlightEvent, Obs, TraceStage};
 use xsec_proto::MessageKind;
 use xsec_ric::{ControlOut, LatencyClass, XApp, XAppContext};
 use xsec_types::{
@@ -171,6 +171,8 @@ impl MitigatorState {
 pub struct Mitigator {
     state: Arc<Mutex<MitigatorState>>,
     obs: Obs,
+    /// Evidence lines that did not decode and were left out of the scoping.
+    dropped: Counter,
 }
 
 impl Mitigator {
@@ -191,12 +193,14 @@ impl Mitigator {
             a1_ops: A1OpTally::default(),
             clock: Timestamp::ZERO,
         }));
-        (Mitigator { state: state.clone(), obs }, state)
+        let dropped = obs.counter("xsec_alert_records_dropped_total", &[("site", "mitigator")]);
+        (Mitigator { state: state.clone(), obs, dropped }, state)
     }
 
     fn handle_finding(&mut self, ctx: &mut XAppContext<'_>, notice: &FindingNotice) {
         let records: Vec<UeMobiFlow> =
             notice.records.iter().filter_map(|l| decode_ue_record(l).ok()).collect();
+        self.dropped.add((notice.records.len() - records.len()) as u64);
         let assessment = assess(notice, &records);
         let mut state = self.state.lock();
         state.clock = state.clock.max(notice.at_time);
@@ -582,6 +586,31 @@ mod tests {
         let summary = state.lock().summary();
         assert_eq!((summary.issued, summary.acked, summary.failed), (3, 2, 1));
         assert_eq!(summary.detection_to_ack_us.len(), 2);
+    }
+
+    #[test]
+    fn undecodable_evidence_lines_are_counted_and_the_rest_still_scoped() {
+        let obs = Obs::new();
+        let (mut mitigator, _state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
+        let sdl = xsec_ric::SharedDataLayer::new();
+        let (_router, scope) =
+            mitigator_scope(Grants::none().control("rate-limit-cause").control("blacklist-rnti"));
+        let mut control = Vec::new();
+        let records = vec![
+            record(1, 0x4601, MessageKind::RrcSetupRequest),
+            record(2, 0x4602, MessageKind::RrcSetupRequest),
+        ];
+        let mut n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
+        n.records.insert(1, "v2;UE;not;a;record".into());
+        let mut ctx = xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &serde_json::to_vec(&n).unwrap());
+        // The same three actions the two well-formed lines earn on their own.
+        assert_eq!(control.len(), 3);
+        let exposition = obs.metrics.render_prometheus();
+        assert!(
+            exposition.contains("xsec_alert_records_dropped_total{site=\"mitigator\"} 1\n"),
+            "{exposition}"
+        );
     }
 
     #[test]

@@ -154,6 +154,13 @@ impl MobiWatch {
     /// their context are the same — to the bit — however a stream is cut
     /// into batches.
     pub fn process_batch(&mut self, records: &[UeMobiFlow]) -> Vec<AnomalyAlert> {
+        let alerts = self.detect(records);
+        self.ingest.file(alerts.clone());
+        alerts
+    }
+
+    /// [`Self::process_batch`] up to its alerts, which the caller files.
+    fn detect(&mut self, records: &[UeMobiFlow]) -> Vec<AnomalyAlert> {
         let Some(last) = records.last() else {
             return Vec::new();
         };
@@ -177,9 +184,8 @@ impl XApp for MobiWatch {
         records: &[UeMobiFlow],
         _window_end: Timestamp,
     ) {
-        for alert in self.process_batch(records) {
-            self.ingest.publish(ctx, &alert);
-        }
+        let alerts = self.detect(records);
+        self.ingest.publish(ctx, alerts);
     }
 }
 

@@ -142,6 +142,13 @@ impl ShardedMobiWatch {
     /// Featurizes, scores, and merges one batch of records; returns the
     /// alerts raised, ordered by global record index.
     pub fn process_batch(&mut self, records: &[UeMobiFlow]) -> Vec<AnomalyAlert> {
+        let alerts = self.detect(records);
+        self.ingest.file(alerts.clone());
+        alerts
+    }
+
+    /// [`Self::process_batch`] up to its alerts, which the caller files.
+    fn detect(&mut self, records: &[UeMobiFlow]) -> Vec<AnomalyAlert> {
         if records.is_empty() {
             return Vec::new();
         }
@@ -218,9 +225,8 @@ impl XApp for ShardedMobiWatch {
         records: &[UeMobiFlow],
         _window_end: Timestamp,
     ) {
-        for alert in self.process_batch(records) {
-            self.ingest.publish(ctx, &alert);
-        }
+        let alerts = self.detect(records);
+        self.ingest.publish(ctx, alerts);
     }
 }
 

@@ -347,7 +347,8 @@ impl Ingest {
     /// its verdict is logged: the inference span, the `(index, score,
     /// flagged)` row, and — when the verdict says publish — the alert with
     /// the stream's trailing window + context *as of that record* attached,
-    /// its trace frozen as an incident.
+    /// its trace frozen as an incident. The alerts are returned, not yet in
+    /// the shared state: the caller [`Self::file`]s them.
     pub(crate) fn emit(
         &mut self,
         records: &[UeMobiFlow],
@@ -391,7 +392,6 @@ impl Ingest {
             // the alert span to it.
             self.recorder.mark_incident(trace);
             self.recorder.record_stage(span(TraceStage::Alert));
-            state.alerts.push(alert.clone());
             self.scorer.metrics.alerts.inc();
             alerts.push(alert);
         }
@@ -399,10 +399,22 @@ impl Ingest {
         alerts
     }
 
-    /// Publishes one alert on the configured topic for the analyzer.
-    pub(crate) fn publish(&self, ctx: &XAppContext<'_>, alert: &AnomalyAlert) {
-        let payload = serde_json::to_vec(alert).expect("alert serializes");
-        ctx.publish(&self.scorer.config.publish_topic, &payload);
+    /// Publishes a batch's alerts on the configured topic for the analyzer,
+    /// then files them.
+    pub(crate) fn publish(&self, ctx: &XAppContext<'_>, alerts: Vec<AnomalyAlert>) {
+        for alert in &alerts {
+            let payload = serde_json::to_vec(alert).expect("alert serializes");
+            ctx.publish(&self.scorer.config.publish_topic, &payload);
+        }
+        self.file(alerts);
+    }
+
+    /// Moves a batch's alerts into the shared state — where [`Self::emit`]'s
+    /// alerts end up once whoever asked for them has seen them.
+    pub(crate) fn file(&self, alerts: Vec<AnomalyAlert>) {
+        if !alerts.is_empty() {
+            self.state.lock().alerts.extend(alerts);
+        }
     }
 }
 

@@ -147,17 +147,11 @@ impl LlmBackend for SimulatedExpert {
                        request, so there is nothing to flag."
                 .to_string());
         };
-        let mut records = Vec::with_capacity(lines.len());
-        for line in &lines {
-            match decode_ue_record(line) {
-                Ok(r) => records.push(r),
-                Err(_) => {
-                    return Ok("Verdict: BENIGN\nThe provided data does not parse as \
-                               telemetry records; no assessment is possible."
-                        .to_string())
-                }
-            }
-        }
+        let Ok(records) = lines.map(decode_ue_record).collect::<Result<Vec<_>>>() else {
+            return Ok("Verdict: BENIGN\nThe provided data does not parse as \
+                       telemetry records; no assessment is possible."
+                .to_string());
+        };
 
         let report = self.engine.analyze(&records);
         let perceived: Vec<&AnalysisSignal> =

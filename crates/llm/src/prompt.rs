@@ -57,15 +57,26 @@ impl Default for PromptTemplate {
 impl PromptTemplate {
     /// Renders the full prompt for a telemetry window.
     pub fn render(&self, records: &[UeMobiFlow]) -> String {
-        let mut out = String::with_capacity(1024);
+        self.render_lines(records.iter().map(encode_ue_record))
+    }
+
+    /// Renders the full prompt around record lines already in the
+    /// semicolon encoding — what a caller holding an alert's lines passes,
+    /// instead of decoding them only for [`Self::render`] to encode again.
+    pub fn render_lines<S: AsRef<str>>(&self, lines: impl Iterator<Item = S>) -> String {
+        // A line runs 50–80 bytes; sized so a full alert renders without
+        // regrowing.
+        let data = lines.size_hint().1.unwrap_or(0) * 96;
+        let frame = self.role.len() + self.data_description.len() + self.task.len() + 32;
+        let mut out = String::with_capacity(frame + data);
         out.push_str(&self.role);
         out.push('\n');
         out.push_str(&self.data_description);
         out.push('\n');
         out.push_str(DATA_BEGIN);
         out.push('\n');
-        for r in records {
-            out.push_str(&encode_ue_record(r));
+        for line in lines {
+            out.push_str(line.as_ref());
             out.push('\n');
         }
         out.push_str(DATA_END);
@@ -74,19 +85,12 @@ impl PromptTemplate {
         out
     }
 
-    /// Extracts the record lines back out of a rendered prompt — how the
+    /// The record lines of a rendered prompt, borrowed from it — how the
     /// simulated expert "reads" its input without any side channel.
-    pub fn extract_data(prompt: &str) -> Option<Vec<String>> {
+    pub fn extract_data(prompt: &str) -> Option<impl Iterator<Item = &str>> {
         let begin = prompt.find(DATA_BEGIN)? + DATA_BEGIN.len();
         let end = prompt[begin..].find(DATA_END)? + begin;
-        Some(
-            prompt[begin..end]
-                .lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty())
-                .map(String::from)
-                .collect(),
-        )
+        Some(prompt[begin..end].lines().map(str::trim).filter(|l| !l.is_empty()))
     }
 }
 
@@ -128,7 +132,7 @@ mod tests {
     fn extract_data_round_trips() {
         let records = [record(0), record(1), record(2)];
         let prompt = PromptTemplate::default().render(&records);
-        let lines = PromptTemplate::extract_data(&prompt).unwrap();
+        let lines: Vec<&str> = PromptTemplate::extract_data(&prompt).unwrap().collect();
         assert_eq!(lines.len(), 3);
         for (line, r) in lines.iter().zip(&records) {
             assert_eq!(xsec_mobiflow::decode_ue_record(line).unwrap(), *r);
@@ -136,13 +140,21 @@ mod tests {
     }
 
     #[test]
+    fn rendering_lines_equals_rendering_their_records() {
+        let records = [record(0), record(1), record(2)];
+        let lines: Vec<String> = records.iter().map(encode_ue_record).collect();
+        let template = PromptTemplate::default();
+        assert_eq!(template.render_lines(lines.iter()), template.render(&records));
+    }
+
+    #[test]
     fn extract_data_handles_missing_markers() {
-        assert_eq!(PromptTemplate::extract_data("no data here"), None);
+        assert!(PromptTemplate::extract_data("no data here").is_none());
     }
 
     #[test]
     fn empty_window_renders_and_extracts_empty() {
         let prompt = PromptTemplate::default().render(&[]);
-        assert_eq!(PromptTemplate::extract_data(&prompt).unwrap(), Vec::<String>::new());
+        assert_eq!(PromptTemplate::extract_data(&prompt).unwrap().count(), 0);
     }
 }

@@ -12,6 +12,8 @@
 //! ```
 
 use crate::record::{UeMobiFlow, MOBIFLOW_VERSION};
+use std::fmt;
+use std::io::Write;
 use xsec_proto::{Direction, MessageKind};
 use xsec_types::{
     CellId, CipherAlg, EstablishmentCause, IntegrityAlg, Plmn, ReleaseCause, Result, Rnti, Supi,
@@ -22,10 +24,39 @@ fn err(msg: impl Into<String>) -> XsecError {
     XsecError::Codec(msg.into())
 }
 
+/// An optional field: its value, or `-` when absent.
+struct OrDash<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for OrDash<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(value) => value.fmt(f),
+            None => f.write_str("-"),
+        }
+    }
+}
+
+/// A SUPI as the line carries it: `<mcc>.<mnc>.<msin>`.
+struct SupiField(Supi);
+
+impl fmt::Display for SupiField {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:03}.{:02}.{}", self.0.plmn.mcc, self.0.plmn.mnc, self.0.msin)
+    }
+}
+
+/// Room for the longest line there is: every numeric field at its type's
+/// full width is under 200 bytes (`longest_line_fits_the_buffer`).
+const MAX_LINE: usize = 256;
+
 /// Encodes a UE record into its line form.
 pub fn encode_ue_record(r: &UeMobiFlow) -> String {
-    let opt_u32 = |v: Option<u32>| v.map(|x| x.to_string()).unwrap_or_else(|| "-".into());
-    format!(
+    // Formatted on the stack, then copied out at its exact length: the line
+    // is the call's one allocation, and alerts hold thousands of them.
+    let mut buf = [0u8; MAX_LINE];
+    let mut rest = &mut buf[..];
+    write!(
+        rest,
         "v{};UE;{};{};{};{:04x};{};{};{};{};{};{};{};{};{}",
         MOBIFLOW_VERSION,
         r.msg_id,
@@ -35,22 +66,30 @@ pub fn encode_ue_record(r: &UeMobiFlow) -> String {
         r.du_ue_id,
         if r.direction.is_uplink() { "UL" } else { "DL" },
         r.msg.name(),
-        r.tmsi.map(|t| t.0.to_string()).unwrap_or_else(|| "-".into()),
-        r.supi
-            .map(|s| format!("{:03}.{:02}.{}", s.plmn.mcc, s.plmn.mnc, s.msin))
-            .unwrap_or_else(|| "-".into()),
-        opt_u32(r.cipher_alg.map(|c| c.code() as u32)),
-        opt_u32(r.integrity_alg.map(|i| i.code() as u32)),
-        opt_u32(r.establishment_cause.map(|c| c.code() as u32)),
-        opt_u32(r.release_cause.map(|c| c.code() as u32)),
+        OrDash(r.tmsi.map(|t| t.0)),
+        OrDash(r.supi.map(SupiField)),
+        OrDash(r.cipher_alg.map(|c| c.code())),
+        OrDash(r.integrity_alg.map(|i| i.code())),
+        OrDash(r.establishment_cause.map(|c| c.code())),
+        OrDash(r.release_cause.map(|c| c.code())),
     )
+    .expect("a MobiFlow line fits MAX_LINE");
+    let len = MAX_LINE - rest.len();
+    std::str::from_utf8(&buf[..len]).expect("formatted text is UTF-8").to_owned()
 }
 
 /// Decodes a UE record from its line form.
 pub fn decode_ue_record(line: &str) -> Result<UeMobiFlow> {
-    let fields: Vec<&str> = line.split(';').collect();
-    if fields.len() != 15 {
-        return Err(err(format!("expected 15 fields, got {}", fields.len())));
+    let mut fields = [""; 15];
+    let mut count = 0;
+    for field in line.split(';') {
+        if let Some(slot) = fields.get_mut(count) {
+            *slot = field;
+        }
+        count += 1;
+    }
+    if count != 15 {
+        return Err(err(format!("expected 15 fields, got {count}")));
     }
     let version = fields[0]
         .strip_prefix('v')
@@ -90,13 +129,15 @@ pub fn decode_ue_record(line: &str) -> Result<UeMobiFlow> {
     let supi = if fields[10] == "-" {
         None
     } else {
-        let parts: Vec<&str> = fields[10].split('.').collect();
-        if parts.len() != 3 {
+        let mut parts = fields[10].split('.');
+        let (Some(mcc), Some(mnc), Some(msin), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             return Err(err(format!("bad SUPI field {:?}", fields[10])));
-        }
+        };
         Some(Supi::new(
-            Plmn { mcc: parse(parts[0], "mcc")?, mnc: parse(parts[1], "mnc")? },
-            parse(parts[2], "msin")?,
+            Plmn { mcc: parse(mcc, "mcc")?, mnc: parse(mnc, "mnc")? },
+            parse(msin, "msin")?,
         ))
     };
 
@@ -191,6 +232,31 @@ mod tests {
     }
 
     #[test]
+    fn longest_line_fits_the_buffer() {
+        let longest_name =
+            MessageKind::ALL.iter().copied().max_by_key(|k| k.name().len()).unwrap();
+        let r = UeMobiFlow {
+            msg_id: u64::MAX,
+            timestamp: Timestamp(u64::MAX),
+            cell: CellId(u32::MAX),
+            rnti: Rnti(u16::MAX),
+            du_ue_id: u32::MAX,
+            direction: Direction::Downlink,
+            msg: longest_name,
+            tmsi: Some(Tmsi(u32::MAX)),
+            supi: Some(Supi::new(Plmn { mcc: u16::MAX, mnc: u16::MAX }, u64::MAX)),
+            cipher_alg: Some(CipherAlg::Nea3),
+            integrity_alg: Some(IntegrityAlg::Nia3),
+            establishment_cause: EstablishmentCause::from_code(6),
+            release_cause: ReleaseCause::from_code(3),
+        };
+        let line = encode_ue_record(&r);
+        assert!(line.len() < 200, "{} bytes: {line}", line.len());
+        assert_eq!(line.capacity(), line.len(), "lines are held at their exact length");
+        assert_eq!(decode_ue_record(&line).unwrap(), r);
+    }
+
+    #[test]
     fn decode_rejects_malformed_lines() {
         for bad in [
             "",
@@ -202,6 +268,9 @@ mod tests {
             "v2;UE;42;1;1;4601;7;UL;NoSuchMessage;-;-;-;-;-;-",       // bad message
             "v2;UE;42;1;1;4601;7;UL;RegistrationRequest;-;-;9;-;-;-", // bad cipher code
             "v2;UE;42;1;1;4601;7;UL;RegistrationRequest;-;-;-;-;-;9", // bad release code
+            "v2;UE;42;1;1;4601;7;UL;RegistrationRequest;-;1.1;-;-;-;-", // short SUPI
+            "v2;UE;42;1;1;4601;7;UL;RegistrationRequest;-;1.1.1.1;-;-;-;-", // long SUPI
+            "v2;UE;42;1;1;4601;7;UL;RegistrationRequest;-;-;-;-;-;-;", // a sixteenth field
         ] {
             assert!(decode_ue_record(bad).is_err(), "accepted malformed line: {bad:?}");
         }
