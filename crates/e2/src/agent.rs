@@ -59,6 +59,9 @@ pub struct RicAgent<T: E2Transport> {
     setup_complete: bool,
     subscriptions: BTreeMap<RicRequestId, Subscription>,
     log: Vec<UeMobiFlow>,
+    /// The indication being framed; reused, so a report costs its payload
+    /// and the copy the transport keeps.
+    frame: Vec<u8>,
     control_inbox: Vec<Vec<u8>>,
     metrics: AgentMetrics,
     /// The causal flight recorder: every pushed record opens a trace here
@@ -85,6 +88,7 @@ impl<T: E2Transport> RicAgent<T> {
             setup_complete: false,
             subscriptions: BTreeMap::new(),
             log: Vec::new(),
+            frame: Vec::new(),
             control_inbox: Vec::new(),
             metrics: AgentMetrics::register(&Obs::new()),
             recorder,
@@ -116,10 +120,11 @@ impl<T: E2Transport> RicAgent<T> {
         self.transport.dropped_frames()
     }
 
-    /// Sends one frame, counting (never blocking on) an egress drop.
-    fn send_counted(&mut self, frame: &[u8]) -> Result<()> {
-        if self.transport.send(frame)? == SendOutcome::Dropped {
-            self.metrics.egress_dropped.inc();
+    /// Sends one frame, counting (never blocking on) an egress drop. Takes
+    /// the fields it needs so a caller can hold the subscriptions meanwhile.
+    fn send_counted(transport: &mut T, metrics: &AgentMetrics, frame: &[u8]) -> Result<()> {
+        if transport.send(frame)? == SendOutcome::Dropped {
+            metrics.egress_dropped.inc();
         }
         Ok(())
     }
@@ -192,7 +197,8 @@ impl<T: E2Transport> RicAgent<T> {
                         },
                     );
                 }
-                self.send_counted(&E2apPdu::SubscriptionResponse { request_id, accepted }.encode())
+                let response = E2apPdu::SubscriptionResponse { request_id, accepted }.encode();
+                Self::send_counted(&mut self.transport, &self.metrics, &response)
             }
             E2apPdu::SubscriptionDeleteRequest { request_id } => {
                 self.subscriptions.remove(&request_id);
@@ -204,7 +210,8 @@ impl<T: E2Transport> RicAgent<T> {
                     self.metrics.controls_received.inc();
                     self.control_inbox.push(payload);
                 }
-                self.send_counted(&E2apPdu::ControlAck { ran_function, success }.encode())
+                let ack = E2apPdu::ControlAck { ran_function, success }.encode();
+                Self::send_counted(&mut self.transport, &self.metrics, &ack)
             }
             // PDUs that only the RIC side should receive are protocol noise.
             other => Err(XsecError::Ric(format!("unexpected PDU at agent: {other:?}"))),
@@ -214,7 +221,6 @@ impl<T: E2Transport> RicAgent<T> {
     fn flush_reports(&mut self, now: Timestamp) -> Result<()> {
         let cell = self.config.cell;
         let log_len = self.log.len();
-        let mut outgoing = Vec::new();
         for (request_id, sub) in self.subscriptions.iter_mut() {
             while sub.next_report_at <= now {
                 let window_start =
@@ -225,23 +231,19 @@ impl<T: E2Transport> RicAgent<T> {
                     sub.next_report_at,
                     &self.log[sub.cursor..log_len],
                 );
-                outgoing.push(
-                    E2apPdu::Indication {
-                        request_id: *request_id,
-                        ran_function: RAN_FUNCTION_MOBIFLOW,
-                        sequence: sub.sequence,
-                        payload,
-                    }
-                    .encode(),
-                );
+                E2apPdu::Indication {
+                    request_id: *request_id,
+                    ran_function: RAN_FUNCTION_MOBIFLOW,
+                    sequence: sub.sequence,
+                    payload,
+                }
+                .encode_into(&mut self.frame);
                 sub.sequence += 1;
                 sub.cursor = log_len;
                 sub.next_report_at += sub.period;
+                self.metrics.indications_sent.inc();
+                Self::send_counted(&mut self.transport, &self.metrics, &self.frame)?;
             }
-        }
-        for frame in outgoing {
-            self.metrics.indications_sent.inc();
-            self.send_counted(&frame)?;
         }
         self.trim_log();
         Ok(())

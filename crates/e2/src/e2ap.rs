@@ -118,16 +118,24 @@ pub enum E2apPdu {
 impl E2apPdu {
     /// Encodes the PDU to bytes (unframed).
     pub fn encode(&self) -> Vec<u8> {
-        // Sized so the payload-carrying PDUs allocate exactly once.
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Encodes the PDU over whatever `buf` held, so a sender framing one PDU
+    /// after another allocates once for all of them.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        // Sized so the payload-carrying PDUs allocate at most once.
         let payload_len = match self {
             E2apPdu::Indication { payload, .. } | E2apPdu::ControlRequest { payload, .. } => {
                 payload.len()
             }
             _ => 0,
         };
-        let mut buf = Vec::with_capacity(32 + payload_len);
-        self.write(&mut buf).expect("a PDU's lists and payloads fit their length fields");
-        buf
+        buf.clear();
+        buf.reserve(32 + payload_len);
+        self.write(buf).expect("a PDU's lists and payloads fit their length fields");
     }
 
     fn write(&self, buf: &mut Vec<u8>) -> Result<()> {

@@ -615,6 +615,41 @@ mod tests {
         assert_eq!(ready, vec![0]);
     }
 
+    /// `(user, system)` CPU time of the calling thread, in clock ticks.
+    #[cfg(target_os = "linux")]
+    fn thread_cpu_ticks() -> (u64, u64) {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+        // Fields after the parenthesised command name, which may hold spaces.
+        let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 2..].split(' ').collect();
+        (fields[11].parse().unwrap(), fields[12].parse().unwrap())
+    }
+
+    /// The frame hop makes no system call: a million send + receive pairs on
+    /// a connection registered with the reactor leave the thread's system
+    /// time where it was, give or take a page fault. (A `futex_wake` per
+    /// `try_send` and per `try_recv` is two million calls: 25 ticks and up
+    /// at `USER_HZ` = 100, in any build profile.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn in_proc_frame_hop_makes_no_system_call() {
+        let (mut a, mut b) = in_proc_pair();
+        let set = WakeSet::new();
+        b.register_waker(set.waker(0));
+        let mut ready = Vec::new();
+        let frame = [0x5A; 64];
+        let (user_before, system_before) = thread_cpu_ticks();
+        for _ in 0..1_000_000 {
+            a.send(&frame).unwrap();
+            set.drain_into(&mut ready);
+            assert_eq!(b.try_recv().unwrap().map(|f| f.len()), Some(frame.len()));
+        }
+        let (user, system) = thread_cpu_ticks();
+        let (user, system) = (user - user_before, system - system_before);
+        println!("1M frame hops: {user} user ticks, {system} system ticks");
+        assert_eq!(ready.len(), 1_000_000);
+        assert!(system <= 8, "{system} of {} ticks in the kernel", user + system);
+    }
+
     #[test]
     fn in_proc_full_channel_drops_and_counts() {
         let (mut a, _b) = in_proc_pair();

@@ -5,23 +5,31 @@
 //! E2 termination writes telemetry in, xApps read it out, and a monotonically
 //! increasing per-namespace version lets consumers poll for "anything new
 //! since I last looked?" cheaply (the RIC layers push-notification on top).
+//!
+//! Namespaces are hashed, not ordered: the E2 termination writes (and
+//! evicts) one entry per report window on the per-indication path, while
+//! [`SharedDataLayer::keys`] and [`SharedDataLayer::scan`] — whose contract
+//! is sorted output — are read by tools and tests, so the order is paid for
+//! on read. The hasher is std's keyed default: keys carry bytes a RAN agent
+//! chooses (its report-window bounds), so an unkeyed hash would let one
+//! agent aim every write at one bucket.
 
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One namespace: its entries plus the version that bumps on mutation
 /// (and survives the namespace becoming empty).
 #[derive(Default)]
 struct Namespace {
-    entries: BTreeMap<String, Vec<u8>>,
+    entries: HashMap<String, Vec<u8>>,
     version: u64,
 }
 
 /// A cloneable handle to the shared store.
 #[derive(Clone, Default)]
 pub struct SharedDataLayer {
-    namespaces: Arc<RwLock<BTreeMap<String, Namespace>>>,
+    namespaces: Arc<RwLock<HashMap<String, Namespace>>>,
 }
 
 impl SharedDataLayer {
@@ -33,13 +41,18 @@ impl SharedDataLayer {
     /// Writes `value` under `(namespace, key)`, bumping the namespace version.
     pub fn set(&self, namespace: &str, key: &str, value: Vec<u8>) {
         let mut namespaces = self.namespaces.write();
-        // Looked up by reference first: the name is only copied when the
-        // namespace is new, not on every write.
+        // Looked up by reference first: a name is only copied when the
+        // namespace or the key is new, not on every write.
         let ns = match namespaces.get_mut(namespace) {
             Some(ns) => ns,
             None => namespaces.entry(namespace.to_string()).or_default(),
         };
-        ns.entries.insert(key.to_string(), value);
+        match ns.entries.get_mut(key) {
+            Some(slot) => *slot = value,
+            None => {
+                ns.entries.insert(key.to_string(), value);
+            }
+        }
         ns.version += 1;
     }
 
@@ -63,11 +76,14 @@ impl SharedDataLayer {
 
     /// All keys in a namespace, sorted.
     pub fn keys(&self, namespace: &str) -> Vec<String> {
-        self.namespaces
+        let mut keys: Vec<String> = self
+            .namespaces
             .read()
             .get(namespace)
             .map(|ns| ns.entries.keys().cloned().collect())
-            .unwrap_or_default()
+            .unwrap_or_default();
+        keys.sort_unstable();
+        keys
     }
 
     /// Number of entries in a namespace.
@@ -88,17 +104,22 @@ impl SharedDataLayer {
 
     /// Reads every `(key, value)` in a namespace, sorted by key.
     pub fn scan(&self, namespace: &str) -> Vec<(String, Vec<u8>)> {
-        self.namespaces
+        let mut entries: Vec<(String, Vec<u8>)> = self
+            .namespaces
             .read()
             .get(namespace)
             .map(|ns| ns.entries.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-            .unwrap_or_default()
+            .unwrap_or_default();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        entries
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::thread;
 
     #[test]
@@ -167,5 +188,42 @@ mod tests {
         }
         assert_eq!(sdl.len("ns"), 800);
         assert_eq!(sdl.version("ns"), 800);
+    }
+
+    proptest! {
+        /// The hashed store is observably the ordered one it replaced: after
+        /// any `set`/`delete` sequence over a small key space (so overwrites
+        /// and deletes of present keys are common), every reader agrees with
+        /// a `BTreeMap` — `keys` and `scan` in its order.
+        #[test]
+        fn prop_set_delete_sequences_match_an_ordered_oracle(
+            ops in proptest::collection::vec((any::<bool>(), 0u8..24, any::<u8>()), 0..200)
+        ) {
+            let sdl = SharedDataLayer::new();
+            let mut oracle: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+            let mut version = 0;
+            for (is_set, key, byte) in ops {
+                // Unpadded numbers: "10" sorts before "9", so insertion or
+                // numeric order would not pass for the sorted one.
+                let key = format!("{key}/k");
+                if is_set {
+                    sdl.set("ns", &key, vec![byte; 3]);
+                    oracle.insert(key, vec![byte; 3]);
+                    version += 1;
+                } else {
+                    let existed = oracle.remove(&key).is_some();
+                    prop_assert_eq!(sdl.delete("ns", &key), existed);
+                    version += existed as u64;
+                }
+            }
+            prop_assert_eq!(sdl.keys("ns"), oracle.keys().cloned().collect::<Vec<_>>());
+            prop_assert_eq!(sdl.scan("ns"), oracle.clone().into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(sdl.len("ns"), oracle.len());
+            prop_assert_eq!(sdl.is_empty("ns"), oracle.is_empty());
+            prop_assert_eq!(sdl.version("ns"), version);
+            for (key, value) in &oracle {
+                prop_assert_eq!(sdl.get("ns", key).as_ref(), Some(value));
+            }
+        }
     }
 }

@@ -40,10 +40,32 @@ const SDL_MOBIFLOW: &str = "mobiflow";
 /// one more evicts that agent's oldest.
 pub const SDL_WINDOWS_PER_AGENT: usize = 64;
 
-/// SDL key of one agent's report window: `<conn>/<end µs>/<start µs>`,
-/// zero-padded so an agent's keys sort by time.
-fn window_key(conn: usize, start: Timestamp, end: Timestamp) -> String {
-    format!("{conn}/{:020}/{:020}", end.as_micros(), start.as_micros())
+/// Writes the SDL key of one agent's report window into `key`:
+/// `<conn>/<end µs>/<start µs>`, the bounds zero-padded to a `u64`'s 20
+/// digits so an agent's keys sort by time. Digit by digit into a buffer the
+/// platform reuses: this runs once or twice per indication.
+fn write_window_key(key: &mut String, conn: usize, start: Timestamp, end: Timestamp) {
+    let mut fields = [b'0'; 62];
+    fields[20] = b'/';
+    fields[41] = b'/';
+    // The token alone is not padded, but keeps its last digit when zero.
+    let first = put_digits(&mut fields[..20], conn as u64).min(19);
+    put_digits(&mut fields[21..41], end.as_micros());
+    put_digits(&mut fields[42..], start.as_micros());
+    key.clear();
+    key.push_str(std::str::from_utf8(&fields[first..]).expect("ASCII digits and slashes"));
+}
+
+/// Writes `value` in decimal, right-aligned, over a 20-byte field of `'0'`s;
+/// returns where its first digit went.
+fn put_digits(field: &mut [u8], mut value: u64) -> usize {
+    let mut at = field.len();
+    while value > 0 {
+        at -= 1;
+        field[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+    }
+    at
 }
 
 /// What an xApp wants delivered.
@@ -84,12 +106,21 @@ struct XAppEntry {
     /// conn token (every telemetry xApp subscribes on every agent).
     subscribed: Vec<bool>,
     spec: SubscriptionSpec,
-    mailboxes: Vec<(String, Receiver<Vec<u8>>)>,
+    mailboxes: Vec<Mailbox>,
     /// Handler latency, labelled `xapp="<name>"`.
     handler_latency: Histogram,
     /// The identity the app runs under; every publish, topic mailbox and
     /// control emission is checked against its grants.
     scope: RouterHandle,
+}
+
+/// One topic an xApp listens on.
+struct Mailbox {
+    topic: String,
+    rx: Receiver<Vec<u8>>,
+    /// Messages queued when this pump's relay reached the xApp: what it is
+    /// handed now. Anything its own handlers publish to it waits a pump.
+    due: usize,
 }
 
 struct AgentConn {
@@ -201,6 +232,12 @@ pub struct RicPlatform {
     subs_dirty: bool,
     /// Cell adjacency for control fan-out (QuarantineCell broadcast).
     neighbours: HashMap<CellId, Vec<CellId>>,
+    /// The conn a control pinned to a cell routes to: the lowest token among
+    /// the set-up agents announcing the cell. Filled at E2 Setup, so routing
+    /// a control does not walk the connections.
+    cell_owner: HashMap<CellId, usize>,
+    /// Reusable buffer for the SDL key of the window being stored/evicted.
+    window_key: String,
     obs: Obs,
     metrics: PlatformMetrics,
     /// The platform's own router identity, used for the relays it
@@ -244,6 +281,8 @@ impl RicPlatform {
             ready_scratch: Vec::new(),
             subs_dirty: false,
             neighbours: HashMap::new(),
+            cell_owner: HashMap::new(),
+            window_key: String::new(),
             obs,
             metrics,
             platform_scope,
@@ -359,7 +398,11 @@ impl RicPlatform {
         // Mailboxes go through the handle: a topic outside the app's
         // subscribe grants yields a dead mailbox (and a counted denial),
         // so ungranted messages simply never arrive.
-        let mailboxes = spec.topics.iter().map(|t| (t.clone(), scope.subscribe(t))).collect();
+        let mailboxes = spec
+            .topics
+            .iter()
+            .map(|t| Mailbox { topic: t.clone(), rx: scope.subscribe(t), due: 0 })
+            .collect();
         let request_id = spec.report_period_ms.map(|_| {
             let id = RicRequestId { requestor: self.next_requestor, instance: 1 };
             self.next_requestor += 1;
@@ -460,19 +503,21 @@ impl RicPlatform {
             }
         }
 
-        // 3. Relay topic messages into xApps.
+        // 3. Relay topic messages into xApps, mailbox by mailbox, straight
+        //    out of the queues (held aside so a handler can borrow the topic).
         for ai in 0..self.xapps.len() {
-            let mut pending: Vec<(String, Vec<u8>)> = Vec::new();
-            for (topic, rx) in &self.xapps[ai].mailboxes {
-                while let Ok(payload) = rx.try_recv() {
-                    pending.push((topic.clone(), payload));
+            let mut mailboxes = std::mem::take(&mut self.xapps[ai].mailboxes);
+            for mailbox in &mut mailboxes {
+                mailbox.due = mailbox.rx.len();
+            }
+            for Mailbox { topic, rx, due } in &mailboxes {
+                for payload in rx.try_iter().take(*due) {
+                    stats.messages_delivered += 1;
+                    self.metrics.messages_delivered.inc();
+                    self.invoke(ai, |app, ctx| app.on_message(ctx, topic, &payload));
                 }
             }
-            for (topic, payload) in pending {
-                stats.messages_delivered += 1;
-                self.metrics.messages_delivered.inc();
-                self.invoke(ai, |app, ctx| app.on_message(ctx, &topic, &payload));
-            }
+            self.xapps[ai].mailboxes = mailboxes;
         }
 
         // 4. Ship queued control actions, each routed to the agent serving
@@ -486,12 +531,8 @@ impl RicPlatform {
                 let queued = std::mem::take(&mut self.control_queue);
                 for ControlOut { cell, trace, payload, broadcast } in queued {
                     let owner = match cell {
-                        Some(cell) => match self
-                            .conns
-                            .iter()
-                            .position(|c| c.setup_done && c.cells.contains(&cell))
-                        {
-                            Some(owner) => owner,
+                        Some(cell) => match self.cell_owner.get(&cell) {
+                            Some(&owner) => owner,
                             None => {
                                 self.metrics.controls_unroutable.inc();
                                 fallback
@@ -503,11 +544,7 @@ impl RicPlatform {
                     if broadcast {
                         if let Some(neigh) = cell.and_then(|c| self.neighbours.get(&c)) {
                             for ncell in neigh {
-                                if let Some(ci) = self
-                                    .conns
-                                    .iter()
-                                    .position(|c| c.setup_done && c.cells.contains(ncell))
-                                {
+                                if let Some(&ci) = self.cell_owner.get(ncell) {
                                     if !targets.contains(&ci) {
                                         targets.push(ci);
                                     }
@@ -555,9 +592,17 @@ impl RicPlatform {
                 );
                 let conn = &mut self.conns[ci];
                 conn.gnb_id = Some(gnb_id);
-                conn.cells = cells;
                 conn.ack_latency = Some(ack_latency);
                 conn.setup_done = true;
+                let released = std::mem::replace(&mut conn.cells, cells);
+                if released.is_empty() {
+                    self.claim_cells(ci);
+                } else {
+                    // A repeated Setup: some other agent may announce a cell
+                    // this one no longer does.
+                    self.cell_owner.clear();
+                    (0..self.conns.len()).for_each(|ci| self.claim_cells(ci));
+                }
                 self.send_on(ci, &E2apPdu::SetupResponse { accepted }.encode())?;
                 // Subscribe this agent for every telemetry xApp right away
                 // (same-pump, preserving the 3-round handshake cadence).
@@ -623,22 +668,37 @@ impl RicPlatform {
         }
     }
 
+    /// Enters the cells conn `ci` announced at Setup into the routing map;
+    /// of two agents announcing one cell the lower token keeps it.
+    fn claim_cells(&mut self, ci: usize) {
+        for cell in &self.conns[ci].cells {
+            let owner = self.cell_owner.entry(*cell).or_insert(ci);
+            *owner = (*owner).min(ci);
+        }
+    }
+
     /// Persists one report window of conn `ci` to the SDL: the KPM payload
     /// exactly as received, under a key naming the agent and the window —
     /// so the same window reported to a second subscriber overwrites itself
-    /// — and evicts the agent's oldest window beyond the retention.
+    /// — and evicts the agent's oldest window beyond the retention. The
+    /// platform is the namespace's only writer, so it keeps the entry gauge
+    /// by what it adds and evicts.
     fn store_window(&mut self, ci: usize, start: Timestamp, end: Timestamp, payload: Vec<u8>) {
         let stored = &mut self.conns[ci].stored_windows;
-        if !stored.contains(&(start, end)) {
+        // Newest first: a second subscriber's copy is of the latest window.
+        if !stored.iter().rev().any(|window| *window == (start, end)) {
             stored.push_back((start, end));
             if stored.len() > SDL_WINDOWS_PER_AGENT {
                 let (old_start, old_end) = stored.pop_front().expect("just pushed");
-                self.sdl.delete(SDL_MOBIFLOW, &window_key(ci, old_start, old_end));
+                write_window_key(&mut self.window_key, ci, old_start, old_end);
+                self.sdl.delete(SDL_MOBIFLOW, &self.window_key);
                 self.metrics.sdl_evicted.inc();
+            } else {
+                self.metrics.sdl_entries.add(1);
             }
         }
-        self.sdl.set(SDL_MOBIFLOW, &window_key(ci, start, end), payload);
-        self.metrics.sdl_entries.set(self.sdl.len(SDL_MOBIFLOW) as i64);
+        write_window_key(&mut self.window_key, ci, start, end);
+        self.sdl.set(SDL_MOBIFLOW, &self.window_key, payload);
     }
 
     /// Sends every telemetry xApp's subscription request to conn `ci`
@@ -693,6 +753,7 @@ impl RicPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use xsec_e2::{in_proc_pair, RicAgent, RicAgentConfig};
     use xsec_mobiflow::UeMobiFlow;
     use xsec_proto::{Direction, MessageKind};
@@ -851,6 +912,43 @@ mod tests {
         let first_kept = extra as u64 + 1;
         let want: Vec<u64> = (first_kept * 2..=periods * 2 + 1).collect();
         assert_eq!(ids, want);
+
+        // Byte for byte what the `format!`-built key and the agent's payload
+        // stored before the key was written in place: agent by agent, each
+        // one's windows in time order.
+        let mut listing = Vec::new();
+        for conn in 0..2u64 {
+            for period in first_kept..=periods {
+                let (start, end) = ((period - 1) * 100_000, period * 100_000);
+                listing.push((
+                    format!("{conn}/{end:020}/{start:020}"),
+                    KpmIndication::encode_records(
+                        CellId(conn as u32 + 1),
+                        Timestamp(start),
+                        Timestamp(end),
+                        &[record(period * 2 + conn, end - 1)],
+                    ),
+                ));
+            }
+        }
+        assert_eq!(platform.sdl().scan("mobiflow"), listing);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_window_keys_are_the_formatted_ones(
+            conn in any::<usize>(),
+            start in any::<u64>(),
+            end in any::<u64>(),
+            narrow in any::<bool>(),
+        ) {
+            // Half the draws small, so short and zero fields are common.
+            let (conn, start, end) =
+                if narrow { (conn % 300, start % 1_000, end % 10) } else { (conn, start, end) };
+            let mut key = String::from("left over");
+            write_window_key(&mut key, conn, Timestamp(start), Timestamp(end));
+            prop_assert_eq!(key, format!("{conn}/{end:020}/{start:020}"));
+        }
     }
 
     #[test]
@@ -1146,6 +1244,41 @@ mod tests {
         assert_eq!(a1.take_control_requests(), vec![b"act".to_vec()]);
         assert!(a2.take_control_requests().is_empty());
         assert_eq!(platform.controls_unroutable(), 1);
+    }
+
+    /// Sends an E2 Setup Request announcing `cells` on a raw agent end.
+    fn announce(agent_end: &mut xsec_e2::InProcTransport, gnb: u32, cells: &[u32]) {
+        let setup = E2apPdu::SetupRequest {
+            gnb_id: GnbId(gnb),
+            ran_functions: vec![RAN_FUNCTION_MOBIFLOW],
+            cells: cells.iter().copied().map(CellId).collect(),
+        };
+        agent_end.send(&setup.encode()).unwrap();
+    }
+
+    #[test]
+    fn the_routing_map_follows_every_setup() {
+        let mut platform = RicPlatform::new();
+        let mut ends = Vec::new();
+        for _ in 0..3 {
+            let (agent_end, ric_end) = in_proc_pair();
+            platform.add_agent(Box::new(ric_end));
+            ends.push(agent_end);
+        }
+        // Two agents announce cell 7, the higher token first: the lower one
+        // takes the cell over when it sets up, as the connection scan chose.
+        announce(&mut ends[2], 3, &[7, 8]);
+        platform.pump().unwrap();
+        assert_eq!(platform.cell_owner, HashMap::from([(CellId(7), 2), (CellId(8), 2)]));
+        announce(&mut ends[1], 2, &[7]);
+        platform.pump().unwrap();
+        assert_eq!(platform.cell_owner, HashMap::from([(CellId(7), 1), (CellId(8), 2)]));
+        // A repeated Setup that drops cell 7 hands it back to the agent still
+        // announcing it, and a cell nobody announces any more is unroutable.
+        announce(&mut ends[1], 2, &[9]);
+        announce(&mut ends[2], 3, &[7]);
+        platform.pump().unwrap();
+        assert_eq!(platform.cell_owner, HashMap::from([(CellId(7), 2), (CellId(9), 1)]));
     }
 
     #[test]
