@@ -366,6 +366,42 @@ mod tests {
         assert!(models.lstm_threshold.value > 0.0);
     }
 
+    /// The trained artifact, pinned to the bit: a change to the training
+    /// path that moves one weight, Adam moment or threshold fails here
+    /// (both kernel builds; the trainers' own unit tests only compare a
+    /// trainer with itself). The constants are edited only by a PR that
+    /// means to retrain — and then re-pins every digest and table with them.
+    #[test]
+    fn trained_models_are_bit_stable() {
+        fn fnv1a(text: &str) -> u64 {
+            text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        }
+        let config = TrainingConfig {
+            autoencoder_epochs: 12,
+            lstm_epochs: 3,
+            autoencoder_hidden: vec![48, 12],
+            lstm_hidden: 24,
+            ..TrainingConfig::default()
+        };
+        let stream = extract_from_events(&DatasetBuilder::small(77, 500).benign().events);
+        assert_eq!(stream.len(), 9_532);
+        let models = Smo::train(&config, &stream).unwrap();
+        let got = (
+            fnv1a(&models.autoencoder.to_json()),
+            fnv1a(&models.lstm.to_json()),
+            models.ae_threshold.value.to_bits(),
+            models.lstm_threshold.value.to_bits(),
+        );
+        let want = if xsec_dl::kernels::wide_kernels_active() {
+            (0xb4b8_1c01_4409_c29e_u64, 0x81ae_96e7_2c3e_579b_u64, 0x3d51_7273_u32, 0x3def_b958_u32)
+        } else {
+            (0x0437_f482_c894_65de, 0x39a0_e76d_8956_93cb, 0x3d51_7272, 0x3def_b954)
+        };
+        assert_eq!(got, want, "got {:016x} {:016x} {:08x} {:08x}", got.0, got.1, got.2, got.3);
+    }
+
     #[test]
     fn refuses_attack_contaminated_training_data() {
         let ds = DatasetBuilder::small(2, 10).attack(xsec_types::AttackKind::BtsDos);
