@@ -9,6 +9,9 @@
 //!    agents, mostly-idle vs all-active, as µs per agent-round; CI gates
 //!    the 256-vs-8 mostly-idle ratio at >= 0.5.
 //!
+//! A third, report-only section times the SMO's refit (training steps at
+//! the deployed shapes); its end-to-end reading is `xsec-e2e`'s `setup_s`.
+//!
 //! Results go to stdout, `target/experiments/kernels.txt`, and
 //! `BENCH_kernels.json` in the working directory (consumed by CI).
 
@@ -17,7 +20,9 @@ use sixg_xsec::smo::{DeployedModels, Smo, TrainingConfig};
 use std::time::Instant;
 use xsec_attacks::DatasetBuilder;
 use xsec_bench::{quick_mode, save_report};
-use xsec_dl::{FeatureConfig, Featurizer, Matrix, Workspace};
+use xsec_dl::{
+    Autoencoder, AutoencoderConfig, FeatureConfig, Featurizer, Lstm, LstmConfig, Matrix, Workspace,
+};
 use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
 use xsec_mobiflow::{extract_from_events, TelemetryStream, UeMobiFlow};
 use xsec_proto::{Direction, MessageKind};
@@ -111,6 +116,71 @@ fn kernels_section(
         "gemm": { "shape": [m, k, n], "gflops": gemm_gflops },
         "autoencoder": { "windows": rows, "windows_per_sec": ae_rate },
         "lstm": { "windows": pairs, "windows_per_sec": lstm_rate },
+    })
+}
+
+/// What a refit costs per step, at the shapes `xsec-e2e` deploys (AE
+/// `[48, 12]` at batch 32, LSTM 24) on the eval stream's windows. Report
+/// only: training must reproduce its weights bit for bit (DESIGN.md § "The
+/// training path"), so these move only when overhead around the arithmetic
+/// does, and the number that is judged is the whole-stack `setup_s`.
+fn training_section(
+    models: &DeployedModels,
+    stream: &TelemetryStream,
+    min_secs: f64,
+    text: &mut String,
+) -> serde_json::Value {
+    const BATCH: usize = 32;
+    const EPOCHS: usize = 4;
+    let dataset = Featurizer::encode_stream(&models.feature_config, stream);
+    let flat = dataset.flat_windows();
+    // Whole batches only, so a step is a batch-32 step.
+    let flat = flat.slice_rows(0, flat.rows() - flat.rows() % BATCH);
+    let (windows, nexts) = dataset.lstm_pairs();
+
+    let ae_config = AutoencoderConfig {
+        hidden: vec![48, 12],
+        epochs: EPOCHS,
+        batch_size: BATCH,
+        ..AutoencoderConfig::for_input(flat.cols())
+    };
+    let (runs, secs) = time_loop(min_secs, || {
+        std::hint::black_box(Autoencoder::train(ae_config.clone(), &flat));
+    });
+    let ae_step_us = secs * 1e6 / (runs as usize * EPOCHS * flat.rows() / BATCH) as f64;
+
+    let lstm_config =
+        LstmConfig { hidden: 24, epochs: EPOCHS, ..LstmConfig::for_input(windows[0].cols()) };
+    let (runs, secs) = time_loop(min_secs, || {
+        std::hint::black_box(Lstm::train(lstm_config.clone(), &windows, &nexts));
+    });
+    let lstm_window_us = secs * 1e6 / (runs as usize * EPOCHS * windows.len()) as f64;
+
+    // The AE's widest layer's worth of parameters, gradients about the size
+    // training sees; `t` keeps counting so no step is a repeat.
+    let n = flat.cols() * 48;
+    let mut param: Vec<f32> = (0..n).map(|i| ((i * 37) % 97) as f32 * 0.01 - 0.48).collect();
+    let grad: Vec<f32> = (0..n).map(|i| ((i * 53) % 89) as f32 * 1e-4 - 0.0044).collect();
+    let (mut m, mut v, mut t) = (vec![0.0f32; n], vec![0.0f32; n], 0u64);
+    let (iters, secs) = time_loop(min_secs, || {
+        t += 1;
+        xsec_dl::dense::adam_update(&mut param, &grad, &mut m, &mut v, t, 1e-3);
+    });
+    std::hint::black_box(&param);
+    let adam_ns = secs * 1e9 / (iters as usize * n) as f64;
+
+    text.push_str(&format!(
+        "Training (report only; AE [48,12] batch {BATCH}, LSTM 24, {} windows):\n  \
+         autoencoder: {ae_step_us:>8.1} us per batch-{BATCH} step\n  \
+         lstm:        {lstm_window_us:>8.1} us per window\n  \
+         adam:        {adam_ns:>8.2} ns per parameter\n\n",
+        flat.rows(),
+    ));
+    json!({
+        "windows": flat.rows(),
+        "autoencoder_us_per_batch32_step": ae_step_us,
+        "lstm_us_per_window": lstm_window_us,
+        "adam_ns_per_parameter": adam_ns,
     })
 }
 
@@ -359,12 +429,14 @@ fn main() {
     if let Some(path) = baseline_arg() {
         apply_baseline(&mut kernels, &path, &mut text);
     }
+    let training = training_section(&models, &eval_stream, min_secs, &mut text);
     let ric_scale = ric_scale_section(min_secs, &mut text);
 
     let report = json!({
         "quick": quick,
         "cores": std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         "kernels": kernels,
+        "training": training,
         "ric_scale": ric_scale,
     });
     std::fs::write("BENCH_kernels.json", serde_json::to_string(&report).expect("report serializes"))

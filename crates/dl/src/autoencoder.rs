@@ -5,7 +5,7 @@
 //! above a threshold chosen as a percentile of the *training* errors (the
 //! paper uses the 99th, assuming ~1% noise) flag the window anomalous.
 
-use crate::dense::{Activation, Dense};
+use crate::dense::{Activation, Dense, GradScratch};
 use crate::metrics::percentile;
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
@@ -56,6 +56,17 @@ pub struct Autoencoder {
     training_errors: Vec<f32>,
 }
 
+/// What [`Autoencoder::train`] reuses from step to step — never part of the
+/// model: every layer's activations (`acts[0]` is the batch), the gradient
+/// flowing back and the buffer it is written to next.
+#[derive(Debug, Default)]
+struct TrainScratch {
+    acts: Vec<Matrix>,
+    grad: Matrix,
+    grad_in: Matrix,
+    dense: GradScratch,
+}
+
 impl Autoencoder {
     /// Trains on benign windows (`rows × input_dim`).
     ///
@@ -89,14 +100,18 @@ impl Autoencoder {
         let mut model =
             Autoencoder { layers, config: config.clone(), training_errors: Vec::new() };
 
-        let n = data.rows();
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut scratch = TrainScratch::default();
+        scratch.acts.resize(model.layers.len() + 1, Matrix::default());
+        let mut order: Vec<usize> = (0..data.rows()).collect();
         for _ in 0..config.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(config.batch_size) {
-                let batch =
-                    Matrix::stack_rows(&chunk.iter().map(|&i| data.row_at(i)).collect::<Vec<_>>());
-                model.train_step(&batch);
+                let batch = &mut scratch.acts[0];
+                batch.resize(chunk.len(), config.input_dim);
+                for (row, &i) in batch.data_mut().chunks_exact_mut(config.input_dim).zip(chunk) {
+                    row.copy_from_slice(data.row_slice(i));
+                }
+                model.train_step(&mut scratch);
             }
         }
 
@@ -104,15 +119,25 @@ impl Autoencoder {
         model
     }
 
-    fn train_step(&mut self, batch: &Matrix) {
-        let mut x = batch.clone();
-        for layer in &mut self.layers {
-            x = layer.forward_train(&x);
+    /// One Adam step on the batch in `scratch.acts[0]`; allocates nothing
+    /// once the buffers have seen a full batch.
+    fn train_step(&mut self, scratch: &mut TrainScratch) {
+        let TrainScratch { acts, grad, grad_in, dense } = scratch;
+        for (li, layer) in self.layers.iter().enumerate() {
+            let (input, output) = acts.split_at_mut(li + 1);
+            layer.forward_to(&input[li], &mut output[0]);
         }
-        let n = x.data().len() as f32;
-        let mut grad = x.sub(batch).scale(2.0 / n);
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad, self.config.learning_rate);
+        let (batch, recon) = (&acts[0], &acts[self.layers.len()]);
+        let scale = 2.0 / recon.data().len() as f32;
+        grad.resize(recon.rows(), recon.cols());
+        for ((g, &y), &x) in grad.data_mut().iter_mut().zip(recon.data()).zip(batch.data()) {
+            *g = (y - x) * scale;
+        }
+        for (li, layer) in self.layers.iter_mut().enumerate().rev() {
+            // Nothing reads the first layer's input gradient.
+            let wanted = (li > 0).then_some(&mut *grad_in);
+            layer.grad_step(&acts[li], &acts[li + 1], grad, wanted, dense, self.config.learning_rate);
+            std::mem::swap(grad, grad_in);
         }
     }
 

@@ -20,11 +20,20 @@ pub enum Activation {
 impl Activation {
     /// Applies the activation.
     pub fn apply(self, x: &Matrix) -> Matrix {
+        let mut y = x.clone();
+        self.apply_scalar(y.data_mut());
+        y
+    }
+
+    /// Applies the activation in place with the scalar libm transcendentals
+    /// on every build — the reference path, and the one training is pinned
+    /// to (see DESIGN.md § "The training path").
+    fn apply_scalar(self, data: &mut [f32]) {
         match self {
-            Activation::Linear => x.clone(),
-            Activation::Relu => x.map(|v| v.max(0.0)),
-            Activation::Sigmoid => x.map(sigmoid),
-            Activation::Tanh => x.map(f32::tanh),
+            Activation::Linear => {}
+            Activation::Relu => data.iter_mut().for_each(|v| *v = v.max(0.0)),
+            Activation::Sigmoid => data.iter_mut().for_each(|v| *v = sigmoid(*v)),
+            Activation::Tanh => data.iter_mut().for_each(|v| *v = v.tanh()),
         }
     }
 
@@ -33,24 +42,24 @@ impl Activation {
     /// polynomial (vectorized) on the wide path, libm on the scalar path.
     pub fn apply_inplace(self, data: &mut [f32]) {
         match self {
-            Activation::Linear => {}
-            Activation::Relu => {
-                for v in data {
-                    *v = v.max(0.0);
-                }
-            }
             Activation::Sigmoid => crate::kernels::sigmoid_slice(data),
             Activation::Tanh => crate::kernels::tanh_slice(data),
+            Activation::Linear | Activation::Relu => self.apply_scalar(data),
         }
     }
 
     /// Derivative expressed in terms of the *activated output* `y`.
     pub fn derivative_from_output(self, y: &Matrix) -> Matrix {
+        y.map(|v| self.derivative(v))
+    }
+
+    fn derivative(self, y: f32) -> f32 {
         match self {
-            Activation::Linear => y.map(|_| 1.0),
-            Activation::Relu => y.map(|v| if v > 0.0 { 1.0 } else { 0.0 }),
-            Activation::Sigmoid => y.map(|v| v * (1.0 - v)),
-            Activation::Tanh => y.map(|v| 1.0 - v * v),
+            Activation::Linear => 1.0,
+            Activation::Relu if y > 0.0 => 1.0,
+            Activation::Relu => 0.0,
+            Activation::Sigmoid => y * (1.0 - y),
+            Activation::Tanh => 1.0 - y * y,
         }
     }
 }
@@ -65,35 +74,39 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
+/// One Adam update of `param` along `grad`, `t` the step count including
+/// this one — the only Adam in the crate. Plain IEEE multiply/add/divide/
+/// sqrt per element, so hoisting the bias corrections and walking zipped
+/// slices (which vectorizes) moves no bit against an indexed loop; `m` is
+/// left to decay through the denormals. Public for the `kernels` report.
+pub fn adam_update(param: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32], t: u64, lr: f32) {
+    const B1: f32 = 0.9;
+    const B2: f32 = 0.999;
+    const EPS: f32 = 1e-8;
+    let (c1, c2) = (1.0 - B1.powi(t as i32), 1.0 - B2.powi(t as i32));
+    for (((p, &g), m), v) in param.iter_mut().zip(grad).zip(m).zip(v) {
+        *m = B1 * *m + (1.0 - B1) * g;
+        *v = B2 * *v + (1.0 - B2) * g * g;
+        *p -= lr * (*m / c1) / ((*v / c2).sqrt() + EPS);
+    }
+}
+
 /// Per-parameter Adam state.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-struct AdamState {
+pub(crate) struct AdamState {
     m: Matrix,
     v: Matrix,
     t: u64,
 }
 
 impl AdamState {
-    fn new(rows: usize, cols: usize) -> Self {
+    pub(crate) fn new(rows: usize, cols: usize) -> Self {
         AdamState { m: Matrix::zeros(rows, cols), v: Matrix::zeros(rows, cols), t: 0 }
     }
 
-    fn step(&mut self, param: &mut Matrix, grad: &Matrix, lr: f32) {
-        const B1: f32 = 0.9;
-        const B2: f32 = 0.999;
-        const EPS: f32 = 1e-8;
+    pub(crate) fn step(&mut self, param: &mut Matrix, grad: &Matrix, lr: f32) {
         self.t += 1;
-        let t = self.t as i32;
-        for i in 0..param.data().len() {
-            let g = grad.data()[i];
-            let m = B1 * self.m.data()[i] + (1.0 - B1) * g;
-            let v = B2 * self.v.data()[i] + (1.0 - B2) * g * g;
-            self.m.data_mut()[i] = m;
-            self.v.data_mut()[i] = v;
-            let m_hat = m / (1.0 - B1.powi(t));
-            let v_hat = v / (1.0 - B2.powi(t));
-            param.data_mut()[i] -= lr * m_hat / (v_hat.sqrt() + EPS);
-        }
+        adam_update(param.data_mut(), grad.data(), self.m.data_mut(), self.v.data_mut(), self.t, lr);
     }
 }
 
@@ -105,14 +118,14 @@ pub struct Dense {
     activation: Activation,
     adam_w: AdamState,
     adam_b: AdamState,
-    #[serde(skip)]
-    cache: Option<LayerCache>,
 }
 
-#[derive(Debug, Clone)]
-struct LayerCache {
-    input: Matrix,
-    output: Matrix,
+/// The buffers [`Dense::grad_step`] reuses from one call to the next.
+#[derive(Debug, Default)]
+pub(crate) struct GradScratch {
+    transposed: Matrix,
+    grad_w: Matrix,
+    grad_b: Matrix,
 }
 
 impl Dense {
@@ -124,7 +137,6 @@ impl Dense {
             activation,
             adam_w: AdamState::new(fan_in, fan_out),
             adam_b: AdamState::new(1, fan_out),
-            cache: None,
         }
     }
 
@@ -138,9 +150,20 @@ impl Dense {
         self.weights.cols()
     }
 
-    /// Inference-only forward pass (no cache).
+    /// The reference forward pass.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        self.activation.apply(&x.matmul(&self.weights).add_row_broadcast(&self.bias))
+        let mut out = Matrix::default();
+        self.forward_to(x, &mut out);
+        out
+    }
+
+    /// [`Dense::forward`] into a reused buffer, and the training forward:
+    /// GEMM into zeros, then the bias, then the scalar libm activation — the
+    /// order trained weights are pinned to, not [`Dense::forward_into`]'s.
+    pub(crate) fn forward_to(&self, x: &Matrix, out: &mut Matrix) {
+        x.matmul_into(&self.weights, out);
+        out.add_row_inplace(&self.bias);
+        self.activation.apply_scalar(out.data_mut());
     }
 
     /// Inference forward pass over `rows` flat row-major inputs into a
@@ -168,27 +191,31 @@ impl Dense {
         grew
     }
 
-    /// Training forward pass: caches activations for `backward`.
-    pub fn forward_train(&mut self, x: &Matrix) -> Matrix {
-        let output = self.forward(x);
-        self.cache = Some(LayerCache { input: x.clone(), output: output.clone() });
-        output
-    }
-
-    /// Backward pass: consumes dL/dy, applies an Adam step to the layer's
-    /// parameters, and returns dL/dx.
-    ///
-    /// # Panics
-    /// If called without a preceding [`Dense::forward_train`].
-    pub fn backward(&mut self, grad_out: &Matrix, lr: f32) -> Matrix {
-        let cache = self.cache.take().expect("backward without forward_train");
-        let dz = grad_out.hadamard(&self.activation.derivative_from_output(&cache.output));
-        let grad_w = cache.input.transpose().matmul(&dz);
-        let grad_b = dz.sum_rows();
-        let grad_in = dz.matmul(&self.weights.transpose());
-        self.adam_w.step(&mut self.weights, &grad_w, lr);
-        self.adam_b.step(&mut self.bias, &grad_b, lr);
-        grad_in
+    /// Backward pass and Adam step for input `x` and output `y` of
+    /// [`Dense::forward_to`]. `grad` holds dL/dy on entry and dL/dz on
+    /// return; dL/dx goes to `grad_in` when the caller has a use for it,
+    /// taken before the step moves the weights.
+    pub(crate) fn grad_step(
+        &mut self,
+        x: &Matrix,
+        y: &Matrix,
+        grad: &mut Matrix,
+        grad_in: Option<&mut Matrix>,
+        scratch: &mut GradScratch,
+        lr: f32,
+    ) {
+        for (g, &v) in grad.data_mut().iter_mut().zip(y.data()) {
+            *g *= self.activation.derivative(v);
+        }
+        if let Some(grad_in) = grad_in {
+            self.weights.transpose_into(&mut scratch.transposed);
+            grad.matmul_into(&scratch.transposed, grad_in);
+        }
+        x.transpose_into(&mut scratch.transposed);
+        scratch.transposed.matmul_into(grad, &mut scratch.grad_w);
+        grad.sum_rows_into(&mut scratch.grad_b);
+        self.adam_w.step(&mut self.weights, &scratch.grad_w, lr);
+        self.adam_b.step(&mut self.bias, &scratch.grad_b, lr);
     }
 }
 
@@ -222,12 +249,13 @@ mod tests {
         // y = 2x; a single linear unit must fit it quickly.
         let mut rng = StdRng::seed_from_u64(3);
         let mut layer = Dense::new(1, 1, Activation::Linear, &mut rng);
+        let (mut y, mut scratch) = (Matrix::default(), GradScratch::default());
         for _ in 0..500 {
             let x = Matrix::from_vec(4, 1, vec![-1.0, 0.5, 1.0, 2.0]);
             let target = x.scale(2.0);
-            let y = layer.forward_train(&x);
-            let grad = y.sub(&target).scale(2.0 / 4.0);
-            layer.backward(&grad, 0.05);
+            layer.forward_to(&x, &mut y);
+            let mut grad = y.sub(&target).scale(2.0 / 4.0);
+            layer.grad_step(&x, &y, &mut grad, None, &mut scratch, 0.05);
         }
         let y = layer.forward(&Matrix::row(vec![3.0]));
         assert!((y.data()[0] - 6.0).abs() < 0.05, "got {}", y.data()[0]);
@@ -245,11 +273,12 @@ mod tests {
 
         // Analytic.
         let mut train_layer = layer.clone();
-        let y = train_layer.forward_train(&x);
+        let y = train_layer.forward(&x);
         let n = y.data().len() as f32;
-        let grad_out = y.sub(&target).scale(2.0 / n);
+        let mut grad = y.sub(&target).scale(2.0 / n);
         // lr=0 step so parameters stay untouched while we read dL/dx.
-        let analytic = train_layer.backward(&grad_out, 0.0);
+        let mut analytic = Matrix::default();
+        train_layer.grad_step(&x, &y, &mut grad, Some(&mut analytic), &mut GradScratch::default(), 0.0);
 
         // Numerical.
         const EPS: f32 = 1e-3;
@@ -267,12 +296,63 @@ mod tests {
         }
     }
 
+    /// The slice Adam against the indexed loop it replaced (kept here as the
+    /// oracle), bit for bit — including moments that have decayed into the
+    /// denormals and parameters whose gradient is exactly zero.
     #[test]
-    #[should_panic(expected = "backward without forward_train")]
-    fn backward_requires_forward() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut layer = Dense::new(2, 2, Activation::Linear, &mut rng);
-        layer.backward(&Matrix::row(vec![1.0, 1.0]), 0.01);
+    fn adam_update_matches_the_indexed_formula_bit_for_bit() {
+        use rand::Rng;
+        fn indexed(p: &mut [f32], grad: &[f32], ms: &mut [f32], vs: &mut [f32], t: u64, lr: f32) {
+            const B1: f32 = 0.9;
+            const B2: f32 = 0.999;
+            const EPS: f32 = 1e-8;
+            let t = t as i32;
+            for i in 0..p.len() {
+                let g = grad[i];
+                let m = B1 * ms[i] + (1.0 - B1) * g;
+                let v = B2 * vs[i] + (1.0 - B2) * g * g;
+                ms[i] = m;
+                vs[i] = v;
+                let m_hat = m / (1.0 - B1.powi(t));
+                let v_hat = v / (1.0 - B2.powi(t));
+                p[i] -= lr * m_hat / (v_hat.sqrt() + EPS);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(41);
+        let n = 67; // not a multiple of any vector width
+        let mut param: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let mut m: Vec<f32> = (0..n)
+            .map(|i| match i % 3 {
+                0 => f32::from_bits(rng.gen_range(1..0x0080_0000u32)), // denormal
+                1 => -f32::from_bits(rng.gen_range(1..0x0080_0000u32)),
+                _ => rng.gen_range(-1e-2..1e-2),
+            })
+            .collect();
+        let mut v: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..1e-4)).collect();
+        let (mut param_ref, mut m_ref, mut v_ref) = (param.clone(), m.clone(), v.clone());
+        for t in 1..=300 {
+            let grad: Vec<f32> = (0..n)
+                .map(|i| if (i + t as usize).is_multiple_of(4) { 0.0 } else { rng.gen_range(-1e-3..1e-3) })
+                .collect();
+            adam_update(&mut param, &grad, &mut m, &mut v, t, 1e-3);
+            indexed(&mut param_ref, &grad, &mut m_ref, &mut v_ref, t, 1e-3);
+            let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&param), bits(&param_ref), "param diverged at step {t}");
+            assert_eq!(bits(&m), bits(&m_ref), "m diverged at step {t}");
+            assert_eq!(bits(&v), bits(&v_ref), "v diverged at step {t}");
+        }
+        // Zero gradients alone: `m` walks down through the denormals to zero
+        // on both sides (no flush-to-zero shortcut).
+        let zero = vec![0.0f32; n];
+        let mut saw_denormal = false;
+        for t in 301..=2_500 {
+            adam_update(&mut param, &zero, &mut m, &mut v, t, 1e-3);
+            indexed(&mut param_ref, &zero, &mut m_ref, &mut v_ref, t, 1e-3);
+            saw_denormal |= m.iter().any(|x| x.is_subnormal());
+            assert!(m.iter().zip(&m_ref).all(|(a, b)| a.to_bits() == b.to_bits()), "step {t}");
+            assert!(param.iter().zip(&param_ref).all(|(a, b)| a.to_bits() == b.to_bits()), "step {t}");
+        }
+        assert!(saw_denormal, "the decay never reached the denormals");
     }
 
     #[test]
@@ -296,8 +376,8 @@ mod tests {
         }
         // After a weight update, the buffered path must track the new weights.
         let mut trained = layer.clone();
-        let y = trained.forward_train(&single);
-        trained.backward(&y.clone(), 0.1);
+        let y = trained.forward(&single);
+        trained.grad_step(&single, &y, &mut y.clone(), None, &mut GradScratch::default(), 0.1);
         trained.forward_into(single.data(), 1, &mut out);
         let reference = trained.forward(&single);
         for (a, b) in out.data().iter().zip(reference.data()) {

@@ -109,6 +109,14 @@ impl Matrix {
         grew
     }
 
+    /// [`Matrix::resize`] to an all-zero `rows × cols` — what an accumulator
+    /// starts from. Returns `true` when the backing buffer had to grow.
+    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) -> bool {
+        let grew = self.resize(rows, cols);
+        self.data.fill(0.0);
+        grew
+    }
+
     /// Writes `self · rhs` into `out` (resized as needed), reusing `out`'s
     /// allocation. The inner loop is blocked over the shared dimension so
     /// the active slice of `rhs` stays cache-resident, and zero entries of
@@ -124,8 +132,7 @@ impl Matrix {
             "matmul shape mismatch: {}x{} · {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let grew = out.resize(self.rows, rhs.cols);
-        out.data.fill(0.0);
+        let grew = out.resize_zeroed(self.rows, rhs.cols);
         self.gemm_acc(rhs, out);
         grew
     }
@@ -205,13 +212,19 @@ impl Matrix {
 
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// Writes the transpose into `out`, reusing its allocation.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize(self.cols, self.rows);
+        for (r, row) in self.data.chunks_exact(self.cols.max(1)).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = v;
             }
         }
-        out
     }
 
     /// Element-wise sum. Panics on shape mismatch.
@@ -244,13 +257,20 @@ impl Matrix {
 
     /// Sums rows into a 1 × cols vector (bias gradient).
     pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c] += self.data[r * self.cols + c];
+        let mut out = Matrix::default();
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// [`Matrix::sum_rows`] into `out`, reusing its allocation: each column
+    /// is `0.0 + Σ rows` in ascending row order.
+    pub fn sum_rows_into(&self, out: &mut Matrix) {
+        out.resize_zeroed(1, self.cols);
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            for (o, &v) in out.data.iter_mut().zip(row) {
+                *o += v;
             }
         }
-        out
     }
 
     /// Applies `f` element-wise.

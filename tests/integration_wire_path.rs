@@ -12,7 +12,9 @@
 //! all run in buffers sized by the largest indication seen. Past detection,
 //! the incident hop (alert → verdict → decision) allocates per alert, under
 //! a pinned count; the JSON documents it rides on go through the same
-//! totality harness as the binary codecs.
+//! totality harness as the binary codecs. Off the live path, the SMO's
+//! refit is held to the same idiom: a training run allocates per run, never
+//! per step.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use sixg_xsec::mitigator::{A1SignedRequest, FindingNotice};
@@ -298,6 +300,42 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = allocations();
     let out = f();
     (allocations() - before, out)
+}
+
+/// Training allocates per run (the model, the shuffle order, scratch sized
+/// by the first full batch or window, the training errors), never per step:
+/// twice the epochs, not one allocation more. The deployed shapes, on the
+/// detector fixture's benign windows, with a short last batch (n mod 32 ≠ 0).
+#[test]
+fn training_steps_allocate_nothing_once_warm() {
+    use xsec_dl::{Autoencoder, AutoencoderConfig, FeatureConfig, Featurizer, Lstm, LstmConfig};
+    let benign = xsec_attacks::DatasetBuilder::small(29, 10).benign();
+    let stream = xsec_mobiflow::extract_from_events(&benign.events);
+    let dataset = Featurizer::encode_stream(&FeatureConfig { window: 4 }, &stream);
+    let flat = dataset.flat_windows();
+    let (windows, nexts) = dataset.lstm_pairs();
+    assert!(flat.rows() > 64 && !flat.rows().is_multiple_of(32), "{} windows", flat.rows());
+
+    let ae = |epochs| {
+        let config = AutoencoderConfig {
+            hidden: vec![48, 12],
+            epochs,
+            ..AutoencoderConfig::for_input(flat.cols())
+        };
+        allocations_in(|| Autoencoder::train(config, &flat)).0
+    };
+    let lstm = |epochs| {
+        let config = LstmConfig { hidden: 24, epochs, ..LstmConfig::for_input(windows[0].cols()) };
+        allocations_in(|| Lstm::train(config, &windows, &nexts)).0
+    };
+    let (ae_short, ae_long, lstm_short, lstm_long) = (ae(2), ae(4), lstm(1), lstm(2));
+    println!(
+        "allocations per training run over {} windows: autoencoder {ae_short} at 2 epochs, \
+         {ae_long} at 4; LSTM {lstm_short} at 1 epoch, {lstm_long} at 2",
+        flat.rows()
+    );
+    assert_eq!(ae_long, ae_short, "the autoencoder allocated per training step");
+    assert_eq!(lstm_long, lstm_short, "the LSTM allocated per training step");
 }
 
 /// The 52 evidence lines of one flood alert (the deployed context + window):
