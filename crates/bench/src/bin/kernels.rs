@@ -1,16 +1,15 @@
-//! The two timing gates nothing else covers. Every other perf number comes
-//! from the whole-stack benchmark (`benchmark/`, `xsec-e2e`).
+//! The timing gate nothing else covers, and two report-only sections.
+//! Every other perf number comes from the whole-stack benchmark
+//! (`benchmark/`, `xsec-e2e`).
 //!
-//! 1. **Kernels** — a raw GEMM and the batched scoring workloads at this
-//!    build's dispatch (wide-lane by default, scalar under
-//!    `--no-default-features`). `--baseline <scalar build's JSON>` folds the
-//!    scalar rates in as `speedup_vs_baseline`; CI gates it at >= 3x.
-//! 2. **RIC reactor scale** — one platform terminating 8/64/256 in-proc
+//! 1. **Kernels** (report only) — a raw GEMM and the batched scoring
+//!    workloads; their end-to-end readings are `xsec-e2e`'s
+//!    `dl.score.batched_ns_per_window` and `steady` `records_per_s`.
+//! 2. **Training** (report only) — the SMO's refit (training steps at the
+//!    deployed shapes); its end-to-end reading is `xsec-e2e`'s `setup_s`.
+//! 3. **RIC reactor scale** — one platform terminating 8/64/256 in-proc
 //!    agents, mostly-idle vs all-active, as µs per agent-round; CI gates
 //!    the 256-vs-8 mostly-idle ratio at >= 0.5.
-//!
-//! A third, report-only section times the SMO's refit (training steps at
-//! the deployed shapes); its end-to-end reading is `xsec-e2e`'s `setup_s`.
 //!
 //! Results go to stdout, `target/experiments/kernels.txt`, and
 //! `BENCH_kernels.json` in the working directory (consumed by CI).
@@ -64,19 +63,14 @@ fn train(quick: bool) -> (DeployedModels, TelemetryStream) {
     (models, extract_from_events(&eval.events))
 }
 
-/// Kernel-level microbenches at this build's dispatch (wide-lane in the
-/// default build, scalar under `--no-default-features`): a raw GEMM and the
-/// real batched scoring workloads. The SIMD win is a cross-build number —
-/// `--baseline` (see `apply_baseline`) folds a scalar build's rates in, and
-/// CI gates `speedup_vs_baseline >= 3x`.
+/// Kernel-level microbenches: a raw GEMM and the real batched scoring
+/// workloads.
 fn kernels_section(
     models: &DeployedModels,
     stream: &TelemetryStream,
     min_secs: f64,
     text: &mut String,
 ) -> serde_json::Value {
-    use xsec_dl::kernels::wide_kernels_active;
-
     let feature_config = FeatureConfig { window: models.feature_config.window };
     let dataset = Featurizer::encode_stream(&feature_config, stream);
     let flat = dataset.flat_windows();
@@ -105,14 +99,12 @@ fn kernels_section(
     let lstm_rate = (iters * pairs as u64) as f64 / secs;
 
     text.push_str(&format!(
-        "Kernels (wide-lane active: {}):\n  \
+        "Kernels:\n  \
          gemm {m}x{k}x{n}:  {gemm_gflops:>6.2} GFLOP/s\n  \
          autoencoder: {ae_rate:>12.0} windows/s\n  \
          lstm:        {lstm_rate:>12.0} windows/s\n\n",
-        wide_kernels_active(),
     ));
     json!({
-        "wide_kernels_active": wide_kernels_active(),
         "gemm": { "shape": [m, k, n], "gflops": gemm_gflops },
         "autoencoder": { "windows": rows, "windows_per_sec": ae_rate },
         "lstm": { "windows": pairs, "windows_per_sec": lstm_rate },
@@ -182,69 +174,6 @@ fn training_section(
         "lstm_us_per_window": lstm_window_us,
         "adam_ns_per_parameter": adam_ns,
     })
-}
-
-/// `--baseline <path>`: a `BENCH_kernels.json` produced by a **scalar
-/// build** (`--no-default-features`, default codegen). When given, the
-/// kernels section also reports the cross-build speedups.
-fn baseline_arg() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--baseline" {
-            return Some(args.next().expect("--baseline takes a path"));
-        }
-        if let Some(path) = arg.strip_prefix("--baseline=") {
-            return Some(path.to_string());
-        }
-    }
-    None
-}
-
-/// Folds the scalar-build rates into this run's kernels section as
-/// `speedup_vs_baseline` per detector (plus the rates they were computed
-/// from), so the committed JSON records the real cross-build win.
-fn apply_baseline(kernels: &mut serde_json::Value, path: &str, text: &mut String) {
-    let contents = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("baseline {path} unreadable: {e}"));
-    let baseline: serde_json::Value =
-        serde_json::from_str(&contents).unwrap_or_else(|e| panic!("baseline {path}: {e}"));
-    let base_kernels = baseline.get("kernels").expect("baseline kernels section");
-    assert_eq!(
-        base_kernels.get("wide_kernels_active").and_then(|v| v.as_bool()),
-        Some(false),
-        "baseline {path} came from a simd build — rebuild it with --no-default-features",
-    );
-    text.push_str(&format!("Cross-build speedups vs scalar baseline ({path}):\n"));
-    for detector in ["autoencoder", "lstm"] {
-        let rate = |section: &serde_json::Value| {
-            section
-                .get(detector)
-                .and_then(|d| d.get("windows_per_sec"))
-                .and_then(|v| v.as_f64())
-                .expect("kernels rate")
-        };
-        let (base, simd) = (rate(base_kernels), rate(kernels));
-        let speedup = simd / base;
-        text.push_str(&format!(
-            "  {detector}: {simd:>12.0} w/s vs {base:>12.0} scalar-build  ({speedup:.2}x)\n",
-        ));
-        // The vendored `Value` keeps objects as ordered pairs with no
-        // mutable lookup; push the cross-build fields onto the detector's
-        // section by hand.
-        let serde_json::Value::Object(sections) = &mut *kernels else {
-            panic!("kernels section is an object")
-        };
-        let section = sections
-            .iter_mut()
-            .find_map(|(name, v)| (name == detector).then_some(v))
-            .expect("kernel section");
-        let serde_json::Value::Object(fields) = section else {
-            panic!("detector section is an object")
-        };
-        fields.push(("baseline_windows_per_sec".into(), json!(base)));
-        fields.push(("speedup_vs_baseline".into(), json!(speedup)));
-    }
-    text.push('\n');
 }
 
 /// An xApp that answers every delivered record with a Control Request
@@ -424,11 +353,8 @@ fn main() {
     eprintln!("kernels: training models (quick={quick})");
     let (models, eval_stream) = train(quick);
 
-    let mut text = String::from("Kernel and reactor-scale timing gates\n=====================================\n\n");
-    let mut kernels = kernels_section(&models, &eval_stream, min_secs, &mut text);
-    if let Some(path) = baseline_arg() {
-        apply_baseline(&mut kernels, &path, &mut text);
-    }
+    let mut text = String::from("Kernel rates and the reactor-scale timing gate\n==============================================\n\n");
+    let kernels = kernels_section(&models, &eval_stream, min_secs, &mut text);
     let training = training_section(&models, &eval_stream, min_secs, &mut text);
     let ric_scale = ric_scale_section(min_secs, &mut text);
 

@@ -16,8 +16,7 @@
 //!   with the number of UEs streamed.
 //!
 //! Quick mode (`--quick` / `XSEC_BENCH_QUICK=1`) streams 100k UEs; the full
-//! run streams 1M. `XSEC_SOAK_UES` overrides the target,
-//! `XSEC_SOAK_RSS_MB` the ceiling. Results go to stdout,
+//! run streams 1M, both under a 512 MB ceiling. Results go to stdout,
 //! `target/experiments/soak.txt`, and `BENCH_soak.json` (consumed by CI).
 
 use serde_json::json;
@@ -56,14 +55,8 @@ fn soak_config(total_ues: u64) -> StreamConfig {
 fn main() {
     let obs = xsec_obs::Obs::new();
     let quick = quick_mode();
-    let target: u64 = std::env::var("XSEC_SOAK_UES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 100_000 } else { 1_000_000 });
-    let ceiling_mb: u64 = std::env::var("XSEC_SOAK_RSS_MB")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(512);
+    let target: u64 = if quick { 100_000 } else { 1_000_000 };
+    let ceiling_mb: u64 = 512;
     let shards = std::thread::available_parallelism()
         .map(|n| n.get().min(4))
         .unwrap_or(1);

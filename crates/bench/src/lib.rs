@@ -1,9 +1,9 @@
 //! # xsec-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation section, plus the two timing gates the whole-stack benchmark
-//! (`benchmark/`) does not cover (`kernels`: cross-build SIMD speedup and
-//! reactor scale).
+//! evaluation section, plus the timing gate the whole-stack benchmark
+//! (`benchmark/`) does not cover (`kernels`: reactor scale, beside
+//! report-only kernel and training rates).
 //!
 //! | Paper artifact | Binary |
 //! |---|---|

@@ -28,6 +28,9 @@ use xsec_types::{
     AttackKind, CellId, CipherAlg, Duration, EstablishmentCause, IntegrityAlg, Rnti, Timestamp,
 };
 
+/// Topic MobiWatch publishes [`crate::mobiwatch::AnomalyAlert`]s on.
+pub const ANOMALIES_TOPIC: &str = "anomalies";
+
 /// Topic the analyzer publishes [`FindingNotice`]s on.
 pub const FINDINGS_TOPIC: &str = "findings";
 

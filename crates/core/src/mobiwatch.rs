@@ -52,8 +52,6 @@ pub struct MobiWatchConfig {
     pub detector: Detector,
     /// Records of context (before the window) attached to each alert.
     pub context_records: usize,
-    /// Topic alerts are published on.
-    pub publish_topic: String,
     /// Minimum records between two published alerts (LLM cost control).
     pub publish_cooldown: usize,
     /// Numeric scoring path; [`Precision`] has one variant and nothing
@@ -66,7 +64,6 @@ impl Default for MobiWatchConfig {
         MobiWatchConfig {
             detector: Detector::Autoencoder,
             context_records: 48,
-            publish_topic: "anomalies".to_string(),
             publish_cooldown: 16,
             precision: Precision::F32,
         }

@@ -34,7 +34,7 @@
 use crate::analyzer::{AnalyzerState, LlmAnalyzer};
 use crate::mitigator::{
     MitigationSummary, Mitigator, MitigatorState, A1_POLICY_STATUS_TOPIC, A1_POLICY_TOPIC,
-    CONTROL_ACKS_TOPIC, FINDINGS_TOPIC,
+    ANOMALIES_TOPIC, CONTROL_ACKS_TOPIC, FINDINGS_TOPIC,
 };
 use crate::mobiwatch::{MobiWatch, MobiWatchConfig, MobiWatchState};
 use crate::pipeline::Pipeline;
@@ -280,13 +280,13 @@ impl ScaleDeployment {
         };
         let (mut analyzer, analyzer_state) = LlmAnalyzer::new(
             Box::new(SimulatedExpert::new(config.personality)),
-            "anomalies",
+            ANOMALIES_TOPIC,
         );
         analyzer.attach_obs(&obs);
         let (mitigator, mitigator_state) =
             Mitigator::with_obs(PolicyEngine::default(), obs.clone());
         let watch_spec = SubscriptionSpec::telemetry(config.report_period_ms);
-        let analyzer_spec = SubscriptionSpec::topics_only(&["anomalies"]);
+        let analyzer_spec = SubscriptionSpec::topics_only(&[ANOMALIES_TOPIC]);
         // The mitigator also subscribes to telemetry: the report windows are
         // its virtual clock for retry pacing and TTL expiry.
         let mitigator_spec = SubscriptionSpec::telemetry(config.report_period_ms)
@@ -298,13 +298,13 @@ impl ScaleDeployment {
         // is sealed once the deployment is wired (no identity can be
         // minted mid-run).
         platform
-            .register_xapp_scoped(watch, watch_spec, Grants::none().publish("anomalies"))
+            .register_xapp_scoped(watch, watch_spec, Grants::none().publish(ANOMALIES_TOPIC))
             .expect("register mobiwatch");
         platform
             .register_xapp_scoped(
                 Box::new(analyzer),
                 analyzer_spec,
-                Grants::none().subscribe("anomalies").publish(FINDINGS_TOPIC),
+                Grants::none().subscribe(ANOMALIES_TOPIC).publish(FINDINGS_TOPIC),
             )
             .expect("register analyzer");
         // The control grants enumerate the five playbook kinds rather than

@@ -368,9 +368,9 @@ mod tests {
 
     /// The trained artifact, pinned to the bit: a change to the training
     /// path that moves one weight, Adam moment or threshold fails here
-    /// (both kernel builds; the trainers' own unit tests only compare a
-    /// trainer with itself). The constants are edited only by a PR that
-    /// means to retrain — and then re-pins every digest and table with them.
+    /// (the trainers' own unit tests only compare a trainer with itself).
+    /// The constants are edited only by a PR that means to retrain — and
+    /// then re-pins every digest and table with them.
     #[test]
     fn trained_models_are_bit_stable() {
         fn fnv1a(text: &str) -> u64 {
@@ -394,11 +394,8 @@ mod tests {
             models.ae_threshold.value.to_bits(),
             models.lstm_threshold.value.to_bits(),
         );
-        let want = if xsec_dl::kernels::wide_kernels_active() {
-            (0xb4b8_1c01_4409_c29e_u64, 0x81ae_96e7_2c3e_579b_u64, 0x3d51_7273_u32, 0x3def_b958_u32)
-        } else {
-            (0x0437_f482_c894_65de, 0x39a0_e76d_8956_93cb, 0x3d51_7272, 0x3def_b954)
-        };
+        let want =
+            (0xb4b8_1c01_4409_c29e_u64, 0x81ae_96e7_2c3e_579b_u64, 0x3d51_7273_u32, 0x3def_b958_u32);
         assert_eq!(got, want, "got {:016x} {:016x} {:08x} {:08x}", got.0, got.1, got.2, got.3);
     }
 

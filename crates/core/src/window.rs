@@ -17,6 +17,7 @@
 //! flight events, the shared inspection state, and alert context — so both
 //! xApps produce the same artifacts from the same verdicts.
 
+use crate::mitigator::ANOMALIES_TOPIC;
 use crate::mobiwatch::{AnomalyAlert, Detector, MobiWatchConfig, MobiWatchState};
 use crate::smo::DeployedModels;
 use parking_lot::Mutex;
@@ -399,12 +400,12 @@ impl Ingest {
         alerts
     }
 
-    /// Publishes a batch's alerts on the configured topic for the analyzer,
+    /// Publishes a batch's alerts on [`ANOMALIES_TOPIC`] for the analyzer,
     /// then files them.
     pub(crate) fn publish(&self, ctx: &XAppContext<'_>, alerts: Vec<AnomalyAlert>) {
         for alert in &alerts {
             let payload = serde_json::to_vec(alert).expect("alert serializes");
-            ctx.publish(&self.scorer.config.publish_topic, &payload);
+            ctx.publish(ANOMALIES_TOPIC, &payload);
         }
         self.file(alerts);
     }

@@ -18,16 +18,9 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation.
-    pub fn apply(self, x: &Matrix) -> Matrix {
-        let mut y = x.clone();
-        self.apply_scalar(y.data_mut());
-        y
-    }
-
-    /// Applies the activation in place with the scalar libm transcendentals
-    /// on every build — the reference path, and the one training is pinned
-    /// to (see DESIGN.md § "The training path").
+    /// Applies the activation in place with the libm transcendentals — the
+    /// reference path, and the one training is pinned to (see DESIGN.md §
+    /// "The training path").
     fn apply_scalar(self, data: &mut [f32]) {
         match self {
             Activation::Linear => {}
@@ -38,8 +31,7 @@ impl Activation {
     }
 
     /// Applies the activation in place (the allocation-free inference path).
-    /// Sigmoid/tanh go through the dispatched kernel transcendentals:
-    /// polynomial (vectorized) on the wide path, libm on the scalar path.
+    /// Sigmoid/tanh go through the kernels' vectorized polynomials.
     pub fn apply_inplace(self, data: &mut [f32]) {
         match self {
             Activation::Sigmoid => crate::kernels::sigmoid_slice(data),
@@ -49,10 +41,6 @@ impl Activation {
     }
 
     /// Derivative expressed in terms of the *activated output* `y`.
-    pub fn derivative_from_output(self, y: &Matrix) -> Matrix {
-        y.map(|v| self.derivative(v))
-    }
-
     fn derivative(self, y: f32) -> f32 {
         match self {
             Activation::Linear => 1.0,
@@ -235,13 +223,13 @@ mod tests {
 
     #[test]
     fn activations_and_derivatives() {
-        let x = Matrix::row(vec![-1.0, 0.0, 2.0]);
-        assert_eq!(Activation::Relu.apply(&x).data(), &[0.0, 0.0, 2.0]);
-        let y = Activation::Relu.apply(&x);
-        assert_eq!(Activation::Relu.derivative_from_output(&y).data(), &[0.0, 0.0, 1.0]);
-        let s = Activation::Sigmoid.apply(&Matrix::row(vec![0.0]));
-        let ds = Activation::Sigmoid.derivative_from_output(&s);
-        assert!((ds.data()[0] - 0.25).abs() < 1e-6);
+        let mut y = [-1.0, 0.0, 2.0];
+        Activation::Relu.apply_scalar(&mut y);
+        assert_eq!(y, [0.0, 0.0, 2.0]);
+        assert_eq!(y.map(|v| Activation::Relu.derivative(v)), [0.0, 0.0, 1.0]);
+        let mut s = [0.0];
+        Activation::Sigmoid.apply_scalar(&mut s);
+        assert!((Activation::Sigmoid.derivative(s[0]) - 0.25).abs() < 1e-6);
     }
 
     #[test]

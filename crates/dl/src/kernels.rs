@@ -1,46 +1,32 @@
-//! The GEMM micro-kernels behind every matrix product in the crate.
+//! The GEMM micro-kernel behind every matrix product in the crate.
 //!
 //! There is exactly **one** place that multiplies matrices: [`gemm_acc`].
 //! [`crate::Matrix::matmul_into`], the batched scoring paths, and the
 //! single-window GEMV hot path all funnel into it, so optimizing this file
 //! optimizes every detector.
 //!
-//! Two implementations live here:
+//! [`gemm_acc`] is a register-tiled wide-lane kernel: output tiles of
+//! [`MR`]`×`[`NR`] stay in registers across the *entire* k loop, so each k
+//! step is two `rhs` vector loads and eight FMAs with zero output-row
+//! traffic. Explicit [`LANES`]-wide arrays lower to vector FMAs without
+//! `unsafe` intrinsics, on whatever vector width the target has. Sparse
+//! (one-hot) batches take a row-granular path that skips zero coefficients.
+//! Its oracle is the naive triple loop in the tests below.
 //!
-//! * [`gemm_acc_scalar`] — the blocked, zero-skipping i-k-j loop the crate
-//!   shipped with. It stays as the **fallback** (built with
-//!   `--no-default-features`) and as the **oracle** the SIMD path is tested
-//!   against.
-//! * [`gemm_acc_wide`] — the register-tiled wide-lane kernel (`simd`
-//!   feature, on by default): output tiles of [`MR`]`×`[`NR`] stay in
-//!   registers across the *entire* k loop, so each k step is two `rhs`
-//!   vector loads and eight FMAs with zero output-row traffic (the scalar
-//!   kernel re-reads and re-writes the output row once per k). Explicit
-//!   [`LANES`]-wide arrays lower to vector FMAs without `unsafe`
-//!   intrinsics. Zero-skip happens per k on the tile's column of `a`
-//!   coefficients, preserving the one-hot fast path.
-//!
-//! Alongside the GEMMs live the vectorizable transcendentals
+//! Alongside the GEMM live the vectorizable transcendentals
 //! ([`sigmoid_slice`], [`tanh_slice`]): Cephes-style polynomial `exp`
 //! (|abs err| ≲ 1e-7 through sigmoid/tanh), branchless so the lane loop
-//! vectorizes. The scalar dispatch keeps calling libm — bit-identical to
-//! the seed — so it remains the oracle.
+//! vectorizes. They are the inference path's activations; training keeps
+//! libm ([`crate::dense::sigmoid`], `f32::tanh`), which is also their oracle.
 //!
-//! **Row invariance.** Within one kernel, row `i` of the product is a pure
-//! function of row `i` of `a` and of `b`: every output element is one
-//! ascending-k chain — FMAs from zero in the wide kernel, `+= a·b` in the
-//! scalar one — whichever path computes it, so a window scores to the same
+//! **Row invariance.** Row `i` of the product is a pure function of row `i`
+//! of `a` and of `b`: every output element is one ascending-k chain of FMAs
+//! from zero, whichever path computes it, so a window scores to the same
 //! bits alone, in any batch, and whatever [`is_mostly_zero`] decides about
 //! its neighbours. (Skipping a zero coefficient leaves a chain unchanged
 //! because weights are finite.) The live detectors rely on this to batch
 //! per indication without moving a digest; it is property-tested bit for
-//! bit below. *Across* the two kernels the chains round differently and
-//! the wide transcendentals are polynomial, so scalar and wide builds may
-//! differ by ~1e-7 absolute; those parity tests budget 1e-5.
-//!
-//! The dispatch is fixed at build time by the `simd` feature. Tests
-//! cross-check the two kernels by calling them directly; the speedup is
-//! measured across builds (`throughput --baseline`).
+//! bit below.
 
 /// Vector width of the wide kernel, in f32 lanes.
 pub const LANES: usize = 8;
@@ -54,57 +40,8 @@ const MR: usize = 4;
 /// Output columns per register tile of the wide kernel (two lane groups).
 const NR: usize = 2 * LANES;
 
-/// Whether this build dispatches to the wide kernels (the `simd` feature).
-pub const fn wide_kernels_active() -> bool {
-    cfg!(feature = "simd")
-}
-
 /// Accumulates `out += a · b` over flat row-major slices: `a` is `m × k`,
 /// `b` is `k × n`, `out` is `m × n`.
-///
-/// # Panics
-/// Debug-asserts the slice lengths; callers ([`crate::Matrix`]) validate
-/// shapes with real assertions.
-#[inline]
-pub fn gemm_acc(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if wide_kernels_active() {
-        gemm_acc_wide(a, m, k, b, n, out);
-    } else {
-        gemm_acc_scalar(a, m, k, b, n, out);
-    }
-}
-
-/// The scalar reference kernel: blocked i-k-j with per-k zero skip.
-///
-/// Blocking over `k` keeps a `K_BLOCK × n` panel of `b` hot in cache while
-/// every output row streams through it; the inner `j` loop is a contiguous
-/// saxpy. This is the exact kernel PR 3 shipped — kept verbatim as the
-/// fallback for `--no-default-features` builds and as the oracle the wide
-/// kernel is verified against.
-pub fn gemm_acc_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    const K_BLOCK: usize = 64;
-    for k0 in (0..k).step_by(K_BLOCK) {
-        let k1 = (k0 + K_BLOCK).min(k);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (kk, &av) in a_row.iter().enumerate().take(k1).skip(k0) {
-                if av == 0.0 {
-                    continue; // one-hot inputs are mostly zero
-                }
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (o, bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-}
-
-/// The register-tiled wide-lane kernel.
 ///
 /// The output is walked in [`MR`]`×`[`NR`] tiles whose accumulators live in
 /// registers for the whole k loop: each k step is two contiguous vector
@@ -119,7 +56,14 @@ pub fn gemm_acc_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: 
 /// Contract: `out[i][j] += fma(a[i][k-1], b[k-1][j], … fma(a[i][0],
 /// b[0][j], 0))` on every path, so the bits of row `i` do not depend on
 /// `m`, on the other rows, or on which path the batch's sparsity selects.
-pub fn gemm_acc_wide(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+///
+/// # Panics
+/// Debug-asserts the slice lengths; callers ([`crate::Matrix`]) validate
+/// shapes with real assertions.
+pub fn gemm_acc(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), k * n);
+    debug_assert_eq!(out.len(), m * n);
     if k == 0 || n == 0 {
         return;
     }
@@ -438,39 +382,29 @@ fn tanh_fast(x: f32) -> f32 {
     2.0 / (1.0 + exp_poly(-2.0 * x)) - 1.0
 }
 
-/// In-place sigmoid over a slice. Wide dispatch runs the vectorizable
-/// polynomial; scalar dispatch keeps libm ([`crate::dense::sigmoid`]),
-/// bit-identical to the seed, as the oracle.
+/// In-place polynomial sigmoid over a slice (the inference path; training
+/// keeps libm's [`crate::dense::sigmoid`]).
 pub fn sigmoid_slice(data: &mut [f32]) {
-    if wide_kernels_active() {
-        for v in data.iter_mut() {
-            *v = sigmoid_fast(*v);
-        }
-    } else {
-        for v in data.iter_mut() {
-            *v = crate::dense::sigmoid(*v);
-        }
+    for v in data.iter_mut() {
+        *v = sigmoid_fast(*v);
     }
 }
 
 /// Mean squared error between two equal-length rows.
 ///
-/// Wide dispatch accumulates into [`LANES`] independent lanes (a plain
+/// Accumulates into [`LANES`] independent lanes: a plain
 /// `zip().map().sum()` is a *sequential* float add chain — LLVM may not
-/// reassociate IEEE sums, so it runs at add latency, ~4 cycles per
-/// element); scalar dispatch keeps exactly that sequential chain as the
-/// seed-identical oracle. Reassociation drift is ~1e-7, inside every
-/// parity budget in the crate.
+/// reassociate IEEE sums, so it runs at add latency, ~4 cycles per element.
 pub fn mse_row(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     if a.is_empty() {
         return 0.0;
     }
-    let sum = if wide_kernels_active() { sq_err_wide(a, b) } else { sq_err_scalar(a, b) };
-    sum / a.len() as f32
+    sq_err_wide(a, b) / a.len() as f32
 }
 
-/// `Σ (a[i] − b[i])²` as one sequential add chain (the seed's order).
+/// `Σ (a[i] − b[i])²` as one sequential add chain: the sub-lane tail of
+/// [`sq_err_wide`] and its reference in the tests.
 fn sq_err_scalar(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
@@ -489,16 +423,10 @@ fn sq_err_wide(a: &[f32], b: &[f32]) -> f32 {
     acc.iter().sum::<f32>() + sq_err_scalar(ca.remainder(), cb.remainder())
 }
 
-/// In-place tanh over a slice; same dispatch contract as [`sigmoid_slice`].
+/// In-place polynomial tanh over a slice; see [`sigmoid_slice`].
 pub fn tanh_slice(data: &mut [f32]) {
-    if wide_kernels_active() {
-        for v in data.iter_mut() {
-            *v = tanh_fast(*v);
-        }
-    } else {
-        for v in data.iter_mut() {
-            *v = v.tanh();
-        }
+    for v in data.iter_mut() {
+        *v = tanh_fast(*v);
     }
 }
 
@@ -518,15 +446,13 @@ mod tests {
         }
     }
 
-    fn check_both(a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
+    fn check(a: &[f32], m: usize, k: usize, b: &[f32], n: usize) {
         let mut want = vec![0.0f32; m * n];
         gemm_naive(a, m, k, b, n, &mut want);
-        for kernel in [gemm_acc_scalar, gemm_acc_wide] {
-            let mut got = vec![0.0f32; m * n];
-            kernel(a, m, k, b, n, &mut got);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((g - w).abs() < 1e-4, "{m}x{k}x{n}: {g} vs {w}");
-            }
+        let mut got = vec![0.0f32; m * n];
+        gemm_acc(a, m, k, b, n, &mut got);
+        for (g, w) in got.iter().zip(&want) {
+            assert!((g - w).abs() < 1e-4, "{m}x{k}x{n}: {g} vs {w}");
         }
     }
 
@@ -536,14 +462,14 @@ mod tests {
         let (m, k, n) = (3, 13, 11);
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 7) % 5) as f32 - 2.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 3) % 7) as f32 * 0.25).collect();
-        check_both(&a, m, k, &b, n);
+        check(&a, m, k, &b, n);
     }
 
     #[test]
     fn empty_and_one_by_one() {
-        check_both(&[], 0, 0, &[], 0); // 0×0 · 0×0
-        check_both(&[], 0, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2); // 0×3 · 3×2
-        check_both(&[1.5], 1, 1, &[-2.0], 1); // 1×1 · 1×1
+        check(&[], 0, 0, &[], 0); // 0×0 · 0×0
+        check(&[], 0, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2); // 0×3 · 3×2
+        check(&[1.5], 1, 1, &[-2.0], 1); // 1×1 · 1×1
         // k = 0: the product is all zeros and must not touch out.
         let mut out = vec![7.0f32; 4];
         gemm_acc(&[], 2, 0, &[], 2, &mut out);
@@ -557,15 +483,13 @@ mod tests {
         let (m, k, n) = (2, 12, 9);
         let a = vec![0.0f32; m * k];
         let b: Vec<f32> = (0..k * n).map(|i| i as f32).collect();
-        for kernel in [gemm_acc_scalar, gemm_acc_wide] {
-            let mut out = vec![1.0f32; m * n];
-            kernel(&a, m, k, &b, n, &mut out);
-            assert_eq!(out, vec![1.0; m * n], "zero input must accumulate nothing");
-        }
+        let mut out = vec![1.0f32; m * n];
+        gemm_acc(&a, m, k, &b, n, &mut out);
+        assert_eq!(out, vec![1.0; m * n], "zero input must accumulate nothing");
         // A single nonzero straddling a zero k-group still lands.
         let mut a = vec![0.0f32; m * k];
         a[5] = 2.0; // row 0, k=5 (inside the second 4-group)
-        check_both(&a, m, k, &b, n);
+        check(&a, m, k, &b, n);
     }
 
     #[test]
@@ -577,7 +501,7 @@ mod tests {
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 11) % 17) as f32 * 0.125 - 1.0).collect();
         for n in [12usize, 11, 4, 3] {
             let b: Vec<f32> = (0..k * n).map(|i| ((i * 5) % 13) as f32 * 0.25 - 1.5).collect();
-            check_both(&a, m, k, &b, n);
+            check(&a, m, k, &b, n);
         }
     }
 
@@ -593,25 +517,6 @@ mod tests {
         assert!((got - want / a.len() as f32).abs() < 1e-6, "{got} vs {want}/19");
         assert_eq!(mse_row(&[], &[]), 0.0);
         assert_eq!(mse_row(&[2.0], &[-1.0]), 9.0);
-    }
-
-    #[test]
-    fn gemm_acc_is_this_builds_kernel() {
-        // The dispatch is the `simd` feature and nothing else: bit-identical
-        // to the wide kernel in the default build, to the scalar one without.
-        let (m, k, n) = (5, 37, 19);
-        let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.61).cos()).collect();
-        let mut want = vec![0.25f32; m * n];
-        if cfg!(feature = "simd") {
-            gemm_acc_wide(&a, m, k, &b, n, &mut want);
-        } else {
-            gemm_acc_scalar(&a, m, k, &b, n, &mut want);
-        }
-        let mut got = vec![0.25f32; m * n];
-        gemm_acc(&a, m, k, &b, n, &mut got);
-        assert_eq!(got, want);
-        assert_eq!(wide_kernels_active(), cfg!(feature = "simd"));
     }
 
     #[test]
@@ -636,19 +541,15 @@ mod tests {
     }
 
     #[test]
-    fn slice_transcendentals_follow_the_dispatch() {
+    fn slice_transcendentals_are_the_polynomials() {
         let input: Vec<f32> = (0..37).map(|i| i as f32 * 0.3 - 5.0).collect();
         let (mut s, mut t) = (input.clone(), input.clone());
         sigmoid_slice(&mut s);
         tanh_slice(&mut t);
         for ((s, t), &x) in s.iter().zip(&t).zip(&input) {
-            if cfg!(feature = "simd") {
-                assert!((s - crate::dense::sigmoid(x)).abs() < 1e-6);
-                assert!((t - x.tanh()).abs() < 1e-6);
-            } else {
-                assert_eq!(*s, crate::dense::sigmoid(x), "scalar path must be libm");
-                assert_eq!(*t, x.tanh(), "scalar path must be libm");
-            }
+            assert_eq!((*s, *t), (sigmoid_fast(x), tanh_fast(x)));
+            assert!((s - crate::dense::sigmoid(x)).abs() < 1e-6);
+            assert!((t - x.tanh()).abs() < 1e-6);
         }
     }
 
@@ -662,7 +563,7 @@ mod tests {
     }
 
     proptest! {
-        /// The row-invariance contract, bit for bit and in both kernels:
+        /// The row-invariance contract, bit for bit:
         /// row `i` of a batched product is the product of row `i` alone,
         /// whatever the other rows make `is_mostly_zero` decide. `n` covers
         /// every `n % 8` edge, rows mix one-hot-sparse and dense.
@@ -684,20 +585,19 @@ mod tests {
                 .collect();
             let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
             let bias: Vec<f32> = (0..n).map(|_| next()).collect();
-            for kernel in [gemm_acc_scalar, gemm_acc_wide] {
-                let mut batched = bias.repeat(m);
-                kernel(&a, m, k, &b, n, &mut batched);
-                for i in 0..m {
-                    let mut alone = bias.clone();
-                    kernel(&a[i * k..(i + 1) * k], 1, k, &b, n, &mut alone);
-                    let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    prop_assert_eq!(bits(&batched[i * n..(i + 1) * n]), bits(&alone), "row {} of {}", i, m);
-                }
+            let mut batched = bias.repeat(m);
+            gemm_acc(&a, m, k, &b, n, &mut batched);
+            for i in 0..m {
+                let mut alone = bias.clone();
+                gemm_acc(&a[i * k..(i + 1) * k], 1, k, &b, n, &mut alone);
+                let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&batched[i * n..(i + 1) * n]), bits(&alone), "row {} of {}", i, m);
             }
         }
 
-        /// SIMD == scalar within 1e-5 on random shapes, including sparse
-        /// (one-hot-like) inputs that exercise the zero-skip paths.
+        /// The kernel against the naive triple loop on random shapes,
+        /// including sparse (one-hot-like) inputs that exercise the
+        /// zero-skip paths.
         #[test]
         fn wide_matches_scalar_on_random_shapes(
             m in 0usize..6,
@@ -714,13 +614,7 @@ mod tests {
                 })
                 .collect();
             let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
-            let mut scalar = vec![0.0f32; m * n];
-            gemm_acc_scalar(&a, m, k, &b, n, &mut scalar);
-            let mut wide = vec![0.0f32; m * n];
-            gemm_acc_wide(&a, m, k, &b, n, &mut wide);
-            for (s, w) in scalar.iter().zip(&wide) {
-                prop_assert!((s - w).abs() < 1e-5, "scalar {s} vs wide {w}");
-            }
+            check(&a, m, k, &b, n);
         }
     }
 }

@@ -18,9 +18,8 @@
 //! * [`Workspace`] — reusable scratch buffers making steady-state inference
 //!   allocation-free, and [`FeatureRing`] — the flat per-stream window ring
 //!   the online detectors score from without rebuilding windows;
-//! * [`kernels`] — the single GEMM implementation everything above runs on:
-//!   a wide-lane SIMD kernel (`simd` feature, default) with the scalar
-//!   blocked kernel kept as fallback and oracle.
+//! * [`kernels`] — the single GEMM implementation everything above runs on,
+//!   a register-tiled wide-lane kernel in safe Rust.
 //!
 //! All training is deterministic given a seed. Models serialize to JSON so
 //! the SMO can "deploy" them to xApps, as in Figure 3.
@@ -48,7 +47,7 @@ pub use tensor::Matrix;
 pub use workspace::Workspace;
 
 /// Numeric path a detector scores with. There is one — f32 through the
-/// (SIMD or scalar) GEMM kernels; the enum and the `precision` config
+/// GEMM kernel; the enum and the `precision` config
 /// fields that carry it remain only because the frozen `benchmark/`
 /// package names them (see ROADMAP).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]

@@ -137,7 +137,7 @@ impl Lstm {
         model
     }
 
-    /// The reference forward pass, scalar libm activations on every build:
+    /// The reference forward pass, scalar libm activations:
     /// leaves the final hidden state in `s.h` and what BPTT needs of each
     /// step in the per-step rows. `z = (x·W + h·U) + b` with the `x_t·W` of
     /// all steps from one GEMM up front (row `t` has the bits it would
@@ -261,10 +261,8 @@ impl Lstm {
         }
         ws.x.matmul_acc_into(&self.w, &mut ws.z);
         ws.h.matmul_acc_into(&self.u, &mut ws.z);
-        // Gate math through the dispatched slice transcendentals: the wide
-        // path runs the vectorizable polynomials, the scalar path the exact
-        // libm ops (and order) the seed used. `z` is scratch, so the gates
-        // activate in place: row layout is [i | f | g | o], each h_dim wide.
+        // Gate math through the slice transcendentals (the vectorizable
+        // polynomials). `z` is scratch, so the gates activate in place: row layout is [i | f | g | o], each h_dim wide.
         let Workspace { z, c: cbuf, h: hbuf, .. } = ws;
         for m in 0..rows {
             let zrow = &mut z.data[m * 4 * h_dim..(m + 1) * 4 * h_dim];

@@ -160,18 +160,10 @@ impl Matrix {
     }
 
     /// The one GEMM entry point behind both `matmul_into` variants (and,
-    /// through them, `matmul` and every forward pass): dispatches to the
-    /// wide-lane or scalar kernel in [`crate::kernels`].
+    /// through them, `matmul` and every forward pass): the kernel in
+    /// [`crate::kernels`].
     fn gemm_acc(&self, rhs: &Matrix, out: &mut Matrix) {
         crate::kernels::gemm_acc(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data);
-    }
-
-    /// Copies another matrix into this one, reusing the allocation.
-    /// Returns `true` when the buffer grew.
-    pub fn copy_from(&mut self, src: &Matrix) -> bool {
-        let grew = self.resize(src.rows, src.cols);
-        self.data.copy_from_slice(&src.data);
-        grew
     }
 
     /// Adds a row vector to every row in place (bias add).
@@ -210,13 +202,6 @@ impl Matrix {
         }
     }
 
-    /// Transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::default();
-        self.transpose_into(&mut out);
-        out
-    }
-
     /// Writes the transpose into `out`, reusing its allocation.
     pub fn transpose_into(&self, out: &mut Matrix) {
         out.resize(self.cols, self.rows);
@@ -227,43 +212,13 @@ impl Matrix {
         }
     }
 
-    /// Element-wise sum. Panics on shape mismatch.
-    pub fn add(&self, rhs: &Matrix) -> Matrix {
-        self.zip(rhs, |a, b| a + b)
-    }
-
     /// Element-wise difference. Panics on shape mismatch.
     pub fn sub(&self, rhs: &Matrix) -> Matrix {
         self.zip(rhs, |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product. Panics on shape mismatch.
-    pub fn hadamard(&self, rhs: &Matrix) -> Matrix {
-        self.zip(rhs, |a, b| a * b)
-    }
-
-    /// Adds a row vector to every row (bias add). Panics on width mismatch.
-    pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        assert_eq!(bias.rows, 1, "bias must be a row vector");
-        assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        let mut out = self.clone();
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[r * self.cols + c] += bias.data[c];
-            }
-        }
-        out
-    }
-
-    /// Sums rows into a 1 × cols vector (bias gradient).
-    pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::default();
-        self.sum_rows_into(&mut out);
-        out
-    }
-
-    /// [`Matrix::sum_rows`] into `out`, reusing its allocation: each column
-    /// is `0.0 + Σ rows` in ascending row order.
+    /// Sums rows into a 1 × cols vector in `out` (bias gradient), reusing
+    /// its allocation: each column is `0.0 + Σ rows` in ascending row order.
     pub fn sum_rows_into(&self, out: &mut Matrix) {
         out.resize_zeroed(1, self.cols);
         for row in self.data.chunks_exact(self.cols.max(1)) {
@@ -360,26 +315,30 @@ mod tests {
     #[test]
     fn transpose_round_trip() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.transpose().transpose(), a);
-        assert_eq!(a.transpose().get(2, 1), 6.0);
+        let (mut t, mut back) = (Matrix::default(), Matrix::default());
+        a.transpose_into(&mut t);
+        assert_eq!(t, Matrix::from_vec(3, 2, vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]));
+        t.transpose_into(&mut back);
+        assert_eq!(back, a);
     }
 
     #[test]
     fn elementwise_ops() {
         let a = Matrix::row(vec![1.0, 2.0]);
         let b = Matrix::row(vec![3.0, 4.0]);
-        assert_eq!(a.add(&b).data(), &[4.0, 6.0]);
         assert_eq!(b.sub(&a).data(), &[2.0, 2.0]);
-        assert_eq!(a.hadamard(&b).data(), &[3.0, 8.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
     }
 
     #[test]
     fn bias_broadcast_and_sum_rows() {
-        let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let bias = Matrix::row(vec![10.0, 20.0]);
-        assert_eq!(x.add_row_broadcast(&bias).data(), &[11.0, 22.0, 13.0, 24.0]);
-        assert_eq!(x.sum_rows().data(), &[4.0, 6.0]);
+        let mut x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        // A stale, wrongly-shaped `out` is reshaped and zeroed first.
+        let mut sums = Matrix::from_vec(1, 3, vec![9.0; 3]);
+        x.sum_rows_into(&mut sums);
+        assert_eq!(sums, Matrix::row(vec![4.0, 6.0]));
+        x.add_row_inplace(&Matrix::row(vec![10.0, 20.0]));
+        assert_eq!(x.data(), &[11.0, 22.0, 13.0, 24.0]);
     }
 
     #[test]
@@ -453,11 +412,10 @@ mod tests {
 
     #[test]
     fn inplace_bias_matches_broadcast() {
-        let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let bias = Matrix::row(vec![10.0, 20.0]);
-        let mut y = x.clone();
-        y.add_row_inplace(&bias);
-        assert_eq!(y, x.add_row_broadcast(&bias));
+        // The bias lands on every row, not only the first.
+        let mut y = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        y.add_row_inplace(&Matrix::row(vec![0.5, -1.0]));
+        assert_eq!(y.data(), &[1.5, 1.0, 3.5, 3.0, 5.5, 5.0]);
     }
 
     #[test]

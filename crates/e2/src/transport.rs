@@ -130,8 +130,8 @@ impl WakeSet {
         }
     }
 
-    /// Marks `token` ready directly (used by the reactor itself, e.g. for
-    /// a freshly added connection whose hello may predate registration).
+    /// Marks `token` ready directly (the reactor hands back the tokens of a
+    /// drain it gave up part-way).
     pub fn mark_ready(&self, token: usize) {
         self.waker(token).wake();
     }

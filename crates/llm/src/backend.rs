@@ -5,15 +5,12 @@
 //! (string-in/string-out, no side channels), runs the
 //! [`crate::expert::ExpertEngine`], masks the findings through a
 //! [`ModelPersonality`], and writes the answer in the shape Figure 5 shows.
-//! [`RestBackend`] holds the request-building logic for a real
-//! OpenAI-compatible endpoint; without network access its `complete`
-//! returns an error describing the request it would have made.
 
 use crate::expert::{AnalysisSignal, ExpertEngine};
 use crate::personality::ModelPersonality;
 use crate::prompt::PromptTemplate;
 use xsec_mobiflow::decode_ue_record;
-use xsec_types::{AttackKind, Result, XsecError};
+use xsec_types::{AttackKind, Result};
 
 /// A model endpoint.
 pub trait LlmBackend: Send {
@@ -27,13 +24,12 @@ pub trait LlmBackend: Send {
 /// The simulated cellular-security expert.
 pub struct SimulatedExpert {
     personality: ModelPersonality,
-    engine: ExpertEngine,
 }
 
 impl SimulatedExpert {
     /// An expert speaking as the given personality.
     pub fn new(personality: ModelPersonality) -> Self {
-        SimulatedExpert { personality, engine: ExpertEngine::default() }
+        SimulatedExpert { personality }
     }
 
     /// The five Table 3 baselines.
@@ -153,7 +149,7 @@ impl LlmBackend for SimulatedExpert {
                 .to_string());
         };
 
-        let report = self.engine.analyze(&records);
+        let report = ExpertEngine.analyze(&records);
         let perceived: Vec<&AnalysisSignal> =
             report.signals.iter().filter(|s| self.personality.perceives(s)).collect();
 
@@ -198,46 +194,6 @@ impl LlmBackend for SimulatedExpert {
             out.push_str(&format!("- {remedy}.\n"));
         }
         Ok(out)
-    }
-}
-
-/// Request-building stub for a real OpenAI-compatible chat endpoint.
-pub struct RestBackend {
-    /// Endpoint URL, e.g. `https://api.openai.com/v1/chat/completions`.
-    pub endpoint: String,
-    /// Model identifier, e.g. `gpt-4o`.
-    pub model: String,
-}
-
-impl RestBackend {
-    /// Creates the stub.
-    pub fn new(endpoint: impl Into<String>, model: impl Into<String>) -> Self {
-        RestBackend { endpoint: endpoint.into(), model: model.into() }
-    }
-
-    /// The JSON body `complete` would POST.
-    pub fn request_body(&self, prompt: &str) -> String {
-        serde_json::json!({
-            "model": self.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": 0.0,
-        })
-        .to_string()
-    }
-}
-
-impl LlmBackend for RestBackend {
-    fn name(&self) -> &str {
-        &self.model
-    }
-
-    fn complete(&mut self, prompt: &str) -> Result<String> {
-        Err(XsecError::Io(format!(
-            "no network access: would POST {} bytes to {} for model {}",
-            self.request_body(prompt).len(),
-            self.endpoint,
-            self.model
-        )))
     }
 }
 
@@ -339,14 +295,5 @@ mod tests {
             .complete("<DATA>\nnot a record\n</DATA>")
             .unwrap();
         assert!(b.contains("does not parse"));
-    }
-
-    #[test]
-    fn rest_backend_builds_request_but_errors_offline() {
-        let mut rest = RestBackend::new("https://api.example.com/v1/chat/completions", "gpt-4o");
-        let body = rest.request_body("hi");
-        assert!(body.contains("\"model\":\"gpt-4o\""));
-        let err = rest.complete("hi").unwrap_err();
-        assert_eq!(err.category(), "io");
     }
 }

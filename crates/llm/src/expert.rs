@@ -94,20 +94,14 @@ impl ExpertReport {
     }
 }
 
-/// Analysis thresholds.
-#[derive(Debug, Clone)]
-pub struct ExpertEngine {
-    /// Minimum setup requests for flood suspicion.
-    pub flood_min_setups: usize,
-    /// Minimum stalled handshakes for flood suspicion.
-    pub flood_min_stalled: usize,
-}
+/// Minimum setup requests for flood suspicion.
+const FLOOD_MIN_SETUPS: usize = 5;
+/// Minimum stalled handshakes for flood suspicion.
+const FLOOD_MIN_STALLED: usize = 3;
 
-impl Default for ExpertEngine {
-    fn default() -> Self {
-        ExpertEngine { flood_min_setups: 5, flood_min_stalled: 3 }
-    }
-}
+/// The rule-based telemetry analysis.
+#[derive(Debug, Clone, Default)]
+pub struct ExpertEngine;
 
 impl ExpertEngine {
     /// Analyzes a telemetry window.
@@ -214,7 +208,7 @@ impl ExpertEngine {
                 challenged && !answered
             })
             .count();
-        if setups.len() >= self.flood_min_setups && stalled >= self.flood_min_stalled {
+        if setups.len() >= FLOOD_MIN_SETUPS && stalled >= FLOOD_MIN_STALLED {
             signals.push(AnalysisSignal::SignalingFlood {
                 setups: setups.len(),
                 distinct_rntis: distinct_rntis.len(),
@@ -292,7 +286,7 @@ mod tests {
 
     #[test]
     fn benign_ladder_yields_no_signals() {
-        let report = ExpertEngine::default().analyze(&benign_ladder(1, 0));
+        let report = ExpertEngine.analyze(&benign_ladder(1, 0));
         assert!(!report.is_anomalous(), "signals: {:?}", report.signals);
         assert!(report.suspected.is_empty());
     }
@@ -315,7 +309,7 @@ mod tests {
                 records.push(record(conn as u64 * 10 + i as u64, conn, k));
             }
         }
-        let report = ExpertEngine::default().analyze(&records);
+        let report = ExpertEngine.analyze(&records);
         let flood = report
             .signals
             .iter()
@@ -336,7 +330,7 @@ mod tests {
         for r in &mut records {
             r.tmsi = Some(Tmsi(0xBEEF)); // same TMSI on both connections
         }
-        let report = ExpertEngine::default().analyze(&records);
+        let report = ExpertEngine.analyze(&records);
         assert!(report
             .signals
             .iter()
@@ -360,7 +354,7 @@ mod tests {
         .map(|(i, k)| record(i as u64, 1, k))
         .collect();
         records[5].supi = Some(Supi::new(Plmn::TEST, 42));
-        let report = ExpertEngine::default().analyze(&records);
+        let report = ExpertEngine.analyze(&records);
         assert!(report
             .signals
             .iter()
@@ -388,7 +382,7 @@ mod tests {
         .map(|(i, k)| record(i as u64, 1, k))
         .collect();
         records[5].supi = Some(Supi::new(Plmn::TEST, 42));
-        let report = ExpertEngine::default().analyze(&records);
+        let report = ExpertEngine.analyze(&records);
         // No ordering violation — the trace is standards compliant.
         assert!(!report
             .signals
@@ -408,7 +402,7 @@ mod tests {
             r.cipher_alg = Some(CipherAlg::Nea0);
             r.integrity_alg = Some(IntegrityAlg::Nia0);
         }
-        let report = ExpertEngine::default().analyze(&records);
+        let report = ExpertEngine.analyze(&records);
         let nulls = report
             .signals
             .iter()
@@ -441,7 +435,7 @@ mod tests {
                 records.push(r);
             }
         }
-        let report = ExpertEngine::default().analyze(&records);
+        let report = ExpertEngine.analyze(&records);
         assert!(report.suspected.len() <= 3);
         assert_eq!(report.suspected[0], AttackKind::BtsDos);
         assert_eq!(report.suspected[1], AttackKind::BlindDos);
@@ -453,7 +447,7 @@ mod tests {
         // Duplicate the auth request (retransmission).
         let dup = records[4].clone();
         records.insert(5, dup);
-        let report = ExpertEngine::default().analyze(&records);
+        let report = ExpertEngine.analyze(&records);
         assert!(!report.is_anomalous(), "signals: {:?}", report.signals);
     }
 }

@@ -21,8 +21,7 @@
 //! [`personality::ModelPersonality`] then reproduces each hosted model's
 //! observed blind spots (e.g. most models miss the uplink identity
 //! extraction because its trace is standards-compliant) by masking which
-//! analysis signals each "model" perceives. A [`backend::RestBackend`]
-//! shows where a real OpenAI-compatible endpoint would plug in.
+//! analysis signals each "model" perceives.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +32,7 @@ pub mod personality;
 pub mod prompt;
 pub mod response;
 
-pub use backend::{LlmBackend, RestBackend, SimulatedExpert};
+pub use backend::{LlmBackend, SimulatedExpert};
 pub use expert::{AnalysisSignal, ExpertEngine, ExpertReport};
 pub use personality::ModelPersonality;
 pub use prompt::PromptTemplate;

@@ -28,8 +28,8 @@
 //! * [`codec`] — deterministic binary encoding of one message (stream framing
 //!   belongs to the transport that needs it, `xsec_e2::transport`).
 //! * [`state`] — UE-side RRC/NAS state machines and the network-side
-//!   [`state::ProcedureConformance`] checker used both by the simulated CU
-//!   and by the LLM expert's sequence analysis.
+//!   [`state::ProcedureConformance`] checker, an independent lens on a
+//!   message sequence for tests and examples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,15 @@
 //! Protocol state machines and conformance checking.
 //!
-//! Two consumers share this module:
+//! Two things live in this module:
 //!
-//! * the simulated network entities (`xsec-ran`) advance [`RrcState`] /
-//!   [`NasState`] as they process messages, and
+//! * [`RrcState`] / [`NasState`] name the UE-side connection and
+//!   registration states, and
 //! * the conformance checker [`ProcedureConformance`] replays an observed
 //!   message sequence against the 3GPP procedure grammar and reports
-//!   [`Violation`]s. The LLM expert's "sequence analysis" step and the
-//!   rule-based baseline detector are built on it.
+//!   [`Violation`]s. Nothing on the live path calls it (the LLM expert's
+//!   `ExpertEngine::analyze` carries its own per-connection ordering
+//!   check): it is an independent lens for tests and examples
+//!   (`tests/integration_attacks.rs`, `examples/identity_extraction_hunt.rs`).
 //!
 //! The grammar is intentionally *permissive where the spec is permissive*:
 //! retransmissions (the same message repeated) are tolerated and merely

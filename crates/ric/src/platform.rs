@@ -441,6 +441,18 @@ impl RicPlatform {
         Ok(outcome)
     }
 
+    /// Gives up a drain at `ready[from]`: the woken tokens from there on go
+    /// back on the ready-queue. `drain_into` cleared their flags and their
+    /// peers may be waiting on us rather than about to send, so nothing else
+    /// would ever wake them. Polled tokens (`ready[woken..]`) need no such
+    /// help: every pump scans them.
+    fn abandon_drain(&mut self, ready: Vec<usize>, from: usize, woken: usize) {
+        for &token in ready[..woken].iter().skip(from) {
+            self.wake.mark_ready(token);
+        }
+        self.ready_scratch = ready;
+    }
+
     /// One pump iteration: drain ready transports, dispatch, ship controls.
     pub fn pump(&mut self) -> Result<PumpStats> {
         let mut stats = PumpStats::default();
@@ -462,6 +474,7 @@ impl RicPlatform {
         let mut ready = std::mem::take(&mut self.ready_scratch);
         ready.clear();
         self.wake.drain_into(&mut ready);
+        let woken = ready.len();
         ready.extend_from_slice(&self.polled);
         for i in 0..ready.len() {
             let ci = ready[i];
@@ -472,7 +485,8 @@ impl RicPlatform {
                     Ok(Some(f)) => f,
                     Ok(None) => break,
                     Err(e) => {
-                        self.ready_scratch = ready;
+                        // A transport that failed has nothing left to read.
+                        self.abandon_drain(ready, i + 1, woken);
                         return Err(e);
                     }
                 };
@@ -482,13 +496,13 @@ impl RicPlatform {
                 let pdu = match E2apPdu::decode(&frame) {
                     Ok(p) => p,
                     Err(e) => {
-                        self.ready_scratch = ready;
+                        self.abandon_drain(ready, i, woken);
                         return Err(e);
                     }
                 };
                 self.metrics.decode_latency.observe_duration(decode_start.elapsed());
                 if let Err(e) = self.handle_pdu(ci, pdu, &mut stats) {
-                    self.ready_scratch = ready;
+                    self.abandon_drain(ready, i, woken);
                     return Err(e);
                 }
             }
@@ -971,6 +985,26 @@ mod tests {
             assert_eq!(stats.conns_scanned, 1, "{n} agents");
             assert_eq!(stats.records_delivered, 1, "{n} agents");
         }
+    }
+
+    #[test]
+    fn a_failed_pump_does_not_strand_the_connections_after_the_fault() {
+        // Conn 0 sends garbage; conn 1's Setup Request is already queued and
+        // its agent will send nothing more until it is answered.
+        let mut platform = RicPlatform::new();
+        let (mut garbage_end, ric_end) = in_proc_pair();
+        garbage_end.send(&[0xFF]).unwrap();
+        platform.add_agent(Box::new(ric_end));
+        let (agent_end, ric_end) = in_proc_pair();
+        let mut agent =
+            RicAgent::new(RicAgentConfig { gnb_id: GnbId(2), cell: CellId(2) }, agent_end)
+                .unwrap();
+        platform.add_agent(Box::new(ric_end));
+
+        assert!(platform.pump().is_err(), "the garbage frame fails the first pump");
+        platform.pump().unwrap();
+        agent.poll(Timestamp(0)).unwrap();
+        assert!(agent.is_setup(), "conn 1 was drained from the ready-queue and never revisited");
     }
 
     #[test]

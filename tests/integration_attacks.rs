@@ -119,7 +119,7 @@ fn raw_capture_extraction_agrees_on_attack_traffic() {
 fn expert_engine_names_every_attack_from_its_dataset() {
     // Feed the expert the whole attack region (attack records ± context):
     // its top suspicion must match the dataset's attack.
-    let engine = ExpertEngine::default();
+    let engine = ExpertEngine;
     for kind in AttackKind::ALL {
         let ds = DatasetBuilder::small(500 + kind as u64, 20).attack(kind);
         let stream = extract_from_events(&ds.report.events);
@@ -144,7 +144,7 @@ fn expert_engine_names_every_attack_from_its_dataset() {
 fn blind_dos_shows_replay_to_the_engine_and_detaches_victims() {
     let ds = DatasetBuilder::small(600, 20).attack(AttackKind::BlindDos);
     let stream = extract_from_events(&ds.report.events);
-    let report = ExpertEngine::default().analyze(&stream.records);
+    let report = ExpertEngine.analyze(&stream.records);
     assert!(report
         .signals
         .iter()
