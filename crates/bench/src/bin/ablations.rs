@@ -10,7 +10,7 @@
 
 use sixg_xsec::smo::{Smo, TrainingConfig};
 use xsec_attacks::DatasetBuilder;
-use xsec_dl::{Confusion, FeatureConfig, Featurizer, Threshold};
+use xsec_dl::{Confusion, FeatureConfig, Featurizer, Threshold, Workspace};
 use xsec_mobiflow::extract_from_events;
 use xsec_obs::Obs;
 use xsec_types::AttackKind;
@@ -49,12 +49,13 @@ fn evaluate_inner(training: &TrainingConfig, seed: u64, sessions: usize, pct: f6
     let threshold =
         if (pct - training.threshold_pct).abs() < f64::EPSILON { models.ae_threshold } else { threshold };
     let config = FeatureConfig { window: training.window };
+    let mut ws = Workspace::new();
 
     // Benign accuracy on a fresh seed.
     let fresh = DatasetBuilder::small(seed + 5_000, sessions).benign();
     let stream = extract_from_events(&fresh.events);
     let dataset = Featurizer::encode_stream(&config, &stream);
-    let scores = models.autoencoder.score_all(&dataset.flat_windows());
+    let scores = models.autoencoder.score_rows(&dataset.flat_windows(), &mut ws);
     let benign_accuracy =
         scores.iter().filter(|s| !threshold.is_anomalous(**s)).count() as f64
             / scores.len().max(1) as f64;
@@ -65,7 +66,7 @@ fn evaluate_inner(training: &TrainingConfig, seed: u64, sessions: usize, pct: f6
         let ds = DatasetBuilder::small(seed + 1_000 + kind as u64, sessions).attack(kind);
         let stream = extract_from_events(&ds.report.events);
         let dataset = Featurizer::encode_stream(&config, &stream);
-        let scores = models.autoencoder.score_all(&dataset.flat_windows());
+        let scores = models.autoencoder.score_rows(&dataset.flat_windows(), &mut ws);
         let pred = threshold.classify(&scores);
         let truth = dataset.window_labels();
         let k = Confusion::from_predictions(&pred, &truth);
@@ -143,7 +144,7 @@ fn main() {
     let models =
         Smo::train(&training, &extract_from_events(&benign.events)).expect("training succeeds");
     let dataset = Featurizer::encode_stream(&FeatureConfig { window: 4 }, &stream);
-    let scores = models.autoencoder.score_all(&dataset.flat_windows());
+    let scores = models.autoencoder.score_rows(&dataset.flat_windows(), &mut Workspace::new());
     let flagged = scores.iter().filter(|s| models.ae_threshold.is_anomalous(**s)).count();
     emit(format!("  windows in the run:            {:>8}", scores.len()));
     emit(format!("  LLM calls without pre-filter:  {:>8}  (every window)", scores.len()));

@@ -4,7 +4,7 @@
 //! Drives a [`StreamingScenario`] (multi-cell, mobility, churn, periodic
 //! registration storms) one virtual bucket at a time, extracts MOBIFLOW
 //! telemetry incrementally, and scores every record through the per-UE
-//! sharded [`ShardedMobiWatch`] pool — draining the shared state after each
+//! [`MobiWatch::per_ue`] pool — draining the shared state after each
 //! bucket so nothing accumulates with stream length. The run demonstrates
 //! the subsystem's memory story end to end:
 //!
@@ -20,8 +20,7 @@
 //! `target/experiments/soak.txt`, and `BENCH_soak.json` (consumed by CI).
 
 use serde_json::json;
-use sixg_xsec::mobiwatch::MobiWatchConfig;
-use sixg_xsec::shard::ShardedMobiWatch;
+use sixg_xsec::mobiwatch::{MobiWatch, MobiWatchConfig};
 use sixg_xsec::smo::{Smo, TrainingConfig};
 use std::time::Instant;
 use xsec_bench::{quick_mode, save_report};
@@ -89,7 +88,7 @@ fn main() {
 
     eprintln!("soak: streaming {target} UEs ({shards} shards, quick={quick})");
     let mut engine = StreamingScenario::new(soak_config(target));
-    let (mut pool, state) = ShardedMobiWatch::new(models, MobiWatchConfig::default(), shards);
+    let (mut pool, state) = MobiWatch::per_ue(models, MobiWatchConfig::default(), shards);
     // The soak has no E2 agent, so the driver is the ingest stage: it
     // begins each record's trace and logs the ingest span; the pool logs
     // inference/alert spans into the same recorder.

@@ -48,11 +48,17 @@ pub struct LlmAnalyzer {
     turnaround: Histogram,
     /// Evidence lines that did not decode and were left out of the prompt.
     dropped: Counter,
+    /// Payloads on the topic that are not an [`AnomalyAlert`].
+    undecodable: Counter,
     recorder: FlightRecorder,
 }
 
-fn dropped_counter(obs: &Obs) -> Counter {
-    obs.counter("xsec_alert_records_dropped_total", &[("site", "analyzer")])
+/// The evidence-line and bus-message drop counters, registered in `obs`.
+fn drop_counters(obs: &Obs) -> (Counter, Counter) {
+    (
+        obs.counter("xsec_alert_records_dropped_total", &[("site", "analyzer")]),
+        obs.counter("xsec_bus_dropped_total", &[("site", "analyzer"), ("reason", "undecodable")]),
+    )
 }
 
 impl LlmAnalyzer {
@@ -60,6 +66,7 @@ impl LlmAnalyzer {
     pub fn new(backend: Box<dyn LlmBackend>, topic: &str) -> (Self, Arc<Mutex<AnalyzerState>>) {
         let state = Arc::new(Mutex::new(AnalyzerState::default()));
         let silent = Obs::new();
+        let (dropped, undecodable) = drop_counters(&silent);
         (
             LlmAnalyzer {
                 backend,
@@ -67,19 +74,20 @@ impl LlmAnalyzer {
                 topic: topic.to_string(),
                 state: state.clone(),
                 turnaround: silent.histogram("xsec_analyzer_turnaround_us", &[]),
-                dropped: dropped_counter(&silent),
+                dropped,
+                undecodable,
                 recorder: FlightRecorder::new(),
             },
             state,
         )
     }
 
-    /// Re-homes the turnaround histogram and the dropped-line counter into
+    /// Re-homes the turnaround histogram and the drop counters into
     /// `obs`'s registry and flight recording into `obs`'s recorder. Call
     /// before analysis starts — samples do not carry over.
     pub fn attach_obs(&mut self, obs: &Obs) {
         self.turnaround = obs.histogram("xsec_analyzer_turnaround_us", &[]);
-        self.dropped = dropped_counter(obs);
+        (self.dropped, self.undecodable) = drop_counters(obs);
         self.recorder = obs.recorder.clone();
     }
 
@@ -159,6 +167,7 @@ impl XApp for LlmAnalyzer {
             return;
         }
         let Ok(alert) = serde_json::from_slice::<AnomalyAlert>(payload) else {
+            self.undecodable.inc();
             return;
         };
         let finding = self.analyze(&alert);
@@ -297,6 +306,10 @@ mod tests {
             Box::new(SimulatedExpert::new(ModelPersonality::ORACLE)),
             "anomalies",
         );
+        let obs = Obs::new();
+        analyzer.attach_obs(&obs);
+        let dropped = "xsec_bus_dropped_total{reason=\"undecodable\",site=\"analyzer\"}";
+        assert!(obs.metrics.render_prometheus().contains(&format!("{dropped} 0\n")));
         let sdl = xsec_ric::SharedDataLayer::new();
         let scope = xsec_ric::Router::new()
             .register(xsec_ric::XAppIdentity::named("analyzer"), xsec_ric::Grants::none())
@@ -307,5 +320,9 @@ mod tests {
         analyzer.on_message(&mut ctx, "anomalies", b"not json");
         analyzer.on_message(&mut ctx, "other-topic", b"{}");
         assert!(state.lock().findings.is_empty());
+        assert!(control.is_empty());
+        // Only the payload on the analyzer's own topic counts as a drop.
+        let exposition = obs.metrics.render_prometheus();
+        assert!(exposition.contains(&format!("{dropped} 1\n")), "{exposition}");
     }
 }

@@ -225,6 +225,7 @@ pub fn run(config: &Table2Config) -> Table2Result {
     let mut lstm_conf = Confusion::default();
     let mut per_attack_ae_recall = Vec::new();
     let mut per_attack_ae_detected = Vec::new();
+    let mut ws = Workspace::new();
 
     for kind in AttackKind::ALL {
         let eval_seed = config.seed + 1_000 + kind as u64;
@@ -235,7 +236,7 @@ pub fn run(config: &Table2Config) -> Table2Result {
         // Autoencoder.
         let flat = dataset.flat_windows();
         let truth = dataset.window_labels();
-        let scores = models.autoencoder.score_all(&flat);
+        let scores = models.autoencoder.score_rows(&flat, &mut ws);
         let pred = models.ae_threshold.classify(&scores);
         let kind_conf = Confusion::from_predictions(&pred, &truth);
         per_attack_ae_recall.push((kind, kind_conf.recall().unwrap_or(1.0)));
@@ -248,7 +249,7 @@ pub fn run(config: &Table2Config) -> Table2Result {
         // LSTM.
         let (windows, nexts) = dataset.lstm_pairs();
         let truth = dataset.lstm_labels();
-        let scores = models.lstm.score_all(&windows, &nexts);
+        let scores = models.lstm.score_batch(&windows, &nexts, &mut ws);
         let pred = models.lstm_threshold.classify(&scores);
         let kind_conf = Confusion::from_predictions(&pred, &truth);
         lstm_conf.tp += kind_conf.tp;

@@ -52,7 +52,6 @@ pub mod mitigator;
 pub mod mobiwatch;
 pub mod pipeline;
 pub mod scale;
-pub mod shard;
 pub mod smo;
 mod window;
 
@@ -60,9 +59,8 @@ pub use analyzer::{AnalyzerFinding, LlmAnalyzer};
 pub use mitigator::{
     A1SignedRequest, FindingNotice, MitigationSummary, Mitigator, MitigatorState,
 };
-pub use mobiwatch::{Detector, MobiWatch, MobiWatchConfig};
+pub use mobiwatch::{Detector, MobiWatch, MobiWatchConfig, ShardedMobiWatch};
 pub use scale::{RanFeed, ScaleDeployment, ScaleOutcome};
-pub use shard::ShardedMobiWatch;
 pub use pipeline::{ClosedLoopOutcome, Pipeline, PipelineConfig, PipelineOutcome};
 pub use smo::{A1ClientError, A1PolicyClient, DeployedModels, Smo, TrainingConfig};
 pub use window::window_truth;

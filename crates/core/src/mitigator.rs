@@ -17,8 +17,8 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xsec_control::{
-    attack_from_title, A1OpTally, A1Request, ActionExecutor, ActionState, PolicyDecision,
-    PolicyEngine, SupervisionTicket, ThreatAssessment,
+    attack_from_title, A1OpTally, A1Request, ActionExecutor, PolicyDecision, PolicyEngine,
+    SupervisionTicket, ThreatAssessment,
 };
 use xsec_mobiflow::{decode_ue_record, UeMobiFlow};
 use xsec_obs::{Counter, FlightEvent, Obs, TraceStage};
@@ -145,28 +145,18 @@ pub struct MitigatorState {
 impl MitigatorState {
     /// Snapshots the run's mitigation outcome.
     pub fn summary(&self) -> MitigationSummary {
-        let mut summary = MitigationSummary {
-            supervised: self.supervised.len(),
+        let (acked, failed, expired, exhausted) = self.executor.tally();
+        let latencies = self.executor.detection_to_ack_latencies();
+        MitigationSummary {
             issued: self.executor.outcomes().len(),
+            acked,
+            failed,
+            expired,
+            exhausted,
+            supervised: self.supervised.len(),
             policy_ops: self.a1_ops,
-            ..MitigationSummary::default()
-        };
-        for tracked in self.executor.outcomes() {
-            match tracked.state {
-                ActionState::Acked { success: true, .. } => summary.acked += 1,
-                ActionState::Acked { success: false, .. } => summary.failed += 1,
-                ActionState::Expired => summary.expired += 1,
-                ActionState::Exhausted => summary.exhausted += 1,
-                _ => {}
-            }
+            detection_to_ack_us: latencies.into_iter().map(|d| d.as_micros()).collect(),
         }
-        summary.detection_to_ack_us = self
-            .executor
-            .detection_to_ack_latencies()
-            .into_iter()
-            .map(|d| d.as_micros())
-            .collect();
-        summary
     }
 }
 
@@ -176,6 +166,8 @@ pub struct Mitigator {
     obs: Obs,
     /// Evidence lines that did not decode and were left out of the scoping.
     dropped: Counter,
+    /// `findings` payloads that are not a [`FindingNotice`].
+    undecodable: Counter,
 }
 
 impl Mitigator {
@@ -197,7 +189,9 @@ impl Mitigator {
             clock: Timestamp::ZERO,
         }));
         let dropped = obs.counter("xsec_alert_records_dropped_total", &[("site", "mitigator")]);
-        (Mitigator { state: state.clone(), obs, dropped }, state)
+        let undecodable = obs
+            .counter("xsec_bus_dropped_total", &[("site", "mitigator"), ("reason", "undecodable")]);
+        (Mitigator { state: state.clone(), obs, dropped, undecodable }, state)
     }
 
     fn handle_finding(&mut self, ctx: &mut XAppContext<'_>, notice: &FindingNotice) {
@@ -375,6 +369,7 @@ impl XApp for Mitigator {
         match topic {
             FINDINGS_TOPIC => {
                 let Ok(notice) = serde_json::from_slice::<FindingNotice>(payload) else {
+                    self.undecodable.inc();
                     return;
                 };
                 self.handle_finding(ctx, &notice);
@@ -614,6 +609,26 @@ mod tests {
             exposition.contains("xsec_alert_records_dropped_total{site=\"mitigator\"} 1\n"),
             "{exposition}"
         );
+    }
+
+    #[test]
+    fn malformed_findings_are_counted_and_ignored() {
+        let obs = Obs::new();
+        let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
+        let dropped = "xsec_bus_dropped_total{reason=\"undecodable\",site=\"mitigator\"}";
+        assert!(obs.metrics.render_prometheus().contains(&format!("{dropped} 0\n")));
+        let sdl = xsec_ric::SharedDataLayer::new();
+        let (_router, scope) = mitigator_scope(Grants::none().control("rate-limit-cause"));
+        let mut control = Vec::new();
+        let mut ctx = xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, b"not json");
+        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, b"{\"trace\":1}");
+        assert!(control.is_empty());
+        let state = state.lock();
+        assert!(state.executor.outcomes().is_empty() && state.supervised.is_empty());
+        assert_eq!(state.clock, Timestamp::ZERO);
+        let exposition = obs.metrics.render_prometheus();
+        assert!(exposition.contains(&format!("{dropped} 2\n")), "{exposition}");
     }
 
     #[test]

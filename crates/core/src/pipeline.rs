@@ -13,7 +13,7 @@ use crate::mitigator::MitigationSummary;
 use crate::mobiwatch::Detector;
 use crate::scale::{LiveSim, ScaleDeployment};
 use crate::smo::{A1PolicyClient, DeployedModels, Smo, TrainingConfig};
-use crate::window::window_truth;
+use crate::window::{window_key, window_truth};
 use xsec_attacks::DatasetBuilder;
 use xsec_control::ControlAction;
 use xsec_dl::{Confusion, Precision};
@@ -40,10 +40,10 @@ pub struct PipelineConfig {
     pub detector_window: usize,
     /// E2 report period in milliseconds.
     pub report_period_ms: u32,
-    /// Scoring worker threads. `0` keeps the single-threaded MobiWatch with
-    /// its global sliding window; `>= 1` deploys the per-UE sharded pool
-    /// ([`crate::shard::ShardedMobiWatch`]), whose detections are invariant
-    /// in the shard count.
+    /// Scoring shards. `0` deploys the paper's global sliding window
+    /// ([`MobiWatch::new`](crate::mobiwatch::MobiWatch::new)); `>= 1` the
+    /// per-UE pool ([`MobiWatch::per_ue`](crate::mobiwatch::MobiWatch::per_ue)),
+    /// whose detections are invariant in the shard count.
     pub scoring_shards: usize,
     /// Numeric path the deployed detector scores with; [`Precision`] has
     /// one variant (kept for the frozen `benchmark/` package).
@@ -158,6 +158,12 @@ impl Pipeline {
         &self.config
     }
 
+    /// Whether the deployed MobiWatch keys its windows per UE
+    /// (`scoring_shards > 0`) rather than running the global window.
+    pub(crate) fn per_ue(&self) -> bool {
+        self.config.scoring_shards > 0
+    }
+
     /// Runs the full pipeline over one attack dataset.
     pub fn run_attack(&self, kind: AttackKind) -> PipelineOutcome {
         let eval_seed = self.config.seed + 1_000 + kind as u64;
@@ -223,14 +229,9 @@ impl Pipeline {
     /// Scores the run against ground truth and snapshots every xApp state.
     fn evaluate(&self, stream: &TelemetryStream, d: &ScaleDeployment) -> PipelineOutcome {
         // Truth follows the deployed detector's window accounting record
-        // for record: per UE under the sharded pool, one global window
-        // otherwise.
+        // for record, under the same keys.
         let span = self.config.detector.span(self.config.detector_window);
-        let truth = if self.config.scoring_shards > 0 {
-            window_truth(stream, span, |r| r.du_ue_id)
-        } else {
-            window_truth(stream, span, |_| ())
-        };
+        let truth = window_truth(stream, span, |r| window_key(self.per_ue(), r));
         let scale = d.outcome();
         let predictions: Vec<bool> =
             d.watch_state.lock().scores.iter().map(|(_, _, f)| *f).collect();

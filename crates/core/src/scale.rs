@@ -265,19 +265,10 @@ impl ScaleDeployment {
             precision: config.precision,
             ..MobiWatchConfig::default()
         };
-        let (watch, watch_state): (Box<dyn XApp>, _) = if config.scoring_shards > 0 {
-            let (mut pool, state) = crate::shard::ShardedMobiWatch::new(
-                pipeline.models().clone(),
-                watch_config,
-                config.scoring_shards,
-            );
-            pool.attach_obs(&obs);
-            (Box::new(pool), state)
-        } else {
-            let (mut watch, state) = MobiWatch::new(pipeline.models().clone(), watch_config);
-            watch.attach_obs(&obs);
-            (Box::new(watch), state)
-        };
+        let (per_ue, shards) = (pipeline.per_ue(), config.scoring_shards.max(1));
+        let (mut watch, watch_state) =
+            MobiWatch::keyed(pipeline.models().clone(), watch_config, per_ue, shards);
+        watch.attach_obs(&obs);
         let (mut analyzer, analyzer_state) = LlmAnalyzer::new(
             Box::new(SimulatedExpert::new(config.personality)),
             ANOMALIES_TOPIC,
@@ -298,7 +289,11 @@ impl ScaleDeployment {
         // is sealed once the deployment is wired (no identity can be
         // minted mid-run).
         platform
-            .register_xapp_scoped(watch, watch_spec, Grants::none().publish(ANOMALIES_TOPIC))
+            .register_xapp_scoped(
+                Box::new(watch),
+                watch_spec,
+                Grants::none().publish(ANOMALIES_TOPIC),
+            )
             .expect("register mobiwatch");
         platform
             .register_xapp_scoped(

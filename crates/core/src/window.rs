@@ -1,47 +1,50 @@
-//! The one window core: per-key sliding-window state, the scoring rule, and
-//! the stream-ordered emission of scores and alerts.
+//! The one window core: how a record is keyed, per-key sliding-window state
+//! and the scoring rule.
 //!
-//! Detection has two halves. *Scoring* is per key, in three steps per E2
-//! indication, all inside [`Scorer::score`]: **stage** — each record's
-//! features go into its key's [`WindowCore`] ring and the span they complete
-//! is copied into the batch buffer; **flush** — one batched model pass over
-//! every staged span (one GEMM per layer per indication, not one GEMV per
-//! window); **judge** — threshold and per-key cooldown, in staging order.
-//! The kernels make a window's score independent of its batch, so how a
-//! stream is cut into indications moves no verdict.
-//! [`MobiWatch`](crate::mobiwatch::MobiWatch) scores every record under one
-//! key — the paper's global window — and each shard of the
-//! [`ShardedMobiWatch`](crate::shard::ShardedMobiWatch) pool keys by
-//! `du_ue_id`. *Emission* is global: [`Ingest`] owns what must
+//! Scoring is per key, in three steps per E2 indication, all inside
+//! [`Scorer::score`]: **stage** — each record's features go into its key's
+//! [`WindowCore`] ring and the span they complete is copied into the batch
+//! buffer; **flush** — one batched model pass over every staged span (one
+//! GEMM per layer per indication, not one GEMV per window); **judge** —
+//! threshold and per-key cooldown, in staging order. The kernels make a
+//! window's score independent of its batch, so how a stream is cut into
+//! indications moves no verdict. [`window_key`] is the keying: one global
+//! key for the paper's window, `du_ue_id` for the per-UE pool. What must
 //! follow stream order whatever the keying — relational featurization,
-//! flight events, the shared inspection state, and alert context — so both
-//! xApps produce the same artifacts from the same verdicts.
+//! flight events, the shared inspection state and alert context — is
+//! [`MobiWatch`](crate::mobiwatch::MobiWatch)'s.
 
-use crate::mitigator::ANOMALIES_TOPIC;
-use crate::mobiwatch::{AnomalyAlert, Detector, MobiWatchConfig, MobiWatchState};
+use crate::mobiwatch::{Detector, MobiWatchConfig};
 use crate::smo::DeployedModels;
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
 use xsec_dl::{FeatureRing, Featurizer, Threshold, Workspace, FEATURES_PER_RECORD};
-use xsec_mobiflow::{encode_ue_record, TelemetryStream, UeMobiFlow};
-use xsec_obs::{
-    Counter, FlightEvent, FlightRecorder, FlightRing, Histogram, Obs, TraceStage,
-};
-use xsec_ric::XAppContext;
+use xsec_mobiflow::{TelemetryStream, UeMobiFlow};
+use xsec_obs::{Counter, Histogram, Obs};
+
+/// The window `record` belongs to: its `du_ue_id` under per-UE keying, one
+/// global key (0) otherwise. [`MobiWatch`](crate::mobiwatch::MobiWatch)
+/// scores by it, and `Pipeline::evaluate` passes it to [`window_truth`].
+pub(crate) fn window_key(per_ue: bool, record: &UeMobiFlow) -> u32 {
+    if per_ue {
+        record.du_ue_id
+    } else {
+        0
+    }
+}
 
 /// MobiWatch's per-stage instruments, labelled by the detector in force.
 #[derive(Debug, Clone)]
-struct WatchMetrics {
-    featurize_latency: Histogram,
+pub(crate) struct WatchMetrics {
+    pub(crate) featurize_latency: Histogram,
     inference_latency: Histogram,
-    alerts: Counter,
+    pub(crate) alerts: Counter,
 }
 
 impl WatchMetrics {
-    fn register(obs: &Obs, detector: Detector) -> Self {
+    pub(crate) fn register(obs: &Obs, detector: Detector) -> Self {
         let labels = &[("detector", detector.label())];
         WatchMetrics {
             featurize_latency: obs.histogram("xsec_mobiwatch_featurize_latency_us", labels),
@@ -62,7 +65,7 @@ pub(crate) struct Verdict {
 }
 
 /// One key's sliding-window detection state. Deliberately small: alert
-/// context comes from [`Ingest`]'s global record tail, so a core keeps only
+/// context comes from MobiWatch's global record tail, so a core keeps only
 /// what scoring needs.
 struct WindowCore {
     ring: FeatureRing,
@@ -117,13 +120,13 @@ impl WindowCore {
     }
 }
 
-/// What a set of keyed windows is scored with and where they live — a
-/// shard of the pool, or `MobiWatch`'s one global key: the deployed models
-/// (one read-only copy shared by every fork), the detector / cooldown in
-/// force, the instruments, a scoring workspace, one core per live key, and
-/// the batch in flight. Self-contained, so any thread can score it.
+/// One shard of MobiWatch's pool — what a set of keyed windows is scored
+/// with and where they live: the deployed models (one read-only copy shared
+/// by every shard), the detector / cooldown in force, the instruments, a
+/// scoring workspace, one core per live key, and the batch in flight.
+/// Self-contained, so any thread can score it.
 pub(crate) struct Scorer {
-    models: Arc<DeployedModels>,
+    pub(crate) models: Arc<DeployedModels>,
     config: MobiWatchConfig,
     metrics: WatchMetrics,
     workspace: Workspace,
@@ -149,7 +152,11 @@ pub(crate) struct Scorer {
 }
 
 impl Scorer {
-    fn new(models: Arc<DeployedModels>, config: MobiWatchConfig, metrics: WatchMetrics) -> Self {
+    pub(crate) fn new(
+        models: Arc<DeployedModels>,
+        config: MobiWatchConfig,
+        metrics: WatchMetrics,
+    ) -> Self {
         Scorer {
             models,
             config,
@@ -166,16 +173,6 @@ impl Scorer {
             released: Vec::new(),
             verdicts: Vec::new(),
         }
-    }
-
-    /// An empty scorer over the same models, config, and instruments.
-    pub(crate) fn fork(&self) -> Scorer {
-        Scorer::new(Arc::clone(&self.models), self.config.clone(), self.metrics.clone())
-    }
-
-    /// The sliding-window length in force.
-    pub(crate) fn window(&self) -> usize {
-        self.models.feature_config.window
     }
 
     /// Adds the stream's record `index` to the batch under `key`. A
@@ -212,7 +209,7 @@ impl Scorer {
     /// core, flush once, judge in staging order. `trace` (0 = unknown here)
     /// is the latency sample's exemplar.
     pub(crate) fn score(&mut self, trace: u64) {
-        let (window, detector) = (self.window(), self.config.detector);
+        let (window, detector) = (self.models.feature_config.window, self.config.detector);
         let span = detector.span(window);
         for ((index, key, release), row) in
             self.work.drain(..).zip(self.features.chunks_exact(FEATURES_PER_RECORD))
@@ -269,156 +266,6 @@ impl Scorer {
     }
 }
 
-/// The stream-ordered half of detection, run on the thread that owns record
-/// order. Everything it produces is a pure function of the global record
-/// sequence and the verdicts — which is why detections and incident traces
-/// are invariant in how scoring was keyed, sharded or batched.
-pub(crate) struct Ingest {
-    pub(crate) scorer: Scorer,
-    featurizer: Featurizer,
-    seen: u64,
-    /// Trailing records of the *global* stream, for alert context only,
-    /// eagerly capped at what an alert can reference (context + window).
-    pub(crate) tail: VecDeque<UeMobiFlow>,
-    state: Arc<Mutex<MobiWatchState>>,
-    recorder: FlightRecorder,
-    flight: FlightRing,
-}
-
-impl Ingest {
-    /// Builds the ingest half with private (silent) instruments; returns
-    /// the shared state handle for post-run inspection.
-    pub(crate) fn new(
-        models: DeployedModels,
-        config: MobiWatchConfig,
-    ) -> (Self, Arc<Mutex<MobiWatchState>>) {
-        let state = Arc::new(Mutex::new(MobiWatchState::default()));
-        let metrics = WatchMetrics::register(&Obs::new(), config.detector);
-        let recorder = FlightRecorder::new();
-        let flight = recorder.ring();
-        let ingest = Ingest {
-            scorer: Scorer::new(Arc::new(models), config, metrics),
-            featurizer: Featurizer::new(),
-            seen: 0,
-            tail: VecDeque::new(),
-            state: state.clone(),
-            recorder,
-            flight,
-        };
-        (ingest, state)
-    }
-
-    /// Re-homes the instruments into `obs`'s registry and flight recording
-    /// into `obs`'s recorder. Samples do not carry over.
-    pub(crate) fn attach_obs(&mut self, obs: &Obs) {
-        self.scorer.metrics = WatchMetrics::register(obs, self.scorer.config.detector);
-        self.recorder = obs.recorder.clone();
-        self.flight = self.recorder.ring();
-    }
-
-    /// Featurizes the stream's next `records` (non-empty), handing each with
-    /// its global index to `row`, which appends its features where the
-    /// record's window lives; returns the first record's index. Strictly
-    /// sequential: the relational features (TMSI reuse, inter-arrival gaps,
-    /// burst density) are stream-level state. One featurize-latency sample
-    /// per call.
-    pub(crate) fn featurize(
-        &mut self,
-        records: &[UeMobiFlow],
-        mut row: impl FnMut(&mut Featurizer, u64, &UeMobiFlow),
-    ) -> u64 {
-        let first = self.seen;
-        let start = Instant::now();
-        for record in records {
-            row(&mut self.featurizer, self.seen, record);
-            self.seen += 1;
-        }
-        self.scorer.metrics.featurize_latency.observe_duration(start.elapsed());
-        first
-    }
-
-    /// The causal trace the E2 agent rooted for `record` (0 = untraced).
-    pub(crate) fn trace_for(&self, record: &UeMobiFlow) -> u64 {
-        self.recorder.trace_for(record.msg_id)
-    }
-
-    /// Walks one batch in stream order (`first` = its first record's global
-    /// index), draining the verdicts of the windows its records completed
-    /// (ascending by index). Each record joins the alert-context tail, then
-    /// its verdict is logged: the inference span, the `(index, score,
-    /// flagged)` row, and — when the verdict says publish — the alert with
-    /// the stream's trailing window + context *as of that record* attached,
-    /// its trace frozen as an incident. The alerts are returned, not yet in
-    /// the shared state: the caller [`Self::file`]s them.
-    pub(crate) fn emit(
-        &mut self,
-        records: &[UeMobiFlow],
-        first: u64,
-        verdicts: &mut Vec<(u64, Verdict)>,
-    ) -> Vec<AnomalyAlert> {
-        let keep = self.scorer.config.context_records + self.scorer.window();
-        let mut alerts = Vec::new();
-        let mut verdicts = verdicts.drain(..).peekable();
-        let mut state = self.state.lock();
-        for (record, index) in records.iter().zip(first..) {
-            if self.tail.len() == keep {
-                self.tail.pop_front();
-            }
-            self.tail.push_back(record.clone());
-            let Some((_, verdict)) = verdicts.next_if(|(scored, _)| *scored == index) else {
-                continue;
-            };
-            let trace = self.recorder.trace_for(record.msg_id);
-            let span = |stage| FlightEvent {
-                trace,
-                stage,
-                at_us: record.timestamp.as_micros(),
-                a: u64::from(verdict.score.to_bits()),
-                b: u64::from(verdict.threshold.to_bits()),
-            };
-            self.flight.record(span(TraceStage::Inference));
-            state.scores.push((index, verdict.score, verdict.flagged));
-            if !verdict.publish {
-                continue;
-            }
-            let alert = AnomalyAlert {
-                trace,
-                at_record: index,
-                at_time: record.timestamp,
-                score: verdict.score,
-                threshold: verdict.threshold,
-                records: self.tail.iter().map(encode_ue_record).collect(),
-            };
-            // A detection fired: freeze this trace's causal slice and append
-            // the alert span to it.
-            self.recorder.mark_incident(trace);
-            self.recorder.record_stage(span(TraceStage::Alert));
-            self.scorer.metrics.alerts.inc();
-            alerts.push(alert);
-        }
-        debug_assert!(verdicts.next().is_none(), "verdict for a record outside the batch");
-        alerts
-    }
-
-    /// Publishes a batch's alerts on [`ANOMALIES_TOPIC`] for the analyzer,
-    /// then files them.
-    pub(crate) fn publish(&self, ctx: &XAppContext<'_>, alerts: Vec<AnomalyAlert>) {
-        for alert in &alerts {
-            let payload = serde_json::to_vec(alert).expect("alert serializes");
-            ctx.publish(ANOMALIES_TOPIC, &payload);
-        }
-        self.file(alerts);
-    }
-
-    /// Moves a batch's alerts into the shared state — where [`Self::emit`]'s
-    /// alerts end up once whoever asked for them has seen them.
-    pub(crate) fn file(&self, alerts: Vec<AnomalyAlert>) {
-        if !alerts.is_empty() {
-            self.state.lock().alerts.extend(alerts);
-        }
-    }
-}
-
 /// Ground truth aligned with the detector's emissions.
 ///
 /// Mirrors [`WindowCore`]'s accounting over the labeled stream: walking
@@ -426,7 +273,8 @@ impl Ingest {
 /// has accumulated `span` records ([`Detector::span`]), and it is anomalous
 /// if *any* of the key's last `span` records is attack-labeled — the
 /// paper's labeling rule. A constant key is the global sliding window;
-/// `|r| r.du_ue_id` is the sharded pool's per-UE windows.
+/// `|r| r.du_ue_id` is [`MobiWatch::per_ue`](crate::mobiwatch::MobiWatch::per_ue)'s
+/// per-UE windows.
 pub fn window_truth<K: Hash + Eq>(
     stream: &TelemetryStream,
     span: usize,
@@ -450,8 +298,7 @@ pub fn window_truth<K: Hash + Eq>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mobiwatch::MobiWatch;
-    use crate::shard::ShardedMobiWatch;
+    use crate::mobiwatch::{MobiWatch, MobiWatchState, ShardedMobiWatch};
     use crate::smo::quick_models;
     use proptest::prelude::*;
     use xsec_attacks::DatasetBuilder;
@@ -513,8 +360,7 @@ mod tests {
             assert_eq!(global.scores.len(), len + 1 - detector.span(4), "{detector:?}");
             assert!(global.alerts.len() > 1, "{detector:?}: cooldown path not exercised");
             for (shards, chunk) in [(1, 5), (3, 5), (1, 1), (3, 64)] {
-                let (mut pool, sharded) =
-                    ShardedMobiWatch::new(models.clone(), config.clone(), shards);
+                let (mut pool, sharded) = MobiWatch::per_ue(models.clone(), config.clone(), shards);
                 for chunk in records.chunks(chunk) {
                     pool.process_batch(chunk);
                 }
@@ -524,6 +370,25 @@ mod tests {
                     "{detector:?}/{shards} shards/chunks of {chunk}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn the_benchmarks_sharded_mobiwatch_is_the_per_ue_pool() {
+        let ds = DatasetBuilder::small(31, 10).attack(AttackKind::BtsDos);
+        let records = extract_from_events(&ds.report.events).records;
+        let models = quick_models(30);
+        let config = MobiWatchConfig::default();
+        for shards in [1, 3] {
+            let (mut shim, by_shim) = ShardedMobiWatch::new(models.clone(), config.clone(), shards);
+            let (mut pool, by_pool) = MobiWatch::per_ue(models.clone(), config.clone(), shards);
+            for chunk in records.chunks(23) {
+                shim.process_batch(chunk);
+                pool.process_batch(chunk);
+            }
+            let (by_shim, by_pool) = (by_shim.lock(), by_pool.lock());
+            assert!(!by_pool.alerts.is_empty(), "the flood raised no alert");
+            assert!(artifacts(&by_shim) == artifacts(&by_pool), "{shards} shards");
         }
     }
 
@@ -663,14 +528,6 @@ mod tests {
             prop_assert_eq!(returned, state.alerts.len());
             prop_assert!(artifacts(&state) == expected[&(lstm, cooldown)], "sizes {:?}", sizes);
         }
-    }
-
-    #[test]
-    fn forks_share_one_copy_of_the_models() {
-        let (ingest, _) = Ingest::new(quick_models(40), MobiWatchConfig::default());
-        let (a, b) = (ingest.scorer.fork(), ingest.scorer.fork());
-        assert!(Arc::ptr_eq(&a.models, &b.models));
-        assert!(Arc::ptr_eq(&a.models, &ingest.scorer.models));
     }
 
     #[test]

@@ -160,11 +160,6 @@ impl Autoencoder {
         self.reconstruct(x).sub(x).mean_sq()
     }
 
-    /// Scores every row of a dataset (batched — see [`Autoencoder::score_rows`]).
-    pub fn score_all(&self, data: &Matrix) -> Vec<f32> {
-        self.score_rows(data, &mut Workspace::new())
-    }
-
     /// The one inference pass: `m` flat row-major windows through the layer
     /// stack, each layer a single GEMM over all of them, activations
     /// ping-ponging between two workspace buffers; returns the one holding
@@ -302,8 +297,9 @@ mod tests {
         let (benign, outliers) = synthetic(120, 3);
         let model = Autoencoder::train(quick_config(benign.cols()), &benign);
         let threshold = model.threshold(99.0);
-        let benign_scores = model.score_all(&benign);
-        let outlier_scores = model.score_all(&outliers);
+        let mut ws = Workspace::new();
+        let benign_scores = model.score_rows(&benign, &mut ws);
+        let outlier_scores = model.score_rows(&outliers, &mut ws);
         let benign_above = benign_scores.iter().filter(|&&s| s > threshold).count();
         let outliers_above = outlier_scores.iter().filter(|&&s| s > threshold).count();
         assert!(

@@ -239,11 +239,6 @@ impl Lstm {
         self.predict(window).sub(actual_next).mean_sq()
     }
 
-    /// Scores every `(window, next)` pair (batched — see [`Lstm::score_batch`]).
-    pub fn score_all(&self, windows: &[Matrix], nexts: &[Matrix]) -> Vec<f32> {
-        self.score_batch(windows, nexts, &mut Workspace::new())
-    }
-
     /// One batched LSTM timestep: `ws.x` (`M × input_dim`) holds the step
     /// input; `ws.h`/`ws.c` (`M × hidden`) are updated in place. The gate
     /// pre-activations for all M sequences come from two GEMMs
@@ -455,7 +450,7 @@ mod tests {
         let threshold = model.threshold(99.0);
 
         // In-pattern continuation scores low.
-        let benign_scores = model.score_all(&windows, &nexts);
+        let benign_scores = model.score_batch(&windows, &nexts, &mut Workspace::new());
         let fp = benign_scores.iter().filter(|&&s| s > threshold).count();
         assert!(fp <= benign_scores.len() / 50 + 2, "{fp} benign windows flagged");
 

@@ -4,7 +4,7 @@
 
 use sixg_xsec::smo::{Smo, TrainingConfig};
 use xsec_attacks::DatasetBuilder;
-use xsec_dl::{FeatureConfig, Featurizer, FEATURES_PER_RECORD};
+use xsec_dl::{FeatureConfig, Featurizer, Workspace, FEATURES_PER_RECORD};
 use xsec_mobiflow::extract_from_events;
 use xsec_types::AttackKind;
 
@@ -46,6 +46,7 @@ fn trained_models_separate_every_attack_dataset() {
     let stream = extract_from_events(&benign.events);
     let models = Smo::train(&quick_training(), &stream).unwrap();
     let config = FeatureConfig { window: 4 };
+    let mut ws = Workspace::new();
 
     for kind in AttackKind::ALL {
         let ds = DatasetBuilder::small(1201 + kind as u64, 30).attack(kind);
@@ -53,7 +54,7 @@ fn trained_models_separate_every_attack_dataset() {
         let dataset = Featurizer::encode_stream(&config, &stream);
         let flat = dataset.flat_windows();
         let truth = dataset.window_labels();
-        let scores = models.autoencoder.score_all(&flat);
+        let scores = models.autoencoder.score_rows(&flat, &mut ws);
 
         // Attack windows score higher than benign windows on average...
         let mean = |sel: bool| {
@@ -86,6 +87,7 @@ fn lstm_detects_the_content_level_attacks() {
     let stream = extract_from_events(&benign.events);
     let models = Smo::train(&quick_training(), &stream).unwrap();
     let config = FeatureConfig { window: 4 };
+    let mut ws = Workspace::new();
 
     // The content-level attacks (null cipher, extraction) must be visible
     // to the LSTM's next-step prediction error too.
@@ -95,7 +97,7 @@ fn lstm_detects_the_content_level_attacks() {
         let dataset = Featurizer::encode_stream(&config, &stream);
         let (windows, nexts) = dataset.lstm_pairs();
         let truth = dataset.lstm_labels();
-        let scores = models.lstm.score_all(&windows, &nexts);
+        let scores = models.lstm.score_batch(&windows, &nexts, &mut ws);
         let detected = scores
             .iter()
             .zip(&truth)

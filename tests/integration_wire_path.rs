@@ -7,7 +7,7 @@
 //! `XApp::on_records`, an indication of 1 024 records makes as many heap
 //! allocations as one of 16 (the `Workspace::grow_events` idiom, extended to
 //! the wire). Only their sizes differ: the frame, the payload, the record
-//! `Vec`. The detection xApps behind it allocate per *nothing* once warm:
+//! `Vec`. The detector behind it allocates per *nothing* once warm: the
 //! featurization, the batched scoring pass, thresholding and the score log
 //! all run in buffers sized by the largest indication seen. Past detection,
 //! the incident hop (alert → verdict → decision) allocates per alert, under
@@ -20,9 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use sixg_xsec::mitigator::{A1SignedRequest, FindingNotice};
 use sixg_xsec::mobiwatch::{AnomalyAlert, MobiWatchConfig, MobiWatchState};
 use sixg_xsec::mitigator::FINDINGS_TOPIC;
-use sixg_xsec::{
-    Detector, LlmAnalyzer, Mitigator, MobiWatch, Pipeline, PipelineConfig, ShardedMobiWatch,
-};
+use sixg_xsec::{Detector, LlmAnalyzer, Mitigator, MobiWatch, Pipeline, PipelineConfig};
 use std::cell::Cell;
 use xsec_control::{A1Request, ControlAction, MitigationAction, PolicyEngine};
 use xsec_e2::{
@@ -284,7 +282,7 @@ fn detectors_allocate_nothing_per_record_once_warm() {
         let global = detector_allocations(&mut watch, &state, per_indication);
         // One shard: the deployed shape, scored on the calling thread, so
         // this thread's count sees all of it.
-        let (mut pool, state) = ShardedMobiWatch::new(models.clone(), config.clone(), 1);
+        let (mut pool, state) = MobiWatch::per_ue(models.clone(), config.clone(), 1);
         let sharded = detector_allocations(&mut pool, &state, per_indication);
         println!("{per_indication} records/indication: MobiWatch {global}, 1-shard pool {sharded}");
         assert_eq!(global, 0, "MobiWatch allocated at {per_indication} records per indication");
