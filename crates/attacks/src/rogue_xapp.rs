@@ -106,7 +106,7 @@ impl RogueXApp {
             "quarantine-cell",
             ControlOut {
                 cell: Some(self.target_cell),
-                trace: None,
+                id: outage.id,
                 payload: outage.encode(),
                 broadcast: true,
             },

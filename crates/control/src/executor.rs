@@ -1,13 +1,12 @@
 //! The action executor: turns policy decisions into E2 Control Request
 //! payloads and tracks each action's fate — sent, acked, retried, expired.
 //!
-//! E2AP Control Acks carry no correlation id in this codebase (mirroring the
-//! minimal E2SM service model), but both transport directions are ordered
-//! queues, so acks are correlated FIFO: each shipped Control Request earns
-//! exactly one ack from the agent, and the oldest unacked transmission owns
-//! the next ack that arrives. Latency is measured in *virtual* time — from
-//! the detection timestamp carried by the finding to the xApp-clock time the
-//! ack is observed — which is the paper's detection→mitigation budget.
+//! An ack names the action it settles by the action's id (the RIC matches
+//! each E2 Control Ack to its request and relays that id), so a lost,
+//! repeated or stray ack settles nothing but its own action. Latency is
+//! measured in *virtual* time — from the detection timestamp carried by the
+//! finding to the xApp-clock time the ack is observed — which is the paper's
+//! detection→mitigation budget.
 
 use crate::action::ControlAction;
 use xsec_types::{CellId, Duration, Timestamp};
@@ -71,8 +70,6 @@ pub struct TrackedAction {
 /// What one Control Ack resolved to, for metrics attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AckResolution {
-    /// The acked action's id.
-    pub id: u32,
     /// The mitigation kind (see [`crate::MitigationAction::name`]).
     pub kind: &'static str,
     /// Whether the agent accepted the request.
@@ -101,14 +98,10 @@ pub struct ActionExecutor {
     config: ExecutorConfig,
     tracked: Vec<TrackedAction>,
     /// `tracked` indices of the actions still pending or on the wire, in
-    /// submission order — all `take_due` and `tick` ever need to visit, so
-    /// a clock tick costs O(unresolved), not O(ever issued). An action an
+    /// submission order — all `take_due`, `on_ack` and `tick` ever need to
+    /// visit, so they cost O(unresolved), not O(ever issued). An action an
     /// ack resolves stays listed until the next `tick` prunes it.
     live: Vec<usize>,
-    /// FIFO of `tracked` indices, one entry per transmission still owed an
-    /// ack by the agent (the agent acks every Control Request it receives,
-    /// including retries).
-    inflight: Vec<usize>,
 }
 
 impl ActionExecutor {
@@ -136,11 +129,10 @@ impl ActionExecutor {
         });
     }
 
-    /// Returns every payload due on the wire now — first transmissions for
+    /// Returns every action due on the wire now — first transmissions for
     /// pending actions plus retries for overdue unacked ones — each with its
-    /// routing cell and the causal trace id it mitigates (for ack
-    /// correlation at the RIC pump).
-    pub fn take_due(&mut self, now: Timestamp) -> Vec<(Option<CellId>, Option<u64>, Vec<u8>)> {
+    /// encoded payload.
+    pub fn take_due(&mut self, now: Timestamp) -> Vec<(&TrackedAction, Vec<u8>)> {
         let mut due = Vec::new();
         for &idx in &self.live {
             let tracked = &mut self.tracked[idx];
@@ -155,65 +147,28 @@ impl ActionExecutor {
                 _ => continue,
             };
             tracked.state = ActionState::Sent { attempts: attempts + 1, last_sent: now };
-            self.inflight.push(idx);
-            due.push((tracked.cell, tracked.action.trace, tracked.action.encode()));
+            due.push(idx);
         }
-        due
+        due.into_iter()
+            .map(|idx| {
+                let tracked = &self.tracked[idx];
+                (tracked, tracked.action.encode())
+            })
+            .collect()
     }
 
-    /// Correlates one incoming Control Ack to the oldest unacked
-    /// transmission and reports what it resolved. Acks for transmissions
-    /// whose action already resolved (a retry raced the first ack, or the
-    /// TTL expired) are dropped and return `None`.
-    pub fn on_ack(&mut self, success: bool, now: Timestamp) -> Option<AckResolution> {
-        while !self.inflight.is_empty() {
-            let idx = self.inflight.remove(0);
-            let tracked = &mut self.tracked[idx];
-            if matches!(tracked.state, ActionState::Sent { .. }) {
-                tracked.state = ActionState::Acked { at: now, success };
-                return Some(AckResolution {
-                    id: tracked.action.id,
-                    kind: tracked.action.action.name(),
-                    success,
-                    detection_to_ack: tracked.detection_to_ack(),
-                    trace: tracked.action.trace,
-                });
-            }
-            // Already resolved — this ack belongs to a stale retry; consume
-            // the inflight slot and let the ack settle the next sender.
-        }
-        None
-    }
-
-    /// Correlates an ack that carries a causal trace id. The oldest
-    /// in-flight transmission of the action with that trace owns the ack;
-    /// this makes correlation robust to cross-connection reordering (acks
-    /// from different agents interleave arbitrarily at the RIC) and to
-    /// broadcast fan-out, where one submitted action earns several acks —
-    /// the first settles it, the extras are dropped instead of stealing a
-    /// later sender's FIFO slot. Untraced acks fall back to plain FIFO.
-    pub fn on_ack_traced(
-        &mut self,
-        success: bool,
-        trace: Option<u64>,
-        now: Timestamp,
-    ) -> Option<AckResolution> {
-        let Some(trace) = trace else {
-            return self.on_ack(success, now);
-        };
-        let pos = self
-            .inflight
-            .iter()
-            .position(|&idx| self.tracked[idx].action.trace == Some(trace))?;
-        let idx = self.inflight.remove(pos);
+    /// Settles the action `id` on the wire with one incoming ack and reports
+    /// what it resolved. An ack for an action that is not on the wire —
+    /// already resolved (a retry or a broadcast copy acked first, or the TTL
+    /// expired) or never issued — is dropped and returns `None`.
+    pub fn on_ack(&mut self, id: u32, success: bool, now: Timestamp) -> Option<AckResolution> {
+        let idx = *self.live.iter().find(|&&idx| {
+            let tracked = &self.tracked[idx];
+            tracked.action.id == id && matches!(tracked.state, ActionState::Sent { .. })
+        })?;
         let tracked = &mut self.tracked[idx];
-        if !matches!(tracked.state, ActionState::Sent { .. }) {
-            // A stale retry's ack: the action already resolved.
-            return None;
-        }
         tracked.state = ActionState::Acked { at: now, success };
         Some(AckResolution {
-            id: tracked.action.id,
             kind: tracked.action.action.name(),
             success,
             detection_to_ack: tracked.detection_to_ack(),
@@ -283,14 +238,11 @@ mod tests {
     use xsec_types::Rnti;
 
     /// `take_due` as it was before the live list — a scan of every action
-    /// ever tracked. With [`full_scan_tick`], the reference the live-list
-    /// executor must match step for step.
-    fn full_scan_take_due(
-        ex: &mut ActionExecutor,
-        now: Timestamp,
-    ) -> Vec<(Option<CellId>, Option<u64>, Vec<u8>)> {
+    /// ever tracked, as `(id, payload)`. With [`full_scan_tick`], the
+    /// reference the live-list executor must match step for step.
+    fn full_scan_take_due(ex: &mut ActionExecutor, now: Timestamp) -> Vec<(u32, Vec<u8>)> {
         let mut due = Vec::new();
-        for (idx, tracked) in ex.tracked.iter_mut().enumerate() {
+        for tracked in &mut ex.tracked {
             let attempts = match tracked.state {
                 ActionState::Pending => 0,
                 ActionState::Sent { attempts, last_sent }
@@ -302,8 +254,7 @@ mod tests {
                 _ => continue,
             };
             tracked.state = ActionState::Sent { attempts: attempts + 1, last_sent: now };
-            ex.inflight.push(idx);
-            due.push((tracked.cell, tracked.action.trace, tracked.action.encode()));
+            due.push((tracked.action.id, tracked.action.encode()));
         }
         due
     }
@@ -348,13 +299,13 @@ mod tests {
         ex.submit(action(1), Some(CellId(3)), detected, ms(150));
         let due = ex.take_due(ms(150));
         assert_eq!(due.len(), 1);
-        assert_eq!(due[0].0, Some(CellId(3)), "routing cell rides along");
-        assert_eq!(due[0].1, Some(101), "trace id rides along for ack correlation");
-        assert_eq!(ControlAction::decode(&due[0].2).unwrap(), action(1));
+        let (tracked, payload) = &due[0];
+        assert_eq!(tracked.cell, Some(CellId(3)), "routing cell rides along");
+        assert_eq!(tracked.action, action(1));
+        assert_eq!(ControlAction::decode(payload).unwrap(), action(1));
         // Nothing further due before the retry deadline.
         assert!(ex.take_due(ms(200)).is_empty());
-        let res = ex.on_ack(true, ms(230)).expect("ack resolves the send");
-        assert_eq!(res.id, 1);
+        let res = ex.on_ack(1, true, ms(230)).expect("ack resolves the send");
         assert_eq!(res.kind, "blacklist-rnti");
         assert!(res.success);
         assert_eq!(res.trace, Some(101), "resolution names the trace it closes");
@@ -388,32 +339,30 @@ mod tests {
         assert_eq!(ex.take_due(t0).len(), 1);
         ex.tick(ms(60));
         assert_eq!(ex.tally(), (0, 0, 1, 0));
-        // A late ack for the expired action is dropped, and a fresh action's
-        // ack still lands on the right transmission.
+        // A late ack for the expired action resolves nothing, and a fresh
+        // action settles on its own id.
         ex.submit(action(2), None, t0, ms(70));
         assert_eq!(ex.take_due(ms(70)).len(), 1);
-        // The first ack consumes the expired action's stale inflight slot
-        // and settles the next sender (action 2).
-        let res = ex.on_ack(true, ms(80)).expect("ack settles action 2");
-        assert_eq!(res.id, 2);
-        assert_eq!(ex.on_ack(true, ms(90)), None, "no inflight sends remain");
-        let (acked, ..) = ex.tally();
-        assert_eq!(acked, 1);
-        assert!(ex.outcomes().iter().any(|t| t.action.id == 2
-            && matches!(t.state, ActionState::Acked { success: true, .. })));
+        assert_eq!(ex.on_ack(1, true, ms(80)), None, "action 1 expired");
+        assert!(ex.on_ack(2, true, ms(90)).is_some(), "ack settles action 2");
+        assert_eq!(ex.tally(), (1, 0, 1, 0));
+        assert_eq!(ex.outcomes()[0].state, ActionState::Expired);
     }
 
     #[test]
-    fn fifo_correlation_matches_acks_to_send_order() {
+    fn acks_settle_the_action_they_name() {
         let mut ex = ActionExecutor::default();
         let t0 = ms(0);
         ex.submit(action(1), None, t0, t0);
         ex.submit(action(2), None, t0, t0);
         assert_eq!(ex.take_due(t0).len(), 2);
-        ex.on_ack(true, ms(10));
-        let failed = ex.on_ack(false, ms(20)).unwrap();
+        // Out of send order, then a repeat and an id never issued.
+        let failed = ex.on_ack(2, false, ms(10)).unwrap();
         assert!(!failed.success);
         assert_eq!(failed.detection_to_ack, None, "failed acks carry no latency");
+        assert_eq!(ex.on_ack(2, true, ms(15)), None, "action 2 already resolved");
+        assert_eq!(ex.on_ack(9, true, ms(15)), None, "no action 9");
+        assert!(ex.on_ack(1, true, ms(20)).is_some());
         let states: Vec<_> = ex.outcomes().iter().map(|t| (t.action.id, t.state)).collect();
         assert!(matches!(states[0], (1, ActionState::Acked { success: true, .. })));
         assert!(matches!(states[1], (2, ActionState::Acked { success: false, .. })));
@@ -423,6 +372,8 @@ mod tests {
         /// Random submit / take_due / ack / tick schedules: the live-list
         /// executor ships the same payloads in the same order and leaves
         /// every action in the same state as the full scans it replaced.
+        /// (`full` never prunes its `live`, so its `on_ack` scans every
+        /// action ever tracked.)
         #[test]
         fn prop_live_list_matches_the_full_scan(
             ops in proptest::collection::vec((0u8..6, 1u64..400, any::<u16>()), 1..120),
@@ -444,21 +395,34 @@ mod tests {
                         live.submit(a.clone(), None, now, now);
                         full.submit(a, None, now, now);
                     }
-                    2 => prop_assert_eq!(live.take_due(now), full_scan_take_due(&mut full, now)),
+                    2 => {
+                        let due: Vec<(u32, Vec<u8>)> = live
+                            .take_due(now)
+                            .into_iter()
+                            .map(|(tracked, payload)| (tracked.action.id, payload))
+                            .collect();
+                        prop_assert_eq!(due, full_scan_take_due(&mut full, now));
+                    }
                     3 | 4 => {
-                        let success = word % 2 == 0;
-                        // Ack a real in-flight trace, an unknown one, or none.
-                        let trace = match word % 4 {
-                            0 => None,
-                            1 => Some(u64::from(word)),
-                            _ => live
-                                .inflight
-                                .get(usize::from(word) % live.inflight.len().max(1))
-                                .and_then(|&idx| live.tracked[idx].action.trace),
+                        let success = word / 3 % 2 == 0;
+                        // Ack an action on the wire, any issued one (often
+                        // already resolved), or one never issued.
+                        let on_wire: Vec<u32> = live
+                            .outcomes()
+                            .iter()
+                            .filter(|t| matches!(t.state, ActionState::Sent { .. }))
+                            .map(|t| t.action.id)
+                            .collect();
+                        let id = match word % 3 {
+                            0 => next_id + 1,
+                            1 => u32::from(word) % next_id.max(1) + 1,
+                            _ => on_wire
+                                .get(usize::from(word) % on_wire.len().max(1))
+                                .map_or(0, |&id| id),
                         };
                         prop_assert_eq!(
-                            live.on_ack_traced(success, trace, now),
-                            full.on_ack_traced(success, trace, now)
+                            live.on_ack(id, success, now),
+                            full.on_ack(id, success, now)
                         );
                     }
                     _ => {
@@ -471,7 +435,6 @@ mod tests {
                 };
                 prop_assert_eq!(states(&live), states(&full));
                 prop_assert_eq!(live.tally(), full.tally());
-                prop_assert_eq!(&live.inflight, &full.inflight);
             }
             // A tick leaves exactly the unresolved actions listed.
             live.tick(now);

@@ -9,16 +9,16 @@
 //! AnalyzerFinding ──► PolicyEngine ──► ControlAction (TLV payload)
 //!                        │                  │
 //!                        ▼                  ▼
-//!                SupervisionTicket    ActionExecutor ──► E2 ControlRequest
+//!                SupervisionTicket    ActionExecutor ──► E2 ControlRequest (id)
 //!                (human queue)              ▲                   │
-//!                                           └─── ControlAck ◄───┘
+//!                                           └─ ControlAck (id) ◄┘
 //! ```
 //!
 //! Four pieces: [`MitigationAction`]/[`ControlAction`] — the typed action
 //! vocabulary with a strict TLV wire codec; [`PolicyEngine`] — the
 //! rule table mapping detections to actions, with a human-supervision gate
 //! for anything below the autonomy bar; [`ActionExecutor`] — delivery
-//! tracking with FIFO ack correlation, retries, and TTL expiry; and the
+//! tracking with acks matched by action id, retries, and TTL expiry; and the
 //! [`a1`] module — A1-style runtime policy management ([`PolicyType`]
 //! schemas, the versioned [`PolicyStore`], and the [`A1Request`] /
 //! [`A1Response`] message API the SMO drives mid-run).

@@ -17,8 +17,8 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xsec_control::{
-    attack_from_title, A1OpTally, A1Request, ActionExecutor, PolicyDecision, PolicyEngine,
-    SupervisionTicket, ThreatAssessment,
+    attack_from_title, A1OpTally, A1Request, ActionExecutor, MitigationAction, PolicyDecision,
+    PolicyEngine, SupervisionTicket, ThreatAssessment, TrackedAction,
 };
 use xsec_mobiflow::{decode_ue_record, UeMobiFlow};
 use xsec_obs::{Counter, FlightEvent, Obs, TraceStage};
@@ -229,32 +229,26 @@ impl Mitigator {
 }
 
 /// Ships everything the executor deems due, each action pinned to its cell
-/// and carrying its trace for ack correlation at the pump. QuarantineCell
+/// and named by its id, which its ack comes back with. QuarantineCell
 /// actions fan out to the cell's declared neighbours as well — the
 /// displaced attacker's next hop should find the door already closing.
 fn ship_due(state: &mut MitigatorState, now: Timestamp, ctx: &mut XAppContext<'_>, obs: &Obs) {
-    for (cell, trace, payload) in state.executor.take_due(now) {
-        let action = xsec_control::ControlAction::decode(&payload).ok();
-        if let Some(trace) = trace {
-            let action_id = action.as_ref().map(|a| a.id).unwrap_or(0);
+    for (TrackedAction { action, cell, .. }, payload) in state.executor.take_due(now) {
+        if let Some(trace) = action.trace {
             obs.recorder.record_stage(FlightEvent {
                 trace,
                 stage: TraceStage::ControlShip,
                 at_us: now.as_micros(),
-                a: u64::from(action_id),
+                a: u64::from(action.id),
                 b: payload.len() as u64,
             });
         }
-        let quarantine = matches!(
-            action.as_ref().map(|a| &a.action),
-            Some(xsec_control::MitigationAction::QuarantineCell { .. })
-        );
-        // Declare the action kind so a scoped mitigator is checked against
-        // its per-kind control grant (an undecodable payload declares the
-        // wildcard, which deployments deliberately do not grant).
-        let kind = action.as_ref().map_or("*", |a| a.action.name());
+        let quarantine = matches!(action.action, MitigationAction::QuarantineCell { .. });
         let broadcast = quarantine && cell.is_some();
-        ctx.send_control(kind, ControlOut { cell, trace, payload, broadcast });
+        // Declare the action kind so a scoped mitigator is checked against
+        // its per-kind control grant.
+        let out = ControlOut { cell: *cell, id: action.id, payload, broadcast };
+        ctx.send_control(action.action.name(), out);
     }
 }
 
@@ -408,16 +402,12 @@ impl XApp for Mitigator {
                 }
             }
             CONTROL_ACKS_TOPIC => {
-                let Some(&flag) = payload.first() else { return };
-                // Traced acks ([success][trace BE]) correlate by trace id —
-                // robust to cross-agent reordering and broadcast fan-out;
-                // bare one-byte acks settle FIFO as before.
-                let ack_trace = (payload.len() == 9)
-                    .then(|| u64::from_be_bytes(payload[1..9].try_into().unwrap()))
-                    .filter(|t| *t != 0);
+                // `[success][action id BE]`: the ack settles the action it
+                // names, whatever order acks arrive in.
+                let Ok([flag, id @ ..]) = <[u8; 5]>::try_from(payload) else { return };
                 let mut state = self.state.lock();
                 let now = state.clock;
-                if let Some(res) = state.executor.on_ack_traced(flag != 0, ack_trace, now) {
+                if let Some(res) = state.executor.on_ack(u32::from_be_bytes(id), flag != 0, now) {
                     let outcome = if res.success { "acked" } else { "failed" };
                     self.obs
                         .counter(
@@ -452,7 +442,7 @@ impl XApp for Mitigator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsec_control::{ControlAction, MitigationAction};
+    use xsec_control::{ActionState, ControlAction};
     use xsec_proto::Direction;
     use xsec_ric::{Grants, Router, RouterHandle, XAppIdentity};
 
@@ -574,16 +564,64 @@ mod tests {
             MitigationAction::RateLimitCause { .. }
         ));
 
-        // Acks resolve in FIFO order against the mitigator clock.
+        // Each action is named by its id on the way out and the way back.
+        let ids: Vec<u32> = control.iter().map(|out| out.id).collect();
+        assert_eq!(ids, [1, 2, 3]);
         let mut ack_out = Vec::new();
         let mut ctx =
             xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut ack_out };
-        mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[1]);
-        mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[1]);
-        mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[0]);
+        for (success, id) in [(1, 1u32), (1, 2), (0, 3)] {
+            let [a, b, c, d] = id.to_be_bytes();
+            mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[success, a, b, c, d]);
+        }
         let summary = state.lock().summary();
         assert_eq!((summary.issued, summary.acked, summary.failed), (3, 2, 1));
         assert_eq!(summary.detection_to_ack_us.len(), 2);
+    }
+
+    #[test]
+    fn actions_sharing_a_trace_each_settle_on_their_own_ack() {
+        let obs = Obs::new();
+        let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
+        let sdl = xsec_ric::SharedDataLayer::new();
+        let (_router, scope) =
+            mitigator_scope(Grants::none().control("rate-limit-cause").control("blacklist-rnti"));
+        let mut control = Vec::new();
+        let mut ctx = xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        let records = vec![
+            record(1, 0x4601, MessageKind::RrcSetupRequest),
+            record(2, 0x4602, MessageKind::RrcSetupRequest),
+        ];
+        let mut n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
+        n.trace = 9;
+        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &serde_json::to_vec(&n).unwrap());
+        let traces: Vec<_> = state.lock().executor.outcomes().iter().map(|t| t.action.trace).collect();
+        assert_eq!(traces, [Some(9); 3], "one finding, one trace");
+
+        // Reverse order, the clock moving between acks; the blacklist of
+        // action 3 is refused.
+        for (at, success, id) in [(2_000, 0, 3u32), (3_000, 1, 2), (4_000, 1, 1)] {
+            mitigator.on_records(&mut ctx, &[], Timestamp(at));
+            let [a, b, c, d] = id.to_be_bytes();
+            mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[success, a, b, c, d]);
+        }
+        let states: Vec<_> =
+            state.lock().executor.outcomes().iter().map(|t| (t.action.id, t.state)).collect();
+        assert_eq!(
+            states,
+            [
+                (1, ActionState::Acked { at: Timestamp(4_000), success: true }),
+                (2, ActionState::Acked { at: Timestamp(3_000), success: true }),
+                (3, ActionState::Acked { at: Timestamp(2_000), success: false }),
+            ]
+        );
+        let snapshot = obs.snapshot();
+        assert_eq!(snapshot.counter_total("xsec_control_actions_acked_total"), 2);
+        let exposition = obs.metrics.render_prometheus();
+        assert!(
+            exposition.contains("xsec_control_actions_failed_total{kind=\"blacklist-rnti\"} 1\n"),
+            "{exposition}"
+        );
     }
 
     #[test]

@@ -204,13 +204,13 @@ impl<T: E2Transport> RicAgent<T> {
                 self.subscriptions.remove(&request_id);
                 Ok(())
             }
-            E2apPdu::ControlRequest { ran_function, payload } => {
+            E2apPdu::ControlRequest { ran_function, control_id, payload } => {
                 let success = ran_function == RAN_FUNCTION_MOBIFLOW;
                 if success {
                     self.metrics.controls_received.inc();
                     self.control_inbox.push(payload);
                 }
-                let ack = E2apPdu::ControlAck { ran_function, success }.encode();
+                let ack = E2apPdu::ControlAck { ran_function, control_id, success }.encode();
                 Self::send_counted(&mut self.transport, &self.metrics, &ack)
             }
             // PDUs that only the RIC side should receive are protocol noise.
@@ -451,6 +451,7 @@ mod tests {
         ric.send(
             &E2apPdu::ControlRequest {
                 ran_function: RAN_FUNCTION_MOBIFLOW,
+                control_id: 41,
                 payload: vec![9, 9],
             }
             .encode(),
@@ -461,7 +462,7 @@ mod tests {
         let frame = ric.try_recv().unwrap().unwrap();
         assert_eq!(
             E2apPdu::decode(&frame).unwrap(),
-            E2apPdu::ControlAck { ran_function: RAN_FUNCTION_MOBIFLOW, success: true }
+            E2apPdu::ControlAck { ran_function: RAN_FUNCTION_MOBIFLOW, control_id: 41, success: true }
         );
     }
 

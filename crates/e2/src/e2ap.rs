@@ -103,6 +103,8 @@ pub enum E2apPdu {
     ControlRequest {
         /// Target RAN function.
         ran_function: u32,
+        /// The RIC's number for this request; the agent echoes it in the ack.
+        control_id: u32,
         /// Service-model-specific control payload.
         payload: Vec<u8>,
     },
@@ -110,6 +112,8 @@ pub enum E2apPdu {
     ControlAck {
         /// Target RAN function.
         ran_function: u32,
+        /// The `control_id` of the request this acknowledges.
+        control_id: u32,
         /// Whether the action was applied.
         success: bool,
     },
@@ -174,14 +178,16 @@ impl E2apPdu {
                 buf.put_u64(*sequence);
                 buf.put_prefixed::<4>(payload)?;
             }
-            E2apPdu::ControlRequest { ran_function, payload } => {
+            E2apPdu::ControlRequest { ran_function, control_id, payload } => {
                 buf.put_u8(6);
                 buf.put_u32(*ran_function);
+                buf.put_u32(*control_id);
                 buf.put_prefixed::<4>(payload)?;
             }
-            E2apPdu::ControlAck { ran_function, success } => {
+            E2apPdu::ControlAck { ran_function, control_id, success } => {
                 buf.put_u8(7);
                 buf.put_u32(*ran_function);
+                buf.put_u32(*control_id);
                 buf.put_u8(*success as u8);
             }
         }
@@ -219,9 +225,10 @@ impl E2apPdu {
             },
             6 => E2apPdu::ControlRequest {
                 ran_function: r.u32()?,
+                control_id: r.u32()?,
                 payload: r.prefixed::<4>()?.to_vec(),
             },
-            7 => E2apPdu::ControlAck { ran_function: r.u32()?, success: r.flag()? },
+            7 => E2apPdu::ControlAck { ran_function: r.u32()?, control_id: r.u32()?, success: r.flag()? },
             other => return Err(XsecError::Codec(format!("unknown E2AP tag {other}"))),
         };
         r.finish()?;
@@ -277,9 +284,13 @@ mod tests {
                 sequence: 9,
                 payload: vec![1, 2, 3],
             },
-            E2apPdu::ControlRequest { ran_function: 142, payload: sample_action().encode() },
-            E2apPdu::ControlRequest { ran_function: 142, payload: vec![] },
-            E2apPdu::ControlAck { ran_function: 142, success: false },
+            E2apPdu::ControlRequest {
+                ran_function: 142,
+                control_id: 0x0102_0304,
+                payload: sample_action().encode(),
+            },
+            E2apPdu::ControlRequest { ran_function: 142, control_id: 0, payload: vec![] },
+            E2apPdu::ControlAck { ran_function: 142, control_id: u32::MAX, success: false },
         ]
     }
 
@@ -352,15 +363,20 @@ mod tests {
         #[test]
         fn prop_control_request_round_trip(
             func in any::<u32>(),
+            control_id in any::<u32>(),
             payload in proptest::collection::vec(any::<u8>(), 0..256),
         ) {
-            let pdu = E2apPdu::ControlRequest { ran_function: func, payload };
+            let pdu = E2apPdu::ControlRequest { ran_function: func, control_id, payload };
             prop_assert_eq!(E2apPdu::decode(&pdu.encode()).unwrap(), pdu);
         }
 
         #[test]
-        fn prop_control_ack_round_trip(func in any::<u32>(), success in any::<bool>()) {
-            let pdu = E2apPdu::ControlAck { ran_function: func, success };
+        fn prop_control_ack_round_trip(
+            func in any::<u32>(),
+            control_id in any::<u32>(),
+            success in any::<bool>(),
+        ) {
+            let pdu = E2apPdu::ControlAck { ran_function: func, control_id, success };
             prop_assert_eq!(E2apPdu::decode(&pdu.encode()).unwrap(), pdu);
         }
 

@@ -864,17 +864,18 @@ mod tests {
             span_us in any::<u64>(),
         ) {
             let action = build_action(id, ttl_us, variant, conn, word, span_us);
-            let pdu = E2apPdu::ControlRequest { ran_function: 142, payload: action.encode() };
+            let pdu =
+                E2apPdu::ControlRequest { ran_function: 142, control_id: id, payload: action.encode() };
 
             let mut splitter = FrameSplitter::default();
             let frames = deliver(&mut splitter, &framed(&[pdu.encode()]), READ_CHUNK).unwrap();
             prop_assert_eq!(frames.len(), 1);
 
             let decoded = E2apPdu::decode(&frames[0]).unwrap();
-            let E2apPdu::ControlRequest { ran_function, payload } = decoded else {
+            let E2apPdu::ControlRequest { ran_function, control_id, payload } = decoded else {
                 panic!("wrong PDU kind");
             };
-            prop_assert_eq!(ran_function, 142);
+            prop_assert_eq!((ran_function, control_id), (142, id));
             prop_assert_eq!(
                 xsec_control::ControlAction::decode(&payload).unwrap(),
                 action

@@ -23,7 +23,7 @@ use crate::authz::{Grants, XAppIdentity};
 use crate::router::{RegisterError, Router, RouterHandle};
 use crate::xapp::{ControlOut, XApp, XAppContext};
 use crossbeam_channel::Receiver;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 use xsec_e2::{
     E2apPdu, E2Transport, KpmIndication, Readiness, RicRequestId, SendOutcome, WakeSet,
@@ -31,7 +31,7 @@ use xsec_e2::{
 };
 use xsec_mobiflow::SharedDataLayer;
 use xsec_obs::{Counter, Gauge, Histogram, Obs};
-use xsec_types::{CellId, GnbId, Result, Timestamp, XsecError};
+use xsec_types::{CellId, GnbId, Result, Timestamp};
 
 /// SDL namespace holding the telemetry report windows.
 const SDL_MOBIFLOW: &str = "mobiflow";
@@ -39,6 +39,11 @@ const SDL_MOBIFLOW: &str = "mobiflow";
 /// Report windows kept per agent in the `mobiflow` SDL namespace; storing
 /// one more evicts that agent's oldest.
 pub const SDL_WINDOWS_PER_AGENT: usize = 64;
+
+/// Control Requests awaiting their ack per agent; sending one more evicts
+/// that agent's oldest, counted as `xsec_ric_dropped_total{site="control_ack",
+/// reason="evicted"}`.
+pub const MAX_PENDING_CONTROLS: usize = 1024;
 
 /// Writes the SDL key of one agent's report window into `key`:
 /// `<conn>/<end µs>/<start µs>`, the bounds zero-padded to a `u64`'s 20
@@ -131,13 +136,13 @@ struct AgentConn {
     /// Cells this agent serves (announced in E2 Setup); control actions
     /// pinned to one of these cells route here.
     cells: Vec<CellId>,
-    /// Send instants of Control Requests still awaiting their ack on this
-    /// connection, each with the causal trace id of the detection it
-    /// mitigates (when traced). E2AP Control Acks carry no correlation id,
-    /// but each transport is an ordered queue and the agent acks every
-    /// request on receipt, so the oldest in-flight send owns the next ack —
-    /// which is how the ack is correlated back to its incident trace.
-    inflight_controls: VecDeque<(Instant, Option<u64>)>,
+    /// Control Requests queued on this connection and not yet acked, by
+    /// the `control_id` the platform numbered each with: when it was sent
+    /// and the sender's `ControlOut.id`. An ack settles the entry its id
+    /// names, so a lost, repeated or forged ack touches no other entry.
+    pending_controls: BTreeMap<u32, (Instant, u32)>,
+    /// The `control_id` of the next Control Request sent on this connection.
+    next_control_id: u32,
     /// Send→ack latency, labelled `agent="gnb-<id>"` (set at setup).
     ack_latency: Option<Histogram>,
     /// This conn has buffered egress awaiting a flush retry (dedup flag
@@ -182,6 +187,14 @@ struct PlatformMetrics {
     controls_broadcast: Counter,
     /// Frames dropped RIC-side on a full egress queue (never blocks).
     egress_dropped: Counter,
+    /// Acks whose id no pending Control Request on their connection has.
+    acks_unknown: Counter,
+    /// Pending Control Requests evicted at [`MAX_PENDING_CONTROLS`].
+    acks_evicted: Counter,
+    /// Subscriptions an agent refused.
+    subscriptions_refused: Counter,
+    /// PDUs only the RIC may send, received from an agent.
+    pdus_unexpected: Counter,
     /// Connections visited across all pumps (O(active) when event-driven).
     conns_scanned: Counter,
     /// Entries currently in the `mobiflow` SDL namespace.
@@ -204,12 +217,22 @@ impl PlatformMetrics {
             controls_unroutable: obs.counter("xsec_ric_controls_unroutable_total", &[]),
             controls_broadcast: obs.counter("xsec_ric_controls_broadcast_total", &[]),
             egress_dropped: obs.counter("xsec_ric_egress_dropped_total", &[]),
+            acks_unknown: dropped(obs, "control_ack", "unknown"),
+            acks_evicted: dropped(obs, "control_ack", "evicted"),
+            subscriptions_refused: dropped(obs, "pdu", "refused_subscription"),
+            pdus_unexpected: dropped(obs, "pdu", "unexpected"),
             conns_scanned: obs.counter("xsec_ric_pump_conns_scanned_total", &[]),
             sdl_entries: obs.gauge("xsec_sdl_entries", &[("namespace", SDL_MOBIFLOW)]),
             sdl_evicted: obs.counter("xsec_sdl_evicted_total", &[("namespace", SDL_MOBIFLOW)]),
             decode_latency: obs.histogram("xsec_e2_decode_latency_us", &[]),
         }
     }
+}
+
+/// One series of `xsec_ric_dropped_total`: what the platform received and
+/// threw away, by where and why.
+fn dropped(obs: &Obs, site: &str, reason: &str) -> Counter {
+    obs.counter("xsec_ric_dropped_total", &[("site", site), ("reason", reason)])
 }
 
 /// The near-real-time RIC.
@@ -376,7 +399,8 @@ impl RicPlatform {
             setup_done: false,
             gnb_id: None,
             cells: Vec::new(),
-            inflight_controls: VecDeque::new(),
+            pending_controls: BTreeMap::new(),
+            next_control_id: 0,
             ack_latency: None,
             egress_pending: false,
             stored_windows: VecDeque::new(),
@@ -543,7 +567,7 @@ impl RicPlatform {
         if !self.control_queue.is_empty() {
             if let Some(fallback) = self.conns.iter().position(|c| c.setup_done) {
                 let queued = std::mem::take(&mut self.control_queue);
-                for ControlOut { cell, trace, payload, broadcast } in queued {
+                for ControlOut { cell, id, payload, broadcast } in queued {
                     let owner = match cell {
                         Some(cell) => match self.cell_owner.get(&cell) {
                             Some(&owner) => owner,
@@ -566,19 +590,24 @@ impl RicPlatform {
                             }
                         }
                     }
-                    let frame = E2apPdu::ControlRequest {
-                        ran_function: RAN_FUNCTION_MOBIFLOW,
-                        payload,
-                    }
-                    .encode();
                     for (extra, ci) in targets.into_iter().enumerate() {
-                        // Only a frame actually queued earns an inflight
-                        // slot — a dropped one gets no ack, and a ghost
-                        // entry would skew FIFO correlation forever.
+                        // Every copy gets its own number on its connection.
+                        let control_id = self.conns[ci].next_control_id;
+                        self.conns[ci].next_control_id = control_id.wrapping_add(1);
+                        let frame = E2apPdu::ControlRequest {
+                            ran_function: RAN_FUNCTION_MOBIFLOW,
+                            control_id,
+                            payload: payload.clone(),
+                        }
+                        .encode();
+                        // Only a frame actually queued awaits an ack.
                         if self.send_on(ci, &frame)? == SendOutcome::Sent {
-                            self.conns[ci]
-                                .inflight_controls
-                                .push_back((Instant::now(), trace));
+                            let pending = &mut self.conns[ci].pending_controls;
+                            if pending.len() == MAX_PENDING_CONTROLS {
+                                pending.pop_first();
+                                self.metrics.acks_evicted.inc();
+                            }
+                            pending.insert(control_id, (Instant::now(), id));
                             stats.controls_sent += 1;
                             self.metrics.controls_sent.inc();
                             if extra > 0 {
@@ -622,16 +651,9 @@ impl RicPlatform {
                 // (same-pump, preserving the 3-round handshake cadence).
                 self.issue_subscriptions_for(ci)
             }
-            E2apPdu::SubscriptionResponse { request_id, accepted } => {
-                if let Some(entry) =
-                    self.xapps.iter_mut().find(|x| x.request_id == Some(request_id))
-                {
-                    if !accepted {
-                        return Err(XsecError::Ric(format!(
-                            "agent refused subscription for xApp {:?}",
-                            entry.app.name()
-                        )));
-                    }
+            E2apPdu::SubscriptionResponse { accepted, .. } => {
+                if !accepted {
+                    self.metrics.subscriptions_refused.inc();
                 }
                 Ok(())
             }
@@ -650,35 +672,32 @@ impl RicPlatform {
                 }
                 Ok(())
             }
-            E2apPdu::ControlAck { success, .. } => {
+            E2apPdu::ControlAck { control_id, success, .. } => {
                 let conn = &mut self.conns[ci];
-                let mut trace = None;
-                if let Some((sent_at, sent_trace)) = conn.inflight_controls.pop_front() {
-                    if let Some(h) = &conn.ack_latency {
-                        h.observe_duration(sent_at.elapsed());
-                    }
-                    trace = sent_trace;
+                let Some((sent_at, id)) = conn.pending_controls.remove(&control_id) else {
+                    self.metrics.acks_unknown.inc();
+                    return Ok(());
+                };
+                if let Some(h) = &conn.ack_latency {
+                    h.observe_duration(sent_at.elapsed());
                 }
                 if success {
                     self.metrics.controls_acked.inc();
                 } else {
                     self.metrics.controls_failed.inc();
                 }
-                // Relay the outcome to xApps (the mitigator closes its
-                // delivery loop off this topic). Traced sends append the
-                // trace id so subscribers can close the causal chain; the
-                // bare one-byte form is kept for untraced sends.
-                if let Some(trace) = trace {
-                    let mut payload = [0u8; 9];
-                    payload[0] = success as u8;
-                    payload[1..].copy_from_slice(&trace.to_be_bytes());
-                    self.platform_scope.publish("control-acks", &payload);
-                } else {
-                    self.platform_scope.publish("control-acks", &[success as u8]);
-                }
+                // Relay the outcome to xApps as `[success][id BE]`, naming
+                // the action by its sender's id (the mitigator closes its
+                // delivery loop off this topic).
+                let [a, b, c, d] = id.to_be_bytes();
+                self.platform_scope.publish("control-acks", &[success as u8, a, b, c, d]);
                 Ok(())
             }
-            other => Err(XsecError::Ric(format!("unexpected PDU at RIC: {other:?}"))),
+            // A PDU only the RIC sends.
+            _ => {
+                self.metrics.pdus_unexpected.inc();
+                Ok(())
+            }
         }
     }
 
@@ -1077,13 +1096,13 @@ mod tests {
         agent.poll(Timestamp(100_000)).unwrap();
         assert_eq!(agent.take_control_requests(), vec![b"throttle".to_vec()]);
 
-        // The agent acked on receipt; the next pump correlates it, records
+        // The agent acked on receipt; the next pump matches it, records
         // the send→ack latency, and relays the outcome on "control-acks".
         let acks = ack_observer(&platform);
         platform.pump().unwrap();
         assert_eq!(platform.controls_acked(), 1);
         assert_eq!(platform.controls_failed(), 0);
-        assert_eq!(acks.try_recv().unwrap(), vec![1]);
+        assert_eq!(acks.try_recv().unwrap(), [1, 0, 0, 0, 0]);
         // The send→ack latency lands in the per-agent histogram.
         assert_eq!(
             platform.obs().snapshot().histogram_count("xsec_ric_control_ack_latency_us"),
@@ -1091,46 +1110,150 @@ mod tests {
         );
     }
 
-    #[test]
-    fn traced_controls_relay_their_trace_with_the_ack() {
-        struct TracedController;
-        impl XApp for TracedController {
-            fn name(&self) -> &str {
-                "traced-controller"
-            }
-            fn on_records(
-                &mut self,
-                ctx: &mut XAppContext<'_>,
-                _records: &[UeMobiFlow],
-                _window_end: Timestamp,
-            ) {
-                ctx.send_control(
-                    "*",
-                    ControlOut {
-                        trace: Some(0x0102_0304_0506_0708),
-                        payload: b"throttle".to_vec(),
-                        ..Default::default()
-                    },
-                );
+    /// Queues one unpinned control per id when it starts, its payload the
+    /// id's bytes.
+    struct Burst(Vec<u32>);
+
+    impl XApp for Burst {
+        fn name(&self) -> &str {
+            "burst"
+        }
+        fn on_start(&mut self, ctx: &mut XAppContext<'_>) {
+            for &id in &self.0 {
+                let payload = id.to_be_bytes().to_vec();
+                ctx.send_control("*", ControlOut { id, payload, ..Default::default() });
             }
         }
-        let (mut platform, mut agent) =
-            one_agent_platform(Box::new(TracedController), Grants::none().control_all());
+        fn on_records(&mut self, _: &mut XAppContext<'_>, _: &[UeMobiFlow], _: Timestamp) {}
+    }
 
-        agent.push_record(record(0, 1));
-        agent.poll(Timestamp(100_000)).unwrap();
+    /// One raw agent end, set up, sent a [`Burst`] of `ids`; returns the
+    /// `control_id` each Control Request arrived with, in send order.
+    fn raw_agent_with_controls(
+        ids: Vec<u32>,
+    ) -> (RicPlatform, xsec_e2::InProcTransport, Vec<u32>) {
+        let mut platform = RicPlatform::new();
+        let (mut end, ric_end) = in_proc_pair();
+        platform.add_agent(Box::new(ric_end));
+        announce(&mut end, 1, &[1]);
+        let burst = Box::new(Burst(ids.clone()));
+        let spec = SubscriptionSpec::topics_only(&[]);
+        platform.register_xapp_scoped(burst, spec, Grants::none().control_all()).unwrap();
         platform.pump().unwrap();
-        agent.poll(Timestamp(100_000)).unwrap();
+        let mut sent = Vec::new();
+        while let Some(frame) = end.try_recv().unwrap() {
+            if let E2apPdu::ControlRequest { control_id, payload, .. } =
+                E2apPdu::decode(&frame).unwrap()
+            {
+                assert_eq!(payload, ids[sent.len()].to_be_bytes());
+                sent.push(control_id);
+            }
+        }
+        assert_eq!(sent.len(), ids.len());
+        (platform, end, sent)
+    }
 
+    fn ack(end: &mut xsec_e2::InProcTransport, control_id: u32, success: bool) {
+        let pdu = E2apPdu::ControlAck { ran_function: RAN_FUNCTION_MOBIFLOW, control_id, success };
+        end.send(&pdu.encode()).unwrap();
+    }
+
+    fn dropped_total(platform: &RicPlatform, site: &str, reason: &str) -> u64 {
+        dropped(platform.obs(), site, reason).get()
+    }
+
+    #[test]
+    fn acks_are_matched_by_control_id() {
+        let (mut platform, mut end, sent) = raw_agent_with_controls(vec![11, 12, 13, 14]);
         let acks = ack_observer(&platform);
+        // Out of order; the second control is never acked, the first twice,
+        // and one ack names a control never sent.
+        ack(&mut end, sent[2], true);
+        ack(&mut end, sent[0], true);
+        ack(&mut end, sent[0], true);
+        ack(&mut end, sent.iter().max().unwrap() + 1, true);
+        ack(&mut end, sent[3], false);
         platform.pump().unwrap();
-        let payload = acks.try_recv().unwrap();
-        assert_eq!(payload.len(), 9, "traced acks carry [success][trace BE]");
-        assert_eq!(payload[0], 1);
-        assert_eq!(
-            u64::from_be_bytes(payload[1..9].try_into().unwrap()),
-            0x0102_0304_0506_0708
-        );
+
+        // Each relayed ack names its own control as `[success][id BE]`.
+        let relayed: Vec<Vec<u8>> = acks.try_iter().collect();
+        assert_eq!(relayed, [[1, 0, 0, 0, 13], [1, 0, 0, 0, 11], [0, 0, 0, 0, 14]]);
+        assert_eq!((platform.controls_acked(), platform.controls_failed()), (2, 1));
+        let snapshot = platform.obs().snapshot();
+        let per_agent: Vec<(String, u64)> = snapshot
+            .histograms("xsec_ric_control_ack_latency_us")
+            .into_iter()
+            .map(|(s, h)| (s.labels[0].1.clone(), h.count))
+            .collect();
+        assert_eq!(per_agent, [("gnb-1".into(), 3)]);
+        assert_eq!(dropped_total(&platform, "control_ack", "unknown"), 2);
+        // The unacked control still waits for its own ack.
+        let pending: Vec<(u32, u32)> =
+            platform.conns[0].pending_controls.iter().map(|(&c, &(_, id))| (c, id)).collect();
+        assert_eq!(pending, [(sent[1], 12)]);
+    }
+
+    #[test]
+    fn a_full_pending_map_evicts_its_oldest_control() {
+        let ids: Vec<u32> = (0..MAX_PENDING_CONTROLS as u32 + 2).collect();
+        let (mut platform, mut end, sent) = raw_agent_with_controls(ids);
+        assert_eq!(dropped_total(&platform, "control_ack", "evicted"), 2);
+        let pending = &platform.conns[0].pending_controls;
+        assert_eq!(pending.len(), MAX_PENDING_CONTROLS);
+        assert_eq!(pending.keys().next(), Some(&sent[2]));
+        // An evicted control's late ack is one nobody waits for.
+        ack(&mut end, sent[0], true);
+        platform.pump().unwrap();
+        assert_eq!(platform.controls_acked(), 0);
+        assert_eq!(dropped_total(&platform, "control_ack", "unknown"), 1);
+    }
+
+    #[test]
+    fn a_refused_subscription_or_a_ric_only_pdu_does_not_stop_the_pump() {
+        let mut platform = RicPlatform::new();
+        let exposition = platform.obs().metrics.render_prometheus();
+        for (site, reason) in [
+            ("control_ack", "unknown"),
+            ("control_ack", "evicted"),
+            ("pdu", "refused_subscription"),
+            ("pdu", "unexpected"),
+        ] {
+            let series = format!("xsec_ric_dropped_total{{reason=\"{reason}\",site=\"{site}\"}} 0\n");
+            assert!(exposition.contains(&series), "{exposition}");
+        }
+        let (mut raw, ric_end) = in_proc_pair();
+        platform.add_agent(Box::new(ric_end));
+        let (agent_end, ric_end) = in_proc_pair();
+        let mut agent =
+            RicAgent::new(RicAgentConfig { gnb_id: GnbId(2), cell: CellId(2) }, agent_end)
+                .unwrap();
+        platform.add_agent(Box::new(ric_end));
+        platform
+            .register_xapp_scoped(counting_app(), SubscriptionSpec::telemetry(100), Grants::none())
+            .unwrap();
+        announce(&mut raw, 1, &[1]);
+        for _ in 0..3 {
+            platform.pump().unwrap();
+            agent.poll(Timestamp(0)).unwrap();
+        }
+        let request_id = std::iter::from_fn(|| raw.try_recv().unwrap())
+            .find_map(|frame| match E2apPdu::decode(&frame).unwrap() {
+                E2apPdu::SubscriptionRequest { request_id, .. } => Some(request_id),
+                _ => None,
+            })
+            .unwrap();
+
+        // The raw end (drained first) refuses its subscription and sends a
+        // PDU only the RIC sends, in the pump that carries the real agent's
+        // report.
+        raw.send(&E2apPdu::SubscriptionResponse { request_id, accepted: false }.encode()).unwrap();
+        raw.send(&E2apPdu::SetupResponse { accepted: vec![] }.encode()).unwrap();
+        agent.push_record(record(0, 10));
+        agent.poll(Timestamp(100_000)).unwrap();
+        let stats = platform.pump().unwrap();
+        assert_eq!(stats.records_delivered, 1);
+        assert_eq!(dropped_total(&platform, "pdu", "refused_subscription"), 1);
+        assert_eq!(dropped_total(&platform, "pdu", "unexpected"), 1);
     }
 
     /// A `control-acks` mailbox held by an identity granted only that.
@@ -1164,7 +1287,7 @@ mod tests {
                 "*",
                 ControlOut {
                     cell: Some(self.cell),
-                    trace: None,
+                    id: 0,
                     payload: b"act".to_vec(),
                     broadcast: self.broadcast,
                 },
@@ -1319,7 +1442,7 @@ mod tests {
     fn broadcast_controls_reach_exactly_the_neighbour_set() {
         // Cells 1..=5; cell 3's neighbours are 2 and 4. A broadcast control
         // pinned to cell 3 must reach agents 2, 3, 4 — and nobody else —
-        // with each copy individually acked and correlated.
+        // with each copy individually acked and matched.
         let (mut platform, mut agents) = n_agent_platform(
             Box::new(CellController { cell: CellId(3), broadcast: true }),
             Grants::none().control_all(),
@@ -1343,7 +1466,7 @@ mod tests {
         }
         assert_eq!(reached, vec![2, 3, 4]);
 
-        // All three copies ack back and correlate per-conn FIFO.
+        // All three copies ack back, each matched by its own control id.
         platform.pump().unwrap();
         assert_eq!(platform.controls_acked(), 3);
         assert_eq!(

@@ -14,10 +14,10 @@ use xsec_types::{CellId, Timestamp};
 pub struct ControlOut {
     /// The cell the action targets, when known.
     pub cell: Option<CellId>,
-    /// Causal trace id of the detection behind the action, when traced.
-    /// The pump remembers it per in-flight Control Request so the FIFO ack
-    /// can be correlated back to its incident trace.
-    pub trace: Option<u64>,
+    /// The sender's id for the action. The platform hands it back with the
+    /// action's ack on `control-acks`, so the sender can tell which action
+    /// an ack settles.
+    pub id: u32,
     /// Encoded control payload (mitigation TLV).
     pub payload: Vec<u8>,
     /// Fan the action out to every agent serving a declared neighbour of
@@ -138,7 +138,7 @@ mod tests {
         assert_eq!(rx.try_recv().unwrap(), 0u32.to_be_bytes().to_vec());
         assert_eq!(
             control,
-            vec![ControlOut { cell: None, trace: None, payload: b"act".to_vec(), broadcast: false }]
+            vec![ControlOut { cell: None, id: 0, payload: b"act".to_vec(), broadcast: false }]
         );
     }
 
@@ -152,18 +152,8 @@ mod tests {
         let mut ctx = XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
         let outs = [
             ControlOut { cell: Some(CellId(7)), payload: b"act".to_vec(), ..Default::default() },
-            ControlOut {
-                cell: Some(CellId(7)),
-                trace: Some(42),
-                payload: b"act".to_vec(),
-                broadcast: false,
-            },
-            ControlOut {
-                cell: Some(CellId(7)),
-                trace: Some(43),
-                payload: b"act".to_vec(),
-                broadcast: true,
-            },
+            ControlOut { cell: Some(CellId(7)), id: 42, payload: b"act".to_vec(), broadcast: false },
+            ControlOut { cell: Some(CellId(7)), id: 43, payload: b"act".to_vec(), broadcast: true },
         ];
         for out in &outs {
             assert!(ctx.send_control("*", out.clone()));
@@ -196,7 +186,7 @@ mod tests {
         // wildcard kind are denied.
         let to_cell_1 = |payload: &[u8], broadcast| ControlOut {
             cell: Some(CellId(1)),
-            trace: None,
+            id: 0,
             payload: payload.to_vec(),
             broadcast,
         };

@@ -596,9 +596,13 @@ fn e2ap_samples() -> Vec<E2apPdu> {
             sequence: 9,
             payload: vec![1, 2, 3],
         },
-        E2apPdu::ControlRequest { ran_function: 142, payload: action.encode() },
-        E2apPdu::ControlRequest { ran_function: 142, payload: vec![] },
-        E2apPdu::ControlAck { ran_function: 142, success: false },
+        E2apPdu::ControlRequest {
+            ran_function: 142,
+            control_id: 0x0102_0304,
+            payload: action.encode(),
+        },
+        E2apPdu::ControlRequest { ran_function: 142, control_id: 0, payload: vec![] },
+        E2apPdu::ControlAck { ran_function: 142, control_id: u32::MAX, success: false },
     ]
 }
 
@@ -709,11 +713,11 @@ const E2AP_GOLDEN: &[&str] = &[
     "04000a0001",
     "05000a00010000008e000000000000000900000003010203",
     concat!(
-        "060000008e0000002b0100040000004d020008000000000098968014000b0300020000000000061a",
-        "8003000800000000deadbeef",
+        "060000008e010203040000002b0100040000004d020008000000000098968014000b030002000000",
+        "0000061a8003000800000000deadbeef",
     ),
-    "060000008e00000000",
-    "070000008e00",
+    "060000008e0000000000000000",
+    "070000008effffffff00",
 ];
 const KPM_GOLDEN: &[&str] = &[
     concat!(
