@@ -9,6 +9,7 @@
 //! trade-off behind the defaults (N=4, p99, 64→16) is visible.
 
 use sixg_xsec::smo::{Smo, TrainingConfig};
+use sixg_xsec::{MobiWatch, MobiWatchConfig};
 use xsec_attacks::DatasetBuilder;
 use xsec_dl::{Confusion, FeatureConfig, Featurizer, Threshold, Workspace};
 use xsec_mobiflow::extract_from_events;
@@ -160,7 +161,14 @@ fn main() {
             last = Some(i);
         }
     }
-    emit(format!("  ... plus alert cooldown ({cooldown}): {:>7}  (deployed policy)", calls));
+    emit(format!("  ... plus alert cooldown ({cooldown}): {:>7}  (alert candidates)", calls));
+    // The deployed detector: the cooldown, then the incident gate.
+    let (mut watch, state) = MobiWatch::new(models, MobiWatchConfig::default());
+    for record in &stream.records {
+        watch.process_record(record);
+    }
+    let published = state.lock().alerts.len();
+    emit(format!("  ... plus incident gate:        {published:>8}  (deployed policy)"));
 
     // Surface what the sweeps themselves cost, per sweep kind.
     let snapshot = obs.snapshot();

@@ -4,12 +4,12 @@
 //! ChatGPT-4o-calibrated expert produces the signaling-storm analysis the
 //! paper screenshots.
 
-use crate::mobiwatch::{Detector, MobiWatch, MobiWatchConfig};
+use super::flagged_trace;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use serde::{Deserialize, Serialize};
 use xsec_attacks::DatasetBuilder;
 use xsec_llm::{LlmBackend, ModelPersonality, PromptTemplate, SimulatedExpert};
-use xsec_mobiflow::{decode_ue_record, extract_from_events};
+use xsec_mobiflow::extract_from_events;
 use xsec_types::AttackKind;
 
 /// The rendered figure.
@@ -41,31 +41,9 @@ pub fn run(config: &PipelineConfig) -> Fig5Result {
     let ds = DatasetBuilder::small(eval_seed, config.benign_sessions).attack(AttackKind::BtsDos);
     let stream = extract_from_events(&ds.report.events);
 
-    let (mut watch, state) = MobiWatch::new(
-        pipeline.models().clone(),
-        MobiWatchConfig {
-            detector: Detector::Autoencoder,
-            publish_cooldown: 0,
-            ..MobiWatchConfig::default()
-        },
-    );
-    for r in &stream.records {
-        watch.process_record(r);
-    }
-    let state = state.lock();
-    let is_attack: Vec<bool> = stream.labels.iter().map(|l| l.is_attack()).collect();
-    let alert = state
-        .alerts
-        .iter()
-        .max_by_key(|alert| {
-            let start = (alert.at_record as usize).saturating_sub(alert.records.len() - 1);
-            is_attack[start..=alert.at_record as usize].iter().filter(|a| **a).count()
-        })
-        .expect("the flood raises at least one alert");
-
-    let records: Vec<_> =
-        alert.records.iter().filter_map(|l| decode_ue_record(l).ok()).collect();
-    let prompt = PromptTemplate::default().render(&records);
+    let records =
+        flagged_trace(pipeline.models(), &stream).expect("the flood flags at least one window");
+    let prompt = PromptTemplate::default().render(records);
     let mut backend = SimulatedExpert::new(ModelPersonality::CHATGPT_4O);
     let response = backend.complete(&prompt).expect("expert answers");
 

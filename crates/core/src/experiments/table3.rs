@@ -6,13 +6,13 @@
 //! the model classifies the trace correctly (anomalous with the right
 //! attack among its top suggestions; benign for the two control traces).
 
-use crate::mobiwatch::{Detector, MobiWatch, MobiWatchConfig};
+use super::flagged_trace;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use serde::{Deserialize, Serialize};
 use xsec_attacks::DatasetBuilder;
 use xsec_llm::{LlmBackend, ParsedResponse, PromptTemplate, SimulatedExpert};
 use xsec_llm::ModelPersonality;
-use xsec_mobiflow::{decode_ue_record, extract_from_events, UeMobiFlow};
+use xsec_mobiflow::{extract_from_events, UeMobiFlow};
 use xsec_types::AttackKind;
 
 /// Experiment parameters.
@@ -86,60 +86,22 @@ impl Table3Result {
     }
 }
 
-/// Finds the representative flagged trace for one attack: runs the trained
-/// detector over the attack dataset and returns the alert window whose
-/// records carry the most attack labels (the paper picks such traces
-/// manually).
+/// Finds the representative flagged trace for one attack: the
+/// [`flagged_trace`] of the trained detector over the attack dataset.
 fn representative_trace(pipeline: &Pipeline, kind: AttackKind) -> Vec<UeMobiFlow> {
-    let config = pipeline_config(pipeline);
+    let config = pipeline.config();
     let eval_seed = config.seed + 1_000 + kind as u64;
     let ds = DatasetBuilder::small(eval_seed, config.benign_sessions).attack(kind);
     let stream = extract_from_events(&ds.report.events);
-
-    let (mut watch, state) = MobiWatch::new(
-        pipeline.models().clone(),
-        MobiWatchConfig {
-            detector: Detector::Autoencoder,
-            publish_cooldown: 0,
-            ..MobiWatchConfig::default()
-        },
-    );
-    for r in &stream.records {
-        watch.process_record(r);
+    if let Some(trace) = flagged_trace(pipeline.models(), &stream) {
+        return trace.to_vec();
     }
-    let state = state.lock();
-
-    // Ground truth per record index.
-    let is_attack: Vec<bool> = stream.labels.iter().map(|l| l.is_attack()).collect();
-    let best = state
-        .alerts
-        .iter()
-        .max_by_key(|alert| {
-            let start = (alert.at_record as usize).saturating_sub(alert.records.len() - 1);
-            is_attack[start..=alert.at_record as usize]
-                .iter()
-                .filter(|a| **a)
-                .count()
-        })
-        .or_else(|| state.alerts.first());
-
-    match best {
-        Some(alert) => {
-            alert.records.iter().filter_map(|l| decode_ue_record(l).ok()).collect()
-        }
-        None => {
-            // Detector missed entirely (should not happen): fall back to the
-            // ground-truth attack region plus context.
-            let first = is_attack.iter().position(|a| *a).unwrap_or(0);
-            let start = first.saturating_sub(40);
-            let end = (first + 24).min(stream.records.len());
-            stream.records[start..end].to_vec()
-        }
-    }
-}
-
-fn pipeline_config(pipeline: &Pipeline) -> &PipelineConfig {
-    pipeline.config()
+    // Detector missed entirely (should not happen): fall back to the
+    // ground-truth attack region plus context.
+    let first = stream.labels.iter().position(|l| l.is_attack()).unwrap_or(0);
+    let start = first.saturating_sub(40);
+    let end = (first + 24).min(stream.records.len());
+    stream.records[start..end].to_vec()
 }
 
 /// A benign control trace: a contiguous slice of a fresh benign dataset.

@@ -5,6 +5,10 @@
 //! and — when a window exceeds the threshold — publishes the window plus its
 //! context to the `anomalies` topic for the LLM analyzer (§3.3: MobiWatch is
 //! the pre-filter that keeps the expensive model out of the hot path).
+//! The unit it publishes is the *incident*, not the window: a flood flags
+//! thousands of windows, and an incident gate lets through only those
+//! that open or escalate an incident, so the analyzer runs once per episode
+//! step rather than once per window.
 //!
 //! Featurization and emission stay **global and sequential** on the calling
 //! thread: the relational features (TMSI reuse, inter-arrival gaps, burst
@@ -27,7 +31,7 @@ use crate::window::{window_key, Scorer, Verdict, WatchMetrics};
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -36,7 +40,7 @@ use xsec_mobiflow::{encode_ue_record, UeMobiFlow};
 use xsec_obs::{FlightEvent, FlightRecorder, FlightRing, Obs, TraceStage};
 use xsec_proto::MessageKind;
 use xsec_ric::{XApp, XAppContext};
-use xsec_types::Timestamp;
+use xsec_types::{Duration, Timestamp};
 
 /// Which deployed model scores the stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -73,7 +77,8 @@ pub struct MobiWatchConfig {
     pub detector: Detector,
     /// Records of context (before the window) attached to each alert.
     pub context_records: usize,
-    /// Minimum records between two published alerts (LLM cost control).
+    /// Minimum windows of one key between two alert candidates (LLM cost
+    /// control; the incident gate then merges candidates per incident).
     pub publish_cooldown: usize,
     /// Numeric scoring path; [`Precision`] has one variant and nothing
     /// reads this (kept for the frozen `benchmark/` package).
@@ -126,6 +131,74 @@ fn shard_of(key: u32, shards: usize) -> usize {
     (key.wrapping_mul(0x9E37_79B1) as usize) % shards
 }
 
+/// How long a scope may go without an alert candidate before its incident
+/// closes: one E2 report period.
+const INCIDENT_QUIET: Duration = Duration::from_millis(100);
+
+/// The age at which an incident closes however busy it is: A1's `ttl_min`
+/// for every policy type, so a mitigation that has lapsed is always looked
+/// at again.
+const INCIDENT_MAX_AGE: Duration = Duration::from_secs(1);
+
+/// One open incident: when it opened, its latest candidate, and the highest
+/// score and setup classes it has seen.
+struct Incident {
+    opened: Timestamp,
+    last: Timestamp,
+    score_class: i32,
+    setup_class: u32,
+}
+
+/// Merges alert candidates — flagged windows outside their key's cooldown —
+/// into incidents, at most one open per scope: the global window is one
+/// scope, the per-UE pool has one per cell. A candidate is published when
+/// it opens an incident or escalates the open one, and merged otherwise.
+/// It escalates when its score class `floor(log2(score / threshold))` or
+/// its setup class (the bit length of the `RrcSetupRequest` count in its
+/// evidence) rises above the incident's. An incident closes after
+/// [`INCIDENT_QUIET`] without a candidate in its scope, or at
+/// [`INCIDENT_MAX_AGE`].
+#[derive(Default)]
+struct IncidentGate {
+    /// The highest candidate timestamp so far. Within a report period the
+    /// stream is cell-major, so timestamps step back; a step back must not
+    /// read as a quiet period.
+    clock: Timestamp,
+    open: HashMap<u32, Incident>,
+}
+
+impl IncidentGate {
+    /// Whether the candidate `verdict` at `at` in `scope`, with `setups`
+    /// setup requests in its evidence, opens or escalates an incident.
+    /// Out of line: only candidates reach it, never the per-record path.
+    #[inline(never)]
+    fn admit(&mut self, scope: u32, at: Timestamp, verdict: &Verdict, setups: usize) -> bool {
+        self.clock = self.clock.max(at);
+        let now = self.clock;
+        let candidate = Incident {
+            opened: now,
+            last: now,
+            // A zero threshold makes every class +inf, saturated to i32::MAX.
+            score_class: (verdict.score / verdict.threshold).log2().floor() as i32,
+            setup_class: usize::BITS - setups.leading_zeros(),
+        };
+        let Some(open) = self.open.get_mut(&scope) else {
+            self.open.insert(scope, candidate);
+            return true;
+        };
+        if now - open.last >= INCIDENT_QUIET || now - open.opened >= INCIDENT_MAX_AGE {
+            *open = candidate;
+            return true;
+        }
+        let escalates =
+            candidate.score_class > open.score_class || candidate.setup_class > open.setup_class;
+        open.last = now;
+        open.score_class = open.score_class.max(candidate.score_class);
+        open.setup_class = open.setup_class.max(candidate.setup_class);
+        escalates
+    }
+}
+
 /// A shard on its way to or from a worker, with its position in the pool.
 type Forked = (usize, Box<Scorer>);
 
@@ -162,6 +235,8 @@ pub struct MobiWatch {
     workers: Option<Workers>,
     /// The current batch's verdicts, merged across shards.
     verdicts: Vec<(u64, Verdict)>,
+    /// Which alert candidates are published.
+    incidents: IncidentGate,
 }
 
 impl MobiWatch {
@@ -214,6 +289,7 @@ impl MobiWatch {
             shards: (0..shards).map(|_| None).collect(),
             workers: None,
             verdicts: Vec::new(),
+            incidents: IncidentGate::default(),
         };
         watch.park_fresh_shards();
         (watch, state)
@@ -281,8 +357,9 @@ impl MobiWatch {
     }
 
     /// Feeds one record; returns an alert when the window it completes is
-    /// anomalous (alert emission respects the publish cooldown; scoring
-    /// happens for every window regardless). The batch of one.
+    /// anomalous and opens or escalates an incident (past the publish
+    /// cooldown; scoring happens for every window regardless). The batch of
+    /// one.
     pub fn process_record(&mut self, record: &UeMobiFlow) -> Option<AnomalyAlert> {
         self.process_batch(std::slice::from_ref(record)).pop()
     }
@@ -357,12 +434,14 @@ impl MobiWatch {
     /// index), draining the verdicts of the windows its records completed.
     /// Each record joins the alert-context tail, then its verdict is logged:
     /// the inference span, the `(index, score, flagged)` row, and — when the
-    /// verdict says publish — the alert with the stream's trailing window +
-    /// context *as of that record* attached, its trace frozen as an
-    /// incident. Shards can't build the context (each sees only its own
-    /// keys), and a per-UE context would hide stream-level signatures like a
-    /// storm of one-shot connections. The alerts are returned, not yet in
-    /// the shared state: the caller [`Self::file`]s them.
+    /// verdict is a candidate that opens or escalates an incident — the
+    /// alert with the stream's trailing window + context *as of that record*
+    /// attached, its trace frozen as an incident. A candidate merged into an
+    /// open incident builds nothing and is only counted. Shards can't build
+    /// the context (each sees only its own keys), and a per-UE context would
+    /// hide stream-level signatures like a storm of one-shot connections.
+    /// The alerts are returned, not yet in the shared state: the caller
+    /// [`Self::file`]s them.
     fn emit(&mut self, records: &[UeMobiFlow], first: u64) -> Vec<AnomalyAlert> {
         let keep = self.config.context_records + self.window();
         let mut alerts = Vec::new();
@@ -387,6 +466,12 @@ impl MobiWatch {
             self.flight.record(span(TraceStage::Inference));
             state.scores.push((index, verdict.score, verdict.flagged));
             if !verdict.publish {
+                continue;
+            }
+            let scope = if self.per_ue { record.cell.0 } else { 0 };
+            let setups = self.tail.iter().filter(|r| r.msg == MessageKind::RrcSetupRequest).count();
+            if !self.incidents.admit(scope, record.timestamp, &verdict, setups) {
+                self.metrics.alerts_merged.inc();
                 continue;
             }
             let alert = AnomalyAlert {
@@ -475,6 +560,45 @@ mod tests {
     use xsec_attacks::DatasetBuilder;
     use xsec_mobiflow::{extract_from_events, TelemetryStream};
     use xsec_types::AttackKind;
+
+    #[test]
+    fn the_incident_gate_publishes_openings_and_escalations_only() {
+        // Threshold 1: scores 1.5 / 2.5 / 4.5 are score classes 0 / 1 / 2;
+        // 1 / 2–3 / 4 setups are setup classes 1 / 2 / 3.
+        let mut gate = IncidentGate::default();
+        let mut admit = |scope: u32, ms: u64, score: f32, setups: usize| {
+            let verdict = Verdict { score, threshold: 1.0, flagged: true, publish: true };
+            gate.admit(scope, Timestamp(ms * 1_000), &verdict, setups)
+        };
+        let steps = [
+            (0, 0, 1.5, 1, true, "no incident open: opens"),
+            (0, 10, 1.5, 1, false, "same classes: merges"),
+            (0, 20, 2.5, 1, true, "score class 0 -> 1"),
+            (0, 30, 2.5, 1, false, "score class 1 again"),
+            (0, 40, 4.5, 1, true, "score class 1 -> 2"),
+            (0, 50, 1.5, 1, false, "a lower score merges"),
+            (0, 60, 1.5, 2, true, "setup class 1 -> 2"),
+            (0, 70, 1.5, 3, false, "3 setups are still class 2"),
+            (0, 80, 1.5, 4, true, "setup class 2 -> 3"),
+            (0, 40, 1.5, 1, false, "a step back in time neither reopens nor escalates"),
+            (1, 45, 1.5, 1, true, "another scope opens its own incident"),
+            (0, 179, 1.5, 1, false, "99 ms after the clock's 80: still open"),
+            (0, 279, 1.5, 1, true, "100 ms without a candidate: closed, reopens"),
+        ];
+        for (scope, ms, score, setups, published, why) in steps {
+            assert_eq!(
+                admit(scope, ms, score, setups),
+                published,
+                "{why} (scope {scope}, {ms} ms)"
+            );
+        }
+        // Busy but never escalating: merges until 1 s after it opened at 279.
+        for ms in (369..1279).step_by(90) {
+            assert!(!admit(0, ms, 1.5, 1), "{ms} ms: merged while younger than 1 s");
+        }
+        assert!(admit(0, 1279, 1.5, 1), "1 s of age closes the incident, so it reopens");
+        assert!(!admit(0, 1280, 1.5, 1), "and the new incident merges again");
+    }
 
     #[test]
     fn benign_replay_is_mostly_quiet() {

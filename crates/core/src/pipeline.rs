@@ -89,7 +89,7 @@ pub struct PipelineOutcome {
     pub records: usize,
     /// Windows the detector flagged.
     pub flagged_windows: usize,
-    /// Alerts published to the analyzer (post-cooldown).
+    /// Alerts published to the analyzer (post-cooldown and incident gate).
     pub alerts: usize,
     /// The analyzer's findings.
     pub findings: Vec<AnalyzerFinding>,

@@ -79,7 +79,7 @@ pub struct ScaleOutcome {
     pub records: usize,
     /// Windows the detector flagged.
     pub flagged_windows: usize,
-    /// Alerts published to the analyzer (post-cooldown).
+    /// Alerts published to the analyzer (post-cooldown and incident gate).
     pub alerts: usize,
     /// Analyzer findings produced.
     pub findings: usize,
