@@ -3,12 +3,13 @@
 //! bidding-down), reports per-action outcomes and detection→ack latency,
 //! and asserts the p99 sits inside the near-RT control window (10 ms–1 s).
 
-use sixg_xsec::pipeline::{ClosedLoopOutcome, Pipeline, PipelineConfig};
+use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
+use sixg_xsec::scale::{LiveSim, ScaleDeployment, ScaleOutcome};
 use xsec_attacks::{attack_simulator, BtsDosConfig, BtsDosUe};
 use xsec_control::default_rules;
 use xsec_ran::amf::SubscriberRecord;
 use xsec_ran::scenario::{Scenario, ScenarioConfig};
-use xsec_ran::sim::RanSimulator;
+use xsec_ran::sim::{RanSimulator, SimReport};
 use xsec_ric::LatencyClass;
 use xsec_types::{AttackKind, Duration, Plmn, Supi, Timestamp, TrafficClass};
 
@@ -34,15 +35,15 @@ fn flood_sim(seed: u64, sessions: usize, connections: u32) -> RanSimulator {
     sim
 }
 
-fn render(name: &str, baseline_attack: usize, closed: &ClosedLoopOutcome) -> String {
-    let snap = &closed.outcome.metrics;
-    let m = &closed.outcome.mitigation;
+fn render(name: &str, baseline_attack: usize, outcome: &ScaleOutcome, report: &SimReport) -> String {
+    let snap = &outcome.metrics;
+    let m = &outcome.mitigation;
     let mut text = format!("== {name} ==\n");
     text.push_str(&format!(
         "  attack events: {} baseline -> {} mitigated ({} benign registrations kept)\n",
         baseline_attack,
-        closed.report.attack_events().count(),
-        closed.report.registrations,
+        report.attack_events().count(),
+        report.registrations,
     ));
     text.push_str(&format!(
         "  actions: {} issued, {} acked, {} failed, {} expired, {} exhausted, {} supervised\n",
@@ -52,7 +53,7 @@ fn render(name: &str, baseline_attack: usize, closed: &ClosedLoopOutcome) -> Str
         "  A1 policy ops: {} applied, {} superseded, {} rejected\n",
         m.policy_ops.applied, m.policy_ops.superseded, m.policy_ops.rejected,
     ));
-    for (at, action) in &closed.enforced {
+    for (at, action) in &outcome.enforced {
         text.push_str(&format!(
             "    enforced t={:>6.2}s  #{:<3} {:<16} ttl={}s\n",
             at.as_secs_f64(),
@@ -61,7 +62,7 @@ fn render(name: &str, baseline_attack: usize, closed: &ClosedLoopOutcome) -> Str
             action.ttl.as_millis() / 1000,
         ));
     }
-    let gnb = &closed.report.gnb_stats;
+    let gnb = &report.gnb_stats;
     text.push_str(&format!(
         "  gNB enforcement: {} MAC drops, {} blacklist drops, {} forced re-auths\n",
         gnb.mitigation_dropped, gnb.blacklist_dropped, gnb.forced_reauth,
@@ -98,44 +99,47 @@ fn main() {
     // Runtime rule install over A1: before the flood starts, the SMO hook
     // stretches the BTS DoS playbook's TTL from 10 s to 12 s on the live
     // mitigator — the enforced actions below carry the swapped TTL.
+    let mut d = ScaleDeployment::new(&pipeline, 1);
+    let a1 = d.a1_client();
     let mut swapped = false;
-    let closed = pipeline.run_closed_loop_with(
-        flood_sim(31, sessions, connections),
-        |_, _, a1| {
-            if !swapped {
-                swapped = true;
-                let mut rule = default_rules()
-                    .into_iter()
-                    .find(|r| r.id == "bts-dos")
-                    .expect("shipped bts-dos rule");
-                rule.ttl = Duration::from_secs(12);
-                a1.update(rule).expect("a1 update");
-                a1.query_status().expect("a1 query");
-            }
-        },
-    );
+    let mut ran = LiveSim::new(flood_sim(31, sessions, connections), |_, _| {
+        if !swapped {
+            swapped = true;
+            let mut rule = default_rules()
+                .into_iter()
+                .find(|r| r.id == "bts-dos")
+                .expect("shipped bts-dos rule");
+            rule.ttl = Duration::from_secs(12);
+            a1.update(rule).expect("a1 update");
+            a1.query_status().expect("a1 query");
+        }
+    });
+    let outcome = d.drive(&mut ran);
     text.push_str(&render(
         "BTS DoS (sustained RRC flood)",
         baseline.attack_events().count(),
-        &closed,
+        &outcome,
+        &ran.sim.finish(),
     ));
 
     eprintln!("mitigate: closed loop: null cipher ...");
     let cfg = scenario(33, sessions, Duration::from_secs(20));
     let baseline = attack_simulator(AttackKind::NullCipher, &cfg).run();
-    let closed2 = pipeline.run_closed_loop(attack_simulator(AttackKind::NullCipher, &cfg));
+    let mut ran = LiveSim::new(attack_simulator(AttackKind::NullCipher, &cfg), |_, _| {});
     text.push('\n');
     text.push_str(&render(
         "Null cipher (bidding-down MiTM)",
         baseline.attack_events().count(),
-        &closed2,
+        &ScaleDeployment::new(&pipeline, 1).drive(&mut ran),
+        &ran.sim.finish(),
     ));
 
-    let incidents = closed.outcome.recorder.incidents();
+    let recorder = &d.obs().recorder;
+    let incidents = recorder.incidents();
     text.push_str(&format!(
         "\nflight recorder: {} incident trace(s) captured ({} dropped)\n",
         incidents.len(),
-        closed.outcome.recorder.dropped_incidents(),
+        recorder.dropped_incidents(),
     ));
     for incident in &incidents {
         let stages: Vec<&str> = incident.events.iter().map(|e| e.stage.name()).collect();
@@ -147,6 +151,6 @@ fn main() {
     // The flood run exercises every stage; its snapshot is the canonical
     // per-run exposition CI asserts on, and its incident traces are the
     // replayable detection->ack artifacts (incidents.jsonl + Perfetto).
-    xsec_bench::save_metrics(&closed.outcome.metrics, "metrics");
-    xsec_bench::save_incidents(&closed.outcome.recorder, "incidents");
+    xsec_bench::save_metrics(&outcome.metrics, "metrics");
+    xsec_bench::save_incidents(recorder, "incidents");
 }

@@ -8,7 +8,7 @@
 //! `rogue_incidents.jsonl`).
 
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
-use sixg_xsec::scale::ScaleDeployment;
+use sixg_xsec::scale::{Replay, ScaleDeployment};
 use xsec_attacks::{DatasetBuilder, RogueXApp};
 use xsec_mobiflow::extract_from_events;
 use xsec_ric::{Grants, SubscriptionSpec};
@@ -40,9 +40,7 @@ fn main() {
 
     let ds = DatasetBuilder::small(1_041, sessions).attack(AttackKind::BtsDos);
     let stream = extract_from_events(&ds.report.events);
-    d.run_stream(&stream);
-
-    let outcome = d.outcome();
+    let outcome = d.drive(&mut Replay(&stream.records));
     let rogue = *rogue_report.lock().expect("rogue report");
     let denied = outcome.metrics.counter_total("xsec_authz_denied_total");
 
@@ -65,7 +63,7 @@ fn main() {
     text.push_str(&format!(
         "  legitimate loop: {} windows flagged, {} findings, {} actions issued, {} acked\n",
         outcome.flagged_windows,
-        outcome.findings,
+        outcome.findings.len(),
         outcome.mitigation.issued,
         outcome.mitigation.acked,
     ));

@@ -7,10 +7,8 @@
 use super::flagged_trace;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use serde::{Deserialize, Serialize};
-use xsec_attacks::DatasetBuilder;
 use xsec_llm::{LlmBackend, ModelPersonality, PromptTemplate, SimulatedExpert};
-use xsec_mobiflow::extract_from_events;
-use xsec_types::AttackKind;
+use xsec_types::{AttackKind, TrafficClass};
 
 /// The rendered figure.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -37,9 +35,7 @@ impl Fig5Result {
 /// Runs the figure regeneration.
 pub fn run(config: &PipelineConfig) -> Fig5Result {
     let pipeline = Pipeline::train(config);
-    let eval_seed = config.seed + 1_000 + AttackKind::BtsDos as u64;
-    let ds = DatasetBuilder::small(eval_seed, config.benign_sessions).attack(AttackKind::BtsDos);
-    let stream = extract_from_events(&ds.report.events);
+    let stream = pipeline.eval_stream(TrafficClass::Attack(AttackKind::BtsDos));
 
     let records =
         flagged_trace(pipeline.models(), &stream).expect("the flood flags at least one window");

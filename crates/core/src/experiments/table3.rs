@@ -13,7 +13,7 @@ use xsec_attacks::DatasetBuilder;
 use xsec_llm::{LlmBackend, ParsedResponse, PromptTemplate, SimulatedExpert};
 use xsec_llm::ModelPersonality;
 use xsec_mobiflow::{extract_from_events, UeMobiFlow};
-use xsec_types::AttackKind;
+use xsec_types::{AttackKind, TrafficClass};
 
 /// Experiment parameters.
 #[derive(Debug, Clone)]
@@ -89,10 +89,7 @@ impl Table3Result {
 /// Finds the representative flagged trace for one attack: the
 /// [`flagged_trace`] of the trained detector over the attack dataset.
 fn representative_trace(pipeline: &Pipeline, kind: AttackKind) -> Vec<UeMobiFlow> {
-    let config = pipeline.config();
-    let eval_seed = config.seed + 1_000 + kind as u64;
-    let ds = DatasetBuilder::small(eval_seed, config.benign_sessions).attack(kind);
-    let stream = extract_from_events(&ds.report.events);
+    let stream = pipeline.eval_stream(TrafficClass::Attack(kind));
     if let Some(trace) = flagged_trace(pipeline.models(), &stream) {
         return trace.to_vec();
     }

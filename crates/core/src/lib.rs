@@ -29,15 +29,17 @@
 //!
 //! ```
 //! use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
-//! use xsec_types::AttackKind;
+//! use sixg_xsec::scale::{Replay, ScaleDeployment};
+//! use xsec_types::{AttackKind, TrafficClass};
 //!
-//! // Train on benign traffic, then run the full pipeline over a BTS DoS
-//! // attack dataset (small sizes keep the doctest fast).
-//! let mut config = PipelineConfig::small(7, 12);
-//! config.detector_window = 4;
-//! let pipeline = Pipeline::train(&config);
-//! let outcome = pipeline.run_attack(AttackKind::BtsDos);
+//! // Train on benign traffic, then drive a BTS DoS attack dataset through
+//! // a one-agent RIC (small sizes keep the doctest fast).
+//! let pipeline = Pipeline::train(&PipelineConfig::small(7, 12));
+//! let stream = pipeline.eval_stream(TrafficClass::Attack(AttackKind::BtsDos));
+//! let mut d = ScaleDeployment::new(&pipeline, 1);
+//! let outcome = d.drive(&mut Replay(&stream.records));
 //! assert!(outcome.flagged_windows > 0, "the flood must be flagged");
+//! assert!(pipeline.evaluate(&stream, &d).recall().unwrap_or(0.0) > 0.5);
 //! ```
 //!
 //! The `xsec-bench` crate regenerates every table and figure of the paper's
@@ -61,6 +63,5 @@ pub use mitigator::{
 };
 pub use mobiwatch::{Detector, MobiWatch, MobiWatchConfig, ShardedMobiWatch};
 pub use scale::{RanFeed, ScaleDeployment, ScaleOutcome};
-pub use pipeline::{ClosedLoopOutcome, Pipeline, PipelineConfig, PipelineOutcome};
+pub use pipeline::{Pipeline, PipelineConfig};
 pub use smo::{A1ClientError, A1PolicyClient, DeployedModels, Smo, TrainingConfig};
-pub use window::window_truth;

@@ -1,27 +1,23 @@
-//! The end-to-end 6G-XSec pipeline (paper Figure 3): trainer and evaluator.
+//! The 6G-XSec pipeline (paper Figure 3): trainer and evaluator.
 //!
 //! Training: a benign dataset is collected from the simulated testbed and
-//! the SMO trains both detectors. Inference: an attack (or fresh benign)
-//! dataset is driven through the *real* stack — a one-agent
-//! [`ScaleDeployment`]: RIC agent → E2 → platform → MobiWatch xApp →
-//! `anomalies` topic → LLM analyzer xApp → mitigator — and the outcome is
-//! evaluated against ground truth. The wiring and the drive loop live in
-//! [`crate::scale`]; nothing here builds or sequences the RIC.
+//! the SMO trains both detectors. Evaluation: [`Pipeline::eval_stream`]
+//! builds a labelled attack (or fresh benign) dataset, a
+//! [`ScaleDeployment`] drives it through the *real* stack — RIC agent → E2
+//! → platform → MobiWatch xApp → `anomalies` topic → LLM analyzer xApp →
+//! mitigator — and [`Pipeline::evaluate`] scores the detector's windows
+//! against ground truth. The wiring, the drive loop and the run summary
+//! live in [`crate::scale`]; nothing here builds or sequences the RIC.
 
-use crate::analyzer::AnalyzerFinding;
-use crate::mitigator::MitigationSummary;
 use crate::mobiwatch::Detector;
-use crate::scale::{LiveSim, ScaleDeployment};
-use crate::smo::{A1PolicyClient, DeployedModels, Smo, TrainingConfig};
+use crate::scale::ScaleDeployment;
+use crate::smo::{DeployedModels, Smo, TrainingConfig};
 use crate::window::{window_key, window_truth};
 use xsec_attacks::DatasetBuilder;
-use xsec_control::ControlAction;
 use xsec_dl::{Confusion, Precision};
 use xsec_llm::ModelPersonality;
 use xsec_mobiflow::{extract_from_events, TelemetryStream};
-use xsec_obs::{FlightRecorder, Snapshot};
-use xsec_ran::sim::{RanSimulator, SimReport};
-use xsec_types::{AttackKind, Timestamp};
+use xsec_types::TrafficClass;
 
 /// Pipeline parameters.
 #[derive(Debug, Clone)]
@@ -82,47 +78,6 @@ impl PipelineConfig {
     }
 }
 
-/// What one evaluation run produced.
-#[derive(Debug)]
-pub struct PipelineOutcome {
-    /// Telemetry records replayed.
-    pub records: usize,
-    /// Windows the detector flagged.
-    pub flagged_windows: usize,
-    /// Alerts published to the analyzer (post-cooldown and incident gate).
-    pub alerts: usize,
-    /// The analyzer's findings.
-    pub findings: Vec<AnalyzerFinding>,
-    /// Findings queued for human supervision.
-    pub human_review: usize,
-    /// Window-level confusion against ground truth.
-    pub confusion: Confusion,
-    /// Mean xApp handler latency (µs), from `xsec_ric_handler_latency_us`.
-    pub mean_handler_latency_us: f64,
-    /// Closed-loop mitigation outcome (actions issued, acked, escalated).
-    pub mitigation: MitigationSummary,
-    /// End-of-run metrics snapshot: per-stage latency histograms (E2
-    /// decode, MobiWatch featurize/inference, analyzer turnaround,
-    /// per-agent control-ack, detection→ack) and every stage counter.
-    pub metrics: Snapshot,
-    /// The run's flight recorder: captured incident traces ready for
-    /// JSONL/Perfetto export via [`FlightRecorder::write_incident_files`].
-    pub recorder: FlightRecorder,
-}
-
-/// What one *live* closed-loop run produced: the pipeline outcome plus the
-/// final RAN-side report showing the mitigation's effect on the network.
-#[derive(Debug)]
-pub struct ClosedLoopOutcome {
-    /// The RIC-side outcome (detections, findings, mitigation summary).
-    pub outcome: PipelineOutcome,
-    /// The RAN-side simulation report after enforcement.
-    pub report: SimReport,
-    /// Control actions the RAN actually enforced, with the virtual time at
-    /// which each took effect, in arrival order.
-    pub enforced: Vec<(Timestamp, ControlAction)>,
-}
-
 /// A trained, deployable pipeline.
 pub struct Pipeline {
     config: PipelineConfig,
@@ -164,75 +119,40 @@ impl Pipeline {
         self.config.scoring_shards > 0
     }
 
-    /// Runs the full pipeline over one attack dataset.
-    pub fn run_attack(&self, kind: AttackKind) -> PipelineOutcome {
-        let eval_seed = self.config.seed + 1_000 + kind as u64;
-        let ds =
-            DatasetBuilder::small(eval_seed, self.config.benign_sessions).attack(kind);
-        let stream = extract_from_events(&ds.report.events);
-        self.run_stream(&stream)
+    /// The labelled dataset a detection run replays: one attack of `class`
+    /// mixed into benign sessions, or fresh benign sessions, at a seed
+    /// derived from the training seed so it never repeats the training data.
+    pub fn eval_stream(&self, class: TrafficClass) -> TelemetryStream {
+        let (seed, sessions) = (self.config.seed, self.config.benign_sessions);
+        let events = match class {
+            TrafficClass::Attack(kind) => {
+                let builder = DatasetBuilder::small(seed + 1_000 + kind as u64, sessions);
+                builder.attack(kind).report.events
+            }
+            TrafficClass::Benign => DatasetBuilder::small(seed + 2_000, sessions).benign().events,
+        };
+        extract_from_events(&events)
     }
 
-    /// Runs the full pipeline over a fresh benign dataset.
-    pub fn run_benign(&self) -> PipelineOutcome {
-        let eval_seed = self.config.seed + 2_000;
-        let report =
-            DatasetBuilder::small(eval_seed, self.config.benign_sessions).benign();
-        let stream = extract_from_events(&report.events);
-        self.run_stream(&stream)
-    }
-
-    /// Replays a telemetry stream through a one-agent [`ScaleDeployment`]
-    /// and scores the run against ground truth.
+    /// Scores a driven deployment's detector windows against ground truth:
+    /// `stream` is every record `d` was driven with, in order, labels
+    /// included. Truth follows the deployed detector's window accounting
+    /// record for record, under the same keys.
     ///
-    /// Control Requests the mitigator issues still travel RIC → agent and
-    /// are acked, but nothing enforces them — this is the *open-loop*
-    /// replay used for detection evaluation. [`Pipeline::run_closed_loop`]
-    /// feeds the actions back into a live simulation.
-    pub fn run_stream(&self, stream: &TelemetryStream) -> PipelineOutcome {
-        let mut d = ScaleDeployment::new(self, 1);
-        d.run_stream(stream);
-        self.evaluate(stream, &d)
-    }
-
-    /// Runs the *closed* loop: a live [`RanSimulator`] is driven in
-    /// report-period steps, its telemetry flows through the full RIC stack,
-    /// and every Control Request the mitigator ships is decoded and applied
-    /// to the simulated gNB mid-run, so mitigation changes the traffic the
-    /// rest of the run produces.
-    pub fn run_closed_loop(&self, sim: RanSimulator) -> ClosedLoopOutcome {
-        self.run_closed_loop_with(sim, |_, _, _| {})
-    }
-
-    /// [`Pipeline::run_closed_loop`] with an SMO-side hook in the loop.
-    ///
-    /// The hook runs at the end of every report bucket with the bucket's
-    /// closing virtual time, the actions enforced so far, and a live
-    /// [`A1PolicyClient`] — so a run can hot-swap policy rules between
-    /// detections (the operation reaches the mitigator on the next pump)
-    /// and observe the Control Actions change.
-    pub fn run_closed_loop_with(
-        &self,
-        sim: RanSimulator,
-        mut smo_hook: impl FnMut(Timestamp, &[(Timestamp, ControlAction)], &A1PolicyClient),
-    ) -> ClosedLoopOutcome {
-        let mut d = ScaleDeployment::new(self, 1);
-        // The hook's client runs under the SMO's registered identity: its
-        // operations go out as signed envelopes the mitigator verifies.
-        let a1 = d.a1_client();
-        let mut ran = LiveSim::new(sim, |at, enforced| smo_hook(at, enforced, &a1));
-        let enforced = d.drive(&mut ran);
-        let outcome = self.evaluate(&ran.seen, &d);
-        ClosedLoopOutcome { outcome, report: ran.sim.finish(), enforced }
-    }
-
-    /// Scores the run against ground truth and snapshots every xApp state.
-    fn evaluate(&self, stream: &TelemetryStream, d: &ScaleDeployment) -> PipelineOutcome {
-        // Truth follows the deployed detector's window accounting record
-        // for record, under the same keys.
+    /// # Panics
+    /// Under the global window (`scoring_shards == 0`) when `stream` spans
+    /// more than one cell: the deployment delivers each report bucket
+    /// cell-major, so the detector's windows are not the stream-order
+    /// windows truth is built from. Per-UE keys are safe (a UE never spans
+    /// cells and the sort is stable). Also when the window counts differ.
+    pub fn evaluate(&self, stream: &TelemetryStream, d: &ScaleDeployment) -> Confusion {
+        assert!(
+            self.per_ue() || stream.records.windows(2).all(|w| w[0].cell == w[1].cell),
+            "evaluate under the global window needs a single-cell stream: buckets are \
+             delivered cell-major, so stream-order truth misaligns with the windows scored"
+        );
         let span = self.config.detector.span(self.config.detector_window);
         let truth = window_truth(stream, span, |r| window_key(self.per_ue(), r));
-        let scale = d.outcome();
         let predictions: Vec<bool> =
             d.watch_state.lock().scores.iter().map(|(_, _, f)| *f).collect();
         assert_eq!(
@@ -242,38 +162,34 @@ impl Pipeline {
             predictions.len(),
             truth.len()
         );
-        let analyzer_state = d.analyzer_state.lock();
-        PipelineOutcome {
-            records: stream.len(),
-            flagged_windows: scale.flagged_windows,
-            alerts: scale.alerts,
-            findings: analyzer_state.findings.clone(),
-            human_review: analyzer_state.human_review.len(),
-            confusion: Confusion::from_predictions(&predictions, &truth),
-            mean_handler_latency_us: scale
-                .metrics
-                .histogram_merged("xsec_ric_handler_latency_us")
-                .mean,
-            mitigation: scale.mitigation,
-            metrics: scale.metrics,
-            recorder: d.obs().recorder.clone(),
-        }
+        Confusion::from_predictions(&predictions, &truth)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::{Replay, ScaleOutcome, Streaming};
+    use xsec_types::{AttackKind, Duration, Timestamp};
+
+    /// Drives `class`'s evaluation stream through a one-agent deployment and
+    /// scores it.
+    fn replayed(pipeline: &Pipeline, class: TrafficClass) -> (ScaleOutcome, Confusion) {
+        let stream = pipeline.eval_stream(class);
+        let mut d = ScaleDeployment::new(pipeline, 1);
+        let outcome = d.drive(&mut Replay(&stream.records));
+        (outcome, pipeline.evaluate(&stream, &d))
+    }
 
     #[test]
     fn bts_dos_is_detected_and_explained_end_to_end() {
         let pipeline = Pipeline::train(&PipelineConfig::small(21, 15));
-        let outcome = pipeline.run_attack(AttackKind::BtsDos);
+        let (outcome, confusion) = replayed(&pipeline, TrafficClass::Attack(AttackKind::BtsDos));
         assert!(outcome.flagged_windows > 0, "flood not flagged");
         assert!(outcome.alerts > 0, "no alerts published");
         assert!(!outcome.findings.is_empty(), "analyzer saw nothing");
         // The detector must catch the attack windows (high recall).
-        let recall = outcome.confusion.recall().unwrap_or(0.0);
+        let recall = confusion.recall().unwrap_or(0.0);
         assert!(recall > 0.8, "recall too low: {recall}");
         // GPT-4o confirms floods.
         assert!(outcome
@@ -285,8 +201,8 @@ mod tests {
     #[test]
     fn benign_run_stays_mostly_quiet() {
         let pipeline = Pipeline::train(&PipelineConfig::small(22, 15));
-        let outcome = pipeline.run_benign();
-        let accuracy = outcome.confusion.accuracy().unwrap();
+        let (_, confusion) = replayed(&pipeline, TrafficClass::Benign);
+        let accuracy = confusion.accuracy().unwrap();
         assert!(accuracy > 0.85, "benign accuracy too low: {accuracy}");
     }
 
@@ -295,7 +211,7 @@ mod tests {
         let mut config = PipelineConfig::small(24, 15);
         config.scoring_shards = 2;
         let pipeline = Pipeline::train(&config);
-        let outcome = pipeline.run_attack(AttackKind::NullCipher);
+        let (outcome, _) = replayed(&pipeline, TrafficClass::Attack(AttackKind::NullCipher));
         // Per-UE windows still surface the downgrade and the evaluation's
         // per-UE truth accounting lines up with the pool's emissions.
         assert!(outcome.records > 100);
@@ -307,7 +223,6 @@ mod tests {
     fn migrating_attacker_is_detected_and_mitigated_in_every_cell_it_visits() {
         use xsec_attacks::{MigrateConfig, MigrationSchedule};
         use xsec_ran::stream::{StreamConfig, StreamingScenario};
-        use xsec_types::Duration;
 
         let stream_config = StreamConfig {
             seed: 61,
@@ -341,13 +256,12 @@ mod tests {
 
         // One agent per cell, the streaming engine's layout.
         let mut d = ScaleDeployment::new(&pipeline, 3);
-        let enforced = d.run_streaming(&mut engine, Duration::from_secs(60));
-        let outcome = d.outcome();
+        let outcome = d.drive(&mut Streaming::new(&mut engine, Duration::from_secs(60)));
 
         assert!(outcome.flagged_windows > 0, "flood not flagged");
-        assert!(outcome.findings > 0, "analyzer saw nothing");
+        assert!(!outcome.findings.is_empty(), "analyzer saw nothing");
         assert!(outcome.mitigation.issued > 0, "no actions issued");
-        assert!(!enforced.is_empty(), "no actions reached the RAN");
+        assert!(!outcome.enforced.is_empty(), "no actions reached the RAN");
         assert!(engine.stats().handovers > 0, "benign churn missing");
 
         // Enforcement must land in *every* visited cell: once the flood is
@@ -365,8 +279,8 @@ mod tests {
     #[test]
     fn handler_latency_is_tracked() {
         let pipeline = Pipeline::train(&PipelineConfig::small(23, 12));
-        let outcome = pipeline.run_attack(AttackKind::NullCipher);
-        assert!(outcome.mean_handler_latency_us > 0.0);
+        let (outcome, _) = replayed(&pipeline, TrafficClass::Attack(AttackKind::NullCipher));
+        assert!(outcome.metrics.histogram_merged("xsec_ric_handler_latency_us").mean > 0.0);
         assert!(outcome.records > 100);
         // The run's snapshot carries every stage's latency histogram.
         for stage in [
@@ -384,5 +298,27 @@ mod tests {
             outcome.metrics.counter_total("xsec_e2_records_pushed_total"),
             outcome.records as u64
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a single-cell stream")]
+    fn evaluate_refuses_a_multi_cell_stream_under_the_global_window() {
+        use xsec_ran::stream::{StreamConfig, StreamingScenario};
+
+        let mut engine = StreamingScenario::new(StreamConfig {
+            seed: 27,
+            cells: 2,
+            total_ues: 16,
+            mean_inter_arrival: Duration::from_millis(6),
+            mobility_fraction: 0.0,
+            max_live: 64,
+            ..StreamConfig::default()
+        });
+        let stream = crate::scale::drained(&mut engine);
+        let pipeline = Pipeline::train(&PipelineConfig::small(27, 10));
+        assert!(!pipeline.per_ue(), "the global window is the default");
+        let mut d = ScaleDeployment::new(&pipeline, 2);
+        d.drive(&mut Replay(&stream.records));
+        pipeline.evaluate(&stream, &d);
     }
 }

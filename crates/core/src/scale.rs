@@ -4,21 +4,22 @@
 //! [`ScaleDeployment`] is the only place the paper's Figure 3 is wired —
 //! gNB agent(s) → E2 → platform → MobiWatch → LLM analyzer → mitigator →
 //! E2 Control — and [`ScaleDeployment::step`] is the only place a report
-//! bucket is sequenced through it. One agent is the paper's testbed shape
-//! (what [`Pipeline`]'s `run_*` methods deploy); N agents, one in-proc E2
-//! connection *per cell*, is the shape the readiness-driven reactor exists
-//! for. The same xApp set serves every agent, a ring neighbour topology
-//! arms QuarantineCell broadcast fan-out, and the per-agent ack-latency
-//! histograms land in the shared registry.
+//! bucket is sequenced through it. One agent is the paper's testbed shape;
+//! N agents, one in-proc E2 connection *per cell*, is the shape the
+//! readiness-driven reactor exists for. The same xApp set serves every
+//! agent, a ring neighbour topology arms QuarantineCell broadcast fan-out,
+//! and the per-agent ack-latency histograms land in the shared registry.
 //!
-//! ## One drive loop
+//! ## One run, one outcome
 //!
-//! [`ScaleDeployment::drive`] runs buckets until its [`RanFeed`] — where a
-//! bucket's records come from and where the decoded Control Actions go —
-//! is exhausted, plus a few grace buckets. Three feeds cover every run
-//! mode: [`Replay`] (a pre-extracted stream, open loop), [`LiveSim`] (a
+//! [`ScaleDeployment::drive`] is the only run entry: it runs buckets until
+//! its [`RanFeed`] — where a bucket's records come from and where the
+//! decoded Control Actions go — is exhausted, plus a few grace buckets, and
+//! returns the run's one summary, [`ScaleOutcome`]. Three feeds cover every
+//! run mode: [`Replay`] (a pre-extracted stream, open loop), [`LiveSim`] (a
 //! live [`RanSimulator`], closed loop), and [`Streaming`] (a multi-cell
-//! [`StreamingScenario`], closed loop).
+//! [`StreamingScenario`], closed loop). Scoring a run against ground truth
+//! is [`Pipeline::evaluate`]'s.
 //!
 //! ## Determinism across agent counts
 //!
@@ -31,7 +32,7 @@
 //! every agent count. Per-UE sharded scoring, trace allocation, and the
 //! mitigator's virtual clock are all pure functions of that sequence.
 
-use crate::analyzer::{AnalyzerState, LlmAnalyzer};
+use crate::analyzer::{AnalyzerFinding, AnalyzerState, LlmAnalyzer};
 use crate::mitigator::{
     MitigationSummary, Mitigator, MitigatorState, A1_POLICY_STATUS_TOPIC, A1_POLICY_TOPIC,
     ANOMALIES_TOPIC, CONTROL_ACKS_TOPIC, FINDINGS_TOPIC,
@@ -45,7 +46,7 @@ use xsec_control::{ControlAction, PolicyEngine};
 use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
 use xsec_llm::SimulatedExpert;
 use xsec_mobiflow::{extract_from_events_at, TelemetryStream, UeMobiFlow};
-use xsec_obs::{Obs, Snapshot};
+use xsec_obs::{Counter, Obs, Snapshot};
 use xsec_ran::sim::RanSimulator;
 use xsec_ran::stream::StreamingScenario;
 use xsec_ric::{Grants, RicPlatform, RouterHandle, SubscriptionSpec, XApp, XAppIdentity};
@@ -62,7 +63,7 @@ pub struct ScaleDeployment {
     agents: Vec<RicAgent<InProcTransport>>,
     platform: RicPlatform,
     pub(crate) watch_state: Arc<Mutex<MobiWatchState>>,
-    pub(crate) analyzer_state: Arc<Mutex<AnalyzerState>>,
+    analyzer_state: Arc<Mutex<AnalyzerState>>,
     mitigator_state: Arc<Mutex<MitigatorState>>,
     period: Duration,
     /// Records buffered for the current report bucket, flushed cell-major.
@@ -70,9 +71,12 @@ pub struct ScaleDeployment {
     records: usize,
     /// The SMO's registered identity.
     smo_scope: RouterHandle,
+    /// Control Requests an agent acked as success but no RAN can enforce.
+    control_undecodable: Counter,
 }
 
-/// End-of-run summary for a scale deployment.
+/// What one run produced, as [`ScaleDeployment::drive`] ends it; scoring
+/// against ground truth is [`Pipeline::evaluate`]'s.
 #[derive(Debug)]
 pub struct ScaleOutcome {
     /// Telemetry records replayed.
@@ -81,13 +85,18 @@ pub struct ScaleOutcome {
     pub flagged_windows: usize,
     /// Alerts published to the analyzer (post-cooldown and incident gate).
     pub alerts: usize,
-    /// Analyzer findings produced.
-    pub findings: usize,
+    /// The analyzer's findings.
+    pub findings: Vec<AnalyzerFinding>,
+    /// Findings queued for human supervision.
+    pub human_review: usize,
     /// Closed-loop mitigation outcome.
     pub mitigation: MitigationSummary,
     /// End-of-run metrics snapshot (includes the per-agent
     /// `xsec_ric_control_ack_latency_us{agent="gnb-<id>"}` histograms).
     pub metrics: Snapshot,
+    /// Control Actions this drive handed to its feed to enforce, with the
+    /// bucket's virtual time, in arrival order.
+    pub enforced: Vec<(Timestamp, ControlAction)>,
 }
 
 /// The RAN side of a drive: where a report bucket's records come from and
@@ -332,6 +341,8 @@ impl ScaleDeployment {
         platform.seal();
 
         let period = Duration::from_millis(u64::from(config.report_period_ms));
+        let control_undecodable = obs
+            .counter("xsec_ran_dropped_total", &[("site", "control"), ("reason", "undecodable")]);
         let mut d = ScaleDeployment {
             obs,
             agents: ric_agents,
@@ -343,6 +354,7 @@ impl ScaleDeployment {
             bucket: Vec::new(),
             records: 0,
             smo_scope,
+            control_undecodable,
         };
         // E2 setup + subscription handshake, all agents in lockstep.
         for _ in 0..3 {
@@ -414,7 +426,9 @@ impl ScaleDeployment {
     /// Closes one report bucket at `now`: ships buffered records, drives
     /// every agent and the platform through indication → detection →
     /// control → ack, and returns the decoded Control Requests each agent
-    /// received (the RAN-enforcement feed for closed loops).
+    /// received (the RAN-enforcement feed for closed loops). A payload that
+    /// does not decode is counted as
+    /// `xsec_ran_dropped_total{site="control",reason="undecodable"}`.
     pub fn step(&mut self, now: Timestamp) -> Vec<ControlAction> {
         self.flush_bucket();
         for agent in &mut self.agents {
@@ -428,8 +442,9 @@ impl ScaleDeployment {
             // The agent receives (and acks) any Control Requests.
             agent.poll(now).expect("agent poll");
             for payload in agent.take_control_requests() {
-                if let Ok(action) = ControlAction::decode(&payload) {
-                    actions.push(action);
+                match ControlAction::decode(&payload) {
+                    Ok(action) => actions.push(action),
+                    Err(_) => self.control_undecodable.inc(),
                 }
             }
         }
@@ -438,12 +453,12 @@ impl ScaleDeployment {
         actions
     }
 
-    /// The one drive loop: report-period buckets of virtual time, each
+    /// The one run loop: report-period buckets of virtual time, each
     /// filled from `feed`, closed by [`ScaleDeployment::step`], and its
     /// Control Actions handed back to `feed` before the next bucket runs —
     /// until the feed is exhausted and a few grace buckets have drained the
-    /// in-flight detections. Returns the enforced actions in arrival order.
-    pub fn drive(&mut self, feed: &mut impl RanFeed) -> Vec<(Timestamp, ControlAction)> {
+    /// in-flight detections. Returns the run's summary.
+    pub fn drive(&mut self, feed: &mut impl RanFeed) -> ScaleOutcome {
         feed.attach_obs(&self.obs);
         let mut bucket_end = Timestamp::ZERO + self.period;
         let mut enforced = Vec::new();
@@ -459,24 +474,18 @@ impl ScaleDeployment {
             feed.end_bucket(bucket_end, &enforced);
             bucket_end += self.period;
         }
-        enforced
-    }
-
-    /// Open-loop replay of a telemetry stream ([`Replay`] over
-    /// [`ScaleDeployment::drive`]).
-    pub fn run_stream(&mut self, stream: &TelemetryStream) {
-        self.drive(&mut Replay(&stream.records));
-    }
-
-    /// Closed-loop drive of a streaming scenario ([`Streaming`] over
-    /// [`ScaleDeployment::drive`]). Returns the enforced actions in arrival
-    /// order.
-    pub fn run_streaming(
-        &mut self,
-        engine: &mut StreamingScenario,
-        max_virtual: Duration,
-    ) -> Vec<(Timestamp, ControlAction)> {
-        self.drive(&mut Streaming::new(engine, max_virtual))
+        let watch = self.watch_state.lock();
+        let analyzer = self.analyzer_state.lock();
+        ScaleOutcome {
+            records: self.records,
+            flagged_windows: watch.scores.iter().filter(|(_, _, f)| *f).count(),
+            alerts: watch.alerts.len(),
+            findings: analyzer.findings.clone(),
+            human_review: analyzer.human_review.len(),
+            mitigation: self.mitigator_state.lock().summary(),
+            metrics: self.obs.snapshot(),
+            enforced,
+        }
     }
 
     /// A canonical rendering of every completed detector window:
@@ -495,19 +504,6 @@ impl ScaleDeployment {
     /// replays, shard counts, and agent counts).
     pub fn incidents_digest(&self) -> String {
         self.obs.recorder.incidents_jsonl()
-    }
-
-    /// Summarises the run.
-    pub fn outcome(&self) -> ScaleOutcome {
-        let watch = self.watch_state.lock();
-        ScaleOutcome {
-            records: self.records,
-            flagged_windows: watch.scores.iter().filter(|(_, _, f)| *f).count(),
-            alerts: watch.alerts.len(),
-            findings: self.analyzer_state.lock().findings.len(),
-            mitigation: self.mitigator_state.lock().summary(),
-            metrics: self.obs.snapshot(),
-        }
     }
 }
 
@@ -529,6 +525,8 @@ mod tests {
     use super::*;
     use crate::pipeline::PipelineConfig;
     use xsec_mobiflow::extract_from_events;
+    use xsec_ric::{ControlOut, XAppContext};
+    use xsec_types::TrafficClass;
     use xsec_ran::stream::StreamConfig;
 
     fn benign_engine(seed: u64, cells: usize, ues: u64) -> StreamingScenario {
@@ -567,17 +565,52 @@ mod tests {
         };
 
         let mut digests = Vec::new();
+        let mut confusions = Vec::new();
         for agents in [1usize, 4] {
             let mut d = ScaleDeployment::new(&pipeline, agents);
-            d.run_stream(&eval);
-            let outcome = d.outcome();
+            let outcome = d.drive(&mut Replay(&eval.records));
             assert!(outcome.flagged_windows > 0, "{agents}-agent run flagged nothing");
+            // Per-UE truth lines up with the windows scored at any agent
+            // count: a UE never spans cells and the cell-major sort is stable.
+            let confusion = pipeline.evaluate(&eval, &d);
+            assert_eq!(confusion.total(), d.detections_digest().lines().count() as u64);
+            confusions.push(confusion);
             digests.push((d.detections_digest(), d.incidents_digest()));
         }
         assert!(!digests[0].0.is_empty(), "no detector windows recorded");
         assert!(!digests[0].1.is_empty(), "no incident traces recorded");
         assert_eq!(digests[0].0, digests[1].0, "detections diverge across agent counts");
         assert_eq!(digests[0].1, digests[1].1, "incident traces diverge across agent counts");
+        assert_eq!(confusions[0], confusions[1], "evaluation diverges across agent counts");
+    }
+
+    /// A tenant granted only `control:release-ue` that ships one 2-byte
+    /// payload, under an id the mitigator never issues.
+    struct GarbageControl(bool);
+
+    impl XApp for GarbageControl {
+        fn name(&self) -> &str {
+            "garbage-control"
+        }
+
+        fn on_records(&mut self, ctx: &mut XAppContext<'_>, _: &[UeMobiFlow], _: Timestamp) {
+            if !self.0 {
+                let out = ControlOut { id: u32::MAX, payload: vec![0xde, 0xad], ..Default::default() };
+                self.0 = ctx.send_control("release-ue", out);
+            }
+        }
+    }
+
+    #[test]
+    fn an_undecodable_control_request_is_counted_not_enforced() {
+        let pipeline = Pipeline::train(&PipelineConfig::small(33, 10));
+        let tenant = SubscriptionSpec::telemetry(pipeline.config().report_period_ms);
+        let extra: Vec<(Box<dyn XApp>, _, _)> =
+            vec![(Box::new(GarbageControl(false)), tenant, Grants::none().control("release-ue"))];
+        let mut d = ScaleDeployment::with_extra_xapps(&pipeline, 1, extra);
+        let outcome = d.drive(&mut Replay(&pipeline.eval_stream(TrafficClass::Benign).records));
+        assert_eq!(outcome.metrics.counter_total("xsec_ran_dropped_total"), 1);
+        assert!(outcome.enforced.iter().all(|(_, action)| action.id != u32::MAX));
     }
 
     #[test]

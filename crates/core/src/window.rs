@@ -279,7 +279,7 @@ impl Scorer {
 /// paper's labeling rule. A constant key is the global sliding window;
 /// `|r| r.du_ue_id` is [`MobiWatch::per_ue`](crate::mobiwatch::MobiWatch::per_ue)'s
 /// per-UE windows.
-pub fn window_truth<K: Hash + Eq>(
+pub(crate) fn window_truth<K: Hash + Eq>(
     stream: &TelemetryStream,
     span: usize,
     key: impl Fn(&UeMobiFlow) -> K,

@@ -1,6 +1,6 @@
 //! Quickstart: train the 6G-XSec pipeline on benign traffic from the
-//! simulated 5G testbed, then run a BTS DoS attack dataset through the full
-//! O-RAN stack — RIC agent → E2 → nRT-RIC platform → MobiWatch xApp →
+//! simulated 5G testbed, then drive a BTS DoS attack dataset through the
+//! full O-RAN stack — RIC agent → E2 → nRT-RIC platform → MobiWatch xApp →
 //! LLM-analyzer xApp — and print what came out.
 //!
 //! ```sh
@@ -8,7 +8,8 @@
 //! ```
 
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
-use xsec_types::AttackKind;
+use sixg_xsec::scale::{Replay, ScaleDeployment};
+use xsec_types::{AttackKind, TrafficClass};
 
 fn main() {
     println!("== 6G-XSec quickstart ==\n");
@@ -28,19 +29,22 @@ fn main() {
 
     // 2. Replay a BTS DoS attack dataset through the live pipeline.
     println!("replaying a BTS DoS attack dataset through the RIC ...");
-    let outcome = pipeline.run_attack(AttackKind::BtsDos);
+    let stream = pipeline.eval_stream(TrafficClass::Attack(AttackKind::BtsDos));
+    let mut d = ScaleDeployment::new(&pipeline, 1);
+    let outcome = d.drive(&mut Replay(&stream.records));
+    let confusion = pipeline.evaluate(&stream, &d);
     println!(
         "  {} telemetry records, {} windows flagged, {} alerts published",
         outcome.records, outcome.flagged_windows, outcome.alerts
     );
     println!(
         "  detector window recall {:.1}%, precision {:.1}%",
-        outcome.confusion.recall().unwrap_or(0.0) * 100.0,
-        outcome.confusion.precision().unwrap_or(0.0) * 100.0
+        confusion.recall().unwrap_or(0.0) * 100.0,
+        confusion.precision().unwrap_or(0.0) * 100.0
     );
     println!(
         "  mean xApp handler latency: {:.0} µs (near-RT budget: 10ms–1s)\n",
-        outcome.mean_handler_latency_us
+        outcome.metrics.histogram_merged("xsec_ric_handler_latency_us").mean
     );
 
     // 3. Show the expert's explanation for the first *confirmed* finding
@@ -58,10 +62,12 @@ fn main() {
     }
 
     // 4. Sanity: the same pipeline stays quiet on fresh benign traffic.
-    let benign = pipeline.run_benign();
+    let benign = pipeline.eval_stream(TrafficClass::Benign);
+    let mut d = ScaleDeployment::new(&pipeline, 1);
+    let alerts = d.drive(&mut Replay(&benign.records)).alerts;
     println!(
         "\nbenign control run: accuracy {:.1}%, {} alerts",
-        benign.confusion.accuracy().unwrap_or(0.0) * 100.0,
-        benign.alerts
+        pipeline.evaluate(&benign, &d).accuracy().unwrap_or(0.0) * 100.0,
+        alerts
     );
 }

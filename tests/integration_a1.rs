@@ -8,6 +8,7 @@ use sixg_xsec::mitigator::{
     FINDINGS_TOPIC,
 };
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
+use sixg_xsec::scale::{LiveSim, ScaleDeployment};
 use sixg_xsec::smo::A1PolicyClient;
 use xsec_attacks::attack_simulator;
 use xsec_control::{
@@ -208,7 +209,8 @@ fn closed_loop_hot_swap_changes_enforced_actions() {
     cfg.sim.horizon = Duration::from_secs(20);
 
     // Under the shipped playbook the downgraded sessions are released.
-    let default_run = pipeline.run_closed_loop(attack_simulator(AttackKind::NullCipher, &cfg));
+    let sim = attack_simulator(AttackKind::NullCipher, &cfg);
+    let default_run = ScaleDeployment::new(&pipeline, 1).drive(&mut LiveSim::new(sim, |_, _| {}));
     assert!(
         default_run
             .enforced
@@ -220,18 +222,17 @@ fn closed_loop_hot_swap_changes_enforced_actions() {
     // Same scenario, but an SMO hook swaps the playbook in the first report
     // bucket — before any detection lands — so every emitted Control
     // Action changes shape.
+    let mut d = ScaleDeployment::new(&pipeline, 1);
+    let a1 = d.a1_client();
     let mut swapped = false;
-    let hot = pipeline.run_closed_loop_with(
-        attack_simulator(AttackKind::NullCipher, &cfg),
-        |_, _, a1| {
-            if !swapped {
-                swapped = true;
-                a1.update(null_cipher_rule_with(vec![ActionTemplate::QuarantineCell]))
-                    .expect("a1 update");
-                a1.query_status().expect("a1 query");
-            }
-        },
-    );
+    let hot = d.drive(&mut LiveSim::new(attack_simulator(AttackKind::NullCipher, &cfg), |_, _| {
+        if !swapped {
+            swapped = true;
+            a1.update(null_cipher_rule_with(vec![ActionTemplate::QuarantineCell]))
+                .expect("a1 update");
+            a1.query_status().expect("a1 query");
+        }
+    }));
     assert!(swapped, "the SMO hook never ran");
     assert!(
         hot.enforced
@@ -249,11 +250,11 @@ fn closed_loop_hot_swap_changes_enforced_actions() {
 
     // The operation feedback is visible in the run outcome: the tally in
     // the mitigation summary and the labelled obs counter in the snapshot.
-    let ops = hot.outcome.mitigation.policy_ops;
+    let ops = hot.mitigation.policy_ops;
     assert_eq!(ops.superseded, 1, "the live update was not applied: {ops:?}");
     assert!(ops.applied >= 1, "the status query was not answered: {ops:?}");
     assert!(
-        hot.outcome.metrics.counter_total("xsec_a1_policy_ops_total") >= 2,
+        hot.metrics.counter_total("xsec_a1_policy_ops_total") >= 2,
         "A1 ops missing from the metrics snapshot"
     );
 }

@@ -6,7 +6,7 @@
 //! rogue shares the platform with it.
 
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
-use sixg_xsec::scale::ScaleDeployment;
+use sixg_xsec::scale::{Replay, ScaleDeployment};
 use xsec_attacks::{DatasetBuilder, RogueXApp};
 use xsec_mobiflow::{extract_from_events, TelemetryStream};
 use xsec_ric::{Grants, SubscriptionSpec, XAppIdentity};
@@ -43,8 +43,7 @@ fn rogue_xapp_is_denied_at_every_choke_point() {
         "sealed router still accepted a registration"
     );
 
-    d.run_stream(&flood_stream(1_071));
-    let outcome = d.outcome();
+    let outcome = d.drive(&mut Replay(&flood_stream(1_071).records));
     let rogue = *report.lock().expect("rogue report");
 
     // The rogue ran and achieved nothing.
@@ -92,8 +91,7 @@ fn forged_a1_envelopes_die_at_the_mitigator() {
             Grants::none().publish("a1-policies"),
         )],
     );
-    d.run_stream(&flood_stream(1_072));
-    let outcome = d.outcome();
+    let outcome = d.drive(&mut Replay(&flood_stream(1_072).records));
     let rogue = *report.lock().expect("rogue report");
 
     assert!(rogue.a1_delivered > 0, "granted publishes should reach the mailbox");
@@ -123,7 +121,7 @@ fn contained_rogue_leaves_the_trio_byte_identical() {
     let stream = flood_stream(1_073);
 
     let mut clean = ScaleDeployment::new(&pipeline, 2);
-    clean.run_stream(&stream);
+    let clean_outcome = clean.drive(&mut Replay(&stream.records));
     let (rogue, report) = RogueXApp::new(0xBAD, CellId(1));
     let mut hosted = ScaleDeployment::with_extra_xapps(
         &pipeline,
@@ -134,7 +132,7 @@ fn contained_rogue_leaves_the_trio_byte_identical() {
             Grants::none(),
         )],
     );
-    hosted.run_stream(&stream);
+    let hosted_outcome = hosted.drive(&mut Replay(&stream.records));
     assert!(report.lock().expect("rogue report").attempts > 0, "the rogue was never invoked");
 
     // The rogue's own denial records are the one permitted difference.
@@ -157,12 +155,12 @@ fn contained_rogue_leaves_the_trio_byte_identical() {
     );
     assert_eq!(clean_lines, trio_lines(&hosted), "a contained rogue changed the incident traces");
     assert_eq!(
-        clean.outcome().metrics.counter_total("xsec_authz_denied_total"),
+        clean_outcome.metrics.counter_total("xsec_authz_denied_total"),
         0,
         "the authorized trio was denied something"
     );
     assert!(
-        hosted.outcome().metrics.counter_total("xsec_authz_denied_total") > 0,
+        hosted_outcome.metrics.counter_total("xsec_authz_denied_total") > 0,
         "the rogue's attempts went uncounted"
     );
 }

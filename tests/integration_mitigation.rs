@@ -1,15 +1,16 @@
 //! End-to-end closed-loop mitigation: detection → policy → E2 Control →
 //! RAN enforcement, demonstrated on two live attack scenarios.
 //!
-//! These tests drive [`Pipeline::run_closed_loop`], which steps a live
-//! [`RanSimulator`] one report period at a time, routes its telemetry
-//! through the full RIC stack (agent → E2 → MobiWatch → LLM analyzer →
-//! mitigator), and applies every Control Request back onto the simulated
-//! gNB mid-run — so mitigation changes the traffic the rest of the run
-//! produces, and its effect is measured against an unmitigated baseline of
-//! the *same* scenario and seed.
+//! These tests drive a one-agent [`ScaleDeployment`] with the [`LiveSim`]
+//! feed, which steps a live [`RanSimulator`] one report period at a time,
+//! routes its telemetry through the full RIC stack (agent → E2 → MobiWatch
+//! → LLM analyzer → mitigator), and applies every Control Request back onto
+//! the simulated gNB mid-run — so mitigation changes the traffic the rest of
+//! the run produces, and its effect is measured against an unmitigated
+//! baseline of the *same* scenario and seed.
 
-use sixg_xsec::pipeline::{ClosedLoopOutcome, Pipeline, PipelineConfig};
+use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
+use sixg_xsec::scale::{LiveSim, ScaleDeployment, ScaleOutcome};
 use xsec_attacks::{attack_simulator, BtsDosConfig, BtsDosUe};
 use xsec_control::MitigationAction;
 use xsec_ran::amf::SubscriberRecord;
@@ -47,8 +48,8 @@ fn sustained_flood_sim(seed: u64, sessions: usize) -> RanSimulator {
     sim
 }
 
-fn assert_loop_closed_within_budget(closed: &ClosedLoopOutcome) {
-    let mitigation = &closed.outcome.mitigation;
+fn assert_loop_closed_within_budget(outcome: &ScaleOutcome) {
+    let mitigation = &outcome.mitigation;
     assert!(mitigation.issued > 0, "no control actions issued");
     assert!(mitigation.acked > 0, "no control actions acked");
     // Detection→ack p99 must sit inside the near-RT RIC control window.
@@ -70,22 +71,24 @@ fn closed_loop_throttles_a_sustained_bts_dos_flood() {
     let baseline_attack = baseline.attack_events().count();
     assert!(baseline_attack > 300, "baseline flood too small: {baseline_attack}");
 
-    let closed = pipeline.run_closed_loop(sustained_flood_sim(31, 15));
-    let closed_attack = closed.report.attack_events().count();
+    let mut ran = LiveSim::new(sustained_flood_sim(31, 15), |_, _| {});
+    let outcome = ScaleDeployment::new(&pipeline, 1).drive(&mut ran);
+    let report = ran.sim.finish();
+    let closed_attack = report.attack_events().count();
 
     // The policy's flood playbook reached the gNB: a rate limit on the
     // flood's establishment cause (plus RNTI blacklists for the stalled
     // contexts), and the MAC visibly dropped attack frames.
-    let rate_limited_at = closed
+    let rate_limited_at = outcome
         .enforced
         .iter()
         .find(|(_, c)| matches!(c.action, MitigationAction::RateLimitCause { .. }))
         .map(|(at, _)| *at)
         .expect("a rate-limit control must be enforced");
     assert!(
-        closed.report.gnb_stats.mitigation_dropped > 50,
+        report.gnb_stats.mitigation_dropped > 50,
         "MAC dropped only {} mitigated frames",
-        closed.report.gnb_stats.mitigation_dropped
+        report.gnb_stats.mitigation_dropped
     );
 
     // The flood is cut hard relative to the unmitigated run...
@@ -105,7 +108,7 @@ fn closed_loop_throttles_a_sustained_bts_dos_flood() {
         FLOOD_GAP.as_micros() * u64::from(FLOOD_CONNECTIONS),
     );
     assert!(grace + Duration::from_secs(2) < flood_end, "enforcement came too late to measure");
-    let after = closed.report.attack_events().filter(|e| e.at > grace).count();
+    let after = report.attack_events().filter(|e| e.at > grace).count();
     let baseline_rate =
         baseline_attack as f64 / flood_end.saturating_since(FLOOD_START).as_secs_f64();
     let rate_after = after as f64 / flood_end.saturating_since(grace).as_secs_f64();
@@ -116,12 +119,12 @@ fn closed_loop_throttles_a_sustained_bts_dos_flood() {
 
     // Benign UEs keep their sessions: nearly everyone still registers.
     assert!(
-        closed.report.registrations >= 12,
+        report.registrations >= 12,
         "mitigation collateral: only {} of 15 benign registrations",
-        closed.report.registrations
+        report.registrations
     );
 
-    assert_loop_closed_within_budget(&closed);
+    assert_loop_closed_within_budget(&outcome);
 }
 
 #[test]
@@ -133,10 +136,12 @@ fn closed_loop_tears_down_null_cipher_sessions() {
     let baseline_attack = baseline.attack_events().count();
     assert!(baseline_attack > 0, "baseline has no downgraded sessions");
 
-    let closed = pipeline.run_closed_loop(attack_simulator(AttackKind::NullCipher, &cfg));
+    let mut ran = LiveSim::new(attack_simulator(AttackKind::NullCipher, &cfg), |_, _| {});
+    let outcome = ScaleDeployment::new(&pipeline, 1).drive(&mut ran);
+    let report = ran.sim.finish();
 
     // The policy released downgraded sessions (network-abort teardown).
-    let releases: Vec<_> = closed
+    let releases: Vec<_> = outcome
         .enforced
         .iter()
         .filter(|(_, c)| matches!(c.action, MitigationAction::ReleaseUe { .. }))
@@ -145,7 +150,7 @@ fn closed_loop_tears_down_null_cipher_sessions() {
 
     // Tearing the sessions down cuts the attack-labeled traffic short
     // relative to letting the downgraded sessions run their course.
-    let closed_attack = closed.report.attack_events().count();
+    let closed_attack = report.attack_events().count();
     assert!(
         closed_attack < baseline_attack,
         "teardown had no effect: {closed_attack} attack events vs {baseline_attack} baseline"
@@ -153,10 +158,10 @@ fn closed_loop_tears_down_null_cipher_sessions() {
 
     // The released victims re-attach: benign service continues.
     assert!(
-        closed.report.registrations >= 16,
+        report.registrations >= 16,
         "only {} of 20 benign registrations after mitigation",
-        closed.report.registrations
+        report.registrations
     );
 
-    assert_loop_closed_within_budget(&closed);
+    assert_loop_closed_within_budget(&outcome);
 }

@@ -5,6 +5,7 @@
 //! both Prometheus text and JSON.
 
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
+use sixg_xsec::scale::{LiveSim, Replay, ScaleDeployment};
 use xsec_attacks::{BtsDosConfig, BtsDosUe};
 use xsec_obs::SampleValue;
 use xsec_ran::amf::SubscriberRecord;
@@ -32,8 +33,9 @@ fn flood_sim(seed: u64, sessions: usize) -> RanSimulator {
 #[test]
 fn closed_loop_snapshot_covers_every_stage() {
     let pipeline = Pipeline::train(&PipelineConfig::small(31, 12));
-    let closed = pipeline.run_closed_loop(flood_sim(31, 12));
-    let snap = &closed.outcome.metrics;
+    let outcome =
+        ScaleDeployment::new(&pipeline, 1).drive(&mut LiveSim::new(flood_sim(31, 12), |_, _| {}));
+    let snap = &outcome.metrics;
 
     // Per-stage latency histograms, in pipeline order.
     for stage in [
@@ -81,7 +83,7 @@ fn closed_loop_snapshot_covers_every_stage() {
     );
     assert_eq!(
         snap.counter_total("xsec_e2_records_pushed_total"),
-        closed.outcome.records as u64,
+        outcome.records as u64,
         "E2 ingest counter disagrees with the evaluated stream"
     );
 
@@ -123,8 +125,9 @@ fn closed_loop_snapshot_covers_every_stage() {
 #[test]
 fn each_deployment_gets_a_fresh_registry() {
     let pipeline = Pipeline::train(&PipelineConfig::small(23, 10));
-    let first = pipeline.run_attack(AttackKind::NullCipher);
-    let second = pipeline.run_attack(AttackKind::NullCipher);
+    let stream = pipeline.eval_stream(TrafficClass::Attack(AttackKind::NullCipher));
+    let run = || ScaleDeployment::new(&pipeline, 1).drive(&mut Replay(&stream.records));
+    let (first, second) = (run(), run());
     // Same workload, fresh registry: counts match rather than accumulate.
     assert_eq!(
         first.metrics.counter_total("xsec_e2_records_pushed_total"),

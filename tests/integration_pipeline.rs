@@ -3,18 +3,28 @@
 //! → topic → LLM analyzer), and check the paper's headline behaviors.
 
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
+use sixg_xsec::scale::{Replay, ScaleDeployment, ScaleOutcome};
+use xsec_dl::Confusion;
 use xsec_llm::CrossVerdict;
-use xsec_types::AttackKind;
+use xsec_types::{AttackKind, TrafficClass};
 
 fn pipeline(seed: u64) -> Pipeline {
     Pipeline::train(&PipelineConfig::small(seed, 20))
+}
+
+/// Drives `class`'s evaluation stream through a one-agent RIC and scores it.
+fn replayed(pipeline: &Pipeline, class: TrafficClass) -> (ScaleOutcome, Confusion) {
+    let stream = pipeline.eval_stream(class);
+    let mut d = ScaleDeployment::new(pipeline, 1);
+    let outcome = d.drive(&mut Replay(&stream.records));
+    (outcome, pipeline.evaluate(&stream, &d))
 }
 
 #[test]
 fn every_attack_is_detected_end_to_end() {
     let pipeline = pipeline(100);
     for kind in AttackKind::ALL {
-        let outcome = pipeline.run_attack(kind);
+        let (outcome, confusion) = replayed(&pipeline, TrafficClass::Attack(kind));
         assert!(
             outcome.flagged_windows > 0,
             "{kind}: the detector flagged nothing ({} records)",
@@ -23,7 +33,7 @@ fn every_attack_is_detected_end_to_end() {
         assert!(outcome.alerts > 0, "{kind}: no alerts published to the analyzer");
         assert!(!outcome.findings.is_empty(), "{kind}: the analyzer produced no findings");
         // The detector's window recall stays meaningful for every attack.
-        let recall = outcome.confusion.recall().unwrap_or(0.0);
+        let recall = confusion.recall().unwrap_or(0.0);
         assert!(recall > 0.5, "{kind}: window recall collapsed to {recall}");
     }
 }
@@ -32,8 +42,7 @@ fn every_attack_is_detected_end_to_end() {
 fn analyzer_confirms_attacks_the_personality_can_see() {
     // GPT-4o (the default personality) perceives floods: a BTS DoS run must
     // produce at least one confirmed-anomalous finding mentioning the storm.
-    let pipeline = pipeline(101);
-    let outcome = pipeline.run_attack(AttackKind::BtsDos);
+    let (outcome, _) = replayed(&pipeline(101), TrafficClass::Attack(AttackKind::BtsDos));
     let confirmed = outcome
         .findings
         .iter()
@@ -52,12 +61,11 @@ fn analyzer_confirms_attacks_the_personality_can_see() {
 
 #[test]
 fn benign_traffic_stays_quiet_and_accurate() {
-    let pipeline = pipeline(102);
-    let outcome = pipeline.run_benign();
-    let accuracy = outcome.confusion.accuracy().unwrap();
+    let (_, confusion) = replayed(&pipeline(102), TrafficClass::Benign);
+    let accuracy = confusion.accuracy().unwrap();
     assert!(accuracy > 0.85, "benign accuracy {accuracy}");
     // The paper expects < 10% benign false positives.
-    let fp_rate = outcome.confusion.fp as f64 / outcome.confusion.total() as f64;
+    let fp_rate = confusion.fp as f64 / confusion.total() as f64;
     assert!(fp_rate < 0.15, "benign FP rate {fp_rate}");
 }
 
@@ -68,7 +76,7 @@ fn detector_llm_disagreements_reach_the_human_queue() {
     let mut config = PipelineConfig::small(103, 20);
     config.personality = xsec_llm::ModelPersonality::LLAMA3;
     let pipeline = Pipeline::train(&config);
-    let outcome = pipeline.run_attack(AttackKind::BtsDos);
+    let (outcome, _) = replayed(&pipeline, TrafficClass::Attack(AttackKind::BtsDos));
     assert!(!outcome.findings.is_empty());
     assert_eq!(
         outcome.human_review,
@@ -83,11 +91,11 @@ fn detector_llm_disagreements_reach_the_human_queue() {
 
 #[test]
 fn pipeline_runs_are_deterministic() {
-    let a = pipeline(104).run_attack(AttackKind::NullCipher);
-    let b = pipeline(104).run_attack(AttackKind::NullCipher);
+    let run = || replayed(&pipeline(104), TrafficClass::Attack(AttackKind::NullCipher));
+    let ((a, a_confusion), (b, b_confusion)) = (run(), run());
     assert_eq!(a.flagged_windows, b.flagged_windows);
     assert_eq!(a.alerts, b.alerts);
-    assert_eq!(a.confusion, b.confusion);
+    assert_eq!(a_confusion, b_confusion);
     assert_eq!(a.findings.len(), b.findings.len());
     for (x, y) in a.findings.iter().zip(&b.findings) {
         assert_eq!(x.response, y.response);

@@ -9,7 +9,7 @@
 //! the whole pipeline's outputs are invariant in the agent count.
 
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
-use sixg_xsec::scale::ScaleDeployment;
+use sixg_xsec::scale::{Replay, ScaleDeployment, Streaming};
 use xsec_attacks::{MigrateConfig, MigrationSchedule};
 use xsec_control::{ActionTemplate, MitigationAction, PolicyRule};
 use xsec_mobiflow::{extract_from_events, TelemetryStream};
@@ -83,18 +83,18 @@ fn coordinated_flood_across_120_cells_is_contained_end_to_end() {
     .expect("a1 update");
     d.step(Timestamp::ZERO);
 
-    let enforced = d.run_streaming(&mut engine, Duration::from_secs(60));
-    let outcome = d.outcome();
+    let outcome = d.drive(&mut Streaming::new(&mut engine, Duration::from_secs(60)));
 
     assert!(outcome.records > 1_000, "only {} records streamed", outcome.records);
     assert!(outcome.flagged_windows > 0, "flood not flagged");
-    assert!(outcome.findings > 0, "analyzer saw nothing");
+    assert!(!outcome.findings.is_empty(), "analyzer saw nothing");
     assert!(outcome.mitigation.issued > 0, "no actions issued");
-    assert!(!enforced.is_empty(), "no actions reached the RAN");
+    assert!(!outcome.enforced.is_empty(), "no actions reached the RAN");
 
     // The flood is contained in a majority of the cells: distinct
     // quarantine targets across the enforced actions.
-    let mut quarantined: Vec<u32> = enforced
+    let mut quarantined: Vec<u32> = outcome
+        .enforced
         .iter()
         .filter_map(|(_, a)| match a.action {
             MitigationAction::QuarantineCell { cell } => Some(cell.0),
@@ -160,8 +160,8 @@ fn detections_and_traces_match_between_1_and_256_agents() {
     let mut digests = Vec::new();
     for agents in [1usize, AGENTS] {
         let mut d = ScaleDeployment::new(&pipeline, agents);
-        d.run_stream(&eval);
-        assert!(d.outcome().flagged_windows > 0, "{agents}-agent run flagged nothing");
+        let outcome = d.drive(&mut Replay(&eval.records));
+        assert!(outcome.flagged_windows > 0, "{agents}-agent run flagged nothing");
         digests.push((d.detections_digest(), d.incidents_digest()));
     }
     assert!(!digests[0].0.is_empty() && !digests[0].1.is_empty());

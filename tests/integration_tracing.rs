@@ -5,6 +5,7 @@
 //! chain as a JSONL decision trace and a Perfetto file.
 
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
+use sixg_xsec::scale::{LiveSim, Replay, ScaleDeployment};
 use xsec_attacks::{BtsDosConfig, BtsDosUe};
 use xsec_obs::TraceStage;
 use xsec_ran::amf::SubscriberRecord;
@@ -38,8 +39,9 @@ fn sustained_flood_sim(seed: u64, sessions: usize) -> RanSimulator {
 #[test]
 fn flood_incident_carries_the_complete_causal_chain() {
     let pipeline = Pipeline::train(&PipelineConfig::small(31, 15));
-    let closed = pipeline.run_closed_loop(sustained_flood_sim(31, 15));
-    let recorder = &closed.outcome.recorder;
+    let mut d = ScaleDeployment::new(&pipeline, 1);
+    let outcome = d.drive(&mut LiveSim::new(sustained_flood_sim(31, 15), |_, _| {}));
+    let recorder = &d.obs().recorder;
 
     let incidents = recorder.incidents();
     assert!(!incidents.is_empty(), "flood produced no incident traces");
@@ -84,7 +86,7 @@ fn flood_incident_carries_the_complete_causal_chain() {
     // trace-id TLV: `enforced` holds actions decoded from the raw E2
     // payload, so a matching `trace` field proves the id survived the wire.
     assert!(
-        closed.enforced.iter().any(|(_, action)| action.trace == Some(trace)),
+        outcome.enforced.iter().any(|(_, action)| action.trace == Some(trace)),
         "no enforced Control Request carried trace {trace} in its TLV"
     );
 
@@ -98,7 +100,7 @@ fn flood_incident_carries_the_complete_causal_chain() {
 
     // Histogram exemplars link the latency quantiles back to trace ids.
     let traces: Vec<u64> = incidents.iter().map(|i| i.trace).collect();
-    let inference = closed.outcome.metrics.histograms("xsec_mobiwatch_inference_latency_us");
+    let inference = outcome.metrics.histograms("xsec_mobiwatch_inference_latency_us");
     let (_, summary) = inference.first().expect("inference histogram present");
     let (_, exemplar_trace) = summary.exemplar.expect("inference histogram has an exemplar");
     assert!(
@@ -150,25 +152,28 @@ fn incident_traces_are_invariant_to_scoring_shard_count() {
     // Same seed, same scenario, different parallelism: the flight recorder
     // must produce byte-identical incident traces (same trace ids, same
     // causal edges) whether one shard or four score the stream.
-    let outcome_for = |shards: usize| {
+    let recorder_for = |shards: usize| {
         let mut config = PipelineConfig::small(31, 15);
         config.scoring_shards = shards;
         let pipeline = Pipeline::train(&config);
-        pipeline.run_attack(AttackKind::BtsDos)
+        let stream = pipeline.eval_stream(TrafficClass::Attack(AttackKind::BtsDos));
+        let mut d = ScaleDeployment::new(&pipeline, 1);
+        d.drive(&mut Replay(&stream.records));
+        d.obs().recorder.clone()
     };
-    let one = outcome_for(1);
-    let four = outcome_for(4);
+    let one = recorder_for(1);
+    let four = recorder_for(4);
 
-    let one_incidents = one.recorder.incidents();
-    let four_incidents = four.recorder.incidents();
+    let one_incidents = one.incidents();
+    let four_incidents = four.incidents();
     assert!(!one_incidents.is_empty(), "1-shard run captured no incidents");
     assert_eq!(
         one_incidents, four_incidents,
         "incident traces diverge between 1 and 4 scoring shards"
     );
-    assert_eq!(one.recorder.dropped_incidents(), four.recorder.dropped_incidents());
-    assert_eq!(one.recorder.incidents_jsonl(), four.recorder.incidents_jsonl());
-    assert_eq!(one.recorder.perfetto_json(), four.recorder.perfetto_json());
+    assert_eq!(one.dropped_incidents(), four.dropped_incidents());
+    assert_eq!(one.incidents_jsonl(), four.incidents_jsonl());
+    assert_eq!(one.perfetto_json(), four.perfetto_json());
 
     // Open-loop replay never enforces, so no incident may claim an
     // Enforce span — the stage only appears when a gNB actually acted.
