@@ -366,37 +366,91 @@ mod tests {
         assert!(models.lstm_threshold.value > 0.0);
     }
 
+    /// What [`pinned_artifact`] trains, split the way the pins read it.
+    struct PinnedArtifact {
+        /// FNV-1a of each model's JSON without its Adam state (AE, LSTM).
+        models: (u64, u64),
+        /// FNV-1a of each model's Adam state alone (AE, LSTM).
+        moments: (u64, u64),
+        /// Both threshold bit patterns (AE, LSTM).
+        thresholds: (u32, u32),
+    }
+
+    /// The deployed shapes (AE `[48, 12]` × 12 epochs, LSTM 24 × 3) trained
+    /// once on a fixed benign stream and shared by the pins below.
+    fn pinned_artifact() -> &'static PinnedArtifact {
+        static ARTIFACT: std::sync::OnceLock<PinnedArtifact> = std::sync::OnceLock::new();
+        ARTIFACT.get_or_init(|| {
+            let config = TrainingConfig {
+                autoencoder_epochs: 12,
+                lstm_epochs: 3,
+                autoencoder_hidden: vec![48, 12],
+                lstm_hidden: 24,
+                ..TrainingConfig::default()
+            };
+            let stream = extract_from_events(&DatasetBuilder::small(77, 500).benign().events);
+            assert_eq!(stream.len(), 9_532);
+            let models = Smo::train(&config, &stream).unwrap();
+            let split = |mut json: serde_json::Value| {
+                let mut adam = Vec::new();
+                take_adam(&mut json, &mut adam);
+                let adam = serde_json::Value::Array(adam);
+                (fnv1a(&json.to_string()), fnv1a(&adam.to_string()))
+            };
+            let ae = split(serde_json::to_value(&models.autoencoder).unwrap());
+            let lstm = split(serde_json::to_value(&models.lstm).unwrap());
+            PinnedArtifact {
+                models: (ae.0, lstm.0),
+                moments: (ae.1, lstm.1),
+                thresholds: (models.ae_threshold.value.to_bits(), models.lstm_threshold.value.to_bits()),
+            }
+        })
+    }
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Moves the value of every `adam_*` key, at any depth, out of `v`.
+    fn take_adam(v: &mut serde_json::Value, adam: &mut Vec<serde_json::Value>) {
+        match v {
+            serde_json::Value::Object(entries) => entries.retain_mut(|(key, value)| {
+                if key.starts_with("adam_") {
+                    adam.push(std::mem::replace(value, serde_json::Value::Null));
+                    return false;
+                }
+                take_adam(value, adam);
+                true
+            }),
+            serde_json::Value::Array(items) => items.iter_mut().for_each(|item| take_adam(item, adam)),
+            _ => {}
+        }
+    }
+
     /// The trained artifact, pinned to the bit: a change to the training
-    /// path that moves one weight, Adam moment or threshold fails here
-    /// (the trainers' own unit tests only compare a trainer with itself).
-    /// The constants are edited only by a PR that means to retrain — and
-    /// then re-pins every digest and table with them.
+    /// path that moves one weight, bias, training error or threshold fails
+    /// here (the trainers' own unit tests only compare a trainer with
+    /// itself). The constants are edited only by a change that means to
+    /// retrain — and then re-pins every digest and table with them.
     #[test]
     fn trained_models_are_bit_stable() {
-        fn fnv1a(text: &str) -> u64 {
-            text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            })
-        }
-        let config = TrainingConfig {
-            autoencoder_epochs: 12,
-            lstm_epochs: 3,
-            autoencoder_hidden: vec![48, 12],
-            lstm_hidden: 24,
-            ..TrainingConfig::default()
-        };
-        let stream = extract_from_events(&DatasetBuilder::small(77, 500).benign().events);
-        assert_eq!(stream.len(), 9_532);
-        let models = Smo::train(&config, &stream).unwrap();
-        let got = (
-            fnv1a(&models.autoencoder.to_json()),
-            fnv1a(&models.lstm.to_json()),
-            models.ae_threshold.value.to_bits(),
-            models.lstm_threshold.value.to_bits(),
-        );
+        let a = pinned_artifact();
+        let got = (a.models.0, a.models.1, a.thresholds.0, a.thresholds.1);
         let want =
-            (0xb4b8_1c01_4409_c29e_u64, 0x81ae_96e7_2c3e_579b_u64, 0x3d51_7273_u32, 0x3def_b958_u32);
+            (0xf0e3_68dc_5b25_9452_u64, 0xc802_9264_1cb8_56f1_u64, 0x3d51_7273_u32, 0x3def_b958_u32);
         assert_eq!(got, want, "got {:016x} {:016x} {:08x} {:08x}", got.0, got.1, got.2, got.3);
+    }
+
+    /// The optimizer state the artifact carries beside the model, pinned
+    /// apart from it: a change to Adam alone (how dead moments decay) moves
+    /// this pin and not [`trained_models_are_bit_stable`]'s.
+    #[test]
+    fn trained_adam_moments_are_bit_stable() {
+        let a = pinned_artifact();
+        let want = (0xfaee_72b2_ff86_230f_u64, 0x7965_f20d_4d56_fcc2_u64);
+        assert_eq!(a.moments, want, "got {:016x} {:016x}", a.moments.0, a.moments.1);
     }
 
     #[test]
