@@ -372,6 +372,8 @@ mod tests {
         models: (u64, u64),
         /// FNV-1a of each model's Adam state alone (AE, LSTM).
         moments: (u64, u64),
+        /// Every Adam moment of both models.
+        moment_values: Vec<f32>,
         /// Both threshold bit patterns (AE, LSTM).
         thresholds: (u32, u32),
     }
@@ -391,10 +393,12 @@ mod tests {
             let stream = extract_from_events(&DatasetBuilder::small(77, 500).benign().events);
             assert_eq!(stream.len(), 9_532);
             let models = Smo::train(&config, &stream).unwrap();
-            let split = |mut json: serde_json::Value| {
+            let mut moment_values = Vec::new();
+            let mut split = |mut json: serde_json::Value| {
                 let mut adam = Vec::new();
                 take_adam(&mut json, &mut adam);
                 let adam = serde_json::Value::Array(adam);
+                numbers(&adam, &mut moment_values);
                 (fnv1a(&json.to_string()), fnv1a(&adam.to_string()))
             };
             let ae = split(serde_json::to_value(&models.autoencoder).unwrap());
@@ -402,6 +406,7 @@ mod tests {
             PinnedArtifact {
                 models: (ae.0, lstm.0),
                 moments: (ae.1, lstm.1),
+                moment_values,
                 thresholds: (models.ae_threshold.value.to_bits(), models.lstm_threshold.value.to_bits()),
             }
         })
@@ -429,6 +434,16 @@ mod tests {
         }
     }
 
+    /// Every number in `v`, as the `f32` it was written from.
+    fn numbers(v: &serde_json::Value, out: &mut Vec<f32>) {
+        match v {
+            serde_json::Value::Number(_) => out.push(v.as_f64().unwrap() as f32),
+            serde_json::Value::Object(entries) => entries.iter().for_each(|(_, v)| numbers(v, out)),
+            serde_json::Value::Array(items) => items.iter().for_each(|v| numbers(v, out)),
+            _ => {}
+        }
+    }
+
     /// The trained artifact, pinned to the bit: a change to the training
     /// path that moves one weight, bias, training error or threshold fails
     /// here (the trainers' own unit tests only compare a trainer with
@@ -449,8 +464,18 @@ mod tests {
     #[test]
     fn trained_adam_moments_are_bit_stable() {
         let a = pinned_artifact();
-        let want = (0xfaee_72b2_ff86_230f_u64, 0x7965_f20d_4d56_fcc2_u64);
+        let want = (0x12db_dd87_7d65_fc40_u64, 0x7965_f20d_4d56_fcc2_u64);
         assert_eq!(a.moments, want, "got {:016x} {:016x}", a.moments.0, a.moments.1);
+    }
+
+    /// Adam flushes a moment that decays below `f32::MIN_POSITIVE` to zero,
+    /// so the deployed shapes' ReLU-dead and seen-once weights carry `0.0`,
+    /// not a denormal every later update would pay a microcode assist on.
+    #[test]
+    fn trained_adam_moments_hold_no_subnormal() {
+        let moments = &pinned_artifact().moment_values;
+        let subnormal = moments.iter().filter(|m| m.is_subnormal()).count();
+        assert_eq!(subnormal, 0, "{subnormal} of {} Adam moments are subnormal", moments.len());
     }
 
     #[test]

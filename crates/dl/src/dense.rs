@@ -64,17 +64,21 @@ pub fn sigmoid(x: f32) -> f32 {
 
 /// One Adam update of `param` along `grad`, `t` the step count including
 /// this one — the only Adam in the crate. Plain IEEE multiply/add/divide/
-/// sqrt per element, so hoisting the bias corrections and walking zipped
-/// slices (which vectorizes) moves no bit against an indexed loop; `m` is
-/// left to decay through the denormals. Public for the `kernels` report.
+/// sqrt per element over zipped slices (which vectorizes), the bias
+/// corrections hoisted. A moment that decays below `f32::MIN_POSITIVE` is
+/// flushed to `0.0` by a select, not a branch: a dead weight's `m` would
+/// otherwise park in the denormals, where every vector instruction touching
+/// it takes a microcode assist, while the step it adds is far below the
+/// weight's last bit. Public for the `kernels` report.
 pub fn adam_update(param: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32], t: u64, lr: f32) {
     const B1: f32 = 0.9;
     const B2: f32 = 0.999;
     const EPS: f32 = 1e-8;
+    let flush = |x: f32| if x.abs() < f32::MIN_POSITIVE { 0.0 } else { x };
     let (c1, c2) = (1.0 - B1.powi(t as i32), 1.0 - B2.powi(t as i32));
     for (((p, &g), m), v) in param.iter_mut().zip(grad).zip(m).zip(v) {
-        *m = B1 * *m + (1.0 - B1) * g;
-        *v = B2 * *v + (1.0 - B2) * g * g;
+        *m = flush(B1 * *m + (1.0 - B1) * g);
+        *v = flush(B2 * *v + (1.0 - B2) * g * g);
         *p -= lr * (*m / c1) / ((*v / c2).sqrt() + EPS);
     }
 }
@@ -284,8 +288,8 @@ mod tests {
         }
     }
 
-    /// The slice Adam against the indexed loop it replaced (kept here as the
-    /// oracle), bit for bit — including moments that have decayed into the
+    /// The slice Adam against the indexed, branching formula (kept here as
+    /// the oracle), bit for bit — including moments that start in the
     /// denormals and parameters whose gradient is exactly zero.
     #[test]
     fn adam_update_matches_the_indexed_formula_bit_for_bit() {
@@ -297,8 +301,14 @@ mod tests {
             let t = t as i32;
             for i in 0..p.len() {
                 let g = grad[i];
-                let m = B1 * ms[i] + (1.0 - B1) * g;
-                let v = B2 * vs[i] + (1.0 - B2) * g * g;
+                let mut m = B1 * ms[i] + (1.0 - B1) * g;
+                let mut v = B2 * vs[i] + (1.0 - B2) * g * g;
+                if m.abs() < f32::MIN_POSITIVE {
+                    m = 0.0;
+                }
+                if v < f32::MIN_POSITIVE {
+                    v = 0.0;
+                }
                 ms[i] = m;
                 vs[i] = v;
                 let m_hat = m / (1.0 - B1.powi(t));
@@ -329,18 +339,46 @@ mod tests {
             assert_eq!(bits(&m), bits(&m_ref), "m diverged at step {t}");
             assert_eq!(bits(&v), bits(&v_ref), "v diverged at step {t}");
         }
-        // Zero gradients alone: `m` walks down through the denormals to zero
-        // on both sides (no flush-to-zero shortcut).
+        // Zero gradients alone: both sides decay `m` to exactly zero.
         let zero = vec![0.0f32; n];
-        let mut saw_denormal = false;
         for t in 301..=2_500 {
             adam_update(&mut param, &zero, &mut m, &mut v, t, 1e-3);
             indexed(&mut param_ref, &zero, &mut m_ref, &mut v_ref, t, 1e-3);
-            saw_denormal |= m.iter().any(|x| x.is_subnormal());
             assert!(m.iter().zip(&m_ref).all(|(a, b)| a.to_bits() == b.to_bits()), "step {t}");
             assert!(param.iter().zip(&param_ref).all(|(a, b)| a.to_bits() == b.to_bits()), "step {t}");
         }
-        assert!(saw_denormal, "the decay never reached the denormals");
+        assert!(m.iter().all(|&x| x == 0.0), "a moment outlived 2 200 zero gradients");
+    }
+
+    /// A moment whose gradient stays zero reaches exactly `0.0` without
+    /// passing through the denormals, alone and inside a trained layer
+    /// (weights of an input feature seen in one batch only).
+    #[test]
+    fn dead_moments_flush_to_zero() {
+        let (mut p, mut m, mut v) = ([0.5f32], [1e-3f32], [1e-6f32]);
+        let mut t = 0;
+        while m[0] != 0.0 {
+            t += 1;
+            assert!(t < 1_000, "m = {:e} after {t} zero-gradient steps", m[0]);
+            adam_update(&mut p, &[0.0], &mut m, &mut v, t, 1e-3);
+            assert!(!m[0].is_subnormal() && !v[0].is_subnormal(), "step {t}: m = {:e}", m[0]);
+        }
+        assert_eq!(m[0].to_bits(), 0, "m must flush to +0.0");
+
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut layer = Dense::new(3, 2, Activation::Relu, &mut rng);
+        let (mut y, mut scratch) = (Matrix::default(), GradScratch::default());
+        for step in 0..1_000 {
+            // Feature 2 is seen once; the other two every step.
+            let seen = if step == 0 { 1.0 } else { 0.0 };
+            let x = Matrix::from_vec(2, 3, vec![0.3, 0.8, seen, 0.9, -0.4, 0.0]);
+            layer.forward_to(&x, &mut y);
+            let mut grad = y.sub(&Matrix::from_vec(2, 2, vec![0.1, 0.2, 0.3, 0.4])).scale(0.5);
+            layer.grad_step(&x, &y, &mut grad, None, &mut scratch, 1e-2);
+        }
+        let moments = layer.adam_w.m.data();
+        assert!(moments.iter().all(|m| !m.is_subnormal()), "{moments:?}");
+        assert_eq!(&moments[4..], &[0.0, 0.0], "the seen-once feature's moments");
     }
 
     #[test]
