@@ -125,7 +125,7 @@ impl Autoencoder {
         let TrainScratch { acts, grad, grad_in, dense } = scratch;
         for (li, layer) in self.layers.iter().enumerate() {
             let (input, output) = acts.split_at_mut(li + 1);
-            layer.forward_to(&input[li], &mut output[0]);
+            layer.forward_into(input[li].data(), input[li].rows(), &mut output[0]);
         }
         let (batch, recon) = (&acts[0], &acts[self.layers.len()]);
         let scale = 2.0 / recon.data().len() as f32;
@@ -141,7 +141,7 @@ impl Autoencoder {
         }
     }
 
-    /// Reconstructs an input batch.
+    /// Reconstructs an input batch through fresh matrices.
     pub fn reconstruct(&self, x: &Matrix) -> Matrix {
         let mut y = x.clone();
         for layer in &self.layers {
@@ -152,9 +152,8 @@ impl Autoencoder {
 
     /// Anomaly score of a single window (1 × input_dim): reconstruction MSE.
     ///
-    /// This is the allocation-heavy reference path; the hot paths go
-    /// through [`Autoencoder::score_spans`], which the parity tests pin
-    /// against it.
+    /// The same layer pass as [`Autoencoder::score_spans`] through
+    /// allocating matrices, with a sequential sum for the MSE.
     pub fn score_row(&self, x: &Matrix) -> f32 {
         assert_eq!(x.rows(), 1, "score_row takes one window");
         self.reconstruct(x).sub(x).mean_sq()

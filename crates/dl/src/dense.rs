@@ -18,25 +18,15 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation in place with the libm transcendentals — the
-    /// reference path, and the one training is pinned to (see DESIGN.md §
-    /// "The training path").
-    fn apply_scalar(self, data: &mut [f32]) {
+    /// Applies the activation in place — the one activation path, for
+    /// training and inference alike. Sigmoid/tanh go through the kernels'
+    /// vectorized polynomials.
+    pub fn apply_inplace(self, data: &mut [f32]) {
         match self {
             Activation::Linear => {}
             Activation::Relu => data.iter_mut().for_each(|v| *v = v.max(0.0)),
-            Activation::Sigmoid => data.iter_mut().for_each(|v| *v = sigmoid(*v)),
-            Activation::Tanh => data.iter_mut().for_each(|v| *v = v.tanh()),
-        }
-    }
-
-    /// Applies the activation in place (the allocation-free inference path).
-    /// Sigmoid/tanh go through the kernels' vectorized polynomials.
-    pub fn apply_inplace(self, data: &mut [f32]) {
-        match self {
             Activation::Sigmoid => crate::kernels::sigmoid_slice(data),
             Activation::Tanh => crate::kernels::tanh_slice(data),
-            Activation::Linear | Activation::Relu => self.apply_scalar(data),
         }
     }
 
@@ -52,7 +42,8 @@ impl Activation {
     }
 }
 
-/// Numerically stable logistic sigmoid.
+/// Numerically stable logistic sigmoid through libm's `exp` — the reference
+/// the polynomial [`crate::kernels::sigmoid_slice`] is tested against.
 pub fn sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
@@ -142,24 +133,16 @@ impl Dense {
         self.weights.cols()
     }
 
-    /// The reference forward pass.
+    /// [`Dense::forward_into`] into a fresh matrix.
     pub fn forward(&self, x: &Matrix) -> Matrix {
         let mut out = Matrix::default();
-        self.forward_to(x, &mut out);
+        self.forward_into(x.data(), x.rows(), &mut out);
         out
     }
 
-    /// [`Dense::forward`] into a reused buffer, and the training forward:
-    /// GEMM into zeros, then the bias, then the scalar libm activation — the
-    /// order trained weights are pinned to, not [`Dense::forward_into`]'s.
-    pub(crate) fn forward_to(&self, x: &Matrix, out: &mut Matrix) {
-        x.matmul_into(&self.weights, out);
-        out.add_row_inplace(&self.bias);
-        self.activation.apply_scalar(out.data_mut());
-    }
-
-    /// Inference forward pass over `rows` flat row-major inputs into a
-    /// reusable buffer — no allocation once `out` has capacity. The bias is
+    /// The one forward pass, for inference and training alike: `rows` flat
+    /// row-major inputs into a reusable buffer, no allocation once `out`
+    /// has capacity. The bias is
     /// staged into `out` first and the GEMM accumulates on top (one pass
     /// over the output instead of two); a single row is just the
     /// `rows = 1` case of the same kernel, and by the kernel's
@@ -184,7 +167,7 @@ impl Dense {
     }
 
     /// Backward pass and Adam step for input `x` and output `y` of
-    /// [`Dense::forward_to`]. `grad` holds dL/dy on entry and dL/dz on
+    /// [`Dense::forward_into`]. `grad` holds dL/dy on entry and dL/dz on
     /// return; dL/dx goes to `grad_in` when the caller has a use for it,
     /// taken before the step moves the weights.
     pub(crate) fn grad_step(
@@ -228,12 +211,19 @@ mod tests {
     #[test]
     fn activations_and_derivatives() {
         let mut y = [-1.0, 0.0, 2.0];
-        Activation::Relu.apply_scalar(&mut y);
+        Activation::Relu.apply_inplace(&mut y);
         assert_eq!(y, [0.0, 0.0, 2.0]);
         assert_eq!(y.map(|v| Activation::Relu.derivative(v)), [0.0, 0.0, 1.0]);
-        let mut s = [0.0];
-        Activation::Sigmoid.apply_scalar(&mut s);
+        let x = [0.0f32, -3.0, 0.5, 4.0];
+        let (mut s, mut t) = (x, x);
+        Activation::Sigmoid.apply_inplace(&mut s);
+        Activation::Tanh.apply_inplace(&mut t);
         assert!((Activation::Sigmoid.derivative(s[0]) - 0.25).abs() < 1e-6);
+        assert!((Activation::Tanh.derivative(t[0]) - 1.0).abs() < 1e-6);
+        for ((s, t), x) in s.iter().zip(t).zip(x) {
+            assert!((s - sigmoid(x)).abs() < 1e-6, "sigmoid({x}) = {s}");
+            assert!((t - x.tanh()).abs() < 1e-6, "tanh({x}) = {t}");
+        }
     }
 
     #[test]
@@ -245,7 +235,7 @@ mod tests {
         for _ in 0..500 {
             let x = Matrix::from_vec(4, 1, vec![-1.0, 0.5, 1.0, 2.0]);
             let target = x.scale(2.0);
-            layer.forward_to(&x, &mut y);
+            layer.forward_into(x.data(), x.rows(), &mut y);
             let mut grad = y.sub(&target).scale(2.0 / 4.0);
             layer.grad_step(&x, &y, &mut grad, None, &mut scratch, 0.05);
         }
@@ -372,7 +362,7 @@ mod tests {
             // Feature 2 is seen once; the other two every step.
             let seen = if step == 0 { 1.0 } else { 0.0 };
             let x = Matrix::from_vec(2, 3, vec![0.3, 0.8, seen, 0.9, -0.4, 0.0]);
-            layer.forward_to(&x, &mut y);
+            layer.forward_into(x.data(), x.rows(), &mut y);
             let mut grad = y.sub(&Matrix::from_vec(2, 2, vec![0.1, 0.2, 0.3, 0.4])).scale(0.5);
             layer.grad_step(&x, &y, &mut grad, None, &mut scratch, 1e-2);
         }
@@ -381,10 +371,24 @@ mod tests {
         assert_eq!(&moments[4..], &[0.0, 0.0], "the seen-once feature's moments");
     }
 
+    /// The buffered pass against `sigmoid(b + Σ x·W)` written out with libm,
+    /// for one row and a batch, before and after a weight update.
     #[test]
     fn forward_into_matches_forward_for_rows_and_batches() {
+        fn reference(layer: &Dense, x: &Matrix) -> Vec<f32> {
+            let w = &layer.weights;
+            x.data()
+                .chunks_exact(w.rows())
+                .flat_map(|row| {
+                    (0..w.cols()).map(move |j| {
+                        let z: f32 = row.iter().enumerate().map(|(i, &v)| v * w.get(i, j)).sum();
+                        sigmoid(layer.bias.data()[j] + z)
+                    })
+                })
+                .collect()
+        }
         let mut rng = StdRng::seed_from_u64(21);
-        let layer = Dense::new(6, 4, Activation::Relu, &mut rng);
+        let layer = Dense::new(6, 4, Activation::Sigmoid, &mut rng);
         let single = Matrix::row(vec![0.3, -0.2, 0.8, 0.0, 1.5, -0.7]);
         let batch = Matrix::from_vec(
             3,
@@ -394,9 +398,8 @@ mod tests {
         let mut out = Matrix::default();
         for x in [&single, &batch] {
             layer.forward_into(x.data(), x.rows(), &mut out);
-            let reference = layer.forward(x);
-            assert_eq!(out.rows(), reference.rows());
-            for (a, b) in out.data().iter().zip(reference.data()) {
+            assert_eq!(out.rows(), x.rows());
+            for (a, b) in out.data().iter().zip(reference(&layer, x)) {
                 assert!((a - b).abs() < 1e-5, "forward_into diverged: {a} vs {b}");
             }
         }
@@ -405,8 +408,8 @@ mod tests {
         let y = trained.forward(&single);
         trained.grad_step(&single, &y, &mut y.clone(), None, &mut GradScratch::default(), 0.1);
         trained.forward_into(single.data(), 1, &mut out);
-        let reference = trained.forward(&single);
-        for (a, b) in out.data().iter().zip(reference.data()) {
+        assert_ne!(trained.weights, layer.weights);
+        for (a, b) in out.data().iter().zip(reference(&trained, &single)) {
             assert!((a - b).abs() < 1e-5, "stale weights in buffered path: {a} vs {b}");
         }
     }

@@ -9,7 +9,7 @@
 //! Implemented from scratch with full backpropagation through time; the
 //! analytic gradients are validated against finite differences in the tests.
 
-use crate::dense::{sigmoid, Activation, AdamState, Dense, GradScratch};
+use crate::dense::{Activation, AdamState, Dense, GradScratch};
 use crate::metrics::percentile;
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
@@ -41,22 +41,20 @@ impl LstmConfig {
     }
 }
 
-/// What one training step (and the reference forward pass) reuses from
-/// window to window — never part of the model. Per-step rows are kept for
-/// BPTT: `h_prev`/`c_prev` row `t` is the state step `t` started from,
-/// `gates` row `t` its activated `[i | f | g | o]`, `tanh_c` row `t` the
-/// `tanh` of the cell it produced.
+/// What one training step reuses from window to window — never part of the
+/// model. The forward pass is [`Lstm::predict_into`] itself, in `ws`; after
+/// each step `t` its hook keeps what BPTT needs as row `t`: `xs` the step's
+/// input, `hs`/`cs` the hidden and cell state the step started from, `gates`
+/// its activated `[i | f | g | o]`, `tanh_c` the `tanh` of the cell it
+/// produced.
 #[derive(Debug, Default)]
 struct SeqScratch {
-    xw: Matrix,
-    hu: Matrix,
-    h: Matrix,
-    c: Matrix,
-    h_prev: Matrix,
-    c_prev: Matrix,
+    ws: Workspace,
+    xs: Matrix,
+    hs: Matrix,
+    cs: Matrix,
     gates: Matrix,
     tanh_c: Matrix,
-    pred: Matrix,
     grad_pred: Matrix,
     u_t: Matrix,
     dz: Matrix,
@@ -68,15 +66,13 @@ struct SeqScratch {
     head: GradScratch,
 }
 
-/// `grad += xᵀ·dz` for a single row `x` — bit for bit what the k = 1 GEMM
-/// into zeros and the matrix add it replaces compute: each product rounded,
-/// then added, never fused. A zero `x` contributes a row of `+0.0`, and
-/// gradients never hold `−0.0`, so skipping it moves nothing.
+/// `grad += xᵀ·dz` for a single row `x`: each product rounded, then
+/// added; a zero `x` adds nothing.
 fn add_outer(grad: &mut Matrix, x: &[f32], dz: &[f32]) {
     for (row, &xv) in grad.data_mut().chunks_exact_mut(dz.len()).zip(x) {
         if xv != 0.0 {
             for (g, &d) in row.iter_mut().zip(dz) {
-                *g += 0.0 + xv * d;
+                *g += xv * d;
             }
         }
     }
@@ -137,58 +133,40 @@ impl Lstm {
         model
     }
 
-    /// The reference forward pass, scalar libm activations:
-    /// leaves the final hidden state in `s.h` and what BPTT needs of each
-    /// step in the per-step rows. `z = (x·W + h·U) + b` with the `x_t·W` of
-    /// all steps from one GEMM up front (row `t` has the bits it would
-    /// alone), `c' = f·c + i·g` as two rounded products and one add.
-    fn forward_sequence(&self, window: &Matrix, s: &mut SeqScratch) {
-        let hd = self.config.hidden;
-        let steps = window.rows();
-        window.matmul_into(&self.w, &mut s.xw);
-        s.h.resize_zeroed(1, hd);
-        s.c.resize_zeroed(1, hd);
-        s.h_prev.resize(steps, hd);
-        s.c_prev.resize(steps, hd);
-        s.gates.resize(steps, 4 * hd);
-        s.tanh_c.resize(steps, hd);
-        for t in 0..steps {
-            s.h.matmul_into(&self.u, &mut s.hu);
-            s.h_prev.data[t * hd..][..hd].copy_from_slice(&s.h.data);
-            s.c_prev.data[t * hd..][..hd].copy_from_slice(&s.c.data);
-            let z = &mut s.gates.data[t * 4 * hd..][..4 * hd];
-            let xw = &s.xw.data[t * 4 * hd..][..4 * hd];
-            for (((z, &xw), &hu), &b) in z.iter_mut().zip(xw).zip(&s.hu.data).zip(&self.b.data) {
-                *z = (xw + hu) + b;
-            }
-            z[..2 * hd].iter_mut().for_each(|v| *v = sigmoid(*v));
-            z[2 * hd..3 * hd].iter_mut().for_each(|v| *v = v.tanh());
-            z[3 * hd..].iter_mut().for_each(|v| *v = sigmoid(*v));
-            let tanh_c = &mut s.tanh_c.data[t * hd..][..hd];
-            for j in 0..hd {
-                let c = z[hd + j] * s.c.data[j] + z[j] * z[2 * hd + j];
-                s.c.data[j] = c;
-                tanh_c[j] = c.tanh();
-                s.h.data[j] = z[3 * hd + j] * tanh_c[j];
-            }
-        }
-    }
-
     /// One Adam step on one `(window, next)` pair, BPTT from the last step
     /// to the first; allocates nothing once `s` has seen a window.
     fn train_step(&mut self, window: &Matrix, next: &Matrix, s: &mut SeqScratch) {
         let lr = self.config.learning_rate;
-        let hd = self.config.hidden;
-        self.forward_sequence(window, s);
+        let (d, hd, steps) = (self.config.input_dim, self.config.hidden, window.rows());
+
+        // The forward pass is the inference pass; its hook records each step.
+        let SeqScratch { ws, xs, hs, cs, gates, tanh_c, .. } = &mut *s;
+        xs.resize(steps, d);
+        gates.resize(steps, 4 * hd);
+        for buf in [&mut *hs, &mut *cs, &mut *tanh_c] {
+            buf.resize(steps, hd);
+        }
+        hs.data[..hd].fill(0.0);
+        cs.data[..hd].fill(0.0);
+        self.predict_into(1, steps, |_, t| window.row_slice(t), ws, |t, ws| {
+            xs.data[t * d..][..d].copy_from_slice(ws.x.data());
+            gates.data[t * 4 * hd..][..4 * hd].copy_from_slice(ws.z.data());
+            let tc = &mut tanh_c.data[t * hd..][..hd];
+            tc.copy_from_slice(ws.c.data());
+            crate::kernels::tanh_slice(tc);
+            if t + 1 < steps {
+                hs.data[(t + 1) * hd..][..hd].copy_from_slice(ws.h.data());
+                cs.data[(t + 1) * hd..][..hd].copy_from_slice(ws.c.data());
+            }
+        });
 
         // The head: prediction, its gradient, and `dh` before its Adam step.
-        self.head.forward_to(&s.h, &mut s.pred);
-        let scale = 2.0 / s.pred.data.len() as f32;
-        s.grad_pred.resize(1, s.pred.cols());
-        for ((g, &p), &y) in s.grad_pred.data.iter_mut().zip(&s.pred.data).zip(next.data()) {
+        let scale = 2.0 / d as f32;
+        s.grad_pred.resize(1, d);
+        for ((g, &p), &y) in s.grad_pred.data.iter_mut().zip(s.ws.a.data()).zip(next.data()) {
             *g = (p - y) * scale;
         }
-        self.head.grad_step(&s.h, &s.pred, &mut s.grad_pred, Some(&mut s.dh), &mut s.head, lr);
+        self.head.grad_step(&s.ws.h, &s.ws.a, &mut s.grad_pred, Some(&mut s.dh), &mut s.head, lr);
 
         // U only moves at the end of the step: one transpose serves them all.
         self.u.transpose_into(&mut s.u_t);
@@ -197,9 +175,9 @@ impl Lstm {
         for (grad, param) in [(&mut s.grad_w, &self.w), (&mut s.grad_u, &self.u), (&mut s.grad_b, &self.b)] {
             grad.resize_zeroed(param.rows(), param.cols());
         }
-        for t in (0..window.rows()).rev() {
+        for t in (0..steps).rev() {
             let gates = &s.gates.data[t * 4 * hd..][..4 * hd];
-            let (tanh_c, c_prev) = (&s.tanh_c.data[t * hd..][..hd], &s.c_prev.data[t * hd..][..hd]);
+            let (tanh_c, c_prev) = (&s.tanh_c.data[t * hd..][..hd], &s.cs.data[t * hd..][..hd]);
             for j in 0..hd {
                 let (i, f, g, o) = (gates[j], gates[hd + j], gates[2 * hd + j], gates[3 * hd + j]);
                 let dh = s.dh.data[j];
@@ -210,8 +188,8 @@ impl Lstm {
                 s.dz.data[2 * hd + j] = (dc_total * i) * (1.0 - g * g);
                 s.dz.data[3 * hd + j] = (dh * tanh_c[j]) * (o * (1.0 - o));
             }
-            add_outer(&mut s.grad_w, window.row_slice(t), &s.dz.data);
-            add_outer(&mut s.grad_u, &s.h_prev.data[t * hd..][..hd], &s.dz.data);
+            add_outer(&mut s.grad_w, &s.xs.data[t * d..][..d], &s.dz.data);
+            add_outer(&mut s.grad_u, &s.hs.data[t * hd..][..hd], &s.dz.data);
             for (g, &d) in s.grad_b.data.iter_mut().zip(&s.dz.data) {
                 *g += d;
             }
@@ -225,16 +203,15 @@ impl Lstm {
 
     /// Predicts the next telemetry vector after `window` (`N × input_dim`).
     pub fn predict(&self, window: &Matrix) -> Matrix {
-        let mut s = SeqScratch::default();
-        self.forward_sequence(window, &mut s);
-        self.head.forward(&s.h)
+        let mut ws = Workspace::new();
+        self.predict_into(1, window.rows(), |_, t| window.row_slice(t), &mut ws, |_, _| {});
+        ws.a
     }
 
     /// Anomaly score: MSE between the prediction and the observed next.
     ///
-    /// This is the allocation-heavy reference path; the hot paths share
-    /// one batched pass ([`Lstm::score_spans`]), which the parity tests pin
-    /// against it.
+    /// The same pass as [`Lstm::score_spans`] through a fresh workspace,
+    /// with a sequential sum for the MSE.
     pub fn score(&self, window: &Matrix, actual_next: &Matrix) -> f32 {
         self.predict(window).sub(actual_next).mean_sq()
     }
@@ -278,19 +255,22 @@ impl Lstm {
         }
     }
 
-    /// The one inference pass: runs `m` sequences of `steps` rows through
+    /// The one forward pass, for inference and training alike: runs `m`
+    /// sequences of `steps` rows through
     /// one batched time loop — at each step the `m` current input rows
     /// (`row(k, t)`, a plain copy) are stacked so the gate pre-activations
     /// are two GEMMs, not 2·m GEMVs — and leaves the `m` predictions in
     /// `ws.a`. All temporaries live in the workspace; by the kernels'
     /// row-invariance contract sequence `k`'s prediction has the same bits
-    /// alone and in any batch.
+    /// alone and in any batch. `after_step(t, ws)` sees each step's inputs,
+    /// activated gates and new state (training keeps them for BPTT).
     fn predict_into<'a>(
         &self,
         m: usize,
         steps: usize,
         row: impl Fn(usize, usize) -> &'a [f32],
         ws: &mut Workspace,
+        mut after_step: impl FnMut(usize, &Workspace),
     ) {
         let d = self.config.input_dim;
         let h_dim = self.config.hidden;
@@ -307,6 +287,7 @@ impl Lstm {
                 x.copy_from_slice(row(k, t));
             }
             self.step_batched(ws);
+            after_step(t, ws);
         }
         let grew = self.head.forward_into(ws.h.data(), m, &mut ws.a);
         ws.note(grew);
@@ -328,7 +309,7 @@ impl Lstm {
         if m == 0 {
             return;
         }
-        self.predict_into(m, steps, |k, t| &spans[k * span + t * d..][..d], ws);
+        self.predict_into(m, steps, |k, t| &spans[k * span + t * d..][..d], ws, |_, _| {});
         out.extend(
             spans
                 .chunks_exact(span)
@@ -354,7 +335,7 @@ impl Lstm {
         };
         let steps = first.rows();
         assert!(windows.iter().all(|w| w.rows() == steps), "ragged window batch");
-        self.predict_into(windows.len(), steps, |k, t| windows[k].row_slice(t), ws);
+        self.predict_into(windows.len(), steps, |k, t| windows[k].row_slice(t), ws, |_, _| {});
         nexts
             .iter()
             .zip(ws.a.data().chunks_exact(self.config.input_dim))
@@ -376,7 +357,7 @@ impl Lstm {
             !window_flat.is_empty() && window_flat.len().is_multiple_of(d),
             "window is not a whole number of {d}-wide steps"
         );
-        self.predict_into(1, window_flat.len() / d, |_, t| &window_flat[t * d..][..d], ws);
+        self.predict_into(1, window_flat.len() / d, |_, t| &window_flat[t * d..][..d], ws, |_, _| {});
         crate::kernels::mse_row(ws.a.row_slice(0), next)
     }
 
