@@ -613,6 +613,45 @@ mod tests {
         assert!(outcome.enforced.iter().all(|(_, action)| action.id != u32::MAX));
     }
 
+    /// A tenant whose second handler call queues a control and then panics.
+    struct PanicsOnSecondCall(u32);
+
+    impl XApp for PanicsOnSecondCall {
+        fn name(&self) -> &str {
+            "panics-on-second-call"
+        }
+
+        fn on_records(&mut self, ctx: &mut XAppContext<'_>, _: &[UeMobiFlow], _: Timestamp) {
+            self.0 += 1;
+            if self.0 == 2 {
+                let out = ControlOut { id: u32::MAX, payload: vec![0xde, 0xad], ..Default::default() };
+                assert!(ctx.send_control("release-ue", out));
+                panic!("tenant handler fault");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_tenant_handler_does_not_stop_the_pump() {
+        let pipeline = Pipeline::train(&PipelineConfig::small(33, 10));
+        let stream = pipeline.eval_stream(TrafficClass::Benign);
+        let mut clean = ScaleDeployment::new(&pipeline, 1);
+        clean.drive(&mut Replay(&stream.records));
+
+        let tenant = SubscriptionSpec::telemetry(pipeline.config().report_period_ms);
+        let extra: Vec<(Box<dyn XApp>, _, _)> =
+            vec![(Box::new(PanicsOnSecondCall(0)), tenant, Grants::none().control("release-ue"))];
+        let mut d = ScaleDeployment::with_extra_xapps(&pipeline, 1, extra);
+        // `drive` pumps with `.expect("pump")`: finishing is the pump's `Ok`.
+        let outcome = d.drive(&mut Replay(&stream.records));
+        let panics = d.obs().counter("xsec_ric_dropped_total", &[("site", "handler"), ("reason", "panic")]);
+        assert_eq!(panics.get(), 1);
+        // The control queued before the panic never left the platform.
+        assert_eq!(outcome.metrics.counter_total("xsec_ran_dropped_total"), 0);
+        assert!(outcome.enforced.iter().all(|(_, action)| action.id != u32::MAX));
+        assert_eq!(d.detections_digest(), clean.detections_digest());
+    }
+
     #[test]
     fn live_sim_feed_extracts_incrementally_what_one_pass_would() {
         let mut scenario = xsec_ran::ScenarioConfig { benign_sessions: 10, ..Default::default() };

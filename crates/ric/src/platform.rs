@@ -24,6 +24,7 @@ use crate::router::{RegisterError, Router, RouterHandle};
 use crate::xapp::{ControlOut, XApp, XAppContext};
 use crossbeam_channel::Receiver;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 use xsec_e2::{
     E2apPdu, E2Transport, KpmIndication, Readiness, RicRequestId, SendOutcome, WakeSet,
@@ -195,6 +196,8 @@ struct PlatformMetrics {
     subscriptions_refused: Counter,
     /// PDUs only the RIC may send, received from an agent.
     pdus_unexpected: Counter,
+    /// xApp handler calls that panicked (their queued controls dropped).
+    handler_panics: Counter,
     /// Connections visited across all pumps (O(active) when event-driven).
     conns_scanned: Counter,
     /// Entries currently in the `mobiflow` SDL namespace.
@@ -221,6 +224,7 @@ impl PlatformMetrics {
             acks_evicted: dropped(obs, "control_ack", "evicted"),
             subscriptions_refused: dropped(obs, "pdu", "refused_subscription"),
             pdus_unexpected: dropped(obs, "pdu", "unexpected"),
+            handler_panics: dropped(obs, "handler", "panic"),
             conns_scanned: obs.counter("xsec_ric_pump_conns_scanned_total", &[]),
             sdl_entries: obs.gauge("xsec_sdl_entries", &[("namespace", SDL_MOBIFLOW)]),
             sdl_evicted: obs.counter("xsec_sdl_evicted_total", &[("namespace", SDL_MOBIFLOW)]),
@@ -769,17 +773,21 @@ impl RicPlatform {
         Ok(())
     }
 
+    /// Runs one xApp handler call. A handler that panics loses the controls
+    /// it queued in that call and is counted under
+    /// `xsec_ric_dropped_total{site="handler",reason="panic"}`; the pump,
+    /// the other xApps and that xApp's later calls carry on.
     fn invoke(&mut self, ai: usize, f: impl FnOnce(&mut dyn XApp, &mut XAppContext<'_>)) {
         let mut control_out = Vec::new();
         let start = Instant::now();
-        {
-            let entry = &mut self.xapps[ai];
-            let mut ctx =
-                XAppContext { sdl: &self.sdl, scope: &entry.scope, control_out: &mut control_out };
-            f(entry.app.as_mut(), &mut ctx);
+        let entry = &mut self.xapps[ai];
+        let mut ctx = XAppContext { sdl: &self.sdl, scope: &entry.scope, control_out: &mut control_out };
+        let finished = panic::catch_unwind(AssertUnwindSafe(|| f(entry.app.as_mut(), &mut ctx)));
+        entry.handler_latency.observe_duration(start.elapsed());
+        match finished {
+            Ok(()) => self.control_queue.extend(control_out),
+            Err(_) => self.metrics.handler_panics.inc(),
         }
-        self.xapps[ai].handler_latency.observe_duration(start.elapsed());
-        self.control_queue.extend(control_out);
     }
 }
 
@@ -1217,6 +1225,7 @@ mod tests {
             ("control_ack", "evicted"),
             ("pdu", "refused_subscription"),
             ("pdu", "unexpected"),
+            ("handler", "panic"),
         ] {
             let series = format!("xsec_ric_dropped_total{{reason=\"{reason}\",site=\"{site}\"}} 0\n");
             assert!(exposition.contains(&series), "{exposition}");
