@@ -166,20 +166,6 @@ impl Matrix {
         crate::kernels::gemm_acc(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data);
     }
 
-    /// Adds a row vector to every row in place (bias add).
-    ///
-    /// # Panics
-    /// If `bias` is not `1 × self.cols`.
-    pub fn add_row_inplace(&mut self, bias: &Matrix) {
-        assert_eq!(bias.rows, 1, "bias must be a row vector");
-        assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        for row in self.data.chunks_exact_mut(self.cols) {
-            for (o, b) in row.iter_mut().zip(&bias.data) {
-                *o += b;
-            }
-        }
-    }
-
     /// The flat row-major slice of row `r` (no copy).
     #[inline]
     pub fn row_slice(&self, r: usize) -> &[f32] {
@@ -331,14 +317,12 @@ mod tests {
     }
 
     #[test]
-    fn bias_broadcast_and_sum_rows() {
-        let mut x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+    fn sum_rows_into_reshapes_and_sums() {
+        let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         // A stale, wrongly-shaped `out` is reshaped and zeroed first.
         let mut sums = Matrix::from_vec(1, 3, vec![9.0; 3]);
         x.sum_rows_into(&mut sums);
         assert_eq!(sums, Matrix::row(vec![4.0, 6.0]));
-        x.add_row_inplace(&Matrix::row(vec![10.0, 20.0]));
-        assert_eq!(x.data(), &[11.0, 22.0, 13.0, 24.0]);
     }
 
     #[test]
@@ -408,14 +392,6 @@ mod tests {
         a.matmul_into(&b, &mut out);
         a.matmul_acc_into(&b, &mut out);
         assert_eq!(out.data(), &[116.0, 128.0, 278.0, 308.0]);
-    }
-
-    #[test]
-    fn inplace_bias_matches_broadcast() {
-        // The bias lands on every row, not only the first.
-        let mut y = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        y.add_row_inplace(&Matrix::row(vec![0.5, -1.0]));
-        assert_eq!(y.data(), &[1.5, 1.0, 3.5, 3.0, 5.5, 5.0]);
     }
 
     #[test]
