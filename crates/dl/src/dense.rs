@@ -61,16 +61,46 @@ pub fn sigmoid(x: f32) -> f32 {
 /// otherwise park in the denormals, where every vector instruction touching
 /// it takes a microcode assist, while the step it adds is far below the
 /// weight's last bit. Public for the `kernels` report.
+///
+/// The loop is bound by its divides. A bias correction `1 − βᵗ` rounds to
+/// exactly `1.0` once `βᵗ` ≤ 2⁻²⁵ (`t` ≥ 165 for `m`, ≥ 17 321 for `v`),
+/// and `x / 1.0` is `x` bit for bit, so from there on the loop is
+/// instantiated without that divide: the same update, less divider work.
 pub fn adam_update(param: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32], t: u64, lr: f32) {
-    const B1: f32 = 0.9;
-    const B2: f32 = 0.999;
+    let (c1, c2) = (1.0 - ADAM_B1.powi(t as i32), 1.0 - ADAM_B2.powi(t as i32));
+    // `c2` reaches 1.0 long after `c1` does.
+    match (c1 == 1.0, c2 == 1.0) {
+        (false, _) => adam_loop::<true, true>(param, grad, m, v, (c1, c2), lr),
+        (true, false) => adam_loop::<false, true>(param, grad, m, v, (c1, c2), lr),
+        (true, true) => adam_loop::<false, false>(param, grad, m, v, (c1, c2), lr),
+    }
+}
+
+const ADAM_B1: f32 = 0.9;
+const ADAM_B2: f32 = 0.999;
+
+/// [`adam_update`]'s element loop; `DIV_M`/`DIV_V` say whether the bias
+/// correction of that moment still differs from `1.0`. Out of line: with
+/// its three copies inlined into `adam_update`, the benchmark binary's
+/// `steady` throughput measured 1–5 % lower although this loop runs only
+/// in training (code placement of the inference kernels).
+#[inline(never)]
+fn adam_loop<const DIV_M: bool, const DIV_V: bool>(
+    param: &mut [f32],
+    grad: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    (c1, c2): (f32, f32),
+    lr: f32,
+) {
     const EPS: f32 = 1e-8;
     let flush = |x: f32| if x.abs() < f32::MIN_POSITIVE { 0.0 } else { x };
-    let (c1, c2) = (1.0 - B1.powi(t as i32), 1.0 - B2.powi(t as i32));
     for (((p, &g), m), v) in param.iter_mut().zip(grad).zip(m).zip(v) {
-        *m = flush(B1 * *m + (1.0 - B1) * g);
-        *v = flush(B2 * *v + (1.0 - B2) * g * g);
-        *p -= lr * (*m / c1) / ((*v / c2).sqrt() + EPS);
+        *m = flush(ADAM_B1 * *m + (1.0 - ADAM_B1) * g);
+        *v = flush(ADAM_B2 * *v + (1.0 - ADAM_B2) * g * g);
+        let m_hat = if DIV_M { *m / c1 } else { *m };
+        let v_hat = if DIV_V { *v / c2 } else { *v };
+        *p -= lr * m_hat / (v_hat.sqrt() + EPS);
     }
 }
 
@@ -142,9 +172,9 @@ impl Dense {
 
     /// The one forward pass, for inference and training alike: `rows` flat
     /// row-major inputs into a reusable buffer, no allocation once `out`
-    /// has capacity. The bias is
-    /// staged into `out` first and the GEMM accumulates on top (one pass
-    /// over the output instead of two); a single row is just the
+    /// has capacity. The bias is staged into `out` first and the GEMM
+    /// accumulates on top (one pass over the output instead of two); a
+    /// single row is just the
     /// `rows = 1` case of the same kernel, and by the kernel's
     /// row-invariance contract yields the bits it would in any batch.
     ///
@@ -318,7 +348,11 @@ mod tests {
             .collect();
         let mut v: Vec<f32> = (0..n).map(|_| rng.gen_range(0.0..1e-4)).collect();
         let (mut param_ref, mut m_ref, mut v_ref) = (param.clone(), m.clone(), v.clone());
-        for t in 1..=300 {
+        // Steps 1–300 cross the step where `m`'s bias correction rounds to
+        // 1.0, steps 17 300–17 340 the one where `v`'s does.
+        let c2 = |t| 1.0 - 0.999f32.powi(t);
+        assert!(c2(17_300) < 1.0 && c2(17_340) == 1.0);
+        for t in (1..=300).chain(17_300..=17_340) {
             let grad: Vec<f32> = (0..n)
                 .map(|i| if (i + t as usize).is_multiple_of(4) { 0.0 } else { rng.gen_range(-1e-3..1e-3) })
                 .collect();
@@ -331,7 +365,7 @@ mod tests {
         }
         // Zero gradients alone: both sides decay `m` to exactly zero.
         let zero = vec![0.0f32; n];
-        for t in 301..=2_500 {
+        for t in 17_341..=19_540 {
             adam_update(&mut param, &zero, &mut m, &mut v, t, 1e-3);
             indexed(&mut param_ref, &zero, &mut m_ref, &mut v_ref, t, 1e-3);
             assert!(m.iter().zip(&m_ref).all(|(a, b)| a.to_bits() == b.to_bits()), "step {t}");
