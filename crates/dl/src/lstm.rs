@@ -423,6 +423,33 @@ mod tests {
         LstmConfig { input_dim: dim, hidden: 16, learning_rate: 5e-3, epochs: 40, seed: 2 }
     }
 
+    /// The LSTM equations written out one window at a time with libm —
+    /// `z = b + x·W + h·U`, `c' = f·c + i·g`, `h' = o·tanh(c')`, then the
+    /// head — as the oracle of the one forward pass. The head is
+    /// `Dense::forward`, which has its own libm oracle in `dense.rs`.
+    fn reference_score(model: &Lstm, window: &Matrix, next: &Matrix) -> f32 {
+        use crate::dense::sigmoid;
+        let (d, hd) = (model.config.input_dim, model.config.hidden);
+        let (mut h, mut c) = (vec![0.0f32; hd], vec![0.0f32; hd]);
+        for t in 0..window.rows() {
+            let x = window.row_slice(t);
+            let z: Vec<f32> = (0..4 * hd)
+                .map(|j| {
+                    let xw: f32 = (0..d).map(|i| x[i] * model.w.get(i, j)).sum();
+                    let hu: f32 = (0..hd).map(|i| h[i] * model.u.get(i, j)).sum();
+                    model.b.get(0, j) + xw + hu
+                })
+                .collect();
+            for j in 0..hd {
+                let (i, f) = (sigmoid(z[j]), sigmoid(z[hd + j]));
+                let (g, o) = (z[2 * hd + j].tanh(), sigmoid(z[3 * hd + j]));
+                c[j] = f * c[j] + i * g;
+                h[j] = o * c[j].tanh();
+            }
+        }
+        model.head.forward(&Matrix::row(h)).sub(next).mean_sq()
+    }
+
     #[test]
     fn learns_the_cycle_and_flags_order_violations() {
         let dim = 6;
@@ -488,8 +515,11 @@ mod tests {
 
         const EPS: f32 = 1e-3;
         type Param = fn(&mut Lstm) -> &mut Matrix;
-        let params: [(&str, Param, &Matrix); 2] =
-            [("W", |m| &mut m.w, &s.grad_w), ("U", |m| &mut m.u, &s.grad_u)];
+        let params: [(&str, Param, &Matrix); 3] = [
+            ("W", |m| &mut m.w, &s.grad_w),
+            ("U", |m| &mut m.u, &s.grad_u),
+            ("b", |m| &mut m.b, &s.grad_b),
+        ];
         let mut nonzero = 0;
         for (name, param, analytic) in params {
             for idx in 0..analytic.data().len() {
@@ -534,10 +564,10 @@ mod tests {
         let batched = model.score_batch(&windows, &nexts, &mut ws);
         assert_eq!(batched.len(), windows.len());
         for (k, s) in batched.iter().enumerate() {
-            let reference = model.score(&windows[k], &nexts[k]);
+            let reference = reference_score(&model, &windows[k], &nexts[k]);
             assert!(
                 (s - reference).abs() < 1e-5,
-                "pair {k}: batched {s} vs per-window {reference}"
+                "pair {k}: batched {s} vs libm reference {reference}"
             );
             // Against the same pass at batch size one: the same bits.
             let alone = model.score_window(windows[k].data(), nexts[k].data(), &mut ws);
@@ -556,12 +586,11 @@ mod tests {
         );
         let mut ws = Workspace::new();
         for (w, n) in windows.iter().zip(&nexts) {
+            let reference = reference_score(&model, w, n);
             let hot = model.score_window(w.data(), n.data(), &mut ws);
-            let reference = model.score(w, n);
-            assert!(
-                (hot - reference).abs() < 1e-5,
-                "hot-path {hot} vs reference {reference}"
-            );
+            for (path, got) in [("score_window", hot), ("score", model.score(w, n))] {
+                assert!((got - reference).abs() < 1e-5, "{path} {got} vs libm reference {reference}");
+            }
         }
     }
 
