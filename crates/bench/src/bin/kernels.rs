@@ -111,11 +111,12 @@ fn kernels_section(
     })
 }
 
-/// What a refit costs per step, at the shapes `xsec-e2e` deploys (AE
-/// `[48, 12]` at batch 32, LSTM 24) on the eval stream's windows. Report
-/// only: training must reproduce its weights bit for bit (DESIGN.md § "The
-/// training path"), so these move only when overhead around the arithmetic
-/// does, and the number that is judged is the whole-stack `setup_s`.
+/// What a refit costs, at the shapes `xsec-e2e` deploys (AE `[48, 12]` at
+/// batch 32, LSTM 24 one window per step) on the eval stream's windows: the
+/// AE per batch-32 step, the LSTM per window, Adam per parameter. Report only: the number that is judged
+/// is the whole-stack `setup_s`, and what training produces is pinned by
+/// `smo::tests::trained_models_are_bit_stable` (DESIGN.md § "The training
+/// path").
 fn training_section(
     models: &DeployedModels,
     stream: &TelemetryStream,

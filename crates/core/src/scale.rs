@@ -644,8 +644,8 @@ mod tests {
         let mut d = ScaleDeployment::with_extra_xapps(&pipeline, 1, extra);
         // `drive` pumps with `.expect("pump")`: finishing is the pump's `Ok`.
         let outcome = d.drive(&mut Replay(&stream.records));
-        let panics = d.obs().counter("xsec_ric_dropped_total", &[("site", "handler"), ("reason", "panic")]);
-        assert_eq!(panics.get(), 1);
+        let panics = [("site", "handler"), ("reason", "panic")];
+        assert_eq!(d.obs().counter("xsec_ric_dropped_total", &panics).get(), 1);
         // The control queued before the panic never left the platform.
         assert_eq!(outcome.metrics.counter_total("xsec_ran_dropped_total"), 0);
         assert!(outcome.enforced.iter().all(|(_, action)| action.id != u32::MAX));

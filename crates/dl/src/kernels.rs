@@ -16,8 +16,9 @@
 //! Alongside the GEMM live the vectorizable transcendentals
 //! ([`sigmoid_slice`], [`tanh_slice`]): Cephes-style polynomial `exp`
 //! (|abs err| ≲ 1e-7 through sigmoid/tanh), branchless so the lane loop
-//! vectorizes. They are the inference path's activations; training keeps
-//! libm ([`crate::dense::sigmoid`], `f32::tanh`), which is also their oracle.
+//! vectorizes. They are the activations of the one forward pass, which
+//! training and inference share; libm ([`crate::dense::sigmoid`],
+//! `f32::tanh`) is their oracle in the tests.
 //!
 //! **Row invariance.** Row `i` of the product is a pure function of row `i`
 //! of `a` and of `b`: every output element is one ascending-k chain of FMAs
@@ -382,8 +383,8 @@ fn tanh_fast(x: f32) -> f32 {
     2.0 / (1.0 + exp_poly(-2.0 * x)) - 1.0
 }
 
-/// In-place polynomial sigmoid over a slice (the inference path; training
-/// keeps libm's [`crate::dense::sigmoid`]).
+/// In-place polynomial sigmoid over a slice (every sigmoid the networks
+/// compute, in training and inference alike).
 pub fn sigmoid_slice(data: &mut [f32]) {
     for v in data.iter_mut() {
         *v = sigmoid_fast(*v);
