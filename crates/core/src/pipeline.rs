@@ -26,14 +26,13 @@ pub struct PipelineConfig {
     pub seed: u64,
     /// Benign sessions in the training collection.
     pub benign_sessions: usize,
-    /// Model training parameters.
+    /// Model training parameters; `training.window` is the sliding-window
+    /// length `N` the deployed detector scores with.
     pub training: TrainingConfig,
     /// Detector used by the deployed MobiWatch.
     pub detector: Detector,
     /// Which simulated LLM answers the analyzer's prompts.
     pub personality: ModelPersonality,
-    /// Sliding-window length `N` (mirrored into `training.window`).
-    pub detector_window: usize,
     /// E2 report period in milliseconds.
     pub report_period_ms: u32,
     /// Scoring shards. `0` deploys the paper's global sliding window
@@ -70,7 +69,6 @@ impl PipelineConfig {
             training: TrainingConfig::default(),
             detector: Detector::Autoencoder,
             personality: ModelPersonality::CHATGPT_4O,
-            detector_window: 4,
             report_period_ms: 100,
             scoring_shards: 0,
             precision: Precision::F32,
@@ -97,10 +95,8 @@ impl Pipeline {
     /// (multi-cell interleave, handover re-registrations, storms) — models
     /// trained on the single-cell collection flag that traffic wholesale.
     pub fn train_on(config: &PipelineConfig, stream: &TelemetryStream) -> Self {
-        let mut config = config.clone();
-        config.training.window = config.detector_window;
         let models = Smo::train(&config.training, stream).expect("training succeeds");
-        Pipeline { config, models }
+        Pipeline { config: config.clone(), models }
     }
 
     /// The deployed models (for the experiment harness).
@@ -151,7 +147,7 @@ impl Pipeline {
             "evaluate under the global window needs a single-cell stream: buckets are \
              delivered cell-major, so stream-order truth misaligns with the windows scored"
         );
-        let span = self.config.detector.span(self.config.detector_window);
+        let span = self.config.detector.span(self.models.feature_config.window);
         let truth = window_truth(stream, span, |r| window_key(self.per_ue(), r));
         let predictions: Vec<bool> =
             d.watch_state.lock().scores.iter().map(|(_, _, f)| *f).collect();

@@ -306,7 +306,7 @@ mod tests {
     use crate::smo::quick_models;
     use proptest::prelude::*;
     use xsec_attacks::DatasetBuilder;
-    use xsec_dl::FeatureConfig;
+    use xsec_dl::{FeatureConfig, Precision};
     use xsec_mobiflow::extract_from_events;
     use xsec_types::AttackKind;
 
@@ -400,8 +400,8 @@ mod tests {
     fn a_windows_score_is_bit_equal_alone_and_in_any_batch() {
         // Model level, on a real featurized stream (one-hot-sparse rows,
         // the 48→12 layer's 4-column tail): the batched entry, the
-        // single-window entry and the dataset entries agree to the bit at
-        // every batch size.
+        // benchmark's single-window shim and the dataset entries agree to
+        // the bit at every batch size.
         let models = quick_models(44);
         let ds = DatasetBuilder::small(45, 10).attack(AttackKind::BtsDos);
         let stream = extract_from_events(&ds.report.events);
@@ -413,7 +413,7 @@ mod tests {
         let flat = dataset.flat_windows();
         assert!(flat.rows() > 300, "stream too short: {} windows", flat.rows());
         let alone: Vec<f32> = (0..flat.rows())
-            .map(|r| models.autoencoder.score_window(flat.row_slice(r), &mut ws))
+            .map(|r| models.autoencoder.score_window_with(flat.row_slice(r), &mut ws, Precision::F32))
             .collect();
         assert_eq!(bits(&models.autoencoder.score_rows(&flat, &mut ws)), bits(&alone));
         for batch in [1, 2, 8, 240] {
@@ -430,7 +430,7 @@ mod tests {
         let alone: Vec<f32> = windows
             .iter()
             .zip(&nexts)
-            .map(|(w, n)| models.lstm.score_window(w.data(), n.data(), &mut ws))
+            .map(|(w, n)| models.lstm.score_window_with(w.data(), n.data(), &mut ws, Precision::F32))
             .collect();
         assert_eq!(bits(&models.lstm.score_batch(&windows, &nexts, &mut ws)), bits(&alone));
         let spans: Vec<f32> = windows

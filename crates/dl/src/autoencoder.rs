@@ -141,24 +141,6 @@ impl Autoencoder {
         }
     }
 
-    /// Reconstructs an input batch through fresh matrices.
-    pub fn reconstruct(&self, x: &Matrix) -> Matrix {
-        let mut y = x.clone();
-        for layer in &self.layers {
-            y = layer.forward(&y);
-        }
-        y
-    }
-
-    /// Anomaly score of a single window (1 × input_dim): reconstruction MSE.
-    ///
-    /// The same layer pass as [`Autoencoder::score_spans`] through
-    /// allocating matrices, with a sequential sum for the MSE.
-    pub fn score_row(&self, x: &Matrix) -> f32 {
-        assert_eq!(x.rows(), 1, "score_row takes one window");
-        self.reconstruct(x).sub(x).mean_sq()
-    }
-
     /// The one inference pass: `m` flat row-major windows through the layer
     /// stack, each layer a single GEMM over all of them, activations
     /// ping-ponging between two workspace buffers; returns the one holding
@@ -182,9 +164,10 @@ impl Autoencoder {
         }
     }
 
-    /// Scores every `input_dim`-wide window of `spans` (flat, back to back)
-    /// in one batched pass, replacing `out` with one score per window. All
-    /// temporaries live in the workspace.
+    /// The one scoring entry: every `input_dim`-wide window of `spans`
+    /// (flat, back to back) in one batched pass, replacing `out` with one
+    /// reconstruction MSE per window. All temporaries live in the
+    /// workspace; a window scores to the same bits alone and in any batch.
     ///
     /// # Panics
     /// If `spans` is not a whole number of windows.
@@ -204,28 +187,23 @@ impl Autoencoder {
         );
     }
 
-    /// Scores every row of `data`; row `i` of the result equals
-    /// `score_row(data.row_at(i))`.
+    /// [`Autoencoder::score_spans`] over every row of `data`, into a new
+    /// `Vec` (training thresholds and the experiments).
     pub fn score_rows(&self, data: &Matrix, ws: &mut Workspace) -> Vec<f32> {
         let mut out = Vec::with_capacity(data.rows());
         self.score_spans(data.data(), ws, &mut out);
         out
     }
 
-    /// Scores one flattened window (`input_dim` floats) without allocating
-    /// once the workspace is warm.
+    /// One flattened window (`input_dim` floats) through the same pass at
+    /// batch size one — kept only because the frozen `benchmark/` package
+    /// calls it; [`Precision`] has one variant.
     ///
     /// # Panics
     /// If `flat.len() != input_dim`.
-    pub fn score_window(&self, flat: &[f32], ws: &mut Workspace) -> f32 {
+    pub fn score_window_with(&self, flat: &[f32], ws: &mut Workspace, _: Precision) -> f32 {
         assert_eq!(flat.len(), self.config.input_dim, "window width mismatch");
         crate::kernels::mse_row(flat, self.reconstruct_into(flat, 1, ws).row_slice(0))
-    }
-
-    /// [`Autoencoder::score_window`] under the spelling the frozen
-    /// `benchmark/` package calls; [`Precision`] has one variant.
-    pub fn score_window_with(&self, flat: &[f32], ws: &mut Workspace, _: Precision) -> f32 {
-        self.score_window(flat, ws)
     }
 
     /// The detection threshold at the given percentile of training errors
@@ -331,13 +309,36 @@ mod tests {
         assert_eq!(a.training_errors(), b.training_errors());
     }
 
+    /// The autoencoder written out one window at a time: every encoder and
+    /// hidden decoder layer `relu(b + x·W)`, the decoder's output
+    /// `sigmoid(b + x·W)` through libm, and the MSE summed sequentially.
+    fn reference_score(model: &Autoencoder, x: &[f32]) -> f32 {
+        use crate::dense::{reference_affine, sigmoid};
+        let last = model.layers.len() - 1;
+        let mut y = x.to_vec();
+        for (li, layer) in model.layers.iter().enumerate() {
+            let z = reference_affine(layer, &y).into_iter();
+            y = if li == last { z.map(sigmoid).collect() } else { z.map(|v| v.max(0.0)).collect() };
+        }
+        x.iter().zip(&y).map(|(a, b)| (b - a) * (b - a)).sum::<f32>() / x.len() as f32
+    }
+
+    fn bits(scores: &[f32]) -> Vec<u32> {
+        scores.iter().map(|s| s.to_bits()).collect()
+    }
+
     #[test]
     fn json_round_trip_preserves_scores() {
         let (benign, _) = synthetic(40, 9);
         let model = Autoencoder::train(quick_config(benign.cols()), &benign);
         let back = Autoencoder::from_json(&model.to_json()).unwrap();
-        let x = benign.row_at(0);
-        assert_eq!(model.score_row(&x), back.score_row(&x));
+        let mut ws = Workspace::new();
+        let loaded = back.score_rows(&benign, &mut ws);
+        assert_eq!(bits(&model.score_rows(&benign, &mut ws)), bits(&loaded));
+        for (s, x) in loaded.iter().zip(benign.data().chunks_exact(benign.cols())) {
+            let reference = reference_score(&back, x);
+            assert!((s - reference).abs() < 1e-5, "loaded {s} vs libm reference {reference}");
+        }
         assert_eq!(model.threshold(99.0), back.threshold(99.0));
     }
 
@@ -351,36 +352,36 @@ mod tests {
     fn batched_score_rows_matches_per_row() {
         let (benign, outliers) = synthetic(60, 13);
         let model = Autoencoder::train(quick_config(benign.cols()), &benign);
-        let mut ws = Workspace::new();
+        let (mut ws, mut alone) = (Workspace::new(), Vec::new());
         for data in [&benign, &outliers] {
             let batched = model.score_rows(data, &mut ws);
             assert_eq!(batched.len(), data.rows());
             for (i, s) in batched.iter().enumerate() {
-                let reference = model.score_row(&data.row_at(i));
-                assert!(
-                    (s - reference).abs() < 1e-5,
-                    "row {i}: batched {s} vs per-row {reference}"
-                );
                 // Against the same pass at batch size one: the same bits.
-                let alone = model.score_window(data.row_slice(i), &mut ws);
-                assert_eq!(s.to_bits(), alone.to_bits(), "row {i} depends on its batch");
+                model.score_spans(data.row_slice(i), &mut ws, &mut alone);
+                assert_eq!(bits(&[*s]), bits(&alone), "row {i} depends on its batch");
             }
         }
     }
 
     #[test]
-    fn score_window_matches_score_row() {
-        let (benign, _) = synthetic(40, 17);
+    fn score_spans_matches_the_libm_reference() {
+        let (benign, outliers) = synthetic(150, 17);
         let model = Autoencoder::train(quick_config(benign.cols()), &benign);
-        let mut ws = Workspace::new();
-        for i in 0..benign.rows() {
-            let flat = benign.row_slice(i);
-            let hot = model.score_window(flat, &mut ws);
-            let reference = model.score_row(&benign.row_at(i));
-            assert!(
-                (hot - reference).abs() < 1e-5,
-                "row {i}: hot-path {hot} vs reference {reference}"
-            );
+        let (mut ws, mut out) = (Workspace::new(), Vec::new());
+        for data in [&benign, &outliers] {
+            for batch in [1, 7, 64] {
+                for spans in data.data().chunks(batch * data.cols()) {
+                    model.score_spans(spans, &mut ws, &mut out);
+                    for (s, x) in out.iter().zip(spans.chunks_exact(data.cols())) {
+                        let reference = reference_score(&model, x);
+                        assert!(
+                            (s - reference).abs() < 1e-5,
+                            "batches of {batch}: {s} vs libm reference {reference}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -388,23 +389,23 @@ mod tests {
     fn steady_state_scoring_does_not_allocate() {
         let (benign, _) = synthetic(40, 19);
         let model = Autoencoder::train(quick_config(benign.cols()), &benign);
-        let mut ws = Workspace::new();
+        let (mut ws, mut out) = (Workspace::new(), Vec::new());
         // Warm-up: buffers grow to the window shape once.
-        model.score_window(benign.row_slice(0), &mut ws);
+        model.score_spans(benign.row_slice(0), &mut ws, &mut out);
         let warm = ws.grow_events();
         for i in 0..benign.rows() {
-            model.score_window(benign.row_slice(i), &mut ws);
+            model.score_spans(benign.row_slice(i), &mut ws, &mut out);
         }
         assert_eq!(
             ws.grow_events(),
             warm,
             "steady-state single-window scoring must not grow any buffer"
         );
-        // The batched path over a same-width dataset warms independently,
-        // then also goes allocation-free.
-        model.score_rows(&benign, &mut ws);
+        // A whole same-width dataset warms once more, then also goes
+        // allocation-free.
+        model.score_spans(benign.data(), &mut ws, &mut out);
         let warm = ws.grow_events();
-        model.score_rows(&benign, &mut ws);
+        model.score_spans(benign.data(), &mut ws, &mut out);
         assert_eq!(ws.grow_events(), warm, "steady-state batched scoring grew a buffer");
     }
 }

@@ -4,40 +4,32 @@ use crate::tensor::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-/// Layer nonlinearity.
+/// Layer nonlinearity: the two the models use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Activation {
-    /// Identity.
-    Linear,
-    /// max(0, x).
+    /// max(0, x) — every hidden layer.
     Relu,
-    /// Logistic sigmoid — the right output for one-hot targets in \[0,1\].
+    /// Logistic sigmoid — the output layers: every feature lives in \[0,1\].
     Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
 }
 
 impl Activation {
     /// Applies the activation in place — the one activation path, for
-    /// training and inference alike. Sigmoid/tanh go through the kernels'
-    /// vectorized polynomials.
+    /// training and inference alike. Sigmoid goes through the kernels'
+    /// vectorized polynomial.
     pub fn apply_inplace(self, data: &mut [f32]) {
         match self {
-            Activation::Linear => {}
             Activation::Relu => data.iter_mut().for_each(|v| *v = v.max(0.0)),
             Activation::Sigmoid => crate::kernels::sigmoid_slice(data),
-            Activation::Tanh => crate::kernels::tanh_slice(data),
         }
     }
 
     /// Derivative expressed in terms of the *activated output* `y`.
     fn derivative(self, y: f32) -> f32 {
         match self {
-            Activation::Linear => 1.0,
             Activation::Relu if y > 0.0 => 1.0,
             Activation::Relu => 0.0,
             Activation::Sigmoid => y * (1.0 - y),
-            Activation::Tanh => 1.0 - y * y,
         }
     }
 }
@@ -163,13 +155,6 @@ impl Dense {
         self.weights.cols()
     }
 
-    /// [`Dense::forward_into`] into a fresh matrix.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::default();
-        self.forward_into(x.data(), x.rows(), &mut out);
-        out
-    }
-
     /// The one forward pass, for inference and training alike: `rows` flat
     /// row-major inputs into a reusable buffer, no allocation once `out`
     /// has capacity. The bias is staged into `out` first and the GEMM
@@ -224,6 +209,22 @@ impl Dense {
     }
 }
 
+/// `b + x·W` for each row of `x`, every output a sequential sum in
+/// ascending input order: the pre-activation the libm oracles in the tests
+/// apply their activation to.
+#[cfg(test)]
+pub(crate) fn reference_affine(layer: &Dense, x: &[f32]) -> Vec<f32> {
+    let w = &layer.weights;
+    x.chunks_exact(w.rows())
+        .flat_map(|row| {
+            (0..w.cols()).map(move |j| {
+                let z: f32 = row.iter().enumerate().map(|(i, &v)| v * w.get(i, j)).sum();
+                layer.bias.data()[j] + z
+            })
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,32 +246,36 @@ mod tests {
         assert_eq!(y, [0.0, 0.0, 2.0]);
         assert_eq!(y.map(|v| Activation::Relu.derivative(v)), [0.0, 0.0, 1.0]);
         let x = [0.0f32, -3.0, 0.5, 4.0];
-        let (mut s, mut t) = (x, x);
+        let mut s = x;
         Activation::Sigmoid.apply_inplace(&mut s);
-        Activation::Tanh.apply_inplace(&mut t);
         assert!((Activation::Sigmoid.derivative(s[0]) - 0.25).abs() < 1e-6);
-        assert!((Activation::Tanh.derivative(t[0]) - 1.0).abs() < 1e-6);
-        for ((s, t), x) in s.iter().zip(t).zip(x) {
+        for (s, x) in s.iter().zip(x) {
             assert!((s - sigmoid(x)).abs() < 1e-6, "sigmoid({x}) = {s}");
-            assert!((t - x.tanh()).abs() < 1e-6, "tanh({x}) = {t}");
         }
+    }
+
+    /// `(y − target) · scale` element by element: the MSE gradient the
+    /// tests step along.
+    fn scaled_diff(y: &Matrix, target: &[f32], scale: f32) -> Matrix {
+        let data = y.data().iter().zip(target).map(|(a, b)| (a - b) * scale).collect();
+        Matrix::from_vec(y.rows(), y.cols(), data)
     }
 
     #[test]
     fn dense_learns_a_linear_map() {
-        // y = 2x; a single linear unit must fit it quickly.
+        // y = sigmoid(2x − 1); a single sigmoid unit must recover the map.
         let mut rng = StdRng::seed_from_u64(3);
-        let mut layer = Dense::new(1, 1, Activation::Linear, &mut rng);
+        let mut layer = Dense::new(1, 1, Activation::Sigmoid, &mut rng);
         let (mut y, mut scratch) = (Matrix::default(), GradScratch::default());
-        for _ in 0..500 {
-            let x = Matrix::from_vec(4, 1, vec![-1.0, 0.5, 1.0, 2.0]);
-            let target = x.scale(2.0);
+        let x = Matrix::from_vec(4, 1, vec![-1.0, 0.5, 1.0, 2.0]);
+        let target: Vec<f32> = x.data().iter().map(|&v| sigmoid(2.0 * v - 1.0)).collect();
+        for _ in 0..2_000 {
             layer.forward_into(x.data(), x.rows(), &mut y);
-            let mut grad = y.sub(&target).scale(2.0 / 4.0);
+            let mut grad = scaled_diff(&y, &target, 2.0 / 4.0);
             layer.grad_step(&x, &y, &mut grad, None, &mut scratch, 0.05);
         }
-        let y = layer.forward(&Matrix::row(vec![3.0]));
-        assert!((y.data()[0] - 6.0).abs() < 0.05, "got {}", y.data()[0]);
+        let (w, b) = (layer.weights.data()[0], layer.bias.data()[0]);
+        assert!((w - 2.0).abs() < 0.01 && (b + 1.0).abs() < 0.01, "got w = {w}, b = {b}");
     }
 
     /// Numerical gradient check: the analytic input gradient must match a
@@ -278,16 +283,20 @@ mod tests {
     #[test]
     fn dense_input_gradient_matches_finite_difference() {
         let mut rng = StdRng::seed_from_u64(7);
-        let layer = Dense::new(3, 2, Activation::Tanh, &mut rng);
+        let layer = Dense::new(3, 2, Activation::Sigmoid, &mut rng);
         let x = Matrix::row(vec![0.3, -0.2, 0.8]);
-        let target = Matrix::row(vec![0.1, -0.4]);
-        let loss = |x: &Matrix| layer.forward(x).sub(&target).mean_sq();
+        let target = [0.1, 0.6];
+        let loss = |x: &Matrix| {
+            let mut y = Matrix::default();
+            layer.forward_into(x.data(), 1, &mut y);
+            y.data().iter().zip(&target).map(|(a, b)| (a - b) * (a - b)).sum::<f32>() / 2.0
+        };
 
         // Analytic.
         let mut train_layer = layer.clone();
-        let y = train_layer.forward(&x);
-        let n = y.data().len() as f32;
-        let mut grad = y.sub(&target).scale(2.0 / n);
+        let mut y = Matrix::default();
+        train_layer.forward_into(x.data(), 1, &mut y);
+        let mut grad = scaled_diff(&y, &target, 2.0 / 2.0);
         // lr=0 step so parameters stay untouched while we read dL/dx.
         let mut analytic = Matrix::default();
         train_layer.grad_step(&x, &y, &mut grad, Some(&mut analytic), &mut GradScratch::default(), 0.0);
@@ -397,7 +406,7 @@ mod tests {
             let seen = if step == 0 { 1.0 } else { 0.0 };
             let x = Matrix::from_vec(2, 3, vec![0.3, 0.8, seen, 0.9, -0.4, 0.0]);
             layer.forward_into(x.data(), x.rows(), &mut y);
-            let mut grad = y.sub(&Matrix::from_vec(2, 2, vec![0.1, 0.2, 0.3, 0.4])).scale(0.5);
+            let mut grad = scaled_diff(&y, &[0.1, 0.2, 0.3, 0.4], 0.5);
             layer.grad_step(&x, &y, &mut grad, None, &mut scratch, 1e-2);
         }
         let moments = layer.adam_w.m.data();
@@ -408,19 +417,10 @@ mod tests {
     /// The buffered pass against `sigmoid(b + Σ x·W)` written out with libm,
     /// for one row and a batch, before and after a weight update.
     #[test]
-    fn forward_into_matches_forward_for_rows_and_batches() {
-        fn reference(layer: &Dense, x: &Matrix) -> Vec<f32> {
-            let w = &layer.weights;
-            x.data()
-                .chunks_exact(w.rows())
-                .flat_map(|row| {
-                    (0..w.cols()).map(move |j| {
-                        let z: f32 = row.iter().enumerate().map(|(i, &v)| v * w.get(i, j)).sum();
-                        sigmoid(layer.bias.data()[j] + z)
-                    })
-                })
-                .collect()
-        }
+    fn forward_into_matches_the_libm_reference() {
+        let reference = |layer: &Dense, x: &Matrix| -> Vec<f32> {
+            reference_affine(layer, x.data()).into_iter().map(sigmoid).collect()
+        };
         let mut rng = StdRng::seed_from_u64(21);
         let layer = Dense::new(6, 4, Activation::Sigmoid, &mut rng);
         let single = Matrix::row(vec![0.3, -0.2, 0.8, 0.0, 1.5, -0.7]);
@@ -439,7 +439,8 @@ mod tests {
         }
         // After a weight update, the buffered path must track the new weights.
         let mut trained = layer.clone();
-        let y = trained.forward(&single);
+        let mut y = Matrix::default();
+        trained.forward_into(single.data(), 1, &mut y);
         trained.grad_step(&single, &y, &mut y.clone(), None, &mut GradScratch::default(), 0.1);
         trained.forward_into(single.data(), 1, &mut out);
         assert_ne!(trained.weights, layer.weights);
@@ -452,9 +453,11 @@ mod tests {
     fn serde_round_trip_preserves_behavior() {
         let mut rng = StdRng::seed_from_u64(9);
         let layer = Dense::new(4, 3, Activation::Sigmoid, &mut rng);
-        let x = Matrix::row(vec![0.1, 0.2, 0.3, 0.4]);
         let json = serde_json::to_string(&layer).unwrap();
         let back: Dense = serde_json::from_str(&json).unwrap();
-        assert_eq!(layer.forward(&x), back.forward(&x));
+        let (mut a, mut b) = (Matrix::default(), Matrix::default());
+        layer.forward_into(&[0.1, 0.2, 0.3, 0.4], 1, &mut a);
+        back.forward_into(&[0.1, 0.2, 0.3, 0.4], 1, &mut b);
+        assert_eq!(a, b);
     }
 }

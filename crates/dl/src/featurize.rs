@@ -93,17 +93,10 @@ impl Featurizer {
         Featurizer::default()
     }
 
-    /// Encodes one record, updating relational state.
-    pub fn encode_record(&mut self, r: &UeMobiFlow) -> Vec<f32> {
-        let mut v = Vec::with_capacity(FEATURES_PER_RECORD);
-        self.append_record(r, &mut v);
-        v
-    }
-
-    /// Encodes one record onto the end of a caller-owned buffer, updating
-    /// relational state: a batch of records becomes one flat row-major
-    /// block. With a warm buffer this is the allocation-free path the
-    /// online detectors use.
+    /// The one featurize entry: encodes one record onto the end of a
+    /// caller-owned buffer, updating relational state, so a stream of
+    /// records becomes one flat row-major block. With a warm buffer this
+    /// is the allocation-free path the online detectors use.
     pub fn append_record(&mut self, r: &UeMobiFlow, v: &mut Vec<f32>) {
         let start = v.len();
         v.reserve(FEATURES_PER_RECORD);
@@ -236,8 +229,10 @@ impl Featurizer {
     pub fn encode_stream(config: &FeatureConfig, stream: &TelemetryStream) -> WindowedDataset {
         assert!(config.window >= 1, "window must be at least 1");
         let mut enc = Featurizer::new();
-        let record_features: Vec<Vec<f32>> =
-            stream.records.iter().map(|r| enc.encode_record(r)).collect();
+        let mut record_features = Vec::with_capacity(stream.records.len() * FEATURES_PER_RECORD);
+        for r in &stream.records {
+            enc.append_record(r, &mut record_features);
+        }
         let attack_kinds: Vec<Option<AttackKind>> =
             stream.labels.iter().map(|l| l.attack_kind()).collect();
         WindowedDataset { record_features, attack_kinds, window: config.window }
@@ -247,8 +242,9 @@ impl Featurizer {
 /// A featurized stream plus window bookkeeping.
 #[derive(Debug, Clone)]
 pub struct WindowedDataset {
-    /// Per-record feature vectors, in stream order.
-    pub record_features: Vec<Vec<f32>>,
+    /// Every record's [`FEATURES_PER_RECORD`] features, back to back in
+    /// stream order (filled by [`Featurizer::append_record`]).
+    pub record_features: Vec<f32>,
     /// Per-record ground-truth attack kind (None = benign).
     pub attack_kinds: Vec<Option<AttackKind>>,
     /// Window length `N`.
@@ -256,9 +252,19 @@ pub struct WindowedDataset {
 }
 
 impl WindowedDataset {
+    /// Number of records `M`.
+    fn records(&self) -> usize {
+        self.record_features.len() / FEATURES_PER_RECORD
+    }
+
+    /// Records `start..end`'s features: one contiguous slice.
+    fn rows(&self, start: usize, end: usize) -> &[f32] {
+        &self.record_features[start * FEATURES_PER_RECORD..end * FEATURES_PER_RECORD]
+    }
+
     /// Number of autoencoder windows (`M - N + 1`, or 0 if too short).
     pub fn num_windows(&self) -> usize {
-        (self.record_features.len() + 1).saturating_sub(self.window)
+        (self.records() + 1).saturating_sub(self.window)
     }
 
     /// Flattened windows for the autoencoder: `num_windows × (N·F)`.
@@ -271,9 +277,7 @@ impl WindowedDataset {
         let width = self.window * FEATURES_PER_RECORD;
         let mut data = Vec::with_capacity(n * width);
         for i in 0..n {
-            for j in 0..self.window {
-                data.extend_from_slice(&self.record_features[i + j]);
-            }
+            data.extend_from_slice(self.rows(i, i + self.window));
         }
         Matrix::from_vec(n, width, data)
     }
@@ -297,26 +301,19 @@ impl WindowedDataset {
     /// `(window, next)` pairs for the LSTM: `M - N` pairs of an `N × F`
     /// sequence and the `1 × F` vector that followed.
     pub fn lstm_pairs(&self) -> (Vec<Matrix>, Vec<Matrix>) {
-        let m = self.record_features.len();
-        if m <= self.window {
-            return (Vec::new(), Vec::new());
-        }
-        let mut windows = Vec::with_capacity(m - self.window);
-        let mut nexts = Vec::with_capacity(m - self.window);
-        for i in 0..m - self.window {
-            let rows: Vec<Matrix> = (0..self.window)
-                .map(|j| Matrix::row(self.record_features[i + j].clone()))
-                .collect();
-            windows.push(Matrix::stack_rows(&rows));
-            nexts.push(Matrix::row(self.record_features[i + self.window].clone()));
-        }
-        (windows, nexts)
+        let (m, n) = (self.records(), self.window);
+        (0..m.saturating_sub(n))
+            .map(|i| {
+                let window = Matrix::from_vec(n, FEATURES_PER_RECORD, self.rows(i, i + n).to_vec());
+                (window, Matrix::row(self.rows(i + n, i + n + 1).to_vec()))
+            })
+            .unzip()
     }
 
     /// Ground-truth label per LSTM pair: anomalous if any of
     /// `x_i .. x_{i+N}` (window plus the predicted step) is attack-labeled.
     pub fn lstm_labels(&self) -> Vec<bool> {
-        let m = self.record_features.len();
+        let m = self.records();
         if m <= self.window {
             return Vec::new();
         }
@@ -351,6 +348,13 @@ mod tests {
         }
     }
 
+    /// One record's features on their own.
+    fn encode(enc: &mut Featurizer, r: &UeMobiFlow) -> Vec<f32> {
+        let mut v = Vec::new();
+        enc.append_record(r, &mut v);
+        v
+    }
+
     fn stream(records: Vec<UeMobiFlow>) -> TelemetryStream {
         let n = records.len();
         TelemetryStream { records, labels: vec![TrafficClass::Benign; n] }
@@ -359,7 +363,7 @@ mod tests {
     #[test]
     fn feature_width_is_declared_width() {
         let mut enc = Featurizer::new();
-        let v = enc.encode_record(&record(0, 0, 1, None));
+        let v = encode(&mut enc, &record(0, 0, 1, None));
         assert_eq!(v.len(), FEATURES_PER_RECORD);
     }
 
@@ -373,7 +377,7 @@ mod tests {
             if i % 4 == 0 {
                 r.cipher_alg = Some(CipherAlg::Nea0);
             }
-            let fresh = enc_a.encode_record(&r);
+            let fresh = encode(&mut enc_a, &r);
             enc_b.append_record(&r, &mut flat);
             assert_eq!(flat.len(), (i + 1) * FEATURES_PER_RECORD);
             assert_eq!(fresh, flat[i * FEATURES_PER_RECORD..], "record {i} diverged");
@@ -389,7 +393,7 @@ mod tests {
         let mut enc = Featurizer::new();
         let mut r = record(0, 0, 1, None);
         r.cipher_alg = Some(CipherAlg::Nea2);
-        let v = enc.encode_record(&r);
+        let v = encode(&mut enc, &r);
         let msg_block = &v[0..33];
         assert_eq!(msg_block.iter().filter(|&&x| x > 0.0).count(), 1);
         let cipher_block = &v[34..39];
@@ -402,14 +406,14 @@ mod tests {
         let mut enc = Featurizer::new();
         let reuse_idx = FEATURES_PER_RECORD - 13; // before gaps, bursts, pressure, release
         // First sighting on conn 1: not reused.
-        let v = enc.encode_record(&record(0, 0, 1, Some(77)));
+        let v = encode(&mut enc, &record(0, 0, 1, Some(77)));
         assert_eq!(v[reuse_idx], 0.0);
         // Same TMSI, same connection: still fine.
-        let v = enc.encode_record(&record(1, 10, 1, Some(77)));
+        let v = encode(&mut enc, &record(1, 10, 1, Some(77)));
         assert_eq!(v[reuse_idx], 0.0);
         // Same TMSI on a different connection: the Blind-DoS signature,
         // weighted so one bit can flag a window.
-        let v = enc.encode_record(&record(2, 20, 9, Some(77)));
+        let v = encode(&mut enc, &record(2, 20, 9, Some(77)));
         assert_eq!(v[reuse_idx], IDENTITY_WEIGHT);
     }
 
@@ -418,16 +422,16 @@ mod tests {
         let mut enc = Featurizer::new();
         let base = FEATURES_PER_RECORD - 12;
         // First record: no previous → slowest bucket.
-        let v = enc.encode_record(&record(0, 0, 1, None));
+        let v = encode(&mut enc, &record(0, 0, 1, None));
         assert_eq!(v[base + 3], ROUTINE_WEIGHT);
         // 500us later → fastest bucket.
-        let v = enc.encode_record(&record(1, 500, 1, None));
+        let v = encode(&mut enc, &record(1, 500, 1, None));
         assert_eq!(v[base], ROUTINE_WEIGHT);
         // 5ms later.
-        let v = enc.encode_record(&record(2, 5_500, 1, None));
+        let v = encode(&mut enc, &record(2, 5_500, 1, None));
         assert_eq!(v[base + 1], ROUTINE_WEIGHT);
         // 50ms later.
-        let v = enc.encode_record(&record(3, 55_500, 1, None));
+        let v = encode(&mut enc, &record(3, 55_500, 1, None));
         assert_eq!(v[base + 2], ROUTINE_WEIGHT);
     }
 

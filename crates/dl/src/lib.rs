@@ -21,6 +21,13 @@
 //! * [`kernels`] — the single GEMM implementation everything above runs on,
 //!   a register-tiled wide-lane kernel in safe Rust.
 //!
+//! Each learning stage has one entry. [`Featurizer::append_record`]
+//! featurizes onto a flat buffer; [`Dense::forward_into`] is the one layer
+//! pass, for training and inference alike; each model scores through its
+//! `score_spans`, and `score_rows` / `score_batch` are the one convenience
+//! wrapper over it. Their parity oracles are the libm references written
+//! out in the tests.
+//!
 //! All training is deterministic given a seed. Models serialize to JSON so
 //! the SMO can "deploy" them to xApps, as in Figure 3.
 

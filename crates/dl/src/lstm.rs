@@ -201,21 +201,6 @@ impl Lstm {
         self.adam_b.step(&mut self.b, &s.grad_b, lr);
     }
 
-    /// Predicts the next telemetry vector after `window` (`N × input_dim`).
-    pub fn predict(&self, window: &Matrix) -> Matrix {
-        let mut ws = Workspace::new();
-        self.predict_into(1, window.rows(), |_, t| window.row_slice(t), &mut ws, |_, _| {});
-        ws.a
-    }
-
-    /// Anomaly score: MSE between the prediction and the observed next.
-    ///
-    /// The same pass as [`Lstm::score_spans`] through a fresh workspace,
-    /// with a sequential sum for the MSE.
-    pub fn score(&self, window: &Matrix, actual_next: &Matrix) -> f32 {
-        self.predict(window).sub(actual_next).mean_sq()
-    }
-
     /// One batched LSTM timestep: `ws.x` (`M × input_dim`) holds the step
     /// input; `ws.h`/`ws.c` (`M × hidden`) are updated in place. The gate
     /// pre-activations for all M sequences come from two GEMMs
@@ -293,10 +278,11 @@ impl Lstm {
         ws.note(grew);
     }
 
-    /// Scores every span of `spans` (flat, back to back; one span is
-    /// `steps` window rows followed by the observed next row, each
-    /// `input_dim` wide) in one batched pass, replacing `out` with one
-    /// score per span.
+    /// The one scoring entry: every span of `spans` (flat, back to back;
+    /// one span is `steps` window rows followed by the observed next row,
+    /// each `input_dim` wide) in one batched pass, replacing `out` with one
+    /// score per span — the MSE between the prediction and the observed
+    /// next row. A span scores to the same bits alone and in any batch.
     ///
     /// # Panics
     /// If `spans` is not a whole number of `(steps + 1)`-row spans.
@@ -318,8 +304,8 @@ impl Lstm {
         );
     }
 
-    /// Scores M `(window, next)` pairs in one batched pass. Entry `k`
-    /// equals `score(&windows[k], &nexts[k])` up to float-summation order.
+    /// Scores M `(window, next)` pairs in the pass behind
+    /// [`Lstm::score_spans`] (training thresholds and the experiments).
     ///
     /// # Panics
     /// If lengths disagree or the windows are ragged (different step counts).
@@ -343,14 +329,21 @@ impl Lstm {
             .collect()
     }
 
-    /// Scores one flattened window (`steps · input_dim` floats) against the
-    /// observed `next` vector without building any `Matrix` or allocating
-    /// once the workspace is warm.
+    /// One flattened window (`steps · input_dim` floats) against the
+    /// observed `next` vector through the same pass at batch size one —
+    /// kept only because the frozen `benchmark/` package calls it;
+    /// [`Precision`] has one variant.
     ///
     /// # Panics
     /// If `window_flat` is not a whole number of steps or `next` has the
     /// wrong width.
-    pub fn score_window(&self, window_flat: &[f32], next: &[f32], ws: &mut Workspace) -> f32 {
+    pub fn score_window_with(
+        &self,
+        window_flat: &[f32],
+        next: &[f32],
+        ws: &mut Workspace,
+        _: Precision,
+    ) -> f32 {
         let d = self.config.input_dim;
         assert_eq!(next.len(), d, "next-vector width mismatch");
         assert!(
@@ -359,18 +352,6 @@ impl Lstm {
         );
         self.predict_into(1, window_flat.len() / d, |_, t| &window_flat[t * d..][..d], ws, |_, _| {});
         crate::kernels::mse_row(ws.a.row_slice(0), next)
-    }
-
-    /// [`Lstm::score_window`] under the spelling the frozen `benchmark/`
-    /// package calls; [`Precision`] has one variant.
-    pub fn score_window_with(
-        &self,
-        window_flat: &[f32],
-        next: &[f32],
-        ws: &mut Workspace,
-        _: Precision,
-    ) -> f32 {
-        self.score_window(window_flat, next, ws)
     }
 
     /// Threshold at the given percentile of training errors.
@@ -425,10 +406,10 @@ mod tests {
 
     /// The LSTM equations written out one window at a time with libm —
     /// `z = b + x·W + h·U`, `c' = f·c + i·g`, `h' = o·tanh(c')`, then the
-    /// head — as the oracle of the one forward pass. The head is
-    /// `Dense::forward`, which has its own libm oracle in `dense.rs`.
+    /// head `sigmoid(b + h·W)` — and the MSE summed sequentially, as the
+    /// oracle of the one forward pass.
     fn reference_score(model: &Lstm, window: &Matrix, next: &Matrix) -> f32 {
-        use crate::dense::sigmoid;
+        use crate::dense::{reference_affine, sigmoid};
         let (d, hd) = (model.config.input_dim, model.config.hidden);
         let (mut h, mut c) = (vec![0.0f32; hd], vec![0.0f32; hd]);
         for t in 0..window.rows() {
@@ -447,7 +428,17 @@ mod tests {
                 h[j] = o * c[j].tanh();
             }
         }
-        model.head.forward(&Matrix::row(h)).sub(next).mean_sq()
+        let pred = reference_affine(&model.head, &h).into_iter().map(sigmoid);
+        pred.zip(next.data()).map(|(p, y)| (p - y) * (p - y)).sum::<f32>() / d as f32
+    }
+
+    /// The pairs back to back as [`Lstm::score_spans`] takes them.
+    fn spans(windows: &[Matrix], nexts: &[Matrix]) -> Vec<f32> {
+        windows.iter().zip(nexts).flat_map(|(w, n)| w.data().iter().chain(n.data()).copied()).collect()
+    }
+
+    fn bits(scores: &[f32]) -> Vec<u32> {
+        scores.iter().map(|s| s.to_bits()).collect()
     }
 
     #[test]
@@ -458,22 +449,25 @@ mod tests {
         let threshold = model.threshold(99.0);
 
         // In-pattern continuation scores low.
-        let benign_scores = model.score_batch(&windows, &nexts, &mut Workspace::new());
+        let mut ws = Workspace::new();
+        let benign_scores = model.score_batch(&windows, &nexts, &mut ws);
         let fp = benign_scores.iter().filter(|&&s| s > threshold).count();
         assert!(fp <= benign_scores.len() / 50 + 2, "{fp} benign windows flagged");
 
         // Out-of-order continuation (skip two steps) scores high.
-        let mut violations = 0;
-        for (w, n) in windows.iter().zip(&nexts).take(30) {
-            // Rotate the "next" two positions forward — an order violation.
-            let wrong_idx =
-                (n.data().iter().position(|&v| v == 1.0).unwrap() + 2) % dim;
-            let mut wrong = vec![0.0f32; dim];
-            wrong[wrong_idx] = 1.0;
-            if model.score(w, &Matrix::row(wrong)) > threshold {
-                violations += 1;
-            }
-        }
+        let wrong: Vec<Matrix> = nexts
+            .iter()
+            .take(30)
+            .map(|n| {
+                // Rotate the "next" two positions forward — an order violation.
+                let wrong_idx = (n.data().iter().position(|&v| v == 1.0).unwrap() + 2) % dim;
+                let mut wrong = vec![0.0f32; dim];
+                wrong[wrong_idx] = 1.0;
+                Matrix::row(wrong)
+            })
+            .collect();
+        let scores = model.score_batch(&windows[..30], &wrong, &mut ws);
+        let violations = scores.iter().filter(|&&s| s > threshold).count();
         assert!(violations >= 28, "only {violations}/30 violations flagged");
     }
 
@@ -494,11 +488,17 @@ mod tests {
             &nexts,
         );
         let back = Lstm::from_json(&model.to_json()).unwrap();
-        assert_eq!(model.predict(&windows[0]), back.predict(&windows[0]));
+        let predict = |m: &Lstm| {
+            let mut ws = Workspace::new();
+            m.predict_into(1, windows[0].rows(), |_, t| windows[0].row_slice(t), &mut ws, |_, _| {});
+            ws.a
+        };
+        assert_eq!(predict(&model), predict(&back));
     }
 
     /// Finite-difference check of the full BPTT gradient: a zero-lr step
-    /// moves no parameter and leaves dL/dW and dL/dU in the scratch.
+    /// moves no parameter and leaves dL/dW and dL/dU in the scratch. The
+    /// loss is the scoring pass itself, which BPTT differentiates.
     #[test]
     fn bptt_gradient_matches_finite_difference() {
         let dim = 3;
@@ -506,7 +506,7 @@ mod tests {
         let config = LstmConfig { input_dim: dim, hidden: 4, learning_rate: 0.0, epochs: 0, seed: 6 };
         let model = Lstm::train(config, &windows, &nexts);
         let (window, next) = (&windows[0], &nexts[0]);
-        let loss = |m: &Lstm| m.score(window, next);
+        let loss = |m: &Lstm| m.score_batch(&windows[..1], &nexts[..1], &mut Workspace::new())[0];
 
         let mut s = SeqScratch::default();
         let mut same = model.clone();
@@ -560,36 +560,40 @@ mod tests {
             &windows,
             &nexts,
         );
-        let mut ws = Workspace::new();
+        let (mut ws, mut alone) = (Workspace::new(), Vec::new());
         let batched = model.score_batch(&windows, &nexts, &mut ws);
         assert_eq!(batched.len(), windows.len());
-        for (k, s) in batched.iter().enumerate() {
-            let reference = reference_score(&model, &windows[k], &nexts[k]);
-            assert!(
-                (s - reference).abs() < 1e-5,
-                "pair {k}: batched {s} vs libm reference {reference}"
-            );
+        let (steps, spans) = (windows[0].rows(), spans(&windows, &nexts));
+        for (k, (s, span)) in batched.iter().zip(spans.chunks_exact((steps + 1) * dim)).enumerate() {
             // Against the same pass at batch size one: the same bits.
-            let alone = model.score_window(windows[k].data(), nexts[k].data(), &mut ws);
-            assert_eq!(s.to_bits(), alone.to_bits(), "pair {k} depends on its batch");
+            model.score_spans(span, steps, &mut ws, &mut alone);
+            assert_eq!(bits(&[*s]), bits(&alone), "pair {k} depends on its batch");
         }
     }
 
     #[test]
-    fn score_window_matches_score() {
+    fn score_spans_matches_the_libm_reference() {
         let dim = 5;
-        let (windows, nexts) = cyclic_data(30, dim, 10);
+        let (windows, nexts) = cyclic_data(80, dim, 10);
         let model = Lstm::train(
             LstmConfig { epochs: 4, ..quick_config(dim) },
             &windows,
             &nexts,
         );
-        let mut ws = Workspace::new();
-        for (w, n) in windows.iter().zip(&nexts) {
-            let reference = reference_score(&model, w, n);
-            let hot = model.score_window(w.data(), n.data(), &mut ws);
-            for (path, got) in [("score_window", hot), ("score", model.score(w, n))] {
-                assert!((got - reference).abs() < 1e-5, "{path} {got} vs libm reference {reference}");
+        let (mut ws, mut out) = (Workspace::new(), Vec::new());
+        let (steps, spans) = (windows[0].rows(), spans(&windows, &nexts));
+        let span = (steps + 1) * dim;
+        for batch in [1, 7, 64] {
+            for (c, chunk) in spans.chunks(batch * span).enumerate() {
+                model.score_spans(chunk, steps, &mut ws, &mut out);
+                for (i, got) in out.iter().enumerate() {
+                    let k = c * batch + i;
+                    let reference = reference_score(&model, &windows[k], &nexts[k]);
+                    assert!(
+                        (got - reference).abs() < 1e-5,
+                        "batches of {batch}, pair {k}: {got} vs libm reference {reference}"
+                    );
+                }
             }
         }
     }
@@ -603,11 +607,13 @@ mod tests {
             &windows,
             &nexts,
         );
-        let mut ws = Workspace::new();
-        model.score_window(windows[0].data(), nexts[0].data(), &mut ws);
+        let (mut ws, mut out) = (Workspace::new(), Vec::new());
+        let (steps, spans) = (windows[0].rows(), spans(&windows, &nexts));
+        let mut one_at_a_time = spans.chunks_exact((steps + 1) * dim);
+        model.score_spans(one_at_a_time.next().unwrap(), steps, &mut ws, &mut out);
         let warm = ws.grow_events();
-        for (w, n) in windows.iter().zip(&nexts) {
-            model.score_window(w.data(), n.data(), &mut ws);
+        for span in one_at_a_time {
+            model.score_spans(span, steps, &mut ws, &mut out);
         }
         assert_eq!(
             ws.grow_events(),

@@ -85,16 +85,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Matrix product `self · rhs`.
-    ///
-    /// # Panics
-    /// If `self.cols != rhs.rows`.
-    pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
     /// Resizes in place to `rows × cols`, reusing the existing allocation
     /// when capacity allows. Element values after a resize are unspecified
     /// (callers overwrite). Returns `true` when the backing buffer had to
@@ -159,9 +149,8 @@ impl Matrix {
         self.gemm_acc(rhs, out);
     }
 
-    /// The one GEMM entry point behind both `matmul_into` variants (and,
-    /// through them, `matmul` and every forward pass): the kernel in
-    /// [`crate::kernels`].
+    /// The one GEMM entry point behind both `matmul_into` variants: the
+    /// kernel in [`crate::kernels`].
     fn gemm_acc(&self, rhs: &Matrix, out: &mut Matrix) {
         crate::kernels::gemm_acc(&self.data, self.rows, self.cols, &rhs.data, rhs.cols, &mut out.data);
     }
@@ -213,11 +202,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise difference. Panics on shape mismatch.
-    pub fn sub(&self, rhs: &Matrix) -> Matrix {
-        self.zip(rhs, |a, b| a - b)
-    }
-
     /// Sums rows into a 1 × cols vector in `out` (bias gradient), reusing
     /// its allocation: each column is `0.0 + Σ rows` in ascending row order.
     pub fn sum_rows_into(&self, out: &mut Matrix) {
@@ -227,30 +211,6 @@ impl Matrix {
                 *o += v;
             }
         }
-    }
-
-    /// Applies `f` element-wise.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> Matrix {
-        Matrix { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&x| f(x)).collect() }
-    }
-
-    /// Scales by a constant.
-    pub fn scale(&self, s: f32) -> Matrix {
-        self.map(|x| x * s)
-    }
-
-    /// Mean of squared elements (the MSE of a difference matrix).
-    pub fn mean_sq(&self) -> f32 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        self.data.iter().map(|x| x * x).sum::<f32>() / self.data.len() as f32
-    }
-
-    /// Extracts row `r` as a 1 × cols matrix.
-    pub fn row_at(&self, r: usize) -> Matrix {
-        assert!(r < self.rows);
-        Matrix::row(self.data[r * self.cols..(r + 1) * self.cols].to_vec())
     }
 
     /// Stacks matrices (row vectors or multi-row blocks) vertically into
@@ -266,23 +226,6 @@ impl Matrix {
         }
         Matrix { rows: total, cols, data }
     }
-
-    fn zip(&self, rhs: &Matrix, f: impl Fn(f32, f32) -> f32) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "elementwise shape mismatch: {}x{} vs {}x{}",
-            self.rows,
-            self.cols,
-            rhs.rows,
-            rhs.cols
-        );
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().zip(&rhs.data).map(|(&a, &b)| f(a, b)).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -290,19 +233,25 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// `a · b` into a fresh matrix.
+    fn product(a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        a.matmul_into(b, &mut out);
+        out
+    }
+
     #[test]
     fn matmul_known_result() {
         let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
-        let c = a.matmul(&b);
-        assert_eq!(c.data(), &[58.0, 64.0, 139.0, 154.0]);
+        assert_eq!(product(&a, &b).data(), &[58.0, 64.0, 139.0, 154.0]);
     }
 
     #[test]
     fn matmul_identity() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         let i = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(a.matmul(&i), a);
+        assert_eq!(product(&a, &i), a);
     }
 
     #[test]
@@ -310,7 +259,7 @@ mod tests {
     fn matmul_shape_panic() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        let _ = product(&a, &b);
     }
 
     #[test]
@@ -334,29 +283,12 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_ops() {
-        let a = Matrix::row(vec![1.0, 2.0]);
-        let b = Matrix::row(vec![3.0, 4.0]);
-        assert_eq!(b.sub(&a).data(), &[2.0, 2.0]);
-        assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
-    }
-
-    #[test]
     fn sum_rows_into_reshapes_and_sums() {
         let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         // A stale, wrongly-shaped `out` is reshaped and zeroed first.
         let mut sums = Matrix::from_vec(1, 3, vec![9.0; 3]);
         x.sum_rows_into(&mut sums);
         assert_eq!(sums, Matrix::row(vec![4.0, 6.0]));
-    }
-
-    #[test]
-    fn mean_sq_and_row_ops() {
-        let x = Matrix::row(vec![3.0, 4.0]);
-        assert_eq!(x.mean_sq(), 12.5);
-        let stacked = Matrix::stack_rows(&[x.clone(), x.clone()]);
-        assert_eq!(stacked.rows(), 2);
-        assert_eq!(stacked.row_at(1).data(), &[3.0, 4.0]);
     }
 
     #[test]
@@ -384,27 +316,26 @@ mod tests {
         let b = Matrix::xavier(130, 40, &mut rng);
         let mut out = Matrix::default();
         assert!(a.matmul_into(&b, &mut out), "first call must allocate");
-        assert_eq!(out, a.matmul(&b));
-        // Steady state: same shapes reuse the buffer.
+        let fresh = out.clone();
+        // Steady state: same shapes reuse the buffer, whatever it held.
+        out.data_mut().fill(7.0);
         assert!(!a.matmul_into(&b, &mut out), "second call must not grow");
-        assert_eq!(out, a.matmul(&b));
+        assert_eq!(out, fresh);
     }
 
     #[test]
     fn matmul_delegates_to_the_shared_kernel() {
-        // `matmul`, `matmul_into`, and `matmul_acc_into` are all the same
-        // `gemm_acc` call: bit-identical to invoking it directly.
+        // `matmul_into` and `matmul_acc_into` are the same `gemm_acc`
+        // call: bit-identical to invoking it directly.
         let mut rng = StdRng::seed_from_u64(23);
         let a = Matrix::xavier(5, 37, &mut rng);
         let b = Matrix::xavier(37, 19, &mut rng);
         let mut want = vec![0.0f32; 5 * 19];
         crate::kernels::gemm_acc(a.data(), 5, 37, b.data(), 19, &mut want);
-        let via_matmul = a.matmul(&b);
         let mut via_into = Matrix::default();
         a.matmul_into(&b, &mut via_into);
         let mut via_acc = Matrix::zeros(5, 19);
         a.matmul_acc_into(&b, &mut via_acc);
-        assert_eq!(via_matmul.data(), &want[..]);
         assert_eq!(via_into.data(), &want[..]);
         assert_eq!(via_acc.data(), &want[..]);
     }
@@ -426,5 +357,7 @@ mod tests {
         let mid = a.slice_rows(1, 3);
         assert_eq!(mid.rows(), 2);
         assert_eq!(mid.data(), &[3.0, 4.0, 5.0, 6.0]);
+        let stacked = Matrix::stack_rows(&[a.slice_rows(2, 3), mid]);
+        assert_eq!((stacked.rows(), stacked.row_slice(2)), (3, &[5.0, 6.0][..]));
     }
 }

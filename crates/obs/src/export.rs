@@ -23,8 +23,9 @@ fn escape_prom_label(value: &str) -> String {
     out
 }
 
-/// Escapes a JSON string body.
-fn escape_json(value: &str) -> String {
+/// Escapes a JSON string body: the one escaper behind every hand-rolled
+/// JSON document in the crate.
+pub(crate) fn escape_json(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

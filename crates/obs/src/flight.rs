@@ -400,8 +400,8 @@ impl FlightRecorder {
                 "{{\"trace\":0,\"stage\":\"authz_deny\",\"seq\":{},\"xapp\":\"{}\",\
                  \"capability\":\"{}\"}}\n",
                 denial.seq,
-                escape_json(&denial.xapp),
-                escape_json(&denial.capability),
+                crate::export::escape_json(&denial.xapp),
+                crate::export::escape_json(&denial.capability),
             ));
         }
         out
@@ -471,21 +471,6 @@ impl FlightRecorder {
         crate::export::atomic_write(&perfetto, &self.perfetto_json())?;
         Ok((jsonl, perfetto))
     }
-}
-
-/// Minimal JSON string escape for principal/capability names (quotes,
-/// backslashes, control characters).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A finite f32 for JSON (NaN/inf would break the document).
@@ -673,9 +658,13 @@ mod tests {
     fn denial_strings_are_json_escaped() {
         let rec = FlightRecorder::new();
         rec.record_denial("ro\"gue\\", "publish:a\nb");
+        rec.record_denial("tab\tand\nline\u{1}", "publish:x");
         let jsonl = rec.incidents_jsonl();
         assert!(jsonl.contains("\"xapp\":\"ro\\\"gue\\\\\""), "got: {jsonl}");
-        assert!(jsonl.contains("\"capability\":\"publish:a\\u000ab\""));
+        assert!(jsonl.contains("\"capability\":\"publish:a\\nb\""), "got: {jsonl}");
+        assert!(jsonl.contains("\"xapp\":\"tab\\tand\\nline\\u0001\""), "got: {jsonl}");
+        // Every line is still one JSON document.
+        assert!(jsonl.lines().all(|l| !l.contains('\t') && l.starts_with('{') && l.ends_with('}')));
     }
 
     #[test]

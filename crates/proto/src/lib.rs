@@ -2,7 +2,7 @@
 //!
 //! The L3 control-protocol model for the simulated 5G network: RRC (3GPP
 //! 38.331) and NAS (3GPP 24.501) message types, a compact binary wire codec,
-//! the per-UE protocol state machines, and the F1AP/NGAP encapsulation that
+//! a procedure-conformance checker, and the F1AP/NGAP encapsulation that
 //! carries these messages between the simulated O-DU, O-CU, and AMF.
 //!
 //! ## Scope
@@ -12,7 +12,7 @@
 //! authentication, security-mode negotiation, identity procedures, paging,
 //! session setup, and release. It is a *model*, not an ASN.1 PER
 //! implementation — messages carry exactly the fields the MobiFlow telemetry
-//! schema (paper Table 1) extracts, plus what the state machines need.
+//! schema (paper Table 1) extracts, plus what the conformance checker needs.
 //!
 //! ## Layering
 //!
@@ -27,9 +27,9 @@
 //!   featurizer and MobiFlow records use.
 //! * [`codec`] — deterministic binary encoding of one message (stream framing
 //!   belongs to the transport that needs it, `xsec_e2::transport`).
-//! * [`state`] — UE-side RRC/NAS state machines and the network-side
-//!   [`state::ProcedureConformance`] checker, an independent lens on a
-//!   message sequence for tests and examples.
+//! * [`state`] — the network-side [`state::ProcedureConformance`]
+//!   checker, an independent lens on a message sequence for tests and
+//!   examples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,4 +48,4 @@ pub use msg::{Direction, L3Message, MessageKind, MobileIdentity};
 pub use nas::NasMessage;
 pub use ngap::NgapPdu;
 pub use rrc::RrcMessage;
-pub use state::{ProcedureConformance, RrcState, NasState, Violation};
+pub use state::{ProcedureConformance, Violation};

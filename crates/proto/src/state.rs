@@ -1,15 +1,11 @@
-//! Protocol state machines and conformance checking.
+//! Procedure conformance checking.
 //!
-//! Two things live in this module:
-//!
-//! * [`RrcState`] / [`NasState`] name the UE-side connection and
-//!   registration states, and
-//! * the conformance checker [`ProcedureConformance`] replays an observed
-//!   message sequence against the 3GPP procedure grammar and reports
-//!   [`Violation`]s. Nothing on the live path calls it (the LLM expert's
-//!   `ExpertEngine::analyze` carries its own per-connection ordering
-//!   check): it is an independent lens for tests and examples
-//!   (`tests/integration_attacks.rs`, `examples/identity_extraction_hunt.rs`).
+//! The conformance checker [`ProcedureConformance`] replays an observed
+//! message sequence against the 3GPP procedure grammar and reports
+//! [`Violation`]s. Nothing on the live path calls it (the LLM expert's
+//! `ExpertEngine::analyze` carries its own per-connection ordering check):
+//! it is an independent lens for tests and examples
+//! (`tests/integration_attacks.rs`, `examples/identity_extraction_hunt.rs`).
 //!
 //! The grammar is intentionally *permissive where the spec is permissive*:
 //! retransmissions (the same message repeated) are tolerated and merely
@@ -22,36 +18,6 @@ use crate::msg::{L3Message, MessageKind};
 use crate::nas::NasMessage;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// UE-side RRC connection state (38.331 view, simplified).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum RrcState {
-    /// No connection.
-    #[default]
-    Idle,
-    /// `RRCSetupRequest` sent, awaiting `RRCSetup`.
-    SetupRequested,
-    /// SRB1 established (after `RRCSetup`), `RRCSetupComplete` pending or sent.
-    Connected,
-    /// AS security activated via `SecurityModeCommand`/`Complete`.
-    SecurityActivated,
-}
-
-/// UE-side NAS registration state (24.501 view, simplified).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum NasState {
-    /// Not registered.
-    #[default]
-    Deregistered,
-    /// `RegistrationRequest` sent.
-    RegistrationInitiated,
-    /// Authentication exchange in progress.
-    Authenticating,
-    /// NAS security mode exchange in progress.
-    SecurityMode,
-    /// Registered with the network.
-    Registered,
-}
 
 /// A conformance finding on an observed sequence.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

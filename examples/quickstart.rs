@@ -18,7 +18,7 @@ fn main() {
     let config = PipelineConfig::small(7, 40);
     println!(
         "training on {} benign UE sessions (window N={}, threshold p{}) ...",
-        config.benign_sessions, config.detector_window, config.training.threshold_pct
+        config.benign_sessions, config.training.window, config.training.threshold_pct
     );
     let pipeline = Pipeline::train(&config);
     println!(

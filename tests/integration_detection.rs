@@ -26,15 +26,13 @@ fn featurizer_is_deterministic_and_well_shaped_on_real_traffic() {
     let a = Featurizer::encode_stream(&config, &stream);
     let b = Featurizer::encode_stream(&config, &stream);
     assert_eq!(a.record_features, b.record_features);
-    for features in &a.record_features {
-        assert_eq!(features.len(), FEATURES_PER_RECORD);
-        assert!(features.iter().all(|x| x.is_finite() && *x >= 0.0));
-    }
+    assert_eq!(a.record_features.len(), stream.records.len() * FEATURES_PER_RECORD);
+    assert!(a.record_features.iter().all(|x| x.is_finite() && *x >= 0.0));
     // Benign traffic never activates the security-critical bits above the
     // sigmoid range: no SUPI exposures, no TMSI reuse, no null algorithms.
     let supi_idx = FEATURES_PER_RECORD - 14;
     let reuse_idx = FEATURES_PER_RECORD - 13;
-    for features in &a.record_features {
+    for features in a.record_features.chunks_exact(FEATURES_PER_RECORD) {
         assert_eq!(features[supi_idx], 0.0, "benign SUPI exposure bit set");
         assert_eq!(features[reuse_idx], 0.0, "benign TMSI reuse bit set");
     }
