@@ -357,7 +357,15 @@ mod tests {
         let mid = a.slice_rows(1, 3);
         assert_eq!(mid.rows(), 2);
         assert_eq!(mid.data(), &[3.0, 4.0, 5.0, 6.0]);
-        let stacked = Matrix::stack_rows(&[a.slice_rows(2, 3), mid]);
-        assert_eq!((stacked.rows(), stacked.row_slice(2)), (3, &[5.0, 6.0][..]));
+    }
+
+    #[test]
+    fn mean_sq_and_row_ops() {
+        let x = Matrix::row(vec![3.0, 4.0]);
+        // A row's mean square is its squared error against zeros.
+        assert_eq!(crate::kernels::mse_row(x.data(), &[0.0; 2]), 12.5);
+        let stacked = Matrix::stack_rows(&[x.clone(), x.clone()]);
+        assert_eq!(stacked.rows(), 2);
+        assert_eq!(stacked.row_slice(1), &[3.0, 4.0]);
     }
 }
