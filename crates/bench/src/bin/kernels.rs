@@ -2,7 +2,8 @@
 //! Every other perf number comes from the whole-stack benchmark
 //! (`benchmark/`, `xsec-e2e`).
 //!
-//! 1. **Kernels** (report only) — a raw GEMM and the batched scoring
+//! 1. **Kernels** (report only) — a raw GEMM, the autoencoder's first
+//!    layer over the windows' nonzero lists, and the batched scoring
 //!    workloads; their end-to-end readings are `xsec-e2e`'s
 //!    `dl.score.batched_ns_per_window` and `steady` `records_per_s`.
 //! 2. **Training** (report only) — the SMO's refit (training steps at the
@@ -20,7 +21,8 @@ use std::time::Instant;
 use xsec_attacks::DatasetBuilder;
 use xsec_bench::{quick_mode, save_report};
 use xsec_dl::{
-    Autoencoder, AutoencoderConfig, FeatureConfig, Featurizer, Lstm, LstmConfig, Matrix, Workspace,
+    Autoencoder, AutoencoderConfig, FeatureConfig, Featurizer, Lstm, LstmConfig, Matrix,
+    SparseRows, Workspace,
 };
 use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
 use xsec_mobiflow::{extract_from_events, TelemetryStream, UeMobiFlow};
@@ -89,6 +91,18 @@ fn kernels_section(
     });
     let gemm_gflops = (iters as f64 * 2.0 * (m * k * n) as f64) / secs / 1e9;
 
+    // The autoencoder's first layer as the live path runs it: the eval
+    // windows' nonzero lists against a 264×48 weight block.
+    let mut lists = SparseRows::default();
+    lists.push_dense([flat.data()], flat.cols());
+    let mut first = vec![0.0f32; rows * n];
+    let (iters, secs) = time_loop(min_secs, || {
+        xsec_dl::kernels::sparse_gemm_acc(lists.iter(), b.data(), n, &mut first);
+        std::hint::black_box(&first);
+    });
+    let first_layer_ns = secs * 1e9 / (iters * rows as u64) as f64;
+    let nonzeros = lists.iter().map(<[_]>::len).sum::<usize>() as f64 / rows as f64;
+
     let (iters, secs) = time_loop(min_secs, || {
         std::hint::black_box(models.autoencoder.score_rows(&flat, &mut ws));
     });
@@ -101,11 +115,18 @@ fn kernels_section(
     text.push_str(&format!(
         "Kernels:\n  \
          gemm {m}x{k}x{n}:  {gemm_gflops:>6.2} GFLOP/s\n  \
+         AE first layer {k}->{n} over lists ({nonzeros:.1} nonzeros/window): \
+         {first_layer_ns:>6.1} ns/window\n  \
          autoencoder: {ae_rate:>12.0} windows/s\n  \
          lstm:        {lstm_rate:>12.0} windows/s\n\n",
     ));
     json!({
         "gemm": { "shape": [m, k, n], "gflops": gemm_gflops },
+        "ae_first_layer_sparse": {
+            "shape": [k, n],
+            "nonzeros_per_window": nonzeros,
+            "ns_per_window": first_layer_ns,
+        },
         "autoencoder": { "windows": rows, "windows_per_sec": ae_rate },
         "lstm": { "windows": pairs, "windows_per_sec": lstm_rate },
     })

@@ -2,10 +2,12 @@
 //! and the scoring rule.
 //!
 //! Scoring is per key, in three steps per E2 indication, all inside
-//! [`Scorer::score`]: **stage** — each record's features go into its key's
-//! [`WindowCore`] ring and the span they complete is copied into the batch
-//! buffer; **flush** — one batched model pass over every staged span (one
-//! GEMM per layer per indication, not one GEMV per window); **judge** —
+//! [`Scorer::score`]: **stage** — each record's features and the list of
+//! its nonzeros the featurizer emitted go into its key's [`WindowCore`], and
+//! the span they complete is copied into the batch buffers, dense (the
+//! scoring target) and as lists (what the first layer reads); **flush** —
+//! one batched model pass over every staged span (one product per layer per
+//! indication, not one GEMV per window); **judge** —
 //! threshold and per-key cooldown, in staging order. The kernels make a
 //! window's score independent of its batch, so how a stream is cut into
 //! indications moves no verdict. [`window_key`] is the keying: one global
@@ -20,7 +22,10 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
-use xsec_dl::{FeatureRing, Featurizer, Threshold, Workspace, FEATURES_PER_RECORD};
+use xsec_dl::{
+    FeatureRing, Featurizer, SparseRows, Threshold, Workspace, FEATURES_PER_RECORD,
+    MAX_NONZEROS_PER_RECORD,
+};
 use xsec_mobiflow::{TelemetryStream, UeMobiFlow};
 use xsec_obs::{Counter, Histogram, Obs};
 
@@ -73,6 +78,13 @@ pub(crate) struct Verdict {
 /// what scoring needs.
 struct WindowCore {
     ring: FeatureRing,
+    /// Beside each ring row, that record's nonzeros: record number `r` of
+    /// the key owns slots `(r mod held) · MAX_NONZEROS_PER_RECORD ..`, of
+    /// which the first `lens[r mod held]` are in use.
+    nonzeros: Vec<(u32, f32)>,
+    lens: Vec<usize>,
+    /// Records staged under the key so far.
+    records: usize,
     /// Windows judged so far — the cooldown's clock.
     judged: u64,
     last_publish: Option<u64>,
@@ -81,28 +93,68 @@ struct WindowCore {
 impl WindowCore {
     fn new(window: usize) -> Self {
         // The LSTM consumes window + 1 rows (sequence plus predicted step).
-        let ring = FeatureRing::new(FEATURES_PER_RECORD, window + 1);
-        WindowCore { ring, judged: 0, last_publish: None }
+        let held = window + 1;
+        let ring = FeatureRing::new(FEATURES_PER_RECORD, held);
+        let nonzeros = vec![(0, 0.0); held * MAX_NONZEROS_PER_RECORD];
+        WindowCore { ring, nonzeros, lens: vec![0; held], records: 0, judged: 0, last_publish: None }
     }
 
     /// Forgets the key but keeps the (large) flat feature buffer, so
     /// churning keys don't reallocate it.
     fn reset(&mut self) {
         self.ring.clear();
+        self.records = 0;
         self.judged = 0;
         self.last_publish = None;
     }
 
-    /// Appends one record's features and, once the key has filled its first
-    /// `span`-record window, copies the span the record completes onto
-    /// `spans`. Returns whether it did; every staged span is owed one
+    /// The nonzeros of the key's record number `r`, which must be held.
+    fn list(&self, r: usize) -> &[(u32, f32)] {
+        let slot = r % self.lens.len();
+        &self.nonzeros[slot * MAX_NONZEROS_PER_RECORD..][..self.lens[slot]]
+    }
+
+    /// Appends one record's features and nonzeros and, once the key has
+    /// filled its first `span`-record window, copies the span the record
+    /// completes onto `spans` and its lists onto `lists` in the layout the
+    /// detector's first layer reads: for the autoencoder one row per window,
+    /// record `p`'s columns offset by `p · FEATURES_PER_RECORD`; for the
+    /// LSTM one row per input step (all but the span's last record).
+    /// Returns whether it did; every staged span is owed one
     /// [`WindowCore::judge`], in staging order.
-    fn stage(&mut self, features: &[f32], span: usize, spans: &mut Vec<f32>) -> bool {
+    fn stage(
+        &mut self,
+        features: &[f32],
+        nonzeros: &[(u32, f32)],
+        detector: Detector,
+        span: usize,
+        spans: &mut Vec<f32>,
+        lists: &mut SparseRows,
+    ) -> bool {
         self.ring.push(features);
+        let slot = self.records % self.lens.len();
+        self.nonzeros[slot * MAX_NONZEROS_PER_RECORD..][..nonzeros.len()].copy_from_slice(nonzeros);
+        self.lens[slot] = nonzeros.len();
+        self.records += 1;
         if self.ring.len() < span {
             return false;
         }
         spans.extend_from_slice(self.ring.last_n(span));
+        let first = self.records - span;
+        match detector {
+            Detector::Autoencoder => {
+                for p in 0..span {
+                    lists.extend(self.list(first + p), (p * FEATURES_PER_RECORD) as u32);
+                }
+                lists.end_row();
+            }
+            Detector::Lstm => {
+                for p in 0..span - 1 {
+                    lists.extend(self.list(first + p), 0);
+                    lists.end_row();
+                }
+            }
+        }
         true
     }
 
@@ -139,14 +191,17 @@ pub(crate) struct Scorer {
     by_key: HashMap<u32, usize>,
     free: Vec<usize>,
     /// This batch's `(global record index, key, release)`s in stream order,
-    /// and their features, one flat row each.
+    /// their features, one flat row each, and their nonzeros, one list each.
     work: Vec<(u64, u32, bool)>,
     features: Vec<f32>,
+    nonzeros: SparseRows,
     /// `(global record index, core slot)` of each window staged this batch,
     /// their spans back to back (≤ records × span floats: the batched
-    /// pass's input) and, once flushed, their scores.
+    /// pass's targets), the spans' lists (its input) and, once flushed,
+    /// their scores.
     staged: Vec<(u64, usize)>,
     spans: Vec<f32>,
+    lists: SparseRows,
     scores: Vec<f32>,
     /// Slots of keys released this batch.
     released: Vec<usize>,
@@ -171,8 +226,10 @@ impl Scorer {
             free: Vec::new(),
             work: Vec::new(),
             features: Vec::new(),
+            nonzeros: SparseRows::default(),
             staged: Vec::new(),
             spans: Vec::new(),
+            lists: SparseRows::default(),
             scores: Vec::new(),
             released: Vec::new(),
             verdicts: Vec::new(),
@@ -190,7 +247,7 @@ impl Scorer {
         key: u32,
         release: bool,
     ) {
-        featurizer.append_record(record, &mut self.features);
+        featurizer.append_record(record, &mut self.features, &mut self.nonzeros);
         self.work.push((index, key, release));
     }
 
@@ -215,16 +272,22 @@ impl Scorer {
     pub(crate) fn score(&mut self, trace: u64) {
         let (window, detector) = (self.models.feature_config.window, self.config.detector);
         let span = detector.span(window);
-        for ((index, key, release), row) in
-            self.work.drain(..).zip(self.features.chunks_exact(FEATURES_PER_RECORD))
-        {
+        // Room for every window the batch can stage, by its record count
+        // alone: whether the lists grow never depends on their contents.
+        let (rows, per_row) = match detector {
+            Detector::Autoencoder => (1, span * MAX_NONZEROS_PER_RECORD),
+            Detector::Lstm => (span - 1, MAX_NONZEROS_PER_RECORD),
+        };
+        self.lists.reserve(self.work.len() * rows, per_row);
+        let records = self.features.chunks_exact(FEATURES_PER_RECORD).zip(self.nonzeros.iter());
+        for ((index, key, release), (row, nonzeros)) in self.work.drain(..).zip(records) {
             let slot = *self.by_key.entry(key).or_insert_with(|| {
                 self.free.pop().unwrap_or_else(|| {
                     self.cores.push(WindowCore::new(window));
                     self.cores.len() - 1
                 })
             });
-            if self.cores[slot].stage(row, span, &mut self.spans) {
+            if self.cores[slot].stage(row, nonzeros, detector, span, &mut self.spans, &mut self.lists) {
                 self.staged.push((index, slot));
             }
             // The key is forgotten now — whatever the batching, a later
@@ -236,6 +299,7 @@ impl Scorer {
             }
         }
         self.features.clear();
+        self.nonzeros.clear();
         self.flush(trace);
         let threshold = match detector {
             Detector::Autoencoder => self.models.ae_threshold,
@@ -258,14 +322,16 @@ impl Scorer {
             return;
         }
         let start = Instant::now();
-        let Scorer { models, config, metrics, workspace, spans, scores, .. } = self;
+        let Scorer { models, config, metrics, workspace, spans, lists, scores, .. } = self;
         match config.detector {
-            Detector::Autoencoder => models.autoencoder.score_spans(spans, workspace, scores),
+            Detector::Autoencoder => models.autoencoder.score_spans(spans, lists, workspace, scores),
             Detector::Lstm => {
-                models.lstm.score_spans(spans, models.feature_config.window, workspace, scores)
+                let steps = models.feature_config.window;
+                models.lstm.score_spans(spans, lists, steps, workspace, scores)
             }
         }
         spans.clear();
+        lists.clear();
         metrics.inference_latency.observe_duration_with_exemplar(start.elapsed(), trace);
     }
 }
@@ -416,10 +482,13 @@ mod tests {
             .map(|r| models.autoencoder.score_window_with(flat.row_slice(r), &mut ws, Precision::F32))
             .collect();
         assert_eq!(bits(&models.autoencoder.score_rows(&flat, &mut ws)), bits(&alone));
+        let mut lists = SparseRows::default();
         for batch in [1, 2, 8, 240] {
             let mut batched = Vec::new();
             for spans in flat.data().chunks(batch * flat.cols()) {
-                models.autoencoder.score_spans(spans, &mut ws, &mut out);
+                lists.clear();
+                lists.push_dense([spans], flat.cols());
+                models.autoencoder.score_spans(spans, &lists, &mut ws, &mut out);
                 batched.extend_from_slice(&out);
             }
             assert_eq!(bits(&batched), bits(&alone), "autoencoder, batches of {batch}");
@@ -441,11 +510,77 @@ mod tests {
         let span = (steps + 1) * FEATURES_PER_RECORD;
         for batch in [1, 2, 8, 240] {
             let mut batched = Vec::new();
-            for spans in spans.chunks(batch * span) {
-                models.lstm.score_spans(spans, steps, &mut ws, &mut out);
+            for (c, spans) in spans.chunks(batch * span).enumerate() {
+                lists.clear();
+                let chunk = &windows[c * batch..c * batch + spans.len() / span];
+                lists.push_dense(chunk.iter().map(|w| w.data()), FEATURES_PER_RECORD);
+                models.lstm.score_spans(spans, &lists, steps, &mut ws, &mut out);
                 batched.extend_from_slice(&out);
             }
             assert_eq!(bits(&batched), bits(&alone), "lstm, batches of {batch}");
+        }
+    }
+
+    #[test]
+    fn the_featurizers_lists_are_each_records_nonzeros() {
+        // A streaming scenario with warm starts, handovers and storms, so
+        // the relational features (TMSI reuse, bursts, pressure) fire too.
+        use xsec_ran::{StormConfig, StreamConfig, StreamingScenario};
+        use xsec_types::Duration;
+        let mut engine = StreamingScenario::new(StreamConfig {
+            seed: 53,
+            cells: 2,
+            total_ues: 300,
+            mobility_fraction: 0.5,
+            storm: Some(StormConfig { period: Duration::from_millis(150), burst: 12 }),
+            ..StreamConfig::default()
+        });
+        let stream = crate::scale::drained(&mut engine);
+        let mut featurizer = Featurizer::new();
+        let (mut dense, mut lists) = (Vec::new(), SparseRows::default());
+        for record in &stream.records {
+            featurizer.append_record(record, &mut dense, &mut lists);
+        }
+        assert_eq!(lists.rows(), stream.records.len());
+        let mut active = [0usize; FEATURES_PER_RECORD];
+        let rows = dense.chunks_exact(FEATURES_PER_RECORD);
+        for (r, (row, list)) in rows.zip(lists.iter()).enumerate() {
+            let nonzero = row.iter().enumerate().filter(|(_, v)| **v != 0.0);
+            let scanned: Vec<(u32, f32)> = nonzero.map(|(k, &v)| (k as u32, v)).collect();
+            assert_eq!(list, scanned, "record {r}");
+            assert!(list.len() <= MAX_NONZEROS_PER_RECORD, "record {r}: {} nonzeros", list.len());
+            list.iter().for_each(|&(k, _)| active[k as usize] += 1);
+        }
+        // TMSI reuse, setup burst, incomplete connections, release burst.
+        for k in [53, 58, 59, 60] {
+            assert!(active[k] > 0, "feature {k} never fired in {} records", stream.records.len());
+        }
+    }
+
+    #[test]
+    fn live_lists_score_like_the_scanned_dataset() {
+        // The lists MobiWatch stages from the featurizer against the lists
+        // the dense-input entries scan: every window's score, both models.
+        let models = quick_models(48);
+        let ds = DatasetBuilder::small(49, 10).attack(AttackKind::BtsDos);
+        let stream = extract_from_events(&ds.report.events);
+        let dataset = Featurizer::encode_stream(&models.feature_config, &stream);
+        let mut ws = Workspace::new();
+        let (windows, nexts) = dataset.lstm_pairs();
+        let scanned = [
+            models.autoencoder.score_rows(&dataset.flat_windows(), &mut ws),
+            models.lstm.score_batch(&windows, &nexts, &mut ws),
+        ];
+        for (detector, scanned) in [Detector::Autoencoder, Detector::Lstm].into_iter().zip(scanned) {
+            let config = MobiWatchConfig { detector, ..MobiWatchConfig::default() };
+            let (mut watch, state) = MobiWatch::new(models.clone(), config);
+            for chunk in stream.records.chunks(37) {
+                watch.process_batch(chunk);
+            }
+            let live: Vec<u32> = state.lock().scores.iter().map(|s| s.1.to_bits()).collect();
+            let scanned: Vec<u32> = scanned.iter().map(|s| s.to_bits()).collect();
+            assert!(live.len() > 300, "{detector:?}: {} windows", live.len());
+            assert!(live == scanned, "{detector:?}: the live lists moved a score");
         }
     }
 

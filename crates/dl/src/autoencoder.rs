@@ -5,9 +5,9 @@
 //! above a threshold chosen as a percentile of the *training* errors (the
 //! paper uses the 99th, assuming ~1% noise) flag the window anomalous.
 
-use crate::dense::{Activation, Dense, GradScratch};
+use crate::dense::{Activation, Dense, GradScratch, Input};
 use crate::metrics::percentile;
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, SparseRows};
 use crate::workspace::Workspace;
 use crate::Precision;
 use rand::rngs::StdRng;
@@ -57,11 +57,13 @@ pub struct Autoencoder {
 }
 
 /// What [`Autoencoder::train`] reuses from step to step — never part of the
-/// model: every layer's activations (`acts[0]` is the batch), the gradient
-/// flowing back and the buffer it is written to next.
+/// model: every layer's activations (`acts[0]` is the batch, the
+/// reconstruction's target), the batch's rows as the first layer reads
+/// them, the gradient flowing back and the buffer it is written to next.
 #[derive(Debug, Default)]
 struct TrainScratch {
     acts: Vec<Matrix>,
+    lists: SparseRows,
     grad: Matrix,
     grad_in: Matrix,
     dense: GradScratch,
@@ -100,32 +102,47 @@ impl Autoencoder {
         let mut model =
             Autoencoder { layers, config: config.clone(), training_errors: Vec::new() };
 
+        // Every row's nonzeros, found once: each batch's lists are copied
+        // out of them, and the training errors are scored from them. The
+        // batch buffer is sized for the densest rows up front, so no later
+        // batch can grow it.
+        let mut lists = SparseRows::default();
+        lists.push_dense([data.data()], config.input_dim);
+        let densest = lists.iter().map(<[_]>::len).max().unwrap_or(0);
         let mut scratch = TrainScratch::default();
         scratch.acts.resize(model.layers.len() + 1, Matrix::default());
+        scratch.lists.reserve(config.batch_size, densest);
         let mut order: Vec<usize> = (0..data.rows()).collect();
         for _ in 0..config.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(config.batch_size) {
                 let batch = &mut scratch.acts[0];
                 batch.resize(chunk.len(), config.input_dim);
+                scratch.lists.clear();
                 for (row, &i) in batch.data_mut().chunks_exact_mut(config.input_dim).zip(chunk) {
                     row.copy_from_slice(data.row_slice(i));
+                    scratch.lists.extend(lists.row(i), 0);
+                    scratch.lists.end_row();
                 }
                 model.train_step(&mut scratch);
             }
         }
 
-        model.training_errors = model.score_rows(data, &mut Workspace::new());
+        let mut errors = Vec::with_capacity(data.rows());
+        model.score_spans(data.data(), &lists, &mut Workspace::new(), &mut errors);
+        model.training_errors = errors;
         model
     }
 
-    /// One Adam step on the batch in `scratch.acts[0]`; allocates nothing
-    /// once the buffers have seen a full batch.
+    /// One Adam step on the batch in `scratch.acts[0]` (its lists in
+    /// `scratch.lists`); allocates nothing once the buffers have seen a
+    /// full batch.
     fn train_step(&mut self, scratch: &mut TrainScratch) {
-        let TrainScratch { acts, grad, grad_in, dense } = scratch;
+        let TrainScratch { acts, lists, grad, grad_in, dense } = scratch;
         for (li, layer) in self.layers.iter().enumerate() {
             let (input, output) = acts.split_at_mut(li + 1);
-            layer.forward_into(input[li].data(), input[li].rows(), &mut output[0]);
+            let x = if li == 0 { Input::Sparse(lists) } else { Input::Dense(&input[li]) };
+            layer.forward_into(x, &mut output[0]);
         }
         let (batch, recon) = (&acts[0], &acts[self.layers.len()]);
         let scale = 2.0 / recon.data().len() as f32;
@@ -136,24 +153,26 @@ impl Autoencoder {
         for (li, layer) in self.layers.iter_mut().enumerate().rev() {
             // Nothing reads the first layer's input gradient.
             let wanted = (li > 0).then_some(&mut *grad_in);
-            layer.grad_step(&acts[li], &acts[li + 1], grad, wanted, dense, self.config.learning_rate);
+            let x = if li == 0 { Input::Sparse(lists) } else { Input::Dense(&acts[li]) };
+            layer.grad_step(x, &acts[li + 1], grad, wanted, dense, self.config.learning_rate);
             std::mem::swap(grad, grad_in);
         }
     }
 
-    /// The one inference pass: `m` flat row-major windows through the layer
-    /// stack, each layer a single GEMM over all of them, activations
-    /// ping-ponging between two workspace buffers; returns the one holding
-    /// the reconstruction. By the kernels' row-invariance contract a
-    /// window reconstructs to the same bits alone and in any batch.
-    fn reconstruct_into<'w>(&self, x: &[f32], m: usize, ws: &'w mut Workspace) -> &'w Matrix {
+    /// The one inference pass: windows given by their nonzeros through the
+    /// layer stack, each layer a single product over all of them —
+    /// the first over the lists, the rest dense — activations ping-ponging
+    /// between two workspace buffers; returns the one holding the
+    /// reconstruction. By the kernels' row-invariance contract a window
+    /// reconstructs to the same bits alone and in any batch.
+    fn reconstruct_into<'w>(&self, lists: &SparseRows, ws: &'w mut Workspace) -> &'w Matrix {
         for (li, layer) in self.layers.iter().enumerate() {
             let grew = if li == 0 {
-                layer.forward_into(x, m, &mut ws.a)
+                layer.forward_into(Input::Sparse(lists), &mut ws.a)
             } else if li % 2 == 1 {
-                layer.forward_into(ws.a.data(), m, &mut ws.b)
+                layer.forward_into(Input::Dense(&ws.a), &mut ws.b)
             } else {
-                layer.forward_into(ws.b.data(), m, &mut ws.a)
+                layer.forward_into(Input::Dense(&ws.b), &mut ws.a)
             };
             ws.note(grew);
         }
@@ -166,19 +185,29 @@ impl Autoencoder {
 
     /// The one scoring entry: every `input_dim`-wide window of `spans`
     /// (flat, back to back) in one batched pass, replacing `out` with one
-    /// reconstruction MSE per window. All temporaries live in the
-    /// workspace; a window scores to the same bits alone and in any batch.
+    /// reconstruction MSE per window. `lists` holds each window's nonzeros
+    /// as one row — what the first layer reads; the dense window is the
+    /// reconstruction's target. All temporaries live in the workspace; a
+    /// window scores to the same bits alone and in any batch.
     ///
     /// # Panics
-    /// If `spans` is not a whole number of windows.
-    pub fn score_spans(&self, spans: &[f32], ws: &mut Workspace, out: &mut Vec<f32>) {
+    /// If `spans` is not a whole number of windows, or `lists` does not
+    /// hold one row per window.
+    pub fn score_spans(
+        &self,
+        spans: &[f32],
+        lists: &SparseRows,
+        ws: &mut Workspace,
+        out: &mut Vec<f32>,
+    ) {
         let d = self.config.input_dim;
         assert!(spans.len().is_multiple_of(d), "spans are not whole {d}-wide windows");
+        assert_eq!(lists.rows(), spans.len() / d, "one list per window");
         out.clear();
         if spans.is_empty() {
             return;
         }
-        let recon = self.reconstruct_into(spans, spans.len() / d, ws);
+        let recon = self.reconstruct_into(lists, ws);
         out.extend(
             spans
                 .chunks_exact(d)
@@ -188,10 +217,13 @@ impl Autoencoder {
     }
 
     /// [`Autoencoder::score_spans`] over every row of `data`, into a new
-    /// `Vec` (training thresholds and the experiments).
+    /// `Vec` (training thresholds and the experiments); the rows' lists
+    /// come from a scan.
     pub fn score_rows(&self, data: &Matrix, ws: &mut Workspace) -> Vec<f32> {
         let mut out = Vec::with_capacity(data.rows());
-        self.score_spans(data.data(), ws, &mut out);
+        let lists = ws.lists(|l| l.push_dense([data.data()], self.config.input_dim));
+        self.score_spans(data.data(), &lists, ws, &mut out);
+        ws.restore(lists);
         out
     }
 
@@ -203,7 +235,10 @@ impl Autoencoder {
     /// If `flat.len() != input_dim`.
     pub fn score_window_with(&self, flat: &[f32], ws: &mut Workspace, _: Precision) -> f32 {
         assert_eq!(flat.len(), self.config.input_dim, "window width mismatch");
-        crate::kernels::mse_row(flat, self.reconstruct_into(flat, 1, ws).row_slice(0))
+        let lists = ws.lists(|l| l.push_dense([flat], flat.len()));
+        let score = crate::kernels::mse_row(flat, self.reconstruct_into(&lists, ws).row_slice(0));
+        ws.restore(lists);
+        score
     }
 
     /// The detection threshold at the given percentile of training errors
@@ -327,6 +362,14 @@ mod tests {
         scores.iter().map(|s| s.to_bits()).collect()
     }
 
+    /// `spans`' `d`-wide windows as the lists [`Autoencoder::score_spans`]
+    /// reads.
+    fn lists(spans: &[f32], d: usize) -> SparseRows {
+        let mut lists = SparseRows::default();
+        lists.push_dense([spans], d);
+        lists
+    }
+
     #[test]
     fn json_round_trip_preserves_scores() {
         let (benign, _) = synthetic(40, 9);
@@ -358,7 +401,8 @@ mod tests {
             assert_eq!(batched.len(), data.rows());
             for (i, s) in batched.iter().enumerate() {
                 // Against the same pass at batch size one: the same bits.
-                model.score_spans(data.row_slice(i), &mut ws, &mut alone);
+                let row = data.row_slice(i);
+                model.score_spans(row, &lists(row, data.cols()), &mut ws, &mut alone);
                 assert_eq!(bits(&[*s]), bits(&alone), "row {i} depends on its batch");
             }
         }
@@ -372,7 +416,7 @@ mod tests {
         for data in [&benign, &outliers] {
             for batch in [1, 7, 64] {
                 for spans in data.data().chunks(batch * data.cols()) {
-                    model.score_spans(spans, &mut ws, &mut out);
+                    model.score_spans(spans, &lists(spans, data.cols()), &mut ws, &mut out);
                     for (s, x) in out.iter().zip(spans.chunks_exact(data.cols())) {
                         let reference = reference_score(&model, x);
                         assert!(
@@ -389,12 +433,13 @@ mod tests {
     fn steady_state_scoring_does_not_allocate() {
         let (benign, _) = synthetic(40, 19);
         let model = Autoencoder::train(quick_config(benign.cols()), &benign);
-        let (mut ws, mut out) = (Workspace::new(), Vec::new());
-        // Warm-up: buffers grow to the window shape once.
-        model.score_spans(benign.row_slice(0), &mut ws, &mut out);
+        let mut ws = Workspace::new();
+        // Warm-up: buffers (the scan's lists among them) grow to the window
+        // shape once.
+        model.score_window_with(benign.row_slice(0), &mut ws, Precision::F32);
         let warm = ws.grow_events();
         for i in 0..benign.rows() {
-            model.score_spans(benign.row_slice(i), &mut ws, &mut out);
+            model.score_window_with(benign.row_slice(i), &mut ws, Precision::F32);
         }
         assert_eq!(
             ws.grow_events(),
@@ -403,9 +448,9 @@ mod tests {
         );
         // A whole same-width dataset warms once more, then also goes
         // allocation-free.
-        model.score_spans(benign.data(), &mut ws, &mut out);
+        model.score_rows(&benign, &mut ws);
         let warm = ws.grow_events();
-        model.score_spans(benign.data(), &mut ws, &mut out);
+        model.score_rows(&benign, &mut ws);
         assert_eq!(ws.grow_events(), warm, "steady-state batched scoring grew a buffer");
     }
 }

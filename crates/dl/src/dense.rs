@@ -1,8 +1,26 @@
 //! Fully-connected layers with built-in Adam state.
 
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, SparseRows};
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+
+/// A batch of layer inputs, one row per example.
+#[derive(Debug, Clone, Copy)]
+pub enum Input<'a> {
+    /// Dense rows: activations, and any input given as plain floats.
+    Dense(&'a Matrix),
+    /// Each row's nonzeros: a featurized window, a first layer's input.
+    Sparse(&'a SparseRows),
+}
+
+impl Input<'_> {
+    fn rows(&self) -> usize {
+        match self {
+            Input::Dense(x) => x.rows(),
+            Input::Sparse(x) => x.rows(),
+        }
+    }
+}
 
 /// Layer nonlinearity: the two the models use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -17,7 +35,7 @@ impl Activation {
     /// Applies the activation in place — the one activation path, for
     /// training and inference alike. Sigmoid goes through the kernels'
     /// vectorized polynomial.
-    pub fn apply_inplace(self, data: &mut [f32]) {
+    fn apply_inplace(self, data: &mut [f32]) {
         match self {
             Activation::Relu => data.iter_mut().for_each(|v| *v = v.max(0.0)),
             Activation::Sigmoid => crate::kernels::sigmoid_slice(data),
@@ -155,28 +173,31 @@ impl Dense {
         self.weights.cols()
     }
 
-    /// The one forward pass, for inference and training alike: `rows` flat
-    /// row-major inputs into a reusable buffer, no allocation once `out`
-    /// has capacity. The bias is staged into `out` first and the GEMM
-    /// accumulates on top (one pass over the output instead of two); a
-    /// single row is just the
-    /// `rows = 1` case of the same kernel, and by the kernel's
-    /// row-invariance contract yields the bits it would in any batch.
+    /// The one forward pass, for inference and training alike: a batch of
+    /// inputs into a reusable buffer, no allocation once `out` has
+    /// capacity. The bias is staged into `out` first and the product
+    /// accumulates on top (one pass over the output instead of two) —
+    /// [`crate::kernels::gemm_acc`] for dense rows,
+    /// [`crate::kernels::sparse_gemm_acc`] for featurized ones, which by
+    /// the kernels' contract give the same bits. A single row is the
+    /// `rows = 1` case of the same kernel and, by row invariance, yields the
+    /// bits it would in any batch.
     ///
     /// Returns `true` when `out`'s buffer grew.
-    pub fn forward_into(&self, x: &[f32], rows: usize, out: &mut Matrix) -> bool {
-        assert_eq!(
-            x.len(),
-            rows * self.fan_in(),
-            "forward_into input is not {rows} rows of fan_in {}",
-            self.fan_in()
-        );
-        let fan_out = self.fan_out();
+    pub fn forward_into(&self, x: Input<'_>, out: &mut Matrix) -> bool {
+        let (rows, fan_out) = (x.rows(), self.fan_out());
         let grew = out.resize(rows, fan_out);
         for row in out.data_mut().chunks_exact_mut(fan_out) {
             row.copy_from_slice(self.bias.row_slice(0));
         }
-        crate::kernels::gemm_acc(x, rows, self.fan_in(), self.weights.data(), fan_out, out.data_mut());
+        let w = self.weights.data();
+        match x {
+            Input::Dense(x) => {
+                assert_eq!(x.cols(), self.fan_in(), "forward_into input is not fan_in wide");
+                crate::kernels::gemm_acc(x.data(), rows, self.fan_in(), w, fan_out, out.data_mut());
+            }
+            Input::Sparse(x) => crate::kernels::sparse_gemm_acc(x.iter(), w, fan_out, out.data_mut()),
+        }
         self.activation.apply_inplace(out.data_mut());
         grew
     }
@@ -184,10 +205,12 @@ impl Dense {
     /// Backward pass and Adam step for input `x` and output `y` of
     /// [`Dense::forward_into`]. `grad` holds dL/dy on entry and dL/dz on
     /// return; dL/dx goes to `grad_in` when the caller has a use for it,
-    /// taken before the step moves the weights.
+    /// taken before the step moves the weights. The weight gradient `xᵀ·dz`
+    /// of sparse rows is a scatter of each row's nonzeros
+    /// ([`crate::kernels::sparse_outer_acc`]).
     pub(crate) fn grad_step(
         &mut self,
-        x: &Matrix,
+        x: Input<'_>,
         y: &Matrix,
         grad: &mut Matrix,
         grad_in: Option<&mut Matrix>,
@@ -201,8 +224,17 @@ impl Dense {
             self.weights.transpose_into(&mut scratch.transposed);
             grad.matmul_into(&scratch.transposed, grad_in);
         }
-        x.transpose_into(&mut scratch.transposed);
-        scratch.transposed.matmul_into(grad, &mut scratch.grad_w);
+        match x {
+            Input::Dense(x) => {
+                x.transpose_into(&mut scratch.transposed);
+                scratch.transposed.matmul_into(grad, &mut scratch.grad_w);
+            }
+            Input::Sparse(x) => {
+                let grad_w = &mut scratch.grad_w;
+                grad_w.resize_zeroed(self.fan_in(), self.fan_out());
+                crate::kernels::sparse_outer_acc(x.iter(), grad.data(), self.fan_out(), grad_w.data_mut());
+            }
+        }
         grad.sum_rows_into(&mut scratch.grad_b);
         self.adam_w.step(&mut self.weights, &scratch.grad_w, lr);
         self.adam_b.step(&mut self.bias, &scratch.grad_b, lr);
@@ -270,9 +302,9 @@ mod tests {
         let x = Matrix::from_vec(4, 1, vec![-1.0, 0.5, 1.0, 2.0]);
         let target: Vec<f32> = x.data().iter().map(|&v| sigmoid(2.0 * v - 1.0)).collect();
         for _ in 0..2_000 {
-            layer.forward_into(x.data(), x.rows(), &mut y);
+            layer.forward_into(Input::Dense(&x), &mut y);
             let mut grad = scaled_diff(&y, &target, 2.0 / 4.0);
-            layer.grad_step(&x, &y, &mut grad, None, &mut scratch, 0.05);
+            layer.grad_step(Input::Dense(&x), &y, &mut grad, None, &mut scratch, 0.05);
         }
         let (w, b) = (layer.weights.data()[0], layer.bias.data()[0]);
         assert!((w - 2.0).abs() < 0.01 && (b + 1.0).abs() < 0.01, "got w = {w}, b = {b}");
@@ -288,18 +320,19 @@ mod tests {
         let target = [0.1, 0.6];
         let loss = |x: &Matrix| {
             let mut y = Matrix::default();
-            layer.forward_into(x.data(), 1, &mut y);
+            layer.forward_into(Input::Dense(x), &mut y);
             y.data().iter().zip(&target).map(|(a, b)| (a - b) * (a - b)).sum::<f32>() / 2.0
         };
 
         // Analytic.
         let mut train_layer = layer.clone();
         let mut y = Matrix::default();
-        train_layer.forward_into(x.data(), 1, &mut y);
+        train_layer.forward_into(Input::Dense(&x), &mut y);
         let mut grad = scaled_diff(&y, &target, 2.0 / 2.0);
         // lr=0 step so parameters stay untouched while we read dL/dx.
         let mut analytic = Matrix::default();
-        train_layer.grad_step(&x, &y, &mut grad, Some(&mut analytic), &mut GradScratch::default(), 0.0);
+        let scratch = &mut GradScratch::default();
+        train_layer.grad_step(Input::Dense(&x), &y, &mut grad, Some(&mut analytic), scratch, 0.0);
 
         // Numerical.
         const EPS: f32 = 1e-3;
@@ -405,9 +438,9 @@ mod tests {
             // Feature 2 is seen once; the other two every step.
             let seen = if step == 0 { 1.0 } else { 0.0 };
             let x = Matrix::from_vec(2, 3, vec![0.3, 0.8, seen, 0.9, -0.4, 0.0]);
-            layer.forward_into(x.data(), x.rows(), &mut y);
+            layer.forward_into(Input::Dense(&x), &mut y);
             let mut grad = scaled_diff(&y, &[0.1, 0.2, 0.3, 0.4], 0.5);
-            layer.grad_step(&x, &y, &mut grad, None, &mut scratch, 1e-2);
+            layer.grad_step(Input::Dense(&x), &y, &mut grad, None, &mut scratch, 1e-2);
         }
         let moments = layer.adam_w.m.data();
         assert!(moments.iter().all(|m| !m.is_subnormal()), "{moments:?}");
@@ -431,7 +464,7 @@ mod tests {
         );
         let mut out = Matrix::default();
         for x in [&single, &batch] {
-            layer.forward_into(x.data(), x.rows(), &mut out);
+            layer.forward_into(Input::Dense(x), &mut out);
             assert_eq!(out.rows(), x.rows());
             for (a, b) in out.data().iter().zip(reference(&layer, x)) {
                 assert!((a - b).abs() < 1e-5, "forward_into diverged: {a} vs {b}");
@@ -440,9 +473,9 @@ mod tests {
         // After a weight update, the buffered path must track the new weights.
         let mut trained = layer.clone();
         let mut y = Matrix::default();
-        trained.forward_into(single.data(), 1, &mut y);
-        trained.grad_step(&single, &y, &mut y.clone(), None, &mut GradScratch::default(), 0.1);
-        trained.forward_into(single.data(), 1, &mut out);
+        trained.forward_into(Input::Dense(&single), &mut y);
+        trained.grad_step(Input::Dense(&single), &y, &mut y.clone(), None, &mut GradScratch::default(), 0.1);
+        trained.forward_into(Input::Dense(&single), &mut out);
         assert_ne!(trained.weights, layer.weights);
         for (a, b) in out.data().iter().zip(reference(&trained, &single)) {
             assert!((a - b).abs() < 1e-5, "stale weights in buffered path: {a} vs {b}");
@@ -456,8 +489,45 @@ mod tests {
         let json = serde_json::to_string(&layer).unwrap();
         let back: Dense = serde_json::from_str(&json).unwrap();
         let (mut a, mut b) = (Matrix::default(), Matrix::default());
-        layer.forward_into(&[0.1, 0.2, 0.3, 0.4], 1, &mut a);
-        back.forward_into(&[0.1, 0.2, 0.3, 0.4], 1, &mut b);
+        let x = Matrix::row(vec![0.1, 0.2, 0.3, 0.4]);
+        layer.forward_into(Input::Dense(&x), &mut a);
+        back.forward_into(Input::Dense(&x), &mut b);
         assert_eq!(a, b);
+    }
+
+    /// A batch of one-hot-sparse rows steps a layer to the same bits as
+    /// its lists or as dense rows: forward, input gradient, weight
+    /// gradient and Adam, over several steps.
+    #[test]
+    fn sparse_rows_train_a_layer_like_their_dense_rows() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let (m, fan_in, fan_out) = (7, 66, 12);
+        let data: Vec<f32> = (0..m * fan_in)
+            .map(|i| if (i * 7 + i / fan_in) % 9 == 0 { 1.0 + (i % 4) as f32 } else { 0.0 })
+            .collect();
+        let x = Matrix::from_vec(m, fan_in, data);
+        let mut lists = SparseRows::default();
+        lists.push_dense([x.data()], fan_in);
+        let mut dense = Dense::new(fan_in, fan_out, Activation::Relu, &mut rng);
+        let mut sparse = dense.clone();
+        let target: Vec<f32> = (0..m * fan_out).map(|i| (i % 5) as f32 * 0.2).collect();
+        let (mut scratch_dense, mut scratch_sparse) = (GradScratch::default(), GradScratch::default());
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for step in 0..5 {
+            let (mut y_dense, mut y_sparse) = (Matrix::default(), Matrix::default());
+            dense.forward_into(Input::Dense(&x), &mut y_dense);
+            sparse.forward_into(Input::Sparse(&lists), &mut y_sparse);
+            assert_eq!(bits(y_dense.data()), bits(y_sparse.data()), "forward, step {step}");
+            let (mut in_dense, mut in_sparse) = (Matrix::default(), Matrix::default());
+            let mut grad = scaled_diff(&y_dense, &target, 0.5);
+            let wanted = Some(&mut in_dense);
+            dense.grad_step(Input::Dense(&x), &y_dense, &mut grad, wanted, &mut scratch_dense, 1e-2);
+            let mut grad = scaled_diff(&y_sparse, &target, 0.5);
+            let wanted = Some(&mut in_sparse);
+            sparse.grad_step(Input::Sparse(&lists), &y_sparse, &mut grad, wanted, &mut scratch_sparse, 1e-2);
+            assert_eq!(bits(in_dense.data()), bits(in_sparse.data()), "input gradient, step {step}");
+            assert_eq!(bits(dense.weights.data()), bits(sparse.weights.data()), "weights, step {step}");
+            assert_eq!(bits(dense.bias.data()), bits(sparse.bias.data()), "bias, step {step}");
+        }
     }
 }

@@ -35,7 +35,7 @@
 //! uniformly to all data — no labels are involved, training stays
 //! unsupervised.
 
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, SparseRows};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use xsec_mobiflow::{TelemetryStream, UeMobiFlow};
@@ -44,6 +44,10 @@ use xsec_types::{AttackKind, Timestamp, Tmsi};
 
 /// Feature width of one encoded record.
 pub const FEATURES_PER_RECORD: usize = 33 + 1 + 5 + 5 + 8 + 1 + 1 + 4 + 1 + 1 + 1 + 5;
+
+/// The most nonzeros one encoded record can have: one per block of the
+/// table above (a one-hot block sets one slot, a scalar at most itself).
+pub const MAX_NONZEROS_PER_RECORD: usize = 12;
 
 /// Value of the plaintext-SUPI / TMSI-reuse bits and identity-procedure
 /// message kinds when active.
@@ -76,12 +80,37 @@ impl Default for FeatureConfig {
     }
 }
 
+/// The last [`BURST_LOOKBACK`] message kinds in a ring, with running counts
+/// of the two kinds the burst densities read.
+#[derive(Debug, Default)]
+struct RecentKinds {
+    kinds: [Option<MessageKind>; BURST_LOOKBACK],
+    /// The slot the next kind overwrites (the oldest, once full).
+    next: usize,
+    setups: usize,
+    releases: usize,
+}
+
+impl RecentKinds {
+    fn push(&mut self, kind: MessageKind) {
+        let evicted = self.kinds[self.next].replace(kind);
+        self.next = (self.next + 1) % BURST_LOOKBACK;
+        let counted = [
+            (&mut self.setups, MessageKind::RrcSetupRequest),
+            (&mut self.releases, MessageKind::RrcRelease),
+        ];
+        for (count, of) in counted {
+            *count = *count + usize::from(kind == of) - usize::from(evicted == Some(of));
+        }
+    }
+}
+
 /// The stateful stream encoder.
 #[derive(Debug, Default)]
 pub struct Featurizer {
     tmsi_conn: HashMap<Tmsi, u32>,
     last_timestamp: Option<Timestamp>,
-    recent_kinds: Vec<MessageKind>,
+    recent_kinds: RecentKinds,
     /// Connections that sent a setup request but have not yet registered or
     /// been released — the CU resource a flood pins down.
     incomplete_conns: std::collections::HashSet<u32>,
@@ -95,11 +124,26 @@ impl Featurizer {
 
     /// The one featurize entry: encodes one record onto the end of a
     /// caller-owned buffer, updating relational state, so a stream of
-    /// records becomes one flat row-major block. With a warm buffer this
-    /// is the allocation-free path the online detectors use.
-    pub fn append_record(&mut self, r: &UeMobiFlow, v: &mut Vec<f32>) {
+    /// records becomes one flat row-major block — and appends the record's
+    /// nonzeros to `nonzeros` as one row, in ascending feature order, as it
+    /// writes them. With warm buffers this is the allocation-free path the
+    /// online detectors use.
+    pub fn append_record(&mut self, r: &UeMobiFlow, v: &mut Vec<f32>, nonzeros: &mut SparseRows) {
         let start = v.len();
-        v.reserve(FEATURES_PER_RECORD);
+        v.resize(start + FEATURES_PER_RECORD, 0.0);
+        nonzeros.reserve(1, MAX_NONZEROS_PER_RECORD);
+        let row = &mut v[start..];
+        // Each block of the table in order: `put(width, slot, value)` sets
+        // slot `slot` of the next `width` features, so the list ascends.
+        let mut at = 0;
+        let mut put = |width: usize, slot: usize, value: f32| {
+            debug_assert!(slot < width, "slot {slot} of a {width}-wide block");
+            if value != 0.0 {
+                row[at + slot] = value;
+                nonzeros.push((at + slot) as u32, value);
+            }
+            at += width;
+        };
 
         // Message one-hot. Identity-procedure messages are weighted: a
         // plaintext identity exchange is the security-critical rarity the
@@ -111,33 +155,25 @@ impl Featurizer {
             }
             _ => ROUTINE_WEIGHT,
         };
-        v.resize(start + MessageKind::vocabulary_size(), 0.0);
-        v[start + r.msg.feature_index()] = msg_weight;
+        put(MessageKind::vocabulary_size(), r.msg.feature_index(), msg_weight);
 
         // Direction.
-        v.push(if r.direction.is_uplink() { ROUTINE_WEIGHT } else { 0.0 });
+        put(1, 0, if r.direction.is_uplink() { ROUTINE_WEIGHT } else { 0.0 });
 
         // Cipher one-hot (slot 0 = not established); the NULL slot carries
         // extra weight so downgrades stand out of the MSE.
-        let base = v.len();
-        v.resize(base + 5, 0.0);
         let slot = r.cipher_alg.map(|c| c.code() as usize + 1).unwrap_or(0);
-        v[base + slot] = if slot == 1 { NULL_ALG_WEIGHT } else { ROUTINE_WEIGHT };
+        put(5, slot, if slot == 1 { NULL_ALG_WEIGHT } else { ROUTINE_WEIGHT });
 
         // Integrity one-hot, same weighting.
-        let base = v.len();
-        v.resize(base + 5, 0.0);
         let slot = r.integrity_alg.map(|c| c.code() as usize + 1).unwrap_or(0);
-        v[base + slot] = if slot == 1 { NULL_ALG_WEIGHT } else { ROUTINE_WEIGHT };
+        put(5, slot, if slot == 1 { NULL_ALG_WEIGHT } else { ROUTINE_WEIGHT });
 
         // Establishment cause one-hot.
-        let base = v.len();
-        v.resize(base + 8, 0.0);
-        v[base + r.establishment_cause.map(|c| c.code() as usize + 1).unwrap_or(0)] =
-            ROUTINE_WEIGHT;
+        put(8, r.establishment_cause.map(|c| c.code() as usize + 1).unwrap_or(0), ROUTINE_WEIGHT);
 
         // SUPI exposure (weighted: one bit must be able to flag a window).
-        v.push(if r.supi.is_some() { IDENTITY_WEIGHT } else { 0.0 });
+        put(1, 0, if r.supi.is_some() { IDENTITY_WEIGHT } else { 0.0 });
 
         // TMSI reuse across connections.
         let reused = match r.tmsi {
@@ -150,7 +186,7 @@ impl Featurizer {
             },
             None => false,
         };
-        v.push(if reused { IDENTITY_WEIGHT } else { 0.0 });
+        put(1, 0, if reused { IDENTITY_WEIGHT } else { 0.0 });
 
         // Inter-arrival bucket.
         let gap_us = match self.last_timestamp {
@@ -158,8 +194,7 @@ impl Featurizer {
             None => u64::MAX,
         };
         self.last_timestamp = Some(r.timestamp);
-        let mut bucket = [0.0f32; 4];
-        let idx = if gap_us < 1_000 {
+        let bucket = if gap_us < 1_000 {
             0
         } else if gap_us < 10_000 {
             1
@@ -168,20 +203,14 @@ impl Featurizer {
         } else {
             3
         };
-        bucket[idx] = ROUTINE_WEIGHT;
-        v.extend(bucket);
+        put(4, bucket, ROUTINE_WEIGHT);
 
         // Setup-burst density: how much of the recent stream is connection
         // arrivals. Benign traffic interleaves whole ladders, keeping this
         // low; a flood of truncated handshakes drives it up.
         self.recent_kinds.push(r.msg);
-        if self.recent_kinds.len() > BURST_LOOKBACK {
-            self.recent_kinds.remove(0);
-        }
-        let setups =
-            self.recent_kinds.iter().filter(|k| **k == MessageKind::RrcSetupRequest).count();
         // Benign arrival bursts peak around 5 setups per 16 records.
-        v.push((setups as f32 / 5.0).min(3.0));
+        put(1, 0, (self.recent_kinds.setups as f32 / 5.0).min(3.0));
 
         // Incomplete-connection pressure: how many live connections are
         // stuck between setup and registration. Benign registrations finish
@@ -202,27 +231,23 @@ impl Featurizer {
             _ => {}
         }
         // Benign concurrency keeps at most ~4 registrations in flight.
-        let pressure = (self.incomplete_conns.len() as f32 / 4.0).min(4.0);
-        v.push(pressure);
+        put(1, 0, (self.incomplete_conns.len() as f32 / 4.0).min(4.0));
 
         // Teardown-burst density: a storm of releases (the CU reaping a
         // flood's stalled contexts) is as anomalous as the flood itself.
-        let releases =
-            self.recent_kinds.iter().filter(|k| **k == MessageKind::RrcRelease).count();
         // Benign teardown waves (end-of-busy-hour deregistrations) reach
         // ~6 releases per 16 records; a guard-timer reap of a flood's
         // contexts far exceeds that.
-        v.push((releases as f32 / 6.0).min(3.0));
+        put(1, 0, (self.recent_kinds.releases as f32 / 6.0).min(3.0));
 
         // Release cause one-hot: an abnormal teardown (radio-link failure of
         // an abandoned handshake, a network abort detaching a subscriber,
         // congestion shedding) is itself a security state parameter.
-        let base = v.len();
-        v.resize(base + 5, 0.0);
         let slot = r.release_cause.map(|c| c.code() as usize + 1).unwrap_or(0);
-        v[base + slot] = if slot >= 2 { NULL_ALG_WEIGHT } else { ROUTINE_WEIGHT };
+        put(5, slot, if slot >= 2 { NULL_ALG_WEIGHT } else { ROUTINE_WEIGHT });
 
-        debug_assert_eq!(v.len() - start, FEATURES_PER_RECORD);
+        debug_assert_eq!(at, FEATURES_PER_RECORD);
+        nonzeros.end_row();
     }
 
     /// Encodes a whole labeled stream into a windowed dataset.
@@ -230,8 +255,12 @@ impl Featurizer {
         assert!(config.window >= 1, "window must be at least 1");
         let mut enc = Featurizer::new();
         let mut record_features = Vec::with_capacity(stream.records.len() * FEATURES_PER_RECORD);
+        // The dataset is dense: its consumers take `Matrix` rows and find
+        // the nonzeros themselves.
+        let mut nonzeros = SparseRows::default();
         for r in &stream.records {
-            enc.append_record(r, &mut record_features);
+            enc.append_record(r, &mut record_features, &mut nonzeros);
+            nonzeros.clear();
         }
         let attack_kinds: Vec<Option<AttackKind>> =
             stream.labels.iter().map(|l| l.attack_kind()).collect();
@@ -351,8 +380,13 @@ mod tests {
     /// One record's features on their own.
     fn encode(enc: &mut Featurizer, r: &UeMobiFlow) -> Vec<f32> {
         let mut v = Vec::new();
-        enc.append_record(r, &mut v);
+        enc.append_record(r, &mut v, &mut SparseRows::default());
         v
+    }
+
+    /// `row`'s nonzeros as `(index, value)`, by a plain scan.
+    fn nonzeros_of(row: &[f32]) -> Vec<(u32, f32)> {
+        row.iter().enumerate().filter(|(_, v)| **v != 0.0).map(|(i, &v)| (i as u32, v)).collect()
     }
 
     fn stream(records: Vec<UeMobiFlow>) -> TelemetryStream {
@@ -371,21 +405,49 @@ mod tests {
     fn append_record_builds_flat_rows_and_reuses_the_buffer() {
         let mut enc_a = Featurizer::new();
         let mut enc_b = Featurizer::new();
-        let mut flat = Vec::new();
+        let (mut flat, mut lists) = (Vec::new(), SparseRows::default());
         for i in 0..40usize {
             let mut r = record(i as u64, i as u64 * 700, (i % 3) as u32, Some((i % 5) as u32));
             if i % 4 == 0 {
                 r.cipher_alg = Some(CipherAlg::Nea0);
             }
             let fresh = encode(&mut enc_a, &r);
-            enc_b.append_record(&r, &mut flat);
+            enc_b.append_record(&r, &mut flat, &mut lists);
             assert_eq!(flat.len(), (i + 1) * FEATURES_PER_RECORD);
             assert_eq!(fresh, flat[i * FEATURES_PER_RECORD..], "record {i} diverged");
+            assert_eq!(lists.rows(), i + 1);
+            assert_eq!(lists.row(i), nonzeros_of(&fresh), "record {i}'s list");
         }
-        let cap = flat.capacity();
+        let caps = (flat.capacity(), lists.capacity());
         flat.clear();
-        enc_b.append_record(&record(99, 99_000, 1, None), &mut flat);
-        assert_eq!(flat.capacity(), cap, "warm buffer must not reallocate");
+        lists.clear();
+        enc_b.append_record(&record(99, 99_000, 1, None), &mut flat, &mut lists);
+        assert_eq!((flat.capacity(), lists.capacity()), caps, "warm buffers must not reallocate");
+    }
+
+    #[test]
+    fn burst_densities_count_the_last_sixteen_kinds() {
+        // The running counts against a recount of a trailing `Vec`, over a
+        // stream of setups, releases and others in an irregular pattern.
+        let (setup_idx, release_idx) = (FEATURES_PER_RECORD - 8, FEATURES_PER_RECORD - 6);
+        let mut enc = Featurizer::new();
+        let mut recent: Vec<MessageKind> = Vec::new();
+        for i in 0..200u64 {
+            let mut r = record(i, i * 300, (i % 7) as u32, None);
+            r.msg = match (i * i + 3 * i) % 5 {
+                0 | 3 => MessageKind::RrcSetupRequest,
+                1 => MessageKind::RrcRelease,
+                _ => MessageKind::NasIdentityRequest,
+            };
+            recent.push(r.msg);
+            if recent.len() > BURST_LOOKBACK {
+                recent.remove(0);
+            }
+            let count = |kind| recent.iter().filter(|k| **k == kind).count() as f32;
+            let v = encode(&mut enc, &r);
+            assert_eq!(v[setup_idx], (count(MessageKind::RrcSetupRequest) / 5.0).min(3.0), "record {i}");
+            assert_eq!(v[release_idx], (count(MessageKind::RrcRelease) / 6.0).min(3.0), "record {i}");
+        }
     }
 
     #[test]

@@ -1,17 +1,24 @@
-//! The GEMM micro-kernel behind every matrix product in the crate.
+//! The GEMM micro-kernels behind every matrix product in the crate.
 //!
-//! There is exactly **one** place that multiplies matrices: [`gemm_acc`].
-//! [`crate::Matrix::matmul_into`], the batched scoring paths, and the
-//! single-window GEMV hot path all funnel into it, so optimizing this file
-//! optimizes every detector.
+//! Every product is one of three functions here, so optimizing this file
+//! optimizes every detector:
+//! - [`gemm_acc`], dense `a · b`: [`crate::Matrix::matmul_into`], every
+//!   hidden and output layer, the LSTM's `h·U`;
+//! - [`sparse_gemm_acc`], `a · b` with each row of `a` given by its
+//!   nonzeros ([`crate::SparseRows`]): the first layer of both models, whose
+//!   input is a featurized window — 264 floats, about 36 of them nonzero;
+//! - [`sparse_outer_acc`], `aᵀ · g` for such an `a`: the autoencoder's
+//!   first-layer weight gradient.
 //!
 //! [`gemm_acc`] is a register-tiled wide-lane kernel: output tiles of
 //! [`MR`]`×`[`NR`] stay in registers across the *entire* k loop, so each k
 //! step is two `rhs` vector loads and eight FMAs with zero output-row
 //! traffic. Explicit [`LANES`]-wide arrays lower to vector FMAs without
-//! `unsafe` intrinsics, on whatever vector width the target has. Sparse
-//! (one-hot) batches take a row-granular path that skips zero coefficients.
-//! Its oracle is the naive triple loop in the tests below.
+//! `unsafe` intrinsics, on whatever vector width the target has. It picks
+//! its path by shape alone: a single row takes the one-row path (which
+//! skips the row's zero coefficients), everything else the tiles. Its
+//! oracle is the naive triple loop in the tests below, and the sparse
+//! products' oracle is [`gemm_acc`] itself.
 //!
 //! Alongside the GEMM live the vectorizable transcendentals
 //! ([`sigmoid_slice`], [`tanh_slice`]): Cephes-style polynomial `exp`
@@ -23,11 +30,11 @@
 //! **Row invariance.** Row `i` of the product is a pure function of row `i`
 //! of `a` and of `b`: every output element is one ascending-k chain of FMAs
 //! from zero, whichever path computes it, so a window scores to the same
-//! bits alone, in any batch, and whatever [`is_mostly_zero`] decides about
-//! its neighbours. (Skipping a zero coefficient leaves a chain unchanged
-//! because weights are finite.) The live detectors rely on this to batch
-//! per indication without moving a digest; it is property-tested bit for
-//! bit below.
+//! bits alone and in any batch. A sparse row runs the same chain with its
+//! zero coefficients skipped, which leaves it unchanged because weights are
+//! finite — so a window's list and its dense row give the same bits too.
+//! The live detectors rely on this to batch per indication without moving a
+//! digest; both halves are property-tested bit for bit below.
 
 /// Vector width of the wide kernel, in f32 lanes.
 pub const LANES: usize = 8;
@@ -48,15 +55,13 @@ const NR: usize = 2 * LANES;
 /// registers for the whole k loop: each k step is two contiguous vector
 /// loads of `b`, four broadcast loads of `a`, and eight FMAs — no
 /// output-row traffic at all until the tile is stored once at the end.
-/// A k whose [`MR`] `a` coefficients are all zero is skipped whole;
-/// featurized windows are mostly zero *at the same positions* (unused
-/// one-hot regions), so the skip fires across the whole tile. Leftover
-/// rows run a one-row variant (the streaming GEMV path), leftover columns
-/// a narrower tile and then single-column tiles.
+/// Leftover rows run a narrower tile, leftover columns a narrower tile and
+/// then single-column tiles; a single row (the streaming GEMV) runs the
+/// one-row path over its nonzero coefficients instead.
 ///
 /// Contract: `out[i][j] += fma(a[i][k-1], b[k-1][j], … fma(a[i][0],
 /// b[0][j], 0))` on every path, so the bits of row `i` do not depend on
-/// `m`, on the other rows, or on which path the batch's sparsity selects.
+/// `m` or on the other rows.
 ///
 /// # Panics
 /// Debug-asserts the slice lengths; callers ([`crate::Matrix`]) validate
@@ -68,14 +73,11 @@ pub fn gemm_acc(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f
     if k == 0 || n == 0 {
         return;
     }
-    // Very sparse inputs (featurized one-hot windows run 85–90% zero) skip
-    // better at row granularity: nonzero positions differ per window, so a
-    // tile's MR-row column check rarely finds all-zero columns. The O(mk)
-    // scan is noise next to the O(mkn) product it steers.
-    if is_mostly_zero(a) || m == 1 {
-        for i in 0..m {
-            row_tile(&a[i * k..(i + 1) * k], b, n, &mut out[i * n..(i + 1) * n]);
-        }
+    if m == 1 {
+        // A single row skips its zero coefficients (ReLU outputs): measured
+        // against running every k, `fanin` — one window per call — won 9
+        // of 10 pairs (+3 % records/s).
+        row_tile(a.iter().copied().enumerate().filter(|&(_, c)| c != 0.0), b, n, out);
         return;
     }
     // Dense path, column-tile outer: one j-tile's panel of `b` is ~k cache
@@ -102,6 +104,56 @@ pub fn gemm_acc(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f
         }
         if n - j >= 3 {
             edge_strip::<1>(a, m, k, b, n, j + 2, out);
+        }
+    }
+}
+
+/// Accumulates `out += a · b` where each item of `rows` is one row of `a`
+/// given by its nonzeros, `(k, a[i][k])` in ascending `k` ([`crate::SparseRows`]
+/// holds them); `b` is `k × n`, `out` has one `n`-wide row per item.
+///
+/// Row `i` runs [`gemm_acc`]'s chain over its entries only: `out[i][j] +=
+/// fma(c_last, b[k_last][j], … fma(c_0, b[k_0][j], 0))`, so it has the bits
+/// [`gemm_acc`] gives the densified row. The cost is the entries' FMAs —
+/// nothing scans the zeros.
+pub fn sparse_gemm_acc<'a>(
+    rows: impl IntoIterator<Item = &'a [(u32, f32)]>,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    if n == 0 {
+        return;
+    }
+    let mut out_rows = out.chunks_exact_mut(n);
+    for list in rows {
+        let out_row = out_rows.next().expect("one output row per input row");
+        row_tile(list.iter().map(|&(k, c)| (k as usize, c)), b, n, out_row);
+    }
+    debug_assert!(out_rows.next().is_none(), "more output rows than input rows");
+}
+
+/// Accumulates `out += aᵀ · g` where each item of `rows` is row `i` of `a`
+/// given by its nonzeros, as in [`sparse_gemm_acc`]; `g` is `m × n`, `out`
+/// is `k × n`. Row `i`'s entries scatter `c · g[i]` onto the output rows
+/// they name, so `out[k][j]` is `fma` over the rows `i` holding column `k`
+/// in ascending `i` — the chain [`gemm_acc`] runs on the densified `aᵀ`,
+/// zero coefficients skipped.
+pub fn sparse_outer_acc<'a>(
+    rows: impl IntoIterator<Item = &'a [(u32, f32)]>,
+    g: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
+    if n == 0 {
+        return;
+    }
+    for (list, g_row) in rows.into_iter().zip(g.chunks_exact(n)) {
+        for &(k, c) in list {
+            let k = k as usize;
+            for (o, &gv) in out[k * n..(k + 1) * n].iter_mut().zip(g_row) {
+                *o = c.mul_add(gv, *o);
+            }
         }
     }
 }
@@ -138,15 +190,6 @@ fn col_strip<const G: usize>(a: &[f32], m: usize, k: usize, b: &[f32], n: usize,
     }
 }
 
-/// Whether ≥ 3/4 of `a` is exactly zero (one-hot feature batches are;
-/// dense weight/activation batches are not). Below that, tile-granular
-/// FMA density beats row-granular skipping.
-#[inline]
-fn is_mostly_zero(a: &[f32]) -> bool {
-    let zeros = a.iter().filter(|&&v| v == 0.0).count();
-    4 * zeros > 3 * a.len()
-}
-
 /// One `R × (G·LANES)` output tile: accumulators held in registers across
 /// the full k loop, stored into `out` once. Each k step is `G` contiguous
 /// vector loads of `b`, `R` broadcast loads of `a`, and `R·G` FMAs.
@@ -164,9 +207,9 @@ fn tile<const R: usize, const G: usize>(
     let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
     let mut acc = [[[0.0f32; LANES]; G]; R];
     for kk in 0..k {
-        // No zero-check here: sparse inputs dispatch to the row-granular
-        // path instead, and on dense tiles a per-k branch costs more FMA
-        // slots than the <1% of skippable columns returns.
+        // No zero-check here: sparse inputs go through
+        // [`sparse_gemm_acc`] instead, and on dense tiles a per-k branch
+        // costs more FMA slots than the few skippable columns return.
         let c: [f32; R] = std::array::from_fn(|r| arows[r][kk]);
         let base = kk * n + j;
         // Fixed-size views: bounds-checked once, then the lane loops
@@ -232,34 +275,40 @@ fn tile_narrow<const R: usize, const L: usize>(
     }
 }
 
-/// One output row (the streaming GEMV path, the m remainder, and the
-/// sparse row-granular path): up to six lane groups — 48 output columns —
-/// held in register accumulators per scan of the row, so a skipped zero
-/// costs one branch and a nonzero lands on six independent FMA chains.
+/// One output row — the single-row GEMV and every sparse row — from its
+/// nonzero coefficients `(k, a[k])` in ascending `k`: filtered out of a
+/// dense row, or a sparse row's list. Up to twelve lane groups (96 output columns)
+/// are held in register accumulators per pass over the coefficients, so
+/// each coefficient lands on up to twelve independent FMA chains.
 #[inline(always)]
-fn row_tile(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
+fn row_tile(
+    coeffs: impl Iterator<Item = (usize, f32)> + Clone,
+    b: &[f32],
+    n: usize,
+    out_row: &mut [f32],
+) {
     let mut j = 0;
     while n - j >= 12 * LANES {
-        // 96 columns per scan: 12 accumulator groups cycle through one or
-        // two b registers, so this still fits the register file — and for
-        // sparse rows the scan itself is the cost worth halving.
-        row_pass::<12>(a_row, b, n, j, out_row);
+        // 96 columns per pass: 12 accumulator groups cycle through one or
+        // two b registers, so this still fits the register file, and the
+        // pass over the coefficients is paid half as often.
+        row_pass::<12>(coeffs.clone(), b, n, j, out_row);
         j += 12 * LANES;
     }
     while n - j >= 6 * LANES {
-        row_pass::<6>(a_row, b, n, j, out_row);
+        row_pass::<6>(coeffs.clone(), b, n, j, out_row);
         j += 6 * LANES;
     }
     if n - j >= 4 * LANES {
-        row_pass::<4>(a_row, b, n, j, out_row);
+        row_pass::<4>(coeffs.clone(), b, n, j, out_row);
         j += 4 * LANES;
     }
     if n - j >= 2 * LANES {
-        row_pass::<2>(a_row, b, n, j, out_row);
+        row_pass::<2>(coeffs.clone(), b, n, j, out_row);
         j += 2 * LANES;
     }
     if n - j >= LANES {
-        row_pass::<1>(a_row, b, n, j, out_row);
+        row_pass::<1>(coeffs.clone(), b, n, j, out_row);
         j += LANES;
     }
     for jj in j..n {
@@ -267,56 +316,34 @@ fn row_tile(a_row: &[f32], b: &[f32], n: usize, out_row: &mut [f32]) {
         // dense path — a mul-then-add here was the one place a row's bits
         // depended on its batch.
         let mut acc = 0.0f32;
-        for (kk, &c) in a_row.iter().enumerate() {
+        for (kk, c) in coeffs.clone() {
             acc = c.mul_add(b[kk * n + jj], acc);
         }
         out_row[jj] += acc;
     }
 }
 
-/// One scan of a single `a` row updating `G` lane groups (`G·LANES`
-/// output columns) of register accumulators, with the per-k zero skip the
-/// one-hot feature rows rely on.
+/// One pass over a row's coefficients updating `G` lane groups (`G·LANES`
+/// output columns) of register accumulators.
 #[inline(always)]
-fn row_pass<const G: usize>(a_row: &[f32], b: &[f32], n: usize, j: usize, out_row: &mut [f32]) {
+fn row_pass<const G: usize>(
+    coeffs: impl Iterator<Item = (usize, f32)>,
+    b: &[f32],
+    n: usize,
+    j: usize,
+    out_row: &mut [f32],
+) {
     let mut acc = [[0.0f32; LANES]; G];
-    let fma = |kk: usize, c: f32, acc: &mut [[f32; LANES]; G]| {
-        let base = kk * n + j;
-        let bg: [&[f32; LANES]; G] = std::array::from_fn(|g| {
-            (&b[base + g * LANES..base + (g + 1) * LANES]).try_into().unwrap()
-        });
+    for (kk, c) in coeffs {
+        // One bounds check for the whole strip; the lane views below are
+        // then provably in range.
+        let strip = &b[kk * n + j..kk * n + j + G * LANES];
+        let bg: [&[f32; LANES]; G] =
+            std::array::from_fn(|g| (&strip[g * LANES..(g + 1) * LANES]).try_into().unwrap());
         for g in 0..G {
             for l in 0..LANES {
                 acc[g][l] = c.mul_add(bg[g][l], acc[g][l]);
             }
-        }
-    };
-    // The scan itself dominates sparse rows (one branch per k beats any
-    // FMA savings), so zeros are skipped a whole [`LANES`] group at a
-    // time first: one-hot windows zero out in long runs (entire unused
-    // one-hot regions), and OR-ing the raw f32 bits is an associative
-    // integer reduction LLVM vectorizes — a float sum would not be.
-    // (-0.0 has a sign bit and defeats the group skip, but never occurs
-    // in featurized windows and is still handled by the per-k check.)
-    let mut groups = a_row.chunks_exact(LANES);
-    let mut kk = 0;
-    for grp in groups.by_ref() {
-        let mut bits = 0u32;
-        for &v in grp {
-            bits |= v.to_bits();
-        }
-        if bits != 0 {
-            for (l, &c) in grp.iter().enumerate() {
-                if c != 0.0 {
-                    fma(kk + l, c, &mut acc);
-                }
-            }
-        }
-        kk += LANES;
-    }
-    for (l, &c) in groups.remainder().iter().enumerate() {
-        if c != 0.0 {
-            fma(kk + l, c, &mut acc);
         }
     }
     let o = &mut out_row[j..j + G * LANES];
@@ -459,7 +486,7 @@ mod tests {
 
     #[test]
     fn k_not_a_multiple_of_the_lane_width() {
-        // k = 13 exercises the 4-group remainder; n = 11 the lane remainder.
+        // k = 13 is no multiple of the lane width; n = 11 leaves a lane remainder.
         let (m, k, n) = (3, 13, 11);
         let a: Vec<f32> = (0..m * k).map(|i| ((i * 7) % 5) as f32 - 2.0).collect();
         let b: Vec<f32> = (0..k * n).map(|i| ((i * 3) % 7) as f32 * 0.25).collect();
@@ -480,22 +507,24 @@ mod tests {
     #[test]
     fn all_zero_one_hot_rows_are_skipped_correctly() {
         // Rows of zeros (an empty one-hot window) must leave out untouched,
-        // including in the 4-group skip path.
+        // as dense rows and as empty lists.
         let (m, k, n) = (2, 12, 9);
         let a = vec![0.0f32; m * k];
         let b: Vec<f32> = (0..k * n).map(|i| i as f32).collect();
         let mut out = vec![1.0f32; m * n];
         gemm_acc(&a, m, k, &b, n, &mut out);
         assert_eq!(out, vec![1.0; m * n], "zero input must accumulate nothing");
-        // A single nonzero straddling a zero k-group still lands.
+        sparse_gemm_acc([&[][..], &[]], &b, n, &mut out);
+        assert_eq!(out, vec![1.0; m * n], "empty lists must accumulate nothing");
+        // A single nonzero among zeros still lands.
         let mut a = vec![0.0f32; m * k];
-        a[5] = 2.0; // row 0, k=5 (inside the second 4-group)
+        a[5] = 2.0; // row 0, k=5
         check(&a, m, k, &b, n);
     }
 
     #[test]
     fn dense_narrow_edge_columns() {
-        // A dense (non-sparse) batch with n = 12 routes the last 4 columns
+        // A batch with n = 12 routes the last 4 columns
         // through the half-width edge tile; n = 11 additionally exercises
         // the single-column tail. m = 9 covers full MR blocks + remainder.
         let (m, k) = (9, 48);
@@ -565,8 +594,8 @@ mod tests {
 
     proptest! {
         /// The row-invariance contract, bit for bit:
-        /// row `i` of a batched product is the product of row `i` alone,
-        /// whatever the other rows make `is_mostly_zero` decide. `n` covers
+        /// row `i` of a batched product is the product of row `i` alone
+        /// (the one-row path), whatever the other rows hold. `n` covers
         /// every `n % 8` edge, rows mix one-hot-sparse and dense.
         #[test]
         fn a_rows_bits_do_not_depend_on_its_batch(
@@ -597,8 +626,7 @@ mod tests {
         }
 
         /// The kernel against the naive triple loop on random shapes,
-        /// including sparse (one-hot-like) inputs that exercise the
-        /// zero-skip paths.
+        /// sparse (one-hot-like) and dense inputs alike.
         #[test]
         fn wide_matches_scalar_on_random_shapes(
             m in 0usize..6,
@@ -616,6 +644,48 @@ mod tests {
                 .collect();
             let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
             check(&a, m, k, &b, n);
+        }
+
+        /// The sparse products against [`gemm_acc`] on the densified rows,
+        /// bit for bit: `a · b` from a bias, and `aᵀ · g` from zero. Each
+        /// row is empty, one-hot, all nonzero, or a random sparse mix.
+        #[test]
+        fn sparse_products_are_gemm_acc_bit_for_bit(
+            m in 1usize..=10,
+            k in 1usize..=300,
+            n in 1usize..60,
+            seed in 0u64..1000,
+        ) {
+            let mut next = uniform(seed);
+            let mut a = vec![0.0f32; m * k];
+            for (i, row) in a.chunks_exact_mut(k).enumerate() {
+                match (seed as usize + i) % 4 {
+                    0 => {}
+                    1 => row[(seed as usize * 7 + i) % k] = 1.0 + next(),
+                    2 => row.iter_mut().for_each(|v| *v = next() + 1.0),
+                    _ => row.iter_mut().for_each(|v| {
+                        let x = next();
+                        *v = if x.abs() < 0.4 { 0.0 } else { x * 4.0 };
+                    }),
+                }
+            }
+            let mut lists = crate::SparseRows::default();
+            lists.push_dense([&a[..]], k);
+            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+            let b: Vec<f32> = (0..k * n).map(|_| next()).collect();
+            let bias: Vec<f32> = (0..n).map(|_| next()).collect();
+            let (mut want, mut got) = (bias.repeat(m), bias.repeat(m));
+            gemm_acc(&a, m, k, &b, n, &mut want);
+            sparse_gemm_acc(lists.iter(), &b, n, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want), "a · b");
+
+            let g: Vec<f32> = (0..m * n).map(|_| next()).collect();
+            let at: Vec<f32> = (0..k * m).map(|at| a[(at % m) * k + at / m]).collect();
+            let (mut want, mut got) = (vec![0.0f32; k * n], vec![0.0f32; k * n]);
+            gemm_acc(&at, k, m, &g, n, &mut want);
+            sparse_outer_acc(lists.iter(), &g, n, &mut got);
+            prop_assert_eq!(bits(&got), bits(&want), "aᵀ · g");
         }
     }
 }

@@ -4,7 +4,9 @@
 //! the Python/Keras models the paper trains. It implements exactly the two
 //! model classes §3.2 evaluates, plus everything they need:
 //!
-//! * [`Matrix`] — a minimal f32 matrix with the ops the nets use;
+//! * [`Matrix`] — a minimal f32 matrix with the ops the nets use, and
+//!   [`SparseRows`] — rows given by their nonzeros, which is how both
+//!   models' first layers read a featurized window;
 //! * [`Dense`] — fully-connected layers with Adam;
 //! * [`Autoencoder`] — reconstruction-error outlier scoring
 //!   (`ŝ = f_AE(s)`, score = MSE(s, ŝ));
@@ -18,11 +20,12 @@
 //! * [`Workspace`] — reusable scratch buffers making steady-state inference
 //!   allocation-free, and [`FeatureRing`] — the flat per-stream window ring
 //!   the online detectors score from without rebuilding windows;
-//! * [`kernels`] — the single GEMM implementation everything above runs on,
-//!   a register-tiled wide-lane kernel in safe Rust.
+//! * [`kernels`] — the products everything above runs on: a register-tiled
+//!   wide-lane GEMM in safe Rust and its sparse-row twins.
 //!
 //! Each learning stage has one entry. [`Featurizer::append_record`]
-//! featurizes onto a flat buffer; [`Dense::forward_into`] is the one layer
+//! featurizes onto a flat buffer and lists each record's nonzeros as it
+//! writes them; [`Dense::forward_into`] is the one layer
 //! pass, for training and inference alike; each model scores through its
 //! `score_spans`, and `score_rows` / `score_batch` are the one convenience
 //! wrapper over it. Their parity oracles are the libm references written
@@ -46,11 +49,13 @@ pub mod workspace;
 
 pub use autoencoder::{Autoencoder, AutoencoderConfig};
 pub use dense::{Activation, Dense};
-pub use featurize::{FeatureConfig, Featurizer, WindowedDataset, FEATURES_PER_RECORD};
+pub use featurize::{
+    FeatureConfig, Featurizer, WindowedDataset, FEATURES_PER_RECORD, MAX_NONZEROS_PER_RECORD,
+};
 pub use lstm::{Lstm, LstmConfig};
 pub use metrics::{percentile, Confusion, Threshold};
 pub use ring::FeatureRing;
-pub use tensor::Matrix;
+pub use tensor::{Matrix, SparseRows};
 pub use workspace::Workspace;
 
 /// Numeric path a detector scores with. There is one — f32 through the

@@ -9,9 +9,9 @@
 //! Implemented from scratch with full backpropagation through time; the
 //! analytic gradients are validated against finite differences in the tests.
 
-use crate::dense::{Activation, AdamState, Dense, GradScratch};
+use crate::dense::{Activation, AdamState, Dense, GradScratch, Input};
 use crate::metrics::percentile;
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, SparseRows};
 use crate::workspace::Workspace;
 use crate::Precision;
 use rand::rngs::StdRng;
@@ -43,14 +43,13 @@ impl LstmConfig {
 
 /// What one training step reuses from window to window — never part of the
 /// model. The forward pass is [`Lstm::predict_into`] itself, in `ws`; after
-/// each step `t` its hook keeps what BPTT needs as row `t`: `xs` the step's
-/// input, `hs`/`cs` the hidden and cell state the step started from, `gates`
-/// its activated `[i | f | g | o]`, `tanh_c` the `tanh` of the cell it
-/// produced.
+/// each step `t` its hook keeps what BPTT needs as row `t`: `hs`/`cs` the
+/// hidden and cell state the step started from, `gates` its activated
+/// `[i | f | g | o]`, `tanh_c` the `tanh` of the cell it produced. (The
+/// step's input is the window's list, which the trainer already holds.)
 #[derive(Debug, Default)]
 struct SeqScratch {
     ws: Workspace,
-    xs: Matrix,
     hs: Matrix,
     cs: Matrix,
     gates: Matrix,
@@ -66,14 +65,13 @@ struct SeqScratch {
     head: GradScratch,
 }
 
-/// `grad += xᵀ·dz` for a single row `x`: each product rounded, then
-/// added; a zero `x` adds nothing.
-fn add_outer(grad: &mut Matrix, x: &[f32], dz: &[f32]) {
-    for (row, &xv) in grad.data_mut().chunks_exact_mut(dz.len()).zip(x) {
-        if xv != 0.0 {
-            for (g, &d) in row.iter_mut().zip(dz) {
-                *g += xv * d;
-            }
+/// `grad += xᵀ·dz` for a single row `x` given by its nonzeros `(k, x[k])`:
+/// each product rounded, then added.
+fn add_outer(grad: &mut Matrix, x: impl Iterator<Item = (usize, f32)>, dz: &[f32]) {
+    let n = dz.len();
+    for (k, xv) in x {
+        for (g, &d) in grad.data_mut()[k * n..(k + 1) * n].iter_mut().zip(dz) {
+            *g += xv * d;
         }
     }
 }
@@ -105,6 +103,8 @@ impl Lstm {
     pub fn train(config: LstmConfig, windows: &[Matrix], nexts: &[Matrix]) -> Self {
         assert!(!windows.is_empty(), "empty training set");
         assert_eq!(windows.len(), nexts.len(), "windows/nexts length mismatch");
+        let steps = windows[0].rows();
+        assert!(windows.iter().all(|w| w.rows() == steps), "ragged window batch");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let h = config.hidden;
         let d = config.input_dim;
@@ -121,35 +121,46 @@ impl Lstm {
             training_errors: Vec::new(),
         };
 
+        // Each step's window, as its rows' nonzeros: a scan of 264 floats
+        // beside a step's ≈ 20 µs, where keeping every window's lists would
+        // add megabytes to the refit's peak. Sized for all-nonzero rows, so
+        // no window can grow it.
+        let mut window = SparseRows::default();
+        window.reserve(steps, d);
         let mut scratch = SeqScratch::default();
         let mut order: Vec<usize> = (0..windows.len()).collect();
         for _ in 0..config.epochs {
             order.shuffle(&mut rng);
             for &k in &order {
-                model.train_step(&windows[k], &nexts[k], &mut scratch);
+                window.clear();
+                window.push_dense([windows[k].data()], d);
+                model.train_step(&window, &nexts[k], &mut scratch);
             }
         }
         model.training_errors = model.score_batch(windows, nexts, &mut Workspace::new());
         model
     }
 
-    /// One Adam step on one `(window, next)` pair, BPTT from the last step
-    /// to the first; allocates nothing once `s` has seen a window.
-    fn train_step(&mut self, window: &Matrix, next: &Matrix, s: &mut SeqScratch) {
+    /// One Adam step on one `(window, next)` pair, the window given as its
+    /// steps' lists, BPTT from the last step to the first; allocates
+    /// nothing once `s` has seen a window.
+    fn train_step(&mut self, window: &SparseRows, next: &Matrix, s: &mut SeqScratch) {
         let lr = self.config.learning_rate;
         let (d, hd, steps) = (self.config.input_dim, self.config.hidden, window.rows());
 
         // The forward pass is the inference pass; its hook records each step.
-        let SeqScratch { ws, xs, hs, cs, gates, tanh_c, .. } = &mut *s;
-        xs.resize(steps, d);
+        let SeqScratch { ws, hs, cs, gates, tanh_c, .. } = &mut *s;
         gates.resize(steps, 4 * hd);
         for buf in [&mut *hs, &mut *cs, &mut *tanh_c] {
             buf.resize(steps, hd);
         }
         hs.data[..hd].fill(0.0);
         cs.data[..hd].fill(0.0);
-        self.predict_into(1, steps, |_, t| window.row_slice(t), ws, |t, ws| {
-            xs.data[t * d..][..d].copy_from_slice(ws.x.data());
+        let fill = |t, x: &mut SparseRows| {
+            x.extend(window.row(t), 0);
+            x.end_row();
+        };
+        self.predict_into(1, steps, fill, ws, |t, ws| {
             gates.data[t * 4 * hd..][..4 * hd].copy_from_slice(ws.z.data());
             let tc = &mut tanh_c.data[t * hd..][..hd];
             tc.copy_from_slice(ws.c.data());
@@ -166,7 +177,8 @@ impl Lstm {
         for ((g, &p), &y) in s.grad_pred.data.iter_mut().zip(s.ws.a.data()).zip(next.data()) {
             *g = (p - y) * scale;
         }
-        self.head.grad_step(&s.ws.h, &s.ws.a, &mut s.grad_pred, Some(&mut s.dh), &mut s.head, lr);
+        let h = Input::Dense(&s.ws.h);
+        self.head.grad_step(h, &s.ws.a, &mut s.grad_pred, Some(&mut s.dh), &mut s.head, lr);
 
         // U only moves at the end of the step: one transpose serves them all.
         self.u.transpose_into(&mut s.u_t);
@@ -188,8 +200,9 @@ impl Lstm {
                 s.dz.data[2 * hd + j] = (dc_total * i) * (1.0 - g * g);
                 s.dz.data[3 * hd + j] = (dh * tanh_c[j]) * (o * (1.0 - o));
             }
-            add_outer(&mut s.grad_w, &s.xs.data[t * d..][..d], &s.dz.data);
-            add_outer(&mut s.grad_u, &s.hs.data[t * hd..][..hd], &s.dz.data);
+            add_outer(&mut s.grad_w, window.row(t).iter().map(|&(k, x)| (k as usize, x)), &s.dz.data);
+            let h_prev = s.hs.data[t * hd..][..hd].iter().copied().enumerate();
+            add_outer(&mut s.grad_u, h_prev.filter(|&(_, h)| h != 0.0), &s.dz.data);
             for (g, &d) in s.grad_b.data.iter_mut().zip(&s.dz.data) {
                 *g += d;
             }
@@ -201,22 +214,22 @@ impl Lstm {
         self.adam_b.step(&mut self.b, &s.grad_b, lr);
     }
 
-    /// One batched LSTM timestep: `ws.x` (`M × input_dim`) holds the step
-    /// input; `ws.h`/`ws.c` (`M × hidden`) are updated in place. The gate
-    /// pre-activations for all M sequences come from two GEMMs
-    /// (`x·W` and `h·U`) instead of 2·M GEMVs.
-    fn step_batched(&self, ws: &mut Workspace) {
+    /// One batched LSTM timestep: `x` holds the `M` sequences' step inputs
+    /// as lists; `ws.h`/`ws.c` (`M × hidden`) are updated in place. The
+    /// gate pre-activations for all M sequences come from two products
+    /// (`x·W` over the lists, `h·U` dense) instead of 2·M GEMVs.
+    fn step_batched<'a>(&self, x: impl Iterator<Item = &'a [(u32, f32)]>, ws: &mut Workspace) {
         let h_dim = self.config.hidden;
-        let rows = ws.x.rows();
+        let rows = ws.h.rows();
         // Stage the gate bias into z first (one write per element), then
-        // accumulate both GEMMs on top — cheaper than the zero → GEMM →
+        // accumulate both products on top — cheaper than the zero → GEMM →
         // separate bias pass it replaces.
         let grew = ws.z.resize(rows, 4 * h_dim);
         ws.note(grew);
         for zrow in ws.z.data_mut().chunks_exact_mut(4 * h_dim) {
             zrow.copy_from_slice(self.b.row_slice(0));
         }
-        ws.x.matmul_acc_into(&self.w, &mut ws.z);
+        crate::kernels::sparse_gemm_acc(x, self.w.data(), 4 * h_dim, ws.z.data_mut());
         ws.h.matmul_acc_into(&self.u, &mut ws.z);
         // Gate math through the slice transcendentals (the vectorizable
         // polynomials). `z` is scratch, so the gates activate in place: row layout is [i | f | g | o], each h_dim wide.
@@ -241,23 +254,22 @@ impl Lstm {
     }
 
     /// The one forward pass, for inference and training alike: runs `m`
-    /// sequences of `steps` rows through
-    /// one batched time loop — at each step the `m` current input rows
-    /// (`row(k, t)`, a plain copy) are stacked so the gate pre-activations
-    /// are two GEMMs, not 2·m GEMVs — and leaves the `m` predictions in
-    /// `ws.a`. All temporaries live in the workspace; by the kernels'
+    /// sequences of `steps` rows through one batched time loop — at each
+    /// step `fill(t, x)` appends the `m` sequences' row `t` to `x`, each as
+    /// its nonzeros, and the gate pre-activations are two products, not 2·m
+    /// GEMVs — and leaves the `m` predictions in `ws.a`. All temporaries
+    /// live in the workspace, one step's lists at a time; by the kernels'
     /// row-invariance contract sequence `k`'s prediction has the same bits
-    /// alone and in any batch. `after_step(t, ws)` sees each step's inputs,
+    /// alone and in any batch. `after_step(t, ws)` sees each step's
     /// activated gates and new state (training keeps them for BPTT).
-    fn predict_into<'a>(
+    fn predict_into(
         &self,
         m: usize,
         steps: usize,
-        row: impl Fn(usize, usize) -> &'a [f32],
+        mut fill: impl FnMut(usize, &mut SparseRows),
         ws: &mut Workspace,
         mut after_step: impl FnMut(usize, &Workspace),
     ) {
-        let d = self.config.input_dim;
         let h_dim = self.config.hidden;
         let grew = ws.h.resize(m, h_dim);
         ws.note(grew);
@@ -266,15 +278,13 @@ impl Lstm {
         ws.note(grew);
         ws.c.data_mut().fill(0.0);
         for t in 0..steps {
-            let grew = ws.x.resize(m, d);
-            ws.note(grew);
-            for (k, x) in ws.x.data_mut().chunks_exact_mut(d).enumerate() {
-                x.copy_from_slice(row(k, t));
-            }
-            self.step_batched(ws);
+            let x = ws.lists(|x| fill(t, x));
+            assert_eq!(x.rows(), m, "step {t} has {} rows for {m} sequences", x.rows());
+            self.step_batched(x.iter(), ws);
+            ws.restore(x);
             after_step(t, ws);
         }
-        let grew = self.head.forward_into(ws.h.data(), m, &mut ws.a);
+        let grew = self.head.forward_into(Input::Dense(&ws.h), &mut ws.a);
         ws.note(grew);
     }
 
@@ -282,20 +292,40 @@ impl Lstm {
     /// one span is `steps` window rows followed by the observed next row,
     /// each `input_dim` wide) in one batched pass, replacing `out` with one
     /// score per span — the MSE between the prediction and the observed
-    /// next row. A span scores to the same bits alone and in any batch.
+    /// next row. `lists` holds what the gates read: row `k·steps + t` is
+    /// span `k`'s row `t` as its nonzeros. A span scores to the same bits
+    /// alone and in any batch.
     ///
     /// # Panics
-    /// If `spans` is not a whole number of `(steps + 1)`-row spans.
-    pub fn score_spans(&self, spans: &[f32], steps: usize, ws: &mut Workspace, out: &mut Vec<f32>) {
+    /// If `spans` is not a whole number of `(steps + 1)`-row spans, or
+    /// `lists` does not hold `steps` rows per span.
+    pub fn score_spans(
+        &self,
+        spans: &[f32],
+        lists: &SparseRows,
+        steps: usize,
+        ws: &mut Workspace,
+        out: &mut Vec<f32>,
+    ) {
         let d = self.config.input_dim;
         let span = (steps + 1) * d;
         assert!(spans.len().is_multiple_of(span), "spans are not whole {span}-float spans");
         let m = spans.len() / span;
+        assert_eq!(lists.rows(), m * steps, "one list per window row");
         out.clear();
         if m == 0 {
             return;
         }
-        self.predict_into(m, steps, |k, t| &spans[k * span + t * d..][..d], ws, |_, _| {});
+        // Room for all-nonzero rows, so whether the step buffer grows
+        // depends on `m` alone.
+        let fill = |t, x: &mut SparseRows| {
+            x.reserve(m, d);
+            for k in 0..m {
+                x.extend(lists.row(k * steps + t), 0);
+                x.end_row();
+            }
+        };
+        self.predict_into(m, steps, fill, ws, |_, _| {});
         out.extend(
             spans
                 .chunks_exact(span)
@@ -321,7 +351,9 @@ impl Lstm {
         };
         let steps = first.rows();
         assert!(windows.iter().all(|w| w.rows() == steps), "ragged window batch");
-        self.predict_into(windows.len(), steps, |k, t| windows[k].row_slice(t), ws, |_, _| {});
+        let d = self.config.input_dim;
+        let fill = |t, x: &mut SparseRows| x.push_dense(windows.iter().map(|w| w.row_slice(t)), d);
+        self.predict_into(windows.len(), steps, fill, ws, |_, _| {});
         nexts
             .iter()
             .zip(ws.a.data().chunks_exact(self.config.input_dim))
@@ -350,7 +382,8 @@ impl Lstm {
             !window_flat.is_empty() && window_flat.len().is_multiple_of(d),
             "window is not a whole number of {d}-wide steps"
         );
-        self.predict_into(1, window_flat.len() / d, |_, t| &window_flat[t * d..][..d], ws, |_, _| {});
+        let fill = |t: usize, x: &mut SparseRows| x.push_dense([&window_flat[t * d..][..d]], d);
+        self.predict_into(1, window_flat.len() / d, fill, ws, |_, _| {});
         crate::kernels::mse_row(ws.a.row_slice(0), next)
     }
 
@@ -437,6 +470,13 @@ mod tests {
         windows.iter().zip(nexts).flat_map(|(w, n)| w.data().iter().chain(n.data()).copied()).collect()
     }
 
+    /// Every row of `windows` as the lists the gates read.
+    fn lists(windows: &[Matrix]) -> SparseRows {
+        let mut lists = SparseRows::default();
+        lists.push_dense(windows.iter().map(Matrix::data), windows[0].cols());
+        lists
+    }
+
     fn bits(scores: &[f32]) -> Vec<u32> {
         scores.iter().map(|s| s.to_bits()).collect()
     }
@@ -490,7 +530,7 @@ mod tests {
         let back = Lstm::from_json(&model.to_json()).unwrap();
         let predict = |m: &Lstm| {
             let mut ws = Workspace::new();
-            m.predict_into(1, windows[0].rows(), |_, t| windows[0].row_slice(t), &mut ws, |_, _| {});
+            m.score_window_with(windows[0].data(), nexts[0].data(), &mut ws, Precision::F32);
             ws.a
         };
         assert_eq!(predict(&model), predict(&back));
@@ -505,12 +545,12 @@ mod tests {
         let (windows, nexts) = cyclic_data(4, dim, 5);
         let config = LstmConfig { input_dim: dim, hidden: 4, learning_rate: 0.0, epochs: 0, seed: 6 };
         let model = Lstm::train(config, &windows, &nexts);
-        let (window, next) = (&windows[0], &nexts[0]);
+        let (window, next) = (lists(&windows[..1]), &nexts[0]);
         let loss = |m: &Lstm| m.score_batch(&windows[..1], &nexts[..1], &mut Workspace::new())[0];
 
         let mut s = SeqScratch::default();
         let mut same = model.clone();
-        same.train_step(window, next, &mut s);
+        same.train_step(&window, next, &mut s);
         assert_eq!(same.w, model.w, "a zero-lr step moved W");
 
         const EPS: f32 = 1e-3;
@@ -541,7 +581,7 @@ mod tests {
         // And a descent step along it reduces the loss.
         let mut stepped = model.clone();
         stepped.config.learning_rate = 1e-2;
-        stepped.train_step(window, next, &mut s);
+        stepped.train_step(&window, next, &mut s);
         assert!(loss(&stepped) < loss(&model), "analytic step should descend");
     }
 
@@ -566,7 +606,7 @@ mod tests {
         let (steps, spans) = (windows[0].rows(), spans(&windows, &nexts));
         for (k, (s, span)) in batched.iter().zip(spans.chunks_exact((steps + 1) * dim)).enumerate() {
             // Against the same pass at batch size one: the same bits.
-            model.score_spans(span, steps, &mut ws, &mut alone);
+            model.score_spans(span, &lists(&windows[k..=k]), steps, &mut ws, &mut alone);
             assert_eq!(bits(&[*s]), bits(&alone), "pair {k} depends on its batch");
         }
     }
@@ -585,7 +625,8 @@ mod tests {
         let span = (steps + 1) * dim;
         for batch in [1, 7, 64] {
             for (c, chunk) in spans.chunks(batch * span).enumerate() {
-                model.score_spans(chunk, steps, &mut ws, &mut out);
+                let rows = lists(&windows[c * batch..c * batch + chunk.len() / span]);
+                model.score_spans(chunk, &rows, steps, &mut ws, &mut out);
                 for (i, got) in out.iter().enumerate() {
                     let k = c * batch + i;
                     let reference = reference_score(&model, &windows[k], &nexts[k]);
@@ -607,13 +648,15 @@ mod tests {
             &windows,
             &nexts,
         );
-        let (mut ws, mut out) = (Workspace::new(), Vec::new());
-        let (steps, spans) = (windows[0].rows(), spans(&windows, &nexts));
-        let mut one_at_a_time = spans.chunks_exact((steps + 1) * dim);
-        model.score_spans(one_at_a_time.next().unwrap(), steps, &mut ws, &mut out);
+        // One window per call, its lists scanned into the workspace.
+        let mut ws = Workspace::new();
+        let score = |k: usize, ws: &mut Workspace| {
+            model.score_window_with(windows[k].data(), nexts[k].data(), ws, Precision::F32)
+        };
+        score(0, &mut ws);
         let warm = ws.grow_events();
-        for span in one_at_a_time {
-            model.score_spans(span, steps, &mut ws, &mut out);
+        for k in 1..windows.len() {
+            score(k, &mut ws);
         }
         assert_eq!(
             ws.grow_events(),

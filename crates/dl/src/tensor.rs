@@ -1,4 +1,4 @@
-//! A minimal row-major f32 matrix.
+//! A minimal row-major f32 matrix, and its sparse twin for one-hot rows.
 //!
 //! Only what the networks need — no broadcasting, no views, no unsafe. Shape
 //! errors are bugs in the caller, so they panic with both shapes in the
@@ -108,9 +108,7 @@ impl Matrix {
     }
 
     /// Writes `self · rhs` into `out` (resized as needed), reusing `out`'s
-    /// allocation. The inner loop is blocked over the shared dimension so
-    /// the active slice of `rhs` stays cache-resident, and zero entries of
-    /// `self` are skipped (featurized windows are mostly zero).
+    /// allocation, through [`crate::kernels::gemm_acc`].
     ///
     /// Returns `true` when `out`'s buffer grew.
     ///
@@ -225,6 +223,117 @@ impl Matrix {
             data.extend_from_slice(&r.data);
         }
         Matrix { rows: total, cols, data }
+    }
+}
+
+/// Rows given by their nonzeros: each row a list of `(column, value)`
+/// entries in ascending column order, all rows back to back. A featurized
+/// record is 66 floats of which about nine are nonzero, so this is how the
+/// first layer of either model reads its input
+/// ([`crate::kernels::sparse_gemm_acc`]). Appending never allocates once
+/// the buffers have held as much.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SparseRows {
+    /// One past each row's last entry.
+    ends: Vec<u32>,
+    entries: Vec<(u32, f32)>,
+}
+
+impl SparseRows {
+    /// Closed rows.
+    pub fn rows(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Row `r`'s entries.
+    pub fn row(&self, r: usize) -> &[(u32, f32)] {
+        let start = if r == 0 { 0 } else { self.ends[r - 1] as usize };
+        &self.entries[start..self.ends[r] as usize]
+    }
+
+    /// Every closed row, in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[(u32, f32)]> + Clone {
+        (0..self.rows()).map(|r| self.row(r))
+    }
+
+    /// Forgets every row, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.ends.clear();
+        self.entries.clear();
+    }
+
+    /// Makes room for `rows` more rows of at most `per_row` entries each,
+    /// counted from the rows already closed rather than from the entries
+    /// they hold: whether a buffer grows depends on the row count alone,
+    /// never on how many nonzeros earlier rows happened to have.
+    pub fn reserve(&mut self, rows: usize, per_row: usize) {
+        self.ends.reserve(rows);
+        let worst = (self.rows() + rows) * per_row;
+        self.entries.reserve(worst.saturating_sub(self.entries.len()));
+    }
+
+    /// Appends one nonzero to the open row; columns must ascend.
+    pub fn push(&mut self, column: u32, value: f32) {
+        debug_assert!(value != 0.0, "column {column} holds a zero");
+        debug_assert!(
+            self.entries.len() == self.ends.last().map_or(0, |&end| end as usize)
+                || self.entries.last().is_some_and(|&(last, _)| last < column),
+            "column {column} does not ascend"
+        );
+        self.entries.push((column, value));
+    }
+
+    /// Appends `row`'s entries to the open row, each column shifted by
+    /// `offset` — a window's row is its records' rows side by side.
+    pub fn extend(&mut self, row: &[(u32, f32)], offset: u32) {
+        self.entries.extend(row.iter().map(|&(column, value)| (column + offset, value)));
+    }
+
+    /// Closes the open row (possibly empty).
+    pub fn end_row(&mut self) {
+        self.ends.push(u32::try_from(self.entries.len()).expect("under 2^32 entries"));
+    }
+
+    /// Appends every `width`-wide row of `blocks`, in order, as one row of
+    /// its nonzeros (`-0.0` counts as zero). A branchless scan: every
+    /// element is written at the cursor and the cursor moves past the
+    /// nonzero ones, so the cost does not depend on where the zeros are.
+    ///
+    /// When the buffers must grow, they grow once, to exactly what the rows
+    /// left to scan need (one counting pass, paid only then): a one-off scan
+    /// of a whole data set leaves no slack behind, where doubling would
+    /// leave up to half of it.
+    pub fn push_dense<'a, I>(&mut self, blocks: I, width: usize)
+    where
+        I: IntoIterator<Item = &'a [f32]>,
+        I::IntoIter: Clone,
+    {
+        let mut blocks = blocks.into_iter();
+        while let Some(block) = blocks.next() {
+            debug_assert!(width > 0 && block.len().is_multiple_of(width));
+            for (r, row) in block.chunks_exact(width).enumerate() {
+                let start = self.entries.len();
+                if self.entries.capacity() < start + width {
+                    let rest = || block[r * width..].iter().chain(blocks.clone().flatten());
+                    self.entries.reserve_exact(rest().filter(|v| **v != 0.0).count() + width);
+                    self.ends.reserve_exact(rest().count() / width);
+                }
+                self.entries.resize(start + width, (0, 0.0));
+                let out = &mut self.entries[start..];
+                let mut len = 0;
+                for (column, &value) in row.iter().enumerate() {
+                    out[len] = (column as u32, value);
+                    len += usize::from(value != 0.0);
+                }
+                self.entries.truncate(start + len);
+                self.end_row();
+            }
+        }
+    }
+
+    /// Allocated slots in both buffers: moves only when one of them grew.
+    pub(crate) fn capacity(&self) -> usize {
+        self.ends.capacity() + self.entries.capacity()
     }
 }
 

@@ -8,7 +8,7 @@
 //! The workspace counts buffer growth events, which is how the tests prove
 //! the steady state really is allocation-free.
 
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, SparseRows};
 
 /// Scratch buffers shared by the inference hot paths.
 ///
@@ -21,8 +21,9 @@ pub struct Workspace {
     pub(crate) a: Matrix,
     /// Pong activation buffer.
     pub(crate) b: Matrix,
-    /// Current LSTM step inputs `x_t`, one row per sequence.
-    pub(crate) x: Matrix,
+    /// What a first layer reads when the caller did not hand it lists (see
+    /// [`Workspace::lists`]).
+    lists: SparseRows,
     /// LSTM gate pre-activations (`rows × 4·hidden`).
     pub(crate) z: Matrix,
     /// LSTM hidden state.
@@ -53,6 +54,23 @@ impl Workspace {
         self.grows += usize::from(grew);
     }
 
+    /// Lends out the list buffer, emptied and then filled by `fill` — how a
+    /// pass stages what a first layer reads: the nonzeros an entry handed
+    /// dense rows scans for, or one LSTM step's rows. Give it back with
+    /// [`Workspace::restore`].
+    pub(crate) fn lists(&mut self, fill: impl FnOnce(&mut SparseRows)) -> SparseRows {
+        let mut lists = std::mem::take(&mut self.lists);
+        let capacity = lists.capacity();
+        lists.clear();
+        fill(&mut lists);
+        self.note(lists.capacity() > capacity);
+        lists
+    }
+
+    /// Takes back the buffer [`Workspace::lists`] lent out.
+    pub(crate) fn restore(&mut self, lists: SparseRows) {
+        self.lists = lists;
+    }
 }
 
 #[cfg(test)]
@@ -63,11 +81,19 @@ mod tests {
     fn grow_events_count_only_growth() {
         let mut ws = Workspace::new();
         assert_eq!(ws.grow_events(), 0);
-        let grew = ws.x.resize(4, 4);
+        let grew = ws.z.resize(4, 4);
         ws.note(grew);
         assert_eq!(ws.grow_events(), 1);
-        let grew = ws.x.resize(2, 2); // shrink reuses capacity
+        let grew = ws.z.resize(2, 2); // shrink reuses capacity
         ws.note(grew);
         assert_eq!(ws.grow_events(), 1);
+        // Lists that fit the lent-out buffer's capacity grow nothing.
+        let lists = ws.lists(|l| l.push_dense([&[0.0, 2.0, 0.0, 3.0][..]], 2));
+        assert_eq!(lists.iter().collect::<Vec<_>>(), [&[(1, 2.0)][..], &[(1, 3.0)]]);
+        ws.restore(lists);
+        assert_eq!(ws.grow_events(), 2);
+        let lists = ws.lists(|l| l.push_dense([&[1.0, 0.0][..]], 2));
+        ws.restore(lists);
+        assert_eq!(ws.grow_events(), 2);
     }
 }

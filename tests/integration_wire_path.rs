@@ -289,8 +289,12 @@ fn detectors_allocate_nothing_per_record_once_warm() {
         assert_eq!(sharded, 0, "the pool allocated at {per_indication} records per indication");
     }
     let lstm = MobiWatchConfig { detector: Detector::Lstm, ..config };
-    let (mut watch, state) = MobiWatch::new(models, lstm);
-    assert_eq!(detector_allocations(&mut watch, &state, 64), 0, "LSTM MobiWatch allocated");
+    for per_indication in [64, 240] {
+        let (mut watch, state) = MobiWatch::new(models.clone(), lstm.clone());
+        let allocated = detector_allocations(&mut watch, &state, per_indication);
+        println!("{per_indication} records/indication: LSTM MobiWatch {allocated}");
+        assert_eq!(allocated, 0, "LSTM MobiWatch allocated at {per_indication} records per indication");
+    }
 }
 
 /// Allocations this thread makes inside `f`.
