@@ -97,11 +97,6 @@ pub struct DatasetBuilder {
 }
 
 impl DatasetBuilder {
-    /// Builder over the given scenario.
-    pub fn new(scenario: ScenarioConfig) -> Self {
-        DatasetBuilder { scenario }
-    }
-
     /// A smaller, faster configuration for tests and examples.
     pub fn small(seed: u64, sessions: usize) -> Self {
         let mut scenario = ScenarioConfig::default();
@@ -119,11 +114,6 @@ impl DatasetBuilder {
     pub fn attack(&self, kind: AttackKind) -> AttackDataset {
         let report = attack_simulator(kind, &self.scenario).run();
         AttackDataset { kind, report }
-    }
-
-    /// Runs all five attack collections (paper §4).
-    pub fn all_attacks(&self) -> Vec<AttackDataset> {
-        AttackKind::ALL.into_iter().map(|kind| self.attack(kind)).collect()
     }
 }
 
@@ -294,7 +284,8 @@ mod tests {
 
     #[test]
     fn all_attacks_produces_five_datasets() {
-        let datasets = DatasetBuilder::small(8, 15).all_attacks();
+        let builder = DatasetBuilder::small(8, 15);
+        let datasets: Vec<_> = AttackKind::ALL.into_iter().map(|kind| builder.attack(kind)).collect();
         assert_eq!(datasets.len(), 5);
         for ds in &datasets {
             let has_attack_events = ds.report.events.iter().any(|e| e.label.is_attack());

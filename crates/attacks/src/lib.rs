@@ -27,19 +27,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blind_dos;
-pub mod bts_dos;
-pub mod dataset;
-pub mod id_extraction;
-pub mod migrate;
-pub mod null_cipher;
-pub mod rogue_xapp;
+mod blind_dos;
+mod bts_dos;
+mod dataset;
+mod id_extraction;
+mod migrate;
+mod null_cipher;
+mod rogue_xapp;
 mod wrap;
 
 pub use blind_dos::{BlindDosUe, TmsiSniffer};
 pub use bts_dos::{BtsDosConfig, BtsDosUe};
 pub use dataset::{attack_simulator, AttackDataset, DatasetBuilder};
 pub use id_extraction::{DownlinkIdExtractor, UplinkIdExtractor};
-pub use migrate::{MigrateConfig, MigratingFloodUe, MigrationSchedule};
+pub use migrate::{MigrateConfig, MigrationSchedule};
 pub use null_cipher::NullCipherMitm;
 pub use rogue_xapp::{RogueReport, RogueXApp};

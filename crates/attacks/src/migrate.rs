@@ -35,9 +35,10 @@ pub struct MigrateConfig {
     pub inter_connection: Duration,
     /// MSIN of the attacker's SIM — the same identity in every cell.
     pub attacker_msin: u64,
-    /// Subscriber key for that SIM.
-    pub attacker_key: u64,
 }
+
+/// Subscriber key of the attacker's SIM.
+const ATTACKER_KEY: u64 = 0x666;
 
 impl Default for MigrateConfig {
     fn default() -> Self {
@@ -45,7 +46,6 @@ impl Default for MigrateConfig {
             connections_per_visit: 40,
             inter_connection: Duration::from_millis(6),
             attacker_msin: 999_100,
-            attacker_key: 0x666,
         }
     }
 }
@@ -55,7 +55,7 @@ const NEXT_CONNECTION: u32 = 0xA19;
 /// A bounded BTS-DoS flood: opens `connections_per_visit` stalled
 /// handshakes, then powers off (the migration to the next cell).
 #[derive(Debug)]
-pub struct MigratingFloodUe {
+struct MigratingFloodUe {
     config: MigrateConfig,
     opened: u32,
     awaiting_setup: bool,
@@ -63,7 +63,7 @@ pub struct MigratingFloodUe {
 
 impl MigratingFloodUe {
     /// Creates one visit's flood behavior.
-    pub fn new(config: MigrateConfig) -> Self {
+    fn new(config: MigrateConfig) -> Self {
         MigratingFloodUe { config, opened: 0, awaiting_setup: false }
     }
 
@@ -152,7 +152,7 @@ impl MigrationSchedule {
         for &(cell, at) in &self.visits {
             engine.add_subscriber_at(
                 cell,
-                SubscriberRecord { supi, key: self.config.attacker_key },
+                SubscriberRecord { supi, key: ATTACKER_KEY },
             );
             engine.add_ue_at(
                 cell,

@@ -22,7 +22,7 @@
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use xsec_obs::{FlightRecorder, HistogramSummary, Snapshot};
+use xsec_obs::{FlightRecorder, Snapshot};
 
 /// Whether `--quick` was passed on the command line.
 pub fn quick_mode() -> bool {
@@ -121,11 +121,6 @@ pub const PIPELINE_STAGES: &[(&str, &str)] = &[
     ("analyze (LLM turnaround)", "xsec_analyzer_turnaround_us"),
     ("mitigate (control ack)", "xsec_ric_control_ack_latency_us"),
 ];
-
-/// A compact one-histogram summary line (count, p50, p99).
-pub fn summary_line(h: &HistogramSummary) -> String {
-    format!("n={} p50={:.0}µs p99={:.0}µs max={}µs", h.count, h.p50, h.p99, h.max)
-}
 
 #[cfg(test)]
 mod tests {

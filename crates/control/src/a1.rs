@@ -318,16 +318,6 @@ impl PolicyStore {
         store
     }
 
-    /// The governing policy types.
-    pub fn types(&self) -> &[PolicyType] {
-        &self.types
-    }
-
-    /// The installed rules, in install order.
-    pub fn rules(&self) -> &[StoredRule] {
-        &self.rules
-    }
-
     /// Validates one rule against its governing policy type.
     pub fn validate(&self, rule: &PolicyRule) -> Result<(), PolicyValidation> {
         if rule.id.trim().is_empty() {
@@ -448,7 +438,7 @@ impl PolicyStore {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PolicyDocument {
     /// The policy-type schemas, one per attack kind.
-    pub types: Vec<PolicyType>,
+    types: Vec<PolicyType>,
     /// The default rule set.
     pub rules: Vec<PolicyRule>,
 }
@@ -485,8 +475,8 @@ mod tests {
     #[test]
     fn shipped_document_parses_and_validates() {
         let store = PolicyStore::with_defaults();
-        assert_eq!(store.types().len(), AttackKind::ALL.len());
-        assert_eq!(store.rules().len(), AttackKind::ALL.len());
+        assert_eq!(store.types.len(), AttackKind::ALL.len());
+        assert_eq!(store.rules.len(), AttackKind::ALL.len());
         for kind in AttackKind::ALL {
             let stored = store.rule_for_attack(kind).expect("every kind has a default rule");
             assert_eq!(stored.version, 1);
@@ -579,7 +569,7 @@ mod tests {
         let mut bad = rule("nan-rule");
         bad.min_confidence = f32::NAN;
         assert!(store.install(bad).is_err());
-        assert!(store.rules().is_empty());
+        assert!(store.rules.is_empty());
     }
 
     #[test]

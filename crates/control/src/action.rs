@@ -100,9 +100,6 @@ const TAG_FORCE_REAUTH: u8 = 0x12;
 const TAG_QUARANTINE_CELL: u8 = 0x13;
 const TAG_RATE_LIMIT_CAUSE: u8 = 0x14;
 
-/// Longest value one TLV can carry: its length field is a `u16`.
-pub const MAX_TLV_VALUE_LEN: usize = u16::MAX as usize;
-
 /// Appends one TLV whose value is `parts` back to back. A value longer than
 /// the length field can express would corrupt the frame for every following
 /// TLV, so it is refused.
@@ -125,7 +122,7 @@ impl ControlAction {
 
     /// Encodes the action, reporting a typed error if any TLV value would
     /// overflow the `u16` length field.
-    pub fn try_encode(&self) -> Result<Vec<u8>> {
+    fn try_encode(&self) -> Result<Vec<u8>> {
         // The longest payload (rate limit, traced) is 43 bytes.
         let mut buf = Vec::with_capacity(48);
         put_tlv(&mut buf, TAG_ACTION_ID, &[&self.id.to_be_bytes()])?;
@@ -344,6 +341,8 @@ mod tests {
 
     #[test]
     fn tlv_length_boundary_is_exact() {
+        // Longest value one TLV can carry: its length field is a `u16`.
+        const MAX_TLV_VALUE_LEN: usize = u16::MAX as usize;
         // Regression: `value.len() as u16` used to truncate silently, so a
         // 65536-byte value encoded a zero length and corrupted the frame.
         let mut buf = Vec::new();

@@ -13,11 +13,11 @@ use xsec_types::{CellId, Duration, Timestamp};
 
 /// Retry/backoff tuning for the executor.
 #[derive(Debug, Clone)]
-pub struct ExecutorConfig {
+struct ExecutorConfig {
     /// Transmissions attempted per action before giving up.
-    pub max_attempts: u32,
+    max_attempts: u32,
     /// Re-send an unacked action after this long.
-    pub retry_after: Duration,
+    retry_after: Duration,
 }
 
 impl Default for ExecutorConfig {
@@ -62,7 +62,7 @@ pub struct TrackedAction {
     /// Virtual time of the detection that produced it.
     pub detected_at: Timestamp,
     /// Virtual time the policy engine submitted it.
-    pub submitted_at: Timestamp,
+    submitted_at: Timestamp,
     /// Current delivery state.
     pub state: ActionState,
 }
@@ -105,11 +105,6 @@ pub struct ActionExecutor {
 }
 
 impl ActionExecutor {
-    /// Executor with the given tuning.
-    pub fn new(config: ExecutorConfig) -> Self {
-        ActionExecutor { config, ..Default::default() }
-    }
-
     /// Registers an action for delivery. `cell` pins the action to the agent
     /// serving that cell (None = any agent).
     pub fn submit(
@@ -316,10 +311,10 @@ mod tests {
 
     #[test]
     fn unacked_actions_retry_then_exhaust() {
-        let mut ex = ActionExecutor::new(ExecutorConfig {
-            max_attempts: 2,
-            retry_after: Duration::from_millis(100),
-        });
+        let mut ex = ActionExecutor {
+            config: ExecutorConfig { max_attempts: 2, retry_after: Duration::from_millis(100) },
+            ..Default::default()
+        };
         let t0 = ms(0);
         ex.submit(action(1), None, t0, t0);
         assert_eq!(ex.take_due(t0).len(), 1);

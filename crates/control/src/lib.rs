@@ -26,18 +26,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod a1;
-pub mod action;
-pub mod executor;
-pub mod policy;
+mod a1;
+mod action;
+mod executor;
+mod policy;
 
 pub use a1::{
     default_policy_document, default_policy_types, A1OpTally, A1Request, A1Response, Installed,
     PolicyDocument, PolicyOpOutcome, PolicyStore, PolicyType, PolicyValidation, RuleStatus,
     StoredRule, TemplateKind,
 };
-pub use action::{ControlAction, MitigationAction, MAX_TLV_VALUE_LEN};
-pub use executor::{AckResolution, ActionExecutor, ActionState, ExecutorConfig, TrackedAction};
+pub use action::{ControlAction, MitigationAction};
+pub use executor::{AckResolution, ActionExecutor, ActionState, TrackedAction};
 pub use policy::{
     attack_from_title, default_rules, ActionTemplate, PolicyDecision, PolicyEngine, PolicyRule,
     SupervisionTicket, ThreatAssessment,

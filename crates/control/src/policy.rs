@@ -177,7 +177,8 @@ impl PolicyEngine {
     /// # Panics
     /// Panics if a rule fails schema validation — a compiled-in table that
     /// the schema rejects is a programming error, not an input error.
-    pub fn new(rules: Vec<PolicyRule>) -> Self {
+    #[cfg(test)]
+    fn new(rules: Vec<PolicyRule>) -> Self {
         let mut store = PolicyStore::new(crate::a1::default_policy_types());
         for rule in rules {
             store
@@ -185,11 +186,6 @@ impl PolicyEngine {
                 .unwrap_or_else(|e| panic!("compiled-in rule fails validation: {e}"));
         }
         PolicyEngine { store, next_id: 1, cooldowns: Vec::new() }
-    }
-
-    /// The live A1-managed rule store (for reports and tests).
-    pub fn store(&self) -> &PolicyStore {
-        &self.store
     }
 
     /// Snapshot of every installed rule's live status.
@@ -506,7 +502,7 @@ mod tests {
         let response = engine.apply(&A1Request::UpdatePolicy { rule });
         assert_eq!(response.outcome, PolicyOpOutcome::RejectedByValidation);
         // The live rule keeps its finite floor, and the gate still works.
-        let stored = engine.store().rule_for_attack(AttackKind::NullCipher).unwrap();
+        let stored = engine.store.rule_for_attack(AttackKind::NullCipher).unwrap();
         assert!(stored.rule.min_confidence.is_finite());
         let mut low = assessment(Some(AttackKind::NullCipher));
         low.confidence = 0.1;

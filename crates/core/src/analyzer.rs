@@ -91,11 +91,6 @@ impl LlmAnalyzer {
         self.recorder = obs.recorder.clone();
     }
 
-    /// The topic this analyzer listens on.
-    pub fn topic(&self) -> &str {
-        &self.topic
-    }
-
     /// Analyzes one alert directly (also used by the Table 3 harness).
     pub fn analyze_alert(&mut self, alert: &AnomalyAlert) -> AnalyzerFinding {
         let finding = self.analyze(alert);

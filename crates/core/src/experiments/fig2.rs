@@ -15,7 +15,7 @@ pub struct Ladder {
     /// Caption.
     pub title: String,
     /// Rungs: `(is_uplink, message name, rnti hex)`.
-    pub rungs: Vec<(bool, String, String)>,
+    rungs: Vec<(bool, String, String)>,
 }
 
 impl Ladder {
@@ -51,9 +51,9 @@ pub struct Fig2Result {
     /// A benign registration (the left ladder of Figure 2a).
     pub benign: Ladder,
     /// The identity-extraction victim's ladder (the right ladder of 2a).
-    pub identity_extraction: Ladder,
+    identity_extraction: Ladder,
     /// The first few flood ladders of Figure 2b (with their RNTIs).
-    pub dos_flood: Vec<Ladder>,
+    dos_flood: Vec<Ladder>,
 }
 
 impl Fig2Result {

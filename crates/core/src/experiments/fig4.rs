@@ -35,9 +35,9 @@ pub struct AttackScoreStats {
     /// Mean score of the attack windows.
     pub mean: f32,
     /// Standard deviation of the attack windows' scores.
-    pub std_dev: f32,
+    std_dev: f32,
     /// Fraction of attack windows above the threshold.
-    pub above_threshold: f64,
+    above_threshold: f64,
 }
 
 /// The full figure data.

@@ -86,11 +86,11 @@ pub struct Table2Result {
     pub rows: Vec<Table2Row>,
     /// Per-attack recall for the autoencoder (detection-rate detail behind
     /// the "100% detection rate for 5 attacks" claim).
-    pub per_attack_ae_recall: Vec<(AttackKind, f64)>,
+    per_attack_ae_recall: Vec<(AttackKind, f64)>,
     /// Per-attack *episode* detection by the autoencoder: whether any window
     /// of the attack was flagged — the unit behind the abstract's "100%
     /// detection rate" claim.
-    pub per_attack_ae_detected: Vec<(AttackKind, bool)>,
+    per_attack_ae_detected: Vec<(AttackKind, bool)>,
 }
 
 impl Table2Result {

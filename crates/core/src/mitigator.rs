@@ -105,7 +105,7 @@ pub struct MitigationSummary {
     /// A1 policy operations the run consumed, by enforcement outcome.
     pub policy_ops: A1OpTally,
     /// Virtual detection→ack latencies, one per acked action (µs).
-    pub detection_to_ack_us: Vec<u64>,
+    detection_to_ack_us: Vec<u64>,
 }
 
 impl MitigationSummary {
@@ -258,7 +258,7 @@ fn ship_due(state: &mut MitigatorState, now: Timestamp, ctx: &mut XAppContext<'_
 /// implicates only downgraded sessions, a flood implicates the connections
 /// behind the dominant establishment cause, anything else implicates every
 /// connection in the window.
-pub fn assess(notice: &FindingNotice, records: &[UeMobiFlow]) -> ThreatAssessment {
+fn assess(notice: &FindingNotice, records: &[UeMobiFlow]) -> ThreatAssessment {
     let attack = notice.attacks.iter().find_map(|t| attack_from_title(t));
     let llm_confirmed = notice.confirmed && !notice.needs_human;
     // score/threshold ≥ 1 whenever the detector flagged; squash the excess

@@ -320,7 +320,8 @@ impl MobiWatch {
     /// How often the scoring workspaces had to grow a buffer. Stable across
     /// calls once warm at a batch size — the steady-state zero-allocation
     /// guarantee.
-    pub fn workspace_grow_events(&self) -> usize {
+    #[cfg(test)]
+    fn workspace_grow_events(&self) -> usize {
         self.shards.iter().flatten().map(|shard| shard.workspace_grow_events()).sum()
     }
 

@@ -377,11 +377,6 @@ impl ScaleDeployment {
         &self.platform
     }
 
-    /// Connected agents.
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
-    }
-
     /// Report period in force.
     pub fn period(&self) -> Duration {
         self.period
@@ -390,11 +385,6 @@ impl ScaleDeployment {
     /// Frames dropped RAN-side across every agent's egress queue.
     pub fn agent_egress_dropped(&self) -> u64 {
         self.agents.iter().map(|a| a.egress_dropped()).sum()
-    }
-
-    /// Shared mitigator state (executor outcomes, supervision queue).
-    pub fn mitigator_state(&self) -> Arc<Mutex<MitigatorState>> {
-        self.mitigator_state.clone()
     }
 
     /// An A1 client for this deployment, bound to the SMO's registered
@@ -677,7 +667,7 @@ mod tests {
         let config = PipelineConfig::small(32, 10);
         let pipeline = Pipeline::train(&config);
         let d = ScaleDeployment::new(&pipeline, 6);
-        assert_eq!(d.agent_count(), 6);
+        assert_eq!(d.agents.len(), 6);
         assert_eq!(d.platform().agent_count(), 6);
         // MobiWatch + mitigator both subscribe on every agent.
         // (Subscription counts live agent-side.)

@@ -174,28 +174,12 @@ impl A1PolicyClient {
         Ok(self.scope.try_publish(A1_POLICY_TOPIC, &json)?)
     }
 
-    /// Installs a rule (supersedes an existing rule with the same id).
-    ///
-    /// # Errors
-    /// See [`A1PolicyClient::send`].
-    pub fn create(&self, rule: PolicyRule) -> std::result::Result<usize, A1ClientError> {
-        self.send(&A1Request::CreatePolicy { rule })
-    }
-
     /// Replaces an installed rule in place.
     ///
     /// # Errors
     /// See [`A1PolicyClient::send`].
     pub fn update(&self, rule: PolicyRule) -> std::result::Result<usize, A1ClientError> {
         self.send(&A1Request::UpdatePolicy { rule })
-    }
-
-    /// Removes an installed rule.
-    ///
-    /// # Errors
-    /// See [`A1PolicyClient::send`].
-    pub fn delete(&self, id: &str) -> std::result::Result<usize, A1ClientError> {
-        self.send(&A1Request::DeletePolicy { id: id.to_string() })
     }
 
     /// Toggles a rule without removing it.

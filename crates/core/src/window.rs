@@ -262,6 +262,7 @@ impl Scorer {
     }
 
     /// How often the scoring workspace had to grow a buffer.
+    #[cfg(test)]
     pub(crate) fn workspace_grow_events(&self) -> usize {
         self.workspace.grow_events()
     }

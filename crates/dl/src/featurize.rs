@@ -51,11 +51,11 @@ pub const MAX_NONZEROS_PER_RECORD: usize = 12;
 
 /// Value of the plaintext-SUPI / TMSI-reuse bits and identity-procedure
 /// message kinds when active.
-pub const IDENTITY_WEIGHT: f32 = 4.0;
+const IDENTITY_WEIGHT: f32 = 4.0;
 /// Value of the NULL-algorithm slots and abnormal release causes.
-pub const NULL_ALG_WEIGHT: f32 = 3.0;
+const NULL_ALG_WEIGHT: f32 = 3.0;
 /// Value of routine categorical bits.
-pub const ROUTINE_WEIGHT: f32 = 1.0;
+const ROUTINE_WEIGHT: f32 = 1.0;
 
 // The decoder's sigmoid output can only produce values in [0, 1]. The
 // featurizer exploits that deliberately: benign feature values stay within
@@ -275,7 +275,7 @@ pub struct WindowedDataset {
     /// stream order (filled by [`Featurizer::append_record`]).
     pub record_features: Vec<f32>,
     /// Per-record ground-truth attack kind (None = benign).
-    pub attack_kinds: Vec<Option<AttackKind>>,
+    attack_kinds: Vec<Option<AttackKind>>,
     /// Window length `N`.
     pub window: usize,
 }

@@ -37,15 +37,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autoencoder;
+mod autoencoder;
 pub mod dense;
-pub mod featurize;
+mod featurize;
 pub mod kernels;
-pub mod lstm;
+mod lstm;
 pub mod metrics;
-pub mod ring;
-pub mod tensor;
-pub mod workspace;
+mod ring;
+mod tensor;
+mod workspace;
 
 pub use autoencoder::{Autoencoder, AutoencoderConfig};
 pub use dense::{Activation, Dense};

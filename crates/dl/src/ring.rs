@@ -44,11 +44,6 @@ impl FeatureRing {
         self.len == 0
     }
 
-    /// The fixed row width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Appends one feature row, evicting the oldest once full.
     ///
     /// # Panics

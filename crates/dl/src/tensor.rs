@@ -61,18 +61,11 @@ impl Matrix {
         self.cols
     }
 
-    /// Immutable element access.
-    #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f32 {
+    /// Immutable element access (the oracles in the layers' tests).
+    #[cfg(test)]
+    pub(crate) fn get(&self, r: usize, c: usize) -> f32 {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c]
-    }
-
-    /// Mutable element access.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
     }
 
     /// The flat row-major data.

@@ -30,10 +30,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agent;
-pub mod e2ap;
-pub mod e2sm;
-pub mod transport;
+mod agent;
+mod e2ap;
+mod e2sm;
+mod transport;
 
 pub use agent::{RicAgent, RicAgentConfig};
 pub use e2ap::{E2apPdu, RicAction, RicRequestId};

@@ -55,7 +55,7 @@ use xsec_types::{Put, Result, XsecError};
 
 /// Longest message either transport carries (1 MiB); also what bounds the
 /// memory a corrupt or hostile length prefix can make a stream reader hold.
-pub const MAX_FRAME_LEN: usize = 1 << 20;
+const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// Bytes of length prefix before each frame on a stream.
 const PREFIX_LEN: usize = 4;
@@ -379,7 +379,7 @@ impl TcpTransport {
     }
 
     /// Bytes currently buffered for the socket.
-    pub fn egress_len(&self) -> usize {
+    fn egress_len(&self) -> usize {
         self.egress.len() - self.egress_pos
     }
 

@@ -32,11 +32,6 @@ impl SimulatedExpert {
         SimulatedExpert { personality }
     }
 
-    /// The five Table 3 baselines.
-    pub fn all_baselines() -> Vec<SimulatedExpert> {
-        ModelPersonality::ALL.into_iter().map(SimulatedExpert::new).collect()
-    }
-
     fn explain(signal: &AnalysisSignal) -> String {
         match signal {
             AnalysisSignal::SignalingFlood { setups, distinct_rntis, stalled } => format!(
@@ -240,7 +235,7 @@ mod tests {
     #[test]
     fn benign_trace_gets_benign_verdict_from_all_baselines() {
         let prompt = PromptTemplate::default().render(&ladder());
-        for mut expert in SimulatedExpert::all_baselines() {
+        for mut expert in ModelPersonality::ALL.map(SimulatedExpert::new) {
             let answer = expert.complete(&prompt).unwrap();
             assert!(
                 answer.starts_with("Verdict: BENIGN"),

@@ -26,11 +26,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
-pub mod expert;
-pub mod personality;
-pub mod prompt;
-pub mod response;
+mod backend;
+mod expert;
+mod personality;
+mod prompt;
+mod response;
 
 pub use backend::{LlmBackend, SimulatedExpert};
 pub use expert::{AnalysisSignal, ExpertEngine, ExpertReport};

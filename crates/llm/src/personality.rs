@@ -26,16 +26,16 @@ pub struct ModelPersonality {
     /// Display name (matches Table 3's column headers).
     pub name: &'static str,
     /// Perceives signaling-rate anomalies (floods).
-    pub sees_floods: bool,
+    sees_floods: bool,
     /// Perceives identifier reuse across sessions.
-    pub sees_tmsi_replay: bool,
+    sees_tmsi_replay: bool,
     /// Perceives procedure-ordering violations.
-    pub sees_ordering: bool,
+    sees_ordering: bool,
     /// Perceives *standards-compliant* plaintext identity exposures (the
     /// subtle content-level finding most models miss).
-    pub sees_compliant_exposure: bool,
+    sees_compliant_exposure: bool,
     /// Perceives null-algorithm negotiation.
-    pub sees_null_security: bool,
+    sees_null_security: bool,
 }
 
 impl ModelPersonality {
@@ -51,7 +51,7 @@ impl ModelPersonality {
     };
 
     /// Gemini: misses replay relations and the compliant exposure.
-    pub const GEMINI: ModelPersonality = ModelPersonality {
+    const GEMINI: ModelPersonality = ModelPersonality {
         name: "Gemini",
         sees_floods: true,
         sees_tmsi_replay: false,
@@ -61,7 +61,7 @@ impl ModelPersonality {
     };
 
     /// Copilot: only the loud volumetric anomaly.
-    pub const COPILOT: ModelPersonality = ModelPersonality {
+    const COPILOT: ModelPersonality = ModelPersonality {
         name: "Copilot",
         sees_floods: true,
         sees_tmsi_replay: false,
@@ -82,7 +82,7 @@ impl ModelPersonality {
 
     /// Claude 3 Sonnet: the only baseline catching the compliant exposure,
     /// blind to the volumetric/replay relations.
-    pub const CLAUDE_3_SONNET: ModelPersonality = ModelPersonality {
+    const CLAUDE_3_SONNET: ModelPersonality = ModelPersonality {
         name: "Claude 3 Sonnet",
         sees_floods: false,
         sees_tmsi_replay: false,

@@ -14,19 +14,19 @@
 use xsec_mobiflow::{encode_ue_record, UeMobiFlow};
 
 /// Markers bracketing the data block inside a rendered prompt.
-pub const DATA_BEGIN: &str = "<DATA>";
+const DATA_BEGIN: &str = "<DATA>";
 /// Closing marker of the data block.
-pub const DATA_END: &str = "</DATA>";
+const DATA_END: &str = "</DATA>";
 
 /// The Figure 5 prompt template.
 #[derive(Debug, Clone)]
 pub struct PromptTemplate {
     /// The analyst role instruction.
-    pub role: String,
+    role: String,
     /// The schema explanation substituted for `<DATA_DESCRIPTIONS>`.
-    pub data_description: String,
+    data_description: String,
     /// The task instruction following the data.
-    pub task: String,
+    task: String,
 }
 
 impl Default for PromptTemplate {

@@ -12,13 +12,13 @@
 //! The two paths agreeing on a full simulation run is one of the pipeline's
 //! integration tests.
 
-use crate::record::{BsMobiFlow, UeMobiFlow};
+use crate::record::UeMobiFlow;
 use std::collections::HashMap;
 use xsec_netsim::TraceLog;
-use xsec_proto::{Direction, F1apPdu, L3Message, MessageKind, NasMessage, NgapPdu, RrcMessage};
+use xsec_proto::{Direction, F1apPdu, L3Message, NasMessage, NgapPdu, RrcMessage};
 use xsec_ran::RanEvent;
 use xsec_types::{
-    CellId, CipherAlg, Duration, EstablishmentCause, IntegrityAlg, Result, Rnti, Tmsi,
+    CellId, CipherAlg, EstablishmentCause, IntegrityAlg, Result, Rnti, Tmsi,
     TrafficClass,
 };
 
@@ -202,65 +202,6 @@ fn direction_of(uplink: bool) -> Direction {
     }
 }
 
-/// Aggregates UE records into per-interval [`BsMobiFlow`] windows.
-#[derive(Debug)]
-pub struct BsAggregator {
-    interval: Duration,
-}
-
-impl BsAggregator {
-    /// Aggregator with the given window size.
-    pub fn new(interval: Duration) -> Self {
-        assert!(interval.as_micros() > 0, "interval must be positive");
-        BsAggregator { interval }
-    }
-
-    /// Produces one BS record per interval covering the stream's time span.
-    pub fn aggregate(&self, records: &[UeMobiFlow]) -> Vec<BsMobiFlow> {
-        let Some(first) = records.first() else { return Vec::new() };
-        let start = first.timestamp;
-        let mut windows: Vec<BsMobiFlow> = Vec::new();
-        for r in records {
-            let idx =
-                (r.timestamp.saturating_since(start).as_micros() / self.interval.as_micros()) as usize;
-            while windows.len() <= idx {
-                let n = windows.len() as u64;
-                windows.push(BsMobiFlow {
-                    window_start: start + Duration::from_micros(n * self.interval.as_micros()),
-                    window_end: start
-                        + Duration::from_micros((n + 1) * self.interval.as_micros()),
-                    cell: r.cell,
-                    message_count: 0,
-                    distinct_rntis: 0,
-                    setup_requests: 0,
-                    rejects: 0,
-                    registrations: 0,
-                });
-            }
-            let w = &mut windows[idx];
-            w.message_count += 1;
-            match r.msg {
-                MessageKind::RrcSetupRequest => w.setup_requests += 1,
-                MessageKind::RrcReject => w.rejects += 1,
-                MessageKind::NasRegistrationAccept => w.registrations += 1,
-                _ => {}
-            }
-        }
-        // Second pass for distinct RNTIs per window.
-        for w in &mut windows {
-            let mut rntis: Vec<u16> = records
-                .iter()
-                .filter(|r| r.timestamp >= w.window_start && r.timestamp < w.window_end)
-                .map(|r| r.rnti.0)
-                .collect();
-            rntis.sort_unstable();
-            rntis.dedup();
-            w.distinct_rntis = rntis.len() as u64;
-        }
-        windows
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,31 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn bs_aggregation_counts_setups_and_windows() {
-        let report = run_small(4);
-        let stream = extract_from_events(&report.events);
-        let agg = BsAggregator::new(Duration::from_millis(500));
-        let windows = agg.aggregate(&stream.records);
-        assert!(!windows.is_empty());
-        let total_setups: u64 = windows.iter().map(|w| w.setup_requests).sum();
-        let expected = stream
-            .records
-            .iter()
-            .filter(|r| r.msg == MessageKind::RrcSetupRequest)
-            .count() as u64;
-        assert_eq!(total_setups, expected);
-        let total_msgs: u64 = windows.iter().map(|w| w.message_count).sum();
-        assert_eq!(total_msgs, stream.len() as u64);
-        // Windows tile the time axis.
-        for pair in windows.windows(2) {
-            assert_eq!(pair[0].window_end, pair[1].window_start);
-        }
-    }
-
-    #[test]
     fn empty_streams_are_handled() {
-        let agg = BsAggregator::new(Duration::from_millis(100));
-        assert!(agg.aggregate(&[]).is_empty());
         let empty = extract_from_events(&[]);
         assert!(empty.is_empty());
     }

@@ -17,24 +17,19 @@
 //!
 //! The parameter set matches the paper's Table 1: RNTI, TMSI, SUPI (when
 //! exposed), ciphering/integrity algorithms, and RRC establishment cause.
-//!
-//! [`BsMobiFlow`] aggregates per-interval base-station counters (connected
-//! UEs, arrival rates, rejects) — the coarse view used for capacity-style
-//! anomalies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod extract;
-pub mod record;
-pub mod sdl;
+mod extract;
+mod record;
+mod sdl;
 pub mod wire;
 
 pub use codec::{decode_ue_record, encode_ue_record};
 pub use extract::{
-    extract_from_events, extract_from_events_at, extract_from_trace, BsAggregator,
-    TelemetryStream,
+    extract_from_events, extract_from_events_at, extract_from_trace, TelemetryStream,
 };
-pub use record::{BsMobiFlow, UeMobiFlow, MOBIFLOW_VERSION};
+pub use record::{UeMobiFlow, MOBIFLOW_VERSION};
 pub use sdl::SharedDataLayer;

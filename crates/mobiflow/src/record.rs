@@ -45,48 +45,10 @@ pub struct UeMobiFlow {
 }
 
 impl UeMobiFlow {
-    /// Whether this record carries a plaintext permanent-identity exposure.
-    pub fn exposes_supi(&self) -> bool {
-        self.supi.is_some()
-    }
-
     /// Whether the connection runs with null security (either algorithm).
     pub fn null_security(&self) -> bool {
         self.cipher_alg.map(CipherAlg::is_null).unwrap_or(false)
             || self.integrity_alg.map(IntegrityAlg::is_null).unwrap_or(false)
-    }
-}
-
-/// Per-interval base-station aggregate record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BsMobiFlow {
-    /// Interval start.
-    pub window_start: Timestamp,
-    /// Interval end (exclusive).
-    pub window_end: Timestamp,
-    /// Serving cell.
-    pub cell: CellId,
-    /// Control messages observed in the interval.
-    pub message_count: u64,
-    /// Distinct RNTIs active in the interval.
-    pub distinct_rntis: u64,
-    /// `RRCSetupRequest`s observed (connection arrival count).
-    pub setup_requests: u64,
-    /// `RRCReject`s observed (admission pressure).
-    pub rejects: u64,
-    /// Registrations accepted in the interval.
-    pub registrations: u64,
-}
-
-impl BsMobiFlow {
-    /// Connection arrival rate over the interval, per second.
-    pub fn arrival_rate(&self) -> f64 {
-        let span = self.window_end.saturating_since(self.window_start).as_secs_f64();
-        if span <= 0.0 {
-            0.0
-        } else {
-            self.setup_requests as f64 / span
-        }
     }
 }
 
@@ -115,42 +77,12 @@ mod tests {
     #[test]
     fn exposure_and_null_security_predicates() {
         let mut r = record();
-        assert!(!r.exposes_supi());
+        assert!(r.supi.is_none());
         assert!(!r.null_security());
         r.supi = Some(Supi::new(xsec_types::Plmn::TEST, 5));
-        assert!(r.exposes_supi());
+        assert!(r.supi.is_some());
         r.cipher_alg = Some(CipherAlg::Nea2);
         r.integrity_alg = Some(IntegrityAlg::Nia0);
         assert!(r.null_security(), "null integrity alone counts");
-    }
-
-    #[test]
-    fn arrival_rate_computation() {
-        let bs = BsMobiFlow {
-            window_start: Timestamp(0),
-            window_end: Timestamp(2_000_000),
-            cell: CellId(1),
-            message_count: 100,
-            distinct_rntis: 10,
-            setup_requests: 30,
-            rejects: 0,
-            registrations: 10,
-        };
-        assert!((bs.arrival_rate() - 15.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_length_window_has_zero_rate() {
-        let bs = BsMobiFlow {
-            window_start: Timestamp(5),
-            window_end: Timestamp(5),
-            cell: CellId(1),
-            message_count: 0,
-            distinct_rntis: 0,
-            setup_requests: 9,
-            rejects: 0,
-            registrations: 0,
-        };
-        assert_eq!(bs.arrival_rate(), 0.0);
     }
 }

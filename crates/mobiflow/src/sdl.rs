@@ -2,17 +2,15 @@
 //!
 //! The OSC reference platform backs this with Redis; ours is an in-process,
 //! thread-safe, namespaced key-value store with the same access pattern: the
-//! E2 termination writes telemetry in, xApps read it out, and a monotonically
-//! increasing per-namespace version lets consumers poll for "anything new
-//! since I last looked?" cheaply (the RIC layers push-notification on top).
+//! E2 termination writes telemetry in and xApps read it out.
 //!
 //! Namespaces are hashed, not ordered: the E2 termination writes (and
 //! evicts) one entry per report window on the per-indication path, while
-//! [`SharedDataLayer::keys`] and [`SharedDataLayer::scan`] — whose contract
-//! is sorted output — are read by tools and tests, so the order is paid for
-//! on read. The hasher is std's keyed default: keys carry bytes a RAN agent
-//! chooses (its report-window bounds), so an unkeyed hash would let one
-//! agent aim every write at one bucket.
+//! [`SharedDataLayer::scan`] — whose contract is sorted output — is read by
+//! tools and tests, so the order is paid for on read. The hasher is std's
+//! keyed default: keys carry bytes a RAN agent chooses (its report-window
+//! bounds), so an unkeyed hash would let one agent aim every write at one
+//! bucket.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -57,7 +55,8 @@ impl SharedDataLayer {
     }
 
     /// Reads the value under `(namespace, key)`.
-    pub fn get(&self, namespace: &str, key: &str) -> Option<Vec<u8>> {
+    #[cfg(test)]
+    fn get(&self, namespace: &str, key: &str) -> Option<Vec<u8>> {
         self.namespaces.read().get(namespace)?.entries.get(key).cloned()
     }
 
@@ -75,7 +74,8 @@ impl SharedDataLayer {
     }
 
     /// All keys in a namespace, sorted.
-    pub fn keys(&self, namespace: &str) -> Vec<String> {
+    #[cfg(test)]
+    fn keys(&self, namespace: &str) -> Vec<String> {
         let mut keys: Vec<String> = self
             .namespaces
             .read()
@@ -98,7 +98,8 @@ impl SharedDataLayer {
 
     /// Monotonic version of a namespace: bumps on every write/delete.
     /// Pollers remember the last version they saw.
-    pub fn version(&self, namespace: &str) -> u64 {
+    #[cfg(test)]
+    fn version(&self, namespace: &str) -> u64 {
         self.namespaces.read().get(namespace).map(|ns| ns.version).unwrap_or(0)
     }
 

@@ -39,7 +39,7 @@ use xsec_types::{
 };
 
 /// Version of the binary record layout, carried in every record's tag byte.
-pub const WIRE_VERSION: u8 = 1;
+const WIRE_VERSION: u8 = 1;
 
 /// Encoded size of one record.
 pub const RECORD_LEN: usize = 48;

@@ -20,16 +20,16 @@ use xsec_types::Duration;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelConfig {
     /// Base one-way latency for a control message.
-    pub base_latency: Duration,
+    base_latency: Duration,
     /// Maximum additional uniform jitter.
-    pub jitter: Duration,
+    jitter: Duration,
     /// Probability a transmission needs at least one retransmission.
-    pub retx_probability: f64,
+    retx_probability: f64,
     /// Probability an individual (re)transmission attempt fails once the
     /// message entered the retransmission path.
-    pub retx_attempt_loss: f64,
+    retx_attempt_loss: f64,
     /// Maximum retransmission attempts before the message is declared lost.
-    pub max_retx: u32,
+    max_retx: u32,
     /// Delay added per retransmission attempt.
     pub retx_interval: Duration,
 }
@@ -63,8 +63,9 @@ impl ChannelConfig {
         }
     }
 
-    /// A noisy channel for stress/ablation runs.
-    pub fn noisy() -> Self {
+    /// A noisy channel for stress runs.
+    #[cfg(test)]
+    fn noisy() -> Self {
         ChannelConfig {
             base_latency: Duration::from_millis(2),
             jitter: Duration::from_millis(1),
@@ -108,26 +109,19 @@ pub enum ChannelOutcome {
     Lost,
 }
 
-impl ChannelOutcome {
-    /// Whether the message eventually arrived.
-    pub fn is_delivered(self) -> bool {
-        matches!(self, ChannelOutcome::Delivered { .. })
-    }
-}
-
 /// Point-in-time counter snapshot, exposed for experiment reports. The
 /// counters themselves live in the `xsec-obs` registry (metric names
 /// `xsec_netsim_channel_*_total`); this struct is a read-out.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Messages offered to the channel.
-    pub offered: u64,
+    offered: u64,
     /// Messages delivered (with or without retransmission).
     pub delivered: u64,
     /// Messages delivered only after at least one retransmission.
-    pub retransmitted: u64,
+    retransmitted: u64,
     /// Messages lost.
-    pub lost: u64,
+    lost: u64,
 }
 
 /// Registry-backed channel counters (the single observability path).
@@ -182,11 +176,6 @@ impl ChannelModel {
         metrics.retransmitted.add(stats.retransmitted);
         metrics.lost.add(stats.lost);
         self.metrics = metrics;
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &ChannelConfig {
-        &self.config
     }
 
     /// Counters accumulated so far.

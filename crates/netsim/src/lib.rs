@@ -15,24 +15,24 @@
 //! * **Virtual time** — no host clocks anywhere. The [`Scheduler`] pops
 //!   events in `(time, sequence)` order; ties are broken by insertion order so
 //!   runs are stable across platforms.
-//! * **Fault injection** — the [`channel::ChannelModel`] decides, per
+//! * **Fault injection** — the [`ChannelModel`] decides, per
 //!   transmission, whether a message is delivered, lost, or delivered after a
 //!   retransmission (and with what latency). This mirrors the fault-injection
 //!   options event-driven stacks like smoltcp expose on their examples
 //!   (`--drop-chance` etc.) and is what produces the benign false-positive
 //!   noise the paper attributes to "network interference (e.g., RRC message
 //!   retransmissions)".
-//! * **Tracing** — [`trace::TraceLog`] is the pcap analogue: an append-only
+//! * **Tracing** — [`TraceLog`] is the pcap analogue: an append-only
 //!   log of timestamped records that the MobiFlow extractor later parses,
 //!   just as the paper parses pcap streams from the F1AP/NGAP interfaces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
-pub mod rng;
-pub mod scheduler;
-pub mod trace;
+mod channel;
+mod rng;
+mod scheduler;
+mod trace;
 
 pub use channel::{ChannelConfig, ChannelModel, ChannelOutcome, ChannelStats};
 pub use rng::RngStreams;

@@ -22,11 +22,6 @@ impl RngStreams {
         RngStreams { master_seed }
     }
 
-    /// The master seed this factory was built from.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// Derives the deterministic RNG for `name`.
     ///
     /// The derivation is an FNV-1a hash of the name folded into the master

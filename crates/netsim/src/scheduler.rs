@@ -7,7 +7,8 @@
 //! 2. events scheduled for the same instant pop in insertion order
 //!    (FIFO tie-break), and
 //! 3. time never runs backwards — scheduling in the past is clamped to "now"
-//!    and counted, so bugs surface in stats instead of corrupting causality.
+//!    and counted (the count shows in its `Debug` output) rather than corrupting
+//!    causality.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -69,13 +70,9 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Current virtual time — the timestamp of the last popped event.
-    pub fn now(&self) -> Timestamp {
-        self.now
-    }
-
     /// Number of events currently queued.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    fn pending(&self) -> usize {
         self.queue.len()
     }
 
@@ -84,16 +81,6 @@ impl<E> Scheduler<E> {
     /// simulation apart from one that merely reached its step deadline.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Total events popped so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// How many schedule requests targeted the past and were clamped to now.
-    pub fn clamped_past_schedules(&self) -> u64 {
-        self.clamped_past_schedules
     }
 
     /// Schedules `event` at absolute time `at`. Times in the past are clamped
@@ -132,7 +119,8 @@ impl<E> Scheduler<E> {
     /// Runs until the queue drains or `horizon` is reached, invoking
     /// `handler` for each event. The handler may schedule more events.
     /// Returns the number of events processed by this call.
-    pub fn run_until<F>(&mut self, horizon: Timestamp, mut handler: F) -> u64
+    #[cfg(test)]
+    fn run_until<F>(&mut self, horizon: Timestamp, mut handler: F) -> u64
     where
         F: FnMut(&mut Self, Timestamp, E),
     {
@@ -182,9 +170,9 @@ mod tests {
     fn clock_advances_with_pops() {
         let mut s = Scheduler::new();
         s.schedule_in(Duration::from_millis(2), ());
-        assert_eq!(s.now(), Timestamp::ZERO);
+        assert_eq!(s.now, Timestamp::ZERO);
         s.pop();
-        assert_eq!(s.now(), Timestamp(2_000));
+        assert_eq!(s.now, Timestamp(2_000));
     }
 
     #[test]
@@ -192,9 +180,9 @@ mod tests {
         let mut s = Scheduler::new();
         s.schedule_at(Timestamp(100), "later");
         s.pop();
-        assert_eq!(s.now(), Timestamp(100));
+        assert_eq!(s.now, Timestamp(100));
         s.schedule_at(Timestamp(50), "past");
-        assert_eq!(s.clamped_past_schedules(), 1);
+        assert_eq!(s.clamped_past_schedules, 1);
         let (at, ev) = s.pop().unwrap();
         assert_eq!(at, Timestamp(100));
         assert_eq!(ev, "past");
@@ -218,7 +206,7 @@ mod tests {
             vec![(Timestamp(10), 0), (Timestamp(20), 1), (Timestamp(30), 2)]
         );
         assert_eq!(s.pending(), 1);
-        assert_eq!(s.processed(), 3);
+        assert_eq!(s.processed, 3);
     }
 
     #[test]

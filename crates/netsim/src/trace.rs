@@ -6,7 +6,6 @@
 //! interface tag, direction, a human-readable summary, and the raw encoded
 //! payload so downstream consumers can re-decode messages independently.
 
-use std::fmt;
 use xsec_types::Timestamp;
 
 /// One captured record.
@@ -24,30 +23,10 @@ pub struct TraceRecord {
     pub payload: Vec<u8>,
 }
 
-impl fmt::Display for TraceRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} {} {} {} ({} bytes)",
-            self.at,
-            self.interface,
-            if self.uplink { "UL" } else { "DL" },
-            self.summary,
-            self.payload.len()
-        )
-    }
-}
-
-/// Append-only capture log with optional capacity cap.
-///
-/// When a capacity is set, the log keeps the *earliest* records and counts
-/// drops — matching pcap ring-buffer semantics closely enough for our use,
-/// while keeping the record indices stable for labeling.
+/// Append-only capture log.
 #[derive(Debug, Default)]
 pub struct TraceLog {
     records: Vec<TraceRecord>,
-    capacity: Option<usize>,
-    dropped: u64,
 }
 
 impl TraceLog {
@@ -56,30 +35,14 @@ impl TraceLog {
         TraceLog::default()
     }
 
-    /// Creates a log that stops recording after `capacity` records.
-    pub fn with_capacity_limit(capacity: usize) -> Self {
-        TraceLog { records: Vec::new(), capacity: Some(capacity), dropped: 0 }
-    }
-
-    /// Appends a record (unless the capacity cap was reached).
+    /// Appends a record.
     pub fn push(&mut self, record: TraceRecord) {
-        if let Some(cap) = self.capacity {
-            if self.records.len() >= cap {
-                self.dropped += 1;
-                return;
-            }
-        }
         self.records.push(record);
     }
 
     /// All captured records in capture order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
-    }
-
-    /// Number of records dropped due to the capacity cap.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Number of captured records.
@@ -90,25 +53,6 @@ impl TraceLog {
     /// Whether nothing has been captured.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// Iterator over records on a given interface.
-    pub fn on_interface<'a>(
-        &'a self,
-        interface: &'a str,
-    ) -> impl Iterator<Item = &'a TraceRecord> + 'a {
-        self.records.iter().filter(move |r| r.interface == interface)
-    }
-
-    /// Renders the whole capture as a text dump (one record per line), the
-    /// same view `tcpdump -r` would give an operator.
-    pub fn text_dump(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            out.push_str(&r.to_string());
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -137,40 +81,9 @@ mod tests {
     }
 
     #[test]
-    fn capacity_cap_counts_drops_and_keeps_prefix() {
-        let mut log = TraceLog::with_capacity_limit(2);
-        log.push(record(1, "F1AP", "a"));
-        log.push(record(2, "F1AP", "b"));
-        log.push(record(3, "F1AP", "c"));
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped(), 1);
-        assert_eq!(log.records()[1].summary, "b");
-    }
-
-    #[test]
-    fn interface_filter() {
-        let mut log = TraceLog::new();
-        log.push(record(1, "F1AP", "a"));
-        log.push(record(2, "NGAP", "b"));
-        log.push(record(3, "F1AP", "c"));
-        let f1: Vec<_> = log.on_interface("F1AP").map(|r| r.summary.as_str()).collect();
-        assert_eq!(f1, vec!["a", "c"]);
-    }
-
-    #[test]
-    fn text_dump_is_line_per_record() {
-        let mut log = TraceLog::new();
-        log.push(record(1_000_000, "F1AP", "RRCSetupRequest rnti=0x005F"));
-        let dump = log.text_dump();
-        assert_eq!(dump.lines().count(), 1);
-        assert!(dump.contains("1.000000s"));
-        assert!(dump.contains("F1AP UL RRCSetupRequest rnti=0x005F (3 bytes)"));
-    }
-
-    #[test]
     fn empty_log_reports_empty() {
         let log = TraceLog::new();
         assert!(log.is_empty());
-        assert_eq!(log.text_dump(), "");
+        assert!(log.records().is_empty());
     }
 }

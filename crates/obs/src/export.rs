@@ -122,7 +122,7 @@ impl Snapshot {
 
     /// Renders the snapshot as a JSON document:
     /// `{"metrics": [{"name": ..., "labels": {...}, "type": ..., ...}]}`.
-    pub fn render_json(&self) -> String {
+    fn render_json(&self) -> String {
         let mut out = String::from("{\"metrics\":[\n");
         for (i, sample) in self.samples.iter().enumerate() {
             if i > 0 {
@@ -199,9 +199,9 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_covers_all_types() {
-        let registry = MetricsRegistry::new();
+        let registry = MetricsRegistry::default();
         registry.counter("xsec_test_total", &[("agent", "gnb-1")]).add(3);
-        registry.gauge("xsec_test_depth", &[]).set(-2);
+        registry.gauge("xsec_test_depth", &[]).add(-2);
         let h = registry.histogram_with("xsec_test_latency_us", &[], &[10, 100]);
         h.observe(5);
         h.observe(50);
@@ -221,7 +221,7 @@ mod tests {
 
     #[test]
     fn prometheus_label_escaping() {
-        let registry = MetricsRegistry::new();
+        let registry = MetricsRegistry::default();
         registry.counter("m", &[("k", "a\"b\\c\nd")]).inc();
         let text = registry.render_prometheus();
         assert!(text.contains(r#"m{k="a\"b\\c\nd"} 1"#), "got: {text}");
@@ -229,7 +229,7 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_and_escaped() {
-        let registry = MetricsRegistry::new();
+        let registry = MetricsRegistry::default();
         registry.counter("m", &[("k", "quote\"backslash\\tab\t")]).inc();
         registry.histogram_with("h_us", &[], &[100]).observe(40);
         let json = registry.snapshot().render_json();
@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn write_files_round_trips() {
         let dir = std::env::temp_dir().join("xsec-obs-test-export");
-        let registry = MetricsRegistry::new();
+        let registry = MetricsRegistry::default();
         registry.counter("m", &[]).inc();
         let (prom, json) = registry.snapshot().write_files(&dir, "metrics").unwrap();
         assert!(std::fs::read_to_string(&prom).unwrap().contains("m 1"));
@@ -263,7 +263,7 @@ mod tests {
 
     #[test]
     fn exemplars_render_in_both_expositions() {
-        let registry = MetricsRegistry::new();
+        let registry = MetricsRegistry::default();
         let h = registry.histogram_with("h_us", &[], &[10, 100]);
         h.observe(5);
         h.observe_with_exemplar(40, 7);

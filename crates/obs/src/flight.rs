@@ -38,16 +38,16 @@ use std::sync::{Arc, Mutex};
 /// Capacity of each per-thread event ring. Sized to hold several ingest
 /// buckets' worth of hot-path events, so a detection fired at batch-merge
 /// time still finds its ingest/inference events un-overwritten.
-pub const FLIGHT_RING_CAPACITY: usize = 4096;
+const FLIGHT_RING_CAPACITY: usize = 4096;
 
 /// Capacity of the bounded msg-id → trace-id slot map.
 const TRACE_SLOTS: usize = 16_384;
 
 /// Maximum incidents retained per run; later detections count as dropped.
-pub const MAX_INCIDENTS: usize = 64;
+const MAX_INCIDENTS: usize = 64;
 
 /// Maximum authorization denials retained per run; later ones only count.
-pub const MAX_DENIALS: usize = 256;
+const MAX_DENIALS: usize = 256;
 
 /// One stage of the detection→enforcement causal chain. The numeric order
 /// *is* the causal order: each stage's parent span is the previous stage.
@@ -111,7 +111,7 @@ pub struct TraceCtx {
     /// This stage's span id within the trace.
     pub span: u32,
     /// Parent span id (0 for the root ingest span).
-    pub parent: u32,
+    parent: u32,
 }
 
 impl TraceCtx {
@@ -357,11 +357,6 @@ impl FlightRecorder {
     /// Every retained denial, in record order.
     pub fn denials(&self) -> Vec<DenialRecord> {
         self.inner.denials.lock().expect("denial store poisoned").records.clone()
-    }
-
-    /// Denials recorded after the denial store filled up.
-    pub fn dropped_denials(&self) -> u64 {
-        self.inner.denials.lock().expect("denial store poisoned").dropped
     }
 
     /// Every retained incident, events order-normalized and deduplicated.
@@ -651,7 +646,7 @@ mod tests {
             rec.record_denial("rogue", "publish:findings");
         }
         assert_eq!(rec.denials().len(), MAX_DENIALS);
-        assert_eq!(rec.dropped_denials(), 9);
+        assert_eq!(rec.inner.denials.lock().unwrap().dropped, 9);
     }
 
     #[test]

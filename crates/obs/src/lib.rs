@@ -42,11 +42,10 @@ mod metrics;
 
 pub use flight::{
     DenialRecord, FlightEvent, FlightRecorder, FlightRing, Incident, TraceCtx, TraceStage,
-    FLIGHT_RING_CAPACITY, MAX_DENIALS, MAX_INCIDENTS,
 };
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSummary, MetricKey, MetricSample, MetricsRegistry,
-    SampleValue, Snapshot, LATENCY_BUCKETS_US,
+    Counter, Gauge, Histogram, HistogramSummary, MetricSample, MetricsRegistry, SampleValue,
+    Snapshot,
 };
 
 /// The combined observability handle: a metrics registry and the causal

@@ -26,7 +26,7 @@ use std::time::Duration as StdDuration;
 /// logarithmic from 1 µs to 10 s, bracketing the O-RAN near-RT window
 /// (10 ms – 1 s) with fine resolution on both sides. Values above the last
 /// bound land in the implicit `+Inf` bucket.
-pub const LATENCY_BUCKETS_US: [u64; 22] = [
+const LATENCY_BUCKETS_US: [u64; 22] = [
     1,
     2,
     5,
@@ -53,11 +53,11 @@ pub const LATENCY_BUCKETS_US: [u64; 22] = [
 
 /// A metric identity: name plus sorted label pairs.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
+struct MetricKey {
     /// Metric name (`xsec_<crate>_<name>` by convention).
-    pub name: String,
+    name: String,
     /// Label pairs, sorted by key.
-    pub labels: Vec<(String, String)>,
+    labels: Vec<(String, String)>,
 }
 
 impl MetricKey {
@@ -95,11 +95,6 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
     /// Adds (possibly negative) `delta`.
     pub fn add(&self, delta: i64) {
         self.0.fetch_add(delta, Ordering::Relaxed);
@@ -215,13 +210,13 @@ impl Histogram {
     /// `histogram_quantile` estimate. Unlike Prometheus, the estimate is
     /// clamped to the exact observed max, so a high quantile never reports
     /// a value no sample reached. Returns 0 when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
+    fn quantile(&self, q: f64) -> f64 {
         quantile_from_cumulative(&self.cumulative_buckets(), self.max(), q)
     }
 
     /// Cumulative `(upper_bound, count ≤ bound)` pairs; the final entry is
     /// the `+Inf` bucket reported as `(u64::MAX, total)`.
-    pub fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
+    fn cumulative_buckets(&self) -> Vec<(u64, u64)> {
         let core = &self.0;
         let mut cum = 0u64;
         let mut out = Vec::with_capacity(core.buckets.len());
@@ -290,11 +285,6 @@ impl std::fmt::Debug for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn get_or_insert(&self, key: MetricKey, make: impl FnOnce() -> MetricHandle) -> MetricHandle {
         let mut metrics = self.metrics.lock().expect("metrics registry poisoned");
         metrics.entry(key).or_insert_with(make).clone()
@@ -348,16 +338,6 @@ impl MetricsRegistry {
             MetricHandle::Histogram(h) => h,
             other => panic!("metric {name} already registered as {}", other.kind()),
         }
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.lock().expect("metrics registry poisoned").len()
-    }
-
-    /// Whether nothing has been registered yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// A point-in-time copy of every metric, stably ordered by key.
@@ -510,7 +490,7 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_basics() {
-        let registry = MetricsRegistry::new();
+        let registry = MetricsRegistry::default();
         let c = registry.counter("xsec_test_total", &[]);
         c.inc();
         c.add(4);
@@ -518,26 +498,26 @@ mod tests {
         // Same identity → same handle.
         assert_eq!(registry.counter("xsec_test_total", &[]).get(), 5);
         let g = registry.gauge("xsec_test_depth", &[("q", "main")]);
-        g.set(7);
+        g.add(7);
         g.add(-3);
         assert_eq!(g.get(), 4);
-        assert_eq!(registry.len(), 2);
+        assert_eq!(registry.metrics.lock().unwrap().len(), 2);
     }
 
     #[test]
     fn label_order_does_not_split_identity() {
-        let registry = MetricsRegistry::new();
+        let registry = MetricsRegistry::default();
         let a = registry.counter("m", &[("a", "1"), ("b", "2")]);
         a.inc();
         let b = registry.counter("m", &[("b", "2"), ("a", "1")]);
         assert_eq!(b.get(), 1);
-        assert_eq!(registry.len(), 1);
+        assert_eq!(registry.metrics.lock().unwrap().len(), 1);
     }
 
     #[test]
     #[should_panic(expected = "already registered")]
     fn type_mismatch_panics() {
-        let registry = MetricsRegistry::new();
+        let registry = MetricsRegistry::default();
         registry.counter("m", &[]);
         registry.gauge("m", &[]);
     }
@@ -615,7 +595,7 @@ mod tests {
 
     #[test]
     fn concurrent_counters_and_histograms_do_not_drop_samples() {
-        let registry = MetricsRegistry::new();
+        let registry = MetricsRegistry::default();
         let mut handles = Vec::new();
         for t in 0..8 {
             let registry = registry.clone();
@@ -643,7 +623,7 @@ mod tests {
 
     #[test]
     fn merged_histogram_equals_one_series_with_every_sample() {
-        let registry = MetricsRegistry::new();
+        let registry = MetricsRegistry::default();
         let whole = registry.histogram("whole_us", &[]);
         for (label, samples) in [("a", [3u64, 40, 700]), ("b", [9, 9, 12_000])] {
             let part = registry.histogram("parts_us", &[("agent", label)]);
@@ -661,7 +641,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_stably_ordered() {
-        let registry = MetricsRegistry::new();
+        let registry = MetricsRegistry::default();
         registry.counter("b_metric", &[]).inc();
         registry.counter("a_metric", &[("z", "1")]).inc();
         registry.counter("a_metric", &[("a", "1")]).inc();

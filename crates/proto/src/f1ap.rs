@@ -24,7 +24,7 @@ pub struct F1apPdu {
     /// `true` if the contained message travels UE → network.
     pub uplink: bool,
     /// The encoded L3 (RRC, possibly with piggybacked NAS) message.
-    pub rrc_container: Vec<u8>,
+    rrc_container: Vec<u8>,
 }
 
 impl F1apPdu {

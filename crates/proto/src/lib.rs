@@ -35,12 +35,12 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod f1ap;
-pub mod msg;
+mod f1ap;
+mod msg;
 pub mod nas;
-pub mod ngap;
-pub mod rrc;
-pub mod state;
+mod ngap;
+mod rrc;
+mod state;
 
 pub use codec::{decode_l3, encode_l3};
 pub use f1ap::F1apPdu;

@@ -90,10 +90,6 @@ impl L3Message {
         }
     }
 
-    /// The nominal direction of this message type.
-    pub fn direction(&self) -> Direction {
-        self.kind().direction()
-    }
 }
 
 impl fmt::Display for L3Message {
@@ -183,16 +179,6 @@ message_kinds! {
 }
 
 impl MessageKind {
-    /// Whether this is an RRC-layer message.
-    pub fn is_rrc(self) -> bool {
-        self.code() < 32
-    }
-
-    /// Whether this is a NAS-layer message.
-    pub fn is_nas(self) -> bool {
-        !self.is_rrc()
-    }
-
     /// The dense feature index of this kind (0-based, contiguous), used by
     /// the one-hot featurizer. Unlike [`MessageKind::code`] this has no gaps.
     pub fn feature_index(self) -> usize {
@@ -233,10 +219,9 @@ mod tests {
 
     #[test]
     fn rrc_nas_split_at_32() {
-        assert!(MessageKind::RrcSetupRequest.is_rrc());
-        assert!(!MessageKind::RrcSetupRequest.is_nas());
-        assert!(MessageKind::NasRegistrationRequest.is_nas());
-        assert!(!MessageKind::NasRegistrationRequest.is_rrc());
+        for kind in MessageKind::ALL {
+            assert_eq!(kind.code() < 32, format!("{kind:?}").starts_with("Rrc"), "{kind:?}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub struct NgapPdu {
     /// RAN UE NGAP ID (CU-local association number).
     pub ran_ue_id: u64,
     /// AMF UE NGAP ID (0 until the AMF assigns one).
-    pub amf_ue_id: u64,
+    amf_ue_id: u64,
     /// `true` if the contained message travels UE → network.
     pub uplink: bool,
     /// The encoded NAS message.

@@ -145,19 +145,9 @@ impl ProcedureConformance {
         &self.violations
     }
 
-    /// Count of tolerated retransmissions (same kind repeated back-to-back).
-    pub fn retransmissions(&self) -> u32 {
-        self.retransmissions
-    }
-
     /// Whether the sequence so far is fully conformant.
     pub fn is_conformant(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Whether the connection completed registration.
-    pub fn reached_registered(&self) -> bool {
-        matches!(self.phase, Phase::Registered)
     }
 
     /// Feeds the next observed message. Content-level checks (plaintext
@@ -180,7 +170,8 @@ impl ProcedureConformance {
     }
 
     /// Feeds a whole sequence.
-    pub fn observe_all<'a>(&mut self, msgs: impl IntoIterator<Item = &'a L3Message>) {
+    #[cfg(test)]
+    fn observe_all<'a>(&mut self, msgs: impl IntoIterator<Item = &'a L3Message>) {
         for msg in msgs {
             self.observe(msg);
         }
@@ -394,7 +385,7 @@ mod tests {
         check.observe_all(&ladder);
         check.finish();
         assert!(check.is_conformant(), "violations: {:?}", check.violations());
-        assert!(check.reached_registered());
+        assert!(matches!(check.phase, Phase::Registered));
     }
 
     #[test]
@@ -489,7 +480,7 @@ mod tests {
         check.observe_all(&ladder[5..]);
         check.finish();
         assert!(check.is_conformant(), "violations: {:?}", check.violations());
-        assert_eq!(check.retransmissions(), 1);
+        assert_eq!(check.retransmissions, 1);
     }
 
     #[test]
@@ -517,6 +508,6 @@ mod tests {
         let mut check = ProcedureConformance::new();
         check.finish();
         assert!(check.is_conformant());
-        assert!(!check.reached_registered());
+        assert!(!matches!(check.phase, Phase::Registered));
     }
 }

@@ -45,9 +45,9 @@ pub struct AmfConfig {
     /// When an identity cannot be resolved, demand the plaintext SUPI
     /// (`true`, permissive — the behavior the AdaptOver-style uplink
     /// extraction banks on) or a fresh SUCI (`false`, strict).
-    pub identity_fallback_plaintext: bool,
+    identity_fallback_plaintext: bool,
     /// Maximum authentication attempts per connection before rejecting.
-    pub max_auth_attempts: u32,
+    max_auth_attempts: u32,
     /// Upper bound on remembered TMSI→subscriber bindings. `None` keeps
     /// every binding forever (fine for bounded scenario runs); streaming
     /// runs set a cap so the AMF forgets the oldest *detached* TMSIs first
@@ -143,16 +143,6 @@ impl Amf {
         self.subscribers.remove(&msin);
     }
 
-    /// Number of provisioned subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
-    }
-
-    /// Number of remembered TMSI→subscriber bindings.
-    pub fn tmsi_binding_count(&self) -> usize {
-        self.tmsi_owner.len()
-    }
-
     /// Provisions a *stale* TMSI binding: the AMF remembers it belongs to
     /// `msin` (e.g. from before a restart) although no connection is
     /// attached under it. A warm-starting UE presenting this TMSI resolves
@@ -180,16 +170,6 @@ impl Amf {
                 self.tmsi_owner.remove(&tmsi);
             }
         }
-    }
-
-    /// Number of currently attached (registered) subscribers.
-    pub fn attached_count(&self) -> usize {
-        self.attached.len()
-    }
-
-    /// Whether the TMSI is attached on an active connection right now.
-    pub fn is_attached(&self, tmsi: Tmsi) -> bool {
-        self.attached.contains_key(&tmsi)
     }
 
     /// Informs the AMF that the RAN dropped a connection (guard timer,
@@ -501,8 +481,8 @@ mod tests {
     fn full_registration_ladder_succeeds() {
         let mut amf = amf();
         let tmsi = register(&mut amf, 1, 1000, 0xAA);
-        assert!(amf.is_attached(tmsi));
-        assert_eq!(amf.attached_count(), 1);
+        assert!(amf.attached.contains_key(&tmsi));
+        assert_eq!(amf.attached.len(), 1);
     }
 
     #[test]
@@ -613,7 +593,7 @@ mod tests {
             }),
             "victim was not detached: {actions:?}"
         );
-        assert!(!amf.is_attached(tmsi));
+        assert!(!amf.attached.contains_key(&tmsi));
         // The imposter still faces an AKA challenge it cannot answer.
         assert!(actions.iter().any(|a| matches!(
             a,
@@ -662,7 +642,7 @@ mod tests {
             actions[1],
             AmfAction::ReleaseConnection { conn: 1, cause: ReleaseCause::Normal }
         ));
-        assert!(!amf.is_attached(tmsi));
+        assert!(!amf.attached.contains_key(&tmsi));
     }
 
     #[test]
@@ -689,7 +669,7 @@ mod tests {
         let mut amf = amf();
         let tmsi = register(&mut amf, 1, 1000, 0xAA);
         amf.connection_closed(1);
-        assert!(!amf.is_attached(tmsi));
+        assert!(!amf.attached.contains_key(&tmsi));
     }
 
     #[test]
@@ -704,7 +684,7 @@ mod tests {
         // survive while the oldest detached binding is evicted.
         amf.provision_stale_tmsi(Tmsi(0xA1), 1000);
         amf.provision_stale_tmsi(Tmsi(0xA2), 1000);
-        assert_eq!(amf.tmsi_binding_count(), 2);
+        assert_eq!(amf.tmsi_owner.len(), 2);
         assert!(amf.tmsi_owner.contains_key(&attached));
         assert!(!amf.tmsi_owner.contains_key(&Tmsi(0xA1)));
         assert!(amf.tmsi_owner.contains_key(&Tmsi(0xA2)));
@@ -713,9 +693,9 @@ mod tests {
     #[test]
     fn forget_subscriber_removes_the_sim_profile() {
         let mut amf = amf();
-        assert_eq!(amf.subscriber_count(), 2);
+        assert_eq!(amf.subscribers.len(), 2);
         amf.forget_subscriber(1000);
-        assert_eq!(amf.subscriber_count(), 1);
+        assert_eq!(amf.subscribers.len(), 1);
         // Fresh registrations for the forgotten MSIN now hit the identity
         // fallback instead of authenticating.
         let actions = amf.handle_uplink(

@@ -14,7 +14,7 @@
 
 /// The home-network "private key" shared by UE SIM profiles and the AMF in
 /// this simulation (stands in for the ECIES key pair).
-pub const NETWORK_SECRET: u64 = 0x6A5F_3C21_9E84_D7B3;
+const NETWORK_SECRET: u64 = 0x6A5F_3C21_9E84_D7B3;
 
 /// SplitMix64 — a well-distributed 64-bit mixer; our stand-in PRF.
 fn mix(mut z: u64) -> u64 {
@@ -27,11 +27,6 @@ fn mix(mut z: u64) -> u64 {
 /// Computes the UE's RES* for a 5G-AKA challenge.
 pub fn aka_response(key: u64, rand: u64) -> u64 {
     mix(key ^ mix(rand))
-}
-
-/// Verifies a RES* against the expected value for `(key, rand)`.
-pub fn aka_verify(key: u64, rand: u64, res: u64) -> bool {
-    aka_response(key, rand) == res
 }
 
 /// Conceals an MSIN under a fresh nonce: the top 32 bits carry the nonce in
@@ -59,9 +54,9 @@ mod tests {
     fn aka_round_trip() {
         let key = 0xC0FFEE;
         let res = aka_response(key, 42);
-        assert!(aka_verify(key, 42, res));
-        assert!(!aka_verify(key, 43, res));
-        assert!(!aka_verify(key + 1, 42, res));
+        assert_eq!(aka_response(key, 42), res);
+        assert_ne!(aka_response(key, 43), res);
+        assert_ne!(aka_response(key + 1, 42), res);
     }
 
     #[test]

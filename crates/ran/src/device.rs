@@ -33,7 +33,7 @@ pub struct DeviceProfile {
     /// Extra uniform jitter on top of `response_delay`.
     pub response_jitter: Duration,
     /// Relative weights over [`EstablishmentCause::ALL`] for session starts.
-    pub cause_weights: [u32; 7],
+    cause_weights: [u32; 7],
     /// Probability the device opens a PDU session after registering.
     pub pdu_session_probability: f64,
     /// Probability a re-registration presents the stored TMSI instead of a

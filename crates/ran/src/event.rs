@@ -47,8 +47,9 @@ pub struct RanEvent {
 }
 
 impl RanEvent {
-    /// Short one-line rendering for logs and example output.
-    pub fn summary(&self) -> String {
+    /// Short one-line rendering for logs.
+    #[cfg(test)]
+    pub(crate) fn summary(&self) -> String {
         format!(
             "{} {} {} rnti={} {}",
             self.at,

@@ -28,12 +28,12 @@ pub struct GnbConfig {
     /// Serving cell id.
     pub cell: CellId,
     /// Maximum simultaneous UE contexts (admission control).
-    pub max_contexts: usize,
+    max_contexts: usize,
     /// How long an un-registered context may live before the CU garbage
     /// collects it (stalled handshakes — the resource the BTS DoS burns).
-    pub setup_guard: Duration,
+    setup_guard: Duration,
     /// First C-RNTI to hand out (OAI starts around 0x4601).
-    pub first_rnti: u16,
+    first_rnti: u16,
     /// First DU-local connection id. Multi-cell deployments give each cell a
     /// disjoint range so `du_ue_id` stays globally unique across gNBs.
     pub first_conn: u32,
@@ -81,7 +81,7 @@ pub struct UeContext {
     /// Assigned C-RNTI.
     pub rnti: Rnti,
     /// When the context was admitted.
-    pub created_at: Timestamp,
+    created_at: Timestamp,
     /// Establishment cause from the setup request.
     pub cause: EstablishmentCause,
     /// Negotiated ciphering algorithm, once NAS security ran.
@@ -91,9 +91,9 @@ pub struct UeContext {
     /// Temporary identity bound to this context, if known.
     pub tmsi: Option<Tmsi>,
     /// Whether registration completed.
-    pub registered: bool,
+    registered: bool,
     /// Whether AS (RRC-level) security was activated.
-    pub as_secured: bool,
+    as_secured: bool,
 }
 
 /// Why admission failed.
@@ -198,11 +198,6 @@ impl Gnb {
             rate_limits: HashMap::new(),
             quarantine_until: None,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &GnbConfig {
-        &self.config
     }
 
     /// Re-homes the gNB's counters into `obs` (accumulated counts are

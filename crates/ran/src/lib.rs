@@ -36,9 +36,9 @@
 
 pub mod amf;
 pub mod auth;
-pub mod device;
-pub mod event;
-pub mod gnb;
+mod device;
+mod event;
+mod gnb;
 pub mod intercept;
 pub mod scenario;
 pub mod sim;

@@ -56,11 +56,6 @@ impl Scenario {
         Scenario { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &ScenarioConfig {
-        &self.config
-    }
-
     /// Builds the simulator with the benign population installed. Attack
     /// crates take the returned simulator and add their adversarial UEs /
     /// interceptors before running.
@@ -71,7 +66,7 @@ impl Scenario {
     }
 
     /// Installs the benign population into an existing simulator.
-    pub fn populate(&self, sim: &mut RanSimulator) {
+    fn populate(&self, sim: &mut RanSimulator) {
         let streams = RngStreams::new(self.config.sim.seed);
         let mut rng = streams.stream("scenario");
         let mut at = Timestamp::ZERO;

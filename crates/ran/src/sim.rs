@@ -16,7 +16,7 @@ use crate::intercept::{Intercept, Interceptor, PassThrough, TaintScope};
 use crate::ue::UeBehavior;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
-use xsec_netsim::{ChannelConfig, ChannelModel, ChannelOutcome, ChannelStats, RngStreams, Scheduler, TraceLog, TraceRecord};
+use xsec_netsim::{ChannelConfig, ChannelModel, ChannelOutcome, RngStreams, Scheduler, TraceLog, TraceRecord};
 use xsec_proto::{F1apPdu, L3Message, MessageKind, NgapPdu, RrcMessage};
 use xsec_types::{
     AttackKind, CipherAlg, Duration, EstablishmentCause, IntegrityAlg, Rnti, Timestamp,
@@ -36,15 +36,16 @@ pub struct SimConfig {
     pub amf: AmfConfig,
     /// Hard stop for virtual time.
     pub horizon: Duration,
-    /// Period of the CU guard-timer sweep.
-    pub guard_poll: Duration,
-    /// Fixed network-internal processing delay (CU/AMF) added to downlinks.
-    pub core_delay: Duration,
     /// Whether to record the raw F1AP/NGAP byte capture alongside the
     /// structured event stream. Streaming soaks turn this off: the capture
     /// grows without bound and detection only reads the structured view.
     pub capture_trace: bool,
 }
+
+/// Period of the CU guard-timer sweep.
+const GUARD_POLL: Duration = Duration::from_millis(250);
+/// Fixed network-internal processing delay (CU/AMF) added to downlinks.
+const CORE_DELAY: Duration = Duration::from_millis(2);
 
 impl Default for SimConfig {
     fn default() -> Self {
@@ -54,8 +55,6 @@ impl Default for SimConfig {
             gnb: GnbConfig::default(),
             amf: AmfConfig::default(),
             horizon: Duration::from_secs(60),
-            guard_poll: Duration::from_millis(250),
-            core_delay: Duration::from_millis(2),
             capture_trace: true,
         }
     }
@@ -70,20 +69,11 @@ pub struct SimReport {
     pub trace: TraceLog,
     /// gNB counters.
     pub gnb_stats: crate::gnb::GnbStats,
-    /// Channel counters.
-    pub channel_stats: ChannelStats,
-    /// Virtual time when the run ended.
-    pub ended_at: Timestamp,
     /// UEs that completed registration at least once.
     pub registrations: u64,
 }
 
 impl SimReport {
-    /// Events labeled benign.
-    pub fn benign_events(&self) -> impl Iterator<Item = &RanEvent> {
-        self.events.iter().filter(|e| !e.label.is_attack())
-    }
-
     /// Events labeled as any attack.
     pub fn attack_events(&self) -> impl Iterator<Item = &RanEvent> {
         self.events.iter().filter(|e| e.label.is_attack())
@@ -205,7 +195,7 @@ impl RanSimulator {
         let gnb = Gnb::new(config.gnb.clone());
         let amf = Amf::new(config.amf.clone(), streams.stream("amf"));
         let mut scheduler = Scheduler::new();
-        scheduler.schedule_in(config.guard_poll, SimEvent::GuardPoll);
+        scheduler.schedule_in(GUARD_POLL, SimEvent::GuardPoll);
         RanSimulator {
             config,
             scheduler,
@@ -297,7 +287,7 @@ impl RanSimulator {
         // The guard sweep cancels itself once the sim quiesces; a fresh UE
         // (e.g. from the streaming generator) must re-arm it.
         if !self.guard_scheduled {
-            self.scheduler.schedule_in(self.config.guard_poll, SimEvent::GuardPoll);
+            self.scheduler.schedule_in(GUARD_POLL, SimEvent::GuardPoll);
             self.guard_scheduled = true;
         }
         id
@@ -388,15 +378,8 @@ impl RanSimulator {
             events: self.events,
             trace: self.trace,
             gnb_stats: self.gnb.stats(),
-            channel_stats: self.channel.stats(),
-            ended_at: self.scheduler.now(),
             registrations: self.registrations,
         }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> Timestamp {
-        self.scheduler.now()
     }
 
     /// The labeled event stream accumulated so far (grows as the run
@@ -423,11 +406,6 @@ impl RanSimulator {
         self.live
     }
 
-    /// Total UEs ever added to this simulator.
-    pub fn total_ues(&self) -> u64 {
-        self.ue_seq
-    }
-
     /// Size of the UE slab — the high-water mark of *concurrently* live
     /// UEs, not the total ever created (retired slots are recycled).
     pub fn slab_capacity(&self) -> usize {
@@ -449,11 +427,6 @@ impl RanSimulator {
     /// same numbers at the end).
     pub fn gnb_stats(&self) -> crate::gnb::GnbStats {
         self.gnb.stats()
-    }
-
-    /// Number of currently attached (registered) subscribers at the AMF.
-    pub fn attached_count(&self) -> usize {
-        self.amf.attached_count()
     }
 
     /// The active configuration.
@@ -522,7 +495,7 @@ impl RanSimulator {
                 // Keep polling while anything can still happen. Once the sim
                 // quiesces, the sweep stops; `add_ue` re-arms it.
                 if self.live > 0 || self.gnb.active_contexts() > 0 {
-                    self.scheduler.schedule_in(self.config.guard_poll, SimEvent::GuardPoll);
+                    self.scheduler.schedule_in(GUARD_POLL, SimEvent::GuardPoll);
                     self.guard_scheduled = true;
                 }
             }
@@ -648,7 +621,7 @@ impl RanSimulator {
                 // time the send fires, e.g. for the release itself).
                 let ue = self.conn_to_ue.get(&conn).copied();
                 self.scheduler.schedule_in(
-                    self.config.core_delay,
+                    CORE_DELAY,
                     SimEvent::DownlinkSend { conn, ue, msg },
                 );
             }

@@ -46,10 +46,10 @@ use xsec_proto::{L3Message, NasMessage};
 use xsec_types::{CellId, Duration, Plmn, Supi, Timestamp, Tmsi, TrafficClass, UeId};
 
 /// Bits of `du_ue_id` above this shift encode the owning cell index.
-pub const CELL_SHIFT: u32 = 24;
+const CELL_SHIFT: u32 = 24;
 
 /// Recovers the owning cell index from a DU connection id.
-pub fn cell_of_conn(conn: u32) -> usize {
+fn cell_of_conn(conn: u32) -> usize {
     (conn >> CELL_SHIFT) as usize
 }
 
@@ -143,9 +143,6 @@ pub struct StreamStats {
     pub peak_live: usize,
     /// Sum of per-cell slab capacities (allocated slots, live or free).
     pub slab_slots: usize,
-    /// Total UE state machines ever created (benign sessions + handover
-    /// re-registrations + attacker injections).
-    pub sim_ues: u64,
 }
 
 /// The lazy, multi-cell scenario generator.
@@ -198,33 +195,17 @@ impl StreamingScenario {
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
-    /// Number of cells.
-    pub fn cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Current virtual time (the last step deadline).
-    pub fn now(&self) -> Timestamp {
-        self.clock
-    }
-
     /// Live UEs across all cells.
     pub fn live(&self) -> usize {
         self.cells.iter().map(RanSimulator::live_ues).sum()
     }
 
-    /// Current counters. `live`/`peak_live`/`slab_slots`/`sim_ues` are
-    /// refreshed on read.
+    /// Current counters. `live`/`peak_live`/`slab_slots` are refreshed on
+    /// read.
     pub fn stats(&mut self) -> StreamStats {
         self.stats.live = self.live();
         self.stats.peak_live = self.stats.peak_live.max(self.stats.live);
         self.stats.slab_slots = self.cells.iter().map(RanSimulator::slab_capacity).sum();
-        self.stats.sim_ues = self.cells.iter().map(RanSimulator::total_ues).sum();
         self.stats.clone()
     }
 
@@ -241,11 +222,6 @@ impl StreamingScenario {
     /// Provisions a subscriber in one cell's core.
     pub fn add_subscriber_at(&mut self, cell: usize, record: SubscriberRecord) {
         self.cells[cell].add_subscriber(record);
-    }
-
-    /// Provisions a resolvable stale TMSI in one cell's core.
-    pub fn add_stale_tmsi_at(&mut self, cell: usize, tmsi: Tmsi, msin: u64) {
-        self.cells[cell].add_stale_tmsi(tmsi, msin);
     }
 
     /// Installs a UE behavior in one cell, powering on at `at`. Attack
@@ -635,9 +611,8 @@ mod tests {
         // the number of UEs ever streamed.
         assert!(
             stats.slab_slots <= 24 * 2,
-            "slab should stay near max_live, got {} slots for {} UEs",
-            stats.slab_slots,
-            stats.sim_ues
+            "slab should stay near max_live, got {} slots",
+            stats.slab_slots
         );
     }
 

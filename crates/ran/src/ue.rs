@@ -90,8 +90,8 @@ pub struct SessionPlan {
 
 /// Timer tokens used by [`BenignUe`].
 mod timer {
-    pub const HOLD_EXPIRED: u32 = 1;
-    pub const OPEN_PDU_SESSION: u32 = 2;
+    pub(super) const HOLD_EXPIRED: u32 = 1;
+    pub(super) const OPEN_PDU_SESSION: u32 = 2;
 }
 
 /// Registration ladder position.
@@ -169,16 +169,6 @@ impl BenignUe {
             stage: Stage::Off,
             sent_capabilities: SecurityCapabilities::full(),
         }
-    }
-
-    /// The session plan committed at construction (visible for tests).
-    pub fn plan(&self) -> &SessionPlan {
-        &self.plan
-    }
-
-    /// The TMSI the UE currently holds.
-    pub fn tmsi(&self) -> Option<Tmsi> {
-        self.cached_tmsi
     }
 
     fn fresh_suci(&self, rng: &mut StdRng) -> MobileIdentity {
@@ -431,7 +421,7 @@ mod tests {
         ue.on_downlink(Timestamp::ZERO, &L3Message::Rrc(RrcMessage::Setup), &mut rng);
         let accept = L3Message::Nas(NasMessage::RegistrationAccept { new_tmsi: Tmsi(42) });
         let actions = ue.on_downlink(Timestamp::ZERO, &accept, &mut rng);
-        assert_eq!(ue.tmsi(), Some(Tmsi(42)));
+        assert_eq!(ue.cached_tmsi, Some(Tmsi(42)));
         assert!(matches!(
             actions.sends[0],
             L3Message::Nas(NasMessage::RegistrationComplete)
@@ -491,7 +481,7 @@ mod tests {
                 Some(Tmsi(555)),
                 &mut rng,
             );
-            if !ue.plan().reuse_tmsi {
+            if !ue.plan.reuse_tmsi {
                 continue;
             }
             ue.on_power_on(Timestamp::ZERO, &mut rng);

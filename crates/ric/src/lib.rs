@@ -21,11 +21,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod authz;
+mod authz;
 pub mod latency;
-pub mod platform;
-pub mod router;
-pub mod xapp;
+mod platform;
+mod router;
+mod xapp;
 
 pub use authz::{Capability, Grants, XAppIdentity};
 pub use latency::LatencyClass;

@@ -44,7 +44,7 @@ pub const SDL_WINDOWS_PER_AGENT: usize = 64;
 /// Control Requests awaiting their ack per agent; sending one more evicts
 /// that agent's oldest, counted as `xsec_ric_dropped_total{site="control_ack",
 /// reason="evicted"}`.
-pub const MAX_PENDING_CONTROLS: usize = 1024;
+const MAX_PENDING_CONTROLS: usize = 1024;
 
 /// Writes the SDL key of one agent's report window into `key`:
 /// `<conn>/<end µs>/<start µs>`, the bounds zero-padded to a `u64`'s 20
@@ -346,11 +346,6 @@ impl RicPlatform {
     /// The platform's SDL handle.
     pub fn sdl(&self) -> SharedDataLayer {
         self.sdl.clone()
-    }
-
-    /// Indications received so far.
-    pub fn indications_seen(&self) -> u64 {
-        self.metrics.indications.get()
     }
 
     /// Control Requests acknowledged as accepted.
@@ -895,7 +890,7 @@ mod tests {
         agent.poll(Timestamp(100_000)).unwrap();
         let stats = platform.pump().unwrap();
         assert_eq!(stats.records_delivered, 2);
-        assert_eq!(platform.indications_seen(), 1);
+        assert_eq!(platform.metrics.indications.get(), 1);
         // One SDL entry for the window, holding exactly what was sent.
         assert_eq!(platform.sdl().len("mobiflow"), 1);
         assert_eq!(records_in_sdl(&platform), sent);

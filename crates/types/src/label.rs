@@ -64,13 +64,6 @@ impl AttackKind {
             AttackKind::NullCipher => "Hussain et al. (5GReasoner), CCS 2019",
         }
     }
-
-    /// Whether the attack trace looks standards-compliant at the message
-    /// level (no ordering violation) — these are the hard cases for both the
-    /// sequence models and the LLM analysts.
-    pub fn is_standards_compliant_looking(self) -> bool {
-        matches!(self, AttackKind::UplinkIdExtraction)
-    }
 }
 
 impl fmt::Display for AttackKind {
@@ -127,15 +120,6 @@ mod tests {
     fn short_names_match_table3() {
         assert_eq!(AttackKind::BtsDos.short_name(), "BTS DoS");
         assert_eq!(AttackKind::UplinkIdExtraction.short_name(), "Uplink ID Extr");
-    }
-
-    #[test]
-    fn only_uplink_extraction_is_compliant_looking() {
-        let compliant: Vec<_> = AttackKind::ALL
-            .into_iter()
-            .filter(|a| a.is_standards_compliant_looking())
-            .collect();
-        assert_eq!(compliant, vec![AttackKind::UplinkIdExtraction]);
     }
 
     #[test]

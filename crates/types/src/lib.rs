@@ -30,11 +30,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cause;
+mod cause;
 pub mod error;
-pub mod ids;
-pub mod label;
-pub mod security;
+mod ids;
+mod label;
+mod security;
 pub mod time;
 pub mod wire;
 

@@ -29,7 +29,7 @@ impl CipherAlg {
 
     /// All algorithms in preference order (strongest first), as a gNB security
     /// policy would rank them.
-    pub const PREFERENCE: [CipherAlg; 4] =
+    const PREFERENCE: [CipherAlg; 4] =
         [CipherAlg::Nea2, CipherAlg::Nea1, CipherAlg::Nea3, CipherAlg::Nea0];
 
     /// Stable numeric code used by the wire codec and the featurizer.
@@ -80,7 +80,7 @@ impl IntegrityAlg {
     }
 
     /// All algorithms in preference order (strongest first).
-    pub const PREFERENCE: [IntegrityAlg; 4] =
+    const PREFERENCE: [IntegrityAlg; 4] =
         [IntegrityAlg::Nia2, IntegrityAlg::Nia1, IntegrityAlg::Nia3, IntegrityAlg::Nia0];
 
     /// Stable numeric code used by the wire codec and the featurizer.
@@ -140,12 +140,12 @@ impl SecurityCapabilities {
     }
 
     /// Returns `true` if the given cipher is advertised.
-    pub fn supports_cipher(&self, alg: CipherAlg) -> bool {
+    fn supports_cipher(&self, alg: CipherAlg) -> bool {
         self.ciphers[alg.code() as usize]
     }
 
     /// Returns `true` if the given integrity algorithm is advertised.
-    pub fn supports_integrity(&self, alg: IntegrityAlg) -> bool {
+    fn supports_integrity(&self, alg: IntegrityAlg) -> bool {
         self.integrity[alg.code() as usize]
     }
 

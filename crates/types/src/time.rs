@@ -30,19 +30,9 @@ impl Timestamp {
         self.0
     }
 
-    /// Whole milliseconds since the epoch (truncating).
-    pub fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds since the epoch as a float, for reporting.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// The absolute gap between two timestamps, regardless of order.
-    pub fn abs_diff(self, other: Timestamp) -> Duration {
-        Duration(self.0.abs_diff(other.0))
     }
 
     /// Saturating difference `self - earlier` (zero if `earlier` is later).
@@ -149,7 +139,6 @@ mod tests {
         let t2 = t + Duration::from_secs(1);
         assert_eq!(t2 - t, Duration::from_secs(1));
         assert_eq!(t.saturating_since(t2), Duration::ZERO);
-        assert_eq!(t.abs_diff(t2), Duration::from_secs(1));
     }
 
     #[test]
