@@ -1,30 +1,33 @@
-//! Streaming soak: a million distinct UEs through detection under a flat
-//! memory ceiling.
+//! Streaming soak: a million distinct UEs through the deployed stack under
+//! a flat memory ceiling.
 //!
-//! Drives a [`StreamingScenario`] (multi-cell, mobility, churn, periodic
-//! registration storms) one virtual bucket at a time, extracts MOBIFLOW
-//! telemetry incrementally, and scores every record through the per-UE
-//! [`MobiWatch::per_ue`] pool — draining the shared state after each
-//! bucket so nothing accumulates with stream length. The run demonstrates
-//! the subsystem's memory story end to end:
+//! A multi-cell [`StreamingScenario`] (mobility, churn, periodic
+//! registration storms) feeds a [`ScaleDeployment`] with one agent per
+//! cell, run by [`ScaleDeployment::drive`] like every other deployment: E2
+//! agents, the platform, the detector's per-UE pool, the LLM analyzer and
+//! the mitigator see every record. The feed is open loop: Control Requests
+//! travel to the agents and are acked, but nothing applies them, so the
+//! stream does not depend on what the RIC decides. The run demonstrates
+//! the memory story end to end:
 //!
 //! * the generator's slab + backpressure keep live UE state bounded by
 //!   `max_live`, not by the population size;
 //! * the detector's eviction-on-release path keeps per-UE window state
-//!   bounded by the open-connection count;
-//! * peak RSS (`VmHWM`) stays under a hard ceiling that does not scale
-//!   with the number of UEs streamed.
+//!   bounded by the open-connection count (`xsec_mobiwatch_tracked_keys`);
+//! * peak RSS (`VmHWM`) stays under a hard ceiling, with every bounded
+//!   queue and log on the live path in it.
 //!
-//! Quick mode (`--quick` / `XSEC_BENCH_QUICK=1`) streams 100k UEs; the full
-//! run streams 1M, both under a 512 MB ceiling. Results go to stdout,
+//! Quick mode (`--quick`) streams 100k UEs; the full run streams 1M, both
+//! under a 512 MB ceiling. Results go to stdout,
 //! `target/experiments/soak.txt`, and `BENCH_soak.json` (consumed by CI).
 
 use serde_json::json;
-use sixg_xsec::mobiwatch::{MobiWatch, MobiWatchConfig};
-use sixg_xsec::smo::{Smo, TrainingConfig};
+use sixg_xsec::{Pipeline, PipelineConfig, RanFeed, ScaleDeployment, TrainingConfig};
 use std::time::Instant;
 use xsec_bench::{quick_mode, save_report};
-use xsec_mobiflow::{extract_from_events, extract_from_events_at};
+use xsec_control::ControlAction;
+use xsec_mobiflow::{extract_from_events, extract_from_events_at, UeMobiFlow};
+use xsec_obs::{Gauge, Obs, SampleValue};
 use xsec_ran::{StormConfig, StreamConfig, StreamingScenario};
 use xsec_types::{Duration, Timestamp};
 
@@ -51,115 +54,102 @@ fn soak_config(total_ues: u64) -> StreamConfig {
     }
 }
 
+/// The soak's RAN: the engine stepped once per report bucket, open loop.
+/// It keeps the peak of the detector's tracked-keys gauge.
+struct Soak {
+    engine: StreamingScenario,
+    cursor: u64,
+    detector: &'static str,
+    tracked: Gauge,
+    peak_tracked: i64,
+}
+
+impl RanFeed for Soak {
+    fn attach_obs(&mut self, obs: &Obs) {
+        self.tracked = obs.gauge("xsec_mobiwatch_tracked_keys", &[("detector", self.detector)]);
+    }
+
+    fn fill(&mut self, bucket_end: Timestamp, bucket: &mut Vec<UeMobiFlow>) -> bool {
+        let chunk = extract_from_events_at(&self.engine.step(bucket_end), self.cursor);
+        self.cursor += chunk.records.len() as u64;
+        bucket.extend(chunk.records);
+        !self.engine.done()
+    }
+
+    fn end_bucket(&mut self, _at: Timestamp, _enforced: &[(Timestamp, ControlAction)]) {
+        self.peak_tracked = self.peak_tracked.max(self.tracked.get());
+    }
+}
+
 fn main() {
-    let obs = xsec_obs::Obs::new();
     let quick = quick_mode();
     let target: u64 = if quick { 100_000 } else { 1_000_000 };
     let ceiling_mb: u64 = 512;
     let shards = std::thread::available_parallelism()
         .map(|n| n.get().min(4))
         .unwrap_or(1);
-
-    // Train on a small benign run of the *same* streaming deployment, so
-    // the detector models the distribution it will patrol.
-    eprintln!("soak: training on a streaming benign sample");
-    let mut trainer = StreamingScenario::new(StreamConfig {
-        seed: 7,
-        ..soak_config(2_000)
-    });
-    let mut training_events = Vec::new();
-    let mut deadline = Timestamp::ZERO + Duration::from_millis(500);
-    while !trainer.done() {
-        training_events.extend(trainer.step(deadline));
-        deadline += Duration::from_millis(500);
-    }
-    let models = Smo::train(
-        &TrainingConfig {
+    let pipeline_config = PipelineConfig {
+        training: TrainingConfig {
             autoencoder_epochs: 10,
             lstm_epochs: 2,
             autoencoder_hidden: vec![48, 12],
             lstm_hidden: 24,
             ..TrainingConfig::default()
         },
-        &extract_from_events(&training_events),
-    )
-    .expect("training succeeds");
+        scoring_shards: shards,
+        ..PipelineConfig::paper(7)
+    };
+    let period = Duration::from_millis(u64::from(pipeline_config.report_period_ms));
+
+    // Train on a small benign run of the *same* streaming deployment,
+    // stepped at the report period `drive` steps the live stream at, so the
+    // detector models the distribution it will patrol.
+    eprintln!("soak: training on a streaming benign sample");
+    let mut trainer = StreamingScenario::new(StreamConfig { seed: 7, ..soak_config(2_000) });
+    let mut training_events = Vec::new();
+    let mut deadline = Timestamp::ZERO;
+    while !trainer.done() {
+        deadline += period;
+        training_events.extend(trainer.step(deadline));
+    }
+    let pipeline = Pipeline::train_on(&pipeline_config, &extract_from_events(&training_events));
     drop(training_events);
 
     eprintln!("soak: streaming {target} UEs ({shards} shards, quick={quick})");
-    let mut engine = StreamingScenario::new(soak_config(target));
-    let (mut pool, state) = MobiWatch::per_ue(models, MobiWatchConfig::default(), shards);
-    // The soak has no E2 agent, so the driver is the ingest stage: it
-    // begins each record's trace and logs the ingest span; the pool logs
-    // inference/alert spans into the same recorder.
-    pool.attach_obs(&obs);
-    let ring = obs.recorder.ring();
-
+    let config = soak_config(target);
+    let mut d = ScaleDeployment::new(&pipeline, config.cells);
+    let mut feed = Soak {
+        engine: StreamingScenario::new(config.clone()),
+        cursor: 0,
+        detector: pipeline_config.detector.label(),
+        tracked: Gauge::default(),
+        peak_tracked: 0,
+    };
     let start = Instant::now();
-    let bucket = Duration::from_millis(500);
-    let mut deadline = Timestamp::ZERO + bucket;
-    let mut records_total: u64 = 0;
-    let mut flagged: u64 = 0;
-    let mut alerts: u64 = 0;
-    let mut peak_tracked = 0usize;
-    let mut last_log = Instant::now();
-    while !engine.done() {
-        let events = engine.step(deadline);
-        deadline += bucket;
-        if events.is_empty() {
-            continue;
-        }
-        let stream = extract_from_events_at(&events, records_total);
-        for chunk in stream.records.chunks(256) {
-            for r in chunk {
-                let trace = obs.recorder.begin_trace(r.msg_id);
-                ring.record(xsec_obs::FlightEvent {
-                    trace,
-                    stage: xsec_obs::TraceStage::Ingest,
-                    at_us: r.timestamp.as_micros(),
-                    a: u64::from(r.du_ue_id),
-                    b: r.msg_id,
-                });
-            }
-            pool.process_batch(chunk);
-        }
-        records_total += stream.records.len() as u64;
-        peak_tracked = peak_tracked.max(pool.tracked_ues());
-        // Drain the shared state: a soak must not accumulate per-record
-        // output, only counters.
-        {
-            let mut s = state.lock();
-            flagged += s.scores.iter().filter(|(_, _, f)| *f).count() as u64;
-            alerts += s.alerts.len() as u64;
-            s.scores.clear();
-            s.alerts.clear();
-        }
-        if last_log.elapsed().as_secs() >= 10 {
-            last_log = Instant::now();
-            let st = engine.stats();
-            eprintln!(
-                "soak: {}/{} UEs, {} records, live {}, rss {} kB",
-                st.spawned,
-                target,
-                records_total,
-                st.live,
-                peak_rss_kb().unwrap_or(0)
-            );
-        }
-    }
+    let outcome = d.drive(&mut feed);
     let wall = start.elapsed().as_secs_f64();
-    let stats = engine.stats();
-    drop(pool);
+    let stats = feed.engine.stats();
+    let peak_tracked = feed.peak_tracked;
+    let (issued, acked) = (outcome.mitigation.issued, outcome.mitigation.acked);
+    // Every drop site's counter, the platform's and the agents' egress
+    // queues (`xsec_ric_egress_dropped_total`, `xsec_e2_egress_dropped_total`)
+    // among them.
+    let dropped: u64 = outcome.metrics.samples.iter()
+        .filter(|s| s.name.starts_with("xsec_") && s.name.ends_with("_dropped_total"))
+        .map(|s| if let SampleValue::Counter(n) = s.value { n } else { 0 })
+        .sum();
 
     let rss_kb = peak_rss_kb().unwrap_or(0);
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
-    // The soak gate: the full population streamed through detection, the
-    // stream drained, and nothing resident scaled with the population.
+    // The soak gate: the full population streamed through the stack, the
+    // stream drained, every control acked, nothing dropped, and nothing
+    // resident past its bound.
     assert!(stats.spawned >= target, "streamed {} of {target} UEs", stats.spawned);
     assert_eq!(stats.completed, stats.spawned, "stream did not drain");
-    assert!(records_total > stats.spawned, "detection saw fewer records than UEs");
-    let config = soak_config(target);
+    assert!(outcome.records as u64 > stats.spawned, "detection saw fewer records than UEs");
+    assert_eq!(acked, issued, "{issued} controls issued, {acked} acked");
+    assert_eq!(dropped, 0, "the stack dropped {dropped} items");
     let storm_burst = config.storm.as_ref().map_or(0, |s| s.burst);
     // Slab slots are the generator's true high-water of concurrent UEs:
     // bounded by the backpressure ceiling (plus one storm burst, which
@@ -171,7 +161,7 @@ fn main() {
         config.max_live
     );
     assert!(
-        peak_tracked <= (config.max_live + storm_burst) * 4,
+        peak_tracked <= ((config.max_live + storm_burst) * 4) as i64,
         "detector tracked {peak_tracked} UEs — eviction is leaking"
     );
     if rss_kb > 0 {
@@ -181,7 +171,9 @@ fn main() {
         );
     }
 
-    let incidents = obs.recorder.incidents().len();
+    let recorder = &d.obs().recorder;
+    let incidents = recorder.incidents().len();
+    let records_per_sec = outcome.records as f64 / wall;
     let report = json!({
         "quick": quick,
         "cores": cores,
@@ -194,15 +186,18 @@ fn main() {
         "peak_live": stats.peak_live,
         "slab_slots": stats.slab_slots,
         "peak_tracked_ues": peak_tracked,
-        "records": records_total,
-        "flagged_windows": flagged,
-        "alerts": alerts,
+        "records": outcome.records,
+        "flagged_windows": outcome.flagged_windows,
+        "alerts": outcome.alerts,
+        "controls_issued": issued,
+        "controls_acked": acked,
+        "dropped": dropped,
         "incidents": incidents,
-        "incidents_dropped": obs.recorder.dropped_incidents(),
+        "incidents_dropped": recorder.dropped_incidents(),
         "peak_rss_kb": rss_kb,
         "rss_ceiling_mb": ceiling_mb,
         "wall_secs": wall,
-        "records_per_sec": records_total as f64 / wall,
+        "records_per_sec": records_per_sec,
     });
     std::fs::write("BENCH_soak.json", serde_json::to_string(&report).expect("serializes"))
         .expect("write BENCH_soak.json");
@@ -210,25 +205,22 @@ fn main() {
     let text = format!(
         "Streaming soak\n==============\n\n\
          {} UEs streamed ({} handovers, {} storms), {} records scored\n\
-         peak live {} / slab {} slots / detector tracked {} UEs\n\
+         peak live {} / slab {} slots / detector tracked {peak_tracked} UEs\n\
          {} flagged windows, {} alerts, {incidents} incident traces\n\
-         peak RSS {:.1} MB (ceiling {} MB), {:.1}s wall, {:.0} records/s\n\n\
+         {issued} controls issued, {acked} acked, {dropped} dropped\n\
+         peak RSS {:.1} MB (ceiling {ceiling_mb} MB), {wall:.1}s wall, {records_per_sec:.0} records/s\n\n\
          Wrote BENCH_soak.json\n",
         stats.spawned,
         stats.handovers,
         stats.storms,
-        records_total,
+        outcome.records,
         stats.peak_live,
         stats.slab_slots,
-        peak_tracked,
-        flagged,
-        alerts,
+        outcome.flagged_windows,
+        outcome.alerts,
         rss_kb as f64 / 1024.0,
-        ceiling_mb,
-        wall,
-        records_total as f64 / wall,
     );
     print!("{text}");
     save_report("soak", &text);
-    xsec_bench::save_incidents(&obs.recorder, "soak_incidents");
+    xsec_bench::save_incidents(recorder, "soak_incidents");
 }

@@ -327,7 +327,9 @@ impl MobiWatch {
 
     /// Keys with live window state: under [`Self::per_ue`] the open
     /// connections, whose growth over a churning stream would be a leak.
-    pub fn tracked_ues(&self) -> usize {
+    /// Deployed, it is the `xsec_mobiwatch_tracked_keys` gauge.
+    #[cfg(test)]
+    fn tracked_ues(&self) -> usize {
         self.shards.iter().flatten().map(|shard| shard.tracked()).sum()
     }
 
@@ -784,11 +786,9 @@ mod tests {
         let models = quick_models(36);
         let ds = DatasetBuilder::small(37, 12).attack(AttackKind::BtsDos);
         let stream = extract_from_events(&ds.report.events);
-
-        let (mut pool, _state) = MobiWatch::per_ue(models.clone(), MobiWatchConfig::default(), 3);
-        for chunk in stream.records.chunks(50) {
-            pool.process_batch(chunk);
-        }
+        let config = MobiWatchConfig::default();
+        let labels = [("detector", config.detector.label())];
+        let tracked_keys = |obs: &Obs| obs.gauge("xsec_mobiwatch_tracked_keys", &labels).get();
 
         // The pool should only still track connections that never saw an
         // RRC release (e.g. admission-rejected setups); everything released
@@ -804,18 +804,37 @@ mod tests {
         }
         let distinct: std::collections::HashSet<u32> =
             stream.records.iter().map(|r| r.du_ue_id).collect();
-        assert_eq!(
-            pool.tracked_ues(),
-            open.len(),
-            "tracked state diverged from open connections"
-        );
-        assert!(
-            pool.tracked_ues() < distinct.len() / 2,
-            "eviction barely fired: {} tracked of {} distinct",
-            pool.tracked_ues(),
-            distinct.len()
-        );
-        drop(pool);
+        for shards in [1, 3] {
+            let obs = Obs::new();
+            let (mut pool, _state) = MobiWatch::per_ue(models.clone(), config.clone(), shards);
+            pool.attach_obs(&obs);
+            for chunk in stream.records.chunks(50) {
+                pool.process_batch(chunk);
+                // The gauge is the deployed reading of the same count.
+                assert_eq!(tracked_keys(&obs), pool.tracked_ues() as i64, "{shards} shards");
+            }
+            assert_eq!(
+                pool.tracked_ues(),
+                open.len(),
+                "{shards} shards: tracked state diverged from open connections"
+            );
+            assert!(
+                pool.tracked_ues() < distinct.len() / 2,
+                "{shards} shards: eviction barely fired: {} tracked of {} distinct",
+                pool.tracked_ues(),
+                distinct.len()
+            );
+        }
+
+        // The global window is one key, never released.
+        let obs = Obs::new();
+        let (mut global, _state) = MobiWatch::new(models, config);
+        global.attach_obs(&obs);
+        assert_eq!(tracked_keys(&obs), 0);
+        for chunk in stream.records.chunks(50) {
+            global.process_batch(chunk);
+            assert_eq!(tracked_keys(&obs), 1);
+        }
     }
 
     #[test]

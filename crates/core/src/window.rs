@@ -27,7 +27,7 @@ use xsec_dl::{
     MAX_NONZEROS_PER_RECORD,
 };
 use xsec_mobiflow::{TelemetryStream, UeMobiFlow};
-use xsec_obs::{Counter, Histogram, Obs};
+use xsec_obs::{Counter, Gauge, Histogram, Obs};
 
 /// The window `record` belongs to: its `du_ue_id` under per-UE keying, one
 /// global key (0) otherwise. [`MobiWatch`](crate::mobiwatch::MobiWatch)
@@ -48,6 +48,8 @@ pub(crate) struct WatchMetrics {
     pub(crate) alerts: Counter,
     /// Alert candidates merged into an open incident instead of published.
     pub(crate) alerts_merged: Counter,
+    /// Keys with live window state, across every shard.
+    tracked_keys: Gauge,
 }
 
 impl WatchMetrics {
@@ -58,6 +60,7 @@ impl WatchMetrics {
             inference_latency: obs.histogram("xsec_mobiwatch_inference_latency_us", labels),
             alerts: obs.counter("xsec_mobiwatch_alerts_total", labels),
             alerts_merged: obs.counter("xsec_mobiwatch_alerts_merged_total", labels),
+            tracked_keys: obs.gauge("xsec_mobiwatch_tracked_keys", labels),
         }
     }
 }
@@ -257,6 +260,7 @@ impl Scorer {
     }
 
     /// Keys with live window state.
+    #[cfg(test)]
     pub(crate) fn tracked(&self) -> usize {
         self.by_key.len()
     }
@@ -283,6 +287,7 @@ impl Scorer {
         let records = self.features.chunks_exact(FEATURES_PER_RECORD).zip(self.nonzeros.iter());
         for ((index, key, release), (row, nonzeros)) in self.work.drain(..).zip(records) {
             let slot = *self.by_key.entry(key).or_insert_with(|| {
+                self.metrics.tracked_keys.add(1);
                 self.free.pop().unwrap_or_else(|| {
                     self.cores.push(WindowCore::new(window));
                     self.cores.len() - 1
@@ -296,6 +301,7 @@ impl Scorer {
             // its last window is judged.
             if release {
                 self.by_key.remove(&key);
+                self.metrics.tracked_keys.add(-1);
                 self.released.push(slot);
             }
         }
