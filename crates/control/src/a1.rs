@@ -160,7 +160,8 @@ impl PolicyOpOutcome {
     }
 }
 
-/// Running tally of A1 operation outcomes (one pipeline run).
+/// A1 operation outcomes of one run, by enforcement outcome (the
+/// mitigator reads them off `xsec_a1_policy_ops_total{outcome}`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct A1OpTally {
     /// Operations that took effect cleanly.
@@ -172,15 +173,6 @@ pub struct A1OpTally {
 }
 
 impl A1OpTally {
-    /// Records one operation outcome.
-    pub fn record(&mut self, outcome: PolicyOpOutcome) {
-        match outcome {
-            PolicyOpOutcome::Applied => self.applied += 1,
-            PolicyOpOutcome::RejectedByValidation => self.rejected += 1,
-            PolicyOpOutcome::Superseded => self.superseded += 1,
-        }
-    }
-
     /// Total operations seen.
     pub fn total(&self) -> u64 {
         self.applied + self.rejected + self.superseded
@@ -573,7 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_rules_stay_installed_and_tally_records_outcomes() {
+    fn disabled_rules_stay_installed_until_reinstalled() {
         let mut store = PolicyStore::with_defaults();
         let (attack, version) = store.set_enabled("null-cipher", false).unwrap();
         assert_eq!(attack, AttackKind::NullCipher);
@@ -582,14 +574,6 @@ mod tests {
         // Re-install flips it back on.
         store.install(rule("null-cipher")).unwrap();
         assert!(store.rule_for_attack(AttackKind::NullCipher).unwrap().enabled);
-
-        let mut tally = A1OpTally::default();
-        tally.record(PolicyOpOutcome::Applied);
-        tally.record(PolicyOpOutcome::Superseded);
-        tally.record(PolicyOpOutcome::RejectedByValidation);
-        tally.record(PolicyOpOutcome::RejectedByValidation);
-        assert_eq!(tally, A1OpTally { applied: 1, rejected: 2, superseded: 1 });
-        assert_eq!(tally.total(), 4);
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! The action executor: turns policy decisions into E2 Control Request
-//! payloads and tracks each action's fate — sent, acked, retried, expired.
+//! payloads, ships and retries them, and hands back each action's fate —
+//! acked, failed, expired or exhausted — exactly once, as it lets the
+//! action go. Counting those fates is the caller's (the mitigator keeps
+//! them in the metrics registry); the executor holds only what is in flight.
 //!
 //! An ack names the action it settles by the action's id (the RIC matches
 //! each E2 Control Ack to its request and relays that id), so a lost,
@@ -26,9 +29,9 @@ impl Default for ExecutorConfig {
     }
 }
 
-/// Delivery state of one tracked action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActionState {
+/// Delivery state of one in-flight action.
+#[derive(Debug, Clone, Copy)]
+enum ActionState {
     /// Submitted but not yet handed to the transport.
     Pending,
     /// On the wire, awaiting an ack.
@@ -38,20 +41,9 @@ pub enum ActionState {
         /// Virtual time of the latest transmission.
         last_sent: Timestamp,
     },
-    /// Acknowledged by the RAN agent.
-    Acked {
-        /// Virtual time the ack was observed.
-        at: Timestamp,
-        /// Whether the agent accepted the request.
-        success: bool,
-    },
-    /// TTL elapsed before any ack arrived.
-    Expired,
-    /// All attempts used without an ack.
-    Exhausted,
 }
 
-/// One action plus its delivery bookkeeping.
+/// One in-flight action plus its delivery bookkeeping.
 #[derive(Debug, Clone)]
 pub struct TrackedAction {
     /// The action under delivery.
@@ -60,48 +52,68 @@ pub struct TrackedAction {
     /// routes the Control Request by this).
     pub cell: Option<CellId>,
     /// Virtual time of the detection that produced it.
-    pub detected_at: Timestamp,
+    detected_at: Timestamp,
     /// Virtual time the policy engine submitted it.
     submitted_at: Timestamp,
     /// Current delivery state.
-    pub state: ActionState,
+    state: ActionState,
 }
 
-/// What one Control Ack resolved to, for metrics attribution.
+/// How an action left the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AckResolution {
-    /// The mitigation kind (see [`crate::MitigationAction::name`]).
-    pub kind: &'static str,
-    /// Whether the agent accepted the request.
-    pub success: bool,
-    /// Virtual detection→ack latency (set only on success).
-    pub detection_to_ack: Option<Duration>,
-    /// Causal trace id of the detection the action mitigated, if traced.
-    pub trace: Option<u64>,
+pub enum Fate {
+    /// The agent enforced it.
+    Acked {
+        /// Virtual detection→ack latency.
+        detection_to_ack: Duration,
+    },
+    /// The agent refused it.
+    Failed,
+    /// Its TTL elapsed before any ack arrived.
+    Expired,
+    /// Every attempt went unacked.
+    Exhausted,
 }
 
-impl TrackedAction {
-    /// Detection→ack latency, once acked as enforced.
-    pub fn detection_to_ack(&self) -> Option<Duration> {
-        match self.state {
-            ActionState::Acked { at, success: true } => {
-                Some(at.saturating_since(self.detected_at))
-            }
-            _ => None,
+impl Fate {
+    /// Stable metric-name form: `xsec_control_actions_{label}_total`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Fate::Acked { .. } => "acked",
+            Fate::Failed => "failed",
+            Fate::Expired => "expired",
+            Fate::Exhausted => "exhausted",
         }
     }
 }
 
-/// Encodes, ships, retries, and accounts for control actions.
+/// One action's terminal fate, reported exactly once, as it leaves the
+/// executor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resolution {
+    /// The mitigation kind (see [`crate::MitigationAction::name`]).
+    pub kind: &'static str,
+    /// Causal trace id of the detection the action mitigated, if traced.
+    pub trace: Option<u64>,
+    /// How it ended.
+    pub fate: Fate,
+}
+
+impl TrackedAction {
+    fn resolve(&self, fate: Fate) -> Resolution {
+        Resolution { kind: self.action.action.name(), trace: self.action.trace, fate }
+    }
+}
+
+/// Encodes, ships and retries control actions. It holds only the actions
+/// still pending or on the wire: each leaves the moment it resolves, and
+/// its [`Resolution`] is the caller's to count.
 #[derive(Debug, Default)]
 pub struct ActionExecutor {
     config: ExecutorConfig,
-    tracked: Vec<TrackedAction>,
-    /// `tracked` indices of the actions still pending or on the wire, in
-    /// submission order — all `take_due`, `on_ack` and `tick` ever need to
-    /// visit, so they cost O(unresolved), not O(ever issued). An action an
-    /// ack resolves stays listed until the next `tick` prunes it.
-    live: Vec<usize>,
+    /// Unresolved actions in submission order — the order `take_due` ships
+    /// in, which resolution keeps by removing in place.
+    in_flight: Vec<TrackedAction>,
 }
 
 impl ActionExecutor {
@@ -114,8 +126,7 @@ impl ActionExecutor {
         detected_at: Timestamp,
         now: Timestamp,
     ) {
-        self.live.push(self.tracked.len());
-        self.tracked.push(TrackedAction {
+        self.in_flight.push(TrackedAction {
             action,
             cell,
             detected_at,
@@ -128,26 +139,23 @@ impl ActionExecutor {
     /// pending actions plus retries for overdue unacked ones — each with its
     /// encoded payload.
     pub fn take_due(&mut self, now: Timestamp) -> Vec<(&TrackedAction, Vec<u8>)> {
-        let mut due = Vec::new();
-        for &idx in &self.live {
-            let tracked = &mut self.tracked[idx];
-            let attempts = match tracked.state {
-                ActionState::Pending => 0,
-                ActionState::Sent { attempts, last_sent }
-                    if now.saturating_since(last_sent) >= self.config.retry_after
-                        && attempts < self.config.max_attempts =>
-                {
-                    attempts
-                }
-                _ => continue,
-            };
-            tracked.state = ActionState::Sent { attempts: attempts + 1, last_sent: now };
-            due.push(idx);
-        }
-        due.into_iter()
-            .map(|idx| {
-                let tracked = &self.tracked[idx];
-                (tracked, tracked.action.encode())
+        let config = &self.config;
+        self.in_flight
+            .iter_mut()
+            .filter_map(|tracked| {
+                let attempts = match tracked.state {
+                    ActionState::Pending => 0,
+                    ActionState::Sent { attempts, last_sent }
+                        if now.saturating_since(last_sent) >= config.retry_after
+                            && attempts < config.max_attempts =>
+                    {
+                        attempts
+                    }
+                    ActionState::Sent { .. } => return None,
+                };
+                tracked.state = ActionState::Sent { attempts: attempts + 1, last_sent: now };
+                let payload = tracked.action.encode();
+                Some((&*tracked, payload))
             })
             .collect()
     }
@@ -156,72 +164,38 @@ impl ActionExecutor {
     /// what it resolved. An ack for an action that is not on the wire —
     /// already resolved (a retry or a broadcast copy acked first, or the TTL
     /// expired) or never issued — is dropped and returns `None`.
-    pub fn on_ack(&mut self, id: u32, success: bool, now: Timestamp) -> Option<AckResolution> {
-        let idx = *self.live.iter().find(|&&idx| {
-            let tracked = &self.tracked[idx];
+    pub fn on_ack(&mut self, id: u32, success: bool, now: Timestamp) -> Option<Resolution> {
+        let idx = self.in_flight.iter().position(|tracked| {
             tracked.action.id == id && matches!(tracked.state, ActionState::Sent { .. })
         })?;
-        let tracked = &mut self.tracked[idx];
-        tracked.state = ActionState::Acked { at: now, success };
-        Some(AckResolution {
-            kind: tracked.action.action.name(),
-            success,
-            detection_to_ack: tracked.detection_to_ack(),
-            trace: tracked.action.trace,
-        })
+        let tracked = self.in_flight.remove(idx);
+        let fate = if success {
+            Fate::Acked { detection_to_ack: now.saturating_since(tracked.detected_at) }
+        } else {
+            Fate::Failed
+        };
+        Some(tracked.resolve(fate))
     }
 
-    /// Advances TTL expiry and attempt exhaustion.
-    pub fn tick(&mut self, now: Timestamp) {
-        let (tracked, config) = (&mut self.tracked, &self.config);
-        self.live.retain(|&idx| {
-            let tracked = &mut tracked[idx];
-            if !matches!(tracked.state, ActionState::Pending | ActionState::Sent { .. }) {
-                return false;
-            }
-            if now.saturating_since(tracked.submitted_at) >= tracked.action.ttl {
-                tracked.state = ActionState::Expired;
-                return false;
-            }
-            if let ActionState::Sent { attempts, last_sent } = tracked.state {
+    /// Advances TTL expiry and attempt exhaustion, returning what resolved.
+    pub fn tick(&mut self, now: Timestamp) -> Vec<Resolution> {
+        let mut resolved = Vec::new();
+        let config = &self.config;
+        self.in_flight.retain(|tracked| {
+            let fate = if now.saturating_since(tracked.submitted_at) >= tracked.action.ttl {
+                Fate::Expired
+            } else if matches!(tracked.state, ActionState::Sent { attempts, last_sent }
                 if attempts >= config.max_attempts
-                    && now.saturating_since(last_sent) >= config.retry_after
-                {
-                    tracked.state = ActionState::Exhausted;
-                    return false;
-                }
-            }
-            true
+                    && now.saturating_since(last_sent) >= config.retry_after)
+            {
+                Fate::Exhausted
+            } else {
+                return true;
+            };
+            resolved.push(tracked.resolve(fate));
+            false
         });
-    }
-
-    /// Every tracked action with its current state.
-    pub fn outcomes(&self) -> &[TrackedAction] {
-        &self.tracked
-    }
-
-    /// Detection→ack latencies for every successfully acked action.
-    pub fn detection_to_ack_latencies(&self) -> Vec<Duration> {
-        self.tracked.iter().filter_map(|t| t.detection_to_ack()).collect()
-    }
-
-    /// Count of actions in each terminal bucket: (acked-ok, acked-failed,
-    /// expired, exhausted).
-    pub fn tally(&self) -> (usize, usize, usize, usize) {
-        let mut acked = 0;
-        let mut failed = 0;
-        let mut expired = 0;
-        let mut exhausted = 0;
-        for t in &self.tracked {
-            match t.state {
-                ActionState::Acked { success: true, .. } => acked += 1,
-                ActionState::Acked { success: false, .. } => failed += 1,
-                ActionState::Expired => expired += 1,
-                ActionState::Exhausted => exhausted += 1,
-                _ => {}
-            }
-        }
-        (acked, failed, expired, exhausted)
+        resolved
     }
 }
 
@@ -232,46 +206,133 @@ mod tests {
     use proptest::prelude::*;
     use xsec_types::Rnti;
 
-    /// `take_due` as it was before the live list — a scan of every action
-    /// ever tracked, as `(id, payload)`. With [`full_scan_tick`], the
-    /// reference the live-list executor must match step for step.
-    fn full_scan_take_due(ex: &mut ActionExecutor, now: Timestamp) -> Vec<(u32, Vec<u8>)> {
-        let mut due = Vec::new();
-        for tracked in &mut ex.tracked {
-            let attempts = match tracked.state {
-                ActionState::Pending => 0,
-                ActionState::Sent { attempts, last_sent }
-                    if now.saturating_since(last_sent) >= ex.config.retry_after
-                        && attempts < ex.config.max_attempts =>
-                {
-                    attempts
-                }
-                _ => continue,
-            };
-            tracked.state = ActionState::Sent { attempts: attempts + 1, last_sent: now };
-            due.push((tracked.action.id, tracked.action.encode()));
-        }
-        due
+    /// Every state an action passes through, terminal ones included.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum ModelState {
+        Pending,
+        Sent { attempts: u32, last_sent: Timestamp },
+        Acked { success: bool },
+        Expired,
+        Exhausted,
     }
 
-    /// `tick` as it was before the live list.
-    fn full_scan_tick(ex: &mut ActionExecutor, now: Timestamp) {
-        for tracked in &mut ex.tracked {
-            match tracked.state {
-                ActionState::Pending | ActionState::Sent { .. } => {
-                    if now.saturating_since(tracked.submitted_at) >= tracked.action.ttl {
-                        tracked.state = ActionState::Expired;
-                    } else if let ActionState::Sent { attempts, last_sent } = tracked.state {
-                        if attempts >= ex.config.max_attempts
-                            && now.saturating_since(last_sent) >= ex.config.retry_after
-                        {
-                            tracked.state = ActionState::Exhausted;
-                        }
+    struct ModelAction {
+        action: ControlAction,
+        detected_at: Timestamp,
+        submitted_at: Timestamp,
+        state: ModelState,
+    }
+
+    /// The reference the executor must match step for step: the full-scan
+    /// executor it replaced, which keeps every action ever submitted with
+    /// its terminal state and visits all of them on every call.
+    #[derive(Default)]
+    struct FullScan {
+        config: ExecutorConfig,
+        actions: Vec<ModelAction>,
+    }
+
+    impl FullScan {
+        fn submit(&mut self, action: ControlAction, detected_at: Timestamp, now: Timestamp) {
+            self.actions.push(ModelAction {
+                action,
+                detected_at,
+                submitted_at: now,
+                state: ModelState::Pending,
+            });
+        }
+
+        /// `(id, payload)` of every action due now.
+        fn take_due(&mut self, now: Timestamp) -> Vec<(u32, Vec<u8>)> {
+            let mut due = Vec::new();
+            for model in &mut self.actions {
+                let attempts = match model.state {
+                    ModelState::Pending => 0,
+                    ModelState::Sent { attempts, last_sent }
+                        if now.saturating_since(last_sent) >= self.config.retry_after
+                            && attempts < self.config.max_attempts =>
+                    {
+                        attempts
+                    }
+                    _ => continue,
+                };
+                model.state = ModelState::Sent { attempts: attempts + 1, last_sent: now };
+                due.push((model.action.id, model.action.encode()));
+            }
+            due
+        }
+
+        fn on_ack(&mut self, id: u32, success: bool, now: Timestamp) -> Option<Resolution> {
+            let model = self.actions.iter_mut().find(|model| {
+                model.action.id == id && matches!(model.state, ModelState::Sent { .. })
+            })?;
+            model.state = ModelState::Acked { success };
+            let fate = if success {
+                Fate::Acked { detection_to_ack: now.saturating_since(model.detected_at) }
+            } else {
+                Fate::Failed
+            };
+            Some(model.resolution(fate))
+        }
+
+        /// The resolutions of the actions this tick moved to Expired or
+        /// Exhausted, in submission order.
+        fn tick(&mut self, now: Timestamp) -> Vec<Resolution> {
+            let mut resolved = Vec::new();
+            for model in &mut self.actions {
+                if !matches!(model.state, ModelState::Pending | ModelState::Sent { .. }) {
+                    continue;
+                }
+                if now.saturating_since(model.submitted_at) >= model.action.ttl {
+                    model.state = ModelState::Expired;
+                    resolved.push(model.resolution(Fate::Expired));
+                } else if let ModelState::Sent { attempts, last_sent } = model.state {
+                    if attempts >= self.config.max_attempts
+                        && now.saturating_since(last_sent) >= self.config.retry_after
+                    {
+                        model.state = ModelState::Exhausted;
+                        resolved.push(model.resolution(Fate::Exhausted));
                     }
                 }
-                _ => {}
             }
+            resolved
         }
+
+        fn ids_in(&self, states: impl Fn(ModelState) -> bool) -> Vec<u32> {
+            self.actions.iter().filter(|m| states(m.state)).map(|m| m.action.id).collect()
+        }
+
+        /// Every terminal state as its fate label, sorted.
+        fn terminal_labels(&self) -> Vec<&'static str> {
+            let mut labels: Vec<_> = self
+                .actions
+                .iter()
+                .filter_map(|m| match m.state {
+                    ModelState::Acked { success: true } => Some("acked"),
+                    ModelState::Acked { success: false } => Some("failed"),
+                    ModelState::Expired => Some("expired"),
+                    ModelState::Exhausted => Some("exhausted"),
+                    ModelState::Pending | ModelState::Sent { .. } => None,
+                })
+                .collect();
+            labels.sort_unstable();
+            labels
+        }
+    }
+
+    impl ModelAction {
+        fn resolution(&self, fate: Fate) -> Resolution {
+            Resolution { kind: self.action.action.name(), trace: self.action.trace, fate }
+        }
+    }
+
+    fn unresolved(state: ModelState) -> bool {
+        matches!(state, ModelState::Pending | ModelState::Sent { .. })
+    }
+
+    /// Ids the executor still holds, in order.
+    fn held(ex: &ActionExecutor) -> Vec<u32> {
+        ex.in_flight.iter().map(|t| t.action.id).collect()
     }
 
     fn ms(v: u64) -> Timestamp {
@@ -285,6 +346,10 @@ mod tests {
             action: MitigationAction::BlacklistRnti { rnti: Rnti(id as u16) },
             trace: Some(id as u64 + 100),
         }
+    }
+
+    fn resolution(id: u32, fate: Fate) -> Resolution {
+        Resolution { kind: "blacklist-rnti", trace: Some(id as u64 + 100), fate }
     }
 
     #[test]
@@ -301,12 +366,14 @@ mod tests {
         // Nothing further due before the retry deadline.
         assert!(ex.take_due(ms(200)).is_empty());
         let res = ex.on_ack(1, true, ms(230)).expect("ack resolves the send");
-        assert_eq!(res.kind, "blacklist-rnti");
-        assert!(res.success);
         assert_eq!(res.trace, Some(101), "resolution names the trace it closes");
-        assert_eq!(res.detection_to_ack, Some(Duration::from_millis(130)));
-        assert_eq!(ex.tally(), (1, 0, 0, 0));
-        assert_eq!(ex.detection_to_ack_latencies(), vec![Duration::from_millis(130)]);
+        assert_eq!(
+            res,
+            resolution(1, Fate::Acked { detection_to_ack: Duration::from_millis(130) })
+        );
+        assert_eq!(res.fate.label(), "acked");
+        assert!(held(&ex).is_empty(), "the acked action is let go");
+        assert!(ex.tick(ms(10_000)).is_empty(), "and never resolves again");
     }
 
     #[test]
@@ -320,8 +387,9 @@ mod tests {
         assert_eq!(ex.take_due(t0).len(), 1);
         assert_eq!(ex.take_due(ms(120)).len(), 1, "retry due");
         assert!(ex.take_due(ms(240)).is_empty(), "attempts spent");
-        ex.tick(ms(240));
-        assert_eq!(ex.tally(), (0, 0, 0, 1));
+        assert_eq!(ex.tick(ms(240)), [resolution(1, Fate::Exhausted)]);
+        assert!(held(&ex).is_empty());
+        assert!(ex.tick(ms(20_000)).is_empty(), "reported once, not expired later");
     }
 
     #[test]
@@ -332,16 +400,19 @@ mod tests {
         let t0 = ms(0);
         ex.submit(short, None, t0, t0);
         assert_eq!(ex.take_due(t0).len(), 1);
-        ex.tick(ms(60));
-        assert_eq!(ex.tally(), (0, 0, 1, 0));
+        assert_eq!(ex.tick(ms(60)), [resolution(1, Fate::Expired)]);
+        assert!(held(&ex).is_empty());
         // A late ack for the expired action resolves nothing, and a fresh
         // action settles on its own id.
         ex.submit(action(2), None, t0, ms(70));
         assert_eq!(ex.take_due(ms(70)).len(), 1);
         assert_eq!(ex.on_ack(1, true, ms(80)), None, "action 1 expired");
-        assert!(ex.on_ack(2, true, ms(90)).is_some(), "ack settles action 2");
-        assert_eq!(ex.tally(), (1, 0, 1, 0));
-        assert_eq!(ex.outcomes()[0].state, ActionState::Expired);
+        assert_eq!(
+            ex.on_ack(2, true, ms(90)),
+            Some(resolution(2, Fate::Acked { detection_to_ack: Duration::from_millis(90) })),
+            "ack settles action 2"
+        );
+        assert!(held(&ex).is_empty());
     }
 
     #[test]
@@ -353,30 +424,32 @@ mod tests {
         assert_eq!(ex.take_due(t0).len(), 2);
         // Out of send order, then a repeat and an id never issued.
         let failed = ex.on_ack(2, false, ms(10)).unwrap();
-        assert!(!failed.success);
-        assert_eq!(failed.detection_to_ack, None, "failed acks carry no latency");
+        assert_eq!(failed, resolution(2, Fate::Failed), "failed acks carry no latency");
+        assert_eq!(held(&ex), [1]);
         assert_eq!(ex.on_ack(2, true, ms(15)), None, "action 2 already resolved");
         assert_eq!(ex.on_ack(9, true, ms(15)), None, "no action 9");
-        assert!(ex.on_ack(1, true, ms(20)).is_some());
-        let states: Vec<_> = ex.outcomes().iter().map(|t| (t.action.id, t.state)).collect();
-        assert!(matches!(states[0], (1, ActionState::Acked { success: true, .. })));
-        assert!(matches!(states[1], (2, ActionState::Acked { success: false, .. })));
+        assert_eq!(
+            ex.on_ack(1, true, ms(20)),
+            Some(resolution(1, Fate::Acked { detection_to_ack: Duration::from_millis(20) }))
+        );
+        assert!(held(&ex).is_empty());
     }
 
     proptest! {
-        /// Random submit / take_due / ack / tick schedules: the live-list
-        /// executor ships the same payloads in the same order and leaves
-        /// every action in the same state as the full scans it replaced.
-        /// (`full` never prunes its `live`, so its `on_ack` scans every
-        /// action ever tracked.)
+        /// Random submit / take_due / ack / tick schedules: the executor
+        /// ships the same payloads in the same order, resolves the same
+        /// actions the same way, and holds exactly the unresolved ones, as
+        /// the full-scan model that keeps every action forever — and every
+        /// action the model left in a terminal state was reported once.
         #[test]
         fn prop_live_list_matches_the_full_scan(
             ops in proptest::collection::vec((0u8..6, 1u64..400, any::<u16>()), 1..120),
         ) {
             let mut live = ActionExecutor::default();
-            let mut full = ActionExecutor::default();
+            let mut full = FullScan::default();
             let mut now = Timestamp(0);
             let mut next_id = 0u32;
+            let mut reported = Vec::new();
             for (op, step_ms, word) in ops {
                 now += Duration::from_millis(step_ms);
                 match op {
@@ -388,7 +461,7 @@ mod tests {
                             a.trace = None;
                         }
                         live.submit(a.clone(), None, now, now);
-                        full.submit(a, None, now, now);
+                        full.submit(a, now, now);
                     }
                     2 => {
                         let due: Vec<(u32, Vec<u8>)> = live
@@ -396,18 +469,13 @@ mod tests {
                             .into_iter()
                             .map(|(tracked, payload)| (tracked.action.id, payload))
                             .collect();
-                        prop_assert_eq!(due, full_scan_take_due(&mut full, now));
+                        prop_assert_eq!(due, full.take_due(now));
                     }
                     3 | 4 => {
                         let success = word / 3 % 2 == 0;
                         // Ack an action on the wire, any issued one (often
                         // already resolved), or one never issued.
-                        let on_wire: Vec<u32> = live
-                            .outcomes()
-                            .iter()
-                            .filter(|t| matches!(t.state, ActionState::Sent { .. }))
-                            .map(|t| t.action.id)
-                            .collect();
+                        let on_wire = full.ids_in(|s| matches!(s, ModelState::Sent { .. }));
                         let id = match word % 3 {
                             0 => next_id + 1,
                             1 => u32::from(word) % next_id.max(1) + 1,
@@ -415,31 +483,20 @@ mod tests {
                                 .get(usize::from(word) % on_wire.len().max(1))
                                 .map_or(0, |&id| id),
                         };
-                        prop_assert_eq!(
-                            live.on_ack(id, success, now),
-                            full.on_ack(id, success, now)
-                        );
+                        let res = live.on_ack(id, success, now);
+                        prop_assert_eq!(res, full.on_ack(id, success, now));
+                        reported.extend(res.map(|r| r.fate.label()));
                     }
                     _ => {
-                        live.tick(now);
-                        full_scan_tick(&mut full, now);
+                        let resolved = live.tick(now);
+                        prop_assert_eq!(&resolved, &full.tick(now));
+                        reported.extend(resolved.iter().map(|r| r.fate.label()));
                     }
                 }
-                let states = |ex: &ActionExecutor| -> Vec<(u32, ActionState)> {
-                    ex.outcomes().iter().map(|t| (t.action.id, t.state)).collect()
-                };
-                prop_assert_eq!(states(&live), states(&full));
-                prop_assert_eq!(live.tally(), full.tally());
+                prop_assert_eq!(held(&live), full.ids_in(unresolved));
             }
-            // A tick leaves exactly the unresolved actions listed.
-            live.tick(now);
-            let unresolved: Vec<usize> = (0..live.tracked.len())
-                .filter(|&idx| matches!(
-                    live.tracked[idx].state,
-                    ActionState::Pending | ActionState::Sent { .. }
-                ))
-                .collect();
-            prop_assert_eq!(&live.live, &unresolved);
+            reported.sort_unstable();
+            prop_assert_eq!(reported, full.terminal_labels());
         }
     }
 }

@@ -37,7 +37,7 @@ pub use a1::{
     StoredRule, TemplateKind,
 };
 pub use action::{ControlAction, MitigationAction};
-pub use executor::{AckResolution, ActionExecutor, ActionState, TrackedAction};
+pub use executor::{ActionExecutor, Fate, Resolution, TrackedAction};
 pub use policy::{
     attack_from_title, default_rules, ActionTemplate, PolicyDecision, PolicyEngine, PolicyRule,
     SupervisionTicket, ThreatAssessment,

@@ -17,11 +17,14 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use xsec_control::{
-    attack_from_title, A1OpTally, A1Request, ActionExecutor, MitigationAction, PolicyDecision,
-    PolicyEngine, SupervisionTicket, ThreatAssessment, TrackedAction,
+    attack_from_title, A1OpTally, A1Request, ActionExecutor, Fate, MitigationAction,
+    PolicyDecision, PolicyEngine, PolicyOpOutcome, Resolution, SupervisionTicket,
+    ThreatAssessment, TrackedAction,
 };
 use xsec_mobiflow::{decode_ue_record, UeMobiFlow};
-use xsec_obs::{Counter, FlightEvent, Obs, TraceStage};
+use xsec_obs::{
+    Counter, FlightEvent, Gauge, MetricsRegistry, Obs, SampleValue, Snapshot, TraceStage,
+};
 use xsec_proto::MessageKind;
 use xsec_ric::{ControlOut, LatencyClass, XApp, XAppContext};
 use xsec_types::{
@@ -87,7 +90,8 @@ pub struct A1SignedRequest {
     pub request: A1Request,
 }
 
-/// Aggregate mitigation outcome of one pipeline run.
+/// Aggregate mitigation outcome of one pipeline run, read from the metrics
+/// registry the mitigator counts every action's fate into.
 #[derive(Debug, Clone, Default)]
 pub struct MitigationSummary {
     /// Control actions the policy engine issued.
@@ -104,20 +108,47 @@ pub struct MitigationSummary {
     pub supervised: usize,
     /// A1 policy operations the run consumed, by enforcement outcome.
     pub policy_ops: A1OpTally,
-    /// Virtual detection→ack latencies, one per acked action (µs).
-    detection_to_ack_us: Vec<u64>,
+    /// p99 virtual detection→ack latency, if any action was acked.
+    detection_to_ack_p99: Option<Duration>,
 }
 
 impl MitigationSummary {
+    /// Reads a run's outcome from its metrics `snapshot`; `supervised` is
+    /// the supervision queue's length.
+    fn from_snapshot(snapshot: &Snapshot, supervised: usize) -> Self {
+        let actions = |fate: &str| {
+            snapshot.counter_total(&format!("xsec_control_actions_{fate}_total")) as usize
+        };
+        let policy_ops = |outcome: PolicyOpOutcome| -> u64 {
+            let label = ("outcome".to_string(), outcome.label().to_string());
+            let ops = snapshot.samples.iter().filter(|s| s.name == "xsec_a1_policy_ops_total");
+            ops.filter(|s| s.labels.contains(&label))
+                .map(|s| if let SampleValue::Counter(n) = s.value { n } else { 0 })
+                .sum()
+        };
+        // Under 100 acks the estimate is the exact max; the budget edges
+        // (10 ms, 1 s) are bucket bounds, so the class is exact at any count.
+        let latency = snapshot.histogram_merged("xsec_control_detection_to_ack_us");
+        MitigationSummary {
+            issued: actions("issued"),
+            acked: actions("acked"),
+            failed: actions("failed"),
+            expired: actions("expired"),
+            exhausted: actions("exhausted"),
+            supervised,
+            policy_ops: A1OpTally {
+                applied: policy_ops(PolicyOpOutcome::Applied),
+                rejected: policy_ops(PolicyOpOutcome::RejectedByValidation),
+                superseded: policy_ops(PolicyOpOutcome::Superseded),
+            },
+            detection_to_ack_p99: (latency.count > 0)
+                .then(|| Duration::from_micros(latency.p99.ceil() as u64)),
+        }
+    }
+
     /// The p99 detection→ack latency, if any action was acked.
     pub fn detection_to_ack_p99(&self) -> Option<Duration> {
-        if self.detection_to_ack_us.is_empty() {
-            return None;
-        }
-        let mut sorted = self.detection_to_ack_us.clone();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() as f64 * 0.99).ceil() as usize).clamp(1, sorted.len());
-        Some(Duration::from_micros(sorted[rank - 1]))
+        self.detection_to_ack_p99
     }
 
     /// Classifies the p99 against the O-RAN near-RT budget.
@@ -130,33 +161,23 @@ impl MitigationSummary {
 /// Shared inspection state for the mitigator.
 #[derive(Debug)]
 pub struct MitigatorState {
-    /// The delivery tracker.
+    /// The actions in flight.
     pub executor: ActionExecutor,
     /// The decision table.
     pub policy: PolicyEngine,
     /// Findings the engine refused to act on autonomously.
     pub supervised: Vec<SupervisionTicket>,
-    /// A1 policy operations consumed so far, by enforcement outcome.
-    pub a1_ops: A1OpTally,
     /// Virtual clock (latest telemetry window end / finding time seen).
     pub clock: Timestamp,
+    /// The registry the mitigator counts into: the run's one ledger of
+    /// issued actions, their fates and A1 operations.
+    metrics: MetricsRegistry,
 }
 
 impl MitigatorState {
     /// Snapshots the run's mitigation outcome.
     pub fn summary(&self) -> MitigationSummary {
-        let (acked, failed, expired, exhausted) = self.executor.tally();
-        let latencies = self.executor.detection_to_ack_latencies();
-        MitigationSummary {
-            issued: self.executor.outcomes().len(),
-            acked,
-            failed,
-            expired,
-            exhausted,
-            supervised: self.supervised.len(),
-            policy_ops: self.a1_ops,
-            detection_to_ack_us: latencies.into_iter().map(|d| d.as_micros()).collect(),
-        }
+        MitigationSummary::from_snapshot(&self.metrics.snapshot(), self.supervised.len())
     }
 }
 
@@ -166,32 +187,58 @@ pub struct Mitigator {
     obs: Obs,
     /// Evidence lines that did not decode and were left out of the scoping.
     dropped: Counter,
-    /// `findings` payloads that are not a [`FindingNotice`].
+    /// `findings` and `control-acks` payloads that do not decode.
     undecodable: Counter,
+    /// Actions submitted and not yet resolved.
+    in_flight: Gauge,
 }
 
 impl Mitigator {
-    /// Creates the mitigator with a silent observability handle; returns the
-    /// shared state handle.
-    pub fn new(policy: PolicyEngine) -> (Self, Arc<Mutex<MitigatorState>>) {
-        Self::with_obs(policy, Obs::new())
-    }
-
-    /// Creates the mitigator recording per-action-kind metrics
-    /// (`xsec_control_actions_*_total{kind=}` and
-    /// `xsec_control_detection_to_ack_us{kind=}`) into `obs`.
+    /// Creates the mitigator counting into `obs` (see DESIGN.md
+    /// "Observability"), whose registry [`MitigatorState::summary`] reads
+    /// back; returns the shared state handle.
     pub fn with_obs(policy: PolicyEngine, obs: Obs) -> (Self, Arc<Mutex<MitigatorState>>) {
         let state = Arc::new(Mutex::new(MitigatorState {
             executor: ActionExecutor::default(),
             policy,
             supervised: Vec::new(),
-            a1_ops: A1OpTally::default(),
             clock: Timestamp::ZERO,
+            metrics: obs.metrics.clone(),
         }));
         let dropped = obs.counter("xsec_alert_records_dropped_total", &[("site", "mitigator")]);
         let undecodable = obs
             .counter("xsec_bus_dropped_total", &[("site", "mitigator"), ("reason", "undecodable")]);
-        (Mitigator { state: state.clone(), obs, dropped, undecodable }, state)
+        let in_flight = obs.gauge("xsec_control_actions_in_flight", &[]);
+        (Mitigator { state: state.clone(), obs, dropped, undecodable, in_flight }, state)
+    }
+
+    /// Counts one action's fate: the one site every resolution passes
+    /// through, whether an ack or the clock settled it.
+    fn settle(&self, res: Resolution, now: Timestamp) {
+        self.in_flight.add(-1);
+        let fate = res.fate.label();
+        self.obs.counter(&format!("xsec_control_actions_{fate}_total"), &[("kind", res.kind)]).inc();
+        let trace = res.trace.unwrap_or(0);
+        let (success, latency_us) = match res.fate {
+            Fate::Acked { detection_to_ack } => {
+                let latency_us = detection_to_ack.as_micros();
+                self.obs
+                    .histogram("xsec_control_detection_to_ack_us", &[("kind", res.kind)])
+                    .observe_with_exemplar(latency_us, trace);
+                (true, latency_us)
+            }
+            Fate::Failed => (false, 0),
+            Fate::Expired | Fate::Exhausted => return,
+        };
+        // The ack closes the causal chain: detection → policy → control →
+        // enforcement → acknowledged.
+        self.obs.recorder.record_stage(FlightEvent {
+            trace,
+            stage: TraceStage::Ack,
+            at_us: now.as_micros(),
+            a: u64::from(success),
+            b: latency_us,
+        });
     }
 
     fn handle_finding(&mut self, ctx: &mut XAppContext<'_>, notice: &FindingNotice) {
@@ -218,6 +265,7 @@ impl Mitigator {
                             &[("kind", action.action.name())],
                         )
                         .inc();
+                    self.in_flight.add(1);
                     state.executor.submit(action, Some(assessment.cell), assessment.detected_at, now);
                 }
                 ship_due(&mut state, now, ctx, &self.obs);
@@ -355,7 +403,9 @@ impl XApp for Mitigator {
         let mut state = self.state.lock();
         state.clock = state.clock.max(window_end);
         let now = state.clock;
-        state.executor.tick(now);
+        for res in state.executor.tick(now) {
+            self.settle(res, now);
+        }
         ship_due(&mut state, now, ctx, &self.obs);
     }
 
@@ -389,7 +439,6 @@ impl XApp for Mitigator {
                 let request = signed.request;
                 let mut state = self.state.lock();
                 let response = state.policy.apply(&request);
-                state.a1_ops.record(response.outcome);
                 self.obs
                     .counter(
                         "xsec_a1_policy_ops_total",
@@ -404,34 +453,14 @@ impl XApp for Mitigator {
             CONTROL_ACKS_TOPIC => {
                 // `[success][action id BE]`: the ack settles the action it
                 // names, whatever order acks arrive in.
-                let Ok([flag, id @ ..]) = <[u8; 5]>::try_from(payload) else { return };
+                let Ok([flag, id @ ..]) = <[u8; 5]>::try_from(payload) else {
+                    self.undecodable.inc();
+                    return;
+                };
                 let mut state = self.state.lock();
                 let now = state.clock;
                 if let Some(res) = state.executor.on_ack(u32::from_be_bytes(id), flag != 0, now) {
-                    let outcome = if res.success { "acked" } else { "failed" };
-                    self.obs
-                        .counter(
-                            &format!("xsec_control_actions_{outcome}_total"),
-                            &[("kind", res.kind)],
-                        )
-                        .inc();
-                    let trace = res.trace.unwrap_or(0);
-                    let mut latency_us = 0;
-                    if let Some(latency) = res.detection_to_ack {
-                        latency_us = latency.as_micros();
-                        self.obs
-                            .histogram("xsec_control_detection_to_ack_us", &[("kind", res.kind)])
-                            .observe_with_exemplar(latency_us, trace);
-                    }
-                    // The ack closes the causal chain: detection → policy →
-                    // control → enforcement → acknowledged.
-                    self.obs.recorder.record_stage(FlightEvent {
-                        trace,
-                        stage: TraceStage::Ack,
-                        at_us: now.as_micros(),
-                        a: u64::from(res.success),
-                        b: latency_us,
-                    });
+                    self.settle(res, now);
                 }
             }
             _ => {}
@@ -442,7 +471,7 @@ impl XApp for Mitigator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsec_control::{ActionState, ControlAction};
+    use xsec_control::ControlAction;
     use xsec_proto::Direction;
     use xsec_ric::{Grants, Router, RouterHandle, XAppIdentity};
 
@@ -527,16 +556,35 @@ mod tests {
 
     #[test]
     fn summary_percentile_and_budget_classification() {
-        let mut summary = MitigationSummary::default();
-        assert!(summary.detection_to_ack_p99().is_none());
-        summary.detection_to_ack_us = vec![20_000, 40_000, 100_000];
-        assert_eq!(summary.detection_to_ack_p99(), Some(Duration::from_millis(100)));
-        assert_eq!(summary.budget_class(), Some(LatencyClass::WithinBudget));
+        let obs = Obs::new();
+        let summary = || MitigationSummary::from_snapshot(&obs.snapshot(), 0);
+        assert!(summary().detection_to_ack_p99().is_none());
+        assert!(summary().budget_class().is_none());
+        // Two kinds fold into one distribution; under 100 samples its p99
+        // is the exact max.
+        for (kind, us) in [("blacklist-rnti", 20_000), ("rate-limit-cause", 40_000)] {
+            obs.histogram("xsec_control_detection_to_ack_us", &[("kind", kind)]).observe(us);
+        }
+        let latency = |us| {
+            obs.histogram("xsec_control_detection_to_ack_us", &[("kind", "blacklist-rnti")])
+                .observe(us);
+            let summary = summary();
+            (summary.detection_to_ack_p99(), summary.budget_class())
+        };
+        let within = Some(LatencyClass::WithinBudget);
+        assert_eq!(latency(100_000), (Some(Duration::from_millis(100)), within));
+        // The 1 s budget edge is a bucket bound: exact on both sides.
+        assert_eq!(latency(1_000_000), (Some(Duration::from_secs(1)), within));
+        assert_eq!(
+            latency(1_000_001),
+            (Some(Duration::from_micros(1_000_001)), Some(LatencyClass::OverBudget))
+        );
     }
 
     #[test]
     fn mitigator_issues_controls_for_confirmed_findings_and_tracks_acks() {
-        let (mut mitigator, state) = Mitigator::new(PolicyEngine::default());
+        let obs = Obs::new();
+        let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
         let sdl = xsec_ric::SharedDataLayer::new();
         let (_router, scope) =
             mitigator_scope(Grants::none().control("rate-limit-cause").control("blacklist-rnti"));
@@ -576,7 +624,9 @@ mod tests {
         }
         let summary = state.lock().summary();
         assert_eq!((summary.issued, summary.acked, summary.failed), (3, 2, 1));
-        assert_eq!(summary.detection_to_ack_us.len(), 2);
+        assert_eq!(summary.detection_to_ack_p99(), Some(Duration::ZERO));
+        assert_eq!(obs.snapshot().histogram_count("xsec_control_detection_to_ack_us"), 2);
+        assert_eq!(obs.gauge("xsec_control_actions_in_flight", &[]).get(), 0);
     }
 
     #[test]
@@ -595,7 +645,11 @@ mod tests {
         let mut n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
         n.trace = 9;
         mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &serde_json::to_vec(&n).unwrap());
-        let traces: Vec<_> = state.lock().executor.outcomes().iter().map(|t| t.action.trace).collect();
+        let traces: Vec<_> = ctx
+            .control_out
+            .iter()
+            .map(|out| ControlAction::decode(&out.payload).unwrap().trace)
+            .collect();
         assert_eq!(traces, [Some(9); 3], "one finding, one trace");
 
         // Reverse order, the clock moving between acks; the blacklist of
@@ -605,17 +659,16 @@ mod tests {
             let [a, b, c, d] = id.to_be_bytes();
             mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[success, a, b, c, d]);
         }
-        let states: Vec<_> =
-            state.lock().executor.outcomes().iter().map(|t| (t.action.id, t.state)).collect();
-        assert_eq!(
-            states,
-            [
-                (1, ActionState::Acked { at: Timestamp(4_000), success: true }),
-                (2, ActionState::Acked { at: Timestamp(3_000), success: true }),
-                (3, ActionState::Acked { at: Timestamp(2_000), success: false }),
-            ]
-        );
+        // Detected at 1 000 µs: the rate limit (action 1) acked at 4 000,
+        // the first blacklist (action 2) at 3 000.
         let snapshot = obs.snapshot();
+        let latencies: Vec<_> = snapshot
+            .histograms("xsec_control_detection_to_ack_us")
+            .into_iter()
+            .map(|(sample, h)| (sample.labels[0].1.as_str(), h.count, h.max))
+            .collect();
+        assert_eq!(latencies, [("blacklist-rnti", 1, 2_000), ("rate-limit-cause", 1, 3_000)]);
+        assert_eq!(state.lock().summary().acked, 2);
         assert_eq!(snapshot.counter_total("xsec_control_actions_acked_total"), 2);
         let exposition = obs.metrics.render_prometheus();
         assert!(
@@ -661,12 +714,16 @@ mod tests {
         let mut ctx = xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
         mitigator.on_message(&mut ctx, FINDINGS_TOPIC, b"not json");
         mitigator.on_message(&mut ctx, FINDINGS_TOPIC, b"{\"trace\":1}");
+        // An ack is `[success][action id BE]`, five bytes exactly.
+        mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[1, 0, 0]);
+        mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[1, 0, 0, 0, 1, 0]);
         assert!(control.is_empty());
         let state = state.lock();
-        assert!(state.executor.outcomes().is_empty() && state.supervised.is_empty());
+        let summary = state.summary();
+        assert_eq!((summary.issued, summary.acked, summary.supervised), (0, 0, 0));
         assert_eq!(state.clock, Timestamp::ZERO);
         let exposition = obs.metrics.render_prometheus();
-        assert!(exposition.contains(&format!("{dropped} 2\n")), "{exposition}");
+        assert!(exposition.contains(&format!("{dropped} 4\n")), "{exposition}");
     }
 
     #[test]
@@ -731,7 +788,7 @@ mod tests {
 
     #[test]
     fn enforcing_router_requires_a_verifiable_a1_envelope() {
-        let (mut mitigator, state) = Mitigator::new(PolicyEngine::default());
+        let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), Obs::new());
         let sdl = xsec_ric::SharedDataLayer::new();
         // The mitigator must hold the status-reply publish grant or its own
         // answers get denied.
@@ -768,7 +825,7 @@ mod tests {
             request: A1Request::DeletePolicy { id: "null-cipher".into() },
         };
         mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, &serde_json::to_vec(&ungranted).unwrap());
-        assert_eq!(state.lock().a1_ops.total(), 0);
+        assert_eq!(state.lock().summary().policy_ops.total(), 0);
         assert_eq!(state.lock().policy.status(), rules_before, "policy store moved");
         assert_eq!(router.denied(), 4);
         assert_eq!(obs.snapshot().counter_total("xsec_authz_denied_total"), 4);
@@ -778,13 +835,13 @@ mod tests {
         let signed =
             A1SignedRequest { xapp: "smo".into(), token: smo.token(), request: disable };
         mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, &serde_json::to_vec(&signed).unwrap());
-        assert_eq!(state.lock().a1_ops.applied, 1);
+        assert_eq!(state.lock().summary().policy_ops.applied, 1);
         assert_eq!(router.denied(), 4);
     }
 
     #[test]
     fn unconfirmed_findings_land_in_supervision() {
-        let (mut mitigator, state) = Mitigator::new(PolicyEngine::default());
+        let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), Obs::new());
         let sdl = xsec_ric::SharedDataLayer::new();
         let (_router, scope) = mitigator_scope(Grants::none());
         let mut control = Vec::new();
@@ -796,7 +853,7 @@ mod tests {
         mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &serde_json::to_vec(&n).unwrap());
         assert!(control.is_empty());
         let state = state.lock();
-        assert_eq!(state.supervised.len(), 1);
-        assert!(state.executor.outcomes().is_empty());
+        let summary = state.summary();
+        assert_eq!((summary.supervised, summary.issued), (1, 0));
     }
 }

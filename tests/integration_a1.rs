@@ -17,6 +17,7 @@ use xsec_control::{
 };
 use xsec_e2::{in_proc_pair, InProcTransport, RicAgent, RicAgentConfig};
 use xsec_mobiflow::UeMobiFlow;
+use xsec_obs::Obs;
 use xsec_proto::{Direction, MessageKind};
 use xsec_ran::scenario::ScenarioConfig;
 use xsec_ric::{Grants, RicPlatform, RouterHandle, SubscriptionSpec, XAppIdentity};
@@ -80,7 +81,7 @@ fn deploy_mitigator_only() -> (
         .expect("agent starts");
     let mut platform = RicPlatform::new();
     platform.add_agent(Box::new(ric_end));
-    let (mitigator, state) = Mitigator::new(PolicyEngine::default());
+    let (mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), Obs::new());
     platform
         .register_xapp_scoped(
             Box::new(mitigator),
@@ -196,7 +197,8 @@ fn smo_install_detect_update_detect_sequence() {
         assert_eq!(state.supervised.len(), 1);
         assert!(state.supervised[0].reason.contains("disabled"));
         // query + set-enabled applied; one superseded; one rejected.
-        assert_eq!((state.a1_ops.applied, state.a1_ops.superseded, state.a1_ops.rejected), (2, 1, 1));
+        let ops = state.summary().policy_ops;
+        assert_eq!((ops.applied, ops.superseded, ops.rejected), (2, 1, 1));
     }
 }
 

@@ -29,6 +29,7 @@ use xsec_e2::{
 };
 use xsec_llm::{CrossVerdict, ModelPersonality, SimulatedExpert};
 use xsec_mobiflow::{decode_ue_record, encode_ue_record, UeMobiFlow};
+use xsec_obs::Obs;
 use xsec_proto::{
     decode_l3, encode_l3, Direction, F1apPdu, L3Message, MessageKind, MobileIdentity, NasMessage,
     NgapPdu, RrcMessage,
@@ -413,7 +414,7 @@ fn incident_hop_allocations_are_pinned() {
         Box::new(SimulatedExpert::new(ModelPersonality::CHATGPT_4O)),
         "anomalies",
     );
-    let (mut mitigator, mitigated) = Mitigator::new(PolicyEngine::default());
+    let (mut mitigator, mitigated) = Mitigator::with_obs(PolicyEngine::default(), Obs::new());
     let sdl = SharedDataLayer::new();
     let mut control = Vec::new();
 
