@@ -134,14 +134,13 @@ impl XApp for RogueXApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsec_ric::{Grants, Router, SharedDataLayer, XAppIdentity};
+    use xsec_ric::{Grants, Router, XAppIdentity};
 
     /// One attack round by a rogue holding `grants`, next to a mitigator
     /// whose mailboxes on both sensitive topics make any leak observable.
     /// Returns the rogue's report, the messages that reached the mitigator,
     /// the controls queued, and the denials counted.
     fn one_round(grants: Grants) -> (RogueReport, usize, usize, u64) {
-        let sdl = SharedDataLayer::new();
         let router = Router::new();
         let mitigator = router
             .register(
@@ -156,7 +155,7 @@ mod tests {
 
         let (mut rogue, report) = RogueXApp::new(42, CellId(1));
         let mut control = Vec::new();
-        let mut ctx = XAppContext { sdl: &sdl, scope: &handle, control_out: &mut control };
+        let mut ctx = XAppContext { scope: &handle, control_out: &mut control };
         rogue.on_records(&mut ctx, &[], Timestamp(1_000));
 
         let report = *report.lock().unwrap();

@@ -305,13 +305,11 @@ mod tests {
         analyzer.attach_obs(&obs);
         let dropped = "xsec_bus_dropped_total{reason=\"undecodable\",site=\"analyzer\"}";
         assert!(obs.metrics.render_prometheus().contains(&format!("{dropped} 0\n")));
-        let sdl = xsec_ric::SharedDataLayer::new();
         let scope = xsec_ric::Router::new()
             .register(xsec_ric::XAppIdentity::named("analyzer"), xsec_ric::Grants::none())
             .unwrap();
         let mut control = Vec::new();
-        let mut ctx =
-            xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
         analyzer.on_message(&mut ctx, "anomalies", b"not json");
         analyzer.on_message(&mut ctx, "other-topic", b"{}");
         assert!(state.lock().findings.is_empty());

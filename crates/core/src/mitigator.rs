@@ -585,7 +585,6 @@ mod tests {
     fn mitigator_issues_controls_for_confirmed_findings_and_tracks_acks() {
         let obs = Obs::new();
         let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
-        let sdl = xsec_ric::SharedDataLayer::new();
         let (_router, scope) =
             mitigator_scope(Grants::none().control("rate-limit-cause").control("blacklist-rnti"));
         let mut control = Vec::new();
@@ -596,8 +595,7 @@ mod tests {
         ];
         let n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
         {
-            let mut ctx =
-                xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+            let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
             mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &serde_json::to_vec(&n).unwrap());
         }
         // Rate-limit + two blacklists, all shipped immediately and pinned to
@@ -616,8 +614,7 @@ mod tests {
         let ids: Vec<u32> = control.iter().map(|out| out.id).collect();
         assert_eq!(ids, [1, 2, 3]);
         let mut ack_out = Vec::new();
-        let mut ctx =
-            xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut ack_out };
+        let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut ack_out };
         for (success, id) in [(1, 1u32), (1, 2), (0, 3)] {
             let [a, b, c, d] = id.to_be_bytes();
             mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[success, a, b, c, d]);
@@ -633,11 +630,10 @@ mod tests {
     fn actions_sharing_a_trace_each_settle_on_their_own_ack() {
         let obs = Obs::new();
         let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
-        let sdl = xsec_ric::SharedDataLayer::new();
         let (_router, scope) =
             mitigator_scope(Grants::none().control("rate-limit-cause").control("blacklist-rnti"));
         let mut control = Vec::new();
-        let mut ctx = xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
         let records = vec![
             record(1, 0x4601, MessageKind::RrcSetupRequest),
             record(2, 0x4602, MessageKind::RrcSetupRequest),
@@ -681,7 +677,6 @@ mod tests {
     fn undecodable_evidence_lines_are_counted_and_the_rest_still_scoped() {
         let obs = Obs::new();
         let (mut mitigator, _state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
-        let sdl = xsec_ric::SharedDataLayer::new();
         let (_router, scope) =
             mitigator_scope(Grants::none().control("rate-limit-cause").control("blacklist-rnti"));
         let mut control = Vec::new();
@@ -691,7 +686,7 @@ mod tests {
         ];
         let mut n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
         n.records.insert(1, "v2;UE;not;a;record".into());
-        let mut ctx = xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
         mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &serde_json::to_vec(&n).unwrap());
         // The same three actions the two well-formed lines earn on their own.
         assert_eq!(control.len(), 3);
@@ -708,10 +703,9 @@ mod tests {
         let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
         let dropped = "xsec_bus_dropped_total{reason=\"undecodable\",site=\"mitigator\"}";
         assert!(obs.metrics.render_prometheus().contains(&format!("{dropped} 0\n")));
-        let sdl = xsec_ric::SharedDataLayer::new();
         let (_router, scope) = mitigator_scope(Grants::none().control("rate-limit-cause"));
         let mut control = Vec::new();
-        let mut ctx = xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
         mitigator.on_message(&mut ctx, FINDINGS_TOPIC, b"not json");
         mitigator.on_message(&mut ctx, FINDINGS_TOPIC, b"{\"trace\":1}");
         // An ack is `[success][action id BE]`, five bytes exactly.
@@ -730,7 +724,6 @@ mod tests {
     fn a1_requests_mutate_the_live_policy_and_answer_on_status_topic() {
         let obs = Obs::new();
         let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
-        let sdl = xsec_ric::SharedDataLayer::new();
         let (router, scope) = mitigator_scope(
             Grants::none().publish(A1_POLICY_STATUS_TOPIC).control("quarantine-cell"),
         );
@@ -746,8 +739,7 @@ mod tests {
             serde_json::to_vec(&envelope).unwrap()
         };
         let mut control = Vec::new();
-        let mut ctx =
-            xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
 
         // Swap the null-cipher playbook to quarantine, then query.
         let mut rule = xsec_control::default_rules()
@@ -789,7 +781,6 @@ mod tests {
     #[test]
     fn enforcing_router_requires_a_verifiable_a1_envelope() {
         let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), Obs::new());
-        let sdl = xsec_ric::SharedDataLayer::new();
         // The mitigator must hold the status-reply publish grant or its own
         // answers get denied.
         let (router, scope) = mitigator_scope(Grants::none().publish(A1_POLICY_STATUS_TOPIC));
@@ -798,8 +789,7 @@ mod tests {
         let smo =
             router.register(XAppIdentity::named("smo"), Grants::none().a1("set-enabled")).unwrap();
         let mut control = Vec::new();
-        let mut ctx =
-            xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
         let rules_before = state.lock().policy.status();
 
         // Bytes that are neither an envelope nor a request: denied, counted.
@@ -842,11 +832,9 @@ mod tests {
     #[test]
     fn unconfirmed_findings_land_in_supervision() {
         let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), Obs::new());
-        let sdl = xsec_ric::SharedDataLayer::new();
         let (_router, scope) = mitigator_scope(Grants::none());
         let mut control = Vec::new();
-        let mut ctx =
-            xsec_ric::XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
         let records = vec![record(1, 0x4601, MessageKind::RrcSetupRequest)];
         let mut n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
         n.needs_human = true;

@@ -3,8 +3,7 @@
 //! Mirrors the format of the 5GSEC MobiFlow releases: a fixed field order,
 //! `;` separators, `-` for absent optionals. This is the human-readable form
 //! the paper shows to the LLM (alert context and prompt); it must round-trip
-//! exactly. Over E2 and in the SDL records travel in the binary layout of
-//! [`crate::wire`].
+//! exactly. Over E2 records travel in the binary layout of [`crate::wire`].
 //!
 //! ```text
 //! v2;UE;<msg_id>;<ts_us>;<cell>;<rnti_hex>;<du_ue_id>;<UL|DL>;<msg_name>;

@@ -5,8 +5,8 @@
 //! scratch: record schema, the fixed-layout binary record that travels over
 //! E2 ([`wire`]), the semicolon-delimited line encoding of the 5GSEC releases
 //! that the LLM prompt quotes ([`codec`]), extraction from raw F1AP/NGAP
-//! captures or from the structured simulator event stream, and the Shared
-//! Data Layer (SDL) store that xApps read it from.
+//! captures or from the structured simulator event stream, and a Shared
+//! Data Layer (SDL) store that nothing on the live path reads or writes.
 //!
 //! One [`UeMobiFlow`] record is produced per control message observed at the
 //! RAN (paper §3.1):

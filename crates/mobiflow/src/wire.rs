@@ -4,7 +4,7 @@
 //! offset, so a report window is a flat block the RIC decodes in one pass
 //! with no per-record allocation. The semicolon form in [`crate::codec`]
 //! stays where the paper uses it (the LLM prompt and the alert context);
-//! this form is what the RIC agent ships and what the SDL stores.
+//! this form is what the RIC agent ships and the RIC decodes.
 //!
 //! ```text
 //! off len field
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn layout_is_stable() {
-        // Pin the byte layout — stored SDL windows and peers depend on it.
+        // Pin the byte layout — every E2 peer depends on it.
         let bytes = put(&sample());
         let mut want = Vec::new();
         want.extend_from_slice(&42u64.to_be_bytes());

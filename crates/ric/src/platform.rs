@@ -10,20 +10,19 @@
 //! that lets one platform terminate hundreds of mostly-idle gNB agents.
 //!
 //! A pump iteration drains the ready connections, completes E2 handshakes,
-//! persists each arriving report window to the SDL (the KPM payload as
-//! received, one entry per agent and window, the newest
-//! [`SDL_WINDOWS_PER_AGENT`] kept), dispatches its records to subscribed
-//! xApps (timing each handler against the near-RT budget), relays topic
-//! messages between xApps, and ships queued control actions back to the
-//! RAN. All sends are non-blocking: each transport owns a bounded egress
-//! queue and a full queue drops the frame with a count
-//! (`xsec_ric_egress_dropped_total`) instead of stalling the reactor.
+//! decodes each report window once and hands its records to the xApp whose
+//! subscription it answers (timing each handler against the near-RT budget;
+//! the platform keeps no copy), relays topic messages between xApps, and
+//! ships queued control actions back to the RAN. All sends are
+//! non-blocking: each transport owns a bounded egress queue and a full
+//! queue drops the frame with a count (`xsec_ric_egress_dropped_total`)
+//! instead of stalling the reactor.
 
 use crate::authz::{Grants, XAppIdentity};
 use crate::router::{RegisterError, Router, RouterHandle};
 use crate::xapp::{ControlOut, XApp, XAppContext};
 use crossbeam_channel::Receiver;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 use xsec_e2::{
@@ -31,48 +30,13 @@ use xsec_e2::{
     RAN_FUNCTION_MOBIFLOW,
 };
 use xsec_mobiflow::SharedDataLayer;
-use xsec_obs::{Counter, Gauge, Histogram, Obs};
-use xsec_types::{CellId, GnbId, Result, Timestamp};
-
-/// SDL namespace holding the telemetry report windows.
-const SDL_MOBIFLOW: &str = "mobiflow";
-
-/// Report windows kept per agent in the `mobiflow` SDL namespace; storing
-/// one more evicts that agent's oldest.
-pub const SDL_WINDOWS_PER_AGENT: usize = 64;
+use xsec_obs::{Counter, Histogram, Obs};
+use xsec_types::{CellId, GnbId, Result};
 
 /// Control Requests awaiting their ack per agent; sending one more evicts
 /// that agent's oldest, counted as `xsec_ric_dropped_total{site="control_ack",
 /// reason="evicted"}`.
 const MAX_PENDING_CONTROLS: usize = 1024;
-
-/// Writes the SDL key of one agent's report window into `key`:
-/// `<conn>/<end µs>/<start µs>`, the bounds zero-padded to a `u64`'s 20
-/// digits so an agent's keys sort by time. Digit by digit into a buffer the
-/// platform reuses: this runs once or twice per indication.
-fn write_window_key(key: &mut String, conn: usize, start: Timestamp, end: Timestamp) {
-    let mut fields = [b'0'; 62];
-    fields[20] = b'/';
-    fields[41] = b'/';
-    // The token alone is not padded, but keeps its last digit when zero.
-    let first = put_digits(&mut fields[..20], conn as u64).min(19);
-    put_digits(&mut fields[21..41], end.as_micros());
-    put_digits(&mut fields[42..], start.as_micros());
-    key.clear();
-    key.push_str(std::str::from_utf8(&fields[first..]).expect("ASCII digits and slashes"));
-}
-
-/// Writes `value` in decimal, right-aligned, over a 20-byte field of `'0'`s;
-/// returns where its first digit went.
-fn put_digits(field: &mut [u8], mut value: u64) -> usize {
-    let mut at = field.len();
-    while value > 0 {
-        at -= 1;
-        field[at] = b'0' + (value % 10) as u8;
-        value /= 10;
-    }
-    at
-}
 
 /// What an xApp wants delivered.
 #[derive(Debug, Clone)]
@@ -149,9 +113,6 @@ struct AgentConn {
     /// This conn has buffered egress awaiting a flush retry (dedup flag
     /// for the `egress_pending` list).
     egress_pending: bool,
-    /// `(start, end)` of this agent's report windows held in the SDL,
-    /// oldest first.
-    stored_windows: VecDeque<(Timestamp, Timestamp)>,
 }
 
 /// Counters from one pump iteration (a per-call delta). Cumulative totals
@@ -196,14 +157,14 @@ struct PlatformMetrics {
     subscriptions_refused: Counter,
     /// PDUs only the RIC may send, received from an agent.
     pdus_unexpected: Counter,
+    /// Indications answering no xApp's subscription.
+    indications_unknown: Counter,
+    /// Indications whose KPM payload does not decode.
+    indications_undecodable: Counter,
     /// xApp handler calls that panicked (their queued controls dropped).
     handler_panics: Counter,
     /// Connections visited across all pumps (O(active) when event-driven).
     conns_scanned: Counter,
-    /// Entries currently in the `mobiflow` SDL namespace.
-    sdl_entries: Gauge,
-    /// Report windows evicted from it to make room for newer ones.
-    sdl_evicted: Counter,
     decode_latency: Histogram,
 }
 
@@ -224,10 +185,10 @@ impl PlatformMetrics {
             acks_evicted: dropped(obs, "control_ack", "evicted"),
             subscriptions_refused: dropped(obs, "pdu", "refused_subscription"),
             pdus_unexpected: dropped(obs, "pdu", "unexpected"),
+            indications_unknown: dropped(obs, "pdu", "unknown_request"),
+            indications_undecodable: dropped(obs, "pdu", "undecodable"),
             handler_panics: dropped(obs, "handler", "panic"),
             conns_scanned: obs.counter("xsec_ric_pump_conns_scanned_total", &[]),
-            sdl_entries: obs.gauge("xsec_sdl_entries", &[("namespace", SDL_MOBIFLOW)]),
-            sdl_evicted: obs.counter("xsec_sdl_evicted_total", &[("namespace", SDL_MOBIFLOW)]),
             decode_latency: obs.histogram("xsec_e2_decode_latency_us", &[]),
         }
     }
@@ -241,7 +202,6 @@ fn dropped(obs: &Obs, site: &str, reason: &str) -> Counter {
 
 /// The near-real-time RIC.
 pub struct RicPlatform {
-    sdl: SharedDataLayer,
     conns: Vec<AgentConn>,
     xapps: Vec<XAppEntry>,
     next_requestor: u16,
@@ -263,8 +223,6 @@ pub struct RicPlatform {
     /// the set-up agents announcing the cell. Filled at E2 Setup, so routing
     /// a control does not walk the connections.
     cell_owner: HashMap<CellId, usize>,
-    /// Reusable buffer for the SDL key of the window being stored/evicted.
-    window_key: String,
     obs: Obs,
     metrics: PlatformMetrics,
     /// The platform's own router identity, used for the relays it
@@ -297,7 +255,6 @@ impl RicPlatform {
             )
             .expect("fresh router cannot refuse the platform identity");
         RicPlatform {
-            sdl: SharedDataLayer::new(),
             conns: Vec::new(),
             xapps: Vec::new(),
             next_requestor: 1,
@@ -309,7 +266,6 @@ impl RicPlatform {
             subs_dirty: false,
             neighbours: HashMap::new(),
             cell_owner: HashMap::new(),
-            window_key: String::new(),
             obs,
             metrics,
             platform_scope,
@@ -343,9 +299,11 @@ impl RicPlatform {
         &self.obs
     }
 
-    /// The platform's SDL handle.
+    /// An empty store: the platform keeps no report window. Kept because
+    /// the frozen `benchmark/` package reads its length; goes once a
+    /// benchmark-only PR stops doing so.
     pub fn sdl(&self) -> SharedDataLayer {
-        self.sdl.clone()
+        SharedDataLayer::new()
     }
 
     /// Control Requests acknowledged as accepted.
@@ -402,7 +360,6 @@ impl RicPlatform {
             next_control_id: 0,
             ack_latency: None,
             egress_pending: false,
-            stored_windows: VecDeque::new(),
         });
     }
 
@@ -434,7 +391,7 @@ impl RicPlatform {
         let handler_latency =
             self.obs.histogram("xsec_ric_handler_latency_us", &[("xapp", app.name())]);
         let mut control_out = Vec::new();
-        let mut ctx = XAppContext { sdl: &self.sdl, scope: &scope, control_out: &mut control_out };
+        let mut ctx = XAppContext { scope: &scope, control_out: &mut control_out };
         app.on_start(&mut ctx);
         self.control_queue.extend(control_out);
         self.xapps.push(XAppEntry {
@@ -658,17 +615,23 @@ impl RicPlatform {
             }
             E2apPdu::Indication { request_id, payload, .. } => {
                 self.metrics.indications.inc();
-                let kpm = KpmIndication::decode(&payload)?;
-                let (window_start, window_end) = (kpm.window_start, kpm.window_end);
+                // Any agent can send one nobody subscribed with, or one
+                // that is no KPM report: counted once, dropped, and the pump
+                // carries on.
+                let Some(ai) = self.xapps.iter().position(|x| x.request_id == Some(request_id))
+                else {
+                    self.metrics.indications_unknown.inc();
+                    return Ok(());
+                };
+                let Ok(kpm) = KpmIndication::decode(&payload) else {
+                    self.metrics.indications_undecodable.inc();
+                    return Ok(());
+                };
+                let window_end = kpm.window_end;
                 let records = kpm.into_records();
-                self.store_window(ci, window_start, window_end, payload);
-                if let Some(ai) =
-                    self.xapps.iter().position(|x| x.request_id == Some(request_id))
-                {
-                    stats.records_delivered += records.len() as u64;
-                    self.metrics.records_delivered.add(records.len() as u64);
-                    self.invoke(ai, |app, ctx| app.on_records(ctx, &records, window_end));
-                }
+                stats.records_delivered += records.len() as u64;
+                self.metrics.records_delivered.add(records.len() as u64);
+                self.invoke(ai, |app, ctx| app.on_records(ctx, &records, window_end));
                 Ok(())
             }
             E2apPdu::ControlAck { control_id, success, .. } => {
@@ -707,30 +670,6 @@ impl RicPlatform {
             let owner = self.cell_owner.entry(*cell).or_insert(ci);
             *owner = (*owner).min(ci);
         }
-    }
-
-    /// Persists one report window of conn `ci` to the SDL: the KPM payload
-    /// exactly as received, under a key naming the agent and the window —
-    /// so the same window reported to a second subscriber overwrites itself
-    /// — and evicts the agent's oldest window beyond the retention. The
-    /// platform is the namespace's only writer, so it keeps the entry gauge
-    /// by what it adds and evicts.
-    fn store_window(&mut self, ci: usize, start: Timestamp, end: Timestamp, payload: Vec<u8>) {
-        let stored = &mut self.conns[ci].stored_windows;
-        // Newest first: a second subscriber's copy is of the latest window.
-        if !stored.iter().rev().any(|window| *window == (start, end)) {
-            stored.push_back((start, end));
-            if stored.len() > SDL_WINDOWS_PER_AGENT {
-                let (old_start, old_end) = stored.pop_front().expect("just pushed");
-                write_window_key(&mut self.window_key, ci, old_start, old_end);
-                self.sdl.delete(SDL_MOBIFLOW, &self.window_key);
-                self.metrics.sdl_evicted.inc();
-            } else {
-                self.metrics.sdl_entries.add(1);
-            }
-        }
-        write_window_key(&mut self.window_key, ci, start, end);
-        self.sdl.set(SDL_MOBIFLOW, &self.window_key, payload);
     }
 
     /// Sends every telemetry xApp's subscription request to conn `ci`
@@ -776,7 +715,7 @@ impl RicPlatform {
         let mut control_out = Vec::new();
         let start = Instant::now();
         let entry = &mut self.xapps[ai];
-        let mut ctx = XAppContext { sdl: &self.sdl, scope: &entry.scope, control_out: &mut control_out };
+        let mut ctx = XAppContext { scope: &entry.scope, control_out: &mut control_out };
         let finished = panic::catch_unwind(AssertUnwindSafe(|| f(entry.app.as_mut(), &mut ctx)));
         entry.handler_latency.observe_duration(start.elapsed());
         match finished {
@@ -789,11 +728,10 @@ impl RicPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use xsec_e2::{in_proc_pair, RicAgent, RicAgentConfig};
     use xsec_mobiflow::UeMobiFlow;
     use xsec_proto::{Direction, MessageKind};
-    use xsec_types::{CellId, GnbId, Rnti};
+    use xsec_types::{CellId, GnbId, Rnti, Timestamp};
 
     fn record(id: u64, ts: u64) -> UeMobiFlow {
         UeMobiFlow {
@@ -813,18 +751,28 @@ mod tests {
         }
     }
 
-    struct CountingApp {
+    /// Every record an xApp was handed, in delivery order.
+    type Received = std::sync::Arc<parking_lot::Mutex<Vec<UeMobiFlow>>>;
+
+    struct RecordingApp {
         name: &'static str,
-        records: usize,
+        received: Received,
         publishes_to: Option<String>,
     }
 
-    /// A telemetry consumer that publishes nothing (and so needs no grant).
-    fn counting_app() -> Box<dyn XApp> {
-        Box::new(CountingApp { name: "counting", records: 0, publishes_to: None })
+    /// A telemetry consumer named `name` that publishes nothing (and so
+    /// needs no grant), and what it receives.
+    fn recording_app(name: &'static str) -> (Box<dyn XApp>, Received) {
+        let received = Received::default();
+        let app = RecordingApp { name, received: received.clone(), publishes_to: None };
+        (Box::new(app), received)
     }
 
-    impl XApp for CountingApp {
+    fn counting_app() -> Box<dyn XApp> {
+        recording_app("counting").0
+    }
+
+    impl XApp for RecordingApp {
         fn name(&self) -> &str {
             self.name
         }
@@ -835,7 +783,7 @@ mod tests {
             records: &[UeMobiFlow],
             _window_end: Timestamp,
         ) {
-            self.records += records.len();
+            self.received.lock().extend_from_slice(records);
             if let Some(topic) = &self.publishes_to {
                 ctx.publish(topic, &(records.len() as u32).to_be_bytes());
             }
@@ -864,25 +812,15 @@ mod tests {
         }
     }
 
-    /// Every record recoverable from the report windows the SDL holds.
-    fn records_in_sdl(platform: &RicPlatform) -> Vec<UeMobiFlow> {
-        platform
-            .sdl()
-            .scan("mobiflow")
-            .into_iter()
-            .flat_map(|(_, value)| KpmIndication::decode(&value).unwrap().into_records())
-            .collect()
-    }
-
     #[test]
-    fn end_to_end_telemetry_reaches_the_xapp_and_sdl() {
+    fn end_to_end_telemetry_reaches_the_xapp() {
         // Handshake: platform sees setup, answers; issues subscription;
         // agent answers.
-        let (mut platform, mut agent) =
-            one_agent_platform(counting_app(), Grants::none());
+        let (app, received) = recording_app("recording");
+        let (mut platform, mut agent) = one_agent_platform(app, Grants::none());
         assert_eq!(agent.subscription_count(), 1);
 
-        // Telemetry flows.
+        // Telemetry flows: the xApp is handed exactly what was sent.
         let sent = [record(0, 10), record(1, 20)];
         for r in &sent {
             agent.push_record(r.clone());
@@ -891,22 +829,17 @@ mod tests {
         let stats = platform.pump().unwrap();
         assert_eq!(stats.records_delivered, 2);
         assert_eq!(platform.metrics.indications.get(), 1);
-        // One SDL entry for the window, holding exactly what was sent.
-        assert_eq!(platform.sdl().len("mobiflow"), 1);
-        assert_eq!(records_in_sdl(&platform), sent);
+        assert_eq!(*received.lock(), sent);
         assert!(platform.obs().snapshot().histogram_count("xsec_ric_handler_latency_us") >= 1);
     }
 
     #[test]
-    fn a_window_reported_to_two_subscribers_is_stored_once() {
-        let (mut platform, mut agent) =
-            one_agent_platform(counting_app(), Grants::none());
+    fn a_window_reported_to_two_subscribers_reaches_each_once() {
+        let (first, first_received) = recording_app("first");
+        let (second, second_received) = recording_app("second");
+        let (mut platform, mut agent) = one_agent_platform(first, Grants::none());
         platform
-            .register_xapp_scoped(
-                Box::new(CountingApp { name: "second", records: 0, publishes_to: None }),
-                SubscriptionSpec::telemetry(100),
-                Grants::none(),
-            )
+            .register_xapp_scoped(second, SubscriptionSpec::telemetry(100), Grants::none())
             .unwrap();
         platform.pump().unwrap();
         agent.poll(Timestamp(0)).unwrap();
@@ -917,74 +850,8 @@ mod tests {
         agent.poll(Timestamp(100_000)).unwrap();
         let stats = platform.pump().unwrap();
         assert_eq!(stats.records_delivered, 2, "one delivery per subscriber");
-        assert_eq!(platform.sdl().len("mobiflow"), 1);
-        assert_eq!(records_in_sdl(&platform), [record(0, 10)]);
-    }
-
-    #[test]
-    fn the_mobiflow_namespace_keeps_the_newest_windows_per_agent() {
-        let (mut platform, mut agents) =
-            n_agent_platform(counting_app(), Grants::none(), 2);
-        let entries = platform.obs().gauge("xsec_sdl_entries", &[("namespace", "mobiflow")]);
-        let extra = 5;
-        let periods = (SDL_WINDOWS_PER_AGENT + extra) as u64;
-        for period in 1..=periods {
-            for (a, agent) in agents.iter_mut().enumerate() {
-                agent.push_record(record(period * 2 + a as u64, period * 100_000 - 1));
-                agent.poll(Timestamp(period * 100_000)).unwrap();
-            }
-            platform.pump().unwrap();
-            let want = 2 * (period as usize).min(SDL_WINDOWS_PER_AGENT);
-            assert_eq!(platform.sdl().len("mobiflow"), want);
-            assert_eq!(entries.get(), want as i64);
-        }
-        assert_eq!(
-            platform.obs().snapshot().counter_total("xsec_sdl_evicted_total"),
-            2 * extra as u64
-        );
-        // What is left is each agent's newest windows, oldest evicted first.
-        let mut ids: Vec<u64> = records_in_sdl(&platform).iter().map(|r| r.msg_id).collect();
-        ids.sort_unstable();
-        let first_kept = extra as u64 + 1;
-        let want: Vec<u64> = (first_kept * 2..=periods * 2 + 1).collect();
-        assert_eq!(ids, want);
-
-        // Byte for byte what the `format!`-built key and the agent's payload
-        // stored before the key was written in place: agent by agent, each
-        // one's windows in time order.
-        let mut listing = Vec::new();
-        for conn in 0..2u64 {
-            for period in first_kept..=periods {
-                let (start, end) = ((period - 1) * 100_000, period * 100_000);
-                listing.push((
-                    format!("{conn}/{end:020}/{start:020}"),
-                    KpmIndication::encode_records(
-                        CellId(conn as u32 + 1),
-                        Timestamp(start),
-                        Timestamp(end),
-                        &[record(period * 2 + conn, end - 1)],
-                    ),
-                ));
-            }
-        }
-        assert_eq!(platform.sdl().scan("mobiflow"), listing);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_window_keys_are_the_formatted_ones(
-            conn in any::<usize>(),
-            start in any::<u64>(),
-            end in any::<u64>(),
-            narrow in any::<bool>(),
-        ) {
-            // Half the draws small, so short and zero fields are common.
-            let (conn, start, end) =
-                if narrow { (conn % 300, start % 1_000, end % 10) } else { (conn, start, end) };
-            let mut key = String::from("left over");
-            write_window_key(&mut key, conn, Timestamp(start), Timestamp(end));
-            prop_assert_eq!(key, format!("{conn}/{end:020}/{start:020}"));
-        }
+        assert_eq!(*first_received.lock(), [record(0, 10)]);
+        assert_eq!(*second_received.lock(), [record(0, 10)]);
     }
 
     #[test]
@@ -1047,9 +914,9 @@ mod tests {
             .unwrap();
         platform
             .register_xapp_scoped(
-                Box::new(CountingApp {
+                Box::new(RecordingApp {
                     name: "counting",
-                    records: 0,
+                    received: Received::default(),
                     publishes_to: Some("anomalies".into()),
                 }),
                 SubscriptionSpec::telemetry(100),
@@ -1211,20 +1078,14 @@ mod tests {
         assert_eq!(dropped_total(&platform, "control_ack", "unknown"), 1);
     }
 
-    #[test]
-    fn a_refused_subscription_or_a_ric_only_pdu_does_not_stop_the_pump() {
+    /// A platform hosting the telemetry xApp `app` on two connections: a
+    /// raw end (drained first), set up and sent its subscription, and a real
+    /// agent, set up and subscribed. Returns the raw end's request id too.
+    fn raw_end_beside_an_agent(
+        app: Box<dyn XApp>,
+    ) -> (RicPlatform, xsec_e2::InProcTransport, RicAgent<xsec_e2::InProcTransport>, RicRequestId)
+    {
         let mut platform = RicPlatform::new();
-        let exposition = platform.obs().metrics.render_prometheus();
-        for (site, reason) in [
-            ("control_ack", "unknown"),
-            ("control_ack", "evicted"),
-            ("pdu", "refused_subscription"),
-            ("pdu", "unexpected"),
-            ("handler", "panic"),
-        ] {
-            let series = format!("xsec_ric_dropped_total{{reason=\"{reason}\",site=\"{site}\"}} 0\n");
-            assert!(exposition.contains(&series), "{exposition}");
-        }
         let (mut raw, ric_end) = in_proc_pair();
         platform.add_agent(Box::new(ric_end));
         let (agent_end, ric_end) = in_proc_pair();
@@ -1232,9 +1093,7 @@ mod tests {
             RicAgent::new(RicAgentConfig { gnb_id: GnbId(2), cell: CellId(2) }, agent_end)
                 .unwrap();
         platform.add_agent(Box::new(ric_end));
-        platform
-            .register_xapp_scoped(counting_app(), SubscriptionSpec::telemetry(100), Grants::none())
-            .unwrap();
+        platform.register_xapp_scoped(app, SubscriptionSpec::telemetry(100), Grants::none()).unwrap();
         announce(&mut raw, 1, &[1]);
         for _ in 0..3 {
             platform.pump().unwrap();
@@ -1246,10 +1105,29 @@ mod tests {
                 _ => None,
             })
             .unwrap();
+        (platform, raw, agent, request_id)
+    }
 
-        // The raw end (drained first) refuses its subscription and sends a
-        // PDU only the RIC sends, in the pump that carries the real agent's
-        // report.
+    #[test]
+    fn a_refused_subscription_or_a_ric_only_pdu_does_not_stop_the_pump() {
+        let exposition = RicPlatform::new().obs().metrics.render_prometheus();
+        for (site, reason) in [
+            ("control_ack", "unknown"),
+            ("control_ack", "evicted"),
+            ("pdu", "refused_subscription"),
+            ("pdu", "unexpected"),
+            ("pdu", "unknown_request"),
+            ("pdu", "undecodable"),
+            ("handler", "panic"),
+        ] {
+            let series = format!("xsec_ric_dropped_total{{reason=\"{reason}\",site=\"{site}\"}} 0\n");
+            assert!(exposition.contains(&series), "{exposition}");
+        }
+        let (mut platform, mut raw, mut agent, request_id) =
+            raw_end_beside_an_agent(counting_app());
+
+        // The raw end refuses its subscription and sends a PDU only the RIC
+        // sends, in the pump that carries the real agent's report.
         raw.send(&E2apPdu::SubscriptionResponse { request_id, accepted: false }.encode()).unwrap();
         raw.send(&E2apPdu::SetupResponse { accepted: vec![] }.encode()).unwrap();
         agent.push_record(record(0, 10));
@@ -1258,6 +1136,46 @@ mod tests {
         assert_eq!(stats.records_delivered, 1);
         assert_eq!(dropped_total(&platform, "pdu", "refused_subscription"), 1);
         assert_eq!(dropped_total(&platform, "pdu", "unexpected"), 1);
+    }
+
+    #[test]
+    fn an_indication_no_xapp_can_take_is_counted_and_the_pump_carries_on() {
+        let (app, received) = recording_app("recording");
+        let (mut platform, mut raw, mut agent, request_id) = raw_end_beside_an_agent(app);
+        let indication = |request_id, payload| {
+            let pdu = E2apPdu::Indication {
+                request_id,
+                ran_function: RAN_FUNCTION_MOBIFLOW,
+                sequence: 0,
+                payload,
+            };
+            pdu.encode()
+        };
+        let window = KpmIndication::encode_records(
+            CellId(1),
+            Timestamp(0),
+            Timestamp(100_000),
+            &[record(9, 10)],
+        );
+        let stranger = RicRequestId { requestor: request_id.requestor + 1, ..request_id };
+
+        // A sound window nobody subscribed to, and a subscribed window whose
+        // payload is no KPM report, in the pump that carries the real report.
+        raw.send(&indication(stranger, window)).unwrap();
+        raw.send(&indication(request_id, vec![0xFF])).unwrap();
+        agent.push_record(record(0, 10));
+        agent.poll(Timestamp(100_000)).unwrap();
+        let stats = platform.pump().unwrap();
+        assert_eq!(dropped_total(&platform, "pdu", "unknown_request"), 1);
+        assert_eq!(dropped_total(&platform, "pdu", "undecodable"), 1);
+        assert_eq!(stats.records_delivered, 1);
+        assert_eq!(*received.lock(), [record(0, 10)]);
+
+        // Both faults at once count once, under the first reason.
+        raw.send(&indication(stranger, vec![0xFF])).unwrap();
+        platform.pump().unwrap();
+        assert_eq!(dropped_total(&platform, "pdu", "unknown_request"), 2);
+        assert_eq!(dropped_total(&platform, "pdu", "undecodable"), 1);
     }
 
     /// A `control-acks` mailbox held by an identity granted only that.

@@ -3,7 +3,7 @@
 
 use crate::authz::Capability;
 use crate::router::RouterHandle;
-use xsec_mobiflow::{SharedDataLayer, UeMobiFlow};
+use xsec_mobiflow::UeMobiFlow;
 use xsec_types::{CellId, Timestamp};
 
 /// A queued closed-loop control action, optionally pinned to the cell whose
@@ -29,8 +29,6 @@ pub struct ControlOut {
 
 /// Everything an xApp may touch while handling an event.
 pub struct XAppContext<'a> {
-    /// The shared data layer.
-    pub sdl: &'a SharedDataLayer,
     /// The app's authorization scope: the identity it was registered under
     /// ([`crate::platform::RicPlatform::register_xapp_scoped`]) and the only
     /// way it can reach the message router.
@@ -122,7 +120,6 @@ mod tests {
 
     #[test]
     fn context_plumbing_works() {
-        let sdl = SharedDataLayer::new();
         let router = Router::new();
         let scope = router
             .register(XAppIdentity::named("recorder"), Grants::none().publish("seen").control_all())
@@ -132,7 +129,7 @@ mod tests {
             .unwrap()
             .subscribe("seen");
         let mut control = Vec::new();
-        let mut ctx = XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        let mut ctx = XAppContext { scope: &scope, control_out: &mut control };
         let mut app = Recorder { seen: 0 };
         app.on_records(&mut ctx, &[], Timestamp(0));
         assert_eq!(rx.try_recv().unwrap(), 0u32.to_be_bytes().to_vec());
@@ -144,12 +141,11 @@ mod tests {
 
     #[test]
     fn send_control_to_pins_the_cell() {
-        let sdl = SharedDataLayer::new();
         let scope = Router::new()
             .register(XAppIdentity::named("controller"), Grants::none().control_all())
             .unwrap();
         let mut control = Vec::new();
-        let mut ctx = XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+        let mut ctx = XAppContext { scope: &scope, control_out: &mut control };
         let outs = [
             ControlOut { cell: Some(CellId(7)), payload: b"act".to_vec(), ..Default::default() },
             ControlOut { cell: Some(CellId(7)), id: 42, payload: b"act".to_vec(), broadcast: false },
@@ -164,7 +160,6 @@ mod tests {
 
     #[test]
     fn scoped_context_gates_publish_and_control_by_grant() {
-        let sdl = SharedDataLayer::new();
         let router = Router::new();
         let handle = router
             .register(
@@ -177,7 +172,7 @@ mod tests {
             .unwrap()
             .subscribe("anomalies");
         let mut control = Vec::new();
-        let mut ctx = XAppContext { sdl: &sdl, scope: &handle, control_out: &mut control };
+        let mut ctx = XAppContext { scope: &handle, control_out: &mut control };
         // Granted topic goes through; ungranted one is dropped + counted.
         ctx.publish("anomalies", b"ok");
         ctx.publish("findings", b"spoof");

@@ -17,8 +17,7 @@ pub enum XsecError {
     /// A protocol state machine received a message that is invalid in its
     /// current state.
     ProtocolViolation(String),
-    /// A resource pool (RNTI space, admission slots, SDL capacity) was
-    /// exhausted.
+    /// A resource pool (RNTI space, admission slots) was exhausted.
     ResourceExhausted(String),
     /// A requested entity (UE context, subscription, model, key) is unknown.
     NotFound(String),

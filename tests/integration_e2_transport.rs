@@ -6,11 +6,9 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use parking_lot::Mutex;
 use xsec_attacks::DatasetBuilder;
-use xsec_e2::{KpmIndication, RicAgent, RicAgentConfig, TcpTransport};
+use xsec_e2::{RicAgent, RicAgentConfig, TcpTransport};
 use xsec_mobiflow::{extract_from_events, UeMobiFlow};
-use xsec_ric::{
-    Grants, RicPlatform, SubscriptionSpec, XApp, XAppContext, SDL_WINDOWS_PER_AGENT,
-};
+use xsec_ric::{Grants, RicPlatform, SubscriptionSpec, XApp, XAppContext};
 use xsec_types::{AttackKind, CellId, GnbId, Timestamp};
 
 struct Collector {
@@ -65,18 +63,7 @@ fn telemetry_flows_over_real_tcp_loopback() {
             assert!(std::time::Instant::now() < deadline, "timed out receiving telemetry");
             std::thread::yield_now();
         }
-        // Telemetry was also persisted to the SDL, one entry per report
-        // window: decoding the windows it still holds (keys sort by time)
-        // recovers exactly the newest records that were delivered.
-        let windows = platform.sdl().scan("mobiflow");
-        assert!(!windows.is_empty() && windows.len() <= SDL_WINDOWS_PER_AGENT);
-        let stored: Vec<UeMobiFlow> = windows
-            .iter()
-            .flat_map(|(_, value)| KpmIndication::decode(value).unwrap().into_records())
-            .collect();
         let received = received.lock().clone();
-        assert!(!stored.is_empty());
-        assert_eq!(stored, received[received.len() - stored.len()..]);
         received
     });
 

@@ -35,8 +35,7 @@ use xsec_proto::{
     NgapPdu, RrcMessage,
 };
 use xsec_ric::{
-    Grants, RicPlatform, Router, SharedDataLayer, SubscriptionSpec, XApp, XAppContext,
-    XAppIdentity, SDL_WINDOWS_PER_AGENT,
+    Grants, RicPlatform, Router, SubscriptionSpec, XApp, XAppContext, XAppIdentity,
 };
 use xsec_types::{
     CellId, CipherAlg, EstablishmentCause, GnbId, IntegrityAlg, Plmn, ReleaseCause, Rnti,
@@ -143,10 +142,6 @@ const MEASURED_PERIODS: u64 = 32;
 /// Every deployment registers two telemetry xApps (the detector, and the
 /// mitigator for its clock), so a report period is two indications.
 const TELEMETRY_XAPPS: u64 = 2;
-/// The ingest path is warm once the SDL retention is full: from then on
-/// every new window also evicts one, which is the state a deployment is in
-/// for all but its first seconds.
-const INGEST_WARM_UP_PERIODS: u64 = SDL_WINDOWS_PER_AGENT as u64 + WARM_UP_PERIODS;
 
 /// Allocations made between `poll` and the handlers' return over
 /// `MEASURED_PERIODS` report periods of `per_indication` records each.
@@ -172,19 +167,14 @@ fn ingest_allocations(per_indication: u64) -> u64 {
     }
     assert_eq!(agent.subscription_count() as u64, TELEMETRY_XAPPS);
 
-    let evicted = platform.obs().counter("xsec_sdl_evicted_total", &[("namespace", "mobiflow")]);
     let mut next_id = 0;
     let mut counted = 0;
     let mut delivered = 0;
-    let mut evicted_before = 0;
-    for period in 1..=INGEST_WARM_UP_PERIODS + MEASURED_PERIODS {
+    for period in 1..=WARM_UP_PERIODS + MEASURED_PERIODS {
         let end = Timestamp(period * PERIOD_US);
         for _ in 0..per_indication {
             agent.push_record(record(next_id, Timestamp(end.as_micros() - 1)));
             next_id += 1;
-        }
-        if period == INGEST_WARM_UP_PERIODS + 1 {
-            evicted_before = evicted.get();
         }
         let before = allocations();
         agent.poll(end).unwrap();
@@ -192,14 +182,12 @@ fn ingest_allocations(per_indication: u64) -> u64 {
         let spent = allocations() - before;
         assert_eq!(stats.pdus, TELEMETRY_XAPPS);
         assert_eq!(stats.records_delivered, TELEMETRY_XAPPS * per_indication);
-        if period > INGEST_WARM_UP_PERIODS {
+        if period > WARM_UP_PERIODS {
             counted += spent;
             delivered += stats.records_delivered;
         }
     }
     assert_eq!(delivered, MEASURED_PERIODS * TELEMETRY_XAPPS * per_indication);
-    assert_eq!(evicted.get() - evicted_before, MEASURED_PERIODS, "eviction ran in the measured span");
-    assert_eq!(platform.sdl().len("mobiflow"), SDL_WINDOWS_PER_AGENT);
     counted
 }
 
@@ -216,21 +204,10 @@ fn ingest_allocates_per_indication_not_per_record() {
     // 64 times the records, not one allocation more.
     assert_eq!(large, small, "the ingest path allocated per record");
     // And an indication costs a handful: its payload and the channel's copy
-    // of the frame at the agent, the payload and the records at the RIC, the
-    // SDL's copy of the key once per new window (288 over 64 indications;
-    // 804 before the store was hashed and the key written in place).
-    assert!(per_indication <= 4.5, "{per_indication} allocations per indication");
-}
-
-#[test]
-fn overwriting_an_sdl_entry_allocates_nothing() {
-    let sdl = SharedDataLayer::new();
-    sdl.set("mobiflow", "0/00000000000000100000/00000000000000000000", vec![1; 64]);
-    let value = vec![2; 64];
-    let (writing, ()) =
-        allocations_in(|| sdl.set("mobiflow", "0/00000000000000100000/00000000000000000000", value));
-    assert_eq!(writing, 0, "set on an existing key with a prebuilt value");
-    assert_eq!(sdl.scan("mobiflow")[0].1, vec![2; 64]);
+    // of the frame at the agent, the payload and the records at the RIC
+    // (256 over 64 indications; 804 when the platform still kept each
+    // window in a store keyed by `format!`).
+    assert!(per_indication <= 4.0, "{per_indication} allocations per indication");
 }
 
 /// Allocations this thread makes inside `on_records` over `MEASURED_PERIODS`
@@ -243,10 +220,9 @@ fn detector_allocations(
     state: &parking_lot::Mutex<MobiWatchState>,
     per_indication: u64,
 ) -> u64 {
-    let sdl = SharedDataLayer::new();
     let scope = Router::new().register(XAppIdentity::named("mobiwatch"), Grants::none()).unwrap();
     let mut control = Vec::new();
-    let mut ctx = XAppContext { sdl: &sdl, scope: &scope, control_out: &mut control };
+    let mut ctx = XAppContext { scope: &scope, control_out: &mut control };
     let periods = WARM_UP_PERIODS + MEASURED_PERIODS;
     state.lock().scores.reserve((periods * per_indication) as usize);
     let mut next_id = 0u64;
@@ -415,7 +391,6 @@ fn incident_hop_allocations_are_pinned() {
         "anomalies",
     );
     let (mut mitigator, mitigated) = Mitigator::with_obs(PolicyEngine::default(), Obs::new());
-    let sdl = SharedDataLayer::new();
     let mut control = Vec::new();
 
     const WARM_UP: u64 = 4;
@@ -423,10 +398,10 @@ fn incident_hop_allocations_are_pinned() {
     let (mut in_analyzer, mut in_mitigator) = (0, 0);
     for nth in 0..WARM_UP + MEASURED {
         let alert = serde_json::to_vec(&flood_alert(nth)).unwrap();
-        let mut ctx = XAppContext { sdl: &sdl, scope: &analyzer_scope, control_out: &mut control };
+        let mut ctx = XAppContext { scope: &analyzer_scope, control_out: &mut control };
         let (analyzing, ()) = allocations_in(|| analyzer.on_message(&mut ctx, "anomalies", &alert));
         let notice = findings.try_recv().expect("the analyzer publishes a notice per alert");
-        let mut ctx = XAppContext { sdl: &sdl, scope: &mitigator_scope, control_out: &mut control };
+        let mut ctx = XAppContext { scope: &mitigator_scope, control_out: &mut control };
         let (mitigating, ()) =
             allocations_in(|| mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &notice));
         if nth >= WARM_UP {
