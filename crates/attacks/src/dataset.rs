@@ -20,7 +20,7 @@ use xsec_types::{AttackKind, Duration, Plmn, Supi, Timestamp, TrafficClass, UeId
 pub struct AttackDataset {
     /// The attack mixed into this dataset.
     pub kind: AttackKind,
-    /// The full simulation output (labeled events + raw trace).
+    /// The full simulation output (the labeled event stream and gNB counters).
     pub report: SimReport,
 }
 

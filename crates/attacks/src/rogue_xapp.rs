@@ -142,6 +142,8 @@ mod tests {
     /// the controls queued, and the denials counted.
     fn one_round(grants: Grants) -> (RogueReport, usize, usize, u64) {
         let router = Router::new();
+        let obs = xsec_obs::Obs::new();
+        router.attach_obs(&obs);
         let mitigator = router
             .register(
                 XAppIdentity::named("mitigator"),
@@ -160,7 +162,8 @@ mod tests {
 
         let report = *report.lock().unwrap();
         let leaked = findings_rx.try_iter().count() + a1_rx.try_iter().count();
-        (report, leaked, control.len(), router.denied())
+        let denied = obs.snapshot().counter_total("xsec_authz_denied_total");
+        (report, leaked, control.len(), denied)
     }
 
     #[test]

@@ -794,7 +794,7 @@ mod tests {
 
         // Bytes that are neither an envelope nor a request: denied, counted.
         mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, b"\x00not json at all");
-        assert_eq!(router.denied(), 1);
+        assert_eq!(obs.snapshot().counter_total("xsec_authz_denied_total"), 1);
         let garbage = &obs.recorder.denials()[0];
         assert_eq!((garbage.xapp.as_str(), garbage.capability.as_str()), ("unsigned", "a1:malformed"));
 
@@ -817,7 +817,6 @@ mod tests {
         mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, &serde_json::to_vec(&ungranted).unwrap());
         assert_eq!(state.lock().summary().policy_ops.total(), 0);
         assert_eq!(state.lock().policy.status(), rules_before, "policy store moved");
-        assert_eq!(router.denied(), 4);
         assert_eq!(obs.snapshot().counter_total("xsec_authz_denied_total"), 4);
         assert_eq!(obs.recorder.denials()[1].capability, "a1:set-enabled");
 
@@ -826,7 +825,7 @@ mod tests {
             A1SignedRequest { xapp: "smo".into(), token: smo.token(), request: disable };
         mitigator.on_message(&mut ctx, A1_POLICY_TOPIC, &serde_json::to_vec(&signed).unwrap());
         assert_eq!(state.lock().summary().policy_ops.applied, 1);
-        assert_eq!(router.denied(), 4);
+        assert_eq!(obs.snapshot().counter_total("xsec_authz_denied_total"), 4);
     }
 
     #[test]

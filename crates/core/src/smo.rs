@@ -322,6 +322,8 @@ mod tests {
     fn a1_sends_surface_unrouted_topics_as_errors() {
         use xsec_ric::{Grants, XAppIdentity};
         let router = xsec_ric::Router::new();
+        let obs = xsec_obs::Obs::new();
+        router.attach_obs(&obs);
         let smo = router
             .register(
                 XAppIdentity::named("smo"),
@@ -332,7 +334,8 @@ mod tests {
         // No mitigator subscribed yet: the op must not vanish silently.
         let err = client.query_status().unwrap_err();
         assert_eq!(err, A1ClientError::Unrouted { topic: A1_POLICY_TOPIC.to_string() });
-        assert_eq!(router.unrouted(A1_POLICY_TOPIC), 1);
+        let unrouted = obs.counter("xsec_router_unrouted_total", &[("topic", A1_POLICY_TOPIC)]);
+        assert_eq!(unrouted.get(), 1);
         // Once a mitigator mailbox is live the same op is delivered.
         let _rx = router
             .register(XAppIdentity::named("mitigator"), Grants::none().subscribe(A1_POLICY_TOPIC))

@@ -1,34 +1,23 @@
 //! Telemetry extraction — the RIC agent's job.
 //!
-//! Two paths produce the same [`TelemetryStream`]:
-//!
-//! * [`extract_from_events`] reads the simulator's structured [`RanEvent`]s
-//!   (fast path; also carries ground-truth labels for evaluation);
-//! * [`extract_from_trace`] parses the raw F1AP/NGAP byte capture and
-//!   *reconstructs* the per-connection state (security algorithms, TMSI,
-//!   establishment cause) by replaying the messages — exactly what the
-//!   paper's pipeline does to pcap streams. It carries no labels.
-//!
-//! The two paths agreeing on a full simulation run is one of the pipeline's
-//! integration tests.
+//! [`extract_from_events`] turns the simulator's structured [`RanEvent`]s
+//! into a [`TelemetryStream`]: one record per message, carrying the
+//! connection state the CU held when it relayed it (security algorithms,
+//! TMSI, establishment cause) and, beside it, the ground-truth label. The
+//! event stream is the only tap; it stands in for the paper's CU
+//! instrumented with an E2 agent.
 
 use crate::record::UeMobiFlow;
-use std::collections::HashMap;
-use xsec_netsim::TraceLog;
-use xsec_proto::{Direction, F1apPdu, L3Message, NasMessage, NgapPdu, RrcMessage};
+use xsec_proto::{L3Message, RrcMessage};
 use xsec_ran::RanEvent;
-use xsec_types::{
-    CellId, CipherAlg, EstablishmentCause, IntegrityAlg, Result, Rnti, Tmsi,
-    TrafficClass,
-};
+use xsec_types::TrafficClass;
 
 /// A labeled telemetry stream: `records[i]` has ground truth `labels[i]`.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetryStream {
     /// The per-message records, in observation order.
     pub records: Vec<UeMobiFlow>,
-    /// Ground-truth labels, parallel to `records`. All-benign when the
-    /// stream was reconstructed from a raw capture.
+    /// Ground-truth labels, parallel to `records`.
     pub labels: Vec<TrafficClass>,
 }
 
@@ -88,125 +77,14 @@ pub fn extract_from_events_at(events: &[RanEvent], first_msg_id: u64) -> Telemet
     stream
 }
 
-/// Replay state per connection, reconstructed from the capture.
-#[derive(Debug, Clone, Copy)]
-struct ConnState {
-    rnti: Rnti,
-    cipher: Option<CipherAlg>,
-    integrity: Option<IntegrityAlg>,
-    cause: Option<EstablishmentCause>,
-    tmsi: Option<Tmsi>,
-}
-
-impl Default for ConnState {
-    fn default() -> Self {
-        ConnState { rnti: Rnti(0), cipher: None, integrity: None, cause: None, tmsi: None }
-    }
-}
-
-/// Builds the telemetry stream by parsing and replaying a raw capture.
-///
-/// # Errors
-/// Fails on undecodable PDUs — a corrupt capture should be loud, not
-/// silently half-parsed.
-pub fn extract_from_trace(trace: &TraceLog) -> Result<TelemetryStream> {
-    let mut stream = TelemetryStream::default();
-    let mut conns: HashMap<u32, ConnState> = HashMap::new();
-
-    for (i, rec) in trace.records().iter().enumerate() {
-        let (conn, cell, msg, direction) = match rec.interface {
-            "F1AP" => {
-                let pdu = F1apPdu::decode(&rec.payload)?;
-                let msg = pdu.unwrap_l3()?;
-                let state = conns.entry(pdu.du_ue_id).or_default();
-                state.rnti = pdu.rnti;
-                (pdu.du_ue_id, pdu.cell, msg, direction_of(pdu.uplink))
-            }
-            "NGAP" => {
-                let pdu = NgapPdu::decode(&rec.payload)?;
-                let msg = pdu.unwrap_l3()?;
-                (pdu.ran_ue_id as u32, CellId(1), msg, direction_of(pdu.uplink))
-            }
-            other => {
-                return Err(xsec_types::XsecError::Codec(format!(
-                    "unknown capture interface {other:?}"
-                )))
-            }
-        };
-
-        // Replay the message into the connection state *before* snapshotting
-        // for fields set by this very message (cause), matching the
-        // event-stream semantics where the snapshot is taken at the CU after
-        // context creation/update.
-        let state = conns.entry(conn).or_default();
-        match &msg {
-            L3Message::Rrc(RrcMessage::SetupRequest { cause, .. }) => {
-                // A fresh connection starts clean.
-                *state = ConnState { rnti: state.rnti, cause: Some(*cause), ..Default::default() };
-            }
-            L3Message::Nas(NasMessage::SecurityModeCommand { cipher, integrity, .. }) => {
-                state.cipher = Some(*cipher);
-                state.integrity = Some(*integrity);
-            }
-            L3Message::Nas(NasMessage::RegistrationAccept { new_tmsi }) => {
-                state.tmsi = Some(*new_tmsi);
-            }
-            L3Message::Nas(NasMessage::ServiceRequest { tmsi }) => {
-                state.tmsi = Some(*tmsi);
-            }
-            L3Message::Nas(NasMessage::RegistrationRequest {
-                identity: xsec_proto::MobileIdentity::FiveGSTmsi(tmsi),
-                ..
-            }) => {
-                state.tmsi = Some(*tmsi);
-            }
-            _ => {}
-        }
-
-        let supi = match &msg {
-            L3Message::Nas(nas) => nas.disclosed_identity().and_then(|id| match id {
-                xsec_proto::MobileIdentity::PlainSupi(supi) => Some(*supi),
-                _ => None,
-            }),
-            _ => None,
-        };
-
-        stream.records.push(UeMobiFlow {
-            msg_id: i as u64,
-            timestamp: rec.at,
-            cell,
-            rnti: state.rnti,
-            du_ue_id: conn,
-            direction,
-            msg: msg.kind(),
-            tmsi: state.tmsi,
-            supi,
-            cipher_alg: state.cipher,
-            integrity_alg: state.integrity,
-            establishment_cause: state.cause,
-            release_cause: match &msg {
-                L3Message::Rrc(RrcMessage::Release { cause }) => Some(*cause),
-                _ => None,
-            },
-        });
-        stream.labels.push(TrafficClass::Benign); // captures carry no truth
-    }
-    Ok(stream)
-}
-
-fn direction_of(uplink: bool) -> Direction {
-    if uplink {
-        Direction::Uplink
-    } else {
-        Direction::Downlink
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use xsec_proto::NasMessage;
     use xsec_ran::scenario::{Scenario, ScenarioConfig};
     use xsec_ran::sim::SimConfig;
+    use xsec_types::{CipherAlg, IntegrityAlg};
 
     fn run_small(seed: u64) -> xsec_ran::sim::SimReport {
         let config = ScenarioConfig {
@@ -233,30 +111,35 @@ mod tests {
     }
 
     #[test]
-    fn trace_extraction_matches_event_extraction() {
+    fn event_records_carry_the_last_commanded_algorithms() {
+        // Replays each connection's messages: an RRC Setup Request starts it
+        // with no algorithms, a NAS Security Mode Command sets them. Every
+        // record must carry the pair its connection's messages imply.
         let report = run_small(2);
-        let from_events = extract_from_events(&report.events);
-        let from_trace = extract_from_trace(&report.trace).unwrap();
-        assert_eq!(from_events.len(), from_trace.len());
-        for (a, b) in from_events.records.iter().zip(&from_trace.records) {
-            assert_eq!(a.msg, b.msg, "message kinds diverge at msg_id {}", a.msg_id);
-            assert_eq!(a.timestamp, b.timestamp);
-            assert_eq!(a.rnti, b.rnti, "rnti diverges at {}: {a:?} vs {b:?}", a.msg_id);
-            assert_eq!(a.direction, b.direction);
-            assert_eq!(a.cipher_alg, b.cipher_alg, "cipher diverges at {}", a.msg_id);
-            assert_eq!(a.integrity_alg, b.integrity_alg);
-            assert_eq!(a.supi, b.supi);
+        let stream = extract_from_events(&report.events);
+        let mut replayed: HashMap<u32, (Option<CipherAlg>, Option<IntegrityAlg>)> =
+            HashMap::new();
+        let mut commanded = 0;
+        for (ev, rec) in report.events.iter().zip(&stream.records) {
+            let pair = replayed.entry(ev.du_ue_id).or_default();
+            match &ev.msg {
+                L3Message::Rrc(RrcMessage::SetupRequest { .. }) => *pair = (None, None),
+                L3Message::Nas(NasMessage::SecurityModeCommand { cipher, integrity, .. }) => {
+                    *pair = (Some(*cipher), Some(*integrity));
+                    commanded += 1;
+                }
+                _ => {}
+            }
+            assert_eq!(
+                (rec.cipher_alg, rec.integrity_alg),
+                *pair,
+                "msg_id {} ({}) on connection {}",
+                rec.msg_id,
+                rec.msg,
+                rec.du_ue_id
+            );
         }
-    }
-
-    #[test]
-    fn trace_extraction_rejects_corrupt_capture() {
-        let report = run_small(3);
-        let mut trace = xsec_netsim::TraceLog::new();
-        let mut rec = report.trace.records()[0].clone();
-        rec.payload.truncate(3);
-        trace.push(rec);
-        assert!(extract_from_trace(&trace).is_err());
+        assert!(commanded > 0, "the run must negotiate security at least once");
     }
 
     #[test]

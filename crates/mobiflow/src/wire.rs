@@ -2,9 +2,10 @@
 //!
 //! One record is [`RECORD_LEN`] bytes, big-endian, every field at a fixed
 //! offset, so a report window is a flat block the RIC decodes in one pass
-//! with no per-record allocation. The semicolon form in [`crate::codec`]
-//! stays where the paper uses it (the LLM prompt and the alert context);
-//! this form is what the RIC agent ships and the RIC decodes.
+//! with no per-record allocation. The semicolon form
+//! ([`crate::encode_ue_record`]) stays where the paper uses it (the LLM
+//! prompt and the alert context); this form is what the RIC agent ships and
+//! the RIC decodes.
 //!
 //! ```text
 //! off len field

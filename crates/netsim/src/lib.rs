@@ -2,8 +2,8 @@
 //!
 //! A small, deterministic discrete-event simulation engine in the spirit of
 //! event-driven network stacks: a virtual clock, a priority event queue,
-//! reproducible named RNG streams, a configurable radio channel impairment
-//! model, and a trace capture facility.
+//! reproducible named RNG streams, and a configurable radio channel impairment
+//! model.
 //!
 //! The engine is the substrate on which `xsec-ran` builds the 5G standalone
 //! testbed that replaces the paper's OpenAirInterface + USRP + COLOSSEUM
@@ -22,9 +22,6 @@
 //!   (`--drop-chance` etc.) and is what produces the benign false-positive
 //!   noise the paper attributes to "network interference (e.g., RRC message
 //!   retransmissions)".
-//! * **Tracing** — [`TraceLog`] is the pcap analogue: an append-only
-//!   log of timestamped records that the MobiFlow extractor later parses,
-//!   just as the paper parses pcap streams from the F1AP/NGAP interfaces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,11 +29,9 @@
 mod channel;
 mod rng;
 mod scheduler;
-mod trace;
 
 pub use channel::{ChannelConfig, ChannelModel, ChannelOutcome, ChannelStats};
 pub use rng::RngStreams;
 pub use scheduler::Scheduler;
-pub use trace::{TraceLog, TraceRecord};
 
 pub use xsec_types::{Duration, Timestamp};

@@ -2,8 +2,8 @@
 //!
 //! The encoding is a compact tag-then-fields format: one byte of
 //! [`MessageKind::code`], followed by the variant's fields in declaration
-//! order. It is *not* ASN.1 PER — the paper's telemetry pipeline also does
-//! not re-encode PER; it parses captures into structured records. What
+//! order. It is *not* ASN.1 PER — the paper's telemetry does not re-encode
+//! PER either; its instrumented CU emits structured records. What
 //! matters here is that encoding is total, decoding rejects malformed input
 //! with a [`XsecError::Codec`] error instead of panicking, and
 //! `decode(encode(m)) == m` for every message (property-tested below).

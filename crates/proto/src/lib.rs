@@ -1,9 +1,8 @@
 //! # xsec-proto
 //!
 //! The L3 control-protocol model for the simulated 5G network: RRC (3GPP
-//! 38.331) and NAS (3GPP 24.501) message types, a compact binary wire codec,
-//! a procedure-conformance checker, and the F1AP/NGAP encapsulation that
-//! carries these messages between the simulated O-DU, O-CU, and AMF.
+//! 38.331) and NAS (3GPP 24.501) message types, a compact binary codec for
+//! one message, and a procedure-conformance checker.
 //!
 //! ## Scope
 //!
@@ -21,6 +20,11 @@
 //!        RRC            RRC container   NAS container
 //! ```
 //!
+//! The simulator hands each hop the message value itself; F1AP and NGAP name
+//! the hops, and no PDU is encoded for them. The only bytes are the NAS
+//! messages piggybacked in RRC (`nas_container`), which UEs, the gNB and
+//! the attacks encode and decode with [`codec`].
+//!
 //! * [`rrc::RrcMessage`] — the air-interface control messages.
 //! * [`nas::NasMessage`] — the NAS messages piggybacked through RRC.
 //! * [`msg::L3Message`] / [`msg::MessageKind`] — the unified vocabulary the
@@ -35,17 +39,13 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-mod f1ap;
 mod msg;
 pub mod nas;
-mod ngap;
 mod rrc;
 mod state;
 
 pub use codec::{decode_l3, encode_l3};
-pub use f1ap::F1apPdu;
 pub use msg::{Direction, L3Message, MessageKind, MobileIdentity};
 pub use nas::NasMessage;
-pub use ngap::NgapPdu;
 pub use rrc::RrcMessage;
 pub use state::{ProcedureConformance, Violation};

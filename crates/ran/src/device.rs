@@ -119,6 +119,22 @@ impl DeviceModel {
         }
     }
 
+    /// Draws a model from `mix`, relative weights over [`DeviceModel::ALL`]:
+    /// one `gen_range(0..total)`, so every population built from a seed
+    /// stays the same.
+    pub(crate) fn draw(mix: &[u32; DeviceModel::COUNT], rng: &mut impl rand::Rng) -> DeviceModel {
+        let total: u32 = mix.iter().sum();
+        assert!(total > 0, "device mix must have weight");
+        let mut pick = rng.gen_range(0..total);
+        for (model, w) in DeviceModel::ALL.into_iter().zip(mix) {
+            if pick < *w {
+                return model;
+            }
+            pick -= w;
+        }
+        DeviceModel::OaiSoftUe
+    }
+
     /// Draws an establishment cause from this model's mix.
     pub fn draw_cause(self, rng: &mut impl rand::Rng) -> EstablishmentCause {
         let profile = self.profile();

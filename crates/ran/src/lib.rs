@@ -8,8 +8,8 @@
 //!
 //! ```text
 //!  UE(s) ──Uu (impaired channel)──> O-DU ──F1AP──> O-CU ──NGAP──> AMF
-//!                                    │               │
-//!                                    └── trace tap ──┴── RanEvent stream
+//!                                                    │
+//!                                                    └── RanEvent stream
 //! ```
 //!
 //! * UEs are pluggable [`ue::UeBehavior`] state machines. Benign devices
@@ -22,14 +22,15 @@
 //! * A man-in-the-middle can be attached via [`intercept::Interceptor`] to
 //!   drop/replace messages on the air interface — how the identity
 //!   extraction and downgrade attacks are mounted.
-//! * Every message crossing F1AP/NGAP is captured twice: as raw bytes in the
-//!   pcap-like `TraceLog`, and as a structured, ground-truth-labeled
-//!   [`event::RanEvent`] that the MobiFlow extractor consumes.
+//! * Every message the CU relays is recorded once, as a structured,
+//!   ground-truth-labeled [`event::RanEvent`] that the MobiFlow extractor
+//!   consumes — the simulator's stand-in for the paper's E2-instrumented
+//!   CU. F1AP and NGAP name the hops; no PDU is encoded for them.
 //!
 //! ## Determinism
 //!
 //! All randomness flows from one master seed through named RNG streams; two
-//! runs of the same scenario produce byte-identical traces.
+//! runs of the same scenario produce identical event streams.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -70,20 +70,9 @@ impl Scenario {
         let streams = RngStreams::new(self.config.sim.seed);
         let mut rng = streams.stream("scenario");
         let mut at = Timestamp::ZERO;
-        let mix_total: u32 = self.config.device_mix.iter().sum();
-        assert!(mix_total > 0, "device mix must have weight");
 
         for i in 0..self.config.benign_sessions {
-            // Device model draw.
-            let mut pick = rng.gen_range(0..mix_total);
-            let mut model = DeviceModel::OaiSoftUe;
-            for (j, w) in self.config.device_mix.iter().enumerate() {
-                if pick < *w {
-                    model = DeviceModel::ALL[j];
-                    break;
-                }
-                pick -= w;
-            }
+            let model = DeviceModel::draw(&self.config.device_mix, &mut rng);
 
             // Subscriber provisioning.
             let msin = 100_000 + i as u64;

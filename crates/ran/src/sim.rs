@@ -1,13 +1,9 @@
 //! The end-to-end network simulator: UEs ⇄ (impaired Uu, optional MiTM) ⇄
 //! gNB ⇄ AMF, all driven by one deterministic discrete-event loop.
 //!
-//! The simulator produces the two artifacts the rest of 6G-XSec consumes:
-//!
-//! * a ground-truth-labeled [`RanEvent`] stream (the structured view the
-//!   MobiFlow extractor reads), and
-//! * a raw pcap-like [`TraceLog`] of encoded F1AP/NGAP PDUs (the byte-level
-//!   view, used to validate that extraction-from-capture agrees with the
-//!   structured stream).
+//! The simulator produces one artifact: a ground-truth-labeled [`RanEvent`]
+//! stream, one event per message at the CU, which the MobiFlow extractor
+//! reads (the role the E2-instrumented OAI CU plays in the paper).
 
 use crate::amf::{Amf, AmfAction, AmfConfig, SubscriberRecord};
 use crate::event::RanEvent;
@@ -16,8 +12,8 @@ use crate::intercept::{Intercept, Interceptor, PassThrough, TaintScope};
 use crate::ue::UeBehavior;
 use rand::rngs::StdRng;
 use std::collections::HashMap;
-use xsec_netsim::{ChannelConfig, ChannelModel, ChannelOutcome, RngStreams, Scheduler, TraceLog, TraceRecord};
-use xsec_proto::{F1apPdu, L3Message, MessageKind, NgapPdu, RrcMessage};
+use xsec_netsim::{ChannelConfig, ChannelModel, ChannelOutcome, RngStreams, Scheduler};
+use xsec_proto::{L3Message, MessageKind, RrcMessage};
 use xsec_types::{
     AttackKind, CipherAlg, Duration, EstablishmentCause, IntegrityAlg, Rnti, Timestamp,
     TrafficClass, Tmsi, UeId,
@@ -36,10 +32,6 @@ pub struct SimConfig {
     pub amf: AmfConfig,
     /// Hard stop for virtual time.
     pub horizon: Duration,
-    /// Whether to record the raw F1AP/NGAP byte capture alongside the
-    /// structured event stream. Streaming soaks turn this off: the capture
-    /// grows without bound and detection only reads the structured view.
-    pub capture_trace: bool,
 }
 
 /// Period of the CU guard-timer sweep.
@@ -55,7 +47,6 @@ impl Default for SimConfig {
             gnb: GnbConfig::default(),
             amf: AmfConfig::default(),
             horizon: Duration::from_secs(60),
-            capture_trace: true,
         }
     }
 }
@@ -65,8 +56,6 @@ impl Default for SimConfig {
 pub struct SimReport {
     /// Structured, labeled message stream at the network tap.
     pub events: Vec<RanEvent>,
-    /// Raw encoded F1AP/NGAP capture.
-    pub trace: TraceLog,
     /// gNB counters.
     pub gnb_stats: crate::gnb::GnbStats,
     /// UEs that completed registration at least once.
@@ -178,7 +167,6 @@ pub struct RanSimulator {
     snapshots: HashMap<u32, Snapshot>,
     interceptor: Box<dyn Interceptor>,
     events: Vec<RanEvent>,
-    trace: TraceLog,
     registrations: u64,
     streams: RngStreams,
     temp_rnti_cursor: u16,
@@ -212,7 +200,6 @@ impl RanSimulator {
             snapshots: HashMap::new(),
             interceptor: Box::new(PassThrough),
             events: Vec::new(),
-            trace: TraceLog::new(),
             registrations: 0,
             streams,
             temp_rnti_cursor: 0x0100,
@@ -376,7 +363,6 @@ impl RanSimulator {
     pub fn finish(self) -> SimReport {
         SimReport {
             events: self.events,
-            trace: self.trace,
             gnb_stats: self.gnb.stats(),
             registrations: self.registrations,
         }
@@ -831,32 +817,6 @@ impl RanSimulator {
         let direction =
             if uplink { xsec_proto::Direction::Uplink } else { xsec_proto::Direction::Downlink };
 
-        // Raw capture: RRC goes to the F1AP tap, NAS to the NGAP tap.
-        if self.config.capture_trace {
-            match msg {
-                L3Message::Rrc(_) => {
-                    let pdu = F1apPdu::wrap(conn, snapshot.rnti, self.config.gnb.cell, uplink, msg);
-                    self.trace.push(TraceRecord {
-                        at: now,
-                        interface: "F1AP",
-                        uplink,
-                        summary: format!("{msg} rnti={}", snapshot.rnti),
-                        payload: pdu.encode(),
-                    });
-                }
-                L3Message::Nas(_) => {
-                    let pdu = NgapPdu::wrap(conn as u64, conn as u64, uplink, msg);
-                    self.trace.push(TraceRecord {
-                        at: now,
-                        interface: "NGAP",
-                        uplink,
-                        summary: format!("{msg} conn={conn}"),
-                        payload: pdu.encode(),
-                    });
-                }
-            }
-        }
-
         self.events.push(RanEvent {
             at: now,
             cell: self.config.gnb.cell,
@@ -954,7 +914,6 @@ mod tests {
         for (x, y) in a.events.iter().zip(&b.events) {
             assert_eq!(x, y);
         }
-        assert_eq!(a.trace.len(), b.trace.len());
     }
 
     #[test]
@@ -983,28 +942,6 @@ mod tests {
             .expect("registration accept present");
         assert_eq!(accept.cipher, Some(CipherAlg::Nea2));
         assert_eq!(accept.integrity, Some(IntegrityAlg::Nia2));
-    }
-
-    #[test]
-    fn trace_and_events_have_consistent_counts() {
-        let report = simple_sim(31, 3).run();
-        assert_eq!(report.trace.len(), report.events.len());
-        // Raw F1AP records decode back to the same RRC kinds.
-        for (rec, ev) in report.trace.records().iter().zip(&report.events) {
-            match &ev.msg {
-                L3Message::Rrc(_) => {
-                    assert_eq!(rec.interface, "F1AP");
-                    let pdu = F1apPdu::decode(&rec.payload).unwrap();
-                    assert_eq!(pdu.unwrap_l3().unwrap(), ev.msg);
-                    assert_eq!(pdu.rnti, ev.rnti);
-                }
-                L3Message::Nas(_) => {
-                    assert_eq!(rec.interface, "NGAP");
-                    let pdu = NgapPdu::decode(&rec.payload).unwrap();
-                    assert_eq!(pdu.unwrap_l3().unwrap(), ev.msg);
-                }
-            }
-        }
     }
 
     #[test]

@@ -172,7 +172,6 @@ impl StreamingScenario {
                     channel: config.channel.clone(),
                     // Streaming runs are open-ended; the driver bounds time.
                     horizon: Duration::from_secs(u64::MAX / 2_000_000),
-                    capture_trace: false,
                     ..SimConfig::default()
                 };
                 sim.gnb.cell = CellId(i as u32 + 1);
@@ -369,7 +368,7 @@ impl StreamingScenario {
         let msin = 100_000 + seq;
         let key = 0xAB00_0000 + seq;
         let supi = Supi::new(Plmn::TEST, msin);
-        let model = self.draw_model();
+        let model = DeviceModel::draw(&self.config.device_mix, &mut self.rng);
         let sim = &mut self.cells[cell];
         sim.add_subscriber(SubscriberRecord { supi, key });
 
@@ -399,18 +398,6 @@ impl StreamingScenario {
         let id = self.cells[cell].add_ue(Box::new(ue), TrafficClass::Benign, at);
         self.sessions
             .insert((cell, id), SessionInfo { msin, key, model, hops_left, tmsi: cached_tmsi });
-    }
-
-    fn draw_model(&mut self) -> DeviceModel {
-        let total: u32 = self.config.device_mix.iter().sum();
-        let mut pick = self.rng.gen_range(0..total);
-        for (j, w) in self.config.device_mix.iter().enumerate() {
-            if pick < *w {
-                return DeviceModel::ALL[j];
-            }
-            pick -= w;
-        }
-        DeviceModel::OaiSoftUe
     }
 
     /// Tracks the TMSI the network last issued to a session, so a handover

@@ -106,12 +106,12 @@ type Subscribers = Vec<(u64, Sender<Vec<u8>>)>;
 struct Inner {
     topics: HashMap<String, Subscribers>,
     next_sub_id: u64,
-    unrouted: HashMap<String, u64>,
     sealed: bool,
     registry: HashMap<String, Registration>,
     next_registration: u64,
-    denied: u64,
-    obs: Option<Obs>,
+    /// Where denials and unrouted publishes are counted: a registry of the
+    /// router's own until [`Router::attach_obs`] re-homes it.
+    obs: Obs,
 }
 
 /// A cloneable router handle.
@@ -141,9 +141,9 @@ impl Router {
     }
 
     /// Attaches the observability handle denials and unrouted publishes
-    /// are counted into.
+    /// are counted into from now on.
     pub fn attach_obs(&self, obs: &Obs) {
-        self.inner.lock().obs = Some(obs.clone());
+        self.inner.lock().obs = obs.clone();
     }
 
     /// Closes registration. Call once the deployment is wired so no rogue
@@ -208,26 +208,9 @@ impl Router {
     /// `authz_deny` record into the flight recorder so the denial shows up
     /// in `incidents.jsonl`.
     pub fn deny(&self, xapp: &str, capability: &str) {
-        let obs = {
-            let mut inner = self.inner.lock();
-            inner.denied += 1;
-            inner.obs.clone()
-        };
-        if let Some(obs) = obs {
-            obs.counter("xsec_authz_denied_total", &[("xapp", xapp), ("capability", capability)])
-                .inc();
-            obs.recorder.record_denial(xapp, capability);
-        }
-    }
-
-    /// Total authorization denials recorded by this router.
-    pub fn denied(&self) -> u64 {
-        self.inner.lock().denied
-    }
-
-    /// How many publishes on `topic` found zero live subscribers.
-    pub fn unrouted(&self, topic: &str) -> u64 {
-        self.inner.lock().unrouted.get(topic).copied().unwrap_or(0)
+        let obs = self.inner.lock().obs.clone();
+        obs.counter("xsec_authz_denied_total", &[("xapp", xapp), ("capability", capability)]).inc();
+        obs.recorder.record_denial(xapp, capability);
     }
 
     fn subscribe_inner(&self, topic: &str) -> Receiver<Vec<u8>> {
@@ -267,11 +250,8 @@ impl Router {
                     subs.retain(|(id, _)| !dead.contains(id));
                 }
             }
-            if live == 0 {
-                *inner.unrouted.entry(topic.to_string()).or_insert(0) += 1;
-            }
             // The clean publish (everything delivered) touches no metric.
-            if live == 0 || dropped > 0 { inner.obs.clone() } else { None }
+            (live == 0 || dropped > 0).then(|| inner.obs.clone())
         };
         if let Some(obs) = obs {
             if live == 0 {
@@ -383,6 +363,17 @@ impl RouterHandle {
 mod tests {
     use super::*;
 
+    /// Denials the router has counted into its registry.
+    fn denied(router: &Router) -> u64 {
+        router.inner.lock().obs.snapshot().counter_total("xsec_authz_denied_total")
+    }
+
+    /// Publishes on `topic` the router has counted as unrouted.
+    fn unrouted(router: &Router, topic: &str) -> u64 {
+        let obs = router.inner.lock().obs.clone();
+        obs.counter("xsec_router_unrouted_total", &[("topic", topic)]).get()
+    }
+
     /// A fresh router plus one identity, `"tenant"`, holding `grants`.
     fn router_with(grants: Grants) -> (Router, RouterHandle) {
         let router = Router::new();
@@ -443,19 +434,19 @@ mod tests {
             tenant.try_publish("nobody", b"x"),
             Err(PublishError::Unrouted { topic: "nobody".to_string() })
         );
-        assert_eq!(router.unrouted("nobody"), 1);
+        assert_eq!(unrouted(&router, "nobody"), 1);
         // Full-mailbox 0 is NOT unrouted: the subscriber exists.
         let _rx = tenant.subscribe("t");
         for _ in 0..MAILBOX_DEPTH {
             tenant.publish("t", b"fill");
         }
         assert_eq!(tenant.try_publish("t", b"overflow"), Ok(0));
-        assert_eq!(router.unrouted("t"), 0);
+        assert_eq!(unrouted(&router, "t"), 0);
         // A topic whose only subscriber disconnected routes to nobody.
         let rx = tenant.subscribe("gone");
         drop(rx);
         assert!(matches!(tenant.try_publish("gone", b"x"), Err(PublishError::Unrouted { .. })));
-        assert_eq!(router.unrouted("gone"), 1);
+        assert_eq!(unrouted(&router, "gone"), 1);
     }
 
     #[test]
@@ -478,7 +469,7 @@ mod tests {
             consumer.try_publish("anomalies", b"up"),
             Err(PublishError::Denied { .. })
         ));
-        assert_eq!(router.denied(), 3);
+        assert_eq!(denied(&router), 3);
     }
 
     #[test]
@@ -490,7 +481,7 @@ mod tests {
             .register(XAppIdentity::named("rogue"), Grants::none().publish("a1-policies"))
             .unwrap_err();
         assert_eq!(err, RegisterError::Sealed);
-        assert_eq!(router.denied(), 1);
+        assert_eq!(denied(&router), 1);
     }
 
     #[test]

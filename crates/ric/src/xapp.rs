@@ -161,6 +161,8 @@ mod tests {
     #[test]
     fn scoped_context_gates_publish_and_control_by_grant() {
         let router = Router::new();
+        let obs = xsec_obs::Obs::new();
+        router.attach_obs(&obs);
         let handle = router
             .register(
                 XAppIdentity::named("partial"),
@@ -189,6 +191,6 @@ mod tests {
         assert!(!ctx.send_control("quarantine-cell", to_cell_1(b"q", true)));
         assert!(!ctx.send_control("*", ControlOut { payload: b"any".to_vec(), ..Default::default() }));
         assert_eq!(control.len(), 1);
-        assert_eq!(router.denied(), 3);
+        assert_eq!(obs.snapshot().counter_total("xsec_authz_denied_total"), 3);
     }
 }

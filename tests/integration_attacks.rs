@@ -1,13 +1,14 @@
 //! Integration between the attack datasets, the protocol conformance
-//! checker, the raw-capture extraction path, and the expert engine: each
+//! checker, MobiFlow extraction, and the expert engine: each
 //! attack's literature-documented signature must be visible through every
 //! independent lens.
 
+use std::collections::HashMap;
 use xsec_attacks::DatasetBuilder;
 use xsec_llm::{AnalysisSignal, ExpertEngine};
-use xsec_mobiflow::{extract_from_events, extract_from_trace};
-use xsec_proto::{L3Message, ProcedureConformance, Violation};
-use xsec_types::{AttackKind, TrafficClass};
+use xsec_mobiflow::extract_from_events;
+use xsec_proto::{L3Message, NasMessage, ProcedureConformance, RrcMessage, Violation};
+use xsec_types::{AttackKind, CipherAlg, IntegrityAlg, TrafficClass};
 
 #[test]
 fn conformance_checker_clears_benign_connections() {
@@ -88,28 +89,31 @@ fn uplink_extraction_stays_grammar_compliant() {
 }
 
 #[test]
-fn raw_capture_extraction_agrees_on_attack_traffic() {
-    // The pcap-equivalent path must reconstruct the same telemetry the
-    // structured path produces, even under attack (same message kinds,
-    // security state, exposures) — labels are the only difference.
+fn attack_records_carry_the_commanded_algorithms() {
+    // Replays each connection's messages, attacks included: an RRC Setup
+    // Request starts it with no algorithms, a NAS Security Mode Command sets
+    // them. The CU learns the pair when it relays the command, a couple of
+    // milliseconds before the command itself is recorded, so a retransmitted
+    // message landing in that gap may carry the pair early. Any other
+    // disagreement is a bug.
+    type Algs = (Option<CipherAlg>, Option<IntegrityAlg>);
     for kind in AttackKind::ALL {
         let ds = DatasetBuilder::small(403 + kind as u64, 10).attack(kind);
-        let from_events = extract_from_events(&ds.report.events);
-        let from_trace = extract_from_trace(&ds.report.trace).unwrap();
-        assert_eq!(from_events.len(), from_trace.len(), "{kind}");
-        for (a, b) in from_events.records.iter().zip(&from_trace.records) {
-            assert_eq!(a.msg, b.msg, "{kind} diverges at msg {}", a.msg_id);
-            assert_eq!(a.supi, b.supi, "{kind} at {}", a.msg_id);
-            assert_eq!(a.release_cause, b.release_cause, "{kind} at {}", a.msg_id);
-            // The CU learns the negotiated algorithms when it relays the
-            // security-mode command — a couple of milliseconds before the
-            // command appears on the wire. A retransmitted message landing
-            // inside that window carries Some(...) in the agent's view and
-            // None in the capture replay; contradictions are still bugs.
-            match (a.cipher_alg, b.cipher_alg) {
+        let stream = extract_from_events(&ds.report.events);
+        let mut replayed: HashMap<u32, Algs> = HashMap::new();
+        for (ev, rec) in ds.report.events.iter().zip(&stream.records) {
+            let pair = replayed.entry(ev.du_ue_id).or_default();
+            match &ev.msg {
+                L3Message::Rrc(RrcMessage::SetupRequest { .. }) => *pair = (None, None),
+                L3Message::Nas(NasMessage::SecurityModeCommand { cipher, integrity, .. }) => {
+                    *pair = (Some(*cipher), Some(*integrity));
+                }
+                _ => {}
+            }
+            match ((rec.cipher_alg, rec.integrity_alg), *pair) {
                 (x, y) if x == y => {}
-                (Some(_), None) => {}
-                (x, y) => panic!("{kind} at {}: cipher {x:?} vs {y:?}", a.msg_id),
+                ((Some(_), Some(_)), (None, None)) => {}
+                (x, y) => panic!("{kind} at {}: records {x:?}, replay {y:?}", rec.msg_id),
             }
         }
     }

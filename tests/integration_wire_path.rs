@@ -31,8 +31,7 @@ use xsec_llm::{CrossVerdict, ModelPersonality, SimulatedExpert};
 use xsec_mobiflow::{decode_ue_record, encode_ue_record, UeMobiFlow};
 use xsec_obs::Obs;
 use xsec_proto::{
-    decode_l3, encode_l3, Direction, F1apPdu, L3Message, MessageKind, MobileIdentity, NasMessage,
-    NgapPdu, RrcMessage,
+    decode_l3, encode_l3, Direction, L3Message, MessageKind, MobileIdentity, NasMessage, RrcMessage,
 };
 use xsec_ric::{
     Grants, RicPlatform, Router, SubscriptionSpec, XApp, XAppContext, XAppIdentity,
@@ -479,29 +478,6 @@ fn l3_samples() -> Vec<L3Message> {
     ]
 }
 
-fn f1ap_samples() -> Vec<F1apPdu> {
-    let setup = L3Message::Rrc(RrcMessage::Setup);
-    let complete = L3Message::Rrc(RrcMessage::SetupComplete { nas_container: vec![1, 2, 3] });
-    vec![
-        F1apPdu::wrap(7, Rnti(0x5F), CellId(1), false, &setup),
-        F1apPdu::wrap(42, Rnti(0x1234), CellId(3), true, &complete),
-        F1apPdu::wrap(1, Rnti(2), CellId(3), true, &setup),
-    ]
-}
-
-fn ngap_samples() -> Vec<NgapPdu> {
-    vec![
-        NgapPdu::wrap(
-            100,
-            200,
-            false,
-            &L3Message::Nas(NasMessage::AuthenticationRequest { rand: 5, autn: 6 }),
-        ),
-        NgapPdu::wrap(1, 2, true, &L3Message::Nas(NasMessage::AuthenticationResponse { res: 9 })),
-        NgapPdu::wrap(1, 2, true, &L3Message::Nas(NasMessage::SecurityModeComplete)),
-    ]
-}
-
 fn action_samples() -> Vec<ControlAction> {
     use xsec_types::Duration;
     vec![
@@ -623,18 +599,6 @@ fn codecs() -> Vec<Codec> {
             recode: |b| decode_l3(b).map(|m| encode_l3(&m)),
         },
         Codec {
-            name: "F1AP",
-            golden: F1AP_GOLDEN,
-            encoded: f1ap_samples().iter().map(F1apPdu::encode).collect(),
-            recode: |b| F1apPdu::decode(b).map(|p| p.encode()),
-        },
-        Codec {
-            name: "NGAP",
-            golden: NGAP_GOLDEN,
-            encoded: ngap_samples().iter().map(NgapPdu::encode).collect(),
-            recode: |b| NgapPdu::decode(b).map(|p| p.encode()),
-        },
-        Codec {
             name: "E2AP",
             golden: E2AP_GOLDEN,
             encoded: e2ap_samples().iter().map(E2apPdu::encode).collect(),
@@ -674,16 +638,6 @@ const L3_GOLDEN: &[&str] = &[
     "2a00000101",
     "2d00000001",
     "3105",
-];
-const F1AP_GOLDEN: &[&str] = &[
-    "00000007005f0000000100000101",
-    "0000002a123400000003010006020003010203",
-    "0000000100020000000301000101",
-];
-const NGAP_GOLDEN: &[&str] = &[
-    "000000000000006400000000000000c80000112400000000000000050000000000000006",
-    "00000000000000010000000000000002010009250000000000000009",
-    "000000000000000100000000000000020100012b",
 ];
 const E2AP_GOLDEN: &[&str] = &[
     "00000000070002000000010000008e00020000000100000002",
@@ -914,18 +868,13 @@ fn every_decoder_is_total() {
     }
 }
 
-/// The per-message codecs of the simulator, extract and control paths
+/// The per-message codecs of the simulator and control paths
 /// allocate for what they return and nothing else: no staging buffer on
 /// either side.
 #[test]
 fn per_message_codecs_allocate_only_what_they_return() {
     let plain = encode_l3(&L3Message::Nas(NasMessage::AuthenticationRequest { rand: 7, autn: 8 }));
     assert_eq!(allocations_in(|| decode_l3(&plain)).0, 0, "decode_l3 of a container-free message");
-
-    let f1ap = f1ap_samples()[1].encode();
-    assert_eq!(allocations_in(|| F1apPdu::decode(&f1ap)).0, 1, "F1apPdu::decode: the container");
-    let ngap = ngap_samples()[0].encode();
-    assert_eq!(allocations_in(|| NgapPdu::decode(&ngap)).0, 1, "NgapPdu::decode: the container");
 
     for action in action_samples() {
         let (encoding, bytes) = allocations_in(|| action.encode());
