@@ -64,4 +64,4 @@ pub use mitigator::{
 pub use mobiwatch::{Detector, MobiWatch, MobiWatchConfig, ShardedMobiWatch};
 pub use scale::{RanFeed, ScaleDeployment, ScaleOutcome};
 pub use pipeline::{Pipeline, PipelineConfig};
-pub use smo::{A1ClientError, A1PolicyClient, DeployedModels, Smo, TrainingConfig};
+pub use smo::{A1PolicyClient, DeployedModels, Smo, TrainingConfig};

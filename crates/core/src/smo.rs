@@ -15,7 +15,6 @@
 use crate::mitigator::{A1SignedRequest, A1_POLICY_STATUS_TOPIC, A1_POLICY_TOPIC};
 use crossbeam_channel::Receiver;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use xsec_control::{A1Request, A1Response, PolicyRule};
 use xsec_ric::{PublishError, RouterHandle};
 use xsec_dl::{
@@ -85,48 +84,6 @@ impl DeployedModels {
     }
 }
 
-/// Why an A1 operation never left the SMO side.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum A1ClientError {
-    /// The router refused the publish for lack of a grant.
-    Denied {
-        /// Identity the denial was counted against.
-        xapp: String,
-        /// The capability label that was missing.
-        capability: String,
-    },
-    /// No live subscriber on the topic — the operation would have vanished
-    /// silently (typically: the mitigator is not deployed / already gone).
-    Unrouted {
-        /// The subscriber-less topic.
-        topic: String,
-    },
-}
-
-impl From<PublishError> for A1ClientError {
-    fn from(e: PublishError) -> Self {
-        match e {
-            PublishError::Denied { xapp, capability } => A1ClientError::Denied { xapp, capability },
-            PublishError::Unrouted { topic } => A1ClientError::Unrouted { topic },
-        }
-    }
-}
-
-impl fmt::Display for A1ClientError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            A1ClientError::Denied { xapp, capability } => {
-                write!(f, "A1 publish denied for {xapp:?} (missing {capability})")
-            }
-            A1ClientError::Unrouted { topic } => {
-                write!(f, "no live subscriber on {topic:?}; A1 operation not delivered")
-            }
-        }
-    }
-}
-
-impl std::error::Error for A1ClientError {}
-
 /// The SMO's handle on the near-RT RIC's live policy store: an A1-flavoured
 /// message client over the platform router.
 ///
@@ -140,8 +97,8 @@ impl std::error::Error for A1ClientError {}
 /// only form the mitigator accepts.
 ///
 /// Every send returns `Err` instead of silently dropping when the operation
-/// cannot reach a mitigator: [`A1ClientError::Unrouted`] when the topic has
-/// no live subscriber, [`A1ClientError::Denied`] when the sender lacks the
+/// cannot reach a mitigator: [`PublishError::Unrouted`] when the topic has
+/// no live subscriber, [`PublishError::Denied`] when the sender lacks the
 /// publish grant.
 pub struct A1PolicyClient {
     scope: RouterHandle,
@@ -161,24 +118,24 @@ impl A1PolicyClient {
     /// Publishes one A1 operation; returns how many mailboxes accepted it.
     ///
     /// # Errors
-    /// [`A1ClientError::Unrouted`] when no mitigator is subscribed (the op
-    /// would otherwise vanish), [`A1ClientError::Denied`] when the publish
+    /// [`PublishError::Unrouted`] when no mitigator is subscribed (the op
+    /// would otherwise vanish), [`PublishError::Denied`] when the publish
     /// grant is missing.
-    pub fn send(&self, request: &A1Request) -> std::result::Result<usize, A1ClientError> {
+    pub fn send(&self, request: &A1Request) -> std::result::Result<usize, PublishError> {
         let signed = A1SignedRequest {
             xapp: self.scope.name().to_string(),
             token: self.scope.token(),
             request: request.clone(),
         };
         let json = serde_json::to_vec(&signed).expect("A1 requests serialize");
-        Ok(self.scope.try_publish(A1_POLICY_TOPIC, &json)?)
+        self.scope.try_publish(A1_POLICY_TOPIC, &json)
     }
 
     /// Replaces an installed rule in place.
     ///
     /// # Errors
     /// See [`A1PolicyClient::send`].
-    pub fn update(&self, rule: PolicyRule) -> std::result::Result<usize, A1ClientError> {
+    pub fn update(&self, rule: PolicyRule) -> std::result::Result<usize, PublishError> {
         self.send(&A1Request::UpdatePolicy { rule })
     }
 
@@ -190,7 +147,7 @@ impl A1PolicyClient {
         &self,
         id: &str,
         enabled: bool,
-    ) -> std::result::Result<usize, A1ClientError> {
+    ) -> std::result::Result<usize, PublishError> {
         self.send(&A1Request::SetEnabled { id: id.to_string(), enabled })
     }
 
@@ -198,7 +155,7 @@ impl A1PolicyClient {
     ///
     /// # Errors
     /// See [`A1PolicyClient::send`].
-    pub fn query_status(&self) -> std::result::Result<usize, A1ClientError> {
+    pub fn query_status(&self) -> std::result::Result<usize, PublishError> {
         self.send(&A1Request::QueryStatus)
     }
 
@@ -333,7 +290,7 @@ mod tests {
         let client = A1PolicyClient::scoped(smo);
         // No mitigator subscribed yet: the op must not vanish silently.
         let err = client.query_status().unwrap_err();
-        assert_eq!(err, A1ClientError::Unrouted { topic: A1_POLICY_TOPIC.to_string() });
+        assert_eq!(err, PublishError::Unrouted { topic: A1_POLICY_TOPIC.to_string() });
         let unrouted = obs.counter("xsec_router_unrouted_total", &[("topic", A1_POLICY_TOPIC)]);
         assert_eq!(unrouted.get(), 1);
         // Once a mitigator mailbox is live the same op is delivered.

@@ -4,19 +4,18 @@
 //! model so the RIC agent can "report security telemetry via the E2 report
 //! operation per time interval, where the telemetry can be encoded as
 //! (key, value) data" (§3.1). [`KpmIndication`] is that container: a report
-//! window, the window's MobiFlow records as one block of fixed-layout binary
-//! records ([`xsec_mobiflow::wire`]), and a list of generic UTF-8 key/value
-//! entries for any other measurement.
+//! window and the window's MobiFlow records as one block of fixed-layout
+//! binary records ([`xsec_mobiflow::wire`]), each record's fields keyed by
+//! their position.
 //!
 //! ```text
 //! cell u32 | window_start u64 | window_end u64 | n_records u32
-//!   | n_records x 48-byte record | n_entries u32
-//!   | n_entries x (u16 len, key, u16 len, value)
+//!   | n_records x 48-byte record
 //! ```
 
 use xsec_mobiflow::wire::{get_record, put_record, RECORD_LEN};
 use xsec_mobiflow::UeMobiFlow;
-use xsec_types::{CellId, Put, Reader, Result, Timestamp, XsecError};
+use xsec_types::{CellId, Put, Reader, Result, Timestamp};
 
 /// RAN function id of the MobiFlow security service model (a private id
 /// outside the ranges the O-RAN Alliance reserves for its own models).
@@ -36,8 +35,6 @@ pub struct KpmIndication {
     pub window_end: Timestamp,
     /// The window's MobiFlow records, in log order.
     pub records: Vec<UeMobiFlow>,
-    /// Generic (key, value) telemetry entries.
-    pub entries: Vec<(String, String)>,
 }
 
 impl KpmIndication {
@@ -48,19 +45,12 @@ impl KpmIndication {
         window_end: Timestamp,
         records: &[UeMobiFlow],
     ) -> Self {
-        KpmIndication {
-            cell,
-            window_start,
-            window_end,
-            records: records.to_vec(),
-            entries: Vec::new(),
-        }
+        KpmIndication { cell, window_start, window_end, records: records.to_vec() }
     }
 
     /// The MobiFlow records carried by this indication, in log order.
-    /// Generic entries never contribute. Decoding already validated every
-    /// record, so this cannot fail; the `Result` is the signature existing
-    /// callers compile against.
+    /// Decoding already validated every record, so this cannot fail; the
+    /// `Result` is the signature existing callers compile against.
     pub fn mobiflow_records(&self) -> Result<Vec<UeMobiFlow>> {
         Ok(self.records.clone())
     }
@@ -72,23 +62,33 @@ impl KpmIndication {
 
     /// Encodes the payload.
     pub fn encode(&self) -> Vec<u8> {
-        encode_parts(self.cell, self.window_start, self.window_end, &self.records, &self.entries)
+        Self::encode_records(self.cell, self.window_start, self.window_end, &self.records)
     }
 
-    /// Encodes a records-only payload straight from a slice — the agent's
-    /// path, which never builds a `KpmIndication`.
+    /// Encodes a payload straight from a slice — the agent's path, which
+    /// never builds a `KpmIndication`. Sized exactly up front, so it
+    /// allocates once.
     pub fn encode_records(
         cell: CellId,
         window_start: Timestamp,
         window_end: Timestamp,
         records: &[UeMobiFlow],
     ) -> Vec<u8> {
-        encode_parts(cell, window_start, window_end, records, &[])
+        let block_len = records.len() * RECORD_LEN;
+        let mut buf = Vec::with_capacity(HEADER_LEN + block_len);
+        buf.put_u32(cell.0);
+        buf.put_u64(window_start.as_micros());
+        buf.put_u64(window_end.as_micros());
+        buf.put_len::<4>(records.len()).expect("a report window holds under 2^32 records");
+        buf.resize(HEADER_LEN + block_len, 0);
+        for (record, chunk) in records.iter().zip(buf[HEADER_LEN..].chunks_exact_mut(RECORD_LEN)) {
+            put_record(record, chunk.try_into().expect("chunks_exact_mut yields RECORD_LEN"));
+        }
+        buf
     }
 
     /// Decodes a payload. The record block is borrowed from bytes that are
-    /// present before anything is sized by its count, and the entry list
-    /// grows by the entries actually read.
+    /// present before anything is sized by its count.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let mut r = Reader::new(bytes);
         let cell = CellId(r.u32()?);
@@ -100,48 +100,9 @@ impl KpmIndication {
         for chunk in block.chunks_exact(RECORD_LEN) {
             records.push(get_record(chunk.try_into().expect("chunks_exact yields RECORD_LEN"))?);
         }
-        let entries = (0..r.u32()?)
-            .map(|_| Ok((get_str(&mut r)?, get_str(&mut r)?)))
-            .collect::<Result<_>>()?;
         r.finish()?;
-        Ok(KpmIndication { cell, window_start, window_end, records, entries })
+        Ok(KpmIndication { cell, window_start, window_end, records })
     }
-}
-
-/// The one encoder, sized exactly up front so it allocates once.
-fn encode_parts(
-    cell: CellId,
-    window_start: Timestamp,
-    window_end: Timestamp,
-    records: &[UeMobiFlow],
-    entries: &[(String, String)],
-) -> Vec<u8> {
-    let block_len = records.len() * RECORD_LEN;
-    let entries_len: usize = entries.iter().map(|(k, v)| 4 + k.len() + v.len()).sum();
-    let mut buf = Vec::with_capacity(HEADER_LEN + block_len + 4 + entries_len);
-    buf.put_u32(cell.0);
-    buf.put_u64(window_start.as_micros());
-    buf.put_u64(window_end.as_micros());
-    buf.put_len::<4>(records.len()).expect("a report window holds under 2^32 records");
-    buf.resize(HEADER_LEN + block_len, 0);
-    for (record, chunk) in records.iter().zip(buf[HEADER_LEN..].chunks_exact_mut(RECORD_LEN)) {
-        put_record(record, chunk.try_into().expect("chunks_exact_mut yields RECORD_LEN"));
-    }
-    buf.put_len::<4>(entries.len()).expect("an indication holds under 2^32 entries");
-    for (k, v) in entries {
-        put_str(&mut buf, k);
-        put_str(&mut buf, v);
-    }
-    buf
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.put_prefixed::<2>(s.as_bytes()).expect("KPM entry strings are under 64 KiB");
-}
-
-fn get_str(r: &mut Reader<'_>) -> Result<String> {
-    String::from_utf8(r.prefixed::<2>()?.to_vec())
-        .map_err(|e| XsecError::Codec(format!("bad utf8: {e}")))
 }
 
 #[cfg(test)]
@@ -149,7 +110,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use xsec_proto::{Direction, MessageKind};
-    use xsec_types::{Plmn, ReleaseCause, Rnti, Supi, Tmsi};
+    use xsec_types::{Plmn, ReleaseCause, Rnti, Supi, Tmsi, XsecError};
 
     fn record(id: u64) -> UeMobiFlow {
         UeMobiFlow {
@@ -170,16 +131,14 @@ mod tests {
     }
 
     /// A payload exercising every part of the layout: records with and
-    /// without optionals, plus generic entries.
+    /// without optionals.
     fn full_payload() -> Vec<u8> {
         let mut records: Vec<_> = (0..3).map(record).collect();
         records[1].tmsi = Some(Tmsi(0xAABB_CCDD));
         records[1].supi = Some(Supi::new(Plmn::TEST, 99));
         records[2].msg = MessageKind::RrcRelease;
         records[2].release_cause = Some(ReleaseCause::Congestion);
-        let mut ind = KpmIndication::from_records(CellId(1), Timestamp(0), Timestamp(1), &records);
-        ind.entries.push(("kpm/prb_util".into(), "0.7".into()));
-        ind.encode()
+        KpmIndication::from_records(CellId(1), Timestamp(0), Timestamp(1), &records).encode()
     }
 
     /// `decode` either errors or yields a value that re-encodes to exactly
@@ -195,7 +154,7 @@ mod tests {
         let records: Vec<_> = (0..5).map(record).collect();
         let ind = KpmIndication::from_records(CellId(1), Timestamp(0), Timestamp(1000), &records);
         let bytes = ind.encode();
-        assert_eq!(bytes.len(), HEADER_LEN + 5 * RECORD_LEN + 4);
+        assert_eq!(bytes.len(), HEADER_LEN + 5 * RECORD_LEN);
         let back = KpmIndication::decode(&bytes).unwrap();
         assert_eq!(back, ind);
         assert_eq!(back.mobiflow_records().unwrap(), records);
@@ -210,16 +169,6 @@ mod tests {
             KpmIndication::encode_records(cell, start, end, &records),
             KpmIndication::from_records(cell, start, end, &records).encode()
         );
-    }
-
-    #[test]
-    fn non_mobiflow_entries_are_skipped() {
-        let mut ind =
-            KpmIndication::from_records(CellId(1), Timestamp(0), Timestamp(1), &[record(1)]);
-        ind.entries.push(("kpm/prb_util".into(), "0.7".into()));
-        let back = KpmIndication::decode(&ind.encode()).unwrap();
-        assert_eq!(back.entries, ind.entries);
-        assert_eq!(back.mobiflow_records().unwrap().len(), 1);
     }
 
     #[test]
@@ -257,34 +206,16 @@ mod tests {
         let mut bytes = vec![0u8; 30];
         bytes[20..24].copy_from_slice(&u32::MAX.to_be_bytes());
         assert!(KpmIndication::decode(&bytes).is_err());
-        // Same for the entry count behind an empty record block.
-        let mut bytes = vec![0u8; 30];
-        bytes[24..28].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert!(KpmIndication::decode(&bytes).is_err());
     }
 
     proptest! {
-        #[test]
-        fn prop_entries_round_trip(
-            entries in proptest::collection::vec(("[a-z/0-9]{0,20}", "[ -~]{0,40}"), 0..16)
-        ) {
-            let ind = KpmIndication {
-                cell: CellId(3),
-                window_start: Timestamp(1),
-                window_end: Timestamp(2),
-                records: vec![record(7)],
-                entries,
-            };
-            prop_assert_eq!(KpmIndication::decode(&ind.encode()).unwrap(), ind);
-        }
-
         #[test]
         fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
             assert_canonical_or_err(&bytes);
         }
 
         /// Arbitrary bytes behind a plausible header, so the fuzz reaches
-        /// the record and entry decoders instead of dying on the count.
+        /// the record decoder instead of dying on the count.
         #[test]
         fn prop_fuzzed_bodies_decode_canonically_or_error(
             n_records in 0u32..3,

@@ -129,12 +129,6 @@ impl WakeSet {
             out.push(token);
         }
     }
-
-    /// Marks `token` ready directly (the reactor hands back the tokens of a
-    /// drain it gave up part-way).
-    pub fn mark_ready(&self, token: usize) {
-        self.waker(token).wake();
-    }
 }
 
 /// Handle a transport uses to tell the reactor "this connection has

@@ -17,6 +17,12 @@
 //! non-blocking: each transport owns a bounded egress queue and a full
 //! queue drops the frame with a count (`xsec_ric_egress_dropped_total`)
 //! instead of stalling the reactor.
+//!
+//! One fault policy: a fault belongs to one frame or one connection, never
+//! to the pump. A frame that is not an E2AP PDU is counted and skipped; a
+//! transport that fails to receive, send or flush closes its own
+//! connection (counted once, never touched again, its cells handed back to
+//! the routing map). Nothing a peer sends makes [`RicPlatform::pump`] fail.
 
 use crate::authz::{Grants, XAppIdentity};
 use crate::router::{RegisterError, Router, RouterHandle};
@@ -31,7 +37,7 @@ use xsec_e2::{
 };
 use xsec_mobiflow::SharedDataLayer;
 use xsec_obs::{Counter, Histogram, Obs};
-use xsec_types::{CellId, GnbId, Result};
+use xsec_types::{CellId, GnbId, Result, XsecError};
 
 /// Control Requests awaiting their ack per agent; sending one more evicts
 /// that agent's oldest, counted as `xsec_ric_dropped_total{site="control_ack",
@@ -94,7 +100,9 @@ struct Mailbox {
 }
 
 struct AgentConn {
-    transport: Box<dyn E2Transport>,
+    /// `None` once the connection is closed: it is never read or written
+    /// again.
+    transport: Option<Box<dyn E2Transport>>,
     setup_done: bool,
     /// The gNB behind this connection, learned from its E2 Setup Request.
     gnb_id: Option<GnbId>,
@@ -163,6 +171,13 @@ struct PlatformMetrics {
     indications_undecodable: Counter,
     /// xApp handler calls that panicked (their queued controls dropped).
     handler_panics: Counter,
+    /// Frames that are not an E2AP PDU.
+    frames_undecodable: Counter,
+    /// Connections closed because their transport failed.
+    conns_closed: Counter,
+    /// Control Requests still awaiting their ack when their connection
+    /// closed.
+    acks_closed: Counter,
     /// Connections visited across all pumps (O(active) when event-driven).
     conns_scanned: Counter,
     decode_latency: Histogram,
@@ -188,6 +203,9 @@ impl PlatformMetrics {
             indications_unknown: dropped(obs, "pdu", "unknown_request"),
             indications_undecodable: dropped(obs, "pdu", "undecodable"),
             handler_panics: dropped(obs, "handler", "panic"),
+            frames_undecodable: dropped(obs, "frame", "undecodable"),
+            conns_closed: dropped(obs, "conn", "transport"),
+            acks_closed: dropped(obs, "control_ack", "closed"),
             conns_scanned: obs.counter("xsec_ric_pump_conns_scanned_total", &[]),
             decode_latency: obs.histogram("xsec_e2_decode_latency_us", &[]),
         }
@@ -331,7 +349,7 @@ impl RicPlatform {
         self.metrics.egress_dropped.get()
     }
 
-    /// Connected agents (any setup state).
+    /// Attached agents (any setup state, closed ones included).
     pub fn agent_count(&self) -> usize {
         self.conns.len()
     }
@@ -352,7 +370,7 @@ impl RicPlatform {
             Readiness::Polled => self.polled.push(token),
         }
         self.conns.push(AgentConn {
-            transport,
+            transport: Some(transport),
             setup_done: false,
             gnb_id: None,
             cells: Vec::new(),
@@ -407,46 +425,74 @@ impl RicPlatform {
         Ok(())
     }
 
-    /// Sends one frame on conn `ci`, counting an egress drop and queueing
-    /// a flush retry when the transport buffered part of it. Never blocks.
-    fn send_on(&mut self, ci: usize, frame: &[u8]) -> Result<SendOutcome> {
-        let outcome = self.conns[ci].transport.send(frame)?;
-        if outcome == SendOutcome::Dropped {
-            self.metrics.egress_dropped.inc();
+    /// Sends one frame on conn `ci` without blocking; `true` when the
+    /// transport queued it. A full egress queue, or a frame over the
+    /// transport's size cap, drops the frame with a count (a transport
+    /// still holding unflushed bytes already awaits a retry); a failed
+    /// transport closes the conn.
+    fn send_on(&mut self, ci: usize, frame: &[u8]) -> bool {
+        let Some(transport) = self.conns[ci].transport.as_mut() else {
+            return false;
+        };
+        match transport.send(frame) {
+            Ok(SendOutcome::Sent) => {
+                self.flush_on(ci);
+                true
+            }
+            Ok(SendOutcome::Dropped) | Err(XsecError::Codec(_)) => {
+                self.metrics.egress_dropped.inc();
+                false
+            }
+            Err(_) => {
+                self.close(ci);
+                false
+            }
         }
-        if !self.conns[ci].transport.flush()? && !self.conns[ci].egress_pending {
-            self.conns[ci].egress_pending = true;
-            self.egress_pending.push(ci);
-        }
-        Ok(outcome)
     }
 
-    /// Gives up a drain at `ready[from]`: the woken tokens from there on go
-    /// back on the ready-queue. `drain_into` cleared their flags and their
-    /// peers may be waiting on us rather than about to send, so nothing else
-    /// would ever wake them. Polled tokens (`ready[woken..]`) need no such
-    /// help: every pump scans them.
-    fn abandon_drain(&mut self, ready: Vec<usize>, from: usize, woken: usize) {
-        for &token in ready[..woken].iter().skip(from) {
-            self.wake.mark_ready(token);
+    /// Flushes conn `ci`'s buffered egress, queueing a retry for what the
+    /// transport could not take yet; a failed transport closes the conn.
+    fn flush_on(&mut self, ci: usize) {
+        let conn = &mut self.conns[ci];
+        let Some(transport) = conn.transport.as_mut() else {
+            return;
+        };
+        match transport.flush() {
+            Ok(false) if !conn.egress_pending => {
+                conn.egress_pending = true;
+                self.egress_pending.push(ci);
+            }
+            Ok(_) => {}
+            Err(_) => self.close(ci),
         }
-        self.ready_scratch = ready;
+    }
+
+    /// Closes conn `ci`, whose transport failed. A closed conn has no
+    /// transport left to fail, so each close counts once. The cells it
+    /// announced go back to the agents still announcing them, and the
+    /// controls it never acked are counted as closed.
+    fn close(&mut self, ci: usize) {
+        let conn = &mut self.conns[ci];
+        conn.transport = None;
+        conn.setup_done = false;
+        conn.cells.clear();
+        self.metrics.conns_closed.inc();
+        self.metrics.acks_closed.add(conn.pending_controls.len() as u64);
+        conn.pending_controls.clear();
+        self.polled.retain(|&token| token != ci);
+        self.reclaim_cells();
     }
 
     /// One pump iteration: drain ready transports, dispatch, ship controls.
+    /// Peer faults are counted per frame or per connection, so the `Err`
+    /// is never returned.
     pub fn pump(&mut self) -> Result<PumpStats> {
         let mut stats = PumpStats::default();
 
         // 0. Retry buffered egress from earlier iterations.
-        if !self.egress_pending.is_empty() {
-            let pending = std::mem::take(&mut self.egress_pending);
-            for ci in pending {
-                self.conns[ci].egress_pending = false;
-                if !self.conns[ci].transport.flush()? {
-                    self.conns[ci].egress_pending = true;
-                    self.egress_pending.push(ci);
-                }
-            }
+        for ci in std::mem::take(&mut self.egress_pending) {
+            self.conns[ci].egress_pending = false;
+            self.flush_on(ci);
         }
 
         // 1. Drain only the connections with (possibly) pending frames:
@@ -454,37 +500,28 @@ impl RicPlatform {
         let mut ready = std::mem::take(&mut self.ready_scratch);
         ready.clear();
         self.wake.drain_into(&mut ready);
-        let woken = ready.len();
         ready.extend_from_slice(&self.polled);
-        for i in 0..ready.len() {
-            let ci = ready[i];
+        for &ci in &ready {
             stats.conns_scanned += 1;
             self.metrics.conns_scanned.inc();
-            loop {
-                let frame = match self.conns[ci].transport.try_recv() {
+            while let Some(transport) = self.conns[ci].transport.as_mut() {
+                let frame = match transport.try_recv() {
                     Ok(Some(f)) => f,
                     Ok(None) => break,
-                    Err(e) => {
-                        // A transport that failed has nothing left to read.
-                        self.abandon_drain(ready, i + 1, woken);
-                        return Err(e);
+                    Err(_) => {
+                        self.close(ci);
+                        break;
                     }
                 };
                 stats.pdus += 1;
                 self.metrics.pdus.inc();
                 let decode_start = Instant::now();
-                let pdu = match E2apPdu::decode(&frame) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        self.abandon_drain(ready, i, woken);
-                        return Err(e);
-                    }
+                let Ok(pdu) = E2apPdu::decode(&frame) else {
+                    self.metrics.frames_undecodable.inc();
+                    continue;
                 };
                 self.metrics.decode_latency.observe_duration(decode_start.elapsed());
-                if let Err(e) = self.handle_pdu(ci, pdu, &mut stats) {
-                    self.abandon_drain(ready, i, woken);
-                    return Err(e);
-                }
+                self.handle_pdu(ci, pdu, &mut stats);
             }
         }
         self.ready_scratch = ready;
@@ -493,7 +530,7 @@ impl RicPlatform {
         if self.subs_dirty {
             self.subs_dirty = false;
             for ci in 0..self.conns.len() {
-                self.issue_subscriptions_for(ci)?;
+                self.issue_subscriptions_for(ci);
             }
         }
 
@@ -516,69 +553,76 @@ impl RicPlatform {
 
         // 4. Ship queued control actions, each routed to the agent serving
         //    its target cell. Actions with no (or an unknown) cell fall back
-        //    to the first connected agent; unknown cells are counted as
+        //    to the first set-up agent; unknown cells are counted as
         //    unroutable so misconfigurations show up in the metrics.
         //    Broadcast actions additionally fan out to every agent serving
         //    a declared neighbour of the target cell.
-        if !self.control_queue.is_empty() {
-            if let Some(fallback) = self.conns.iter().position(|c| c.setup_done) {
-                let queued = std::mem::take(&mut self.control_queue);
-                for ControlOut { cell, id, payload, broadcast } in queued {
-                    let owner = match cell {
-                        Some(cell) => match self.cell_owner.get(&cell) {
-                            Some(&owner) => owner,
-                            None => {
-                                self.metrics.controls_unroutable.inc();
-                                fallback
-                            }
-                        },
-                        None => fallback,
-                    };
-                    let mut targets = vec![owner];
-                    if broadcast {
-                        if let Some(neigh) = cell.and_then(|c| self.neighbours.get(&c)) {
-                            for ncell in neigh {
-                                if let Some(&ci) = self.cell_owner.get(ncell) {
-                                    if !targets.contains(&ci) {
-                                        targets.push(ci);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for (extra, ci) in targets.into_iter().enumerate() {
-                        // Every copy gets its own number on its connection.
-                        let control_id = self.conns[ci].next_control_id;
-                        self.conns[ci].next_control_id = control_id.wrapping_add(1);
-                        let frame = E2apPdu::ControlRequest {
-                            ran_function: RAN_FUNCTION_MOBIFLOW,
-                            control_id,
-                            payload: payload.clone(),
-                        }
-                        .encode();
-                        // Only a frame actually queued awaits an ack.
-                        if self.send_on(ci, &frame)? == SendOutcome::Sent {
-                            let pending = &mut self.conns[ci].pending_controls;
-                            if pending.len() == MAX_PENDING_CONTROLS {
-                                pending.pop_first();
-                                self.metrics.acks_evicted.inc();
-                            }
-                            pending.insert(control_id, (Instant::now(), id));
-                            stats.controls_sent += 1;
-                            self.metrics.controls_sent.inc();
-                            if extra > 0 {
-                                self.metrics.controls_broadcast.inc();
-                            }
-                        }
-                    }
-                }
-            }
+        for out in std::mem::take(&mut self.control_queue) {
+            self.ship_control(out, &mut stats);
         }
 
         Ok(stats)
     }
 
-    fn handle_pdu(&mut self, ci: usize, pdu: E2apPdu, stats: &mut PumpStats) -> Result<()> {
+    /// Sends one queued control action to its targets. It waits in the
+    /// queue while no agent is set up.
+    fn ship_control(&mut self, out: ControlOut, stats: &mut PumpStats) {
+        // A closed conn is no longer set up, so the fallback moves on.
+        let Some(fallback) = self.conns.iter().position(|c| c.setup_done) else {
+            self.control_queue.push(out);
+            return;
+        };
+        let ControlOut { cell, id, payload, broadcast } = out;
+        let owner = match cell {
+            Some(cell) => match self.cell_owner.get(&cell) {
+                Some(&owner) => owner,
+                None => {
+                    self.metrics.controls_unroutable.inc();
+                    fallback
+                }
+            },
+            None => fallback,
+        };
+        let mut targets = vec![owner];
+        if broadcast {
+            if let Some(neigh) = cell.and_then(|c| self.neighbours.get(&c)) {
+                for ncell in neigh {
+                    if let Some(&ci) = self.cell_owner.get(ncell) {
+                        if !targets.contains(&ci) {
+                            targets.push(ci);
+                        }
+                    }
+                }
+            }
+        }
+        for (extra, ci) in targets.into_iter().enumerate() {
+            // Every copy gets its own number on its connection.
+            let control_id = self.conns[ci].next_control_id;
+            self.conns[ci].next_control_id = control_id.wrapping_add(1);
+            let frame = E2apPdu::ControlRequest {
+                ran_function: RAN_FUNCTION_MOBIFLOW,
+                control_id,
+                payload: payload.clone(),
+            }
+            .encode();
+            // Only a frame actually queued awaits an ack.
+            if self.send_on(ci, &frame) {
+                let pending = &mut self.conns[ci].pending_controls;
+                if pending.len() == MAX_PENDING_CONTROLS {
+                    pending.pop_first();
+                    self.metrics.acks_evicted.inc();
+                }
+                pending.insert(control_id, (Instant::now(), id));
+                stats.controls_sent += 1;
+                self.metrics.controls_sent.inc();
+                if extra > 0 {
+                    self.metrics.controls_broadcast.inc();
+                }
+            }
+        }
+    }
+
+    fn handle_pdu(&mut self, ci: usize, pdu: E2apPdu, stats: &mut PumpStats) {
         match pdu {
             E2apPdu::SetupRequest { gnb_id, ran_functions, cells } => {
                 let accepted: Vec<u32> = ran_functions
@@ -599,19 +643,17 @@ impl RicPlatform {
                 } else {
                     // A repeated Setup: some other agent may announce a cell
                     // this one no longer does.
-                    self.cell_owner.clear();
-                    (0..self.conns.len()).for_each(|ci| self.claim_cells(ci));
+                    self.reclaim_cells();
                 }
-                self.send_on(ci, &E2apPdu::SetupResponse { accepted }.encode())?;
+                self.send_on(ci, &E2apPdu::SetupResponse { accepted }.encode());
                 // Subscribe this agent for every telemetry xApp right away
                 // (same-pump, preserving the 3-round handshake cadence).
-                self.issue_subscriptions_for(ci)
+                self.issue_subscriptions_for(ci);
             }
             E2apPdu::SubscriptionResponse { accepted, .. } => {
                 if !accepted {
                     self.metrics.subscriptions_refused.inc();
                 }
-                Ok(())
             }
             E2apPdu::Indication { request_id, payload, .. } => {
                 self.metrics.indications.inc();
@@ -621,24 +663,23 @@ impl RicPlatform {
                 let Some(ai) = self.xapps.iter().position(|x| x.request_id == Some(request_id))
                 else {
                     self.metrics.indications_unknown.inc();
-                    return Ok(());
+                    return;
                 };
                 let Ok(kpm) = KpmIndication::decode(&payload) else {
                     self.metrics.indications_undecodable.inc();
-                    return Ok(());
+                    return;
                 };
                 let window_end = kpm.window_end;
                 let records = kpm.into_records();
                 stats.records_delivered += records.len() as u64;
                 self.metrics.records_delivered.add(records.len() as u64);
                 self.invoke(ai, |app, ctx| app.on_records(ctx, &records, window_end));
-                Ok(())
             }
             E2apPdu::ControlAck { control_id, success, .. } => {
                 let conn = &mut self.conns[ci];
                 let Some((sent_at, id)) = conn.pending_controls.remove(&control_id) else {
                     self.metrics.acks_unknown.inc();
-                    return Ok(());
+                    return;
                 };
                 if let Some(h) = &conn.ack_latency {
                     h.observe_duration(sent_at.elapsed());
@@ -653,13 +694,9 @@ impl RicPlatform {
                 // delivery loop off this topic).
                 let [a, b, c, d] = id.to_be_bytes();
                 self.platform_scope.publish("control-acks", &[success as u8, a, b, c, d]);
-                Ok(())
             }
             // A PDU only the RIC sends.
-            _ => {
-                self.metrics.pdus_unexpected.inc();
-                Ok(())
-            }
+            _ => self.metrics.pdus_unexpected.inc(),
         }
     }
 
@@ -672,11 +709,18 @@ impl RicPlatform {
         }
     }
 
+    /// Rebuilds the routing map from every conn's cells, after one stopped
+    /// announcing some.
+    fn reclaim_cells(&mut self) {
+        self.cell_owner.clear();
+        (0..self.conns.len()).for_each(|ci| self.claim_cells(ci));
+    }
+
     /// Sends every telemetry xApp's subscription request to conn `ci`
     /// (idempotent per (xApp, conn); no-op before its setup completes).
-    fn issue_subscriptions_for(&mut self, ci: usize) -> Result<()> {
+    fn issue_subscriptions_for(&mut self, ci: usize) {
         if !self.conns[ci].setup_done {
-            return Ok(());
+            return;
         }
         for ai in 0..self.xapps.len() {
             let entry = &mut self.xapps[ai];
@@ -698,13 +742,14 @@ impl RicPlatform {
                 actions: vec![xsec_e2::RicAction::Report],
             }
             .encode();
-            match self.send_on(ci, &frame)? {
-                SendOutcome::Sent => self.xapps[ai].subscribed[ci] = true,
-                // Egress full: leave the flag unset and retry next pump.
-                SendOutcome::Dropped => self.subs_dirty = true,
+            if self.send_on(ci, &frame) {
+                self.xapps[ai].subscribed[ci] = true;
+            } else {
+                // Not queued: leave the flag unset and retry next pump (a
+                // conn closed meanwhile is no longer set up, so skipped).
+                self.subs_dirty = true;
             }
         }
-        Ok(())
     }
 
     /// Runs one xApp handler call. A handler that panics loses the controls
@@ -877,7 +922,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failed_pump_does_not_strand_the_connections_after_the_fault() {
+    fn a_garbage_frame_does_not_strand_the_connections_after_it() {
         // Conn 0 sends garbage; conn 1's Setup Request is already queued and
         // its agent will send nothing more until it is answered.
         let mut platform = RicPlatform::new();
@@ -890,10 +935,10 @@ mod tests {
                 .unwrap();
         platform.add_agent(Box::new(ric_end));
 
-        assert!(platform.pump().is_err(), "the garbage frame fails the first pump");
         platform.pump().unwrap();
         agent.poll(Timestamp(0)).unwrap();
-        assert!(agent.is_setup(), "conn 1 was drained from the ready-queue and never revisited");
+        assert!(agent.is_setup(), "conn 1 was not served in the garbage frame's pump");
+        assert_eq!(dropped_total(&platform, "frame", "undecodable"), 1);
     }
 
     #[test]
@@ -1078,11 +1123,13 @@ mod tests {
         assert_eq!(dropped_total(&platform, "control_ack", "unknown"), 1);
     }
 
-    /// A platform hosting the telemetry xApp `app` on two connections: a
-    /// raw end (drained first), set up and sent its subscription, and a real
-    /// agent, set up and subscribed. Returns the raw end's request id too.
+    /// A platform hosting the telemetry xApp `app` (holding `grants`) on
+    /// two connections: a raw end (drained first), set up and sent its
+    /// subscription, and a real agent serving cell 2, set up and subscribed.
+    /// Returns the raw end's request id too.
     fn raw_end_beside_an_agent(
         app: Box<dyn XApp>,
+        grants: Grants,
     ) -> (RicPlatform, xsec_e2::InProcTransport, RicAgent<xsec_e2::InProcTransport>, RicRequestId)
     {
         let mut platform = RicPlatform::new();
@@ -1093,7 +1140,7 @@ mod tests {
             RicAgent::new(RicAgentConfig { gnb_id: GnbId(2), cell: CellId(2) }, agent_end)
                 .unwrap();
         platform.add_agent(Box::new(ric_end));
-        platform.register_xapp_scoped(app, SubscriptionSpec::telemetry(100), Grants::none()).unwrap();
+        platform.register_xapp_scoped(app, SubscriptionSpec::telemetry(100), grants).unwrap();
         announce(&mut raw, 1, &[1]);
         for _ in 0..3 {
             platform.pump().unwrap();
@@ -1119,12 +1166,15 @@ mod tests {
             ("pdu", "unknown_request"),
             ("pdu", "undecodable"),
             ("handler", "panic"),
+            ("frame", "undecodable"),
+            ("conn", "transport"),
+            ("control_ack", "closed"),
         ] {
             let series = format!("xsec_ric_dropped_total{{reason=\"{reason}\",site=\"{site}\"}} 0\n");
             assert!(exposition.contains(&series), "{exposition}");
         }
         let (mut platform, mut raw, mut agent, request_id) =
-            raw_end_beside_an_agent(counting_app());
+            raw_end_beside_an_agent(counting_app(), Grants::none());
 
         // The raw end refuses its subscription and sends a PDU only the RIC
         // sends, in the pump that carries the real agent's report.
@@ -1141,7 +1191,8 @@ mod tests {
     #[test]
     fn an_indication_no_xapp_can_take_is_counted_and_the_pump_carries_on() {
         let (app, received) = recording_app("recording");
-        let (mut platform, mut raw, mut agent, request_id) = raw_end_beside_an_agent(app);
+        let (mut platform, mut raw, mut agent, request_id) =
+            raw_end_beside_an_agent(app, Grants::none());
         let indication = |request_id, payload| {
             let pdu = E2apPdu::Indication {
                 request_id,
@@ -1409,5 +1460,200 @@ mod tests {
         let stats = platform.pump().unwrap();
         assert_eq!(stats.controls_sent, 1);
         assert_eq!(platform.controls_broadcast(), 0);
+    }
+
+    /// Records what it is handed and answers each non-empty batch with a
+    /// control pinned to the cell its first record names.
+    struct Responder {
+        received: Received,
+        broadcast: bool,
+    }
+
+    impl XApp for Responder {
+        fn name(&self) -> &str {
+            "responder"
+        }
+        fn on_records(&mut self, ctx: &mut XAppContext<'_>, records: &[UeMobiFlow], _: Timestamp) {
+            self.received.lock().extend_from_slice(records);
+            if let Some(first) = records.first() {
+                let out = ControlOut {
+                    cell: Some(first.cell),
+                    payload: b"act".to_vec(),
+                    broadcast: self.broadcast,
+                    ..Default::default()
+                };
+                ctx.send_control("*", out);
+            }
+        }
+    }
+
+    /// `n` agents set up and subscribed for a [`Responder`] (cells 1..=n).
+    fn responder_platform(
+        n: u32,
+        broadcast: bool,
+    ) -> (RicPlatform, Vec<RicAgent<xsec_e2::InProcTransport>>, Received) {
+        let received = Received::default();
+        let app = Box::new(Responder { received: received.clone(), broadcast });
+        let (platform, agents) = n_agent_platform(app, Grants::none().control_all(), n);
+        (platform, agents, received)
+    }
+
+    /// One record naming `cell`, reported by `agent` in the window ending
+    /// at `now`.
+    fn report(agent: &mut RicAgent<xsec_e2::InProcTransport>, cell: u32, now: u64) -> UeMobiFlow {
+        let record = UeMobiFlow { cell: CellId(cell), ..record(cell.into(), now - 1) };
+        agent.push_record(record.clone());
+        agent.poll(Timestamp(now)).unwrap();
+        record
+    }
+
+    /// `agent` still flows both ways: its report for `cell` reaches the
+    /// responder in this `pump`, and the control that answers it comes back.
+    fn assert_served(
+        platform: &mut RicPlatform,
+        agent: &mut RicAgent<xsec_e2::InProcTransport>,
+        cell: u32,
+        now: u64,
+        received: &Received,
+    ) {
+        let sent = report(agent, cell, now);
+        platform.pump().unwrap();
+        assert_eq!(received.lock().last(), Some(&sent));
+        agent.poll(Timestamp(now)).unwrap();
+        assert_eq!(agent.take_control_requests(), vec![b"act".to_vec()]);
+    }
+
+    #[test]
+    fn a_transport_error_on_receive_closes_only_that_connection() {
+        let (mut platform, mut agents, received) = responder_platform(2, false);
+        // Agent 1 reports an empty window and hangs up.
+        agents[0].poll(Timestamp(100_000)).unwrap();
+        drop(agents.remove(0));
+        assert_served(&mut platform, &mut agents[0], 2, 100_000, &received);
+        assert_eq!(dropped_total(&platform, "conn", "transport"), 1);
+        assert_eq!(*received.lock(), [UeMobiFlow { cell: CellId(2), ..record(2, 99_999) }]);
+        // A control no cell routes falls back to the first agent still open.
+        assert_served(&mut platform, &mut agents[0], 9, 200_000, &received);
+        assert_eq!(platform.controls_unroutable(), 1);
+    }
+
+    #[test]
+    fn an_undecodable_frame_is_counted_and_skipped() {
+        let received = Received::default();
+        let app = Box::new(Responder { received: received.clone(), broadcast: false });
+        let (mut platform, mut raw, mut agent, _) =
+            raw_end_beside_an_agent(app, Grants::none().control_all());
+
+        raw.send(&[0xFF]).unwrap();
+        assert_served(&mut platform, &mut agent, 2, 100_000, &received);
+        assert_eq!(dropped_total(&platform, "frame", "undecodable"), 1);
+        // The sender keeps its connection: a repeated Setup is answered.
+        announce(&mut raw, 1, &[1]);
+        platform.pump().unwrap();
+        assert!(matches!(
+            E2apPdu::decode(&raw.try_recv().unwrap().unwrap()).unwrap(),
+            E2apPdu::SetupResponse { .. }
+        ));
+        assert_eq!(dropped_total(&platform, "conn", "transport"), 0);
+    }
+
+    #[test]
+    fn a_send_that_fails_while_shipping_closes_only_that_connection() {
+        let (mut platform, mut agents, received) = responder_platform(2, true);
+        platform.set_neighbours(CellId(1), vec![CellId(2)]);
+        // A broadcast for cell 1 reaches both agents; agent 1 hangs up
+        // before acking its copy.
+        report(&mut agents[1], 1, 100_000);
+        platform.pump().unwrap();
+        drop(agents.remove(0));
+        agents[0].poll(Timestamp(100_000)).unwrap();
+        assert_eq!(agents[0].take_control_requests().len(), 1);
+
+        // The next broadcast fails on the dead owner; the neighbour still
+        // gets its copy, and the dead conn's unacked copy is counted.
+        let sent = report(&mut agents[0], 1, 200_000);
+        platform.pump().unwrap();
+        assert_eq!(received.lock().last(), Some(&sent));
+        assert_eq!(dropped_total(&platform, "conn", "transport"), 1);
+        assert_eq!(dropped_total(&platform, "control_ack", "closed"), 1);
+        agents[0].poll(Timestamp(200_000)).unwrap();
+        assert_eq!(agents[0].take_control_requests(), vec![b"act".to_vec()]);
+        assert_served(&mut platform, &mut agents[0], 2, 300_000, &received);
+        // Every control sent is acked, pending or counted as closed.
+        let pending = platform.conns[1].pending_controls.len() as u64;
+        assert_eq!((platform.controls_acked(), pending), (2, 1));
+        assert_eq!(platform.metrics.controls_sent.get(), 4);
+    }
+
+    #[test]
+    fn an_xapp_registered_after_a_dead_connection_subscribes_every_live_agent() {
+        let (mut platform, mut agents) = n_agent_platform(counting_app(), Grants::none(), 3);
+        drop(agents.remove(0));
+        let received = Received::default();
+        let app = Box::new(Responder { received: received.clone(), broadcast: false });
+        let grants = Grants::none().control_all();
+        platform.register_xapp_scoped(app, SubscriptionSpec::telemetry(100), grants).unwrap();
+        platform.pump().unwrap();
+        assert_eq!(dropped_total(&platform, "conn", "transport"), 1);
+        for agent in &mut agents {
+            agent.poll(Timestamp(0)).unwrap();
+            assert_eq!(agent.subscription_count(), 2);
+        }
+        platform.pump().unwrap();
+        assert_served(&mut platform, &mut agents[0], 2, 100_000, &received);
+        assert_served(&mut platform, &mut agents[1], 3, 100_000, &received);
+    }
+
+    #[test]
+    fn a_fresh_agent_takes_over_a_closed_connections_cell() {
+        let (mut platform, mut agents, _) = responder_platform(2, false);
+        agents[0].poll(Timestamp(100_000)).unwrap();
+        drop(agents.remove(0));
+        platform.pump().unwrap();
+        assert_eq!(dropped_total(&platform, "conn", "transport"), 1);
+
+        // A new connection announces cell 1 again.
+        let (agent_end, ric_end) = in_proc_pair();
+        let mut fresh =
+            RicAgent::new(RicAgentConfig { gnb_id: GnbId(1), cell: CellId(1) }, agent_end)
+                .unwrap();
+        platform.add_agent(Box::new(ric_end));
+        for _ in 0..2 {
+            platform.pump().unwrap();
+            fresh.poll(Timestamp(0)).unwrap();
+        }
+        assert!(fresh.is_setup());
+
+        // Cell 1's next control reaches the fresh agent, not the fallback.
+        report(&mut agents[0], 1, 200_000);
+        platform.pump().unwrap();
+        fresh.poll(Timestamp(0)).unwrap();
+        agents[0].poll(Timestamp(200_000)).unwrap();
+        assert_eq!(fresh.take_control_requests(), vec![b"act".to_vec()]);
+        assert!(agents[0].take_control_requests().is_empty());
+        assert_eq!(platform.controls_unroutable(), 0);
+    }
+
+    #[test]
+    fn an_oversized_control_is_dropped_and_the_connection_kept() {
+        struct Oversized;
+        impl XApp for Oversized {
+            fn name(&self) -> &str {
+                "oversized"
+            }
+            fn on_start(&mut self, ctx: &mut XAppContext<'_>) {
+                // One payload at the transports' frame cap: with its E2AP
+                // header the frame is over it.
+                for payload in [vec![0x5A; 1 << 20], b"act".to_vec()] {
+                    ctx.send_control("*", ControlOut { payload, ..Default::default() });
+                }
+            }
+            fn on_records(&mut self, _: &mut XAppContext<'_>, _: &[UeMobiFlow], _: Timestamp) {}
+        }
+        let (platform, mut agent) =
+            one_agent_platform(Box::new(Oversized), Grants::none().control_all());
+        assert_eq!(agent.take_control_requests(), vec![b"act".to_vec()]);
+        assert_eq!(platform.egress_dropped(), 1);
+        assert_eq!(dropped_total(&platform, "conn", "transport"), 0);
     }
 }

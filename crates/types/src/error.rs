@@ -14,21 +14,12 @@ pub type Result<T> = std::result::Result<T, XsecError>;
 pub enum XsecError {
     /// A wire message could not be decoded (truncated, bad tag, bad length).
     Codec(String),
-    /// A protocol state machine received a message that is invalid in its
-    /// current state.
-    ProtocolViolation(String),
-    /// A resource pool (RNTI space, admission slots) was exhausted.
-    ResourceExhausted(String),
-    /// A requested entity (UE context, subscription, model, key) is unknown.
-    NotFound(String),
     /// An E2/RIC subscription or routing problem.
     Ric(String),
     /// A model training or inference problem (shape mismatch, NaN loss...).
     Model(String),
     /// An I/O problem on a real transport (TCP E2 termination).
     Io(String),
-    /// Invalid configuration or argument.
-    InvalidConfig(String),
 }
 
 impl XsecError {
@@ -36,13 +27,9 @@ impl XsecError {
     pub fn category(&self) -> &'static str {
         match self {
             XsecError::Codec(_) => "codec",
-            XsecError::ProtocolViolation(_) => "protocol",
-            XsecError::ResourceExhausted(_) => "resource",
-            XsecError::NotFound(_) => "not-found",
             XsecError::Ric(_) => "ric",
             XsecError::Model(_) => "model",
             XsecError::Io(_) => "io",
-            XsecError::InvalidConfig(_) => "config",
         }
     }
 }
@@ -50,14 +37,7 @@ impl XsecError {
 impl fmt::Display for XsecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let msg = match self {
-            XsecError::Codec(m)
-            | XsecError::ProtocolViolation(m)
-            | XsecError::ResourceExhausted(m)
-            | XsecError::NotFound(m)
-            | XsecError::Ric(m)
-            | XsecError::Model(m)
-            | XsecError::Io(m)
-            | XsecError::InvalidConfig(m) => m,
+            XsecError::Codec(m) | XsecError::Ric(m) | XsecError::Model(m) | XsecError::Io(m) => m,
         };
         write!(f, "{}: {}", self.category(), msg)
     }
@@ -84,8 +64,8 @@ mod tests {
 
     #[test]
     fn display_includes_category_and_message() {
-        let err = XsecError::ProtocolViolation("auth response before request".into());
-        assert_eq!(err.to_string(), "protocol: auth response before request");
+        let err = XsecError::Ric("RIC rejected the MobiFlow function".into());
+        assert_eq!(err.to_string(), "ric: RIC rejected the MobiFlow function");
     }
 
     #[test]
@@ -99,6 +79,6 @@ mod tests {
     #[test]
     fn implements_std_error() {
         fn takes_error(_: &dyn std::error::Error) {}
-        takes_error(&XsecError::NotFound("ue".into()));
+        takes_error(&XsecError::Codec("truncated".into()));
     }
 }

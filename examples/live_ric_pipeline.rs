@@ -69,13 +69,7 @@ fn main() {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
         let mut printed = 0;
         loop {
-            match platform.pump() {
-                Ok(_) => {}
-                Err(e) => {
-                    println!("[ric]   agent disconnected ({e}); shutting down");
-                    break;
-                }
-            }
+            platform.pump().expect("pump");
             let findings = analyzer_state.lock();
             for finding in findings.findings.iter().skip(printed) {
                 let first_line =

@@ -562,8 +562,7 @@ fn e2ap_samples() -> Vec<E2apPdu> {
     ]
 }
 
-/// `e2sm`'s `full_payload`: records with and without optionals plus a
-/// generic entry.
+/// `e2sm`'s `full_payload`: records with and without optionals.
 fn kpm_full_payload() -> Vec<u8> {
     let plain = |id: u64| UeMobiFlow {
         msg_id: id,
@@ -585,9 +584,7 @@ fn kpm_full_payload() -> Vec<u8> {
     records[1].supi = Some(Supi::new(Plmn::TEST, 99));
     records[2].msg = MessageKind::RrcRelease;
     records[2].release_cause = Some(ReleaseCause::Congestion);
-    let mut ind = KpmIndication::from_records(CellId(1), Timestamp(0), Timestamp(1), &records);
-    ind.entries.push(("kpm/prb_util".into(), "0.7".into()));
-    ind.encode()
+    KpmIndication::from_records(CellId(1), Timestamp(0), Timestamp(1), &records).encode()
 }
 
 fn codecs() -> Vec<Codec> {
@@ -653,13 +650,14 @@ const E2AP_GOLDEN: &[&str] = &[
     "060000008e0000000000000000",
     "070000008effffffff00",
 ];
+// Re-pinned when the KPM layout lost its unused (key, value) entry list.
 const KPM_GOLDEN: &[&str] = &[
     concat!(
         "00000001000000000000000000000000000000010000000300000000000000000000000000000000",
         "000000010000000146011400ffffffff000000000000000000000000000000000000000000000001",
         "0000000000000064000000010000000146011700ffffffffaabbccdd000100010000000000000063",
         "000000000000000200000000000000c8000000010000000146011408ffffff030000000000000000",
-        "000000000000000000000001000c6b706d2f7072625f7574696c0003302e37",
+        "0000000000000000",
     ),
 ];
 const ACTION_GOLDEN: &[&str] = &[
