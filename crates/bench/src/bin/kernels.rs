@@ -3,9 +3,11 @@
 //! (`benchmark/`, `xsec-e2e`).
 //!
 //! 1. **Kernels** (report only) — a raw GEMM, the autoencoder's first
-//!    layer over the windows' nonzero lists, and the batched scoring
-//!    workloads; their end-to-end readings are `xsec-e2e`'s
-//!    `dl.score.batched_ns_per_window` and `steady` `records_per_s`.
+//!    layer over the windows' nonzero lists, the batched scoring
+//!    workloads, and the LSTM's deployed path (a stream through
+//!    `MobiWatch`); their end-to-end readings are `xsec-e2e`'s
+//!    `dl.score.batched_ns_per_window`, `steady` `records_per_s` and
+//!    `tcp_paced` `bucket_p90_us`.
 //! 2. **Training** (report only) — the SMO's refit (training steps at the
 //!    deployed shapes); its end-to-end reading is `xsec-e2e`'s `setup_s`.
 //! 3. **RIC reactor scale** — one platform terminating 8/64/256 in-proc
@@ -17,6 +19,7 @@
 
 use serde_json::json;
 use sixg_xsec::smo::{DeployedModels, Smo, TrainingConfig};
+use sixg_xsec::{Detector, MobiWatch, MobiWatchConfig};
 use std::time::Instant;
 use xsec_attacks::DatasetBuilder;
 use xsec_bench::{quick_mode, save_report};
@@ -65,8 +68,11 @@ fn train(quick: bool) -> (DeployedModels, TelemetryStream) {
     (models, extract_from_events(&eval.events))
 }
 
-/// Kernel-level microbenches: a raw GEMM and the real batched scoring
-/// workloads.
+/// Records per indication in the `lstm_stream` rate: `steady`'s E2 report.
+const STREAM_INDICATION: usize = 240;
+
+/// Kernel-level microbenches: a raw GEMM, the real batched scoring
+/// workloads and the LSTM's deployed path.
 fn kernels_section(
     models: &DeployedModels,
     stream: &TelemetryStream,
@@ -112,13 +118,29 @@ fn kernels_section(
     });
     let lstm_rate = (iters * pairs as u64) as f64 / secs;
 
+    // The LSTM as deployed: the eval stream through `MobiWatch` in
+    // 240-record indications, where each record's gate base is projected
+    // once and reused by the windows it enters — which `score_batch` over
+    // independent windows cannot show. Featurizing and judging included.
+    let config = MobiWatchConfig { detector: Detector::Lstm, ..MobiWatchConfig::default() };
+    let (mut watch, state) = MobiWatch::new(models.clone(), config);
+    let (_, secs) = time_loop(min_secs, || {
+        for indication in stream.records.chunks(STREAM_INDICATION) {
+            std::hint::black_box(watch.process_batch(indication));
+        }
+    });
+    let lstm_stream_windows = state.lock().scores.len();
+    let lstm_stream_rate = lstm_stream_windows as f64 / secs;
+
     text.push_str(&format!(
         "Kernels:\n  \
          gemm {m}x{k}x{n}:  {gemm_gflops:>6.2} GFLOP/s\n  \
          AE first layer {k}->{n} over lists ({nonzeros:.1} nonzeros/window): \
          {first_layer_ns:>6.1} ns/window\n  \
          autoencoder: {ae_rate:>12.0} windows/s\n  \
-         lstm:        {lstm_rate:>12.0} windows/s\n\n",
+         lstm:        {lstm_rate:>12.0} windows/s\n  \
+         lstm stream: {lstm_stream_rate:>12.0} windows/s \
+         (MobiWatch, {STREAM_INDICATION}-record indications)\n\n",
     ));
     json!({
         "gemm": { "shape": [m, k, n], "gflops": gemm_gflops },
@@ -129,6 +151,11 @@ fn kernels_section(
         },
         "autoencoder": { "windows": rows, "windows_per_sec": ae_rate },
         "lstm": { "windows": pairs, "windows_per_sec": lstm_rate },
+        "lstm_stream": {
+            "records_per_indication": STREAM_INDICATION,
+            "windows_scored": lstm_stream_windows,
+            "windows_per_sec": lstm_stream_rate,
+        },
     })
 }
 

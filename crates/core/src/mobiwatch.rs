@@ -325,6 +325,12 @@ impl MobiWatch {
         self.shards.iter().flatten().map(|shard| shard.workspace_grow_events()).sum()
     }
 
+    /// How many records' LSTM gate bases `P` the shards have computed.
+    #[cfg(test)]
+    pub(crate) fn projected(&self) -> u64 {
+        self.shards.iter().flatten().map(|shard| shard.projected()).sum()
+    }
+
     /// Keys with live window state: under [`Self::per_ue`] the open
     /// connections, whose growth over a churning stream would be a leak.
     /// Deployed, it is the `xsec_mobiwatch_tracked_keys` gauge.
@@ -399,6 +405,7 @@ impl MobiWatch {
             self.seen += 1;
         }
         self.metrics.featurize_latency.observe_duration(start.elapsed());
+        self.metrics.records.add(records.len() as u64);
         // Hand off only when there is something to join: the first busy
         // shard is scored right here, any other goes to a worker.
         let mut local = None;
@@ -430,6 +437,7 @@ impl MobiWatch {
             self.verdicts.append(&mut shard.verdicts);
         }
         self.verdicts.sort_unstable_by_key(|(index, _)| *index);
+        self.metrics.windows_scored.add(self.verdicts.len() as u64);
         self.emit(records, first)
     }
 
@@ -650,6 +658,32 @@ mod tests {
         // Alerts carry decodable context records.
         for line in &state.alerts[0].records {
             xsec_mobiflow::decode_ue_record(line).unwrap();
+        }
+    }
+
+    #[test]
+    fn ingested_records_and_scored_windows_are_counted() {
+        let models = quick_models(12);
+        let ds = DatasetBuilder::small(13, 10).attack(AttackKind::BtsDos);
+        let stream = extract_from_events(&ds.report.events);
+        for detector in [Detector::Autoencoder, Detector::Lstm] {
+            let config = MobiWatchConfig { detector, ..MobiWatchConfig::default() };
+            let (mut pool, state) = MobiWatch::per_ue(models.clone(), config, 2);
+            let obs = Obs::new();
+            pool.attach_obs(&obs);
+            let labels = [("detector", detector.label())];
+            let records = obs.counter("xsec_mobiwatch_records_total", &labels);
+            let windows = obs.counter("xsec_mobiwatch_windows_scored_total", &labels);
+            let mut fed = 0;
+            for chunk in stream.records.chunks(37) {
+                pool.process_batch(chunk);
+                fed += chunk.len() as u64;
+                assert_eq!(records.get(), fed, "{detector:?}");
+                assert_eq!(windows.get(), state.lock().scores.len() as u64, "{detector:?}");
+            }
+            let (records, windows) = (records.get(), windows.get());
+            let why = format!("{detector:?}: {windows} windows, {records} records");
+            assert!(0 < windows && windows < records, "{why}");
         }
     }
 

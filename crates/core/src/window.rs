@@ -2,11 +2,17 @@
 //! and the scoring rule.
 //!
 //! Scoring is per key, in three steps per E2 indication, all inside
-//! [`Scorer::score`]: **stage** — each record's features and the list of
-//! its nonzeros the featurizer emitted go into its key's [`WindowCore`], and
-//! the span they complete is copied into the batch buffers, dense (the
-//! scoring target) and as lists (what the first layer reads); **flush** —
-//! one batched model pass over every staged span (one product per layer per
+//! [`Scorer::score`]: **stage** — each record goes into its key's
+//! [`WindowCore`], and the window it completes is copied into the batch
+//! buffers as the detector's pass reads it. An autoencoder key holds its
+//! last `window` records' features and the lists of their nonzeros the
+//! featurizer emitted, and stages the window's features (the target) and
+//! lists (what the first layer reads). An LSTM key holds its last `window`
+//! records' gate bases `P = b + x·W`, each projected once when its record
+//! is staged, and stages the window's `P`s plus the one observed next row
+//! (the target) — not feature rows and lists, since every record is an
+//! input step of `window` windows; **flush** —
+//! one batched model pass over every staged window (one product per layer per
 //! indication, not one GEMV per window); **judge** —
 //! threshold and per-key cooldown, in staging order. The kernels make a
 //! window's score independent of its batch, so how a stream is cut into
@@ -23,7 +29,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
 use xsec_dl::{
-    FeatureRing, Featurizer, SparseRows, Threshold, Workspace, FEATURES_PER_RECORD,
+    FeatureRing, Featurizer, Lstm, SparseRows, Threshold, Workspace, FEATURES_PER_RECORD,
     MAX_NONZEROS_PER_RECORD,
 };
 use xsec_mobiflow::{TelemetryStream, UeMobiFlow};
@@ -45,6 +51,9 @@ pub(crate) fn window_key(per_ue: bool, record: &UeMobiFlow) -> u32 {
 pub(crate) struct WatchMetrics {
     pub(crate) featurize_latency: Histogram,
     inference_latency: Histogram,
+    /// Records ingested and windows scored, each added once per batch.
+    pub(crate) records: Counter,
+    pub(crate) windows_scored: Counter,
     pub(crate) alerts: Counter,
     /// Alert candidates merged into an open incident instead of published.
     pub(crate) alerts_merged: Counter,
@@ -58,6 +67,8 @@ impl WatchMetrics {
         WatchMetrics {
             featurize_latency: obs.histogram("xsec_mobiwatch_featurize_latency_us", labels),
             inference_latency: obs.histogram("xsec_mobiwatch_inference_latency_us", labels),
+            records: obs.counter("xsec_mobiwatch_records_total", labels),
+            windows_scored: obs.counter("xsec_mobiwatch_windows_scored_total", labels),
             alerts: obs.counter("xsec_mobiwatch_alerts_total", labels),
             alerts_merged: obs.counter("xsec_mobiwatch_alerts_merged_total", labels),
             tracked_keys: obs.gauge("xsec_mobiwatch_tracked_keys", labels),
@@ -76,16 +87,27 @@ pub(crate) struct Verdict {
     pub(crate) publish: bool,
 }
 
+/// What a key holds between its records: exactly what its next windows
+/// read, `window` records' worth, record number `r` in slot `r mod window`.
+enum Held {
+    /// Autoencoder: the records' features (a window is its own scoring
+    /// target) and, beside them, their nonzeros — slot `s` owns
+    /// `nonzeros[s · MAX_NONZEROS_PER_RECORD ..]`, of which the first
+    /// `lens[s]` are in use.
+    Records { ring: FeatureRing, nonzeros: Vec<(u32, f32)>, lens: Vec<usize> },
+    /// LSTM: the records' gate bases `P = b + x·W` ([`Lstm::project`]),
+    /// [`Lstm::gate_width`] floats per slot. Each is computed once, when
+    /// its record is staged, and copied into the `window` windows the
+    /// record is an input step of. A window's target is the record that
+    /// completes it, so no feature row is kept.
+    Projections(Vec<f32>),
+}
+
 /// One key's sliding-window detection state. Deliberately small: alert
 /// context comes from MobiWatch's global record tail, so a core keeps only
 /// what scoring needs.
 struct WindowCore {
-    ring: FeatureRing,
-    /// Beside each ring row, that record's nonzeros: record number `r` of
-    /// the key owns slots `(r mod held) · MAX_NONZEROS_PER_RECORD ..`, of
-    /// which the first `lens[r mod held]` are in use.
-    nonzeros: Vec<(u32, f32)>,
-    lens: Vec<usize>,
+    held: Held,
     /// Records staged under the key so far.
     records: usize,
     /// Windows judged so far — the cooldown's clock.
@@ -94,71 +116,86 @@ struct WindowCore {
 }
 
 impl WindowCore {
-    fn new(window: usize) -> Self {
-        // The LSTM consumes window + 1 rows (sequence plus predicted step).
-        let held = window + 1;
-        let ring = FeatureRing::new(FEATURES_PER_RECORD, held);
-        let nonzeros = vec![(0, 0.0); held * MAX_NONZEROS_PER_RECORD];
-        WindowCore { ring, nonzeros, lens: vec![0; held], records: 0, judged: 0, last_publish: None }
+    fn new(detector: Detector, window: usize, lstm: &Lstm) -> Self {
+        let held = match detector {
+            Detector::Autoencoder => Held::Records {
+                ring: FeatureRing::new(FEATURES_PER_RECORD, window),
+                nonzeros: vec![(0, 0.0); window * MAX_NONZEROS_PER_RECORD],
+                lens: vec![0; window],
+            },
+            Detector::Lstm => Held::Projections(vec![0.0; window * lstm.gate_width()]),
+        };
+        WindowCore { held, records: 0, judged: 0, last_publish: None }
     }
 
-    /// Forgets the key but keeps the (large) flat feature buffer, so
-    /// churning keys don't reallocate it.
+    /// Forgets the key but keeps the buffers, so churning keys don't
+    /// reallocate them. (A projection slot is always written before a
+    /// window reads it.)
     fn reset(&mut self) {
-        self.ring.clear();
+        if let Held::Records { ring, .. } = &mut self.held {
+            ring.clear();
+        }
         self.records = 0;
         self.judged = 0;
         self.last_publish = None;
     }
 
-    /// The nonzeros of the key's record number `r`, which must be held.
-    fn list(&self, r: usize) -> &[(u32, f32)] {
-        let slot = r % self.lens.len();
-        &self.nonzeros[slot * MAX_NONZEROS_PER_RECORD..][..self.lens[slot]]
-    }
-
-    /// Appends one record's features and nonzeros and, once the key has
-    /// filled its first `span`-record window, copies the span the record
-    /// completes onto `spans` and its lists onto `lists` in the layout the
-    /// detector's first layer reads: for the autoencoder one row per window,
-    /// record `p`'s columns offset by `p · FEATURES_PER_RECORD`; for the
-    /// LSTM one row per input step (all but the span's last record).
-    /// Returns whether it did; every staged span is owed one
+    /// Takes one record — its features and nonzeros — and, once the key
+    /// has seen enough records, stages the window it completes onto
+    /// `batch`. The autoencoder's window is the key's last `window` records:
+    /// their features are its target, their lists its one input row. The
+    /// LSTM's window is the `window` records before this one, its target
+    /// this record's features: the window's `P`s are copied out before
+    /// this record's `P` is projected into the slot of the oldest. Returns
+    /// whether a window was staged; every staged window is owed one
     /// [`WindowCore::judge`], in staging order.
     fn stage(
         &mut self,
         features: &[f32],
         nonzeros: &[(u32, f32)],
-        detector: Detector,
-        span: usize,
-        spans: &mut Vec<f32>,
-        lists: &mut SparseRows,
+        lstm: &Lstm,
+        batch: &mut Batch,
     ) -> bool {
-        self.ring.push(features);
-        let slot = self.records % self.lens.len();
-        self.nonzeros[slot * MAX_NONZEROS_PER_RECORD..][..nonzeros.len()].copy_from_slice(nonzeros);
-        self.lens[slot] = nonzeros.len();
+        let r = self.records;
         self.records += 1;
-        if self.ring.len() < span {
-            return false;
-        }
-        spans.extend_from_slice(self.ring.last_n(span));
-        let first = self.records - span;
-        match detector {
-            Detector::Autoencoder => {
-                for p in 0..span {
-                    lists.extend(self.list(first + p), (p * FEATURES_PER_RECORD) as u32);
+        match &mut self.held {
+            Held::Records { ring, nonzeros: held, lens } => {
+                let window = lens.len();
+                ring.push(features);
+                let slot = r % window;
+                held[slot * MAX_NONZEROS_PER_RECORD..][..nonzeros.len()].copy_from_slice(nonzeros);
+                lens[slot] = nonzeros.len();
+                if ring.len() < window {
+                    return false;
                 }
-                lists.end_row();
-            }
-            Detector::Lstm => {
-                for p in 0..span - 1 {
-                    lists.extend(self.list(first + p), 0);
-                    lists.end_row();
+                batch.targets.extend_from_slice(ring.last_n(window));
+                // Record `r + 1 - window + p` is the window's record `p`.
+                for p in 0..window {
+                    let slot = (r + 1 + p) % window;
+                    let list = &held[slot * MAX_NONZEROS_PER_RECORD..][..lens[slot]];
+                    batch.lists.extend(list, (p * FEATURES_PER_RECORD) as u32);
                 }
+                batch.lists.end_row();
+                true
+            }
+            Held::Projections(held) => {
+                let width = lstm.gate_width();
+                let window = held.len() / width;
+                let slot = r % window;
+                let staged = r >= window;
+                if staged {
+                    // Records `r - window .. r`, oldest first: the oldest
+                    // is in this record's slot.
+                    let (newer, older) = held.split_at(slot * width);
+                    batch.projections.extend_from_slice(older);
+                    batch.projections.extend_from_slice(newer);
+                    batch.targets.extend_from_slice(features);
+                }
+                lstm.project([nonzeros], &mut held[slot * width..][..width]);
+                batch.projected += 1;
+                staged
             }
         }
-        true
     }
 
     /// Thresholds the score of this key's next staged window. Every window
@@ -179,6 +216,23 @@ impl WindowCore {
     }
 }
 
+/// The windows staged in one batch, in the layout the detector's pass
+/// reads, plus a running count of the projections computed.
+#[derive(Default)]
+struct Batch {
+    /// Their scoring targets back to back: the autoencoder's whole window,
+    /// the LSTM's observed next row.
+    targets: Vec<f32>,
+    /// Autoencoder input: one row per window, record `p`'s nonzeros offset
+    /// by `p · FEATURES_PER_RECORD`.
+    lists: SparseRows,
+    /// LSTM input: each window's `window` projections, oldest first.
+    projections: Vec<f32>,
+    /// Records whose `P` this shard has computed: one per record staged
+    /// under the LSTM, however many windows read it.
+    projected: u64,
+}
+
 /// One shard of MobiWatch's pool — what a set of keyed windows is scored
 /// with and where they live: the deployed models (one read-only copy shared
 /// by every shard), the detector / cooldown in force, the instruments, a
@@ -189,7 +243,7 @@ pub(crate) struct Scorer {
     config: MobiWatchConfig,
     metrics: WatchMetrics,
     workspace: Workspace,
-    /// Cores by slot; a free slot keeps its ring for the next key.
+    /// Cores by slot; a free slot keeps its buffers for the next key.
     cores: Vec<WindowCore>,
     by_key: HashMap<u32, usize>,
     free: Vec<usize>,
@@ -199,12 +253,9 @@ pub(crate) struct Scorer {
     features: Vec<f32>,
     nonzeros: SparseRows,
     /// `(global record index, core slot)` of each window staged this batch,
-    /// their spans back to back (≤ records × span floats: the batched
-    /// pass's targets), the spans' lists (its input) and, once flushed,
-    /// their scores.
+    /// the windows themselves and, once flushed, their scores.
     staged: Vec<(u64, usize)>,
-    spans: Vec<f32>,
-    lists: SparseRows,
+    batch: Batch,
     scores: Vec<f32>,
     /// Slots of keys released this batch.
     released: Vec<usize>,
@@ -231,8 +282,7 @@ impl Scorer {
             features: Vec::new(),
             nonzeros: SparseRows::default(),
             staged: Vec::new(),
-            spans: Vec::new(),
-            lists: SparseRows::default(),
+            batch: Batch::default(),
             scores: Vec::new(),
             released: Vec::new(),
             verdicts: Vec::new(),
@@ -271,29 +321,37 @@ impl Scorer {
         self.workspace.grow_events()
     }
 
+    /// How many records' `P` this shard has computed.
+    #[cfg(test)]
+    pub(crate) fn projected(&self) -> u64 {
+        self.batch.projected
+    }
+
     /// Scores the batch into `verdicts`: stage every record on its key's
     /// core, flush once, judge in staging order. `trace` (0 = unknown here)
     /// is the latency sample's exemplar.
     pub(crate) fn score(&mut self, trace: u64) {
         let (window, detector) = (self.models.feature_config.window, self.config.detector);
-        let span = detector.span(window);
+        let lstm = &self.models.lstm;
         // Room for every window the batch can stage, by its record count
-        // alone: whether the lists grow never depends on their contents.
-        let (rows, per_row) = match detector {
-            Detector::Autoencoder => (1, span * MAX_NONZEROS_PER_RECORD),
-            Detector::Lstm => (span - 1, MAX_NONZEROS_PER_RECORD),
-        };
-        self.lists.reserve(self.work.len() * rows, per_row);
+        // alone: whether the inputs grow never depends on their contents.
+        let pushed = self.work.len();
+        match detector {
+            Detector::Autoencoder => {
+                self.batch.lists.reserve(pushed, window * MAX_NONZEROS_PER_RECORD)
+            }
+            Detector::Lstm => self.batch.projections.reserve(pushed * window * lstm.gate_width()),
+        }
         let records = self.features.chunks_exact(FEATURES_PER_RECORD).zip(self.nonzeros.iter());
         for ((index, key, release), (row, nonzeros)) in self.work.drain(..).zip(records) {
             let slot = *self.by_key.entry(key).or_insert_with(|| {
                 self.metrics.tracked_keys.add(1);
                 self.free.pop().unwrap_or_else(|| {
-                    self.cores.push(WindowCore::new(window));
+                    self.cores.push(WindowCore::new(detector, window, lstm));
                     self.cores.len() - 1
                 })
             });
-            if self.cores[slot].stage(row, nonzeros, detector, span, &mut self.spans, &mut self.lists) {
+            if self.cores[slot].stage(row, nonzeros, lstm, &mut self.batch) {
                 self.staged.push((index, slot));
             }
             // The key is forgotten now — whatever the batching, a later
@@ -322,23 +380,27 @@ impl Scorer {
         }
     }
 
-    /// Scores every staged span in one batched model pass. One
+    /// Scores every staged window in one batched model pass. One
     /// inference-latency sample per call that scored anything.
     fn flush(&mut self, trace: u64) {
-        if self.spans.is_empty() {
+        if self.batch.targets.is_empty() {
             return;
         }
         let start = Instant::now();
-        let Scorer { models, config, metrics, workspace, spans, lists, scores, .. } = self;
+        let Scorer { models, config, metrics, workspace, batch, scores, .. } = self;
         match config.detector {
-            Detector::Autoencoder => models.autoencoder.score_spans(spans, lists, workspace, scores),
+            Detector::Autoencoder => {
+                models.autoencoder.score_spans(&batch.targets, &batch.lists, workspace, scores)
+            }
             Detector::Lstm => {
                 let steps = models.feature_config.window;
-                models.lstm.score_spans(spans, lists, steps, workspace, scores)
+                let (projections, nexts) = (&batch.projections, &batch.targets);
+                models.lstm.score_projected(projections, nexts, steps, workspace, scores)
             }
         }
-        spans.clear();
-        lists.clear();
+        batch.targets.clear();
+        batch.lists.clear();
+        batch.projections.clear();
         metrics.inference_latency.observe_duration_with_exemplar(start.elapsed(), trace);
     }
 }
@@ -589,6 +651,62 @@ mod tests {
             assert!(live.len() > 300, "{detector:?}: {} windows", live.len());
             assert!(live == scanned, "{detector:?}: the live lists moved a score");
         }
+    }
+
+    #[test]
+    fn per_ue_lstm_projections_score_like_score_batch_through_evictions() {
+        // Keys are released at their RRC release and their slots reused, so
+        // a slot's projections are overwritten by the next key's records;
+        // every window must still score to the bits `score_batch` gives the
+        // same rows, and each record is projected once, not once per window.
+        use xsec_dl::Matrix;
+        use xsec_proto::MessageKind;
+        let models = quick_models(50);
+        let ds = DatasetBuilder::small(51, 24).attack(AttackKind::BtsDos);
+        let records = extract_from_events(&ds.report.events).records;
+        let window = models.feature_config.window;
+
+        // Each UE's windows in stream order, from the rows the live
+        // featurizer writes, forgetting a UE at its release.
+        let mut featurizer = Featurizer::new();
+        let (mut dense, mut lists) = (Vec::new(), SparseRows::default());
+        let row = |dense: &[f32], r: usize| {
+            Matrix::row(dense[r * FEATURES_PER_RECORD..][..FEATURES_PER_RECORD].to_vec())
+        };
+        let mut open: HashMap<u32, Vec<usize>> = HashMap::new();
+        let (mut windows, mut nexts, mut at) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, record) in records.iter().enumerate() {
+            featurizer.append_record(record, &mut dense, &mut lists);
+            let seen = open.entry(record.du_ue_id).or_default();
+            if seen.len() >= window {
+                let steps: Vec<Matrix> =
+                    seen[seen.len() - window..].iter().map(|&r| row(&dense, r)).collect();
+                windows.push(Matrix::stack_rows(&steps));
+                nexts.push(row(&dense, i));
+                at.push(i as u64);
+            }
+            seen.push(i);
+            if record.msg == MessageKind::RrcRelease {
+                open.remove(&record.du_ue_id);
+            }
+        }
+        let releases = records.iter().filter(|r| r.msg == MessageKind::RrcRelease).count();
+        let why = format!("{releases} releases, {} windows", windows.len());
+        assert!(releases > 20 && windows.len() > 300, "{why}");
+        let scores = models.lstm.score_batch(&windows, &nexts, &mut Workspace::new());
+        let want: Vec<(u64, u32)> =
+            at.into_iter().zip(scores.iter().map(|s| s.to_bits())).collect();
+
+        let config = MobiWatchConfig { detector: Detector::Lstm, ..MobiWatchConfig::default() };
+        let (mut pool, state) = MobiWatch::per_ue(models.clone(), config, 3);
+        for chunk in records.chunks(29) {
+            pool.process_batch(chunk);
+        }
+        let live: Vec<(u64, u32)> =
+            state.lock().scores.iter().map(|s| (s.0, s.1.to_bits())).collect();
+        assert!(live == want, "a per-UE window moved off score_batch's bits");
+        assert_eq!(pool.projected(), records.len() as u64, "one projection per record staged");
+        assert!(windows.len() * window > 2 * records.len(), "windows reuse too few projections");
     }
 
     /// Everything the chunking property compares against, computed once:

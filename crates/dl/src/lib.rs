@@ -28,8 +28,10 @@
 //! writes them; [`Dense::forward_into`] is the one layer
 //! pass, for training and inference alike; each model scores through its
 //! `score_spans`, and `score_rows` / `score_batch` are the one convenience
-//! wrapper over it. Their parity oracles are the libm references written
-//! out in the tests.
+//! wrapper over it. The live LSTM enters the same pass through
+//! `Lstm::score_projected`, handing it each record's gate base `b + x·W`
+//! ([`Lstm::project`]) computed once instead of once per window. Their
+//! parity oracles are the libm references written out in the tests.
 //!
 //! All training is deterministic given a seed. Models serialize to JSON so
 //! the SMO can "deploy" them to xApps, as in Figure 3.

@@ -156,11 +156,8 @@ impl Lstm {
         }
         hs.data[..hd].fill(0.0);
         cs.data[..hd].fill(0.0);
-        let fill = |t, x: &mut SparseRows| {
-            x.extend(window.row(t), 0);
-            x.end_row();
-        };
-        self.predict_into(1, steps, fill, ws, |t, ws| {
+        let project = |t, ws: &mut Workspace| self.project([window.row(t)], ws.z.data_mut());
+        self.predict_into(1, steps, project, ws, |t, ws| {
             gates.data[t * 4 * hd..][..4 * hd].copy_from_slice(ws.z.data());
             let tc = &mut tanh_c.data[t * hd..][..hd];
             tc.copy_from_slice(ws.c.data());
@@ -214,23 +211,49 @@ impl Lstm {
         self.adam_b.step(&mut self.b, &s.grad_b, lr);
     }
 
-    /// One batched LSTM timestep: `x` holds the `M` sequences' step inputs
-    /// as lists; `ws.h`/`ws.c` (`M × hidden`) are updated in place. The
-    /// gate pre-activations for all M sequences come from two products
-    /// (`x·W` over the lists, `h·U` dense) instead of 2·M GEMVs.
-    fn step_batched<'a>(&self, x: impl Iterator<Item = &'a [(u32, f32)]>, ws: &mut Workspace) {
+    /// Width of one gate pre-activation row: `4 · hidden`, laid out
+    /// `[i | f | g | o]`.
+    pub fn gate_width(&self) -> usize {
+        4 * self.config.hidden
+    }
+
+    /// The gate pre-activation base `P = b + x·W` of each row `x` of `rows`
+    /// (given by its nonzeros), one [`Lstm::gate_width`]-wide row of `out`
+    /// each: the bias staged first (one write per element), the sparse
+    /// product accumulated on top. A row's `P` is a function of that row
+    /// alone (the kernels' row invariance), so the live path computes it
+    /// once per record and hands the same bits to each of the windows the
+    /// record is a step of ([`Lstm::score_projected`]).
+    ///
+    /// # Panics
+    /// If `out` has fewer rows than `rows` yields.
+    pub fn project<'a>(&self, rows: impl IntoIterator<Item = &'a [(u32, f32)]>, out: &mut [f32]) {
+        let width = self.gate_width();
+        for row in out.chunks_exact_mut(width) {
+            row.copy_from_slice(self.b.row_slice(0));
+        }
+        crate::kernels::sparse_gemm_acc(rows, self.w.data(), width, out);
+    }
+
+    /// [`Lstm::project`] into `ws.z` for the step rows `fill` lists into the
+    /// workspace's list buffer — for the entries handed dense rows.
+    fn project_scanned(&self, ws: &mut Workspace, fill: impl FnOnce(&mut SparseRows)) {
+        let x = ws.lists(fill);
+        assert_eq!(x.rows(), ws.z.rows(), "one list per sequence");
+        self.project(x.iter(), ws.z.data_mut());
+        ws.restore(x);
+    }
+
+    /// One batched LSTM timestep: `ws.z` holds the `M` sequences' `P` rows
+    /// for this step; `h·U` (dense, one product for all M) is added unless
+    /// this is the `first` step, the gates activate in place and
+    /// `ws.h`/`ws.c` (`M × hidden`) are updated.
+    fn step_batched(&self, first: bool, ws: &mut Workspace) {
         let h_dim = self.config.hidden;
         let rows = ws.h.rows();
-        // Stage the gate bias into z first (one write per element), then
-        // accumulate both products on top — cheaper than the zero → GEMM →
-        // separate bias pass it replaces.
-        let grew = ws.z.resize(rows, 4 * h_dim);
-        ws.note(grew);
-        for zrow in ws.z.data_mut().chunks_exact_mut(4 * h_dim) {
-            zrow.copy_from_slice(self.b.row_slice(0));
+        if !first {
+            ws.h.matmul_acc_into(&self.u, &mut ws.z);
         }
-        crate::kernels::sparse_gemm_acc(x, self.w.data(), 4 * h_dim, ws.z.data_mut());
-        ws.h.matmul_acc_into(&self.u, &mut ws.z);
         // Gate math through the slice transcendentals (the vectorizable
         // polynomials). `z` is scratch, so the gates activate in place: row layout is [i | f | g | o], each h_dim wide.
         let Workspace { z, c: cbuf, h: hbuf, .. } = ws;
@@ -254,19 +277,31 @@ impl Lstm {
     }
 
     /// The one forward pass, for inference and training alike: runs `m`
-    /// sequences of `steps` rows through one batched time loop — at each
-    /// step `fill(t, x)` appends the `m` sequences' row `t` to `x`, each as
-    /// its nonzeros, and the gate pre-activations are two products, not 2·m
-    /// GEMVs — and leaves the `m` predictions in `ws.a`. All temporaries
-    /// live in the workspace, one step's lists at a time; by the kernels'
-    /// row-invariance contract sequence `k`'s prediction has the same bits
-    /// alone and in any batch. `after_step(t, ws)` sees each step's
-    /// activated gates and new state (training keeps them for BPTT).
+    /// sequences of `steps` rows through one batched time loop and leaves
+    /// the `m` predictions in `ws.a`.
+    ///
+    /// At step `t`, `project(t, ws)` fills `ws.z` (`m × 4·hidden`, sized)
+    /// with the sequences' row-`t` gate bases `P = b + x·W`: computed there
+    /// from the rows' lists by [`Lstm::project`] (training, `score_spans`,
+    /// the dense entries) or copied from the record's `P` cached when it was
+    /// staged ([`Lstm::score_projected`], the live detector). Both are the
+    /// same bias-staged row product, so they are the same bits. The step
+    /// then adds `h·U` for `t ≥ 1` only: at `t = 0`, `h` is the zero state,
+    /// every element of that product is an FMA chain of zeros from `+0`,
+    /// i.e. `+0`, and `P + (+0) = P` — `P` is never `−0`, being `b` plus a
+    /// chain from `+0`, and an exact zero sum rounds to `+0`. (A `−0` would
+    /// only flip a zero's sign, which neither activation sees.) So skipping
+    /// it keeps every bit.
+    ///
+    /// By the kernels' row-invariance contract sequence `k`'s prediction
+    /// has the same bits alone and in any batch. `after_step(t, ws)` sees
+    /// each step's activated gates and new state (training keeps them for
+    /// BPTT).
     fn predict_into(
         &self,
         m: usize,
         steps: usize,
-        mut fill: impl FnMut(usize, &mut SparseRows),
+        mut project: impl FnMut(usize, &mut Workspace),
         ws: &mut Workspace,
         mut after_step: impl FnMut(usize, &Workspace),
     ) {
@@ -278,23 +313,44 @@ impl Lstm {
         ws.note(grew);
         ws.c.data_mut().fill(0.0);
         for t in 0..steps {
-            let x = ws.lists(|x| fill(t, x));
-            assert_eq!(x.rows(), m, "step {t} has {} rows for {m} sequences", x.rows());
-            self.step_batched(x.iter(), ws);
-            ws.restore(x);
+            let grew = ws.z.resize(m, 4 * h_dim);
+            ws.note(grew);
+            project(t, ws);
+            self.step_batched(t == 0, ws);
             after_step(t, ws);
         }
         let grew = self.head.forward_into(Input::Dense(&ws.h), &mut ws.a);
         ws.note(grew);
     }
 
-    /// The one scoring entry: every span of `spans` (flat, back to back;
-    /// one span is `steps` window rows followed by the observed next row,
-    /// each `input_dim` wide) in one batched pass, replacing `out` with one
-    /// score per span — the MSE between the prediction and the observed
-    /// next row. `lists` holds what the gates read: row `k·steps + t` is
-    /// span `k`'s row `t` as its nonzeros. A span scores to the same bits
-    /// alone and in any batch.
+    /// Appends to `out` the MSE of each prediction `k` in `ws.a` against its
+    /// target: the `input_dim` floats at `offset` into the `k`-th
+    /// `stride`-float chunk of `targets`.
+    fn mse_onto(
+        &self,
+        targets: &[f32],
+        stride: usize,
+        offset: usize,
+        ws: &Workspace,
+        out: &mut Vec<f32>,
+    ) {
+        let d = self.config.input_dim;
+        out.extend(
+            targets
+                .chunks_exact(stride)
+                .zip(ws.a.data().chunks_exact(d))
+                .map(|(s, pred)| crate::kernels::mse_row(pred, &s[offset..][..d])),
+        );
+    }
+
+    /// The one scoring entry over lists: every span of `spans` (flat, back
+    /// to back; one span is `steps` window rows followed by the observed
+    /// next row, each `input_dim` wide) in one batched pass, replacing `out`
+    /// with one score per span — the MSE between the prediction and the
+    /// observed next row. `lists` holds what the gates read: row `k·steps +
+    /// t` is span `k`'s row `t` as its nonzeros; each step projects its
+    /// rows. A span scores to the same bits alone, in any batch and through
+    /// [`Lstm::score_projected`].
     ///
     /// # Panics
     /// If `spans` is not a whole number of `(steps + 1)`-row spans, or
@@ -316,22 +372,47 @@ impl Lstm {
         if m == 0 {
             return;
         }
-        // Room for all-nonzero rows, so whether the step buffer grows
-        // depends on `m` alone.
-        let fill = |t, x: &mut SparseRows| {
-            x.reserve(m, d);
-            for k in 0..m {
-                x.extend(lists.row(k * steps + t), 0);
-                x.end_row();
+        let project = |t, ws: &mut Workspace| {
+            self.project((0..m).map(|k| lists.row(k * steps + t)), ws.z.data_mut())
+        };
+        self.predict_into(m, steps, project, ws, |_, _| {});
+        self.mse_onto(spans, span, steps * d, ws, out);
+    }
+
+    /// The live detector's entry: the same pass as [`Lstm::score_spans`] with
+    /// every step's `P` given. `projections` holds window `k`'s step `t` as
+    /// row `k·steps + t` ([`Lstm::gate_width`] floats, from
+    /// [`Lstm::project`]); `nexts` one observed next row per window, the MSE
+    /// target. Replaces `out` with one score per window; a window scores to
+    /// the bits it has from its lists.
+    ///
+    /// # Panics
+    /// If `nexts` is not whole `input_dim`-wide rows or `projections` does
+    /// not hold `steps` rows per window.
+    pub fn score_projected(
+        &self,
+        projections: &[f32],
+        nexts: &[f32],
+        steps: usize,
+        ws: &mut Workspace,
+        out: &mut Vec<f32>,
+    ) {
+        let (d, width) = (self.config.input_dim, self.gate_width());
+        assert!(nexts.len().is_multiple_of(d), "nexts are not whole {d}-float rows");
+        let m = nexts.len() / d;
+        assert_eq!(projections.len(), m * steps * width, "one projection per window step");
+        out.clear();
+        if m == 0 {
+            return;
+        }
+        let project = |t, ws: &mut Workspace| {
+            let rows = projections.chunks_exact(width).skip(t).step_by(steps);
+            for (z, p) in ws.z.data_mut().chunks_exact_mut(width).zip(rows) {
+                z.copy_from_slice(p);
             }
         };
-        self.predict_into(m, steps, fill, ws, |_, _| {});
-        out.extend(
-            spans
-                .chunks_exact(span)
-                .zip(ws.a.data().chunks_exact(d))
-                .map(|(s, pred)| crate::kernels::mse_row(pred, &s[steps * d..])),
-        );
+        self.predict_into(m, steps, project, ws, |_, _| {});
+        self.mse_onto(nexts, d, 0, ws, out);
     }
 
     /// Scores M `(window, next)` pairs in the pass behind
@@ -352,8 +433,10 @@ impl Lstm {
         let steps = first.rows();
         assert!(windows.iter().all(|w| w.rows() == steps), "ragged window batch");
         let d = self.config.input_dim;
-        let fill = |t, x: &mut SparseRows| x.push_dense(windows.iter().map(|w| w.row_slice(t)), d);
-        self.predict_into(windows.len(), steps, fill, ws, |_, _| {});
+        let project = |t, ws: &mut Workspace| {
+            self.project_scanned(ws, |x| x.push_dense(windows.iter().map(|w| w.row_slice(t)), d))
+        };
+        self.predict_into(windows.len(), steps, project, ws, |_, _| {});
         nexts
             .iter()
             .zip(ws.a.data().chunks_exact(self.config.input_dim))
@@ -382,8 +465,10 @@ impl Lstm {
             !window_flat.is_empty() && window_flat.len().is_multiple_of(d),
             "window is not a whole number of {d}-wide steps"
         );
-        let fill = |t: usize, x: &mut SparseRows| x.push_dense([&window_flat[t * d..][..d]], d);
-        self.predict_into(1, window_flat.len() / d, fill, ws, |_, _| {});
+        let project = |t: usize, ws: &mut Workspace| {
+            self.project_scanned(ws, |x| x.push_dense([&window_flat[t * d..][..d]], d))
+        };
+        self.predict_into(1, window_flat.len() / d, project, ws, |_, _| {});
         crate::kernels::mse_row(ws.a.row_slice(0), next)
     }
 
