@@ -109,9 +109,8 @@ impl UeBehavior for BlindDosUe {
                     identity: MobileIdentity::FiveGSTmsi(tmsi),
                     capabilities: xsec_types::SecurityCapabilities::full(),
                 };
-                let container = xsec_proto::encode_l3(&L3Message::Nas(reg));
                 UeActions::none()
-                    .send(L3Message::Rrc(RrcMessage::SetupComplete { nas_container: container }))
+                    .send(L3Message::Rrc(RrcMessage::SetupComplete { nas: Box::new(reg) }))
             }
             // Challenges / identity requests: silence. The damage (victim
             // detach) is already done.
@@ -170,12 +169,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         ue.on_power_on(Timestamp::ZERO, &mut rng);
         let actions = ue.on_downlink(Timestamp::ZERO, &L3Message::Rrc(RrcMessage::Setup), &mut rng);
-        let L3Message::Rrc(RrcMessage::SetupComplete { nas_container }) = &actions.sends[0] else {
+        let L3Message::Rrc(RrcMessage::SetupComplete { nas }) = &actions.sends[0] else {
             panic!("expected SetupComplete");
         };
-        let L3Message::Nas(NasMessage::RegistrationRequest { identity, .. }) =
-            xsec_proto::decode_l3(nas_container).unwrap()
-        else {
+        let NasMessage::RegistrationRequest { identity, .. } = **nas else {
             panic!("expected RegistrationRequest");
         };
         assert_eq!(identity, MobileIdentity::FiveGSTmsi(Tmsi(0xBEEF)));

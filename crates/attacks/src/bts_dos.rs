@@ -90,9 +90,8 @@ impl UeBehavior for BtsDosUe {
                     },
                     capabilities: xsec_types::SecurityCapabilities::full(),
                 };
-                let container = xsec_proto::encode_l3(&L3Message::Nas(reg));
                 UeActions::none()
-                    .send(L3Message::Rrc(RrcMessage::SetupComplete { nas_container: container }))
+                    .send(L3Message::Rrc(RrcMessage::SetupComplete { nas: Box::new(reg) }))
             }
             // AuthenticationRequest, rejects, releases: all ignored — the
             // attacker has already moved on to the next RNTI.
@@ -157,13 +156,10 @@ mod tests {
                 ue.on_downlink(Timestamp::ZERO, &L3Message::Rrc(RrcMessage::Setup), &mut rng);
             // Re-arm awaiting_setup for the test's repeated grants.
             ue.awaiting_setup = true;
-            let L3Message::Rrc(RrcMessage::SetupComplete { nas_container }) = &actions.sends[0]
-            else {
+            let L3Message::Rrc(RrcMessage::SetupComplete { nas }) = &actions.sends[0] else {
                 panic!("expected SetupComplete");
             };
-            let L3Message::Nas(NasMessage::RegistrationRequest { identity, .. }) =
-                xsec_proto::decode_l3(nas_container).unwrap()
-            else {
+            let NasMessage::RegistrationRequest { identity, .. } = **nas else {
                 panic!("expected RegistrationRequest");
             };
             let MobileIdentity::Suci { concealed, .. } = identity else {

@@ -45,7 +45,7 @@ impl Interceptor for UplinkIdExtractor {
             return Intercept::Pass;
         }
         // The registration may be bare NAS or ride inside RRCSetupComplete.
-        let Some(NasMessage::RegistrationRequest { identity, capabilities }) =
+        let Some(&NasMessage::RegistrationRequest { identity, capabilities }) =
             crate::wrap::uplink_nas(msg)
         else {
             return Intercept::Pass;

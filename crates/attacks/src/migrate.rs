@@ -98,9 +98,8 @@ impl UeBehavior for MigratingFloodUe {
                     },
                     capabilities: xsec_types::SecurityCapabilities::full(),
                 };
-                let container = xsec_proto::encode_l3(&L3Message::Nas(reg));
                 UeActions::none()
-                    .send(L3Message::Rrc(RrcMessage::SetupComplete { nas_container: container }))
+                    .send(L3Message::Rrc(RrcMessage::SetupComplete { nas: Box::new(reg) }))
             }
             _ => UeActions::none(),
         }

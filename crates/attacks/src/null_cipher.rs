@@ -43,7 +43,7 @@ impl Interceptor for NullCipherMitm {
             return Intercept::Pass;
         }
         // The registration may be bare NAS or ride inside RRCSetupComplete.
-        if let Some(NasMessage::RegistrationRequest { identity, capabilities }) =
+        if let Some(&NasMessage::RegistrationRequest { identity, capabilities }) =
             crate::wrap::uplink_nas(msg)
         {
             self.original_caps = Some(capabilities);

@@ -2,24 +2,17 @@
 //!
 //! Over the air, the initial uplink NAS message rides inside
 //! `RRCSetupComplete` (and later NAS inside `ULInformationTransfer`). A MiTM
-//! that wants to tamper with the NAS payload must unwrap the container,
-//! substitute, and re-wrap — these helpers do exactly that.
+//! that wants to tamper with the NAS payload reads the carried message and
+//! swaps a substitute into the same carrier — these helpers do exactly that.
 
 use xsec_proto::{L3Message, NasMessage, RrcMessage};
 
-/// Extracts the uplink NAS message carried by `msg`, whether bare or inside
-/// an RRC container. Returns `None` for pure-RRC messages or undecodable
-/// containers.
-pub(crate) fn uplink_nas(msg: &L3Message) -> Option<NasMessage> {
+/// The uplink NAS message carried by `msg`, whether bare or piggybacked in
+/// RRC. `None` for pure-RRC messages.
+pub(crate) fn uplink_nas(msg: &L3Message) -> Option<&NasMessage> {
     match msg {
-        L3Message::Nas(nas) => Some(nas.clone()),
-        L3Message::Rrc(rrc) => {
-            let container = rrc.nas_container()?;
-            match xsec_proto::decode_l3(container) {
-                Ok(L3Message::Nas(nas)) => Some(nas),
-                _ => None,
-            }
-        }
+        L3Message::Nas(nas) => Some(nas),
+        L3Message::Rrc(rrc) => rrc.nas(),
     }
 }
 
@@ -27,21 +20,18 @@ pub(crate) fn uplink_nas(msg: &L3Message) -> Option<NasMessage> {
 /// preserving the carrier (bare NAS stays bare, `SetupComplete` stays
 /// `SetupComplete`, ...).
 pub(crate) fn with_nas(original: &L3Message, new_nas: NasMessage) -> L3Message {
-    let encoded = xsec_proto::encode_l3(&L3Message::Nas(new_nas.clone()));
-    match original {
-        L3Message::Nas(_) => L3Message::Nas(new_nas),
-        L3Message::Rrc(RrcMessage::SetupComplete { .. }) => {
-            L3Message::Rrc(RrcMessage::SetupComplete { nas_container: encoded })
-        }
-        L3Message::Rrc(RrcMessage::UlInformationTransfer { .. }) => {
-            L3Message::Rrc(RrcMessage::UlInformationTransfer { nas_container: encoded })
-        }
-        L3Message::Rrc(RrcMessage::DlInformationTransfer { .. }) => {
-            L3Message::Rrc(RrcMessage::DlInformationTransfer { nas_container: encoded })
-        }
-        // No NAS carrier: return the original untouched.
-        other => other.clone(),
+    let mut message = original.clone();
+    match &mut message {
+        L3Message::Nas(nas) => *nas = new_nas,
+        L3Message::Rrc(
+            RrcMessage::SetupComplete { nas }
+            | RrcMessage::UlInformationTransfer { nas }
+            | RrcMessage::DlInformationTransfer { nas },
+        ) => **nas = new_nas,
+        // No NAS carrier: the original, untouched.
+        L3Message::Rrc(_) => {}
     }
+    message
 }
 
 #[cfg(test)]
@@ -51,26 +41,27 @@ mod tests {
     #[test]
     fn bare_nas_round_trip() {
         let msg = L3Message::Nas(NasMessage::SecurityModeComplete);
-        assert_eq!(uplink_nas(&msg), Some(NasMessage::SecurityModeComplete));
+        assert_eq!(uplink_nas(&msg), Some(&NasMessage::SecurityModeComplete));
         let swapped = with_nas(&msg, NasMessage::RegistrationComplete);
         assert_eq!(swapped, L3Message::Nas(NasMessage::RegistrationComplete));
     }
 
     #[test]
     fn setup_complete_container_round_trip() {
-        let inner = NasMessage::RegistrationComplete;
-        let container = xsec_proto::encode_l3(&L3Message::Nas(inner.clone()));
-        let msg = L3Message::Rrc(RrcMessage::SetupComplete { nas_container: container });
-        assert_eq!(uplink_nas(&msg), Some(inner));
+        // And the two information transfers: every carrier keeps its kind.
+        let carriers: [fn(Box<NasMessage>) -> RrcMessage; 3] = [
+            |nas| RrcMessage::SetupComplete { nas },
+            |nas| RrcMessage::UlInformationTransfer { nas },
+            |nas| RrcMessage::DlInformationTransfer { nas },
+        ];
+        for carry in carriers {
+            let inner = NasMessage::RegistrationComplete;
+            let msg = L3Message::Rrc(carry(Box::new(inner.clone())));
+            assert_eq!(uplink_nas(&msg), Some(&inner));
 
-        let swapped = with_nas(&msg, NasMessage::DeregistrationRequest);
-        let L3Message::Rrc(RrcMessage::SetupComplete { nas_container }) = &swapped else {
-            panic!("carrier changed");
-        };
-        assert_eq!(
-            xsec_proto::decode_l3(nas_container).unwrap(),
-            L3Message::Nas(NasMessage::DeregistrationRequest)
-        );
+            let swapped = with_nas(&msg, NasMessage::DeregistrationRequest);
+            assert_eq!(swapped, L3Message::Rrc(carry(Box::new(NasMessage::DeregistrationRequest))));
+        }
     }
 
     #[test]

@@ -39,6 +39,8 @@ struct AgentMetrics {
     indications_sent: Counter,
     controls_received: Counter,
     egress_dropped: Counter,
+    frames_undecodable: Counter,
+    pdus_unexpected: Counter,
 }
 
 impl AgentMetrics {
@@ -48,8 +50,16 @@ impl AgentMetrics {
             indications_sent: obs.counter("xsec_e2_indications_sent_total", &[]),
             controls_received: obs.counter("xsec_e2_controls_received_total", &[]),
             egress_dropped: obs.counter("xsec_e2_egress_dropped_total", &[]),
+            frames_undecodable: dropped(obs, "frame", "undecodable"),
+            pdus_unexpected: dropped(obs, "pdu", "unexpected"),
         }
     }
+}
+
+/// One series of `xsec_e2_agent_dropped_total`: what the agent received and
+/// threw away, by where and why.
+fn dropped(obs: &Obs, site: &str, reason: &str) -> Counter {
+    obs.counter("xsec_e2_agent_dropped_total", &[("site", site), ("reason", reason)])
 }
 
 /// The agent state machine over a transport.
@@ -104,6 +114,8 @@ impl<T: E2Transport> RicAgent<T> {
         metrics.indications_sent.add(self.metrics.indications_sent.get());
         metrics.controls_received.add(self.metrics.controls_received.get());
         metrics.egress_dropped.add(self.metrics.egress_dropped.get());
+        metrics.frames_undecodable.add(self.metrics.frames_undecodable.get());
+        metrics.pdus_unexpected.add(self.metrics.pdus_unexpected.get());
         self.metrics = metrics;
         self.recorder = obs.recorder.clone();
         self.ring = self.recorder.ring();
@@ -162,11 +174,16 @@ impl<T: E2Transport> RicAgent<T> {
         std::mem::take(&mut self.control_inbox)
     }
 
-    /// Drives the agent: handles incoming PDUs and flushes due reports.
+    /// Drives the agent: handles incoming PDUs and flushes due reports. A
+    /// frame that is not an E2AP PDU, or a PDU only the RIC should receive,
+    /// is counted under `xsec_e2_agent_dropped_total` and skipped; a
+    /// transport error or a refused Setup is an `Err`.
     pub fn poll(&mut self, now: Timestamp) -> Result<()> {
         while let Some(frame) = self.transport.try_recv()? {
-            let pdu = E2apPdu::decode(&frame)?;
-            self.handle(now, pdu)?;
+            match E2apPdu::decode(&frame) {
+                Ok(pdu) => self.handle(now, pdu)?,
+                Err(_) => self.metrics.frames_undecodable.inc(),
+            }
         }
         self.flush_reports(now)
     }
@@ -214,7 +231,10 @@ impl<T: E2Transport> RicAgent<T> {
                 Self::send_counted(&mut self.transport, &self.metrics, &ack)
             }
             // PDUs that only the RIC side should receive are protocol noise.
-            other => Err(XsecError::Ric(format!("unexpected PDU at agent: {other:?}"))),
+            _ => {
+                self.metrics.pdus_unexpected.inc();
+                Ok(())
+            }
         }
     }
 
@@ -354,6 +374,44 @@ mod tests {
     fn setup_handshake() {
         let (mut agent, mut ric) = agent();
         complete_setup(&mut agent, &mut ric);
+    }
+
+    #[test]
+    fn a_bad_frame_is_counted_and_skipped() {
+        let (mut agent, mut ric) = agent();
+        complete_setup(&mut agent, &mut ric);
+        let obs = Obs::new();
+        agent.attach_obs(&obs);
+        ric.send(&[0xff, 0x00, 0x13]).unwrap();
+        ric.send(
+            &E2apPdu::ControlAck {
+                ran_function: RAN_FUNCTION_MOBIFLOW,
+                control_id: 1,
+                success: true,
+            }
+            .encode(),
+        )
+        .unwrap();
+        let request_id = RicRequestId { requestor: 1, instance: 1 };
+        ric.send(
+            &E2apPdu::SubscriptionRequest {
+                request_id,
+                ran_function: RAN_FUNCTION_MOBIFLOW,
+                report_period_ms: 100,
+                actions: vec![crate::e2ap::RicAction::Report],
+            }
+            .encode(),
+        )
+        .unwrap();
+        agent.poll(Timestamp(0)).unwrap();
+        let frame = ric.try_recv().unwrap().unwrap();
+        assert_eq!(
+            E2apPdu::decode(&frame).unwrap(),
+            E2apPdu::SubscriptionResponse { request_id, accepted: true }
+        );
+        assert_eq!(agent.subscription_count(), 1);
+        assert_eq!(dropped(&obs, "frame", "undecodable").get(), 1);
+        assert_eq!(dropped(&obs, "pdu", "unexpected").get(), 1);
     }
 
     #[test]

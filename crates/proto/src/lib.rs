@@ -1,8 +1,8 @@
 //! # xsec-proto
 //!
 //! The L3 control-protocol model for the simulated 5G network: RRC (3GPP
-//! 38.331) and NAS (3GPP 24.501) message types, a compact binary codec for
-//! one message, and a procedure-conformance checker.
+//! 38.331) and NAS (3GPP 24.501) message types and a procedure-conformance
+//! checker.
 //!
 //! ## Scope
 //!
@@ -21,16 +21,15 @@
 //! ```
 //!
 //! The simulator hands each hop the message value itself; F1AP and NGAP name
-//! the hops, and no PDU is encoded for them. The only bytes are the NAS
-//! messages piggybacked in RRC (`nas_container`), which UEs, the gNB and
-//! the attacks encode and decode with [`codec`].
+//! the hops, and no PDU is encoded for them. A NAS message piggybacked in
+//! RRC rides as a value too ([`RrcMessage::nas`]): no L3 message is ever
+//! encoded to bytes. The telemetry that leaves the RAN is the MobiFlow
+//! record, whose codecs live in `xsec_mobiflow` and `xsec_e2`.
 //!
 //! * [`rrc::RrcMessage`] — the air-interface control messages.
 //! * [`nas::NasMessage`] — the NAS messages piggybacked through RRC.
 //! * [`msg::L3Message`] / [`msg::MessageKind`] — the unified vocabulary the
 //!   featurizer and MobiFlow records use.
-//! * [`codec`] — deterministic binary encoding of one message (stream framing
-//!   belongs to the transport that needs it, `xsec_e2::transport`).
 //! * [`state`] — the network-side [`state::ProcedureConformance`]
 //!   checker, an independent lens on a message sequence for tests and
 //!   examples.
@@ -38,13 +37,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 mod msg;
 pub mod nas;
 mod rrc;
 mod state;
 
-pub use codec::{decode_l3, encode_l3};
 pub use msg::{Direction, L3Message, MessageKind, MobileIdentity};
 pub use nas::NasMessage;
 pub use rrc::RrcMessage;

@@ -105,8 +105,8 @@ macro_rules! message_kinds {
     ($( $variant:ident => ($code:expr, $name:expr, $dir:ident) ),+ $(,)?) => {
         /// Flat enumeration of every L3 message type in the model.
         ///
-        /// The numeric codes are the wire tags of the codec and the category
-        /// indices of the one-hot featurizer; they are append-only.
+        /// The numeric codes are the MobiFlow record's message codes and the
+        /// category indices of the one-hot featurizer; they are append-only.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
         #[allow(missing_docs)]
         pub enum MessageKind {
@@ -117,7 +117,7 @@ macro_rules! message_kinds {
             /// Every kind, ordered by code.
             pub const ALL: &'static [MessageKind] = &[$(MessageKind::$variant),+];
 
-            /// Stable numeric code (wire tag / feature index).
+            /// Stable numeric code (MobiFlow record code / feature index).
             pub fn code(self) -> u8 {
                 match self { $(MessageKind::$variant => $code),+ }
             }
@@ -239,6 +239,13 @@ mod tests {
         assert_eq!(MessageKind::NasAuthenticationRequest.direction(), Direction::Downlink);
         assert_eq!(MessageKind::NasAuthenticationResponse.direction(), Direction::Uplink);
         assert_eq!(MessageKind::NasIdentityResponse.direction(), Direction::Uplink);
+    }
+
+    #[test]
+    fn a_piggybacked_nas_message_is_boxed() {
+        // Every simulator event holds one `L3Message`: the NAS value an RRC
+        // message carries is boxed, so the largest NAS variant is paid once.
+        assert!(std::mem::size_of::<L3Message>() <= 32, "{}", std::mem::size_of::<L3Message>());
     }
 
     #[test]

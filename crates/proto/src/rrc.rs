@@ -1,6 +1,7 @@
 //! RRC message model (3GPP 38.331 subset).
 
 use crate::msg::{MessageKind, MobileIdentity};
+use crate::nas::NasMessage;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use xsec_types::{CipherAlg, EstablishmentCause, IntegrityAlg, ReleaseCause, Rnti};
@@ -18,11 +19,11 @@ pub enum RrcMessage {
     /// DL: the network grants SRB1 and assigns configuration.
     Setup,
     /// UL: completes establishment; carries the first NAS message
-    /// (registration or service request) as a piggybacked container and the
-    /// selected PLMN.
+    /// (registration or service request) piggybacked.
     SetupComplete {
-        /// The dedicated NAS message container (already encoded).
-        nas_container: Vec<u8>,
+        /// The dedicated NAS message (boxed: it is the largest field of
+        /// any RRC message, and every `L3Message` would pay for it).
+        nas: Box<NasMessage>,
     },
     /// DL: the network rejects the establishment (congestion, barring).
     Reject {
@@ -61,13 +62,13 @@ pub enum RrcMessage {
     Reestablishment,
     /// UL: carries a NAS message after connection establishment.
     UlInformationTransfer {
-        /// The dedicated NAS message container (already encoded).
-        nas_container: Vec<u8>,
+        /// The dedicated NAS message.
+        nas: Box<NasMessage>,
     },
     /// DL: carries a NAS message toward the UE.
     DlInformationTransfer {
-        /// The dedicated NAS message container (already encoded).
-        nas_container: Vec<u8>,
+        /// The dedicated NAS message.
+        nas: Box<NasMessage>,
     },
 }
 
@@ -92,12 +93,12 @@ impl RrcMessage {
         }
     }
 
-    /// The NAS container carried by this message, if any.
-    pub fn nas_container(&self) -> Option<&[u8]> {
+    /// The NAS message piggybacked on this message, if any.
+    pub fn nas(&self) -> Option<&NasMessage> {
         match self {
-            RrcMessage::SetupComplete { nas_container }
-            | RrcMessage::UlInformationTransfer { nas_container }
-            | RrcMessage::DlInformationTransfer { nas_container } => Some(nas_container),
+            RrcMessage::SetupComplete { nas }
+            | RrcMessage::UlInformationTransfer { nas }
+            | RrcMessage::DlInformationTransfer { nas } => Some(nas),
             _ => None,
         }
     }
@@ -140,12 +141,15 @@ mod tests {
     }
 
     #[test]
-    fn nas_container_extraction() {
-        let msg = RrcMessage::UlInformationTransfer { nas_container: vec![1, 2] };
-        assert_eq!(msg.nas_container(), Some(&[1u8, 2][..]));
-        assert_eq!(RrcMessage::Setup.nas_container(), None);
-        let complete = RrcMessage::SetupComplete { nas_container: vec![9] };
-        assert_eq!(complete.nas_container(), Some(&[9u8][..]));
+    fn nas_is_the_piggybacked_message() {
+        let msg = RrcMessage::UlInformationTransfer { nas: Box::new(NasMessage::ServiceAccept) };
+        assert_eq!(msg.nas(), Some(&NasMessage::ServiceAccept));
+        assert_eq!(RrcMessage::Setup.nas(), None);
+        let request = NasMessage::ServiceRequest { tmsi: Tmsi(9) };
+        let complete = RrcMessage::SetupComplete { nas: Box::new(request.clone()) };
+        assert_eq!(complete.nas(), Some(&request));
+        let down = RrcMessage::DlInformationTransfer { nas: Box::new(NasMessage::ServiceAccept) };
+        assert_eq!(down.nas(), Some(&NasMessage::ServiceAccept));
     }
 
     #[test]

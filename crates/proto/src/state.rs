@@ -352,18 +352,27 @@ mod tests {
         })
     }
 
-    fn registration_request() -> L3Message {
-        L3Message::Nas(NasMessage::RegistrationRequest {
+    fn registration() -> NasMessage {
+        NasMessage::RegistrationRequest {
             identity: MobileIdentity::Suci { plmn: Plmn::TEST, concealed: 7 },
             capabilities: SecurityCapabilities::full(),
-        })
+        }
+    }
+
+    fn registration_request() -> L3Message {
+        L3Message::Nas(registration())
+    }
+
+    /// `RRCSetupComplete` carrying the registration, as a UE sends it.
+    fn setup_complete() -> L3Message {
+        L3Message::Rrc(RrcMessage::SetupComplete { nas: Box::new(registration()) })
     }
 
     fn benign_ladder() -> Vec<L3Message> {
         vec![
             setup_request(),
             L3Message::Rrc(RrcMessage::Setup),
-            L3Message::Rrc(RrcMessage::SetupComplete { nas_container: vec![] }),
+            setup_complete(),
             registration_request(),
             L3Message::Nas(NasMessage::AuthenticationRequest { rand: 1, autn: 2 }),
             L3Message::Nas(NasMessage::AuthenticationResponse { res: 3 }),
@@ -412,7 +421,7 @@ mod tests {
         let ladder = vec![
             setup_request(),
             L3Message::Rrc(RrcMessage::Setup),
-            L3Message::Rrc(RrcMessage::SetupComplete { nas_container: vec![] }),
+            setup_complete(),
             registration_request(),
             L3Message::Nas(NasMessage::IdentityRequest { id_type: IdentityType::PlainSupi }),
             L3Message::Nas(NasMessage::IdentityResponse {

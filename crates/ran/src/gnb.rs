@@ -16,7 +16,7 @@ use crate::amf::AmfAction;
 use std::collections::{HashMap, VecDeque};
 use xsec_control::{ControlAction, MitigationAction};
 use xsec_obs::{Counter, Obs};
-use xsec_proto::{L3Message, NasMessage, RrcMessage};
+use xsec_proto::{L3Message, MobileIdentity, NasMessage, RrcMessage};
 use xsec_types::{
     CellId, CipherAlg, Duration, EstablishmentCause, IntegrityAlg, ReleaseCause, Rnti, Timestamp,
     Tmsi,
@@ -324,25 +324,8 @@ impl Gnb {
         };
         match msg {
             L3Message::Rrc(rrc) => match rrc {
-                RrcMessage::SetupComplete { nas_container }
-                | RrcMessage::UlInformationTransfer { nas_container } => {
-                    match xsec_proto::decode_l3(nas_container) {
-                        Ok(L3Message::Nas(nas)) => {
-                            // Track TMSIs presented uplink.
-                            if let NasMessage::ServiceRequest { tmsi } = &nas {
-                                ctx.tmsi = Some(*tmsi);
-                            }
-                            if let NasMessage::RegistrationRequest {
-                                identity: xsec_proto::MobileIdentity::FiveGSTmsi(tmsi),
-                                ..
-                            } = &nas
-                            {
-                                ctx.tmsi = Some(*tmsi);
-                            }
-                            vec![GnbAction::ToAmf { conn, msg: nas }]
-                        }
-                        _ => Vec::new(), // undecodable container: dropped
-                    }
+                RrcMessage::SetupComplete { nas } | RrcMessage::UlInformationTransfer { nas } => {
+                    Self::relay_uplink_nas(ctx, conn, nas)
                 }
                 RrcMessage::SecurityModeComplete => {
                     ctx.as_secured = true;
@@ -362,13 +345,22 @@ impl Gnb {
             },
             // NAS sent bare (the simulator's shorthand for
             // ULInformationTransfer) — relay to the AMF.
-            L3Message::Nas(nas) => {
-                if let NasMessage::ServiceRequest { tmsi } = nas {
-                    ctx.tmsi = Some(*tmsi);
-                }
-                vec![GnbAction::ToAmf { conn, msg: nas.clone() }]
-            }
+            L3Message::Nas(nas) => Self::relay_uplink_nas(ctx, conn, nas),
         }
+    }
+
+    /// Relays one uplink NAS message to the AMF, bare or piggybacked alike,
+    /// and binds the 5G-S-TMSI it presents (service request, or a
+    /// registration by temporary identity) to the context.
+    fn relay_uplink_nas(ctx: &mut UeContext, conn: u32, nas: &NasMessage) -> Vec<GnbAction> {
+        if let NasMessage::ServiceRequest { tmsi }
+        | NasMessage::RegistrationRequest {
+            identity: MobileIdentity::FiveGSTmsi(tmsi), ..
+        } = nas
+        {
+            ctx.tmsi = Some(*tmsi);
+        }
+        vec![GnbAction::ToAmf { conn, msg: nas.clone() }]
     }
 
     /// Applies an AMF action, producing downlink transmissions.
@@ -543,12 +535,36 @@ mod tests {
         let mut gnb = gnb();
         let conn = gnb.admit(Timestamp::ZERO, EstablishmentCause::MoSignalling).unwrap();
         let nas = NasMessage::RegistrationComplete;
-        let container = xsec_proto::encode_l3(&L3Message::Nas(nas.clone()));
         let actions = gnb.handle_uplink(
             conn,
-            &L3Message::Rrc(RrcMessage::SetupComplete { nas_container: container }),
+            &L3Message::Rrc(RrcMessage::SetupComplete { nas: Box::new(nas.clone()) }),
         );
         assert_eq!(actions, vec![GnbAction::ToAmf { conn, msg: nas }]);
+    }
+
+    #[test]
+    fn bare_and_piggybacked_nas_bind_the_same_tmsi() {
+        let registration = NasMessage::RegistrationRequest {
+            identity: MobileIdentity::FiveGSTmsi(Tmsi(5)),
+            capabilities: xsec_types::SecurityCapabilities::full(),
+        };
+        let service = NasMessage::ServiceRequest { tmsi: Tmsi(6) };
+        for nas in [registration, service] {
+            let carriers = [
+                L3Message::Nas(nas.clone()),
+                L3Message::Rrc(RrcMessage::SetupComplete { nas: Box::new(nas.clone()) }),
+                L3Message::Rrc(RrcMessage::UlInformationTransfer { nas: Box::new(nas.clone()) }),
+            ];
+            let mut bound = Vec::new();
+            for msg in &carriers {
+                let mut gnb = gnb();
+                let conn = gnb.admit(Timestamp::ZERO, EstablishmentCause::MoData).unwrap();
+                let actions = gnb.handle_uplink(conn, msg);
+                assert_eq!(actions, vec![GnbAction::ToAmf { conn, msg: nas.clone() }]);
+                bound.push(gnb.context(conn).unwrap().tmsi);
+            }
+            assert!(bound.iter().all(|t| t.is_some() && *t == bound[0]), "{nas}: {bound:?}");
+        }
     }
 
     #[test]

@@ -552,7 +552,7 @@ impl RanSimulator {
             return;
         }
         // RRC messages are tapped here; uplink NAS is tapped at the NGAP
-        // relay point (`ToAmf`) so piggybacked containers get their own
+        // relay point (`ToAmf`) so a piggybacked NAS message gets its own
         // telemetry entry, matching the paper's message ladders.
         if matches!(msg, L3Message::Rrc(_)) {
             self.emit_event(now, conn, true, &msg, Some(idx));

@@ -224,11 +224,8 @@ impl UeBehavior for BenignUe {
                         identity,
                         capabilities: self.capabilities,
                     };
-                    let container = xsec_proto::encode_l3(&L3Message::Nas(reg.clone()));
                     UeActions::none()
-                        .send(L3Message::Rrc(RrcMessage::SetupComplete {
-                            nas_container: container,
-                        }))
+                        .send(L3Message::Rrc(RrcMessage::SetupComplete { nas: Box::new(reg) }))
                 }
                 RrcMessage::Reject { .. } => {
                     self.stage = Stage::Off;
@@ -354,11 +351,10 @@ mod tests {
         ue.on_power_on(Timestamp::ZERO, &mut rng);
         let actions = ue.on_downlink(Timestamp::ZERO, &L3Message::Rrc(RrcMessage::Setup), &mut rng);
         assert_eq!(actions.sends.len(), 1);
-        let L3Message::Rrc(RrcMessage::SetupComplete { nas_container }) = &actions.sends[0] else {
+        let L3Message::Rrc(RrcMessage::SetupComplete { nas }) = &actions.sends[0] else {
             panic!("expected SetupComplete");
         };
-        let nas = xsec_proto::decode_l3(nas_container).unwrap();
-        let L3Message::Nas(NasMessage::RegistrationRequest { identity, .. }) = nas else {
+        let NasMessage::RegistrationRequest { identity, .. } = **nas else {
             panic!("expected RegistrationRequest");
         };
         assert!(matches!(identity, MobileIdentity::Suci { .. }));
@@ -487,13 +483,10 @@ mod tests {
             ue.on_power_on(Timestamp::ZERO, &mut rng);
             let actions =
                 ue.on_downlink(Timestamp::ZERO, &L3Message::Rrc(RrcMessage::Setup), &mut rng);
-            let L3Message::Rrc(RrcMessage::SetupComplete { nas_container }) = &actions.sends[0]
-            else {
+            let L3Message::Rrc(RrcMessage::SetupComplete { nas }) = &actions.sends[0] else {
                 panic!("expected SetupComplete");
             };
-            let L3Message::Nas(NasMessage::RegistrationRequest { identity, .. }) =
-                xsec_proto::decode_l3(nas_container).unwrap()
-            else {
+            let NasMessage::RegistrationRequest { identity, .. } = **nas else {
                 panic!("expected RegistrationRequest");
             };
             assert_eq!(identity, MobileIdentity::FiveGSTmsi(Tmsi(555)));

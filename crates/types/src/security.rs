@@ -119,7 +119,7 @@ impl fmt::Display for IntegrityAlg {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SecurityCapabilities {
     /// Supported ciphering algorithms.
-    pub ciphers: [bool; 4],
+    ciphers: [bool; 4],
     /// Supported integrity algorithms.
     pub integrity: [bool; 4],
 }

@@ -30,15 +30,12 @@ use xsec_e2::{
 use xsec_llm::{CrossVerdict, ModelPersonality, SimulatedExpert};
 use xsec_mobiflow::{decode_ue_record, encode_ue_record, UeMobiFlow};
 use xsec_obs::Obs;
-use xsec_proto::{
-    decode_l3, encode_l3, Direction, L3Message, MessageKind, MobileIdentity, NasMessage, RrcMessage,
-};
+use xsec_proto::{Direction, MessageKind};
 use xsec_ric::{
     Grants, RicPlatform, Router, SubscriptionSpec, XApp, XAppContext, XAppIdentity,
 };
 use xsec_types::{
-    CellId, CipherAlg, EstablishmentCause, GnbId, IntegrityAlg, Plmn, ReleaseCause, Rnti,
-    SecurityCapabilities, Supi, Timestamp, Tmsi,
+    CellId, EstablishmentCause, GnbId, Plmn, ReleaseCause, Rnti, Supi, Timestamp, Tmsi,
 };
 
 thread_local! {
@@ -439,45 +436,6 @@ struct Codec {
     recode: fn(&[u8]) -> xsec_types::Result<Vec<u8>>,
 }
 
-fn l3_samples() -> Vec<L3Message> {
-    use xsec_proto::nas::IdentityType;
-    vec![
-        L3Message::Rrc(RrcMessage::SetupRequest {
-            ue_identity: 0xDEAD_BEEF,
-            cause: EstablishmentCause::MoSignalling,
-        }),
-        L3Message::Rrc(RrcMessage::Setup),
-        L3Message::Rrc(RrcMessage::SetupComplete { nas_container: vec![1, 2, 3] }),
-        L3Message::Rrc(RrcMessage::Reject { wait_time_s: 16 }),
-        L3Message::Rrc(RrcMessage::SecurityModeCommand {
-            cipher: CipherAlg::Nea2,
-            integrity: IntegrityAlg::Nia2,
-        }),
-        L3Message::Rrc(RrcMessage::Release { cause: ReleaseCause::Congestion }),
-        L3Message::Rrc(RrcMessage::Paging { ue_identity: MobileIdentity::FiveGSTmsi(Tmsi(77)) }),
-        L3Message::Rrc(RrcMessage::ReestablishmentRequest { old_rnti: Rnti(0x1234) }),
-        L3Message::Rrc(RrcMessage::UlInformationTransfer { nas_container: vec![] }),
-        L3Message::Nas(NasMessage::RegistrationRequest {
-            identity: MobileIdentity::Suci { plmn: Plmn::TEST, concealed: 42 },
-            capabilities: SecurityCapabilities::full(),
-        }),
-        L3Message::Nas(NasMessage::RegistrationAccept { new_tmsi: Tmsi(0xCAFE) }),
-        L3Message::Nas(NasMessage::AuthenticationRequest { rand: 7, autn: 8 }),
-        L3Message::Nas(NasMessage::AuthenticationResponse { res: 9 }),
-        L3Message::Nas(NasMessage::IdentityRequest { id_type: IdentityType::PlainSupi }),
-        L3Message::Nas(NasMessage::IdentityResponse {
-            identity: MobileIdentity::PlainSupi(Supi::new(Plmn::TEST, 123)),
-        }),
-        L3Message::Nas(NasMessage::SecurityModeCommand {
-            cipher: CipherAlg::Nea0,
-            integrity: IntegrityAlg::Nia0,
-            replayed_capabilities: SecurityCapabilities::null_only(),
-        }),
-        L3Message::Nas(NasMessage::ServiceRequest { tmsi: Tmsi(1) }),
-        L3Message::Nas(NasMessage::PduSessionEstablishmentRequest { session_id: 5 }),
-    ]
-}
-
 fn action_samples() -> Vec<ControlAction> {
     use xsec_types::Duration;
     vec![
@@ -590,12 +548,6 @@ fn kpm_full_payload() -> Vec<u8> {
 fn codecs() -> Vec<Codec> {
     vec![
         Codec {
-            name: "L3",
-            golden: L3_GOLDEN,
-            encoded: l3_samples().iter().map(encode_l3).collect(),
-            recode: |b| decode_l3(b).map(|m| encode_l3(&m)),
-        },
-        Codec {
             name: "E2AP",
             golden: E2AP_GOLDEN,
             encoded: e2ap_samples().iter().map(E2apPdu::encode).collect(),
@@ -616,26 +568,6 @@ fn codecs() -> Vec<Codec> {
     ]
 }
 
-const L3_GOLDEN: &[&str] = &[
-    "0000000000deadbeef03",
-    "01",
-    "020003010203",
-    "0310",
-    "040202",
-    "0803",
-    "09010000004d",
-    "0a1234",
-    "0c0000",
-    "200000010001000000000000002a0f0f",
-    "210000cafe",
-    "2400000000000000070000000000000008",
-    "250000000000000009",
-    "2801",
-    "290200010001000000000000007b",
-    "2a00000101",
-    "2d00000001",
-    "3105",
-];
 const E2AP_GOLDEN: &[&str] = &[
     "00000000070002000000010000008e00020000000100000002",
     "0100010000008e",
@@ -866,14 +798,10 @@ fn every_decoder_is_total() {
     }
 }
 
-/// The per-message codecs of the simulator and control paths
-/// allocate for what they return and nothing else: no staging buffer on
-/// either side.
+/// The control path's per-message codec allocates for what it returns and
+/// nothing else: no staging buffer on either side.
 #[test]
 fn per_message_codecs_allocate_only_what_they_return() {
-    let plain = encode_l3(&L3Message::Nas(NasMessage::AuthenticationRequest { rand: 7, autn: 8 }));
-    assert_eq!(allocations_in(|| decode_l3(&plain)).0, 0, "decode_l3 of a container-free message");
-
     for action in action_samples() {
         let (encoding, bytes) = allocations_in(|| action.encode());
         assert_eq!(encoding, 1, "ControlAction::encode of {action:?}: the payload");
