@@ -6,9 +6,10 @@
 //! invoked on the telemetry it subscribes to — but tries to act far beyond
 //! its station on every window:
 //!
-//! 1. **Spoofed finding**: publishes a hand-crafted `FindingNotice` on the
-//!    `findings` topic, trying to trick the Mitigator into issuing control
-//!    actions against victims the rogue picked.
+//! 1. **Spoofed finding**: publishes a well-formed, hand-built
+//!    `FindingNotice` frame on the `findings` topic, trying to trick the
+//!    Mitigator into issuing control actions against victims the rogue
+//!    picked.
 //! 2. **Unauthorized A1 ops**: publishes both a bare `A1Request` and a
 //!    forged signed envelope (claiming the SMO's identity with a guessed
 //!    token) on `a1-policies`, trying to disable the null-cipher playbook.
@@ -24,7 +25,11 @@
 use std::sync::{Arc, Mutex};
 use xsec_control::{A1Request, ControlAction, MitigationAction};
 use xsec_ric::{ControlOut, XApp, XAppContext};
-use xsec_types::{CellId, Duration, Timestamp};
+use xsec_types::{CellId, Duration, Put, Timestamp};
+
+/// The frame tag of a finding notice on the `findings` topic
+/// (`sixg_xsec::mitigator::FindingNotice::encode`).
+const NOTICE_TAG: u8 = 0x02;
 
 /// What the rogue managed to do — every counter other than `attempts`
 /// should stay zero on a hardened deployment.
@@ -63,17 +68,22 @@ impl RogueXApp {
         let mut report = self.report.lock().expect("rogue report lock");
         report.attempts += 1;
 
-        // 1. Spoof a confirmed BTS-DoS finding naming no records — enough
-        // to read as "confirmed, act now" if it ever reaches the Mitigator.
-        let finding = format!(
-            concat!(
-                r#"{{"trace":0,"at_record":0,"at_time":{},"score":9.0,"threshold":0.1,"#,
-                r#""anomalous":true,"confirmed":true,"needs_human":false,"#,
-                r#""attacks":["Signaling storm / RRC flooding DoS (BTS DoS)"],"records":[]}}"#
-            ),
-            now.as_micros()
-        );
-        if ctx.scope.try_publish("findings", finding.as_bytes()).is_ok() {
+        // 1. Spoof a confirmed BTS-DoS finding naming no records, framed
+        // as the analyzer frames a notice — enough to read as "confirmed,
+        // act now" if it ever reaches the Mitigator.
+        let mut finding = vec![NOTICE_TAG];
+        finding.put_u64(0); // trace
+        finding.put_u64(0); // at_record
+        finding.put_u64(now.as_micros());
+        finding.put_u32(9.0f32.to_bits()); // score
+        finding.put_u32(0.1f32.to_bits()); // threshold
+        finding.extend_from_slice(&[1, 1, 0]); // anomalous, confirmed, no human
+        finding.put_u32(1); // one attack title
+        finding
+            .put_prefixed::<4>(b"Signaling storm / RRC flooding DoS (BTS DoS)")
+            .expect("the title fits its length");
+        finding.put_u16(0); // no records
+        if ctx.scope.try_publish("findings", &finding).is_ok() {
             report.findings_delivered += 1;
         }
 

@@ -93,25 +93,25 @@ impl LlmAnalyzer {
 
     /// Analyzes one alert directly (also used by the Table 3 harness).
     pub fn analyze_alert(&mut self, alert: &AnomalyAlert) -> AnalyzerFinding {
-        let finding = self.analyze(alert);
+        let (finding, _records) = self.analyze(alert);
         self.file(finding.clone());
         finding
     }
 
     /// Prompts the backend with the alert's evidence and cross-compares its
-    /// answer with the detector's decision.
-    fn analyze(&mut self, alert: &AnomalyAlert) -> AnalyzerFinding {
+    /// answer with the detector's decision. Returns the finding and the
+    /// evidence records that decoded, the ones the prompt quoted.
+    fn analyze(&mut self, alert: &AnomalyAlert) -> (AnalyzerFinding, Vec<UeMobiFlow>) {
         let start = Instant::now();
         // The evidence is already in the prompt's line coding: the lines
         // that decode go in as they stand (none can hold a line break, so
-        // none can reframe the prompt), the rest are counted and left out.
-        let mut dropped = 0;
+        // none can reframe the prompt) and their records are kept for the
+        // mitigator; the rest are counted and left out.
+        let mut records = Vec::with_capacity(alert.records.len());
         let prompt = self.template.render_lines(alert.records.iter().filter(|line| {
-            let decodes = decode_ue_record(line).is_ok();
-            dropped += u64::from(!decodes);
-            decodes
+            decode_ue_record(line).map(|record| records.push(record)).is_ok()
         }));
-        self.dropped.add(dropped);
+        self.dropped.add((alert.records.len() - records.len()) as u64);
         let mut response = match self.backend.complete(&prompt) {
             Ok(text) => text,
             Err(e) => format!("Verdict: BENIGN\n(backend error: {e})"),
@@ -128,7 +128,8 @@ impl LlmAnalyzer {
             a: u64::from(matches!(verdict, CrossVerdict::ConfirmedAnomalous)),
             b: u64::from(matches!(verdict, CrossVerdict::NeedsHumanReview { .. })),
         });
-        AnalyzerFinding { at_record: alert.at_record, score: alert.score, response, parsed, verdict }
+        let (at_record, score) = (alert.at_record, alert.score);
+        (AnalyzerFinding { at_record, score, response, parsed, verdict }, records)
     }
 
     /// Appends a finding to the shared state, queueing it for human review
@@ -161,14 +162,14 @@ impl XApp for LlmAnalyzer {
         if topic != self.topic {
             return;
         }
-        let Ok(alert) = serde_json::from_slice::<AnomalyAlert>(payload) else {
+        let Ok(alert) = AnomalyAlert::decode(payload) else {
             self.undecodable.inc();
             return;
         };
-        let finding = self.analyze(&alert);
+        let (finding, records) = self.analyze(&alert);
         // Downstream consumers (the mitigator) get the conclusion, not the
         // raw completion text: verdict, named attacks, and the evidence
-        // records needed to scope a response.
+        // records needed to scope a response, decoded once, here.
         let notice = crate::mitigator::FindingNotice {
             trace: alert.trace,
             at_record: alert.at_record,
@@ -179,12 +180,10 @@ impl XApp for LlmAnalyzer {
             confirmed: matches!(finding.verdict, CrossVerdict::ConfirmedAnomalous),
             needs_human: matches!(finding.verdict, CrossVerdict::NeedsHumanReview { .. }),
             attacks: finding.parsed.attacks.clone(),
-            records: alert.records,
+            records,
         };
         self.file(finding);
-        if let Ok(json) = serde_json::to_vec(&notice) {
-            ctx.publish(crate::mitigator::FINDINGS_TOPIC, &json);
-        }
+        ctx.publish(crate::mitigator::FINDINGS_TOPIC, &notice.encode());
     }
 }
 

@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod analyzer;
+mod bus;
 pub mod experiments;
 pub mod mitigator;
 pub mod mobiwatch;

@@ -15,15 +15,17 @@
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use xsec_control::{
     attack_from_title, A1OpTally, A1Request, ActionExecutor, Fate, MitigationAction,
     PolicyDecision, PolicyEngine, PolicyOpOutcome, Resolution, SupervisionTicket,
     ThreatAssessment, TrackedAction,
 };
-use xsec_mobiflow::{decode_ue_record, UeMobiFlow};
+use xsec_mobiflow::UeMobiFlow;
 use xsec_obs::{
-    Counter, FlightEvent, Gauge, MetricsRegistry, Obs, SampleValue, Snapshot, TraceStage,
+    Counter, FlightEvent, Gauge, Histogram, MetricsRegistry, Obs, SampleValue, Snapshot,
+    TraceStage,
 };
 use xsec_proto::MessageKind;
 use xsec_ric::{ControlOut, LatencyClass, XApp, XAppContext};
@@ -47,8 +49,9 @@ pub const A1_POLICY_TOPIC: &str = "a1-policies";
 /// ([`xsec_control::A1Response`] JSON).
 pub const A1_POLICY_STATUS_TOPIC: &str = "a1-policy-status";
 
-/// The analyzer's conclusion about one alert, serialized for the router.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The analyzer's conclusion about one alert, in the binary frame of
+/// [`FindingNotice::encode`].
+#[derive(Debug, Clone)]
 pub struct FindingNotice {
     /// Causal trace id of the detection (0 = untraced), carried from the
     /// alert so the policy decision and Control Request join the incident
@@ -70,8 +73,9 @@ pub struct FindingNotice {
     pub needs_human: bool,
     /// Attack titles the model named.
     pub attacks: Vec<String>,
-    /// Window + context records in the MobiFlow line coding.
-    pub records: Vec<String>,
+    /// The alert's window + context records, oldest first: the evidence
+    /// lines the analyzer decoded (and quoted in its prompt).
+    pub records: Vec<UeMobiFlow>,
 }
 
 /// An A1 policy operation wrapped in the sender's router identity — the
@@ -104,7 +108,7 @@ pub struct MitigationSummary {
     pub expired: usize,
     /// Actions that ran out of retry attempts.
     pub exhausted: usize,
-    /// Findings escalated to the human-supervision queue.
+    /// Findings escalated to the human-supervision queue, evicted or not.
     pub supervised: usize,
     /// A1 policy operations the run consumed, by enforcement outcome.
     pub policy_ops: A1OpTally,
@@ -113,9 +117,8 @@ pub struct MitigationSummary {
 }
 
 impl MitigationSummary {
-    /// Reads a run's outcome from its metrics `snapshot`; `supervised` is
-    /// the supervision queue's length.
-    fn from_snapshot(snapshot: &Snapshot, supervised: usize) -> Self {
+    /// Reads a run's outcome from its metrics `snapshot`.
+    fn from_snapshot(snapshot: &Snapshot) -> Self {
         let actions = |fate: &str| {
             snapshot.counter_total(&format!("xsec_control_actions_{fate}_total")) as usize
         };
@@ -135,7 +138,7 @@ impl MitigationSummary {
             failed: actions("failed"),
             expired: actions("expired"),
             exhausted: actions("exhausted"),
-            supervised,
+            supervised: snapshot.counter_total(SUPERVISION_TICKETS) as usize,
             policy_ops: A1OpTally {
                 applied: policy_ops(PolicyOpOutcome::Applied),
                 rejected: policy_ops(PolicyOpOutcome::RejectedByValidation),
@@ -158,6 +161,13 @@ impl MitigationSummary {
     }
 }
 
+/// Every supervision ticket the policy engine raised, kept or evicted.
+const SUPERVISION_TICKETS: &str = "xsec_control_supervision_tickets_total";
+
+/// Supervision tickets kept for a human to read; older ones are evicted
+/// (and counted) as new ones arrive.
+const SUPERVISED_KEPT: usize = 1_024;
+
 /// Shared inspection state for the mitigator.
 #[derive(Debug)]
 pub struct MitigatorState {
@@ -165,19 +175,103 @@ pub struct MitigatorState {
     pub executor: ActionExecutor,
     /// The decision table.
     pub policy: PolicyEngine,
-    /// Findings the engine refused to act on autonomously.
-    pub supervised: Vec<SupervisionTicket>,
+    /// The last 1 024 findings the engine refused to act on autonomously,
+    /// oldest first; `summary().supervised` counts every one.
+    pub supervised: VecDeque<SupervisionTicket>,
     /// Virtual clock (latest telemetry window end / finding time seen).
     pub clock: Timestamp,
     /// The registry the mitigator counts into: the run's one ledger of
-    /// issued actions, their fates and A1 operations.
+    /// issued actions, their fates, supervision tickets and A1 operations.
     metrics: MetricsRegistry,
+    /// Every ticket raised.
+    tickets: Counter,
+    /// Tickets evicted from `supervised` to keep it bounded.
+    evicted: Counter,
 }
 
 impl MitigatorState {
     /// Snapshots the run's mitigation outcome.
     pub fn summary(&self) -> MitigationSummary {
-        MitigationSummary::from_snapshot(&self.metrics.snapshot(), self.supervised.len())
+        MitigationSummary::from_snapshot(&self.metrics.snapshot())
+    }
+
+    /// Queues a ticket for human supervision, evicting the oldest when the
+    /// queue is full.
+    fn supervise(&mut self, ticket: SupervisionTicket) {
+        self.tickets.inc();
+        if self.supervised.len() == SUPERVISED_KEPT {
+            self.supervised.pop_front();
+            self.evicted.inc();
+        }
+        self.supervised.push_back(ticket);
+    }
+}
+
+/// The live half of the action ledger: the in-flight gauge, and per-kind
+/// counters and latency histograms, each resolved in the registry the first
+/// time its kind occurs and held from then on. The exposition lists only
+/// the kinds that occurred, and a hot action does no registry lookup.
+struct ActionTally {
+    /// Actions submitted and not yet resolved.
+    in_flight: Gauge,
+    /// `((fate, kind), its xsec_control_actions_<fate>_total counter)`:
+    /// at most five fates (issued included) by five kinds.
+    counters: Vec<((&'static str, &'static str), Counter)>,
+    /// `(kind, its detection→ack latency histogram)`.
+    latency: Vec<(&'static str, Histogram)>,
+}
+
+/// The handle held under `key`, resolved by `resolve` the first time.
+fn held<K: PartialEq, T>(handles: &mut Vec<(K, T)>, key: K, resolve: impl FnOnce() -> T) -> &T {
+    let at = match handles.iter().position(|(k, _)| *k == key) {
+        Some(at) => at,
+        None => {
+            handles.push((key, resolve()));
+            handles.len() - 1
+        }
+    };
+    &handles[at].1
+}
+
+impl ActionTally {
+    fn count(&mut self, obs: &Obs, fate: &'static str, kind: &'static str) {
+        let resolve =
+            || obs.counter(&format!("xsec_control_actions_{fate}_total"), &[("kind", kind)]);
+        held(&mut self.counters, (fate, kind), resolve).inc();
+    }
+
+    /// Counts one action submitted to the executor.
+    fn issue(&mut self, obs: &Obs, kind: &'static str) {
+        self.in_flight.add(1);
+        self.count(obs, "issued", kind);
+    }
+
+    /// Counts one action's fate: the one site every resolution passes
+    /// through, whether an ack or the clock settled it.
+    fn settle(&mut self, obs: &Obs, res: Resolution, now: Timestamp) {
+        self.in_flight.add(-1);
+        self.count(obs, res.fate.label(), res.kind);
+        let trace = res.trace.unwrap_or(0);
+        let (success, latency_us) = match res.fate {
+            Fate::Acked { detection_to_ack } => {
+                let latency_us = detection_to_ack.as_micros();
+                let resolve =
+                    || obs.histogram("xsec_control_detection_to_ack_us", &[("kind", res.kind)]);
+                held(&mut self.latency, res.kind, resolve).observe_with_exemplar(latency_us, trace);
+                (true, latency_us)
+            }
+            Fate::Failed => (false, 0),
+            Fate::Expired | Fate::Exhausted => return,
+        };
+        // The ack closes the causal chain: detection → policy → control →
+        // enforcement → acknowledged.
+        obs.recorder.record_stage(FlightEvent {
+            trace,
+            stage: TraceStage::Ack,
+            at_us: now.as_micros(),
+            a: u64::from(success),
+            b: latency_us,
+        });
     }
 }
 
@@ -185,12 +279,9 @@ impl MitigatorState {
 pub struct Mitigator {
     state: Arc<Mutex<MitigatorState>>,
     obs: Obs,
-    /// Evidence lines that did not decode and were left out of the scoping.
-    dropped: Counter,
     /// `findings` and `control-acks` payloads that do not decode.
     undecodable: Counter,
-    /// Actions submitted and not yet resolved.
-    in_flight: Gauge,
+    actions: ActionTally,
 }
 
 impl Mitigator {
@@ -201,51 +292,27 @@ impl Mitigator {
         let state = Arc::new(Mutex::new(MitigatorState {
             executor: ActionExecutor::default(),
             policy,
-            supervised: Vec::new(),
+            supervised: VecDeque::new(),
             clock: Timestamp::ZERO,
             metrics: obs.metrics.clone(),
+            tickets: obs.counter(SUPERVISION_TICKETS, &[]),
+            evicted: obs.counter(
+                "xsec_control_dropped_total",
+                &[("site", "supervision"), ("reason", "evicted")],
+            ),
         }));
-        let dropped = obs.counter("xsec_alert_records_dropped_total", &[("site", "mitigator")]);
         let undecodable = obs
             .counter("xsec_bus_dropped_total", &[("site", "mitigator"), ("reason", "undecodable")]);
-        let in_flight = obs.gauge("xsec_control_actions_in_flight", &[]);
-        (Mitigator { state: state.clone(), obs, dropped, undecodable, in_flight }, state)
-    }
-
-    /// Counts one action's fate: the one site every resolution passes
-    /// through, whether an ack or the clock settled it.
-    fn settle(&self, res: Resolution, now: Timestamp) {
-        self.in_flight.add(-1);
-        let fate = res.fate.label();
-        self.obs.counter(&format!("xsec_control_actions_{fate}_total"), &[("kind", res.kind)]).inc();
-        let trace = res.trace.unwrap_or(0);
-        let (success, latency_us) = match res.fate {
-            Fate::Acked { detection_to_ack } => {
-                let latency_us = detection_to_ack.as_micros();
-                self.obs
-                    .histogram("xsec_control_detection_to_ack_us", &[("kind", res.kind)])
-                    .observe_with_exemplar(latency_us, trace);
-                (true, latency_us)
-            }
-            Fate::Failed => (false, 0),
-            Fate::Expired | Fate::Exhausted => return,
+        let actions = ActionTally {
+            in_flight: obs.gauge("xsec_control_actions_in_flight", &[]),
+            counters: Vec::new(),
+            latency: Vec::new(),
         };
-        // The ack closes the causal chain: detection → policy → control →
-        // enforcement → acknowledged.
-        self.obs.recorder.record_stage(FlightEvent {
-            trace,
-            stage: TraceStage::Ack,
-            at_us: now.as_micros(),
-            a: u64::from(success),
-            b: latency_us,
-        });
+        (Mitigator { state: state.clone(), obs, undecodable, actions }, state)
     }
 
     fn handle_finding(&mut self, ctx: &mut XAppContext<'_>, notice: &FindingNotice) {
-        let records: Vec<UeMobiFlow> =
-            notice.records.iter().filter_map(|l| decode_ue_record(l).ok()).collect();
-        self.dropped.add((notice.records.len() - records.len()) as u64);
-        let assessment = assess(notice, &records);
+        let assessment = assess(notice);
         let mut state = self.state.lock();
         state.clock = state.clock.max(notice.at_time);
         let now = state.clock;
@@ -259,18 +326,12 @@ impl Mitigator {
                     b: actions.len() as u64,
                 });
                 for action in actions {
-                    self.obs
-                        .counter(
-                            "xsec_control_actions_issued_total",
-                            &[("kind", action.action.name())],
-                        )
-                        .inc();
-                    self.in_flight.add(1);
+                    self.actions.issue(&self.obs, action.action.name());
                     state.executor.submit(action, Some(assessment.cell), assessment.detected_at, now);
                 }
                 ship_due(&mut state, now, ctx, &self.obs);
             }
-            PolicyDecision::Supervise(ticket) => state.supervised.push(ticket),
+            PolicyDecision::Supervise(ticket) => state.supervise(ticket),
             PolicyDecision::StandDown => {}
         }
     }
@@ -306,7 +367,8 @@ fn ship_due(state: &mut MitigatorState, now: Timestamp, ctx: &mut XAppContext<'_
 /// implicates only downgraded sessions, a flood implicates the connections
 /// behind the dominant establishment cause, anything else implicates every
 /// connection in the window.
-fn assess(notice: &FindingNotice, records: &[UeMobiFlow]) -> ThreatAssessment {
+fn assess(notice: &FindingNotice) -> ThreatAssessment {
+    let records = &notice.records;
     let attack = notice.attacks.iter().find_map(|t| attack_from_title(t));
     let llm_confirmed = notice.confirmed && !notice.needs_human;
     // score/threshold ≥ 1 whenever the detector flagged; squash the excess
@@ -404,7 +466,7 @@ impl XApp for Mitigator {
         state.clock = state.clock.max(window_end);
         let now = state.clock;
         for res in state.executor.tick(now) {
-            self.settle(res, now);
+            self.actions.settle(&self.obs, res, now);
         }
         ship_due(&mut state, now, ctx, &self.obs);
     }
@@ -412,7 +474,7 @@ impl XApp for Mitigator {
     fn on_message(&mut self, ctx: &mut XAppContext<'_>, topic: &str, payload: &[u8]) {
         match topic {
             FINDINGS_TOPIC => {
-                let Ok(notice) = serde_json::from_slice::<FindingNotice>(payload) else {
+                let Ok(notice) = FindingNotice::decode(payload) else {
                     self.undecodable.inc();
                     return;
                 };
@@ -460,7 +522,7 @@ impl XApp for Mitigator {
                 let mut state = self.state.lock();
                 let now = state.clock;
                 if let Some(res) = state.executor.on_ack(u32::from_be_bytes(id), flag != 0, now) {
-                    self.settle(res, now);
+                    self.actions.settle(&self.obs, res, now);
                 }
             }
             _ => {}
@@ -511,7 +573,7 @@ mod tests {
             confirmed: true,
             needs_human: false,
             attacks,
-            records: records.iter().map(xsec_mobiflow::encode_ue_record).collect(),
+            records: records.to_vec(),
         }
     }
 
@@ -524,9 +586,7 @@ mod tests {
             record(3, 0x4603, MessageKind::NasRegistrationRequest),
         ];
         let n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
-        let decoded: Vec<UeMobiFlow> =
-            n.records.iter().map(|l| decode_ue_record(l).unwrap()).collect();
-        let a = assess(&n, &decoded);
+        let a = assess(&n);
         assert_eq!(a.attack, Some(AttackKind::BtsDos));
         assert!(a.confidence > 0.6, "confidence {}", a.confidence);
         assert!(a.llm_confirmed);
@@ -547,9 +607,7 @@ mod tests {
             vec!["Security capability bidding-down (null cipher & integrity)".into()],
             &[clean, tainted],
         );
-        let decoded: Vec<UeMobiFlow> =
-            n.records.iter().map(|l| decode_ue_record(l).unwrap()).collect();
-        let a = assess(&n, &decoded);
+        let a = assess(&n);
         assert_eq!(a.attack, Some(AttackKind::NullCipher));
         assert_eq!(a.suspect_conns, vec![2]);
     }
@@ -557,7 +615,7 @@ mod tests {
     #[test]
     fn summary_percentile_and_budget_classification() {
         let obs = Obs::new();
-        let summary = || MitigationSummary::from_snapshot(&obs.snapshot(), 0);
+        let summary = || MitigationSummary::from_snapshot(&obs.snapshot());
         assert!(summary().detection_to_ack_p99().is_none());
         assert!(summary().budget_class().is_none());
         // Two kinds fold into one distribution; under 100 samples its p99
@@ -596,7 +654,7 @@ mod tests {
         let n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
         {
             let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
-            mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &serde_json::to_vec(&n).unwrap());
+            mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &n.encode());
         }
         // Rate-limit + two blacklists, all shipped immediately and pinned to
         // the finding's cell so the RIC routes them to the owning agent.
@@ -640,7 +698,7 @@ mod tests {
         ];
         let mut n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
         n.trace = 9;
-        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &serde_json::to_vec(&n).unwrap());
+        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &n.encode());
         let traces: Vec<_> = ctx
             .control_out
             .iter()
@@ -673,28 +731,98 @@ mod tests {
         );
     }
 
+    /// The actions one alert of `lines` earns through the analyzer and a
+    /// fresh mitigator, with the registry both counted into.
+    fn through_the_hop(lines: Vec<String>) -> (Vec<ControlOut>, Obs) {
+        let obs = Obs::new();
+        let (mut analyzer, _) = crate::LlmAnalyzer::new(
+            Box::new(xsec_llm::SimulatedExpert::new(xsec_llm::ModelPersonality::CHATGPT_4O)),
+            ANOMALIES_TOPIC,
+        );
+        analyzer.attach_obs(&obs);
+        let (mut mitigator, _state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
+        let (router, scope) =
+            mitigator_scope(Grants::none().control("rate-limit-cause").control("blacklist-rnti"));
+        let findings = router
+            .register(XAppIdentity::named("findings-tap"), Grants::none().subscribe(FINDINGS_TOPIC))
+            .unwrap()
+            .subscribe(FINDINGS_TOPIC);
+        let analyzer_scope = router
+            .register(XAppIdentity::named("llm-analyzer"), Grants::none().publish(FINDINGS_TOPIC))
+            .unwrap();
+        let alert = crate::mobiwatch::AnomalyAlert {
+            trace: 0,
+            at_record: 10,
+            at_time: Timestamp(1_000),
+            score: 0.5,
+            threshold: 0.1,
+            records: lines,
+        };
+        let mut control = Vec::new();
+        let mut ctx = xsec_ric::XAppContext { scope: &analyzer_scope, control_out: &mut control };
+        analyzer.on_message(&mut ctx, ANOMALIES_TOPIC, &alert.encode());
+        let notice = findings.try_recv().expect("the analyzer publishes a notice");
+        let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
+        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &notice);
+        (control, obs)
+    }
+
     #[test]
     fn undecodable_evidence_lines_are_counted_and_the_rest_still_scoped() {
-        let obs = Obs::new();
-        let (mut mitigator, _state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
-        let (_router, scope) =
-            mitigator_scope(Grants::none().control("rate-limit-cause").control("blacklist-rnti"));
-        let mut control = Vec::new();
-        let records = vec![
-            record(1, 0x4601, MessageKind::RrcSetupRequest),
-            record(2, 0x4602, MessageKind::RrcSetupRequest),
+        // Six connections stalling after the challenge: a flood.
+        let ladder = [
+            MessageKind::RrcSetupRequest,
+            MessageKind::RrcSetup,
+            MessageKind::RrcSetupComplete,
+            MessageKind::NasRegistrationRequest,
+            MessageKind::NasAuthenticationRequest,
         ];
-        let mut n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
-        n.records.insert(1, "v2;UE;not;a;record".into());
-        let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
-        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &serde_json::to_vec(&n).unwrap());
-        // The same three actions the two well-formed lines earn on their own.
-        assert_eq!(control.len(), 3);
+        let mut lines: Vec<String> = (1..=6u32)
+            .flat_map(|conn| ladder.map(|msg| record(conn, 0x4600 + conn as u16, msg)))
+            .map(|r| xsec_mobiflow::encode_ue_record(&r))
+            .collect();
+        let (clean, _) = through_the_hop(lines.clone());
+        assert!(!clean.is_empty(), "the flood earned no action");
+        lines.insert(3, "v2;UE;not;a;record".into());
+        let (control, obs) = through_the_hop(lines);
+        // The line is dropped once, at the analyzer; the mitigator scopes the
+        // records that decoded and issues what they earn on their own.
+        let payloads = |out: &[ControlOut]| -> Vec<Vec<u8>> {
+            out.iter().map(|o| o.payload.clone()).collect()
+        };
+        assert_eq!(payloads(&control), payloads(&clean));
         let exposition = obs.metrics.render_prometheus();
         assert!(
-            exposition.contains("xsec_alert_records_dropped_total{site=\"mitigator\"} 1\n"),
+            exposition.contains("xsec_alert_records_dropped_total{site=\"analyzer\"} 1\n"),
             "{exposition}"
         );
+        assert!(
+            !exposition.contains("xsec_alert_records_dropped_total{site=\"mitigator\"}"),
+            "{exposition}"
+        );
+        assert_eq!(obs.snapshot().counter_total("xsec_bus_dropped_total"), 0);
+    }
+
+    #[test]
+    fn the_rogues_spoofed_finding_is_a_notice_the_mitigator_reads() {
+        // Granted the publish, the rogue's notice reaches the mailbox and
+        // decodes: what stops it in a deployment is the router's ACL.
+        let router = Router::new();
+        let findings = router
+            .register(XAppIdentity::named("mitigator"), Grants::none().subscribe(FINDINGS_TOPIC))
+            .unwrap()
+            .subscribe(FINDINGS_TOPIC);
+        let rogue_scope = router
+            .register(XAppIdentity::named("rogue"), Grants::none().publish(FINDINGS_TOPIC))
+            .unwrap();
+        let (mut rogue, _report) = xsec_attacks::RogueXApp::new(42, CellId(1));
+        let mut control = Vec::new();
+        let mut ctx = xsec_ric::XAppContext { scope: &rogue_scope, control_out: &mut control };
+        rogue.on_records(&mut ctx, &[], Timestamp(5_000));
+        let notice = FindingNotice::decode(&findings.try_recv().unwrap()).unwrap();
+        assert!(notice.confirmed && !notice.needs_human);
+        assert_eq!(notice.at_time, Timestamp(5_000));
+        assert_eq!(assess(&notice).attack, Some(AttackKind::BtsDos));
     }
 
     #[test]
@@ -706,8 +834,15 @@ mod tests {
         let (_router, scope) = mitigator_scope(Grants::none().control("rate-limit-cause"));
         let mut control = Vec::new();
         let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
-        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, b"not json");
-        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, b"{\"trace\":1}");
+        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, b"not a frame");
+        // A well-framed notice whose one record `get_record` refuses (an
+        // unknown message code) is dropped whole, and counted once.
+        let records = [record(1, 0x4601, MessageKind::RrcSetupRequest)];
+        let mut bad = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records)
+            .encode();
+        let code_at = bad.len() - xsec_mobiflow::wire::RECORD_LEN + 27;
+        bad[code_at] = 0xEE;
+        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &bad);
         // An ack is `[success][action id BE]`, five bytes exactly.
         mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[1, 0, 0]);
         mitigator.on_message(&mut ctx, CONTROL_ACKS_TOPIC, &[1, 0, 0, 0, 1, 0]);
@@ -765,7 +900,7 @@ mod tests {
             vec!["Security capability bidding-down (null cipher & integrity)".into()],
             &[tainted],
         );
-        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &serde_json::to_vec(&n).unwrap());
+        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &n.encode());
         assert_eq!(control.len(), 1);
         assert!(matches!(
             ControlAction::decode(&control[0].payload).unwrap().action,
@@ -837,10 +972,37 @@ mod tests {
         let records = vec![record(1, 0x4601, MessageKind::RrcSetupRequest)];
         let mut n = notice(vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()], &records);
         n.needs_human = true;
-        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &serde_json::to_vec(&n).unwrap());
+        mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &n.encode());
         assert!(control.is_empty());
         let state = state.lock();
         let summary = state.summary();
         assert_eq!((summary.supervised, summary.issued), (1, 0));
+    }
+
+    #[test]
+    fn the_supervision_queue_keeps_the_last_tickets_and_counts_every_one() {
+        let obs = Obs::new();
+        let (mut mitigator, state) = Mitigator::with_obs(PolicyEngine::default(), obs.clone());
+        let evicted = "xsec_control_dropped_total{reason=\"evicted\",site=\"supervision\"}";
+        assert!(obs.metrics.render_prometheus().contains(&format!("{evicted} 0\n")));
+        let (_router, scope) = mitigator_scope(Grants::none());
+        let mut control = Vec::new();
+        let mut ctx = xsec_ric::XAppContext { scope: &scope, control_out: &mut control };
+        let records = vec![record(1, 0x4601, MessageKind::RrcSetupRequest)];
+        let raised = SUPERVISED_KEPT as u64 + 2;
+        for at in 1..=raised {
+            let attacks = vec!["Signaling storm / RRC flooding DoS (BTS DoS)".into()];
+            let mut n = notice(attacks, &records);
+            (n.needs_human, n.at_time) = (true, Timestamp(at));
+            mitigator.on_message(&mut ctx, FINDINGS_TOPIC, &n.encode());
+        }
+        let state = state.lock();
+        assert_eq!(state.summary().supervised as u64, raised, "every ticket is counted");
+        assert_eq!(state.supervised.len(), SUPERVISED_KEPT);
+        // The two oldest went, the rest are kept in order.
+        assert_eq!(state.supervised.front().unwrap().assessment.detected_at, Timestamp(3));
+        assert_eq!(state.supervised.back().unwrap().assessment.detected_at, Timestamp(raised));
+        let exposition = obs.metrics.render_prometheus();
+        assert!(exposition.contains(&format!("{evicted} 2\n")), "{exposition}");
     }
 }

@@ -96,8 +96,9 @@ impl Default for MobiWatchConfig {
     }
 }
 
-/// One alert as published to the analyzer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One alert as published to the analyzer, in the binary frame of
+/// [`AnomalyAlert::encode`].
+#[derive(Debug, Clone)]
 pub struct AnomalyAlert {
     /// Causal trace id of the record that completed the flagged window
     /// (0 = untraced; ids start at 1). Downstream xApps propagate it so the
@@ -538,8 +539,7 @@ impl XApp for MobiWatch {
         // Publish on [`ANOMALIES_TOPIC`] for the analyzer, then file.
         let alerts = self.detect(records);
         for alert in &alerts {
-            let payload = serde_json::to_vec(alert).expect("alert serializes");
-            ctx.publish(ANOMALIES_TOPIC, &payload);
+            ctx.publish(ANOMALIES_TOPIC, &alert.encode());
         }
         self.file(alerts);
     }

@@ -11,8 +11,9 @@
 
 use crate::error::{Result, XsecError};
 
-/// A checked cursor over received bytes.
-#[derive(Debug)]
+/// A checked cursor over received bytes. A clone reads ahead without
+/// moving the original.
+#[derive(Debug, Clone)]
 pub struct Reader<'a> {
     buf: &'a [u8],
 }
@@ -79,12 +80,18 @@ impl<'a> Reader<'a> {
         from_code(code).ok_or_else(|| XsecError::Codec(format!("bad {what} code {code}")))
     }
 
-    /// An `N`-byte big-endian length, then that many bytes.
-    pub fn prefixed<const N: usize>(&mut self) -> Result<&'a [u8]> {
+    /// An `N`-byte big-endian length or count ([`Put::put_len`]'s inverse).
+    pub fn count<const N: usize>(&mut self) -> Result<u64> {
         let mut be = [0u8; 8];
         be[8 - N..].copy_from_slice(self.bytes(N)?);
+        Ok(u64::from_be_bytes(be))
+    }
+
+    /// An `N`-byte big-endian length, then that many bytes.
+    pub fn prefixed<const N: usize>(&mut self) -> Result<&'a [u8]> {
+        let len = self.count::<N>()?;
         // A length beyond `usize` is certainly beyond the input.
-        self.bytes(usize::try_from(u64::from_be_bytes(be)).unwrap_or(usize::MAX))
+        self.bytes(usize::try_from(len).unwrap_or(usize::MAX))
     }
 
     /// Ends the read: input left over is an error.

@@ -63,7 +63,7 @@ fn finding(at: Timestamp, conn: u32, rnti: u16) -> FindingNotice {
         confirmed: true,
         needs_human: false,
         attacks: vec!["Security capability bidding-down (null cipher & integrity)".into()],
-        records: vec![xsec_mobiflow::encode_ue_record(&downgraded_record(conn, rnti, at))],
+        records: vec![downgraded_record(conn, rnti, at)],
     }
 }
 
@@ -140,7 +140,7 @@ fn smo_install_detect_update_detect_sequence() {
     // Detection #1 under the installed rule: the downgraded session is
     // released.
     let t1 = Timestamp(1_000_000);
-    analyzer.publish(FINDINGS_TOPIC, &serde_json::to_vec(&finding(t1, 7, 0x4601)).unwrap());
+    analyzer.publish(FINDINGS_TOPIC, &finding(t1, 7, 0x4601).encode());
     platform.pump().expect("pump");
     agent.poll(t1).expect("agent poll");
     let first = decoded_controls(&mut agent);
@@ -161,7 +161,7 @@ fn smo_install_detect_update_detect_sequence() {
     // Detection #2, still inside the old rule's cooldown TTL: the swap
     // cleared the cooldown, and the *updated* rule decides.
     let t2 = Timestamp(3_000_000);
-    analyzer.publish(FINDINGS_TOPIC, &serde_json::to_vec(&finding(t2, 8, 0x4602)).unwrap());
+    analyzer.publish(FINDINGS_TOPIC, &finding(t2, 8, 0x4602).encode());
     platform.pump().expect("pump");
     agent.poll(t2).expect("agent poll");
     let second = decoded_controls(&mut agent);
@@ -188,7 +188,7 @@ fn smo_install_detect_update_detect_sequence() {
     platform.pump().expect("pump");
     a1.drain_responses();
     let t3 = Timestamp(20_000_000);
-    analyzer.publish(FINDINGS_TOPIC, &serde_json::to_vec(&finding(t3, 9, 0x4603)).unwrap());
+    analyzer.publish(FINDINGS_TOPIC, &finding(t3, 9, 0x4603).encode());
     platform.pump().expect("pump");
     agent.poll(t3).expect("agent poll");
     assert!(decoded_controls(&mut agent).is_empty(), "disabled rule still acted");

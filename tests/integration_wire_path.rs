@@ -11,11 +11,13 @@
 //! featurization, the batched scoring pass, thresholding and the score log
 //! all run in buffers sized by the largest indication seen. Past detection,
 //! the incident hop (alert → verdict → decision) allocates per alert, under
-//! a pinned count; the JSON documents it rides on go through the same
-//! totality harness as the binary codecs. Off the live path, the SMO's
+//! a pinned count; its two binary frames go through the same golden and
+//! totality harness as the E2 codecs, and the JSON document the A1 topic
+//! carries through the same hostile inputs. Off the live path, the SMO's
 //! refit is held to the same idiom: a training run allocates per run, never
 //! per step.
 
+use proptest::prelude::{any, prop_assert_eq, proptest};
 use std::alloc::{GlobalAlloc, Layout, System};
 use sixg_xsec::mitigator::{A1SignedRequest, FindingNotice};
 use sixg_xsec::mobiwatch::{AnomalyAlert, MobiWatchConfig, MobiWatchState};
@@ -357,8 +359,8 @@ fn flood_alert(nth: u64) -> AnomalyAlert {
 }
 
 /// The line codec allocates the line and nothing else, and the incident hop
-/// — one alert through `LlmAnalyzer::on_message`, the notice it publishes
-/// through `Mitigator::on_message` — stays under its pinned count.
+/// — one alert frame through `LlmAnalyzer::on_message`, the notice frame it
+/// publishes through `Mitigator::on_message` — stays within its pinned count.
 #[test]
 fn incident_hop_allocations_are_pinned() {
     let sample = record(7, Timestamp(123_456));
@@ -393,7 +395,7 @@ fn incident_hop_allocations_are_pinned() {
     const MEASURED: u64 = 32;
     let (mut in_analyzer, mut in_mitigator) = (0, 0);
     for nth in 0..WARM_UP + MEASURED {
-        let alert = serde_json::to_vec(&flood_alert(nth)).unwrap();
+        let alert = flood_alert(nth).encode();
         let mut ctx = XAppContext { scope: &analyzer_scope, control_out: &mut control };
         let (analyzing, ()) = allocations_in(|| analyzer.on_message(&mut ctx, "anomalies", &alert));
         let notice = findings.try_recv().expect("the analyzer publishes a notice per alert");
@@ -418,12 +420,12 @@ fn incident_hop_allocations_are_pinned() {
     assert!(per_alert <= HOP_ALLOCATIONS_PER_ALERT, "the hop allocated {per_alert} times per alert");
 }
 
-/// Upper bound on heap allocations for one 52-line alert across the
-/// analyzer's and the mitigator's `on_message`: 426 as measured (analyzer
-/// 268, mitigator 159; 1 777 before each hop decoded its lines once and
-/// stopped re-encoding them). Most of what is left is the JSON value tree
-/// each side builds for the 52 strings.
-const HOP_ALLOCATIONS_PER_ALERT: u64 = 430;
+/// Heap allocations for one 52-line alert across the analyzer's and the
+/// mitigator's `on_message`, as measured: analyzer 123, mitigator 21. It was
+/// 426 while both payloads were JSON and each side decoded the lines
+/// (analyzer 268, mitigator 159), and 1 777 before that. 53 of what is
+/// left are the decoded alert's 52 line strings and their vector.
+const HOP_ALLOCATIONS_PER_ALERT: u64 = 143;
 
 // --- golden bytes, decoder totality, codec allocations ----------------------
 
@@ -565,7 +567,62 @@ fn codecs() -> Vec<Codec> {
             encoded: action_samples().iter().map(ControlAction::encode).collect(),
             recode: |b| ControlAction::decode(b).map(|a| a.encode()),
         },
+        Codec {
+            name: "AnomalyAlert",
+            golden: ALERT_GOLDEN,
+            encoded: alert_samples().iter().map(AnomalyAlert::encode).collect(),
+            recode: |b| AnomalyAlert::decode(b).map(|a| a.encode()),
+        },
+        Codec {
+            name: "FindingNotice",
+            golden: NOTICE_GOLDEN,
+            encoded: notice_samples().iter().map(FindingNotice::encode).collect(),
+            recode: |b| FindingNotice::decode(b).map(|n| n.encode()),
+        },
     ]
+}
+
+/// Three records with their optionals present, as the incident hop carries
+/// them: lines in the alert, 48-byte records in the notice.
+fn evidence() -> Vec<UeMobiFlow> {
+    (1..=3).map(|id| record(id, Timestamp(id * 1_000))).collect()
+}
+
+fn alert_samples() -> Vec<AnomalyAlert> {
+    let alert = AnomalyAlert {
+        trace: 7,
+        at_record: 1_234,
+        at_time: Timestamp(5_000_000),
+        score: 0.25,
+        threshold: 0.125,
+        records: evidence().iter().map(encode_ue_record).collect(),
+    };
+    let empty = AnomalyAlert { trace: 0, score: f32::NAN, records: Vec::new(), ..alert.clone() };
+    vec![alert, empty]
+}
+
+fn notice_samples() -> Vec<FindingNotice> {
+    let notice = FindingNotice {
+        trace: 7,
+        at_record: 1_234,
+        at_time: Timestamp(5_000_000),
+        score: 0.25,
+        threshold: 0.125,
+        anomalous: true,
+        confirmed: true,
+        needs_human: false,
+        attacks: vec!["Signaling storm / RRC flooding DoS (BTS DoS) — “é€😀”".to_string()],
+        records: evidence(),
+    };
+    let benign = FindingNotice {
+        anomalous: false,
+        confirmed: false,
+        needs_human: true,
+        attacks: Vec::new(),
+        records: Vec::new(),
+        ..notice.clone()
+    };
+    vec![notice, benign]
 }
 
 const E2AP_GOLDEN: &[&str] = &[
@@ -600,13 +657,91 @@ const ACTION_GOLDEN: &[&str] = &[
     "01000400000005020008000000000393870014000b030003000000000007a1200300080000000000000007",
 ];
 
+proptest! {
+    /// Both incident-hop frames carry every field — float bits, flags, any
+    /// UTF-8 text, every record — and decode to exactly what was encoded.
+    #[test]
+    fn incident_hop_frames_round_trip(
+        head in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>()),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>()),
+        lines in proptest::collection::vec("[ -~é€😀]{0,90}", 0..60),
+        ids in proptest::collection::vec(any::<u64>(), 0..60),
+    ) {
+        let (trace, at_record, at_us, score, threshold) = head;
+        let (score, threshold) = (f32::from_bits(score), f32::from_bits(threshold));
+        let alert = AnomalyAlert {
+            trace,
+            at_record,
+            at_time: Timestamp(at_us),
+            score,
+            threshold,
+            records: lines.clone(),
+        };
+        let frame = alert.encode();
+        let back = AnomalyAlert::decode(&frame).unwrap();
+        prop_assert_eq!((back.trace, back.at_record), (trace, at_record));
+        prop_assert_eq!(back.at_time, Timestamp(at_us));
+        prop_assert_eq!(back.score.to_bits(), score.to_bits());
+        prop_assert_eq!(back.threshold.to_bits(), threshold.to_bits());
+        prop_assert_eq!(&back.records, &lines);
+        prop_assert_eq!(back.encode(), frame);
+
+        let records: Vec<UeMobiFlow> =
+            ids.iter().map(|&id| record(id, Timestamp(id / 3))).collect();
+        let notice = FindingNotice {
+            trace,
+            at_record,
+            at_time: Timestamp(at_us),
+            score,
+            threshold,
+            anomalous: flags.0,
+            confirmed: flags.1,
+            needs_human: flags.2,
+            attacks: lines,
+            records,
+        };
+        let frame = notice.encode();
+        let back = FindingNotice::decode(&frame).unwrap();
+        prop_assert_eq!((back.anomalous, back.confirmed, back.needs_human), flags);
+        prop_assert_eq!(&back.attacks, &notice.attacks);
+        prop_assert_eq!(&back.records, &notice.records);
+        prop_assert_eq!(back.score.to_bits(), score.to_bits());
+        prop_assert_eq!(back.encode(), frame);
+    }
+}
+
+const ALERT_GOLDEN: &[&str] = &[
+    concat!(
+        "01000000000000000700000000000004d200000000004c4b403e8000003e0000000003003f76323b",
+        "55453b313b313030303b313b303030313b313b554c3b526567697374726174696f6e526571756573",
+        "743b313b3030312e30312e313b2d3b2d3b2d3b2d003f76323b55453b323b323030303b313b303030",
+        "323b323b554c3b526567697374726174696f6e526571756573743b323b3030312e30312e323b2d3b",
+        "2d3b2d3b2d003f76323b55453b333b333030303b313b303030333b333b554c3b5265676973747261",
+        "74696f6e526571756573743b333b3030312e30312e333b2d3b2d3b2d3b2d",
+    ),
+    "01000000000000000000000000000004d200000000004c4b407fc000003e0000000000",
+];
+const NOTICE_GOLDEN: &[&str] = &[
+    concat!(
+        "02000000000000000700000000000004d200000000004c4b403e8000003e00000001010000000001",
+        "000000405369676e616c696e672073746f726d202f2052524320666c6f6f64696e6720446f532028",
+        "42545320446f532920e2809420e2809cc3a9e282acf09f9880e2809d000300000000000000010000",
+        "0000000003e8000000010000000100011720ffffffff000000010001000100000000000000010000",
+        "00000000000200000000000007d0000000010000000200021720ffffffff00000002000100010000",
+        "00000000000200000000000000030000000000000bb8000000010000000300031720ffffffff0000",
+        "0003000100010000000000000003",
+    ),
+    "02000000000000000700000000000004d200000000004c4b403e8000003e000000000001000000000000",
+];
+
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 /// Every encoder's bytes, pinned at the commit before the codecs moved onto
-/// the shared reader: a codec refactor that changes one bit on the wire
-/// fails here.
+/// the shared reader (the two incident-hop frames when they replaced the
+/// bus's JSON): a codec refactor that changes one bit on the wire fails
+/// here.
 #[test]
 fn sample_sets_encode_to_the_pinned_bytes() {
     for codec in codecs() {
@@ -666,8 +801,9 @@ fn hostile_variants(sample: &[u8], next: &mut impl FnMut() -> u64, mut check: im
     }
 }
 
-/// One JSON document type the xApp bus carries, reduced to bytes: a valid
-/// sample and the decode its subscriber runs on whatever arrives.
+/// One JSON document type the xApp bus carries (the A1 topic's), reduced to
+/// bytes: a valid sample and the decode its subscriber runs on whatever
+/// arrives.
 struct BusDecoder {
     name: &'static str,
     sample: Vec<u8>,
@@ -682,29 +818,6 @@ fn decodes<T: serde::Serialize + serde::Deserialize>(bytes: &[u8]) -> bool {
 }
 
 fn bus_decoders() -> Vec<BusDecoder> {
-    let lines: Vec<String> = (1..=3)
-        .map(|id| encode_ue_record(&record(id, Timestamp(id * 1_000))))
-        .collect();
-    let alert = AnomalyAlert {
-        trace: 7,
-        at_record: 1_234,
-        at_time: Timestamp(5_000_000),
-        score: 0.25,
-        threshold: 0.125,
-        records: lines.clone(),
-    };
-    let notice = FindingNotice {
-        trace: 7,
-        at_record: 1_234,
-        at_time: Timestamp(5_000_000),
-        score: 0.25,
-        threshold: 0.125,
-        anomalous: true,
-        confirmed: true,
-        needs_human: false,
-        attacks: vec!["Signaling storm / RRC flooding DoS (BTS DoS) — “é€😀”".to_string()],
-        records: lines,
-    };
     let rule = xsec_control::default_rules().remove(0);
     let request = A1SignedRequest {
         xapp: "smo".to_string(),
@@ -712,16 +825,6 @@ fn bus_decoders() -> Vec<BusDecoder> {
         request: A1Request::UpdatePolicy { rule },
     };
     vec![
-        BusDecoder {
-            name: "AnomalyAlert",
-            sample: serde_json::to_vec(&alert).unwrap(),
-            decodes: decodes::<AnomalyAlert>,
-        },
-        BusDecoder {
-            name: "FindingNotice",
-            sample: serde_json::to_vec(&notice).unwrap(),
-            decodes: decodes::<FindingNotice>,
-        },
         BusDecoder {
             name: "A1SignedRequest",
             sample: serde_json::to_vec(&request).unwrap(),
@@ -734,7 +837,7 @@ fn bus_decoders() -> Vec<BusDecoder> {
 /// arbitrary bytes, every truncation, every single-bit flip and a saturated
 /// field at every offset give an error or a value, never a panic — for the
 /// binary codecs a canonical value and no large allocation, for the JSON
-/// documents also under lone surrogates and nesting deep enough to exhaust
+/// document also under lone surrogates and nesting deep enough to exhaust
 /// a recursive parser's stack.
 #[test]
 fn every_decoder_is_total() {
