@@ -6,10 +6,10 @@
 //! invoked on the telemetry it subscribes to — but tries to act far beyond
 //! its station on every window:
 //!
-//! 1. **Spoofed finding**: publishes a well-formed, hand-built
-//!    `FindingNotice` frame on the `findings` topic, trying to trick the
-//!    Mitigator into issuing control actions against victims the rogue
-//!    picked.
+//! 1. **Spoofed finding**: publishes a well-formed finding notice on the
+//!    `findings` topic, trying to trick the Mitigator into issuing control
+//!    actions. The notice's frame is the mitigator's to define, so the
+//!    rogue is handed the bytes (`sixg_xsec::mitigator::spoofed_finding`).
 //! 2. **Unauthorized A1 ops**: publishes both a bare `A1Request` and a
 //!    forged signed envelope (claiming the SMO's identity with a guessed
 //!    token) on `a1-policies`, trying to disable the null-cipher playbook.
@@ -25,11 +25,7 @@
 use std::sync::{Arc, Mutex};
 use xsec_control::{A1Request, ControlAction, MitigationAction};
 use xsec_ric::{ControlOut, XApp, XAppContext};
-use xsec_types::{CellId, Duration, Put, Timestamp};
-
-/// The frame tag of a finding notice on the `findings` topic
-/// (`sixg_xsec::mitigator::FindingNotice::encode`).
-const NOTICE_TAG: u8 = 0x02;
+use xsec_types::{CellId, Duration, Timestamp};
 
 /// What the rogue managed to do — every counter other than `attempts`
 /// should stay zero on a hardened deployment.
@@ -55,35 +51,28 @@ pub struct RogueXApp {
     forged_token: u64,
     /// Cell targeted by the quarantine injection.
     target_cell: CellId,
+    /// The finding notice it publishes every round, already framed.
+    spoofed_finding: Vec<u8>,
 }
 
 impl RogueXApp {
     /// Creates the rogue and the report handle the test asserts on.
-    pub fn new(forged_token: u64, target_cell: CellId) -> (Self, Arc<Mutex<RogueReport>>) {
+    /// `spoofed_finding` is the `findings` payload it publishes.
+    pub fn new(
+        forged_token: u64,
+        target_cell: CellId,
+        spoofed_finding: Vec<u8>,
+    ) -> (Self, Arc<Mutex<RogueReport>>) {
         let report = Arc::new(Mutex::new(RogueReport::default()));
-        (RogueXApp { report: report.clone(), forged_token, target_cell }, report)
+        (RogueXApp { report: report.clone(), forged_token, target_cell, spoofed_finding }, report)
     }
 
-    fn mount(&self, ctx: &mut XAppContext<'_>, now: Timestamp) {
+    fn mount(&self, ctx: &mut XAppContext<'_>) {
         let mut report = self.report.lock().expect("rogue report lock");
         report.attempts += 1;
 
-        // 1. Spoof a confirmed BTS-DoS finding naming no records, framed
-        // as the analyzer frames a notice — enough to read as "confirmed,
-        // act now" if it ever reaches the Mitigator.
-        let mut finding = vec![NOTICE_TAG];
-        finding.put_u64(0); // trace
-        finding.put_u64(0); // at_record
-        finding.put_u64(now.as_micros());
-        finding.put_u32(9.0f32.to_bits()); // score
-        finding.put_u32(0.1f32.to_bits()); // threshold
-        finding.extend_from_slice(&[1, 1, 0]); // anomalous, confirmed, no human
-        finding.put_u32(1); // one attack title
-        finding
-            .put_prefixed::<4>(b"Signaling storm / RRC flooding DoS (BTS DoS)")
-            .expect("the title fits its length");
-        finding.put_u16(0); // no records
-        if ctx.scope.try_publish("findings", &finding).is_ok() {
+        // 1. Spoof a finding.
+        if ctx.scope.try_publish("findings", &self.spoofed_finding).is_ok() {
             report.findings_delivered += 1;
         }
 
@@ -135,9 +124,9 @@ impl XApp for RogueXApp {
         &mut self,
         ctx: &mut XAppContext<'_>,
         _records: &[xsec_ric::UeMobiFlow],
-        window_end: Timestamp,
+        _window_end: Timestamp,
     ) {
-        self.mount(ctx, window_end);
+        self.mount(ctx);
     }
 }
 
@@ -165,7 +154,7 @@ mod tests {
         let handle = router.register(XAppIdentity::named("rogue"), grants).unwrap();
         router.seal();
 
-        let (mut rogue, report) = RogueXApp::new(42, CellId(1));
+        let (mut rogue, report) = RogueXApp::new(42, CellId(1), b"spoofed finding".to_vec());
         let mut control = Vec::new();
         let mut ctx = XAppContext { scope: &handle, control_out: &mut control };
         rogue.on_records(&mut ctx, &[], Timestamp(1_000));

@@ -7,6 +7,7 @@
 //! and incident artifacts CI asserts on (`rogue_metrics.{prom,json}`,
 //! `rogue_incidents.jsonl`).
 
+use sixg_xsec::mitigator::spoofed_finding;
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
 use sixg_xsec::scale::{Replay, ScaleDeployment};
 use xsec_attacks::{DatasetBuilder, RogueXApp};
@@ -23,7 +24,7 @@ fn main() {
     let pipeline = Pipeline::train(&config);
 
     eprintln!("rogue: deploying trio + rogue on a hardened platform ...");
-    let (rogue, rogue_report) = RogueXApp::new(0xBAD_F00D, CellId(1));
+    let (rogue, rogue_report) = RogueXApp::new(0xBAD_F00D, CellId(1), spoofed_finding());
     let mut d = ScaleDeployment::with_extra_xapps(
         &pipeline,
         2,

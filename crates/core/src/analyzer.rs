@@ -93,25 +93,35 @@ impl LlmAnalyzer {
 
     /// Analyzes one alert directly (also used by the Table 3 harness).
     pub fn analyze_alert(&mut self, alert: &AnomalyAlert) -> AnalyzerFinding {
-        let (finding, _records) = self.analyze(alert);
+        let finding = self.analyze(alert, None);
         self.file(finding.clone());
         finding
     }
 
     /// Prompts the backend with the alert's evidence and cross-compares its
-    /// answer with the detector's decision. Returns the finding and the
-    /// evidence records that decoded, the ones the prompt quoted.
-    fn analyze(&mut self, alert: &AnomalyAlert) -> (AnalyzerFinding, Vec<UeMobiFlow>) {
+    /// answer with the detector's decision. The evidence records that
+    /// decode, the ones the prompt quotes, are pushed onto `decoded` if given.
+    fn analyze(
+        &mut self,
+        alert: &AnomalyAlert,
+        mut decoded: Option<&mut Vec<UeMobiFlow>>,
+    ) -> AnalyzerFinding {
         let start = Instant::now();
         // The evidence is already in the prompt's line coding: the lines
         // that decode go in as they stand (none can hold a line break, so
-        // none can reframe the prompt) and their records are kept for the
-        // mitigator; the rest are counted and left out.
-        let mut records = Vec::with_capacity(alert.records.len());
+        // none can reframe the prompt), the rest are counted and left out.
+        let mut dropped = 0;
         let prompt = self.template.render_lines(alert.records.iter().filter(|line| {
-            decode_ue_record(line).map(|record| records.push(record)).is_ok()
+            let Ok(record) = decode_ue_record(line) else {
+                dropped += 1;
+                return false;
+            };
+            if let Some(records) = decoded.as_mut() {
+                records.push(record);
+            }
+            true
         }));
-        self.dropped.add((alert.records.len() - records.len()) as u64);
+        self.dropped.add(dropped);
         let mut response = match self.backend.complete(&prompt) {
             Ok(text) => text,
             Err(e) => format!("Verdict: BENIGN\n(backend error: {e})"),
@@ -128,8 +138,7 @@ impl LlmAnalyzer {
             a: u64::from(matches!(verdict, CrossVerdict::ConfirmedAnomalous)),
             b: u64::from(matches!(verdict, CrossVerdict::NeedsHumanReview { .. })),
         });
-        let (at_record, score) = (alert.at_record, alert.score);
-        (AnalyzerFinding { at_record, score, response, parsed, verdict }, records)
+        AnalyzerFinding { at_record: alert.at_record, score: alert.score, response, parsed, verdict }
     }
 
     /// Appends a finding to the shared state, queueing it for human review
@@ -166,7 +175,8 @@ impl XApp for LlmAnalyzer {
             self.undecodable.inc();
             return;
         };
-        let (finding, records) = self.analyze(&alert);
+        let mut records = Vec::with_capacity(alert.records.len());
+        let finding = self.analyze(&alert, Some(&mut records));
         // Downstream consumers (the mitigator) get the conclusion, not the
         // raw completion text: verdict, named attacks, and the evidence
         // records needed to scope a response, decoded once, here.

@@ -24,8 +24,7 @@ use xsec_control::{
 };
 use xsec_mobiflow::UeMobiFlow;
 use xsec_obs::{
-    Counter, FlightEvent, Gauge, Histogram, MetricsRegistry, Obs, SampleValue, Snapshot,
-    TraceStage,
+    Counter, FlightEvent, Gauge, MetricsRegistry, Obs, SampleValue, Snapshot, TraceStage,
 };
 use xsec_proto::MessageKind;
 use xsec_ric::{ControlOut, LatencyClass, XApp, XAppContext};
@@ -76,6 +75,26 @@ pub struct FindingNotice {
     /// The alert's window + context records, oldest first: the evidence
     /// lines the analyzer decoded (and quoted in its prompt).
     pub records: Vec<UeMobiFlow>,
+}
+
+/// The finding a rogue tenant spoofs on `findings`
+/// (`xsec_attacks::RogueXApp`'s first move): a confirmed BTS-DoS notice
+/// naming no records, framed as the analyzer frames one, so it would read
+/// as "confirmed, act now" if it ever reached the mitigator.
+pub fn spoofed_finding() -> Vec<u8> {
+    FindingNotice {
+        trace: 0,
+        at_record: 0,
+        at_time: Timestamp::ZERO,
+        score: 9.0,
+        threshold: 0.1,
+        anomalous: true,
+        confirmed: true,
+        needs_human: false,
+        attacks: vec!["Signaling storm / RRC flooding DoS (BTS DoS)".to_string()],
+        records: Vec::new(),
+    }
+    .encode()
 }
 
 /// An A1 policy operation wrapped in the sender's router identity — the
@@ -207,81 +226,14 @@ impl MitigatorState {
     }
 }
 
-/// The live half of the action ledger: the in-flight gauge, and per-kind
-/// counters and latency histograms, each resolved in the registry the first
-/// time its kind occurs and held from then on. The exposition lists only
-/// the kinds that occurred, and a hot action does no registry lookup.
-struct ActionTally {
-    /// Actions submitted and not yet resolved.
-    in_flight: Gauge,
-    /// `((fate, kind), its xsec_control_actions_<fate>_total counter)`:
-    /// at most five fates (issued included) by five kinds.
-    counters: Vec<((&'static str, &'static str), Counter)>,
-    /// `(kind, its detection→ack latency histogram)`.
-    latency: Vec<(&'static str, Histogram)>,
-}
-
-/// The handle held under `key`, resolved by `resolve` the first time.
-fn held<K: PartialEq, T>(handles: &mut Vec<(K, T)>, key: K, resolve: impl FnOnce() -> T) -> &T {
-    let at = match handles.iter().position(|(k, _)| *k == key) {
-        Some(at) => at,
-        None => {
-            handles.push((key, resolve()));
-            handles.len() - 1
-        }
-    };
-    &handles[at].1
-}
-
-impl ActionTally {
-    fn count(&mut self, obs: &Obs, fate: &'static str, kind: &'static str) {
-        let resolve =
-            || obs.counter(&format!("xsec_control_actions_{fate}_total"), &[("kind", kind)]);
-        held(&mut self.counters, (fate, kind), resolve).inc();
-    }
-
-    /// Counts one action submitted to the executor.
-    fn issue(&mut self, obs: &Obs, kind: &'static str) {
-        self.in_flight.add(1);
-        self.count(obs, "issued", kind);
-    }
-
-    /// Counts one action's fate: the one site every resolution passes
-    /// through, whether an ack or the clock settled it.
-    fn settle(&mut self, obs: &Obs, res: Resolution, now: Timestamp) {
-        self.in_flight.add(-1);
-        self.count(obs, res.fate.label(), res.kind);
-        let trace = res.trace.unwrap_or(0);
-        let (success, latency_us) = match res.fate {
-            Fate::Acked { detection_to_ack } => {
-                let latency_us = detection_to_ack.as_micros();
-                let resolve =
-                    || obs.histogram("xsec_control_detection_to_ack_us", &[("kind", res.kind)]);
-                held(&mut self.latency, res.kind, resolve).observe_with_exemplar(latency_us, trace);
-                (true, latency_us)
-            }
-            Fate::Failed => (false, 0),
-            Fate::Expired | Fate::Exhausted => return,
-        };
-        // The ack closes the causal chain: detection → policy → control →
-        // enforcement → acknowledged.
-        obs.recorder.record_stage(FlightEvent {
-            trace,
-            stage: TraceStage::Ack,
-            at_us: now.as_micros(),
-            a: u64::from(success),
-            b: latency_us,
-        });
-    }
-}
-
 /// The closed-loop mitigation xApp.
 pub struct Mitigator {
     state: Arc<Mutex<MitigatorState>>,
     obs: Obs,
     /// `findings` and `control-acks` payloads that do not decode.
     undecodable: Counter,
-    actions: ActionTally,
+    /// Actions submitted and not yet resolved.
+    in_flight: Gauge,
 }
 
 impl Mitigator {
@@ -303,12 +255,37 @@ impl Mitigator {
         }));
         let undecodable = obs
             .counter("xsec_bus_dropped_total", &[("site", "mitigator"), ("reason", "undecodable")]);
-        let actions = ActionTally {
-            in_flight: obs.gauge("xsec_control_actions_in_flight", &[]),
-            counters: Vec::new(),
-            latency: Vec::new(),
+        let in_flight = obs.gauge("xsec_control_actions_in_flight", &[]);
+        (Mitigator { state: state.clone(), obs, undecodable, in_flight }, state)
+    }
+
+    /// Counts one action's fate: the one site every resolution passes
+    /// through, whether an ack or the clock settled it.
+    fn settle(&self, res: Resolution, now: Timestamp) {
+        self.in_flight.add(-1);
+        let fate = res.fate.label();
+        self.obs.counter(&format!("xsec_control_actions_{fate}_total"), &[("kind", res.kind)]).inc();
+        let trace = res.trace.unwrap_or(0);
+        let (success, latency_us) = match res.fate {
+            Fate::Acked { detection_to_ack } => {
+                let latency_us = detection_to_ack.as_micros();
+                self.obs
+                    .histogram("xsec_control_detection_to_ack_us", &[("kind", res.kind)])
+                    .observe_with_exemplar(latency_us, trace);
+                (true, latency_us)
+            }
+            Fate::Failed => (false, 0),
+            Fate::Expired | Fate::Exhausted => return,
         };
-        (Mitigator { state: state.clone(), obs, undecodable, actions }, state)
+        // The ack closes the causal chain: detection → policy → control →
+        // enforcement → acknowledged.
+        self.obs.recorder.record_stage(FlightEvent {
+            trace,
+            stage: TraceStage::Ack,
+            at_us: now.as_micros(),
+            a: u64::from(success),
+            b: latency_us,
+        });
     }
 
     fn handle_finding(&mut self, ctx: &mut XAppContext<'_>, notice: &FindingNotice) {
@@ -326,7 +303,13 @@ impl Mitigator {
                     b: actions.len() as u64,
                 });
                 for action in actions {
-                    self.actions.issue(&self.obs, action.action.name());
+                    self.obs
+                        .counter(
+                            "xsec_control_actions_issued_total",
+                            &[("kind", action.action.name())],
+                        )
+                        .inc();
+                    self.in_flight.add(1);
                     state.executor.submit(action, Some(assessment.cell), assessment.detected_at, now);
                 }
                 ship_due(&mut state, now, ctx, &self.obs);
@@ -466,7 +449,7 @@ impl XApp for Mitigator {
         state.clock = state.clock.max(window_end);
         let now = state.clock;
         for res in state.executor.tick(now) {
-            self.actions.settle(&self.obs, res, now);
+            self.settle(res, now);
         }
         ship_due(&mut state, now, ctx, &self.obs);
     }
@@ -522,7 +505,7 @@ impl XApp for Mitigator {
                 let mut state = self.state.lock();
                 let now = state.clock;
                 if let Some(res) = state.executor.on_ack(u32::from_be_bytes(id), flag != 0, now) {
-                    self.actions.settle(&self.obs, res, now);
+                    self.settle(res, now);
                 }
             }
             _ => {}
@@ -815,13 +798,12 @@ mod tests {
         let rogue_scope = router
             .register(XAppIdentity::named("rogue"), Grants::none().publish(FINDINGS_TOPIC))
             .unwrap();
-        let (mut rogue, _report) = xsec_attacks::RogueXApp::new(42, CellId(1));
+        let (mut rogue, _report) = xsec_attacks::RogueXApp::new(42, CellId(1), spoofed_finding());
         let mut control = Vec::new();
         let mut ctx = xsec_ric::XAppContext { scope: &rogue_scope, control_out: &mut control };
         rogue.on_records(&mut ctx, &[], Timestamp(5_000));
         let notice = FindingNotice::decode(&findings.try_recv().unwrap()).unwrap();
         assert!(notice.confirmed && !notice.needs_human);
-        assert_eq!(notice.at_time, Timestamp(5_000));
         assert_eq!(assess(&notice).attack, Some(AttackKind::BtsDos));
     }
 

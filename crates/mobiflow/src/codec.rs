@@ -11,6 +11,8 @@
 //! ```
 
 use crate::record::{UeMobiFlow, MOBIFLOW_VERSION};
+use std::fmt;
+use std::io::Write;
 use xsec_proto::{Direction, MessageKind};
 use xsec_types::{
     CellId, CipherAlg, EstablishmentCause, IntegrityAlg, Plmn, ReleaseCause, Result, Rnti, Supi,
@@ -21,85 +23,58 @@ fn err(msg: impl Into<String>) -> XsecError {
     XsecError::Codec(msg.into())
 }
 
+/// An optional field: its value, or `-` when absent.
+struct OrDash<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for OrDash<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(value) => value.fmt(f),
+            None => f.write_str("-"),
+        }
+    }
+}
+
+/// A SUPI as the line carries it: `<mcc>.<mnc>.<msin>`.
+struct SupiField(Supi);
+
+impl fmt::Display for SupiField {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:03}.{:02}.{}", self.0.plmn.mcc, self.0.plmn.mnc, self.0.msin)
+    }
+}
+
 /// Room for the longest line there is: every numeric field at its type's
 /// full width is under 200 bytes (`longest_line_fits_the_buffer`).
 const MAX_LINE: usize = 256;
 
-/// A line being written into a stack buffer, digits by hand.
-struct Line {
-    buf: [u8; MAX_LINE],
-    len: usize,
-}
-
-impl Line {
-    fn text(&mut self, s: &[u8]) {
-        self.buf[self.len..self.len + s.len()].copy_from_slice(s);
-        self.len += s.len();
-    }
-
-    /// `v` in decimal, zero-padded to at least `width` digits.
-    fn decimal(&mut self, mut v: u64, width: usize) {
-        let mut digits = [0u8; 20];
-        let mut at = digits.len();
-        while v != 0 || digits.len() - at < width {
-            at -= 1;
-            digits[at] = b'0' + (v % 10) as u8;
-            v /= 10;
-        }
-        self.text(&digits[at..]);
-    }
-
-    /// `;`, then `v` in decimal.
-    fn field(&mut self, v: u64) {
-        self.text(b";");
-        self.decimal(v, 1);
-    }
-
-    /// `;`, then an optional field: its value, or `-` when absent.
-    fn or_dash(&mut self, v: Option<u64>) {
-        match v {
-            Some(v) => self.field(v),
-            None => self.text(b";-"),
-        }
-    }
-}
-
 /// Encodes a UE record into its line form.
 pub fn encode_ue_record(r: &UeMobiFlow) -> String {
-    // Written on the stack, then copied out at its exact length: the line
+    // Formatted on the stack, then copied out at its exact length: the line
     // is the call's one allocation, and alerts hold thousands of them.
-    let mut line = Line { buf: [0; MAX_LINE], len: 0 };
-    line.text(b"v");
-    line.decimal(u64::from(MOBIFLOW_VERSION), 1);
-    line.text(b";UE");
-    line.field(r.msg_id);
-    line.field(r.timestamp.as_micros());
-    line.field(u64::from(r.cell.0));
-    line.text(b";");
-    for shift in [12, 8, 4, 0] {
-        line.text(&[b"0123456789abcdef"[usize::from(r.rnti.0 >> shift) & 0xF]]);
-    }
-    line.field(u64::from(r.du_ue_id));
-    line.text(if r.direction.is_uplink() { b";UL;" } else { b";DL;" });
-    line.text(r.msg.name().as_bytes());
-    line.or_dash(r.tmsi.map(|t| u64::from(t.0)));
-    match r.supi {
-        // `<mcc>.<mnc>.<msin>`, the MCC to three digits and the MNC to two.
-        Some(s) => {
-            line.text(b";");
-            line.decimal(u64::from(s.plmn.mcc), 3);
-            line.text(b".");
-            line.decimal(u64::from(s.plmn.mnc), 2);
-            line.text(b".");
-            line.decimal(s.msin, 1);
-        }
-        None => line.text(b";-"),
-    }
-    line.or_dash(r.cipher_alg.map(|c| u64::from(c.code())));
-    line.or_dash(r.integrity_alg.map(|i| u64::from(i.code())));
-    line.or_dash(r.establishment_cause.map(|c| u64::from(c.code())));
-    line.or_dash(r.release_cause.map(|c| u64::from(c.code())));
-    std::str::from_utf8(&line.buf[..line.len]).expect("the line is ASCII").to_owned()
+    let mut buf = [0u8; MAX_LINE];
+    let mut rest = &mut buf[..];
+    write!(
+        rest,
+        "v{};UE;{};{};{};{:04x};{};{};{};{};{};{};{};{};{}",
+        MOBIFLOW_VERSION,
+        r.msg_id,
+        r.timestamp.as_micros(),
+        r.cell.0,
+        r.rnti.0,
+        r.du_ue_id,
+        if r.direction.is_uplink() { "UL" } else { "DL" },
+        r.msg.name(),
+        OrDash(r.tmsi.map(|t| t.0)),
+        OrDash(r.supi.map(SupiField)),
+        OrDash(r.cipher_alg.map(|c| c.code())),
+        OrDash(r.integrity_alg.map(|i| i.code())),
+        OrDash(r.establishment_cause.map(|c| c.code())),
+        OrDash(r.release_cause.map(|c| c.code())),
+    )
+    .expect("a MobiFlow line fits MAX_LINE");
+    let len = MAX_LINE - rest.len();
+    std::str::from_utf8(&buf[..len]).expect("formatted text is UTF-8").to_owned()
 }
 
 /// Decodes a UE record from its line form.
@@ -222,29 +197,6 @@ mod tests {
         }
     }
 
-    /// The line as `format!` writes it: the oracle the hand-written digits
-    /// must match byte for byte.
-    fn formatted(r: &UeMobiFlow) -> String {
-        let dash = |v: Option<String>| v.unwrap_or_else(|| "-".to_string());
-        format!(
-            "v{};UE;{};{};{};{:04x};{};{};{};{};{};{};{};{};{}",
-            MOBIFLOW_VERSION,
-            r.msg_id,
-            r.timestamp.as_micros(),
-            r.cell.0,
-            r.rnti.0,
-            r.du_ue_id,
-            if r.direction.is_uplink() { "UL" } else { "DL" },
-            r.msg.name(),
-            dash(r.tmsi.map(|t| t.0.to_string())),
-            dash(r.supi.map(|s| format!("{:03}.{:02}.{}", s.plmn.mcc, s.plmn.mnc, s.msin))),
-            dash(r.cipher_alg.map(|c| c.code().to_string())),
-            dash(r.integrity_alg.map(|i| i.code().to_string())),
-            dash(r.establishment_cause.map(|c| c.code().to_string())),
-            dash(r.release_cause.map(|c| c.code().to_string())),
-        )
-    }
-
     #[test]
     fn round_trip_full_record() {
         let r = sample();
@@ -298,7 +250,6 @@ mod tests {
             release_cause: ReleaseCause::from_code(3),
         };
         let line = encode_ue_record(&r);
-        assert_eq!(line, formatted(&r));
         assert!(line.len() < 200, "{} bytes: {line}", line.len());
         assert_eq!(line.capacity(), line.len(), "lines are held at their exact length");
         assert_eq!(decode_ue_record(&line).unwrap(), r);
@@ -356,7 +307,6 @@ mod tests {
                 release_cause: release.map(|c| ReleaseCause::from_code(c).unwrap()),
             };
             let line = encode_ue_record(&r);
-            prop_assert_eq!(&line, &formatted(&r));
             prop_assert_eq!(decode_ue_record(&line).unwrap(), r);
         }
 

@@ -5,6 +5,7 @@
 //! detections and incident traces are byte-identical whether or not the
 //! rogue shares the platform with it.
 
+use sixg_xsec::mitigator::spoofed_finding;
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
 use sixg_xsec::scale::{Replay, ScaleDeployment};
 use xsec_attacks::{DatasetBuilder, RogueXApp};
@@ -24,7 +25,7 @@ fn flood_stream(seed: u64) -> TelemetryStream {
 #[test]
 fn rogue_xapp_is_denied_at_every_choke_point() {
     let pipeline = trained(71);
-    let (rogue, report) = RogueXApp::new(0xBAD, CellId(1));
+    let (rogue, report) = RogueXApp::new(0xBAD, CellId(1), spoofed_finding());
     let mut d = ScaleDeployment::with_extra_xapps(
         &pipeline,
         2,
@@ -81,7 +82,7 @@ fn forged_a1_envelopes_die_at_the_mitigator() {
     // requests are refused as unsigned and the forged SMO envelope fails
     // token verification. The policy store must stay untouched.
     let pipeline = trained(72);
-    let (rogue, report) = RogueXApp::new(0xF00D, CellId(1));
+    let (rogue, report) = RogueXApp::new(0xF00D, CellId(1), spoofed_finding());
     let mut d = ScaleDeployment::with_extra_xapps(
         &pipeline,
         2,
@@ -122,7 +123,7 @@ fn contained_rogue_leaves_the_trio_byte_identical() {
 
     let mut clean = ScaleDeployment::new(&pipeline, 2);
     let clean_outcome = clean.drive(&mut Replay(&stream.records));
-    let (rogue, report) = RogueXApp::new(0xBAD, CellId(1));
+    let (rogue, report) = RogueXApp::new(0xBAD, CellId(1), spoofed_finding());
     let mut hosted = ScaleDeployment::with_extra_xapps(
         &pipeline,
         2,
