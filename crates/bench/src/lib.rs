@@ -115,7 +115,7 @@ pub fn render_stage_latencies(snapshot: &Snapshot, stages: &[(&str, &str)]) -> S
 /// The detection→enforcement stages every pipeline run records, in
 /// pipeline order, as `(display name, metric name)` pairs.
 pub const PIPELINE_STAGES: &[(&str, &str)] = &[
-    ("ingest (E2 decode)", "xsec_e2_decode_latency_us"),
+    ("ingest (E2 drain per pump)", "xsec_e2_decode_latency_us"),
     ("featurize", "xsec_mobiwatch_featurize_latency_us"),
     ("inference", "xsec_mobiwatch_inference_latency_us"),
     ("analyze (LLM turnaround)", "xsec_analyzer_turnaround_us"),
@@ -141,7 +141,7 @@ mod tests {
         h.observe(480);
         let table = render_stage_latencies(&obs.snapshot(), PIPELINE_STAGES);
         assert!(table.contains("inference [autoencoder]"), "labelled row missing:\n{table}");
-        assert!(table.contains("ingest (E2 decode)"), "stage column missing");
+        assert!(table.contains("ingest (E2 drain per pump)"), "stage column missing");
         assert!(table.contains("(no samples)"), "empty stages must be visible");
     }
 

@@ -141,6 +141,13 @@ const INCIDENT_QUIET: Duration = Duration::from_millis(100);
 /// at again.
 const INCIDENT_MAX_AGE: Duration = Duration::from_secs(1);
 
+/// Records featurized and scored per pass. A pump hands MobiWatch everything
+/// it drained (≈ 940 records a pump on `steady`), and past a few hundred
+/// records a pass's working set outgrows the cache and the cost per record
+/// climbs (DESIGN.md § "Per-pump delivery" has the curve). Scores do not
+/// depend on the cut.
+const MAX_PASS_RECORDS: usize = 256;
+
 /// One open incident: when it opened, its latest candidate, and the highest
 /// score and setup classes it has seen.
 struct Incident {
@@ -374,11 +381,12 @@ impl MobiWatch {
         self.process_batch(std::slice::from_ref(record)).pop()
     }
 
-    /// Feeds one E2 indication's records: featurizes them all, scores every
-    /// window they complete in one batched model pass per busy shard, then
-    /// thresholds and emits in stream order. Returns the alerts raised.
-    /// Scores, alerts and their context are the same — to the bit — however
-    /// a stream is cut into batches.
+    /// Feeds a batch of records in passes of at most [`MAX_PASS_RECORDS`]:
+    /// each pass featurizes its records, scores every window they complete
+    /// in one batched model pass per busy shard, then thresholds and emits
+    /// in stream order. Returns the alerts raised. Scores, alerts and their
+    /// context are the same — to the bit — however a stream is cut into
+    /// batches.
     pub fn process_batch(&mut self, records: &[UeMobiFlow]) -> Vec<AnomalyAlert> {
         let alerts = self.detect(records);
         self.file(alerts.clone());
@@ -387,6 +395,15 @@ impl MobiWatch {
 
     /// [`Self::process_batch`] up to its alerts, which the caller files.
     fn detect(&mut self, records: &[UeMobiFlow]) -> Vec<AnomalyAlert> {
+        let mut alerts = Vec::new();
+        for pass in records.chunks(MAX_PASS_RECORDS) {
+            alerts.extend(self.pass(pass));
+        }
+        alerts
+    }
+
+    /// One pass of [`Self::detect`].
+    fn pass(&mut self, records: &[UeMobiFlow]) -> Vec<AnomalyAlert> {
         let Some(last) = records.last() else {
             return Vec::new();
         };

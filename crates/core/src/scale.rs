@@ -643,6 +643,35 @@ mod tests {
     }
 
     #[test]
+    fn each_xapp_gets_one_call_per_pump_that_carried_telemetry() {
+        const AGENTS: u64 = 8;
+        let pipeline = Pipeline::train(&PipelineConfig::small(33, 10));
+        let stream = pipeline.eval_stream(TrafficClass::Benign);
+        let mut d = ScaleDeployment::new(&pipeline, AGENTS as usize);
+        let mut feed = Replay(&stream.records);
+        let mut bucket_end = Timestamp::ZERO + d.period();
+        // Each step drains every agent's reports in its first pump only.
+        let mut telemetry_pumps = 0;
+        while feed.fill(bucket_end, &mut d.bucket) {
+            d.step(bucket_end);
+            telemetry_pumps += 1;
+            bucket_end += d.period();
+        }
+        let metrics = d.obs().snapshot();
+        // Two telemetry subscriptions per agent, every window reported.
+        let indications = metrics.counter_total("xsec_ric_indications_total");
+        assert_eq!(indications, telemetry_pumps * AGENTS * 2);
+        assert!(metrics.counter_total("xsec_ric_records_delivered_total") > 0);
+        // MobiWatch listens on no topic: its every handler call is one.
+        let calls = metrics
+            .histograms("xsec_ric_handler_latency_us")
+            .into_iter()
+            .find(|(series, _)| series.labels[0].1 == "mobiwatch")
+            .map(|(_, h)| h.count);
+        assert_eq!(calls, Some(telemetry_pumps));
+    }
+
+    #[test]
     fn live_sim_feed_extracts_incrementally_what_one_pass_would() {
         let mut scenario = xsec_ran::ScenarioConfig { benign_sessions: 10, ..Default::default() };
         scenario.sim.horizon = Duration::from_secs(3);

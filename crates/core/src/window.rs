@@ -1,7 +1,7 @@
 //! The one window core: how a record is keyed, per-key sliding-window state
 //! and the scoring rule.
 //!
-//! Scoring is per key, in three steps per E2 indication, all inside
+//! Scoring is per key, in three steps per pass over a delivered batch, all inside
 //! [`Scorer::score`]: **stage** — each record goes into its key's
 //! [`WindowCore`], and the window it completes is copied into the batch
 //! buffers as the detector's pass reads it. An autoencoder key holds its
@@ -13,10 +13,10 @@
 //! (the target) — not feature rows and lists, since every record is an
 //! input step of `window` windows; **flush** —
 //! one batched model pass over every staged window (one product per layer per
-//! indication, not one GEMV per window); **judge** —
+//! pass, not one GEMV per window); **judge** —
 //! threshold and per-key cooldown, in staging order. The kernels make a
 //! window's score independent of its batch, so how a stream is cut into
-//! indications moves no verdict. [`window_key`] is the keying: one global
+//! deliveries and passes moves no verdict. [`window_key`] is the keying: one global
 //! key for the paper's window, `du_ue_id` for the per-UE pool. What must
 //! follow stream order whatever the keying — relational featurization,
 //! flight events, the shared inspection state and alert context — is
@@ -764,14 +764,22 @@ mod tests {
     }
 
     proptest! {
-        /// However a stream is cut into indications — empty ones, single
-        /// records, a few, a full report window — `process_batch` yields
-        /// the score bits, alert positions and context lines of
-        /// record-at-a-time processing, for both detectors.
+        /// However a stream is cut into deliveries — empty ones, single
+        /// records, a few, a full report window, several scoring passes —
+        /// `process_batch` yields the score bits, alert positions and
+        /// context lines of record-at-a-time processing, for both detectors.
         #[test]
         fn any_chunking_yields_record_at_a_time_artifacts(
             sizes in proptest::collection::vec(
-                prop_oneof![Just(0usize), Just(1usize), Just(5usize), Just(240usize), 0usize..40],
+                prop_oneof![
+                    Just(0usize),
+                    Just(1usize),
+                    Just(5usize),
+                    Just(240usize),
+                    0usize..40,
+                    // Longer than one scoring pass.
+                    257usize..900,
+                ],
                 1..12,
             ),
             lstm in any::<bool>(),

@@ -13,7 +13,7 @@ use crate::transport::{E2Transport, SendOutcome};
 use std::collections::BTreeMap;
 use xsec_mobiflow::UeMobiFlow;
 use xsec_obs::{Counter, FlightEvent, FlightRecorder, FlightRing, Obs, TraceStage};
-use xsec_types::{CellId, Duration, GnbId, Result, Timestamp, XsecError};
+use xsec_types::{CellId, Duration, GnbId, Result, Timestamp};
 
 /// Agent identity/configuration.
 #[derive(Debug, Clone)]
@@ -41,6 +41,7 @@ struct AgentMetrics {
     egress_dropped: Counter,
     frames_undecodable: Counter,
     pdus_unexpected: Counter,
+    setups_refused: Counter,
 }
 
 impl AgentMetrics {
@@ -52,6 +53,7 @@ impl AgentMetrics {
             egress_dropped: obs.counter("xsec_e2_egress_dropped_total", &[]),
             frames_undecodable: dropped(obs, "frame", "undecodable"),
             pdus_unexpected: dropped(obs, "pdu", "unexpected"),
+            setups_refused: dropped(obs, "setup", "refused"),
         }
     }
 }
@@ -116,6 +118,7 @@ impl<T: E2Transport> RicAgent<T> {
         metrics.egress_dropped.add(self.metrics.egress_dropped.get());
         metrics.frames_undecodable.add(self.metrics.frames_undecodable.get());
         metrics.pdus_unexpected.add(self.metrics.pdus_unexpected.get());
+        metrics.setups_refused.add(self.metrics.setups_refused.get());
         self.metrics = metrics;
         self.recorder = obs.recorder.clone();
         self.ring = self.recorder.ring();
@@ -175,9 +178,11 @@ impl<T: E2Transport> RicAgent<T> {
     }
 
     /// Drives the agent: handles incoming PDUs and flushes due reports. A
-    /// frame that is not an E2AP PDU, or a PDU only the RIC should receive,
-    /// is counted under `xsec_e2_agent_dropped_total` and skipped; a
-    /// transport error or a refused Setup is an `Err`.
+    /// frame that is not an E2AP PDU, a PDU only the RIC should receive, or
+    /// a Setup Response refusing the MobiFlow function is counted under
+    /// `xsec_e2_agent_dropped_total` and skipped; after a refusal the agent
+    /// is not set up and reports nothing until a Setup Response accepts the
+    /// function. Only a transport error is an `Err`.
     pub fn poll(&mut self, now: Timestamp) -> Result<()> {
         while let Some(frame) = self.transport.try_recv()? {
             match E2apPdu::decode(&frame) {
@@ -185,18 +190,20 @@ impl<T: E2Transport> RicAgent<T> {
                 Err(_) => self.metrics.frames_undecodable.inc(),
             }
         }
-        self.flush_reports(now)
+        if self.setup_complete {
+            self.flush_reports(now)?;
+        }
+        Ok(())
     }
 
     fn handle(&mut self, now: Timestamp, pdu: E2apPdu) -> Result<()> {
         match pdu {
             E2apPdu::SetupResponse { accepted } => {
-                if accepted.contains(&RAN_FUNCTION_MOBIFLOW) {
-                    self.setup_complete = true;
-                    Ok(())
-                } else {
-                    Err(XsecError::Ric("RIC rejected the MobiFlow function".into()))
+                self.setup_complete = accepted.contains(&RAN_FUNCTION_MOBIFLOW);
+                if !self.setup_complete {
+                    self.metrics.setups_refused.inc();
                 }
+                Ok(())
             }
             E2apPdu::SubscriptionRequest { request_id, ran_function, report_period_ms, .. } => {
                 let accepted = ran_function == RAN_FUNCTION_MOBIFLOW && report_period_ms > 0;
@@ -365,7 +372,7 @@ mod tests {
             else {
                 panic!("expected indication");
             };
-            got.push((request_id, KpmIndication::decode(&payload).unwrap().into_records()));
+            got.push((request_id, KpmIndication::decode(&payload).unwrap().records));
         }
         got
     }
@@ -415,10 +422,30 @@ mod tests {
     }
 
     #[test]
-    fn setup_rejection_is_an_error() {
+    fn a_refused_setup_is_counted_and_a_later_one_completes() {
         let (mut agent, mut ric) = agent();
+        let obs = Obs::new();
+        agent.attach_obs(&obs);
+        let series = "xsec_e2_agent_dropped_total{reason=\"refused\",site=\"setup\"} 0\n";
+        assert!(obs.metrics.render_prometheus().contains(series));
         ric.send(&E2apPdu::SetupResponse { accepted: vec![] }.encode()).unwrap();
-        assert!(agent.poll(Timestamp(0)).is_err());
+        agent.poll(Timestamp(0)).unwrap();
+        assert_eq!(dropped(&obs, "setup", "refused").get(), 1);
+        assert!(!agent.is_setup());
+
+        // Not set up, the agent reports nothing, even to a subscriber.
+        subscribe(&mut agent, &mut ric, 100);
+        agent.push_record(record(0, 10_000));
+        agent.poll(Timestamp(100_000)).unwrap();
+        assert_eq!(ric.try_recv().unwrap(), None);
+
+        // An accepted Setup completes it, and the windows owed go out.
+        complete_setup(&mut agent, &mut ric);
+        agent.poll(Timestamp(100_000)).unwrap();
+        let owed = drain_indications(&mut ric);
+        assert_eq!(owed.len(), 1);
+        assert_eq!(owed[0].1, [record(0, 10_000)]);
+        assert_eq!(dropped(&obs, "setup", "refused").get(), 1);
     }
 
     #[test]

@@ -55,11 +55,6 @@ impl KpmIndication {
         Ok(self.records.clone())
     }
 
-    /// Consumes the indication into its records without copying them.
-    pub fn into_records(self) -> Vec<UeMobiFlow> {
-        self.records
-    }
-
     /// Encodes the payload.
     pub fn encode(&self) -> Vec<u8> {
         Self::encode_records(self.cell, self.window_start, self.window_end, &self.records)
@@ -87,21 +82,38 @@ impl KpmIndication {
         buf
     }
 
-    /// Decodes a payload. The record block is borrowed from bytes that are
-    /// present before anything is sized by its count.
+    /// Decodes a payload.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
+        let mut records = Vec::new();
+        let window = Self::decode_into(bytes, &mut records)?;
+        Ok(KpmIndication { records, ..window })
+    }
+
+    /// Decodes a payload, appending its records to `records` — the RIC's
+    /// path, which gathers many indications into one buffer — and returns
+    /// the indication with an empty record list. The record block is
+    /// borrowed from bytes that are present before anything is sized by its
+    /// count. On an error `records` is left as it was.
+    pub fn decode_into(bytes: &[u8], records: &mut Vec<UeMobiFlow>) -> Result<Self> {
         let mut r = Reader::new(bytes);
         let cell = CellId(r.u32()?);
         let window_start = Timestamp(r.u64()?);
         let window_end = Timestamp(r.u64()?);
         let block_len = (r.u32()? as usize).saturating_mul(RECORD_LEN);
         let block = r.bytes(block_len)?;
-        let mut records = Vec::with_capacity(block_len / RECORD_LEN);
-        for chunk in block.chunks_exact(RECORD_LEN) {
-            records.push(get_record(chunk.try_into().expect("chunks_exact yields RECORD_LEN"))?);
-        }
         r.finish()?;
-        Ok(KpmIndication { cell, window_start, window_end, records })
+        let base = records.len();
+        records.reserve(block_len / RECORD_LEN);
+        for chunk in block.chunks_exact(RECORD_LEN) {
+            match get_record(chunk.try_into().expect("chunks_exact yields RECORD_LEN")) {
+                Ok(record) => records.push(record),
+                Err(e) => {
+                    records.truncate(base);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(KpmIndication { cell, window_start, window_end, records: Vec::new() })
     }
 }
 
@@ -158,7 +170,30 @@ mod tests {
         let back = KpmIndication::decode(&bytes).unwrap();
         assert_eq!(back, ind);
         assert_eq!(back.mobiflow_records().unwrap(), records);
-        assert_eq!(back.into_records(), records);
+    }
+
+    #[test]
+    fn decode_into_appends_or_leaves_the_buffer_as_it_was() {
+        let first: Vec<_> = (0..2).map(record).collect();
+        let second: Vec<_> = (2..5).map(record).collect();
+        let encode = |records: &[UeMobiFlow], end| {
+            KpmIndication::from_records(CellId(3), Timestamp(0), Timestamp(end), records).encode()
+        };
+        let mut records = Vec::new();
+        let window = KpmIndication::decode_into(&encode(&first, 10), &mut records).unwrap();
+        assert_eq!((window.cell, window.window_end), (CellId(3), Timestamp(10)));
+        assert!(window.records.is_empty());
+        KpmIndication::decode_into(&encode(&second, 20), &mut records).unwrap();
+        assert_eq!(records, [first.as_slice(), second.as_slice()].concat());
+
+        // A bad last record, or a trailing byte, appends nothing.
+        let mut bad = encode(&second, 30);
+        bad[HEADER_LEN + 2 * RECORD_LEN + 27] = 0xEE;
+        assert!(KpmIndication::decode_into(&bad, &mut records).is_err());
+        let mut long = encode(&second, 30);
+        long.push(0);
+        assert!(KpmIndication::decode_into(&long, &mut records).is_err());
+        assert_eq!(records.len(), 5);
     }
 
     #[test]

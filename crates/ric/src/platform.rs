@@ -10,10 +10,11 @@
 //! that lets one platform terminate hundreds of mostly-idle gNB agents.
 //!
 //! A pump iteration drains the ready connections, completes E2 handshakes,
-//! decodes each report window once and hands its records to the xApp whose
-//! subscription it answers (timing each handler against the near-RT budget;
-//! the platform keeps no copy), relays topic messages between xApps, and
-//! ships queued control actions back to the RAN. All sends are
+//! decodes each report window once onto the batch of the xApp whose
+//! subscription it answers, hands every xApp its batch in one handler call
+//! once the drain is done (timing each call against the near-RT budget; the
+//! platform keeps no copy), relays topic messages between xApps, and ships
+//! queued control actions back to the RAN. All sends are
 //! non-blocking: each transport owns a bounded egress queue and a full
 //! queue drops the frame with a count (`xsec_ric_egress_dropped_total`)
 //! instead of stalling the reactor.
@@ -37,7 +38,8 @@ use xsec_e2::{
 };
 use xsec_mobiflow::SharedDataLayer;
 use xsec_obs::{Counter, Histogram, Obs};
-use xsec_types::{CellId, GnbId, Result, XsecError};
+use xsec_mobiflow::UeMobiFlow;
+use xsec_types::{CellId, GnbId, Result, Timestamp, XsecError};
 
 /// Control Requests awaiting their ack per agent; sending one more evicts
 /// that agent's oldest, counted as `xsec_ric_dropped_total{site="control_ack",
@@ -88,6 +90,13 @@ struct XAppEntry {
     /// The identity the app runs under; every publish, topic mailbox and
     /// control emission is checked against its grants.
     scope: RouterHandle,
+    /// Telemetry drained this pump and not yet handed over, in drain order;
+    /// reused across pumps.
+    batch: Vec<UeMobiFlow>,
+    /// The runs of `batch` that close one report window: the window's end
+    /// and where the run stops in `batch`. An empty window still makes a
+    /// run, since a clock-only xApp is owed its call.
+    runs: Vec<(Timestamp, usize)>,
 }
 
 /// One topic an xApp listens on.
@@ -180,7 +189,9 @@ struct PlatformMetrics {
     acks_closed: Counter,
     /// Connections visited across all pumps (O(active) when event-driven).
     conns_scanned: Counter,
-    decode_latency: Histogram,
+    /// One sample per pump that received frames: the step-1 drain (receive,
+    /// decode, gather), which calls no handler.
+    drain_latency: Histogram,
 }
 
 impl PlatformMetrics {
@@ -207,7 +218,7 @@ impl PlatformMetrics {
             conns_closed: dropped(obs, "conn", "transport"),
             acks_closed: dropped(obs, "control_ack", "closed"),
             conns_scanned: obs.counter("xsec_ric_pump_conns_scanned_total", &[]),
-            decode_latency: obs.histogram("xsec_e2_decode_latency_us", &[]),
+            drain_latency: obs.histogram("xsec_e2_decode_latency_us", &[]),
         }
     }
 }
@@ -420,6 +431,8 @@ impl RicPlatform {
             mailboxes,
             handler_latency,
             scope,
+            batch: Vec::new(),
+            runs: Vec::new(),
         });
         self.subs_dirty = true;
         Ok(())
@@ -496,11 +509,14 @@ impl RicPlatform {
         }
 
         // 1. Drain only the connections with (possibly) pending frames:
-        //    tokens woken since the last pump, plus the polled set.
+        //    tokens woken since the last pump, plus the polled set. Report
+        //    windows gather per xApp; no handler runs until the drain is
+        //    done, so one clock pair times it.
         let mut ready = std::mem::take(&mut self.ready_scratch);
         ready.clear();
         self.wake.drain_into(&mut ready);
         ready.extend_from_slice(&self.polled);
+        let drain_start = Instant::now();
         for &ci in &ready {
             stats.conns_scanned += 1;
             self.metrics.conns_scanned.inc();
@@ -515,16 +531,20 @@ impl RicPlatform {
                 };
                 stats.pdus += 1;
                 self.metrics.pdus.inc();
-                let decode_start = Instant::now();
                 let Ok(pdu) = E2apPdu::decode(&frame) else {
                     self.metrics.frames_undecodable.inc();
                     continue;
                 };
-                self.metrics.decode_latency.observe_duration(decode_start.elapsed());
                 self.handle_pdu(ci, pdu, &mut stats);
             }
         }
         self.ready_scratch = ready;
+        if stats.pdus > 0 {
+            self.metrics.drain_latency.observe_duration(drain_start.elapsed());
+        }
+        for ai in 0..self.xapps.len() {
+            self.deliver(ai);
+        }
 
         // 2. A freshly registered xApp subscribes on every setup agent.
         if self.subs_dirty {
@@ -656,24 +676,7 @@ impl RicPlatform {
                 }
             }
             E2apPdu::Indication { request_id, payload, .. } => {
-                self.metrics.indications.inc();
-                // Any agent can send one nobody subscribed with, or one
-                // that is no KPM report: counted once, dropped, and the pump
-                // carries on.
-                let Some(ai) = self.xapps.iter().position(|x| x.request_id == Some(request_id))
-                else {
-                    self.metrics.indications_unknown.inc();
-                    return;
-                };
-                let Ok(kpm) = KpmIndication::decode(&payload) else {
-                    self.metrics.indications_undecodable.inc();
-                    return;
-                };
-                let window_end = kpm.window_end;
-                let records = kpm.into_records();
-                stats.records_delivered += records.len() as u64;
-                self.metrics.records_delivered.add(records.len() as u64);
-                self.invoke(ai, |app, ctx| app.on_records(ctx, &records, window_end));
+                self.gather(request_id, &payload, stats);
             }
             E2apPdu::ControlAck { control_id, success, .. } => {
                 let conn = &mut self.conns[ci];
@@ -698,6 +701,49 @@ impl RicPlatform {
             // A PDU only the RIC sends.
             _ => self.metrics.pdus_unexpected.inc(),
         }
+    }
+
+    /// Decodes one Indication's report window onto the batch of the xApp
+    /// whose subscription it answers. A window ending at the time the
+    /// batch's last run ends joins that run; any other starts a new one.
+    fn gather(&mut self, request_id: RicRequestId, payload: &[u8], stats: &mut PumpStats) {
+        self.metrics.indications.inc();
+        // Any agent can send one nobody subscribed with, or one that is no
+        // KPM report: counted once, dropped, and the pump carries on.
+        let Some(entry) = self.xapps.iter_mut().find(|x| x.request_id == Some(request_id)) else {
+            self.metrics.indications_unknown.inc();
+            return;
+        };
+        let held = entry.batch.len();
+        let Ok(window) = KpmIndication::decode_into(payload, &mut entry.batch) else {
+            self.metrics.indications_undecodable.inc();
+            return;
+        };
+        let records = (entry.batch.len() - held) as u64;
+        stats.records_delivered += records;
+        self.metrics.records_delivered.add(records);
+        match entry.runs.last_mut() {
+            Some((end, stop)) if *end == window.window_end => *stop = entry.batch.len(),
+            _ => entry.runs.push((window.window_end, entry.batch.len())),
+        }
+    }
+
+    /// Hands xApp `ai` what it gathered this pump: one `on_records` call
+    /// per run, in the order the runs came, so the xApp sees the window ends
+    /// it did per Indication with a run of equal ones merged into one call.
+    fn deliver(&mut self, ai: usize) {
+        let entry = &mut self.xapps[ai];
+        let (mut batch, mut runs) =
+            (std::mem::take(&mut entry.batch), std::mem::take(&mut entry.runs));
+        let mut start = 0;
+        for &(window_end, stop) in &runs {
+            self.invoke(ai, |app, ctx| app.on_records(ctx, &batch[start..stop], window_end));
+            start = stop;
+        }
+        batch.clear();
+        runs.clear();
+        let entry = &mut self.xapps[ai];
+        (entry.batch, entry.runs) = (batch, runs);
     }
 
     /// Enters the cells conn `ci` announced at Setup into the routing map;
@@ -799,18 +845,33 @@ mod tests {
     /// Every record an xApp was handed, in delivery order.
     type Received = std::sync::Arc<parking_lot::Mutex<Vec<UeMobiFlow>>>;
 
+    /// The window end and record count of every `on_records` call, in order.
+    type Calls = std::sync::Arc<parking_lot::Mutex<Vec<(Timestamp, usize)>>>;
+
     struct RecordingApp {
         name: &'static str,
         received: Received,
+        calls: Calls,
         publishes_to: Option<String>,
     }
 
     /// A telemetry consumer named `name` that publishes nothing (and so
     /// needs no grant), and what it receives.
     fn recording_app(name: &'static str) -> (Box<dyn XApp>, Received) {
-        let received = Received::default();
-        let app = RecordingApp { name, received: received.clone(), publishes_to: None };
-        (Box::new(app), received)
+        let (app, received, _) = logging_app(name);
+        (app, received)
+    }
+
+    /// [`recording_app`], and the calls it gets.
+    fn logging_app(name: &'static str) -> (Box<dyn XApp>, Received, Calls) {
+        let (received, calls) = (Received::default(), Calls::default());
+        let app = RecordingApp {
+            name,
+            received: received.clone(),
+            calls: calls.clone(),
+            publishes_to: None,
+        };
+        (Box::new(app), received, calls)
     }
 
     fn counting_app() -> Box<dyn XApp> {
@@ -826,9 +887,10 @@ mod tests {
             &mut self,
             ctx: &mut XAppContext<'_>,
             records: &[UeMobiFlow],
-            _window_end: Timestamp,
+            window_end: Timestamp,
         ) {
             self.received.lock().extend_from_slice(records);
+            self.calls.lock().push((window_end, records.len()));
             if let Some(topic) = &self.publishes_to {
                 ctx.publish(topic, &(records.len() as u32).to_be_bytes());
             }
@@ -899,6 +961,115 @@ mod tests {
         assert_eq!(*second_received.lock(), [record(0, 10)]);
     }
 
+    /// Samples in `platform`'s histogram `name` labelled `xapp="<xapp>"`.
+    fn handler_calls(platform: &RicPlatform, xapp: &str) -> u64 {
+        let snapshot = platform.obs().snapshot();
+        let series = snapshot.histograms("xsec_ric_handler_latency_us");
+        series.into_iter().find(|(s, _)| s.labels[0].1 == xapp).map_or(0, |(_, h)| h.count)
+    }
+
+    fn drains(platform: &RicPlatform) -> u64 {
+        platform.obs().snapshot().histogram_count("xsec_e2_decode_latency_us")
+    }
+
+    #[test]
+    fn one_pump_hands_an_xapp_every_window_it_drained_in_one_call() {
+        let (app, received, calls) = logging_app("recording");
+        let (mut platform, mut agents) = n_agent_platform(app, Grants::none(), 8);
+        let drains_before = drains(&platform);
+
+        // Every agent reports one window, in token order.
+        let sent: Vec<UeMobiFlow> =
+            agents.iter_mut().zip(1..).map(|(agent, cell)| report(agent, cell, 100_000)).collect();
+        let stats = platform.pump().unwrap();
+        assert_eq!((stats.pdus, stats.records_delivered), (8, 8));
+        assert_eq!(*calls.lock(), [(Timestamp(100_000), 8)]);
+        assert_eq!(*received.lock(), sent, "records out of connection-token order");
+        assert_eq!(handler_calls(&platform, "recording"), 1);
+        // One timed drain for the pump, not one per PDU.
+        assert_eq!(drains(&platform), drains_before + 1);
+
+        // Empty windows still make the call; an idle pump makes none.
+        for agent in &mut agents {
+            agent.poll(Timestamp(200_000)).unwrap();
+        }
+        platform.pump().unwrap();
+        platform.pump().unwrap();
+        assert_eq!(calls.lock()[1..], [(Timestamp(200_000), 0)]);
+        assert_eq!(drains(&platform), drains_before + 2);
+    }
+
+    #[test]
+    fn windows_ending_apart_in_one_pump_are_handed_over_in_order() {
+        let (app, received, calls) = logging_app("recording");
+        let (mut platform, mut agents) = n_agent_platform(app, Grants::none(), 2);
+        // Both agents report two windows before the pump: the 100 ms and
+        // 200 ms ones, agent 2's first one empty.
+        let first = report(&mut agents[0], 1, 100_000);
+        let second = report(&mut agents[0], 1, 200_000);
+        agents[1].poll(Timestamp(100_000)).unwrap();
+        let third = report(&mut agents[1], 2, 200_000);
+        let stats = platform.pump().unwrap();
+        assert_eq!((stats.pdus, stats.records_delivered), (4, 3));
+        // One call per window end, in drain order.
+        assert_eq!(
+            *calls.lock(),
+            [
+                (Timestamp(100_000), 1),
+                (Timestamp(200_000), 1),
+                (Timestamp(100_000), 0),
+                (Timestamp(200_000), 1),
+            ]
+        );
+        assert_eq!(*received.lock(), [first, second, third]);
+        assert_eq!(handler_calls(&platform, "recording"), 4);
+    }
+
+    /// Panics in its first `on_records` call; logs the calls after it.
+    struct PanicsOnce {
+        calls: Calls,
+        panicked: bool,
+    }
+
+    impl XApp for PanicsOnce {
+        fn name(&self) -> &str {
+            "panics-once"
+        }
+        fn on_records(&mut self, _: &mut XAppContext<'_>, records: &[UeMobiFlow], end: Timestamp) {
+            if !std::mem::replace(&mut self.panicked, true) {
+                panic!("tenant handler fault");
+            }
+            self.calls.lock().push((end, records.len()));
+        }
+    }
+
+    #[test]
+    fn a_panicking_batched_call_loses_only_its_own_batch() {
+        let (app, received, _) = logging_app("recording");
+        let (mut platform, mut agents) = n_agent_platform(app, Grants::none(), 4);
+        let calls = Calls::default();
+        let panics = Box::new(PanicsOnce { calls: calls.clone(), panicked: false });
+        let spec = SubscriptionSpec::telemetry(100);
+        platform.register_xapp_scoped(panics, spec, Grants::none()).unwrap();
+        platform.pump().unwrap();
+        for agent in &mut agents {
+            agent.poll(Timestamp(0)).unwrap();
+        }
+        platform.pump().unwrap();
+
+        for (agent, cell) in agents.iter_mut().zip(1..) {
+            report(agent, cell, 100_000);
+        }
+        platform.pump().unwrap();
+        assert_eq!(dropped_total(&platform, "handler", "panic"), 1);
+        assert_eq!(received.lock().len(), 4, "the other xApp lost its batch");
+        // The next pump hands over its own records only.
+        report(&mut agents[2], 3, 200_000);
+        platform.pump().unwrap();
+        assert_eq!(*calls.lock(), [(Timestamp(200_000), 1)]);
+        assert_eq!(received.lock().len(), 5);
+    }
+
     #[test]
     fn idle_connections_are_not_scanned() {
         // The reactor property: pump cost follows *active* conns. Wire 8
@@ -962,6 +1133,7 @@ mod tests {
                 Box::new(RecordingApp {
                     name: "counting",
                     received: Received::default(),
+                    calls: Calls::default(),
                     publishes_to: Some("anomalies".into()),
                 }),
                 SubscriptionSpec::telemetry(100),

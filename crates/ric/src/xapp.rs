@@ -74,9 +74,12 @@ pub trait XApp: Send {
         let _ = ctx;
     }
 
-    /// Called with each batch of telemetry records delivered by an E2
-    /// indication this app subscribed to. `window_end` is the report
-    /// window's closing timestamp (virtual network time).
+    /// Called once per platform pump with every telemetry record the pump
+    /// drained from the E2 Indications this app subscribed to, in the order
+    /// the connections were drained. `window_end` is the report windows'
+    /// closing timestamp (virtual network time): a pump that drains windows
+    /// ending at different times makes one call per run of equal ends, in
+    /// the order they came. A window with no records still makes its call.
     fn on_records(
         &mut self,
         ctx: &mut XAppContext<'_>,
