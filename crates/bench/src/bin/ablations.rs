@@ -9,7 +9,7 @@
 //! trade-off behind the defaults (N=4, p99, 64→16) is visible.
 
 use sixg_xsec::smo::{Smo, TrainingConfig};
-use sixg_xsec::{MobiWatch, MobiWatchConfig};
+use sixg_xsec::{window_truth, Detector, MobiWatch, MobiWatchConfig};
 use xsec_attacks::DatasetBuilder;
 use xsec_dl::{Confusion, FeatureConfig, Featurizer, Threshold, Workspace};
 use xsec_mobiflow::extract_from_events;
@@ -69,7 +69,7 @@ fn evaluate_inner(training: &TrainingConfig, seed: u64, sessions: usize, pct: f6
         let dataset = Featurizer::encode_stream(&config, &stream);
         let scores = models.autoencoder.score_rows(&dataset.flat_windows(), &mut ws);
         let pred = threshold.classify(&scores);
-        let truth = dataset.window_labels();
+        let truth = window_truth(&stream, Detector::Autoencoder.span(config.window), |_| ());
         let k = Confusion::from_predictions(&pred, &truth);
         conf.tp += k.tp;
         conf.fp += k.fp;

@@ -10,7 +10,9 @@
 //!   five attack datasets (benign background + attack episodes), windows
 //!   labeled by the "any malicious record taints the window" rule.
 
+use crate::mobiwatch::Detector;
 use crate::smo::{Smo, TrainingConfig};
+use crate::window::window_truth;
 use serde::{Deserialize, Serialize};
 use xsec_attacks::DatasetBuilder;
 use xsec_dl::{
@@ -235,7 +237,7 @@ pub fn run(config: &Table2Config) -> Table2Result {
 
         // Autoencoder.
         let flat = dataset.flat_windows();
-        let truth = dataset.window_labels();
+        let truth = window_truth(&stream, Detector::Autoencoder.span(training.window), |_| ());
         let scores = models.autoencoder.score_rows(&flat, &mut ws);
         let pred = models.ae_threshold.classify(&scores);
         let kind_conf = Confusion::from_predictions(&pred, &truth);
@@ -248,7 +250,7 @@ pub fn run(config: &Table2Config) -> Table2Result {
 
         // LSTM.
         let (windows, nexts) = dataset.lstm_pairs();
-        let truth = dataset.lstm_labels();
+        let truth = window_truth(&stream, Detector::Lstm.span(training.window), |_| ());
         let scores = models.lstm.score_batch(&windows, &nexts, &mut ws);
         let pred = models.lstm_threshold.classify(&scores);
         let kind_conf = Confusion::from_predictions(&pred, &truth);

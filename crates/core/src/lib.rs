@@ -66,3 +66,4 @@ pub use mobiwatch::{Detector, MobiWatch, MobiWatchConfig, ShardedMobiWatch};
 pub use scale::{RanFeed, ScaleDeployment, ScaleOutcome};
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use smo::{A1PolicyClient, DeployedModels, Smo, TrainingConfig};
+pub use window::window_truth;

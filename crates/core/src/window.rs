@@ -4,14 +4,15 @@
 //! Scoring is per key, in three steps per pass over a delivered batch, all inside
 //! [`Scorer::score`]: **stage** — each record goes into its key's
 //! [`WindowCore`], and the window it completes is copied into the batch
-//! buffers as the detector's pass reads it. An autoencoder key holds its
-//! last `window` records' features and the lists of their nonzeros the
-//! featurizer emitted, and stages the window's features (the target) and
-//! lists (what the first layer reads). An LSTM key holds its last `window`
-//! records' gate bases `P = b + x·W`, each projected once when its record
-//! is staged, and stages the window's `P`s plus the one observed next row
-//! (the target) — not feature rows and lists, since every record is an
-//! input step of `window` windows; **flush** —
+//! buffers as the detector's pass reads it. A record is the list of its
+//! nonzeros the featurizer emitted. An autoencoder key holds its last
+//! `window` records' lists, and stages them as the window's one input row
+//! (what the first layer reads) and, scattered, as its dense target. An
+//! LSTM key holds its last `window` records' gate bases `P = b + x·W`, each
+//! projected once when its record is staged, and stages the window's `P`s
+//! plus the one observed next row (the target, scattered from its list) —
+//! not lists, since every record is an input step of `window` windows;
+//! **flush** —
 //! one batched model pass over every staged window (one product per layer per
 //! pass, not one GEMV per window); **judge** —
 //! threshold and per-key cooldown, in staging order. The kernels make a
@@ -29,7 +30,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Instant;
 use xsec_dl::{
-    FeatureRing, Featurizer, Lstm, SparseRows, Threshold, Workspace, FEATURES_PER_RECORD,
+    Featurizer, Lstm, SparseRows, Threshold, Workspace, FEATURES_PER_RECORD,
     MAX_NONZEROS_PER_RECORD,
 };
 use xsec_mobiflow::{TelemetryStream, UeMobiFlow};
@@ -90,11 +91,11 @@ pub(crate) struct Verdict {
 /// What a key holds between its records: exactly what its next windows
 /// read, `window` records' worth, record number `r` in slot `r mod window`.
 enum Held {
-    /// Autoencoder: the records' features (a window is its own scoring
-    /// target) and, beside them, their nonzeros — slot `s` owns
+    /// Autoencoder: the records' nonzeros — slot `s` owns
     /// `nonzeros[s · MAX_NONZEROS_PER_RECORD ..]`, of which the first
-    /// `lens[s]` are in use.
-    Records { ring: FeatureRing, nonzeros: Vec<(u32, f32)>, lens: Vec<usize> },
+    /// `lens[s]` are in use. They are both the window's input and, scattered,
+    /// its scoring target: `window × (12 × 8 + 8)` bytes, 416 at window 4.
+    Records { nonzeros: Vec<(u32, f32)>, lens: Vec<usize> },
     /// LSTM: the records' gate bases `P = b + x·W` ([`Lstm::project`]),
     /// [`Lstm::gate_width`] floats per slot. Each is computed once, when
     /// its record is staged, and copied into the `window` windows the
@@ -119,7 +120,6 @@ impl WindowCore {
     fn new(detector: Detector, window: usize, lstm: &Lstm) -> Self {
         let held = match detector {
             Detector::Autoencoder => Held::Records {
-                ring: FeatureRing::new(FEATURES_PER_RECORD, window),
                 nonzeros: vec![(0, 0.0); window * MAX_NONZEROS_PER_RECORD],
                 lens: vec![0; window],
             },
@@ -129,51 +129,40 @@ impl WindowCore {
     }
 
     /// Forgets the key but keeps the buffers, so churning keys don't
-    /// reallocate them. (A projection slot is always written before a
-    /// window reads it.)
+    /// reallocate them. (A slot is always written before a window reads it.)
     fn reset(&mut self) {
-        if let Held::Records { ring, .. } = &mut self.held {
-            ring.clear();
-        }
         self.records = 0;
         self.judged = 0;
         self.last_publish = None;
     }
 
-    /// Takes one record — its features and nonzeros — and, once the key
-    /// has seen enough records, stages the window it completes onto
-    /// `batch`. The autoencoder's window is the key's last `window` records:
-    /// their features are its target, their lists its one input row. The
-    /// LSTM's window is the `window` records before this one, its target
-    /// this record's features: the window's `P`s are copied out before
-    /// this record's `P` is projected into the slot of the oldest. Returns
-    /// whether a window was staged; every staged window is owed one
-    /// [`WindowCore::judge`], in staging order.
-    fn stage(
-        &mut self,
-        features: &[f32],
-        nonzeros: &[(u32, f32)],
-        lstm: &Lstm,
-        batch: &mut Batch,
-    ) -> bool {
+    /// Takes one record — its nonzeros — and, once the key has seen enough
+    /// records, stages the window it completes onto `batch`. The
+    /// autoencoder's window is the key's last `window` records: their lists
+    /// are its one input row and, scattered, its target. The LSTM's window
+    /// is the `window` records before this one, its target this record
+    /// scattered: the window's `P`s are copied out before this record's `P`
+    /// is projected into the slot of the oldest. Returns whether a window
+    /// was staged; every staged window is owed one [`WindowCore::judge`],
+    /// in staging order.
+    fn stage(&mut self, nonzeros: &[(u32, f32)], lstm: &Lstm, batch: &mut Batch) -> bool {
         let r = self.records;
         self.records += 1;
         match &mut self.held {
-            Held::Records { ring, nonzeros: held, lens } => {
+            Held::Records { nonzeros: held, lens } => {
                 let window = lens.len();
-                ring.push(features);
                 let slot = r % window;
                 held[slot * MAX_NONZEROS_PER_RECORD..][..nonzeros.len()].copy_from_slice(nonzeros);
                 lens[slot] = nonzeros.len();
-                if ring.len() < window {
+                if self.records < window {
                     return false;
                 }
-                batch.targets.extend_from_slice(ring.last_n(window));
                 // Record `r + 1 - window + p` is the window's record `p`.
                 for p in 0..window {
                     let slot = (r + 1 + p) % window;
                     let list = &held[slot * MAX_NONZEROS_PER_RECORD..][..lens[slot]];
                     batch.lists.extend(list, (p * FEATURES_PER_RECORD) as u32);
+                    SparseRows::scatter(list, FEATURES_PER_RECORD, &mut batch.targets);
                 }
                 batch.lists.end_row();
                 true
@@ -189,7 +178,7 @@ impl WindowCore {
                     let (newer, older) = held.split_at(slot * width);
                     batch.projections.extend_from_slice(older);
                     batch.projections.extend_from_slice(newer);
-                    batch.targets.extend_from_slice(features);
+                    SparseRows::scatter(nonzeros, FEATURES_PER_RECORD, &mut batch.targets);
                 }
                 lstm.project([nonzeros], &mut held[slot * width..][..width]);
                 batch.projected += 1;
@@ -247,10 +236,9 @@ pub(crate) struct Scorer {
     cores: Vec<WindowCore>,
     by_key: HashMap<u32, usize>,
     free: Vec<usize>,
-    /// This batch's `(global record index, key, release)`s in stream order,
-    /// their features, one flat row each, and their nonzeros, one list each.
+    /// This batch's `(global record index, key, release)`s in stream order
+    /// and their nonzeros, one list each.
     work: Vec<(u64, u32, bool)>,
-    features: Vec<f32>,
     nonzeros: SparseRows,
     /// `(global record index, core slot)` of each window staged this batch,
     /// the windows themselves and, once flushed, their scores.
@@ -279,7 +267,6 @@ impl Scorer {
             by_key: HashMap::new(),
             free: Vec::new(),
             work: Vec::new(),
-            features: Vec::new(),
             nonzeros: SparseRows::default(),
             staged: Vec::new(),
             batch: Batch::default(),
@@ -300,7 +287,7 @@ impl Scorer {
         key: u32,
         release: bool,
     ) {
-        featurizer.append_record(record, &mut self.features, &mut self.nonzeros);
+        featurizer.append_record(record, &mut self.nonzeros);
         self.work.push((index, key, release));
     }
 
@@ -342,8 +329,7 @@ impl Scorer {
             }
             Detector::Lstm => self.batch.projections.reserve(pushed * window * lstm.gate_width()),
         }
-        let records = self.features.chunks_exact(FEATURES_PER_RECORD).zip(self.nonzeros.iter());
-        for ((index, key, release), (row, nonzeros)) in self.work.drain(..).zip(records) {
+        for ((index, key, release), nonzeros) in self.work.drain(..).zip(self.nonzeros.iter()) {
             let slot = *self.by_key.entry(key).or_insert_with(|| {
                 self.metrics.tracked_keys.add(1);
                 self.free.pop().unwrap_or_else(|| {
@@ -351,7 +337,7 @@ impl Scorer {
                     self.cores.len() - 1
                 })
             });
-            if self.cores[slot].stage(row, nonzeros, lstm, &mut self.batch) {
+            if self.cores[slot].stage(nonzeros, lstm, &mut self.batch) {
                 self.staged.push((index, slot));
             }
             // The key is forgotten now — whatever the batching, a later
@@ -363,7 +349,6 @@ impl Scorer {
                 self.released.push(slot);
             }
         }
-        self.features.clear();
         self.nonzeros.clear();
         self.flush(trace);
         let threshold = match detector {
@@ -405,16 +390,19 @@ impl Scorer {
     }
 }
 
-/// Ground truth aligned with the detector's emissions.
+/// Ground truth aligned with the detector's emissions: the one labeling
+/// rule.
 ///
-/// Mirrors [`WindowCore`]'s accounting over the labeled stream: walking
+/// Mirrors the window core's accounting over the labeled stream: walking
 /// records in order, a window completes at record `i` once `key(record)`
 /// has accumulated `span` records ([`Detector::span`]), and it is anomalous
 /// if *any* of the key's last `span` records is attack-labeled — the
-/// paper's labeling rule. A constant key is the global sliding window;
+/// paper's labeling rule. A constant key (`|_| ()`) is the global sliding
+/// window, so it also labels a `WindowedDataset`'s `flat_windows` (span
+/// `window`) and `lstm_pairs` (span `window + 1`) row for row;
 /// `|r| r.du_ue_id` is [`MobiWatch::per_ue`](crate::mobiwatch::MobiWatch::per_ue)'s
 /// per-UE windows.
-pub(crate) fn window_truth<K: Hash + Eq>(
+pub fn window_truth<K: Hash + Eq>(
     stream: &TelemetryStream,
     span: usize,
     key: impl Fn(&UeMobiFlow) -> K,
@@ -441,7 +429,7 @@ mod tests {
     use crate::smo::quick_models;
     use proptest::prelude::*;
     use xsec_attacks::DatasetBuilder;
-    use xsec_dl::{FeatureConfig, Precision};
+    use xsec_dl::Precision;
     use xsec_mobiflow::extract_from_events;
     use xsec_types::AttackKind;
 
@@ -606,18 +594,17 @@ mod tests {
         });
         let stream = crate::scale::drained(&mut engine);
         let mut featurizer = Featurizer::new();
-        let (mut dense, mut lists) = (Vec::new(), SparseRows::default());
+        let mut lists = SparseRows::default();
         for record in &stream.records {
-            featurizer.append_record(record, &mut dense, &mut lists);
+            featurizer.append_record(record, &mut lists);
         }
         assert_eq!(lists.rows(), stream.records.len());
         let mut active = [0usize; FEATURES_PER_RECORD];
-        let rows = dense.chunks_exact(FEATURES_PER_RECORD);
-        for (r, (row, list)) in rows.zip(lists.iter()).enumerate() {
-            let nonzero = row.iter().enumerate().filter(|(_, v)| **v != 0.0);
-            let scanned: Vec<(u32, f32)> = nonzero.map(|(k, &v)| (k as u32, v)).collect();
-            assert_eq!(list, scanned, "record {r}");
+        for (r, list) in lists.iter().enumerate() {
             assert!(list.len() <= MAX_NONZEROS_PER_RECORD, "record {r}: {} nonzeros", list.len());
+            assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "record {r}: {list:?}");
+            let inside = |&(k, v): &(u32, f32)| (k as usize) < FEATURES_PER_RECORD && v != 0.0;
+            assert!(list.iter().all(inside), "record {r}: {list:?}");
             list.iter().for_each(|&(k, _)| active[k as usize] += 1);
         }
         // TMSI reuse, setup burst, incomplete connections, release burst.
@@ -663,26 +650,26 @@ mod tests {
         use xsec_proto::MessageKind;
         let models = quick_models(50);
         let ds = DatasetBuilder::small(51, 24).attack(AttackKind::BtsDos);
-        let records = extract_from_events(&ds.report.events).records;
+        let stream = extract_from_events(&ds.report.events);
+        let records = &stream.records;
         let window = models.feature_config.window;
 
-        // Each UE's windows in stream order, from the rows the live
-        // featurizer writes, forgetting a UE at its release.
-        let mut featurizer = Featurizer::new();
-        let (mut dense, mut lists) = (Vec::new(), SparseRows::default());
-        let row = |dense: &[f32], r: usize| {
+        // Each UE's windows in stream order, from the dataset's rows (the
+        // featurizer runs over the whole stream, as MobiWatch's does),
+        // forgetting a UE at its release.
+        let dense = Featurizer::encode_stream(&models.feature_config, &stream).record_features;
+        let row = |r: usize| {
             Matrix::row(dense[r * FEATURES_PER_RECORD..][..FEATURES_PER_RECORD].to_vec())
         };
         let mut open: HashMap<u32, Vec<usize>> = HashMap::new();
         let (mut windows, mut nexts, mut at) = (Vec::new(), Vec::new(), Vec::new());
         for (i, record) in records.iter().enumerate() {
-            featurizer.append_record(record, &mut dense, &mut lists);
             let seen = open.entry(record.du_ue_id).or_default();
             if seen.len() >= window {
                 let steps: Vec<Matrix> =
-                    seen[seen.len() - window..].iter().map(|&r| row(&dense, r)).collect();
+                    seen[seen.len() - window..].iter().map(|&r| row(r)).collect();
                 windows.push(Matrix::stack_rows(&steps));
-                nexts.push(row(&dense, i));
+                nexts.push(row(i));
                 at.push(i as u64);
             }
             seen.push(i);
@@ -807,15 +794,47 @@ mod tests {
     }
 
     #[test]
-    fn constant_key_truth_is_the_featurizers_window_labels() {
-        let ds = DatasetBuilder::small(43, 8).attack(AttackKind::BtsDos);
-        let stream = extract_from_events(&ds.report.events);
-        assert!(stream.attack_count() > 0, "stream must carry attack labels");
-        for window in [1, 4, 7] {
-            let dataset = Featurizer::encode_stream(&FeatureConfig { window }, &stream);
-            let global = |detector: Detector| window_truth(&stream, detector.span(window), |_| ());
-            assert_eq!(global(Detector::Autoencoder), dataset.window_labels());
-            assert_eq!(global(Detector::Lstm), dataset.lstm_labels());
+    fn window_truth_follows_the_paper_rule() {
+        use xsec_types::TrafficClass;
+        // Record 3 is malicious → every window containing it is malicious.
+        let mut labels = vec![TrafficClass::Benign; 6];
+        labels[3] = TrafficClass::Attack(AttackKind::BtsDos);
+        let stream = TelemetryStream { records: longest_session()[..6].to_vec(), labels };
+        let truth = |span| window_truth(&stream, span, |_| ());
+        // The autoencoder's windows of 2, then the LSTM's pairs: a window
+        // of 2 and the step it predicts.
+        assert_eq!(truth(Detector::Autoencoder.span(2)), [false, false, true, true, false]);
+        assert_eq!(truth(Detector::Lstm.span(2)), [false, true, true, true]);
+        assert!(truth(7).is_empty(), "a stream shorter than the span completes no window");
+    }
+
+    #[test]
+    fn an_autoencoder_key_holds_only_its_lists() {
+        // Every buffer a key holds, by its allocation: the nonzero slots
+        // and their lengths, `window × (12 × 8 + 8)` bytes, before and
+        // after it has staged windows.
+        fn held_bytes(core: &WindowCore) -> usize {
+            let Held::Records { nonzeros, lens } = &core.held else {
+                panic!("not an autoencoder key")
+            };
+            nonzeros.capacity() * std::mem::size_of::<(u32, f32)>()
+                + lens.capacity() * std::mem::size_of::<usize>()
+        }
+        let models = quick_models(52);
+        let mut lists = SparseRows::default();
+        let mut featurizer = Featurizer::new();
+        for record in &longest_session() {
+            featurizer.append_record(record, &mut lists);
+        }
+        for (window, want) in [(1, 104), (4, 416), (7, 728)] {
+            let mut core = WindowCore::new(Detector::Autoencoder, window, &models.lstm);
+            assert_eq!(held_bytes(&core), want, "window {window}, fresh");
+            let mut batch = Batch::default();
+            let staged =
+                lists.iter().filter(|list| core.stage(list, &models.lstm, &mut batch)).count();
+            assert_eq!(staged, lists.rows() + 1 - window);
+            core.reset();
+            assert_eq!(held_bytes(&core), want, "window {window}, after {staged} windows");
         }
     }
 }

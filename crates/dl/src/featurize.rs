@@ -122,24 +122,18 @@ impl Featurizer {
         Featurizer::default()
     }
 
-    /// The one featurize entry: encodes one record onto the end of a
-    /// caller-owned buffer, updating relational state, so a stream of
-    /// records becomes one flat row-major block — and appends the record's
-    /// nonzeros to `nonzeros` as one row, in ascending feature order, as it
-    /// writes them. With warm buffers this is the allocation-free path the
-    /// online detectors use.
-    pub fn append_record(&mut self, r: &UeMobiFlow, v: &mut Vec<f32>, nonzeros: &mut SparseRows) {
-        let start = v.len();
-        v.resize(start + FEATURES_PER_RECORD, 0.0);
+    /// The one featurize entry: encodes one record, updating relational
+    /// state, as one row of `nonzeros` — its `(feature, value)` nonzeros in
+    /// ascending feature order. Every other feature is zero. With a warm
+    /// buffer this is the allocation-free path the online detectors use.
+    pub fn append_record(&mut self, r: &UeMobiFlow, nonzeros: &mut SparseRows) {
         nonzeros.reserve(1, MAX_NONZEROS_PER_RECORD);
-        let row = &mut v[start..];
         // Each block of the table in order: `put(width, slot, value)` sets
         // slot `slot` of the next `width` features, so the list ascends.
         let mut at = 0;
         let mut put = |width: usize, slot: usize, value: f32| {
             debug_assert!(slot < width, "slot {slot} of a {width}-wide block");
             if value != 0.0 {
-                row[at + slot] = value;
                 nonzeros.push((at + slot) as u32, value);
             }
             at += width;
@@ -259,7 +253,8 @@ impl Featurizer {
         // the nonzeros themselves.
         let mut nonzeros = SparseRows::default();
         for r in &stream.records {
-            enc.append_record(r, &mut record_features, &mut nonzeros);
+            enc.append_record(r, &mut nonzeros);
+            SparseRows::scatter(nonzeros.row(0), FEATURES_PER_RECORD, &mut record_features);
             nonzeros.clear();
         }
         let attack_kinds: Vec<Option<AttackKind>> =
@@ -272,7 +267,7 @@ impl Featurizer {
 #[derive(Debug, Clone)]
 pub struct WindowedDataset {
     /// Every record's [`FEATURES_PER_RECORD`] features, back to back in
-    /// stream order (filled by [`Featurizer::append_record`]).
+    /// stream order ([`Featurizer::append_record`]'s lists, scattered).
     pub record_features: Vec<f32>,
     /// Per-record ground-truth attack kind (None = benign).
     attack_kinds: Vec<Option<AttackKind>>,
@@ -311,14 +306,6 @@ impl WindowedDataset {
         Matrix::from_vec(n, width, data)
     }
 
-    /// Ground-truth label per autoencoder window: anomalous if *any* member
-    /// record is attack-labeled (the paper's labeling rule).
-    pub fn window_labels(&self) -> Vec<bool> {
-        (0..self.num_windows())
-            .map(|i| self.attack_kinds[i..i + self.window].iter().any(Option::is_some))
-            .collect()
-    }
-
     /// Dominant attack kind per window (first attack label found), for
     /// per-attack grouping in Figure 4.
     pub fn window_attack_kinds(&self) -> Vec<Option<AttackKind>> {
@@ -338,18 +325,6 @@ impl WindowedDataset {
             })
             .unzip()
     }
-
-    /// Ground-truth label per LSTM pair: anomalous if any of
-    /// `x_i .. x_{i+N}` (window plus the predicted step) is attack-labeled.
-    pub fn lstm_labels(&self) -> Vec<bool> {
-        let m = self.records();
-        if m <= self.window {
-            return Vec::new();
-        }
-        (0..m - self.window)
-            .map(|i| self.attack_kinds[i..=i + self.window].iter().any(Option::is_some))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -357,7 +332,7 @@ mod tests {
     use super::*;
     use xsec_mobiflow::UeMobiFlow;
     use xsec_proto::Direction;
-    use xsec_types::{CellId, CipherAlg, Rnti, TrafficClass};
+    use xsec_types::{CellId, CipherAlg, ReleaseCause, Rnti, TrafficClass};
 
     fn record(msg_id: u64, ts: u64, conn: u32, tmsi: Option<u32>) -> UeMobiFlow {
         UeMobiFlow {
@@ -377,16 +352,13 @@ mod tests {
         }
     }
 
-    /// One record's features on their own.
+    /// One record's features on their own, as a dense row.
     fn encode(enc: &mut Featurizer, r: &UeMobiFlow) -> Vec<f32> {
+        let mut list = SparseRows::default();
+        enc.append_record(r, &mut list);
         let mut v = Vec::new();
-        enc.append_record(r, &mut v, &mut SparseRows::default());
+        SparseRows::scatter(list.row(0), FEATURES_PER_RECORD, &mut v);
         v
-    }
-
-    /// `row`'s nonzeros as `(index, value)`, by a plain scan.
-    fn nonzeros_of(row: &[f32]) -> Vec<(u32, f32)> {
-        row.iter().enumerate().filter(|(_, v)| **v != 0.0).map(|(i, &v)| (i as u32, v)).collect()
     }
 
     fn stream(records: Vec<UeMobiFlow>) -> TelemetryStream {
@@ -396,33 +368,36 @@ mod tests {
 
     #[test]
     fn feature_width_is_declared_width() {
-        let mut enc = Featurizer::new();
-        let v = encode(&mut enc, &record(0, 0, 1, None));
-        assert_eq!(v.len(), FEATURES_PER_RECORD);
+        // The last block's last slot is the last feature.
+        let mut r = record(0, 0, 1, None);
+        r.release_cause = Some(ReleaseCause::Congestion);
+        let mut list = SparseRows::default();
+        Featurizer::new().append_record(&r, &mut list);
+        assert_eq!(list.row(0).last(), Some(&(FEATURES_PER_RECORD as u32 - 1, NULL_ALG_WEIGHT)));
     }
 
     #[test]
     fn append_record_builds_flat_rows_and_reuses_the_buffer() {
-        let mut enc_a = Featurizer::new();
-        let mut enc_b = Featurizer::new();
-        let (mut flat, mut lists) = (Vec::new(), SparseRows::default());
+        // One list per record, back to back: strictly ascending columns
+        // inside the width, no zero listed, at most one per feature block.
+        let mut enc = Featurizer::new();
+        let mut lists = SparseRows::default();
         for i in 0..40usize {
             let mut r = record(i as u64, i as u64 * 700, (i % 3) as u32, Some((i % 5) as u32));
             if i % 4 == 0 {
                 r.cipher_alg = Some(CipherAlg::Nea0);
             }
-            let fresh = encode(&mut enc_a, &r);
-            enc_b.append_record(&r, &mut flat, &mut lists);
-            assert_eq!(flat.len(), (i + 1) * FEATURES_PER_RECORD);
-            assert_eq!(fresh, flat[i * FEATURES_PER_RECORD..], "record {i} diverged");
+            enc.append_record(&r, &mut lists);
             assert_eq!(lists.rows(), i + 1);
-            assert_eq!(lists.row(i), nonzeros_of(&fresh), "record {i}'s list");
+            let list = lists.row(i);
+            assert!(list.len() <= MAX_NONZEROS_PER_RECORD, "record {i}: {list:?}");
+            assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "record {i} does not ascend");
+            assert!(list.iter().all(|&(k, v)| (k as usize) < FEATURES_PER_RECORD && v != 0.0));
         }
-        let caps = (flat.capacity(), lists.capacity());
-        flat.clear();
+        let caps = lists.capacity();
         lists.clear();
-        enc_b.append_record(&record(99, 99_000, 1, None), &mut flat, &mut lists);
-        assert_eq!((flat.capacity(), lists.capacity()), caps, "warm buffers must not reallocate");
+        enc.append_record(&record(99, 99_000, 1, None), &mut lists);
+        assert_eq!(lists.capacity(), caps, "a warm buffer must not reallocate");
     }
 
     #[test]
@@ -517,13 +492,10 @@ mod tests {
         // Record 3 is malicious → windows containing index 3 are malicious.
         s.labels[3] = TrafficClass::Attack(AttackKind::BtsDos);
         let ds = Featurizer::encode_stream(&FeatureConfig { window: 2 }, &s);
-        assert_eq!(ds.window_labels(), vec![false, false, true, true, false]);
         assert_eq!(
             ds.window_attack_kinds(),
             vec![None, None, Some(AttackKind::BtsDos), Some(AttackKind::BtsDos), None]
         );
-        // LSTM pairs include the predicted step in the label span.
-        assert_eq!(ds.lstm_labels(), vec![false, true, true, true]);
     }
 
     #[test]
@@ -533,6 +505,6 @@ mod tests {
         assert_eq!(ds.num_windows(), 0);
         let (w, n) = ds.lstm_pairs();
         assert!(w.is_empty() && n.is_empty());
-        assert!(ds.lstm_labels().is_empty());
+        assert!(ds.window_attack_kinds().is_empty());
     }
 }

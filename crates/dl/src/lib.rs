@@ -18,14 +18,14 @@
 //! * [`metrics`] — accuracy/precision/recall/F1 and the 99th-percentile
 //!   thresholding rule the paper uses;
 //! * [`Workspace`] — reusable scratch buffers making steady-state inference
-//!   allocation-free, and [`FeatureRing`] — the flat per-stream window ring
-//!   the online detectors score from without rebuilding windows;
+//!   allocation-free;
 //! * [`kernels`] — the products everything above runs on: a register-tiled
 //!   wide-lane GEMM in safe Rust and its sparse-row twins.
 //!
 //! Each learning stage has one entry. [`Featurizer::append_record`]
-//! featurizes onto a flat buffer and lists each record's nonzeros as it
-//! writes them; [`Dense::forward_into`] is the one layer
+//! featurizes a record as the list of its nonzeros, the one form a record
+//! takes (dense rows are those lists scattered, [`SparseRows::scatter`]);
+//! [`Dense::forward_into`] is the one layer
 //! pass, for training and inference alike; each model scores through its
 //! `score_spans`, and `score_rows` / `score_batch` are the one convenience
 //! wrapper over it. The live LSTM enters the same pass through
@@ -45,7 +45,6 @@ mod featurize;
 pub mod kernels;
 mod lstm;
 pub mod metrics;
-mod ring;
 mod tensor;
 mod workspace;
 
@@ -56,7 +55,6 @@ pub use featurize::{
 };
 pub use lstm::{Lstm, LstmConfig};
 pub use metrics::{percentile, Confusion, Threshold};
-pub use ring::FeatureRing;
 pub use tensor::{Matrix, SparseRows};
 pub use workspace::Workspace;
 

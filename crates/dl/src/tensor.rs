@@ -324,6 +324,18 @@ impl SparseRows {
         }
     }
 
+    /// Appends `row` to `out` as a dense `width`-wide row: zeros, with each
+    /// listed value at its column — the inverse of [`SparseRows::push_dense`]
+    /// for a row that lists no zero.
+    pub fn scatter(row: &[(u32, f32)], width: usize, out: &mut Vec<f32>) {
+        let start = out.len();
+        out.resize(start + width, 0.0);
+        let dense = &mut out[start..];
+        for &(column, value) in row {
+            dense[column as usize] = value;
+        }
+    }
+
     /// Allocated slots in both buffers: moves only when one of them grew.
     pub(crate) fn capacity(&self) -> usize {
         self.ends.capacity() + self.entries.capacity()
@@ -469,5 +481,19 @@ mod tests {
         let stacked = Matrix::stack_rows(&[x.clone(), x.clone()]);
         assert_eq!(stacked.rows(), 2);
         assert_eq!(stacked.row_slice(1), &[3.0, 4.0]);
+    }
+
+    #[test]
+    fn scatter_undoes_push_dense() {
+        let dense = [0.0, 2.5, -0.0, 0.0, -1.0, 3.0, 0.0, 0.0, 0.0];
+        let mut lists = SparseRows::default();
+        lists.push_dense([&dense[..]], 3);
+        assert_eq!(lists.row(1), &[(1, -1.0), (2, 3.0)]);
+        let mut out = vec![7.0];
+        lists.iter().for_each(|row| SparseRows::scatter(row, 3, &mut out));
+        // `-0.0` is not listed, so it comes back as `+0.0`.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want = [7.0, 0.0, 2.5, 0.0, 0.0, -1.0, 3.0, 0.0, 0.0, 0.0];
+        assert_eq!(bits(&out), bits(&want));
     }
 }

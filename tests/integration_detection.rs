@@ -3,6 +3,7 @@
 //! properties behind Table 2 and Figure 4.
 
 use sixg_xsec::smo::{Smo, TrainingConfig};
+use sixg_xsec::{window_truth, Detector};
 use xsec_attacks::DatasetBuilder;
 use xsec_dl::{FeatureConfig, Featurizer, Workspace, FEATURES_PER_RECORD};
 use xsec_mobiflow::extract_from_events;
@@ -51,7 +52,7 @@ fn trained_models_separate_every_attack_dataset() {
         let stream = extract_from_events(&ds.report.events);
         let dataset = Featurizer::encode_stream(&config, &stream);
         let flat = dataset.flat_windows();
-        let truth = dataset.window_labels();
+        let truth = window_truth(&stream, Detector::Autoencoder.span(config.window), |_| ());
         let scores = models.autoencoder.score_rows(&flat, &mut ws);
 
         // Attack windows score higher than benign windows on average...
@@ -94,7 +95,7 @@ fn lstm_detects_the_content_level_attacks() {
         let stream = extract_from_events(&ds.report.events);
         let dataset = Featurizer::encode_stream(&config, &stream);
         let (windows, nexts) = dataset.lstm_pairs();
-        let truth = dataset.lstm_labels();
+        let truth = window_truth(&stream, Detector::Lstm.span(config.window), |_| ());
         let scores = models.lstm.score_batch(&windows, &nexts, &mut ws);
         let detected = scores
             .iter()
