@@ -89,6 +89,33 @@ pub fn attack_simulator(kind: AttackKind, scenario: &ScenarioConfig) -> RanSimul
     sim
 }
 
+/// When [`sustained_flood_simulator`]'s flood starts.
+pub const SUSTAINED_FLOOD_START: Timestamp = Timestamp(700_000);
+
+/// The gap between two of [`sustained_flood_simulator`]'s connections.
+pub const SUSTAINED_FLOOD_GAP: Duration = Duration::from_millis(30);
+
+/// The closed-loop runs' scenario: `sessions` benign sessions at `seed`
+/// over 14 s, plus a *sustained* BTS DoS flood of `connections` connections
+/// from [`SUSTAINED_FLOOD_START`], [`SUSTAINED_FLOOD_GAP`] apart (attacker
+/// MSIN 999 000). At 300 connections that is ~9 s of attempts, long enough
+/// for a detect → decide → enforce loop to cut it short, unlike the short
+/// burst [`attack_simulator`] mounts.
+pub fn sustained_flood_simulator(seed: u64, sessions: usize, connections: u32) -> RanSimulator {
+    let mut scenario = DatasetBuilder::small(seed, sessions).scenario;
+    scenario.sim.horizon = Duration::from_secs(14);
+    let mut sim = Scenario::new(scenario).build();
+    let msin = 999_000;
+    sim.add_subscriber(SubscriberRecord { supi: Supi::new(Plmn::TEST, msin), key: 0x666 });
+    let flood = BtsDosUe::new(BtsDosConfig {
+        connections,
+        inter_connection: SUSTAINED_FLOOD_GAP,
+        attacker_msin: msin,
+    });
+    sim.add_ue(Box::new(flood), TrafficClass::Attack(AttackKind::BtsDos), SUSTAINED_FLOOD_START);
+    sim
+}
+
 /// The dataset-collection recipe: one benign run plus one run per attack.
 #[derive(Debug, Clone)]
 pub struct DatasetBuilder {

@@ -38,7 +38,10 @@ mod wrap;
 
 pub use blind_dos::{BlindDosUe, TmsiSniffer};
 pub use bts_dos::{BtsDosConfig, BtsDosUe};
-pub use dataset::{attack_simulator, AttackDataset, DatasetBuilder};
+pub use dataset::{
+    attack_simulator, sustained_flood_simulator, AttackDataset, DatasetBuilder,
+    SUSTAINED_FLOOD_GAP, SUSTAINED_FLOOD_START,
+};
 pub use id_extraction::{DownlinkIdExtractor, UplinkIdExtractor};
 pub use migrate::{MigrateConfig, MigrationSchedule};
 pub use null_cipher::NullCipherMitm;

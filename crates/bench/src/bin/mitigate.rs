@@ -5,35 +5,11 @@
 
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
 use sixg_xsec::scale::{LiveSim, ScaleDeployment, ScaleOutcome};
-use xsec_attacks::{attack_simulator, BtsDosConfig, BtsDosUe};
+use xsec_attacks::{attack_simulator, sustained_flood_simulator, DatasetBuilder};
 use xsec_control::default_rules;
-use xsec_ran::amf::SubscriberRecord;
-use xsec_ran::scenario::{Scenario, ScenarioConfig};
-use xsec_ran::sim::{RanSimulator, SimReport};
+use xsec_ran::sim::SimReport;
 use xsec_ric::LatencyClass;
-use xsec_types::{AttackKind, Duration, Plmn, Supi, Timestamp, TrafficClass};
-
-fn scenario(seed: u64, sessions: usize, horizon: Duration) -> ScenarioConfig {
-    let mut scenario = ScenarioConfig::default();
-    scenario.sim.seed = seed;
-    scenario.benign_sessions = sessions;
-    scenario.sim.horizon = horizon;
-    scenario
-}
-
-fn flood_sim(seed: u64, sessions: usize, connections: u32) -> RanSimulator {
-    let cfg = scenario(seed, sessions, Duration::from_secs(14));
-    let mut sim = Scenario::new(cfg).build();
-    let msin = 999_000;
-    sim.add_subscriber(SubscriberRecord { supi: Supi::new(Plmn::TEST, msin), key: 0x666 });
-    let flood = BtsDosUe::new(BtsDosConfig {
-        connections,
-        inter_connection: Duration::from_millis(30),
-        attacker_msin: msin,
-    });
-    sim.add_ue(Box::new(flood), TrafficClass::Attack(AttackKind::BtsDos), Timestamp(700_000));
-    sim
-}
+use xsec_types::{AttackKind, Duration};
 
 fn render(name: &str, baseline_attack: usize, outcome: &ScaleOutcome, report: &SimReport) -> String {
     let snap = &outcome.metrics;
@@ -95,14 +71,14 @@ fn main() {
     let mut text = String::from("Closed-loop mitigation: detection -> E2 Control -> enforcement\n\n");
 
     eprintln!("mitigate: closed loop: BTS DoS flood ...");
-    let baseline = flood_sim(31, sessions, connections).run();
+    let baseline = sustained_flood_simulator(31, sessions, connections).run();
     // Runtime rule install over A1: before the flood starts, the SMO hook
     // stretches the BTS DoS playbook's TTL from 10 s to 12 s on the live
     // mitigator — the enforced actions below carry the swapped TTL.
     let mut d = ScaleDeployment::new(&pipeline, 1);
     let a1 = d.a1_client();
     let mut swapped = false;
-    let mut ran = LiveSim::new(flood_sim(31, sessions, connections), |_, _| {
+    let mut ran = LiveSim::new(sustained_flood_simulator(31, sessions, connections), |_, _| {
         if !swapped {
             swapped = true;
             let mut rule = default_rules()
@@ -123,7 +99,8 @@ fn main() {
     ));
 
     eprintln!("mitigate: closed loop: null cipher ...");
-    let cfg = scenario(33, sessions, Duration::from_secs(20));
+    let mut cfg = DatasetBuilder::small(33, sessions).scenario;
+    cfg.sim.horizon = Duration::from_secs(20);
     let baseline = attack_simulator(AttackKind::NullCipher, &cfg).run();
     let mut ran = LiveSim::new(attack_simulator(AttackKind::NullCipher, &cfg), |_, _| {});
     text.push('\n');

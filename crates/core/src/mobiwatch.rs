@@ -37,7 +37,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use xsec_dl::{Featurizer, Precision};
 use xsec_mobiflow::{encode_ue_record, UeMobiFlow};
-use xsec_obs::{FlightEvent, FlightRecorder, FlightRing, Obs, TraceStage};
+use xsec_obs::{FlightEvent, FlightRecorder, Obs, TraceStage};
 use xsec_proto::MessageKind;
 use xsec_ric::{XApp, XAppContext};
 use xsec_types::{Duration, Timestamp};
@@ -228,7 +228,6 @@ pub struct MobiWatch {
     tail: VecDeque<UeMobiFlow>,
     state: Arc<Mutex<MobiWatchState>>,
     recorder: FlightRecorder,
-    flight: FlightRing,
     /// What every shard is built from: one read-only copy of the models,
     /// the config and the instruments.
     models: Arc<DeployedModels>,
@@ -282,14 +281,12 @@ impl MobiWatch {
     ) -> (Self, Arc<Mutex<MobiWatchState>>) {
         assert!(shards > 0, "shard count must be positive");
         let state = Arc::new(Mutex::new(MobiWatchState::default()));
-        let recorder = FlightRecorder::new();
         let mut watch = MobiWatch {
             featurizer: Featurizer::new(),
             seen: 0,
             tail: VecDeque::new(),
             state: state.clone(),
-            flight: recorder.ring(),
-            recorder,
+            recorder: FlightRecorder::new(),
             models: Arc::new(models),
             metrics: WatchMetrics::register(&Obs::new(), config.detector),
             config,
@@ -309,7 +306,6 @@ impl MobiWatch {
     pub fn attach_obs(&mut self, obs: &Obs) {
         self.metrics = WatchMetrics::register(obs, self.config.detector);
         self.recorder = obs.recorder.clone();
-        self.flight = self.recorder.ring();
         self.park_fresh_shards();
     }
 
@@ -462,13 +458,14 @@ impl MobiWatch {
     /// Walks one batch in stream order (`first` = its first record's global
     /// index), draining the verdicts of the windows its records completed.
     /// Each record joins the alert-context tail, then its verdict is logged:
-    /// the inference span, the `(index, score, flagged)` row, and — when the
-    /// verdict is a candidate that opens or escalates an incident — the
-    /// alert with the stream's trailing window + context *as of that record*
-    /// attached, its trace frozen as an incident. A candidate merged into an
-    /// open incident builds nothing and is only counted. Shards can't build
-    /// the context (each sees only its own keys), and a per-UE context would
-    /// hide stream-level signatures like a storm of one-shot connections.
+    /// the `(index, score, flagged)` row, and — when the verdict is a
+    /// candidate that opens or escalates an incident — the alert with the
+    /// stream's trailing window + context *as of that record* attached, and
+    /// its trace's incident opened with the record's ingest, inference and
+    /// alert spans. A candidate merged into an open incident builds nothing
+    /// and is only counted. Shards can't build the context (each sees only
+    /// its own keys), and a per-UE context would hide stream-level
+    /// signatures like a storm of one-shot connections.
     /// The alerts are returned, not yet in the shared state: the caller
     /// [`Self::file`]s them.
     fn emit(&mut self, records: &[UeMobiFlow], first: u64) -> Vec<AnomalyAlert> {
@@ -484,15 +481,6 @@ impl MobiWatch {
             let Some((_, verdict)) = verdicts.next_if(|(scored, _)| *scored == index) else {
                 continue;
             };
-            let trace = self.recorder.trace_for(record.msg_id);
-            let span = |stage| FlightEvent {
-                trace,
-                stage,
-                at_us: record.timestamp.as_micros(),
-                a: u64::from(verdict.score.to_bits()),
-                b: u64::from(verdict.threshold.to_bits()),
-            };
-            self.flight.record(span(TraceStage::Inference));
             state.scores.push((index, verdict.score, verdict.flagged));
             if !verdict.publish {
                 continue;
@@ -503,6 +491,7 @@ impl MobiWatch {
                 self.metrics.alerts_merged.inc();
                 continue;
             }
+            let trace = self.recorder.trace_for(record.msg_id);
             let alert = AnomalyAlert {
                 trace,
                 at_record: index,
@@ -511,10 +500,19 @@ impl MobiWatch {
                 threshold: verdict.threshold,
                 records: self.tail.iter().map(encode_ue_record).collect(),
             };
-            // A detection fired: freeze this trace's causal slice and append
-            // the alert span to it.
+            // A detection fired: open this trace's incident with the
+            // record's ingest, its inference and the alert.
             self.recorder.mark_incident(trace);
-            self.recorder.record_stage(span(TraceStage::Alert));
+            let at_us = record.timestamp.as_micros();
+            let (score, threshold) =
+                (u64::from(verdict.score.to_bits()), u64::from(verdict.threshold.to_bits()));
+            for (stage, a, b) in [
+                (TraceStage::Ingest, u64::from(record.du_ue_id), record.msg_id),
+                (TraceStage::Inference, score, threshold),
+                (TraceStage::Alert, score, threshold),
+            ] {
+                self.recorder.record_stage(FlightEvent { trace, stage, at_us, a, b });
+            }
             self.metrics.alerts.inc();
             alerts.push(alert);
         }

@@ -12,7 +12,7 @@ use crate::e2sm::{KpmIndication, RAN_FUNCTION_MOBIFLOW};
 use crate::transport::{E2Transport, SendOutcome};
 use std::collections::BTreeMap;
 use xsec_mobiflow::UeMobiFlow;
-use xsec_obs::{Counter, FlightEvent, FlightRecorder, FlightRing, Obs, TraceStage};
+use xsec_obs::{Counter, FlightRecorder, Obs};
 use xsec_types::{CellId, Duration, GnbId, Result, Timestamp};
 
 /// Agent identity/configuration.
@@ -79,7 +79,6 @@ pub struct RicAgent<T: E2Transport> {
     /// The causal flight recorder: every pushed record opens a trace here
     /// (keyed by `msg_id`), which downstream stages recover and extend.
     recorder: FlightRecorder,
-    ring: FlightRing,
 }
 
 impl<T: E2Transport> RicAgent<T> {
@@ -92,8 +91,6 @@ impl<T: E2Transport> RicAgent<T> {
             cells: vec![config.cell],
         };
         transport.send(&setup.encode())?;
-        let recorder = FlightRecorder::new();
-        let ring = recorder.ring();
         Ok(RicAgent {
             config,
             transport,
@@ -103,8 +100,7 @@ impl<T: E2Transport> RicAgent<T> {
             frame: Vec::new(),
             control_inbox: Vec::new(),
             metrics: AgentMetrics::register(&Obs::new()),
-            recorder,
-            ring,
+            recorder: FlightRecorder::new(),
         })
     }
 
@@ -121,7 +117,6 @@ impl<T: E2Transport> RicAgent<T> {
         metrics.setups_refused.add(self.metrics.setups_refused.get());
         self.metrics = metrics;
         self.recorder = obs.recorder.clone();
-        self.ring = self.recorder.ring();
     }
 
     /// Whether the RIC accepted our function.
@@ -157,18 +152,11 @@ impl<T: E2Transport> RicAgent<T> {
     }
 
     /// The CU instrumentation hook: one record per observed message. Each
-    /// record roots a causal trace (keyed by its `msg_id`) and logs the
-    /// ingest span into the flight recorder.
+    /// record roots a causal trace in the flight recorder, keyed by its
+    /// `msg_id`; the detector records its ingest span if it fires.
     pub fn push_record(&mut self, record: UeMobiFlow) {
         self.metrics.records_pushed.inc();
-        let trace = self.recorder.begin_trace(record.msg_id);
-        self.ring.record(FlightEvent {
-            trace,
-            stage: TraceStage::Ingest,
-            at_us: record.timestamp.as_micros(),
-            a: u64::from(record.du_ue_id),
-            b: record.msg_id,
-        });
+        self.recorder.begin_trace(record.msg_id);
         self.log.push(record);
     }
 

@@ -1,27 +1,23 @@
-//! The flight recorder: causal trace contexts plus always-on bounded event
-//! rings that turn a detection into a replayable incident file.
+//! The flight recorder: causal trace contexts plus a bounded incident store
+//! that turns a detection into a replayable incident file.
 //!
 //! Every MobiFlow record admitted at the E2 agent gets a **trace id** from a
 //! counter-based generator — no wall clock, no randomness — so two replays
 //! of the same seeded scenario allocate identical ids. The id rides the
 //! record through featurize → inference → alert → analyzer verdict → policy
 //! decision → Control Request (as an optional TLV) → gNB enforcement → ack,
-//! and each stage drops a fixed-size [`FlightEvent`] into a bounded ring.
+//! and each stage of a detection drops a fixed-size [`FlightEvent`] into its
+//! incident.
 //!
-//! Recording is two-tier so the hot path stays cheap:
-//!
-//! * **Hot stages** ([`TraceStage::Ingest`], [`TraceStage::Inference`])
-//!   write into fixed-capacity [`FlightRing`]s — one short mutex-guarded
-//!   array write per event, steady-state zero allocation, oldest events
-//!   overwritten on wrap.
-//! * **Incident stages** (everything from the alert on) only exist for
-//!   detections, so they append straight to the bounded incident store.
-//!
-//! When a detection fires, [`FlightRecorder::mark_incident`] snapshots the
-//! causal slice for that trace id out of every ring into an [`Incident`];
-//! later stages extend it via [`FlightRecorder::record_stage`]. Incidents
-//! export as a JSONL decision trace ([`FlightRecorder::incidents_jsonl`])
-//! and a Chrome/Perfetto `trace.json`
+//! The recorder is one store: the trace slot map (`msg_id` → trace id), the
+//! incidents and the authorization denials. Nothing is recorded per record
+//! beyond the slot write. When a detection fires, the detector opens the
+//! trace's incident ([`FlightRecorder::mark_incident`]) and records the
+//! record's own ingest, inference and alert events from the record and
+//! verdict it holds; later stages extend the incident via
+//! [`FlightRecorder::record_stage`]. An event whose trace has no open
+//! incident is dropped. Incidents export as a JSONL decision trace
+//! ([`FlightRecorder::incidents_jsonl`]) and a Chrome/Perfetto `trace.json`
 //! ([`FlightRecorder::perfetto_json`]); both order-normalize events by
 //! `(trace, time, stage)` so the export is invariant to how many scoring
 //! shards raced to produce it.
@@ -34,11 +30,6 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Capacity of each per-thread event ring. Sized to hold several ingest
-/// buckets' worth of hot-path events, so a detection fired at batch-merge
-/// time still finds its ingest/inference events un-overwritten.
-const FLIGHT_RING_CAPACITY: usize = 4096;
 
 /// Capacity of the bounded msg-id → trace-id slot map.
 const TRACE_SLOTS: usize = 16_384;
@@ -54,7 +45,8 @@ const MAX_DENIALS: usize = 256;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum TraceStage {
-    /// Record admitted at the E2 agent (`a` = DU UE id, `b` = msg id).
+    /// The record that fired, as the E2 agent admitted it (`a` = DU UE id,
+    /// `b` = msg id); recorded when its alert opens the incident.
     Ingest = 0,
     /// Model scored the record (`a` = score bits, `b` = threshold bits).
     Inference = 1,
@@ -145,46 +137,19 @@ impl FlightEvent {
     }
 }
 
-#[derive(Debug, Default)]
-struct RingBuf {
-    events: Vec<FlightEvent>,
-    next: usize,
-}
-
-impl RingBuf {
-    fn push(&mut self, event: FlightEvent) {
-        if self.events.len() < FLIGHT_RING_CAPACITY {
-            self.events.push(event);
-        } else {
-            self.events[self.next] = event;
-        }
-        self.next = (self.next + 1) % FLIGHT_RING_CAPACITY;
-    }
-}
-
-/// A handle onto one bounded event ring. Components that record hot-path
-/// stages acquire one via [`FlightRecorder::ring`] (typically one per
-/// recording thread) and push through it; pushing is a single short lock
-/// over a fixed-size buffer and allocates nothing in steady state.
-#[derive(Debug, Clone, Default)]
+/// What the frozen `benchmark/` probe records through: a handle whose
+/// [`FlightRing::record`] is [`FlightRecorder::record_stage`]. The recorder
+/// keeps no ring; kept, like `RicPlatform::harden`, until a benchmark-only
+/// PR stops naming it. Product code calls `record_stage`.
+#[derive(Debug, Clone)]
 pub struct FlightRing {
-    buf: Arc<Mutex<RingBuf>>,
+    recorder: FlightRecorder,
 }
 
 impl FlightRing {
-    /// Records one hot-path event. Untraced events (`trace == 0`: the
-    /// record's trace was evicted from the slot map, or it was never
-    /// ingested) are skipped.
+    /// [`FlightRecorder::record_stage`].
     pub fn record(&self, event: FlightEvent) {
-        if event.trace == 0 {
-            return;
-        }
-        self.buf.lock().expect("flight ring poisoned").push(event);
-    }
-
-    fn snapshot_trace(&self, trace: u64, out: &mut Vec<FlightEvent>) {
-        let buf = self.buf.lock().expect("flight ring poisoned");
-        out.extend(buf.events.iter().filter(|e| e.trace == trace));
+        self.recorder.record_stage(event);
     }
 }
 
@@ -231,12 +196,11 @@ struct RecorderInner {
     /// `msg_id % TRACE_SLOTS` → `(msg_id + 1, trace)`; sized lazily so an
     /// unused recorder costs nothing.
     slots: Mutex<Vec<(u64, u64)>>,
-    rings: Mutex<Vec<FlightRing>>,
     incidents: Mutex<IncidentStore>,
     denials: Mutex<DenialStore>,
 }
 
-/// The flight recorder: trace-id generator, ring registry, and incident
+/// The flight recorder: trace-id generator, trace slot map, and incident
 /// store. Cloning shares the recorder; [`Default`] builds a fresh one. The
 /// recorder is always on.
 #[derive(Debug, Clone)]
@@ -250,7 +214,6 @@ impl Default for FlightRecorder {
             inner: Arc::new(RecorderInner {
                 next_trace: AtomicU64::new(1),
                 slots: Mutex::new(Vec::new()),
-                rings: Mutex::new(Vec::new()),
                 incidents: Mutex::new(IncidentStore::default()),
                 denials: Mutex::new(DenialStore::default()),
             }),
@@ -264,12 +227,10 @@ impl FlightRecorder {
         FlightRecorder::default()
     }
 
-    /// Registers and returns a new bounded event ring. Acquire one per
-    /// recording thread at attach time, not per event.
+    /// A [`FlightRing`] over this recorder: the benchmark's name for
+    /// [`Self::record_stage`].
     pub fn ring(&self) -> FlightRing {
-        let ring = FlightRing::default();
-        self.inner.rings.lock().expect("flight rings poisoned").push(ring.clone());
-        ring
+        FlightRing { recorder: self.clone() }
     }
 
     /// Allocates the next trace id for `msg_id` and remembers the mapping
@@ -298,8 +259,8 @@ impl FlightRecorder {
         }
     }
 
-    /// Promotes `trace` to an incident: snapshots its causal slice out of
-    /// every registered ring. Idempotent per trace; at most
+    /// Opens `trace`'s incident, empty: its events arrive through
+    /// [`Self::record_stage`]. Idempotent per trace; at most
     /// [`MAX_INCIDENTS`] are kept and the rest are counted as dropped.
     pub fn mark_incident(&self, trace: u64) {
         if trace == 0 {
@@ -313,18 +274,12 @@ impl FlightRecorder {
             store.dropped += 1;
             return;
         }
-        let mut events = Vec::new();
-        for ring in self.inner.rings.lock().expect("flight rings poisoned").iter() {
-            ring.snapshot_trace(trace, &mut events);
-        }
-        events.sort_by_key(FlightEvent::sort_key);
-        events.dedup();
-        store.incidents.push(Incident { trace, events });
+        store.incidents.push(Incident { trace, events: Vec::new() });
     }
 
-    /// Appends a post-detection stage event to its incident, if the trace
-    /// was marked. Incident stages are rare (per detection, not per
-    /// record), so they bypass the rings and can never be overwritten.
+    /// Appends a stage event to its incident, if the trace's incident is
+    /// open; otherwise (untraced, never opened, or dropped) the event is
+    /// dropped.
     pub fn record_stage(&self, event: FlightEvent) {
         if event.trace == 0 {
             return;
@@ -535,39 +490,26 @@ mod tests {
     }
 
     #[test]
-    fn rings_are_bounded_and_overwrite_oldest() {
+    fn record_stage_appends_only_to_an_open_incident() {
         let rec = FlightRecorder::new();
-        let ring = rec.ring();
-        for i in 0..(FLIGHT_RING_CAPACITY as u64 + 10) {
-            ring.record(ev(i + 1, TraceStage::Ingest, i));
-        }
-        // The first 10 traces were overwritten; the last one survives.
-        rec.mark_incident(1);
-        rec.mark_incident(FLIGHT_RING_CAPACITY as u64 + 10);
-        let incidents = rec.incidents();
-        assert_eq!(incidents.len(), 2);
-        assert!(incidents[0].events.is_empty(), "overwritten event resurfaced");
-        assert_eq!(incidents[1].events.len(), 1);
-    }
-
-    #[test]
-    fn mark_incident_snapshots_and_record_stage_appends() {
-        let rec = FlightRecorder::new();
-        let ring_a = rec.ring();
-        let ring_b = rec.ring();
         let trace = rec.begin_trace(7);
-        ring_a.record(ev(trace, TraceStage::Ingest, 10));
-        ring_b.record(ev(trace, TraceStage::Inference, 20));
-        ring_b.record(ev(trace + 99, TraceStage::Inference, 21)); // other trace
+        rec.record_stage(ev(trace, TraceStage::Ingest, 5)); // not open yet: dropped
         rec.mark_incident(trace);
-        rec.mark_incident(trace); // idempotent
+        rec.record_stage(ev(trace, TraceStage::Ingest, 10));
+        rec.mark_incident(trace); // idempotent: keeps what was recorded
+        rec.ring().record(ev(trace, TraceStage::Inference, 20)); // the benchmark's shim
         rec.record_stage(ev(trace, TraceStage::Alert, 30));
-        rec.record_stage(ev(trace + 99, TraceStage::Alert, 31)); // unmarked: dropped
+        rec.record_stage(ev(trace + 99, TraceStage::Alert, 31)); // never opened: dropped
         rec.mark_incident(0); // untraced: no incident
+        rec.record_stage(ev(0, TraceStage::Alert, 32)); // untraced: dropped
         let incidents = rec.incidents();
         assert_eq!(incidents.len(), 1);
-        let stages: Vec<TraceStage> = incidents[0].events.iter().map(|e| e.stage).collect();
-        assert_eq!(stages, vec![TraceStage::Ingest, TraceStage::Inference, TraceStage::Alert]);
+        let events: Vec<(TraceStage, u64)> =
+            incidents[0].events.iter().map(|e| (e.stage, e.at_us)).collect();
+        assert_eq!(
+            events,
+            vec![(TraceStage::Ingest, 10), (TraceStage::Inference, 20), (TraceStage::Alert, 30)]
+        );
     }
 
     #[test]

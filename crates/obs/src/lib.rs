@@ -11,8 +11,8 @@
 //! * [`MetricsRegistry`] — lock-cheap [`Counter`]s, [`Gauge`]s, and
 //!   fixed-bucket [`Histogram`]s with p50/p90/p99/max estimates. Handles
 //!   are `Arc`s over atomics; the hot path never takes a lock.
-//! * [`FlightRecorder`] — per-record causal trace ids, bounded event rings,
-//!   and the incident store behind `incidents.jsonl`.
+//! * [`FlightRecorder`] — per-record causal trace ids and the bounded
+//!   incident store behind `incidents.jsonl`.
 //! * Exposition — [`Snapshot::render_prometheus`],
 //!   [`Snapshot::render_json`], and [`Snapshot::write_files`] dump
 //!   `metrics.prom` / `metrics.json` per run.

@@ -11,42 +11,15 @@
 
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
 use sixg_xsec::scale::{LiveSim, ScaleDeployment, ScaleOutcome};
-use xsec_attacks::{attack_simulator, BtsDosConfig, BtsDosUe};
+use xsec_attacks::{
+    attack_simulator, sustained_flood_simulator, DatasetBuilder, SUSTAINED_FLOOD_GAP,
+    SUSTAINED_FLOOD_START,
+};
 use xsec_control::MitigationAction;
-use xsec_ran::amf::SubscriberRecord;
-use xsec_ran::scenario::{Scenario, ScenarioConfig};
-use xsec_ran::sim::RanSimulator;
 use xsec_ric::LatencyClass;
-use xsec_types::{AttackKind, Duration, Plmn, Supi, Timestamp, TrafficClass};
+use xsec_types::{AttackKind, Duration};
 
-fn scenario(seed: u64, sessions: usize, horizon: Duration) -> ScenarioConfig {
-    let mut scenario = ScenarioConfig::default();
-    scenario.sim.seed = seed;
-    scenario.benign_sessions = sessions;
-    scenario.sim.horizon = horizon;
-    scenario
-}
-
-const FLOOD_START: Timestamp = Timestamp(700_000);
 const FLOOD_CONNECTIONS: u32 = 300;
-const FLOOD_GAP: Duration = Duration::from_millis(30);
-
-/// Benign background plus a *sustained* BTS DoS flood: long enough
-/// (~9 s of attempts) that the detect→decide→enforce loop demonstrably cuts
-/// it short, unlike the short burst the dataset builder uses.
-fn sustained_flood_sim(seed: u64, sessions: usize) -> RanSimulator {
-    let cfg = scenario(seed, sessions, Duration::from_secs(14));
-    let mut sim = Scenario::new(cfg).build();
-    let msin = 999_000;
-    sim.add_subscriber(SubscriberRecord { supi: Supi::new(Plmn::TEST, msin), key: 0x666 });
-    let flood = BtsDosUe::new(BtsDosConfig {
-        connections: FLOOD_CONNECTIONS,
-        inter_connection: FLOOD_GAP,
-        attacker_msin: msin,
-    });
-    sim.add_ue(Box::new(flood), TrafficClass::Attack(AttackKind::BtsDos), FLOOD_START);
-    sim
-}
 
 fn assert_loop_closed_within_budget(outcome: &ScaleOutcome) {
     let mitigation = &outcome.mitigation;
@@ -67,11 +40,11 @@ fn closed_loop_throttles_a_sustained_bts_dos_flood() {
     let pipeline = Pipeline::train(&PipelineConfig::small(31, 15));
 
     // Unmitigated baseline: same scenario, same seed, nobody acts.
-    let baseline = sustained_flood_sim(31, 15).run();
+    let baseline = sustained_flood_simulator(31, 15, FLOOD_CONNECTIONS).run();
     let baseline_attack = baseline.attack_events().count();
     assert!(baseline_attack > 300, "baseline flood too small: {baseline_attack}");
 
-    let mut ran = LiveSim::new(sustained_flood_sim(31, 15), |_, _| {});
+    let mut ran = LiveSim::new(sustained_flood_simulator(31, 15, FLOOD_CONNECTIONS), |_, _| {});
     let outcome = ScaleDeployment::new(&pipeline, 1).drive(&mut ran);
     let report = ran.sim.finish();
     let closed_attack = report.attack_events().count();
@@ -104,13 +77,13 @@ fn closed_loop_throttles_a_sustained_bts_dos_flood() {
     // mitigated run's own pre-enforcement window would penalize fast
     // enforcement, which shrinks that window to the flood's ramp-up.
     let grace = rate_limited_at + Duration::from_millis(500);
-    let flood_end = FLOOD_START + Duration::from_micros(
-        FLOOD_GAP.as_micros() * u64::from(FLOOD_CONNECTIONS),
+    let flood_end = SUSTAINED_FLOOD_START + Duration::from_micros(
+        SUSTAINED_FLOOD_GAP.as_micros() * u64::from(FLOOD_CONNECTIONS),
     );
     assert!(grace + Duration::from_secs(2) < flood_end, "enforcement came too late to measure");
     let after = report.attack_events().filter(|e| e.at > grace).count();
     let baseline_rate =
-        baseline_attack as f64 / flood_end.saturating_since(FLOOD_START).as_secs_f64();
+        baseline_attack as f64 / flood_end.saturating_since(SUSTAINED_FLOOD_START).as_secs_f64();
     let rate_after = after as f64 / flood_end.saturating_since(grace).as_secs_f64();
     assert!(
         rate_after < 0.15 * baseline_rate,
@@ -131,7 +104,8 @@ fn closed_loop_throttles_a_sustained_bts_dos_flood() {
 fn closed_loop_tears_down_null_cipher_sessions() {
     let pipeline = Pipeline::train(&PipelineConfig::small(33, 15));
 
-    let cfg = scenario(33, 20, Duration::from_secs(20));
+    let mut cfg = DatasetBuilder::small(33, 20).scenario;
+    cfg.sim.horizon = Duration::from_secs(20);
     let baseline = attack_simulator(AttackKind::NullCipher, &cfg).run();
     let baseline_attack = baseline.attack_events().count();
     assert!(baseline_attack > 0, "baseline has no downgraded sessions");

@@ -6,35 +6,15 @@
 
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
 use sixg_xsec::scale::{LiveSim, Replay, ScaleDeployment};
-use xsec_attacks::{BtsDosConfig, BtsDosUe};
+use xsec_attacks::sustained_flood_simulator;
 use xsec_obs::SampleValue;
-use xsec_ran::amf::SubscriberRecord;
-use xsec_ran::scenario::{Scenario, ScenarioConfig};
-use xsec_ran::sim::RanSimulator;
-use xsec_types::{AttackKind, Duration, Plmn, Supi, Timestamp, TrafficClass};
-
-fn flood_sim(seed: u64, sessions: usize) -> RanSimulator {
-    let mut cfg = ScenarioConfig::default();
-    cfg.sim.seed = seed;
-    cfg.benign_sessions = sessions;
-    cfg.sim.horizon = Duration::from_secs(14);
-    let mut sim = Scenario::new(cfg).build();
-    let msin = 999_000;
-    sim.add_subscriber(SubscriberRecord { supi: Supi::new(Plmn::TEST, msin), key: 0x666 });
-    let flood = BtsDosUe::new(BtsDosConfig {
-        connections: 200,
-        inter_connection: Duration::from_millis(30),
-        attacker_msin: msin,
-    });
-    sim.add_ue(Box::new(flood), TrafficClass::Attack(AttackKind::BtsDos), Timestamp(700_000));
-    sim
-}
+use xsec_types::{AttackKind, TrafficClass};
 
 #[test]
 fn closed_loop_snapshot_covers_every_stage() {
     let pipeline = Pipeline::train(&PipelineConfig::small(31, 12));
-    let outcome =
-        ScaleDeployment::new(&pipeline, 1).drive(&mut LiveSim::new(flood_sim(31, 12), |_, _| {}));
+    let outcome = ScaleDeployment::new(&pipeline, 1)
+        .drive(&mut LiveSim::new(sustained_flood_simulator(31, 12, 200), |_, _| {}));
     let snap = &outcome.metrics;
 
     // Per-stage latency histograms, in pipeline order.

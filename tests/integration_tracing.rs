@@ -6,41 +6,15 @@
 
 use sixg_xsec::pipeline::{Pipeline, PipelineConfig};
 use sixg_xsec::scale::{LiveSim, Replay, ScaleDeployment};
-use xsec_attacks::{BtsDosConfig, BtsDosUe};
+use xsec_attacks::sustained_flood_simulator;
 use xsec_obs::TraceStage;
-use xsec_ran::amf::SubscriberRecord;
-use xsec_ran::scenario::{Scenario, ScenarioConfig};
-use xsec_ran::sim::RanSimulator;
-use xsec_types::{AttackKind, Duration, Plmn, Supi, Timestamp, TrafficClass};
-
-/// Benign background plus a sustained BTS DoS flood, long enough for the
-/// whole detect → decide → enforce → ack loop to land inside the run.
-fn sustained_flood_sim(seed: u64, sessions: usize) -> RanSimulator {
-    let mut scenario = ScenarioConfig::default();
-    scenario.sim.seed = seed;
-    scenario.benign_sessions = sessions;
-    scenario.sim.horizon = Duration::from_secs(14);
-    let mut sim = Scenario::new(scenario).build();
-    let msin = 999_000;
-    sim.add_subscriber(SubscriberRecord { supi: Supi::new(Plmn::TEST, msin), key: 0x666 });
-    let flood = BtsDosUe::new(BtsDosConfig {
-        connections: 300,
-        inter_connection: Duration::from_millis(30),
-        attacker_msin: msin,
-    });
-    sim.add_ue(
-        Box::new(flood),
-        TrafficClass::Attack(AttackKind::BtsDos),
-        Timestamp(700_000),
-    );
-    sim
-}
+use xsec_types::{AttackKind, Duration, TrafficClass};
 
 #[test]
 fn flood_incident_carries_the_complete_causal_chain() {
     let pipeline = Pipeline::train(&PipelineConfig::small(31, 15));
     let mut d = ScaleDeployment::new(&pipeline, 1);
-    let outcome = d.drive(&mut LiveSim::new(sustained_flood_sim(31, 15), |_, _| {}));
+    let outcome = d.drive(&mut LiveSim::new(sustained_flood_simulator(31, 15, 300), |_, _| {}));
     let recorder = &d.obs().recorder;
 
     let incidents = recorder.incidents();
@@ -183,4 +157,63 @@ fn incident_traces_are_invariant_to_scoring_shard_count() {
             .all(|i| i.events.iter().all(|e| e.stage != TraceStage::Enforce)),
         "open-loop run must not record Enforce spans"
     );
+}
+
+#[test]
+fn every_incident_opens_at_its_own_record_however_long_the_bucket() {
+    // One report bucket holds the whole replay, so the agent admits every
+    // record behind an alerted one before the detector scores any of them.
+    let mut config = PipelineConfig::small(31, 15);
+    config.report_period_ms = 600_000;
+    let pipeline = Pipeline::train(&config);
+    let mut records = pipeline.eval_stream(TrafficClass::Attack(AttackKind::BtsDos)).records;
+    let benign = pipeline.eval_stream(TrafficClass::Benign).records;
+    let flood_records = records.len();
+    // Benign sessions replayed after the flood until more than 4 096 records
+    // trail it, each pass restamped past the previous end.
+    while records.len() <= flood_records + 4_096 {
+        let shift = Duration(records.last().expect("stream not empty").timestamp.as_micros() + 1);
+        records.extend(benign.iter().map(|r| {
+            let mut r = r.clone();
+            r.timestamp += shift;
+            r
+        }));
+    }
+    // Renumbered so every msg id, and its trace slot, is the record's own.
+    for (msg_id, record) in (0u64..).zip(records.iter_mut()) {
+        record.msg_id = msg_id;
+    }
+    assert!(
+        records.last().expect("stream not empty").timestamp.as_micros()
+            < u64::from(config.report_period_ms) * 1_000,
+        "the replay must fit one report bucket"
+    );
+
+    let mut d = ScaleDeployment::new(&pipeline, 1);
+    d.drive(&mut Replay(&records));
+    // Trace ids count admitted records from 1, in the order the bucket is
+    // flushed: cell-major, stable.
+    let mut admitted = records.clone();
+    admitted.sort_by_key(|r| r.cell.0);
+    let incidents = d.obs().recorder.incidents();
+    assert!(
+        incidents.iter().any(|i| admitted.len() - i.trace as usize > 4_096),
+        "no alerted record is followed by more than 4 096 records in its bucket"
+    );
+    for incident in &incidents {
+        let record = &admitted[incident.trace as usize - 1];
+        let ingest = incident.events.first().expect("an incident holds its events");
+        assert_eq!(ingest.stage, TraceStage::Ingest, "trace {} starts elsewhere", incident.trace);
+        assert_eq!(
+            (ingest.at_us, ingest.a, ingest.b),
+            (record.timestamp.as_micros(), u64::from(record.du_ue_id), record.msg_id),
+            "trace {}'s ingest is not its own record's",
+            incident.trace
+        );
+        let stage = |stage| {
+            incident.events.iter().find(|e| e.stage == stage).expect("inference and alert spans")
+        };
+        let (inference, alert) = (stage(TraceStage::Inference), stage(TraceStage::Alert));
+        assert_eq!((inference.a, inference.b), (alert.a, alert.b), "trace {}", incident.trace);
+    }
 }
