@@ -19,9 +19,11 @@
 //!
 //! Quick mode (`--quick`) streams 100k UEs; the full run streams 1M, both
 //! under a 512 MB ceiling. Results go to stdout,
-//! `target/experiments/soak.txt`, and `BENCH_soak.json` (consumed by CI).
+//! `target/experiments/soak.txt`, and `BENCH_soak.json` (consumed by CI),
+//! all written before the gate is checked, so a failed run leaves its
+//! evidence; a failed gate then exits non-zero.
 
-use serde_json::json;
+use serde_json::{json, Value};
 use sixg_xsec::{Pipeline, PipelineConfig, RanFeed, ScaleDeployment, TrainingConfig};
 use std::time::Instant;
 use xsec_bench::{quick_mode, save_report};
@@ -85,9 +87,6 @@ fn main() {
     let quick = quick_mode();
     let target: u64 = if quick { 100_000 } else { 1_000_000 };
     let ceiling_mb: u64 = 512;
-    let shards = std::thread::available_parallelism()
-        .map(|n| n.get().min(4))
-        .unwrap_or(1);
     let pipeline_config = PipelineConfig {
         training: TrainingConfig {
             autoencoder_epochs: 10,
@@ -96,7 +95,8 @@ fn main() {
             lstm_hidden: 24,
             ..TrainingConfig::default()
         },
-        scoring_shards: shards,
+        // Any nonzero value deploys the per-UE pool.
+        scoring_shards: 1,
         ..PipelineConfig::paper(7)
     };
     let period = Duration::from_millis(u64::from(pipeline_config.report_period_ms));
@@ -115,7 +115,7 @@ fn main() {
     let pipeline = Pipeline::train_on(&pipeline_config, &extract_from_events(&training_events));
     drop(training_events);
 
-    eprintln!("soak: streaming {target} UEs ({shards} shards, quick={quick})");
+    eprintln!("soak: streaming {target} UEs (quick={quick})");
     let config = soak_config(target);
     let mut d = ScaleDeployment::new(&pipeline, config.cells);
     let mut feed = Soak {
@@ -133,43 +133,22 @@ fn main() {
     let (issued, acked) = (outcome.mitigation.issued, outcome.mitigation.acked);
     // Every drop site's counter, the platform's and the agents' egress
     // queues (`xsec_ric_egress_dropped_total`, `xsec_e2_egress_dropped_total`)
-    // among them.
-    let dropped: u64 = outcome.metrics.samples.iter()
+    // among them: each nonzero series by name and labels.
+    let dropped_by_site: Vec<(String, u64)> = outcome.metrics.samples.iter()
         .filter(|s| s.name.starts_with("xsec_") && s.name.ends_with("_dropped_total"))
-        .map(|s| if let SampleValue::Counter(n) = s.value { n } else { 0 })
-        .sum();
+        .filter_map(|s| match s.value {
+            SampleValue::Counter(n) if n > 0 => {
+                let labels: Vec<String> =
+                    s.labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+                Some((format!("{}{{{}}}", s.name, labels.join(",")), n))
+            }
+            _ => None,
+        })
+        .collect();
+    let dropped: u64 = dropped_by_site.iter().map(|(_, n)| n).sum();
 
     let rss_kb = peak_rss_kb().unwrap_or(0);
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    // The soak gate: the full population streamed through the stack, the
-    // stream drained, every control acked, nothing dropped, and nothing
-    // resident past its bound.
-    assert!(stats.spawned >= target, "streamed {} of {target} UEs", stats.spawned);
-    assert_eq!(stats.completed, stats.spawned, "stream did not drain");
-    assert!(outcome.records as u64 > stats.spawned, "detection saw fewer records than UEs");
-    assert_eq!(acked, issued, "{issued} controls issued, {acked} acked");
-    assert_eq!(dropped, 0, "the stack dropped {dropped} items");
-    let storm_burst = config.storm.as_ref().map_or(0, |s| s.burst);
-    // Slab slots are the generator's true high-water of concurrent UEs:
-    // bounded by the backpressure ceiling (plus one storm burst, which
-    // spawns past it by design), never by the population size.
-    assert!(
-        stats.slab_slots <= (config.max_live + storm_burst) * 2,
-        "slab grew past the backpressure ceiling: {} slots for max_live {}",
-        stats.slab_slots,
-        config.max_live
-    );
-    assert!(
-        peak_tracked <= ((config.max_live + storm_burst) * 4) as i64,
-        "detector tracked {peak_tracked} UEs — eviction is leaking"
-    );
-    if rss_kb > 0 {
-        assert!(
-            rss_kb < ceiling_mb * 1024,
-            "peak RSS {rss_kb} kB blew the {ceiling_mb} MB soak ceiling"
-        );
-    }
 
     let recorder = &d.obs().recorder;
     let incidents = recorder.incidents().len();
@@ -177,7 +156,6 @@ fn main() {
     let report = json!({
         "quick": quick,
         "cores": cores,
-        "shards": shards,
         "target_ues": target,
         "ues_streamed": stats.spawned,
         "ues_completed": stats.completed,
@@ -192,6 +170,9 @@ fn main() {
         "controls_issued": issued,
         "controls_acked": acked,
         "dropped": dropped,
+        "dropped_by_site": Value::Object(
+            dropped_by_site.iter().map(|(series, n)| (series.clone(), json!(n))).collect(),
+        ),
         "incidents": incidents,
         "incidents_dropped": recorder.dropped_incidents(),
         "peak_rss_kb": rss_kb,
@@ -223,4 +204,33 @@ fn main() {
     print!("{text}");
     save_report("soak", &text);
     xsec_bench::save_incidents(recorder, "soak_incidents");
+
+    // The soak gate: the full population streamed through the stack, the
+    // stream drained, every control acked, nothing dropped, and nothing
+    // resident past its bound.
+    assert!(stats.spawned >= target, "streamed {} of {target} UEs", stats.spawned);
+    assert_eq!(stats.completed, stats.spawned, "stream did not drain");
+    assert!(outcome.records as u64 > stats.spawned, "detection saw fewer records than UEs");
+    assert_eq!(acked, issued, "{issued} controls issued, {acked} acked");
+    assert_eq!(dropped, 0, "the stack dropped {dropped} items: {dropped_by_site:?}");
+    let storm_burst = config.storm.as_ref().map_or(0, |s| s.burst);
+    // Slab slots are the generator's true high-water of concurrent UEs:
+    // bounded by the backpressure ceiling (plus one storm burst, which
+    // spawns past it by design), never by the population size.
+    assert!(
+        stats.slab_slots <= (config.max_live + storm_burst) * 2,
+        "slab grew past the backpressure ceiling: {} slots for max_live {}",
+        stats.slab_slots,
+        config.max_live
+    );
+    assert!(
+        peak_tracked <= ((config.max_live + storm_burst) * 4) as i64,
+        "detector tracked {peak_tracked} UEs — eviction is leaking"
+    );
+    if rss_kb > 0 {
+        assert!(
+            rss_kb < ceiling_mb * 1024,
+            "peak RSS {rss_kb} kB blew the {ceiling_mb} MB soak ceiling"
+        );
+    }
 }

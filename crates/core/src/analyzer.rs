@@ -55,9 +55,10 @@ pub struct LlmAnalyzer {
 
 /// The evidence-line and bus-message drop counters, registered in `obs`.
 fn drop_counters(obs: &Obs) -> (Counter, Counter) {
+    let analyzer = |reason| [("site", "analyzer"), ("reason", reason)];
     (
-        obs.counter("xsec_alert_records_dropped_total", &[("site", "analyzer")]),
-        obs.counter("xsec_bus_dropped_total", &[("site", "analyzer"), ("reason", "undecodable")]),
+        obs.counter("xsec_bus_dropped_total", &analyzer("undecodable_line")),
+        obs.counter("xsec_bus_dropped_total", &analyzer("undecodable")),
     )
 }
 
@@ -274,7 +275,7 @@ mod tests {
         let obs = Obs::new();
         analyzer.attach_obs(&obs);
         let clean = analyzer.analyze_alert(&flood_alert());
-        assert_eq!(obs.snapshot().counter_total("xsec_alert_records_dropped_total"), 0);
+        assert_eq!(obs.snapshot().counter_total("xsec_bus_dropped_total"), 0);
 
         let mut alert = flood_alert();
         alert.records.insert(3, "v2;UE;not;a;record".to_string());
@@ -285,7 +286,8 @@ mod tests {
         assert_eq!(finding.verdict, CrossVerdict::ConfirmedAnomalous);
         let exposition = obs.metrics.render_prometheus();
         assert!(
-            exposition.contains("xsec_alert_records_dropped_total{site=\"analyzer\"} 1\n"),
+            exposition
+                .contains("xsec_bus_dropped_total{reason=\"undecodable_line\",site=\"analyzer\"} 1\n"),
             "{exposition}"
         );
     }

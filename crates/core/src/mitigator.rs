@@ -776,14 +776,13 @@ mod tests {
         assert_eq!(payloads(&control), payloads(&clean));
         let exposition = obs.metrics.render_prometheus();
         assert!(
-            exposition.contains("xsec_alert_records_dropped_total{site=\"analyzer\"} 1\n"),
+            exposition
+                .contains("xsec_bus_dropped_total{reason=\"undecodable_line\",site=\"analyzer\"} 1\n"),
             "{exposition}"
         );
-        assert!(
-            !exposition.contains("xsec_alert_records_dropped_total{site=\"mitigator\"}"),
-            "{exposition}"
-        );
-        assert_eq!(obs.snapshot().counter_total("xsec_bus_dropped_total"), 0);
+        // That line is the hop's only drop: no whole frame, and no site of
+        // the mitigator's.
+        assert_eq!(obs.snapshot().counter_total("xsec_bus_dropped_total"), 1, "{exposition}");
     }
 
     #[test]

@@ -10,30 +10,24 @@
 //! that open or escalate an incident, so the analyzer runs once per episode
 //! step rather than once per window.
 //!
-//! Featurization and emission stay **global and sequential** on the calling
-//! thread: the relational features (TMSI reuse, inter-arrival gaps, burst
-//! density), the alert context, the flight events and the shared state are
-//! functions of the global record sequence and the verdicts, so detections
-//! and incident traces do not depend on how scoring was keyed, sharded or
-//! batched. Windowing and scoring are **per key** over a pool of shards;
-//! each key (`window::window_key`) hashes to one shard, which keeps its
-//! windows and alert cooldown. [`MobiWatch::new`] is the paper's global
-//! window: one key, one shard. [`MobiWatch::per_ue`] keys by `du_ue_id` and
-//! evicts a UE at its RRC release; its detections are invariant in the shard
-//! count. Per batch, every busy shard but one goes to a worker thread (state
-//! travels with the work) and the last is scored on the calling thread, so
-//! a batch that touches one shard — always, with one shard — costs no
-//! hand-off. Verdicts merge by global record index.
+//! Everything runs on the calling thread. Featurization and emission follow
+//! the global record sequence: the relational features (TMSI reuse,
+//! inter-arrival gaps, burst density), the alert context, the flight events
+//! and the shared state are functions of that sequence and the verdicts, so
+//! detections and incident traces do not depend on how scoring was keyed or
+//! batched. Windowing and scoring are **per key** in one [`Scorer`], which
+//! keeps each key's (`window::window_key`) windows and alert cooldown and
+//! judges in staging order, which is record order. [`MobiWatch::new`] is the
+//! paper's global window: one key. [`MobiWatch::per_ue`] keys by `du_ue_id`
+//! and evicts a UE at its RRC release.
 
 use crate::mitigator::ANOMALIES_TOPIC;
 use crate::smo::DeployedModels;
 use crate::window::{window_key, Scorer, Verdict, WatchMetrics};
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 use xsec_dl::{Featurizer, Precision};
 use xsec_mobiflow::{encode_ue_record, UeMobiFlow};
@@ -126,12 +120,6 @@ pub struct MobiWatchState {
     pub alerts: Vec<AnomalyAlert>,
 }
 
-/// Which shard owns a key. A fixed multiplicative hash keeps the mapping
-/// deterministic across runs and spreads sequential IDs.
-fn shard_of(key: u32, shards: usize) -> usize {
-    (key.wrapping_mul(0x9E37_79B1) as usize) % shards
-}
-
 /// How long a scope may go without an alert candidate before its incident
 /// closes: one E2 report period.
 const INCIDENT_QUIET: Duration = Duration::from_millis(100);
@@ -207,18 +195,6 @@ impl IncidentGate {
     }
 }
 
-/// A shard on its way to or from a worker, with its position in the pool.
-type Forked = (usize, Box<Scorer>);
-
-/// The threads a pool of two or more shards hands busy shards to. They
-/// hold no state: a shard arrives with its batch and leaves with its
-/// verdicts.
-struct Workers {
-    to_workers: Sender<Forked>,
-    from_workers: Receiver<Forked>,
-    threads: Vec<JoinHandle<()>>,
-}
-
 /// The anomaly-detection xApp.
 pub struct MobiWatch {
     featurizer: Featurizer,
@@ -228,111 +204,79 @@ pub struct MobiWatch {
     tail: VecDeque<UeMobiFlow>,
     state: Arc<Mutex<MobiWatchState>>,
     recorder: FlightRecorder,
-    /// What every shard is built from: one read-only copy of the models,
-    /// the config and the instruments.
-    models: Arc<DeployedModels>,
-    config: MobiWatchConfig,
-    metrics: WatchMetrics,
+    /// The models, the config, the instruments and every key's windows.
+    scorer: Scorer,
     per_ue: bool,
-    /// Every shard's windows, parked here between batches (a slot is empty
-    /// only while its shard is out with a worker).
-    shards: Vec<Option<Box<Scorer>>>,
-    /// The threads busy shards are handed to: `shards - 1` of them, spawned
-    /// on the first batch that needs one.
-    workers: Option<Workers>,
-    /// The current batch's verdicts, merged across shards.
-    verdicts: Vec<(u64, Verdict)>,
     /// Which alert candidates are published.
     incidents: IncidentGate,
 }
 
 impl MobiWatch {
     /// The paper's global sliding window: every record under one key, never
-    /// released, scored on the calling thread. Returns the shared state
-    /// handle for post-run inspection.
+    /// released. Returns the shared state handle for post-run inspection.
     pub fn new(
         models: DeployedModels,
         config: MobiWatchConfig,
     ) -> (Self, Arc<Mutex<MobiWatchState>>) {
-        Self::keyed(models, config, false, 1)
+        Self::keyed(models, config, false)
     }
 
     /// The per-UE pool: windows keyed by `du_ue_id`, a UE's state evicted
-    /// at its RRC release, over `shards` shards (`shards - 1` worker threads,
-    /// spawned lazily). Detections are invariant in `shards`.
-    ///
-    /// # Panics
-    /// If `shards` is zero.
+    /// at its RRC release.
     pub fn per_ue(
         models: DeployedModels,
         config: MobiWatchConfig,
-        shards: usize,
     ) -> (Self, Arc<Mutex<MobiWatchState>>) {
-        Self::keyed(models, config, true, shards)
+        Self::keyed(models, config, true)
     }
 
-    /// [`Self::per_ue`] when `per_ue`, else the global window, over
-    /// `shards` shards, with private (silent) instruments.
+    /// [`Self::per_ue`] when `per_ue`, else the global window, with private
+    /// (silent) instruments.
     pub(crate) fn keyed(
         models: DeployedModels,
         config: MobiWatchConfig,
         per_ue: bool,
-        shards: usize,
     ) -> (Self, Arc<Mutex<MobiWatchState>>) {
-        assert!(shards > 0, "shard count must be positive");
         let state = Arc::new(Mutex::new(MobiWatchState::default()));
-        let mut watch = MobiWatch {
+        let metrics = WatchMetrics::register(&Obs::new(), config.detector);
+        let watch = MobiWatch {
             featurizer: Featurizer::new(),
             seen: 0,
             tail: VecDeque::new(),
             state: state.clone(),
             recorder: FlightRecorder::new(),
-            models: Arc::new(models),
-            metrics: WatchMetrics::register(&Obs::new(), config.detector),
-            config,
+            scorer: Scorer::new(models, config, metrics),
             per_ue,
-            shards: (0..shards).map(|_| None).collect(),
-            workers: None,
-            verdicts: Vec::new(),
             incidents: IncidentGate::default(),
         };
-        watch.park_fresh_shards();
         (watch, state)
     }
 
     /// Re-homes the xApp's instruments into `obs`'s registry and its flight
     /// recording into `obs`'s recorder. Call before feeding records
-    /// (deployment time) — samples and window state do not carry over.
+    /// (deployment time): samples do not carry over.
     pub fn attach_obs(&mut self, obs: &Obs) {
-        self.metrics = WatchMetrics::register(obs, self.config.detector);
+        self.scorer.metrics = WatchMetrics::register(obs, self.scorer.config.detector);
         self.recorder = obs.recorder.clone();
-        self.park_fresh_shards();
-    }
-
-    fn park_fresh_shards(&mut self) {
-        for slot in &mut self.shards {
-            let shard = Scorer::new(self.models.clone(), self.config.clone(), self.metrics.clone());
-            *slot = Some(Box::new(shard));
-        }
     }
 
     /// The sliding-window length in force.
     pub fn window(&self) -> usize {
-        self.models.feature_config.window
+        self.scorer.models.feature_config.window
     }
 
-    /// How often the scoring workspaces had to grow a buffer. Stable across
+    /// How often the scoring workspace had to grow a buffer. Stable across
     /// calls once warm at a batch size — the steady-state zero-allocation
     /// guarantee.
     #[cfg(test)]
     fn workspace_grow_events(&self) -> usize {
-        self.shards.iter().flatten().map(|shard| shard.workspace_grow_events()).sum()
+        self.scorer.workspace_grow_events()
     }
 
-    /// How many records' LSTM gate bases `P` the shards have computed.
+    /// How many records' LSTM gate bases `P` the scorer has computed.
     #[cfg(test)]
     pub(crate) fn projected(&self) -> u64 {
-        self.shards.iter().flatten().map(|shard| shard.projected()).sum()
+        self.scorer.projected()
     }
 
     /// Keys with live window state: under [`Self::per_ue`] the open
@@ -340,33 +284,7 @@ impl MobiWatch {
     /// Deployed, it is the `xsec_mobiwatch_tracked_keys` gauge.
     #[cfg(test)]
     fn tracked_ues(&self) -> usize {
-        self.shards.iter().flatten().map(|shard| shard.tracked()).sum()
-    }
-
-    /// The worker threads, spawned on first use: one busy shard is always
-    /// scored on the calling thread, so `shards - 1` can be out at once.
-    fn workers(&mut self) -> &Workers {
-        let threads = self.shards.len() - 1;
-        self.workers.get_or_insert_with(|| {
-            let (to_workers, work) = unbounded::<Forked>();
-            let (done, from_workers) = unbounded::<Forked>();
-            let threads = (0..threads)
-                .map(|_| {
-                    let (work, done) = (work.clone(), done.clone());
-                    std::thread::spawn(move || {
-                        while let Ok((id, mut shard)) = work.recv() {
-                            // The trace id, like the alert context, is
-                            // stamped by the calling thread on merge.
-                            shard.score(0);
-                            if done.send((id, shard)).is_err() {
-                                return; // pool is shutting down
-                            }
-                        }
-                    })
-                })
-                .collect();
-            Workers { to_workers, from_workers, threads }
-        })
+        self.scorer.tracked()
     }
 
     /// Feeds one record; returns an alert when the window it completes is
@@ -379,10 +297,9 @@ impl MobiWatch {
 
     /// Feeds a batch of records in passes of at most [`MAX_PASS_RECORDS`]:
     /// each pass featurizes its records, scores every window they complete
-    /// in one batched model pass per busy shard, then thresholds and emits
-    /// in stream order. Returns the alerts raised. Scores, alerts and their
-    /// context are the same — to the bit — however a stream is cut into
-    /// batches.
+    /// in one batched model pass, then thresholds and emits in stream order.
+    /// Returns the alerts raised. Scores, alerts and their context are the
+    /// same — to the bit — however a stream is cut into batches.
     pub fn process_batch(&mut self, records: &[UeMobiFlow]) -> Vec<AnomalyAlert> {
         let alerts = self.detect(records);
         self.file(alerts.clone());
@@ -404,54 +321,25 @@ impl MobiWatch {
             return Vec::new();
         };
         // Featurize sequentially (stream-level state), staging each record
-        // on its key's shard. An RRC release ends a per-UE key for good —
-        // DU ids are never reused within a run — so once the release record
-        // itself is scored the UE's window state is dead weight, and a
-        // million-UE stream would pin a million rings.
+        // under its key. An RRC release ends a per-UE key for good — DU ids
+        // are never reused within a run — so once the release record itself
+        // is scored the UE's window state is dead weight, and a million-UE
+        // stream would pin a million rings.
         let first = self.seen;
         let start = Instant::now();
-        let count = self.shards.len();
         for record in records {
             let key = window_key(self.per_ue, record);
             let release = self.per_ue && record.msg == MessageKind::RrcRelease;
-            let shard = self.shards[shard_of(key, count)].as_mut().expect("parked between batches");
-            shard.push(&mut self.featurizer, self.seen, record, key, release);
+            self.scorer.push(&mut self.featurizer, self.seen, record, key, release);
             self.seen += 1;
         }
-        self.metrics.featurize_latency.observe_duration(start.elapsed());
-        self.metrics.records.add(records.len() as u64);
-        // Hand off only when there is something to join: the first busy
-        // shard is scored right here, any other goes to a worker.
-        let mut local = None;
-        let mut forked = 0;
-        for id in 0..count {
-            if !self.shards[id].as_ref().is_some_and(|shard| shard.is_busy()) {
-                continue;
-            }
-            if local.is_none() {
-                local = Some(id);
-                continue;
-            }
-            let shard = self.shards[id].take().expect("checked busy");
-            self.workers().to_workers.send((id, shard)).expect("workers alive");
-            forked += 1;
-        }
-        let local = local.expect("a non-empty batch has a busy shard");
+        let metrics = &self.scorer.metrics;
+        metrics.featurize_latency.observe_duration(start.elapsed());
+        metrics.records.add(records.len() as u64);
         // The latency sample's exemplar: the causal trace the E2 agent
         // rooted for the batch's last record.
-        let trace = self.recorder.trace_for(last.msg_id);
-        self.shards[local].as_mut().expect("never handed off").score(trace);
-        for _ in 0..forked {
-            let (id, shard) = self.workers().from_workers.recv().expect("worker replies");
-            self.shards[id] = Some(shard);
-        }
-        // Deterministic merge: shard arrival order is per key only; global
-        // record index restores the stream order regardless of shard count.
-        for shard in self.shards.iter_mut().flatten() {
-            self.verdicts.append(&mut shard.verdicts);
-        }
-        self.verdicts.sort_unstable_by_key(|(index, _)| *index);
-        self.metrics.windows_scored.add(self.verdicts.len() as u64);
+        self.scorer.score(self.recorder.trace_for(last.msg_id));
+        self.scorer.metrics.windows_scored.add(self.scorer.verdicts.len() as u64);
         self.emit(records, first)
     }
 
@@ -463,15 +351,16 @@ impl MobiWatch {
     /// stream's trailing window + context *as of that record* attached, and
     /// its trace's incident opened with the record's ingest, inference and
     /// alert spans. A candidate merged into an open incident builds nothing
-    /// and is only counted. Shards can't build the context (each sees only
-    /// its own keys), and a per-UE context would hide stream-level
-    /// signatures like a storm of one-shot connections.
+    /// and is only counted. The context is the stream's, not the key's: a
+    /// per-UE context would hide stream-level signatures like a storm of
+    /// one-shot connections.
     /// The alerts are returned, not yet in the shared state: the caller
     /// [`Self::file`]s them.
     fn emit(&mut self, records: &[UeMobiFlow], first: u64) -> Vec<AnomalyAlert> {
-        let keep = self.config.context_records + self.window();
+        let keep = self.scorer.config.context_records + self.window();
         let mut alerts = Vec::new();
-        let mut verdicts = self.verdicts.drain(..).peekable();
+        let metrics = &self.scorer.metrics;
+        let mut verdicts = self.scorer.verdicts.drain(..).peekable();
         let mut state = self.state.lock();
         for (record, index) in records.iter().zip(first..) {
             if self.tail.len() == keep {
@@ -488,7 +377,7 @@ impl MobiWatch {
             let scope = if self.per_ue { record.cell.0 } else { 0 };
             let setups = self.tail.iter().filter(|r| r.msg == MessageKind::RrcSetupRequest).count();
             if !self.incidents.admit(scope, record.timestamp, &verdict, setups) {
-                self.metrics.alerts_merged.inc();
+                metrics.alerts_merged.inc();
                 continue;
             }
             let trace = self.recorder.trace_for(record.msg_id);
@@ -513,7 +402,7 @@ impl MobiWatch {
             ] {
                 self.recorder.record_stage(FlightEvent { trace, stage, at_us, a, b });
             }
-            self.metrics.alerts.inc();
+            metrics.alerts.inc();
             alerts.push(alert);
         }
         debug_assert!(verdicts.next().is_none(), "verdict for a record outside the batch");
@@ -525,17 +414,6 @@ impl MobiWatch {
     fn file(&self, alerts: Vec<AnomalyAlert>) {
         if !alerts.is_empty() {
             self.state.lock().alerts.extend(alerts);
-        }
-    }
-}
-
-impl Drop for MobiWatch {
-    fn drop(&mut self) {
-        if let Some(Workers { to_workers, threads, .. }) = self.workers.take() {
-            drop(to_workers); // hang up: workers exit on channel close
-            for thread in threads {
-                let _ = thread.join();
-            }
         }
     }
 }
@@ -567,14 +445,14 @@ impl XApp for MobiWatch {
 pub struct ShardedMobiWatch;
 
 impl ShardedMobiWatch {
-    /// [`MobiWatch::per_ue`].
+    /// [`MobiWatch::per_ue`]; the shard count is not read.
     #[allow(clippy::new_ret_no_self)]
     pub fn new(
         models: DeployedModels,
         config: MobiWatchConfig,
-        shards: usize,
+        _shards: usize,
     ) -> (MobiWatch, Arc<Mutex<MobiWatchState>>) {
-        MobiWatch::per_ue(models, config, shards)
+        MobiWatch::per_ue(models, config)
     }
 }
 
@@ -683,7 +561,7 @@ mod tests {
         let stream = extract_from_events(&ds.report.events);
         for detector in [Detector::Autoencoder, Detector::Lstm] {
             let config = MobiWatchConfig { detector, ..MobiWatchConfig::default() };
-            let (mut pool, state) = MobiWatch::per_ue(models.clone(), config, 2);
+            let (mut pool, state) = MobiWatch::per_ue(models.clone(), config);
             let obs = Obs::new();
             pool.attach_obs(&obs);
             let labels = [("detector", detector.label())];
@@ -763,34 +641,22 @@ mod tests {
         assert!(!state.lock().scores.is_empty());
     }
 
-    #[test]
-    fn every_shard_shares_one_copy_of_the_models() {
-        let (mut watch, _) = MobiWatch::per_ue(quick_models(40), MobiWatchConfig::default(), 3);
-        watch.attach_obs(&Obs::new());
-        assert_eq!(watch.shards.len(), 3);
-        for shard in watch.shards.iter().flatten() {
-            assert!(Arc::ptr_eq(&shard.models, &watch.models));
-        }
-    }
-
-    fn run_sharded(
+    fn run_per_ue(
         models: &DeployedModels,
         config: &MobiWatchConfig,
-        shards: usize,
         stream: &TelemetryStream,
     ) -> MobiWatchState {
-        // An odd batch size exercises the fork/join on uneven boundaries.
-        run_chunked(models, config, shards, 23, stream)
+        // An odd batch size exercises uneven batch boundaries.
+        run_chunked(models, config, 23, stream)
     }
 
     fn run_chunked(
         models: &DeployedModels,
         config: &MobiWatchConfig,
-        shards: usize,
         chunk: usize,
         stream: &TelemetryStream,
     ) -> MobiWatchState {
-        let (mut pool, state) = MobiWatch::per_ue(models.clone(), config.clone(), shards);
+        let (mut pool, state) = MobiWatch::per_ue(models.clone(), config.clone());
         for chunk in stream.records.chunks(chunk) {
             pool.process_batch(chunk);
         }
@@ -799,35 +665,15 @@ mod tests {
     }
 
     #[test]
-    fn alert_and_score_sets_are_shard_count_invariant() {
-        let models = quick_models(30);
-        let config = MobiWatchConfig::default();
-        let ds = DatasetBuilder::small(31, 10).attack(AttackKind::NullCipher);
-        let stream = extract_from_events(&ds.report.events);
-
-        let single = run_sharded(&models, &config, 1, &stream);
-        let quad = run_sharded(&models, &config, 4, &stream);
-
-        assert!(!single.scores.is_empty(), "stream must produce scores");
-        assert_eq!(single.scores, quad.scores, "scores must not depend on shard count");
-        assert_eq!(single.alerts.len(), quad.alerts.len());
-        for (a, b) in single.alerts.iter().zip(&quad.alerts) {
-            assert_eq!(a.at_record, b.at_record);
-            assert_eq!(a.score, b.score);
-            assert_eq!(a.records, b.records);
-        }
-    }
-
-    #[test]
     fn scores_arrive_in_global_record_order() {
         let models = quick_models(32);
         let ds = DatasetBuilder::small(33, 8).attack(AttackKind::BtsDos);
         let stream = extract_from_events(&ds.report.events);
-        let state = run_sharded(&models, &MobiWatchConfig::default(), 3, &stream);
+        let state = run_per_ue(&models, &MobiWatchConfig::default(), &stream);
         let indices: Vec<u64> = state.scores.iter().map(|(i, _, _)| *i).collect();
         let mut sorted = indices.clone();
         sorted.sort_unstable();
-        assert_eq!(indices, sorted, "merged scores must be stream-ordered");
+        assert_eq!(indices, sorted, "per-key scores must be stream-ordered");
     }
 
     #[test]
@@ -853,27 +699,21 @@ mod tests {
         }
         let distinct: std::collections::HashSet<u32> =
             stream.records.iter().map(|r| r.du_ue_id).collect();
-        for shards in [1, 3] {
-            let obs = Obs::new();
-            let (mut pool, _state) = MobiWatch::per_ue(models.clone(), config.clone(), shards);
-            pool.attach_obs(&obs);
-            for chunk in stream.records.chunks(50) {
-                pool.process_batch(chunk);
-                // The gauge is the deployed reading of the same count.
-                assert_eq!(tracked_keys(&obs), pool.tracked_ues() as i64, "{shards} shards");
-            }
-            assert_eq!(
-                pool.tracked_ues(),
-                open.len(),
-                "{shards} shards: tracked state diverged from open connections"
-            );
-            assert!(
-                pool.tracked_ues() < distinct.len() / 2,
-                "{shards} shards: eviction barely fired: {} tracked of {} distinct",
-                pool.tracked_ues(),
-                distinct.len()
-            );
+        let obs = Obs::new();
+        let (mut pool, _state) = MobiWatch::per_ue(models.clone(), config.clone());
+        pool.attach_obs(&obs);
+        for chunk in stream.records.chunks(50) {
+            pool.process_batch(chunk);
+            // The gauge is the deployed reading of the same count.
+            assert_eq!(tracked_keys(&obs), pool.tracked_ues() as i64);
         }
+        assert_eq!(pool.tracked_ues(), open.len(), "tracked state diverged from open connections");
+        assert!(
+            pool.tracked_ues() < distinct.len() / 2,
+            "eviction barely fired: {} tracked of {} distinct",
+            pool.tracked_ues(),
+            distinct.len()
+        );
 
         // The global window is one key, never released.
         let obs = Obs::new();
@@ -887,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn detections_are_shard_invariant_under_churn() {
+    fn detections_are_batch_invariant_under_churn() {
         use xsec_ran::{StreamConfig, StreamingScenario};
         use xsec_types::Duration;
 
@@ -908,54 +748,20 @@ mod tests {
 
         let models = quick_models(38);
         let config = MobiWatchConfig::default();
-        let single = run_sharded(&models, &config, 1, &stream);
-        let quad = run_sharded(&models, &config, 4, &stream);
-
-        assert!(!single.scores.is_empty(), "churn stream must produce scores");
-        assert_eq!(single.scores, quad.scores, "churn broke shard invariance");
-        assert_eq!(single.alerts.len(), quad.alerts.len());
-        for (a, b) in single.alerts.iter().zip(&quad.alerts) {
-            assert_eq!(a.at_record, b.at_record);
-            assert_eq!(a.records, b.records);
-        }
-        // Nor on how the stream was cut into batches: a UE released and
-        // recycled mid-batch scores as it does record at a time.
-        for (shards, chunk) in [(1, 1), (4, 1), (1, 240), (4, stream.records.len())] {
-            let other = run_chunked(&models, &config, shards, chunk, &stream);
-            assert_eq!(single.scores, other.scores, "{shards} shards, batches of {chunk}");
-            let positions = |s: &MobiWatchState| -> Vec<u64> {
-                s.alerts.iter().map(|a| a.at_record).collect()
-            };
-            assert_eq!(positions(&single), positions(&other), "{shards} shards/{chunk}");
-        }
-    }
-
-    #[test]
-    fn one_busy_shard_is_scored_without_a_hand_off() {
-        let models = quick_models(39);
-        let ds = DatasetBuilder::small(31, 4).benign();
-        let stream = extract_from_events(&ds.events);
-        let (mut pool, state) = MobiWatch::per_ue(models.clone(), MobiWatchConfig::default(), 1);
-        assert!(pool.process_batch(&[]).is_empty());
-        // A 1-shard pool never has anyone to hand work to.
-        for chunk in stream.records.chunks(23) {
-            pool.process_batch(chunk);
-        }
-        assert!(pool.workers.is_none(), "a 1-shard pool spawned a worker");
-        assert!(!state.lock().scores.is_empty());
-        // A wider pool spawns no thread for batches that touch one shard,
-        // and parks every shard again after each batch, forked or not, with
-        // nothing left in flight.
-        let (mut pool, _state) = MobiWatch::per_ue(models, MobiWatchConfig::default(), 3);
-        for chunk in stream.records.chunks(1).chain(stream.records.chunks(50)) {
-            assert!(chunk.len() > 1 || pool.workers.is_none(), "a lone record was handed off");
-            pool.process_batch(chunk);
-            for shard in &pool.shards {
-                let shard = shard.as_ref().expect("parked");
-                assert!(!shard.is_busy() && shard.verdicts.is_empty());
+        let reference = run_per_ue(&models, &config, &stream);
+        assert!(!reference.scores.is_empty(), "churn stream must produce scores");
+        // Detections do not depend on how the stream was cut into batches:
+        // a UE released and recycled mid-batch scores as it does record at
+        // a time.
+        for chunk in [1, 240, stream.records.len()] {
+            let other = run_chunked(&models, &config, chunk, &stream);
+            assert_eq!(reference.scores, other.scores, "batches of {chunk}");
+            assert_eq!(reference.alerts.len(), other.alerts.len(), "batches of {chunk}");
+            for (a, b) in reference.alerts.iter().zip(&other.alerts) {
+                assert_eq!(a.at_record, b.at_record, "batches of {chunk}");
+                assert_eq!(a.records, b.records, "batches of {chunk}");
             }
         }
-        assert_eq!(pool.workers.as_ref().map(|w| w.threads.len()), Some(2));
     }
 
     #[test]
@@ -965,7 +771,7 @@ mod tests {
         let stream = extract_from_events(&ds.report.events);
         for detector in [Detector::Autoencoder, Detector::Lstm] {
             let config = MobiWatchConfig { detector, ..MobiWatchConfig::default() };
-            let state = run_sharded(&models, &config, 2, &stream);
+            let state = run_per_ue(&models, &config, &stream);
             let span = detector.span(models.feature_config.window);
             let truth = window_truth(&stream, span, |r| window_key(true, r));
             assert_eq!(

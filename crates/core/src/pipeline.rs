@@ -35,10 +35,11 @@ pub struct PipelineConfig {
     pub personality: ModelPersonality,
     /// E2 report period in milliseconds.
     pub report_period_ms: u32,
-    /// Scoring shards. `0` deploys the paper's global sliding window
-    /// ([`MobiWatch::new`](crate::mobiwatch::MobiWatch::new)); `>= 1` the
-    /// per-UE pool ([`MobiWatch::per_ue`](crate::mobiwatch::MobiWatch::per_ue)),
-    /// whose detections are invariant in the shard count.
+    /// Window keying. `0` deploys the paper's global sliding window
+    /// ([`MobiWatch::new`](crate::mobiwatch::MobiWatch::new)); any other
+    /// value the per-UE pool
+    /// ([`MobiWatch::per_ue`](crate::mobiwatch::MobiWatch::per_ue)). The
+    /// count itself is not read (a `usize` for the frozen `benchmark/`).
     pub scoring_shards: usize,
     /// Numeric path the deployed detector scores with; [`Precision`] has
     /// one variant (kept for the frozen `benchmark/` package).

@@ -29,7 +29,7 @@
 //! construction: records buffer per report bucket and flush in *cell-major*
 //! order (stable per-cell arrival order), so the concatenation of per-agent
 //! indications the platform delivers is the identical global sequence at
-//! every agent count. Per-UE sharded scoring, trace allocation, and the
+//! every agent count. Per-UE scoring, trace allocation, and the
 //! mitigator's virtual clock are all pure functions of that sequence.
 
 use crate::analyzer::{AnalyzerFinding, AnalyzerState, LlmAnalyzer};
@@ -274,9 +274,8 @@ impl ScaleDeployment {
             precision: config.precision,
             ..MobiWatchConfig::default()
         };
-        let (per_ue, shards) = (pipeline.per_ue(), config.scoring_shards.max(1));
         let (mut watch, watch_state) =
-            MobiWatch::keyed(pipeline.models().clone(), watch_config, per_ue, shards);
+            MobiWatch::keyed(pipeline.models().clone(), watch_config, pipeline.per_ue());
         watch.attach_obs(&obs);
         let (mut analyzer, analyzer_state) = LlmAnalyzer::new(
             Box::new(SimulatedExpert::new(config.personality)),
@@ -491,7 +490,7 @@ impl ScaleDeployment {
     }
 
     /// The run's incident traces as canonical JSONL (stable across
-    /// replays, shard counts, and agent counts).
+    /// replays and agent counts).
     pub fn incidents_digest(&self) -> String {
         self.obs.recorder.incidents_jsonl()
     }

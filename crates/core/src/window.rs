@@ -27,7 +27,6 @@ use crate::mobiwatch::{Detector, MobiWatchConfig};
 use crate::smo::DeployedModels;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-use std::sync::Arc;
 use std::time::Instant;
 use xsec_dl::{
     Featurizer, Lstm, SparseRows, Threshold, Workspace, FEATURES_PER_RECORD,
@@ -48,7 +47,7 @@ pub(crate) fn window_key(per_ue: bool, record: &UeMobiFlow) -> u32 {
 }
 
 /// MobiWatch's per-stage instruments, labelled by the detector in force.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct WatchMetrics {
     pub(crate) featurize_latency: Histogram,
     inference_latency: Histogram,
@@ -58,7 +57,7 @@ pub(crate) struct WatchMetrics {
     pub(crate) alerts: Counter,
     /// Alert candidates merged into an open incident instead of published.
     pub(crate) alerts_merged: Counter,
-    /// Keys with live window state, across every shard.
+    /// Keys with live window state.
     tracked_keys: Gauge,
 }
 
@@ -217,20 +216,18 @@ struct Batch {
     lists: SparseRows,
     /// LSTM input: each window's `window` projections, oldest first.
     projections: Vec<f32>,
-    /// Records whose `P` this shard has computed: one per record staged
+    /// Records whose `P` the scorer has computed: one per record staged
     /// under the LSTM, however many windows read it.
     projected: u64,
 }
 
-/// One shard of MobiWatch's pool — what a set of keyed windows is scored
-/// with and where they live: the deployed models (one read-only copy shared
-/// by every shard), the detector / cooldown in force, the instruments, a
+/// What MobiWatch's keyed windows are scored with and where they live: the
+/// deployed models, the detector / cooldown in force, the instruments, a
 /// scoring workspace, one core per live key, and the batch in flight.
-/// Self-contained, so any thread can score it.
 pub(crate) struct Scorer {
-    pub(crate) models: Arc<DeployedModels>,
-    config: MobiWatchConfig,
-    metrics: WatchMetrics,
+    pub(crate) models: DeployedModels,
+    pub(crate) config: MobiWatchConfig,
+    pub(crate) metrics: WatchMetrics,
     workspace: Workspace,
     /// Cores by slot; a free slot keeps its buffers for the next key.
     cores: Vec<WindowCore>,
@@ -247,14 +244,14 @@ pub(crate) struct Scorer {
     scores: Vec<f32>,
     /// Slots of keys released this batch.
     released: Vec<usize>,
-    /// `(global record index, verdict)` in arrival order, for the caller to
-    /// drain.
+    /// `(global record index, verdict)` in staging order, which is record
+    /// order, for the caller to drain.
     pub(crate) verdicts: Vec<(u64, Verdict)>,
 }
 
 impl Scorer {
     pub(crate) fn new(
-        models: Arc<DeployedModels>,
+        models: DeployedModels,
         config: MobiWatchConfig,
         metrics: WatchMetrics,
     ) -> Self {
@@ -291,11 +288,6 @@ impl Scorer {
         self.work.push((index, key, release));
     }
 
-    /// Whether the batch holds any records.
-    pub(crate) fn is_busy(&self) -> bool {
-        !self.work.is_empty()
-    }
-
     /// Keys with live window state.
     #[cfg(test)]
     pub(crate) fn tracked(&self) -> usize {
@@ -308,7 +300,7 @@ impl Scorer {
         self.workspace.grow_events()
     }
 
-    /// How many records' `P` this shard has computed.
+    /// How many records' `P` the scorer has computed.
     #[cfg(test)]
     pub(crate) fn projected(&self) -> u64 {
         self.batch.projected
@@ -466,8 +458,8 @@ mod tests {
     fn global_window_is_the_one_key_case_of_the_sharded_pool() {
         // The equivalence the shared core rests on: over a single-UE stream
         // the global window and the per-UE window are the same window, so
-        // MobiWatch and a pool of any width must agree on every artifact —
-        // whatever size the batches are.
+        // the two keyings must agree on every artifact — whatever size the
+        // batches are.
         let records = longest_session();
         let len = records.len();
 
@@ -486,15 +478,15 @@ mod tests {
             let global = global.lock();
             assert_eq!(global.scores.len(), len + 1 - detector.span(4), "{detector:?}");
             assert!(global.alerts.len() > 1, "{detector:?}: cooldown path not exercised");
-            for (shards, chunk) in [(1, 5), (3, 5), (1, 1), (3, 64)] {
-                let (mut pool, sharded) = MobiWatch::per_ue(models.clone(), config.clone(), shards);
+            for chunk in [1, 5, 64] {
+                let (mut pool, per_ue) = MobiWatch::per_ue(models.clone(), config.clone());
                 for chunk in records.chunks(chunk) {
                     pool.process_batch(chunk);
                 }
-                let sharded = sharded.lock();
+                let per_ue = per_ue.lock();
                 assert!(
-                    artifacts(&global) == artifacts(&sharded),
-                    "{detector:?}/{shards} shards/chunks of {chunk}"
+                    artifacts(&global) == artifacts(&per_ue),
+                    "{detector:?}/chunks of {chunk}"
                 );
             }
         }
@@ -506,16 +498,19 @@ mod tests {
         let records = extract_from_events(&ds.report.events).records;
         let models = quick_models(30);
         let config = MobiWatchConfig::default();
+        // The shard count is not read: any count is the one pool.
+        let (mut pool, by_pool) = MobiWatch::per_ue(models.clone(), config.clone());
+        for chunk in records.chunks(23) {
+            pool.process_batch(chunk);
+        }
+        let by_pool = by_pool.lock();
+        assert!(!by_pool.alerts.is_empty(), "the flood raised no alert");
         for shards in [1, 3] {
             let (mut shim, by_shim) = ShardedMobiWatch::new(models.clone(), config.clone(), shards);
-            let (mut pool, by_pool) = MobiWatch::per_ue(models.clone(), config.clone(), shards);
             for chunk in records.chunks(23) {
                 shim.process_batch(chunk);
-                pool.process_batch(chunk);
             }
-            let (by_shim, by_pool) = (by_shim.lock(), by_pool.lock());
-            assert!(!by_pool.alerts.is_empty(), "the flood raised no alert");
-            assert!(artifacts(&by_shim) == artifacts(&by_pool), "{shards} shards");
+            assert!(artifacts(&by_shim.lock()) == artifacts(&by_pool), "{shards} shards");
         }
     }
 
@@ -685,7 +680,7 @@ mod tests {
             at.into_iter().zip(scores.iter().map(|s| s.to_bits())).collect();
 
         let config = MobiWatchConfig { detector: Detector::Lstm, ..MobiWatchConfig::default() };
-        let (mut pool, state) = MobiWatch::per_ue(models.clone(), config, 3);
+        let (mut pool, state) = MobiWatch::per_ue(models.clone(), config);
         for chunk in records.chunks(29) {
             pool.process_batch(chunk);
         }

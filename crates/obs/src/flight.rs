@@ -19,13 +19,13 @@
 //! incident is dropped. Incidents export as a JSONL decision trace
 //! ([`FlightRecorder::incidents_jsonl`]) and a Chrome/Perfetto `trace.json`
 //! ([`FlightRecorder::perfetto_json`]); both order-normalize events by
-//! `(trace, time, stage)` so the export is invariant to how many scoring
-//! shards raced to produce it.
+//! `(trace, time, stage)` so the export is invariant to the order the
+//! stages recorded them in.
 //!
 //! Span identity is positional, not allocated: a span is `(trace id,
-//! stage)`, with the parent edge implied by the fixed stage order. Worker
-//! threads therefore never mint ids, which is what keeps a 4-shard run's
-//! incident trace byte-identical to a 1-shard run's.
+//! stage)`, with the parent edge implied by the fixed stage order, so no
+//! stage mints ids and a replay's incident trace is byte-identical to the
+//! run's.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -336,7 +336,7 @@ impl FlightRecorder {
     /// allocation order, followed by one `authz_deny` line per recorded
     /// denial (trace 0 — the denied action never entered the causal
     /// chain). A run without denials renders exactly as it did before
-    /// authorization existed. Stable across replays and shard counts.
+    /// authorization existed. Stable across replays and agent counts.
     pub fn incidents_jsonl(&self) -> String {
         let mut out = String::new();
         for incident in self.incidents() {

@@ -122,39 +122,20 @@ fn flood_incident_carries_the_complete_causal_chain() {
 }
 
 #[test]
-fn incident_traces_are_invariant_to_scoring_shard_count() {
-    // Same seed, same scenario, different parallelism: the flight recorder
-    // must produce byte-identical incident traces (same trace ids, same
-    // causal edges) whether one shard or four score the stream.
-    let recorder_for = |shards: usize| {
-        let mut config = PipelineConfig::small(31, 15);
-        config.scoring_shards = shards;
-        let pipeline = Pipeline::train(&config);
-        let stream = pipeline.eval_stream(TrafficClass::Attack(AttackKind::BtsDos));
-        let mut d = ScaleDeployment::new(&pipeline, 1);
-        d.drive(&mut Replay(&stream.records));
-        d.obs().recorder.clone()
-    };
-    let one = recorder_for(1);
-    let four = recorder_for(4);
-
-    let one_incidents = one.incidents();
-    let four_incidents = four.incidents();
-    assert!(!one_incidents.is_empty(), "1-shard run captured no incidents");
-    assert_eq!(
-        one_incidents, four_incidents,
-        "incident traces diverge between 1 and 4 scoring shards"
-    );
-    assert_eq!(one.dropped_incidents(), four.dropped_incidents());
-    assert_eq!(one.incidents_jsonl(), four.incidents_jsonl());
-    assert_eq!(one.perfetto_json(), four.perfetto_json());
+fn open_loop_replay_records_no_enforce_span() {
+    let mut config = PipelineConfig::small(31, 15);
+    config.scoring_shards = 1;
+    let pipeline = Pipeline::train(&config);
+    let stream = pipeline.eval_stream(TrafficClass::Attack(AttackKind::BtsDos));
+    let mut d = ScaleDeployment::new(&pipeline, 1);
+    d.drive(&mut Replay(&stream.records));
+    let incidents = d.obs().recorder.incidents();
+    assert!(!incidents.is_empty(), "the replayed flood captured no incidents");
 
     // Open-loop replay never enforces, so no incident may claim an
     // Enforce span — the stage only appears when a gNB actually acted.
     assert!(
-        one_incidents
-            .iter()
-            .all(|i| i.events.iter().all(|e| e.stage != TraceStage::Enforce)),
+        incidents.iter().all(|i| i.events.iter().all(|e| e.stage != TraceStage::Enforce)),
         "open-loop run must not record Enforce spans"
     );
 }

@@ -257,13 +257,12 @@ fn detectors_allocate_nothing_per_record_once_warm() {
     for per_indication in [16, 240, 1_024] {
         let (mut watch, state) = MobiWatch::new(models.clone(), config.clone());
         let global = detector_allocations(&mut watch, &state, per_indication);
-        // One shard: the deployed shape, scored on the calling thread, so
-        // this thread's count sees all of it.
-        let (mut pool, state) = MobiWatch::per_ue(models.clone(), config.clone(), 1);
-        let sharded = detector_allocations(&mut pool, &state, per_indication);
-        println!("{per_indication} records/indication: MobiWatch {global}, 1-shard pool {sharded}");
+        // Scored on the calling thread, so this thread's count sees all of it.
+        let (mut pool, state) = MobiWatch::per_ue(models.clone(), config.clone());
+        let per_ue = detector_allocations(&mut pool, &state, per_indication);
+        println!("{per_indication} records/indication: MobiWatch {global}, per-UE pool {per_ue}");
         assert_eq!(global, 0, "MobiWatch allocated at {per_indication} records per indication");
-        assert_eq!(sharded, 0, "the pool allocated at {per_indication} records per indication");
+        assert_eq!(per_ue, 0, "the pool allocated at {per_indication} records per indication");
     }
     let lstm = MobiWatchConfig { detector: Detector::Lstm, ..config };
     for per_indication in [64, 240] {
