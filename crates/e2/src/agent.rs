@@ -42,6 +42,7 @@ struct AgentMetrics {
     frames_undecodable: Counter,
     pdus_unexpected: Counter,
     setups_refused: Counter,
+    unsubscribed: Counter,
 }
 
 impl AgentMetrics {
@@ -54,6 +55,7 @@ impl AgentMetrics {
             frames_undecodable: dropped(obs, "frame", "undecodable"),
             pdus_unexpected: dropped(obs, "pdu", "unexpected"),
             setups_refused: dropped(obs, "setup", "refused"),
+            unsubscribed: dropped(obs, "log", "no_subscription"),
         }
     }
 }
@@ -115,6 +117,7 @@ impl<T: E2Transport> RicAgent<T> {
         metrics.frames_undecodable.add(self.metrics.frames_undecodable.get());
         metrics.pdus_unexpected.add(self.metrics.pdus_unexpected.get());
         metrics.setups_refused.add(self.metrics.setups_refused.get());
+        metrics.unsubscribed.add(self.metrics.unsubscribed.get());
         self.metrics = metrics;
         self.recorder = obs.recorder.clone();
     }
@@ -153,11 +156,19 @@ impl<T: E2Transport> RicAgent<T> {
 
     /// The CU instrumentation hook: one record per observed message. Each
     /// record roots a causal trace in the flight recorder, keyed by its
-    /// `msg_id`; the detector records its ingest span if it fires.
+    /// `msg_id`; the detector records its ingest span if it fires. A
+    /// subscription starts at the log's end, so a record pushed while there
+    /// is none is owed to nobody: it is counted under
+    /// `xsec_e2_agent_dropped_total{site="log",reason="no_subscription"}`
+    /// and not kept.
     pub fn push_record(&mut self, record: UeMobiFlow) {
         self.metrics.records_pushed.inc();
         self.recorder.begin_trace(record.msg_id);
-        self.log.push(record);
+        if self.subscriptions.is_empty() {
+            self.metrics.unsubscribed.inc();
+        } else {
+            self.log.push(record);
+        }
     }
 
     /// Control payloads received from the RIC (closed-loop actions), drained.
@@ -266,11 +277,10 @@ impl<T: E2Transport> RicAgent<T> {
 
     /// Drops every record all subscribers have been sent and rebases their
     /// cursors, so the log holds one report period, not the whole run.
-    /// Without a subscriber nothing is dropped: the agent keeps buffering.
+    /// Without a subscriber nobody is owed anything: the log empties.
     fn trim_log(&mut self) {
-        let Some(shipped) = self.subscriptions.values().map(|s| s.cursor).min() else {
-            return;
-        };
+        let shipped =
+            self.subscriptions.values().map(|s| s.cursor).min().unwrap_or(self.log.len());
         self.log.drain(..shipped);
         for sub in self.subscriptions.values_mut() {
             sub.cursor -= shipped;
@@ -495,6 +505,31 @@ mod tests {
     }
 
     #[test]
+    fn records_after_the_last_subscription_is_deleted_are_not_kept() {
+        let (mut agent, mut ric) = agent();
+        complete_setup(&mut agent, &mut ric);
+        let obs = Obs::new();
+        agent.attach_obs(&obs);
+        let series = "xsec_e2_agent_dropped_total{reason=\"no_subscription\",site=\"log\"} 0\n";
+        assert!(obs.metrics.render_prometheus().contains(series));
+        let request_id = subscribe(&mut agent, &mut ric, 100);
+        agent.push_record(record(0, 10));
+        assert_eq!(agent.log.len(), 1);
+        ric.send(&E2apPdu::SubscriptionDeleteRequest { request_id }.encode()).unwrap();
+        agent.poll(Timestamp(0)).unwrap();
+        assert_eq!(agent.subscription_count(), 0);
+        for period in 1..=10u64 {
+            for i in 0..100 {
+                agent.push_record(record(period * 100 + i, period * 100_000 - 1));
+            }
+            agent.poll(Timestamp(period * 100_000)).unwrap();
+            assert!(agent.log.is_empty(), "period {period} kept {} records", agent.log.len());
+        }
+        assert_eq!(dropped(&obs, "log", "no_subscription").get(), 1_000);
+        assert_eq!(ric.try_recv().unwrap(), None);
+    }
+
+    #[test]
     fn wrong_function_subscription_is_refused() {
         let (mut agent, mut ric) = agent();
         complete_setup(&mut agent, &mut ric);
@@ -543,13 +578,17 @@ mod tests {
     fn the_log_holds_one_report_period() {
         let (mut agent, mut ric) = agent();
         complete_setup(&mut agent, &mut ric);
-        // No subscriber yet: the agent buffers.
+        // No subscriber yet: nobody is owed these records, so none is kept.
         for i in 0..10 {
             agent.push_record(record(i, 1));
         }
         agent.poll(Timestamp(50_000)).unwrap();
-        assert_eq!(agent.log.len(), 10);
-        assert_eq!(agent.backlog(), 0, "nobody is owed the pre-subscription records");
+        assert!(agent.log.is_empty(), "kept {} unowed records", agent.log.len());
+        assert_eq!(agent.backlog(), 0);
+        // The count survives re-homing the agent's metrics.
+        let obs = Obs::new();
+        agent.attach_obs(&obs);
+        assert_eq!(dropped(&obs, "log", "no_subscription").get(), 10);
 
         subscribe(&mut agent, &mut ric, 100);
         let mut delivered = 0;

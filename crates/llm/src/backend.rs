@@ -144,9 +144,9 @@ impl LlmBackend for SimulatedExpert {
                 .to_string());
         };
 
-        let report = ExpertEngine.analyze(&records);
+        let signals = ExpertEngine.analyze(&records);
         let perceived: Vec<&AnalysisSignal> =
-            report.signals.iter().filter(|s| self.personality.perceives(s)).collect();
+            signals.iter().filter(|s| self.personality.perceives(s)).collect();
 
         if perceived.is_empty() {
             return Ok(format!(

@@ -4,9 +4,9 @@
 //! capable LLMs performing on rendered telemetry (§4.2): per-connection
 //! sequence conformance, identifier-reuse analysis across sessions,
 //! signaling-rate analysis, security-algorithm audit, and plaintext-identity
-//! audit. Findings become typed [`AnalysisSignal`]s; the report renders them
-//! as the four §3.3 outputs — classification, explanation, attribution, and
-//! remediation.
+//! audit. Findings become typed [`AnalysisSignal`]s, each naming the attack
+//! it implicates; the backend renders them as the four §3.3 outputs —
+//! classification, explanation, attribution, and remediation.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use xsec_mobiflow::UeMobiFlow;
@@ -78,22 +78,6 @@ impl AnalysisSignal {
     }
 }
 
-/// The engine's full report on one telemetry window.
-#[derive(Debug, Clone)]
-pub struct ExpertReport {
-    /// Findings, in detection order.
-    pub signals: Vec<AnalysisSignal>,
-    /// Ranked attack suspicion (most likely first, up to 3, deduplicated).
-    pub suspected: Vec<AttackKind>,
-}
-
-impl ExpertReport {
-    /// Whether the window should be classified anomalous.
-    pub fn is_anomalous(&self) -> bool {
-        !self.signals.is_empty()
-    }
-}
-
 /// Minimum setup requests for flood suspicion.
 const FLOOD_MIN_SETUPS: usize = 5;
 /// Minimum stalled handshakes for flood suspicion.
@@ -104,8 +88,9 @@ const FLOOD_MIN_STALLED: usize = 3;
 pub struct ExpertEngine;
 
 impl ExpertEngine {
-    /// Analyzes a telemetry window.
-    pub fn analyze(&self, records: &[UeMobiFlow]) -> ExpertReport {
+    /// Analyzes a telemetry window: its findings, in detection order (an
+    /// empty list is a benign verdict).
+    pub fn analyze(&self, records: &[UeMobiFlow]) -> Vec<AnalysisSignal> {
         let mut signals = Vec::new();
 
         // --- per-connection sequence view ---------------------------------
@@ -216,28 +201,7 @@ impl ExpertEngine {
             });
         }
 
-        // Rank suspicion: order signals by specificity (floods and replays
-        // are the loudest), dedupe attack kinds, cap at 3.
-        let mut suspected = Vec::new();
-        let mut ranked: Vec<&AnalysisSignal> = signals.iter().collect();
-        ranked.sort_by_key(|s| match s {
-            AnalysisSignal::SignalingFlood { .. } => 0,
-            AnalysisSignal::TmsiReplay { .. } => 1,
-            AnalysisSignal::OrderingViolation { .. } => 2,
-            AnalysisSignal::PlaintextIdentityExposure { .. } => 3,
-            AnalysisSignal::NullSecurity { .. } => 4,
-        });
-        for signal in ranked {
-            let attack = signal.implicates();
-            if !suspected.contains(&attack) {
-                suspected.push(attack);
-            }
-            if suspected.len() == 3 {
-                break;
-            }
-        }
-
-        ExpertReport { signals, suspected }
+        signals
     }
 }
 
@@ -286,9 +250,8 @@ mod tests {
 
     #[test]
     fn benign_ladder_yields_no_signals() {
-        let report = ExpertEngine.analyze(&benign_ladder(1, 0));
-        assert!(!report.is_anomalous(), "signals: {:?}", report.signals);
-        assert!(report.suspected.is_empty());
+        let signals = ExpertEngine.analyze(&benign_ladder(1, 0));
+        assert!(signals.is_empty(), "signals: {signals:?}");
     }
 
     #[test]
@@ -309,18 +272,12 @@ mod tests {
                 records.push(record(conn as u64 * 10 + i as u64, conn, k));
             }
         }
-        let report = ExpertEngine.analyze(&records);
-        let flood = report
-            .signals
-            .iter()
-            .find(|s| matches!(s, AnalysisSignal::SignalingFlood { .. }))
-            .expect("flood signal");
-        if let AnalysisSignal::SignalingFlood { setups, distinct_rntis, stalled } = flood {
-            assert_eq!(*setups, 6);
-            assert_eq!(*distinct_rntis, 6);
-            assert_eq!(*stalled, 6);
-        }
-        assert_eq!(report.suspected[0], AttackKind::BtsDos);
+        let signals = ExpertEngine.analyze(&records);
+        assert_eq!(
+            signals,
+            vec![AnalysisSignal::SignalingFlood { setups: 6, distinct_rntis: 6, stalled: 6 }]
+        );
+        assert_eq!(signals[0].implicates(), AttackKind::BtsDos);
     }
 
     #[test]
@@ -330,12 +287,12 @@ mod tests {
         for r in &mut records {
             r.tmsi = Some(Tmsi(0xBEEF)); // same TMSI on both connections
         }
-        let report = ExpertEngine.analyze(&records);
-        assert!(report
-            .signals
-            .iter()
-            .any(|s| matches!(s, AnalysisSignal::TmsiReplay { connections: 2, .. })));
-        assert!(report.suspected.contains(&AttackKind::BlindDos));
+        let signals = ExpertEngine.analyze(&records);
+        assert_eq!(
+            signals,
+            vec![AnalysisSignal::TmsiReplay { tmsi: Tmsi(0xBEEF), connections: 2 }]
+        );
+        assert_eq!(signals[0].implicates(), AttackKind::BlindDos);
     }
 
     #[test]
@@ -354,16 +311,13 @@ mod tests {
         .map(|(i, k)| record(i as u64, 1, k))
         .collect();
         records[5].supi = Some(Supi::new(Plmn::TEST, 42));
-        let report = ExpertEngine.analyze(&records);
-        assert!(report
-            .signals
-            .iter()
-            .any(|s| matches!(s, AnalysisSignal::OrderingViolation { .. })));
-        assert!(report.signals.iter().any(|s| matches!(
+        let signals = ExpertEngine.analyze(&records);
+        assert!(signals.iter().any(|s| matches!(s, AnalysisSignal::OrderingViolation { .. })));
+        assert!(signals.iter().any(|s| matches!(
             s,
             AnalysisSignal::PlaintextIdentityExposure { compliant_position: false, .. }
         )));
-        assert_eq!(report.suspected[0], AttackKind::DownlinkIdExtraction);
+        assert!(signals.iter().all(|s| s.implicates() == AttackKind::DownlinkIdExtraction));
     }
 
     #[test]
@@ -382,17 +336,14 @@ mod tests {
         .map(|(i, k)| record(i as u64, 1, k))
         .collect();
         records[5].supi = Some(Supi::new(Plmn::TEST, 42));
-        let report = ExpertEngine.analyze(&records);
+        let signals = ExpertEngine.analyze(&records);
         // No ordering violation — the trace is standards compliant.
-        assert!(!report
-            .signals
-            .iter()
-            .any(|s| matches!(s, AnalysisSignal::OrderingViolation { .. })));
-        assert!(report.signals.iter().any(|s| matches!(
+        assert!(!signals.iter().any(|s| matches!(s, AnalysisSignal::OrderingViolation { .. })));
+        assert!(signals.iter().any(|s| matches!(
             s,
             AnalysisSignal::PlaintextIdentityExposure { compliant_position: true, .. }
         )));
-        assert_eq!(report.suspected[0], AttackKind::UplinkIdExtraction);
+        assert!(signals.iter().all(|s| s.implicates() == AttackKind::UplinkIdExtraction));
     }
 
     #[test]
@@ -402,19 +353,19 @@ mod tests {
             r.cipher_alg = Some(CipherAlg::Nea0);
             r.integrity_alg = Some(IntegrityAlg::Nia0);
         }
-        let report = ExpertEngine.analyze(&records);
-        let nulls = report
-            .signals
-            .iter()
-            .filter(|s| matches!(s, AnalysisSignal::NullSecurity { .. }))
-            .count();
-        assert_eq!(nulls, 1);
-        assert_eq!(report.suspected[0], AttackKind::NullCipher);
+        let signals = ExpertEngine.analyze(&records);
+        assert_eq!(signals, vec![AnalysisSignal::NullSecurity { conn: 1 }]);
+        assert_eq!(signals[0].implicates(), AttackKind::NullCipher);
     }
 
     #[test]
     fn suspicion_list_caps_at_three() {
-        // Construct a window exhibiting four signal classes.
+        // A window implicating all five attacks: six stalled handshakes
+        // replaying one TMSI under NEA0/NIA0 (flood, replay, null security),
+        // a challenge answered with a plaintext identity (downlink
+        // extraction) and a legal identity procedure disclosing the SUPI
+        // (uplink extraction).
+        use crate::{LlmBackend, ModelPersonality, ParsedResponse, PromptTemplate, SimulatedExpert};
         use MessageKind as K;
         let mut records = Vec::new();
         for conn in 1..=6u32 {
@@ -435,10 +386,28 @@ mod tests {
                 records.push(r);
             }
         }
-        let report = ExpertEngine.analyze(&records);
-        assert!(report.suspected.len() <= 3);
-        assert_eq!(report.suspected[0], AttackKind::BtsDos);
-        assert_eq!(report.suspected[1], AttackKind::BlindDos);
+        for (conn, probe) in [(7u32, K::NasAuthenticationRequest), (8, K::NasIdentityRequest)] {
+            let ladder = [K::RrcSetupRequest, probe, K::NasIdentityResponse];
+            for (i, k) in ladder.into_iter().enumerate() {
+                let mut r = record(conn as u64 * 10 + i as u64, conn, k);
+                if k == K::NasIdentityResponse {
+                    r.supi = Some(Supi::new(Plmn::TEST, u64::from(conn)));
+                }
+                records.push(r);
+            }
+        }
+        let implicated: BTreeSet<AttackKind> =
+            ExpertEngine.analyze(&records).iter().map(AnalysisSignal::implicates).collect();
+        assert_eq!(implicated.len(), 5, "{implicated:?}");
+
+        let prompt = PromptTemplate::default().render(&records);
+        let answer = SimulatedExpert::new(ModelPersonality::ORACLE).complete(&prompt).unwrap();
+        let parsed = ParsedResponse::parse(&answer);
+        assert!(parsed.anomalous, "{answer}");
+        // Listed in signal order: the per-connection findings come first.
+        assert_eq!(parsed.attacks.len(), 3, "{answer}");
+        assert!(parsed.attacks[0].starts_with("Downlink identity extraction"), "{answer}");
+        assert!(parsed.attacks[1].starts_with("Uplink identity extraction"), "{answer}");
     }
 
     #[test]
@@ -447,7 +416,7 @@ mod tests {
         // Duplicate the auth request (retransmission).
         let dup = records[4].clone();
         records.insert(5, dup);
-        let report = ExpertEngine.analyze(&records);
-        assert!(!report.is_anomalous(), "signals: {:?}", report.signals);
+        let signals = ExpertEngine.analyze(&records);
+        assert!(signals.is_empty(), "signals: {signals:?}");
     }
 }

@@ -33,7 +33,7 @@ mod prompt;
 mod response;
 
 pub use backend::{LlmBackend, SimulatedExpert};
-pub use expert::{AnalysisSignal, ExpertEngine, ExpertReport};
+pub use expert::{AnalysisSignal, ExpertEngine};
 pub use personality::ModelPersonality;
 pub use prompt::PromptTemplate;
 pub use response::{cross_compare, CrossVerdict, ParsedResponse};

@@ -202,7 +202,7 @@ mod tests {
         let registry = MetricsRegistry::default();
         registry.counter("xsec_test_total", &[("agent", "gnb-1")]).add(3);
         registry.gauge("xsec_test_depth", &[]).add(-2);
-        let h = registry.histogram_with("xsec_test_latency_us", &[], &[10, 100]);
+        let h = registry.histogram("xsec_test_latency_us", &[]);
         h.observe(5);
         h.observe(50);
         h.observe(5_000);
@@ -231,7 +231,7 @@ mod tests {
     fn json_is_well_formed_and_escaped() {
         let registry = MetricsRegistry::default();
         registry.counter("m", &[("k", "quote\"backslash\\tab\t")]).inc();
-        registry.histogram_with("h_us", &[], &[100]).observe(40);
+        registry.histogram("h_us", &[]).observe(40);
         let json = registry.snapshot().render_json();
         assert!(json.contains(r#""k":"quote\"backslash\\tab\t""#), "got: {json}");
         assert!(json.contains(r#""name":"h_us","labels":{},"type":"histogram","count":1"#));
@@ -264,12 +264,12 @@ mod tests {
     #[test]
     fn exemplars_render_in_both_expositions() {
         let registry = MetricsRegistry::default();
-        let h = registry.histogram_with("h_us", &[], &[10, 100]);
+        let h = registry.histogram("h_us", &[]);
         h.observe(5);
         h.observe_with_exemplar(40, 7);
         let text = registry.render_prometheus();
         assert!(
-            text.contains("h_us_bucket{le=\"100\"} 2 # {trace_id=\"7\"} 40"),
+            text.contains("h_us_bucket{le=\"50\"} 2 # {trace_id=\"7\"} 40"),
             "exemplar missing from its owning bucket: {text}"
         );
         // Only the owning bucket carries the exemplar.

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration as StdDuration;
 
-/// Default histogram buckets for microsecond latencies: roughly
+/// Histogram buckets for microsecond latencies: roughly
 /// logarithmic from 1 µs to 10 s, bracketing the O-RAN near-RT window
 /// (10 ms – 1 s) with fine resolution on both sides. Values above the last
 /// bound land in the implicit `+Inf` bucket.
@@ -316,24 +316,13 @@ impl MetricsRegistry {
         }
     }
 
-    /// Gets or creates a histogram with the default latency buckets.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        self.histogram_with(name, labels, &LATENCY_BUCKETS_US)
-    }
-
-    /// Gets or creates a histogram with explicit bucket bounds (used on
-    /// first registration; later calls return the existing histogram).
+    /// Gets or creates a histogram over the `LATENCY_BUCKETS_US` bounds.
     ///
     /// # Panics
     /// Panics if the same `(name, labels)` was registered as another type.
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: &[u64],
-    ) -> Histogram {
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
         match self.get_or_insert(MetricKey::new(name, labels), || {
-            MetricHandle::Histogram(Histogram::new(bounds))
+            MetricHandle::Histogram(Histogram::new(&LATENCY_BUCKETS_US))
         }) {
             MetricHandle::Histogram(h) => h,
             other => panic!("metric {name} already registered as {}", other.kind()),

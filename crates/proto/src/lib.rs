@@ -1,8 +1,7 @@
 //! # xsec-proto
 //!
 //! The L3 control-protocol model for the simulated 5G network: RRC (3GPP
-//! 38.331) and NAS (3GPP 24.501) message types and a procedure-conformance
-//! checker.
+//! 38.331) and NAS (3GPP 24.501) message types.
 //!
 //! ## Scope
 //!
@@ -11,7 +10,9 @@
 //! authentication, security-mode negotiation, identity procedures, paging,
 //! session setup, and release. It is a *model*, not an ASN.1 PER
 //! implementation — messages carry exactly the fields the MobiFlow telemetry
-//! schema (paper Table 1) extracts, plus what the conformance checker needs.
+//! schema (paper Table 1) extracts, plus what the simulated UE, gNB and AMF
+//! need to run the procedures. Whether a message sequence follows them is
+//! judged downstream, by the expert engine in `xsec_llm`.
 //!
 //! ## Layering
 //!
@@ -30,9 +31,6 @@
 //! * [`nas::NasMessage`] — the NAS messages piggybacked through RRC.
 //! * [`msg::L3Message`] / [`msg::MessageKind`] — the unified vocabulary the
 //!   featurizer and MobiFlow records use.
-//! * [`state`] — the network-side [`state::ProcedureConformance`]
-//!   checker, an independent lens on a message sequence for tests and
-//!   examples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,9 +38,7 @@
 mod msg;
 pub mod nas;
 mod rrc;
-mod state;
 
 pub use msg::{Direction, L3Message, MessageKind, MobileIdentity};
 pub use nas::NasMessage;
 pub use rrc::RrcMessage;
-pub use state::{ProcedureConformance, Violation};

@@ -55,13 +55,6 @@ pub enum MobileIdentity {
     PlainSupi(Supi),
 }
 
-impl MobileIdentity {
-    /// Whether this identity exposes the permanent subscriber identity.
-    pub fn exposes_supi(&self) -> bool {
-        matches!(self, MobileIdentity::PlainSupi(_))
-    }
-}
-
 impl fmt::Display for MobileIdentity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -254,9 +247,11 @@ mod tests {
         let plain = MobileIdentity::PlainSupi(Supi::new(Plmn::TEST, 1));
         let suci = MobileIdentity::Suci { plmn: Plmn::TEST, concealed: 0xABCD };
         let tmsi = MobileIdentity::FiveGSTmsi(Tmsi(5));
-        assert!(plain.exposes_supi());
-        assert!(!suci.exposes_supi());
-        assert!(!tmsi.exposes_supi());
+        // Only the plaintext form carries the permanent identity over the air.
+        let supi = Supi::new(Plmn::TEST, 1).to_string();
+        assert_eq!(plain.to_string(), supi);
+        assert!(!suci.to_string().contains(&supi));
+        assert!(!tmsi.to_string().contains(&supi));
     }
 
     #[test]

@@ -222,7 +222,7 @@ mod tests {
 
         let plain = MobileIdentity::PlainSupi(Supi::new(Plmn::TEST, 42));
         let resp = NasMessage::IdentityResponse { identity: plain };
-        assert!(resp.disclosed_identity().unwrap().exposes_supi());
+        assert_eq!(resp.disclosed_identity(), Some(&plain));
 
         assert_eq!(NasMessage::ServiceAccept.disclosed_identity(), None);
     }

@@ -15,9 +15,8 @@
 //!
 //! * **Identity fallback** — when the presented identity cannot be resolved
 //!   (unknown TMSI, garbled SUCI), the AMF falls back to an
-//!   `IdentityRequest`. [`AmfConfig::identity_fallback_plaintext`] selects
-//!   whether it demands the *plaintext* SUPI (the permissive behavior the
-//!   uplink identity-extraction attack exploits) or a fresh SUCI.
+//!   `IdentityRequest` demanding the *plaintext* SUPI: the permissive
+//!   behavior the uplink identity-extraction attack exploits.
 //! * **TMSI conflict** — a registration/service request presenting a TMSI
 //!   that is *currently attached on another connection* detaches the old
 //!   connection (the victim), which is exactly the Blind-DoS disruption.
@@ -39,30 +38,17 @@ pub struct SubscriberRecord {
     pub key: u64,
 }
 
+/// Maximum authentication attempts per connection before rejecting.
+const MAX_AUTH_ATTEMPTS: u32 = 2;
+
 /// AMF policy knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AmfConfig {
-    /// When an identity cannot be resolved, demand the plaintext SUPI
-    /// (`true`, permissive — the behavior the AdaptOver-style uplink
-    /// extraction banks on) or a fresh SUCI (`false`, strict).
-    identity_fallback_plaintext: bool,
-    /// Maximum authentication attempts per connection before rejecting.
-    max_auth_attempts: u32,
     /// Upper bound on remembered TMSI→subscriber bindings. `None` keeps
     /// every binding forever (fine for bounded scenario runs); streaming
     /// runs set a cap so the AMF forgets the oldest *detached* TMSIs first
     /// and its memory stays flat while millions of UEs churn through.
     pub tmsi_retention: Option<usize>,
-}
-
-impl Default for AmfConfig {
-    fn default() -> Self {
-        AmfConfig {
-            identity_fallback_plaintext: true,
-            max_auth_attempts: 2,
-            tmsi_retention: None,
-        }
-    }
 }
 
 /// Something the AMF wants the RAN/simulator to do.
@@ -244,14 +230,6 @@ impl Amf {
         })
     }
 
-    fn identity_fallback(&self) -> IdentityType {
-        if self.config.identity_fallback_plaintext {
-            IdentityType::PlainSupi
-        } else {
-            IdentityType::Suci
-        }
-    }
-
     fn handle_registration(
         &mut self,
         conn: u64,
@@ -298,13 +276,12 @@ impl Amf {
                 actions
             }
             None => {
-                // Cannot resolve: identity procedure (the uplink-extraction
-                // lever when the fallback is plaintext).
-                let id_type = self.identity_fallback();
+                // Cannot resolve: a plaintext identity procedure (the
+                // uplink-extraction lever).
                 self.ctx(conn).phase = ConnPhase::Resolving;
                 actions.push(AmfAction::SendNas {
                     conn,
-                    msg: NasMessage::IdentityRequest { id_type },
+                    msg: NasMessage::IdentityRequest { id_type: IdentityType::PlainSupi },
                 });
                 actions
             }
@@ -364,7 +341,7 @@ impl Amf {
             }]
         } else {
             ctx.auth_attempts += 1;
-            if ctx.auth_attempts >= self.config.max_auth_attempts {
+            if ctx.auth_attempts >= MAX_AUTH_ATTEMPTS {
                 vec![
                     AmfAction::SendNas { conn, msg: NasMessage::AuthenticationReject },
                     AmfAction::ReleaseConnection { conn, cause: ReleaseCause::NetworkAbort },
@@ -417,10 +394,9 @@ impl Amf {
                 actions
             }
             None => {
-                let id_type = self.identity_fallback();
                 actions.push(AmfAction::SendNas {
                     conn,
-                    msg: NasMessage::IdentityRequest { id_type },
+                    msg: NasMessage::IdentityRequest { id_type: IdentityType::PlainSupi },
                 });
                 actions
             }
@@ -528,28 +504,6 @@ mod tests {
                 msg: NasMessage::IdentityRequest { id_type: IdentityType::PlainSupi },
             }]
         );
-    }
-
-    #[test]
-    fn strict_fallback_asks_for_suci_instead() {
-        let mut amf = Amf::new(
-            AmfConfig { identity_fallback_plaintext: false, ..AmfConfig::default() },
-            StdRng::seed_from_u64(1),
-        );
-        let actions = amf.handle_uplink(
-            1,
-            &NasMessage::RegistrationRequest {
-                identity: MobileIdentity::FiveGSTmsi(Tmsi(0xDEAD)),
-                capabilities: SecurityCapabilities::full(),
-            },
-        );
-        assert!(matches!(
-            actions[0],
-            AmfAction::SendNas {
-                msg: NasMessage::IdentityRequest { id_type: IdentityType::Suci },
-                ..
-            }
-        ));
     }
 
     #[test]
@@ -675,7 +629,7 @@ mod tests {
     #[test]
     fn tmsi_retention_evicts_oldest_detached_binding_first() {
         let mut amf = Amf::new(
-            AmfConfig { tmsi_retention: Some(2), ..AmfConfig::default() },
+            AmfConfig { tmsi_retention: Some(2) },
             StdRng::seed_from_u64(3),
         );
         amf.provision(SubscriberRecord { supi: Supi::new(Plmn::TEST, 1000), key: 0xAA });

@@ -48,7 +48,7 @@ pub struct DeviceProfile {
 
 impl DeviceModel {
     /// Number of device models — array types that must stay in sync with
-    /// [`DeviceModel::ALL`] (e.g. `ScenarioConfig::device_mix`) should be
+    /// [`DeviceModel::ALL`] (e.g. the scenarios' device mix) should be
     /// sized with this constant so they cannot silently drift.
     pub const COUNT: usize = DeviceModel::ALL.len();
 

@@ -22,18 +22,19 @@ use xsec_types::{
     Tmsi,
 };
 
-/// gNB policy knobs.
+/// Maximum simultaneous UE contexts (admission control).
+const MAX_CONTEXTS: usize = 48;
+/// How long an un-registered context may live before the CU garbage
+/// collects it (stalled handshakes — the resource the BTS DoS burns).
+const SETUP_GUARD: Duration = Duration::from_millis(600);
+/// First C-RNTI to hand out (OAI starts around 0x4601).
+const FIRST_RNTI: u16 = 0x4601;
+
+/// Where a gNB sits in a deployment: its cell and its connection ids.
 #[derive(Debug, Clone)]
 pub struct GnbConfig {
     /// Serving cell id.
     pub cell: CellId,
-    /// Maximum simultaneous UE contexts (admission control).
-    max_contexts: usize,
-    /// How long an un-registered context may live before the CU garbage
-    /// collects it (stalled handshakes — the resource the BTS DoS burns).
-    setup_guard: Duration,
-    /// First C-RNTI to hand out (OAI starts around 0x4601).
-    first_rnti: u16,
     /// First DU-local connection id. Multi-cell deployments give each cell a
     /// disjoint range so `du_ue_id` stays globally unique across gNBs.
     pub first_conn: u32,
@@ -43,9 +44,6 @@ impl Default for GnbConfig {
     fn default() -> Self {
         GnbConfig {
             cell: CellId(1),
-            max_contexts: 48,
-            setup_guard: Duration::from_millis(600),
-            first_rnti: 0x4601,
             first_conn: 1,
         }
     }
@@ -186,12 +184,11 @@ pub struct Gnb {
 impl Gnb {
     /// Creates a gNB with the given configuration.
     pub fn new(config: GnbConfig) -> Self {
-        let rnti_cursor = config.first_rnti;
         let next_conn = config.first_conn;
         Gnb {
             config,
             contexts: HashMap::new(),
-            rnti_cursor,
+            rnti_cursor: FIRST_RNTI,
             next_conn,
             metrics: GnbMetrics::register(&Obs::new()),
             blacklist: HashMap::new(),
@@ -286,7 +283,7 @@ impl Gnb {
                 limit.recent.push_back(now);
             }
         }
-        if self.contexts.len() >= self.config.max_contexts {
+        if self.contexts.len() >= MAX_CONTEXTS {
             self.metrics.rejected.inc();
             return Err(AdmitError::Congestion);
         }
@@ -419,7 +416,7 @@ impl Gnb {
             .contexts
             .iter()
             .filter(|(_, ctx)| {
-                !ctx.registered && now.saturating_since(ctx.created_at) > self.config.setup_guard
+                !ctx.registered && now.saturating_since(ctx.created_at) > SETUP_GUARD
             })
             .map(|(conn, _)| *conn)
             .collect();
@@ -520,9 +517,10 @@ mod tests {
 
     #[test]
     fn admission_rejects_when_full() {
-        let mut gnb = Gnb::new(GnbConfig { max_contexts: 2, ..GnbConfig::default() });
-        gnb.admit(Timestamp::ZERO, EstablishmentCause::MoData).unwrap();
-        gnb.admit(Timestamp::ZERO, EstablishmentCause::MoData).unwrap();
+        let mut gnb = gnb();
+        for _ in 0..MAX_CONTEXTS {
+            gnb.admit(Timestamp::ZERO, EstablishmentCause::MoData).unwrap();
+        }
         assert_eq!(
             gnb.admit(Timestamp::ZERO, EstablishmentCause::MoData),
             Err(AdmitError::Congestion)
@@ -633,15 +631,12 @@ mod tests {
 
     #[test]
     fn guard_timer_collects_stalled_handshakes() {
-        let mut gnb = Gnb::new(GnbConfig {
-            setup_guard: Duration::from_millis(100),
-            ..GnbConfig::default()
-        });
+        let mut gnb = gnb();
         let conn = gnb.admit(Timestamp::ZERO, EstablishmentCause::MoData).unwrap();
-        // Not yet expired.
-        assert!(gnb.expire_stale(Timestamp(50_000)).is_empty());
+        // Not yet expired: the guard is strict.
+        assert!(gnb.expire_stale(Timestamp::ZERO + SETUP_GUARD).is_empty());
         // Expired.
-        let actions = gnb.expire_stale(Timestamp(200_000));
+        let actions = gnb.expire_stale(Timestamp::ZERO + SETUP_GUARD + Duration::from_millis(1));
         assert_eq!(actions.len(), 2);
         assert!(gnb.context(conn).is_none());
         assert_eq!(gnb.stats().guard_expired, 1);
@@ -649,10 +644,7 @@ mod tests {
 
     #[test]
     fn registered_contexts_survive_the_guard() {
-        let mut gnb = Gnb::new(GnbConfig {
-            setup_guard: Duration::from_millis(100),
-            ..GnbConfig::default()
-        });
+        let mut gnb = gnb();
         let conn = gnb.admit(Timestamp::ZERO, EstablishmentCause::MoData).unwrap();
         gnb.handle_amf(&AmfAction::SendNas {
             conn: conn as u64,
@@ -664,14 +656,14 @@ mod tests {
 
     #[test]
     fn rnti_reuse_after_release() {
-        let mut gnb = Gnb::new(GnbConfig { max_contexts: 4, ..GnbConfig::default() });
+        let mut gnb = gnb();
         let conn = gnb.admit(Timestamp::ZERO, EstablishmentCause::MoData).unwrap();
         let rnti = gnb.context(conn).unwrap().rnti;
         gnb.release(conn, ReleaseCause::Normal);
         // Cursor walks forward, so the freed RNTI comes back only after the
         // space wraps — but allocation must keep succeeding far beyond the
         // context cap, proving RNTIs are recycled.
-        for _ in 0..100 {
+        for _ in 0..25 * MAX_CONTEXTS {
             let c = gnb.admit(Timestamp::ZERO, EstablishmentCause::MoData).unwrap();
             gnb.release(c, ReleaseCause::Normal);
         }

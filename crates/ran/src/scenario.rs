@@ -5,8 +5,8 @@
 //! sessions with exponential-ish inter-arrival times and per-model device
 //! mixes, and produces a ready-to-run [`RanSimulator`]. The paper's benign
 //! dataset — "over 100 UE sessions" from four phone models plus OAI soft
-//! UEs — corresponds to [`ScenarioConfig::benign_sessions`] ≈ 100+ with the
-//! default device mix.
+//! UEs — corresponds to [`ScenarioConfig::benign_sessions`] ≈ 100+ drawn
+//! from [`DEVICE_MIX`].
 
 use crate::amf::SubscriberRecord;
 use crate::device::DeviceModel;
@@ -15,6 +15,15 @@ use crate::ue::BenignUe;
 use rand::Rng;
 use xsec_netsim::RngStreams;
 use xsec_types::{Duration, Plmn, Supi, Timestamp, TrafficClass, Tmsi};
+
+/// Relative weights over [`DeviceModel::ALL`]: four phone models plus a
+/// heavier soft-UE share, like the paper's collection. Both the scenario and
+/// the streaming generator draw from it.
+pub(crate) const DEVICE_MIX: [u32; DeviceModel::COUNT] = [18, 18, 16, 16, 32];
+
+/// Fraction of sessions that are re-registrations presenting a cached TMSI
+/// (the UE is provisioned with one it "remembers").
+pub(crate) const WARM_START_FRACTION: f64 = 0.35;
 
 /// Scenario parameters.
 #[derive(Debug, Clone)]
@@ -25,12 +34,6 @@ pub struct ScenarioConfig {
     pub benign_sessions: usize,
     /// Mean inter-arrival time between session starts.
     pub mean_inter_arrival: Duration,
-    /// Relative weights over [`DeviceModel::ALL`] for the device mix.
-    /// Default mixes phones and soft UEs like the paper's collection.
-    pub device_mix: [u32; DeviceModel::COUNT],
-    /// Fraction of sessions that are re-registrations presenting a cached
-    /// TMSI (the UE is provisioned with one it "remembers").
-    pub warm_start_fraction: f64,
 }
 
 impl Default for ScenarioConfig {
@@ -39,8 +42,6 @@ impl Default for ScenarioConfig {
             sim: SimConfig::default(),
             benign_sessions: 110,
             mean_inter_arrival: Duration::from_millis(120),
-            device_mix: [18, 18, 16, 16, 32], // 4 phones + a heavier soft-UE share
-            warm_start_fraction: 0.35,
         }
     }
 }
@@ -72,7 +73,7 @@ impl Scenario {
         let mut at = Timestamp::ZERO;
 
         for i in 0..self.config.benign_sessions {
-            let model = DeviceModel::draw(&self.config.device_mix, &mut rng);
+            let model = DeviceModel::draw(&DEVICE_MIX, &mut rng);
 
             // Subscriber provisioning.
             let msin = 100_000 + i as u64;
@@ -83,7 +84,7 @@ impl Scenario {
             // Warm-start UEs carry a TMSI from "a previous power cycle" that
             // the AMF can still resolve (persistent TMSI state), so benign
             // re-registrations proceed without identity procedures.
-            let cached_tmsi = if rng.gen_bool(self.config.warm_start_fraction) {
+            let cached_tmsi = if rng.gen_bool(WARM_START_FRACTION) {
                 let tmsi = Tmsi(0x00F0_0000 + i as u32);
                 sim.add_stale_tmsi(tmsi, msin);
                 Some(tmsi)

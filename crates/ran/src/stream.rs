@@ -34,6 +34,7 @@
 
 use crate::amf::SubscriberRecord;
 use crate::device::DeviceModel;
+use crate::scenario::{DEVICE_MIX, WARM_START_FRACTION};
 use crate::sim::{RanSimulator, SimConfig};
 use crate::ue::{BenignUe, SessionPlan, UeBehavior};
 use crate::RanEvent;
@@ -73,10 +74,6 @@ pub struct StreamConfig {
     pub total_ues: u64,
     /// Mean inter-arrival time between benign session starts.
     pub mean_inter_arrival: Duration,
-    /// Relative weights over [`DeviceModel::ALL`].
-    pub device_mix: [u32; DeviceModel::COUNT],
-    /// Fraction of arrivals presenting a cached TMSI.
-    pub warm_start_fraction: f64,
     /// Fraction of UEs that hand over to another cell after their first
     /// session instead of disappearing.
     pub mobility_fraction: f64,
@@ -101,8 +98,6 @@ impl Default for StreamConfig {
             cells: 4,
             total_ues: 2_000,
             mean_inter_arrival: Duration::from_millis(2),
-            device_mix: [18, 18, 16, 16, 32],
-            warm_start_fraction: 0.35,
             mobility_fraction: 0.15,
             max_handovers: 2,
             storm: None,
@@ -368,7 +363,7 @@ impl StreamingScenario {
         let msin = 100_000 + seq;
         let key = 0xAB00_0000 + seq;
         let supi = Supi::new(Plmn::TEST, msin);
-        let model = DeviceModel::draw(&self.config.device_mix, &mut self.rng);
+        let model = DeviceModel::draw(&DEVICE_MIX, &mut self.rng);
         let sim = &mut self.cells[cell];
         sim.add_subscriber(SubscriberRecord { supi, key });
 
@@ -378,7 +373,7 @@ impl StreamingScenario {
         // ~16M spawns): a shared TMSI would alias two identities in the
         // stale map, and the survivor's registration would chase a
         // subscriber that handed over out of the cell.
-        let cached_tmsi = if self.rng.gen_bool(self.config.warm_start_fraction) {
+        let cached_tmsi = if self.rng.gen_bool(WARM_START_FRACTION) {
             let tmsi = Tmsi(1 + (seq as u32 % 0x00FF_FFFF));
             sim.add_stale_tmsi(tmsi, msin);
             Some(tmsi)
@@ -546,7 +541,6 @@ mod tests {
             total_ues: 30,
             mobility_fraction: 1.0,
             max_handovers: 1,
-            warm_start_fraction: 0.0,
             mean_inter_arrival: Duration::from_millis(5),
             ..StreamConfig::default()
         };

@@ -407,7 +407,7 @@ mod tests {
         let L3Message::Nas(NasMessage::IdentityResponse { identity }) = &actions.sends[0] else {
             panic!("expected IdentityResponse");
         };
-        assert!(identity.exposes_supi());
+        assert!(matches!(identity, MobileIdentity::PlainSupi(_)), "{identity}");
     }
 
     #[test]

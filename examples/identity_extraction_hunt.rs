@@ -1,17 +1,20 @@
 //! Identity-extraction hunt: mount both identity-extraction attacks
 //! (downlink/LTrack and uplink/AdaptOver), print the victim's message
-//! ladder, and show why the uplink variant is the hard case: its trace is
-//! standards-compliant, so only content-level analysis catches it — and
-//! only *some* "LLMs" (model personalities) do.
+//! ladder and what the expert engine finds on it, and show why the uplink
+//! variant is the hard case: its trace is standards-compliant, so only
+//! content-level analysis catches it — and only *some* "LLMs" (model
+//! personalities) do.
 //!
 //! ```sh
 //! cargo run --release --example identity_extraction_hunt
 //! ```
 
 use xsec_attacks::DatasetBuilder;
-use xsec_llm::{LlmBackend, ModelPersonality, ParsedResponse, PromptTemplate, SimulatedExpert};
+use xsec_llm::{
+    AnalysisSignal, ExpertEngine, LlmBackend, ModelPersonality, ParsedResponse, PromptTemplate,
+    SimulatedExpert,
+};
 use xsec_mobiflow::extract_from_events;
-use xsec_proto::{ProcedureConformance, Violation};
 use xsec_types::AttackKind;
 
 fn main() {
@@ -29,26 +32,22 @@ fn main() {
         let victim_conn = stream.records[exposure_idx].du_ue_id;
         println!("victim connection {victim_conn}; message ladder:");
         let victim: Vec<_> =
-            stream.records.iter().filter(|r| r.du_ue_id == victim_conn).collect();
+            stream.records.iter().filter(|r| r.du_ue_id == victim_conn).cloned().collect();
         for r in &victim {
             let marker = if r.supi.is_some() { "  <-- SUPI IN PLAINTEXT" } else { "" };
             println!("  {} {}{}", r.direction, r.msg.name(), marker);
         }
 
-        // Grammar view: does the sequence violate the 24.501 procedures?
-        let mut check = ProcedureConformance::new();
-        for ev in ds.report.events.iter().filter(|e| e.du_ue_id == victim_conn) {
-            check.observe(&ev.msg);
-        }
-        let ordering = check
-            .violations()
+        // The expert's view: does the sequence violate the 24.501 procedures?
+        let signals = ExpertEngine.analyze(&victim);
+        let ordering = signals
             .iter()
-            .filter(|v| matches!(v, Violation::OutOfOrder { .. }))
+            .filter(|s| matches!(s, AnalysisSignal::OrderingViolation { .. }))
             .count();
         println!(
-            "\ngrammar check: {} ordering violations, plaintext disclosure: {}",
+            "\nexpert check: {} ordering violations, plaintext disclosure: {}",
             ordering,
-            check.violations().contains(&Violation::PlaintextIdentityDisclosure)
+            signals.iter().any(|s| matches!(s, AnalysisSignal::PlaintextIdentityExposure { .. }))
         );
         if ordering == 0 {
             println!("  -> every message is individually legal (the hard case)");

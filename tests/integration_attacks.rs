@@ -1,91 +1,103 @@
-//! Integration between the attack datasets, the protocol conformance
-//! checker, MobiFlow extraction, and the expert engine: each
-//! attack's literature-documented signature must be visible through every
-//! independent lens.
+//! Integration between the attack datasets, MobiFlow extraction and the
+//! expert engine: each attack's literature-documented signature must reach
+//! the protocol judge the analyzer runs (`ExpertEngine::analyze`) through
+//! the telemetry it reads, and benign connections must pass it clean.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use xsec_attacks::DatasetBuilder;
-use xsec_llm::{AnalysisSignal, ExpertEngine};
-use xsec_mobiflow::extract_from_events;
-use xsec_proto::{L3Message, NasMessage, ProcedureConformance, RrcMessage, Violation};
+use xsec_control::attack_from_title;
+use xsec_llm::{
+    AnalysisSignal, ExpertEngine, LlmBackend, ModelPersonality, ParsedResponse, PromptTemplate,
+    SimulatedExpert,
+};
+use xsec_mobiflow::{extract_from_events, TelemetryStream, UeMobiFlow};
+use xsec_proto::{L3Message, MessageKind, NasMessage, RrcMessage};
 use xsec_types::{AttackKind, CipherAlg, IntegrityAlg, TrafficClass};
 
+/// Each connection's MobiFlow records, in stream order.
+fn connections(stream: &TelemetryStream) -> BTreeMap<u32, Vec<UeMobiFlow>> {
+    let mut conns: BTreeMap<u32, Vec<UeMobiFlow>> = BTreeMap::new();
+    for r in &stream.records {
+        conns.entry(r.du_ue_id).or_default().push(r.clone());
+    }
+    conns
+}
+
+/// The expert's findings on the connection that carries the first record
+/// labelled as `kind`: the victim's.
+fn victim_signals(seed: u64, kind: AttackKind) -> Vec<AnalysisSignal> {
+    let ds = DatasetBuilder::small(seed, 15).attack(kind);
+    let stream = extract_from_events(&ds.report.events);
+    let victim = stream
+        .records
+        .iter()
+        .zip(&stream.labels)
+        .find(|(_, label)| **label == TrafficClass::Attack(kind))
+        .map(|(r, _)| r.du_ue_id)
+        .expect("an attack record exists");
+    ExpertEngine.analyze(&connections(&stream)[&victim])
+}
+
 #[test]
-fn conformance_checker_clears_benign_connections() {
-    // Seed pinned against the vendored RNG stream: channel retransmissions
-    // cascade into ordering false positives often enough that an unlucky
-    // draw can push a small dataset past the "rare" threshold below.
-    let report = DatasetBuilder::small(420, 15).benign();
-    // Group messages per connection and replay each through the checker.
-    let mut conns: std::collections::BTreeMap<u32, Vec<&L3Message>> = Default::default();
-    for ev in &report.events {
-        conns.entry(ev.du_ue_id).or_default().push(&ev.msg);
-    }
-    let mut violating = 0;
-    for msgs in conns.values() {
-        let mut check = ProcedureConformance::new();
-        for msg in msgs {
-            check.observe(msg);
-        }
-        // No finish(): channel loss can strand benign sessions (an abandoned
-        // handshake is noise, not an ordering violation).
-        if !check.is_conformant() {
-            violating += 1;
+fn expert_clears_benign_connections() {
+    // Channel loss and retransmissions reorder and duplicate benign ladders;
+    // none of that may read as an attack on any connection.
+    let mut seen = 0;
+    for seed in 420..430 {
+        for sessions in [15, 30] {
+            let report = DatasetBuilder::small(seed, sessions).benign();
+            let stream = extract_from_events(&report.events);
+            for (conn, records) in connections(&stream) {
+                let signals = ExpertEngine.analyze(&records);
+                assert!(signals.is_empty(), "seed {seed}/{sessions}: conn {conn}: {signals:?}");
+                seen += 1;
+            }
         }
     }
-    // Channel loss/duplication occasionally produces sequences the strict
-    // grammar rejects — exactly the "network interference" false-positive
-    // source the paper reports. It must stay rare.
-    assert!(
-        violating * 10 <= conns.len(),
-        "{violating}/{} benign connections violated the grammar",
-        conns.len()
-    );
+    assert!(seen > 0, "no benign connection was judged");
 }
 
 #[test]
 fn downlink_extraction_violates_the_grammar_where_figure_2a_says() {
-    let ds = DatasetBuilder::small(401, 15).attack(AttackKind::DownlinkIdExtraction);
-    let victim_conn = ds
-        .report
-        .events
-        .iter()
-        .find(|e| e.label == TrafficClass::Attack(AttackKind::DownlinkIdExtraction))
-        .map(|e| e.du_ue_id)
-        .expect("an attack event exists");
-    let mut check = ProcedureConformance::new();
-    for ev in ds.report.events.iter().filter(|e| e.du_ue_id == victim_conn) {
-        check.observe(&ev.msg);
+    // The UE answers an AuthenticationRequest with an IdentityResponse.
+    for seed in 400..410 {
+        let signals = victim_signals(seed, AttackKind::DownlinkIdExtraction);
+        assert!(
+            signals.iter().any(|s| matches!(
+                s,
+                AnalysisSignal::OrderingViolation { got: MessageKind::NasIdentityResponse, .. }
+            )),
+            "seed {seed}: {signals:?}"
+        );
+        assert!(
+            signals.iter().any(|s| matches!(
+                s,
+                AnalysisSignal::PlaintextIdentityExposure { compliant_position: false, .. }
+            )),
+            "seed {seed}: {signals:?}"
+        );
     }
-    assert!(check.violations().iter().any(|v| matches!(v, Violation::OutOfOrder { .. })));
-    assert!(check.violations().contains(&Violation::PlaintextIdentityDisclosure));
 }
 
 #[test]
 fn uplink_extraction_stays_grammar_compliant() {
     // The hard case: the trace is standards-compliant; only the plaintext
-    // disclosure finding (ambiguous per §5) appears.
-    // Seed pinned against the vendored RNG stream (see the benign test): the
-    // victim connection must not be hit by a benign retransmission cascade.
-    let ds = DatasetBuilder::small(404, 15).attack(AttackKind::UplinkIdExtraction);
-    let victim_conn = ds
-        .report
-        .events
-        .iter()
-        .find(|e| e.label == TrafficClass::Attack(AttackKind::UplinkIdExtraction))
-        .map(|e| e.du_ue_id)
-        .expect("an attack event exists");
-    let mut check = ProcedureConformance::new();
-    for ev in ds.report.events.iter().filter(|e| e.du_ue_id == victim_conn) {
-        check.observe(&ev.msg);
+    // disclosure inside a legal identity procedure (ambiguous per §5)
+    // appears.
+    for seed in 400..410 {
+        let signals = victim_signals(seed, AttackKind::UplinkIdExtraction);
+        assert!(
+            !signals.iter().any(|s| matches!(s, AnalysisSignal::OrderingViolation { .. })),
+            "seed {seed}: unexpected ordering violation: {signals:?}"
+        );
+        assert!(
+            signals.iter().any(|s| matches!(
+                s,
+                AnalysisSignal::PlaintextIdentityExposure { compliant_position: true, .. }
+            )),
+            "seed {seed}: {signals:?}"
+        );
     }
-    let ordering: Vec<_> = check
-        .violations()
-        .iter()
-        .filter(|v| matches!(v, Violation::OutOfOrder { .. }))
-        .collect();
-    assert!(ordering.is_empty(), "unexpected ordering violations: {ordering:?}");
-    assert!(check.violations().contains(&Violation::PlaintextIdentityDisclosure));
 }
 
 #[test]
@@ -121,26 +133,30 @@ fn attack_records_carry_the_commanded_algorithms() {
 
 #[test]
 fn expert_engine_names_every_attack_from_its_dataset() {
-    // Feed the expert the whole attack region (attack records ± context):
-    // its top suspicion must match the dataset's attack.
-    let engine = ExpertEngine;
-    for kind in AttackKind::ALL {
-        let ds = DatasetBuilder::small(500 + kind as u64, 20).attack(kind);
-        let stream = extract_from_events(&ds.report.events);
-        let first = stream.labels.iter().position(|l| l.is_attack()).expect("attack exists");
-        let last = stream.len()
-            - 1
-            - stream.labels.iter().rev().position(|l| l.is_attack()).unwrap();
-        let start = first.saturating_sub(30);
-        let end = (last + 10).min(stream.len());
-        let report = engine.analyze(&stream.records[start..end]);
-        assert!(report.is_anomalous(), "{kind}: engine saw nothing");
-        assert!(
-            report.suspected.contains(&kind),
-            "{kind}: suspected {:?} (signals {:?})",
-            report.suspected,
-            report.signals.len()
-        );
+    // Feed the expert the whole attack region (attack records ± context), as
+    // the analyzer's backend reads it: a rendered prompt. The attacks the
+    // ORACLE lists must name the dataset's attack.
+    for base in [500, 600, 700] {
+        for kind in AttackKind::ALL {
+            let ds = DatasetBuilder::small(base + kind as u64, 20).attack(kind);
+            let stream = extract_from_events(&ds.report.events);
+            let first = stream.labels.iter().position(|l| l.is_attack()).expect("attack exists");
+            let last = stream.len()
+                - 1
+                - stream.labels.iter().rev().position(|l| l.is_attack()).unwrap();
+            let start = first.saturating_sub(30);
+            let end = (last + 10).min(stream.len());
+            let prompt = PromptTemplate::default().render(&stream.records[start..end]);
+            let answer =
+                SimulatedExpert::new(ModelPersonality::ORACLE).complete(&prompt).unwrap();
+            let parsed = ParsedResponse::parse(&answer);
+            assert!(parsed.anomalous, "{kind} at {base}: the expert saw nothing");
+            assert!(
+                parsed.attacks.iter().any(|t| attack_from_title(t) == Some(kind)),
+                "{kind} at {base}: listed {:?}",
+                parsed.attacks
+            );
+        }
     }
 }
 
@@ -148,9 +164,8 @@ fn expert_engine_names_every_attack_from_its_dataset() {
 fn blind_dos_shows_replay_to_the_engine_and_detaches_victims() {
     let ds = DatasetBuilder::small(600, 20).attack(AttackKind::BlindDos);
     let stream = extract_from_events(&ds.report.events);
-    let report = ExpertEngine.analyze(&stream.records);
-    assert!(report
-        .signals
+    let signals = ExpertEngine.analyze(&stream.records);
+    assert!(signals
         .iter()
         .any(|s| matches!(s, AnalysisSignal::TmsiReplay { connections, .. } if *connections >= 2)));
     // Victim teardowns are labeled as attack fallout.
