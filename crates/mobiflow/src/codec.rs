@@ -275,6 +275,113 @@ mod tests {
         }
     }
 
+    /// The `sample()` line, one field at a time.
+    const SAMPLE_FIELDS: [&str; 15] = [
+        "v2", "UE", "42", "123456", "1", "4601", "7", "UL", "RegistrationRequest", "99",
+        "001.01.12345", "2", "2", "3", "-",
+    ];
+
+    fn with_field(index: usize, value: &str) -> String {
+        let mut fields = SAMPLE_FIELDS;
+        fields[index] = value;
+        fields.join(";")
+    }
+
+    #[test]
+    fn decode_keeps_std_integer_semantics() {
+        // The accept set is std's `FromStr` for each field's width (and
+        // `from_str_radix` for the RNTI): one optional `+`, at least one
+        // ASCII digit, leading zeros allowed, overflow rejected.
+        for (index, value) in [
+            (2, "+42"),
+            (3, "+123456"),
+            (9, "+99"),
+            (11, "+2"),
+            (0, "v+2"),
+            (10, "+001.+01.+12345"),
+            (2, "0042"),
+            (4, "007"),
+            (6, "007"),
+            (9, "0099"),
+            (13, "003"),
+            (0, "v002"),
+            (10, "0001.0001.00012345"),
+            (5, "ABCD"),
+            (5, "aBcD"),
+            (5, "+4601"),
+            (5, "04601"),
+            (5, "1"),
+            (2, "18446744073709551615"),
+            (3, "18446744073709551615"),
+            (4, "4294967295"),
+            (6, "4294967295"),
+            (9, "4294967295"),
+            (10, "65535.65535.18446744073709551615"),
+            (2, "000000000000000000000000000018446744073709551615"),
+        ] {
+            let line = with_field(index, value);
+            assert!(decode_ue_record(&line).is_ok(), "rejected {line:?}");
+        }
+
+        let mut rejects = vec![
+            // empty numeric fields and a bare `+`
+            with_field(2, ""),
+            with_field(3, ""),
+            with_field(4, ""),
+            with_field(5, ""),
+            with_field(6, ""),
+            with_field(9, ""),
+            with_field(11, ""),
+            with_field(10, ".01.12345"),
+            with_field(10, "001..12345"),
+            with_field(10, "001.01."),
+            with_field(0, "v"),
+            with_field(2, "+"),
+            with_field(5, "+"),
+            with_field(9, "+"),
+            with_field(14, "+"),
+            with_field(10, "+.01.12345"),
+            // signs, spaces and doubled prefixes std refuses
+            with_field(2, "++42"),
+            with_field(2, "-42"),
+            with_field(2, "-0"),
+            with_field(5, "-1"),
+            with_field(2, " 42"),
+            with_field(2, "42 "),
+            with_field(2, "4_2"),
+            with_field(5, "0x46"),
+            with_field(2, "-"),
+            // non-ASCII digits
+            with_field(2, "\u{ff14}\u{ff12}"),
+            with_field(4, "1\u{0663}"),
+            with_field(11, "\u{0662}"),
+            with_field(5, "46\u{ff10}1"),
+            // a 5-digit hex RNTI
+            with_field(5, "14601"),
+            with_field(5, "10000"),
+            // one past each width's maximum
+            with_field(2, "18446744073709551616"),
+            with_field(3, "18446744073709551616"),
+            with_field(10, "001.01.18446744073709551616"),
+            with_field(4, "4294967296"),
+            with_field(6, "4294967296"),
+            with_field(9, "4294967296"),
+            with_field(10, "65536.01.12345"),
+            with_field(10, "001.65536.12345"),
+            with_field(0, "v4294967298"),
+        ];
+        for code_field in 11..15 {
+            rejects.push(with_field(code_field, "256"));
+        }
+        // 14 and 16 fields
+        rejects.push(SAMPLE_FIELDS[..14].join(";"));
+        rejects.push([&SAMPLE_FIELDS[..], &["-"]].concat().join(";"));
+        for line in rejects {
+            assert!(decode_ue_record(&line).is_err(), "accepted {line:?}");
+        }
+        assert_eq!(decode_ue_record(&SAMPLE_FIELDS.join(";")).unwrap(), sample());
+    }
+
     proptest! {
         #[test]
         fn prop_round_trip(
