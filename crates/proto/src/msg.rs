@@ -125,6 +125,11 @@ macro_rules! message_kinds {
                 match self { $(MessageKind::$variant => $name),+ }
             }
 
+            /// Inverse of [`MessageKind::name`]: an exact, case-sensitive match.
+            pub fn from_name(name: &str) -> Option<Self> {
+                match name { $($name => Some(MessageKind::$variant),)+ _ => None }
+            }
+
             /// Nominal direction of this message type.
             pub fn direction(self) -> Direction {
                 match self { $(MessageKind::$variant => Direction::$dir),+ }
@@ -200,6 +205,19 @@ mod tests {
             assert_eq!(MessageKind::from_code(kind.code()), Some(*kind));
         }
         assert_eq!(MessageKind::from_code(200), None);
+    }
+
+    #[test]
+    fn names_round_trip_for_all_kinds() {
+        for kind in MessageKind::ALL {
+            assert_eq!(MessageKind::from_name(kind.name()), Some(*kind));
+        }
+        for name in ["", "rrcsetup", "RRCSetup ", " RRCSetup", "RRCSetupReq", "RRCSetupRequestX"] {
+            assert_eq!(MessageKind::from_name(name), None, "{name:?}");
+        }
+        // A name that is a prefix of another matches only itself.
+        assert_eq!(MessageKind::from_name("RRCSetup"), Some(MessageKind::RrcSetup));
+        assert_eq!(MessageKind::from_name("RRCSetupRequest"), Some(MessageKind::RrcSetupRequest));
     }
 
     #[test]

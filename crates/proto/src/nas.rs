@@ -10,25 +10,21 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use xsec_types::{CipherAlg, IntegrityAlg, SecurityCapabilities, Tmsi};
 
-/// Which identity an `IdentityRequest` demands.
+/// Which identity an `IdentityRequest` demands. The one kind any sender in
+/// the model asks for is the plaintext SUPI: the AMF's fallback and the
+/// identity-extraction attacks both request it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum IdentityType {
-    /// The concealed permanent identity (normal, privacy-preserving).
-    Suci,
     /// The *plaintext* permanent identity — legitimate networks only fall
     /// back to this when no security context can be established; attackers
     /// request it outright.
     PlainSupi,
-    /// The temporary identity.
-    Tmsi,
 }
 
 impl fmt::Display for IdentityType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            IdentityType::Suci => "SUCI",
             IdentityType::PlainSupi => "SUPI",
-            IdentityType::Tmsi => "5G-S-TMSI",
         })
     }
 }

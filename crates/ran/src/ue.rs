@@ -185,17 +185,12 @@ impl BenignUe {
         }
     }
 
-    fn identity_of_type(&self, id_type: IdentityType, rng: &mut StdRng) -> MobileIdentity {
+    fn identity_of_type(&self, id_type: IdentityType) -> MobileIdentity {
         match id_type {
-            IdentityType::Suci => self.fresh_suci(rng),
             // Complying with a plaintext identity request is the 24.501
             // §5.4.3 fallback — and the vulnerability identity-extraction
             // attacks exploit.
             IdentityType::PlainSupi => MobileIdentity::PlainSupi(self.supi),
-            IdentityType::Tmsi => match self.cached_tmsi {
-                Some(tmsi) => MobileIdentity::FiveGSTmsi(tmsi),
-                None => self.fresh_suci(rng),
-            },
         }
     }
 }
@@ -282,7 +277,7 @@ impl UeBehavior for BenignUe {
                     actions
                 }
                 NasMessage::IdentityRequest { id_type } => {
-                    let identity = self.identity_of_type(*id_type, rng);
+                    let identity = self.identity_of_type(*id_type);
                     UeActions::none()
                         .send(L3Message::Nas(NasMessage::IdentityResponse { identity }))
                 }
