@@ -184,15 +184,6 @@ impl BenignUe {
             _ => self.fresh_suci(rng),
         }
     }
-
-    fn identity_of_type(&self, id_type: IdentityType) -> MobileIdentity {
-        match id_type {
-            // Complying with a plaintext identity request is the 24.501
-            // §5.4.3 fallback — and the vulnerability identity-extraction
-            // attacks exploit.
-            IdentityType::PlainSupi => MobileIdentity::PlainSupi(self.supi),
-        }
-    }
 }
 
 impl UeBehavior for BenignUe {
@@ -276,8 +267,11 @@ impl UeBehavior for BenignUe {
                     }
                     actions
                 }
-                NasMessage::IdentityRequest { id_type } => {
-                    let identity = self.identity_of_type(*id_type);
+                // Complying with a plaintext identity request is the 24.501
+                // §5.4.3 fallback — and the vulnerability identity-extraction
+                // attacks exploit.
+                NasMessage::IdentityRequest { id_type: IdentityType::PlainSupi } => {
+                    let identity = MobileIdentity::PlainSupi(self.supi);
                     UeActions::none()
                         .send(L3Message::Nas(NasMessage::IdentityResponse { identity }))
                 }
