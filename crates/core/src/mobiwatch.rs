@@ -94,10 +94,10 @@ impl Default for MobiWatchConfig {
 /// [`AnomalyAlert::encode`].
 #[derive(Debug, Clone)]
 pub struct AnomalyAlert {
-    /// Causal trace id of the record that completed the flagged window
-    /// (0 = untraced; ids start at 1). Downstream xApps propagate it so the
-    /// flight recorder can stitch detection → mitigation → ack into one
-    /// incident trace.
+    /// The incident this alert opened: its flight-recorder trace id (1, 2,
+    /// … in publication order; 0 = untraced). Downstream xApps propagate
+    /// it so the flight recorder can stitch detection → mitigation → ack
+    /// into one incident trace.
     pub trace: u64,
     /// Stream index of the last record in the flagged window.
     pub at_record: u64,
@@ -317,9 +317,6 @@ impl MobiWatch {
 
     /// One pass of [`Self::detect`].
     fn pass(&mut self, records: &[UeMobiFlow]) -> Vec<AnomalyAlert> {
-        let Some(last) = records.last() else {
-            return Vec::new();
-        };
         // Featurize sequentially (stream-level state), staging each record
         // under its key. An RRC release ends a per-UE key for good — DU ids
         // are never reused within a run — so once the release record itself
@@ -336,9 +333,7 @@ impl MobiWatch {
         let metrics = &self.scorer.metrics;
         metrics.featurize_latency.observe_duration(start.elapsed());
         metrics.records.add(records.len() as u64);
-        // The latency sample's exemplar: the causal trace the E2 agent
-        // rooted for the batch's last record.
-        self.scorer.score(self.recorder.trace_for(last.msg_id));
+        self.scorer.score();
         self.scorer.metrics.windows_scored.add(self.scorer.verdicts.len() as u64);
         self.emit(records, first)
     }
@@ -349,9 +344,9 @@ impl MobiWatch {
     /// the `(index, score, flagged)` row, and — when the verdict is a
     /// candidate that opens or escalates an incident — the alert with the
     /// stream's trailing window + context *as of that record* attached, and
-    /// its trace's incident opened with the record's ingest, inference and
-    /// alert spans. A candidate merged into an open incident builds nothing
-    /// and is only counted. The context is the stream's, not the key's: a
+    /// the next incident opened, its id the alert's trace, with the record's
+    /// ingest, inference and alert spans. A candidate merged into an open
+    /// incident builds nothing and is only counted. The context is the stream's, not the key's: a
     /// per-UE context would hide stream-level signatures like a storm of
     /// one-shot connections.
     /// The alerts are returned, not yet in the shared state: the caller
@@ -380,7 +375,10 @@ impl MobiWatch {
                 metrics.alerts_merged.inc();
                 continue;
             }
-            let trace = self.recorder.trace_for(record.msg_id);
+            // A detection fired: its incident opens, numbered in
+            // publication order, with the record's ingest, its inference
+            // and the alert.
+            let trace = self.recorder.begin_trace(record.msg_id);
             let alert = AnomalyAlert {
                 trace,
                 at_record: index,
@@ -389,9 +387,6 @@ impl MobiWatch {
                 threshold: verdict.threshold,
                 records: self.tail.iter().map(encode_ue_record).collect(),
             };
-            // A detection fired: open this trace's incident with the
-            // record's ingest, its inference and the alert.
-            self.recorder.mark_incident(trace);
             let at_us = record.timestamp.as_micros();
             let (score, threshold) =
                 (u64::from(verdict.score.to_bits()), u64::from(verdict.threshold.to_bits()));

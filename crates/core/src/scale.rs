@@ -29,7 +29,7 @@
 //! construction: records buffer per report bucket and flush in *cell-major*
 //! order (stable per-cell arrival order), so the concatenation of per-agent
 //! indications the platform delivers is the identical global sequence at
-//! every agent count. Per-UE scoring, trace allocation, and the
+//! every agent count. Per-UE scoring, incident numbering, and the
 //! mitigator's virtual clock are all pure functions of that sequence.
 
 use crate::analyzer::{AnalyzerFinding, AnalyzerState, LlmAnalyzer};
@@ -571,6 +571,99 @@ mod tests {
         assert_eq!(digests[0].0, digests[1].0, "detections diverge across agent counts");
         assert_eq!(digests[0].1, digests[1].1, "incident traces diverge across agent counts");
         assert_eq!(confusions[0], confusions[1], "evaluation diverges across agent counts");
+    }
+
+    #[test]
+    fn every_incident_opens_at_its_own_record_however_long_the_bucket() {
+        use xsec_obs::TraceStage;
+        use xsec_types::AttackKind;
+
+        // One report bucket holds the whole replay, so the agent admits every
+        // record behind an alerted one before the detector scores any of them.
+        let mut config = PipelineConfig::small(31, 15);
+        config.report_period_ms = 600_000;
+        let pipeline = Pipeline::train(&config);
+        let mut records = pipeline.eval_stream(TrafficClass::Attack(AttackKind::BtsDos)).records;
+        let benign = pipeline.eval_stream(TrafficClass::Benign).records;
+        let flood_records = records.len();
+        // 20 000 benign records replayed after the flood, each pass restamped
+        // past the previous end.
+        const TRAILING: usize = 20_000;
+        while records.len() < flood_records + TRAILING {
+            let end = records.last().expect("stream not empty").timestamp.as_micros();
+            let shift = Duration(end + 1);
+            records.extend(benign.iter().map(|r| {
+                let mut r = r.clone();
+                r.timestamp += shift;
+                r
+            }));
+        }
+        records.truncate(flood_records + TRAILING);
+        // Renumbered so every msg id is the record's own, the flood's below
+        // `flood_records`.
+        for (msg_id, record) in (0u64..).zip(records.iter_mut()) {
+            record.msg_id = msg_id;
+        }
+        assert!(
+            records.last().expect("stream not empty").timestamp.as_micros()
+                < u64::from(config.report_period_ms) * 1_000,
+            "the replay must fit one report bucket"
+        );
+
+        let mut d = ScaleDeployment::new(&pipeline, 1);
+        d.drive(&mut Replay(&records));
+        // The detector indexes records in the order the bucket is flushed:
+        // cell-major, stable.
+        let mut delivered = records.clone();
+        delivered.sort_by_key(|r| r.cell.0);
+        let alerts = d.watch_state.lock().alerts.clone();
+        let recorder = &d.obs().recorder;
+        let incidents = recorder.incidents();
+        // Every published alert is an incident, kept or counted.
+        assert_eq!(
+            alerts.len() as u64,
+            incidents.len() as u64 + recorder.dropped_incidents(),
+            "{} alerts, {} incidents kept, {} dropped",
+            alerts.len(),
+            incidents.len(),
+            recorder.dropped_incidents()
+        );
+        assert!(
+            alerts.iter().map(|a| a.trace).eq(1..=alerts.len() as u64),
+            "alerts are numbered 1, 2, … in publication order"
+        );
+        assert!(
+            alerts.iter().any(|a| delivered.len() - 1 - a.at_record as usize > 16_384),
+            "no alerted record is followed by more than 16 384 records in its bucket"
+        );
+        let first = incidents.first().expect("the flood opened an incident");
+        let ingest = first.events.first().expect("an incident holds its events");
+        assert_eq!(ingest.stage, TraceStage::Ingest);
+        assert!(ingest.b < flood_records as u64, "incident 1 opened on record {}", ingest.b);
+        for incident in &incidents {
+            let alert = alerts
+                .iter()
+                .find(|a| a.trace == incident.trace)
+                .unwrap_or_else(|| panic!("no alert opened incident {}", incident.trace));
+            let record = &delivered[alert.at_record as usize];
+            let ingest = incident.events.first().expect("an incident holds its events");
+            let why = format!("trace {}", incident.trace);
+            assert_eq!(ingest.stage, TraceStage::Ingest, "{why} starts elsewhere");
+            assert_eq!(
+                (ingest.at_us, ingest.a, ingest.b),
+                (record.timestamp.as_micros(), u64::from(record.du_ue_id), record.msg_id),
+                "{why}'s ingest is not its alert's record"
+            );
+            let verdict = (u64::from(alert.score.to_bits()), u64::from(alert.threshold.to_bits()));
+            for stage in [TraceStage::Inference, TraceStage::Alert] {
+                let event = incident
+                    .events
+                    .iter()
+                    .find(|e| e.stage == stage)
+                    .expect("inference and alert spans");
+                assert_eq!((event.a, event.b), verdict, "{why} {stage:?}");
+            }
+        }
     }
 
     /// A tenant granted only `control:release-ue` that ships one 2-byte

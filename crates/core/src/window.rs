@@ -307,9 +307,8 @@ impl Scorer {
     }
 
     /// Scores the batch into `verdicts`: stage every record on its key's
-    /// core, flush once, judge in staging order. `trace` (0 = unknown here)
-    /// is the latency sample's exemplar.
-    pub(crate) fn score(&mut self, trace: u64) {
+    /// core, flush once, judge in staging order.
+    pub(crate) fn score(&mut self) {
         let (window, detector) = (self.models.feature_config.window, self.config.detector);
         let lstm = &self.models.lstm;
         // Room for every window the batch can stage, by its record count
@@ -342,7 +341,7 @@ impl Scorer {
             }
         }
         self.nonzeros.clear();
-        self.flush(trace);
+        self.flush();
         let threshold = match detector {
             Detector::Autoencoder => self.models.ae_threshold,
             Detector::Lstm => self.models.lstm_threshold,
@@ -359,7 +358,7 @@ impl Scorer {
 
     /// Scores every staged window in one batched model pass. One
     /// inference-latency sample per call that scored anything.
-    fn flush(&mut self, trace: u64) {
+    fn flush(&mut self) {
         if self.batch.targets.is_empty() {
             return;
         }
@@ -378,7 +377,7 @@ impl Scorer {
         batch.targets.clear();
         batch.lists.clear();
         batch.projections.clear();
-        metrics.inference_latency.observe_duration_with_exemplar(start.elapsed(), trace);
+        metrics.inference_latency.observe_duration(start.elapsed());
     }
 }
 

@@ -12,7 +12,7 @@ use crate::e2sm::{KpmIndication, RAN_FUNCTION_MOBIFLOW};
 use crate::transport::{E2Transport, SendOutcome};
 use std::collections::BTreeMap;
 use xsec_mobiflow::UeMobiFlow;
-use xsec_obs::{Counter, FlightRecorder, Obs};
+use xsec_obs::{Counter, Obs};
 use xsec_types::{CellId, Duration, GnbId, Result, Timestamp};
 
 /// Agent identity/configuration.
@@ -78,9 +78,6 @@ pub struct RicAgent<T: E2Transport> {
     frame: Vec<u8>,
     control_inbox: Vec<Vec<u8>>,
     metrics: AgentMetrics,
-    /// The causal flight recorder: every pushed record opens a trace here
-    /// (keyed by `msg_id`), which downstream stages recover and extend.
-    recorder: FlightRecorder,
 }
 
 impl<T: E2Transport> RicAgent<T> {
@@ -102,12 +99,12 @@ impl<T: E2Transport> RicAgent<T> {
             frame: Vec::new(),
             control_inbox: Vec::new(),
             metrics: AgentMetrics::register(&Obs::new()),
-            recorder: FlightRecorder::new(),
         })
     }
 
     /// Re-homes the agent's counters into `obs` (accumulated counts are
-    /// carried over) and its trace root into `obs`'s flight recorder.
+    /// carried over). The agent records no flight events: an incident is
+    /// opened by the detector that publishes its alert.
     pub fn attach_obs(&mut self, obs: &Obs) {
         let metrics = AgentMetrics::register(obs);
         metrics.records_pushed.add(self.metrics.records_pushed.get());
@@ -119,7 +116,6 @@ impl<T: E2Transport> RicAgent<T> {
         metrics.setups_refused.add(self.metrics.setups_refused.get());
         metrics.unsubscribed.add(self.metrics.unsubscribed.get());
         self.metrics = metrics;
-        self.recorder = obs.recorder.clone();
     }
 
     /// Whether the RIC accepted our function.
@@ -154,16 +150,15 @@ impl<T: E2Transport> RicAgent<T> {
         self.log.len() - min_cursor
     }
 
-    /// The CU instrumentation hook: one record per observed message. Each
-    /// record roots a causal trace in the flight recorder, keyed by its
-    /// `msg_id`; the detector records its ingest span if it fires. A
+    /// The CU instrumentation hook: one record per observed message. It
+    /// costs a counter and a log push; a record is traced only if the
+    /// detector publishes an alert on it, which opens its incident. A
     /// subscription starts at the log's end, so a record pushed while there
     /// is none is owed to nobody: it is counted under
     /// `xsec_e2_agent_dropped_total{site="log",reason="no_subscription"}`
     /// and not kept.
     pub fn push_record(&mut self, record: UeMobiFlow) {
         self.metrics.records_pushed.inc();
-        self.recorder.begin_trace(record.msg_id);
         if self.subscriptions.is_empty() {
             self.metrics.unsubscribed.inc();
         } else {

@@ -1,22 +1,22 @@
 //! The flight recorder: causal trace contexts plus a bounded incident store
 //! that turns a detection into a replayable incident file.
 //!
-//! Every MobiFlow record admitted at the E2 agent gets a **trace id** from a
-//! counter-based generator — no wall clock, no randomness — so two replays
-//! of the same seeded scenario allocate identical ids. The id rides the
-//! record through featurize → inference → alert → analyzer verdict → policy
-//! decision → Control Request (as an optional TLV) → gNB enforcement → ack,
-//! and each stage of a detection drops a fixed-size [`FlightEvent`] into its
-//! incident.
+//! A **trace id is an incident id**: when the detector publishes an alert it
+//! opens the next incident ([`FlightRecorder::begin_trace`]), numbered 1, 2,
+//! … in publication order — no wall clock, no randomness — so two replays
+//! of the same seeded scenario number their incidents identically. The id
+//! rides the alert through analyzer verdict → policy decision → Control
+//! Request (as an optional TLV) → gNB enforcement → ack, and each stage
+//! drops a fixed-size [`FlightEvent`] into its incident. Nothing is recorded
+//! per record.
 //!
-//! The recorder is one store: the trace slot map (`msg_id` → trace id), the
-//! incidents and the authorization denials. Nothing is recorded per record
-//! beyond the slot write. When a detection fires, the detector opens the
-//! trace's incident ([`FlightRecorder::mark_incident`]) and records the
-//! record's own ingest, inference and alert events from the record and
-//! verdict it holds; later stages extend the incident via
-//! [`FlightRecorder::record_stage`]. An event whose trace has no open
-//! incident is dropped. Incidents export as a JSONL decision trace
+//! The recorder is one store: the incidents and the authorization denials.
+//! The detector records the alerted record's own ingest, inference and
+//! alert events from the record and verdict it holds; later stages extend
+//! the incident via [`FlightRecorder::record_stage`], which finds incident
+//! `t` at index `t - 1`. At most 64 incidents are kept; later ones still get
+//! an id and count as dropped, and an event whose incident is not kept is
+//! dropped. Incidents export as a JSONL decision trace
 //! ([`FlightRecorder::incidents_jsonl`]) and a Chrome/Perfetto `trace.json`
 //! ([`FlightRecorder::perfetto_json`]); both order-normalize events by
 //! `(trace, time, stage)` so the export is invariant to the order the
@@ -28,11 +28,7 @@
 //! run's.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Capacity of the bounded msg-id → trace-id slot map.
-const TRACE_SLOTS: usize = 16_384;
 
 /// Maximum incidents retained per run; later detections count as dropped.
 const MAX_INCIDENTS: usize = 64;
@@ -92,24 +88,21 @@ impl TraceStage {
     }
 }
 
-/// The causal context one stage runs under: which trace it belongs to and
-/// where it sits in the chain. Span ids are positional (`stage + 1`, parent
-/// is the previous stage's span, 0 at the root), so contexts are derivable
-/// anywhere from `(trace, stage)` without cross-thread id allocation.
+/// Where a stage's span sits in its trace's chain. Span ids are positional
+/// (`stage + 1`, parent is the previous stage's span, 0 at the root), so
+/// they derive from the stage alone, without id allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceCtx {
-    /// Trace id (counter-allocated, starts at 1; 0 means "untraced").
-    pub trace: u64,
+struct TraceCtx {
     /// This stage's span id within the trace.
-    pub span: u32,
+    span: u32,
     /// Parent span id (0 for the root ingest span).
     parent: u32,
 }
 
 impl TraceCtx {
-    /// The context for `stage` of trace `trace`.
-    pub fn at(trace: u64, stage: TraceStage) -> TraceCtx {
-        TraceCtx { trace, span: stage as u32 + 1, parent: stage as u32 }
+    /// The span of `stage`.
+    fn at(stage: TraceStage) -> TraceCtx {
+        TraceCtx { span: stage as u32 + 1, parent: stage as u32 }
     }
 }
 
@@ -117,7 +110,8 @@ impl TraceCtx {
 /// payloads (see [`TraceStage`]); f32 scores travel as `to_bits()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightEvent {
-    /// Owning trace id (0 = untraced; such events are never recorded).
+    /// Owning trace id, which is its incident's id (0 = untraced; such
+    /// events are never recorded).
     pub trace: u64,
     /// The causal stage.
     pub stage: TraceStage,
@@ -156,12 +150,14 @@ impl FlightRing {
 /// One detection's causal slice: every flight event recorded for its trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Incident {
-    /// The trace id the detection fired on.
+    /// The incident's id, which is its trace id.
     pub trace: u64,
     /// Events for this trace, order-normalized at export time.
     pub events: Vec<FlightEvent>,
 }
 
+/// The first [`MAX_INCIDENTS`] incidents, incident `t` at index `t - 1`,
+/// and a count of those opened after it filled.
 #[derive(Debug, Default)]
 struct IncidentStore {
     incidents: Vec<Incident>,
@@ -190,35 +186,18 @@ struct DenialStore {
     dropped: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct RecorderInner {
-    next_trace: AtomicU64,
-    /// `msg_id % TRACE_SLOTS` → `(msg_id + 1, trace)`; sized lazily so an
-    /// unused recorder costs nothing.
-    slots: Mutex<Vec<(u64, u64)>>,
     incidents: Mutex<IncidentStore>,
     denials: Mutex<DenialStore>,
 }
 
-/// The flight recorder: trace-id generator, trace slot map, and incident
-/// store. Cloning shares the recorder; [`Default`] builds a fresh one. The
-/// recorder is always on.
-#[derive(Debug, Clone)]
+/// The flight recorder: the incident store, which numbers incidents, and
+/// the denial store. Cloning shares the recorder; [`Default`] builds a
+/// fresh one. The recorder is always on.
+#[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
     inner: Arc<RecorderInner>,
-}
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        FlightRecorder {
-            inner: Arc::new(RecorderInner {
-                next_trace: AtomicU64::new(1),
-                slots: Mutex::new(Vec::new()),
-                incidents: Mutex::new(IncidentStore::default()),
-                denials: Mutex::new(DenialStore::default()),
-            }),
-        }
-    }
 }
 
 impl FlightRecorder {
@@ -233,59 +212,35 @@ impl FlightRecorder {
         FlightRing { recorder: self.clone() }
     }
 
-    /// Allocates the next trace id for `msg_id` and remembers the mapping
-    /// in a bounded slot map so downstream stages can recover the trace
-    /// from the record alone.
+    /// Opens the next incident, empty, and returns its id — the trace id
+    /// its events carry: 1, 2, … in the order incidents open. Its events
+    /// arrive through [`Self::record_stage`]. At most [`MAX_INCIDENTS`] are
+    /// kept; a later one still gets its id and counts as dropped.
     ///
-    /// Must be called from the (single) ingest path so the counter order —
-    /// and therefore every replayed id — is deterministic.
-    pub fn begin_trace(&self, msg_id: u64) -> u64 {
-        let trace = self.inner.next_trace.fetch_add(1, Ordering::Relaxed);
-        let mut slots = self.inner.slots.lock().expect("trace slots poisoned");
-        if slots.is_empty() {
-            slots.resize(TRACE_SLOTS, (0, 0));
+    /// `msg_id` is not read (the frozen benchmark probe passes it). Called
+    /// by the detector, once per published alert, so the order — and
+    /// therefore every replayed id — is deterministic.
+    pub fn begin_trace(&self, _msg_id: u64) -> u64 {
+        let mut store = self.inner.incidents.lock().expect("incident store poisoned");
+        let trace = store.incidents.len() as u64 + store.dropped + 1;
+        if store.incidents.len() < MAX_INCIDENTS {
+            store.incidents.push(Incident { trace, events: Vec::new() });
+        } else {
+            store.dropped += 1;
         }
-        slots[(msg_id % TRACE_SLOTS as u64) as usize] = (msg_id.wrapping_add(1), trace);
         trace
     }
 
-    /// The trace id allocated for `msg_id`, or 0 when unknown (never
-    /// ingested, or evicted from the slot map).
-    pub fn trace_for(&self, msg_id: u64) -> u64 {
-        let slots = self.inner.slots.lock().expect("trace slots poisoned");
-        match slots.get((msg_id % TRACE_SLOTS.max(1) as u64) as usize) {
-            Some((owner, trace)) if *owner == msg_id.wrapping_add(1) => *trace,
-            _ => 0,
-        }
-    }
-
-    /// Opens `trace`'s incident, empty: its events arrive through
-    /// [`Self::record_stage`]. Idempotent per trace; at most
-    /// [`MAX_INCIDENTS`] are kept and the rest are counted as dropped.
-    pub fn mark_incident(&self, trace: u64) {
-        if trace == 0 {
-            return;
-        }
-        let mut store = self.inner.incidents.lock().expect("incident store poisoned");
-        if store.incidents.iter().any(|i| i.trace == trace) {
-            return;
-        }
-        if store.incidents.len() >= MAX_INCIDENTS {
-            store.dropped += 1;
-            return;
-        }
-        store.incidents.push(Incident { trace, events: Vec::new() });
-    }
-
-    /// Appends a stage event to its incident, if the trace's incident is
-    /// open; otherwise (untraced, never opened, or dropped) the event is
-    /// dropped.
+    /// Appends a stage event to its incident, if that incident is kept;
+    /// otherwise (untraced, never opened, or dropped) the event is dropped,
+    /// past the store's bound without taking its lock.
     pub fn record_stage(&self, event: FlightEvent) {
-        if event.trace == 0 {
+        let index = event.trace.checked_sub(1).and_then(|i| usize::try_from(i).ok());
+        let Some(index) = index.filter(|&i| i < MAX_INCIDENTS) else {
             return;
-        }
+        };
         let mut store = self.inner.incidents.lock().expect("incident store poisoned");
-        if let Some(incident) = store.incidents.iter_mut().find(|i| i.trace == event.trace) {
+        if let Some(incident) = store.incidents.get_mut(index) {
             incident.events.push(event);
         }
     }
@@ -314,7 +269,8 @@ impl FlightRecorder {
         self.inner.denials.lock().expect("denial store poisoned").records.clone()
     }
 
-    /// Every retained incident, events order-normalized and deduplicated.
+    /// Every retained incident in trace order, events order-normalized and
+    /// deduplicated.
     pub fn incidents(&self) -> Vec<Incident> {
         let store = self.inner.incidents.lock().expect("incident store poisoned");
         let mut out = store.incidents.clone();
@@ -322,18 +278,17 @@ impl FlightRecorder {
             incident.events.sort_by_key(FlightEvent::sort_key);
             incident.events.dedup();
         }
-        out.sort_by_key(|i| i.trace);
         out
     }
 
-    /// Detections that arrived after the incident store filled up.
+    /// Incidents opened after the store filled up: numbered, not kept.
     pub fn dropped_incidents(&self) -> u64 {
         self.inner.incidents.lock().expect("incident store poisoned").dropped
     }
 
     /// Renders every incident as a JSONL decision trace: one JSON object
     /// per event with stage-specific field names, grouped by trace in
-    /// allocation order, followed by one `authz_deny` line per recorded
+    /// trace order, followed by one `authz_deny` line per recorded
     /// denial (trace 0 — the denied action never entered the causal
     /// chain). A run without denials renders exactly as it did before
     /// authorization existed. Stable across replays and agent counts.
@@ -386,7 +341,7 @@ impl FlightRecorder {
                     .map(|e| e.at_us)
                     .find(|at| *at > event.at_us);
                 let dur = next_at.map(|at| at - event.at_us).unwrap_or(1).max(1);
-                let ctx = TraceCtx::at(event.trace, event.stage);
+                let ctx = TraceCtx::at(event.stage);
                 push(&format!(
                     "{{\"name\":\"{}\",\"cat\":\"xsec\",\"ph\":\"X\",\"ts\":{},\"dur\":{dur},\
                      \"pid\":{},\"tid\":{},\"args\":{{\"trace_id\":{},\"span\":{},\
@@ -477,46 +432,53 @@ mod tests {
     #[test]
     fn trace_ids_are_sequential_and_recoverable() {
         let rec = FlightRecorder::new();
-        assert_eq!(rec.begin_trace(100), 1);
-        assert_eq!(rec.begin_trace(101), 2);
-        assert_eq!(rec.trace_for(100), 1);
-        assert_eq!(rec.trace_for(101), 2);
-        assert_eq!(rec.trace_for(999), 0, "unknown msg_id must be untraced");
-        // Slot collision: the newer msg_id evicts the older mapping.
-        let collider = 100 + TRACE_SLOTS as u64;
-        assert_eq!(rec.begin_trace(collider), 3);
-        assert_eq!(rec.trace_for(collider), 3);
-        assert_eq!(rec.trace_for(100), 0, "evicted mapping must not alias");
+        // Ids count opened incidents from 1; the msg id is not read.
+        let kept: Vec<u64> = (0..MAX_INCIDENTS as u64).map(|i| rec.begin_trace(900 - i)).collect();
+        assert_eq!(kept, (1..=MAX_INCIDENTS as u64).collect::<Vec<_>>());
+        // The 65th still gets its id, and counts as dropped.
+        let dropped = rec.begin_trace(7);
+        assert_eq!(dropped, MAX_INCIDENTS as u64 + 1);
+        assert_eq!(rec.dropped_incidents(), 1);
+        // Events for a dropped, an unknown or the zero trace are dropped.
+        for trace in [dropped, dropped + 1, 0] {
+            rec.record_stage(ev(trace, TraceStage::Alert, 1));
+        }
+        assert!(rec.incidents().iter().all(|i| i.events.is_empty()));
+        // Incident `t` is recovered at index `t - 1`.
+        rec.record_stage(ev(3, TraceStage::Alert, 1));
+        let incidents = rec.incidents();
+        assert_eq!(incidents.iter().map(|i| i.trace).collect::<Vec<_>>(), kept);
+        assert_eq!(incidents[2].events, vec![ev(3, TraceStage::Alert, 1)]);
     }
 
     #[test]
     fn record_stage_appends_only_to_an_open_incident() {
         let rec = FlightRecorder::new();
+        rec.record_stage(ev(1, TraceStage::Ingest, 5)); // not open yet: dropped
         let trace = rec.begin_trace(7);
-        rec.record_stage(ev(trace, TraceStage::Ingest, 5)); // not open yet: dropped
-        rec.mark_incident(trace);
+        let other = rec.begin_trace(8);
         rec.record_stage(ev(trace, TraceStage::Ingest, 10));
-        rec.mark_incident(trace); // idempotent: keeps what was recorded
         rec.ring().record(ev(trace, TraceStage::Inference, 20)); // the benchmark's shim
+        rec.record_stage(ev(other, TraceStage::Alert, 25));
         rec.record_stage(ev(trace, TraceStage::Alert, 30));
-        rec.record_stage(ev(trace + 99, TraceStage::Alert, 31)); // never opened: dropped
-        rec.mark_incident(0); // untraced: no incident
+        rec.record_stage(ev(other + 1, TraceStage::Alert, 31)); // never opened: dropped
         rec.record_stage(ev(0, TraceStage::Alert, 32)); // untraced: dropped
         let incidents = rec.incidents();
-        assert_eq!(incidents.len(), 1);
+        assert_eq!(incidents.len(), 2);
         let events: Vec<(TraceStage, u64)> =
             incidents[0].events.iter().map(|e| (e.stage, e.at_us)).collect();
         assert_eq!(
             events,
             vec![(TraceStage::Ingest, 10), (TraceStage::Inference, 20), (TraceStage::Alert, 30)]
         );
+        assert_eq!(incidents[1].events, vec![ev(other, TraceStage::Alert, 25)]);
     }
 
     #[test]
     fn incident_store_is_bounded() {
         let rec = FlightRecorder::new();
         for i in 1..=(MAX_INCIDENTS as u64 + 5) {
-            rec.mark_incident(i);
+            assert_eq!(rec.begin_trace(0), i);
         }
         assert_eq!(rec.incidents().len(), MAX_INCIDENTS);
         assert_eq!(rec.dropped_incidents(), 5);
@@ -526,7 +488,6 @@ mod tests {
     fn exports_are_order_normalized_and_stage_named() {
         let rec = FlightRecorder::new();
         let trace = rec.begin_trace(1);
-        rec.mark_incident(trace);
         // Append out of order; export must sort by time.
         rec.record_stage(FlightEvent {
             trace,
@@ -565,7 +526,6 @@ mod tests {
     fn denials_are_bounded_and_render_after_incidents() {
         let rec = FlightRecorder::new();
         let trace = rec.begin_trace(1);
-        rec.mark_incident(trace);
         rec.record_stage(ev(trace, TraceStage::Alert, 10));
         rec.record_denial("rogue", "publish:a1-policies");
         rec.record_denial("rogue", "control:quarantine-cell");
@@ -580,7 +540,6 @@ mod tests {
         // No denials → the export is exactly the pre-authz rendering.
         let clean = FlightRecorder::new();
         let t = clean.begin_trace(1);
-        clean.mark_incident(t);
         clean.record_stage(ev(t, TraceStage::Alert, 10));
         assert!(!clean.incidents_jsonl().contains("authz_deny"));
         // The store is bounded; overflow only counts.
@@ -606,9 +565,9 @@ mod tests {
 
     #[test]
     fn trace_ctx_spans_are_positional() {
-        let ctx = TraceCtx::at(5, TraceStage::Ingest);
+        let ctx = TraceCtx::at(TraceStage::Ingest);
         assert_eq!((ctx.span, ctx.parent), (1, 0));
-        let ctx = TraceCtx::at(5, TraceStage::Ack);
+        let ctx = TraceCtx::at(TraceStage::Ack);
         assert_eq!((ctx.span, ctx.parent), (8, 7));
     }
 
@@ -617,7 +576,6 @@ mod tests {
         let dir = std::env::temp_dir().join("xsec-obs-test-flight");
         let rec = FlightRecorder::new();
         let trace = rec.begin_trace(1);
-        rec.mark_incident(trace);
         rec.record_stage(ev(trace, TraceStage::Alert, 10));
         let (jsonl, perfetto) = rec.write_incident_files(&dir, "incidents").unwrap();
         assert!(std::fs::read_to_string(jsonl).unwrap().contains("\"stage\":\"alert\""));

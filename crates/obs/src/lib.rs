@@ -11,8 +11,8 @@
 //! * [`MetricsRegistry`] — lock-cheap [`Counter`]s, [`Gauge`]s, and
 //!   fixed-bucket [`Histogram`]s with p50/p90/p99/max estimates. Handles
 //!   are `Arc`s over atomics; the hot path never takes a lock.
-//! * [`FlightRecorder`] — per-record causal trace ids and the bounded
-//!   incident store behind `incidents.jsonl`.
+//! * [`FlightRecorder`] — the bounded incident store behind
+//!   `incidents.jsonl`; an incident's id is its causal trace id.
 //! * Exposition — [`Snapshot::render_prometheus`],
 //!   [`Snapshot::render_json`], and [`Snapshot::write_files`] dump
 //!   `metrics.prom` / `metrics.json` per run.
@@ -40,9 +40,7 @@ mod export;
 mod flight;
 mod metrics;
 
-pub use flight::{
-    DenialRecord, FlightEvent, FlightRecorder, FlightRing, Incident, TraceCtx, TraceStage,
-};
+pub use flight::{DenialRecord, FlightEvent, FlightRecorder, FlightRing, Incident, TraceStage};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSummary, MetricSample, MetricsRegistry, SampleValue,
     Snapshot,
